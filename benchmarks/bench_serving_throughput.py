@@ -1,11 +1,9 @@
-"""Serving-layer throughput: cross-query micro-batching vs sequential.
+"""Serving-layer throughput: whole-query fan-out vs sequential.
 
-The TPU paper's lesson is that batching independent requests is the lever
-that decides inference throughput; the serving layer's stage-wise executor
-applies it across queries (all VQ queries' ASR stages dispatch as one
-micro-batch, then all their QA stages).  This benchmark pits sequential
-``process_all`` against batched execution on thread and process backends
-over a VQ-mix workload.
+``PlanExecutor.run_all`` maps whole queries over an execution backend.
+This benchmark pits the classic sequential ``process_all`` (the ``serial``
+backend) against fan-out on the thread and process backends over a VQ-mix
+workload, and checks that the backend never changes an answer.
 
 Smoke mode (``SIRIUS_BENCH_SMOKE=1``, used by CI) shrinks the workload so
 the comparison stays cheap enough to gate every push.
@@ -43,19 +41,18 @@ def _timed(executor, queries, **kwargs):
     return time.perf_counter() - start, responses
 
 
-def test_batched_vs_sequential_report(executor, vq_workload, save_report):
+def test_fanout_vs_sequential_report(executor, vq_workload, save_report):
     sequential_s, _ = _timed(executor, vq_workload)
     rows = [["sequential", "serial", f"{sequential_s:.2f}",
              f"{len(vq_workload) / sequential_s:.2f}", "1.00x"]]
     for backend in ("thread", "process"):
-        batched_s, _ = _timed(
-            executor, vq_workload,
-            backend=backend, batch_stages=True, workers=WORKERS,
+        fanout_s, _ = _timed(
+            executor, vq_workload, backend=backend, workers=WORKERS
         )
         rows.append(
-            [f"batched", backend, f"{batched_s:.2f}",
-             f"{len(vq_workload) / batched_s:.2f}",
-             f"{sequential_s / batched_s:.2f}x"]
+            ["fan-out", backend, f"{fanout_s:.2f}",
+             f"{len(vq_workload) / fanout_s:.2f}",
+             f"{sequential_s / fanout_s:.2f}x"]
         )
     report = format_table(
         f"Serving throughput: {len(vq_workload)} VQ queries "
@@ -65,35 +62,17 @@ def test_batched_vs_sequential_report(executor, vq_workload, save_report):
     save_report("serving_throughput", report)
 
 
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2,
-    reason="cross-query batching needs >= 2 cores to beat sequential",
-)
-def test_batching_beats_sequential(executor, vq_workload):
-    """The acceptance check: process-backend micro-batching outruns the
-    classic sequential ``process_all`` on a multicore host."""
-    sequential_s, _ = _timed(executor, vq_workload)
-    batched_s, _ = _timed(
-        executor, vq_workload,
-        backend="process", batch_stages=True, workers=WORKERS,
-    )
-    assert batched_s < sequential_s
-
-
-def test_batched_results_match_sequential(executor, vq_workload):
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_fanout_results_match_sequential(executor, vq_workload, backend):
     _, sequential = _timed(executor, vq_workload)
-    _, batched = _timed(
-        executor, vq_workload,
-        backend="process", batch_stages=True, workers=WORKERS,
-    )
-    assert [r.answer for r in batched] == [r.answer for r in sequential]
-    assert [r.filter_hits for r in batched] == [r.filter_hits for r in sequential]
+    _, fanout = _timed(executor, vq_workload, backend=backend, workers=WORKERS)
+    assert [r.answer for r in fanout] == [r.answer for r in sequential]
+    assert [r.filter_hits for r in fanout] == [r.filter_hits for r in sequential]
 
 
-def test_bench_batched_dispatch(benchmark, executor, vq_workload):
+def test_bench_fanout_dispatch(benchmark, executor, vq_workload):
     queries = vq_workload[: max(4, N_QUERIES // 4)]
     responses = benchmark(
-        executor.run_all, queries, backend="thread", batch_stages=True,
-        workers=WORKERS,
+        executor.run_all, queries, backend="thread", workers=WORKERS
     )
     assert len(responses) == len(queries)

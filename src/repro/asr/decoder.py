@@ -95,6 +95,9 @@ def _build_graph(vocabulary: Sequence[str]) -> _Graph:
     )
 
 
+_NEG_INF = -1e30  # log score of a dead token
+
+
 class Decoder:
     """Large-vocabulary(ish) continuous speech decoder.
 
@@ -141,8 +144,12 @@ class Decoder:
         self.beam = beam
 
         self._graph = _build_graph(self.vocabulary)
-        self._lm_matrix = language_model.transition_matrix(self.vocabulary)
-        self._lm_eos = language_model.eos_vector(self.vocabulary)
+        # Frame-independent LM products, built once for every search: rows
+        # [:V] score cross-word transitions, row V is the BOS prior.
+        self._lm_scores = lm_weight * language_model.transition_matrix(
+            self.vocabulary
+        )
+        self._eos_scores = lm_weight * language_model.eos_vector(self.vocabulary)
 
     # -- public API ---------------------------------------------------------------
 
@@ -154,22 +161,13 @@ class Decoder:
         Profiled sections: ``asr.features``, ``asr.scoring`` (GMM or DNN),
         ``asr.search`` (HMM Viterbi) — the breakdown of paper Figure 9.
         """
-        profiler = profiler if profiler is not None else Profiler()
-        with profiler.section("asr.features"):
-            features = self.feature_extractor.extract(waveform)
-        return self.decode_features(features, profiler=profiler)
+        return self._decode(waveform, None, profiler)[0]
 
     def decode_features(
         self, features: np.ndarray, profiler: Optional[Profiler] = None
     ) -> DecodeResult:
         """Recognize pre-extracted feature frames."""
-        if len(features) == 0:
-            raise DecodingError("no feature frames to decode")
-        profiler = profiler if profiler is not None else Profiler()
-        with profiler.section("asr.scoring"):
-            emissions = self.acoustic_model.emission_scores(features)
-        with profiler.section("asr.search"):
-            return self._search(emissions)
+        return self._decode(None, features, profiler)[0]
 
     def decode_nbest(
         self, waveform: Waveform, n: int = 5
@@ -182,116 +180,33 @@ class Decoder:
         """
         if n < 1:
             raise DecodingError("n must be >= 1")
-        features = self.feature_extractor.extract(waveform)
+        return self._decode(waveform, None, None, n_best=n)
+
+    def _decode(
+        self,
+        waveform: Optional[Waveform],
+        features: Optional[np.ndarray],
+        profiler: Optional[Profiler],
+        n_best: int = 1,
+    ) -> List[DecodeResult]:
+        """The features → scoring → search path behind every ``decode_*``."""
+        profiler = profiler if profiler is not None else Profiler()
+        if features is None:
+            with profiler.section("asr.features"):
+                features = self.feature_extractor.extract(waveform)
         if len(features) == 0:
             raise DecodingError("no feature frames to decode")
-        emissions = self.acoustic_model.emission_scores(features)
-        return self._search(emissions, n_best=n)
+        with profiler.section("asr.scoring"):
+            emissions = self.acoustic_model.emission_scores(features)
+        with profiler.section("asr.search"):
+            return self._search(emissions, n_best)
 
-    # -- Viterbi token passing ------------------------------------------------------
-
-    def _search(self, emissions: np.ndarray, n_best: int = 1):
-        graph = self._graph
-        n_frames = emissions.shape[0]
-        n_states = len(graph.pstate)
-        n_words = len(self.vocabulary)
-        frame_scores = emissions[:, graph.pstate]  # (T, S)
-
-        neg_inf = -1e30
-        delta = np.full(n_states, neg_inf)
-        hist = np.full(n_states, -1, dtype=np.int64)
-        # Link table: (word_index, previous_link_id) per completed word.
-        links: List[Tuple[int, int]] = []
-
-        # Frame 0: tokens enter every word start from BOS, or the initial
-        # silence chain (audio that opens with a pause).
-        bos_scores = self.lm_weight * self._lm_matrix[n_words] + self.insertion_penalty
-        delta[graph.starts] = frame_scores[0, graph.starts] + bos_scores
-        delta[0] = frame_scores[0, 0]  # first lead-silence state
-
-        for t in range(1, n_frames):
-            stay = delta + self.log_self
-            advance = np.empty(n_states)
-            advance[0] = neg_inf
-            advance[1:] = delta[:-1] + self.log_adv
-            advance[graph.is_start] = neg_inf
-
-            take_advance = advance > stay
-            new_delta = np.where(take_advance, advance, stay)
-            new_hist = hist.copy()
-            source = np.where(take_advance)[0]
-            new_hist[source] = hist[source - 1]
-
-            # Cross-word transitions use the *previous* frame's word-end tokens.
-            end_from_phone = delta[graph.phone_ends]
-            end_from_sil = delta[graph.sil_ends]
-            use_sil = end_from_sil > end_from_phone
-            end_scores = np.where(use_sil, end_from_sil, end_from_phone)
-            end_states = np.where(use_sil, graph.sil_ends, graph.phone_ends)
-
-            # entry[w2] = max_w1 end_scores[w1] + lmW * lm[w1, w2]
-            candidate = end_scores[:, None] + self.lm_weight * self._lm_matrix[:n_words]
-            best_prev = np.argmax(candidate, axis=0)
-            entry = candidate[best_prev, np.arange(n_words)] + self.insertion_penalty
-            entry_delta = entry + self.log_adv
-            # Entry from the utterance-initial silence carries the BOS prior.
-            bos_entry = (
-                delta[graph.lead_sil_end]
-                + self.lm_weight * self._lm_matrix[n_words]
-                + self.insertion_penalty
-                + self.log_adv
-            )
-
-            start_states = graph.starts
-            better = np.maximum(entry_delta, bos_entry) > new_delta[start_states]
-            for word_index in np.where(better)[0]:
-                state = start_states[word_index]
-                if bos_entry[word_index] >= entry_delta[word_index]:
-                    new_delta[state] = bos_entry[word_index]
-                    new_hist[state] = hist[graph.lead_sil_end]
-                else:
-                    prev_word = int(best_prev[word_index])
-                    prev_end_state = int(end_states[prev_word])
-                    links.append((prev_word, int(hist[prev_end_state])))
-                    new_delta[state] = entry_delta[word_index]
-                    new_hist[state] = len(links) - 1
-
-            new_delta += frame_scores[t]
-
-            if self.beam is not None:
-                threshold = new_delta.max() - self.beam
-                pruned = new_delta < threshold
-                new_delta[pruned] = neg_inf
-
-            delta, hist = new_delta, new_hist
-
-        # Final: best word end plus EOS probability.
-        end_from_phone = delta[graph.phone_ends]
-        end_from_sil = delta[graph.sil_ends]
-        use_sil = end_from_sil > end_from_phone
-        end_scores = np.where(use_sil, end_from_sil, end_from_phone)
-        end_states = np.where(use_sil, graph.sil_ends, graph.phone_ends)
-        final = end_scores + self.lm_weight * self._lm_eos
-        order = np.argsort(-final)
-        results: List[DecodeResult] = []
-        for word_index in order[: max(n_best, 1)]:
-            score = float(final[word_index])
-            if score <= neg_inf / 2:
-                break
-            words = self._backtrack(int(hist[end_states[word_index]]), links)
-            words.append(self.vocabulary[int(word_index)])
-            results.append(
-                DecodeResult(
-                    text=" ".join(words),
-                    words=tuple(words),
-                    log_score=score,
-                    n_frames=n_frames,
-                )
-            )
+    def _search(self, emissions: np.ndarray, n_best: int = 1) -> List[DecodeResult]:
+        search = ViterbiSearch(self)
+        search.advance(emissions)
+        results = search.results(n_best)
         if not results:
             raise DecodingError("no surviving decoding path (beam too tight?)")
-        if n_best == 1:
-            return results[0]
         return results
 
     @staticmethod
@@ -307,10 +222,142 @@ class Decoder:
         weights = np.exp(shifted)
         return list(weights / weights.sum())
 
-    def _backtrack(self, link_id: int, links: List[Tuple[int, int]]) -> List[str]:
-        words: List[str] = []
-        while link_id >= 0:
-            word_index, link_id = links[link_id]
-            words.append(self.vocabulary[word_index])
-        words.reverse()
-        return words
+
+class ViterbiSearch:
+    """Incremental Viterbi token passing over one :class:`Decoder`'s graph.
+
+    ``advance`` consumes a block of emission rows and ``results`` reads the
+    best hypotheses over the frames seen so far without disturbing the
+    state, so a streaming caller interleaves the two.  The recursion is
+    per-frame, so cutting an emissions matrix into consecutive blocks at any
+    boundaries gives bit-identical scores to advancing it whole — batch and
+    streaming recognition are this one object driven two ways.
+    """
+
+    def __init__(self, decoder: Decoder):
+        self._decoder = decoder
+        n_states = len(decoder._graph.pstate)
+        self._delta = np.full(n_states, _NEG_INF)
+        self._hist = np.full(n_states, -1, dtype=np.int64)
+        # Link table: (word_index, previous_link_id) per completed word.
+        self._links: List[Tuple[int, int]] = []
+        self.n_frames = 0
+
+    def advance(self, emissions: np.ndarray) -> None:
+        """Consume a ``(T, n_emission_states)`` block of frames (T may be 0)."""
+        decoder = self._decoder
+        graph = decoder._graph
+        n_states = len(graph.pstate)
+        n_words = len(decoder.vocabulary)
+        lm_scores = decoder._lm_scores[:n_words]
+        bos_scores = decoder._lm_scores[n_words]
+        word_range = np.arange(n_words)
+        start_states = graph.starts
+        frame_scores = emissions[:, graph.pstate]  # (T, S)
+        delta, hist, links = self._delta, self._hist, self._links
+
+        if self.n_frames == 0 and len(frame_scores):
+            # First frame: tokens enter every word start from BOS, or the
+            # initial silence chain (audio that opens with a pause).
+            delta[start_states] = (
+                frame_scores[0, start_states]
+                + (bos_scores + decoder.insertion_penalty)
+            )
+            delta[0] = frame_scores[0, 0]  # first lead-silence state
+            frame_scores = frame_scores[1:]
+
+        for scores in frame_scores:
+            stay = delta + decoder.log_self
+            advance = np.empty(n_states)
+            advance[0] = _NEG_INF
+            advance[1:] = delta[:-1] + decoder.log_adv
+            advance[graph.is_start] = _NEG_INF
+
+            take_advance = advance > stay
+            new_delta = np.where(take_advance, advance, stay)
+            new_hist = hist.copy()
+            source = np.where(take_advance)[0]
+            new_hist[source] = hist[source - 1]
+
+            # Cross-word transitions use the *previous* frame's word-end tokens.
+            end_scores, end_states = self._word_ends(delta)
+
+            # entry[w2] = max_w1 end_scores[w1] + lmW * lm[w1, w2]
+            candidate = end_scores[:, None] + lm_scores
+            best_prev = np.argmax(candidate, axis=0)
+            entry = candidate[best_prev, word_range] + decoder.insertion_penalty
+            entry_delta = entry + decoder.log_adv
+            # Entry from the utterance-initial silence carries the BOS prior.
+            bos_entry = (
+                delta[graph.lead_sil_end]
+                + bos_scores
+                + decoder.insertion_penalty
+                + decoder.log_adv
+            )
+
+            better = np.maximum(entry_delta, bos_entry) > new_delta[start_states]
+            for word_index in np.where(better)[0]:
+                state = start_states[word_index]
+                if bos_entry[word_index] >= entry_delta[word_index]:
+                    new_delta[state] = bos_entry[word_index]
+                    new_hist[state] = hist[graph.lead_sil_end]
+                else:
+                    prev_word = int(best_prev[word_index])
+                    prev_end_state = int(end_states[prev_word])
+                    links.append((prev_word, int(hist[prev_end_state])))
+                    new_delta[state] = entry_delta[word_index]
+                    new_hist[state] = len(links) - 1
+
+            new_delta += scores
+
+            if decoder.beam is not None:
+                threshold = new_delta.max() - decoder.beam
+                new_delta[new_delta < threshold] = _NEG_INF
+
+            delta, hist = new_delta, new_hist
+
+        self._delta, self._hist = delta, hist
+        self.n_frames += len(emissions)
+
+    def _word_ends(self, delta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per word, the better of its phone-end and silence-tail tokens."""
+        graph = self._decoder._graph
+        end_from_phone = delta[graph.phone_ends]
+        end_from_sil = delta[graph.sil_ends]
+        use_sil = end_from_sil > end_from_phone
+        return (
+            np.where(use_sil, end_from_sil, end_from_phone),
+            np.where(use_sil, graph.sil_ends, graph.phone_ends),
+        )
+
+    def results(self, n_best: int = 1) -> List[DecodeResult]:
+        """Up to ``n_best`` hypotheses, best first: word end plus EOS score.
+
+        Empty before the first frame and when no path survived the beam.
+        """
+        if self.n_frames == 0:
+            return []
+        vocabulary = self._decoder.vocabulary
+        end_scores, end_states = self._word_ends(self._delta)
+        final = end_scores + self._decoder._eos_scores
+        results: List[DecodeResult] = []
+        # Stable, so exact ties rank by word index on every numpy build.
+        for word_index in np.argsort(-final, kind="stable")[:n_best]:
+            score = float(final[word_index])
+            if score <= _NEG_INF / 2:
+                break
+            words: List[str] = [vocabulary[int(word_index)]]
+            link_id = int(self._hist[end_states[word_index]])
+            while link_id >= 0:
+                prev_word, link_id = self._links[link_id]
+                words.append(vocabulary[prev_word])
+            words.reverse()
+            results.append(
+                DecodeResult(
+                    text=" ".join(words),
+                    words=tuple(words),
+                    log_score=score,
+                    n_frames=self.n_frames,
+                )
+            )
+        return results

@@ -5,20 +5,22 @@ Real IPAs decode while the user is still talking.  This module provides:
 - :class:`StreamingFeatureExtractor` — incremental MFCCs: audio arrives in
   arbitrary chunks; frames are emitted as soon as their samples (plus the
   2-frame delta lookahead) exist;
-- :class:`StreamingDecoder` — a stateful Viterbi: ``feed`` audio chunks,
-  read ``partial()`` hypotheses any time, ``finish()`` for the final
-  result.  The final transcript matches offline decoding of the same audio
-  up to edge effects at the tail padding.
+- :class:`StreamingDecoder` — ``feed`` audio chunks, read ``partial()``
+  hypotheses any time, ``finish()`` for the final result.  It holds one
+  :class:`~repro.asr.decoder.ViterbiSearch` across feeds — the same search
+  the offline decoder runs in one block — so given the same feature rows
+  the two agree to the bit; transcripts of the same *audio* match up to
+  edge effects at the tail padding.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.asr.audio import Waveform
-from repro.asr.decoder import DecodeResult, Decoder
+from repro.asr.decoder import DecodeResult, Decoder, ViterbiSearch
 from repro.asr.features import FeatureConfig, FeatureExtractor, compute_deltas
 from repro.errors import DecodingError
 from repro.profiling import NullProfiler, Profiler
@@ -130,7 +132,7 @@ class StreamingFeatureExtractor:
 
 
 class StreamingDecoder:
-    """Online Viterbi over a :class:`~repro.asr.decoder.Decoder`'s graph.
+    """Online recognition over a :class:`~repro.asr.decoder.Decoder`'s graph.
 
     >>> streaming = StreamingDecoder(decoder)          # doctest: +SKIP
     >>> for chunk in chunks: streaming.feed(chunk)     # doctest: +SKIP
@@ -144,92 +146,21 @@ class StreamingDecoder:
         #: streaming session attributes component time under the same names.
         self.profiler = profiler if profiler is not None else NullProfiler()
         self._features = StreamingFeatureExtractor(decoder.feature_extractor.config)
-        graph = decoder._graph
-        self._n_states = len(graph.pstate)
-        self._delta: Optional[np.ndarray] = None
-        self._hist = np.full(self._n_states, -1, dtype=np.int64)
-        self._links: List[Tuple[int, int]] = []
-        self._frames_seen = 0
+        self._search = ViterbiSearch(decoder)
         self._finished = False
 
     @property
     def frames_seen(self) -> int:
         """Frames the Viterbi has consumed so far."""
-        return self._frames_seen
-
-    # -- core stepping ----------------------------------------------------------
+        return self._search.n_frames
 
     def _step_frames(self, features: np.ndarray) -> None:
         if len(features) == 0:
             return
-        decoder = self.decoder
-        graph = decoder._graph
         with self.profiler.section("asr.scoring"):
-            emissions = decoder.acoustic_model.emission_scores(features)
+            emissions = self.decoder.acoustic_model.emission_scores(features)
         with self.profiler.section("asr.search"):
-            self._search_frames(features, emissions)
-
-    def _search_frames(self, features: np.ndarray, emissions: np.ndarray) -> None:
-        decoder = self.decoder
-        graph = decoder._graph
-        frame_scores = emissions[:, graph.pstate]
-        n_words = len(decoder.vocabulary)
-        neg_inf = -1e30
-
-        for row in range(len(features)):
-            if self._delta is None:
-                bos = decoder.lm_weight * decoder._lm_matrix[n_words] + decoder.insertion_penalty
-                self._delta = np.full(self._n_states, neg_inf)
-                self._delta[graph.starts] = frame_scores[row, graph.starts] + bos
-                self._delta[0] = frame_scores[row, 0]  # lead silence
-                self._frames_seen += 1
-                continue
-            delta = self._delta
-            hist = self._hist
-            stay = delta + decoder.log_self
-            advance = np.empty(self._n_states)
-            advance[0] = neg_inf
-            advance[1:] = delta[:-1] + decoder.log_adv
-            advance[graph.is_start] = neg_inf
-            take = advance > stay
-            new_delta = np.where(take, advance, stay)
-            new_hist = hist.copy()
-            moved = np.where(take)[0]
-            new_hist[moved] = hist[moved - 1]
-
-            end_phone = delta[graph.phone_ends]
-            end_sil = delta[graph.sil_ends]
-            use_sil = end_sil > end_phone
-            end_scores = np.where(use_sil, end_sil, end_phone)
-            end_states = np.where(use_sil, graph.sil_ends, graph.phone_ends)
-            candidate = end_scores[:, None] + decoder.lm_weight * decoder._lm_matrix[:n_words]
-            best_prev = np.argmax(candidate, axis=0)
-            entry = candidate[best_prev, np.arange(n_words)] + decoder.insertion_penalty
-            entry_delta = entry + decoder.log_adv
-            bos_entry = (
-                delta[graph.lead_sil_end]
-                + decoder.lm_weight * decoder._lm_matrix[n_words]
-                + decoder.insertion_penalty
-                + decoder.log_adv
-            )
-            better = np.maximum(entry_delta, bos_entry) > new_delta[graph.starts]
-            for word_index in np.where(better)[0]:
-                state = graph.starts[word_index]
-                if bos_entry[word_index] >= entry_delta[word_index]:
-                    new_delta[state] = bos_entry[word_index]
-                    new_hist[state] = hist[graph.lead_sil_end]
-                else:
-                    prev_word = int(best_prev[word_index])
-                    self._links.append((prev_word, int(hist[int(end_states[prev_word])])))
-                    new_delta[state] = entry_delta[word_index]
-                    new_hist[state] = len(self._links) - 1
-
-            new_delta += frame_scores[row]
-            if decoder.beam is not None:
-                new_delta[new_delta < new_delta.max() - decoder.beam] = neg_inf
-            self._delta = new_delta
-            self._hist = new_hist
-            self._frames_seen += 1
+            self._search.advance(emissions)
 
     # -- public API ------------------------------------------------------------------
 
@@ -243,8 +174,8 @@ class StreamingDecoder:
 
     def partial(self) -> str:
         """Best running hypothesis over the audio so far ('' before any frame)."""
-        result = self._best_result()
-        return result.text if result is not None else ""
+        results = self._search.results()
+        return results[0].text if results else ""
 
     def finish(self) -> DecodeResult:
         """Flush buffered audio and return the final result."""
@@ -253,31 +184,7 @@ class StreamingDecoder:
                 rows = self._features.flush()
             self._step_frames(rows)
             self._finished = True
-        result = self._best_result()
-        if result is None:
+        results = self._search.results()
+        if not results:
             raise DecodingError("no audio decoded")
-        return result
-
-    def _best_result(self) -> Optional[DecodeResult]:
-        if self._delta is None:
-            return None
-        decoder = self.decoder
-        graph = decoder._graph
-        delta = self._delta
-        end_phone = delta[graph.phone_ends]
-        end_sil = delta[graph.sil_ends]
-        use_sil = end_sil > end_phone
-        end_scores = np.where(use_sil, end_sil, end_phone)
-        end_states = np.where(use_sil, graph.sil_ends, graph.phone_ends)
-        final = end_scores + decoder.lm_weight * decoder._lm_eos
-        best_word = int(np.argmax(final))
-        if final[best_word] <= -5e29:
-            return None
-        words = decoder._backtrack(int(self._hist[int(end_states[best_word])]), self._links)
-        words.append(decoder.vocabulary[best_word])
-        return DecodeResult(
-            text=" ".join(words),
-            words=tuple(words),
-            log_score=float(final[best_word]),
-            n_frames=self._frames_seen,
-        )
+        return results[0]

@@ -345,33 +345,31 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         return time.perf_counter() - start, responses
 
     sequential_s, sequential = timed()
-    # Only the batched run is traced/measured: tracing the reference run too
+    # Only the fan-out run is traced/measured: tracing the reference run too
     # would double-count every query in the exported forest and metrics.
     registry = MetricsRegistry() if args.metrics else None
     if args.trace or args.chrome_trace:
         executor.trace_seed = 0
     executor.metrics = registry
     try:
-        batched_s, batched = timed(
-            backend=args.backend, batch_stages=True, workers=args.workers
-        )
+        fanout_s, fanout = timed(backend=args.backend, workers=args.workers)
     finally:
         executor.trace_seed = None
         executor.metrics = None
-    if any(a.answer != b.answer for a, b in zip(sequential, batched)):
-        print("warning: batched answers diverge from sequential", file=sys.stderr)
+    if any(a.answer != b.answer for a, b in zip(sequential, fanout)):
+        print("warning: fan-out answers diverge from sequential", file=sys.stderr)
     rows = [
         ["sequential", "serial", f"{sequential_s:.2f}",
          f"{len(queries) / sequential_s:.2f}"],
-        ["batched", args.backend, f"{batched_s:.2f}",
-         f"{len(queries) / batched_s:.2f}"],
+        ["fan-out", args.backend, f"{fanout_s:.2f}",
+         f"{len(queries) / fanout_s:.2f}"],
     ]
     print(format_table(
         f"Serving throughput ({len(queries)} {args.mix.upper()} queries)",
         ["Mode", "Backend", "Seconds", "Queries/s"], rows,
     ))
-    print(f"batched speedup over sequential: {sequential_s / batched_s:.2f}x")
-    spans = collect_spans(batched)
+    print(f"fan-out speedup over sequential: {sequential_s / fanout_s:.2f}x")
+    spans = collect_spans(fanout)
     if args.trace:
         n_spans = write_jsonl(spans, args.trace)
         print(f"wrote {n_spans} spans to {args.trace}", file=sys.stderr)
@@ -381,7 +379,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
               file=sys.stderr)
     if registry is not None:
         print(format_service_summary(
-            registry, title="Serving latency (batched run)"
+            registry, title="Serving latency (fan-out run)"
         ))
     return 0
 
@@ -897,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve-bench",
-        help="serving-layer throughput: sequential vs cross-query batching",
+        help="serving-layer throughput: sequential vs whole-query fan-out",
     )
     serve.add_argument("--queries", type=int, default=16)
     serve.add_argument("--mix", choices=("vq", "all"), default="vq")

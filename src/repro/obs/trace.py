@@ -11,8 +11,8 @@ records it first-class instead of reconstructing it from scalar stats.
 wall-clock or random: a trace ID is a function of ``(seed, ordinal)`` and a
 span ID of ``(trace_id, parent_id, name, sibling-index)``.  Two chaos runs
 with the same seed therefore produce byte-identical span forests (IDs,
-parentage, attributes), whichever execution backend — serial, thread pool,
-forked processes, or stage-batched — happened to run them.  Only the
+parentage, attributes), whichever execution backend — serial, thread pool
+or forked processes — happened to run them.  Only the
 measured ``start``/``end`` wall times differ between runs, and the JSONL
 exporter can strip those (``timing=False``) for replay comparison.
 

@@ -13,8 +13,8 @@ gives the reproduction that architecture explicitly:
   (``serial`` / ``thread`` / ``process``) shared with
   :mod:`repro.suite.parallel`;
 - :mod:`repro.serving.executor` — the plan executor, with bounded
-  concurrency, cross-query micro-batching of independent stages, and
-  graceful degradation when a service fails;
+  concurrency, whole-query fan-out over any backend, and graceful
+  degradation when a service fails;
 - :mod:`repro.serving.resilience` — deadlines, bounded seeded-jitter
   retries, and per-service circuit breakers applied by the
   :class:`ResilientService` decorator;
@@ -60,6 +60,7 @@ from repro.serving.service import (
     ServiceRequest,
     ServiceResponse,
     ServiceStats,
+    StageOutcome,
 )
 from repro.serving.executor import (
     FATAL_SERVICES,
@@ -82,7 +83,6 @@ from repro.serving.sessions import (
     AsrStreamingSession,
     BufferingSession,
     ServiceSession,
-    StageOutcome,
 )
 from repro.serving.gateway import (
     GatewaySession,

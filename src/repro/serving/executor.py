@@ -11,15 +11,13 @@ list-comprehension ``process_all``) with a single walk over a
   optimization), each under its own profiler, merged afterwards.
 - **across queries** (:meth:`PlanExecutor.run_all`): whole queries fan out
   over any registered execution backend (``serial`` / ``thread`` /
-  ``process``), or — with ``batch_stages=True`` — execution proceeds in
-  *waves*: every query's ASR stage dispatches as one micro-batch, then
-  every classification, then every surviving IMM/QA stage.  Batching the
-  same stage across queries is the TPU-paper throughput lever: it amortizes
-  dispatch overhead and hands the backend N independent work items at once.
+  ``process``).
 
-Instrumentation is uniform: every recorded stage contributes a profiler
-section and a ``service_seconds`` entry through the same code path,
-whichever execution strategy ran it.
+Instrumentation is uniform: every stage is reported as a
+:class:`~repro.serving.service.StageOutcome` — by :func:`run_stage` (the
+one stage bracket, which streaming sessions share), by a threaded branch,
+or by a session ahead of ``run()`` — and enters the query's accounting
+through the single :meth:`PlanExecutor._absorb`.
 
 **Graceful degradation.**  A stage failure (any :class:`~repro.errors.
 SiriusError`, typically a coded :class:`~repro.errors.ServiceError` from a
@@ -43,8 +41,8 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.query import IPAQuery, QueryType, SiriusResponse
 from repro.errors import ConfigurationError, SiriusError
@@ -68,8 +66,7 @@ from repro.serving.service import (
     QA,
     Service,
     ServiceRequest,
-    ServiceResponse,
-    ServiceStats,
+    StageOutcome,
 )
 
 #: Services whose failure fails the whole query (everything hangs off the
@@ -156,21 +153,53 @@ class RouterTicket:
     enqueued_at: Optional[float] = None  #: perf_counter at router assignment
 
 
-@dataclass
-class _StageFailure:
-    """Per-item failure marker crossing backend boundaries in batched mode."""
-
-    code: str
-    error: SiriusError
-    #: Spans the failing worker-side call recorded before it raised.
-    spans: tuple = ()
-
-
 def _check_on_error(on_error: str) -> None:
     if on_error not in (RAISE, DEGRADE):
         raise ConfigurationError(
             f"on_error must be {RAISE!r} or {DEGRADE!r}, got {on_error!r}"
         )
+
+
+def _end_span(tracer: Tracer, span: Any, error: Optional[SiriusError]) -> None:
+    """Close ``span``; a failure marks it with the error's stable code."""
+    if error is None:
+        tracer.end_span(span)
+    else:
+        tracer.end_span(
+            span, status="error", error_code=getattr(error, "code", "SIRIUS")
+        )
+
+
+def run_stage(
+    name: str, call: Callable[[], Any], profiler: Profiler, record: bool
+) -> StageOutcome:
+    """The stage bracket: run ``call`` and account for it.
+
+    Drains the virtual-latency ledger (a leak from an earlier failed call
+    must not be charged here), runs ``call`` inside ``section(name)`` when
+    the stage is recorded, captures a :class:`~repro.errors.SiriusError`
+    instead of raising, and drains again.  ``seconds`` is the *profiled*
+    delta (total profile growth across the call, as the monolithic
+    pipeline attributed per-service time) plus the virtual latency charged
+    meanwhile.  Every serial executor stage and every streaming-session
+    work bout runs through here, so the two account identically.
+    """
+    drain_virtual_seconds()
+    before = profiler.profile.total
+    payload: Any = None
+    error: Optional[SiriusError] = None
+    try:
+        with profiler.section(name) if record else nullcontext():
+            payload = call()
+    except SiriusError as exc:
+        error = exc
+    virtual = drain_virtual_seconds()
+    return StageOutcome(
+        payload=payload,
+        error=error,
+        seconds=profiler.profile.total - before + virtual,
+        virtual_seconds=virtual,
+    )
 
 
 class PlanExecutor:
@@ -235,8 +264,8 @@ class PlanExecutor:
         (the default) or returns a failed response under ``"degrade"``.
 
         ``precomputed`` maps service names to :class:`~repro.serving.
-        sessions.StageOutcome` objects a streaming session already
-        produced: those stages are *consumed* (spans adopted, profile
+        service.StageOutcome` objects a streaming session already
+        produced: those stages are *absorbed* (spans adopted, profile
         merged, failures classified) instead of executed, and the rest of
         the plan runs normally — how the gateway fires classify/QA/IMM off
         a finished ASR session.  ``wall_start`` backdates the query's clock
@@ -287,9 +316,7 @@ class PlanExecutor:
                     ready = [s for s in runnable if s.service in precomputed]
                     live = [s for s in runnable if s.service not in precomputed]
                     for stage in ready:
-                        self._consume_precomputed(
-                            stage, state, precomputed[stage.service]
-                        )
+                        self._absorb(stage, state, precomputed[stage.service])
                     if parallel_branches and len(live) > 1:
                         self._run_level_threaded(live, state)
                     else:
@@ -298,10 +325,7 @@ class PlanExecutor:
         except SiriusError as exc:
             if on_error == RAISE or state.fatal_error is None:
                 if state.tracer is not None:
-                    state.tracer.end_span(
-                        state.root_span, status="error",
-                        error_code=getattr(exc, "code", "SIRIUS"),
-                    )
+                    _end_span(state.tracer, state.root_span, exc)
                     exc.__sirius_spans__ = state.tracer.finish()
                 raise
         return self._build_response(state)
@@ -346,9 +370,8 @@ class PlanExecutor:
 
         Each query gets its *own* tracer (IDs are deterministic functions of
         ``(trace_seed, ordinal)``, so per-query tracers and one shared
-        tracer would mint identical spans) — which keeps root spans on
-        independent stacks in batched mode and keeps the whole tracer local
-        to a worker when ``run`` executes in another thread or process.
+        tracer would mint identical spans) — which keeps the whole tracer
+        local to a worker when ``run`` executes in another thread or process.
         """
         if self.trace_seed is None:
             return
@@ -359,91 +382,56 @@ class PlanExecutor:
     def _request(self, stage: PlanStage, state: ExecutionState) -> ServiceRequest:
         return _REQUEST_BUILDERS[stage.service](state)
 
-    def _absorb(self, stage: PlanStage, state: ExecutionState, payload: Any) -> None:
-        state.results[stage.name] = payload
-        if stage.service == ASR:
-            state.transcript = payload.text
-        elif stage.service == CLASSIFY:
-            state.classification = payload
-
-    def _record_failure(
-        self, stage: PlanStage, state: ExecutionState, exc: SiriusError
+    def _absorb(
+        self, stage: PlanStage, state: ExecutionState, outcome: StageOutcome
     ) -> None:
-        """Classify a stage failure; fatal services re-raise, others degrade."""
-        service = self.services[stage.service]
-        state.failures[service.label] = exc.code
-        if stage.service in FATAL_SERVICES:
-            state.fatal_error = exc
-            raise exc
+        """Fold one stage's outcome into the query's accounting.
 
-    def _run_stage(self, stage: PlanStage, state: ExecutionState) -> None:
-        """Serial stage execution: section the shared profiler, record time.
-
-        ``service_seconds`` gets the stage's *profiled* delta (total profile
-        growth while the section was open), matching how the monolithic
-        pipeline attributed per-service time on the serial path, plus any
-        virtual latency a fault injector charged during the call.
-        """
-        service = self.services[stage.service]
-        request = self._request(stage, state)
-        drain_virtual_seconds()
-        before = state.profiler.profile.total
-        span = None
-        if state.tracer is not None:
-            span = state.tracer.begin_span(
-                service.name, kind="service", service=service.label
-            )
-        try:
-            if stage.record:
-                with state.profiler.section(service.name):
-                    payload = service.invoke(request, state.profiler)
-            else:
-                payload = service.invoke(request, state.profiler)
-        except SiriusError as exc:
-            virtual = drain_virtual_seconds()
-            state.virtual_seconds += virtual
-            if span is not None:
-                if virtual > 0:
-                    span.attributes["virtual_seconds"] = virtual
-                state.tracer.end_span(
-                    span, status="error",
-                    error_code=getattr(exc, "code", "SIRIUS"),
-                )
-            self._record_failure(stage, state, exc)
-            return
-        virtual = drain_virtual_seconds()
-        state.virtual_seconds += virtual
-        if span is not None:
-            if virtual > 0:
-                span.attributes["virtual_seconds"] = virtual
-            state.tracer.end_span(span)
-        if stage.record:
-            state.service_seconds[service.label] = (
-                state.profiler.profile.total - before + virtual
-            )
-        self._absorb(stage, state, payload)
-
-    def _consume_precomputed(self, stage: PlanStage, state: ExecutionState, outcome) -> None:
-        """Absorb a session's :class:`~repro.serving.sessions.StageOutcome`.
-
-        Mirrors the threaded-branch absorption path: adopt the session's
-        spans, fold its virtual latency and profile into the query's
-        accounting, classify a captured failure exactly as a live one
-        (fatal services re-raise through :meth:`_record_failure`), and
-        credit ``service_seconds`` with the session's ``_run_stage``-rule
-        attribution.
+        The single entry point for stage results, wherever they came from:
+        adopt spans recorded off the query's tracer, add virtual latency,
+        classify a captured failure (fatal services re-raise, the others
+        degrade), and otherwise merge the profile, credit
+        ``service_seconds`` and publish the payload to later stages.
         """
         service = self.services[stage.service]
         if state.tracer is not None:
             state.tracer.adopt(outcome.spans)
         state.virtual_seconds += outcome.virtual_seconds
         if outcome.error is not None:
-            self._record_failure(stage, state, outcome.error)
+            state.failures[service.label] = outcome.error.code
+            if stage.service in FATAL_SERVICES:
+                state.fatal_error = outcome.error
+                raise outcome.error
             return
         state.profiler.profile.merge(outcome.profile)
         if stage.record:
             state.service_seconds[service.label] = outcome.seconds
-        self._absorb(stage, state, outcome.payload)
+        state.results[stage.name] = outcome.payload
+        if stage.service == ASR:
+            state.transcript = outcome.payload.text
+        elif stage.service == CLASSIFY:
+            state.classification = outcome.payload
+
+    def _run_stage(self, stage: PlanStage, state: ExecutionState) -> None:
+        """Serial stage execution under the query's own profiler and tracer."""
+        service = self.services[stage.service]
+        request = self._request(stage, state)
+        span = None
+        if state.tracer is not None:
+            span = state.tracer.begin_span(
+                service.name, kind="service", service=service.label
+            )
+        outcome = run_stage(
+            service.name,
+            lambda: service.invoke(request, state.profiler),
+            state.profiler,
+            stage.record,
+        )
+        if span is not None:
+            if outcome.virtual_seconds > 0:
+                span.attributes["virtual_seconds"] = outcome.virtual_seconds
+            _end_span(state.tracer, span, outcome.error)
+        self._absorb(stage, state, outcome)
 
     def _run_level_threaded(
         self, stages: Sequence[PlanStage], state: ExecutionState
@@ -456,35 +444,34 @@ class PlanExecutor:
         its branch's own elapsed wall time.  A branch failure degrades that
         branch alone — the sibling's result is kept either way.
         """
-        services = [self.services[stage.service] for stage in stages]
         requests = [self._request(stage, state) for stage in stages]
         with ThreadPoolExecutor(max_workers=len(stages)) as pool:
             futures = [
-                pool.submit(service, request)
-                for service, request in zip(services, requests)
+                pool.submit(self.services[stage.service], request)
+                for stage, request in zip(stages, requests)
             ]
-            outcomes: List[Union[ServiceResponse, SiriusError]] = []
+            outcomes: List[StageOutcome] = []
             for future in futures:
                 try:
-                    outcomes.append(future.result())
+                    response = future.result()
                 except SiriusError as exc:
-                    outcomes.append(exc)
-        for stage, service, outcome in zip(stages, services, outcomes):
-            if isinstance(outcome, SiriusError):
-                if state.tracer is not None:
-                    state.tracer.adopt(getattr(outcome, "__sirius_spans__", ()))
-                self._record_failure(stage, state, outcome)
-                continue
-            if state.tracer is not None:
-                state.tracer.adopt(outcome.spans)
-            if self.metrics is not None and outcome.stats.wait_seconds > 0:
-                self.metrics.histogram(
-                    wait_histogram_name(outcome.stats.service)
-                ).observe(outcome.stats.wait_seconds)
-            state.profiler.profile.merge(outcome.profile)
-            if stage.record:
-                state.service_seconds[service.label] = outcome.stats.seconds
-            self._absorb(stage, state, outcome.payload)
+                    outcomes.append(StageOutcome(
+                        error=exc,
+                        spans=tuple(getattr(exc, "__sirius_spans__", ())),
+                    ))
+                    continue
+                if self.metrics is not None and response.stats.wait_seconds > 0:
+                    self.metrics.histogram(
+                        wait_histogram_name(response.stats.service)
+                    ).observe(response.stats.wait_seconds)
+                outcomes.append(StageOutcome(
+                    payload=response.payload,
+                    seconds=response.stats.seconds,
+                    profile=response.profile,
+                    spans=response.spans,
+                ))
+        for stage, outcome in zip(stages, outcomes):
+            self._absorb(stage, state, outcome)
 
     def _build_response(self, state: ExecutionState) -> SiriusResponse:
         """Assemble the response; when traced, close and attach the trace."""
@@ -498,13 +485,7 @@ class PlanExecutor:
                 root.attributes["failed"] = True
             if state.virtual_seconds > 0:
                 root.attributes["virtual_seconds"] = state.virtual_seconds
-            if state.fatal_error is not None:
-                state.tracer.end_span(
-                    root, status="error",
-                    error_code=getattr(state.fatal_error, "code", "SIRIUS"),
-                )
-            else:
-                state.tracer.end_span(root)
+            _end_span(state.tracer, root, state.fatal_error)
             response.spans = state.tracer.finish()
         return response
 
@@ -571,157 +552,38 @@ class PlanExecutor:
         queries: Sequence[IPAQuery],
         backend: str = "serial",
         workers: Optional[int] = None,
-        batch_stages: bool = False,
         parallel_branches: bool = False,
         plan: Optional[QueryPlan] = None,
         on_error: str = RAISE,
     ) -> List[SiriusResponse]:
         """Process a stream of queries.
 
-        Without ``batch_stages``, whole queries map over the chosen backend
-        (``serial`` reproduces the classic sequential ``process_all``).
-        With it, execution proceeds stage-wise: each plan level's surviving
-        stages across *all* queries dispatch together — cross-query
-        micro-batching.  Each query is stamped with its stream ``ordinal``,
-        the key the resilience layer uses to replay faults identically on
-        every backend.  ``on_error="degrade"`` turns fatal per-query
-        failures into failed responses instead of aborting the stream.
+        Whole queries map over the chosen backend (``serial`` reproduces
+        the classic sequential ``process_all``).  Each query is stamped
+        with its stream ``ordinal``, the key the resilience layer uses to
+        replay faults identically on every backend.  ``on_error="degrade"``
+        turns fatal per-query failures into failed responses instead of
+        aborting the stream.
         """
         _check_on_error(on_error)
-        queries = list(queries)
         workers = workers if workers is not None else self.max_workers
-        if batch_stages:
-            responses = self._run_all_batched(
-                queries, backend, workers, plan, on_error
+
+        def run_one(item) -> SiriusResponse:
+            index, query = item
+            return self.run(
+                query,
+                plan=plan,
+                parallel_branches=parallel_branches,
+                ordinal=index,
+                on_error=on_error,
             )
-        else:
-            resolved = get_backend(backend)
 
-            def run_one(item) -> SiriusResponse:
-                index, query = item
-                return self.run(
-                    query,
-                    plan=plan,
-                    parallel_branches=parallel_branches,
-                    ordinal=index,
-                    on_error=on_error,
-                )
-
-            items = list(enumerate(queries))
-            if resolved.name == "serial":
-                responses = [run_one(item) for item in items]
-            else:
-                responses = resolved.map(run_one, items, workers=workers)
+        responses = get_backend(backend).map(
+            run_one, list(enumerate(queries)), workers=workers
+        )
         if self.metrics is not None:
             record_responses(self.metrics, responses)
         return responses
-
-    def _run_all_batched(
-        self,
-        queries: List[IPAQuery],
-        backend: str,
-        workers: Optional[int],
-        plan: Optional[QueryPlan],
-        on_error: str,
-    ) -> List[SiriusResponse]:
-        plan = plan if plan is not None else self.plan
-        if plan is not self.plan:
-            self._check_plan(plan)
-        start = time.perf_counter()
-        states = [
-            ExecutionState(
-                query=query, profiler=Profiler(), wall_start=start, ordinal=index
-            )
-            for index, query in enumerate(queries)
-        ]
-        for state in states:
-            # Per-state tracers hold each query's open root span in the main
-            # process; stage spans are recorded worker-side (the request
-            # carries the root's TraceContext) and adopted from the
-            # responses below.
-            self._begin_trace(state)
-        for level in plan.levels():
-            for stage in level:
-                guard = stage.guard()
-                pending = [
-                    state
-                    for state in states
-                    if state.fatal_error is None and guard(state)
-                ]
-                if not pending:
-                    continue
-                service = self.services[stage.service]
-                outcomes = self._dispatch_batch(
-                    service,
-                    [self._request(stage, state) for state in pending],
-                    backend,
-                    workers,
-                )
-                for state, outcome in zip(pending, outcomes):
-                    if isinstance(outcome, _StageFailure):
-                        if state.tracer is not None:
-                            state.tracer.adopt(outcome.spans)
-                        state.failures[service.label] = outcome.code
-                        if stage.service in FATAL_SERVICES:
-                            if on_error == RAISE:
-                                raise outcome.error
-                            state.fatal_error = outcome.error
-                        continue
-                    if state.tracer is not None:
-                        state.tracer.adopt(outcome.spans)
-                    state.profiler.profile.merge(outcome.profile)
-                    if stage.record:
-                        state.service_seconds[service.label] = outcome.stats.seconds
-                    self._absorb(stage, state, outcome.payload)
-        return [self._build_response(state) for state in states]
-
-    def _dispatch_batch(
-        self,
-        service: Service,
-        requests: List[ServiceRequest],
-        backend: str,
-        workers: Optional[int],
-    ) -> List[Union[ServiceResponse, _StageFailure]]:
-        """One stage's cross-query micro-batch, with per-item failure capture.
-
-        A single query's failure must degrade that query alone, so the
-        mapped callable converts :class:`~repro.errors.SiriusError` into a
-        :class:`_StageFailure` marker instead of letting one exception kill
-        the whole backend dispatch (which is what ``Service.call_batch``
-        would do).  Successful stats are re-stamped with the batch size,
-        matching ``call_batch``'s accounting.
-        """
-        def call_one(request: ServiceRequest):
-            try:
-                return service(request)
-            except SiriusError as exc:
-                return _StageFailure(
-                    code=exc.code, error=exc,
-                    spans=tuple(getattr(exc, "__sirius_spans__", ())),
-                )
-
-        resolved = get_backend(backend)
-        outcomes = resolved.map(call_one, requests, workers=workers)
-        stamped: List[Union[ServiceResponse, _StageFailure]] = []
-        for outcome in outcomes:
-            if isinstance(outcome, _StageFailure):
-                stamped.append(outcome)
-                continue
-            if self.metrics is not None and outcome.stats.wait_seconds > 0:
-                self.metrics.histogram(
-                    wait_histogram_name(outcome.stats.service)
-                ).observe(outcome.stats.wait_seconds)
-            stamped.append(
-                ServiceResponse(
-                    # replace() keeps measured fields (wait_seconds) intact
-                    # while restamping the dispatch's batch size.
-                    payload=outcome.payload,
-                    stats=replace(outcome.stats, batch_size=len(requests)),
-                    profile=outcome.profile,
-                    spans=outcome.spans,
-                )
-            )
-        return stamped
 
 
 def build_executor(

@@ -8,8 +8,8 @@ fault a pure function of ``(seed, service, ordinal, attempt)``:
 - ``ordinal`` is the query's position in its ``run_all`` stream (stamped
   onto every :class:`~repro.serving.service.ServiceRequest` by the
   executor), so the *same queries* fail in the *same way* whichever
-  execution backend — serial, thread pool, forked processes, or
-  stage-batched — happens to run them, in whatever order;
+  execution backend — serial, thread pool or forked processes — happens
+  to run them, in whatever order;
 - ``attempt`` is the retry attempt number (stamped by
   :class:`~repro.serving.resilience.ResilientService`), so a rule can fail
   the first attempt and let the retry succeed.
@@ -23,7 +23,8 @@ and flapping/outage windows keyed by ordinal.
 The virtual-latency ledger lives here too: a thread-local accumulator that
 :func:`charge_virtual_seconds` adds to and whoever sits directly above the
 faulty call (:class:`~repro.serving.resilience.ResilientService` or the
-plan executor) drains into its latency accounting.  Virtual seconds flow
+executor's stage bracket, :func:`repro.serving.executor.run_stage`) drains
+into its latency accounting.  Virtual seconds flow
 into deadlines, ``service_seconds``, and ``wall_seconds`` exactly like real
 ones — without anyone actually sleeping.
 """
@@ -87,8 +88,8 @@ class VirtualLatencyAware(Service):
 
     The base :meth:`Service.__call__` measures wall time only; wrappers that
     charge the virtual ledger (fault injectors, resilience retries) subclass
-    this so batched/threaded dispatch — which consumes ``stats.seconds``
-    directly — sees injected latency exactly like real latency.
+    this so threaded dispatch — which consumes ``stats.seconds`` directly —
+    sees injected latency exactly like real latency.
     """
 
     def __call__(self, request: ServiceRequest, profiler: Optional[Profiler] = None):
@@ -96,8 +97,8 @@ class VirtualLatencyAware(Service):
         response = super().__call__(request, profiler)
         virtual = drain_virtual_seconds()
         if virtual > 0:
-            # replace() so measured fields beyond seconds (wait_seconds,
-            # batch_size) survive the restamp instead of being reset.
+            # replace() so measured fields beyond seconds (wait_seconds)
+            # survive the restamp instead of being reset.
             response.stats = replace(
                 response.stats, seconds=response.stats.seconds + virtual
             )

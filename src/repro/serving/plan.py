@@ -5,8 +5,7 @@ Table 1 of the paper defines which services a query class exercises
 explicit :class:`QueryPlan` — a small DAG of :class:`PlanStage` nodes —
 that the executor walks.  Stages at the same DAG depth are independent,
 which is what lets the executor overlap a VIQ query's QA and IMM branches
-(the Lucida-style service parallelism) and micro-batch the same stage
-across many queries.
+(the Lucida-style service parallelism).
 
 A live query's class is not known until after classification, so
 :func:`full_plan` compiles the *speculative* plan with guard conditions
@@ -89,8 +88,7 @@ class QueryPlan:
         """Stages grouped by DAG depth (Kahn waves), declaration-ordered.
 
         Every stage in one level is independent of the others, so a level
-        is the unit of intra-query parallelism and of cross-query
-        micro-batching.
+        is the unit of intra-query parallelism.
         """
         remaining = list(self.stages)
         done: set = set()

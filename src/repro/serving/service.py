@@ -4,9 +4,10 @@ The paper treats ASR, QA, and IMM as datacenter *services* — the unit of
 latency measurement (Figs 7/8), queueing (Fig 17), and provisioning
 (Tables 8/9).  This module gives each of them one shape: a typed
 request/response envelope, a ``warmup()`` hook for lazy state (index
-builds, first-call caches), a profiled ``__call__``, and a ``call_batch``
-that dispatches many independent requests through one execution backend —
-the micro-batching lever the executor pulls for cross-query batching.
+builds, first-call caches), a profiled ``__call__`` for standalone calls
+and branches that run on another thread, and :class:`StageOutcome` — one
+stage's result in the plan executor's accounting terms, whichever way the
+stage ran.
 
 The wrappers are thin on purpose: all algorithmic behaviour stays in
 ``repro.asr`` / ``repro.qa`` / ``repro.imm``; the serving layer only adds
@@ -17,14 +18,13 @@ from __future__ import annotations
 
 import abc
 import time
-from dataclasses import dataclass, field, replace
-from typing import Any, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Optional, Tuple
 
 from repro.errors import SiriusError
 from repro.obs.context import use_tracer
 from repro.obs.trace import Span, TraceContext, Tracer
 from repro.profiling import Profile, Profiler
-from repro.serving.backends import ExecutionBackend, get_backend
 
 #: Canonical service registry keys (also the profiler section names).
 ASR = "asr"
@@ -70,7 +70,6 @@ class ServiceStats:
 
     service: str            #: service label, e.g. ``"ASR"``
     seconds: float          #: wall seconds spent inside the service call
-    batch_size: int = 1     #: requests served by the dispatch this came from
     wait_seconds: float = 0.0  #: admission → invoke-start queueing delay
 
 
@@ -82,6 +81,27 @@ class ServiceResponse:
     stats: ServiceStats
     profile: Profile = field(default_factory=Profile)
     spans: Tuple[Span, ...] = ()  #: spans recorded by a traced worker-side call
+
+
+@dataclass
+class StageOutcome:
+    """One plan stage's result, in the executor's own accounting terms.
+
+    Whatever ran the stage — the executor's serial bracket, a threaded
+    branch, or a streaming session ahead of ``run()`` — reports it in this
+    shape for :meth:`PlanExecutor._absorb`.  ``seconds`` is what
+    ``service_seconds`` records (profiled time plus virtual latency);
+    ``profile`` and ``spans`` carry what a branch's or session's *private*
+    profiler and tracer recorded, and stay empty when the stage ran
+    directly under the query's own.
+    """
+
+    payload: Any = None
+    error: Optional[SiriusError] = None
+    seconds: float = 0.0
+    virtual_seconds: float = 0.0
+    profile: Profile = field(default_factory=Profile)
+    spans: Tuple[Span, ...] = ()
 
 
 class Service(abc.ABC):
@@ -169,35 +189,6 @@ class Service(abc.ABC):
             ),
             profile=profiler.profile,
         )
-
-    def call_batch(
-        self,
-        requests: Sequence[ServiceRequest],
-        backend: Any = "serial",
-        workers: Optional[int] = None,
-    ) -> List[ServiceResponse]:
-        """Serve many independent requests through one backend dispatch.
-
-        Each request gets a fresh profiler (so the batch can fan out to
-        threads or forked processes without sharing timer state); the
-        returned stats carry the batch size so throughput accounting can
-        distinguish batched from sequential dispatch.
-        """
-        resolved: ExecutionBackend = (
-            backend if isinstance(backend, ExecutionBackend) else get_backend(backend)
-        )
-        responses = resolved.map(self.__call__, list(requests), workers=workers)
-        # replace() (not a rebuild) so measured fields the stats may grow —
-        # wait_seconds today — survive the batch-size restamp.
-        return [
-            ServiceResponse(
-                payload=response.payload,
-                stats=replace(response.stats, batch_size=len(requests)),
-                profile=response.profile,
-                spans=response.spans,
-            )
-            for response in responses
-        ]
 
     def __repr__(self) -> str:
         return f"<Service {self.name}>"

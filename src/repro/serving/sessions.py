@@ -8,9 +8,10 @@ without disturbing the batch path:
 
 - :class:`ServiceSession` — the protocol.  ``feed(chunk)`` appends input,
   ``partials()`` returns any new incremental hypotheses, ``finish()``
-  produces a :class:`StageOutcome` the :class:`~repro.serving.executor.
-  PlanExecutor` consumes as a precomputed stage, ``cancel()`` implements
-  barge-in (the user interrupts; the utterance is abandoned).
+  produces a :class:`~repro.serving.service.StageOutcome` the
+  :class:`~repro.serving.executor.PlanExecutor` absorbs as a precomputed
+  stage, ``cancel()`` implements barge-in (the user interrupts; the
+  utterance is abandoned).
 - :class:`BufferingSession` — the default adapter every service gets for
   free: chunks buffer, and ``finish()`` makes one ordinary ``invoke``
   through the *wrapped* service — so resilience retries, fault injection,
@@ -24,14 +25,14 @@ without disturbing the batch path:
 **The equivalence anchor.**  A session fed the entire utterance as one
 chunk and finished *without ever polling partials* must produce a
 byte-identical response — including the span forest exported with
-``timing=False`` — to :meth:`PlanExecutor.run` on the same query.  The
-session therefore replicates the executor's serial stage bracket exactly
-(drain the virtual-latency ledger, profile a ``section(service.name)``
-around ``service.invoke``, stamp ``virtual_seconds``), and
-:class:`AsrStreamingSession` defers engaging the incremental decoder until
-a second chunk or a ``partials()`` poll proves the caller actually streams:
-the single-chunk session takes the very same ``decode_waveform`` path as
-the batch executor.
+``timing=False`` — to :meth:`PlanExecutor.run` on the same query.  Every
+session work bout therefore goes through the executor's own stage bracket
+(:func:`repro.serving.executor.run_stage`: drain the virtual-latency
+ledger, profile a ``section(service.name)`` around the call, capture the
+error, charge ``virtual_seconds``), and :class:`AsrStreamingSession` defers
+engaging the incremental decoder until a second chunk or a ``partials()``
+poll proves the caller actually streams: the single-chunk session takes
+the very same ``decode_waveform`` path as the batch executor.
 
 **Span identity.**  The session's service span is constructed manually
 with the same deterministic IDs ``PlanExecutor._run_stage`` would mint
@@ -43,15 +44,14 @@ and handed to the executor inside :attr:`StageOutcome.spans` for adoption.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.asr.audio import Waveform
 from repro.asr.vad import EndpointConfig, StreamingEndpointer
-from repro.errors import SessionError, SiriusError
+from repro.errors import SessionError
 from repro.obs.context import use_tracer
 from repro.obs.trace import (
     PARTIAL,
@@ -61,9 +61,9 @@ from repro.obs.trace import (
     span_id_for,
     trace_id_for,
 )
-from repro.profiling import Profile, Profiler
-from repro.serving.faults import drain_virtual_seconds
-from repro.serving.service import Service, ServiceRequest
+from repro.profiling import Profiler
+from repro.serving.executor import run_stage
+from repro.serving.service import Service, ServiceRequest, StageOutcome
 
 #: Session lifecycle states.
 LISTENING = "listening"    #: accepting chunks
@@ -71,25 +71,22 @@ FINISHED = "finished"      #: ``finish()`` ran; outcome available
 CANCELLED = "cancelled"    #: barge-in; the utterance was abandoned
 
 
-@dataclass
-class StageOutcome:
-    """One stage's precomputed result, in the executor's own accounting terms.
-
-    ``seconds`` is the stage's *profiled* time plus virtual latency — the
-    exact value ``PlanExecutor._run_stage`` would have written to
-    ``service_seconds`` had it run the stage itself.  ``spans`` carries the
-    closed service span and everything recorded under it (sections,
-    attempts, partials) for the executor's tracer to adopt.
-    """
-
-    service: str                   #: registry name, e.g. ``"asr"``
-    label: str                     #: ``service_seconds`` label, e.g. ``"ASR"``
-    payload: Any = None
-    error: Optional[SiriusError] = None
-    seconds: float = 0.0
-    virtual_seconds: float = 0.0
-    profile: Profile = field(default_factory=Profile)
-    spans: Tuple[Span, ...] = ()
+def _concat_waveforms(chunks: Sequence[Waveform], service: str) -> Waveform:
+    """Join audio chunks into one utterance (a lone chunk passes through)."""
+    if len(chunks) == 1:
+        # Identity, not a rebuild: the single-chunk path must hand the
+        # service the very object the batch request builder would.
+        return chunks[0]
+    rates = {chunk.sample_rate for chunk in chunks}
+    if len(rates) > 1:
+        raise SessionError(
+            f"cannot combine chunks with mixed sample rates {sorted(rates)}",
+            service=service,
+        )
+    return Waveform(
+        np.concatenate([chunk.samples for chunk in chunks]),
+        chunks[0].sample_rate,
+    )
 
 
 class ServiceSession:
@@ -126,6 +123,8 @@ class ServiceSession:
         self._endpointer: Optional[StreamingEndpointer] = None
         self._outcome: Optional[StageOutcome] = None
         self._final_spans: Tuple[Span, ...] = ()
+        #: ``service_seconds`` credit and virtual latency summed over bouts.
+        self._seconds = 0.0
         self._virtual = 0.0
         self._tracer: Optional[Tracer] = None
         self._span: Optional[Span] = None
@@ -197,14 +196,9 @@ class ServiceSession:
             return self.last_partial
         self._require("cancel")
         self.state = CANCELLED
-        span = self._span
-        if span is not None:
-            span.end = time.perf_counter()
-            span.status = "error"
-            span.error_code = "SESSION"
-            span.attributes["cancelled"] = True
-            collected = [*self._tracer.finish(), span]
-            self._final_spans = tuple(sorted(collected, key=sort_key))
+        if self._span is not None:
+            self._span.attributes["cancelled"] = True
+        self._final_spans = self._end_span("SESSION")
         return self.last_partial
 
     @property
@@ -251,14 +245,20 @@ class ServiceSession:
         with use_tracer(self._tracer), self._tracer.reenter(self._span):
             yield
 
-    def _record_section(self):
-        """The ``section(service.name)`` bracket recorded stages get."""
-        if self.record:
-            return self.profiler.section(self.service.name)
-        return nullcontext()
+    def _run_bout(self, call: Callable[[], Any]) -> StageOutcome:
+        """One bout of work through the executor's stage bracket.
+
+        Adds the bout's seconds and virtual latency to the session's
+        totals; a captured error is the caller's to surface.
+        """
+        with self._bout():
+            bout = run_stage(self.service.name, call, self.profiler, self.record)
+        self._seconds += bout.seconds
+        self._virtual += bout.virtual_seconds
+        return bout
 
     def _invoke(self, payload: Any) -> StageOutcome:
-        """Run the stage once, replicating ``PlanExecutor._run_stage``.
+        """Run the whole stage as one bout, as ``PlanExecutor._run_stage`` does.
 
         The request carries the session's ordinal (attempt/fault keys) but
         no ``TraceContext`` — like the executor's serial path, the call runs
@@ -271,47 +271,39 @@ class ServiceSession:
             ordinal=self.ordinal,
             admitted_at=time.perf_counter(),
         )
-        drain_virtual_seconds()
-        before = self.profiler.profile.total
-        result: Any = None
-        error: Optional[SiriusError] = None
-        with self._bout():
-            try:
-                with self._record_section():
-                    result = self.service.invoke(request, self.profiler)
-            except SiriusError as exc:
-                error = exc
-        virtual = drain_virtual_seconds()
-        seconds = self.profiler.profile.total - before + virtual
-        return self._close(result, error, seconds, virtual)
+        return self._close(
+            self._run_bout(lambda: self.service.invoke(request, self.profiler))
+        )
 
-    def _close(
-        self,
-        result: Any,
-        error: Optional[SiriusError],
-        seconds: float,
-        virtual: float,
-    ) -> StageOutcome:
-        """Close the service span the way ``_run_stage`` would, and pack up."""
+    def _end_span(self, error_code: str = "") -> Tuple[Span, ...]:
+        """Close the service span; returns it with everything under it."""
         span = self._span
-        spans: Tuple[Span, ...] = ()
-        if span is not None:
-            if virtual > 0:
-                span.attributes["virtual_seconds"] = virtual
-            span.end = time.perf_counter()
-            if error is not None:
-                span.status = "error"
-                span.error_code = getattr(error, "code", "SIRIUS")
-            spans = tuple(sorted([*self._tracer.finish(), span], key=sort_key))
+        if span is None:
+            return ()
+        span.end = time.perf_counter()
+        if error_code:
+            span.status = "error"
+            span.error_code = error_code
+        return tuple(sorted([*self._tracer.finish(), span], key=sort_key))
+
+    def _close(self, last: StageOutcome) -> StageOutcome:
+        """Close the service span the way ``_run_stage`` would, and pack up.
+
+        ``last`` is the final bout (its payload or error is the stage's);
+        seconds and virtual latency are the sums over every bout.
+        """
+        if self._span is not None and self._virtual > 0:
+            self._span.attributes["virtual_seconds"] = self._virtual
+        error = last.error
         return StageOutcome(
-            service=self.service.name,
-            label=self.service.label,
-            payload=result,
+            payload=last.payload,
             error=error,
-            seconds=seconds,
-            virtual_seconds=virtual,
+            seconds=self._seconds,
+            virtual_seconds=self._virtual,
             profile=self.profiler.profile,
-            spans=spans,
+            spans=self._end_span(
+                getattr(error, "code", "SIRIUS") if error is not None else ""
+            ),
         )
 
     def _finalize(self) -> StageOutcome:
@@ -347,16 +339,7 @@ class BufferingSession(ServiceSession):
         if isinstance(first, Waveform):
             if not all(isinstance(chunk, Waveform) for chunk in chunks):
                 raise self._mixed(chunks)
-            rates = {chunk.sample_rate for chunk in chunks}
-            if len(rates) > 1:
-                raise SessionError(
-                    f"cannot combine chunks with mixed sample rates {sorted(rates)}",
-                    service=self.service.name,
-                )
-            return Waveform(
-                np.concatenate([chunk.samples for chunk in chunks]),
-                first.sample_rate,
-            )
+            return _concat_waveforms(chunks, self.service.name)
         if isinstance(first, np.ndarray):
             if not all(isinstance(chunk, np.ndarray) for chunk in chunks):
                 raise self._mixed(chunks)
@@ -458,12 +441,14 @@ class AsrStreamingSession(ServiceSession):
         if not pending:
             return
         self._fed = len(self.chunks)
-        drain_virtual_seconds()
-        with self._bout():
-            with self._record_section():
-                for waveform in pending:
-                    self._streaming.feed(waveform.samples)
-        self._virtual += drain_virtual_seconds()
+
+        def feed_pending() -> None:
+            for waveform in pending:
+                self._streaming.feed(waveform.samples)
+
+        bout = self._run_bout(feed_pending)
+        if bout.error is not None:
+            raise bout.error
 
     # -- partials ----------------------------------------------------------------
 
@@ -480,30 +465,27 @@ class AsrStreamingSession(ServiceSession):
             return []
         if self._streaming is None:
             self._engage()
-        drain_virtual_seconds()
-        fresh: List[str] = []
-        with self._bout():
-            with self._record_section():
-                text = self._streaming.partial()
-            if text and text != self._last:
-                index = len(self._emitted)
-                self._last = text
-                self._emitted.append(text)
-                fresh.append(text)
-                if self._tracer is not None:
-                    with self._tracer.span(
-                        "asr.partial",
-                        kind=PARTIAL,
-                        service=self.service.label,
-                        attributes={
-                            "partial_index": index,
-                            "chars": len(text),
-                            "frames": self._streaming.frames_seen,
-                        },
-                    ):
-                        pass
-        self._virtual += drain_virtual_seconds()
-        return fresh
+        bout = self._run_bout(self._streaming.partial)
+        if bout.error is not None:
+            raise bout.error
+        text = bout.payload
+        if not text or text == self._last:
+            return []
+        self._last = text
+        self._emitted.append(text)
+        if self._tracer is not None:
+            with self._bout(), self._tracer.span(
+                "asr.partial",
+                kind=PARTIAL,
+                service=self.service.label,
+                attributes={
+                    "partial_index": len(self._emitted) - 1,
+                    "chars": len(text),
+                    "frames": self._streaming.frames_seen,
+                },
+            ):
+                pass
+        return [text]
 
     @property
     def partials_emitted(self) -> Tuple[str, ...]:
@@ -518,41 +500,12 @@ class AsrStreamingSession(ServiceSession):
     def _finalize(self) -> StageOutcome:
         if self._streaming is None:
             # Never engaged: the batch path, byte-identical to the executor.
-            return self._invoke(self._combine_audio())
-        drain_virtual_seconds()
-        result: Any = None
-        error: Optional[SiriusError] = None
-        with self._bout():
-            try:
-                with self._record_section():
-                    result = self._streaming.finish()
-            except SiriusError as exc:
-                error = exc
-        self._virtual += drain_virtual_seconds()
+            return self._invoke(_concat_waveforms(self.chunks, self.service.name))
+        bout = self._run_bout(self._streaming.finish)
         if self._span is not None:
             self._span.attributes["chunks"] = len(self.chunks)
             if self._emitted:
                 self._span.attributes["partials"] = len(self._emitted)
             if self.endpointed:
                 self._span.attributes["endpointed"] = True
-        # All profiled seconds belong to this stage (the session's profiler
-        # records nothing else), matching _run_stage's profile-delta rule.
-        seconds = self.profiler.profile.total + self._virtual
-        return self._close(result, error, seconds, self._virtual)
-
-    def _combine_audio(self) -> Waveform:
-        if len(self.chunks) == 1:
-            return self.chunks[0]
-        rates = {chunk.sample_rate for chunk in self.chunks}
-        if len(rates) > 1:
-            raise SessionError(
-                f"cannot combine chunks with mixed sample rates {sorted(rates)}",
-                service=self.service.name,
-            )
-        return Waveform(
-            np.concatenate([chunk.samples for chunk in self.chunks]),
-            self.chunks[0].sample_rate,
-        )
-
-    def _combine(self, chunks: Sequence[Any]) -> Any:
-        return self._combine_audio()
+        return self._close(bout)

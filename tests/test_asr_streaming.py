@@ -13,6 +13,7 @@ from repro.asr import (
     train_gmm_acoustic_model,
 )
 from repro.asr.audio import Waveform
+from repro.asr.decoder import ViterbiSearch
 from repro.asr.streaming import StreamingDecoder, StreamingFeatureExtractor
 from repro.errors import DecodingError
 
@@ -147,6 +148,59 @@ class TestStreamingDecoder:
         streaming.feed(wave.samples)
         streaming.feed(np.zeros(0))
         assert streaming.finish().text == "set my alarm"
+
+
+class TestUnifiedSearch:
+    """Batch and streaming recognition drive the same ``ViterbiSearch``."""
+
+    @pytest.fixture(scope="class")
+    def emissions(self, decoder):
+        wave = Synthesizer(seed=79).synthesize("what is the capital of italy")
+        return decoder.acoustic_model.emission_scores(
+            decoder.feature_extractor.extract(wave)
+        )
+
+    @pytest.mark.parametrize("beam", [None, 200.0])
+    @pytest.mark.parametrize("n_best", [1, 4])
+    @settings(deadline=None, max_examples=8)
+    @given(data=st.data())
+    def test_any_block_split_is_bit_identical(
+        self, decoder, emissions, beam, n_best, data
+    ):
+        decoder = Decoder(
+            decoder.acoustic_model, decoder.language_model, beam=beam
+        )
+        n = len(emissions)
+        cuts = sorted(
+            data.draw(st.sets(st.integers(0, n), max_size=8), label="cuts")
+        )
+        whole = ViterbiSearch(decoder)
+        whole.advance(emissions)
+        blocks = ViterbiSearch(decoder)
+        bounds = [0, *cuts, n]
+        for start, stop in zip(bounds, bounds[1:]):
+            blocks.advance(emissions[start:stop])
+        expected = whole.results(n_best)
+        assert expected and len(expected) <= n_best
+        # DecodeResult equality is exact: log_score, words and n_frames.
+        assert blocks.results(n_best) == expected
+        assert decoder._search(emissions, n_best) == expected
+
+    def test_streaming_score_equals_decode_features(self, decoder):
+        wave = Synthesizer(seed=80).synthesize("set my alarm for eight am")
+        chunks = [
+            wave.samples[start : start + 1600]
+            for start in range(0, len(wave.samples), 1600)
+        ]
+        extractor = StreamingFeatureExtractor(decoder.feature_extractor.config)
+        rows = np.vstack([*(extractor.push(c) for c in chunks), extractor.flush()])
+        streaming = StreamingDecoder(decoder)
+        for chunk in chunks:
+            streaming.feed(chunk)
+        online = streaming.finish()
+        offline = decoder.decode_features(rows)
+        assert online.log_score == offline.log_score  # exact, not approx
+        assert online == offline
 
 
 class TestRechunkingInvariance:

@@ -64,7 +64,7 @@ class TestCommands:
         assert main(["serve-bench", "--queries", "3", "--backend", "serial"]) == 0
         output = capsys.readouterr().out
         assert "Serving throughput" in output
-        assert "batched speedup over sequential" in output
+        assert "fan-out speedup over sequential" in output
 
     def test_serve_bench_chaos_runs_and_replays(self, capsys):
         assert main(["serve-bench", "--chaos", "42", "--queries", "6",

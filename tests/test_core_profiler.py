@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.profiler import NullProfiler, Profile, Profiler
+from repro.profiling import NullProfiler, Profile, Profiler
 from repro.errors import ProfilerError
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.profiler import Profiler
+from repro.profiling import Profiler
 from repro.errors import ImageError
 from repro.imm import (
     DESCRIPTOR_SIZE,

@@ -8,7 +8,7 @@ Four tiers:
   exact snapshot/merge protocol;
 - executor integration over module-level picklable stubs: the same span
   forest (IDs, parentage, attributes) on every backend, attempt spans and
-  fault annotations under resilience wrappers, wait times in batched mode,
+  fault annotations under resilience wrappers, wait times of threaded branches,
   and byte-identical deterministic exports across chaos replays;
 - the ``trace-report`` CLI end-to-end, with its percentiles checked
   against an independent numpy computation over the raw span durations.
@@ -411,19 +411,15 @@ class TestExecutorTracing:
     def test_forest_identical_across_backends(self):
         queries = make_queries(4)
 
-        def forest(backend, batch=False):
+        def forest(backend):
             executor = traced_executor(resilient=True, chaos_seed=21)
             responses = executor.run_all(queries, backend=backend,
-                                         batch_stages=batch,
                                          on_error="degrade")
             return to_jsonl(collect_spans(responses), timing=False)
 
         serial = forest("serial")
         assert serial == forest("thread")
         assert serial == forest("process")
-        # Batched mode is a different execution shape (no serial profiler
-        # wrapper sections) but must itself be backend-independent.
-        assert forest("thread", batch=True) == forest("process", batch=True)
 
     def test_chaos_replay_exports_byte_identical(self):
         queries = make_queries(6)
@@ -452,7 +448,7 @@ class TestExecutorTracing:
         assert failed.error_code == "INJECTED"
         assert failed.attributes["attempt"] == 0
         # The annotation lands on the innermost open qa span (the profiler
-        # wrapper in serial mode, the stage span in batched mode).
+        # wrapper section on the serial path).
         qa_attempts = next(s for s in response.spans
                            if s.name == QA and "attempts" in s.attributes)
         assert qa_attempts.attributes["attempts"] == 2
@@ -490,16 +486,18 @@ class TestExecutorTracing:
         assert root.error_code == "INJECTED"
         assert root.attributes["failed"] is True
 
-    def test_batched_mode_measures_wait(self):
+    def test_threaded_branches_measure_wait(self):
         registry = MetricsRegistry()
         executor = PlanExecutor(stub_services(), trace_seed=7,
                                 metrics=registry)
-        responses = executor.run_all(make_queries(4), backend="thread",
-                                     batch_stages=True)
+        responses = executor.run_all(make_queries(4), parallel_branches=True)
         spans = collect_spans(responses)
         stage_spans = [s for s in spans if s.kind == SERVICE]
         assert stage_spans and all(s.wait >= 0 for s in stage_spans)
-        assert registry.histogram("serve.asr.wait_seconds").count == 4
+        # Queries 0 and 2 carry an image, so their IMM and QA branches fork
+        # onto threads — the dispatch that measures admission-to-start wait.
+        assert registry.histogram("serve.qa.wait_seconds").count == 2
+        assert registry.histogram("serve.imm.wait_seconds").count == 2
         assert registry.histogram("serve.e2e.seconds").count == 4
         assert registry.counter("serve.ok").value == 4
 
@@ -526,7 +524,6 @@ class TestExecutorTracing:
         response = ChargingQa()(request)
         assert response.stats.seconds >= 2.0
         assert response.stats.wait_seconds > 0.0  # survived the restamp
-        assert response.stats.batch_size == 1
 
 
 class TestReport:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.profiler import Profiler
+from repro.profiling import Profiler
 from repro.errors import QueryError
 from repro.qa import (
     DATE,

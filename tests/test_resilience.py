@@ -10,7 +10,7 @@ Three tiers:
   (QA -> fallback answer, IMM -> VIQ served as VQ, ASR/classify -> fatal);
 - chaos equivalence over the *real* pipeline: one seeded FaultPlan must
   produce byte-identical degraded outcomes on every execution backend
-  (serial / thread / process, plus stage-batched), and an empty plan must
+  (serial / thread / process), and an empty plan must
   reproduce the plain sequential reference exactly.
 """
 
@@ -468,8 +468,7 @@ def _breakerless(seed):
     }
 
 
-MODES = [("serial", False), ("thread", False), ("process", False),
-         ("serial", True), ("thread", True), ("process", True)]
+BACKENDS = ["serial", "thread", "process"]
 
 
 class TestChaosEquivalence:
@@ -485,17 +484,16 @@ class TestChaosEquivalence:
         queries = [make_query(f"what is item {i}", with_image=(i % 3 == 0))
                    for i in range(12)]
         outcomes = {}
-        for backend, batched in MODES:
+        for backend in BACKENDS:
             executor = chaos_executor(rules, seed=11)
             responses = executor.run_all(
-                queries, backend=backend, workers=4,
-                batch_stages=batched, on_error="degrade",
+                queries, backend=backend, workers=4, on_error="degrade",
             )
-            outcomes[(backend, batched)] = _fingerprint(responses)
-        reference = outcomes[("serial", False)]
+            outcomes[backend] = _fingerprint(responses)
+        reference = outcomes["serial"]
         assert any(t[4] for t in reference)  # chaos actually bit
-        for mode, fingerprint in outcomes.items():
-            assert fingerprint == reference, f"backend mode {mode} diverged"
+        for backend, fingerprint in outcomes.items():
+            assert fingerprint == reference, f"backend {backend} diverged"
 
     def test_real_pipeline_chaos_identical_across_backends(
         self, sirius_pipeline, input_set
@@ -507,20 +505,19 @@ class TestChaosEquivalence:
         )
         plan = default_chaos_plan(7)
         outcomes = {}
-        for backend, batched in MODES:
+        for backend in BACKENDS:
             executor = resilient_executor(
                 sirius_pipeline.serving, _breakerless(7), plan
             )
             executor.warmup()
             responses = executor.run_all(
-                queries, backend=backend, workers=4,
-                batch_stages=batched, on_error="degrade",
+                queries, backend=backend, workers=4, on_error="degrade",
             )
-            outcomes[(backend, batched)] = _fingerprint(responses)
-        reference = outcomes[("serial", False)]
+            outcomes[backend] = _fingerprint(responses)
+        reference = outcomes["serial"]
         assert any(t[4] for t in reference)
-        for mode, fingerprint in outcomes.items():
-            assert fingerprint == reference, f"backend mode {mode} diverged"
+        for backend, fingerprint in outcomes.items():
+            assert fingerprint == reference, f"backend {backend} diverged"
 
     def test_empty_fault_plan_matches_sequential_reference(
         self, sirius_pipeline, input_set

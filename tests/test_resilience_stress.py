@@ -11,8 +11,7 @@ invariants that matter under concurrency:
 - no :class:`~repro.serving.resilience.CallRecord` is dropped: every
   query's QA call is logged exactly once, successes line up one-to-one
   with recorded ``service_seconds`` entries, and the per-call stats agree
-  with the totals the responses report (the accounting that must not
-  drift under ``batch_stages=True``).
+  with the totals the responses report.
 """
 
 import numpy as np
@@ -55,12 +54,10 @@ def _executor(breaker=None):
     return PlanExecutor(wrap_services(stub_services(), policy, plan))
 
 
-@pytest.mark.parametrize("batch_stages", [False, True])
-def test_thread_stress_flapping_qa(batch_stages):
+def test_thread_stress_flapping_qa():
     executor = _executor()
     responses = executor.run_all(
-        _queries(), backend="thread", workers=WORKERS,
-        batch_stages=batch_stages, on_error="degrade",
+        _queries(), backend="thread", workers=WORKERS, on_error="degrade",
     )
     assert len(responses) == N_QUERIES
 

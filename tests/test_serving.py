@@ -48,9 +48,14 @@ class TestBackendRegistry:
         )
         assert result == [18, 19, 20, 21]
 
-    def test_invalid_worker_count_rejected(self):
+    def test_invalid_worker_count_rejected(self, sirius_pipeline, input_set):
         with pytest.raises(ConfigurationError):
             get_backend("thread").map(_double, [1, 2], workers=0)
+        # run_all dispatches every backend through map, serial included.
+        with pytest.raises(ConfigurationError):
+            sirius_pipeline.serving.run_all(
+                input_set.voice_commands[:1], backend="serial", workers=0
+            )
 
     def test_register_custom_backend(self):
         class ReversedSerial(ExecutionBackend):
@@ -182,42 +187,23 @@ class TestExecutor:
         response = service(ServiceRequest(payload="what is the capital of italy"))
         assert response.stats.service == "QA"
         assert response.stats.seconds > 0
-        assert response.stats.batch_size == 1
         assert response.payload.answer_text
-
-    def test_call_batch_records_batch_size(self, sirius_pipeline):
-        service = sirius_pipeline.serving.services["classify"]
-        requests = [ServiceRequest(payload=text) for text in ("play a song", "who is x")]
-        responses = service.call_batch(requests, backend="serial")
-        assert [r.stats.batch_size for r in responses] == [2, 2]
 
 
 class TestServingEquivalence:
-    """Satellite property: every backend, batched or not, produces results
-    identical to the sequential pipeline on the full 42-query input set."""
+    """Satellite property: every backend produces results identical to the
+    sequential pipeline on the full 42-query input set."""
 
     @pytest.fixture(scope="class")
     def reference(self, sirius_pipeline, input_set):
         return sirius_pipeline.process_all(input_set.all_queries)
 
-    @pytest.mark.parametrize(
-        "backend,batched",
-        [
-            ("serial", True),
-            ("thread", False),
-            ("thread", True),
-            ("process", False),
-            ("process", True),
-        ],
-    )
+    @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_backend_equivalence(
-        self, backend, batched, sirius_pipeline, input_set, reference
+        self, backend, sirius_pipeline, input_set, reference
     ):
         responses = sirius_pipeline.serving.run_all(
-            input_set.all_queries,
-            backend=backend,
-            batch_stages=batched,
-            workers=2,
+            input_set.all_queries, backend=backend, workers=2
         )
         assert len(responses) == len(reference)
         for expected, got in zip(reference, responses):
