@@ -17,8 +17,9 @@ import numpy as np
 from repro.profiling import Profiler
 from repro.errors import ImageError
 from repro.imm.image import Image, SceneGenerator
-from repro.imm.matcher import AnnMatcher
+from repro.imm.matcher import AnnMatcher, DescriptorMatch
 from repro.imm.surf import Surf, SurfFeatures
+from repro.imm.verify import ransac_translation
 
 
 @dataclass(frozen=True)
@@ -122,9 +123,6 @@ class ImageDatabase:
                 total_matches=len(matches),
                 n_query_keypoints=len(features),
             )
-
-        from repro.imm.matcher import DescriptorMatch
-        from repro.imm.verify import ransac_translation
 
         with profiler.section("imm.verify"):
             best_id = -1

@@ -17,7 +17,7 @@ import numpy as np
 from repro.errors import ImageError
 from repro.imm.image import Image
 from repro.obs.counters import record_work
-from repro.imm.integral import box_sum, box_sum_map, integral_image
+from repro.imm.integral import PaddedIntegral, box_sum, integral_image
 
 #: Default filter-size ladder (pixels).  9 -> scale 1.2, SURF's base.
 DEFAULT_FILTER_SIZES = (9, 15, 21, 27, 39, 51)
@@ -41,8 +41,18 @@ def hessian_response(ii: np.ndarray, filter_size: int) -> np.ndarray:
     four diagonal lobes for Dxy, weighted 1/-2/1 and +1/-1 respectively,
     normalized by the filter area.
     """
+    return _response(PaddedIntegral(ii, _filter_reach(filter_size)), filter_size)
+
+
+def _filter_reach(filter_size: int) -> int:
+    """The padding a filter's widest box needs: it spans -border .. border + 1."""
+    return filter_size // 2 + 1
+
+
+def _response(padded: PaddedIntegral, filter_size: int) -> np.ndarray:
     if filter_size % 2 == 0 or filter_size < 9 or filter_size % 3 != 0:
         raise ImageError("filter size must be an odd multiple of 3, >= 9")
+    box = padded.box_sum_map
     lobe = filter_size // 3
     border = filter_size // 2
     inverse_area = 1.0 / (filter_size * filter_size)
@@ -51,20 +61,20 @@ def hessian_response(ii: np.ndarray, filter_size: int) -> np.ndarray:
     width = 2 * lobe - 1
     x_off = -(width // 2)
     dyy = (
-        box_sum_map(ii, -border, x_off, filter_size, width)
-        - 3.0 * box_sum_map(ii, -(lobe // 2), x_off, lobe, width)
+        box(-border, x_off, filter_size, width)
+        - 3.0 * box(-(lobe // 2), x_off, lobe, width)
     )
     # Dxx: transpose layout.
     dxx = (
-        box_sum_map(ii, x_off, -border, width, filter_size)
-        - 3.0 * box_sum_map(ii, x_off, -(lobe // 2), width, lobe)
+        box(x_off, -border, width, filter_size)
+        - 3.0 * box(x_off, -(lobe // 2), width, lobe)
     )
     # Dxy: four lobe x lobe boxes in the quadrants.
     dxy = (
-        box_sum_map(ii, -lobe, 1, lobe, lobe)        # top-right (+)
-        + box_sum_map(ii, 1, -lobe, lobe, lobe)      # bottom-left (+)
-        - box_sum_map(ii, -lobe, -lobe, lobe, lobe)  # top-left (-)
-        - box_sum_map(ii, 1, 1, lobe, lobe)          # bottom-right (-)
+        box(-lobe, 1, lobe, lobe)        # top-right (+)
+        + box(1, -lobe, lobe, lobe)      # bottom-left (+)
+        - box(-lobe, -lobe, lobe, lobe)  # top-left (-)
+        - box(1, 1, lobe, lobe)          # bottom-right (-)
     )
 
     dxx *= inverse_area
@@ -116,8 +126,11 @@ class FastHessianDetector:
     def detect(self, image: Image, ii: Optional[np.ndarray] = None) -> List[Keypoint]:
         """All keypoints of ``image``, strongest first."""
         ii = ii if ii is not None else integral_image(image.pixels)
+        # One padded table serves every box of every scale; the largest
+        # filter sets its pad, and it goes when this call returns.
+        padded = PaddedIntegral(ii, _filter_reach(max(self.filter_sizes)))
         responses = np.stack(
-            [hessian_response(ii, size) for size in self.filter_sizes]
+            [_response(padded, size) for size in self.filter_sizes]
         )  # (n_scales, H, W)
 
         keypoints: List[Keypoint] = []
@@ -138,29 +151,31 @@ class FastHessianDetector:
             border = size // 2 + 1
             if height <= 2 * border or width <= 2 * border:
                 continue
-            center = responses[scale_index]
+            # 3x3x3 non-maximum suppression on the interior only: within
+            # ``border`` of an edge nothing is a candidate, and every
+            # neighbour of an interior pixel is inside the map.
+            center = responses[scale_index, border : height - border, border : width - border]
             candidate = center >= self.threshold
-            # 3x3x3 non-maximum suppression via shifted comparisons.
             for ds in (-1, 0, 1):
                 plane = responses[scale_index + ds]
                 for dy in (-1, 0, 1):
                     for dx in (-1, 0, 1):
                         if ds == 0 and dy == 0 and dx == 0:
                             continue
-                        shifted = np.roll(np.roll(plane, -dy, axis=0), -dx, axis=1)
-                        candidate &= center > shifted
-            candidate[:border, :] = False
-            candidate[-border:, :] = False
-            candidate[:, :border] = False
-            candidate[:, -border:] = False
+                        candidate &= center > plane[
+                            border + dy : height - border + dy,
+                            border + dx : width - border + dx,
+                        ]
             ys, xs = np.nonzero(candidate)
+            ys += border
+            xs += border
             for y, x in zip(ys, xs):
                 keypoints.append(
                     Keypoint(
                         y=float(y),
                         x=float(x),
                         scale=1.2 * size / 9.0,
-                        response=float(center[y, x]),
+                        response=float(responses[scale_index, y, x]),
                         sign=laplacian_sign(ii, int(y), int(x), size),
                     )
                 )

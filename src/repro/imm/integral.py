@@ -40,25 +40,50 @@ def box_sum(ii: np.ndarray, y0: int, x0: int, height: int, width: int) -> float:
     return float(ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0])
 
 
+class PaddedIntegral:
+    """An integral image edge-padded by ``pad`` cells on every side.
+
+    Edge padding *is* :func:`box_sum`'s clip: cell ``pad + j`` of the padded
+    table holds ``ii[clip(j, 0, size)]``, so a box-sum map for every pixel is
+    four plain slices.  Build one per batch of maps and drop it with them.
+    """
+
+    def __init__(self, ii: np.ndarray, pad: int):
+        self.pad = pad
+        self.height = ii.shape[0] - 1
+        self.width = ii.shape[1] - 1
+        self.table = np.pad(ii, pad, mode="edge")
+
+    def box_sum_map(self, dy: int, dx: int, height: int, width: int) -> np.ndarray:
+        """Clipped box sums for every pixel; see :func:`box_sum_map`."""
+        if box_reach(dy, dx, height, width) > self.pad:
+            raise ImageError("box reaches past the integral image's padding")
+        y0 = self.pad + dy
+        x0 = self.pad + dx
+        y1 = y0 + height
+        x1 = x0 + width
+        rows, cols = self.height, self.width
+        table = self.table
+        return (
+            table[y1 : y1 + rows, x1 : x1 + cols]
+            - table[y0 : y0 + rows, x1 : x1 + cols]
+            - table[y1 : y1 + rows, x0 : x0 + cols]
+            + table[y0 : y0 + rows, x0 : x0 + cols]
+        )
+
+
+def box_reach(dy: int, dx: int, height: int, width: int) -> int:
+    """How far a box at offset (dy, dx) extends from its pixel on any side."""
+    return max(abs(dy), abs(dx), abs(dy + height), abs(dx + width))
+
+
 def box_sum_map(ii: np.ndarray, dy: int, dx: int, height: int, width: int) -> np.ndarray:
     """Box sums for *every* pixel at once.
 
     For each pixel (y, x) of the original image, returns the sum of the box
-    whose top-left corner is (y + dy, x + dx).  Out-of-range boxes are
-    clipped.  This vectorized form is what makes the pure-numpy fast-Hessian
-    tractable.
+    whose top-left corner is (y + dy, x + dx), exactly as :func:`box_sum`
+    computes it.  Out-of-range boxes are clipped.  This vectorized form is
+    what makes the pure-numpy fast-Hessian tractable.
     """
-    image_h = ii.shape[0] - 1
-    image_w = ii.shape[1] - 1
-    ys = np.arange(image_h)
-    xs = np.arange(image_w)
-    y0 = np.clip(ys + dy, 0, image_h)
-    y1 = np.clip(ys + dy + height, 0, image_h)
-    x0 = np.clip(xs + dx, 0, image_w)
-    x1 = np.clip(xs + dx + width, 0, image_w)
-    return (
-        ii[np.ix_(y1, x1)]
-        - ii[np.ix_(y0, x1)]
-        - ii[np.ix_(y1, x0)]
-        + ii[np.ix_(y0, x0)]
-    )
+    padded = PaddedIntegral(ii, box_reach(dy, dx, height, width))
+    return padded.box_sum_map(dy, dx, height, width)

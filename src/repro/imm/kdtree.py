@@ -97,13 +97,13 @@ class KDTree:
             if max_checks is not None and checks >= max_checks and len(best) >= min(k, checks):
                 break
             if node.is_leaf:
-                for index in node.indices:
-                    distance = float(np.sum((self.data[index] - vector) ** 2))
+                squared = ((self.data[node.indices] - vector) ** 2).sum(axis=1)
+                for index, distance in zip(node.indices.tolist(), squared.tolist()):
                     checks += 1
                     if len(best) < k:
-                        heapq.heappush(best, (-distance, int(index)))
+                        heapq.heappush(best, (-distance, index))
                     elif distance < -best[0][0]:
-                        heapq.heapreplace(best, (-distance, int(index)))
+                        heapq.heapreplace(best, (-distance, index))
                 continue
             diff = vector[node.axis] - node.split
             near, far = (node.left, node.right) if diff < 0 else (node.right, node.left)

@@ -12,6 +12,7 @@ from repro.asr import (
     fit_gmm,
     score_naive,
 )
+from repro.asr.gmm import _FIT_BLOCK_ROWS, _by_row_blocks
 from repro.asr.lm import BOS, EOS
 from repro.errors import ModelError
 
@@ -85,6 +86,14 @@ class TestFitGMM:
         fitted = fit_gmm(data, n_components=2)
         shifted = DiagonalGMM(fitted.means + 10.0, fitted.precisions, fitted.log_weights)
         assert fitted.log_likelihood(data).mean() > shifted.log_likelihood(data).mean()
+
+    def test_row_blocks_score_as_the_whole_array(self):
+        # fit_gmm scores a block of rows at a time to bound its temporaries;
+        # the last block is a partial one.
+        data = np.random.default_rng(5).normal(size=(2 * _FIT_BLOCK_ROWS + 77, 13))
+        gmm = fit_gmm(data[:500], n_components=4, n_iterations=2)
+        whole = gmm.component_log_likelihood(data)
+        assert _by_row_blocks(gmm.component_log_likelihood, data).tobytes() == whole.tobytes()
 
 
 class TestDNN:

@@ -14,7 +14,7 @@ from repro.imm import (
     hessian_response,
     integral_image,
 )
-from repro.imm.integral import box_sum_map
+from repro.imm.integral import PaddedIntegral, box_sum_map
 
 
 class TestIntegralImage:
@@ -65,6 +65,31 @@ class TestIntegralImage:
         for y in range(16):
             for x in range(12):
                 assert sums[y, x] == pytest.approx(box_sum(ii, y - 2, x + 1, 4, 3))
+
+    @given(
+        st.integers(8, 96), st.integers(8, 96), st.integers(0, 2**32 - 1),
+        st.integers(-80, 80), st.integers(-80, 80),
+        st.integers(-80, 80), st.integers(-80, 80),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_box_sum_map_is_box_sum_exactly(self, rows, cols, seed, dy, dx, h, w):
+        # Boxes that overhang the image on every side (filter 51 on a 64-px
+        # tile does) must clip exactly as the scalar does: ==, not approx.
+        ii = integral_image(np.random.default_rng(seed).uniform(size=(rows, cols)))
+        sums = box_sum_map(ii, dy, dx, h, w)
+        assert sums.shape == (rows, cols)
+        expected = [
+            [box_sum(ii, y + dy, x + dx, h, w) for x in range(cols)] for y in range(rows)
+        ]
+        assert sums.tolist() == expected
+
+    def test_padded_integral_rejects_reach_past_its_pad(self):
+        padded = PaddedIntegral(integral_image(np.ones((64, 64))), 26)
+        padded.box_sum_map(-25, -8, 51, 17)
+        with pytest.raises(ImageError):
+            padded.box_sum_map(-27, 0, 9, 9)
+        with pytest.raises(ImageError):
+            padded.box_sum_map(0, 10, 9, 17)
 
 
 class TestHessian:
