@@ -10,6 +10,7 @@ GMM for Kaldi/RASR's DNN.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
@@ -21,6 +22,7 @@ from repro.asr.features import FeatureConfig, FeatureExtractor
 from repro.asr.gmm import DiagonalGMM, fit_gmm
 from repro.asr.phonemes import N_PHONEMES, PHONEME_INDEX
 from repro.errors import ModelError
+from repro.obs.counters import record_work
 
 STATES_PER_PHONEME = 3
 SILENCE = "SIL"
@@ -45,6 +47,12 @@ class AcousticModel(Protocol):
         ...
 
 
+#: Frames the GMM bank scores at a time.  Its ``(rows, ΣK, D)`` temporaries
+#: are ~40 KB a row; a whole utterance of them raised peak RSS by 13 MB,
+#: blocks of 32 rows stay under the set-up peak.
+_BANK_BLOCK_ROWS = 32
+
+
 @dataclass
 class GMMAcousticModel:
     """One diagonal GMM per emission state (the Sphinx-style model).
@@ -52,20 +60,92 @@ class GMMAcousticModel:
     States that had too little training data score through the ``fallback``
     GMM (fit on all frames) with ``fallback_penalty`` subtracted, so rare
     states stay reachable without being preferred.
+
+    Scoring runs on one *bank* built at construction: the components of
+    every GMM (the fallback included) stacked into a single ΣK-component
+    :class:`DiagonalGMM`, members ordered by component count so that each
+    run of equal K reshapes to ``(rows, members, K)`` for the log-sum-exp.
+    A block of frames is then one
+    :meth:`DiagonalGMM.component_log_likelihood` call and one log-sum-exp
+    per distinct K instead of one :meth:`DiagonalGMM.log_likelihood` call
+    per state, and gives the same bits.  Mutating ``gmms`` or ``fallback``
+    afterwards does not rebuild it.
     """
 
     gmms: Dict[int, DiagonalGMM]
     fallback: Optional[DiagonalGMM] = None
     fallback_penalty: float = 8.0
 
-    def emission_scores(self, features: np.ndarray) -> np.ndarray:
+    def __post_init__(self) -> None:
+        # (GMM, emission states it scores, penalty subtracted from its score)
+        members = [(gmm, [state], 0.0) for state, gmm in sorted(self.gmms.items())]
         if self.fallback is not None:
-            base = self.fallback.log_likelihood(features) - self.fallback_penalty
-            scores = np.tile(base[:, None], (1, N_EMISSION_STATES))
-        else:
-            scores = np.full((len(features), N_EMISSION_STATES), -1e30)
-        for state, gmm in self.gmms.items():
-            scores[:, state] = gmm.log_likelihood(features)
+            untrained = [s for s in range(N_EMISSION_STATES) if s not in self.gmms]
+            members.append((self.fallback, untrained, self.fallback_penalty))
+        if not members:
+            raise ModelError("acoustic model has neither state GMMs nor a fallback")
+        # Stable, so members of equal K stay in state order.
+        members.sort(key=lambda member: member[0].n_components)
+        bank = [gmm for gmm, _, _ in members]
+        self._n_members = len(bank)
+        if any(gmm.dimension != bank[0].dimension for gmm in bank):
+            raise ModelError("all GMMs of an acoustic model must share one dimension")
+        # One ΣK-component "mixture" whose component scores are those of
+        # every member; its weights do not sum to one and it is never
+        # summed whole, only per member below.
+        self._bank = DiagonalGMM(
+            np.concatenate([gmm.means for gmm in bank]),
+            np.concatenate([gmm.precisions for gmm in bank]),
+            np.concatenate([gmm.log_weights for gmm in bank]),
+        )
+        # Scored emission states, the bank member each reads, its penalty.
+        states: List[int] = []
+        feeds: List[int] = []
+        penalties: List[float] = []
+        for member, (_, scored, penalty) in enumerate(members):
+            states += scored
+            feeds += [member] * len(scored)
+            penalties += [penalty] * len(scored)
+        self._states = np.array(states)
+        self._feeds = np.array(feeds)
+        self._penalties = np.array(penalties)
+        # Per run of equal K: (K, first member, members, first bank row).
+        self._groups: List[Tuple[int, int, int, int]] = []
+        first_member = first_row = 0
+        for k, run in itertools.groupby(gmm.n_components for gmm in bank):
+            n = len(list(run))
+            self._groups.append((k, first_member, n, first_row))
+            first_member, first_row = first_member + n, first_row + n * k
+
+    def emission_scores(self, features: np.ndarray) -> np.ndarray:
+        features = np.atleast_2d(features)
+        n_frames = len(features)
+        dimension = self._bank.dimension
+        # States with neither a GMM nor a fallback stay dead.
+        scores = np.full((n_frames, N_EMISSION_STATES), -1e30)
+        for start in range(0, n_frames, _BANK_BLOCK_ROWS):
+            rows = features[start : start + _BANK_BLOCK_ROWS]
+            component = self._bank.component_log_likelihood(rows)  # (rows, ΣK)
+            member_scores = np.empty((len(rows), self._n_members))
+            for k, first_member, n, first_row in self._groups:
+                grouped = component[:, first_row : first_row + n * k].reshape(
+                    len(rows), n, k
+                )
+                peak = grouped.max(axis=2, keepdims=True)
+                member_scores[:, first_member : first_member + n] = (
+                    peak + np.log(np.exp(grouped - peak).sum(axis=2, keepdims=True))
+                )[:, :, 0]
+            scores[start : start + len(rows), self._states] = (
+                member_scores[:, self._feeds] - self._penalties
+            )
+        # The counter model of DiagonalGMM.log_likelihood, summed over the
+        # members of each group.
+        for k, _, n, _ in self._groups:
+            record_work(
+                flops=n * (4 * n_frames * k * dimension + 6 * n_frames * k),
+                mem_bytes=n * 8 * (n_frames * dimension + 2 * k * dimension + n_frames * k),
+                items=n * n_frames,
+            )
         return scores
 
 

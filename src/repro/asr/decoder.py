@@ -48,17 +48,17 @@ class _Graph:
 
     pstate: np.ndarray        # (S,) emission-state id per graph state
     word_of_state: np.ndarray  # (S,)
-    is_start: np.ndarray      # (S,) bool: first state of a word chain
     starts: np.ndarray        # (V,) graph index of each word's first state
     phone_ends: np.ndarray    # (V,) last phoneme state of each word
     sil_ends: np.ndarray      # (V,) last silence-tail state of each word
-    lead_sil_end: int = -1    # last state of the utterance-initial silence
+    lead_sil_end: int         # last state of the utterance-initial silence
+    no_advance: np.ndarray    # (V + 1,) states no left neighbour advances into
+    ends: np.ndarray          # (2V + 1,) phone_ends, sil_ends, lead_sil_end
 
 
 def _build_graph(vocabulary: Sequence[str]) -> _Graph:
     pstate: List[int] = []
     word_of_state: List[int] = []
-    is_start: List[bool] = []
     starts: List[int] = []
     phone_ends: List[int] = []
     sil_ends: List[int] = []
@@ -66,7 +66,6 @@ def _build_graph(vocabulary: Sequence[str]) -> _Graph:
     for sub_state in range(STATES_PER_PHONEME):
         pstate.append(phoneme_state_id(SILENCE, sub_state))
         word_of_state.append(-1)
-        is_start.append(False)
     lead_sil_end = len(pstate) - 1
     for word_index, word in enumerate(vocabulary):
         symbols = pronounce(word)
@@ -77,25 +76,26 @@ def _build_graph(vocabulary: Sequence[str]) -> _Graph:
             for sub_state in range(STATES_PER_PHONEME):
                 pstate.append(phoneme_state_id(symbol, sub_state))
                 word_of_state.append(word_index)
-                is_start.append(len(pstate) - 1 == starts[-1])
         phone_ends.append(len(pstate) - 1)
         for sub_state in range(STATES_PER_PHONEME):
             pstate.append(phoneme_state_id(SILENCE, sub_state))
             word_of_state.append(word_index)
-            is_start.append(False)
         sil_ends.append(len(pstate) - 1)
     return _Graph(
         pstate=np.array(pstate),
         word_of_state=np.array(word_of_state),
-        is_start=np.array(is_start, dtype=bool),
         starts=np.array(starts),
         phone_ends=np.array(phone_ends),
         sil_ends=np.array(sil_ends),
         lead_sil_end=lead_sil_end,
+        no_advance=np.array([0, *starts]),
+        ends=np.array([*phone_ends, *sil_ends, lead_sil_end]),
     )
 
 
 _NEG_INF = -1e30  # log score of a dead token
+_ALIVE = _NEG_INF / 2  # every live token scores above this, every dead one below
+_INITIAL_LINKS = 1024  # link-table rows before the first doubling
 
 
 class Decoder:
@@ -232,33 +232,50 @@ class ViterbiSearch:
     per-frame, so cutting an emissions matrix into consecutive blocks at any
     boundaries gives bit-identical scores to advancing it whole — batch and
     streaming recognition are this one object driven two ways.
+
+    One frame is four steps over preallocated ``(S,)`` buffers (the step
+    ASRPU calls expand → prune): *shift* every token along its self-loop or
+    to its right neighbour, *enter* word starts from the word ends that are
+    still alive, *emit* the frame's acoustic scores, *prune* to the beam.
+    Word entry is sparse: a token the beam killed scores exactly
+    ``_NEG_INF``, language-model scores are finite, so a dead word end can
+    never beat a live one into a word start, and a frame with no live end
+    has no entry step at all.
     """
 
     def __init__(self, decoder: Decoder):
         self._decoder = decoder
         n_states = len(decoder._graph.pstate)
+        # Token scores and word-link histories, each a double buffer that
+        # ``advance`` swaps per frame instead of allocating.
         self._delta = np.full(n_states, _NEG_INF)
         self._hist = np.full(n_states, -1, dtype=np.int64)
-        # Link table: (word_index, previous_link_id) per completed word.
-        self._links: List[Tuple[int, int]] = []
+        self._next_delta = np.empty(n_states)
+        self._next_hist = np.empty(n_states, dtype=np.int64)
+        self._stay = np.empty(n_states)
+        self._mask = np.empty(n_states, dtype=bool)
+        self._ends = np.empty(len(decoder._graph.ends))
+        # Link table: row i is (word_index, previous_link_id) of the i-th
+        # completed word; doubled when full.
+        self._links = np.empty((_INITIAL_LINKS, 2), dtype=np.int64)
+        self._n_links = 0
         self.n_frames = 0
 
     def advance(self, emissions: np.ndarray) -> None:
         """Consume a ``(T, n_emission_states)`` block of frames (T may be 0)."""
         decoder = self._decoder
         graph = decoder._graph
-        n_states = len(graph.pstate)
-        n_words = len(decoder.vocabulary)
-        lm_scores = decoder._lm_scores[:n_words]
-        bos_scores = decoder._lm_scores[n_words]
-        word_range = np.arange(n_words)
         start_states = graph.starts
+        log_self, log_adv, beam = decoder.log_self, decoder.log_adv, decoder.beam
         frame_scores = emissions[:, graph.pstate]  # (T, S)
-        delta, hist, links = self._delta, self._hist, self._links
+        delta, hist = self._delta, self._hist
+        new_delta, new_hist = self._next_delta, self._next_hist
+        stay, mask, ends = self._stay, self._mask, self._ends
 
         if self.n_frames == 0 and len(frame_scores):
             # First frame: tokens enter every word start from BOS, or the
             # initial silence chain (audio that opens with a pause).
+            bos_scores = decoder._lm_scores[len(decoder.vocabulary)]
             delta[start_states] = (
                 frame_scores[0, start_states]
                 + (bos_scores + decoder.insertion_penalty)
@@ -267,57 +284,96 @@ class ViterbiSearch:
             frame_scores = frame_scores[1:]
 
         for scores in frame_scores:
-            stay = delta + decoder.log_self
-            advance = np.empty(n_states)
-            advance[0] = _NEG_INF
-            advance[1:] = delta[:-1] + decoder.log_adv
-            advance[graph.is_start] = _NEG_INF
+            # Shift: each state keeps its own token or takes its left
+            # neighbour's, whichever scores higher (ties stay).
+            np.add(delta, log_self, out=stay)
+            np.add(delta[:-1], log_adv, out=new_delta[1:])
+            new_delta[graph.no_advance] = _NEG_INF
+            np.greater(new_delta, stay, out=mask)
+            np.maximum(new_delta, stay, out=new_delta)
+            np.copyto(new_hist, hist)
+            np.copyto(new_hist[1:], hist[:-1], where=mask[1:])
 
-            take_advance = advance > stay
-            new_delta = np.where(take_advance, advance, stay)
-            new_hist = hist.copy()
-            source = np.where(take_advance)[0]
-            new_hist[source] = hist[source - 1]
+            # Enter: cross-word transitions leave the *previous* frame's
+            # word-end tokens, when any is alive.
+            delta.take(graph.ends, out=ends)
+            if ends.max() > _ALIVE:
+                self._enter_words(ends, hist, new_delta, new_hist)
 
-            # Cross-word transitions use the *previous* frame's word-end tokens.
-            end_scores, end_states = self._word_ends(delta)
+            # Emit, then prune to the beam.
+            np.add(new_delta, scores, out=new_delta)
+            if beam is not None:
+                np.less(new_delta, new_delta.max() - beam, out=mask)
+                np.copyto(new_delta, _NEG_INF, where=mask)
 
-            # entry[w2] = max_w1 end_scores[w1] + lmW * lm[w1, w2]
-            candidate = end_scores[:, None] + lm_scores
-            best_prev = np.argmax(candidate, axis=0)
-            entry = candidate[best_prev, word_range] + decoder.insertion_penalty
-            entry_delta = entry + decoder.log_adv
+            delta, new_delta = new_delta, delta
+            hist, new_hist = new_hist, hist
+
+        self._delta, self._hist = delta, hist
+        self._next_delta, self._next_hist = new_delta, new_hist
+        self.n_frames += len(emissions)
+
+    def _enter_words(
+        self,
+        ends: np.ndarray,
+        hist: np.ndarray,
+        new_delta: np.ndarray,
+        new_hist: np.ndarray,
+    ) -> None:
+        """Move the best live word-end (or lead-silence) token into each word
+        start it beats, recording one link per word completed.
+
+        ``ends`` holds the previous frame's tokens at ``graph.ends``.
+        """
+        decoder = self._decoder
+        graph = decoder._graph
+        n_words = len(decoder.vocabulary)
+        start_states = graph.starts
+        from_phone, from_sil = ends[:n_words], ends[n_words:-1]
+        end_scores = np.maximum(from_phone, from_sil)
+        # Ascending, so argmax's first-wins tie-break is the lowest word.
+        alive = (end_scores > _ALIVE).nonzero()[0]
+        lead_alive = ends[-1] > _ALIVE
+        if len(alive):
+            # entry[w2] = max over live w1 of end_scores[w1] + lmW * lm[w1, w2]
+            candidate = end_scores[alive, None] + decoder._lm_scores[alive]
+            incoming = entry_delta = (
+                candidate.max(axis=0) + decoder.insertion_penalty + decoder.log_adv
+            )
+        if lead_alive:
             # Entry from the utterance-initial silence carries the BOS prior.
-            bos_entry = (
-                delta[graph.lead_sil_end]
-                + bos_scores
+            incoming = bos_entry = (
+                ends[-1]
+                + decoder._lm_scores[n_words]
                 + decoder.insertion_penalty
                 + decoder.log_adv
             )
+            if len(alive):
+                incoming = np.maximum(entry_delta, bos_entry)
 
-            better = np.maximum(entry_delta, bos_entry) > new_delta[start_states]
-            for word_index in np.where(better)[0]:
-                state = start_states[word_index]
-                if bos_entry[word_index] >= entry_delta[word_index]:
-                    new_delta[state] = bos_entry[word_index]
-                    new_hist[state] = hist[graph.lead_sil_end]
-                else:
-                    prev_word = int(best_prev[word_index])
-                    prev_end_state = int(end_states[prev_word])
-                    links.append((prev_word, int(hist[prev_end_state])))
-                    new_delta[state] = entry_delta[word_index]
-                    new_hist[state] = len(links) - 1
-
-            new_delta += scores
-
-            if decoder.beam is not None:
-                threshold = new_delta.max() - decoder.beam
-                new_delta[new_delta < threshold] = _NEG_INF
-
-            delta, hist = new_delta, new_hist
-
-        self._delta, self._hist = delta, hist
-        self.n_frames += len(emissions)
+        entered = (incoming > new_delta[start_states]).nonzero()[0]
+        new_delta[start_states[entered]] = incoming[entered]
+        if lead_alive:
+            new_hist[start_states[entered]] = hist[graph.lead_sil_end]
+            if len(alive):  # the silence keeps exact ties
+                entered = entered[entry_delta[entered] > bos_entry[entered]]
+        if not len(alive) or not len(entered):
+            return
+        prev_words = alive[candidate[:, entered].argmax(axis=0)]
+        prev_ends = np.where(
+            from_sil[prev_words] > from_phone[prev_words],
+            graph.sil_ends[prev_words],
+            graph.phone_ends[prev_words],
+        )
+        first, stop = self._n_links, self._n_links + len(entered)
+        if stop > len(self._links):
+            grown = np.empty((max(2 * len(self._links), stop), 2), dtype=np.int64)
+            grown[:first] = self._links[:first]
+            self._links = grown
+        self._links[first:stop, 0] = prev_words
+        self._links[first:stop, 1] = hist[prev_ends]
+        new_hist[start_states[entered]] = np.arange(first, stop)
+        self._n_links = stop
 
     def _word_ends(self, delta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per word, the better of its phone-end and silence-tail tokens."""
@@ -344,7 +400,7 @@ class ViterbiSearch:
         # Stable, so exact ties rank by word index on every numpy build.
         for word_index in np.argsort(-final, kind="stable")[:n_best]:
             score = float(final[word_index])
-            if score <= _NEG_INF / 2:
+            if score <= _ALIVE:
                 break
             words: List[str] = [vocabulary[int(word_index)]]
             link_id = int(self._hist[end_states[word_index]])

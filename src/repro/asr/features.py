@@ -110,6 +110,7 @@ class FeatureExtractor:
     def __init__(self, config: FeatureConfig = FeatureConfig()):
         self.config = config
         self._bank_cache = {}
+        self._dct = dct_matrix(config.n_coefficients, config.n_filters)
 
     def extract(self, waveform: Waveform) -> np.ndarray:
         config = self.config
@@ -131,8 +132,7 @@ class FeatureExtractor:
         bank = self._filterbank(n_fft, rate)
         energies = power @ bank.T
         log_energies = np.log(np.maximum(energies, 1e-12))
-        dct = dct_matrix(config.n_coefficients, config.n_filters)
-        cepstra = log_energies @ dct.T
+        cepstra = log_energies @ self._dct.T
         if config.cmvn and len(cepstra) > 1:
             mean = cepstra.mean(axis=0, keepdims=True)
             std = cepstra.std(axis=0, keepdims=True)

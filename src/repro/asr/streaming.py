@@ -97,12 +97,18 @@ class StreamingFeatureExtractor:
         available = len(self._cepstra) - (0 if final else self.LOOKAHEAD)
         if available <= self._emitted:
             return np.zeros((0, self.config.dimension))
-        static = np.vstack(self._cepstra)
+        # Row i's delta reads rows i-2 .. i+2, so the rows to emit need only
+        # this window of the history.  ``compute_deltas`` edge-pads the
+        # window, which is the offline padding where the window starts at
+        # row 0 or (on flush) ends at the last row, and otherwise only
+        # reaches the two context rows on each side, which are not emitted.
+        low = max(self._emitted - self.LOOKAHEAD, 0)
+        static = np.vstack(self._cepstra[low:])
         if self.config.add_deltas:
             full = np.hstack([static, compute_deltas(static)])
         else:
             full = static
-        rows = full[self._emitted : available]
+        rows = full[self._emitted - low : available - low]
         self._emitted = available
         return rows
 

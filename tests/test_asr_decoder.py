@@ -17,6 +17,8 @@ from repro.asr.acoustic import (
     label_frames,
     phoneme_state_id,
 )
+from repro.asr import decoder as decoder_module
+from repro.asr.decoder import ViterbiSearch
 from repro.asr.features import FeatureConfig
 from repro.errors import DecodingError, ModelError
 
@@ -141,3 +143,65 @@ class TestDecoderConfig:
             Synthesizer(seed=8).synthesize("set my alarm")
         )
         assert set(result.words) <= {"set", "my", "alarm", "for", "eight", "am"}
+
+
+class TestViterbiStep:
+    """Edges of the per-frame step: shift, sparse word entry, emit, prune."""
+
+    @pytest.fixture(scope="class")
+    def emissions(self, gmm_decoder):
+        wave = Synthesizer(seed=12).synthesize("what is the capital of italy")
+        return gmm_decoder.acoustic_model.emission_scores(
+            gmm_decoder.feature_extractor.extract(wave)
+        )
+
+    def test_empty_and_single_row_blocks(self, gmm_decoder, emissions):
+        search = ViterbiSearch(gmm_decoder)
+        search.advance(emissions[:0])
+        assert search.n_frames == 0 and search.results() == []
+        search.advance(emissions[:1])
+        # One frame in, tokens sit in word starts: no word has ended yet.
+        assert search.n_frames == 1 and search.results() == []
+        search.advance(emissions[1:1])
+        for row in range(1, len(emissions)):
+            search.advance(emissions[row : row + 1])
+        assert search.results(3) == gmm_decoder._search(emissions, 3)
+
+    def test_beam_that_kills_every_word_end_raises(self, gmm_model, language_model):
+        # Every frame is a perfect match for the first state of "play" and a
+        # poor one for everything else: the token that stays there outscores
+        # any that moves on by more than the beam, so no word ever ends.
+        decoder = Decoder(gmm_model, language_model, vocabulary=["play"], beam=10.0)
+        emissions = np.full((20, N_EMISSION_STATES), -50.0)
+        emissions[:, decoder._graph.pstate[decoder._graph.starts[0]]] = 0.0
+        search = ViterbiSearch(decoder)
+        search.advance(emissions)
+        assert search.results() == []
+        with pytest.raises(DecodingError):
+            decoder._search(emissions)
+
+    def test_link_table_growth_keeps_earlier_links(
+        self, gmm_model, language_model, emissions, monkeypatch
+    ):
+        decoder = Decoder(gmm_model, language_model, beam=None)
+        roomy = ViterbiSearch(decoder)
+        roomy.advance(emissions)
+        assert roomy._n_links > len(roomy._links) // 2  # it did have to grow
+        monkeypatch.setattr(decoder_module, "_INITIAL_LINKS", 1)
+        cramped = ViterbiSearch(decoder)
+        assert len(cramped._links) == 1
+        cramped.advance(emissions)
+        assert cramped._n_links == roomy._n_links
+        assert cramped.results(5) == roomy.results(5)
+
+    @pytest.mark.parametrize("vocabulary", [["to", "too"], ["too", "to"]])
+    def test_exact_ties_go_to_the_lowest_word_index(self, gmm_model, vocabulary):
+        # Homophones under a language model that cannot tell them apart:
+        # every cross-word candidate and every final score ties exactly.
+        decoder = Decoder(gmm_model, BigramLanguageModel(["to", "too"]), vocabulary=vocabulary)
+        wave = Synthesizer(seed=4).synthesize("to too to")
+        first, second = decoder.decode_nbest(wave, n=2)
+        assert len(first.words) > 1
+        assert set(first.words) == {vocabulary[0]}
+        assert second.log_score == first.log_score
+        assert second.words == first.words[:-1] + (vocabulary[1],)

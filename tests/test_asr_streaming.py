@@ -14,6 +14,7 @@ from repro.asr import (
 )
 from repro.asr.audio import Waveform
 from repro.asr.decoder import ViterbiSearch
+from repro.asr.features import compute_deltas
 from repro.asr.streaming import StreamingDecoder, StreamingFeatureExtractor
 from repro.errors import DecodingError
 
@@ -54,6 +55,22 @@ class TestStreamingFeatures:
         offline, online = self._compare(wave, chunk_size)
         assert offline.shape == online.shape
         assert np.allclose(offline, online, atol=1e-10)
+
+    @settings(deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_windowed_deltas_are_the_offline_deltas(self, data):
+        """Deltas computed over a window of the history are bit-equal to
+        ``compute_deltas`` over the whole utterance, however it is cut."""
+        wave = Synthesizer(seed=82).synthesize("set my alarm")
+        n = len(wave.samples)
+        cuts = sorted(data.draw(st.sets(st.integers(0, n), max_size=12), label="cuts"))
+        bounds = [0, *cuts, n]
+        streaming = StreamingFeatureExtractor(FeatureExtractor().config)
+        rows = [streaming.push(wave.samples[a:b]) for a, b in zip(bounds, bounds[1:])]
+        online = np.vstack([*rows, streaming.flush()])
+        static = online[:, : online.shape[1] // 2]
+        assert len(online) == len(FeatureExtractor().extract(wave))
+        assert online[:, static.shape[1] :].tobytes() == compute_deltas(static).tobytes()
 
     def test_empty_pushes_are_noops(self):
         streaming = StreamingFeatureExtractor(FeatureExtractor().config)

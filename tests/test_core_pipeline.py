@@ -1,5 +1,7 @@
 """Tests for the query taxonomy, classifier, input set, and full pipeline."""
 
+import statistics
+
 import numpy as np
 import pytest
 
@@ -131,8 +133,14 @@ class TestSiriusPipeline:
         assert {"qa.stemmer", "qa.regex", "qa.crf"} <= sections
 
     def test_latency_ordering_vc_fastest(self, sirius_pipeline, input_set):
-        vc = sirius_pipeline.process(input_set.voice_commands[0]).latency
-        viq = sirius_pipeline.process(input_set.voice_image_queries[0]).latency
+        def warm_median(query, runs=5):
+            sirius_pipeline.process(query)  # first call pays the cold caches
+            return statistics.median(
+                sirius_pipeline.process(query).latency for _ in range(runs)
+            )
+
+        vc = warm_median(input_set.voice_commands[0])
+        viq = warm_median(input_set.voice_image_queries[0])
         assert vc < viq
 
     def test_filter_hits_reported(self, sirius_pipeline, input_set):
