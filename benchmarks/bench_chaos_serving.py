@@ -23,6 +23,7 @@ from repro.serving import (
     default_policies,
     resilient_executor,
 )
+from repro.serving.identity import outcome_counts, outcome_fingerprint
 
 SMOKE = bool(os.environ.get("SIRIUS_BENCH_SMOKE"))
 N_QUERIES = 12 if SMOKE else 48
@@ -33,14 +34,6 @@ CHAOS_SEED = 42
 def workload(inputs):
     base = inputs.all_queries
     return [base[i % len(base)] for i in range(N_QUERIES)]
-
-
-def _fingerprint(responses):
-    return [
-        (r.query_type.value, r.transcript, r.answer, r.matched_image,
-         r.degraded, tuple(sorted(r.failures.items())))
-        for r in responses
-    ]
 
 
 def _chaos_run(pipeline, workload, seed):
@@ -57,9 +50,7 @@ def _chaos_run(pipeline, workload, seed):
 def test_chaos_availability_report(pipeline, workload, save_report):
     seconds, responses = _chaos_run(pipeline, workload, CHAOS_SEED)
     n = len(responses)
-    n_failed = sum(1 for r in responses if r.failed)
-    n_degraded = sum(1 for r in responses if r.degraded and not r.failed)
-    n_ok = n - n_failed - n_degraded
+    n_ok, n_degraded, n_failed = outcome_counts(responses)
     rows = [
         ["ok (full quality)", str(n_ok), f"{n_ok / n:.3f}"],
         ["degraded", str(n_degraded), f"{n_degraded / n:.3f}"],
@@ -82,7 +73,7 @@ def test_chaos_replay_is_deterministic(pipeline, workload):
     """Identical seed + fresh wrap => byte-identical outcome stream."""
     _, first = _chaos_run(pipeline, workload, CHAOS_SEED)
     _, second = _chaos_run(pipeline, workload, CHAOS_SEED)
-    assert _fingerprint(first) == _fingerprint(second)
+    assert outcome_fingerprint(first) == outcome_fingerprint(second)
 
 
 def test_zero_fault_resilience_matches_reference(pipeline, workload):
@@ -92,7 +83,7 @@ def test_zero_fault_resilience_matches_reference(pipeline, workload):
     executor = resilient_executor(pipeline.serving, default_policies())
     executor.warmup()
     guarded = executor.run_all(workload, on_error="degrade")
-    assert _fingerprint(guarded) == _fingerprint(reference)
+    assert outcome_fingerprint(guarded) == outcome_fingerprint(reference)
     assert not any(r.degraded for r in guarded)
 
 

@@ -12,7 +12,7 @@ Subcommands::
     repro cluster-bench [--smoke] [--replicas 3] [--shards 2] [--policy power-of-two]
     repro trace-report spans.jsonl [--limit 3] [--chrome trace.json] [--mm1 0.7]
     repro trace-report spans.jsonl --critical-path [--tail-quantile 0.99] --roofline
-    repro bench [run] [--quick] [--json] [--tag pr5] [--filter suite.]
+    repro bench [run] [--quick] [--json] [--tag pr17] [--filter suite.]
     repro bench --check BASELINE.json   (or: repro bench check BASELINE.json)
     repro bench list
     repro design
@@ -112,13 +112,22 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chaos_fingerprint(responses):
-    """The replay-comparable projection of a response stream."""
-    return [
-        (r.query_type.value, r.transcript, r.answer, r.matched_image,
-         r.degraded, tuple(sorted(r.failures.items())))
-        for r in responses
-    ]
+def _verdict(divergence: Optional[str]) -> str:
+    """``ok``, or ``FAILED`` plus where the two runs first differ."""
+    return "ok" if divergence is None else f"FAILED at {divergence}"
+
+
+def _export_spans(spans, trace=None, chrome=None, timing: bool = True) -> None:
+    """Write the JSONL (``trace``) and Chrome (``chrome``) exports asked for."""
+    from repro.obs import write_chrome_trace, write_jsonl
+
+    if trace:
+        n_spans = write_jsonl(spans, trace, timing=timing)
+        kind = "" if timing else " (deterministic export)"
+        print(f"wrote {n_spans} spans{kind} to {trace}", file=sys.stderr)
+    if chrome:
+        n_events = write_chrome_trace(spans, chrome)
+        print(f"wrote {n_events} trace events to {chrome}", file=sys.stderr)
 
 
 def _cmd_chaos_bench(args: argparse.Namespace, pipeline, queries) -> int:
@@ -135,8 +144,9 @@ def _cmd_chaos_bench(args: argparse.Namespace, pipeline, queries) -> int:
     from collections import Counter
 
     from repro.analysis import format_table
-    from repro.obs import collect_spans, to_jsonl, write_chrome_trace
+    from repro.obs import collect_spans
     from repro.serving import default_chaos_plan, default_policies, resilient_executor
+    from repro.serving.identity import outcome_counts, replay_divergence
 
     plan = default_chaos_plan(args.chaos)
     tracing = bool(args.trace or args.chrome_trace or args.metrics)
@@ -152,37 +162,21 @@ def _cmd_chaos_bench(args: argparse.Namespace, pipeline, queries) -> int:
 
     first = run_once()
     second = run_once()
-    if _chaos_fingerprint(first) != _chaos_fingerprint(second):
-        print("warning: chaos outcomes did not replay identically", file=sys.stderr)
-
-    spans_replayed = True
+    # Untraced runs carry no spans, so their span forests trivially agree.
+    outcome_drift, span_drift = replay_divergence(first, second)
     if tracing:
-        spans = collect_spans(first)
-        deterministic = to_jsonl(spans, timing=False)
-        spans_replayed = (
-            deterministic == to_jsonl(collect_spans(second), timing=False)
-        )
-        if args.trace:
-            with open(args.trace, "w") as handle:
-                handle.write(deterministic)
-            print(f"wrote {len(spans)} spans (deterministic export) "
-                  f"to {args.trace}", file=sys.stderr)
-        if args.chrome_trace:
-            n_events = write_chrome_trace(spans, args.chrome_trace)
-            print(f"wrote {n_events} trace events to {args.chrome_trace}",
-                  file=sys.stderr)
+        forest = collect_spans(first)
+        _export_spans(forest, args.trace, args.chrome_trace, timing=False)
         if args.metrics:
             from repro.obs import format_service_summary, metrics_from_spans
 
             print(format_service_summary(
-                metrics_from_spans(spans),
+                metrics_from_spans(forest),
                 title=f"Chaos latency (seed={args.chaos}, from spans)",
             ))
 
     n = len(first)
-    n_failed = sum(1 for r in first if r.failed)
-    n_degraded = sum(1 for r in first if r.degraded and not r.failed)
-    n_ok = n - n_failed - n_degraded
+    n_ok, n_degraded, n_failed = outcome_counts(first)
     codes = Counter(
         f"{label}:{code}" for r in first for label, code in sorted(r.failures.items())
     )
@@ -200,11 +194,10 @@ def _cmd_chaos_bench(args: argparse.Namespace, pipeline, queries) -> int:
     if codes:
         print("failure codes: "
               + ", ".join(f"{key}×{count}" for key, count in sorted(codes.items())))
-    replayed = _chaos_fingerprint(first) == _chaos_fingerprint(second)
-    print(f"replay determinism: {'ok' if replayed else 'FAILED'}")
+    print(f"replay determinism: {_verdict(outcome_drift)}")
     if tracing:
-        print(f"span replay determinism: {'ok' if spans_replayed else 'FAILED'}")
-    return 0 if (replayed and spans_replayed) else 2
+        print(f"span replay determinism: {_verdict(span_drift)}")
+    return 0 if outcome_drift is None and span_drift is None else 2
 
 
 def _cmd_streaming_bench(args: argparse.Namespace, pipeline, queries) -> int:
@@ -212,23 +205,17 @@ def _cmd_streaming_bench(args: argparse.Namespace, pipeline, queries) -> int:
 
     Drives every query through the asyncio gateway in arrival-interleaved
     audio chunks (partials polled on each feed, endpointing armed), then
-    checks the streaming-equivalence anchor: a session fed the whole
-    utterance as one chunk and finished without polling must reproduce
-    ``PlanExecutor.run`` *byte-identically* — response fields and the
-    timing-stripped span export both.  Exits 2 when the anchor breaks.
+    checks the streaming-equivalence anchor
+    (:func:`repro.serving.identity.single_chunk_equivalent`) for every
+    query.  Exits 2 when the anchor breaks.
     """
     import time
 
     from repro.analysis import format_table
-    from repro.obs import (
-        MetricsRegistry,
-        collect_spans,
-        format_service_summary,
-        to_jsonl,
-        write_chrome_trace,
-    )
+    from repro.obs import MetricsRegistry, collect_spans, format_service_summary
     from repro.obs.metrics import percentile
-    from repro.serving import ASR, serve_streams
+    from repro.serving import serve_streams
+    from repro.serving.identity import single_chunk_equivalent
 
     executor = pipeline.serving
     registry = MetricsRegistry()
@@ -244,28 +231,10 @@ def _cmd_streaming_bench(args: argparse.Namespace, pipeline, queries) -> int:
             max_workers=args.workers if args.workers else 8,
         )
         wall = time.perf_counter() - start
-
-        mismatched = []
-        for ordinal, query in enumerate(queries):
-            reference = executor.run(query, ordinal=ordinal, on_error="degrade")
-            session = executor.services[ASR].open_session(
-                query=query, ordinal=ordinal, seed=executor.trace_seed
-            )
-            session.feed(query.audio)
-            outcome = session.finish()
-            replay = executor.run(
-                query, ordinal=ordinal, precomputed={ASR: outcome},
-                wall_start=session.opened_at, on_error="degrade",
-            )
-            same_fields = (
-                _chaos_fingerprint([reference]) == _chaos_fingerprint([replay])
-            )
-            same_spans = (
-                to_jsonl(reference.spans, timing=False)
-                == to_jsonl(replay.spans, timing=False)
-            )
-            if not (same_fields and same_spans):
-                mismatched.append(ordinal)
+        mismatched = [
+            ordinal for ordinal, query in enumerate(queries)
+            if not single_chunk_equivalent(executor, query, ordinal)
+        ]
     finally:
         executor.trace_seed = None
         executor.metrics = None
@@ -290,17 +259,7 @@ def _cmd_streaming_bench(args: argparse.Namespace, pipeline, queries) -> int:
     print(format_service_summary(
         registry, title="Streaming latency (TTFP next to e2e)"
     ))
-
-    spans = collect_spans(report.responses)
-    if args.trace:
-        from repro.obs import write_jsonl
-
-        n_spans = write_jsonl(spans, args.trace)
-        print(f"wrote {n_spans} spans to {args.trace}", file=sys.stderr)
-    if args.chrome_trace:
-        n_events = write_chrome_trace(spans, args.chrome_trace)
-        print(f"wrote {n_events} trace events to {args.chrome_trace}",
-              file=sys.stderr)
+    _export_spans(collect_spans(report.responses), args.trace, args.chrome_trace)
 
     if mismatched:
         print(f"single-chunk equivalence: FAILED at ordinals {mismatched}")
@@ -328,13 +287,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         return _cmd_chaos_bench(args, pipeline, queries)
     if args.streaming:
         return _cmd_streaming_bench(args, pipeline, queries)
-    from repro.obs import (
-        MetricsRegistry,
-        collect_spans,
-        format_service_summary,
-        write_chrome_trace,
-        write_jsonl,
-    )
+    from repro.obs import MetricsRegistry, collect_spans, format_service_summary
 
     executor = pipeline.serving
     executor.warmup()
@@ -369,14 +322,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         ["Mode", "Backend", "Seconds", "Queries/s"], rows,
     ))
     print(f"fan-out speedup over sequential: {sequential_s / fanout_s:.2f}x")
-    spans = collect_spans(fanout)
-    if args.trace:
-        n_spans = write_jsonl(spans, args.trace)
-        print(f"wrote {n_spans} spans to {args.trace}", file=sys.stderr)
-    if args.chrome_trace:
-        n_events = write_chrome_trace(spans, args.chrome_trace)
-        print(f"wrote {n_events} trace events to {args.chrome_trace}",
-              file=sys.stderr)
+    _export_spans(collect_spans(fanout), args.trace, args.chrome_trace)
     if registry is not None:
         print(format_service_summary(
             registry, title="Serving latency (fan-out run)"
@@ -404,24 +350,20 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
     from repro.core import InputSet, SiriusPipeline
     from repro.datacenter.arrivals import make_process
     from repro.datacenter.simulation import (
-        exponential_sampler,
         histogram_sampler,
         mm1_percentile,
         simulate_from_histogram,
     )
-    from repro.obs import (
-        MetricsRegistry,
-        collect_spans,
-        format_critical_path_report,
-        to_jsonl,
-    )
+    from repro.obs import MetricsRegistry, collect_spans, format_critical_path_report
     from repro.obs.metrics import E2E_HISTOGRAM
     from repro.serving.cluster import (
         AdmissionControl,
         build_cluster,
         extrapolate_fleet,
         replay_cluster,
+        seeded_replay,
     )
+    from repro.serving.identity import outcome_counts, replay_divergence
 
     if args.smoke:
         args.queries = min(args.queries, 50_000)
@@ -453,22 +395,15 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
     cluster.warmup()
     first = cluster.run_all(live_queries, backend=args.backend)
     second = cluster.run_all(live_queries, backend=args.backend)
-    outcomes_ok = _chaos_fingerprint(first) == _chaos_fingerprint(second)
-    spans = collect_spans(first)
-    spans_ok = to_jsonl(spans, timing=False) == to_jsonl(
-        collect_spans(second), timing=False
-    )
+    outcome_drift, span_drift = replay_divergence(first, second)
 
-    n = len(first)
-    n_failed = sum(1 for r in first if r.failed)
-    n_degraded = sum(1 for r in first if r.degraded and not r.failed)
+    n_ok, n_degraded, n_failed = outcome_counts(first)
     depth = metrics.histogram("serve.router.queue_depth")
     rows = [
-        ["queries", str(n)],
+        ["queries", str(len(first))],
         ["replicas x shards", f"{cluster.n_replicas} x {args.shards}"],
         ["policy", cluster.policy.name],
-        ["ok / degraded / failed",
-         f"{n - n_degraded - n_failed} / {n_degraded} / {n_failed}"],
+        ["ok / degraded / failed", f"{n_ok} / {n_degraded} / {n_failed}"],
         ["rejected (admission)",
          str(metrics.counter("serve.router.rejected").value)],
         ["mean queue depth seen", f"{depth.mean:.2f}"],
@@ -477,37 +412,27 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
         f"Live fleet (seed={args.seed}, backend={args.backend})",
         ["Metric", "Value"], rows,
     ))
-    print(f"outcome replay determinism: {'ok' if outcomes_ok else 'FAILED'}")
-    print(f"span replay determinism:    {'ok' if spans_ok else 'FAILED'}")
+    print(f"outcome replay determinism: {_verdict(outcome_drift)}")
+    print(f"span replay determinism:    {_verdict(span_drift)}")
     print()
-    print(format_critical_path_report(spans))
+    print(format_critical_path_report(collect_spans(first)))
 
     # -- model replay vs analytic M/M/1 ------------------------------------
     e2e = metrics.histogram(E2E_HISTOGRAM).snapshot()
     mean_service = max(e2e.mean, 1e-6)
     load = args.load
     rate = load / mean_service  # one-replica parameterization
-    process = make_process(args.arrivals, rate)
+
+    def exponential_replay():
+        return seeded_replay(
+            args.arrivals, rate, mean_service, args.queries, seed=args.seed
+        )
 
     analytic_p99 = mm1_percentile(mean_service, load, 99.0)
-    exp_replay = replay_cluster(
-        process,
-        exponential_sampler(mean_service, seed=args.seed + 1),
-        args.queries,
-        policy="round-robin",
-        n_replicas=1,
-        seed=args.seed,
-    )
-    digest_ok = exp_replay.digest() == replay_cluster(
-        process,
-        exponential_sampler(mean_service, seed=args.seed + 1),
-        args.queries,
-        policy="round-robin",
-        n_replicas=1,
-        seed=args.seed,
-    ).digest()
+    exp_replay = exponential_replay()
+    digest_ok = exp_replay.digest() == exponential_replay().digest()
     measured_replay = replay_cluster(
-        process,
+        make_process(args.arrivals, rate),
         histogram_sampler(e2e, seed=args.seed + 2),
         args.queries,
         policy=args.policy,
@@ -545,34 +470,83 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
         f"({estimate.target_rate:.0f} q/s) at per-replica load {load:.2f}, "
         f"projected p99 {estimate.projected_p99 * 1000:.0f} ms"
     )
-    return 0 if (outcomes_ok and spans_ok and digest_ok) else 2
+    return 0 if outcome_drift is None and span_drift is None and digest_ok else 2
+
+
+def _read_spans(path: str):
+    """The spans of a JSONL export; an export with none is an error."""
+    from repro.errors import ObsError
+    from repro.obs import read_jsonl
+
+    spans = read_jsonl(path)
+    if not spans:
+        raise ObsError(
+            f"span export {path!r} contains no spans; was the trace "
+            "written with tracing enabled (serve-bench --trace)?"
+        )
+    return spans
 
 
 def _cmd_trace_report(args: argparse.Namespace) -> int:
-    from repro.errors import ObsError
-    from repro.obs import read_jsonl, render_report, write_chrome_trace
+    from repro.obs import format_critical_path_report, format_roofline, render_report
 
-    spans = read_jsonl(args.path)
-    if not spans:
-        raise ObsError(
-            f"span export {args.path!r} contains no spans; was the trace "
-            "written with tracing enabled (serve-bench --trace)?"
-        )
-    if args.chrome:
-        n_events = write_chrome_trace(spans, args.chrome)
-        print(f"wrote {n_events} trace events to {args.chrome}", file=sys.stderr)
+    spans = _read_spans(args.path)
+    _export_spans(spans, chrome=args.chrome)
     sections = [render_report(spans, limit=args.limit, mm1_load=args.mm1)]
     if args.critical_path:
-        from repro.obs import format_critical_path_report
-
         sections.append(format_critical_path_report(
             spans, quantile=args.tail_quantile
         ))
     if args.roofline:
-        from repro.obs import format_roofline
-
         sections.append(format_roofline(spans))
     print("\n\n".join(sections))
+    return 0
+
+
+def _run_report(args, from_spans, from_replay, render, to_json, label) -> int:
+    """The ``fleet-report`` / ``cost-report`` driver.
+
+    Two sources: a timing-stripped span export (positional path) goes to
+    ``from_spans(spans)``; otherwise ``from_replay(replay)`` gets the
+    seeded virtual-time replay the shared flags describe, as a callable
+    taking extra :func:`~repro.serving.cluster.replay.replay_cluster`
+    keywords.  ``--json`` prints ``to_json(report)`` instead of
+    ``render(report)``; ``--smoke`` rebuilds the report from scratch and
+    exits 2, naming the first difference, unless both renderings are
+    byte-identical.
+    """
+    import functools
+
+    from repro.serving.cluster import AutoscalerPolicy, seeded_replay
+    from repro.serving.identity import first_divergence
+
+    if args.smoke:
+        args.queries = min(args.queries, 2_000)
+    if args.path:
+        build = functools.partial(from_spans, _read_spans(args.path))
+    else:
+        build = functools.partial(from_replay, functools.partial(
+            seeded_replay,
+            args.arrivals, args.rate, args.service_mean, args.queries,
+            seed=args.seed,
+            policy=args.policy,
+            n_replicas=args.replicas,
+            autoscaler=(
+                AutoscalerPolicy(slo_p99=args.e2e_slo) if args.autoscale else None
+            ),
+        ))
+
+    report = build()
+    print(to_json(report) if args.json else render(report), end="")
+    if args.smoke:
+        again = build()
+        drift = (
+            first_divergence(to_json(report), to_json(again))
+            or first_divergence(render(report), render(again))
+        )
+        print(f"{label} determinism: {_verdict(drift)}", file=sys.stderr)
+        if drift is not None:
+            return 2
     return 0
 
 
@@ -580,99 +554,33 @@ def _cmd_fleet_report(args: argparse.Namespace) -> int:
     """``repro fleet-report``: the fleet health dashboard.
 
     Rollups, SLO burn rates, the autoscaler trajectory, and the trace
-    sampling bill in one deterministic page.  Two sources:
-
-    - **replay mode** (default): a seeded virtual-time cluster replay —
-      arrivals, routing, optional autoscaling — evaluated end to end;
-    - **span mode** (positional path): a timing-stripped JSONL span
-      export from ``serve-bench --trace`` or a live cluster run,
-      projected onto the ordinal clock.
-
-    ``--json`` prints canonical JSON for golden pinning; ``--smoke``
-    rebuilds the whole report from scratch and exits 2 unless both
-    renderings are byte-identical.
+    sampling bill in one deterministic page, over a seeded cluster replay
+    (default; arrivals, routing, optional autoscaling) or a span export
+    from ``serve-bench --trace`` projected onto the ordinal clock.
     """
-    from repro.datacenter.arrivals import make_process
-    from repro.datacenter.simulation import exponential_sampler
-    from repro.errors import ObsError
-    from repro.obs import read_jsonl
-    from repro.obs.fleet_report import (
-        render_fleet_report,
-        report_from_replay,
-        report_from_spans,
-        report_to_json,
-    )
+    from repro.obs import fleet_report
     from repro.obs.slo import default_slos
-    from repro.serving.cluster import replay_cluster
-    from repro.serving.cluster.autoscaler import AutoscalerPolicy
 
-    if args.smoke:
-        args.queries = min(args.queries, 2_000)
-
-    slos = default_slos(
-        e2e_threshold=args.e2e_slo, ttfp_threshold=args.ttfp_slo
+    sampling = dict(
+        head_rate=args.head_rate,
+        top_k=args.top_k,
+        sample_seed=args.seed,
+        slos=default_slos(
+            e2e_threshold=args.e2e_slo, ttfp_threshold=args.ttfp_slo
+        ),
     )
-
-    if args.path:
-        spans = read_jsonl(args.path)
-        if not spans:
-            raise ObsError(
-                f"span export {args.path!r} contains no spans; was the "
-                "trace written with tracing enabled (serve-bench --trace)?"
-            )
-
-        def build():
-            return report_from_spans(
-                spans,
-                window=args.window,
-                head_rate=args.head_rate,
-                top_k=args.top_k,
-                sample_seed=args.seed,
-                slos=slos,
-            )
-    else:
-        def build():
-            result = replay_cluster(
-                make_process(args.arrivals, args.rate),
-                exponential_sampler(args.service_mean, seed=args.seed + 1),
-                args.queries,
-                policy=args.policy,
-                n_replicas=args.replicas,
-                seed=args.seed,
-                autoscaler=(
-                    AutoscalerPolicy(slo_p99=args.e2e_slo)
-                    if args.autoscale else None
-                ),
-                tick_seconds=args.window,
-            )
-            return report_from_replay(
-                result,
-                head_rate=args.head_rate,
-                top_k=args.top_k,
-                sample_seed=args.seed,
-                trace_seed=args.seed,
-                slos=slos,
-            )
-
-    report = build()
-    rendered = (
-        report_to_json(report) if args.json else render_fleet_report(report)
+    return _run_report(
+        args,
+        lambda spans: fleet_report.report_from_spans(
+            spans, window=args.window, **sampling
+        ),
+        lambda replay: fleet_report.report_from_replay(
+            replay(tick_seconds=args.window), trace_seed=args.seed, **sampling
+        ),
+        fleet_report.render_fleet_report,
+        fleet_report.report_to_json,
+        "fleet-report",
     )
-    print(rendered, end="")
-
-    if args.smoke:
-        again = build()
-        stable = (
-            report_to_json(again) == report_to_json(report)
-            and render_fleet_report(again) == render_fleet_report(report)
-        )
-        print(
-            f"fleet-report determinism: {'ok' if stable else 'FAILED'}",
-            file=sys.stderr,
-        )
-        if not stable:
-            return 2
-    return 0
 
 
 def _cmd_cost_report(args: argparse.Namespace) -> int:
@@ -684,82 +592,22 @@ def _cmd_cost_report(args: argparse.Namespace) -> int:
     the million-query day.  Every number derives from seeds, virtual
     time, and the Table 5/6/7 constants — never wall clocks — so the
     ledger is byte-identical across execution backends.
-
-    ``--json`` prints canonical JSON for golden pinning; ``--smoke``
-    rebuilds the whole report from scratch and exits 2 unless both
-    renderings are byte-identical.
     """
-    from repro.datacenter.arrivals import make_process
-    from repro.datacenter.simulation import exponential_sampler
-    from repro.errors import ObsError
-    from repro.obs import read_jsonl
-    from repro.obs.cost import (
-        cost_report_from_replay,
-        cost_report_from_spans,
-        render_cost_report,
-        report_to_json,
+    from repro.obs import cost
+
+    pricing = dict(
+        platform=args.platform,
+        fleet=args.fleet,
+        target_queries=args.target_queries,
     )
-    from repro.serving.cluster import replay_cluster
-    from repro.serving.cluster.autoscaler import AutoscalerPolicy
-
-    if args.smoke:
-        args.queries = min(args.queries, 2_000)
-
-    if args.path:
-        spans = read_jsonl(args.path)
-        if not spans:
-            raise ObsError(
-                f"span export {args.path!r} contains no spans; was the "
-                "trace written with tracing enabled (serve-bench --trace)?"
-            )
-
-        def build():
-            return cost_report_from_spans(
-                spans,
-                platform=args.platform,
-                fleet=args.fleet,
-                target_queries=args.target_queries,
-            )
-    else:
-        def build():
-            result = replay_cluster(
-                make_process(args.arrivals, args.rate),
-                exponential_sampler(args.service_mean, seed=args.seed + 1),
-                args.queries,
-                policy=args.policy,
-                n_replicas=args.replicas,
-                seed=args.seed,
-                autoscaler=(
-                    AutoscalerPolicy(slo_p99=args.e2e_slo)
-                    if args.autoscale else None
-                ),
-            )
-            return cost_report_from_replay(
-                result,
-                platform=args.platform,
-                fleet=args.fleet,
-                target_queries=args.target_queries,
-            )
-
-    report = build()
-    rendered = (
-        report_to_json(report) if args.json else render_cost_report(report)
+    return _run_report(
+        args,
+        lambda spans: cost.cost_report_from_spans(spans, **pricing),
+        lambda replay: cost.cost_report_from_replay(replay(), **pricing),
+        cost.render_cost_report,
+        cost.report_to_json,
+        "cost-report",
     )
-    print(rendered, end="")
-
-    if args.smoke:
-        again = build()
-        stable = (
-            report_to_json(again) == report_to_json(report)
-            and render_cost_report(again) == render_cost_report(report)
-        )
-        print(
-            f"cost-report determinism: {'ok' if stable else 'FAILED'}",
-            file=sys.stderr,
-        )
-        if not stable:
-            return 2
-    return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -773,6 +621,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if action == "check" and not baseline_path:
         print("error[CONFIG]: bench check needs a baseline "
               "(repro bench --check BASELINE.json)", file=sys.stderr)
+        return 2
+    if action == "run" and args.json and not (args.out or args.tag):
+        print("error[CONFIG]: bench run --json needs --out PATH or --tag TAG",
+              file=sys.stderr)
         return 2
 
     if action == "list":
@@ -793,13 +645,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             return bench.load_report(args.current)
         return bench.run_benchmarks(
             filters=args.filter, quick=args.quick, repeats=args.repeats,
-            tag=args.tag, progress=progress,
+            tag=args.tag or "dev", progress=progress,
         )
 
     if action == "run":
         report = run_current()
-        out_path = args.out or f"BENCH_{args.tag}.json"
         if args.json:
+            out_path = args.out or f"BENCH_{args.tag}.json"
             with open(out_path, "w") as handle:
                 handle.write(bench.to_json(report))
             print(f"wrote {len(report['benchmarks'])} benchmarks to {out_path}",
@@ -864,6 +716,47 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.statcheck.cli import run_lint
 
     return run_lint(args)
+
+
+#: Routing policies and arrival processes the cluster commands accept.
+_POLICIES = ("round-robin", "least-loaded", "power-of-two")
+_ARRIVALS = ("poisson", "diurnal", "bursty")
+
+
+def _add_report_arguments(
+    parser: argparse.ArgumentParser, verb: str, page: str
+) -> None:
+    """The source, replay and output flags ``fleet-report`` and
+    ``cost-report`` share (see :func:`_run_report`)."""
+    parser.add_argument(
+        "path", nargs="?", default=None,
+        help=f"JSONL span export to {verb} (default: run a seeded replay)",
+    )
+    parser.add_argument("--queries", type=int, default=5_000,
+                        help="replay arrival count (default 5000)")
+    parser.add_argument("--replicas", type=int, default=2)
+    parser.add_argument("--policy", default="least-loaded", choices=_POLICIES)
+    parser.add_argument("--arrivals", default="poisson", choices=_ARRIVALS)
+    parser.add_argument("--rate", type=float, default=12.0,
+                        help="arrival rate in queries/second (default 12)")
+    parser.add_argument("--service-mean", type=float, default=0.12,
+                        help="mean service time in seconds (default 0.12)")
+    parser.add_argument(
+        "--autoscale", action="store_true",
+        help="enable the SLO autoscaler in replay mode (target = --e2e-slo)",
+    )
+    parser.add_argument("--e2e-slo", type=float, default=2.5,
+                        help="end-to-end p99 target in seconds")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--json", action="store_true",
+        help=f"emit canonical JSON (sorted keys) instead of the {page}",
+    )
+    parser.add_argument(
+        "--smoke", action="store_true",
+        help="CI shape: <= 2000 arrivals, rebuild twice, exit 2 unless "
+             "both renderings are byte-identical",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -945,14 +838,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="real queries through the live fleet")
     cluster.add_argument("--replicas", type=int, default=3)
     cluster.add_argument("--shards", type=int, default=2)
-    cluster.add_argument(
-        "--policy", default="power-of-two",
-        choices=("round-robin", "least-loaded", "power-of-two"),
-    )
-    cluster.add_argument(
-        "--arrivals", default="poisson",
-        choices=("poisson", "diurnal", "bursty"),
-    )
+    cluster.add_argument("--policy", default="power-of-two", choices=_POLICIES)
+    cluster.add_argument("--arrivals", default="poisson", choices=_ARRIVALS)
     cluster.add_argument("--load", type=float, default=0.7,
                          help="target single-replica utilization (0, 1)")
     cluster.add_argument("--drop-rate", type=float, default=0.0,
@@ -1006,49 +893,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="fleet health dashboard: rollups, SLO burn rates, autoscaler "
              "trajectory, and the trace-sampling bill",
     )
-    fleet.add_argument(
-        "path", nargs="?", default=None,
-        help="JSONL span export to evaluate (default: run a seeded replay)",
-    )
-    fleet.add_argument("--queries", type=int, default=5_000,
-                       help="replay arrival count (default 5000)")
-    fleet.add_argument("--replicas", type=int, default=2)
-    fleet.add_argument(
-        "--policy", default="least-loaded",
-        choices=("round-robin", "least-loaded", "power-of-two"),
-    )
-    fleet.add_argument(
-        "--arrivals", default="poisson",
-        choices=("poisson", "diurnal", "bursty"),
-    )
-    fleet.add_argument("--rate", type=float, default=12.0,
-                       help="arrival rate in queries/second (default 12)")
-    fleet.add_argument("--service-mean", type=float, default=0.12,
-                       help="mean service time in seconds (default 0.12)")
-    fleet.add_argument(
-        "--autoscale", action="store_true",
-        help="enable the SLO autoscaler in replay mode (target = --e2e-slo)",
-    )
+    _add_report_arguments(fleet, "evaluate", "dashboard")
     fleet.add_argument("--window", type=float, default=5.0,
                        help="rollup window width in virtual seconds")
     fleet.add_argument("--head-rate", type=float, default=0.1,
                        help="head sampling probability (default 0.1)")
     fleet.add_argument("--top-k", type=int, default=8,
                        help="slowest-trace reservoir size (default 8)")
-    fleet.add_argument("--e2e-slo", type=float, default=2.5,
-                       help="end-to-end p99 threshold in seconds")
     fleet.add_argument("--ttfp-slo", type=float, default=0.5,
                        help="time-to-first-partial p95 threshold in seconds")
-    fleet.add_argument("--seed", type=int, default=0)
-    fleet.add_argument(
-        "--json", action="store_true",
-        help="emit canonical JSON (sorted keys) instead of the dashboard",
-    )
-    fleet.add_argument(
-        "--smoke", action="store_true",
-        help="CI shape: <= 2000 arrivals, rebuild twice, exit 2 unless "
-             "both renderings are byte-identical",
-    )
     fleet.set_defaults(func=_cmd_fleet_report)
 
     cost = sub.add_parser(
@@ -1056,10 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-query joule/dollar ledger with the AI-tax decomposition "
              "and platform what-if repricing",
     )
-    cost.add_argument(
-        "path", nargs="?", default=None,
-        help="JSONL span export to price (default: run a seeded replay)",
-    )
+    _add_report_arguments(cost, "price", "ledger")
     cost.add_argument(
         "--platform", default="cmp", choices=("cmp", "gpu", "phi", "fpga"),
         help="platform the headline ledger is priced on (default cmp)",
@@ -1071,37 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cost.add_argument("--target-queries", type=int, default=1_000_000,
                       help="fleet extrapolation volume (default 1e6/day)")
-    cost.add_argument("--queries", type=int, default=5_000,
-                      help="replay arrival count (default 5000)")
-    cost.add_argument("--replicas", type=int, default=2)
-    cost.add_argument(
-        "--policy", default="least-loaded",
-        choices=("round-robin", "least-loaded", "power-of-two"),
-    )
-    cost.add_argument(
-        "--arrivals", default="poisson",
-        choices=("poisson", "diurnal", "bursty"),
-    )
-    cost.add_argument("--rate", type=float, default=12.0,
-                      help="arrival rate in queries/second (default 12)")
-    cost.add_argument("--service-mean", type=float, default=0.12,
-                      help="mean service time in seconds (default 0.12)")
-    cost.add_argument(
-        "--autoscale", action="store_true",
-        help="enable the SLO autoscaler in replay mode (target = --e2e-slo)",
-    )
-    cost.add_argument("--e2e-slo", type=float, default=2.5,
-                      help="autoscaler p99 target in seconds")
-    cost.add_argument("--seed", type=int, default=0)
-    cost.add_argument(
-        "--json", action="store_true",
-        help="emit canonical JSON (sorted keys) instead of the ledger",
-    )
-    cost.add_argument(
-        "--smoke", action="store_true",
-        help="CI shape: <= 2000 arrivals, rebuild twice, exit 2 unless "
-             "both renderings are byte-identical",
-    )
     cost.set_defaults(func=_cmd_cost_report)
 
     bench = sub.add_parser(
@@ -1138,7 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write the report JSON (see --out)")
     bench.add_argument("--out", default=None, metavar="PATH",
                        help="report path for --json (default BENCH_<tag>.json)")
-    bench.add_argument("--tag", default="pr5",
+    bench.add_argument("--tag", default=None,
                        help="report tag; names the default output file")
     bench.add_argument("--quick", action="store_true",
                        help="small inputs / fewer queries (CI smoke)")

@@ -22,7 +22,7 @@ import heapq
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, List, Sequence
 
 from repro.errors import ConfigurationError, SiriusError
@@ -48,12 +48,12 @@ class SimulationResult:
 class ServingSimulationResult(SimulationResult):
     """Queue statistics plus per-arrival serving outcomes under faults.
 
-    Produced by :func:`simulate_serving` with ``classify_outcomes=True``:
-    each simulated arrival's response is classed as *ok* (full quality),
-    *degraded* (served, but a QA/IMM branch failed), or *failed* (a fatal
-    service failed, or the call raised).  Outcome counts cover the whole
-    arrival stream — availability is a correctness property, so no warmup
-    fraction is discarded from it (queueing statistics still are).
+    Produced by :func:`simulate_serving`: each simulated arrival's
+    response is classed as *ok* (full quality), *degraded* (served, but a
+    QA/IMM branch failed), or *failed* (a fatal service failed, or the
+    call raised).  Outcome counts cover the whole arrival stream —
+    availability is a correctness property, so no warmup fraction is
+    discarded from it (queueing statistics still are).
     """
 
     n_ok: int = 0
@@ -113,9 +113,11 @@ def live_service_sampler(
     ``process_fn`` is any real serving entry point — ``pipeline.process``,
     ``PlanExecutor.run``, or a single :class:`repro.serving.Service` — and
     each draw runs one query (chosen uniformly from ``queries``) through
-    it, returning the measured wall latency.  This replaces the
-    exponential-service *assumption* of the M/M/1 analysis with the actual
-    latency process of the implementation.
+    it, returning the measured wall latency — or the response's
+    ``wall_seconds`` when that is larger, so injected virtual latency
+    counts like real latency.  This replaces the exponential-service
+    *assumption* of the M/M/1 analysis with the actual latency process of
+    the implementation.
     """
     if not queries:
         raise ConfigurationError("need at least one query")
@@ -125,8 +127,8 @@ def live_service_sampler(
 
     def sample() -> float:
         start = clock()
-        process_fn(rng.choice(pool))
-        return clock() - start
+        response = process_fn(rng.choice(pool))
+        return max(getattr(response, "wall_seconds", 0.0), clock() - start, 1e-9)
 
     return sample
 
@@ -139,79 +141,52 @@ def simulate_serving(
     n_queries: int = 100,
     seed: int = 42,
     warmup_fraction: float = 0.1,
-    classify_outcomes: bool = False,
-) -> SimulationResult:
+) -> ServingSimulationResult:
     """Queue simulation whose arrivals are serviced by *real* services.
 
-    Every simulated arrival runs one real query through ``process_fn`` and
-    uses its measured latency as that arrival's service time, so the
-    empirical queueing checks (Figure 17's convergence claims) run against
-    measured rather than assumed distributions.  Keep ``n_queries`` modest:
-    each one is a genuine end-to-end query execution.
+    Every simulated arrival runs one real query through ``process_fn``
+    (``pipeline.process`` or ``PlanExecutor.run``) and uses its measured
+    latency as that arrival's service time, so the empirical queueing
+    checks (Figure 17's convergence claims) run against measured rather
+    than assumed distributions.  Keep ``n_queries`` modest: each one is a
+    genuine end-to-end query execution.
 
-    With ``classify_outcomes=True`` — the degraded-mode arrival path for
-    resilient serving under fault injection — each arrival's response is
-    additionally classed as ok / degraded / failed (a response whose
-    ``failed`` property is true, or a :class:`~repro.errors.SiriusError`
-    raised by ``process_fn``, counts as failed) and a
-    :class:`ServingSimulationResult` carrying availability and goodput is
-    returned.  Pair ``process_fn`` with a resilient executor's
+    Each arrival's response is also classed ok / degraded / failed by
+    :func:`repro.serving.identity.outcome_counts`; a
+    :class:`~repro.errors.SiriusError` raised by ``process_fn`` counts as
+    failed.  Pair ``process_fn`` with a resilient executor's
     ``run(query, on_error="degrade")`` so fatal failures surface as failed
-    responses, not stream-aborting exceptions.
+    responses with their virtual latency, not as exceptions.
     """
-    if not classify_outcomes:
-        return simulate_queue(
-            arrival_rate,
-            live_service_sampler(process_fn, queries, seed=seed + 1),
-            n_servers=n_servers,
-            n_queries=n_queries,
-            seed=seed,
-            warmup_fraction=warmup_fraction,
-        )
+    # Imported here: repro.serving's replay driver imports this module.
+    from repro.serving.identity import outcome_counts
 
-    if not queries:
-        raise ConfigurationError("need at least one query")
-    rng = random.Random(seed + 1)
-    pool = list(queries)
-    clock = time.perf_counter
-    outcomes = {"ok": 0, "degraded": 0, "failed": 0}
+    served: List[object] = []
+    raised: List[SiriusError] = []
 
-    def sample() -> float:
-        start = clock()
+    def serve(query):
         try:
-            response = process_fn(rng.choice(pool))
-        except SiriusError:
-            outcomes["failed"] += 1
-            return max(clock() - start, 1e-9)
-        if getattr(response, "failed", False):
-            outcomes["failed"] += 1
-        elif getattr(response, "degraded", False):
-            outcomes["degraded"] += 1
-        else:
-            outcomes["ok"] += 1
-        # Injected virtual latency counts like real latency.
-        virtual = getattr(response, "wall_seconds", 0.0)
-        measured = clock() - start
-        return max(virtual, measured, 1e-9)
+            response = process_fn(query)
+        except SiriusError as exc:
+            raised.append(exc)
+            return None
+        served.append(response)
+        return response
 
     base = simulate_queue(
         arrival_rate,
-        sample,
+        live_service_sampler(serve, queries, seed=seed + 1),
         n_servers=n_servers,
         n_queries=n_queries,
         seed=seed,
         warmup_fraction=warmup_fraction,
     )
+    n_ok, n_degraded, n_failed = outcome_counts(served)
     return ServingSimulationResult(
-        n_completed=base.n_completed,
-        mean_response_time=base.mean_response_time,
-        p95_response_time=base.p95_response_time,
-        mean_waiting_time=base.mean_waiting_time,
-        utilization=base.utilization,
-        p99_response_time=base.p99_response_time,
-        n_ok=outcomes["ok"],
-        n_degraded=outcomes["degraded"],
-        n_failed=outcomes["failed"],
+        **asdict(base),
+        n_ok=n_ok,
+        n_degraded=n_degraded,
+        n_failed=n_failed + len(raised),
     )
 
 

@@ -55,43 +55,8 @@ Wired into ``repro serve-bench --trace/--metrics``, ``repro trace-report``,
 ``docs/OBSERVABILITY.md`` and ``docs/BENCHMARKING.md``.
 """
 
-from repro.obs.context import annotate, current_tracer, use_tracer
-from repro.obs.cost import (
-    CostLedger,
-    CostReport,
-    FleetCost,
-    WhatIfRow,
-    cost_report_from_replay,
-    cost_report_from_spans,
-    fig18_reference_order,
-    fleet_cost_panel,
-    fleet_costs,
-    format_energy,
-    ledger_from_replay,
-    ledger_from_spans,
-    render_cost_report,
-    reprice,
-    stage_compute_dollars,
-)
-from repro.obs.counters import (
-    WASTED,
-    WorkCounters,
-    aggregate_counters,
-    counters_by_key,
-    counters_of,
-    format_count,
-    kernel_counters,
-    record_work,
-    split_wasted_counters,
-    wasted_span_ids,
-)
-from repro.obs.critical_path import (
-    Attribution,
-    TraceAnalysis,
-    analyze_forest,
-    format_critical_path_report,
-    tail_attribution,
-)
+from repro.obs.context import use_tracer
+from repro.obs.critical_path import format_critical_path_report
 from repro.obs.export import (
     read_jsonl,
     span_from_dict,
@@ -102,91 +67,26 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
     E2E_HISTOGRAM,
-    QUEUE_DEPTH_HISTOGRAM,
-    ROUTER_REJECTED_COUNTER,
-    ROUTER_WAIT_HISTOGRAM,
-    SHARD_FANOUT_HISTOGRAM,
-    TTFP_HISTOGRAM,
-    Counter,
     Histogram,
-    HistogramSnapshot,
     MetricsRegistry,
-    MetricsSnapshot,
     log_buckets,
     merge_histograms,
-    bench_histogram_name,
     merge_snapshots,
     percentile,
-    record_response,
-    record_responses,
-    replica_counter_name,
-    service_histogram_name,
-    wait_histogram_name,
-)
-from repro.obs.fleet_report import (
-    FleetReport,
-    render_fleet_report,
-    report_from_replay,
-    report_from_spans,
-    report_to_json,
-)
-from repro.obs.pricing import (
-    ACCELERATOR_TDP_WATTS,
-    PLATFORM_WATTS,
-    SERVER_PRICES,
-    dollars_per_server_second,
-    electricity_dollars,
-    energy_microjoules,
-    monthly_server_tco,
-    server_tco_breakdown,
-    watt_ratio,
 )
 from repro.obs.report import (
-    format_mm1_comparison,
     format_roofline,
     format_service_summary,
-    format_wasted_work,
-    format_waterfall,
     metrics_from_spans,
     render_report,
 )
-from repro.obs.sampling import (
-    SamplingStats,
-    TraceSampler,
-    TraceSummary,
-    head_decision,
-    head_score,
-    summarize_forest,
-    summarize_outcomes,
-)
-from repro.obs.slo import (
-    BurnRateAlert,
-    SLODefinition,
-    SLOStatus,
-    default_slos,
-    evaluate_slo,
-    evaluate_slos,
-)
-from repro.obs.timeseries import (
-    ENERGY_METRIC,
-    RollupSnapshot,
-    RollupStore,
-    canonical_labels,
-    merge_rollup_snapshots,
-    rollups_from_spans,
-)
 from repro.obs.trace import (
     ATTEMPT,
-    KERNEL,
-    PARTIAL,
     QUERY,
-    ROUTER,
     SECTION,
     SERVICE,
     Span,
-    TraceContext,
     Tracer,
     collect_spans,
     span_id_for,
@@ -194,119 +94,33 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "ACCELERATOR_TDP_WATTS",
     "ATTEMPT",
-    "Attribution",
-    "BurnRateAlert",
-    "CostLedger",
-    "CostReport",
-    "Counter",
-    "DEFAULT_BUCKETS",
     "E2E_HISTOGRAM",
-    "ENERGY_METRIC",
-    "FleetCost",
-    "FleetReport",
     "Histogram",
-    "HistogramSnapshot",
-    "KERNEL",
     "MetricsRegistry",
-    "MetricsSnapshot",
-    "PARTIAL",
-    "PLATFORM_WATTS",
     "QUERY",
-    "QUEUE_DEPTH_HISTOGRAM",
-    "ROUTER",
-    "ROUTER_REJECTED_COUNTER",
-    "ROUTER_WAIT_HISTOGRAM",
-    "RollupSnapshot",
-    "RollupStore",
     "SECTION",
-    "SERVER_PRICES",
     "SERVICE",
-    "SHARD_FANOUT_HISTOGRAM",
-    "SLODefinition",
-    "SLOStatus",
-    "SamplingStats",
     "Span",
-    "TTFP_HISTOGRAM",
-    "TraceAnalysis",
-    "TraceContext",
-    "TraceSampler",
-    "TraceSummary",
     "Tracer",
-    "WASTED",
-    "WhatIfRow",
-    "WorkCounters",
-    "aggregate_counters",
-    "analyze_forest",
-    "annotate",
-    "bench_histogram_name",
-    "canonical_labels",
     "collect_spans",
-    "cost_report_from_replay",
-    "cost_report_from_spans",
-    "counters_by_key",
-    "counters_of",
-    "current_tracer",
-    "default_slos",
-    "dollars_per_server_second",
-    "electricity_dollars",
-    "energy_microjoules",
-    "evaluate_slo",
-    "evaluate_slos",
-    "fig18_reference_order",
-    "fleet_cost_panel",
-    "fleet_costs",
-    "format_count",
     "format_critical_path_report",
-    "format_energy",
-    "format_mm1_comparison",
     "format_roofline",
     "format_service_summary",
-    "format_wasted_work",
-    "format_waterfall",
-    "head_decision",
-    "head_score",
-    "kernel_counters",
-    "ledger_from_replay",
-    "ledger_from_spans",
     "log_buckets",
     "merge_histograms",
-    "merge_rollup_snapshots",
     "merge_snapshots",
     "metrics_from_spans",
-    "monthly_server_tco",
     "percentile",
     "read_jsonl",
-    "record_work",
-    "record_response",
-    "record_responses",
-    "render_cost_report",
-    "render_fleet_report",
     "render_report",
-    "replica_counter_name",
-    "report_from_replay",
-    "report_from_spans",
-    "report_to_json",
-    "reprice",
-    "rollups_from_spans",
-    "server_tco_breakdown",
-    "service_histogram_name",
     "span_from_dict",
     "span_id_for",
     "span_to_dict",
-    "split_wasted_counters",
-    "stage_compute_dollars",
-    "summarize_forest",
-    "summarize_outcomes",
-    "tail_attribution",
     "to_chrome_trace",
     "to_jsonl",
     "trace_id_for",
     "use_tracer",
-    "wait_histogram_name",
-    "wasted_span_ids",
-    "watt_ratio",
     "write_chrome_trace",
     "write_jsonl",
 ]

@@ -197,7 +197,8 @@ class _ServeBenchmark(Benchmark):
     #: (building it trains models — expensive, and not what we measure).
     _shared: Dict[str, Any] = {}
 
-    def _pipeline_and_queries(self, quick: bool):
+    def prepare(self, quick: bool) -> Any:
+        """The shared pipeline and this size's slice of the query mix."""
         key = "quick" if quick else "full"
         if key not in self._shared:
             from repro.core import InputSet, SiriusPipeline
@@ -210,6 +211,17 @@ class _ServeBenchmark(Benchmark):
             n = 6 if quick else 12
             self._shared[key] = (pipeline, [queries[i % len(queries)] for i in range(n)])
         return self._shared[key]
+
+
+#: Gate specs of the outcome split, in ``outcome_counts`` order.
+_OUTCOME_SPECS = {"ok": EXACT, "degraded": EXACT, "failed": EXACT}
+
+
+def _outcome_metrics(responses) -> Dict[str, int]:
+    """The ``ok`` / ``degraded`` / ``failed`` gate metrics of a stream."""
+    from repro.serving.identity import outcome_counts
+
+    return dict(zip(_OUTCOME_SPECS, outcome_counts(responses)))
 
 
 class ServeChaosBenchmark(_ServeBenchmark):
@@ -228,24 +240,19 @@ class ServeChaosBenchmark(_ServeBenchmark):
         "forest_fingerprint": EXACT,
         "virtual_seconds": MetricSpec(gated=True, better=EQUAL, rel_tol=1e-9),
         "spans": EXACT,
-        "ok": EXACT,
-        "degraded": EXACT,
-        "failed": EXACT,
+        **_OUTCOME_SPECS,
         "flops": EXACT,
         "bytes": EXACT,
     }
 
-    def prepare(self, quick: bool) -> Any:
-        return self._pipeline_and_queries(quick)
-
     def run(self, state: Any, quick: bool) -> Dict[str, float]:
         from repro.obs.critical_path import analyze_forest
-        from repro.obs.export import to_jsonl
         from repro.serving import (
             default_chaos_plan,
             default_policies,
             resilient_executor,
         )
+        from repro.serving.identity import span_fingerprint
 
         pipeline, queries = state
         executor = resilient_executor(
@@ -255,18 +262,13 @@ class ServeChaosBenchmark(_ServeBenchmark):
         executor.trace_seed = self.seed
         responses = executor.run_all(queries, on_error="degrade")
         spans = collect_spans(responses)
-        deterministic = to_jsonl(spans, timing=False)
         analyses = analyze_forest(spans)
         counters = aggregate_counters(spans)
-        failed = sum(1 for r in responses if r.failed)
-        degraded = sum(1 for r in responses if r.degraded and not r.failed)
         return {
-            "forest_fingerprint": fingerprint(deterministic),
+            "forest_fingerprint": fingerprint(span_fingerprint(responses)),
             "virtual_seconds": sum(a.virtual_seconds for a in analyses),
             "spans": len(spans),
-            "ok": len(responses) - failed - degraded,
-            "degraded": degraded,
-            "failed": failed,
+            **_outcome_metrics(responses),
             "flops": counters.flops,
             "bytes": counters.bytes,
         }
@@ -284,9 +286,6 @@ class ServePlainBenchmark(_ServeBenchmark):
         "bytes": EXACT,
         "items": EXACT,
     }
-
-    def prepare(self, quick: bool) -> Any:
-        return self._pipeline_and_queries(quick)
 
     def run(self, state: Any, quick: bool) -> Dict[str, float]:
         pipeline, queries = state
@@ -333,18 +332,14 @@ class ServeStreamingBenchmark(_ServeBenchmark):
         "endpointed": EXACT,
         "late_chunks": EXACT,
         "single_chunk_equivalent": EXACT,
-        "ok": EXACT,
-        "degraded": EXACT,
-        "failed": EXACT,
+        **_OUTCOME_SPECS,
     }
-
-    def prepare(self, quick: bool) -> Any:
-        return self._pipeline_and_queries(quick)
 
     def run(self, state: Any, quick: bool) -> Dict[str, float]:
         from repro.obs.metrics import TTFP_HISTOGRAM
         from repro.obs.trace import PARTIAL, sort_key
         from repro.serving import serve_streams
+        from repro.serving.identity import single_chunk_equivalent
 
         pipeline, queries = state
         executor = pipeline.serving
@@ -355,7 +350,7 @@ class ServeStreamingBenchmark(_ServeBenchmark):
         try:
             report = serve_streams(executor, queries, chunk_seconds=0.15)
             equivalent = all(
-                self._single_chunk_equivalent(executor, query, ordinal)
+                single_chunk_equivalent(executor, query, ordinal)
                 for ordinal, query in enumerate(queries)
             )
         finally:
@@ -369,10 +364,6 @@ class ServeStreamingBenchmark(_ServeBenchmark):
             for s in sorted(partial_spans, key=sort_key)
         )
         ttfp = registry.histogram(TTFP_HISTOGRAM)
-        failed = sum(1 for r in report.responses if r.failed)
-        degraded = sum(
-            1 for r in report.responses if r.degraded and not r.failed
-        )
         return {
             "answer_fingerprint": fingerprint(
                 "\n".join(r.answer for r in report.responses)
@@ -387,32 +378,9 @@ class ServeStreamingBenchmark(_ServeBenchmark):
             "endpointed": sum(1 for flag in report.endpointed if flag),
             "late_chunks": report.late_chunks,
             "single_chunk_equivalent": int(equivalent),
-            "ok": len(report.responses) - failed - degraded,
-            "degraded": degraded,
-            "failed": failed,
+            **_outcome_metrics(report.responses),
             "ttfp_p50_ms": ttfp.percentile(50) * 1000 if ttfp.count else 0.0,
         }
-
-    @staticmethod
-    def _single_chunk_equivalent(executor, query, ordinal: int) -> bool:
-        from repro.obs.export import to_jsonl
-        from repro.serving.service import ASR
-
-        plain = executor.run(query, ordinal=ordinal)
-        session = executor.services[ASR].open_session(
-            query=query, ordinal=ordinal, seed=executor.trace_seed
-        )
-        session.feed(query.audio)
-        outcome = session.finish()
-        replay = executor.run(query, ordinal=ordinal, precomputed={ASR: outcome})
-        fields = all(
-            getattr(plain, name) == getattr(replay, name)
-            for name in ("query_type", "transcript", "action", "answer",
-                         "matched_image", "degraded", "failures")
-        )
-        return fields and to_jsonl(
-            collect_spans([plain]), timing=False
-        ) == to_jsonl(collect_spans([replay]), timing=False)
 
 
 class ServeClusterBenchmark(_ServeBenchmark):
@@ -439,9 +407,7 @@ class ServeClusterBenchmark(_ServeBenchmark):
         "spans": EXACT,
         "router_spans": EXACT,
         "rejected": EXACT,
-        "ok": EXACT,
-        "degraded": EXACT,
-        "failed": EXACT,
+        **_OUTCOME_SPECS,
         "replay_rejected": EXACT,
         "replay_scaleups": EXACT,
     }
@@ -449,7 +415,7 @@ class ServeClusterBenchmark(_ServeBenchmark):
     def prepare(self, quick: bool) -> Any:
         from repro.serving.cluster import AdmissionControl, build_cluster
 
-        pipeline, queries = self._pipeline_and_queries(quick)
+        pipeline, queries = super().prepare(quick)
         key = f"cluster-{'quick' if quick else 'full'}"
         if key not in self._shared:
             cluster = build_cluster(
@@ -466,45 +432,41 @@ class ServeClusterBenchmark(_ServeBenchmark):
         return self._shared[key], queries
 
     def run(self, state: Any, quick: bool) -> Dict[str, float]:
-        from repro.datacenter.arrivals import PoissonProcess
-        from repro.datacenter.simulation import exponential_sampler
-        from repro.obs.export import to_jsonl
         from repro.obs.trace import ROUTER
         from repro.serving.cluster import (
             AdmissionControl,
             AutoscalerPolicy,
-            replay_cluster,
+            seeded_replay,
         )
         from repro.serving.cluster.autoscaler import SCALE_UP
+        from repro.serving.identity import outcome_fingerprint, span_fingerprint
 
         cluster, queries = state
         responses = cluster.run_all(queries)
         routes = cluster.plan_routes(len(queries))
         spans = collect_spans(responses)
-        failed = sum(1 for r in responses if r.failed)
-        degraded = sum(1 for r in responses if r.degraded and not r.failed)
+        # The pinned serialisation of the outcome tuple (baseline hashes it).
         outcomes = "\n".join(
-            f"{r.query_type.value}:{r.transcript}:{r.answer}:{r.matched_image}"
-            f":{int(r.degraded)}:{sorted(r.failures.items())}"
-            for r in responses
+            f"{kind}:{transcript}:{answer}:{image}:{int(degraded)}:{list(failures)}"
+            for kind, transcript, answer, image, degraded, failures
+            in outcome_fingerprint(responses)
         )
 
         # Model replay under pinned parameters — nothing measured feeds it,
         # so the full decision stream is gateable byte-exact.
         mean_service = 0.01
-        replay = replay_cluster(
-            PoissonProcess(rate=0.8 / mean_service * 2),
-            exponential_sampler(mean_service, seed=self.seed + 1),
+        replay = seeded_replay(
+            "poisson", 0.8 / mean_service * 2, mean_service,
             2_000 if quick else 10_000,
+            seed=self.seed,
             policy="power-of-two",
             n_replicas=2,
-            seed=self.seed,
             admission=AdmissionControl(max_depth=40, seed=self.seed),
             autoscaler=AutoscalerPolicy(slo_p99=0.05, max_replicas=6),
             tick_seconds=2.0,
         )
         return {
-            "forest_fingerprint": fingerprint(to_jsonl(spans, timing=False)),
+            "forest_fingerprint": fingerprint(span_fingerprint(responses)),
             "outcome_fingerprint": fingerprint(outcomes),
             "routes_fingerprint": fingerprint(
                 "\n".join(repr(route.key()) for route in routes)
@@ -513,15 +475,29 @@ class ServeClusterBenchmark(_ServeBenchmark):
             "spans": len(spans),
             "router_spans": sum(1 for s in spans if s.kind == ROUTER),
             "rejected": sum(1 for r in responses if "ROUTER" in r.failures),
-            "ok": len(responses) - failed - degraded,
-            "degraded": degraded,
-            "failed": failed,
+            **_outcome_metrics(responses),
             "replay_rejected": replay.n_rejected,
             "replay_scaleups": sum(
                 1 for d in replay.decisions if d.action == SCALE_UP
             ),
             "replay_p99_ms": replay.p99_response * 1000,
         }
+
+
+def _pinned_replay(seed: int, quick: bool):
+    """The replay both ``obs.*`` benchmarks evaluate, pinned but for the seed."""
+    from repro.serving.cluster import AutoscalerPolicy, seeded_replay
+
+    mean_service = 0.02
+    return seeded_replay(
+        "poisson", 0.85 / mean_service, mean_service,
+        2_000 if quick else 10_000,
+        seed=seed,
+        policy="least-loaded",
+        n_replicas=2,
+        autoscaler=AutoscalerPolicy(slo_p99=0.08, max_replicas=6),
+        tick_seconds=2.0,
+    )
 
 
 class ObsRollupBenchmark(Benchmark):
@@ -553,23 +529,10 @@ class ObsRollupBenchmark(Benchmark):
     }
 
     def run(self, state: Any, quick: bool) -> Dict[str, float]:
-        from repro.datacenter.arrivals import PoissonProcess
-        from repro.datacenter.simulation import exponential_sampler
         from repro.obs.fleet_report import report_from_replay, report_to_json
         from repro.obs.sampling import TraceSampler, summarize_outcomes
-        from repro.serving.cluster import AutoscalerPolicy, replay_cluster
 
-        mean_service = 0.02
-        result = replay_cluster(
-            PoissonProcess(rate=0.85 / mean_service),
-            exponential_sampler(mean_service, seed=self.seed + 1),
-            2_000 if quick else 10_000,
-            policy="least-loaded",
-            n_replicas=2,
-            seed=self.seed,
-            autoscaler=AutoscalerPolicy(slo_p99=0.08, max_replicas=6),
-            tick_seconds=2.0,
-        )
+        result = _pinned_replay(self.seed, quick)
         report = report_from_replay(result, trace_seed=self.seed)
         rollups = result.rollups
         sampler = TraceSampler(head_rate=0.1, seed=0, top_k=8)
@@ -619,27 +582,13 @@ class ObsCostBenchmark(Benchmark):
     }
 
     def run(self, state: Any, quick: bool) -> Dict[str, float]:
-        from repro.datacenter.arrivals import PoissonProcess
-        from repro.datacenter.simulation import exponential_sampler
         from repro.obs.cost import (
             cost_report_from_replay,
             render_cost_report,
             report_to_json,
         )
-        from repro.serving.cluster import AutoscalerPolicy, replay_cluster
 
-        mean_service = 0.02
-        result = replay_cluster(
-            PoissonProcess(rate=0.85 / mean_service),
-            exponential_sampler(mean_service, seed=self.seed + 1),
-            2_000 if quick else 10_000,
-            policy="least-loaded",
-            n_replicas=2,
-            seed=self.seed,
-            autoscaler=AutoscalerPolicy(slo_p99=0.08, max_replicas=6),
-            tick_seconds=2.0,
-        )
-        report = cost_report_from_replay(result, fleet=True)
+        report = cost_report_from_replay(_pinned_replay(self.seed, quick), fleet=True)
         ledger = report.ledger
         return {
             "report_fingerprint": fingerprint(report_to_json(report)),

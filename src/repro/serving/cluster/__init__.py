@@ -37,6 +37,7 @@ from repro.serving.cluster.replay import (
     ReplayResult,
     extrapolate_fleet,
     replay_cluster,
+    seeded_replay,
 )
 from repro.serving.cluster.router import (
     LEAST_LOADED,
@@ -91,6 +92,7 @@ __all__ = [
     "merge_ranked_answers",
     "register_policy",
     "replay_cluster",
+    "seeded_replay",
     "shard_documents",
     "shard_image_database",
     "shard_qa_engines",

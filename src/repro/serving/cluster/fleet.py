@@ -34,6 +34,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.query import IPAQuery, QueryType, SiriusResponse
@@ -184,19 +185,22 @@ class Cluster:
         Returns exactly one response per query, in stream order (the
         conservation property).  Fatal per-query failures degrade (the
         stream never aborts); rejected queries come back failed with the
-        ``ADMISSION`` code.  ``backend`` fans whole queries out exactly as
-        :meth:`PlanExecutor.run_all` does — the placement table is already
-        fixed, so the backend only affects wall time, never outcomes.
+        ``ADMISSION`` code.  The **replica** is the unit of parallelism:
+        ``backend`` maps over the per-replica groups of the placement
+        table and each group runs serially in ordinal order, so a
+        replica's call-history state (circuit breakers) sees the serial
+        call sequence on every backend and worker count — the backend
+        only affects wall time, never outcomes, and cross-query
+        parallelism is bounded by ``n_replicas``.
         """
         queries = list(queries)
         decisions = self.plan_routes(len(queries))
         enqueued_at = time.perf_counter()
 
-        def run_one(item):
-            ordinal, query = item
+        def run_one(ordinal: int) -> SiriusResponse:
             decision = decisions[ordinal]
             if not decision.admitted:
-                return self._rejected_response(query, decision)
+                return self._rejected_response(queries[ordinal], decision)
             ticket = RouterTicket(
                 policy=decision.policy,
                 replica=decision.replica,
@@ -205,19 +209,24 @@ class Cluster:
                 enqueued_at=enqueued_at,
             )
             return self.executors[decision.replica].run(
-                query,
+                queries[ordinal],
                 ordinal=ordinal,
                 on_error=DEGRADE,
                 parallel_branches=parallel_branches,
                 router_ticket=ticket,
             )
 
-        items = list(enumerate(queries))
-        resolved = get_backend(backend)
-        if resolved.name == "serial":
-            responses = [run_one(item) for item in items]
-        else:
-            responses = resolved.map(run_one, items, workers=workers)
+        groups = [
+            [d.ordinal for d in decisions if d.replica == replica]
+            for replica in range(self.n_replicas)
+        ]
+        served = get_backend(backend).map(
+            lambda ordinals: [run_one(ordinal) for ordinal in ordinals],
+            groups,
+            workers=workers,
+        )
+        by_ordinal = dict(zip(chain.from_iterable(groups), chain.from_iterable(served)))
+        responses = [by_ordinal[ordinal] for ordinal in range(len(queries))]
         if self.metrics is not None:
             self._record_metrics(decisions, responses)
         if self.rollups is not None:

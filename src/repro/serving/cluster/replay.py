@@ -32,8 +32,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.datacenter.arrivals import ArrivalProcess
-from repro.datacenter.simulation import mm1_percentile
+from repro.datacenter.arrivals import ArrivalProcess, make_process
+from repro.datacenter.simulation import exponential_sampler, mm1_percentile
 from repro.errors import ConfigurationError
 from repro.obs.metrics import percentile
 from repro.obs.pricing import energy_microjoules
@@ -352,6 +352,32 @@ def replay_cluster(
         decisions=decisions,
         replica_timeline=replica_timeline,
         rollups=rollups.snapshot(),
+    )
+
+
+def seeded_replay(
+    arrivals: str,
+    rate: float,
+    mean_service: float,
+    n_queries: int,
+    seed: int = 0,
+    **fleet,
+) -> ReplayResult:
+    """:func:`replay_cluster` over a named arrival process and exponential service.
+
+    Owns the seeding convention every pinned replay shares: arrivals,
+    routing, admission and scaling draw from ``seed`` and service times
+    from ``seed + 1``, so the two streams are independent yet one number
+    replays the run.  ``fleet`` passes through to :func:`replay_cluster`
+    (``policy``, ``n_replicas``, ``admission``, ``autoscaler``,
+    ``tick_seconds``).
+    """
+    return replay_cluster(
+        make_process(arrivals, rate),
+        exponential_sampler(mean_service, seed=seed + 1),
+        n_queries,
+        seed=seed,
+        **fleet,
     )
 
 

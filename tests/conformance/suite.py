@@ -9,12 +9,18 @@ Sirius pipeline in the degradation tests.
 
 import math
 
-from repro.datacenter import PoissonProcess, exponential_sampler
-from repro.obs import collect_spans, to_jsonl
 from repro.obs.trace import ROUTER
-from repro.serving.cluster import replay_cluster
+from repro.serving.cluster import seeded_replay
+from repro.serving.identity import (
+    outcome_fingerprint,
+    replay_divergence,
+    span_fingerprint,
+)
 
 BACKENDS = ("serial", "thread", "process")
+#: Pool sizes every concurrent backend is replayed at: the degenerate
+#: serial path, this box's two cores, and more workers than replicas.
+WORKERS = (1, 2, 4)
 POLICIES = ("round-robin", "least-loaded", "power-of-two")
 
 #: Documented tail-prediction contract: the virtual-time replay's p99 must
@@ -22,26 +28,6 @@ POLICIES = ("round-robin", "least-loaded", "power-of-two")
 #: measured gap at 50k arrivals is ~7-10%; the slack absorbs sampling noise
 #: without letting a broken queue model through).
 TAIL_BOUND = 0.20
-
-
-def outcome_fingerprint(responses):
-    """Timing-free, order-preserving digest of a response stream."""
-    return [
-        (
-            response.query_type.value,
-            response.transcript,
-            response.answer,
-            response.matched_image,
-            response.degraded,
-            tuple(sorted(response.failures.items())),
-        )
-        for response in responses
-    ]
-
-
-def span_export(responses):
-    """Timing-stripped JSONL export of the full span forest."""
-    return to_jsonl(collect_spans(responses), timing=False)
 
 
 def check_conservation(cluster, queries, responses):
@@ -97,28 +83,24 @@ def check_router_spans(cluster, responses):
 
 
 def check_replay(make_cluster, queries, backends=BACKENDS, runs=2):
-    """Byte-identical outcomes and span forests across runs and backends."""
-    reference_outcomes = None
-    reference_spans = None
-    reference_key = None
+    """Byte-identical outcomes and span forests across runs, backends and
+    worker counts; a failure names the first diverging ordinal and field."""
+    reference = reference_key = None
     for backend in backends:
-        for run in range(runs):
-            cluster = make_cluster()
-            responses = cluster.run_all(queries, backend=backend)
-            outcomes = outcome_fingerprint(responses)
-            spans = span_export(responses)
-            key = f"{backend}#{run}"
-            if reference_outcomes is None:
-                reference_outcomes, reference_spans = outcomes, spans
-                reference_key = key
-                continue
-            assert outcomes == reference_outcomes, (
-                f"outcome fingerprint diverged: {key} vs {reference_key}"
-            )
-            assert spans == reference_spans, (
-                f"span forest diverged: {key} vs {reference_key}"
-            )
-    return reference_outcomes, reference_spans
+        for workers in (None,) if backend == "serial" else WORKERS:
+            for run in range(runs):
+                responses = make_cluster().run_all(
+                    queries, backend=backend, workers=workers
+                )
+                key = f"{backend}/{workers}#{run}"
+                if reference is None:
+                    reference, reference_key = responses, key
+                    continue
+                for divergence in replay_divergence(responses, reference):
+                    assert divergence is None, (
+                        f"{key} vs {reference_key}: {divergence}"
+                    )
+    return outcome_fingerprint(reference), span_fingerprint(reference)
 
 
 def check_tail_bound(
@@ -130,16 +112,9 @@ def check_tail_bound(
     bound=TAIL_BOUND,
 ):
     """Replayed p99 within the documented bound of analytic M/M/1."""
-    rate = load / mean_service
-    process = PoissonProcess(rate=rate)
-    sampler = exponential_sampler(mean_service, seed=seed + 1)
-    result = replay_cluster(
-        process,
-        sampler,
-        n_queries=n_queries,
-        policy=policy,
-        n_replicas=1,
-        seed=seed,
+    result = seeded_replay(
+        "poisson", load / mean_service, mean_service, n_queries,
+        seed=seed, policy=policy, n_replicas=1,
     )
     assert math.isclose(result.utilization, load, rel_tol=0.05), (
         f"replay drifted off target utilization: {result.utilization:.3f} "
@@ -156,19 +131,12 @@ def check_tail_bound(
 
 def check_replay_digest(policy, n_queries=2_000, seed=0, **kwargs):
     """The simulator itself replays byte-identically (digest run-twice)."""
-    digests = []
-    for _ in range(2):
-        process = PoissonProcess(rate=50.0)
-        sampler = exponential_sampler(0.01, seed=seed + 1)
-        result = replay_cluster(
-            process,
-            sampler,
-            n_queries=n_queries,
-            policy=policy,
-            n_replicas=2,
-            seed=seed,
-            **kwargs,
-        )
-        digests.append(result.digest())
+    digests = [
+        seeded_replay(
+            "poisson", 50.0, 0.01, n_queries,
+            seed=seed, policy=policy, n_replicas=2, **kwargs,
+        ).digest()
+        for _ in range(2)
+    ]
     assert digests[0] == digests[1], f"{policy}: replay digest diverged"
     return digests[0]

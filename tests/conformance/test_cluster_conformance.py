@@ -114,6 +114,38 @@ class TestReplayIdentity:
         assert shed, "chaos replay should exercise the rejection path too"
 
 
+def test_check_replay_names_the_first_diverging_ordinal_and_field():
+    """A fleet whose IMM breaker trips one call early in every other build."""
+    from repro.serving import (
+        IMM,
+        BreakerPolicy,
+        FaultPlan,
+        FaultRule,
+        ResiliencePolicy,
+        RetryPolicy,
+        wrap_services,
+    )
+    from repro.serving.faults import ERROR
+
+    plan = FaultPlan(seed=0, rules={IMM: (FaultRule(kind=ERROR),)})
+    thresholds = iter((3, 2))
+
+    def make_cluster():
+        policy = ResiliencePolicy(
+            retry=RetryPolicy(max_attempts=1),
+            breaker=BreakerPolicy(failure_threshold=next(thresholds)),
+        )
+        services = wrap_services(stub_services(), {IMM: policy}, fault_plan=plan)
+        return Cluster([PlanExecutor(services, trace_seed=0)], policy="round-robin")
+
+    with pytest.raises(AssertionError) as failure:
+        suite.check_replay(make_cluster, make_queries(8), backends=("serial",))
+    assert str(failure.value) == (
+        "serial/None#1 vs serial/None#0: "
+        "ordinal 4 failures: IMM:CIRCUIT_OPEN vs IMM:INJECTED"
+    )
+
+
 class TestAdmissionDeterminism:
     def test_decisions_pure_in_seed_and_ordinal(self):
         control = AdmissionControl(max_depth=4, drop_rate=0.2, seed=7)

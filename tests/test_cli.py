@@ -79,7 +79,7 @@ class TestBenchParser:
     def test_defaults(self):
         args = build_parser().parse_args(["bench"])
         assert args.action == "run"
-        assert args.tag == "pr5"
+        assert args.tag is None
         assert args.repeats == 3
         assert args.quick is False
         assert args.filter == []
@@ -133,6 +133,10 @@ class TestBenchCommand:
     def test_check_without_baseline_is_config_error(self, capsys):
         assert main(["bench", "check"]) == 2
         assert "error[CONFIG]" in capsys.readouterr().err
+
+    def test_json_without_out_or_tag_is_usage_error(self, capsys):
+        assert main(["bench", "run", "--json", "--filter", "suite.gmm"]) == 2
+        assert "--out PATH or --tag TAG" in capsys.readouterr().err
 
 
 class TestTraceReportCommand:

@@ -263,6 +263,24 @@ class TestServiceBackedSimulation:
         assert result.n_completed > 0
         assert result.mean_response_time > 0
         assert result.mean_response_time >= result.mean_waiting_time
+        # Every arrival is classed; the fault-free pipeline serves them all.
+        assert (result.n_ok, result.n_degraded, result.n_failed) == (12, 0, 0)
+
+    def test_raised_error_counts_as_a_failed_arrival(self):
+        from repro.core import QueryType, SiriusResponse
+        from repro.datacenter import simulate_serving
+        from repro.errors import ServiceError
+
+        calls = iter(range(12))
+
+        def process(query):
+            if next(calls) % 3 == 0:
+                raise ServiceError("down")
+            return SiriusResponse(query_type=QueryType.VOICE_COMMAND, transcript=query)
+
+        result = simulate_serving(process, ["q"], arrival_rate=0.5, n_queries=12)
+        assert (result.n_ok, result.n_degraded, result.n_failed) == (8, 0, 4)
+        assert result.availability == pytest.approx(8 / 12)
 
     def test_empty_query_pool_rejected(self):
         from repro.datacenter import live_service_sampler
@@ -298,7 +316,6 @@ class TestServiceBackedSimulation:
             arrival_rate=0.5,
             n_queries=20,
             seed=3,
-            classify_outcomes=True,
         )
         assert isinstance(result, ServingSimulationResult)
         assert result.n_arrivals == 20

@@ -65,6 +65,7 @@ from repro.serving import (
     default_chaos_plan,
     resilient_executor,
 )
+from repro.serving.identity import span_fingerprint
 from repro.serving.faults import ERROR, LATENCY, VirtualLatencyAware, charge_virtual_seconds
 
 
@@ -415,7 +416,7 @@ class TestExecutorTracing:
             executor = traced_executor(resilient=True, chaos_seed=21)
             responses = executor.run_all(queries, backend=backend,
                                          on_error="degrade")
-            return to_jsonl(collect_spans(responses), timing=False)
+            return span_fingerprint(responses)
 
         serial = forest("serial")
         assert serial == forest("thread")
@@ -427,7 +428,7 @@ class TestExecutorTracing:
         def export():
             executor = traced_executor(resilient=True, chaos_seed=42)
             responses = executor.run_all(queries, on_error="degrade")
-            return to_jsonl(collect_spans(responses), timing=False)
+            return span_fingerprint(responses)
 
         assert export() == export()
 

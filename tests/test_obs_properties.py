@@ -14,9 +14,9 @@ Randomized structural checks the example-based obs suite cannot cover:
 
 from hypothesis import given, settings, strategies as st
 
-from repro.obs import Histogram, MetricsRegistry, merge_snapshots, to_jsonl
-from repro.obs.trace import collect_spans
+from repro.obs import Histogram, MetricsRegistry, merge_snapshots
 from repro.serving import PlanExecutor, default_chaos_plan, resilient_executor
+from repro.serving.identity import span_fingerprint
 
 from tests.test_obs import FAST_RETRY, make_query, stub_services
 
@@ -31,7 +31,7 @@ def deterministic_export(queries, trace_seed, chaos_seed, backend):
         fault_plan=default_chaos_plan(chaos_seed),
     )
     responses = executor.run_all(queries, backend=backend, on_error="degrade")
-    return to_jsonl(collect_spans(responses), timing=False)
+    return span_fingerprint(responses)
 
 
 class TestBackendIndependence:

@@ -50,6 +50,7 @@ from repro.serving import (
     resilient_executor,
     wrap_services,
 )
+from repro.serving.identity import outcome_fingerprint
 from repro.serving.faults import CORRUPT, ERROR, FLAP, LATENCY, OUTAGE
 from repro.serving.resilience import CLOSED, HALF_OPEN, OPEN
 
@@ -445,14 +446,6 @@ class TestDegradation:
 # -- chaos equivalence across backends ---------------------------------------------
 
 
-def _fingerprint(responses):
-    return [
-        (r.query_type.value, r.transcript, r.answer, r.matched_image,
-         r.degraded, tuple(sorted(r.failures.items())))
-        for r in responses
-    ]
-
-
 def _breakerless(seed):
     """Per-service policies minus breakers: breaker state is order-dependent
     across thread interleavings, so the cross-backend *byte-identity* claim
@@ -489,7 +482,7 @@ class TestChaosEquivalence:
             responses = executor.run_all(
                 queries, backend=backend, workers=4, on_error="degrade",
             )
-            outcomes[backend] = _fingerprint(responses)
+            outcomes[backend] = outcome_fingerprint(responses)
         reference = outcomes["serial"]
         assert any(t[4] for t in reference)  # chaos actually bit
         for backend, fingerprint in outcomes.items():
@@ -513,7 +506,7 @@ class TestChaosEquivalence:
             responses = executor.run_all(
                 queries, backend=backend, workers=4, on_error="degrade",
             )
-            outcomes[backend] = _fingerprint(responses)
+            outcomes[backend] = outcome_fingerprint(responses)
         reference = outcomes["serial"]
         assert any(t[4] for t in reference)
         for backend, fingerprint in outcomes.items():
@@ -527,7 +520,7 @@ class TestChaosEquivalence:
         executor = resilient_executor(sirius_pipeline.serving,
                                       default_policies())
         responses = executor.run_all(queries, on_error="degrade")
-        assert _fingerprint(responses) == _fingerprint(reference)
+        assert outcome_fingerprint(responses) == outcome_fingerprint(reference)
         assert not any(r.degraded for r in responses)
 
     def test_seeded_replay_with_breakers_is_identical_serially(
@@ -543,6 +536,7 @@ class TestChaosEquivalence:
                 default_chaos_plan(42),
             )
             executor.warmup()
-            runs.append(_fingerprint(executor.run_all(queries,
-                                                      on_error="degrade")))
+            runs.append(outcome_fingerprint(
+                executor.run_all(queries, on_error="degrade")
+            ))
         assert runs[0] == runs[1]

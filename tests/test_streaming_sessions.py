@@ -24,10 +24,9 @@ import pytest
 from repro.asr.audio import Waveform
 from repro.asr.vad import EndpointConfig, StreamingEndpointer
 from repro.errors import ConfigurationError, SessionError
-from repro.obs.export import to_jsonl
 from repro.obs.metrics import TTFP_HISTOGRAM, MetricsRegistry
 from repro.obs.report import metrics_from_spans
-from repro.obs.trace import PARTIAL, collect_spans
+from repro.obs.trace import PARTIAL
 from repro.serving import (
     ASR,
     CLASSIFY,
@@ -40,6 +39,7 @@ from repro.serving import (
     resilient_executor,
     serve_streams,
 )
+from repro.serving.identity import outcome_fingerprint, span_fingerprint
 
 CHAOS_SEED = 11
 
@@ -58,20 +58,9 @@ def _queries(input_set, n):
     return [queries[i % len(queries)] for i in range(n)]
 
 
-def _fields(response):
-    return (
-        response.query_type,
-        response.transcript,
-        response.action,
-        response.answer,
-        response.matched_image,
-        response.degraded,
-        sorted(response.failures.items()),
-    )
-
-
-def _stripped(responses):
-    return to_jsonl(collect_spans(responses), timing=False)
+def _fields(responses):
+    """The shared outcome fingerprint, plus ``action`` (which it leaves out)."""
+    return outcome_fingerprint(responses), [r.action for r in responses]
 
 
 def _session_replay(executor, query, ordinal, on_error="raise"):
@@ -100,8 +89,8 @@ class TestSingleChunkEquivalence:
             _session_replay(traced_executor, q, i)
             for i, q in enumerate(queries)
         ]
-        assert [_fields(r) for r in plain] == [_fields(r) for r in replayed]
-        assert _stripped(plain) == _stripped(replayed)
+        assert _fields(plain) == _fields(replayed)
+        assert span_fingerprint(plain) == span_fingerprint(replayed)
 
     def test_equivalence_across_backends(self, traced_executor, input_set):
         queries = _queries(input_set, 4)
@@ -109,13 +98,11 @@ class TestSingleChunkEquivalence:
             _session_replay(traced_executor, q, i)
             for i, q in enumerate(queries)
         ]
-        want = _stripped(replayed)
+        want = span_fingerprint(replayed)
         for backend in ("serial", "thread", "process"):
             responses = traced_executor.run_all(queries, backend=backend)
-            assert [_fields(r) for r in responses] == [
-                _fields(r) for r in replayed
-            ], backend
-            assert _stripped(responses) == want, backend
+            assert _fields(responses) == _fields(replayed), backend
+            assert span_fingerprint(responses) == want, backend
 
     def test_chaos_byte_equivalence(self, sirius_pipeline, input_set):
         queries = _queries(input_set, 12)
@@ -135,8 +122,8 @@ class TestSingleChunkEquivalence:
             _session_replay(replay_exec, q, i, on_error="degrade")
             for i, q in enumerate(queries)
         ]
-        assert [_fields(r) for r in batch] == [_fields(r) for r in replayed]
-        assert _stripped(batch) == _stripped(replayed)
+        assert _fields(batch) == _fields(replayed)
+        assert span_fingerprint(batch) == span_fingerprint(replayed)
         # the chaos plan must actually have injected something, or the
         # equivalence above proved nothing about the fault path
         assert any(r.failures for r in batch)
@@ -349,7 +336,7 @@ class TestStreamingGateway:
         queries = _queries(input_set, 6)
         first = serve_streams(traced_executor, queries, chunk_seconds=0.2)
         second = serve_streams(traced_executor, queries, chunk_seconds=0.2)
-        assert _stripped(first.responses) == _stripped(second.responses)
+        assert span_fingerprint(first.responses) == span_fingerprint(second.responses)
         assert first.partial_counts == second.partial_counts
 
     def test_chaos_streaming_replay_is_deterministic(
@@ -367,10 +354,8 @@ class TestStreamingGateway:
             return serve_streams(executor, queries, chunk_seconds=0.2)
 
         first, second = run_once(), run_once()
-        assert _stripped(first.responses) == _stripped(second.responses)
-        assert [_fields(r) for r in first.responses] == [
-            _fields(r) for r in second.responses
-        ]
+        assert span_fingerprint(first.responses) == span_fingerprint(second.responses)
+        assert _fields(first.responses) == _fields(second.responses)
 
     def test_endpoint_fires_downstream_and_drops_late_audio(
         self, traced_executor, input_set
