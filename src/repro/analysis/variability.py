@@ -9,6 +9,7 @@
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -79,23 +80,36 @@ class QAQueryRecord:
     component_seconds: Dict[str, float] = field(default_factory=dict)
 
 
+#: Timed runs per question, after one untimed run that warms the caches.
+WARM_RUNS = 5
+
+
 def run_variability_study(qa_engine, questions: Sequence[str]) -> List[QAQueryRecord]:
-    """Answer every question, recording latency, hits, and breakdown."""
+    """Answer every question, recording latency, hits, and breakdown.
+
+    Latency and component times are per-question medians over ``WARM_RUNS``
+    warm runs: one ``perf_counter`` sample per question is as much scheduler
+    as question on a shared machine.  Hits are deterministic.
+    """
     from repro.profiling import Profiler
 
     records: List[QAQueryRecord] = []
     for question in questions:
-        profiler = Profiler()
-        result = qa_engine.answer(question, profiler=profiler)
+        result = qa_engine.answer(question)
+        profiles = []
+        for _ in range(WARM_RUNS):
+            profiler = Profiler()
+            qa_engine.answer(question, profiler=profiler)
+            profiles.append(profiler.profile)
         components = {
-            name: seconds
-            for name, seconds in profiler.profile.seconds.items()
+            name: statistics.median(profile.seconds.get(name, 0.0) for profile in profiles)
+            for name in profiles[0].seconds
             if name.startswith("qa.")
         }
         records.append(
             QAQueryRecord(
                 question=question,
-                latency=profiler.profile.total,
+                latency=statistics.median(profile.total for profile in profiles),
                 filter_hits=result.stats.total_hits,
                 component_seconds=components,
             )

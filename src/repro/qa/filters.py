@@ -16,8 +16,7 @@ from repro.profiling import Profiler
 from repro.qa.crf import LinearChainCRF, default_model
 from repro.qa.extraction import Candidate, extract_candidates
 from repro.qa.question import AnalyzedQuestion
-from repro.qa.stemmer import stem
-from repro.qa.tokenizer import sentences, tokenize
+from repro.qa.tokenizer import sentences
 from repro.regex import Pattern
 from repro.websearch import Document
 
@@ -73,8 +72,7 @@ class KeywordOverlapFilter:
         terms = set(question.content_terms)
         selected: List[FilteredSentence] = []
         for sentence in sentences(document.text):
-            stems = {stem(token) for token in tokenize(sentence)}
-            overlap = len(terms & stems)
+            overlap = len(terms & question.stems.stems_of(sentence))
             if overlap >= self.min_overlap:
                 selected.append(FilteredSentence(sentence, overlap))
                 stats.sentence_hits += 1

@@ -7,11 +7,11 @@ the CRF part-of-speech tags feed answer-type classification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.qa.crf import LinearChainCRF, default_model
-from repro.qa.stemmer import stem
+from repro.qa.stemmer import StemMemo
 from repro.qa.tokenizer import remove_stopwords, tokenize, tokenize_keep_case
 from repro.regex import Pattern
 
@@ -50,6 +50,8 @@ class AnalyzedQuestion:
     answer_type: str
     pos_tags: Tuple[str, ...]
     is_question: bool
+    #: Stems already computed while answering this question (not part of its value).
+    stems: StemMemo = field(default_factory=StemMemo, compare=False, repr=False)
 
 
 def classify_answer_type(question: str) -> str:
@@ -93,7 +95,8 @@ def analyze(question: str, tagger: Optional[LinearChainCRF] = None) -> AnalyzedQ
     tokens = tuple(tokenize(clean))
     surface = tuple(tokenize_keep_case(clean))
     keywords = tuple(remove_stopwords(list(tokens)))
-    content_terms = tuple(stem(word) for word in keywords)
+    stems = StemMemo()
+    content_terms = tuple(stems.stem(word) for word in keywords)
     tagger = tagger if tagger is not None else default_model()
     pos_tags = tuple(tagger.decode(list(surface)))
     return AnalyzedQuestion(
@@ -104,6 +107,7 @@ def analyze(question: str, tagger: Optional[LinearChainCRF] = None) -> AnalyzedQ
         answer_type=classify_answer_type(clean),
         pos_tags=pos_tags,
         is_question=is_question(clean),
+        stems=stems,
     )
 
 

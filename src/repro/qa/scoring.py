@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.qa.extraction import Candidate
 from repro.qa.question import AnalyzedQuestion
-from repro.qa.stemmer import stem
 from repro.qa.tokenizer import tokenize
 
 
@@ -35,20 +34,18 @@ def _normalize(text: str) -> str:
 
 def _proximity_bonus(question: AnalyzedQuestion, sentence: str) -> float:
     """Fraction of question content terms present in the candidate's sentence."""
-    if not question.content_terms:
+    terms = set(question.content_terms)
+    if not terms:
         return 0.0
-    stems = {stem(token) for token in tokenize(sentence)}
-    present = sum(1 for term in set(question.content_terms) if term in stems)
-    return present / len(set(question.content_terms))
+    return len(terms & question.stems.stems_of(sentence)) / len(terms)
 
 
 def _question_echo_penalty(question: AnalyzedQuestion, candidate_text: str) -> float:
     """Penalize candidates that merely repeat the question's own words."""
-    candidate_stems = {stem(token) for token in tokenize(candidate_text)}
+    candidate_stems = question.stems.stems_of(candidate_text)
     if not candidate_stems:
         return 1.0
-    echoed = sum(1 for s in candidate_stems if s in set(question.content_terms))
-    return echoed / len(candidate_stems)
+    return len(candidate_stems & set(question.content_terms)) / len(candidate_stems)
 
 
 def aggregate(

@@ -16,11 +16,28 @@ not well suited for SIMD operations").
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from repro.obs.counters import record_work
+from repro.qa.tokenizer import tokenize
 
 _VOWELS = "aeiou"
+
+
+def _record_stemming(chars: int, words: int) -> None:
+    # Counter model (branchy string kernel, see repro.obs.counters):
+    # one "op" per input character — each of the five suffix-test steps
+    # scans a suffix window plus a measure() pass over the stem, which
+    # averages out to a small constant times the word length; bytes are
+    # the word read plus the rewritten stem (1-byte ASCII chars).  This is
+    # the kernel's Table 4 demand — words *presented* to the stemmer — so a
+    # :class:`StemMemo` hit is charged exactly like the Porter run it saved.
+    record_work(flops=chars, mem_bytes=2 * chars, items=words)
+
+
+def _longest_first(rules: list) -> tuple:
+    """A ``(suffix, replacement)`` table in match order: longest suffix first, ties as written."""
+    return tuple(sorted(rules, key=lambda rule: len(rule[0]), reverse=True))
 
 
 def _is_consonant(word: str, index: int) -> bool:
@@ -72,12 +89,10 @@ class PorterStemmer:
     """Stateless Porter stemmer; use :func:`stem` for the module-level helper."""
 
     def stem(self, word: str) -> str:
-        # Counter model (branchy string kernel, see repro.obs.counters):
-        # one "op" per input character — each of the five suffix-test steps
-        # scans a suffix window plus a measure() pass over the stem, which
-        # averages out to a small constant times the word length; bytes are
-        # the word read plus the rewritten stem (1-byte ASCII chars).
-        record_work(flops=len(word), mem_bytes=2 * len(word), items=1)
+        _record_stemming(len(word), 1)
+        return self._porter(word)
+
+    def _porter(self, word: str) -> str:
         if len(word) <= 2:
             return word
         word = word.lower()
@@ -136,7 +151,7 @@ class PorterStemmer:
             return word[:-1] + "i"
         return word
 
-    _STEP2_SUFFIXES = [
+    _STEP2_SUFFIXES = _longest_first([
         ("ational", "ate"),
         ("tional", "tion"),
         ("enci", "ence"),
@@ -157,12 +172,12 @@ class PorterStemmer:
         ("aliti", "al"),
         ("iviti", "ive"),
         ("biliti", "ble"),
-    ]
+    ])
 
     def _step2(self, word: str) -> str:
         return self._replace_longest(word, self._STEP2_SUFFIXES, min_measure=1)
 
-    _STEP3_SUFFIXES = [
+    _STEP3_SUFFIXES = _longest_first([
         ("icate", "ic"),
         ("ative", ""),
         ("alize", "al"),
@@ -170,19 +185,19 @@ class PorterStemmer:
         ("ical", "ic"),
         ("ful", ""),
         ("ness", ""),
-    ]
+    ])
 
     def _step3(self, word: str) -> str:
         return self._replace_longest(word, self._STEP3_SUFFIXES, min_measure=1)
 
-    _STEP4_SUFFIXES = [
+    _STEP4_SUFFIXES = tuple(sorted([
         "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
         "ment", "ent", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-    ]
+    ], key=len, reverse=True))
 
     @staticmethod
     def _step4(word: str) -> str:
-        for suffix in sorted(PorterStemmer._STEP4_SUFFIXES, key=len, reverse=True):
+        for suffix in PorterStemmer._STEP4_SUFFIXES:
             if word.endswith(suffix):
                 stem_text = word[: -len(suffix)]
                 if _measure(stem_text) > 1:
@@ -216,7 +231,7 @@ class PorterStemmer:
 
     @staticmethod
     def _replace_longest(word: str, suffixes, min_measure: int) -> str:
-        for suffix, replacement in sorted(suffixes, key=lambda item: len(item[0]), reverse=True):
+        for suffix, replacement in suffixes:
             if word.endswith(suffix):
                 stem_text = word[: -len(suffix)]
                 if _measure(stem_text) >= min_measure:
@@ -226,6 +241,44 @@ class PorterStemmer:
 
 
 _DEFAULT = PorterStemmer()
+
+
+class StemMemo:
+    """Stems of the words and sentences one question meets.
+
+    The filters stem every sentence of every retrieved document and scoring
+    stems the same sentences again once per candidate, so one question
+    presents about five times as many words as it has distinct ones.  The memo
+    belongs to one :class:`~repro.qa.question.AnalyzedQuestion` and goes when
+    it goes; :func:`stem` and :func:`stem_words`, the suite kernel's path,
+    never see it.
+    """
+
+    def __init__(self) -> None:
+        self._words: Dict[str, str] = {}
+        self._texts: Dict[str, Tuple[FrozenSet[str], int, int]] = {}
+
+    def _stem(self, word: str) -> str:
+        stemmed = self._words.get(word)
+        if stemmed is None:
+            stemmed = self._words[word] = _DEFAULT._porter(word)
+        return stemmed
+
+    def stem(self, word: str) -> str:
+        _record_stemming(len(word), 1)
+        return self._stem(word)
+
+    def stems_of(self, text: str) -> FrozenSet[str]:
+        """The stems of ``text``'s tokens, as a set."""
+        entry = self._texts.get(text)
+        if entry is None:
+            tokens = tokenize(text)
+            entry = self._texts[text] = (
+                frozenset(map(self._stem, tokens)), sum(map(len, tokens)), len(tokens),
+            )
+        stems, chars, words = entry
+        _record_stemming(chars, words)
+        return stems
 
 
 def stem(word: str) -> str:

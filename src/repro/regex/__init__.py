@@ -7,12 +7,10 @@ Public API::
 See :mod:`repro.regex.ast` for the supported syntax.
 """
 
-from repro.regex.dfa import DfaPattern
 from repro.regex.engine import Match, Pattern, compile, findall, search
 from repro.regex.patterns import build_patterns, build_pattern_strings, build_sentences
 
 __all__ = [
-    "DfaPattern",
     "Match",
     "Pattern",
     "compile",

@@ -3,9 +3,10 @@
 The Sirius QA service uses a lightweight regular-expression library (SLRE in
 the paper) to match question words and filter retrieved documents.  This
 package is a from-scratch replacement: patterns are parsed into the AST nodes
-below, compiled to a Thompson NFA (:mod:`repro.regex.nfa`), and executed by an
-NFA simulation (:mod:`repro.regex.engine`) that runs in O(len(pattern) *
-len(text)) without backtracking blowup.
+below, compiled to a Thompson NFA (:mod:`repro.regex.nfa`), and executed by a
+lazily built DFA over it (:mod:`repro.regex.engine`) whose cache misses cost
+O(len(pattern)) each, so a scan never exceeds O(len(pattern) * len(text)) per
+start position and there is no backtracking blowup.
 
 Supported syntax: literals, ``.``, escapes (``\\d \\D \\w \\W \\s \\S`` and
 escaped metacharacters), character classes ``[a-z0-9]`` / ``[^...]``, anchors

@@ -1,38 +1,81 @@
-"""NFA simulation engine with a ``re``-like convenience API.
+"""Lazy-DFA regex engine with a ``re``-like convenience API.
 
 Semantics are leftmost-longest: :meth:`Pattern.search` returns the match that
-starts earliest and, among those, extends furthest.  The simulation advances a
-set of NFA states per input character, so runtime is O(states * len(text)) per
-start position with no backtracking.
+starts earliest and, among those, extends furthest.  The Thompson NFA
+(:mod:`repro.regex.nfa`) is determinised on demand (RE2-style subset
+construction): a DFA state is a raw, pre-closure NFA state set plus the two
+bits of left context the zero-width assertions need — is this position 0,
+was the previous character a word character — and the right-hand side of
+``\\b``/``\\B`` is resolved when the next character (or the end of input)
+is known.  Every start position is tried with a run *anchored* there, so a
+run dies exactly where the NFA's state set would empty: spans, match ends and
+the number of characters examined are those of the set simulation
+(:func:`repro.regex.nfa.simulate`), whatever the cache holds.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Set
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.obs.counters import record_work
-from repro.regex.nfa import (
-    ANCHOR_END,
-    ANCHOR_NONWORD,
-    ANCHOR_START,
-    ANCHOR_WORD,
-    EPSILON,
-    NFA,
-    State,
-    compile_nfa,
-)
+from repro.regex.nfa import NFA, WORD_CHARS, State, advance, closure, compile_nfa
 from repro.regex.parser import parse
 
+#: Transitions one pattern's DFA may cache.  A miss on a full cache throws the
+#: table away and starts a new one from the state in hand (RE2's policy);
+#: about 100 bytes a transition, so at most ~0.4 MB a pattern.
+MAX_CACHED_TRANSITIONS = 4096
 
-def _is_word_char(char: str) -> bool:
-    return char.isalnum() or char == "_"
+#: ``(raw NFA states, at position 0, previous character is a word character)``
+_StateKey = Tuple[FrozenSet[State], bool, bool]
+#: ``(next state or -1 when the run dies, a match ends before this character)``
+_Transition = Tuple[int, bool]
 
 
-def _at_word_boundary(text: str, pos: int) -> bool:
-    before = pos > 0 and _is_word_char(text[pos - 1])
-    after = pos < len(text) and _is_word_char(text[pos])
-    return before != after
+class _Dfa:
+    """One generation of a pattern's transition table; grows under ``Pattern._lock``.
+
+    State ids index ``keys``, ``rows`` and ``ends`` and mean nothing in another
+    generation — except 0, 1 and 2, which every generation gives to the states
+    a run begins in: at position 0, after a non-word character, after a word
+    character.  Any other row is only reached through an id read from a cached
+    transition, and that transition is stored after the row exists, so readers
+    take no lock.
+    """
+
+    def __init__(self, nfa: NFA):
+        self.nfa = nfa
+        self.ids: Dict[_StateKey, int] = {}
+        self.keys: List[_StateKey] = []
+        self.rows: List[Dict[str, _Transition]] = []
+        self.ends: List[bool] = []  # does a match end here, at end of input
+        self.transitions = 0
+        start = frozenset({nfa.start})
+        for at_start, prev_word in ((True, False), (False, False), (False, True)):
+            self.intern((start, at_start, prev_word))
+
+    def intern(self, key: _StateKey) -> int:
+        state = self.ids.get(key)
+        if state is None:
+            raw, at_start, prev_word = key
+            state = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            # At end of input the right side of a boundary is a non-word.
+            self.ends.append(self.nfa.accept in closure(raw, at_start, True, prev_word))
+            self.rows.append({})
+        return state
+
+    def build(self, state: int, char: str) -> _Transition:
+        raw, at_start, prev_word = self.keys[state]
+        is_word = char in WORD_CHARS
+        closed = closure(raw, at_start, False, prev_word != is_word)
+        moved = advance(closed, char)
+        target = self.intern((frozenset(moved), False, is_word)) if moved else -1
+        transition = self.rows[state][char] = (target, self.nfa.accept in closed)
+        self.transitions += 1
+        return transition
 
 
 @dataclass(frozen=True)
@@ -63,92 +106,95 @@ class Pattern:
     def __init__(self, pattern: str):
         self.pattern = pattern
         self._nfa: NFA = compile_nfa(parse(pattern))
+        self._lock = threading.Lock()
+        self._dfa = _Dfa(self._nfa)
+
+    def __reduce__(self):
+        # Recompile on the other side; the lock and the cache stay with their owner.
+        return (Pattern, (self.pattern,))
 
     @property
     def state_count(self) -> int:
         """Number of NFA states (proportional to pattern length)."""
         return self._nfa.size
 
-    # -- core simulation ------------------------------------------------------
+    # -- the matcher --------------------------------------------------------------
 
-    def _closure(self, states: Set[State], pos: int, text: str) -> Set[State]:
-        """Epsilon-closure of ``states``, honouring anchors at position ``pos``."""
-        stack = list(states)
-        closed = set(states)
-        while stack:
-            state = stack.pop()
-            for transition in state.transitions:
-                passable = (
-                    transition.kind == EPSILON
-                    or (transition.kind == ANCHOR_START and pos == 0)
-                    or (transition.kind == ANCHOR_END and pos == len(text))
-                    or (transition.kind == ANCHOR_WORD and _at_word_boundary(text, pos))
-                    or (transition.kind == ANCHOR_NONWORD and not _at_word_boundary(text, pos))
-                )
-                if passable and transition.target is not None and transition.target not in closed:
-                    closed.add(transition.target)
-                    stack.append(transition.target)
-        return closed
+    def _extend(self, dfa: _Dfa, state: int, char: str) -> Tuple[_Dfa, _Transition]:
+        """Cache miss: build ``rows[state][char]``, in a new generation if ``dfa`` is full."""
+        with self._lock:
+            transition = dfa.rows[state].get(char)  # another thread may have built it
+            if transition is None:
+                if dfa.transitions >= MAX_CACHED_TRANSITIONS:
+                    key = dfa.keys[state]
+                    dfa = self._dfa = _Dfa(self._nfa)
+                    state = dfa.intern(key)
+                transition = dfa.build(state, char)
+        return dfa, transition
 
-    def _match_end(self, text: str, start: int) -> Optional[int]:
-        """Longest match end for a match beginning exactly at ``start``."""
+    def _scan(self, text: str, first: int, last: int, searches: int) -> Tuple[int, int]:
+        """Leftmost-longest match starting in ``[first, last]``: ``(start, end)`` or ``(-1, -1)``.
+
+        ``searches`` is how many Table 4 work items (whole-text searches) this scan is.
+        """
+        # One generation per scan: a reset or another thread's miss never mixes state ids.
+        dfa = self._dfa
+        rows = dfa.rows
         length = len(text)
-        current = self._closure({self._nfa.start}, start, text)
-        best: Optional[int] = None
-        pos = start
-        while True:
-            if any(state.accepting for state in current):
-                best = pos
-            if pos >= length or not current:
+        examined = 0
+        found = end = -1
+        prev_word = 0 < first <= length and text[first - 1] in WORD_CHARS
+        for start in range(first, min(last, length) + 1):
+            state = 1 + prev_word if start else 0
+            pos = start
+            while pos < length:
+                char = text[pos]
+                transition = rows[state].get(char)
+                if transition is None:
+                    dfa, transition = self._extend(dfa, state, char)
+                    rows = dfa.rows
+                state, accepted = transition
+                if accepted:
+                    end = pos
+                pos += 1
+                if state < 0:
+                    break
+            else:
+                if dfa.ends[state]:
+                    end = pos
+            examined += pos - start + 1
+            if end >= 0:
+                found = start
                 break
-            char = text[pos]
-            advanced: Set[State] = set()
-            for state in current:
-                for transition in state.transitions:
-                    if transition.consumes() and transition.matches(char):
-                        advanced.add(transition.target)
-            pos += 1
-            if not advanced:
-                break
-            current = self._closure(advanced, pos, text)
-        # Counter model (branchy string kernel): the NFA simulation does
-        # O(state_count) transition tests per position examined — one "op"
-        # per (position, state) pair; bytes are the 1-byte characters read.
-        # Items stay 0 here: the Table 4 granularity unit is one
-        # (pattern, sentence) *search*, recorded in :meth:`search`.
-        examined = pos - start + 1
-        record_work(flops=examined * self._nfa.size, mem_bytes=examined)
-        return best
+            if start < length:
+                prev_word = text[start] in WORD_CHARS
+        # Counter model (branchy string kernel): NFA-equivalent work.  A run
+        # anchored at ``start`` stops where the NFA's state set would empty, so
+        # it examines the same positions, and each is charged O(state_count)
+        # transition tests — one "op" per (position, state) pair; bytes are the
+        # 1-byte characters read.  A cached transition is charged like a built
+        # one: the counter is the kernel's demand, not the cache's hit rate.
+        record_work(flops=examined * self._nfa.size, mem_bytes=examined, items=searches)
+        return found, end
 
     # -- public API -----------------------------------------------------------
 
     def match(self, text: str, pos: int = 0) -> Optional[Match]:
         """Match anchored at ``pos``; returns the longest such match or None."""
-        end = self._match_end(text, pos)
-        if end is None:
-            return None
-        return Match(pos, end, text)
+        start, end = self._scan(text, pos, pos, searches=0)
+        return Match(start, end, text) if start >= 0 else None
 
     def fullmatch(self, text: str) -> Optional[Match]:
         """Match that must consume the entire text."""
-        end = self._match_end(text, 0)
-        if end == len(text):
-            return Match(0, end, text)
-        # The greedy scan above returns the longest match; if a shorter full
-        # match exists it would also have been reachable, so longest == full
-        # whenever any full match exists.  A longest match shorter than the
-        # text means no full match.
-        return None
+        # The longest match at 0 is the full one whenever a full match exists.
+        match = self.match(text)
+        return match if match is not None and match.end == len(text) else None
 
     def search(self, text: str, pos: int = 0) -> Optional[Match]:
         """Leftmost-longest match anywhere at or after ``pos``."""
-        # One (pattern, text) search is the regex kernel's work item.
-        record_work(items=1)
-        for start in range(pos, len(text) + 1):
-            end = self._match_end(text, start)
-            if end is not None:
-                return Match(start, end, text)
-        return None
+        # One (pattern, text) search is the regex kernel's Table 4 work item.
+        start, end = self._scan(text, pos, len(text), searches=1)
+        return Match(start, end, text) if start >= 0 else None
 
     def finditer(self, text: str) -> Iterator[Match]:
         """Non-overlapping leftmost-longest matches, left to right."""

@@ -3,16 +3,19 @@
 Each AST node compiles to a fragment with one start state and a set of
 dangling out-arrows; fragments are patched together exactly as in Thompson's
 construction (Ken Thompson, CACM 1968).  The resulting automaton has O(n)
-states for an n-character pattern and is executed by the simulation in
-:mod:`repro.regex.engine`.
+states for an n-character pattern.  It is compile IR: :mod:`repro.regex.engine`
+determinises it lazily and is the only matcher that runs in the library;
+:func:`simulate` below is the plain set simulation, kept as the oracle the
+tests and the ablation bench hold the engine to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterable, List, Optional, Set
 
 from repro.regex.ast import (
+    WORD_RANGES,
     Alternate,
     AnyChar,
     Anchor,
@@ -40,7 +43,6 @@ class State:
     """One NFA state; ``transitions`` maps to (kind, payload, target)."""
 
     index: int
-    accepting: bool = False
     transitions: List["Transition"] = field(default_factory=list)
 
 
@@ -97,7 +99,6 @@ class _Builder:
     def compile(self, node: Node) -> NFA:
         fragment = self._compile(node)
         accept = self.new_state()
-        accept.accepting = True
         _patch(fragment.dangling, accept)
         return NFA(fragment.start, accept, self.states)
 
@@ -204,3 +205,66 @@ def _patch(dangling: List[Transition], target: State) -> None:
 def compile_nfa(node: Node) -> NFA:
     """Compile an AST into a Thompson NFA."""
     return _Builder().compile(node)
+
+
+# -- stepping -----------------------------------------------------------------------
+
+#: The characters ``\w`` matches.  ``\b`` and ``\B`` take word-ness from the
+#: same set, so the class and the boundaries are one (ASCII, as SLRE) predicate.
+WORD_CHARS = frozenset(chr(code) for lo, hi in WORD_RANGES for code in range(lo, hi + 1))
+
+
+def closure(
+    states: Iterable[State], at_start: bool, at_end: bool, at_boundary: bool
+) -> Set[State]:
+    """Epsilon-closure of ``states`` at a position with the given zero-width context."""
+    stack = list(states)
+    closed = set(stack)
+    while stack:
+        state = stack.pop()
+        for transition in state.transitions:
+            passable = (
+                transition.kind == EPSILON
+                or (transition.kind == ANCHOR_START and at_start)
+                or (transition.kind == ANCHOR_END and at_end)
+                or (transition.kind == ANCHOR_WORD and at_boundary)
+                or (transition.kind == ANCHOR_NONWORD and not at_boundary)
+            )
+            if passable and transition.target is not None and transition.target not in closed:
+                closed.add(transition.target)
+                stack.append(transition.target)
+    return closed
+
+
+def advance(closed: Iterable[State], char: str) -> Set[State]:
+    """The raw (pre-closure) states reached from ``closed`` by consuming ``char``."""
+    return {
+        transition.target
+        for state in closed
+        for transition in state.transitions
+        if transition.consumes() and transition.matches(char)
+    }
+
+
+def simulate(nfa: NFA, text: str, start: int = 0) -> Optional[int]:
+    """Reference matcher: end of the longest match beginning exactly at ``start``.
+
+    One state set per character, rebuilt from scratch at every position —
+    O(states) per character and nothing cached.
+    """
+    length = len(text)
+    raw: Set[State] = {nfa.start}
+    best: Optional[int] = None
+    pos = start
+    while True:
+        before = pos > 0 and text[pos - 1] in WORD_CHARS
+        after = pos < length and text[pos] in WORD_CHARS
+        closed = closure(raw, pos == 0, pos == length, before != after)
+        if nfa.accept in closed:
+            best = pos
+        if pos >= length:
+            return best
+        raw = advance(closed, text[pos])
+        if not raw:
+            return best
+        pos += 1

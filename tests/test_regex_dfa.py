@@ -1,36 +1,42 @@
-"""Tests for the lazy-DFA regex path, including NFA differential checks."""
+"""Containment tests (``Pattern.test``) for the lazy DFA, with NFA differential checks.
+
+These were the tests of ``DfaPattern``, the containment-only DFA that lived
+beside the engine; every case now runs against ``Pattern.test``, and the
+differential ones against the ``nfa.simulate`` oracle.
+"""
 
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.regex import DfaPattern, Pattern, build_pattern_strings, build_sentences
+from repro.regex import Pattern, build_pattern_strings, build_sentences
+from tests.test_regex_engine import oracle_search
 
 
 class TestDfaBasics:
     def test_simple_containment(self):
-        assert DfaPattern("world").test("hello world")
-        assert not DfaPattern("world").test("hello wor ld")
+        assert Pattern("world").test("hello world")
+        assert not Pattern("world").test("hello wor ld")
 
     def test_empty_text(self):
-        assert DfaPattern("a*").test("")
-        assert not DfaPattern("a+").test("")
+        assert Pattern("a*").test("")
+        assert not Pattern("a+").test("")
 
     def test_anchors(self):
-        assert DfaPattern("^abc").test("abcdef")
-        assert not DfaPattern("^abc").test("xabc")
-        assert DfaPattern("xyz$").test("wxyz")
-        assert not DfaPattern("xyz$").test("xyzw")
+        assert Pattern("^abc").test("abcdef")
+        assert not Pattern("^abc").test("xabc")
+        assert Pattern("xyz$").test("wxyz")
+        assert not Pattern("xyz$").test("xyzw")
 
     def test_full_anchored(self):
-        pattern = DfaPattern("^ab$")
+        pattern = Pattern("^ab$")
         assert pattern.test("ab")
         assert not pattern.test("aab")
         assert not pattern.test("abb")
 
     def test_word_boundaries(self):
-        pattern = DfaPattern(r"\bcat\b")
+        pattern = Pattern(r"\bcat\b")
         assert pattern.test("the cat sat")
         assert pattern.test("cat")
         assert pattern.test("a cat!")
@@ -38,48 +44,48 @@ class TestDfaBasics:
         assert not pattern.test("cats")
 
     def test_non_word_boundary(self):
-        pattern = DfaPattern(r"\Bcat")
+        pattern = Pattern(r"\Bcat")
         assert pattern.test("concatenate")
         assert not pattern.test("the cat")
 
     def test_trailing_boundary_at_end(self):
-        assert DfaPattern(r"\d+\b").test("year 1969")
-        assert DfaPattern(r"\d+\b").test("1969")
+        assert Pattern(r"\d+\b").test("year 1969")
+        assert Pattern(r"\d+\b").test("1969")
 
     def test_classes_and_quantifiers(self):
-        assert DfaPattern(r"[a-c]{2,3}x").test("zzabx")
-        assert not DfaPattern(r"[a-c]{2,3}x").test("zax")
+        assert Pattern(r"[a-c]{2,3}x").test("zzabx")
+        assert not Pattern(r"[a-c]{2,3}x").test("zax")
 
     def test_alternation(self):
-        pattern = DfaPattern("cat|dog|bird")
+        pattern = Pattern("cat|dog|bird")
         assert pattern.test("hotdog stand")
         assert not pattern.test("cow")
 
     def test_count_matching(self):
-        pattern = DfaPattern(r"\d+")
-        assert pattern.count_matching(["a1", "b", "22", "x"]) == 2
+        pattern = Pattern(r"\d+")
+        assert sum(pattern.test(text) for text in ["a1", "b", "22", "x"]) == 2
 
     def test_dfa_grows_lazily(self):
-        pattern = DfaPattern("abc")
-        before = pattern.dfa_size
+        pattern = Pattern("abc")
+        before = len(pattern._dfa.rows)
         pattern.test("xxabcxx")
-        assert pattern.dfa_size > before
+        assert len(pattern._dfa.rows) > before
 
     def test_transition_cache_reused(self):
-        pattern = DfaPattern(r"\b(19|20)\d\d\b")
+        pattern = Pattern(r"\b(19|20)\d\d\b")
         pattern.test("in 1969 and 2001")
-        size_after_first = pattern.dfa_size
+        size_after_first = len(pattern._dfa.rows)
         pattern.test("in 1984 and 2015")  # same character classes
-        assert pattern.dfa_size <= size_after_first + 2
+        assert len(pattern._dfa.rows) <= size_after_first + 2
 
 
 class TestDfaAgainstNfa:
     @pytest.mark.parametrize("pattern_text", build_pattern_strings(100)[:25])
     def test_input_set_patterns_agree(self, pattern_text):
-        nfa = Pattern(pattern_text)
-        dfa = DfaPattern(pattern_text)
+        dfa = Pattern(pattern_text)
         for sentence in build_sentences(40):
-            assert nfa.test(sentence) == dfa.test(sentence), (pattern_text, sentence)
+            expected = oracle_search(pattern_text, sentence) is not None
+            assert dfa.test(sentence) == expected, (pattern_text, sentence)
 
     @settings(deadline=None, max_examples=150)
     @given(
@@ -92,11 +98,11 @@ class TestDfaAgainstNfa:
         text=st.text(alphabet="abwordxyz 019.", max_size=25),
     )
     def test_random_texts_agree(self, pattern, text):
-        assert Pattern(pattern).test(text) == DfaPattern(pattern).test(text)
+        assert Pattern(pattern).test(text) == (oracle_search(pattern, text) is not None)
 
     @settings(deadline=None, max_examples=100)
     @given(text=st.text(alphabet="ab cat!s", max_size=20))
     def test_boundary_pattern_matches_stdlib(self, text):
-        ours = DfaPattern(r"\bcat\b").test(text)
+        ours = Pattern(r"\bcat\b").test(text)
         stdlib = re.search(r"\bcat\b", text) is not None
         assert ours == stdlib
