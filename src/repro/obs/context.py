@@ -3,16 +3,18 @@
 The serving stack has layers that cannot see each other's signatures — the
 plan executor, resilience wrappers, fault injectors, and the component
 profiler all run inside one service call but share no parameter channel.
-This module is that channel: the executor (or ``Service.__call__``)
-activates a tracer for the duration of a call, and any layer underneath
-reaches it through :func:`current_tracer` / :func:`annotate` without a new
-argument threading through every ``invoke`` in the repository.
+This module is that channel: the executor (or its stage hand-off on
+another thread) activates a tracer for the duration of a call, and any
+layer underneath reaches it through :func:`current_tracer` /
+:func:`annotate` without a new argument threading through every
+``invoke`` in the repository.
 
 Deliberately dependency-free (stdlib only): :mod:`repro.profiling` and
 :mod:`repro.serving.faults` sit below the tracing layer and import this
 module without creating a cycle.  The context is thread-local — worker
 threads and forked workers re-activate their own tracer (see
-``Service.__call__``), which is what keeps span parentage per-thread.
+``repro.serving.executor.run_handed_off``), which is what keeps span
+parentage per-thread.
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ from repro.obs.pricing import (
     electricity_dollars,
     energy_microjoules,
 )
-from repro.obs.trace import KERNEL, QUERY, ROUTER, SERVICE, sort_key
+from repro.obs.trace import KERNEL, QUERY, ROUTER, SERVICE, query_outcome, sort_key
 from repro.platforms.roofline import KERNEL_PROFILES, attainable_for_intensity
 from repro.platforms.spec import CMP, PLATFORMS, spec
 from repro.platforms.speedups import ASR_GMM, IMM, QA, service_speedup
@@ -249,14 +249,6 @@ class CostLedger:
 
 # -- building a ledger from a span forest -------------------------------------------
 
-def _query_outcome(root) -> str:
-    if root.status == "error" or root.attributes.get("failed"):
-        return "failed"
-    if root.attributes.get("degraded"):
-        return "degraded"
-    return "ok"
-
-
 class _EntryAccumulator:
     """Folds one query's spans into (stage, category) buckets."""
 
@@ -359,7 +351,7 @@ def ledger_from_spans(
     for trace_id in trace_order:
         members = traces[trace_id]
         root = roots.get(trace_id)
-        outcome = _query_outcome(root) if root is not None else "ok"
+        outcome = query_outcome(root) if root is not None else "ok"
         acc = _EntryAccumulator()
         for span in members:
             is_wasted = span.span_id in wasted

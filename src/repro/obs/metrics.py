@@ -579,6 +579,11 @@ def wait_histogram_name(label: str) -> str:
     return f"serve.{label.lower()}.wait_seconds"
 
 
+def outcome_counter_name(outcome: str) -> str:
+    """Outcome counter name for ``"ok"`` / ``"degraded"`` / ``"failed"``."""
+    return f"serve.{outcome}"
+
+
 def replica_counter_name(replica: int) -> str:
     """Per-replica placement counter name for a replica index."""
     return f"serve.router.replica.{replica}"
@@ -587,6 +592,16 @@ def replica_counter_name(replica: int) -> str:
 def bench_histogram_name(benchmark: str) -> str:
     """Wall-time histogram name for a registered benchmark."""
     return f"bench.{benchmark}.seconds"
+
+
+def response_outcome(response) -> str:
+    """``"ok"`` / ``"degraded"`` / ``"failed"``; a failed response is not
+    also degraded."""
+    if getattr(response, "failed", False):
+        return "failed"
+    if getattr(response, "degraded", False):
+        return "degraded"
+    return "ok"
 
 
 def record_response(registry: MetricsRegistry, response) -> None:
@@ -599,12 +614,7 @@ def record_response(registry: MetricsRegistry, response) -> None:
     registry.histogram(E2E_HISTOGRAM).observe(max(response.wall_seconds, 0.0))
     for label, seconds in response.service_seconds.items():
         registry.histogram(service_histogram_name(label)).observe(max(seconds, 0.0))
-    if getattr(response, "failed", False):
-        registry.counter("serve.failed").inc()
-    elif getattr(response, "degraded", False):
-        registry.counter("serve.degraded").inc()
-    else:
-        registry.counter("serve.ok").inc()
+    registry.counter(outcome_counter_name(response_outcome(response))).inc()
 
 
 def record_responses(registry: MetricsRegistry, responses: Sequence) -> None:

@@ -23,6 +23,7 @@ from repro.obs.metrics import (
     E2E_HISTOGRAM,
     TTFP_HISTOGRAM,
     MetricsRegistry,
+    outcome_counter_name,
     service_histogram_name,
 )
 from repro.obs.trace import (
@@ -32,6 +33,7 @@ from repro.obs.trace import (
     SECTION,
     SERVICE,
     Span,
+    query_outcome,
     sort_key,
 )
 
@@ -65,12 +67,7 @@ def metrics_from_spans(
         if span.kind == QUERY:
             registry.histogram(E2E_HISTOGRAM).observe(span.duration)
             query_starts[span.trace_id] = span.start
-            if span.status == "error" or span.attributes.get("failed"):
-                registry.counter("serve.failed").inc()
-            elif span.attributes.get("degraded"):
-                registry.counter("serve.degraded").inc()
-            else:
-                registry.counter("serve.ok").inc()
+            registry.counter(outcome_counter_name(query_outcome(span))).inc()
         elif span.kind == SERVICE:
             label = span.service or span.name
             registry.histogram(service_histogram_name(label)).observe(span.duration)

@@ -43,7 +43,7 @@ from repro.obs.metrics import (
     _canonical_reservoir,
     _weighted_percentile,
 )
-from repro.obs.trace import QUERY, ROUTER, SERVICE
+from repro.obs.trace import QUERY, ROUTER, SERVICE, query_outcome
 
 #: Label sets are canonicalized to sorted (key, value) string pairs.
 Labels = Tuple[Tuple[str, str], ...]
@@ -425,13 +425,7 @@ def rollups_from_spans(
     for span in spans:
         t = float(span.ordinal)
         if span.kind == QUERY:
-            if span.status == "error" or span.attributes.get("failed"):
-                status = "failed"
-            elif span.attributes.get("degraded"):
-                status = "degraded"
-            else:
-                status = "ok"
-            store.inc(QUERIES_METRIC, t, status=status)
+            store.inc(QUERIES_METRIC, t, status=query_outcome(span))
             # The root's inclusive injected virtual cost; a fault-free
             # trace costs 0.0, keeping the panel dense over all queries.
             virtual = span.attributes.get("virtual_seconds", 0.0)

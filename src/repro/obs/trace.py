@@ -24,7 +24,7 @@ export stays byte-stable.  See ``docs/OBSERVABILITY.md``.
 
 Spans cross process boundaries as plain picklable dataclasses: a worker
 resumes a :class:`TraceContext`, records into its own :class:`Tracer`, and
-ships the finished spans back inside the service response for the parent
+ships the finished spans back on its stage outcome for the parent
 to :meth:`~Tracer.adopt`.
 """
 
@@ -120,6 +120,16 @@ class Span:
                 f"{self.duration * 1000:.2f}ms {self.status}>")
 
 
+def query_outcome(root: Span) -> str:
+    """``"ok"`` / ``"degraded"`` / ``"failed"`` as a query's root span
+    records it (a failed query is not also degraded)."""
+    if root.status == "error" or root.attributes.get("failed"):
+        return "failed"
+    if root.attributes.get("degraded"):
+        return "degraded"
+    return "ok"
+
+
 def sort_key(span: Span) -> Tuple[int, str, str]:
     """The canonical export order: by query, then trace, then span ID."""
     return (span.ordinal, span.trace_id, span.span_id)
@@ -186,8 +196,9 @@ class Tracer:
     def resume(cls, context: TraceContext, clock=time.perf_counter) -> "Tracer":
         """A fresh tracer whose spans nest under a remote parent span.
 
-        Used by ``Service.__call__`` in worker threads/processes: spans
-        recorded here are shipped back and adopted by the parent tracer.
+        Used by the stage bracket when a stage runs away from its query's
+        tracer (a branch thread, a streaming session): spans recorded here
+        are shipped back and adopted by the parent tracer.
         Sibling counters start at zero, which is correct because the parent
         process never creates children under the handed-off span itself.
         """
@@ -211,21 +222,23 @@ class Tracer:
         thread-local).  ``reenter`` pushes the span as this thread's
         innermost frame for the duration of one synchronous work bout, so
         profiler sections, partial spans, and ``annotate`` calls nest under
-        it; the caller closes the span itself (sets ``end``/``status`` and
-        hands it to :meth:`adopt`).  Sibling counters are shared tracer
-        state, so indices stay unique across bouts and threads.
+        it.  The last bout may close the span with :meth:`end_span` (which
+        pops this frame and collects it).  Sibling counters are shared
+        tracer state, so indices stay unique across bouts and threads.
         """
         stack = self._stack()
+        depth = len(stack)
         stack.append(span)
         try:
             yield span
         finally:
-            if not stack or stack[-1] is not span:
+            if len(stack) > depth and stack[-1] is span:
+                stack.pop()
+            elif len(stack) != depth:
                 raise TraceError(
                     f"reenter({span.name!r}) exited with unbalanced child "
                     "spans still open on this thread"
                 )
-            stack.pop()
 
     # -- span lifecycle ----------------------------------------------------------
 
@@ -282,8 +295,9 @@ class Tracer:
         self._stack().append(span)
         return span
 
-    def end_span(self, span: Span, status: str = "ok", error_code: str = "") -> Span:
-        """Close ``span`` (must be this thread's innermost) and collect it."""
+    def end_span(self, span: Span, error: Optional[SiriusError] = None) -> Span:
+        """Close ``span`` (must be this thread's innermost) and collect it;
+        an ``error`` marks it failed with the error's stable code."""
         stack = self._stack()
         if not stack or stack[-1] is not span:
             open_name = stack[-1].name if stack else "<none>"
@@ -293,9 +307,9 @@ class Tracer:
             )
         stack.pop()
         span.end = self._clock()
-        span.status = status
-        if error_code:
-            span.error_code = error_code
+        if error is not None:
+            span.status = "error"
+            span.error_code = getattr(error, "code", "SIRIUS")
         with self._lock:
             self._spans.append(span)
         return span
@@ -307,8 +321,7 @@ class Tracer:
         try:
             yield span
         except SiriusError as exc:
-            self.end_span(span, status="error",
-                          error_code=getattr(exc, "code", "SIRIUS"))
+            self.end_span(span, exc)
             raise
         else:
             self.end_span(span)
@@ -327,8 +340,7 @@ class Tracer:
         try:
             yield span
         except SiriusError as exc:
-            self.end_span(span, status="error",
-                          error_code=getattr(exc, "code", "SIRIUS"))
+            self.end_span(span, exc)
             raise
         else:
             self.end_span(span)

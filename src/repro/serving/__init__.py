@@ -74,7 +74,6 @@ from repro.serving.faults import (
     FaultInjector,
     FaultPlan,
     FaultRule,
-    VirtualLatencyAware,
     charge_virtual_seconds,
     default_chaos_plan,
     drain_virtual_seconds,
@@ -144,7 +143,6 @@ __all__ = [
     "StreamReport",
     "StreamingGateway",
     "ThreadBackend",
-    "VirtualLatencyAware",
     "available_backends",
     "build_executor",
     "charge_virtual_seconds",

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.core.query import IPAQuery, QueryType, SiriusResponse
+from repro.core.query import IPAQuery, SiriusResponse
 from repro.errors import AdmissionError, ConfigurationError
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -61,8 +61,15 @@ from repro.serving.cluster.router import (
     POWER_OF_TWO,
     RoutingPolicy,
     get_policy,
+    place,
 )
-from repro.serving.executor import DEGRADE, PlanExecutor, RouterTicket
+from repro.serving.executor import (
+    DEGRADE,
+    PlanExecutor,
+    RouterTicket,
+    begin_router_span,
+    failed_response,
+)
 
 
 @dataclass(frozen=True)
@@ -143,17 +150,8 @@ class Cluster:
         recent: deque = deque()
         decisions: List[RouteDecision] = []
         for ordinal in range(n_queries):
-            replica = self.policy.choose(ordinal, tuple(depths), seed=self.seed)
-            if not 0 <= replica < self.n_replicas:
-                raise ConfigurationError(
-                    f"policy {self.policy.name!r} chose replica {replica} "
-                    f"outside fleet of {self.n_replicas}"
-                )
-            depth = depths[replica]
-            admitted = (
-                self.admission.admit(ordinal, depth)
-                if self.admission is not None
-                else True
+            replica, depth, admitted = place(
+                self.policy, self.admission, ordinal, depths, self.seed
             )
             decisions.append(
                 RouteDecision(
@@ -199,8 +197,6 @@ class Cluster:
 
         def run_one(ordinal: int) -> SiriusResponse:
             decision = decisions[ordinal]
-            if not decision.admitted:
-                return self._rejected_response(queries[ordinal], decision)
             ticket = RouterTicket(
                 policy=decision.policy,
                 replica=decision.replica,
@@ -208,6 +204,8 @@ class Cluster:
                 queue_depth=decision.queue_depth,
                 enqueued_at=enqueued_at,
             )
+            if not decision.admitted:
+                return self._rejected_response(queries[ordinal], ticket, ordinal)
             return self.executors[decision.replica].run(
                 queries[ordinal],
                 ordinal=ordinal,
@@ -234,47 +232,25 @@ class Cluster:
         return responses
 
     def _rejected_response(
-        self, query: IPAQuery, decision: RouteDecision
+        self, query: IPAQuery, ticket: RouterTicket, ordinal: int
     ) -> SiriusResponse:
         """A failed response (plus a one-span trace) for a shed query."""
         error = AdmissionError(
-            f"query #{decision.ordinal} rejected at the router "
-            f"(replica {decision.replica} depth {decision.queue_depth})",
+            f"query #{ordinal} rejected at the router "
+            f"(replica {ticket.replica} depth {ticket.queue_depth})",
             service="router",
         )
         spans: tuple = ()
-        trace_seed = self.executors[decision.replica].trace_seed
+        trace_seed = self.executors[ticket.replica].trace_seed
         if trace_seed is not None:
             tracer = Tracer(seed=trace_seed)
-            root = tracer.begin_trace(decision.ordinal)
-            span = tracer.begin_span(
-                "router",
-                kind=ROUTER,
-                service="ROUTER",
-                attributes={
-                    "policy": decision.policy,
-                    "replica": decision.replica,
-                    "n_replicas": self.n_replicas,
-                    "queue_depth": decision.queue_depth,
-                },
-            )
-            tracer.end_span(span, status="error", error_code=error.code)
+            root = tracer.begin_trace(ordinal)
+            tracer.end_span(begin_router_span(tracer, ticket), error)
             root.attributes["degraded"] = True
             root.attributes["failed"] = True
-            tracer.end_span(root, status="error", error_code=error.code)
+            tracer.end_span(root, error)
             spans = tracer.finish()
-        query_type = (
-            QueryType.VOICE_IMAGE_QUERY
-            if query.image is not None
-            else QueryType.VOICE_COMMAND
-        )
-        return SiriusResponse(
-            query_type=query_type,
-            transcript="",
-            degraded=True,
-            failures={"ROUTER": error.code},
-            spans=spans,
-        )
+        return failed_response(query, {"ROUTER": error.code}, spans=spans)
 
     def _record_metrics(
         self,

@@ -55,7 +55,12 @@ from repro.obs.timeseries import (
 )
 from repro.platforms.spec import CMP
 from repro.serving.cluster.autoscaler import AutoscalerPolicy, ScaleDecision
-from repro.serving.cluster.router import AdmissionControl, RoutingPolicy, get_policy
+from repro.serving.cluster.router import (
+    AdmissionControl,
+    RoutingPolicy,
+    get_policy,
+    place,
+)
 
 
 def ttfp_fraction(seed: int, ordinal: int) -> float:
@@ -262,16 +267,7 @@ def replay_cluster(
             while queue and queue[0] <= arrival:
                 queue.popleft()
             depths.append(len(queue))
-        replica = resolved.choose(ordinal, tuple(depths), seed=seed)
-        if not 0 <= replica < active:
-            raise ConfigurationError(
-                f"policy {resolved.name!r} chose replica {replica} "
-                f"outside the {active} active replicas"
-            )
-        depth = depths[replica]
-        admitted = (
-            admission.admit(ordinal, depth) if admission is not None else True
-        )
+        replica, depth, admitted = place(resolved, admission, ordinal, depths, seed)
         if not admitted:
             rollups.inc(REJECTED_METRIC, arrival)
             rollups.inc(QUERIES_METRIC, arrival, status="failed")

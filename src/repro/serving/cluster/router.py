@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -189,3 +189,24 @@ class AdmissionControl:
     def __repr__(self) -> str:
         return (f"<AdmissionControl max_depth={self.max_depth} "
                 f"drop_rate={self.drop_rate} seed={self.seed}>")
+
+
+def place(
+    policy: RoutingPolicy,
+    admission: Optional[AdmissionControl],
+    ordinal: int,
+    depths: Sequence[int],
+    seed: int,
+) -> Tuple[int, int, bool]:
+    """One routing step, shared by the live fleet and the virtual-time
+    replay: choose a replica, then admit or shed the query.  Returns
+    ``(replica, its entry of depths, admitted)``."""
+    replica = policy.choose(ordinal, tuple(depths), seed=seed)
+    if not 0 <= replica < len(depths):
+        raise ConfigurationError(
+            f"policy {policy.name!r} chose replica {replica} "
+            f"outside the {len(depths)} active replicas"
+        )
+    depth = depths[replica]
+    admitted = admission.admit(ordinal, depth) if admission is not None else True
+    return replica, depth, admitted

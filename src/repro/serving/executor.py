@@ -14,10 +14,11 @@ list-comprehension ``process_all``) with a single walk over a
   ``process``).
 
 Instrumentation is uniform: every stage is reported as a
-:class:`~repro.serving.service.StageOutcome` — by :func:`run_stage` (the
-one stage bracket, which streaming sessions share), by a threaded branch,
-or by a session ahead of ``run()`` — and enters the query's accounting
-through the single :meth:`PlanExecutor._absorb`.
+:class:`~repro.serving.service.StageOutcome` by :func:`run_stage`, the one
+stage bracket — called in place for a serial stage, through
+:func:`run_handed_off` on a pool thread for a threaded branch, and once
+per work bout by a streaming session ahead of ``run()`` — and enters the
+query's accounting through the single :meth:`PlanExecutor._absorb`.
 
 **Graceful degradation.**  A stage failure (any :class:`~repro.errors.
 SiriusError`, typically a coded :class:`~repro.errors.ServiceError` from a
@@ -54,7 +55,7 @@ from repro.obs.metrics import (
     record_responses,
     wait_histogram_name,
 )
-from repro.obs.trace import ROUTER, Tracer
+from repro.obs.trace import ROUTER, SERVICE, Span, Tracer
 from repro.profiling import Profiler
 from repro.serving.backends import get_backend
 from repro.serving.faults import drain_virtual_seconds
@@ -160,45 +161,129 @@ def _check_on_error(on_error: str) -> None:
         )
 
 
-def _end_span(tracer: Tracer, span: Any, error: Optional[SiriusError]) -> None:
-    """Close ``span``; a failure marks it with the error's stable code."""
-    if error is None:
-        tracer.end_span(span)
-    else:
-        tracer.end_span(
-            span, status="error", error_code=getattr(error, "code", "SIRIUS")
-        )
+def begin_service_span(tracer: Tracer, service: Service) -> Span:
+    """Open one stage's ``service`` span under this thread's innermost span."""
+    return tracer.begin_span(service.name, kind=SERVICE, service=service.label)
+
+
+def end_span(
+    tracer: Tracer, span: Span, error: Optional[SiriusError], virtual: float
+) -> None:
+    """Close a service or root span: virtual latency charged under it
+    becomes its ``virtual_seconds``, a failure its status and stable code."""
+    if virtual > 0:
+        span.attributes["virtual_seconds"] = virtual
+    tracer.end_span(span, error)
 
 
 def run_stage(
-    name: str, call: Callable[[], Any], profiler: Profiler, record: bool
+    service: Service,
+    call: Callable[[], Any],
+    profiler: Profiler,
+    record: bool,
+    tracer: Optional[Tracer] = None,
+    wait: float = 0.0,
 ) -> StageOutcome:
-    """The stage bracket: run ``call`` and account for it.
+    """The stage bracket: run ``call`` for ``service`` and account for it.
 
-    Drains the virtual-latency ledger (a leak from an earlier failed call
-    must not be charged here), runs ``call`` inside ``section(name)`` when
-    the stage is recorded, captures a :class:`~repro.errors.SiriusError`
-    instead of raising, and drains again.  ``seconds`` is the *profiled*
-    delta (total profile growth across the call, as the monolithic
-    pipeline attributed per-service time) plus the virtual latency charged
-    meanwhile.  Every serial executor stage and every streaming-session
-    work bout runs through here, so the two account identically.
+    Opens the stage's ``service`` span on ``tracer`` (``None`` when
+    untraced, or when a streaming session holds one span open across its
+    bouts), drains the virtual-latency ledger (a leak from an earlier
+    failed call must not be charged here), runs ``call`` inside
+    ``section(service.name)`` when the stage is recorded, captures a
+    :class:`~repro.errors.SiriusError` instead of raising, drains again and
+    closes the span.  ``seconds`` is the *profiled* delta (total profile
+    growth across the call, as the monolithic pipeline attributed
+    per-service time) plus the virtual latency charged meanwhile; ``wait``
+    is a hand-off's measured admission-to-start delay, stamped on the span
+    and never added to ``seconds``.  Serial stages, threaded branches,
+    ``Service.__call__`` and session bouts all account through here.
     """
+    span = begin_service_span(tracer, service) if tracer is not None else None
     drain_virtual_seconds()
     before = profiler.profile.total
     payload: Any = None
     error: Optional[SiriusError] = None
     try:
-        with profiler.section(name) if record else nullcontext():
+        with profiler.section(service.name) if record else nullcontext():
             payload = call()
     except SiriusError as exc:
         error = exc
     virtual = drain_virtual_seconds()
+    if span is not None:
+        span.wait = wait
+        end_span(tracer, span, error, virtual)
     return StageOutcome(
         payload=payload,
         error=error,
         seconds=profiler.profile.total - before + virtual,
         virtual_seconds=virtual,
+        wait_seconds=wait,
+    )
+
+
+def run_handed_off(
+    service: Service,
+    request: ServiceRequest,
+    record: bool,
+    profiler: Profiler,
+) -> StageOutcome:
+    """:func:`run_stage` away from the query's own profiler and tracer (a
+    branch thread, a standalone ``Service.__call__``).
+
+    ``profiler`` is the caller's private one (sections from two threads
+    would double-count in one) and the trace is *resumed* from the
+    request's coordinates, not shared (open-span stacks are per thread;
+    resumed IDs are the serial walk's); both travel home on the outcome
+    with the measured admission-to-start wait.
+    """
+    tracer = Tracer.resume(request.trace) if request.trace is not None else None
+    wait = 0.0
+    if request.admitted_at is not None:
+        wait = max(time.perf_counter() - request.admitted_at, 0.0)
+    with use_tracer(tracer) if tracer is not None else nullcontext():
+        outcome = run_stage(
+            service, lambda: service.invoke(request, profiler),
+            profiler, record, tracer, wait,
+        )
+    outcome.profile = profiler.profile
+    if tracer is not None:
+        outcome.spans = tracer.finish()
+    return outcome
+
+
+def begin_router_span(tracer: Tracer, ticket: RouterTicket) -> Span:
+    """Open the ``router`` span of one placement (every attribute is
+    deterministic under the run's seed)."""
+    return tracer.begin_span(
+        "router",
+        kind=ROUTER,
+        service="ROUTER",
+        attributes={
+            "policy": ticket.policy,
+            "replica": ticket.replica,
+            "n_replicas": ticket.n_replicas,
+            "queue_depth": ticket.queue_depth,
+        },
+    )
+
+
+def failed_response(
+    query: IPAQuery, failures: Dict[str, str], transcript: str = "", **measured: Any
+) -> SiriusResponse:
+    """The response of a query with nothing usable (ASR or classification
+    died, or the router shed it), classed by the only evidence left: an
+    attached image."""
+    return SiriusResponse(
+        query_type=(
+            QueryType.VOICE_IMAGE_QUERY
+            if query.image is not None
+            else QueryType.VOICE_COMMAND
+        ),
+        transcript=transcript,
+        degraded=True,
+        failures=failures,
+        **measured,
     )
 
 
@@ -325,7 +410,7 @@ class PlanExecutor:
         except SiriusError as exc:
             if on_error == RAISE or state.fatal_error is None:
                 if state.tracer is not None:
-                    _end_span(state.tracer, state.root_span, exc)
+                    state.tracer.end_span(state.root_span, exc)
                     exc.__sirius_spans__ = state.tracer.finish()
                 raise
         return self._build_response(state)
@@ -343,17 +428,7 @@ class PlanExecutor:
         if ticket.enqueued_at is not None:
             wait = max(time.perf_counter() - ticket.enqueued_at, 0.0)
         if state.tracer is not None:
-            span = state.tracer.begin_span(
-                "router",
-                kind=ROUTER,
-                service="ROUTER",
-                attributes={
-                    "policy": ticket.policy,
-                    "replica": ticket.replica,
-                    "n_replicas": ticket.n_replicas,
-                    "queue_depth": ticket.queue_depth,
-                },
-            )
+            span = begin_router_span(state.tracer, ticket)
             if ticket.enqueued_at is not None:
                 span.start = ticket.enqueued_at
             state.tracer.end_span(span)
@@ -388,22 +463,29 @@ class PlanExecutor:
         """Fold one stage's outcome into the query's accounting.
 
         The single entry point for stage results, wherever they came from:
-        adopt spans recorded off the query's tracer, add virtual latency,
-        classify a captured failure (fatal services re-raise, the others
-        degrade), and otherwise merge the profile, credit
-        ``service_seconds`` and publish the payload to later stages.
+        adopt spans recorded off the query's tracer, observe a hand-off's
+        measured wait, add virtual latency, merge a profile recorded off
+        the query's profiler (a failed stage keeps the sections it got
+        through, as it does when it runs under the query's own), classify
+        a captured failure (fatal services re-raise, the others degrade),
+        and otherwise credit ``service_seconds`` and publish the payload to
+        later stages.
         """
         service = self.services[stage.service]
         if state.tracer is not None:
             state.tracer.adopt(outcome.spans)
+        if self.metrics is not None and outcome.wait_seconds > 0:
+            self.metrics.histogram(wait_histogram_name(service.label)).observe(
+                outcome.wait_seconds
+            )
         state.virtual_seconds += outcome.virtual_seconds
+        state.profiler.profile.merge(outcome.profile)
         if outcome.error is not None:
             state.failures[service.label] = outcome.error.code
             if stage.service in FATAL_SERVICES:
                 state.fatal_error = outcome.error
                 raise outcome.error
             return
-        state.profiler.profile.merge(outcome.profile)
         if stage.record:
             state.service_seconds[service.label] = outcome.seconds
         state.results[stage.name] = outcome.payload
@@ -416,21 +498,13 @@ class PlanExecutor:
         """Serial stage execution under the query's own profiler and tracer."""
         service = self.services[stage.service]
         request = self._request(stage, state)
-        span = None
-        if state.tracer is not None:
-            span = state.tracer.begin_span(
-                service.name, kind="service", service=service.label
-            )
         outcome = run_stage(
-            service.name,
+            service,
             lambda: service.invoke(request, state.profiler),
             state.profiler,
             stage.record,
+            state.tracer,
         )
-        if span is not None:
-            if outcome.virtual_seconds > 0:
-                span.attributes["virtual_seconds"] = outcome.virtual_seconds
-            _end_span(state.tracer, span, outcome.error)
         self._absorb(stage, state, outcome)
 
     def _run_level_threaded(
@@ -438,38 +512,23 @@ class PlanExecutor:
     ) -> None:
         """Overlap one level's independent stages on threads.
 
-        Each branch runs under its own profiler (wall-clock sections from
-        two threads would double-count in one); profiles merge back in
-        declaration order, and each recorded stage's ``service_seconds`` is
-        its branch's own elapsed wall time.  A branch failure degrades that
-        branch alone — the sibling's result is kept either way.
+        Each branch is :func:`run_handed_off`; outcomes are absorbed in
+        declaration order, so accounting and span forest are the serial
+        walk's.  A branch failure degrades that branch alone — the
+        sibling's result is kept either way.
         """
-        requests = [self._request(stage, state) for stage in stages]
         with ThreadPoolExecutor(max_workers=len(stages)) as pool:
             futures = [
-                pool.submit(self.services[stage.service], request)
-                for stage, request in zip(stages, requests)
+                pool.submit(
+                    run_handed_off,
+                    self.services[stage.service],
+                    self._request(stage, state),
+                    stage.record,
+                    Profiler(),
+                )
+                for stage in stages
             ]
-            outcomes: List[StageOutcome] = []
-            for future in futures:
-                try:
-                    response = future.result()
-                except SiriusError as exc:
-                    outcomes.append(StageOutcome(
-                        error=exc,
-                        spans=tuple(getattr(exc, "__sirius_spans__", ())),
-                    ))
-                    continue
-                if self.metrics is not None and response.stats.wait_seconds > 0:
-                    self.metrics.histogram(
-                        wait_histogram_name(response.stats.service)
-                    ).observe(response.stats.wait_seconds)
-                outcomes.append(StageOutcome(
-                    payload=response.payload,
-                    seconds=response.stats.seconds,
-                    profile=response.profile,
-                    spans=response.spans,
-                ))
+            outcomes = [future.result() for future in futures]
         for stage, outcome in zip(stages, outcomes):
             self._absorb(stage, state, outcome)
 
@@ -483,9 +542,7 @@ class PlanExecutor:
                 root.attributes["degraded"] = True
             if response.failed:
                 root.attributes["failed"] = True
-            if state.virtual_seconds > 0:
-                root.attributes["virtual_seconds"] = state.virtual_seconds
-            _end_span(state.tracer, root, state.fatal_error)
+            end_span(state.tracer, root, state.fatal_error, state.virtual_seconds)
             response.spans = state.tracer.finish()
         return response
 
@@ -494,21 +551,13 @@ class PlanExecutor:
         failures = dict(state.failures)
         degraded = bool(failures)
         if state.fatal_error is not None:
-            # Nothing usable: ASR or classification died.  Class the failed
-            # query by the only evidence left (an attached image).
-            query_type = (
-                QueryType.VOICE_IMAGE_QUERY
-                if state.query.image is not None
-                else QueryType.VOICE_COMMAND
-            )
-            return SiriusResponse(
-                query_type=query_type,
+            return failed_response(
+                state.query,
+                failures,
                 transcript=state.transcript,
                 profile=state.profiler.profile,
                 service_seconds=state.service_seconds,
                 wall_seconds=wall,
-                degraded=True,
-                failures=failures,
             )
         qa_result = state.results.get(QA)
         qa_failed = "QA" in failures

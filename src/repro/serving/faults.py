@@ -22,9 +22,9 @@ and flapping/outage windows keyed by ordinal.
 
 The virtual-latency ledger lives here too: a thread-local accumulator that
 :func:`charge_virtual_seconds` adds to and whoever sits directly above the
-faulty call (:class:`~repro.serving.resilience.ResilientService` or the
-executor's stage bracket, :func:`repro.serving.executor.run_stage`) drains
-into its latency accounting.  Virtual seconds flow
+faulty call (:class:`~repro.serving.resilience.ResilientService` per
+attempt, or the stage bracket :func:`repro.serving.executor.run_stage`
+that every service call runs through) drains into its latency accounting.  Virtual seconds flow
 into deadlines, ``service_seconds``, and ``wall_seconds`` exactly like real
 ones — without anyone actually sleeping.
 """
@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError, InjectedFaultError
 from repro.obs.context import annotate
 from repro.profiling import Profiler
-from repro.serving.service import Service, ServiceRequest, ServiceStats
+from repro.serving.service import Service, ServiceRequest
 
 #: Fault kinds a :class:`FaultRule` may carry.
 LATENCY = "latency"    #: charge ``seconds`` of virtual latency, then serve normally
@@ -81,28 +81,6 @@ def drain_virtual_seconds() -> float:
     value = _LEDGER.charged
     _LEDGER.charged = 0.0
     return value
-
-
-class VirtualLatencyAware(Service):
-    """Service base whose ``__call__`` folds virtual latency into its stats.
-
-    The base :meth:`Service.__call__` measures wall time only; wrappers that
-    charge the virtual ledger (fault injectors, resilience retries) subclass
-    this so threaded dispatch — which consumes ``stats.seconds`` directly —
-    sees injected latency exactly like real latency.
-    """
-
-    def __call__(self, request: ServiceRequest, profiler: Optional[Profiler] = None):
-        drain_virtual_seconds()  # reset any leak from a failed call on this thread
-        response = super().__call__(request, profiler)
-        virtual = drain_virtual_seconds()
-        if virtual > 0:
-            # replace() so measured fields beyond seconds (wait_seconds)
-            # survive the restamp instead of being reset.
-            response.stats = replace(
-                response.stats, seconds=response.stats.seconds + virtual
-            )
-        return response
 
 
 # -- fault plans ------------------------------------------------------------------
@@ -210,7 +188,7 @@ class FaultPlan:
         return None
 
 
-class FaultInjector(VirtualLatencyAware):
+class FaultInjector(Service):
     """Service wrapper that injects the plan's faults ahead of the real call.
 
     Stateless by design: the decision for every call comes from

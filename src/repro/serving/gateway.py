@@ -37,7 +37,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.asr.audio import Waveform
 from repro.errors import ConfigurationError, SessionError
-from repro.obs.metrics import TTFP_HISTOGRAM, record_response
+from repro.obs.metrics import TTFP_HISTOGRAM, record_response, response_outcome
 from repro.obs.timeseries import QUERIES_METRIC, TTFP_METRIC
 from repro.serving.executor import DEGRADE, PlanExecutor, _check_on_error
 from repro.serving.plan import QueryPlan
@@ -246,13 +246,9 @@ class StreamingGateway:
         if self.executor.metrics is not None:
             record_response(self.executor.metrics, response)
         if self.rollups is not None:
-            if getattr(response, "failed", False):
-                status = "failed"
-            elif getattr(response, "degraded", False):
-                status = "degraded"
-            else:
-                status = "ok"
-            self.rollups.inc(QUERIES_METRIC, float(ordinal), status=status)
+            self.rollups.inc(
+                QUERIES_METRIC, float(ordinal), status=response_outcome(response)
+            )
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)

@@ -26,6 +26,7 @@ from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.core.query import SiriusResponse
 from repro.obs.export import to_jsonl
+from repro.obs.metrics import response_outcome
 from repro.obs.trace import collect_spans
 from repro.serving.service import ASR
 
@@ -52,10 +53,9 @@ def span_fingerprint(responses: Sequence[SiriusResponse]) -> str:
 
 
 def outcome_counts(responses: Sequence[SiriusResponse]) -> Tuple[int, int, int]:
-    """``(ok, degraded, failed)``; a failed response is not also degraded."""
-    failed = sum(1 for r in responses if r.failed)
-    degraded = sum(1 for r in responses if r.degraded and not r.failed)
-    return len(responses) - failed - degraded, degraded, failed
+    """``(ok, degraded, failed)`` over a response stream."""
+    outcomes = [response_outcome(r) for r in responses]
+    return tuple(outcomes.count(kind) for kind in ("ok", "degraded", "failed"))
 
 
 def _leaf_difference(a: Any, b: Any, path: str = "") -> Tuple[str, Any, Any]:

@@ -50,7 +50,6 @@ from repro.profiling import Profiler
 from repro.serving.faults import (
     FaultPlan,
     FaultInjector,
-    VirtualLatencyAware,
     charge_virtual_seconds,
     drain_virtual_seconds,
 )
@@ -234,7 +233,7 @@ class CallRecord:
     code: str = ""     #: stable error code when ``ok`` is False
 
 
-class ResilientService(VirtualLatencyAware):
+class ResilientService(Service):
     """Deadline + retry + breaker armour around any :class:`Service`.
 
     Purely a wrapper: ``name``/``label``/``warmup`` delegate to the inner
@@ -293,10 +292,7 @@ class ResilientService(VirtualLatencyAware):
                             attributes={"attempt": attempt, "breaker": OPEN,
                                         "rejected": True, "wasted": True},
                         )
-                        tracer.end_span(
-                            span, status="error",
-                            error_code=getattr(rejection, "code", "SIRIUS"),
-                        )
+                        tracer.end_span(span, rejection)
                     raise rejection
                 breaker_state = (self._breaker.state
                                  if self._breaker is not None else "")
@@ -337,18 +333,13 @@ class ResilientService(VirtualLatencyAware):
                         service=self.name,
                     )
                 if span is not None:
-                    if failure is None:
-                        tracer.end_span(span)
-                    else:
+                    if failure is not None:
                         # The attempt's work was thrown away (it will be
                         # retried or the service will fail/degrade); tag it
                         # so the cost ledger can bill wasted joules apart
                         # from served work.
                         span.attributes["wasted"] = True
-                        tracer.end_span(
-                            span, status="error",
-                            error_code=getattr(failure, "code", "SIRIUS"),
-                        )
+                    tracer.end_span(span, failure)
                 if failure is None:
                     if self._breaker is not None:
                         self._breaker.record_success()
@@ -378,9 +369,8 @@ class ResilientService(VirtualLatencyAware):
             elapsed = time.perf_counter() - start + total_virtual
             code = getattr(exc, "code", "SIRIUS")
             self._record(request.ordinal, attempt, elapsed, ok=False, code=code)
-            # Hand the accumulated virtual latency to the layer above
-            # (``__call__``'s stats or the executor's accounting); the
-            # success path does the same before returning.
+            # Hand the accumulated virtual latency to the stage bracket
+            # above; the success path does the same before returning.
             charge_virtual_seconds(total_virtual)
             if tracer is not None:
                 tracer.annotate("attempts", attempt)

@@ -4,10 +4,9 @@ The paper treats ASR, QA, and IMM as datacenter *services* — the unit of
 latency measurement (Figs 7/8), queueing (Fig 17), and provisioning
 (Tables 8/9).  This module gives each of them one shape: a typed
 request/response envelope, a ``warmup()`` hook for lazy state (index
-builds, first-call caches), a profiled ``__call__`` for standalone calls
-and branches that run on another thread, and :class:`StageOutcome` — one
-stage's result in the plan executor's accounting terms, whichever way the
-stage ran.
+builds, first-call caches), a profiled ``__call__`` for standalone calls,
+and :class:`StageOutcome` — one stage's result in the plan executor's
+accounting terms, whichever way the stage ran.
 
 The wrappers are thin on purpose: all algorithmic behaviour stays in
 ``repro.asr`` / ``repro.qa`` / ``repro.imm``; the serving layer only adds
@@ -17,13 +16,11 @@ envelopes and uniform instrumentation.
 from __future__ import annotations
 
 import abc
-import time
 from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
 from repro.errors import SiriusError
-from repro.obs.context import use_tracer
-from repro.obs.trace import Span, TraceContext, Tracer
+from repro.obs.trace import Span, TraceContext
 from repro.profiling import Profile, Profiler
 
 #: Canonical service registry keys (also the profiler section names).
@@ -48,12 +45,12 @@ class ServiceRequest:
     identically on every backend (see :mod:`repro.serving.faults`).
 
     ``trace`` carries the parent span's picklable coordinates when the
-    call is part of a traced query: the service resumes the trace in its
-    own thread/process and ships the recorded spans back on the response
-    (see :mod:`repro.obs.trace`).  ``admitted_at`` is the dispatcher's
-    ``perf_counter`` reading when the request was handed to a backend, so
-    the service can measure queueing delay (``ServiceStats.wait_seconds``)
-    separately from service time.
+    call is part of a traced query: a stage handed to another thread
+    resumes the trace there and ships the recorded spans back on its
+    outcome (see :mod:`repro.obs.trace`).  ``admitted_at`` is the
+    dispatcher's ``perf_counter`` reading at hand-off, so the receiving
+    side can measure queueing delay (``wait_seconds``) separately from
+    service time.
     """
 
     payload: Any
@@ -69,7 +66,7 @@ class ServiceStats:
     """Per-call measurements, recorded uniformly for every stage."""
 
     service: str            #: service label, e.g. ``"ASR"``
-    seconds: float          #: wall seconds spent inside the service call
+    seconds: float          #: profiled seconds inside the call + virtual latency
     wait_seconds: float = 0.0  #: admission → invoke-start queueing delay
 
 
@@ -87,9 +84,9 @@ class ServiceResponse:
 class StageOutcome:
     """One plan stage's result, in the executor's own accounting terms.
 
-    Whatever ran the stage — the executor's serial bracket, a threaded
-    branch, or a streaming session ahead of ``run()`` — reports it in this
-    shape for :meth:`PlanExecutor._absorb`.  ``seconds`` is what
+    Built by :func:`repro.serving.executor.run_stage` wherever the stage
+    ran — in place, on a branch thread, or as a streaming session's bouts
+    ahead of ``run()`` — for :meth:`PlanExecutor._absorb`.  ``seconds`` is what
     ``service_seconds`` records (profiled time plus virtual latency);
     ``profile`` and ``spans`` carry what a branch's or session's *private*
     profiler and tracer recorded, and stay empty when the stage ran
@@ -100,6 +97,9 @@ class StageOutcome:
     error: Optional[SiriusError] = None
     seconds: float = 0.0
     virtual_seconds: float = 0.0
+    #: Admission-to-start delay, measured only when the stage was handed
+    #: to another thread (0 for a stage run in place).
+    wait_seconds: float = 0.0
     profile: Profile = field(default_factory=Profile)
     spans: Tuple[Span, ...] = ()
 
@@ -150,44 +150,32 @@ class Service(abc.ABC):
     def __call__(
         self, request: ServiceRequest, profiler: Optional[Profiler] = None
     ) -> ServiceResponse:
-        """One instrumented call: payload + :class:`ServiceStats` + profile.
+        """One instrumented standalone call: payload + :class:`ServiceStats` + profile.
 
-        When the request carries a :class:`~repro.obs.trace.TraceContext`
-        the call resumes the query's trace in this thread/process, wraps
-        itself in a service span, and ships the recorded spans home on the
-        response (or, on failure, on the exception's ``__sirius_spans__``
-        so the dispatcher can still adopt them).
+        An adapter over the executor's stage bracket, so ``stats`` reads
+        what a plan stage would be charged.  When the request carries a
+        :class:`~repro.obs.trace.TraceContext` the recorded spans ship home
+        on the response (or, on failure, on the re-raised error's
+        ``__sirius_spans__``).
         """
-        if request.trace is None:
-            return self._timed_call(request, profiler)
-        tracer = Tracer.resume(request.trace)
-        with use_tracer(tracer):
-            try:
-                with tracer.span(self.name, kind="service", service=self.label) as span:
-                    response = self._timed_call(request, profiler)
-                    span.wait = response.stats.wait_seconds
-            except SiriusError as exc:
-                exc.__sirius_spans__ = tracer.finish()
-                raise
-        response.spans = tracer.finish()
-        return response
+        # Imported lazily: the executor sits above the service layer.
+        from repro.serving.executor import run_handed_off
 
-    def _timed_call(
-        self, request: ServiceRequest, profiler: Optional[Profiler] = None
-    ) -> ServiceResponse:
-        profiler = profiler if profiler is not None else Profiler()
-        start = time.perf_counter()
-        wait = 0.0
-        if request.admitted_at is not None:
-            wait = max(start - request.admitted_at, 0.0)
-        payload = self.invoke(request, profiler)
-        seconds = time.perf_counter() - start
+        outcome = run_handed_off(
+            self, request, True, profiler if profiler is not None else Profiler()
+        )
+        if outcome.error is not None:
+            outcome.error.__sirius_spans__ = outcome.spans
+            raise outcome.error
         return ServiceResponse(
-            payload=payload,
+            payload=outcome.payload,
             stats=ServiceStats(
-                service=self.label, seconds=seconds, wait_seconds=wait
+                service=self.label,
+                seconds=outcome.seconds,
+                wait_seconds=outcome.wait_seconds,
             ),
-            profile=profiler.profile,
+            profile=outcome.profile,
+            spans=outcome.spans,
         )
 
     def __repr__(self) -> str:

@@ -34,11 +34,13 @@ engaging the incremental decoder until a second chunk or a ``partials()``
 poll proves the caller actually streams: the single-chunk session takes
 the very same ``decode_waveform`` path as the batch executor.
 
-**Span identity.**  The session's service span is constructed manually
-with the same deterministic IDs ``PlanExecutor._run_stage`` would mint
-(``span_id_for(trace, root, name, 0)``), kept open across work bouts that
-may land on different threads via :meth:`~repro.obs.trace.Tracer.reenter`,
-and handed to the executor inside :attr:`StageOutcome.spans` for adoption.
+**Span identity.**  The session resumes the query's trace at the root's
+coordinates and opens its service span with the executor's own
+:func:`~repro.serving.executor.begin_service_span`, so the IDs are the ones
+``PlanExecutor.run`` would mint.  The span stays open across work bouts
+that may land on different threads (:meth:`~repro.obs.trace.Tracer.reenter`),
+is closed by the executor's :func:`~repro.serving.executor.end_span`, and
+travels to the executor inside :attr:`StageOutcome.spans` for adoption.
 """
 
 from __future__ import annotations
@@ -51,18 +53,11 @@ import numpy as np
 
 from repro.asr.audio import Waveform
 from repro.asr.vad import EndpointConfig, StreamingEndpointer
-from repro.errors import SessionError
+from repro.errors import SessionError, SiriusError
 from repro.obs.context import use_tracer
-from repro.obs.trace import (
-    PARTIAL,
-    Span,
-    Tracer,
-    sort_key,
-    span_id_for,
-    trace_id_for,
-)
+from repro.obs.trace import PARTIAL, Span, Tracer
 from repro.profiling import Profiler
-from repro.serving.executor import run_stage
+from repro.serving.executor import begin_service_span, end_span, run_stage
 from repro.serving.service import Service, ServiceRequest, StageOutcome
 
 #: Session lifecycle states.
@@ -129,22 +124,15 @@ class ServiceSession:
         self._tracer: Optional[Tracer] = None
         self._span: Optional[Span] = None
         if seed is not None:
-            # Mint the service span exactly where _run_stage would: first
-            # same-named child of the query's root span.  The root itself is
-            # owned by the executor (run() recreates it deterministically).
-            self._tracer = Tracer(seed=seed)
-            trace_id = trace_id_for(seed, ordinal)
-            root_id = span_id_for(trace_id, "", "query", 0)
-            self._span = Span(
-                trace_id=trace_id,
-                span_id=span_id_for(trace_id, root_id, service.name, 0),
-                parent_id=root_id,
-                name=service.name,
-                kind="service",
-                service=service.label,
-                ordinal=ordinal,
-                start=self.opened_at,
-            )
+            # Open the service span exactly where run() would: under the
+            # query's root.  The root itself is owned by the executor (run()
+            # recreates it deterministically); only its coordinates are
+            # needed here.
+            root = Tracer(seed=seed)
+            root.begin_trace(ordinal)
+            self._tracer = Tracer.resume(root.context())
+            self._span = begin_service_span(self._tracer, service)
+            self._span.start = self.opened_at
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -198,7 +186,12 @@ class ServiceSession:
         self.state = CANCELLED
         if self._span is not None:
             self._span.attributes["cancelled"] = True
-        self._final_spans = self._end_span("SESSION")
+        self._final_spans = self._end_span(
+            SessionError(
+                f"session ordinal={self.ordinal} was cancelled (barge-in)",
+                service=self.service.name,
+            )
+        )
         return self.last_partial
 
     @property
@@ -252,7 +245,7 @@ class ServiceSession:
         totals; a captured error is the caller's to surface.
         """
         with self._bout():
-            bout = run_stage(self.service.name, call, self.profiler, self.record)
+            bout = run_stage(self.service, call, self.profiler, self.record)
         self._seconds += bout.seconds
         self._virtual += bout.virtual_seconds
         return bout
@@ -275,35 +268,26 @@ class ServiceSession:
             self._run_bout(lambda: self.service.invoke(request, self.profiler))
         )
 
-    def _end_span(self, error_code: str = "") -> Tuple[Span, ...]:
-        """Close the service span; returns it with everything under it."""
-        span = self._span
-        if span is None:
+    def _end_span(self, error: Optional[SiriusError]) -> Tuple[Span, ...]:
+        """Close the service span as ``run_stage`` closes a one-bout stage's;
+        returns it with everything under it."""
+        if self._span is None:
             return ()
-        span.end = time.perf_counter()
-        if error_code:
-            span.status = "error"
-            span.error_code = error_code
-        return tuple(sorted([*self._tracer.finish(), span], key=sort_key))
+        with self._bout():
+            end_span(self._tracer, self._span, error, self._virtual)
+        return self._tracer.finish()
 
     def _close(self, last: StageOutcome) -> StageOutcome:
-        """Close the service span the way ``_run_stage`` would, and pack up.
-
-        ``last`` is the final bout (its payload or error is the stage's);
-        seconds and virtual latency are the sums over every bout.
-        """
-        if self._span is not None and self._virtual > 0:
-            self._span.attributes["virtual_seconds"] = self._virtual
-        error = last.error
+        """Pack the stage up: ``last`` is the final bout (its payload or
+        error is the stage's); seconds and virtual latency are the sums
+        over every bout."""
         return StageOutcome(
             payload=last.payload,
-            error=error,
+            error=last.error,
             seconds=self._seconds,
             virtual_seconds=self._virtual,
             profile=self.profiler.profile,
-            spans=self._end_span(
-                getattr(error, "code", "SIRIUS") if error is not None else ""
-            ),
+            spans=self._end_span(last.error),
         )
 
     def _finalize(self) -> StageOutcome:

@@ -432,7 +432,7 @@ class UnpicklableEnvelopeField(SemanticRule):
 # ---------------------------------------------------------------------------
 
 #: Methods executors invoke concurrently on a shared Service instance.
-_HOT_METHODS = ("process", "invoke", "__call__", "_timed_call")
+_HOT_METHODS = ("process", "invoke", "__call__")
 #: Setup methods that run before concurrent dispatch begins.
 _SETUP_METHODS = ("__init__", "__post_init__", "warmup")
 

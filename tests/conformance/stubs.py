@@ -21,7 +21,8 @@ class StubText:
 
 
 class StubClassification:
-    is_action = False
+    def __init__(self, is_action=False):
+        self.is_action = is_action
 
 
 class StubQaStats:
@@ -50,7 +51,8 @@ class StubClassifier(Service):
     name, label = CLASSIFY, "CLASSIFY"
 
     def invoke(self, request, profiler):  # noqa: ARG002
-        return StubClassification()
+        # "command ..." transcripts are voice commands (no QA stage).
+        return StubClassification(request.payload.startswith("command"))
 
 
 class StubQa(Service):
@@ -113,3 +115,13 @@ def make_query(text, with_image=False):
 
 def make_queries(n=8):
     return [make_query(f"query {i}", with_image=(i % 2 == 0)) for i in range(n)]
+
+
+def make_mixed_queries(n=12):
+    """VC / VQ / VIQ in rotation: a command, a question, a question + image."""
+    return [
+        make_query(
+            f"{'command' if i % 3 == 0 else 'query'} {i}", with_image=(i % 3 == 2)
+        )
+        for i in range(n)
+    ]

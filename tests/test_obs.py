@@ -21,7 +21,12 @@ import pytest
 
 from repro.asr.audio import Waveform
 from repro.core import IPAQuery
-from repro.errors import ConfigurationError, SiriusError, TraceError
+from repro.errors import (
+    ConfigurationError,
+    InjectedFaultError,
+    SiriusError,
+    TraceError,
+)
 from repro.imm.image import Image
 from repro.obs import (
     ATTEMPT,
@@ -55,10 +60,13 @@ from repro.serving import (
     CLASSIFY,
     IMM,
     QA,
+    BufferingSession,
+    FaultInjector,
     FaultPlan,
     FaultRule,
     PlanExecutor,
     ResiliencePolicy,
+    ResilientService,
     RetryPolicy,
     Service,
     ServiceRequest,
@@ -66,7 +74,7 @@ from repro.serving import (
     resilient_executor,
 )
 from repro.serving.identity import span_fingerprint
-from repro.serving.faults import ERROR, LATENCY, VirtualLatencyAware, charge_virtual_seconds
+from repro.serving.faults import ERROR, LATENCY, charge_virtual_seconds
 
 
 # -- stubs (module level so payloads pickle across the process backend) ------------
@@ -502,6 +510,97 @@ class TestExecutorTracing:
         assert registry.histogram("serve.e2e.seconds").count == 4
         assert registry.counter("serve.ok").value == 4
 
+    def test_threaded_branches_account_like_serial(self):
+        # Both branches of a VIQ carry injected latency.  The threaded walk
+        # used to go through a second bracket that dropped it from the
+        # query (a stage outlasting its query) along with the qa/imm
+        # sections and their spans.
+        plan = FaultPlan(seed=0, rules={
+            QA: (FaultRule(kind=LATENCY, seconds=5.0),),
+            IMM: (FaultRule(kind=LATENCY, seconds=2.0),),
+        })
+        query = make_query("hello", with_image=True)
+
+        def run(**kwargs):
+            services = {name: FaultInjector(service, plan)
+                        for name, service in stub_services().items()}
+            return PlanExecutor(services, trace_seed=7).run(query, **kwargs)
+
+        def root_virtual(response):
+            root = next(s for s in response.spans if s.kind == QUERY)
+            return root.attributes.get("virtual_seconds")
+
+        serial, threaded = run(), run(parallel_branches=True)
+        assert root_virtual(serial) == 7.0
+        assert root_virtual(threaded) == root_virtual(serial)
+        assert threaded.wall_seconds >= 7.0
+        for label in ("QA", "IMM"):
+            assert threaded.service_seconds[label] <= threaded.wall_seconds
+        assert set(threaded.profile.seconds) == set(serial.profile.seconds)
+        assert {"qa", "imm"} <= set(threaded.profile.seconds)
+        assert span_fingerprint([threaded]) == span_fingerprint([serial])
+
+    def test_threaded_branch_error_keeps_virtual_seconds(self):
+        class SlowThenDeadQa(Service):
+            name, label = QA, "QA"
+
+            def invoke(self, request, profiler):
+                with profiler.section("qa.search"):
+                    charge_virtual_seconds(3.0)
+                    raise InjectedFaultError("slow, then dead", service=QA)
+
+        query = make_query("hello", with_image=True)
+
+        def run(**kwargs):
+            services = {**stub_services(), QA: SlowThenDeadQa()}
+            return PlanExecutor(services, trace_seed=7).run(query, **kwargs)
+
+        serial, threaded = run(), run(parallel_branches=True)
+        assert threaded.failures == serial.failures == {"QA": "INJECTED"}
+        assert threaded.wall_seconds >= 3.0
+        # A failed branch keeps the sections it got through, as in place.
+        assert set(threaded.profile.seconds) == set(serial.profile.seconds)
+        assert span_fingerprint([threaded]) == span_fingerprint([serial])
+
+    def test_failed_session_keeps_profile_like_batch(self):
+        # A failed stage keeps the sections it got through wherever it ran:
+        # a session's private profile used to be dropped on error.
+        class DyingAsr(Service):
+            name, label = ASR, "ASR"
+
+            def invoke(self, request, profiler):
+                with profiler.section("asr.decode"):
+                    raise InjectedFaultError("dead", service=ASR)
+
+        executor = PlanExecutor({**stub_services(), ASR: DyingAsr()}, trace_seed=7)
+        query = make_query("hello")
+        batch = executor.run(query, on_error="degrade")
+        session = executor.services[ASR].open_session(query=query, seed=7)
+        session.feed(query.audio)
+        streamed = executor.run(
+            query, on_error="degrade", precomputed={ASR: session.finish()},
+            wall_start=session.opened_at,
+        )
+        assert streamed.failed and batch.failed
+        assert set(batch.profile.seconds) == {"asr", "asr.decode"}
+        assert set(streamed.profile.seconds) == set(batch.profile.seconds)
+        assert span_fingerprint([streamed]) == span_fingerprint([batch])
+
+    def test_barge_in_after_virtual_latency_bout(self):
+        # cancel() closes the service span the way the bracket closes any
+        # stage's: virtual latency charged by earlier bouts is stamped on it.
+        class SlowFeedSession(BufferingSession):
+            def feed(self, chunk):
+                self._run_bout(lambda: charge_virtual_seconds(1.5))
+                return super().feed(chunk)
+
+        session = SlowFeedSession(StubAsr(), seed=7)
+        session.feed("hel")
+        session.cancel()
+        (span,) = [s for s in session.spans if s.kind == SERVICE]
+        assert (span.status, span.error_code) == ("error", "SESSION")
+        assert span.attributes == {"cancelled": True, "virtual_seconds": 1.5}
+
     def test_metrics_recorded_for_plain_runs(self):
         registry = MetricsRegistry()
         executor = PlanExecutor(stub_services(), metrics=registry)
@@ -510,10 +609,11 @@ class TestExecutorTracing:
         assert registry.histogram("serve.qa.seconds").count == 3
 
     def test_virtual_latency_preserves_stats_fields(self):
-        # Regression (satellite): the virtual-latency restamp used to
-        # rebuild ServiceStats field by field, silently dropping newer
-        # measured fields like wait_seconds.
-        class ChargingQa(VirtualLatencyAware):
+        # Service.__call__ reads the stage bracket's accounting whatever the
+        # service is wrapped in: seconds includes charged virtual latency
+        # and the measured admission wait survives beside it (a restamp used
+        # to rebuild ServiceStats field by field, dropping wait_seconds).
+        class ChargingQa(Service):
             name, label = QA, "QA"
 
             def invoke(self, request, profiler):  # noqa: ARG002
@@ -521,10 +621,15 @@ class TestExecutorTracing:
                 return StubAnswer("slow")
 
         import time
-        request = ServiceRequest(payload="q", admitted_at=time.perf_counter())
-        response = ChargingQa()(request)
-        assert response.stats.seconds >= 2.0
-        assert response.stats.wait_seconds > 0.0  # survived the restamp
+        for service in (
+            ChargingQa(),
+            FaultInjector(ChargingQa(), FaultPlan(seed=0, rules={})),
+            ResilientService(ChargingQa(), FAST_RETRY),
+        ):
+            request = ServiceRequest(payload="q", admitted_at=time.perf_counter())
+            response = service(request)
+            assert response.stats.seconds >= 2.0, service
+            assert response.stats.wait_seconds > 0.0, service
 
 
 class TestReport:

@@ -19,6 +19,7 @@ from repro.serving import (
     register_backend,
 )
 from repro.serving.backends import _REGISTRY
+from repro.serving.identity import replay_divergence
 
 
 def _double(value):
@@ -221,3 +222,21 @@ class TestServingEquivalence:
             assert overlapped.answer == serial.answer
             assert overlapped.matched_image == serial.matched_image
             assert set(overlapped.service_seconds) == {"ASR", "QA", "IMM"}
+
+    def test_parallel_branches_same_sections_and_forest(
+        self, sirius_pipeline, input_set
+    ):
+        # Threaded branches run the same stage bracket as serial stages: the
+        # qa/imm sections (Fig 9's service-exclusive rows) and the whole
+        # timing-stripped span forest come out the same either way.
+        executor = sirius_pipeline.serving
+        query = input_set.voice_image_queries[0]
+        executor.trace_seed = 11
+        try:
+            serial = executor.run(query)
+            overlapped = executor.run(query, parallel_branches=True)
+        finally:
+            executor.trace_seed = None
+        assert set(overlapped.profile.seconds) == set(serial.profile.seconds)
+        assert {"qa", "imm"} <= set(overlapped.profile.seconds)
+        assert replay_divergence([overlapped], [serial]) == (None, None)
