@@ -9,6 +9,8 @@ the whole front-end is self-contained.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Tuple
 
 import numpy as np
 
@@ -83,17 +85,18 @@ def dct_matrix(n_output: int, n_input: int) -> np.ndarray:
 
 
 def frame_signal(samples: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
-    """(n_frames, frame_size) view of overlapping frames (zero-padded tail)."""
+    """(n_frames, frame_size) read-only view of overlapping frames (a signal
+    shorter than one frame is zero-padded to one)."""
     if len(samples) < frame_size:
         samples = np.pad(samples, (0, frame_size - len(samples)))
-    n_frames = 1 + (len(samples) - frame_size) // hop
-    indices = np.arange(frame_size)[None, :] + hop * np.arange(n_frames)[:, None]
-    return samples[indices]
+    return np.lib.stride_tricks.sliding_window_view(samples, frame_size)[::hop]
 
 
 def compute_deltas(features: np.ndarray, window: int = 2) -> np.ndarray:
-    """First-order regression deltas over ±``window`` frames."""
-    padded = np.pad(features, ((window, window), (0, 0)), mode="edge")
+    """First-order regression deltas over ±``window`` frames (edge-padded)."""
+    padded = np.concatenate(
+        (features[:1],) * window + (features,) + (features[-1:],) * window
+    )
     numerator = np.zeros_like(features)
     for offset in range(1, window + 1):
         numerator += offset * (
@@ -104,35 +107,37 @@ def compute_deltas(features: np.ndarray, window: int = 2) -> np.ndarray:
     return numerator / denominator
 
 
+@lru_cache(maxsize=32)
+def _tables(config: FeatureConfig, rate: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Hamming window, mel filterbank, DCT matrix) for one configuration at
+    one sample rate: they depend on nothing else, so they are built once per
+    process — not per extractor, streaming session or push."""
+    frame_size = int(config.frame_length * rate)
+    n_fft = 1 << (frame_size - 1).bit_length()
+    tables = (
+        np.hamming(frame_size),
+        mel_filterbank(config.n_filters, n_fft, rate, config.low_freq, config.high_freq),
+        dct_matrix(config.n_coefficients, config.n_filters),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 class FeatureExtractor:
     """Waveform → (n_frames, dimension) MFCC matrix."""
 
     def __init__(self, config: FeatureConfig = FeatureConfig()):
         self.config = config
-        self._bank_cache = {}
-        self._dct = dct_matrix(config.n_coefficients, config.n_filters)
 
     def extract(self, waveform: Waveform) -> np.ndarray:
         config = self.config
-        rate = waveform.sample_rate
         samples = waveform.samples.astype(float)
         if config.pre_emphasis > 0 and len(samples) > 1:
             samples = np.concatenate(
                 [samples[:1], samples[1:] - config.pre_emphasis * samples[:-1]]
             )
-        frame_size = int(config.frame_length * rate)
-        hop = int(config.frame_hop * rate)
-        frames = frame_signal(samples, frame_size, hop)
-        frames = frames * np.hamming(frame_size)[None, :]
-
-        n_fft = 1 << (frame_size - 1).bit_length()
-        spectrum = np.fft.rfft(frames, n=n_fft, axis=1)
-        power = (np.abs(spectrum) ** 2) / n_fft
-
-        bank = self._filterbank(n_fft, rate)
-        energies = power @ bank.T
-        log_energies = np.log(np.maximum(energies, 1e-12))
-        cepstra = log_energies @ self._dct.T
+        cepstra = self.static_cepstra(samples, waveform.sample_rate)
         if config.cmvn and len(cepstra) > 1:
             mean = cepstra.mean(axis=0, keepdims=True)
             std = cepstra.std(axis=0, keepdims=True)
@@ -141,13 +146,21 @@ class FeatureExtractor:
             cepstra = np.hstack([cepstra, compute_deltas(cepstra)])
         return cepstra
 
-    def _filterbank(self, n_fft: int, rate: int) -> np.ndarray:
-        key = (n_fft, rate)
-        if key not in self._bank_cache:
-            self._bank_cache[key] = mel_filterbank(
-                self.config.n_filters, n_fft, rate, self.config.low_freq, self.config.high_freq
-            )
-        return self._bank_cache[key]
+    def static_cepstra(self, samples: np.ndarray, rate: int) -> np.ndarray:
+        """Window → power spectrum → mel → log → DCT of float ``samples`` as
+        given: the per-frame part of :meth:`extract`, without pre-emphasis,
+        CMVN or deltas (which need cross-chunk or whole-utterance context and
+        are the streaming front-end's own to apply)."""
+        window, bank, dct = _tables(self.config, rate)
+        hop = int(self.config.frame_hop * rate)
+        frames = frame_signal(samples, len(window), hop) * window
+
+        n_fft = 1 << (len(window) - 1).bit_length()
+        spectrum = np.fft.rfft(frames, n=n_fft, axis=1)
+        power = (np.abs(spectrum) ** 2) / n_fft
+
+        log_energies = np.log(np.maximum(power @ bank.T, 1e-12))
+        return log_energies @ dct.T
 
     def frames_for_samples(self, n_samples: int, rate: int) -> int:
         """How many frames :meth:`extract` yields for ``n_samples`` samples."""

@@ -15,11 +15,10 @@ Real IPAs decode while the user is still talking.  This module provides:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.asr.audio import Waveform
 from repro.asr.decoder import DecodeResult, Decoder, ViterbiSearch
 from repro.asr.features import FeatureConfig, FeatureExtractor, compute_deltas
 from repro.errors import DecodingError
@@ -31,7 +30,10 @@ class StreamingFeatureExtractor:
 
     ``push(samples)`` returns any newly completed feature rows; ``flush()``
     pads the tail (edge-style, matching the offline extractor) and returns
-    the remaining rows.
+    the remaining rows.  State is constant in utterance length: the
+    pre-emphasised samples no complete frame has consumed yet (less than one
+    frame window) and the static rows the next release still reads (the
+    ``2 * LOOKAHEAD`` context rows plus whatever is unreleased).
     """
 
     LOOKAHEAD = 2  # frames of future context the delta window needs
@@ -39,77 +41,69 @@ class StreamingFeatureExtractor:
     def __init__(self, config: FeatureConfig = FeatureConfig(), sample_rate: int = 16000):
         self.config = config
         self.sample_rate = sample_rate
-        # Pre-emphasis is applied incrementally here (it needs one sample of
-        # cross-chunk context), so the inner extractor runs with it off.
-        self._extractor = FeatureExtractor(
-            FeatureConfig(
-                frame_length=config.frame_length,
-                frame_hop=config.frame_hop,
-                n_filters=config.n_filters,
-                n_coefficients=config.n_coefficients,
-                pre_emphasis=0.0,
-                low_freq=config.low_freq,
-                high_freq=config.high_freq,
-                add_deltas=False,
-                cmvn=False,  # CMVN needs the whole utterance; not streamable
-            )
-        )
+        # Only ``static_cepstra`` is used: pre-emphasis is applied here (it
+        # needs one sample of cross-chunk context), deltas over the lookahead
+        # window, and CMVN needs the whole utterance, so it is not streamable.
+        self._extractor = FeatureExtractor(config)
         self._frame_size = int(config.frame_length * sample_rate)
         self._hop = int(config.frame_hop * sample_rate)
-        self._sample_buffer = np.zeros(0)
+        self._samples = np.zeros(0)             # pre-emphasised, not yet consumed
         self._prev_raw: Optional[float] = None  # last raw sample (pre-emphasis carry)
-        self._cepstra: List[np.ndarray] = []   # all static frames so far
+        self._static = np.zeros((0, config.n_coefficients))  # context + unreleased rows
+        self._n_static = 0                      # static frames computed so far
         self._emitted = 0                       # frames already released
 
     def push(self, samples: np.ndarray) -> np.ndarray:
         """Add audio; return newly available (n, dim) feature rows."""
         samples = np.asarray(samples, dtype=float).ravel()
         if len(samples):
+            carried = len(self._samples)
+            buffer = np.empty(carried + len(samples))
+            buffer[:carried] = self._samples
+            fresh = buffer[carried:]
             # Incremental pre-emphasis: y[i] = x[i] - a*x[i-1], carrying the
             # previous chunk's last raw sample (first sample passes through,
             # as in the offline extractor).
             alpha = self.config.pre_emphasis
             if alpha > 0:
-                previous = np.empty_like(samples)
-                previous[1:] = samples[:-1]
-                if self._prev_raw is None:
-                    emphasized = samples.copy()
-                    previous[0] = 0.0
-                    emphasized[1:] = samples[1:] - alpha * previous[1:]
-                else:
-                    previous[0] = self._prev_raw
-                    emphasized = samples - alpha * previous
+                np.multiply(samples[:-1], alpha, out=fresh[1:])
+                np.subtract(samples[1:], fresh[1:], out=fresh[1:])
+                fresh[0] = samples[0]
+                if self._prev_raw is not None:
+                    fresh[0] -= alpha * self._prev_raw
                 self._prev_raw = float(samples[-1])
-                samples = emphasized
-            self._sample_buffer = np.concatenate([self._sample_buffer, samples])
+            else:
+                fresh[:] = samples
+            self._samples = buffer
         # Process every complete frame window currently in the buffer.
-        n_ready = 1 + (len(self._sample_buffer) - self._frame_size) // self._hop
+        n_ready = 1 + (len(self._samples) - self._frame_size) // self._hop
         if n_ready > 0:
-            used = (n_ready - 1) * self._hop + self._frame_size
-            rows = self._extractor.extract(
-                Waveform(self._sample_buffer[:used], self.sample_rate)
-            )
-            self._cepstra.extend(rows[:n_ready])
-            self._sample_buffer = self._sample_buffer[n_ready * self._hop :]
+            self._add_static(self._extractor.static_cepstra(self._samples, self.sample_rate))
+            self._samples = self._samples[n_ready * self._hop :]
         return self._release(final=False)
 
+    def _add_static(self, rows: np.ndarray) -> None:
+        self._static = np.concatenate([self._static, rows])
+        self._n_static += len(rows)
+
     def _release(self, final: bool) -> np.ndarray:
-        available = len(self._cepstra) - (0 if final else self.LOOKAHEAD)
+        available = self._n_static - (0 if final else self.LOOKAHEAD)
         if available <= self._emitted:
             return np.zeros((0, self.config.dimension))
         # Row i's delta reads rows i-2 .. i+2, so the rows to emit need only
-        # this window of the history.  ``compute_deltas`` edge-pads the
+        # the held window of the history.  ``compute_deltas`` edge-pads the
         # window, which is the offline padding where the window starts at
         # row 0 or (on flush) ends at the last row, and otherwise only
         # reaches the two context rows on each side, which are not emitted.
-        low = max(self._emitted - self.LOOKAHEAD, 0)
-        static = np.vstack(self._cepstra[low:])
+        static = self._static
+        low = self._n_static - len(static)
         if self.config.add_deltas:
             full = np.hstack([static, compute_deltas(static)])
         else:
             full = static
         rows = full[self._emitted - low : available - low]
         self._emitted = available
+        self._static = static[max(available - self.LOOKAHEAD - low, 0) :]
         return rows
 
     def flush(self) -> np.ndarray:
@@ -121,15 +115,12 @@ class StreamingFeatureExtractor:
         A stream that received no samples at all stays empty — padding it
         would fabricate a frame out of nothing.
         """
-        if not self._cepstra and len(self._sample_buffer):
+        if not self._n_static and len(self._samples):
             # Sub-frame utterance: the buffer holds every (already
-            # pre-emphasized) sample; pad with zeros exactly as the offline
-            # path pads the raw signal after its own pre-emphasis.
-            padded = np.zeros(self._frame_size)
-            padded[: len(self._sample_buffer)] = self._sample_buffer
-            rows = self._extractor.extract(Waveform(padded, self.sample_rate))
-            self._cepstra.extend(rows[:1])
-            self._sample_buffer = np.zeros(0)
+            # pre-emphasized) sample, and framing zero-pads it exactly as the
+            # offline path pads the raw signal after its own pre-emphasis.
+            self._add_static(self._extractor.static_cepstra(self._samples, self.sample_rate))
+            self._samples = np.zeros(0)
         return self._release(final=True)
 
     @property

@@ -9,6 +9,7 @@ trim or segment a waveform.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import List
 
@@ -155,6 +156,13 @@ class StreamingEndpointer:
     ``max_floor_db``).  Speech raises the trigger; ``min_trailing_silence``
     consecutive quiet frames after speech mark the endpoint.  Deterministic:
     decisions depend only on the samples, never on wall time.
+
+    The energies are kept in sorted order (one ``insort`` per frame) and the
+    floor is read from them by index with numpy's own linear-method
+    arithmetic, so it is bit-equal to ``np.percentile(energies_so_far,
+    floor_percentile)`` at every frame without re-partitioning the history
+    (``tests/test_asr_vad.py::TestIncrementalFloor`` holds it to ``==``).
+    Once endpointed, further audio is ignored, not buffered.
     """
 
     def __init__(self, config: EndpointConfig = EndpointConfig(),
@@ -167,36 +175,46 @@ class StreamingEndpointer:
     def reset(self) -> None:
         """Forget all audio (new utterance on the same channel)."""
         self._buffer = np.zeros(0)
-        self._energies: List[float] = []
+        self._sorted: List[float] = []   # every frame energy so far, ascending
         self.speech_started = False
         self.endpointed = False
         self._trailing_silence = 0
 
     @property
     def frames_seen(self) -> int:
-        return len(self._energies)
+        return len(self._sorted)
+
+    def _floor(self) -> float:
+        """``np.percentile(energies, floor_percentile)`` off the sorted list:
+        numpy's ``linear`` method, two-sided lerp included."""
+        last = len(self._sorted) - 1
+        virtual = last * (self.config.vad.floor_percentile / 100)
+        low = int(virtual)
+        below, above = self._sorted[low], self._sorted[min(low + 1, last)]
+        t = virtual - low
+        if t < 0.5:
+            return below + (above - below) * t
+        return above - (above - below) * (1 - t)
 
     def push(self, samples: np.ndarray) -> bool:
         """Add audio; returns the (possibly just-flipped) endpoint flag."""
+        if self.endpointed:
+            return True
         samples = np.asarray(samples, dtype=float).ravel()
         if len(samples):
             self._buffer = np.concatenate([self._buffer, samples])
         n_frames = len(self._buffer) // self._frame
-        if n_frames == 0 or self.endpointed:
-            return self.endpointed
+        if n_frames == 0:
+            return False
         frames = self._buffer[: n_frames * self._frame].reshape(
             n_frames, self._frame
         )
         self._buffer = self._buffer[n_frames * self._frame :]
         rms = np.sqrt((frames**2).mean(axis=1))
-        energies = 20.0 * np.log10(np.maximum(rms, 1e-5))
         vad = self.config.vad
-        for energy in energies:
-            self._energies.append(float(energy))
-            floor = min(
-                float(np.percentile(self._energies, vad.floor_percentile)),
-                vad.max_floor_db,
-            )
+        for energy in (20.0 * np.log10(np.maximum(rms, 1e-5))).tolist():
+            insort(self._sorted, energy)
+            floor = min(self._floor(), vad.max_floor_db)
             if energy > floor + vad.threshold_db:
                 self.speech_started = True
                 self._trailing_silence = 0

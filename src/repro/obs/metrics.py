@@ -86,7 +86,12 @@ DEFAULT_MAX_SAMPLES = 4096
 
 
 def percentile(samples: Sequence[float], p: float) -> float:
-    """Exact percentile with linear interpolation (numpy's default).
+    """Exact percentile with linear interpolation (numpy's default method).
+
+    The interpolation is the one-sided ``a + t * (b - a)``; ``np.percentile``
+    switches to ``b - (b - a) * (1 - t)`` from ``t = 0.5``, so the two can
+    differ in the last ulp there (agreement to machine precision, not ``==``;
+    the pinned reports depend on this form, so it stays).
 
     ``p`` in [0, 100].  Returns 0.0 for an empty sample set so reports on
     quiet services render without special-casing.

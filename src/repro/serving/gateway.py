@@ -9,10 +9,11 @@ sessions over one event loop:
   ServiceSession` with a **deterministic ordinal** assigned at open, so
   resilience jitter and injected faults replay byte-identically however
   the audio interleaves;
-- ``feed`` bouts (decoding work, partial extraction) run on a thread pool
-  via ``run_in_executor`` — the event loop itself never blocks, which is
-  the whole point of an async front door (and what statcheck's SC801
-  async-hygiene rule checks);
+- every gateway operation is **one** submission to a thread pool via
+  ``run_in_executor`` (``feed`` decodes the chunk and extracts its partials
+  in one callable; finalization finishes ASR and runs downstream in one) —
+  the event loop itself never blocks, which is the whole point of an async
+  front door (and what statcheck's SC801 async-hygiene rule checks);
 - the moment the VAD endpointer closes an utterance, the gateway fires
   the downstream plan stages (classify → QA/IMM) as a background task
   while other sessions' audio is still arriving; ``finish()`` merely
@@ -90,22 +91,28 @@ class GatewaySession:
             if self._task is not None or self._cancelled:
                 self.late_chunks += 1
                 return True
-            endpointed = await self.gateway._call(self.session.feed, chunk)
-            if self.gateway.poll_on_feed:
-                await self._poll_locked()
+            endpointed, fresh = await self.gateway._call(self._feed, chunk)
+            self._heard(fresh)
         if endpointed and self.gateway.auto_finalize:
             self._launch()
         return endpointed
+
+    def _feed(self, chunk: Any) -> Tuple[bool, List[str]]:
+        """Blocking: one chunk in and, with ``poll_on_feed``, its partials out
+        (both in the one pool submission ``feed`` makes)."""
+        endpointed = self.session.feed(chunk)
+        fresh = self.session.partials() if self.gateway.poll_on_feed else []
+        return endpointed, fresh
 
     async def poll(self) -> List[str]:
         """Explicitly poll for new partial hypotheses."""
         async with self._lock:
             if self._task is not None or self._cancelled:
                 return []
-            return await self._poll_locked()
+            return self._heard(await self.gateway._call(self.session.partials))
 
-    async def _poll_locked(self) -> List[str]:
-        fresh = await self.gateway._call(self.session.partials)
+    def _heard(self, fresh: List[str]) -> List[str]:
+        """On the loop: record fresh partials, stamping TTFP at the first."""
         if fresh:
             if not self.partials and self.ttfp is None:
                 self.ttfp = time.perf_counter() - self.opened_at
@@ -148,14 +155,14 @@ class GatewaySession:
 
     async def _finalize(self):
         async with self._lock:
-            outcome = await self.gateway._call(self.session.finish)
-            response = await self.gateway._call(self._downstream, outcome)
+            response = await self.gateway._call(self._downstream)
         self.response = response
         self.gateway._record(response, self.ordinal)
         return response
 
-    def _downstream(self, outcome):
-        """Blocking: classify → QA/IMM off the finished ASR stage."""
+    def _downstream(self):
+        """Blocking: finish the ASR stage, then classify → QA/IMM off it."""
+        outcome = self.session.finish()
         return self.gateway.executor.run(
             self.query,
             ordinal=self.ordinal,

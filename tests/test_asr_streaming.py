@@ -72,6 +72,50 @@ class TestStreamingFeatures:
         assert len(online) == len(FeatureExtractor().extract(wave))
         assert online[:, static.shape[1] :].tobytes() == compute_deltas(static).tobytes()
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        rows=st.sampled_from([1, 2, 3, 5, 50]),
+        window=st.sampled_from([1, 2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_deltas_equal_the_np_pad_formulation(self, rows, window, seed):
+        """``compute_deltas`` pads by repeating the edge rows itself; the
+        ``np.pad(mode="edge")`` formulation it replaced is the reference."""
+        features = np.random.default_rng(seed).normal(0, 3, (rows, 13))
+        padded = np.pad(features, ((window, window), (0, 0)), mode="edge")
+        numerator = np.zeros_like(features)
+        for offset in range(1, window + 1):
+            numerator += offset * (
+                padded[window + offset : window + offset + rows]
+                - padded[window - offset : window - offset + rows]
+            )
+        reference = numerator / (2.0 * sum(o**2 for o in range(1, window + 1)))
+        assert compute_deltas(features, window).tobytes() == reference.tobytes()
+
+    def test_held_rows_are_constant_in_utterance_length(self, monkeypatch):
+        """Ten seconds in 100 ms pushes: the static rows held never exceed the
+        delta context plus one push's worth, and less than one frame window
+        of samples waits between pushes."""
+        from repro.asr import streaming as module
+
+        held = []
+        monkeypatch.setattr(
+            module, "compute_deltas",
+            lambda static: held.append(len(static)) or compute_deltas(static),
+        )
+        config = FeatureExtractor().config
+        streaming = StreamingFeatureExtractor(config)
+        audio = np.random.default_rng(9).normal(0, 0.1, 10 * 16000)
+        chunk, hop, frame = 1600, int(config.frame_hop * 16000), int(config.frame_length * 16000)
+        emitted = 0
+        for start in range(0, len(audio), chunk):
+            emitted += len(streaming.push(audio[start : start + chunk]))
+            assert len(streaming._static) <= 2 * streaming.LOOKAHEAD
+            assert len(streaming._samples) < frame
+        emitted += len(streaming.flush())
+        assert emitted == len(FeatureExtractor().extract(Waveform(audio)))
+        assert max(held) <= 2 * streaming.LOOKAHEAD + chunk // hop
+
     def test_empty_pushes_are_noops(self):
         streaming = StreamingFeatureExtractor(FeatureExtractor().config)
         assert streaming.push(np.zeros(0)).shape[0] == 0

@@ -13,10 +13,15 @@ Layout follows the acceptance criteria:
   spans with attributes, positive TTFP;
 - the VAD endpointer unit behaviour;
 - the asyncio gateway: 50 concurrent sessions, endpoint auto-fire with
-  late-chunk dropping, barge-in, and chaos replay determinism.
+  late-chunk dropping, barge-in, and chaos replay determinism;
+- one pool submission per gateway operation, and the 50-session stream's
+  transcripts, partial counts and endpoint decisions against the golden
+  written at the commit that still took two hops per ``feed``.
 """
 
+import asyncio
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -40,6 +45,7 @@ from repro.serving import (
     serve_streams,
 )
 from repro.serving.identity import outcome_fingerprint, span_fingerprint
+from tests.test_streaming_golden import GATEWAY_KEY, GOLDEN, gateway_trace
 
 CHAOS_SEED = 11
 
@@ -378,8 +384,6 @@ class TestStreamingGateway:
         assert report.responses[0].transcript == reference.transcript
 
     def test_barge_in(self, traced_executor, input_set):
-        import asyncio
-
         query = input_set.all_queries[0]
         chunks = chunk_waveform(query.audio, 0.1)
 
@@ -410,3 +414,90 @@ class TestStreamingGateway:
         del no_asr.services[ASR]
         with pytest.raises(ConfigurationError):
             StreamingGateway(no_asr)
+
+
+def _submissions(executor, session, **gateway_options):
+    """How many callables the gateway's pool is handed while ``session(gateway)``
+    (a coroutine function) runs on a fresh gateway."""
+
+    async def drive():
+        gateway = StreamingGateway(executor, **gateway_options)
+        submit = gateway._pool.submit
+        submitted = []
+
+        def counting_submit(fn, *args, **kwargs):
+            submitted.append(fn)
+            return submit(fn, *args, **kwargs)
+
+        gateway._pool.submit = counting_submit
+        try:
+            await session(gateway)
+        finally:
+            gateway.close()
+        return len(submitted)
+
+    return asyncio.run(drive())
+
+
+class TestOneHopPerOperation:
+    """A gateway operation is one pool submission (``feed`` with its poll,
+    ``poll``, finalization with its downstream stages)."""
+
+    @pytest.fixture
+    def spoken(self, input_set):
+        query = input_set.all_queries[0]
+        return query, chunk_waveform(query.audio, 0.1)
+
+    def test_poll_on_feed_session_is_chunks_plus_one(self, traced_executor, spoken):
+        query, chunks = spoken
+
+        async def session(gateway):
+            handle = gateway.open_session(query)
+            for chunk in chunks:
+                await handle.feed(chunk)
+            response = await handle.finish()
+            assert handle.partials and response.transcript == handle.partials[-1]
+
+        assert _submissions(traced_executor, session) == len(chunks) + 1
+
+    def test_explicit_polls_cost_one_each(self, traced_executor, spoken):
+        query, chunks = spoken
+        polls = 3
+
+        async def session(gateway):
+            handle = gateway.open_session(query)
+            for index, chunk in enumerate(chunks):
+                await handle.feed(chunk)
+                if index < polls:
+                    await handle.poll()
+            await handle.finish()
+
+        assert (
+            _submissions(traced_executor, session, poll_on_feed=False)
+            == len(chunks) + polls + 1
+        )
+
+    def test_failing_feed_propagates_without_a_poll(self, traced_executor, spoken):
+        query, chunks = spoken
+        polled = []
+
+        async def session(gateway):
+            handle = gateway.open_session(query)
+            await handle.feed(chunks[0])
+
+            def broken_feed(chunk):
+                raise SessionError("microphone unplugged", service=ASR)
+
+            handle.session.feed = broken_feed
+            handle.session.partials = lambda: polled.append(True) or []
+            with pytest.raises(SessionError, match="unplugged"):
+                await handle.feed(chunks[1])
+            assert handle.late_chunks == 0 and handle.state == "listening"
+
+        assert _submissions(traced_executor, session) == 2
+        assert not polled
+
+    def test_fifty_sessions_match_parent_golden(self, sirius_pipeline, input_set):
+        expected = json.loads(GOLDEN.read_text())[GATEWAY_KEY]
+        assert expected["late_chunks"] > 0 and any(expected["endpointed"])
+        assert gateway_trace(sirius_pipeline.serving, input_set) == expected
