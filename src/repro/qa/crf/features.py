@@ -61,52 +61,65 @@ def _shape(token: str) -> str:
     return "".join(shape_chars)
 
 
+def sentence_features(tokens: Sequence[str]) -> List[List[str]]:
+    """Feature names active at every position of a sentence, one list per
+    token: the one template list, each token lower-cased once."""
+    lowered = [token.lower() for token in tokens]
+    last = len(tokens) - 1
+    rows: List[List[str]] = []
+    for position, token in enumerate(tokens):
+        lower = lowered[position]
+        shape = _shape(token)
+        features = [
+            "w=" + token,
+            "lower=" + lower,
+            "shape=" + shape,
+            "pref1=" + lower[:1],
+            "pref2=" + lower[:2],
+            "pref3=" + lower[:3],
+            "suf1=" + lower[-1:],
+            "suf2=" + lower[-2:],
+            "suf3=" + lower[-3:],
+        ]
+        # The shape has one code per run of characters, "d" for digits only.
+        if shape == "d":
+            features.append("isdigit")
+        if "d" in shape:
+            features.append("hasdigit")
+        if shape[:1] == "X":
+            features.append("istitle")
+        features.append("prev=" + lowered[position - 1] if position else "BOS")
+        features.append("next=" + lowered[position + 1] if position < last else "EOS")
+        rows.append(features)
+    return rows
+
+
 def token_features(tokens: Sequence[str], position: int) -> List[str]:
-    """Feature names active for ``tokens[position]``.
+    """Feature names active for ``tokens[position]``: one row of :func:`sentence_features`.
 
     >>> token_features(["Who", "was", "elected"], 2)[:2]
     ['w=elected', 'lower=elected']
     """
-    token = tokens[position]
-    lower = token.lower()
-    features = [
-        f"w={token}",
-        f"lower={lower}",
-        f"shape={_shape(token)}",
-        f"pref1={lower[:1]}",
-        f"pref2={lower[:2]}",
-        f"pref3={lower[:3]}",
-        f"suf1={lower[-1:]}",
-        f"suf2={lower[-2:]}",
-        f"suf3={lower[-3:]}",
+    return sentence_features(tokens)[position]
+
+
+def extract_ids(tokens: Sequence[str], feature_map: FeatureMap) -> List[List[int]]:
+    """Feature-id lists for every position of a training sentence.
+
+    The interning walk: an unfrozen map gives unseen names the next ids, in
+    template order.  Inference uses :func:`lookup_ids`, which never grows it.
+    """
+    intern = feature_map.intern
+    return [
+        [interned for name in features if (interned := intern(name)) >= 0]
+        for features in sentence_features(tokens)
     ]
-    if token.isdigit():
-        features.append("isdigit")
-    if any(char.isdigit() for char in token):
-        features.append("hasdigit")
-    if token[:1].isupper():
-        features.append("istitle")
-    if position == 0:
-        features.append("BOS")
-    else:
-        features.append(f"prev={tokens[position - 1].lower()}")
-    if position == len(tokens) - 1:
-        features.append("EOS")
-    else:
-        features.append(f"next={tokens[position + 1].lower()}")
-    return features
 
 
-def extract_ids(
-    tokens: Sequence[str], feature_map: FeatureMap
-) -> List[List[int]]:
-    """Feature-id lists for every position of a sentence."""
-    sentence_ids: List[List[int]] = []
-    for position in range(len(tokens)):
-        ids = [
-            interned
-            for name in token_features(tokens, position)
-            if (interned := feature_map.intern(name)) >= 0
-        ]
-        sentence_ids.append(ids)
-    return sentence_ids
+def lookup_ids(tokens: Sequence[str], feature_map: FeatureMap) -> List[List[int]]:
+    """Ids of the features the map already knows, for every position; unseen ones dropped."""
+    known = feature_map._ids.get
+    return [
+        [found for name in features if (found := known(name)) is not None]
+        for features in sentence_features(tokens)
+    ]

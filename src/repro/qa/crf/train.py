@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from repro.qa.crf.features import extract_ids
 from repro.qa.crf.model import LinearChainCRF
 from repro.qa.crf.tagset import TAG_TO_ID
 
@@ -107,19 +108,24 @@ def train_crf(
     """Train a CRF by per-sentence stochastic gradient ascent.
 
     The learning rate decays 1/(1 + epoch/2); the feature map is frozen after
-    training so inference cannot grow the parameter table.
+    training.  A sentence's features are interned on its first visit and the
+    id lists reused by every later epoch.
     """
     model = LinearChainCRF()
     rng = random.Random(seed)
     order = list(range(len(corpus)))
+    examples: Dict[int, Tuple[List[List[int]], List[int]]] = {}
     total = 0.0
     for epoch in range(epochs):
         rng.shuffle(order)
         rate = learning_rate / (1.0 + epoch / 2.0)
         total = 0.0
         for index in order:
-            sentence = corpus[index]
-            total += model.gradient_step(sentence.tokens, sentence.tag_ids(), rate, l2)
+            if index not in examples:
+                sentence = corpus[index]
+                ids = extract_ids(sentence.tokens, model.feature_map)
+                examples[index] = ids, sentence.tag_ids()
+            total += model.update(*examples[index], rate, l2)
     model.feature_map.freeze()
     accuracy = evaluate(model, corpus)
     return TrainResult(model, epochs, total / max(len(corpus), 1), accuracy)

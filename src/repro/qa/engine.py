@@ -16,7 +16,7 @@ from repro.profiling import Profile, Profiler
 from repro.errors import QueryError
 from repro.qa.crf import LinearChainCRF, default_model
 from repro.qa.extraction import Candidate
-from repro.qa.filters import FilterPipeline, FilterStats
+from repro.qa.filters import CandidateExtractionFilter, FilterPipeline, FilterStats
 from repro.qa.question import AnalyzedQuestion, analyze, search_query
 from repro.qa.scoring import ScoredAnswer, aggregate
 from repro.websearch import SearchEngine
@@ -65,8 +65,9 @@ class QAEngine:
         )
         self.tagger = tagger if tagger is not None else default_model()
         self.documents_per_query = documents_per_query
-        self.pipeline = FilterPipeline()
-        self.pipeline.extraction_filter.tagger = self.tagger
+        self.pipeline = FilterPipeline(
+            extraction_filter=CandidateExtractionFilter(self.tagger)
+        )
 
     def answer(self, question: str, profiler: Optional[Profiler] = None) -> QAResult:
         """Answer one natural-language question."""

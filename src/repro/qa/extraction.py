@@ -73,8 +73,13 @@ def extract_candidates(
     if not tokens:
         return []
     tagger = tagger if tagger is not None else default_model()
-    tags = tagger.decode(tokens)
+    return typed_candidates(sentence, tokens, tagger.decode(tokens), answer_type)
 
+
+def typed_candidates(
+    sentence: str, tokens: Sequence[str], tags: Sequence[str], answer_type: str
+) -> List[Candidate]:
+    """:func:`extract_candidates` for a sentence already tokenized and tagged."""
     candidates: List[Candidate] = []
     if answer_type in (PERSON, LOCATION):
         for run in _proper_noun_runs(tokens, tags):

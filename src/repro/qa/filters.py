@@ -14,9 +14,10 @@ from typing import List, Optional, Sequence
 
 from repro.profiling import Profiler
 from repro.qa.crf import LinearChainCRF, default_model
-from repro.qa.extraction import Candidate, extract_candidates
+from repro.qa.crf.model import record_decode_work
+from repro.qa.extraction import Candidate, typed_candidates
 from repro.qa.question import AnalyzedQuestion
-from repro.qa.tokenizer import sentences
+from repro.qa.tokenizer import tokenize_keep_case
 from repro.regex import Pattern
 from repro.websearch import Document
 
@@ -71,7 +72,7 @@ class KeywordOverlapFilter:
     ) -> List[FilteredSentence]:
         terms = set(question.content_terms)
         selected: List[FilteredSentence] = []
-        for sentence in sentences(document.text):
+        for sentence in document.sentences:
             overlap = len(terms & question.stems.stems_of(sentence))
             if overlap >= self.min_overlap:
                 selected.append(FilteredSentence(sentence, overlap))
@@ -98,7 +99,13 @@ class RegexEntityFilter:
 
 
 class CandidateExtractionFilter:
-    """Runs typed candidate extraction (CRF-backed) on surviving sentences."""
+    """Runs typed candidate extraction (CRF-backed) on surviving sentences.
+
+    A corpus states a fact in several articles, so one question's sentences
+    repeat.  Its tagger is fixed: each distinct sentence is tagged once, the
+    tags kept on the question (``tagged``), and a repeat is charged the decode
+    it did not run (the ``StemMemo`` rule) before its candidates are read off.
+    """
 
     def __init__(self, tagger: Optional[LinearChainCRF] = None):
         self.tagger = tagger if tagger is not None else default_model()
@@ -111,7 +118,13 @@ class CandidateExtractionFilter:
     ) -> List[Candidate]:
         candidates: List[Candidate] = []
         for item in filtered:
-            found = extract_candidates(item.text, question.answer_type, self.tagger)
+            entry = question.tagged.get(item.text)
+            if entry is None:
+                tokens = tokenize_keep_case(item.text)
+                entry = question.tagged[item.text] = (tokens, self.tagger.decode(tokens))
+            elif entry[0]:
+                record_decode_work(len(entry[0]), self.tagger.n_tags)
+            found = typed_candidates(item.text, *entry, question.answer_type)
             stats.candidate_hits += len(found)
             candidates.extend(found)
         return candidates

@@ -8,7 +8,7 @@ the CRF part-of-speech tags feed answer-type classification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.qa.crf import LinearChainCRF, default_model
 from repro.qa.stemmer import StemMemo
@@ -52,6 +52,11 @@ class AnalyzedQuestion:
     is_question: bool
     #: Stems already computed while answering this question (not part of its value).
     stems: StemMemo = field(default_factory=StemMemo, compare=False, repr=False)
+    #: Sentence text -> (tokens, CRF tags), filled by the extraction filter so a
+    #: sentence several documents repeat is tagged once (not part of its value either).
+    tagged: Dict[str, Tuple[List[str], List[str]]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 def classify_answer_type(question: str) -> str:

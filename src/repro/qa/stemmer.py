@@ -21,7 +21,42 @@ from typing import Dict, FrozenSet, Iterable, List, Tuple
 from repro.obs.counters import record_work
 from repro.qa.tokenizer import tokenize
 
-_VOWELS = "aeiou"
+
+class _LetterClasses(dict):
+    """``str.translate`` table: ``aeiou`` are vowels, ``y`` is decided by what
+    precedes it, and every other character there is counts as a consonant."""
+
+    def __missing__(self, codepoint: int) -> str:
+        return "c"
+
+
+_CLASSES = _LetterClasses(
+    {codepoint: "c" for codepoint in range(128)}
+    | {ord(vowel): "v" for vowel in "aeiou"}
+    | {ord("y"): "y"}
+)
+
+
+def cv_of(word: str) -> str:
+    """The consonant/vowel class of every letter of ``word``, as a ``c``/``v`` string.
+
+    A ``y`` is a consonant at the start of the word or after a vowel, a vowel
+    after a consonant.  A class depends only on the letters before it, so the
+    class string of a prefix is the prefix of the class string: cutting a
+    suffix needs no recomputation, and Porter's conditions on ``word[:n]`` are
+    reads of ``cv`` up to ``n``: *m* is ``cv.count("vc", 0, n)``, ``*v*`` is
+    ``cv.find("v", 0, n) >= 0``, ``*o`` is ``cv.endswith("cvc", 0, n)`` with
+    ``word[n - 1]`` not ``w``, ``x`` or ``y``.
+
+    >>> cv_of("yearly"), cv_of("toy")
+    ('cvvccv', 'cvc')
+    """
+    cv = word.translate(_CLASSES)
+    at = cv.find("y")
+    while at >= 0:
+        cv = cv[:at] + ("c" if at == 0 or cv[at - 1] == "v" else "v") + cv[at + 1 :]
+        at = cv.find("y", at + 1)
+    return cv
 
 
 def _record_stemming(chars: int, words: int) -> None:
@@ -35,54 +70,58 @@ def _record_stemming(chars: int, words: int) -> None:
     record_work(flops=chars, mem_bytes=2 * chars, items=words)
 
 
-def _longest_first(rules: list) -> tuple:
-    """A ``(suffix, replacement)`` table in match order: longest suffix first, ties as written."""
-    return tuple(sorted(rules, key=lambda rule: len(rule[0]), reverse=True))
+
+def _by_last_letter(rules: list) -> Dict[str, tuple]:
+    """``(suffix, replacement)`` rules bucketed by the suffix's last letter, in
+    the table's match order (longest suffix first, ties as written), each with
+    its replacement's class string (none holds a ``y``: the same after any stem)."""
+    buckets: Dict[str, list] = {}
+    for suffix, replacement in sorted(rules, key=lambda rule: len(rule[0]), reverse=True):
+        buckets.setdefault(suffix[-1], []).append((suffix, replacement, cv_of(replacement)))
+    return {letter: tuple(bucket) for letter, bucket in buckets.items()}
 
 
-def _is_consonant(word: str, index: int) -> bool:
-    char = word[index]
-    if char in _VOWELS:
-        return False
-    if char == "y":
-        # 'y' is a consonant at the start or after a vowel position that is
-        # itself a consonant; otherwise it acts as a vowel.
-        return index == 0 or not _is_consonant(word, index - 1)
-    return True
+_STEP2_RULES = _by_last_letter([
+    ("ational", "ate"),
+    ("tional", "tion"),
+    ("enci", "ence"),
+    ("anci", "ance"),
+    ("izer", "ize"),
+    ("abli", "able"),
+    ("alli", "al"),
+    ("entli", "ent"),
+    ("eli", "e"),
+    ("ousli", "ous"),
+    ("ization", "ize"),
+    ("ation", "ate"),
+    ("ator", "ate"),
+    ("alism", "al"),
+    ("iveness", "ive"),
+    ("fulness", "ful"),
+    ("ousness", "ous"),
+    ("aliti", "al"),
+    ("iviti", "ive"),
+    ("biliti", "ble"),
+])
 
+_STEP3_RULES = _by_last_letter([
+    ("icate", "ic"),
+    ("ative", ""),
+    ("alize", "al"),
+    ("iciti", "ic"),
+    ("ical", "ic"),
+    ("ful", ""),
+    ("ness", ""),
+])
 
-def _measure(stem_text: str) -> int:
-    """Porter's m: the number of VC (vowel-consonant) sequences in the stem."""
-    forms = []
-    for index in range(len(stem_text)):
-        consonant = _is_consonant(stem_text, index)
-        if not forms or (forms[-1] == "C") != consonant:
-            forms.append("C" if consonant else "V")
-    return "".join(forms).count("VC")
+# "ion" goes only after an s or a t; no other step 4 suffix ends in "n".
+_STEP4_RULES = _by_last_letter([(suffix, "") for suffix in (
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+    "ment", "ent", "ou", "ism", "ate", "iti", "ous", "ive", "ize", "ion",
+)])
 
-
-def _contains_vowel(stem_text: str) -> bool:
-    return any(not _is_consonant(stem_text, index) for index in range(len(stem_text)))
-
-
-def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
-
-
-def _ends_cvc(word: str) -> bool:
-    """True for consonant-vowel-consonant endings, last consonant not w/x/y."""
-    if len(word) < 3:
-        return False
-    return (
-        _is_consonant(word, len(word) - 3)
-        and not _is_consonant(word, len(word) - 2)
-        and _is_consonant(word, len(word) - 1)
-        and word[-1] not in "wxy"
-    )
+#: Steps 2-4: the rule table and the least measure the remaining stem needs.
+_SUFFIX_STEPS = ((_STEP2_RULES, 1), (_STEP3_RULES, 1), (_STEP4_RULES, 2))
 
 
 class PorterStemmer:
@@ -92,151 +131,76 @@ class PorterStemmer:
         _record_stemming(len(word), 1)
         return self._porter(word)
 
-    def _porter(self, word: str) -> str:
-        if len(word) <= 2:
-            return word
-        word = word.lower()
-        word = self._step1a(word)
-        word = self._step1b(word)
-        word = self._step1c(word)
-        word = self._step2(word)
-        word = self._step3(word)
-        word = self._step4(word)
-        word = self._step5a(word)
-        word = self._step5b(word)
-        return word
-
     def stem_words(self, words: Iterable[str]) -> List[str]:
         """Stem a word list (the suite kernel's per-word granularity)."""
         return [self.stem(word) for word in words]
 
-    # -- steps ------------------------------------------------------------------
-
     @staticmethod
-    def _step1a(word: str) -> str:
-        if word.endswith("sses"):
-            return word[:-2]
-        if word.endswith("ies"):
-            return word[:-2]
-        if word.endswith("ss"):
+    def _porter(word: str) -> str:
+        if len(word) <= 2:
             return word
+        word = word.lower()
+        # Step 1a works on letters alone, so the classes are read after it.  From
+        # here ``n`` is the word's length so far; ``word`` and ``cv`` may run past it.
         if word.endswith("s"):
-            return word[:-1]
-        return word
-
-    def _step1b(self, word: str) -> str:
+            if word.endswith(("sses", "ies")):
+                word = word[:-2]
+            elif not word.endswith("ss"):
+                word = word[:-1]
+        cv, n = cv_of(word), len(word)
+        # Step 1b.
         if word.endswith("eed"):
-            if _measure(word[:-3]) > 0:
-                return word[:-1]
-            return word
-        flag = False
-        if word.endswith("ed") and _contains_vowel(word[:-2]):
-            word = word[:-2]
-            flag = True
-        elif word.endswith("ing") and _contains_vowel(word[:-3]):
-            word = word[:-3]
-            flag = True
-        if flag:
-            if word.endswith(("at", "bl", "iz")):
-                return word + "e"
-            if _ends_double_consonant(word) and word[-1] not in "lsz":
-                return word[:-1]
-            if _measure(word) == 1 and _ends_cvc(word):
-                return word + "e"
-        return word
-
-    @staticmethod
-    def _step1c(word: str) -> str:
-        if word.endswith("y") and _contains_vowel(word[:-1]):
-            return word[:-1] + "i"
-        return word
-
-    _STEP2_SUFFIXES = _longest_first([
-        ("ational", "ate"),
-        ("tional", "tion"),
-        ("enci", "ence"),
-        ("anci", "ance"),
-        ("izer", "ize"),
-        ("abli", "able"),
-        ("alli", "al"),
-        ("entli", "ent"),
-        ("eli", "e"),
-        ("ousli", "ous"),
-        ("ization", "ize"),
-        ("ation", "ate"),
-        ("ator", "ate"),
-        ("alism", "al"),
-        ("iveness", "ive"),
-        ("fulness", "ful"),
-        ("ousness", "ous"),
-        ("aliti", "al"),
-        ("iviti", "ive"),
-        ("biliti", "ble"),
-    ])
-
-    def _step2(self, word: str) -> str:
-        return self._replace_longest(word, self._STEP2_SUFFIXES, min_measure=1)
-
-    _STEP3_SUFFIXES = _longest_first([
-        ("icate", "ic"),
-        ("ative", ""),
-        ("alize", "al"),
-        ("iciti", "ic"),
-        ("ical", "ic"),
-        ("ful", ""),
-        ("ness", ""),
-    ])
-
-    def _step3(self, word: str) -> str:
-        return self._replace_longest(word, self._STEP3_SUFFIXES, min_measure=1)
-
-    _STEP4_SUFFIXES = tuple(sorted([
-        "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
-        "ment", "ent", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-    ], key=len, reverse=True))
-
-    @staticmethod
-    def _step4(word: str) -> str:
-        for suffix in PorterStemmer._STEP4_SUFFIXES:
-            if word.endswith(suffix):
-                stem_text = word[: -len(suffix)]
-                if _measure(stem_text) > 1:
-                    return stem_text
-                return word
-        # (m>1) and ((*S or *T) ion -> delete ion
-        if word.endswith("ion"):
-            stem_text = word[:-3]
-            if _measure(stem_text) > 1 and stem_text and stem_text[-1] in "st":
-                return stem_text
-        return word
-
-    @staticmethod
-    def _step5a(word: str) -> str:
+            if cv.count("vc", 0, n - 3) > 0:
+                n -= 1
+        else:
+            if word.endswith("ed"):
+                cut = n - 2
+            elif word.endswith("ing"):
+                cut = n - 3
+            else:
+                cut = 0
+            if cut and cv.find("v", 0, cut) >= 0:
+                n = cut
+                if word.endswith(("at", "bl", "iz"), 0, n):
+                    word, cv, n = word[:n] + "e", cv[:n] + "v", n + 1
+                elif (
+                    n >= 2 and word[n - 1] == word[n - 2] and cv[n - 1] == "c"
+                    and word[n - 1] not in "lsz"
+                ):
+                    n -= 1
+                elif (
+                    cv.count("vc", 0, n) == 1 and cv.endswith("cvc", 0, n)
+                    and word[n - 1] not in "wxy"
+                ):
+                    word, cv, n = word[:n] + "e", cv[:n] + "v", n + 1
+        # Step 1c.
+        if word.endswith("y", 0, n) and cv.find("v", 0, n - 1) >= 0:
+            word, cv = word[: n - 1] + "i", cv[: n - 1] + "v"
+        else:
+            word = word[:n]
+        # Steps 2, 3 and 4: the longest matching suffix decides, applied or not.
+        for rules, least_measure in _SUFFIX_STEPS:
+            for suffix, replacement, classes in rules.get(word[-1], ()):
+                if word.endswith(suffix):
+                    n = len(word) - len(suffix)
+                    if cv.count("vc", 0, n) >= least_measure and (
+                        suffix != "ion" or word[n - 1] in "st"
+                    ):
+                        word, cv = word[:n] + replacement, cv[:n] + classes
+                    break
+        # Step 5a.
+        n = len(word)
         if word.endswith("e"):
-            stem_text = word[:-1]
-            measure = _measure(stem_text)
-            if measure > 1:
-                return stem_text
-            if measure == 1 and not _ends_cvc(stem_text):
-                return stem_text
-        return word
-
-    @staticmethod
-    def _step5b(word: str) -> str:
-        if _measure(word) > 1 and _ends_double_consonant(word) and word.endswith("l"):
-            return word[:-1]
-        return word
-
-    # -- helpers ------------------------------------------------------------------
-
-    @staticmethod
-    def _replace_longest(word: str, suffixes, min_measure: int) -> str:
-        for suffix, replacement in suffixes:
-            if word.endswith(suffix):
-                stem_text = word[: -len(suffix)]
-                if _measure(stem_text) >= min_measure:
-                    return stem_text + replacement
-                return word
+            measure = cv.count("vc", 0, n - 1)
+            if measure > 1 or (
+                measure == 1
+                and not (cv.endswith("cvc", 0, n - 1) and word[n - 2] not in "wxy")
+            ):
+                word = word[:-1]
+                n -= 1
+        # Step 5b.
+        if word.endswith("ll") and cv.count("vc", 0, n) > 1:
+            word = word[:-1]
         return word
 
 

@@ -10,8 +10,10 @@ work and the QA engine can be checked for *correct answers*, not just timing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+from repro.qa.tokenizer import sentences as split_sentences
 
 
 @dataclass(frozen=True)
@@ -87,6 +89,11 @@ class Document:
     doc_id: int
     title: str
     text: str
+    #: ``text`` split into sentences, once, for the QA filters (not part of its value).
+    sentences: Tuple[str, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sentences", tuple(split_sentences(self.text)))
 
     def __len__(self) -> int:
         return len(self.text)

@@ -1,13 +1,17 @@
 """Integration tests for the newer features: persistence, parallel services,
 ranker choice, and the response latency semantics."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core import IPAQuery, SiriusPipeline
 from repro.errors import ImageError
 from repro.imm import ImageDatabase, SceneGenerator
+from repro.serving import IMM, QA
 from repro.websearch import Corpus, SearchEngine
+from tests.conformance.stubs import StubImm, StubQa
 
 
 class TestImageDatabasePersistence:
@@ -63,16 +67,41 @@ class TestParallelServices:
             assert parallel_response.matched_image == serial_response.matched_image
             assert set(parallel_response.service_seconds) == {"ASR", "QA", "IMM"}
 
-    def test_parallel_wall_time_below_service_sum(self, sirius_pipeline, input_set):
-        parallel = SiriusPipeline(
+    @staticmethod
+    def meeting_pipeline(sirius_pipeline, parallel_services, timeout):
+        """The pipeline with QA and IMM swapped for stubs that wait for each other."""
+        pipeline = SiriusPipeline(
             decoder=sirius_pipeline.decoder,
             classifier=sirius_pipeline.classifier,
             qa_engine=sirius_pipeline.qa_engine,
             image_database=sirius_pipeline.image_database,
-            parallel_services=True,
+            parallel_services=parallel_services,
         )
-        response = parallel.process(input_set.voice_image_queries[0])
-        assert response.wall_seconds < sum(response.service_seconds.values()) * 1.1
+        barrier = threading.Barrier(2)
+
+        def meet(stub):
+            class Meeting(stub):
+                def invoke(self, request, profiler):
+                    barrier.wait(timeout)
+                    return super().invoke(request, profiler)
+
+            return Meeting()
+
+        pipeline.serving.services[QA] = meet(StubQa)
+        pipeline.serving.services[IMM] = meet(StubImm)
+        return pipeline
+
+    def test_parallel_wall_time_below_service_sum(self, sirius_pipeline, input_set):
+        # "Did the two branches overlap" asked without a clock: each stub
+        # returns only once the other is in flight too.
+        query = input_set.voice_image_queries[0]
+        response = self.meeting_pipeline(sirius_pipeline, True, timeout=30.0).process(query)
+        assert response.answer.startswith("answer to ")
+        assert response.matched_image == "stub-scene"
+        assert set(response.service_seconds) == {"ASR", "QA", "IMM"}
+        # The serial walk runs one branch to completion first: nobody to meet.
+        with pytest.raises(threading.BrokenBarrierError):
+            self.meeting_pipeline(sirius_pipeline, False, timeout=0.2).process(query)
 
 
 class TestLatencySemantics:
@@ -82,8 +111,16 @@ class TestLatencySemantics:
         assert response.latency == response.wall_seconds
 
     def test_wall_at_least_service_sum_when_serial(self, sirius_pipeline, input_set):
-        response = sirius_pipeline.process(input_set.voice_queries[0])
-        assert response.wall_seconds >= sum(response.service_seconds.values()) * 0.9
+        # By construction, with no tolerance: the wall bracket opens before
+        # and closes after every stage bracket, stage seconds are the
+        # profiler's exclusive intervals on the same clock, and a serial walk
+        # runs its stages one after another.
+        for query in (input_set.voice_queries[0], input_set.voice_image_queries[0]):
+            response = sirius_pipeline.process(query)
+            assert len(response.service_seconds) >= 2
+            for seconds in response.service_seconds.values():
+                assert response.wall_seconds >= seconds
+            assert response.wall_seconds >= sum(response.service_seconds.values())
 
 
 class TestRankerChoice:

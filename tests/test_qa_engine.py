@@ -208,3 +208,20 @@ class TestQAEngine:
         rich = engine.answer("What is the capital of Italy?")
         poor = engine.answer("What is the meaning of xyzzy?")
         assert rich.stats.total_hits > poor.stats.total_hits
+
+    def test_supplied_tagger_is_the_only_model_built(self, monkeypatch):
+        # FilterPipeline()'s default extraction filter used to train the
+        # default model (about a second) before the engine swapped its own in.
+        import repro.qa.crf.train as crf_train
+
+        tagger = crf_train.train_crf(crf_train.generate_corpus(20), epochs=1).model
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the default model was trained")
+
+        monkeypatch.setattr(crf_train, "_CACHED_MODEL", None)
+        monkeypatch.setattr(crf_train, "train_crf", refuse)
+        engine = QAEngine(SearchEngine(Corpus()), tagger=tagger)
+        assert engine.tagger is tagger
+        assert engine.pipeline.extraction_filter.tagger is tagger
+        assert engine.answer("What is the capital of Italy?").stats.documents_seen > 0

@@ -59,6 +59,30 @@ class TestCorpus:
         assert corpus.fact_for_question("zzz qqq xxx") is None
 
 
+class TestDocumentSentences:
+    def test_split_once_with_the_tokenizer(self):
+        from repro.qa.tokenizer import sentences
+
+        for document in Corpus():
+            assert document.sentences == tuple(sentences(document.text))
+        assert Document(0, "t", "").sentences == ()
+
+    def test_not_part_of_the_documents_value(self):
+        import pickle
+        from dataclasses import replace
+
+        document = Document(7, "J.K. Rowling", "She wrote it. Did J.K. Rowling? Yes!")
+        assert document.sentences == ("She wrote it.", "Did J.K. Rowling?", "Yes!")
+        assert document == Document(doc_id=7, title="J.K. Rowling", text=document.text)
+        assert hash(document) == hash((7, "J.K. Rowling", document.text))
+        assert "sentences" not in repr(document)
+        copy = pickle.loads(pickle.dumps(document))
+        assert copy == document and copy.sentences == document.sentences
+        assert replace(document, text="One. Two.").sentences == ("One.", "Two.")
+        with pytest.raises(TypeError):
+            Document(7, "t", "text", ("text",))
+
+
 class TestAnalyze:
     def test_stems_and_drops_stopwords(self):
         terms = analyze("What is the capital of Italy?")
