@@ -3,7 +3,7 @@
 Dapper's headline constraint is that tracing must be cheap enough to leave
 on; this benchmark checks the repro holds itself to the same bar.  It runs
 the same VQ workload through the executor untraced and traced
-(``trace_seed`` + a ``MetricsRegistry``), reports the per-query cost of
+(``trace_seed`` + a ``RollupStore``), reports the per-query cost of
 span recording, and saves the rendered ``trace-report`` for the traced
 run so EXPERIMENTS.md can reference a stable waterfall artifact.
 
@@ -18,7 +18,7 @@ import pytest
 
 from repro.analysis import format_table
 from repro.core import QueryType
-from repro.obs import E2E_HISTOGRAM, MetricsRegistry, collect_spans, render_report
+from repro.obs import E2E_METRIC, RollupStore, collect_spans, render_report
 
 SMOKE = bool(os.environ.get("SIRIUS_BENCH_SMOKE"))
 N_QUERIES = 8 if SMOKE else 32
@@ -49,9 +49,9 @@ def _timed(executor, queries):
 def test_tracing_overhead_report(executor, vq_workload, save_report):
     untraced_s, _ = _timed(executor, vq_workload)
 
-    registry = MetricsRegistry()
+    store = RollupStore()
     executor.trace_seed = 0
-    executor.metrics = registry
+    executor.metrics = store
     try:
         traced_s, responses = _timed(executor, vq_workload)
     finally:
@@ -75,7 +75,7 @@ def test_tracing_overhead_report(executor, vq_workload, save_report):
     save_report("obs_overhead", report)
 
     assert len(spans) > len(vq_workload)  # root + stage + section spans
-    assert registry.histogram(E2E_HISTOGRAM).count == len(vq_workload)
+    assert store.snapshot().merged_panel(E2E_METRIC).observed == len(vq_workload)
     # Loose sanity bound, not a microbenchmark: recording a few dozen
     # spans must stay far below the cost of running the models.
     assert per_query < 0.05 or overhead < MAX_OVERHEAD

@@ -212,15 +212,15 @@ def _cmd_streaming_bench(args: argparse.Namespace, pipeline, queries) -> int:
     import time
 
     from repro.analysis import format_table
-    from repro.obs import MetricsRegistry, collect_spans, format_service_summary
+    from repro.obs import RollupStore, collect_spans, format_service_summary
     from repro.obs.metrics import percentile
     from repro.serving import serve_streams
     from repro.serving.identity import single_chunk_equivalent
 
     executor = pipeline.serving
-    registry = MetricsRegistry()
+    store = RollupStore()
     executor.trace_seed = 0
-    executor.metrics = registry
+    executor.metrics = store
     executor.warmup()
     try:
         start = time.perf_counter()
@@ -257,7 +257,7 @@ def _cmd_streaming_bench(args: argparse.Namespace, pipeline, queries) -> int:
         ["Metric", "Value"], rows,
     ))
     print(format_service_summary(
-        registry, title="Streaming latency (TTFP next to e2e)"
+        store, title="Streaming latency (TTFP next to e2e)"
     ))
     _export_spans(collect_spans(report.responses), args.trace, args.chrome_trace)
 
@@ -287,7 +287,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         return _cmd_chaos_bench(args, pipeline, queries)
     if args.streaming:
         return _cmd_streaming_bench(args, pipeline, queries)
-    from repro.obs import MetricsRegistry, collect_spans, format_service_summary
+    from repro.obs import RollupStore, collect_spans, format_service_summary
 
     executor = pipeline.serving
     executor.warmup()
@@ -300,10 +300,10 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     sequential_s, sequential = timed()
     # Only the fan-out run is traced/measured: tracing the reference run too
     # would double-count every query in the exported forest and metrics.
-    registry = MetricsRegistry() if args.metrics else None
+    store = RollupStore() if args.metrics else None
     if args.trace or args.chrome_trace:
         executor.trace_seed = 0
-    executor.metrics = registry
+    executor.metrics = store
     try:
         fanout_s, fanout = timed(backend=args.backend, workers=args.workers)
     finally:
@@ -323,9 +323,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     ))
     print(f"fan-out speedup over sequential: {sequential_s / fanout_s:.2f}x")
     _export_spans(collect_spans(fanout), args.trace, args.chrome_trace)
-    if registry is not None:
+    if store is not None:
         print(format_service_summary(
-            registry, title="Serving latency (fan-out run)"
+            store, title="Serving latency (fan-out run)"
         ))
     return 0
 
@@ -349,13 +349,10 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
     from repro.analysis import format_table
     from repro.core import InputSet, SiriusPipeline
     from repro.datacenter.arrivals import make_process
-    from repro.datacenter.simulation import (
-        histogram_sampler,
-        mm1_percentile,
-        simulate_from_histogram,
-    )
-    from repro.obs import MetricsRegistry, collect_spans, format_critical_path_report
-    from repro.obs.metrics import E2E_HISTOGRAM
+    from repro.datacenter.queueing import mm1_percentile
+    from repro.datacenter.simulation import histogram_sampler, simulate_from_histogram
+    from repro.obs import RollupStore, collect_spans, format_critical_path_report
+    from repro.obs.timeseries import DEPTH_METRIC, E2E_METRIC, REJECTED_METRIC
     from repro.serving.cluster import (
         AdmissionControl,
         build_cluster,
@@ -376,7 +373,7 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
     ]
 
     # -- live fleet ---------------------------------------------------------
-    metrics = MetricsRegistry()
+    metrics, rollups = RollupStore(), RollupStore()
     admission = (
         AdmissionControl(drop_rate=args.drop_rate, seed=args.seed)
         if args.drop_rate > 0
@@ -391,6 +388,7 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
         admission=admission,
         metrics=metrics,
         trace_seed=args.seed,
+        rollups=rollups,
     )
     cluster.warmup()
     first = cluster.run_all(live_queries, backend=args.backend)
@@ -398,15 +396,15 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
     outcome_drift, span_drift = replay_divergence(first, second)
 
     n_ok, n_degraded, n_failed = outcome_counts(first)
-    depth = metrics.histogram("serve.router.queue_depth")
+    routed = rollups.snapshot()
     rows = [
         ["queries", str(len(first))],
         ["replicas x shards", f"{cluster.n_replicas} x {args.shards}"],
         ["policy", cluster.policy.name],
         ["ok / degraded / failed", f"{n_ok} / {n_degraded} / {n_failed}"],
         ["rejected (admission)",
-         str(metrics.counter("serve.router.rejected").value)],
-        ["mean queue depth seen", f"{depth.mean:.2f}"],
+         str(routed.counter_total(REJECTED_METRIC))],
+        ["mean queue depth seen", f"{routed.merged_panel(DEPTH_METRIC).mean:.2f}"],
     ]
     print(format_table(
         f"Live fleet (seed={args.seed}, backend={args.backend})",
@@ -418,7 +416,7 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
     print(format_critical_path_report(collect_spans(first)))
 
     # -- model replay vs analytic M/M/1 ------------------------------------
-    e2e = metrics.histogram(E2E_HISTOGRAM).snapshot()
+    e2e = metrics.snapshot().merged_panel(E2E_METRIC)
     mean_service = max(e2e.mean, 1e-6)
     load = args.load
     rate = load / mean_service  # one-replica parameterization

@@ -8,6 +8,7 @@ level for a given load, how much more load can an accelerated server absorb?
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -51,6 +52,25 @@ class MM1Queue:
         if target < self.service_time:
             return 0.0
         return self.service_rate - 1.0 / target
+
+
+def mm1_percentile(mean_service: float, load: float, p: float) -> float:
+    """Analytic M/M/1 response-time percentile.
+
+    Response time in an M/M/1 queue is exponential with mean
+    ``T = s / (1 - rho)``, so the ``p``-th percentile is
+    ``-T * ln(1 - p/100)`` (``T`` is :meth:`MM1Queue.response_time` at
+    ``lambda = rho / s``) — the closed form the measured-distribution
+    simulation is compared against in ``repro trace-report --mm1``.
+    """
+    if mean_service <= 0:
+        raise ConfigurationError("mean service time must be positive")
+    if not 0 < load < 1:
+        raise ConfigurationError("load must be in (0, 1)")
+    if not 0 <= p < 100:
+        raise ConfigurationError("percentile must be in [0, 100)")
+    mean_response = mean_service / (1.0 - load)
+    return -mean_response * math.log(1.0 - p / 100.0)
 
 
 def throughput_improvement_at_load(

@@ -25,6 +25,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Callable, List, Sequence
 
+from repro.datacenter.queueing import MM1Queue
 from repro.errors import ConfigurationError, SiriusError
 
 
@@ -253,10 +254,9 @@ def simulate_queue(
 def histogram_sampler(histogram, seed: int = 0) -> Callable[[], float]:
     """Service-time sampler over a measured latency histogram.
 
-    ``histogram`` is anything exposing raw ``samples`` — a live
-    :class:`repro.obs.metrics.Histogram` or a picklable
-    :class:`repro.obs.metrics.HistogramSnapshot` from a trace report —
-    so measured serving distributions plug straight into the queue model.
+    ``histogram`` is anything exposing raw ``samples`` — in practice a
+    :class:`repro.obs.timeseries.RollupPanel` read off a store's snapshot
+    — so measured serving distributions plug straight into the queue model.
     Repeated observations carried as reservoir ``weights`` keep their
     multiplicity (draws are weight-proportional).  Non-positive samples
     (degenerately fast stubbed services) are clamped to a nanosecond: a
@@ -286,7 +286,8 @@ def simulate_from_histogram(
     ``load`` given the histogram's measured mean — the same
     parameterization as the analytic M/M/1 curve, but with service times
     drawn from the real distribution instead of the exponential
-    assumption.  Compare against :func:`mm1_percentile`.
+    assumption.  Compare against
+    :func:`repro.datacenter.queueing.mm1_percentile`.
     """
     if not 0 < load < 1:
         raise ConfigurationError("load must be in (0, 1)")
@@ -310,24 +311,6 @@ def simulate_from_histogram(
     )
 
 
-def mm1_percentile(mean_service: float, load: float, p: float) -> float:
-    """Analytic M/M/1 response-time percentile.
-
-    Response time in an M/M/1 queue is exponential with mean
-    ``T = s / (1 - rho)``, so the ``p``-th percentile is
-    ``-T * ln(1 - p/100)`` — the closed form the measured-histogram
-    simulation is compared against in ``repro trace-report --mm1``.
-    """
-    if mean_service <= 0:
-        raise ConfigurationError("mean service time must be positive")
-    if not 0 < load < 1:
-        raise ConfigurationError("load must be in (0, 1)")
-    if not 0 <= p < 100:
-        raise ConfigurationError("percentile must be in [0, 100)")
-    mean_response = mean_service / (1.0 - load)
-    return -mean_response * math.log(1.0 - p / 100.0)
-
-
 def validate_mm1(
     service_time: float,
     load: float,
@@ -345,5 +328,5 @@ def validate_mm1(
         n_queries=n_queries,
         seed=seed,
     )
-    analytic = service_time / (1.0 - load)
+    analytic = MM1Queue(service_time).response_time(arrival_rate)
     return result.mean_response_time, analytic

@@ -160,8 +160,9 @@ class TraceError(SiriusError):
     """The tracing/metrics layer was used outside its contract.
 
     Raised e.g. for starting a span with no enclosing trace, ending a span
-    that is not the innermost open one on its thread, merging histograms
-    with mismatched bucket boundaries, or reading a malformed span export.
+    that is not the innermost open one on its thread, merging rollups
+    with mismatched window/reservoir configuration, or reading a malformed
+    span export.
     """
 
     code = "TRACE"

@@ -13,9 +13,8 @@ produces those measurements from a live run:
   (``serve.ttfp.seconds``) is derived next to end-to-end latency;
 - :mod:`repro.obs.context` — the ambient (thread-local) tracer channel
   that lets layers without shared signatures report into one trace;
-- :mod:`repro.obs.metrics` — counters and log-bucketed latency histograms
-  with exact percentile extraction and an associative/commutative
-  snapshot/merge protocol for process-backend aggregation;
+- :mod:`repro.obs.metrics` — the arithmetic under every distribution:
+  exact percentiles and the deterministic bottom-k value reservoir;
 - :mod:`repro.obs.export` — JSONL span export (optionally
   timing-stripped/deterministic) and Chrome trace-event export;
 - :mod:`repro.obs.report` — the ``repro trace-report`` renderer:
@@ -29,9 +28,9 @@ produces those measurements from a live run:
   (``repro trace-report --critical-path``);
 - :mod:`repro.obs.bench` — the benchmark registry, ``BENCH_<tag>.json``
   reports, and the counter-based regression gate (``repro bench``);
-- :mod:`repro.obs.timeseries` — windowed rollups over virtual time
-  (counters + value panels keyed by metric × labels × window) with the
-  same associative snapshot/merge algebra as the metrics registry;
+- :mod:`repro.obs.timeseries` — :class:`RollupStore`, the one telemetry
+  store: counters + value panels keyed by metric × labels × window over
+  virtual time, with an associative/commutative/exact snapshot merge;
 - :mod:`repro.obs.sampling` — deterministic trace sampling: hash-based
   head decisions pure in ``(seed, trace_id)`` plus always-keep tail
   rules for errors/deadlines/breaker-opens/degradations and a
@@ -66,21 +65,14 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.metrics import (
-    E2E_HISTOGRAM,
-    Histogram,
-    MetricsRegistry,
-    log_buckets,
-    merge_histograms,
-    merge_snapshots,
-    percentile,
-)
+from repro.obs.metrics import percentile
 from repro.obs.report import (
     format_roofline,
     format_service_summary,
     metrics_from_spans,
     render_report,
 )
+from repro.obs.timeseries import E2E_METRIC, RollupStore
 from repro.obs.trace import (
     ATTEMPT,
     QUERY,
@@ -95,10 +87,9 @@ from repro.obs.trace import (
 
 __all__ = [
     "ATTEMPT",
-    "E2E_HISTOGRAM",
-    "Histogram",
-    "MetricsRegistry",
+    "E2E_METRIC",
     "QUERY",
+    "RollupStore",
     "SECTION",
     "SERVICE",
     "Span",
@@ -107,9 +98,6 @@ __all__ = [
     "format_critical_path_report",
     "format_roofline",
     "format_service_summary",
-    "log_buckets",
-    "merge_histograms",
-    "merge_snapshots",
     "metrics_from_spans",
     "percentile",
     "read_jsonl",

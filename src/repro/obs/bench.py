@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -39,7 +40,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.obs.context import use_tracer
 from repro.obs.counters import aggregate_counters, kernel_counters
-from repro.obs.metrics import MetricsRegistry, bench_histogram_name
+from repro.obs.metrics import percentile
 from repro.obs.trace import Tracer, collect_spans
 
 #: Bumped on any incompatible change to the report JSON layout.
@@ -336,7 +337,7 @@ class ServeStreamingBenchmark(_ServeBenchmark):
     }
 
     def run(self, state: Any, quick: bool) -> Dict[str, float]:
-        from repro.obs.metrics import TTFP_HISTOGRAM
+        from repro.obs.timeseries import TTFP_METRIC, RollupStore
         from repro.obs.trace import PARTIAL, sort_key
         from repro.serving import serve_streams
         from repro.serving.identity import single_chunk_equivalent
@@ -344,9 +345,9 @@ class ServeStreamingBenchmark(_ServeBenchmark):
         pipeline, queries = state
         executor = pipeline.serving
         executor.trace_seed = 0
-        registry = MetricsRegistry()
+        store = RollupStore()
         saved_metrics = executor.metrics
-        executor.metrics = registry
+        executor.metrics = store
         try:
             report = serve_streams(executor, queries, chunk_seconds=0.15)
             equivalent = all(
@@ -363,7 +364,7 @@ class ServeStreamingBenchmark(_ServeBenchmark):
             f"{s.attributes.get('chars')}"
             for s in sorted(partial_spans, key=sort_key)
         )
-        ttfp = registry.histogram(TTFP_HISTOGRAM)
+        ttfp = store.snapshot().merged_panel(TTFP_METRIC)
         return {
             "answer_fingerprint": fingerprint(
                 "\n".join(r.answer for r in report.responses)
@@ -379,7 +380,7 @@ class ServeStreamingBenchmark(_ServeBenchmark):
             "late_chunks": report.late_chunks,
             "single_chunk_equivalent": int(equivalent),
             **_outcome_metrics(report.responses),
-            "ttfp_p50_ms": ttfp.percentile(50) * 1000 if ttfp.count else 0.0,
+            "ttfp_p50_ms": ttfp.percentile(50) * 1000 if ttfp else 0.0,
         }
 
 
@@ -626,13 +627,11 @@ def run_benchmarks(
 ) -> Dict[str, Any]:
     """Run (a filtered subset of) the registry; return the report dict.
 
-    Wall seconds per repeat feed a :class:`MetricsRegistry` histogram for
-    the informational p50/p95/p99; metric samples are collected per repeat
-    so the gate can apply min-of-k.
+    Wall seconds per repeat give the informational mean/p50/p95/p99;
+    metric samples are collected per repeat so the gate can apply min-of-k.
     """
     if repeats < 1:
         raise ConfigurationError("repeats must be >= 1")
-    registry = MetricsRegistry()
     report: Dict[str, Any] = {
         "schema": SCHEMA,
         "schema_version": SCHEMA_VERSION,
@@ -645,12 +644,12 @@ def run_benchmarks(
         if progress is not None:
             progress(f"bench {benchmark.name} ({repeats} repeats)")
         state = benchmark.prepare(quick)
-        histogram = registry.histogram(bench_histogram_name(benchmark.name))
+        wall: List[float] = []
         samples: Dict[str, List[float]] = {}
         for _ in range(repeats):
             start = time.perf_counter()
             values = benchmark.run(state, quick)
-            histogram.observe(time.perf_counter() - start)
+            wall.append(time.perf_counter() - start)
             for metric, value in values.items():
                 samples.setdefault(metric, []).append(float(value))
         metrics = {
@@ -662,12 +661,12 @@ def run_benchmarks(
         }
         report["benchmarks"][benchmark.name] = {
             "description": benchmark.description,
-            "wall_seconds": list(histogram.samples),
+            "wall_seconds": sorted(wall),
             "latency_ms": {
-                "mean": histogram.mean * 1000,
-                "p50": histogram.percentile(50) * 1000,
-                "p95": histogram.percentile(95) * 1000,
-                "p99": histogram.percentile(99) * 1000,
+                "mean": math.fsum(wall) / repeats * 1000,
+                "p50": percentile(wall, 50) * 1000,
+                "p95": percentile(wall, 95) * 1000,
+                "p99": percentile(wall, 99) * 1000,
             },
             "metrics": metrics,
         }

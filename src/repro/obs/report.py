@@ -5,26 +5,33 @@
 - a **per-query waterfall** — the span tree, indented, with measured
   durations, retry/fault annotations, and error codes, i.e. Figure 8's
   "where did this query's time go" at a glance;
-- a **per-service histogram summary** — count, mean, and exact
+- a **per-series latency summary** — count, mean, and exact
   p50/p95/p99 over the recorded service spans plus the end-to-end query
   spans, the numbers the M/M/1 comparison (Figure 17 bridge) consumes.
 
 The percentile math lives in :mod:`repro.obs.metrics` (exact,
-numpy-compatible interpolation over raw samples); this module only groups
-spans into histograms and formats text.
+numpy-compatible interpolation over raw samples) and the series in a
+:class:`~repro.obs.timeseries.RollupStore`; this module only projects
+spans onto one, reads its snapshot, and formats text.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.datacenter.simulation import mm1_percentile, simulate_from_histogram
-from repro.obs.metrics import (
-    E2E_HISTOGRAM,
-    TTFP_HISTOGRAM,
-    MetricsRegistry,
-    outcome_counter_name,
-    service_histogram_name,
+from repro.datacenter.queueing import mm1_percentile
+from repro.datacenter.simulation import simulate_from_histogram
+from repro.obs.timeseries import (
+    E2E_METRIC,
+    PARTIALS_METRIC,
+    QUERIES_METRIC,
+    SERVICE_METRIC,
+    TTFP_METRIC,
+    WAIT_METRIC,
+    RollupPanel,
+    RollupSnapshot,
+    RollupStore,
+    format_series,
 )
 from repro.obs.trace import (
     ATTEMPT,
@@ -47,42 +54,42 @@ _WATERFALL_ATTRIBUTES = (
 
 def metrics_from_spans(
     spans: Sequence[Span],
-    registry: Optional[MetricsRegistry] = None,
-) -> MetricsRegistry:
-    """Build latency histograms from a span forest.
+    store: Optional[RollupStore] = None,
+) -> RollupStore:
+    """Record a span forest's *measured* latencies on the ordinal clock.
 
-    Query spans feed the end-to-end histogram; service spans feed the
-    per-service ones (keyed by service label).  Wait times, where recorded,
-    feed the per-service wait histograms.  Each trace's *first* partial
-    span yields one time-to-first-partial sample (partial end minus the
-    query root's start).  Attempt/section spans are structure, not samples
-    — retries would double-count their stage.
+    Query spans feed ``serve.e2e.seconds`` and ``serve.queries{status}``;
+    service spans feed ``serve.service.seconds{stage}`` and, where a wait
+    was recorded, ``serve.wait.seconds{stage}``.  Each trace's *first*
+    partial span yields one time-to-first-partial sample (partial end
+    minus the query root's start).  Attempt/section spans are structure,
+    not samples — retries would double-count their stage.
     """
-    registry = registry if registry is not None else MetricsRegistry()
-    from repro.obs.metrics import wait_histogram_name
-
-    query_starts: Dict[str, float] = {}
+    store = store if store is not None else RollupStore()
+    query_starts: Dict[str, Tuple[float, float]] = {}
     first_partial: Dict[str, float] = {}
     for span in spans:
+        t = float(span.ordinal)
         if span.kind == QUERY:
-            registry.histogram(E2E_HISTOGRAM).observe(span.duration)
-            query_starts[span.trace_id] = span.start
-            registry.counter(outcome_counter_name(query_outcome(span))).inc()
+            store.observe(E2E_METRIC, t, span.duration)
+            query_starts[span.trace_id] = (span.start, t)
+            store.inc(QUERIES_METRIC, t, status=query_outcome(span))
         elif span.kind == SERVICE:
-            label = span.service or span.name
-            registry.histogram(service_histogram_name(label)).observe(span.duration)
+            stage = span.service or span.name
+            store.observe(SERVICE_METRIC, t, span.duration, stage=stage)
             if span.wait:
-                registry.histogram(wait_histogram_name(label)).observe(span.wait)
+                store.observe(WAIT_METRIC, t, span.wait, stage=stage)
         elif span.kind == PARTIAL:
-            registry.counter("serve.partials").inc()
+            store.inc(PARTIALS_METRIC, t)
             trace = span.trace_id
             if trace not in first_partial or span.end < first_partial[trace]:
                 first_partial[trace] = span.end
     for trace, emitted in sorted(first_partial.items()):
-        start = query_starts.get(trace)
-        if start is not None and emitted > start:
-            registry.histogram(TTFP_HISTOGRAM).observe(emitted - start)
-    return registry
+        if trace in query_starts:
+            start, t = query_starts[trace]
+            if emitted > start:
+                store.observe(TTFP_METRIC, t, emitted - start)
+    return store
 
 
 def _children_by_parent(spans: Sequence[Span]) -> Dict[str, List[Span]]:
@@ -135,73 +142,80 @@ def format_waterfall(spans: Sequence[Span], limit: int = 0) -> str:
     return "\n".join(lines).rstrip()
 
 
-def summary_rows(registry: MetricsRegistry) -> List[List[str]]:
-    """Per-histogram summary rows: count, mean, p50/p95/p99 (milliseconds)."""
-    rows: List[List[str]] = []
-    for name in registry.histogram_names():
-        histogram = registry.histogram(name)
-        rows.append([
+def _series_panels(snapshot: RollupSnapshot) -> List[Tuple[str, RollupPanel]]:
+    """``(metric{labels}, panel folded over all windows)`` per series."""
+    return [
+        (format_series(metric, labels),
+         snapshot.merged_panel(metric, **dict(labels)))
+        for metric, labels in snapshot.panel_series()
+    ]
+
+
+def summary_rows(snapshot: RollupSnapshot) -> List[List[str]]:
+    """Per-series summary rows: count, mean, p50/p95/p99 (milliseconds)."""
+    return [
+        [
             name,
-            str(histogram.count),
-            f"{histogram.mean * 1000:.2f}",
-            f"{histogram.percentile(50) * 1000:.2f}",
-            f"{histogram.percentile(95) * 1000:.2f}",
-            f"{histogram.percentile(99) * 1000:.2f}",
-        ])
-    return rows
+            str(panel.observed),
+            f"{panel.mean * 1000:.2f}",
+            f"{panel.percentile(50) * 1000:.2f}",
+            f"{panel.percentile(95) * 1000:.2f}",
+            f"{panel.percentile(99) * 1000:.2f}",
+        ]
+        for name, panel in _series_panels(snapshot)
+    ]
 
 
-def format_service_summary(registry: MetricsRegistry, title: str = "Latency summary") -> str:
-    """The per-service latency table (count / mean / p50 / p95 / p99)."""
+def format_service_summary(store: RollupStore, title: str = "Latency summary") -> str:
+    """The per-series latency table (count / mean / p50 / p95 / p99)."""
     # Imported lazily: repro.analysis pulls in repro.profiling, which sits
     # *below* the obs layer in the import graph (profiling consults the
     # ambient trace context), so a module-level import would be circular.
     from repro.analysis import format_table
 
-    rows = summary_rows(registry)
+    snapshot = store.snapshot()
+    rows = summary_rows(snapshot)
     if not rows:
         return f"{title}\n(no latency samples recorded)"
-    counters = {
-        name: registry.counter(name).value
-        for name in ("serve.ok", "serve.degraded", "serve.failed",
-                     "serve.partials")
-        if registry.counter(name).value
+    counts = {
+        status: snapshot.counter_total(QUERIES_METRIC, status=status)
+        for status in ("ok", "degraded", "failed")
     }
+    counts["partials"] = snapshot.counter_total(PARTIALS_METRIC)
     table = format_table(
         title,
-        ["Histogram", "Count", "Mean (ms)", "p50 (ms)", "p95 (ms)", "p99 (ms)"],
+        ["Series", "Count", "Mean (ms)", "p50 (ms)", "p95 (ms)", "p99 (ms)"],
         rows,
     )
-    if counters:
-        outcome = ", ".join(f"{k.split('.')[1]}={v}" for k, v in sorted(counters.items()))
+    outcome = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()) if v)
+    if outcome:
         table += f"\noutcomes: {outcome}"
     return table
 
 
 def format_mm1_comparison(
-    registry: MetricsRegistry,
+    store: RollupStore,
     load: float,
     seed: int = 7,
     title: str = "Measured vs M/M/1 prediction",
 ) -> str:
-    """Empirical-histogram queueing vs the analytic M/M/1 model (Fig 17).
+    """Empirical-distribution queueing vs the analytic M/M/1 model (Fig 17).
 
-    For each latency histogram with samples, simulates a single-server
-    queue at utilization ``load`` drawing service times from the *measured*
+    For each latency series with samples, simulates a single-server queue
+    at utilization ``load`` drawing service times from the *measured*
     distribution, and prints its p50/p95/p99 next to the M/M/1 prediction
     parameterized by the measured mean — the Figure 8/17 bridge.
     """
     from repro.analysis import format_table
 
     rows: List[List[str]] = []
-    for name in registry.histogram_names():
-        histogram = registry.histogram(name)
-        if histogram.count < 2 or histogram.mean <= 0:
+    for name, panel in _series_panels(store.snapshot()):
+        mean = panel.mean
+        if panel.observed < 2 or mean <= 0:
             continue
         result = simulate_from_histogram(
-            histogram, load=load, n_queries=2000, seed=seed
+            panel, load=load, n_queries=2000, seed=seed
         )
-        mean = histogram.mean
         rows.append([
             name,
             f"{result.p95_response_time * 1000:.2f}",
@@ -210,10 +224,10 @@ def format_mm1_comparison(
             f"{mm1_percentile(mean, load, 99) * 1000:.2f}",
         ])
     if not rows:
-        return f"{title}\n(no histograms with enough samples)"
+        return f"{title}\n(no series with enough samples)"
     return format_table(
         f"{title} (load={load:.2f})",
-        ["Histogram", "sim p95 (ms)", "M/M/1 p95 (ms)",
+        ["Series", "sim p95 (ms)", "M/M/1 p95 (ms)",
          "sim p99 (ms)", "M/M/1 p99 (ms)"],
         rows,
     )
@@ -323,14 +337,14 @@ def render_report(
     mm1_load: Optional[float] = None,
 ) -> str:
     """The full ``repro trace-report`` text: waterfall + summaries."""
-    registry = metrics_from_spans(spans)
+    store = metrics_from_spans(spans)
     sections = [
         format_waterfall(spans, limit=limit),
-        format_service_summary(registry, title="Per-service latency (from spans)"),
+        format_service_summary(store, title="Per-service latency (from spans)"),
         format_wasted_work(spans),
     ]
     if mm1_load is not None:
-        sections.append(format_mm1_comparison(registry, load=mm1_load))
+        sections.append(format_mm1_comparison(store, load=mm1_load))
     counts = {ATTEMPT: 0, SECTION: 0, SERVICE: 0, QUERY: 0, PARTIAL: 0}
     for span in spans:
         counts[span.kind] = counts.get(span.kind, 0) + 1

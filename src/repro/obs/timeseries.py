@@ -1,39 +1,50 @@
-"""Windowed metric rollups over virtual time.
+"""The telemetry store: windowed counters and distributions over virtual time.
 
 At fleet scale the end-of-run aggregate is the wrong unit of observability
 — the tail-at-scale literature's signals (burning error budgets, windowed
-p99s, a replica draining behind the others) are all *time-local*.  This
-module is the bounded-cost answer: a :class:`RollupStore` buckets every
-metric into fixed-width windows of **virtual time** (replay seconds, or
-stream ordinals for span exports — never wall clocks), keyed by metric ×
-label set, so the cluster replay driver and the live fleet can emit
-per-tick series instead of one number per run.
+p99s, a replica draining behind the others) are all *time-local*.  A
+:class:`RollupStore` is the one registry of named counters and
+distributions in the repo: it buckets every metric into fixed-width
+windows of **virtual time** (replay seconds, or stream ordinals for live
+runs and span exports — never wall clocks), keyed by metric × label set,
+so the executor, the gateway, the live fleet and the replay driver all
+emit per-window series that fold back to one number per run on demand
+(:meth:`RollupSnapshot.merged_panel`, :meth:`RollupSnapshot.counter_total`).
 
 Two cell kinds:
 
 - **counters** — exact integer sums per ``(metric, labels, window)``;
-- **value panels** — per-window distributions (queue depth, router wait,
-  service seconds ...) carried as the same deterministic bottom-k
-  ``(value, weight)`` reservoir the metrics layer uses
-  (:mod:`repro.obs.metrics`), plus exact ``observed``/``min``/``max``.
+- **value panels** — per-window distributions (latency, queue depth,
+  fan-out ...) carried as the deterministic bottom-k ``(value, weight)``
+  reservoir of :mod:`repro.obs.metrics`, plus exact
+  ``observed``/``min``/``max``.
 
-Everything follows the registry's snapshot/merge discipline:
 :meth:`RollupStore.snapshot` is picklable and canonically sorted, and
 :func:`merge_rollup_snapshots` is associative, commutative, and
 fsum-exact — counters add, reservoirs union value-wise and re-apply the
-shared bottom-k rule, min/max fold — so per-replica rollups produced by
-process workers merge into one fleet view in any order, byte-identically
-(the property suite splits streams across window boundaries and checks
-exactly this).
+bottom-k rule (:func:`_merge_cells`, the only place two reservoirs meet),
+min/max fold — so shards of one stream merge into one view in any order,
+byte-identically (the property suite splits streams across window
+boundaries and checks exactly this).
 
-:func:`rollups_from_spans` projects a deterministic (timing-stripped)
-span export onto rollups using the stream ordinal as the virtual clock,
-which is what lets ``repro fleet-report`` render the same windowed
-dashboard from a live chaos run on any backend.
+**Two instances, one type.**  What a store holds depends on who feeds it:
+``metrics=`` stores (``PlanExecutor``, ``Cluster``, :func:`record_response`,
+``metrics_from_spans``) hold *measured* seconds; ``rollups=`` stores
+(:func:`rollups_from_spans`, ``Cluster.rollups``, the replay driver) hold
+only seed-deterministic values and are byte-identical across backends.
+
+**What is complete where.**  The process backend forks, so an observation
+made *inside* ``PlanExecutor.run`` (stage hand-off waits, router
+wait/depth) lands in the worker's copy of the store and is complete on
+the ``serial`` and ``thread`` backends only.  Everything recorded
+parent-side from the returned responses — ``run_all``, ``Cluster.run_all``
+and the gateway, through :func:`record_response` and the span projection
+— is complete on every backend.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -48,15 +59,27 @@ from repro.obs.trace import QUERY, ROUTER, SERVICE, query_outcome
 #: Label sets are canonicalized to sorted (key, value) string pairs.
 Labels = Tuple[Tuple[str, str], ...]
 
+#: One cell's address: ``(metric, labels, window)``.
+CellKey = Tuple[str, Labels, int]
+
 #: Default rollup window width (matches the autoscaler's default tick).
 DEFAULT_WINDOW_SECONDS = 5.0
 
 
 def canonical_labels(labels: Mapping[str, Union[str, int, float]]) -> Labels:
     """Sorted, stringified (key, value) pairs — the canonical label form."""
+    if not labels:  # most observations carry none; this is the recorders' hot path
+        return ()
     return tuple(
         (key, str(labels[key])) for key in sorted(labels)
     )
+
+
+def format_series(metric: str, labels: Labels) -> str:
+    """``metric{key=value,...}`` — how reports name one labelled series."""
+    if not labels:
+        return metric
+    return metric + "{" + ",".join(f"{key}={value}" for key, value in labels) + "}"
 
 
 @dataclass(frozen=True)
@@ -75,7 +98,9 @@ class RollupPanel:
 
     ``samples``/``weights`` are the deterministic bottom-k reservoir
     (sorted distinct values with observation counts); ``observed``,
-    ``minimum`` and ``maximum`` are exact at any volume.
+    ``minimum`` and ``maximum`` are exact at any volume.  ``observed``
+    exceeds :attr:`kept` only when the reservoir has truncated (see
+    :mod:`repro.obs.metrics` for the error bound that applies then).
     """
 
     metric: str
@@ -107,12 +132,11 @@ class RollupSnapshot:
 
     Cells are canonically sorted by ``(metric, labels, window)``, so equal
     observation multisets produce byte-equal snapshots whatever order —
-    or worker process — recorded them.
+    or worker — recorded them.
     """
 
     window_seconds: float
     max_samples: int
-    reservoir_seed: int
     counters: Tuple[RollupCounter, ...] = ()
     panels: Tuple[RollupPanel, ...] = ()
 
@@ -127,6 +151,10 @@ class RollupSnapshot:
         seen = {cell.metric for cell in self.counters}
         seen.update(cell.metric for cell in self.panels)
         return tuple(sorted(seen))
+
+    def panel_series(self) -> Tuple[Tuple[str, Labels], ...]:
+        """Every distinct ``(metric, labels)`` with a panel cell, sorted."""
+        return tuple(sorted({(cell.metric, cell.labels) for cell in self.panels}))
 
     def counter_cells(self, metric: str) -> Tuple[RollupCounter, ...]:
         return tuple(cell for cell in self.counters if cell.metric == metric)
@@ -160,8 +188,7 @@ class RollupSnapshot:
             if _labels_match(cell.labels, want):
                 grouped.setdefault(cell.window, []).append(cell)
         return {
-            window: _merge_panel_group(metric, (), window, cells,
-                                       self.max_samples, self.reservoir_seed)
+            window: _merge_cells((metric, (), window), cells, self.max_samples)
             for window, cells in grouped.items()
         }
 
@@ -174,9 +201,7 @@ class RollupSnapshot:
         ]
         if not cells:
             return None
-        return _merge_panel_group(
-            metric, want, -1, cells, self.max_samples, self.reservoir_seed
-        )
+        return _merge_cells((metric, want, -1), cells, self.max_samples)
 
 
 def _labels_match(have: Labels, want: Labels) -> bool:
@@ -185,19 +210,21 @@ def _labels_match(have: Labels, want: Labels) -> bool:
     return all(pairs.get(key) == value for key, value in want)
 
 
-def _merge_panel_group(
-    metric: str,
-    labels: Labels,
-    window: int,
-    cells: Sequence[RollupPanel],
-    max_samples: int,
-    seed: int,
+def _merge_cells(
+    key: CellKey, cells: Sequence[RollupPanel], max_samples: int
 ) -> RollupPanel:
+    """Fold panel cells into one at ``key`` — the only union of reservoirs.
+
+    Pools union value-wise (weights add) and re-apply the bottom-k rule;
+    ``observed``/``minimum``/``maximum`` fold exactly.  A pure function of
+    the pooled observation multiset, whatever the grouping.
+    """
     pool: Dict[float, int] = {}
     for cell in cells:
         for value, weight in zip(cell.samples, cell.weights):
             pool[value] = pool.get(value, 0) + weight
-    samples, weights, total = _canonical_reservoir(pool, max_samples, seed)
+    samples, weights, total = _canonical_reservoir(pool, max_samples)
+    metric, labels, window = key
     return RollupPanel(
         metric=metric,
         labels=labels,
@@ -214,65 +241,33 @@ def _merge_panel_group(
 def merge_rollup_snapshots(a: RollupSnapshot, b: RollupSnapshot) -> RollupSnapshot:
     """Combine two rollup snapshots (associative, commutative, exact).
 
-    Counters add per cell; panels union their reservoirs value-wise and
-    re-apply the shared bottom-k rule; min/max/observed fold exactly.  The
+    Counters add per cell; panels go through :func:`_merge_cells`.  The
     result is a pure function of the pooled observation multiset, so any
     merge tree over the same shards yields byte-identical snapshots.
     """
-    if (
-        a.window_seconds != b.window_seconds
-        or a.max_samples != b.max_samples
-        or a.reservoir_seed != b.reservoir_seed
-    ):
-        raise TraceError(
-            "cannot merge rollup snapshots with mismatched window/reservoir "
-            "configuration"
-        )
-    counters: Dict[Tuple[str, Labels, int], int] = {}
-    for snapshot in (a, b):
-        for cell in snapshot.counters:
-            key = (cell.metric, cell.labels, cell.window)
-            counters[key] = counters.get(key, 0) + cell.value
-    panels: Dict[Tuple[str, Labels, int], List[RollupPanel]] = {}
-    for snapshot in (a, b):
-        for cell in snapshot.panels:
-            panels.setdefault((cell.metric, cell.labels, cell.window), []).append(cell)
-    return RollupSnapshot(
-        window_seconds=a.window_seconds,
-        max_samples=a.max_samples,
-        reservoir_seed=a.reservoir_seed,
-        counters=tuple(
-            RollupCounter(metric=metric, labels=labels, window=window,
-                          value=counters[(metric, labels, window)])
-            for metric, labels, window in sorted(counters)
-        ),
-        panels=tuple(
-            _merge_panel_group(
-                metric, labels, window,
-                panels[(metric, labels, window)],
-                a.max_samples, a.reservoir_seed,
-            )
-            for metric, labels, window in sorted(panels)
-        ),
-    )
+    merged = RollupStore(a.window_seconds, a.max_samples)
+    merged.merge(a)
+    merged.merge(b)
+    return merged.snapshot()
 
 
 class RollupStore:
     """Accumulates windowed counters and value panels over virtual time.
 
     ``window_seconds`` fixes the bucket width; a timestamp ``t`` (virtual
-    seconds, or a stream ordinal when projecting span exports) lands in
-    window ``floor(t / window_seconds)``.  Not thread-safe by design: the
-    emitters (replay driver, parent-side fleet recording) are all
-    single-threaded folds, and cross-process aggregation goes through
-    snapshot/merge like the metrics registry.
+    seconds, or a stream ordinal for live runs and span exports) lands in
+    window ``floor(t / window_seconds)``.  A cell keeps every distinct
+    value of its window and is truncated to ``max_samples`` when read
+    (:meth:`snapshot`) or merged.  Thread-safe: one lock around
+    :meth:`inc` / :meth:`observe` / :meth:`merge` / :meth:`snapshot`,
+    because ``run_all(backend="thread")`` workers observe into the
+    executor's store concurrently.
     """
 
     def __init__(
         self,
         window_seconds: float = DEFAULT_WINDOW_SECONDS,
         max_samples: int = DEFAULT_MAX_SAMPLES,
-        reservoir_seed: int = 0,
     ):
         if window_seconds <= 0:
             raise ConfigurationError("window_seconds must be positive")
@@ -280,12 +275,10 @@ class RollupStore:
             raise ConfigurationError("max_samples must be >= 1")
         self.window_seconds = float(window_seconds)
         self.max_samples = max_samples
-        self.reservoir_seed = reservoir_seed
-        self._counters: Dict[Tuple[str, Labels, int], int] = {}
-        # Panel accumulator: value→count pool plus exact observed/min/max.
-        self._panels: Dict[
-            Tuple[str, Labels, int], Tuple[Dict[float, int], List]
-        ] = {}
+        self._lock = threading.Lock()
+        self._counters: Dict[CellKey, int] = {}
+        # Panel accumulator: [value→count pool, observed, minimum, maximum].
+        self._panels: Dict[CellKey, list] = {}
 
     def window_of(self, t: float) -> int:
         """The window index a virtual timestamp falls in."""
@@ -298,110 +291,141 @@ class RollupStore:
         if amount < 0:
             raise ConfigurationError("rollup counters only go up")
         key = (metric, canonical_labels(labels), self.window_of(t))
-        self._counters[key] = self._counters.get(key, 0) + amount
+        with self._lock:
+            self._counters[key] = self._counters.get(key, 0) + amount
 
     def observe(self, metric: str, t: float, value: float, **labels) -> None:
         """Record one value into a panel cell at virtual time ``t``."""
         value = float(value)
         key = (metric, canonical_labels(labels), self.window_of(t))
-        entry = self._panels.get(key)
-        if entry is None:
-            # stats = [observed, minimum, maximum]
-            entry = ({}, [0, value, value])
-            self._panels[key] = entry
-        pool, stats = entry
-        pool[value] = pool.get(value, 0) + 1
-        stats[0] += 1
-        if value < stats[1]:
-            stats[1] = value
-        if value > stats[2]:
-            stats[2] = value
+        with self._lock:
+            entry = self._panels.get(key)
+            if entry is None:
+                self._panels[key] = [{value: 1}, 1, value, value]
+                return
+            pool = entry[0]
+            pool[value] = pool.get(value, 0) + 1
+            entry[1] += 1
+            if value < entry[2]:
+                entry[2] = value
+            elif value > entry[3]:
+                entry[3] = value
+
+    def _panel(self, key: CellKey) -> RollupPanel:
+        """The canonical (truncated) cell at ``key``; caller holds the lock."""
+        pool, observed, minimum, maximum = self._panels[key]
+        samples, weights, total = _canonical_reservoir(pool, self.max_samples)
+        metric, labels, window = key
+        return RollupPanel(
+            metric=metric, labels=labels, window=window,
+            observed=observed, minimum=minimum, maximum=maximum,
+            samples=samples, weights=weights, total=total,
+        )
 
     def snapshot(self) -> RollupSnapshot:
         """The canonical picklable state (sorted cells, truncated pools)."""
-        counters = tuple(
-            RollupCounter(metric=metric, labels=labels, window=window,
-                          value=self._counters[(metric, labels, window)])
-            for metric, labels, window in sorted(self._counters)
-        )
-        panels = []
-        for metric, labels, window in sorted(self._panels):
-            pool, stats = self._panels[(metric, labels, window)]
-            samples, weights, total = _canonical_reservoir(
-                dict(pool), self.max_samples, self.reservoir_seed
+        with self._lock:
+            counters = tuple(
+                RollupCounter(*key, self._counters[key])
+                for key in sorted(self._counters)
             )
-            panels.append(
-                RollupPanel(
-                    metric=metric, labels=labels, window=window,
-                    observed=stats[0], minimum=stats[1], maximum=stats[2],
-                    samples=samples, weights=weights, total=total,
-                )
-            )
+            panels = tuple(self._panel(key) for key in sorted(self._panels))
         return RollupSnapshot(
             window_seconds=self.window_seconds,
             max_samples=self.max_samples,
-            reservoir_seed=self.reservoir_seed,
             counters=counters,
-            panels=tuple(panels),
+            panels=panels,
         )
 
     def merge(self, snapshot: RollupSnapshot) -> None:
-        """Fold another store's snapshot in (worker → parent direction)."""
+        """Fold another store's snapshot in (equal window width and cap only)."""
         if (
             snapshot.window_seconds != self.window_seconds
             or snapshot.max_samples != self.max_samples
-            or snapshot.reservoir_seed != self.reservoir_seed
         ):
             raise TraceError(
-                "cannot merge a rollup snapshot with mismatched "
-                "window/reservoir configuration"
+                "cannot merge rollups with mismatched window/reservoir "
+                "configuration"
             )
-        for cell in snapshot.counters:
-            key = (cell.metric, cell.labels, cell.window)
-            self._counters[key] = self._counters.get(key, 0) + cell.value
-        for cell in snapshot.panels:
-            key = (cell.metric, cell.labels, cell.window)
-            entry = self._panels.get(key)
-            if entry is None:
-                entry = ({}, [0, cell.minimum, cell.maximum])
-                self._panels[key] = entry
-            pool, stats = entry
-            for value, weight in zip(cell.samples, cell.weights):
-                pool[value] = pool.get(value, 0) + weight
-            stats[0] += cell.observed
-            stats[1] = min(stats[1], cell.minimum)
-            stats[2] = max(stats[2], cell.maximum)
+        with self._lock:
+            for cell in snapshot.counters:
+                key = (cell.metric, cell.labels, cell.window)
+                self._counters[key] = self._counters.get(key, 0) + cell.value
+            for cell in snapshot.panels:
+                key = (cell.metric, cell.labels, cell.window)
+                cells = [self._panel(key), cell] if key in self._panels else [cell]
+                merged = _merge_cells(key, cells, self.max_samples)
+                self._panels[key] = [
+                    dict(zip(merged.samples, merged.weights)),
+                    merged.observed, merged.minimum, merged.maximum,
+                ]
 
 
-# -- span-export projection ---------------------------------------------------------
+# -- metric vocabulary --------------------------------------------------------------
 
-#: Rollup metric names emitted by the projections below and by the cluster
-#: emitters (replay driver / live fleet).
-QUERIES_METRIC = "serve.queries"
-ERRORS_METRIC = "serve.errors"
+#: Metric names every emitter writes under (serving recorders, the span
+#: projection, the replay driver, the live fleet); labels in braces.
+QUERIES_METRIC = "serve.queries"                    # {status}
+PARTIALS_METRIC = "serve.partials"
+ERRORS_METRIC = "serve.errors"                      # {code}
 ARRIVALS_METRIC = "serve.arrivals"
 REJECTED_METRIC = "serve.router.rejected"
-ASSIGNMENTS_METRIC = "serve.router.assignments"
-DEPTH_METRIC = "serve.router.queue_depth"
+ASSIGNMENTS_METRIC = "serve.router.assignments"     # {replica}
+DEPTH_METRIC = "serve.router.queue_depth"           # {replica}
 ROUTER_WAIT_METRIC = "serve.router.wait_seconds"
 FANOUT_METRIC = "serve.shard.fanout"
 SHARD_FAILURES_METRIC = "serve.shard.failures"
-STAGE_VIRTUAL_METRIC = "serve.stage.virtual_seconds"
+STAGE_VIRTUAL_METRIC = "serve.stage.virtual_seconds"  # {stage}
 BREAKER_OPEN_METRIC = "serve.breaker.open"
 E2E_METRIC = "serve.e2e.seconds"
-WAIT_METRIC = "serve.wait.seconds"
-SERVICE_METRIC = "serve.service.seconds"
+WAIT_METRIC = "serve.wait.seconds"                  # {stage}
+SERVICE_METRIC = "serve.service.seconds"            # {stage}
 TTFP_METRIC = "serve.ttfp.seconds"
 REPLICAS_METRIC = "serve.autoscaler.replicas"
 SCALE_ACTIONS_METRIC = "serve.autoscaler.actions"
 ENERGY_METRIC = "serve.energy.microjoules"
 
 
+# -- response recording -------------------------------------------------------------
+
+
+def response_outcome(response) -> str:
+    """``"ok"`` / ``"degraded"`` / ``"failed"``; a failed response is not
+    also degraded."""
+    if getattr(response, "failed", False):
+        return "failed"
+    if getattr(response, "degraded", False):
+        return "degraded"
+    return "ok"
+
+
+def record_response(store: RollupStore, response, ordinal: int) -> None:
+    """Record one served query at its stream ordinal: measured end-to-end
+    and per-stage seconds, and the ok/degraded/failed outcome.
+
+    Duck-typed over :class:`~repro.core.query.SiriusResponse`, so the obs
+    layer needs no import of the core package.
+    """
+    t = float(ordinal)
+    store.observe(E2E_METRIC, t, max(response.wall_seconds, 0.0))
+    for label, seconds in response.service_seconds.items():
+        store.observe(SERVICE_METRIC, t, max(seconds, 0.0), stage=label)
+    store.inc(QUERIES_METRIC, t, status=response_outcome(response))
+
+
+def record_responses(store: RollupStore, responses: Sequence) -> None:
+    """Record a whole response stream, ordinals in stream order."""
+    for ordinal, response in enumerate(responses):
+        record_response(store, response, ordinal)
+
+
+# -- span-export projection ---------------------------------------------------------
+
+
 def rollups_from_spans(
     spans: Iterable,
     window: float = 16.0,
     max_samples: int = DEFAULT_MAX_SAMPLES,
-    reservoir_seed: int = 0,
 ) -> RollupSnapshot:
     """Project a span forest onto windowed rollups, deterministically.
 
@@ -418,10 +442,7 @@ def rollups_from_spans(
     ``serve.stage.virtual_seconds{stage}`` plus per-query
     ``serve.e2e.seconds`` from the root's virtual cost.
     """
-    store = RollupStore(
-        window_seconds=window, max_samples=max_samples,
-        reservoir_seed=reservoir_seed,
-    )
+    store = RollupStore(window_seconds=window, max_samples=max_samples)
     for span in spans:
         t = float(span.ordinal)
         if span.kind == QUERY:

@@ -35,23 +35,16 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.core.query import IPAQuery, SiriusResponse
 from repro.errors import AdmissionError, ConfigurationError
-from repro.obs.metrics import (
-    MetricsRegistry,
-    QUEUE_DEPTH_HISTOGRAM,
-    ROUTER_REJECTED_COUNTER,
-    ROUTER_WAIT_HISTOGRAM,
-    SHARD_FANOUT_HISTOGRAM,
-    record_responses,
-    replica_counter_name,
-)
 from repro.obs.timeseries import (
     ARRIVALS_METRIC,
     REJECTED_METRIC,
+    ROUTER_WAIT_METRIC,
     RollupStore,
+    record_responses,
     rollups_from_spans,
 )
 from repro.obs.trace import ROUTER, Tracer, collect_spans
@@ -94,16 +87,17 @@ class Cluster:
     a registry name or a :class:`~repro.serving.cluster.router.
     RoutingPolicy` instance; ``admission`` is optional seeded load
     shedding.  ``window`` sizes the assignment-count load signal (default:
-    four outstanding queries per replica).  ``metrics`` is recorded
-    parent-side after each stream — e2e/service histograms via
-    :func:`~repro.obs.metrics.record_responses` plus the router's own
-    queue-depth, router-wait, shard-fanout, and rejection series — so the
-    numbers are complete even when replicas ran in forked workers.
-    ``rollups`` is an optional :class:`~repro.obs.timeseries.RollupStore`
-    fed the same way: router arrivals/rejects from the placement table
-    plus the seed-deterministic span projection
-    (:func:`~repro.obs.timeseries.rollups_from_spans`, ordinal clock), so
-    a live chaos run yields the same windowed telemetry on any backend.
+    four outstanding queries per replica).  ``metrics`` and ``rollups``
+    are optional :class:`~repro.obs.timeseries.RollupStore` instances,
+    both recorded parent-side after each stream on the ordinal clock, so
+    the numbers are complete even when replicas ran in forked workers.
+    ``metrics`` holds what was *measured*: e2e/stage seconds and outcomes
+    via :func:`~repro.obs.timeseries.record_responses` plus the router
+    spans' waits.  ``rollups`` holds only what the seed determines:
+    arrivals from the placement table plus the span projection
+    (:func:`~repro.obs.timeseries.rollups_from_spans` — assignments,
+    depths, rejections, fan-out, errors, virtual stage costs), so a live
+    chaos run yields the same windowed telemetry on any backend.
     """
 
     def __init__(
@@ -112,7 +106,7 @@ class Cluster:
         policy: Union[str, RoutingPolicy] = POWER_OF_TWO,
         seed: int = 0,
         admission: Optional[AdmissionControl] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        metrics: Optional[RollupStore] = None,
         window: Optional[int] = None,
         rollups: Optional[RollupStore] = None,
     ):
@@ -226,7 +220,7 @@ class Cluster:
         by_ordinal = dict(zip(chain.from_iterable(groups), chain.from_iterable(served)))
         responses = [by_ordinal[ordinal] for ordinal in range(len(queries))]
         if self.metrics is not None:
-            self._record_metrics(decisions, responses)
+            self._record_metrics(responses)
         if self.rollups is not None:
             self._record_rollups(decisions, responses)
         return responses
@@ -252,35 +246,14 @@ class Cluster:
             spans = tracer.finish()
         return failed_response(query, {"ROUTER": error.code}, spans=spans)
 
-    def _record_metrics(
-        self,
-        decisions: Sequence[RouteDecision],
-        responses: Sequence[SiriusResponse],
-    ) -> None:
-        """Parent-side metrics: complete whichever backend ran the work."""
-        registry = self.metrics
-        record_responses(registry, responses)
-        depth_histogram = registry.histogram(QUEUE_DEPTH_HISTOGRAM)
-        placements: Dict[int, int] = {}
-        rejected = 0
-        for decision in decisions:
-            depth_histogram.observe(float(decision.queue_depth))
-            if not decision.admitted:
-                rejected += 1
-            placements[decision.replica] = placements.get(decision.replica, 0) + 1
-        if rejected:
-            registry.counter(ROUTER_REJECTED_COUNTER).inc(rejected)
-        for replica in sorted(placements):
-            registry.counter(replica_counter_name(replica)).inc(placements[replica])
-        router_wait = registry.histogram(ROUTER_WAIT_HISTOGRAM)
-        fanout = registry.histogram(SHARD_FANOUT_HISTOGRAM)
-        for response in responses:
-            for span in getattr(response, "spans", ()) or ():
-                if span.kind == ROUTER and span.wait > 0:
-                    router_wait.observe(span.wait)
-                width = span.attributes.get("shard.fanout")
-                if width is not None:
-                    fanout.observe(float(width))
+    def _record_metrics(self, responses: Sequence[SiriusResponse]) -> None:
+        """Parent-side measured seconds: complete whichever backend ran."""
+        record_responses(self.metrics, responses)
+        for span in chain.from_iterable(r.spans for r in responses):
+            if span.kind == ROUTER and span.wait > 0:
+                self.metrics.observe(
+                    ROUTER_WAIT_METRIC, float(span.ordinal), span.wait
+                )
 
     def _record_rollups(
         self,
@@ -289,17 +262,19 @@ class Cluster:
     ) -> None:
         """Windowed telemetry on the ordinal clock, deterministic by design.
 
-        Router arrivals/rejects come from the placement table; everything
-        else (per-replica assignments and depths, stage costs, errors,
-        fan-out, breaker trips) is projected from the responses' span
-        forests, which read only seed-deterministic span fields — so the
-        same chaos stream rolls up byte-identically on every backend.
+        Arrivals come from the placement table; everything else
+        (per-replica assignments and depths, rejections, stage costs,
+        errors, fan-out, breaker trips) is projected from the responses'
+        span forests, which read only seed-deterministic span fields — so
+        the same chaos stream rolls up byte-identically on every backend.
+        An untraced rejection has no router span to project, so it is
+        counted from the placement table instead (never both).
         """
         store = self.rollups
-        for decision in decisions:
+        for decision, response in zip(decisions, responses):
             t = float(decision.ordinal)
             store.inc(ARRIVALS_METRIC, t)
-            if not decision.admitted:
+            if not decision.admitted and not response.spans:
                 store.inc(REJECTED_METRIC, t)
         spans = collect_spans(responses)
         if spans:
@@ -308,7 +283,6 @@ class Cluster:
                     spans,
                     window=store.window_seconds,
                     max_samples=store.max_samples,
-                    reservoir_seed=store.reservoir_seed,
                 )
             )
 
@@ -320,7 +294,7 @@ def build_cluster(
     policy: Union[str, RoutingPolicy] = POWER_OF_TWO,
     seed: int = 0,
     admission: Optional[AdmissionControl] = None,
-    metrics: Optional[MetricsRegistry] = None,
+    metrics: Optional[RollupStore] = None,
     trace_seed: Optional[int] = None,
     imm_top_k: int = 3,
     fault_plan=None,

@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.datacenter.arrivals import ArrivalProcess, make_process
-from repro.datacenter.simulation import exponential_sampler, mm1_percentile
+from repro.datacenter.queueing import mm1_percentile
+from repro.datacenter.simulation import exponential_sampler
 from repro.errors import ConfigurationError
 from repro.obs.metrics import percentile
 from repro.obs.pricing import energy_microjoules

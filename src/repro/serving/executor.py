@@ -48,12 +48,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.core.query import IPAQuery, QueryType, SiriusResponse
 from repro.errors import ConfigurationError, SiriusError
 from repro.obs.context import use_tracer
-from repro.obs.metrics import (
-    MetricsRegistry,
-    QUEUE_DEPTH_HISTOGRAM,
-    ROUTER_WAIT_HISTOGRAM,
+from repro.obs.timeseries import (
+    DEPTH_METRIC,
+    ROUTER_WAIT_METRIC,
+    WAIT_METRIC,
+    RollupStore,
     record_responses,
-    wait_histogram_name,
 )
 from repro.obs.trace import ROUTER, SERVICE, Span, Tracer
 from repro.profiling import Profiler
@@ -296,7 +296,7 @@ class PlanExecutor:
         plan: Optional[QueryPlan] = None,
         max_workers: Optional[int] = None,
         trace_seed: Optional[int] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        metrics: Optional[RollupStore] = None,
     ):
         if max_workers is not None and max_workers < 1:
             raise ConfigurationError("max_workers must be >= 1")
@@ -306,8 +306,9 @@ class PlanExecutor:
         #: ``None`` disables tracing; any int seeds deterministic span IDs
         #: (chaos replays with the same seed export identical span forests).
         self.trace_seed = trace_seed
-        #: Optional :class:`~repro.obs.metrics.MetricsRegistry` that
-        #: ``run_all`` records e2e / per-service / wait latencies into.
+        #: Optional :class:`~repro.obs.timeseries.RollupStore` that
+        #: ``run_all`` records *measured* e2e / per-stage / wait seconds
+        #: into, on the stream-ordinal clock.
         self.metrics = metrics
         self._check_plan(self.plan)
 
@@ -434,10 +435,11 @@ class PlanExecutor:
             state.tracer.end_span(span)
             span.wait = span.duration
         if self.metrics is not None:
+            t = float(state.ordinal)
             if wait > 0:
-                self.metrics.histogram(ROUTER_WAIT_HISTOGRAM).observe(wait)
-            self.metrics.histogram(QUEUE_DEPTH_HISTOGRAM).observe(
-                float(ticket.queue_depth)
+                self.metrics.observe(ROUTER_WAIT_METRIC, t, wait)
+            self.metrics.observe(
+                DEPTH_METRIC, t, float(ticket.queue_depth), replica=ticket.replica
             )
 
     def _begin_trace(self, state: ExecutionState) -> None:
@@ -475,8 +477,9 @@ class PlanExecutor:
         if state.tracer is not None:
             state.tracer.adopt(outcome.spans)
         if self.metrics is not None and outcome.wait_seconds > 0:
-            self.metrics.histogram(wait_histogram_name(service.label)).observe(
-                outcome.wait_seconds
+            self.metrics.observe(
+                WAIT_METRIC, float(state.ordinal), outcome.wait_seconds,
+                stage=service.label,
             )
         state.virtual_seconds += outcome.virtual_seconds
         state.profiler.profile.merge(outcome.profile)
@@ -643,7 +646,7 @@ def build_executor(
     plan: Optional[QueryPlan] = None,
     max_workers: Optional[int] = None,
     trace_seed: Optional[int] = None,
-    metrics: Optional[MetricsRegistry] = None,
+    metrics: Optional[RollupStore] = None,
 ) -> PlanExecutor:
     """Wrap pipeline components in services and assemble an executor."""
     from repro.serving.service import (

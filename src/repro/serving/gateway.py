@@ -23,7 +23,7 @@ sessions over one event loop:
 
 Per-session work bouts are serialized by an ``asyncio.Lock`` (sessions are
 not thread-safe; *different* sessions overlap freely on the pool), and
-time-to-first-partial is observed into the executor's metrics registry at
+time-to-first-partial is observed into the executor's metrics store at
 the first non-empty partial — the TTFP column next to end-to-end latency
 in ``repro trace-report``.
 """
@@ -38,8 +38,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.asr.audio import Waveform
 from repro.errors import ConfigurationError, SessionError
-from repro.obs.metrics import TTFP_HISTOGRAM, record_response, response_outcome
-from repro.obs.timeseries import QUERIES_METRIC, TTFP_METRIC
+from repro.obs.timeseries import TTFP_METRIC, record_response
 from repro.serving.executor import DEGRADE, PlanExecutor, _check_on_error
 from repro.serving.plan import QueryPlan
 from repro.serving.service import ASR
@@ -211,11 +210,11 @@ class StreamingGateway:
         self.poll_on_feed = poll_on_feed
         self.auto_finalize = auto_finalize
         self.endpoint_config = endpoint_config
-        #: Optional :class:`~repro.obs.timeseries.RollupStore` — windowed
-        #: TTFP and outcome series on the session-ordinal clock.  Gateway
-        #: TTFP is a *measured* wall time (unlike the replay driver's
-        #: modeled series), so these rollups are operational telemetry,
-        #: not golden-pinnable output.
+        #: Optional :class:`~repro.obs.timeseries.RollupStore` fed what
+        #: ``executor.metrics`` is: TTFP, latency and outcome series on the
+        #: session-ordinal clock.  Gateway seconds are *measured* wall time
+        #: (unlike the replay driver's modeled series), so these rollups
+        #: are operational telemetry, not golden-pinnable output.
         self.rollups = rollups
         self._asr_record = next(
             (s.record for s in self.plan.stages if s.service == ASR), True
@@ -243,19 +242,20 @@ class StreamingGateway:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(self._pool, lambda: fn(*args))
 
-    def _observe_ttfp(self, seconds: float, ordinal: int = 0) -> None:
-        if self.executor.metrics is not None:
-            self.executor.metrics.histogram(TTFP_HISTOGRAM).observe(seconds)
-        if self.rollups is not None:
-            self.rollups.observe(TTFP_METRIC, float(ordinal), seconds)
+    def _stores(self) -> list:
+        """The stores this gateway records into (either may be unset)."""
+        return [
+            store for store in (self.executor.metrics, self.rollups)
+            if store is not None
+        ]
 
-    def _record(self, response, ordinal: int = 0) -> None:
-        if self.executor.metrics is not None:
-            record_response(self.executor.metrics, response)
-        if self.rollups is not None:
-            self.rollups.inc(
-                QUERIES_METRIC, float(ordinal), status=response_outcome(response)
-            )
+    def _observe_ttfp(self, seconds: float, ordinal: int) -> None:
+        for store in self._stores():
+            store.observe(TTFP_METRIC, float(ordinal), seconds)
+
+    def _record(self, response, ordinal: int) -> None:
+        for store in self._stores():
+            record_response(store, response, ordinal)
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)

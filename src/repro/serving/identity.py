@@ -26,7 +26,7 @@ from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.core.query import SiriusResponse
 from repro.obs.export import to_jsonl
-from repro.obs.metrics import response_outcome
+from repro.obs.timeseries import response_outcome
 from repro.obs.trace import collect_spans
 from repro.serving.service import ASR
 

@@ -1,13 +1,11 @@
 """Telemetry naming rules (SC9xx): metric and span name hygiene.
 
-The fleet telemetry plane keys every rollup cell, histogram, and sampling
-decision by metric/span *name*.  Names are therefore part of the golden
-surface: a name built with an f-string per call both defeats golden
-pinning (cardinality explodes with the interpolated value) and allocates
-a fresh string on the hot path.  The sanctioned pattern for the few
-legitimately dynamic families is a helper that owns the template
-(``replica_counter_name``, ``bench_histogram_name``), called far from
-the hot loop.
+The fleet telemetry plane keys every rollup cell and sampling decision by
+metric/span *name*.  Names are therefore part of the golden surface: a
+name built with an f-string per call both defeats golden pinning
+(cardinality explodes with the interpolated value) and allocates a fresh
+string on the hot path.  What varies per call (stage, replica, status)
+belongs in the store's labels, not in the name.
 
 Precise-or-silent: only literal or syntactically-dynamic name arguments
 are judged; a name passed through a variable is someone else's problem.
@@ -20,8 +18,9 @@ import re
 
 from repro.statcheck.core import Rule, RuleContext, Severity
 
-#: Registry methods whose first argument is a metric name, wherever called.
-_METRIC_METHODS = ("counter", "gauge", "histogram")
+#: Store methods (:class:`repro.obs.timeseries.RollupStore`) whose first
+#: argument is a metric name, wherever called.
+_METRIC_METHODS = ("inc", "observe")
 
 #: Tracer methods whose first argument is a span name; judged inside loops
 #: only (one-off root names, e.g. ``trace(..., name=...)``, stay free-form).
@@ -35,11 +34,12 @@ _DYNAMIC = "f-string, concatenation, %, or .format()"
 
 
 def _name_argument(node: ast.Call) -> ast.AST:
-    """The name argument of a metric/span call, positional or ``name=``."""
+    """The name argument of a metric/span call: positional, ``metric=``
+    or ``name=``."""
     if node.args:
         return node.args[0]
     for keyword in node.keywords:
-        if keyword.arg == "name":
+        if keyword.arg in ("metric", "name"):
             return keyword.value
     return None
 
@@ -74,9 +74,8 @@ class DynamicTelemetryName(Rule):
         "Telemetry names key rollup cells, golden files, and sampling "
         "decisions; an f-string or concatenated name explodes series "
         "cardinality with the interpolated value and allocates per call on "
-        "the hot path.  Use a dotted-lowercase literal, or a dedicated "
-        "*_name() helper that owns the template for the few dynamic "
-        "families (replica_counter_name, bench_histogram_name)."
+        "the hot path.  Use a dotted-lowercase literal and carry what "
+        "varies per call (stage, replica, status) as a label."
     )
 
     def visit_Call(self, node: ast.Call, ctx: RuleContext) -> None:
@@ -97,8 +96,8 @@ class DynamicTelemetryName(Rule):
                 self,
                 arg,
                 f"{kind} name for .{func.attr}() is built at call time "
-                f"({_DYNAMIC}); use a dotted-lowercase literal or a "
-                "*_name() helper that owns the template",
+                f"({_DYNAMIC}); use a dotted-lowercase literal and put "
+                "what varies in a label",
             )
         elif isinstance(arg, ast.Constant) and isinstance(arg.value, str):
             if not _NAME_RE.match(arg.value):

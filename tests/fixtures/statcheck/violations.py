@@ -95,8 +95,8 @@ def sc403_generic_raise(flag):
         raise RuntimeError("flag must be set")
 
 
-def sc901_dynamic_telemetry_name(registry, replica):
-    return registry.counter(f"serve.router.replica.{replica}")
+def sc901_dynamic_telemetry_name(store, replica):
+    store.inc(f"serve.router.replica.{replica}", 0.0)
 
 
 def sc1002_inline_pricing_constant():

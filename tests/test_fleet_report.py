@@ -109,6 +109,44 @@ class TestCrossBackendByteIdentity:
         assert snapshots["serial"].counter_total(ARRIVALS_METRIC) == 10
         assert snapshots["serial"].counter_total(QUERIES_METRIC) == 10
 
+    def test_measured_and_deterministic_stores_side_by_side(self):
+        # One type, two instances: ``metrics`` takes measured seconds,
+        # ``rollups`` only what the seed determines; a shed query is
+        # counted once, traced (router span) or not (placement table).
+        from repro.obs.timeseries import (
+            DEPTH_METRIC,
+            E2E_METRIC,
+            REJECTED_METRIC,
+            ROUTER_WAIT_METRIC,
+        )
+        from repro.serving.cluster import AdmissionControl
+
+        queries = [make_query(f"query {i}") for i in range(20)]
+        for trace_seed in (None, 5):
+            rolled = {}
+            for backend in BACKENDS:
+                metrics, rollups = RollupStore(), RollupStore()
+                cluster = Cluster(
+                    [PlanExecutor(stub_services(), trace_seed=trace_seed)
+                     for _ in range(2)],
+                    seed=5, admission=AdmissionControl(drop_rate=0.4, seed=1),
+                    metrics=metrics, rollups=rollups,
+                )
+                responses = cluster.run_all(queries, backend=backend)
+                shed = sum(1 for r in responses if "ROUTER" in r.failures)
+                assert shed > 0
+                measured, rolled[backend] = metrics.snapshot(), rollups.snapshot()
+                assert rolled[backend].counter_total(REJECTED_METRIC) == shed
+                assert rolled[backend].counter_total(ARRIVALS_METRIC) == 20
+                assert measured.counter_total(QUERIES_METRIC, status="failed") == shed
+                assert measured.counter_total(QUERIES_METRIC) == 20
+                assert measured.merged_panel(E2E_METRIC).observed == 20
+                assert measured.merged_panel(DEPTH_METRIC) is None
+                if trace_seed is not None:
+                    assert rolled[backend].merged_panel(DEPTH_METRIC).observed == 20
+                    assert measured.merged_panel(ROUTER_WAIT_METRIC).observed == 20 - shed
+            assert rolled["serial"] == rolled["thread"] == rolled["process"]
+
 
 class TestGoldenJson:
     def test_json_matches_golden_byte_for_byte(self):

@@ -33,14 +33,11 @@ from repro.obs import (
     QUERY,
     SECTION,
     SERVICE,
-    Histogram,
-    MetricsRegistry,
+    RollupStore,
     Span,
     Tracer,
     collect_spans,
-    log_buckets,
-    merge_histograms,
-    merge_snapshots,
+    format_service_summary,
     metrics_from_spans,
     percentile,
     read_jsonl,
@@ -315,14 +312,20 @@ class TestExport:
 # -- metrics -----------------------------------------------------------------------
 
 
-class TestMetrics:
-    def test_log_buckets_geometric(self):
-        buckets = log_buckets(lowest=1e-3, highest=1.0, per_decade=2)
-        assert buckets[0] == pytest.approx(1e-3)
-        assert buckets[-1] >= 1.0
-        ratios = [b / a for a, b in zip(buckets, buckets[1:])]
-        assert all(r == pytest.approx(10 ** 0.5) for r in ratios)
+def panel_of(values, metric="h"):
+    """The one-series panel of ``values`` (a measured distribution)."""
+    store = RollupStore()
+    for value in values:
+        store.observe(metric, 0.0, float(value))
+    return store.snapshot().merged_panel(metric)
 
+
+def series(store, metric, **labels):
+    """One series of a store folded over all windows (``None`` if empty)."""
+    return store.snapshot().merged_panel(metric, **labels)
+
+
+class TestMetrics:
     def test_percentile_matches_numpy(self):
         rng = np.random.default_rng(11)
         samples = list(rng.gamma(2.0, 0.05, size=257))
@@ -331,55 +334,31 @@ class TestMetrics:
                 float(np.percentile(samples, p)), rel=1e-12
             )
 
-    def test_histogram_bucket_placement(self):
-        histogram = Histogram("h", buckets=(0.1, 1.0, 10.0))
-        for value in (0.05, 0.1, 0.5, 5.0, 50.0):
-            histogram.observe(value)
-        snapshot = histogram.snapshot()
-        assert snapshot.counts == (2, 1, 1, 1)  # (<=0.1, <=1, <=10, overflow)
-        assert snapshot.count == 5
-        with pytest.raises(ConfigurationError):
-            histogram.observe(-1.0)
+    def test_store_is_exact_under_threads(self):
+        # run_all(backend="thread") workers observe into one store.
+        import threading
 
-    def test_merge_is_exact_and_commutative(self):
-        a = Histogram("h")
-        b = Histogram("h")
-        rng = np.random.default_rng(13)
-        for value in rng.gamma(2.0, 0.05, size=40):
-            a.observe(float(value))
-        for value in rng.gamma(2.0, 0.05, size=23):
-            b.observe(float(value))
-        ab = merge_histograms(a.snapshot(), b.snapshot())
-        ba = merge_histograms(b.snapshot(), a.snapshot())
-        assert ab == ba
-        assert ab.count == 63
+        store = RollupStore(window_seconds=50.0)
 
-    def test_merge_rejects_mismatches(self):
-        with pytest.raises(TraceError):
-            merge_histograms(Histogram("a").snapshot(), Histogram("b").snapshot())
-        with pytest.raises(TraceError):
-            merge_histograms(
-                Histogram("h", buckets=(1.0,)).snapshot(),
-                Histogram("h", buckets=(2.0,)).snapshot(),
-            )
+        def work(worker):
+            for i in range(2_000):
+                store.observe("serve.e2e.seconds", float(i % 100), float(i % 7))
+                store.inc("serve.queries", float(i % 100), status=f"s{worker % 2}")
 
-    def test_registry_snapshot_merge(self):
-        worker = MetricsRegistry()
-        worker.counter("serve.ok").inc(3)
-        worker.histogram("serve.e2e.seconds").observe(0.5)
-        parent = MetricsRegistry()
-        parent.counter("serve.ok").inc()
-        parent.merge(worker.snapshot())
-        assert parent.counter("serve.ok").value == 4
-        assert parent.histogram("serve.e2e.seconds").count == 1
-        merged = merge_snapshots(parent.snapshot(), worker.snapshot())
-        assert merged.counter_value("serve.ok") == 7
-
-    def test_registry_rejects_bucket_redefinition(self):
-        registry = MetricsRegistry()
-        registry.histogram("h", buckets=(1.0, 2.0))
-        with pytest.raises(ConfigurationError):
-            registry.histogram("h", buckets=(3.0,))
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        snapshot = store.snapshot()
+        panel = snapshot.merged_panel("serve.e2e.seconds")
+        assert panel.observed == panel.kept == 16_000
+        assert panel.weights == tuple(
+            8 * sum(1 for i in range(2_000) if i % 7 == v) for v in range(7)
+        )
+        assert snapshot.counter_total("serve.queries") == 16_000
+        assert snapshot.counter_total("serve.queries", status="s0") == 8_000
+        assert snapshot.windows() == (0, 1)
 
 
 # -- executor integration ----------------------------------------------------------
@@ -496,19 +475,19 @@ class TestExecutorTracing:
         assert root.attributes["failed"] is True
 
     def test_threaded_branches_measure_wait(self):
-        registry = MetricsRegistry()
+        store = RollupStore()
         executor = PlanExecutor(stub_services(), trace_seed=7,
-                                metrics=registry)
+                                metrics=store)
         responses = executor.run_all(make_queries(4), parallel_branches=True)
         spans = collect_spans(responses)
         stage_spans = [s for s in spans if s.kind == SERVICE]
         assert stage_spans and all(s.wait >= 0 for s in stage_spans)
         # Queries 0 and 2 carry an image, so their IMM and QA branches fork
         # onto threads — the dispatch that measures admission-to-start wait.
-        assert registry.histogram("serve.qa.wait_seconds").count == 2
-        assert registry.histogram("serve.imm.wait_seconds").count == 2
-        assert registry.histogram("serve.e2e.seconds").count == 4
-        assert registry.counter("serve.ok").value == 4
+        assert series(store, "serve.wait.seconds", stage="QA").observed == 2
+        assert series(store, "serve.wait.seconds", stage="IMM").observed == 2
+        assert series(store, "serve.e2e.seconds").observed == 4
+        assert store.snapshot().counter_total("serve.queries", status="ok") == 4
 
     def test_threaded_branches_account_like_serial(self):
         # Both branches of a VIQ carry injected latency.  The threaded walk
@@ -602,11 +581,28 @@ class TestExecutorTracing:
         assert span.attributes == {"cancelled": True, "virtual_seconds": 1.5}
 
     def test_metrics_recorded_for_plain_runs(self):
-        registry = MetricsRegistry()
-        executor = PlanExecutor(stub_services(), metrics=registry)
+        store = RollupStore()
+        executor = PlanExecutor(stub_services(), metrics=store)
         executor.run_all(make_queries(3))
-        assert registry.histogram("serve.e2e.seconds").count == 3
-        assert registry.histogram("serve.qa.seconds").count == 3
+        assert series(store, "serve.e2e.seconds").observed == 3
+        assert series(store, "serve.service.seconds", stage="QA").observed == 3
+
+    def test_parent_side_metrics_complete_on_every_backend(self):
+        # The process backend forks: what run() observes stays in the
+        # worker, what run_all records from the responses does not.
+        snapshots = {}
+        for backend in ("serial", "thread", "process"):
+            store = RollupStore()
+            executor = PlanExecutor(stub_services(), metrics=store)
+            executor.run_all(make_queries(6), backend=backend, workers=2)
+            snapshots[backend] = store.snapshot()
+        for snapshot in snapshots.values():
+            assert snapshot.counter_total("serve.queries", status="ok") == 6
+            assert snapshot.counter_total("serve.queries") == 6
+            assert snapshot.merged_panel("serve.e2e.seconds").observed == 6
+            for stage, n in (("ASR", 6), ("QA", 6), ("IMM", 3)):
+                panel = snapshot.merged_panel("serve.service.seconds", stage=stage)
+                assert panel.observed == n, stage
 
     def test_virtual_latency_preserves_stats_fields(self):
         # Service.__call__ reads the stage bracket's accounting whatever the
@@ -635,28 +631,44 @@ class TestExecutorTracing:
 class TestReport:
     def test_metrics_from_spans_excludes_retries(self):
         spans = sample_forest()
-        registry = metrics_from_spans(spans)
-        assert registry.histogram("serve.e2e.seconds").count == 2
-        assert registry.histogram("serve.asr.seconds").count == 2
-        assert registry.histogram("serve.qa.seconds").count == 1
-        assert registry.counter("serve.ok").value == 2
+        store = metrics_from_spans(spans)
+        assert series(store, "serve.e2e.seconds").observed == 2
+        assert series(store, "serve.service.seconds", stage="ASR").observed == 2
+        assert series(store, "serve.service.seconds", stage="QA").observed == 1
+        assert store.snapshot().counter_total("serve.queries", status="ok") == 2
 
     def test_render_report_sections(self):
         report = render_report(sample_forest(), mm1_load=None)
         assert "query #0" in report and "query #1" in report
         assert "serve.e2e.seconds" in report
+        assert "serve.service.seconds{stage=ASR}" in report
         assert "2 queries" in report
+
+    def test_rendering_does_not_change_the_store(self):
+        from repro.obs.report import format_mm1_comparison
+
+        executor = traced_executor()
+        spans = collect_spans(executor.run_all(make_queries(8)))
+        store = metrics_from_spans(spans)
+        before = store.snapshot()
+        assert "outcomes: ok=8" in format_service_summary(store)
+        assert store.snapshot() == before
+        assert "M/M/1" in format_mm1_comparison(store, load=0.5)
+        assert store.snapshot() == before
+        # render_report builds its own store from the spans it is given
+        assert render_report(spans, mm1_load=0.5) == render_report(spans, mm1_load=0.5)
+        assert store.snapshot() == before
 
     def test_report_percentiles_match_numpy(self):
         executor = traced_executor()
         responses = executor.run_all(make_queries(8))
         spans = collect_spans(responses)
-        registry = metrics_from_spans(spans)
+        e2e = series(metrics_from_spans(spans), "serve.e2e.seconds")
         durations = [s.duration for s in spans if s.kind == QUERY]
         for p in (50, 95, 99):
-            assert registry.histogram("serve.e2e.seconds").percentile(
-                p
-            ) == pytest.approx(float(np.percentile(durations, p)), rel=1e-9)
+            assert e2e.percentile(p) == pytest.approx(
+                float(np.percentile(durations, p)), rel=1e-9
+            )
 
 
 class TestTraceReportCli:
@@ -707,10 +719,8 @@ class TestTraceReportCli:
 
 class TestDatacenterBridge:
     def test_simulate_from_histogram(self):
-        histogram = Histogram("serve.e2e.seconds")
         rng = np.random.default_rng(5)
-        for value in rng.gamma(2.0, 0.05, size=200):
-            histogram.observe(float(value))
+        histogram = panel_of(rng.gamma(2.0, 0.05, size=200))
         result = __import__("repro.datacenter.simulation",
                             fromlist=["simulate_from_histogram"])
         sim = result.simulate_from_histogram(histogram, load=0.5,
@@ -720,24 +730,23 @@ class TestDatacenterBridge:
         assert sim.mean_response_time >= histogram.mean * 0.5
 
     def test_mm1_percentile_closed_form(self):
-        from repro.datacenter.simulation import mm1_percentile
+        from repro.datacenter.queueing import MM1Queue, mm1_percentile
 
         t = 0.1 / (1 - 0.5)
         assert mm1_percentile(0.1, 0.5, 50) == pytest.approx(
             -t * np.log(0.5)
         )
         assert mm1_percentile(0.1, 0.5, 99) > mm1_percentile(0.1, 0.5, 95)
+        # exponential response time: the mean is MM1Queue's, at lambda = rho/s
+        assert t == pytest.approx(MM1Queue(0.1).response_time(0.5 / 0.1))
         with pytest.raises(ConfigurationError):
             mm1_percentile(0.1, 1.5, 95)
 
     def test_simulated_p99_tracks_mm1_for_exponential_service(self):
-        from repro.datacenter.simulation import mm1_percentile
+        from repro.datacenter import mm1_percentile, simulate_from_histogram
 
         rng = np.random.default_rng(17)
-        histogram = Histogram("h")
-        for value in rng.exponential(0.05, size=4000):
-            histogram.observe(float(value) + 1e-9)
-        from repro.datacenter.simulation import simulate_from_histogram
+        histogram = panel_of(rng.exponential(0.05, size=4000) + 1e-9)
 
         sim = simulate_from_histogram(histogram, load=0.6,
                                       n_queries=20000, seed=11)

@@ -7,14 +7,16 @@ Randomized structural checks the example-based obs suite cannot cover:
   stripped) is byte-identical across the serial, thread, and process
   backends.  Span identity must be a pure function of
   ``(trace_seed, ordinal, tree position)``, never of scheduling;
-- **histogram merge algebra**: snapshot merging is commutative and
+- **merge algebra**: merging one-cell store snapshots is commutative and
   associative down to byte-equal snapshots (counts *and* ``fsum``-exact
-  sums), so sharded collection order can never change a report.
+  sums), below and above the reservoir cap, so sharded collection order
+  can never change a report.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.obs import Histogram, MetricsRegistry, merge_snapshots
+from repro.obs import RollupStore
+from repro.obs.timeseries import merge_rollup_snapshots
 from repro.serving import PlanExecutor, default_chaos_plan, resilient_executor
 from repro.serving.identity import span_fingerprint
 
@@ -67,47 +69,51 @@ samples = st.lists(
 )
 
 
+#: Small enough that the 30-value strategy truncates: the algebra must
+#: hold through the bottom-k rule, not only below the cap.
+CAP = 8
+
+
 def snapshot_of(values, counter=0):
-    registry = MetricsRegistry()
-    histogram = registry.histogram("h")
+    store = RollupStore(max_samples=CAP)
     for value in values:
-        histogram.observe(value)
+        store.observe("h", 0.0, value)
     if counter:
-        registry.counter("c").inc(counter)
-    return registry.snapshot()
+        store.inc("c", 0.0, counter)
+    return store.snapshot()
 
 
 class TestMergeAlgebra:
     @settings(max_examples=50, deadline=None)
     @given(a=samples, b=samples, na=st.integers(0, 9), nb=st.integers(0, 9))
     def test_merge_commutative(self, a, b, na, nb):
-        left = merge_snapshots(snapshot_of(a, na), snapshot_of(b, nb))
-        right = merge_snapshots(snapshot_of(b, nb), snapshot_of(a, na))
+        left = merge_rollup_snapshots(snapshot_of(a, na), snapshot_of(b, nb))
+        right = merge_rollup_snapshots(snapshot_of(b, nb), snapshot_of(a, na))
         assert left == right
+        assert left.counter_total("c") == na + nb
 
     @settings(max_examples=50, deadline=None)
     @given(a=samples, b=samples, c=samples)
     def test_merge_associative(self, a, b, c):
         sa, sb, sc = snapshot_of(a), snapshot_of(b), snapshot_of(c)
-        assert merge_snapshots(merge_snapshots(sa, sb), sc) == merge_snapshots(
-            sa, merge_snapshots(sb, sc)
+        assert merge_rollup_snapshots(merge_rollup_snapshots(sa, sb), sc) == merge_rollup_snapshots(
+            sa, merge_rollup_snapshots(sb, sc)
         )
 
     @settings(max_examples=50, deadline=None)
     @given(values=samples)
     def test_merge_with_empty_is_identity(self, values):
         snapshot = snapshot_of(values)
-        assert merge_snapshots(snapshot, snapshot_of([])) == snapshot
+        assert merge_rollup_snapshots(snapshot, snapshot_of([])) == snapshot
 
     @settings(max_examples=50, deadline=None)
     @given(a=samples, b=samples)
     def test_merged_percentiles_match_pooled(self, a, b):
-        pooled = Histogram("h")
-        for value in a + b:
-            pooled.observe(value)
-        merged = merge_snapshots(snapshot_of(a), snapshot_of(b))
+        merged = merge_rollup_snapshots(snapshot_of(a), snapshot_of(b))
+        pooled = snapshot_of(a + b)
+        assert merged == pooled
         if a or b:
             for p in (50, 95, 99):
-                assert merged.histogram_named("h").percentile(
+                assert merged.merged_panel("h").percentile(
                     p
-                ) == pooled.snapshot().percentile(p)
+                ) == pooled.merged_panel("h").percentile(p)

@@ -1,10 +1,10 @@
-"""Windowed rollups and the bounded histogram reservoir.
+"""The telemetry store: windowed rollups on a bounded value reservoir.
 
 The telemetry plane's core contract is that aggregation is a *pure
 function of the observation multiset*: merge order, window splits, and
 collection topology can never change a byte.  These tests pin that down:
 
-- the histogram reservoir keeps exact percentiles below its cap, bounds
+- a cell's reservoir keeps exact percentiles below its cap, bounds
   retention above it, and merges associatively either way;
 - rollup snapshots merge associatively and commutatively across
   arbitrary window splits (hypothesis);
@@ -16,11 +16,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.obs.metrics import (
-    DEFAULT_MAX_SAMPLES,
-    Histogram,
-    merge_histograms,
-)
+from repro.obs.metrics import DEFAULT_MAX_SAMPLES
 from repro.obs.timeseries import (
     ARRIVALS_METRIC,
     DEFAULT_WINDOW_SECONDS,
@@ -34,60 +30,58 @@ from repro.obs.timeseries import (
 
 
 # ---------------------------------------------------------------------------
-# Bounded histogram reservoir (the retention satellite)
+# Bounded value reservoir (one cell of the store)
 # ---------------------------------------------------------------------------
+
+
+def one_cell(values, max_samples):
+    """Snapshot of a store holding ``values`` in a single panel cell."""
+    store = RollupStore(max_samples=max_samples)
+    for v in values:
+        store.observe("t.cell", 0.0, v)
+    return store.snapshot()
+
+
+def cell(snapshot):
+    (panel,) = snapshot.panels
+    return panel
 
 
 class TestHistogramReservoir:
     def test_exact_below_cap(self):
-        h = Histogram("t.exact", max_samples=64)
         values = [0.1 * i for i in range(50)]
-        for v in values:
-            h.observe(v)
-        snap = h.snapshot()
-        assert snap.count == 50
-        assert not snap.truncated
-        assert snap.percentile(50) == sorted(values)[len(values) // 2 - 1] or True
-        # exact: matches the unbounded percentile definition
+        snap = cell(one_cell(values, max_samples=64))
+        assert snap.observed == snap.kept == 50
+        assert snap.samples == tuple(sorted(values))
+        # exact: matches the unbounded definitions
+        assert snap.percentile(50) == (values[24] + values[25]) / 2
         assert math.isclose(snap.mean, math.fsum(values) / 50)
 
     def test_retention_bounded_above_cap(self):
-        h = Histogram("t.bound", max_samples=32)
         rng = random.Random(7)
-        for _ in range(10_000):
-            h.observe(rng.expovariate(1.0))
-        snap = h.snapshot()
+        values = [rng.expovariate(1.0) for _ in range(10_000)]
+        snap = cell(one_cell(values, max_samples=32))
+        assert len(snap.samples) == 32
+        assert snap.kept < snap.observed
+        # count/min/max stay exact regardless of eviction
         assert snap.observed == 10_000
-        assert len(snap.samples) <= 32
-        assert snap.truncated
-        # min/max/count stay exact regardless of eviction
-        assert snap.count == 10_000
+        assert (snap.minimum, snap.maximum) == (min(values), max(values))
 
     def test_duplicates_do_not_consume_capacity(self):
-        h = Histogram("t.dup", max_samples=8)
-        for _ in range(1_000):
-            h.observe(3.0)
-        for v in (1.0, 2.0, 4.0):
-            h.observe(v)
-        snap = h.snapshot()
-        assert not snap.truncated           # only 4 distinct values
-        assert snap.count == 1_003
+        snap = cell(one_cell([3.0] * 1_000 + [1.0, 2.0, 4.0], max_samples=8))
+        assert snap.kept == snap.observed == 1_003  # only 4 distinct values
         assert snap.percentile(50) == 3.0   # weights carry the duplicates
 
     def test_merge_equals_pooled_stream(self):
         rng = random.Random(11)
         stream = [round(rng.expovariate(1.0), 3) for _ in range(5_000)]
-        pooled = Histogram("t.pool", max_samples=64)
-        parts = [Histogram("t.pool", max_samples=64) for _ in range(4)]
-        for i, v in enumerate(stream):
-            pooled.observe(v)
-            parts[i % 4].observe(v)
-        snaps = [p.snapshot() for p in parts]
-        merged = merge_histograms(
-            merge_histograms(snaps[0], snaps[1]),
-            merge_histograms(snaps[2], snaps[3]),
+        snaps = [one_cell(stream[i::4], max_samples=64) for i in range(4)]
+        merged = merge_rollup_snapshots(
+            merge_rollup_snapshots(snaps[0], snaps[1]),
+            merge_rollup_snapshots(snaps[2], snaps[3]),
         )
-        assert merged == pooled.snapshot()
+        assert merged == one_cell(stream, max_samples=64)
+        assert cell(merged).kept < cell(merged).observed == 5_000
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -101,20 +95,25 @@ class TestHistogramReservoir:
     )
     def test_merge_associative_and_commutative(self, values, split, cap):
         split = min(split, len(values))
-        left, right = values[:split], values[split:]
-        parts = []
-        for chunk in (left, right):
-            h = Histogram("t.prop", max_samples=cap)
-            for v in chunk:
-                h.observe(v)
-            parts.append(h.snapshot())
-        assert merge_histograms(parts[0], parts[1]) == merge_histograms(
+        parts = [one_cell(chunk, cap) for chunk in (values[:split], values[split:])]
+        assert merge_rollup_snapshots(parts[0], parts[1]) == merge_rollup_snapshots(
             parts[1], parts[0]
         )
-        pooled = Histogram("t.prop", max_samples=cap)
-        for v in values:
-            pooled.observe(v)
-        assert merge_histograms(parts[0], parts[1]) == pooled.snapshot()
+        assert merge_rollup_snapshots(parts[0], parts[1]) == one_cell(values, cap)
+
+    def test_store_merge_truncates_like_snapshot_merge(self):
+        # RollupStore.merge folds through the same cell merge, so a store
+        # that keeps observing after a truncating merge still lands on the
+        # pooled stream's bytes.
+        rng = random.Random(3)
+        stream = [round(rng.expovariate(1.0), 3) for _ in range(600)]
+        store = RollupStore(max_samples=16)
+        for v in stream[:200]:
+            store.observe("t.cell", 0.0, v)
+        store.merge(one_cell(stream[200:400], max_samples=16))
+        for v in stream[400:]:
+            store.observe("t.cell", 0.0, v)
+        assert store.snapshot() == one_cell(stream, max_samples=16)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +161,8 @@ class TestRollupStore:
         b = RollupStore(window_seconds=2.0).snapshot()
         with pytest.raises(TraceError):
             merge_rollup_snapshots(a, b)
+        with pytest.raises(TraceError):
+            RollupStore(max_samples=8).merge(RollupStore(max_samples=9).snapshot())
 
     @settings(max_examples=25, deadline=None)
     @given(

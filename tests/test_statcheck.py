@@ -302,16 +302,16 @@ class TestRuleUnits:
 
     def test_sc901_dynamic_telemetry_name(self):
         assert "SC901" in codes_in(
-            "registry.counter(f'serve.replica.{replica}')\n"
+            "store.inc(f'serve.replica.{replica}', t)\n"
         )
         assert "SC901" in codes_in(
-            "registry.histogram('serve.' + stage + '.seconds')\n"
+            "store.observe('serve.' + stage + '.seconds', t, seconds)\n"
         )
         assert "SC901" in codes_in(
-            "registry.gauge('serve.depth.{}'.format(replica))\n"
+            "store.observe(metric='serve.depth.{}'.format(replica), t=t, value=d)\n"
         )
         # a malformed literal is judged too
-        assert "SC901" in codes_in("registry.counter('Serve-E2E Seconds')\n")
+        assert "SC901" in codes_in("store.inc('Serve-E2E Seconds', t)\n")
         # span names only matter inside loops; one-off roots are free-form
         assert "SC901" in codes_in(
             "for q in queries:\n"
@@ -319,13 +319,12 @@ class TestRuleUnits:
             "        pass\n"
         )
         assert "SC901" not in codes_in("tracer.begin_span(f'root:{name}')\n")
-        # the sanctioned patterns: literals and *_name() helpers
-        assert "SC901" not in codes_in("registry.counter('serve.e2e.seconds')\n")
+        # the sanctioned pattern: a literal name, what varies in a label
         assert "SC901" not in codes_in(
-            "registry.counter(replica_counter_name(replica))\n"
+            "store.observe('serve.service.seconds', t, seconds, stage=label)\n"
         )
         # names through variables are someone else's problem (precise-or-silent)
-        assert "SC901" not in codes_in("registry.counter(metric)\n")
+        assert "SC901" not in codes_in("store.inc(metric, t)\n")
 
     def test_sc1002_inline_pricing_constant(self):
         assert "SC1002" in codes_in("gpu_tdp_watts = 230.0\n")

@@ -29,8 +29,8 @@ import pytest
 from repro.asr.audio import Waveform
 from repro.asr.vad import EndpointConfig, StreamingEndpointer
 from repro.errors import ConfigurationError, SessionError
-from repro.obs.metrics import TTFP_HISTOGRAM, MetricsRegistry
 from repro.obs.report import metrics_from_spans
+from repro.obs.timeseries import E2E_METRIC, QUERIES_METRIC, TTFP_METRIC, RollupStore
 from repro.obs.trace import PARTIAL
 from repro.serving import (
     ASR,
@@ -269,9 +269,9 @@ class TestIncrementalAsr:
             assert span.name == "asr.partial"
             assert span.attributes["partial_index"] == index
             assert span.attributes["chars"] > 0
-        registry = metrics_from_spans(response.spans)
-        assert registry.histogram(TTFP_HISTOGRAM).count == 1
-        assert registry.histogram(TTFP_HISTOGRAM).mean > 0
+        ttfp = metrics_from_spans(response.spans).snapshot().merged_panel(TTFP_METRIC)
+        assert ttfp.observed == 1
+        assert ttfp.mean > 0
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +318,9 @@ class TestEndpointer:
 class TestStreamingGateway:
     def test_fifty_concurrent_sessions(self, traced_executor, input_set):
         queries = _queries(input_set, 50)
-        registry = MetricsRegistry()
+        store = RollupStore()
         saved = traced_executor.metrics
-        traced_executor.metrics = registry
+        traced_executor.metrics = store
         try:
             report = serve_streams(
                 traced_executor, queries, chunk_seconds=0.25, max_workers=8
@@ -336,7 +336,12 @@ class TestStreamingGateway:
             r.answer for r in reference
         ]
         assert report.partials_total > 0
-        assert registry.histogram(TTFP_HISTOGRAM).count == 50
+        snapshot = store.snapshot()
+        assert snapshot.merged_panel(TTFP_METRIC).observed == 50
+        assert snapshot.merged_panel(E2E_METRIC).observed == 50
+        assert snapshot.counter_total(QUERIES_METRIC, status="ok") == 50
+        # recorded on the session-ordinal clock: ten windows of five
+        assert snapshot.windows() == tuple(range(10))
 
     def test_streaming_replay_is_deterministic(self, traced_executor, input_set):
         queries = _queries(input_set, 6)
