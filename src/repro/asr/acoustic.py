@@ -19,10 +19,9 @@ import numpy as np
 from repro.asr.audio import SAMPLE_RATE, Synthesizer
 from repro.asr.dnn import DeepNeuralNetwork, DNNConfig
 from repro.asr.features import FeatureConfig, FeatureExtractor
-from repro.asr.gmm import DiagonalGMM, fit_gmm
+from repro.asr.gmm import DiagonalGMM, fit_gmm, log_sum_exp, record_scoring
 from repro.asr.phonemes import N_PHONEMES, PHONEME_INDEX
 from repro.errors import ModelError
-from repro.obs.counters import record_work
 
 STATES_PER_PHONEME = 3
 SILENCE = "SIL"
@@ -47,12 +46,6 @@ class AcousticModel(Protocol):
         ...
 
 
-#: Frames the GMM bank scores at a time.  Its ``(rows, ΣK, D)`` temporaries
-#: are ~40 KB a row; a whole utterance of them raised peak RSS by 13 MB,
-#: blocks of 32 rows stay under the set-up peak.
-_BANK_BLOCK_ROWS = 32
-
-
 @dataclass
 class GMMAcousticModel:
     """One diagonal GMM per emission state (the Sphinx-style model).
@@ -64,12 +57,13 @@ class GMMAcousticModel:
     Scoring runs on one *bank* built at construction: the components of
     every GMM (the fallback included) stacked into a single ΣK-component
     :class:`DiagonalGMM`, members ordered by component count so that each
-    run of equal K reshapes to ``(rows, members, K)`` for the log-sum-exp.
-    A block of frames is then one
-    :meth:`DiagonalGMM.component_log_likelihood` call and one log-sum-exp
-    per distinct K instead of one :meth:`DiagonalGMM.log_likelihood` call
-    per state, and gives the same bits.  Mutating ``gmms`` or ``fallback``
-    afterwards does not rebuild it.
+    run of equal K reshapes to ``(T, members, K)`` for the log-sum-exp.
+    An utterance is then one :meth:`DiagonalGMM.component_log_likelihood`
+    call and one :func:`~repro.asr.gmm.log_sum_exp` per distinct K instead
+    of one :meth:`DiagonalGMM.log_likelihood` call per state, and gives the
+    same bits as those calls — for the whole utterance or for any split of
+    its rows.  Mutating ``gmms`` or ``fallback`` afterwards does not
+    rebuild it.
     """
 
     gmms: Dict[int, DiagonalGMM]
@@ -120,32 +114,15 @@ class GMMAcousticModel:
     def emission_scores(self, features: np.ndarray) -> np.ndarray:
         features = np.atleast_2d(features)
         n_frames = len(features)
-        dimension = self._bank.dimension
         # States with neither a GMM nor a fallback stay dead.
         scores = np.full((n_frames, N_EMISSION_STATES), -1e30)
-        for start in range(0, n_frames, _BANK_BLOCK_ROWS):
-            rows = features[start : start + _BANK_BLOCK_ROWS]
-            component = self._bank.component_log_likelihood(rows)  # (rows, ΣK)
-            member_scores = np.empty((len(rows), self._n_members))
-            for k, first_member, n, first_row in self._groups:
-                grouped = component[:, first_row : first_row + n * k].reshape(
-                    len(rows), n, k
-                )
-                peak = grouped.max(axis=2, keepdims=True)
-                member_scores[:, first_member : first_member + n] = (
-                    peak + np.log(np.exp(grouped - peak).sum(axis=2, keepdims=True))
-                )[:, :, 0]
-            scores[start : start + len(rows), self._states] = (
-                member_scores[:, self._feeds] - self._penalties
-            )
-        # The counter model of DiagonalGMM.log_likelihood, summed over the
-        # members of each group.
-        for k, _, n, _ in self._groups:
-            record_work(
-                flops=n * (4 * n_frames * k * dimension + 6 * n_frames * k),
-                mem_bytes=n * 8 * (n_frames * dimension + 2 * k * dimension + n_frames * k),
-                items=n * n_frames,
-            )
+        component = self._bank.component_log_likelihood(features)  # (T, ΣK)
+        member_scores = np.empty((n_frames, self._n_members))
+        for k, first_member, n, first_row in self._groups:
+            grouped = component[:, first_row : first_row + n * k].reshape(n_frames, n, k)
+            member_scores[:, first_member : first_member + n] = log_sum_exp(grouped)
+            record_scoring(n_frames, k, self._bank.dimension, mixtures=n)
+        scores[:, self._states] = member_scores[:, self._feeds] - self._penalties
         return scores
 
 
@@ -182,15 +159,15 @@ def label_frames(
     hop = int(feature_config.frame_hop * sample_rate)
     frame_size = int(feature_config.frame_length * sample_rate)
     labels = np.full(n_frames, phoneme_state_id(SILENCE, 1), dtype=np.int64)
+    centers = np.arange(n_frames) * hop + frame_size // 2
     for symbol, start, end in alignment:
         if end <= start:
             continue
-        span = end - start
-        for frame in range(n_frames):
-            center = frame * hop + frame_size // 2
-            if start <= center < end:
-                third = min(int(3 * (center - start) / span), 2)
-                labels[frame] = phoneme_state_id(symbol, third)
+        # Frames whose center falls in [start, end); a later segment
+        # overwrites an earlier one where they overlap.
+        first, last = np.searchsorted(centers, (start, end))
+        thirds = (3 * (centers[first:last] - start) / (end - start)).astype(np.int64)
+        labels[first:last] = phoneme_state_id(symbol, 0) + np.minimum(thirds, 2)
     return labels
 
 

@@ -7,10 +7,18 @@ precisions, and mixture weights.  :meth:`DiagonalGMM.log_likelihood` is the
 vectorized scorer used in production paths; :func:`score_naive` keeps the
 literal three-nested-loop form as the single-threaded CMP baseline the suite
 benchmarks against.
+
+The vectorized scorer expands ``-½·p·(x-μ)²`` so that T frames are one
+contraction of the ``(T, 2D)`` moments ``[x² | x]`` with ``(K, 2D)`` weights
+built once per model, and no ``(T, K, D)`` array exists.  It is ``np.einsum``,
+not a BLAS product: a row must score the same whatever rows accompany it
+(streaming scores ten at a time, pinned bit for bit to the whole utterance),
+and OpenBLAS picks other kernels for a block's edge rows (DESIGN.md).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,6 +61,10 @@ class DiagonalGMM:
             self.log_weights
             - 0.5 * (dimension * _LOG_2PI - np.log(self.precisions).sum(axis=1))
         )
+        # score[t, k] = offsets[k] + [x_t² | x_t] · weights[k]
+        scaled_means = self.precisions * self.means
+        self._weights = np.concatenate([-0.5 * self.precisions, scaled_means], axis=1)
+        self._offsets = self.factors - 0.5 * (scaled_means * self.means).sum(axis=1)
 
     @property
     def n_components(self) -> int:
@@ -69,36 +81,45 @@ class DiagonalGMM:
             raise ModelError(
                 f"feature dimension {features.shape[1]} != model {self.dimension}"
             )
-        # (T, K): -0.5 * sum_d prec * (x - mu)^2, computed via broadcasting.
-        diff = features[:, None, :] - self.means[None, :, :]
-        mahalanobis = np.einsum("tkd,kd->tk", diff * diff, self.precisions)
-        return self.factors[None, :] - 0.5 * mahalanobis
+        moments = np.empty((len(features), 2 * self.dimension))
+        np.multiply(features, features, out=moments[:, : self.dimension])
+        moments[:, self.dimension :] = features
+        scores = np.einsum("td,kd->tk", moments, self._weights)
+        scores += self._offsets
+        return scores
 
     def log_likelihood(self, features: np.ndarray) -> np.ndarray:
         """(T,) log p(x_t) via log-sum-exp over components."""
         component = self.component_log_likelihood(features)
-        peak = component.max(axis=1, keepdims=True)
-        # Counter model: 4 flops per (frame, component, dimension) cell
-        # (subtract, square, precision-multiply, accumulate) plus ~6 per
-        # (T, K) cell for the factor add and the log-sum-exp; bytes touch
-        # the feature block, both parameter banks, and the (T, K) scores.
-        frames = np.atleast_2d(features).shape[0]
-        record_work(
-            flops=4 * frames * self.n_components * self.dimension
-            + 6 * frames * self.n_components,
-            mem_bytes=8
-            * (
-                frames * self.dimension
-                + 2 * self.n_components * self.dimension
-                + frames * self.n_components
-            ),
-            items=frames,
-        )
-        return (peak + np.log(np.exp(component - peak).sum(axis=1, keepdims=True))).ravel()
+        record_scoring(len(component), self.n_components, self.dimension)
+        return log_sum_exp(component)
 
     def score(self, feature: np.ndarray) -> float:
         """Log-likelihood of a single feature vector."""
         return float(self.log_likelihood(feature[None, :])[0])
+
+
+def record_scoring(frames: int, components: int, dimension: int, mixtures: int = 1) -> None:
+    """Counter model of scoring ``frames`` rows against ``mixtures`` GMMs of
+    ``components`` each: 4 flops per (frame, component, dimension) cell (two
+    multiply-adds, one per moment) plus ~6 per (T, K) cell for the offset add
+    and the log-sum-exp; bytes touch the feature block, both parameter banks,
+    and the (T, K) scores."""
+    record_work(
+        flops=mixtures * frames * components * (4 * dimension + 6),
+        mem_bytes=mixtures * 8 * (frames * (dimension + components) + 2 * components * dimension),
+        items=mixtures * frames,
+    )
+
+
+def log_sum_exp(scores: np.ndarray) -> np.ndarray:
+    """``log Σ_k exp(scores[..., k])``, one slab ``scores[..., k]`` at a time:
+    K whole-slab operations cost a fifth of a reduction over a trailing axis
+    of two to four, and summing in component order for every K keeps a
+    stacked bank of mixtures bit-equal to scoring them one by one."""
+    slabs = [scores[..., k] for k in range(scores.shape[-1])]
+    peak = functools.reduce(np.maximum, slabs)
+    return peak + np.log(sum(np.exp(slab - peak) for slab in slabs))
 
 
 def score_naive(gmm: DiagonalGMM, features: np.ndarray) -> np.ndarray:
@@ -123,10 +144,10 @@ def score_naive(gmm: DiagonalGMM, features: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Rows scored at a time while fitting.  Scored whole, the (rows, K, D)
-#: temporaries of a training set are the largest allocations the process
-#: ever makes (19 MB each for the 4-component fallback model), and whether
-#: the allocator reuses one for the next moves peak RSS by 18 MB either way.
+#: Rows taken at a time while fitting.  Taken whole, k-means' (rows, K, D)
+#: distances (19 MB for the 4-component fallback model) and the E-step's
+#: (rows, 2D) moments (10 MB) are the largest allocations the process ever
+#: makes, and the set-up peak they leave is what peak RSS then stands on.
 _FIT_BLOCK_ROWS = 2048
 
 
@@ -176,9 +197,9 @@ def fit_gmm(
 
     for _ in range(n_iterations):
         gmm = DiagonalGMM(means, 1.0 / variances, np.log(np.maximum(weights, _WEIGHT_FLOOR)))
-        log_resp = _by_row_blocks(gmm.component_log_likelihood, data)
-        peak = log_resp.max(axis=1, keepdims=True)
-        resp = np.exp(log_resp - peak)
+        resp = _by_row_blocks(gmm.component_log_likelihood, data)
+        resp -= resp.max(axis=1, keepdims=True)
+        np.exp(resp, out=resp)
         resp /= resp.sum(axis=1, keepdims=True)
 
         counts = resp.sum(axis=0) + 1e-10

@@ -9,11 +9,17 @@ from repro.asr import (
     DNNConfig,
     DeepNeuralNetwork,
     DiagonalGMM,
+    FeatureExtractor,
     fit_gmm,
     score_naive,
 )
+from repro.asr import acoustic
+from repro.asr.acoustic import SILENCE, label_frames, phoneme_state_id
+from repro.asr.audio import SAMPLE_RATE
 from repro.asr.gmm import _FIT_BLOCK_ROWS, _by_row_blocks
 from repro.asr.lm import BOS, EOS
+from repro.asr.phonemes import PHONEME_INDEX
+from repro.core.inputset import all_sentences
 from repro.errors import ModelError
 
 
@@ -88,12 +94,69 @@ class TestFitGMM:
         assert fitted.log_likelihood(data).mean() > shifted.log_likelihood(data).mean()
 
     def test_row_blocks_score_as_the_whole_array(self):
-        # fit_gmm scores a block of rows at a time to bound its temporaries;
+        # fit_gmm takes a block of rows at a time to bound its temporaries
+        # (k-means' (rows, K, D) distances, the E-step's (rows, 2D) moments);
         # the last block is a partial one.
         data = np.random.default_rng(5).normal(size=(2 * _FIT_BLOCK_ROWS + 77, 13))
         gmm = fit_gmm(data[:500], n_components=4, n_iterations=2)
         whole = gmm.component_log_likelihood(data)
         assert _by_row_blocks(gmm.component_log_likelihood, data).tobytes() == whole.tobytes()
+
+
+def oracle_label_frames(alignment, n_frames, feature_config, sample_rate=SAMPLE_RATE):
+    """``label_frames`` as it was: every segment against every frame."""
+    hop = int(feature_config.frame_hop * sample_rate)
+    frame_size = int(feature_config.frame_length * sample_rate)
+    labels = np.full(n_frames, phoneme_state_id(SILENCE, 1), dtype=np.int64)
+    for symbol, start, end in alignment:
+        if end <= start:
+            continue
+        span = end - start
+        for frame in range(n_frames):
+            center = frame * hop + frame_size // 2
+            if start <= center < end:
+                third = min(int(3 * (center - start) / span), 2)
+                labels[frame] = phoneme_state_id(symbol, third)
+    return labels
+
+
+class TestLabelFramesEqualsTheFrameLoop:
+    def test_every_training_take(self, monkeypatch):
+        takes = []
+
+        def checked(alignment, n_frames, n_samples, config, sample_rate):
+            labels = label_frames(alignment, n_frames, n_samples, config, sample_rate)
+            expected = oracle_label_frames(alignment, n_frames, config, sample_rate)
+            assert labels.dtype == expected.dtype
+            assert np.array_equal(labels, expected), alignment
+            takes.append(n_frames)
+            return labels
+
+        monkeypatch.setattr(acoustic, "label_frames", checked)
+        data = acoustic.collect_training_data(all_sentences(), repetitions=3)
+        assert len(takes) == 3 * len(all_sentences()) and sum(takes) == len(data.labels)
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        segments=st.lists(
+            st.tuples(
+                st.sampled_from([SILENCE, *sorted(PHONEME_INDEX)[:5]]),
+                st.integers(-400, 6000),
+                st.integers(-400, 6000),
+            ),
+            max_size=8,
+        ),
+        n_frames=st.integers(0, 30),
+    )
+    def test_overlapping_empty_and_out_of_range_segments(self, segments, n_frames):
+        # Synthesis alignments are ordered and disjoint; the loop's contract
+        # (later segments overwrite, empty ones are skipped, samples past the
+        # last frame label nothing) is wider.
+        config = FeatureExtractor().config
+        assert np.array_equal(
+            label_frames(segments, n_frames, 6000, config),
+            oracle_label_frames(segments, n_frames, config),
+        )
 
 
 class TestDNN:
