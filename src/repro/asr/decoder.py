@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.asr.acoustic import (
     AcousticModel,
+    N_EMISSION_STATES,
     SILENCE,
     STATES_PER_PHONEME,
     phoneme_state_id,
@@ -44,29 +45,31 @@ class DecodeResult:
 
 @dataclass
 class _Graph:
-    """Flattened decoding graph arrays."""
+    """Flattened decoding graph arrays.
+
+    Word entry has ``V + 1`` *sources*: source 0 is the utterance-initial
+    silence, source ``w + 1`` is word ``w``.
+    """
 
     pstate: np.ndarray        # (S,) emission-state id per graph state
     word_of_state: np.ndarray  # (S,)
     starts: np.ndarray        # (V,) graph index of each word's first state
-    phone_ends: np.ndarray    # (V,) last phoneme state of each word
-    sil_ends: np.ndarray      # (V,) last silence-tail state of each word
-    lead_sil_end: int         # last state of the utterance-initial silence
+    # (2, V + 1) per source: its last phoneme state and its last silence-tail
+    # state (for source 0, twice the last state of the lead silence)
+    end_states: np.ndarray
     no_advance: np.ndarray    # (V + 1,) states no left neighbour advances into
-    ends: np.ndarray          # (2V + 1,) phone_ends, sil_ends, lead_sil_end
 
 
 def _build_graph(vocabulary: Sequence[str]) -> _Graph:
     pstate: List[int] = []
     word_of_state: List[int] = []
     starts: List[int] = []
-    phone_ends: List[int] = []
-    sil_ends: List[int] = []
     # Utterance-initial silence: real recordings do not start mid-word.
     for sub_state in range(STATES_PER_PHONEME):
         pstate.append(phoneme_state_id(SILENCE, sub_state))
         word_of_state.append(-1)
-    lead_sil_end = len(pstate) - 1
+    phone_ends: List[int] = [len(pstate) - 1]
+    sil_ends: List[int] = [len(pstate) - 1]
     for word_index, word in enumerate(vocabulary):
         symbols = pronounce(word)
         if not symbols:
@@ -85,17 +88,13 @@ def _build_graph(vocabulary: Sequence[str]) -> _Graph:
         pstate=np.array(pstate),
         word_of_state=np.array(word_of_state),
         starts=np.array(starts),
-        phone_ends=np.array(phone_ends),
-        sil_ends=np.array(sil_ends),
-        lead_sil_end=lead_sil_end,
+        end_states=np.array([phone_ends, sil_ends]),
         no_advance=np.array([0, *starts]),
-        ends=np.array([*phone_ends, *sil_ends, lead_sil_end]),
     )
 
 
 _NEG_INF = -1e30  # log score of a dead token
 _ALIVE = _NEG_INF / 2  # every live token scores above this, every dead one below
-_INITIAL_LINKS = 1024  # link-table rows before the first doubling
 
 
 class Decoder:
@@ -126,6 +125,8 @@ class Decoder:
     ):
         if not 0 < self_loop_prob < 1:
             raise DecodingError("self_loop_prob must be in (0, 1)")
+        if beam is not None and beam < 0:
+            raise DecodingError("beam must be >= 0 (or None for no pruning)")
         self.acoustic_model = acoustic_model
         self.language_model = language_model
         self.vocabulary = list(vocabulary) if vocabulary is not None else list(
@@ -144,10 +145,15 @@ class Decoder:
         self.beam = beam
 
         self._graph = _build_graph(self.vocabulary)
-        # Frame-independent LM products, built once for every search: rows
-        # [:V] score cross-word transitions, row V is the BOS prior.
-        self._lm_scores = lm_weight * language_model.transition_matrix(
-            self.vocabulary
+        # What a token gains by moving to its right neighbour; a state that
+        # has none to its left (state 0, word starts) is offered a dead one.
+        self._advance_scores = np.full(len(self._graph.pstate), self.log_adv)
+        self._advance_scores[self._graph.no_advance] = _NEG_INF
+        # Frame-independent LM products, built once for every search, one
+        # row per entry source: row 0 is the BOS prior (the lead silence),
+        # row w + 1 scores the cross-word transitions out of word w.
+        self._lm_scores = lm_weight * np.roll(
+            language_model.transition_matrix(self.vocabulary), 1, axis=0
         )
         self._eos_scores = lm_weight * language_model.eos_vector(self.vocabulary)
 
@@ -223,6 +229,19 @@ class Decoder:
         return list(weights / weights.sum())
 
 
+def _token_buffers(n_states: int) -> Tuple[np.ndarray, ...]:
+    """Score and history buffers of one frame, as ``(delta, left_delta, hist,
+    left_hist)``.
+
+    Each buffer has one permanently dead cell in front of state 0 (nothing
+    ever writes it), so the ``left_*`` views, which end one cell early, hold
+    every state's left neighbour at the state's own index.
+    """
+    delta = np.full(n_states + 1, _NEG_INF)
+    hist = np.full(n_states + 1, -1, dtype=np.int64)
+    return delta[1:], delta[:-1], hist[1:], hist[:-1]
+
+
 class ViterbiSearch:
     """Incremental Viterbi token passing over one :class:`Decoder`'s graph.
 
@@ -237,153 +256,145 @@ class ViterbiSearch:
     ASRPU calls expand → prune): *shift* every token along its self-loop or
     to its right neighbour, *enter* word starts from the word ends that are
     still alive, *emit* the frame's acoustic scores, *prune* to the beam.
-    Word entry is sparse: a token the beam killed scores exactly
-    ``_NEG_INF``, language-model scores are finite, so a dead word end can
-    never beat a live one into a word start, and a frame with no live end
-    has no entry step at all.
+    Word entry costs per live *source* (the lead silence, or a word whose
+    end token survived), not per word start: a token the beam killed scores
+    exactly ``_NEG_INF``, language-model scores are finite, so a dead source
+    can never beat a live one into a word start and is never looked at, and
+    every start a source enters gets the same ``(word, history)`` link.
     """
 
     def __init__(self, decoder: Decoder):
         self._decoder = decoder
         n_states = len(decoder._graph.pstate)
-        # Token scores and word-link histories, each a double buffer that
-        # ``advance`` swaps per frame instead of allocating.
-        self._delta = np.full(n_states, _NEG_INF)
-        self._hist = np.full(n_states, -1, dtype=np.int64)
-        self._next_delta = np.empty(n_states)
-        self._next_hist = np.empty(n_states, dtype=np.int64)
+        n_words = len(decoder.vocabulary)
+        # Double buffer: ``advance`` reads one set and writes the other.
+        self._now = _token_buffers(n_states)
+        self._ahead = _token_buffers(n_states)
         self._stay = np.empty(n_states)
         self._mask = np.empty(n_states, dtype=bool)
-        self._ends = np.empty(len(decoder._graph.ends))
-        # Link table: row i is (word_index, previous_link_id) of the i-th
-        # completed word; doubled when full.
-        self._links = np.empty((_INITIAL_LINKS, 2), dtype=np.int64)
-        self._n_links = 0
+        self._scores = np.empty(n_states)  # the frame's emissions, per state
+        self._ends = np.empty((2, n_words + 1))
+        self._end_tokens = np.empty(n_words + 1)
+        self._offer = np.empty(n_words)
+        self._wins = np.empty(n_words, dtype=bool)
+        # Link i is (word_index, previous_link_id) of the i-th completed word.
+        self._links: List[Tuple[int, int]] = []
         self.n_frames = 0
 
     def advance(self, emissions: np.ndarray) -> None:
-        """Consume a ``(T, n_emission_states)`` block of frames (T may be 0)."""
+        """Consume a ``(T, N_EMISSION_STATES)`` block of frames (T may be 0)."""
+        emissions = np.asarray(emissions, dtype=np.float64)
+        if emissions.ndim != 2 or emissions.shape[1] != N_EMISSION_STATES:
+            raise DecodingError(
+                f"emissions must be (frames, {N_EMISSION_STATES}), "
+                f"got {emissions.shape}"
+            )
         decoder = self._decoder
         graph = decoder._graph
-        start_states = graph.starts
-        log_self, log_adv, beam = decoder.log_self, decoder.log_adv, decoder.beam
-        frame_scores = emissions[:, graph.pstate]  # (T, S)
-        delta, hist = self._delta, self._hist
-        new_delta, new_hist = self._next_delta, self._next_hist
-        stay, mask, ends = self._stay, self._mask, self._ends
+        pstate, end_states = graph.pstate, graph.end_states
+        log_self, beam = decoder.log_self, decoder.beam
+        advance_scores = decoder._advance_scores
+        stay, mask, scores = self._stay, self._mask, self._scores
+        ends, end_tokens = self._ends, self._end_tokens
+        from_phone, from_sil = ends
+        now, ahead = self._now, self._ahead
+        rows = iter(emissions)
 
-        if self.n_frames == 0 and len(frame_scores):
+        if self.n_frames == 0 and len(emissions):
             # First frame: tokens enter every word start from BOS, or the
             # initial silence chain (audio that opens with a pause).
-            bos_scores = decoder._lm_scores[len(decoder.vocabulary)]
-            delta[start_states] = (
-                frame_scores[0, start_states]
-                + (bos_scores + decoder.insertion_penalty)
+            next(rows).take(pstate, out=scores, mode="clip")
+            delta = now[0]
+            delta[graph.starts] = scores[graph.starts] + (
+                decoder._lm_scores[0] + decoder.insertion_penalty
             )
-            delta[0] = frame_scores[0, 0]  # first lead-silence state
-            frame_scores = frame_scores[1:]
+            delta[0] = scores[0]  # first lead-silence state
 
-        for scores in frame_scores:
+        for row in rows:
+            delta, left_delta, hist, left_hist = now
+            new_delta, _, new_hist, _ = ahead
             # Shift: each state keeps its own token or takes its left
             # neighbour's, whichever scores higher (ties stay).
             np.add(delta, log_self, out=stay)
-            np.add(delta[:-1], log_adv, out=new_delta[1:])
-            new_delta[graph.no_advance] = _NEG_INF
+            np.add(left_delta, advance_scores, out=new_delta)
             np.greater(new_delta, stay, out=mask)
             np.maximum(new_delta, stay, out=new_delta)
             np.copyto(new_hist, hist)
-            np.copyto(new_hist[1:], hist[:-1], where=mask[1:])
+            np.copyto(new_hist, left_hist, where=mask)
 
             # Enter: cross-word transitions leave the *previous* frame's
-            # word-end tokens, when any is alive.
-            delta.take(graph.ends, out=ends)
-            if ends.max() > _ALIVE:
-                self._enter_words(ends, hist, new_delta, new_hist)
+            # end tokens, from the sources that have a live one.  ("clip"
+            # skips numpy's bounds buffering; graph indices are in range.)
+            delta.take(end_states, out=ends, mode="clip")
+            np.maximum(from_phone, from_sil, out=end_tokens)
+            live = (end_tokens > _ALIVE).nonzero()[0]
+            if len(live):
+                self._enter_words(live.tolist(), hist, new_delta, new_hist)
 
-            # Emit, then prune to the beam.
+            # Emit, then prune to the beam.  The matrix width was checked
+            # above, so no index clips here either.
+            row.take(pstate, out=scores, mode="clip")
             np.add(new_delta, scores, out=new_delta)
             if beam is not None:
                 np.less(new_delta, new_delta.max() - beam, out=mask)
-                np.copyto(new_delta, _NEG_INF, where=mask)
+                np.putmask(new_delta, mask, _NEG_INF)
 
-            delta, new_delta = new_delta, delta
-            hist, new_hist = new_hist, hist
+            now, ahead = ahead, now
 
-        self._delta, self._hist = delta, hist
-        self._next_delta, self._next_hist = new_delta, new_hist
+        self._now, self._ahead = now, ahead
         self.n_frames += len(emissions)
 
     def _enter_words(
         self,
-        ends: np.ndarray,
+        live: List[int],
         hist: np.ndarray,
         new_delta: np.ndarray,
         new_hist: np.ndarray,
     ) -> None:
-        """Move the best live word-end (or lead-silence) token into each word
-        start it beats, recording one link per word completed.
+        """Offer each live source's end token to every word start, in
+        ascending source order, recording one link per word that wins any.
 
-        ``ends`` holds the previous frame's tokens at ``graph.ends``.
+        A start goes to an offer only when strictly greater, so of equal
+        offers the lead silence (source 0) keeps the start and after it the
+        lowest word index does.  ``self._ends`` and ``self._end_tokens`` hold
+        the previous frame's end tokens of every source.
         """
         decoder = self._decoder
         graph = decoder._graph
-        n_words = len(decoder.vocabulary)
-        start_states = graph.starts
-        from_phone, from_sil = ends[:n_words], ends[n_words:-1]
-        end_scores = np.maximum(from_phone, from_sil)
-        # Ascending, so argmax's first-wins tie-break is the lowest word.
-        alive = (end_scores > _ALIVE).nonzero()[0]
-        lead_alive = ends[-1] > _ALIVE
-        if len(alive):
-            # entry[w2] = max over live w1 of end_scores[w1] + lmW * lm[w1, w2]
-            candidate = end_scores[alive, None] + decoder._lm_scores[alive]
-            incoming = entry_delta = (
-                candidate.max(axis=0) + decoder.insertion_penalty + decoder.log_adv
-            )
-        if lead_alive:
-            # Entry from the utterance-initial silence carries the BOS prior.
-            incoming = bos_entry = (
-                ends[-1]
-                + decoder._lm_scores[n_words]
-                + decoder.insertion_penalty
-                + decoder.log_adv
-            )
-            if len(alive):
-                incoming = np.maximum(entry_delta, bos_entry)
-
-        entered = (incoming > new_delta[start_states]).nonzero()[0]
-        new_delta[start_states[entered]] = incoming[entered]
-        if lead_alive:
-            new_hist[start_states[entered]] = hist[graph.lead_sil_end]
-            if len(alive):  # the silence keeps exact ties
-                entered = entered[entry_delta[entered] > bos_entry[entered]]
-        if not len(alive) or not len(entered):
-            return
-        prev_words = alive[candidate[:, entered].argmax(axis=0)]
-        prev_ends = np.where(
-            from_sil[prev_words] > from_phone[prev_words],
-            graph.sil_ends[prev_words],
-            graph.phone_ends[prev_words],
+        lm_scores, penalty, log_adv = (
+            decoder._lm_scores, decoder.insertion_penalty, decoder.log_adv
         )
-        first, stop = self._n_links, self._n_links + len(entered)
-        if stop > len(self._links):
-            grown = np.empty((max(2 * len(self._links), stop), 2), dtype=np.int64)
-            grown[:first] = self._links[:first]
-            self._links = grown
-        self._links[first:stop, 0] = prev_words
-        self._links[first:stop, 1] = hist[prev_ends]
-        new_hist[start_states[entered]] = np.arange(first, stop)
-        self._n_links = stop
+        (from_phone, from_sil), end_tokens = self._ends, self._end_tokens
+        offer, wins = self._offer, self._wins
+        start_delta = new_delta.take(graph.starts)
+        start_hist = new_hist.take(graph.starts)
+        for source in live:
+            # offer[w2] = ((token + lmW * lm[source, w2]) + penalty) + log_adv
+            np.add(lm_scores[source], end_tokens[source], out=offer)
+            np.add(offer, penalty, out=offer)
+            np.add(offer, log_adv, out=offer)
+            np.greater(offer, start_delta, out=wins)
+            if not np.count_nonzero(wins):
+                continue
+            better = int(from_sil[source] > from_phone[source])
+            link = int(hist[graph.end_states[better, source]])
+            if source:  # a word ended; the lead silence hands its own history on
+                self._links.append((source - 1, link))
+                link = len(self._links) - 1
+            np.putmask(start_delta, wins, offer)
+            np.putmask(start_hist, wins, link)
+        new_delta[graph.starts] = start_delta
+        new_hist[graph.starts] = start_hist
 
     def _word_ends(self, delta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per word, the better of its phone-end and silence-tail tokens."""
-        graph = self._decoder._graph
-        end_from_phone = delta[graph.phone_ends]
-        end_from_sil = delta[graph.sil_ends]
+        phone_ends, sil_ends = self._decoder._graph.end_states[:, 1:]
+        end_from_phone = delta[phone_ends]
+        end_from_sil = delta[sil_ends]
         use_sil = end_from_sil > end_from_phone
         return (
             np.where(use_sil, end_from_sil, end_from_phone),
-            np.where(use_sil, graph.sil_ends, graph.phone_ends),
+            np.where(use_sil, sil_ends, phone_ends),
         )
 
     def results(self, n_best: int = 1) -> List[DecodeResult]:
@@ -394,7 +405,8 @@ class ViterbiSearch:
         if self.n_frames == 0:
             return []
         vocabulary = self._decoder.vocabulary
-        end_scores, end_states = self._word_ends(self._delta)
+        delta, _, hist, _ = self._now
+        end_scores, end_states = self._word_ends(delta)
         final = end_scores + self._decoder._eos_scores
         results: List[DecodeResult] = []
         # Stable, so exact ties rank by word index on every numpy build.
@@ -403,7 +415,7 @@ class ViterbiSearch:
             if score <= _ALIVE:
                 break
             words: List[str] = [vocabulary[int(word_index)]]
-            link_id = int(self._hist[end_states[word_index]])
+            link_id = int(hist[end_states[word_index]])
             while link_id >= 0:
                 prev_word, link_id = self._links[link_id]
                 words.append(vocabulary[prev_word])
