@@ -1,28 +1,36 @@
 """Empirical validation of the M/M/1 analysis behind Figure 17.
 
-The paper's throughput-vs-load curves assume exponential service.  Here a
-discrete-event simulator (1) reproduces the analytic M/M/1 response times,
-and (2) replays *measured* Sirius query latencies through the queue to show
-the queueing conclusions survive the real latency distribution.
+The paper's throughput-vs-load curves assume exponential service.  Here the
+virtual-time replay (one replica, Poisson arrivals) (1) reproduces the
+analytic M/M/1 response times, and (2) replays *measured* Sirius query
+latencies through the queue to show the queueing conclusions survive the
+real latency distribution.
 """
 
 import pytest
 
 from repro.analysis import format_table
 from repro.datacenter import (
+    MM1Queue,
+    PoissonProcess,
     empirical_sampler,
     exponential_sampler,
-    simulate_queue,
-    validate_mm1,
 )
+from repro.serving.cluster import replay_cluster, seeded_replay
 
 LOADS = (0.2, 0.5, 0.8)
+
+
+def mm1_point(load):
+    """(replayed, analytic) mean response of one M/M/1 point, service 1 s."""
+    replayed = seeded_replay("poisson", load, 1.0, 20_000, seed=7).mean_response
+    return replayed, MM1Queue(1.0).response_time(load)
 
 
 def test_analytic_vs_simulated_report(save_report):
     rows = []
     for load in LOADS:
-        simulated, analytic = validate_mm1(service_time=1.0, load=load)
+        simulated, analytic = mm1_point(load)
         rows.append(
             [f"{load:.0%}", f"{analytic:.2f}", f"{simulated:.2f}",
              f"{abs(simulated - analytic) / analytic:.1%}"]
@@ -33,26 +41,26 @@ def test_analytic_vs_simulated_report(save_report):
     )
     save_report("mm1_empirical_validation", report)
     for load in LOADS[:2]:
-        simulated, analytic = validate_mm1(1.0, load)
+        simulated, analytic = mm1_point(load)
         assert simulated == pytest.approx(analytic, rel=0.12)
 
 
 def test_real_latency_distribution_queue(responses, save_report):
-    """Queue simulation fed with measured Sirius latencies (G/G/1)."""
+    """Queue replay fed with measured Sirius latencies (G/G/1)."""
     latencies = [response.latency for response in responses]
     mean_latency = sum(latencies) / len(latencies)
     rows = []
     for load in LOADS:
-        arrival_rate = load / mean_latency
-        empirical = simulate_queue(
-            arrival_rate, empirical_sampler(latencies, seed=3), n_queries=8000
+        arrivals = PoissonProcess(load / mean_latency)
+        empirical = replay_cluster(
+            arrivals, empirical_sampler(latencies, seed=3), 8000
         )
-        exponential = simulate_queue(
-            arrival_rate, exponential_sampler(mean_latency, seed=3), n_queries=8000
+        exponential = replay_cluster(
+            arrivals, exponential_sampler(mean_latency, seed=3), 8000
         )
         rows.append(
-            [f"{load:.0%}", f"{empirical.mean_response_time * 1000:.1f}",
-             f"{exponential.mean_response_time * 1000:.1f}"]
+            [f"{load:.0%}", f"{empirical.mean_response * 1000:.1f}",
+             f"{exponential.mean_response * 1000:.1f}"]
         )
     report = format_table(
         "Queueing with measured Sirius latencies vs exponential assumption "
@@ -66,9 +74,11 @@ def test_response_grows_with_load(responses):
     latencies = [response.latency for response in responses]
     mean_latency = sum(latencies) / len(latencies)
     results = [
-        simulate_queue(
-            load / mean_latency, empirical_sampler(latencies, seed=5), n_queries=4000
-        ).mean_response_time
+        replay_cluster(
+            PoissonProcess(load / mean_latency),
+            empirical_sampler(latencies, seed=5),
+            4000,
+        ).mean_response
         for load in LOADS
     ]
     assert results[0] < results[1] < results[2]
@@ -76,6 +86,6 @@ def test_response_grows_with_load(responses):
 
 def test_bench_simulation(benchmark):
     result = benchmark(
-        simulate_queue, 0.5, exponential_sampler(1.0, seed=1), 1, 2000
+        replay_cluster, PoissonProcess(0.5), exponential_sampler(1.0, seed=1), 2000
     )
-    assert result.n_completed > 0
+    assert result.n_admitted > 0

@@ -340,9 +340,10 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
        verify outcome and timing-stripped-span byte-identity, with the
        router visible as its own critical-path stage.
     2. **Model replay** — an open-loop seeded arrival stream (50 k queries
-       in ``--smoke``) against the virtual-time fleet, compared against
-       the analytic M/M/1 tail and the measured-histogram simulator at
-       matched utilization, then extrapolated to a million-query hour.
+       in ``--smoke``) through one virtual-time replica, with exponential
+       and with measured-histogram service at matched utilization,
+       compared against the analytic M/M/1 tail, then extrapolated to a
+       million-query hour.
 
     Exits 2 if any determinism check fails.
     """
@@ -350,7 +351,7 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
     from repro.core import InputSet, SiriusPipeline
     from repro.datacenter.arrivals import make_process
     from repro.datacenter.queueing import mm1_percentile
-    from repro.datacenter.simulation import histogram_sampler, simulate_from_histogram
+    from repro.datacenter.simulation import histogram_sampler
     from repro.obs import RollupStore, collect_spans, format_critical_path_report
     from repro.obs.timeseries import DEPTH_METRIC, E2E_METRIC, REJECTED_METRIC
     from repro.serving.cluster import (
@@ -437,9 +438,6 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
         n_replicas=1,
         seed=args.seed,
     )
-    histogram_sim = simulate_from_histogram(
-        e2e, load, n_queries=min(args.queries, 20_000), seed=args.seed
-    )
 
     rows = [
         ["mean service (measured, ms)", f"{mean_service * 1000:.1f}"],
@@ -450,8 +448,6 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
         ["replay vs M/M/1 relative error", f"{exp_replay.mm1_error():.3f}"],
         ["replay p99, measured histogram (ms)",
          f"{measured_replay.p99_response * 1000:.1f}"],
-        ["histogram simulator p99 (ms)",
-         f"{histogram_sim.p99_response_time * 1000:.1f}"],
         ["replay utilization", f"{exp_replay.utilization:.3f}"],
     ]
     print()

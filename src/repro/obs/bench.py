@@ -535,7 +535,7 @@ class ObsRollupBenchmark(Benchmark):
 
         result = _pinned_replay(self.seed, quick)
         report = report_from_replay(result, trace_seed=self.seed)
-        rollups = result.rollups
+        rollups = report.rollups
         sampler = TraceSampler(head_rate=0.1, seed=0, top_k=8)
         verdicts = sampler.verdicts(
             summarize_outcomes(result.outcomes, trace_seed=self.seed)

@@ -26,7 +26,6 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError
 from repro.obs.sampling import (
     SamplingStats,
     TraceSampler,
@@ -87,8 +86,7 @@ def report_from_replay(
     target_queries: int = 1_000_000,
 ) -> FleetReport:
     """Evaluate a :class:`~repro.serving.cluster.replay.ReplayResult`."""
-    if result.rollups is None:
-        raise ConfigurationError("replay result carries no rollups")
+    rollups = result.rollups()
     sampler = TraceSampler(head_rate=head_rate, seed=sample_seed, top_k=top_k)
     summaries = summarize_outcomes(result.outcomes, trace_seed=trace_seed)
     stats = sampler.stats(summaries)
@@ -96,15 +94,15 @@ def report_from_replay(
 
     return FleetReport(
         source="replay",
-        rollups=result.rollups,
-        slos=evaluate_slos(result.rollups, slos, alerts=alerts),
+        rollups=rollups,
+        slos=evaluate_slos(rollups, slos, alerts=alerts),
         sampling=stats,
         extrapolated=stats.extrapolate(target_queries) if summaries else None,
         replica_timeline=tuple(result.replica_timeline),
         cost=fleet_cost_panel(
             ledger_from_replay(result),
             replica_timeline=tuple(result.replica_timeline),
-            tick_seconds=result.rollups.window_seconds,
+            tick_seconds=result.tick_seconds,
         ),
     )
 

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.datacenter.arrivals import PoissonProcess
 from repro.datacenter.queueing import mm1_percentile
-from repro.datacenter.simulation import simulate_from_histogram
+from repro.datacenter.simulation import histogram_sampler
 from repro.obs.timeseries import (
     E2E_METRIC,
     PARTIALS_METRIC,
@@ -201,26 +202,31 @@ def format_mm1_comparison(
 ) -> str:
     """Empirical-distribution queueing vs the analytic M/M/1 model (Fig 17).
 
-    For each latency series with samples, simulates a single-server queue
-    at utilization ``load`` drawing service times from the *measured*
-    distribution, and prints its p50/p95/p99 next to the M/M/1 prediction
-    parameterized by the measured mean — the Figure 8/17 bridge.
+    For each latency series with samples, replays Poisson arrivals through
+    one replica at utilization ``load`` drawing service times from the
+    *measured* distribution, and prints its p95/p99 next to the M/M/1
+    prediction parameterized by the measured mean — the Figure 8/17 bridge.
     """
     from repro.analysis import format_table
+    # Imported here: the serving layer imports this package.
+    from repro.serving.cluster.replay import replay_cluster
 
     rows: List[List[str]] = []
     for name, panel in _series_panels(store.snapshot()):
         mean = panel.mean
         if panel.observed < 2 or mean <= 0:
             continue
-        result = simulate_from_histogram(
-            panel, load=load, n_queries=2000, seed=seed
+        result = replay_cluster(
+            PoissonProcess(load / mean),
+            histogram_sampler(panel, seed=seed + 1),
+            2000,
+            seed=seed,
         )
         rows.append([
             name,
-            f"{result.p95_response_time * 1000:.2f}",
+            f"{result.p95_response * 1000:.2f}",
             f"{mm1_percentile(mean, load, 95) * 1000:.2f}",
-            f"{result.p99_response_time * 1000:.2f}",
+            f"{result.p99_response * 1000:.2f}",
             f"{mm1_percentile(mean, load, 99) * 1000:.2f}",
         ])
     if not rows:

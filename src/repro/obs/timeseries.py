@@ -30,8 +30,9 @@ boundaries and checks exactly this).
 **Two instances, one type.**  What a store holds depends on who feeds it:
 ``metrics=`` stores (``PlanExecutor``, ``Cluster``, :func:`record_response`,
 ``metrics_from_spans``) hold *measured* seconds; ``rollups=`` stores
-(:func:`rollups_from_spans`, ``Cluster.rollups``, the replay driver) hold
-only seed-deterministic values and are byte-identical across backends.
+(:func:`rollups_from_spans`, ``Cluster.rollups``,
+``ReplayResult.rollups()``) hold only seed-deterministic values and are
+byte-identical across backends.
 
 **What is complete where.**  The process backend forks, so an observation
 made *inside* ``PlanExecutor.run`` (stage hand-off waits, router

@@ -50,7 +50,6 @@ from repro.serving.cluster.router import (
     RoutingPolicy,
     available_policies,
     get_policy,
-    register_policy,
 )
 from repro.serving.cluster.sharding import (
     ShardedImmService,
@@ -90,7 +89,6 @@ __all__ = [
     "get_policy",
     "merge_match_candidates",
     "merge_ranked_answers",
-    "register_policy",
     "replay_cluster",
     "seeded_replay",
     "shard_documents",

@@ -21,16 +21,23 @@ model is also *checkable*: at ``n_replicas=1`` with Poisson arrivals and
 an exponential sampler it **is** an M/M/1 queue, and
 :meth:`ReplayResult.mm1_p99` gives the closed-form tail to compare
 against (``repro cluster-bench`` prints both; the conformance suite
-asserts the documented error bound).
+asserts the documented error bound).  It is the repo's only queueing
+event loop: the Fig 17 validation, ``trace-report --mm1`` and
+:func:`repro.datacenter.simulation.simulate_serving` all run through it.
+
+The loop records only outcomes, scaling decisions and the replica
+timeline; the windowed telemetry is a projection of those
+(:meth:`ReplayResult.rollups`), built only when a report reads it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from repro.datacenter.arrivals import ArrivalProcess, make_process
 from repro.datacenter.queueing import mm1_percentile
@@ -114,18 +121,63 @@ class ReplayResult:
     mean_service: float
     mean_rate: float               #: admitted arrivals / horizon
     utilization: float             #: busy replica-seconds / available
+    #: Means over the warmup-trimmed admitted queries — what Fig 17's
+    #: validation compares against the analytic queue.
+    mean_response: float
+    mean_wait: float
     p50_response: float
     p95_response: float
     p99_response: float
     p50_wait: float
     p99_wait: float
+    tick_seconds: float            #: autoscaler tick = rollup window width
     outcomes: List[QueryOutcome] = field(default_factory=list)
     decisions: List[ScaleDecision] = field(default_factory=list)
     #: (tick index, active replica count) after each autoscaler evaluation.
     replica_timeline: List[Tuple[int, int]] = field(default_factory=list)
-    #: Windowed per-tick telemetry (arrivals, rejects, waits, per-replica
-    #: depth, TTFP, autoscaler series) — the fleet report's raw material.
-    rollups: Optional[RollupSnapshot] = None
+
+    def rollups(self) -> RollupSnapshot:
+        """Windowed per-tick telemetry, projected from the outcome stream.
+
+        Per query at its arrival time: arrivals, admission rejects,
+        per-replica assignments and queue depth, wait/service/e2e and the
+        modeled TTFP (:func:`ttfp_fraction`), and the energy panel (queue
+        wait + service at full-server CMP draw, through the single
+        rounding point in :mod:`repro.obs.pricing`, so panel values match
+        the cost ledger microjoule-for-microjoule).  Per autoscaler tick at
+        the tick's window start: the action and the resulting replica
+        count.  Everything is in virtual time, window width
+        ``tick_seconds`` — the fleet report's raw material.
+        """
+        store = RollupStore(window_seconds=self.tick_seconds)
+        for outcome in self.outcomes:
+            t = outcome.arrival
+            store.inc(ARRIVALS_METRIC, t)
+            if not outcome.admitted:
+                store.inc(REJECTED_METRIC, t)
+                store.inc(QUERIES_METRIC, t, status="failed")
+                continue
+            replica = outcome.replica
+            store.inc(QUERIES_METRIC, t, status="ok")
+            store.inc(ASSIGNMENTS_METRIC, t, replica=replica)
+            store.observe(DEPTH_METRIC, t, float(outcome.queue_depth), replica=replica)
+            store.observe(WAIT_METRIC, t, outcome.wait)
+            store.observe(SERVICE_METRIC, t, outcome.service)
+            store.observe(E2E_METRIC, t, outcome.response)
+            store.observe(TTFP_METRIC, t, outcome.ttfp)
+            store.observe(
+                ENERGY_METRIC, t,
+                float(energy_microjoules(CMP, outcome.wait + outcome.service)),
+            )
+        # The loop advances its tick clock by repeated addition, so the
+        # window starts are rebuilt the same way (not ``tick * width``).
+        tick_end = self.tick_seconds
+        for decision in self.decisions:
+            tick_start = tick_end - self.tick_seconds
+            store.inc(SCALE_ACTIONS_METRIC, tick_start, action=decision.action)
+            store.observe(REPLICAS_METRIC, tick_start, float(decision.n_replicas))
+            tick_end += self.tick_seconds
+        return store.snapshot()
 
     def digest(self) -> str:
         """SHA-256 over the ordered outcome stream — the replay identity.
@@ -187,16 +239,10 @@ def replay_cluster(
     replicas, scale-downs stop *assigning* to the highest-indexed replicas
     (in-flight work drains — connection draining, not job killing).
 
-    Queueing percentiles discard the first ``warmup_fraction`` of admitted
-    queries (transient ramp from the empty state); conservation counts
-    never discard anything.
-
-    Alongside the end-of-run aggregates, the driver emits **windowed
-    rollups** (window width = ``tick_seconds``): arrivals, admission
-    rejects, per-replica assignments and queue depth, wait/service/e2e
-    distributions, the modeled TTFP series (:func:`ttfp_fraction`), and
-    the autoscaler's action/replica-count series — all in virtual time,
-    returned as :attr:`ReplayResult.rollups` for ``repro fleet-report``.
+    Queueing means and percentiles discard the first ``warmup_fraction``
+    of admitted queries (transient ramp from the empty state);
+    conservation counts never discard anything.  ``tick_seconds`` is also
+    the window width of :meth:`ReplayResult.rollups`.
     """
     if n_queries < 1:
         raise ConfigurationError("need n_queries >= 1")
@@ -217,33 +263,32 @@ def replay_cluster(
     pending: List[deque] = [deque() for _ in range(max_replicas)]
     free_at = [0.0] * max_replicas
 
-    rollups = RollupStore(window_seconds=tick_seconds)
     arrivals = process.times(n_queries, seed=seed)
     outcomes: List[QueryOutcome] = []
     decisions: List[ScaleDecision] = []
     replica_timeline: List[Tuple[int, int]] = []
-    completed: List[Tuple[float, float]] = []  # (completion time, response)
+    # Min-heap of (completion time, response), kept only for the autoscaler.
+    completed: List[Tuple[float, float]] = []
     busy_time = 0.0
     replica_seconds = 0.0
     last_change = 0.0
     next_tick = tick_seconds
     tick_index = 0
 
-    def run_ticks(now: float) -> None:
-        """Evaluate every autoscaler tick that elapsed before ``now``."""
-        nonlocal active, next_tick, tick_index
-        nonlocal replica_seconds, last_change
-        if autoscaler is None:
-            return
-        while next_tick <= now:
-            # The tick's signal: p99 of responses *completed* during the
-            # tick window.  ``completed`` is in arrival order (completions
-            # are not globally monotone), so filter by time, not position.
+    for ordinal, arrival in enumerate(arrivals):
+        # Evaluate every autoscaler tick that elapsed before this arrival, on
+        # the p99 of responses *completed* during the tick window.  Window
+        # starts never decrease, so a completion at or before this one's
+        # start can never count again; what stays on the heap is this
+        # window plus work still in flight.
+        while autoscaler is not None and next_tick <= arrival:
             window_start = next_tick - tick_seconds
+            while completed and completed[0][0] <= window_start:
+                heapq.heappop(completed)
             window = [
                 response
                 for completion, response in completed
-                if window_start < completion <= next_tick
+                if completion <= next_tick
             ]
             p99 = percentile(window, 99.0) if window else 0.0
             decision = autoscaler.decide(tick_index, p99, active, seed=seed)
@@ -253,15 +298,8 @@ def replay_cluster(
                 last_change = next_tick
                 active = decision.n_replicas
             replica_timeline.append((tick_index, active))
-            tick_start = next_tick - tick_seconds
-            rollups.inc(SCALE_ACTIONS_METRIC, tick_start, action=decision.action)
-            rollups.observe(REPLICAS_METRIC, tick_start, float(active))
             tick_index += 1
             next_tick += tick_seconds
-
-    for ordinal, arrival in enumerate(arrivals):
-        run_ticks(arrival)
-        rollups.inc(ARRIVALS_METRIC, arrival)
         depths = []
         for index in range(active):
             queue = pending[index]
@@ -270,8 +308,6 @@ def replay_cluster(
             depths.append(len(queue))
         replica, depth, admitted = place(resolved, admission, ordinal, depths, seed)
         if not admitted:
-            rollups.inc(REJECTED_METRIC, arrival)
-            rollups.inc(QUERIES_METRIC, arrival, status="failed")
             outcomes.append(
                 QueryOutcome(
                     ordinal=ordinal, arrival=arrival, admitted=False,
@@ -285,38 +321,21 @@ def replay_cluster(
         free_at[replica] = completion
         pending[replica].append(completion)
         busy_time += service
-        completed.append((completion, completion - arrival))
         wait = start - arrival
-        ttfp = wait + ttfp_fraction(seed, ordinal) * service
-        rollups.inc(QUERIES_METRIC, arrival, status="ok")
-        rollups.inc(ASSIGNMENTS_METRIC, arrival, replica=replica)
-        rollups.observe(DEPTH_METRIC, arrival, float(depth), replica=replica)
-        rollups.observe(WAIT_METRIC, arrival, wait)
-        rollups.observe(SERVICE_METRIC, arrival, service)
-        rollups.observe(E2E_METRIC, arrival, completion - arrival)
-        rollups.observe(TTFP_METRIC, arrival, ttfp)
-        # Per-query energy panel: queue wait + service at full-server CMP
-        # draw, through the single rounding point in repro.obs.pricing so
-        # panel values match the cost ledger microjoule-for-microjoule.
-        rollups.observe(
-            ENERGY_METRIC, arrival,
-            float(energy_microjoules(CMP, wait + service)),
-        )
+        response = completion - arrival
+        if autoscaler is not None:
+            heapq.heappush(completed, (completion, response))
         outcomes.append(
             QueryOutcome(
                 ordinal=ordinal, arrival=arrival, admitted=True,
                 replica=replica, queue_depth=depth,
-                wait=wait, service=service,
-                response=completion - arrival,
-                ttfp=ttfp,
+                wait=wait, service=service, response=response,
+                ttfp=wait + ttfp_fraction(seed, ordinal) * service,
             )
         )
 
-    horizon = max(
-        [outcome.arrival for outcome in outcomes]
-        + [completion for completion, _ in completed]
-        + [1e-9]
-    )
+    # Per-replica completions are monotone, so free_at holds each one's last.
+    horizon = max(max(arrivals), max(free_at), 1e-9)
     replica_seconds += active * (horizon - last_change)
     if not replica_timeline:
         # No autoscaler ticks fired: the fleet held its initial size.
@@ -340,15 +359,17 @@ def replay_cluster(
         utilization=(
             min(busy_time / replica_seconds, 1.0) if replica_seconds > 0 else 0.0
         ),
+        mean_response=math.fsum(responses) / len(kept) if kept else 0.0,
+        mean_wait=math.fsum(waits) / len(kept) if kept else 0.0,
         p50_response=percentile(responses, 50.0),
         p95_response=percentile(responses, 95.0),
         p99_response=percentile(responses, 99.0),
         p50_wait=percentile(waits, 50.0),
         p99_wait=percentile(waits, 99.0),
+        tick_seconds=float(tick_seconds),
         outcomes=outcomes,
         decisions=decisions,
         replica_timeline=replica_timeline,
-        rollups=rollups.snapshot(),
     )
 
 

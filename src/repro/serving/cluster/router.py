@@ -125,13 +125,6 @@ def available_policies() -> tuple:
     return tuple(sorted(_POLICIES))
 
 
-def register_policy(name: str, factory: Callable[[], RoutingPolicy]) -> None:
-    """Add a custom policy to the registry (conformance suite hook)."""
-    if not name:
-        raise ConfigurationError("policy name must be non-empty")
-    _POLICIES[name] = factory
-
-
 def get_policy(name: str) -> RoutingPolicy:
     """Instantiate a registered policy by name."""
     try:
@@ -141,10 +134,7 @@ def get_policy(name: str) -> RoutingPolicy:
             f"unknown routing policy {name!r} "
             f"(available: {', '.join(available_policies())})"
         ) from None
-    policy = factory()
-    if not policy.name:
-        policy.name = name
-    return policy
+    return factory()
 
 
 class AdmissionControl:

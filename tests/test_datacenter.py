@@ -260,9 +260,9 @@ class TestServiceBackedSimulation:
             n_queries=12,
             seed=3,
         )
-        assert result.n_completed > 0
-        assert result.mean_response_time > 0
-        assert result.mean_response_time >= result.mean_waiting_time
+        assert result.replay.n_admitted > 0
+        assert result.replay.mean_response > 0
+        assert result.replay.mean_response >= result.replay.mean_wait
         # Every arrival is classed; the fault-free pipeline serves them all.
         assert (result.n_ok, result.n_degraded, result.n_failed) == (12, 0, 0)
 
@@ -323,4 +323,4 @@ class TestServiceBackedSimulation:
         assert 0.0 <= result.goodput <= result.availability <= 1.0
         # The default chaos plan always bites somewhere in 20 arrivals.
         assert result.n_degraded + result.n_failed > 0
-        assert result.mean_response_time > 0
+        assert result.replay.mean_response > 0

@@ -1,19 +1,20 @@
-"""Tests for capacity planning and the discrete-event queue simulator."""
+"""Tests for capacity planning and the queue model's one event loop."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datacenter import (
     CapacityPlanner,
+    MM1Queue,
+    PoissonProcess,
     WorkloadMix,
     deterministic_sampler,
     empirical_sampler,
     exponential_sampler,
-    simulate_queue,
-    validate_mm1,
 )
 from repro.errors import ConfigurationError, DesignError
 from repro.platforms import CMP, FPGA, GPU, PHI, PLATFORMS
+from repro.serving.cluster import replay_cluster, seeded_replay
 
 
 class TestWorkloadMix:
@@ -96,46 +97,74 @@ class TestCapacityPlanner:
         assert plan.n_servers * planner.server_capacity_qps(mix, GPU) >= qps * 0.999
 
 
+def mm1_point(load):
+    """(replayed, analytic) mean response of one M/M/1 point, service 1 s."""
+    replayed = seeded_replay("poisson", load, 1.0, 20_000, seed=7).mean_response
+    return replayed, MM1Queue(1.0).response_time(load)
+
+
+def pollaczek_khinchine_wait(rate, mean_service, second_moment):
+    """M/G/1 mean queueing delay: lambda E[S^2] / (2 (1 - rho))."""
+    return rate * second_moment / (2.0 * (1.0 - rate * mean_service))
+
+
 class TestSimulator:
     def test_mm1_agreement_moderate_load(self):
-        simulated, analytic = validate_mm1(service_time=1.0, load=0.5)
+        simulated, analytic = mm1_point(0.5)
         assert simulated == pytest.approx(analytic, rel=0.1)
 
     def test_response_time_grows_with_load(self):
-        low, _ = validate_mm1(1.0, 0.2)
-        high, _ = validate_mm1(1.0, 0.8)
+        low, _ = mm1_point(0.2)
+        high, _ = mm1_point(0.8)
         assert high > low
 
     def test_md1_beats_mm1(self):
-        # Deterministic service halves queueing delay vs exponential (PK).
-        arrival = 0.7
-        exp = simulate_queue(arrival, exponential_sampler(1.0, seed=2), n_queries=20000)
-        det = simulate_queue(arrival, deterministic_sampler(1.0), n_queries=20000)
-        assert det.mean_waiting_time < exp.mean_waiting_time
+        # Deterministic service halves queueing delay vs exponential, and
+        # both sit on the Pollaczek-Khinchine mean wait (E[S^2] = 1 for
+        # M/D/1, 2 for M/M/1, at unit mean service).
+        rate = 0.5
+        exp = replay_cluster(
+            PoissonProcess(rate), exponential_sampler(1.0, seed=2), 20_000, seed=3
+        )
+        det = replay_cluster(
+            PoissonProcess(rate), deterministic_sampler(1.0), 20_000, seed=3
+        )
+        assert det.mean_wait < exp.mean_wait
+        assert det.mean_wait == pytest.approx(
+            pollaczek_khinchine_wait(rate, 1.0, 1.0), rel=0.1
+        )
+        assert exp.mean_wait == pytest.approx(
+            pollaczek_khinchine_wait(rate, 1.0, 2.0), rel=0.1
+        )
 
     def test_more_servers_reduce_waiting(self):
-        arrival = 1.5
-        one = simulate_queue(arrival, deterministic_sampler(1.0), n_servers=2, n_queries=5000)
-        many = simulate_queue(arrival, deterministic_sampler(1.0), n_servers=8, n_queries=5000)
-        assert many.mean_waiting_time <= one.mean_waiting_time
+        def replicas(n):
+            return replay_cluster(
+                PoissonProcess(1.5), deterministic_sampler(1.0), 5000,
+                policy="least-loaded", n_replicas=n,
+            )
+
+        assert replicas(8).mean_wait <= replicas(2).mean_wait
 
     def test_empirical_sampler_uses_samples(self):
         sampler = empirical_sampler([2.0], seed=1)
         assert sampler() == 2.0
 
     def test_p95_at_least_mean(self):
-        result = simulate_queue(0.5, exponential_sampler(1.0), n_queries=5000)
-        assert result.p95_response_time >= result.mean_response_time
+        result = replay_cluster(PoissonProcess(0.5), exponential_sampler(1.0), 5000)
+        assert result.p95_response >= result.mean_response
 
     def test_utilization_bounded(self):
-        result = simulate_queue(0.9, exponential_sampler(1.0), n_queries=5000)
+        result = replay_cluster(PoissonProcess(0.9), exponential_sampler(1.0), 5000)
         assert 0 < result.utilization <= 1.0
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            simulate_queue(0.0, deterministic_sampler(1.0))
+            PoissonProcess(0.0)
         with pytest.raises(ConfigurationError):
-            simulate_queue(1.0, deterministic_sampler(1.0), n_servers=0)
+            replay_cluster(
+                PoissonProcess(1.0), deterministic_sampler(1.0), 10, n_replicas=0
+            )
         with pytest.raises(ConfigurationError):
             exponential_sampler(0.0)
         with pytest.raises(ConfigurationError):
@@ -143,4 +172,4 @@ class TestSimulator:
         with pytest.raises(ConfigurationError):
             empirical_sampler([])
         with pytest.raises(ConfigurationError):
-            validate_mm1(1.0, 1.5)
+            seeded_replay("poisson", 1.0, 1.0, 0)

@@ -21,6 +21,7 @@ import pytest
 
 from repro.asr.audio import Waveform
 from repro.core import IPAQuery
+from repro.datacenter import PoissonProcess, histogram_sampler
 from repro.errors import (
     ConfigurationError,
     InjectedFaultError,
@@ -70,6 +71,7 @@ from repro.serving import (
     default_chaos_plan,
     resilient_executor,
 )
+from repro.serving.cluster import replay_cluster
 from repro.serving.identity import span_fingerprint
 from repro.serving.faults import ERROR, LATENCY, charge_virtual_seconds
 
@@ -717,17 +719,24 @@ class TestTraceReportCli:
         assert args.metrics is True
 
 
+def replay_histogram(histogram, load, n_queries, seed):
+    """One replica at utilization ``load``, service drawn from ``histogram``."""
+    return replay_cluster(
+        PoissonProcess(load / histogram.mean),
+        histogram_sampler(histogram, seed=seed + 1),
+        n_queries,
+        seed=seed,
+    )
+
+
 class TestDatacenterBridge:
-    def test_simulate_from_histogram(self):
+    def test_replay_from_histogram(self):
         rng = np.random.default_rng(5)
         histogram = panel_of(rng.gamma(2.0, 0.05, size=200))
-        result = __import__("repro.datacenter.simulation",
-                            fromlist=["simulate_from_histogram"])
-        sim = result.simulate_from_histogram(histogram, load=0.5,
-                                             n_queries=2000, seed=3)
-        assert sim.n_completed > 0
-        assert sim.p99_response_time >= sim.p95_response_time
-        assert sim.mean_response_time >= histogram.mean * 0.5
+        sim = replay_histogram(histogram, load=0.5, n_queries=2000, seed=3)
+        assert sim.n_admitted > 0
+        assert sim.p99_response >= sim.p95_response
+        assert sim.mean_response >= histogram.mean * 0.5
 
     def test_mm1_percentile_closed_form(self):
         from repro.datacenter.queueing import MM1Queue, mm1_percentile
@@ -743,12 +752,11 @@ class TestDatacenterBridge:
             mm1_percentile(0.1, 1.5, 95)
 
     def test_simulated_p99_tracks_mm1_for_exponential_service(self):
-        from repro.datacenter import mm1_percentile, simulate_from_histogram
+        from repro.datacenter import mm1_percentile
 
         rng = np.random.default_rng(17)
         histogram = panel_of(rng.exponential(0.05, size=4000) + 1e-9)
 
-        sim = simulate_from_histogram(histogram, load=0.6,
-                                      n_queries=20000, seed=11)
+        sim = replay_histogram(histogram, load=0.6, n_queries=20000, seed=11)
         predicted = mm1_percentile(histogram.mean, 0.6, 95)
-        assert sim.p95_response_time == pytest.approx(predicted, rel=0.25)
+        assert sim.p95_response == pytest.approx(predicted, rel=0.25)

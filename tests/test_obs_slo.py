@@ -152,7 +152,7 @@ class TestEvaluateSlos:
             n_replicas=2,
             seed=2,
         )
-        statuses = evaluate_slos(result.rollups, default_slos(), alerts=())
+        statuses = evaluate_slos(result.rollups(), default_slos(), alerts=())
         assert [s.slo.name for s in statuses] == [
             "availability", "e2e-p99", "ttfp-p95"
         ]
