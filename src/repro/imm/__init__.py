@@ -7,7 +7,7 @@ match against the image database.
 
 from repro.imm.database import ImageDatabase, MatchResult
 from repro.imm.descriptor import DESCRIPTOR_SIZE, describe_keypoint, describe_keypoints
-from repro.imm.hessian import FastHessianDetector, Keypoint, hessian_response
+from repro.imm.hessian import FastHessianDetector, Keypoint
 from repro.imm.image import Image, SceneGenerator
 from repro.imm.integral import box_sum, integral_image
 from repro.imm.kdtree import KDTree
@@ -35,7 +35,6 @@ __all__ = [
     "box_sum",
     "describe_keypoint",
     "describe_keypoints",
-    "hessian_response",
     "integral_image",
     "match_bruteforce",
 ]

@@ -90,6 +90,15 @@ class ImageDatabase:
             )
         return self._matcher
 
+    def _vote(self, query: Image, profiler: Profiler):
+        """(features, matches, votes): the query's descriptor matches and,
+        per database image id, how many of them it owns (first-seen order)."""
+        features = self.surf.extract(query, profiler=profiler)
+        with profiler.section("imm.ann"):
+            matches = self._ensure_matcher().match(features.descriptors)
+            votes = Counter(self._owner_of_row[m.database_index] for m in matches)
+        return features, matches, votes
+
     def match(
         self,
         query: Image,
@@ -105,13 +114,7 @@ class ImageDatabase:
         vote winners.
         """
         profiler = profiler if profiler is not None else Profiler()
-        features = self.surf.extract(query, profiler=profiler)
-        with profiler.section("imm.ann"):
-            matcher = self._ensure_matcher()
-            matches = matcher.match(features.descriptors)
-            votes: Counter = Counter()
-            for match in matches:
-                votes[self._owner_of_row[match.database_index]] += 1
+        features, matches, votes = self._vote(query, profiler)
         if not votes:
             return MatchResult("", 0, 0, len(features))
 
@@ -169,14 +172,9 @@ class ImageDatabase:
         """
         if k < 1:
             raise ImageError("top_matches needs k >= 1")
-        profiler = profiler if profiler is not None else Profiler()
-        features = self.surf.extract(query, profiler=profiler)
-        with profiler.section("imm.ann"):
-            matcher = self._ensure_matcher()
-            matches = matcher.match(features.descriptors)
-            votes: Counter = Counter()
-            for match in matches:
-                votes[self._owner_of_row[match.database_index]] += 1
+        features, matches, votes = self._vote(
+            query, profiler if profiler is not None else Profiler()
+        )
         ranked = sorted(
             votes.items(), key=lambda item: (-item[1], self._names[item[0]])
         )

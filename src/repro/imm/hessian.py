@@ -34,22 +34,18 @@ class Keypoint:
     sign: int          # sign of the Laplacian (light/dark blob), for matching
 
 
-def hessian_response(ii: np.ndarray, filter_size: int) -> np.ndarray:
-    """Hessian-determinant response map for one filter size.
-
-    Uses the canonical SURF box layouts: three stacked lobes for Dyy/Dxx and
-    four diagonal lobes for Dxy, weighted 1/-2/1 and +1/-1 respectively,
-    normalized by the filter area.
-    """
-    return _response(PaddedIntegral(ii, _filter_reach(filter_size)), filter_size)
-
-
 def _filter_reach(filter_size: int) -> int:
     """The padding a filter's widest box needs: it spans -border .. border + 1."""
     return filter_size // 2 + 1
 
 
 def _response(padded: PaddedIntegral, filter_size: int) -> np.ndarray:
+    """Hessian-determinant response map for one filter size.
+
+    Uses the canonical SURF box layouts: three stacked lobes for Dyy/Dxx and
+    four diagonal lobes for Dxy, weighted 1/-2/1 and +1/-1 respectively,
+    normalized by the filter area.
+    """
     if filter_size % 2 == 0 or filter_size < 9 or filter_size % 3 != 0:
         raise ImageError("filter size must be an odd multiple of 3, >= 9")
     box = padded.box_sum_map

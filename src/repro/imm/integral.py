@@ -55,7 +55,13 @@ class PaddedIntegral:
         self.table = np.pad(ii, pad, mode="edge")
 
     def box_sum_map(self, dy: int, dx: int, height: int, width: int) -> np.ndarray:
-        """Clipped box sums for every pixel; see :func:`box_sum_map`."""
+        """Box sums for *every* pixel at once.
+
+        For each pixel (y, x) of the original image, returns the sum of the
+        box whose top-left corner is (y + dy, x + dx), exactly as
+        :func:`box_sum` computes it.  Out-of-range boxes are clipped.  This
+        vectorized form is what makes the pure-numpy fast-Hessian tractable.
+        """
         if box_reach(dy, dx, height, width) > self.pad:
             raise ImageError("box reaches past the integral image's padding")
         y0 = self.pad + dy
@@ -75,15 +81,3 @@ class PaddedIntegral:
 def box_reach(dy: int, dx: int, height: int, width: int) -> int:
     """How far a box at offset (dy, dx) extends from its pixel on any side."""
     return max(abs(dy), abs(dx), abs(dy + height), abs(dx + width))
-
-
-def box_sum_map(ii: np.ndarray, dy: int, dx: int, height: int, width: int) -> np.ndarray:
-    """Box sums for *every* pixel at once.
-
-    For each pixel (y, x) of the original image, returns the sum of the box
-    whose top-left corner is (y + dy, x + dx), exactly as :func:`box_sum`
-    computes it.  Out-of-range boxes are clipped.  This vectorized form is
-    what makes the pure-numpy fast-Hessian tractable.
-    """
-    padded = PaddedIntegral(ii, box_reach(dy, dx, height, width))
-    return padded.box_sum_map(dy, dx, height, width)

@@ -69,18 +69,19 @@ class AnnMatcher:
         self.tree = KDTree(self.database, leaf_size=leaf_size)
 
     def match(self, query: np.ndarray) -> List[DescriptorMatch]:
-        """Ratio-tested matches for each query descriptor."""
-        query = np.atleast_2d(query)
-        matches: List[DescriptorMatch] = []
-        for row in range(len(query)):
-            distances, indices = self.tree.query(
-                query[row], k=2, max_checks=self.max_checks
-            )
-            if len(indices) == 0:
-                continue
-            if len(indices) == 1:
-                matches.append(DescriptorMatch(row, int(indices[0]), float(distances[0])))
-                continue
-            if distances[0] < self.ratio * distances[1]:
-                matches.append(DescriptorMatch(row, int(indices[0]), float(distances[0])))
-        return matches
+        """Ratio-tested matches for each query descriptor, from one batched search.
+
+        A row with a single candidate has an ``inf`` second distance and
+        passes; a row with none has an ``inf`` first distance and fails.
+        Which of several rows tied at a distance the tree returns cannot
+        change a match: with ``ratio <= 1`` a tie at first place fails the
+        test, and second place contributes only its distance.
+        """
+        distances, indices = self.tree.query_batch(
+            np.atleast_2d(query), k=2, max_checks=self.max_checks
+        )
+        accepted = np.flatnonzero(distances[:, 0] < self.ratio * distances[:, 1])
+        return [
+            DescriptorMatch(int(row), int(indices[row, 0]), float(distances[row, 0]))
+            for row in accepted
+        ]

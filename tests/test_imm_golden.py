@@ -6,20 +6,24 @@ rewrite) and is never regenerated from the code under test: every digest is
 a sha256 over raw float64 bytes, so a one-ulp drift anywhere in FE, FD, ANN
 or verification fails here.  The scalar descriptor loop itself is kept below
 as ``scalar_descriptor`` — the reference the property tests compare against
-at keypoints the golden does not cover.
+at keypoints the golden does not cover — and so is the per-descriptor heap
+walk the batched k-d tree search replaced, as ``heap_walk_query``.
 
 Regenerate (only from a commit whose output is the intended reference):
 ``PYTHONPATH=src python tests/test_imm_golden.py``.
 """
 
 import hashlib
+import heapq
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.imm import (
     AnnMatcher,
@@ -247,6 +251,146 @@ class TestBatchProperties:
             image, [keypoints[i] for i in order], ii=ii, upright=upright
         )
         assert shuffled.tobytes() == batch[order].tobytes()
+
+
+# -- the heap walk, kept as the reference --------------------------------------------
+
+
+@dataclass
+class HeapNode:
+    axis: int = -1
+    split: float = 0.0
+    left: Optional["HeapNode"] = None
+    right: Optional["HeapNode"] = None
+    indices: Optional[np.ndarray] = None  # leaf payload
+
+
+def heap_tree(data, leaf_size):
+    """The linked node tree, split by the same rule as ``KDTree``."""
+
+    def build(indices):
+        if len(indices) <= leaf_size:
+            return HeapNode(indices=indices)
+        subset = data[indices]
+        axis = int(np.argmax(subset.var(axis=0)))
+        order = np.argsort(subset[:, axis], kind="stable")
+        split_value = float(subset[order[len(indices) // 2], axis])
+        left_mask = subset[:, axis] < split_value
+        if not left_mask.any() or left_mask.all():
+            return HeapNode(indices=indices)
+        return HeapNode(
+            axis=axis,
+            split=split_value,
+            left=build(indices[left_mask]),
+            right=build(indices[~left_mask]),
+        )
+
+    return build(np.arange(len(data)))
+
+
+def heap_walk_query(data, root, vector, k, max_checks):
+    """The per-descriptor ``heapq`` best-bin-first walk the batched search replaced.
+
+    Returns (distances, indices, examined), ``examined`` being the
+    (squared distance, row) of every row the walk checked.
+    """
+    best = []  # max-heap via negated distance
+    examined = []
+    checks = 0
+    counter = 0
+    frontier = [(0.0, counter, root)]
+    while frontier:
+        bound, _, node = heapq.heappop(frontier)
+        if len(best) == k and bound > -best[0][0]:
+            break
+        if max_checks is not None and checks >= max_checks and len(best) >= min(k, checks):
+            break
+        if node.indices is not None:
+            squared = ((data[node.indices] - vector) ** 2).sum(axis=1)
+            for index, distance in zip(node.indices.tolist(), squared.tolist()):
+                checks += 1
+                examined.append((distance, index))
+                if len(best) < k:
+                    heapq.heappush(best, (-distance, index))
+                elif distance < -best[0][0]:
+                    heapq.heapreplace(best, (-distance, index))
+            continue
+        diff = vector[node.axis] - node.split
+        near, far = (node.left, node.right) if diff < 0 else (node.right, node.left)
+        counter += 1
+        heapq.heappush(frontier, (bound, counter, near))
+        counter += 1
+        heapq.heappush(frontier, (max(bound, diff * diff), counter, far))
+
+    ordered = sorted((-negative, index) for negative, index in best)
+    distances = np.sqrt(np.array([item[0] for item in ordered]))
+    indices = np.array([item[1] for item in ordered], dtype=int)
+    return distances, indices, examined
+
+
+def assert_search_is_heap_walk(data, queries, leaf_size, k, max_checks):
+    """Distances byte-equal to the heap walk's; indices too, unless more than
+    ``k`` examined rows tie at the k-th distance — then the lowest rows win."""
+    tree = KDTree(data, leaf_size=leaf_size)
+    root = heap_tree(data, leaf_size)
+    batch_distances, batch_indices = tree.query_batch(queries, k, max_checks)
+    for row, vector in enumerate(queries):
+        distances, indices = tree.query(vector, k, max_checks)
+        found = batch_indices[row] >= 0
+        assert distances.tobytes() == batch_distances[row, found].tobytes()
+        assert indices.tolist() == batch_indices[row, found].tolist()
+
+        expected, heap_indices, examined = heap_walk_query(data, root, vector, k, max_checks)
+        assert distances.tobytes() == expected.tobytes()
+        lowest = sorted(examined)[:k]
+        assert indices.tolist() == [index for _, index in lowest]
+        tied = lowest and sum(d <= lowest[-1][0] for d, _ in examined) > k
+        if not tied:
+            assert indices.tolist() == heap_indices.tolist()
+
+
+class TestHeapWalkOracle:
+    @given(
+        st.integers(1, 40), st.integers(1, 4), st.integers(1, 10), st.integers(1, 3),
+        st.sampled_from([None, 1, 4, 16, 64]), st.booleans(), st.integers(0, 2**32 - 1),
+    )
+    @settings(deadline=None, max_examples=150)
+    @example(6, 3, 8, 2, None, False, 0)  # the root is a leaf
+    @example(3, 3, 1, 3, 1, False, 0)  # k > N
+    @example(30, 3, 2, 3, 4, True, 0)  # all rows equal
+    def test_batched_search_is_the_heap_walk(
+        self, n_rows, dims, leaf_size, k, max_checks, equal_rows, seed
+    ):
+        # Data on a 0.1 grid, so coordinate, bound and distance ties are dense.
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(n_rows, dims)).round(1)
+        if equal_rows:
+            data[:] = data[0]
+        queries = np.vstack([rng.normal(size=(5, dims)).round(1), data[:2]])
+        assert_search_is_heap_walk(data, queries, leaf_size, k, max_checks)
+
+    @given(
+        st.integers(2, 60), st.integers(1, 3), st.integers(1, 4),
+        st.sampled_from([1, 2, 4, 9, 16]), st.integers(0, 2**32 - 1),
+    )
+    @settings(deadline=None, max_examples=150)
+    @example(60, 3, 1, 9, 4)  # a tie broken only by the near-first rank
+    def test_examined_rows_are_the_heap_walks(self, n_rows, dims, leaf_size, max_checks, seed):
+        # With k = N every examined row is returned, so the budget's cut of
+        # the visit order shows: integer data puts split differences at
+        # exactly 0, where a far child's bound ties its parent's and only
+        # the ancestor bounds and the near-first rank order the leaves.
+        rng = np.random.default_rng(seed)
+        data = rng.integers(-2, 3, size=(n_rows, dims)).astype(float)
+        tree = KDTree(data, leaf_size=leaf_size)
+        root = heap_tree(data, leaf_size)
+        queries = np.vstack([rng.integers(-2, 3, size=(4, dims)), data[:2]]).astype(float)
+        _, indices = tree.query_batch(queries, n_rows, max_checks)
+        for row, vector in enumerate(queries):
+            _, _, examined = heap_walk_query(data, root, vector, n_rows, max_checks)
+            found = indices[row][indices[row] >= 0]
+            assert sorted(found.tolist()) == sorted(index for _, index in examined)
+
 
 
 if __name__ == "__main__":

@@ -11,10 +11,10 @@ from repro.imm import (
     KDTree,
     SceneGenerator,
     box_sum,
-    hessian_response,
     integral_image,
 )
-from repro.imm.integral import PaddedIntegral, box_sum_map
+from repro.imm.hessian import _filter_reach, _response
+from repro.imm.integral import PaddedIntegral, box_reach
 
 
 class TestIntegralImage:
@@ -61,7 +61,7 @@ class TestIntegralImage:
         rng = np.random.default_rng(2)
         pixels = rng.uniform(size=(16, 12))
         ii = integral_image(pixels)
-        sums = box_sum_map(ii, -2, 1, 4, 3)
+        sums = PaddedIntegral(ii, box_reach(-2, 1, 4, 3)).box_sum_map(-2, 1, 4, 3)
         for y in range(16):
             for x in range(12):
                 assert sums[y, x] == pytest.approx(box_sum(ii, y - 2, x + 1, 4, 3))
@@ -76,7 +76,7 @@ class TestIntegralImage:
         # Boxes that overhang the image on every side (filter 51 on a 64-px
         # tile does) must clip exactly as the scalar does: ==, not approx.
         ii = integral_image(np.random.default_rng(seed).uniform(size=(rows, cols)))
-        sums = box_sum_map(ii, dy, dx, h, w)
+        sums = PaddedIntegral(ii, box_reach(dy, dx, h, w)).box_sum_map(dy, dx, h, w)
         assert sums.shape == (rows, cols)
         expected = [
             [box_sum(ii, y + dy, x + dx, h, w) for x in range(cols)] for y in range(rows)
@@ -98,22 +98,22 @@ class TestHessian:
         yy, xx = np.mgrid[0:64, 0:64]
         pixels = np.exp(-((yy - 32) ** 2 + (xx - 32) ** 2) / (2 * 4.0**2))
         ii = integral_image(pixels)
-        response = hessian_response(ii, 9)
+        response = _response(PaddedIntegral(ii, _filter_reach(9)), 9)
         peak = np.unravel_index(np.argmax(response), response.shape)
         assert abs(peak[0] - 32) <= 2 and abs(peak[1] - 32) <= 2
 
     def test_flat_image_near_zero(self):
         # Interior response must vanish; borders clip boxes and may not.
         ii = integral_image(np.full((40, 40), 0.5))
-        response = hessian_response(ii, 9)
+        response = _response(PaddedIntegral(ii, _filter_reach(9)), 9)
         assert np.abs(response[9:-9, 9:-9]).max() < 1e-9
 
     def test_invalid_filter_size(self):
         ii = integral_image(np.zeros((20, 20)))
         with pytest.raises(ImageError):
-            hessian_response(ii, 10)
+            _response(PaddedIntegral(ii, _filter_reach(10)), 10)
         with pytest.raises(ImageError):
-            hessian_response(ii, 3)
+            _response(PaddedIntegral(ii, _filter_reach(3)), 3)
 
     def test_detector_finds_blob(self):
         yy, xx = np.mgrid[0:80, 0:80]
