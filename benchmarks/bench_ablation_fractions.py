@@ -10,11 +10,8 @@ breakdown.
 
 import pytest
 
-from repro.analysis import (
-    format_matrix,
-    measured_service_fractions,
-    pooled_profile,
-)
+from repro.analysis import format_matrix, measured_service_fractions
+from repro.obs.critical_path import section_seconds
 from repro.platforms import (
     DEFAULT_FRACTIONS,
     FPGA,
@@ -27,9 +24,8 @@ from repro.platforms import (
 
 
 @pytest.fixture(scope="module")
-def measured_fractions(responses):
-    pooled = pooled_profile([response.profile for response in responses])
-    return measured_service_fractions(pooled)
+def measured_fractions(traced_spans):
+    return measured_service_fractions(section_seconds(traced_spans))
 
 
 def test_ablation_report(measured_fractions, save_report):
@@ -71,11 +67,9 @@ def test_measured_fractions_shrink_asr_speedup(measured_fractions):
     assert measured < paper
 
 
-def test_bench_fraction_extraction(benchmark, responses):
-    profiles = [response.profile for response in responses]
-
+def test_bench_fraction_extraction(benchmark, traced_spans):
     def extract():
-        return measured_service_fractions(pooled_profile(profiles))
+        return measured_service_fractions(section_seconds(traced_spans))
 
     fractions = benchmark(extract)
     assert "QA" in fractions

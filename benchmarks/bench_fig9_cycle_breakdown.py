@@ -1,4 +1,4 @@
-"""Figure 9: cycle breakdown per service, from the real pipeline's profiles.
+"""Figure 9: cycle breakdown per service, from the real pipeline's section spans.
 
 Claims to reproduce: scoring (GMM/DNN) dominates ASR; stemmer+regex+CRF
 dominate QA; FE/FD dominate IMM; and the suite kernels cover most of the
@@ -10,14 +10,14 @@ import pytest
 from repro.analysis import (
     format_table,
     kernel_coverage,
-    pooled_profile,
     split_by_service,
 )
+from repro.obs.critical_path import section_seconds
 
 
 @pytest.fixture(scope="module")
-def pooled(responses):
-    return pooled_profile([response.profile for response in responses])
+def pooled(traced_spans):
+    return section_seconds(traced_spans)
 
 
 def test_fig9_report(pooled, save_report):
@@ -54,7 +54,6 @@ def test_kernel_coverage_majority(pooled):
     assert kernel_coverage(pooled) > 0.5
 
 
-def test_bench_profile_pooling(benchmark, responses):
-    profiles = [response.profile for response in responses]
-    pooled = benchmark(pooled_profile, profiles)
-    assert pooled.total > 0
+def test_bench_section_pooling(benchmark, traced_spans):
+    pooled = benchmark(section_seconds, traced_spans)
+    assert sum(pooled.values()) > 0

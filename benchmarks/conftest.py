@@ -57,8 +57,19 @@ def inputs():
 
 @pytest.fixture(scope="session")
 def responses(pipeline, inputs):
-    """One processed response per input-set query, with profiles."""
+    """One processed response per input-set query, untraced."""
     return [pipeline.process(query) for query in inputs.all_queries]
+
+
+@pytest.fixture(scope="session")
+def traced_spans(pipeline, inputs):
+    """The span forest of one traced pass over the input set: the section
+    spans Figure 9 and the fractions ablation project."""
+    from repro.obs import collect_spans
+    from repro.serving import PlanExecutor
+
+    executor = PlanExecutor(pipeline.serving.services, trace_seed=2015)
+    return collect_spans(executor.run_all(inputs.all_queries))
 
 
 @pytest.fixture(scope="session")

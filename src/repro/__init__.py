@@ -30,15 +30,12 @@ from repro.core import (
     SiriusResponse,
 )
 from repro.errors import SiriusError
-from repro.profiling import Profile, Profiler
 
 __version__ = "1.0.0"
 
 __all__ = [
     "InputSet",
     "IPAQuery",
-    "Profile",
-    "Profiler",
     "QueryType",
     "SiriusError",
     "SiriusPipeline",

@@ -15,7 +15,6 @@ from repro.analysis.breakdown import (
     ServiceBreakdown,
     kernel_coverage,
     measured_service_fractions,
-    pooled_profile,
     split_by_service,
 )
 from repro.analysis.report import format_bar, format_matrix, format_table
@@ -48,7 +47,6 @@ __all__ = [
     "max_stall_free_speedup",
     "measured_service_fractions",
     "pearson",
-    "pooled_profile",
     "run_variability_study",
     "service_distributions",
 ]

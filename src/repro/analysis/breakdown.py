@@ -1,19 +1,19 @@
-"""Cycle-breakdown analysis (paper Figure 9) from measured profiles.
+"""Cycle-breakdown analysis (paper Figure 9) from measured section times.
 
-Runs the real pipeline over the input set, pools the per-component profiler
-times, and reports each service's breakdown.  The paper's claims to check:
-GMM/DNN scoring dominates ASR, stemmer+regex+CRF ≈ 85% of QA, FE/FD dominate
-IMM, and the seven kernels together cover ≈ 92% of all cycles.
+Runs the real pipeline over the input set under a tracer, pools the
+per-component ``section`` span times
+(:func:`repro.obs.critical_path.section_seconds`), and reports each
+service's breakdown.  The paper's claims to check: GMM/DNN scoring
+dominates ASR, stemmer+regex+CRF ≈ 85% of QA, FE/FD dominate IMM, and the
+seven kernels together cover ≈ 92% of all cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, List, Mapping
 
-from repro.profiling import Profile
-
-#: Profiler sections belonging to each service, and which are "kernels".
+#: Sections belonging to each service, and which are "kernels".
 SERVICE_SECTIONS: Dict[str, List[str]] = {
     "ASR": ["asr.features", "asr.scoring", "asr.search", "asr"],
     "QA": ["qa.analyze", "qa.search", "qa.stemmer", "qa.regex", "qa.crf",
@@ -53,62 +53,48 @@ class ServiceBreakdown:
 
     def kernel_fraction(self) -> float:
         """Share of this service's time inside Sirius Suite kernels."""
-        total = self.total
-        if total <= 0:
-            return 0.0
-        return sum(
-            value for name, value in self.seconds.items() if name in KERNEL_SECTIONS
-        ) / total
+        return kernel_coverage(self.seconds)
 
 
-def split_by_service(profile: Profile) -> Dict[str, ServiceBreakdown]:
-    """Group a pooled profile's sections into per-service breakdowns."""
+def split_by_service(seconds: Mapping[str, float]) -> Dict[str, ServiceBreakdown]:
+    """Group pooled section seconds into per-service breakdowns."""
     breakdowns: Dict[str, ServiceBreakdown] = {
         service: ServiceBreakdown(service) for service in SERVICE_SECTIONS
     }
-    for section, seconds in profile.seconds.items():
+    for section, value in seconds.items():
         for service, sections in SERVICE_SECTIONS.items():
             if section in sections:
-                breakdowns[service].seconds[section] = seconds
+                breakdowns[service].seconds[section] = value
                 break
     return breakdowns
 
 
-def pooled_profile(profiles: Iterable[Profile]) -> Profile:
-    pooled = Profile()
-    for profile in profiles:
-        pooled.merge(profile)
-    return pooled
-
-
-def kernel_coverage(profile: Profile) -> float:
-    """Fraction of all profiled time spent in Sirius Suite kernels.
+def kernel_coverage(seconds: Mapping[str, float]) -> float:
+    """Fraction of all sectioned time spent in Sirius Suite kernels.
 
     The paper extracts kernels covering 92% of cycles; our pipeline should
     land in the same regime (most time in scoring/NLP/vision kernels).
     """
-    total = profile.total
+    total = sum(seconds.values())
     if total <= 0:
         return 0.0
     in_kernels = sum(
-        seconds
-        for section, seconds in profile.seconds.items()
-        if section in KERNEL_SECTIONS
+        value for section, value in seconds.items() if section in KERNEL_SECTIONS
     )
     return in_kernels / total
 
 
 def measured_service_fractions(
-    profile: Profile,
+    seconds: Mapping[str, float],
 ) -> Dict[str, Dict[str, float]]:
-    """Convert a measured profile into `repro.platforms.speedups` fractions.
+    """Convert measured section seconds into `repro.platforms.speedups` fractions.
 
-    Maps profiler sections onto the accelerator model's component names so a
+    Maps sections onto the accelerator model's component names so a
     measured breakdown can replace DEFAULT_FRACTIONS (an ablation the
     benchmarks exercise).  Components outside the kernel set fold into the
     nearest modeled component.
     """
-    breakdowns = split_by_service(profile)
+    breakdowns = split_by_service(seconds)
 
     def normalized(parts: Mapping[str, float]) -> Dict[str, float]:
         total = sum(parts.values())

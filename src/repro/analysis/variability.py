@@ -89,29 +89,35 @@ def run_variability_study(qa_engine, questions: Sequence[str]) -> List[QAQueryRe
 
     Latency and component times are per-question medians over ``WARM_RUNS``
     warm runs: one ``perf_counter`` sample per question is as much scheduler
-    as question on a shared machine.  Hits are deterministic.
+    as question on a shared machine.  Each warm run is answered under its
+    own tracer and root span; latency is the root span's duration and the
+    components its section times.  Hits are deterministic.
     """
-    from repro.profiling import Profiler
+    # Imported here: the obs package imports this one for its tables.
+    from repro.obs.context import use_tracer
+    from repro.obs.critical_path import section_seconds
+    from repro.obs.trace import Tracer
 
     records: List[QAQueryRecord] = []
     for question in questions:
         result = qa_engine.answer(question)
-        profiles = []
+        latencies: List[float] = []
+        sections: List[Dict[str, float]] = []
         for _ in range(WARM_RUNS):
-            profiler = Profiler()
-            qa_engine.answer(question, profiler=profiler)
-            profiles.append(profiler.profile)
-        components = {
-            name: statistics.median(profile.seconds.get(name, 0.0) for profile in profiles)
-            for name in profiles[0].seconds
-            if name.startswith("qa.")
-        }
+            tracer = Tracer()
+            with use_tracer(tracer), tracer.trace(0) as root:
+                qa_engine.answer(question)
+            latencies.append(root.duration)
+            sections.append(section_seconds(tracer.finish()))
         records.append(
             QAQueryRecord(
                 question=question,
-                latency=statistics.median(profile.total for profile in profiles),
+                latency=statistics.median(latencies),
                 filter_hits=result.stats.total_hits,
-                component_seconds=components,
+                component_seconds={
+                    name: statistics.median(run.get(name, 0.0) for run in sections)
+                    for name in sections[0]
+                },
             )
         )
     return records

@@ -29,8 +29,8 @@ from repro.asr.audio import Waveform
 from repro.asr.features import FeatureExtractor
 from repro.asr.lm import BigramLanguageModel
 from repro.asr.phonemes import pronounce
-from repro.profiling import Profiler
 from repro.errors import DecodingError
+from repro.obs.context import section
 
 
 @dataclass(frozen=True)
@@ -159,21 +159,17 @@ class Decoder:
 
     # -- public API ---------------------------------------------------------------
 
-    def decode_waveform(
-        self, waveform: Waveform, profiler: Optional[Profiler] = None
-    ) -> DecodeResult:
+    def decode_waveform(self, waveform: Waveform) -> DecodeResult:
         """Recognize a waveform end to end (features → scores → search).
 
-        Profiled sections: ``asr.features``, ``asr.scoring`` (GMM or DNN),
+        Sections: ``asr.features``, ``asr.scoring`` (GMM or DNN),
         ``asr.search`` (HMM Viterbi) — the breakdown of paper Figure 9.
         """
-        return self._decode(waveform, None, profiler)[0]
+        return self._decode(waveform, None)[0]
 
-    def decode_features(
-        self, features: np.ndarray, profiler: Optional[Profiler] = None
-    ) -> DecodeResult:
+    def decode_features(self, features: np.ndarray) -> DecodeResult:
         """Recognize pre-extracted feature frames."""
-        return self._decode(None, features, profiler)[0]
+        return self._decode(None, features)[0]
 
     def decode_nbest(
         self, waveform: Waveform, n: int = 5
@@ -186,25 +182,23 @@ class Decoder:
         """
         if n < 1:
             raise DecodingError("n must be >= 1")
-        return self._decode(waveform, None, None, n_best=n)
+        return self._decode(waveform, None, n_best=n)
 
     def _decode(
         self,
         waveform: Optional[Waveform],
         features: Optional[np.ndarray],
-        profiler: Optional[Profiler],
         n_best: int = 1,
     ) -> List[DecodeResult]:
         """The features → scoring → search path behind every ``decode_*``."""
-        profiler = profiler if profiler is not None else Profiler()
         if features is None:
-            with profiler.section("asr.features"):
+            with section("asr.features"):
                 features = self.feature_extractor.extract(waveform)
         if len(features) == 0:
             raise DecodingError("no feature frames to decode")
-        with profiler.section("asr.scoring"):
+        with section("asr.scoring"):
             emissions = self.acoustic_model.emission_scores(features)
-        with profiler.section("asr.search"):
+        with section("asr.search"):
             return self._search(emissions, n_best)
 
     def _search(self, emissions: np.ndarray, n_best: int = 1) -> List[DecodeResult]:

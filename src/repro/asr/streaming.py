@@ -22,7 +22,7 @@ import numpy as np
 from repro.asr.decoder import DecodeResult, Decoder, ViterbiSearch
 from repro.asr.features import FeatureConfig, FeatureExtractor, compute_deltas
 from repro.errors import DecodingError
-from repro.profiling import NullProfiler, Profiler
+from repro.obs.context import section
 
 
 class StreamingFeatureExtractor:
@@ -136,12 +136,8 @@ class StreamingDecoder:
     >>> streaming.finish().text                        # doctest: +SKIP
     """
 
-    def __init__(self, decoder: Decoder, profiler: Optional[Profiler] = None):
+    def __init__(self, decoder: Decoder):
         self.decoder = decoder
-        #: Sections mirror the offline decoder's Figure 9 breakdown
-        #: (``asr.features`` / ``asr.scoring`` / ``asr.search``) so a
-        #: streaming session attributes component time under the same names.
-        self.profiler = profiler if profiler is not None else NullProfiler()
         self._features = StreamingFeatureExtractor(decoder.feature_extractor.config)
         self._search = ViterbiSearch(decoder)
         self._finished = False
@@ -154,9 +150,12 @@ class StreamingDecoder:
     def _step_frames(self, features: np.ndarray) -> None:
         if len(features) == 0:
             return
-        with self.profiler.section("asr.scoring"):
+        # Sections mirror the offline decoder's Figure 9 breakdown
+        # (``asr.features`` / ``asr.scoring`` / ``asr.search``) so a
+        # streaming session attributes component time under the same names.
+        with section("asr.scoring"):
             emissions = self.decoder.acoustic_model.emission_scores(features)
-        with self.profiler.section("asr.search"):
+        with section("asr.search"):
             self._search.advance(emissions)
 
     # -- public API ------------------------------------------------------------------
@@ -165,7 +164,7 @@ class StreamingDecoder:
         """Add an audio chunk (any length, including empty)."""
         if self._finished:
             raise DecodingError("decoder already finished; create a new one")
-        with self.profiler.section("asr.features"):
+        with section("asr.features"):
             rows = self._features.push(samples)
         self._step_frames(rows)
 
@@ -177,7 +176,7 @@ class StreamingDecoder:
     def finish(self) -> DecodeResult:
         """Flush buffered audio and return the final result."""
         if not self._finished:
-            with self.profiler.section("asr.features"):
+            with section("asr.features"):
                 rows = self._features.flush()
             self._step_frames(rows)
             self._finished = True

@@ -10,7 +10,6 @@ from repro.core.inputset import (
     vocabulary,
 )
 from repro.core.pipeline import DNN_BACKEND, GMM_BACKEND, SiriusPipeline
-from repro.profiling import NullProfiler, Profile, Profiler
 from repro.core.query import IPAQuery, QueryType, SiriusResponse
 
 __all__ = [
@@ -20,9 +19,6 @@ __all__ = [
     "GMM_BACKEND",
     "IPAQuery",
     "InputSet",
-    "NullProfiler",
-    "Profile",
-    "Profiler",
     "QUESTION",
     "QueryClassifier",
     "QueryType",

@@ -26,7 +26,6 @@ from repro.asr import (
 )
 from repro.core.classifier import QueryClassifier
 from repro.core.inputset import all_sentences
-from repro.profiling import Profiler
 from repro.core.query import IPAQuery, SiriusResponse
 from repro.errors import ConfigurationError
 from repro.imm.database import ImageDatabase
@@ -122,11 +121,9 @@ class SiriusPipeline:
             self._serving_key = key
         return self._serving
 
-    def process(self, query: IPAQuery, profiler: Optional[Profiler] = None) -> SiriusResponse:
+    def process(self, query: IPAQuery) -> SiriusResponse:
         """Run one query through the full pipeline."""
-        return self.serving.run(
-            query, profiler=profiler, parallel_branches=self.parallel_services
-        )
+        return self.serving.run(query, parallel_branches=self.parallel_services)
 
     def process_all(self, queries: List[IPAQuery]) -> List[SiriusResponse]:
         return self.serving.run_all(

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.asr.audio import Waveform
-from repro.profiling import Profile
 from repro.errors import QueryError
 from repro.imm.image import Image
 
@@ -58,7 +57,6 @@ class SiriusResponse:
     action: str = ""              # VC: the command echoed back for execution
     answer: str = ""              # VQ/VIQ: best QA answer
     matched_image: str = ""       # VIQ: IMM's best database image
-    profile: Profile = field(default_factory=Profile)
     service_seconds: Dict[str, float] = field(default_factory=dict)
     filter_hits: int = 0
     wall_seconds: float = 0.0  # end-to-end wall time (may be < sum when services overlap)

@@ -66,18 +66,6 @@ class DesignError(SiriusError):
     code = "DESIGN"
 
 
-class ProfilerError(SiriusError):
-    """The component profiler was used outside its contract.
-
-    Raised e.g. for :meth:`repro.profiling.Profiler.reset` while sections
-    are still open: the open ``section()`` context managers hold indices
-    into the stack being discarded, so continuing would silently attribute
-    pre-reset time to the fresh profile.
-    """
-
-    code = "PROFILER"
-
-
 class ServiceError(SiriusError):
     """A serving-layer service call failed after resilience handling.
 

@@ -14,12 +14,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.profiling import Profiler
 from repro.errors import ImageError
 from repro.imm.image import Image, SceneGenerator
 from repro.imm.matcher import AnnMatcher, DescriptorMatch
 from repro.imm.surf import Surf, SurfFeatures
 from repro.imm.verify import ransac_translation
+from repro.obs.context import section
 
 
 @dataclass(frozen=True)
@@ -90,11 +90,11 @@ class ImageDatabase:
             )
         return self._matcher
 
-    def _vote(self, query: Image, profiler: Profiler):
+    def _vote(self, query: Image):
         """(features, matches, votes): the query's descriptor matches and,
         per database image id, how many of them it owns (first-seen order)."""
-        features = self.surf.extract(query, profiler=profiler)
-        with profiler.section("imm.ann"):
+        features = self.surf.extract(query)
+        with section("imm.ann"):
             matches = self._ensure_matcher().match(features.descriptors)
             votes = Counter(self._owner_of_row[m.database_index] for m in matches)
         return features, matches, votes
@@ -102,7 +102,6 @@ class ImageDatabase:
     def match(
         self,
         query: Image,
-        profiler: Optional[Profiler] = None,
         verify: bool = False,
         verify_top_k: int = 3,
     ) -> MatchResult:
@@ -113,8 +112,7 @@ class ImageDatabase:
         (:mod:`repro.imm.verify`), suppressing geometrically inconsistent
         vote winners.
         """
-        profiler = profiler if profiler is not None else Profiler()
-        features, matches, votes = self._vote(query, profiler)
+        features, matches, votes = self._vote(query)
         if not votes:
             return MatchResult("", 0, 0, len(features))
 
@@ -127,7 +125,7 @@ class ImageDatabase:
                 n_query_keypoints=len(features),
             )
 
-        with profiler.section("imm.verify"):
+        with section("imm.verify"):
             best_id = -1
             best_inliers = -1
             for image_id, image_votes in votes.most_common(verify_top_k):
@@ -156,12 +154,7 @@ class ImageDatabase:
             inliers=best_inliers,
         )
 
-    def top_matches(
-        self,
-        query: Image,
-        k: int = 3,
-        profiler: Optional[Profiler] = None,
-    ) -> List[MatchResult]:
+    def top_matches(self, query: Image, k: int = 3) -> List[MatchResult]:
         """The ``k`` database images with the most descriptor votes.
 
         Deterministic ranking — by descending votes, then image name — so
@@ -172,9 +165,7 @@ class ImageDatabase:
         """
         if k < 1:
             raise ImageError("top_matches needs k >= 1")
-        features, matches, votes = self._vote(
-            query, profiler if profiler is not None else Profiler()
-        )
+        features, matches, votes = self._vote(query)
         ranked = sorted(
             votes.items(), key=lambda item: (-item[1], self._names[item[0]])
         )

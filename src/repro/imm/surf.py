@@ -7,11 +7,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.profiling import Profiler
 from repro.imm.descriptor import DESCRIPTOR_SIZE, describe_keypoints
 from repro.imm.hessian import FastHessianDetector, Keypoint
 from repro.imm.image import Image
 from repro.imm.integral import integral_image
+from repro.obs.context import section
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class SurfFeatures:
 
 
 class Surf:
-    """The full SURF pipeline with optional per-stage profiling.
+    """The full SURF pipeline, FE and FD timed as sections.
 
     ``upright=True`` selects U-SURF (no orientation assignment) — faster and
     adequate when queries are not rotated, which matches our synthetic
@@ -54,12 +54,11 @@ class Surf:
         """Feature Description (FD): descriptors for given keypoints."""
         return describe_keypoints(image, keypoints, ii=ii, upright=self.upright)
 
-    def extract(self, image: Image, profiler: Optional[Profiler] = None) -> SurfFeatures:
-        """FE + FD, profiled under 'imm.fe' / 'imm.fd' when given a profiler."""
-        profiler = profiler if profiler is not None else Profiler()
+    def extract(self, image: Image) -> SurfFeatures:
+        """FE + FD, in sections ``imm.fe`` / ``imm.fd``."""
         ii = integral_image(image.pixels)
-        with profiler.section("imm.fe"):
+        with section("imm.fe"):
             keypoints = self.extract_keypoints(image, ii=ii)
-        with profiler.section("imm.fd"):
+        with section("imm.fd"):
             descriptors = self.describe(image, keypoints, ii=ii)
         return SurfFeatures(tuple(keypoints), descriptors)

@@ -8,11 +8,12 @@ produces those measurements from a live run:
 - :mod:`repro.obs.trace` — :class:`Span`/:class:`Tracer` with
   deterministic seeded IDs (chaos replays export byte-identical span
   forests) propagated through the plan executor, every execution backend,
-  the resilience wrappers, and down to profiler sections; streaming runs
+  the resilience wrappers, and down to component sections; streaming runs
   add ``partial`` spans, from which time-to-first-partial
   (``serve.ttfp.seconds``) is derived next to end-to-end latency;
 - :mod:`repro.obs.context` — the ambient (thread-local) tracer channel
-  that lets layers without shared signatures report into one trace;
+  that lets layers without shared signatures report into one trace, and
+  :func:`~repro.obs.context.section`, the one way a component is timed;
 - :mod:`repro.obs.metrics` — the arithmetic under every distribution:
   exact percentiles and the deterministic bottom-k value reservoir;
 - :mod:`repro.obs.export` — JSONL span export (optionally

@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis import format_table
 from repro.errors import ConfigurationError
 from repro.obs.context import use_tracer
 from repro.obs.counters import aggregate_counters, kernel_counters
@@ -804,7 +805,6 @@ def _compare(
 
 def format_report(report: Dict[str, Any]) -> str:
     """Human table for ``repro bench run`` without ``--json``."""
-    from repro.analysis import format_table  # documented cycle; see report.py
     from repro.obs.counters import format_count
 
     rows = []

@@ -1,15 +1,16 @@
 """Ambient trace context: which tracer (if any) the current thread reports to.
 
 The serving stack has layers that cannot see each other's signatures — the
-plan executor, resilience wrappers, fault injectors, and the component
-profiler all run inside one service call but share no parameter channel.
-This module is that channel: the executor (or its stage hand-off on
-another thread) activates a tracer for the duration of a call, and any
-layer underneath reaches it through :func:`current_tracer` /
-:func:`annotate` without a new argument threading through every
-``invoke`` in the repository.
+plan executor, resilience wrappers, fault injectors, and the algorithmic
+components' sections all run inside one service call but share no
+parameter channel.  This module is that channel: the executor (or its stage
+hand-off on another thread) activates a tracer for the duration of a call,
+and any layer underneath reaches it through :func:`current_tracer` /
+:func:`annotate` / :func:`section` without a new argument threading through
+every ``invoke`` in the repository.
 
-Deliberately dependency-free (stdlib only): :mod:`repro.profiling` and
+Depends on nothing above :mod:`repro.obs.trace`, so the algorithmic
+packages (``repro.asr`` / ``repro.qa`` / ``repro.imm``) and
 :mod:`repro.serving.faults` sit below the tracing layer and import this
 module without creating a cycle.  The context is thread-local — worker
 threads and forked workers re-activate their own tracer (see
@@ -20,10 +21,13 @@ parentage per-thread.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Any, Iterator, Optional
+from contextlib import contextmanager, nullcontext
+from typing import Any, ContextManager, Iterator, Optional
+
+from repro.obs.trace import SECTION
 
 _LOCAL = threading.local()
+_UNTRACED = nullcontext()
 
 
 def current_tracer() -> Optional[Any]:
@@ -57,3 +61,29 @@ def annotate(key: str, value: Any, add: bool = False) -> None:
     tracer = current_tracer()
     if tracer is not None:
         tracer.annotate(key, value, add=add)
+
+
+def section(name: str) -> ContextManager[None]:
+    """Time one algorithmic component as a ``section`` span.
+
+    The component breakdowns of Figures 8b and 9 are projections of these
+    spans (:func:`repro.obs.critical_path.section_seconds`).  When this
+    thread's tracer has an open span, the block runs inside a child span of
+    kind ``section`` that closes however the block exits — never marked
+    failed: a stage dying inside a section still exports it ``ok``, and the
+    stage's own span carries the error.  Otherwise the block runs bare; no
+    clock is read.
+    """
+    tracer = current_tracer()
+    if tracer is None or tracer.current_span() is None:
+        return _UNTRACED
+    return _section_span(tracer, name)
+
+
+@contextmanager
+def _section_span(tracer: Any, name: str) -> Iterator[None]:
+    span = tracer.begin_span(name, kind=SECTION)
+    try:
+        yield
+    finally:
+        tracer.end_span(span)

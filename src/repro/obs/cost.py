@@ -49,6 +49,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.analysis import format_table
 from repro.datacenter.tco import TCOModel, TCOParameters
 from repro.errors import ObsError
 from repro.obs.counters import WorkCounters, counters_of, wasted_span_ids
@@ -894,10 +895,6 @@ def _query_rows(report: CostReport) -> List[List[str]]:
 
 def render_cost_report(report: CostReport) -> str:
     """The deterministic text ledger."""
-    # Imported here, not at module top: repro.analysis pulls in profiling,
-    # which imports repro.obs — a top-level import would be circular.
-    from repro.analysis import format_table
-
     sections = [
         format_table("Cost & energy ledger", ["Metric", "Value"],
                      _overview_rows(report)),

@@ -35,8 +35,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis import format_table
 from repro.errors import ObsError
-from repro.obs.trace import QUERY, Span, sort_key
+from repro.obs.trace import QUERY, SECTION, Span, sort_key
 
 #: Span attribute carrying injected virtual latency (seconds, deterministic).
 VIRTUAL_ATTR = "virtual_seconds"
@@ -282,6 +283,22 @@ def analyze_forest(spans: Sequence[Span]) -> List[TraceAnalysis]:
     return [analyze_trace(root) for root in _build_trees(spans)]
 
 
+def section_seconds(spans: Sequence[Span]) -> Dict[str, float]:
+    """Exclusive seconds per ``section`` span name, pooled over a forest.
+
+    The component breakdowns of Figures 8b and 9: each section's self time
+    from :func:`analyze_forest` — the time no nested section accounts for —
+    summed per name over every trace the forest holds.
+    """
+    seconds: Dict[str, float] = {}
+    for analysis in analyze_forest(spans):
+        for attribution in analysis.attributions:
+            if attribution.span.kind == SECTION:
+                name = attribution.span.name
+                seconds[name] = seconds.get(name, 0.0) + attribution.self_seconds
+    return seconds
+
+
 # -- tail attribution ---------------------------------------------------------------
 
 
@@ -386,8 +403,6 @@ def format_critical_path_report(
     are printed (slowest traces first); the attribution tables always
     cover the whole forest.
     """
-    from repro.analysis import format_table  # documented cycle; see report.py
-
     analyses = analyze_forest(spans)
     queries = [a for a in analyses if a.root.kind == QUERY] or analyses
     report = tail_attribution(queries, quantile=quantile)

@@ -26,6 +26,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis import format_table
 from repro.obs.sampling import (
     SamplingStats,
     TraceSampler,
@@ -297,10 +298,6 @@ def _cost_rows(report: FleetReport) -> List[List[str]]:
 
 def render_fleet_report(report: FleetReport, max_firings: int = 8) -> str:
     """The deterministic text dashboard."""
-    # Imported here, not at module top: repro.analysis pulls in profiling,
-    # which imports repro.obs — a top-level import would be circular.
-    from repro.analysis import format_table
-
     sections = [
         format_table("Fleet overview", ["Metric", "Value"],
                      _overview_rows(report))

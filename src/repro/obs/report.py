@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis import format_table
 from repro.datacenter.arrivals import PoissonProcess
 from repro.datacenter.queueing import mm1_percentile
 from repro.datacenter.simulation import histogram_sampler
@@ -169,11 +170,6 @@ def summary_rows(snapshot: RollupSnapshot) -> List[List[str]]:
 
 def format_service_summary(store: RollupStore, title: str = "Latency summary") -> str:
     """The per-series latency table (count / mean / p50 / p95 / p99)."""
-    # Imported lazily: repro.analysis pulls in repro.profiling, which sits
-    # *below* the obs layer in the import graph (profiling consults the
-    # ambient trace context), so a module-level import would be circular.
-    from repro.analysis import format_table
-
     snapshot = store.snapshot()
     rows = summary_rows(snapshot)
     if not rows:
@@ -207,7 +203,6 @@ def format_mm1_comparison(
     *measured* distribution, and prints its p95/p99 next to the M/M/1
     prediction parameterized by the measured mean — the Figure 8/17 bridge.
     """
-    from repro.analysis import format_table
     # Imported here: the serving layer imports this package.
     from repro.serving.cluster.replay import replay_cluster
 
@@ -248,7 +243,6 @@ def format_roofline(spans: Sequence[Span]) -> str:
     :mod:`repro.platforms.roofline` next to the analytic profile, with the
     attainable GFLOP/s and binding roof per platform.
     """
-    from repro.analysis import format_table
     from repro.obs.counters import format_count, kernel_counters
     from repro.platforms.roofline import (
         KERNEL_PROFILES,
@@ -298,7 +292,6 @@ def format_wasted_work(spans: Sequence[Span]) -> str:
     flops show up as their own line instead of blending into served
     totals.  Empty string when nothing was wasted (no section rendered).
     """
-    from repro.analysis import format_table
     from repro.obs.counters import (
         WorkCounters,
         format_count,

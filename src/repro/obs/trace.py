@@ -1,11 +1,13 @@
 """Spans and tracers: the per-query execution tree of the serving stack.
 
 One query produces one *trace*: a root ``query`` span, a child span per
-service stage, a grandchild span per resilience retry attempt, and leaf
-spans for every profiler section inside the service call.  The paper's
-latency analyses (Figure 8's tail variability, Figure 9's per-component
-breakdown) are projections of exactly this tree, so the serving layer
-records it first-class instead of reconstructing it from scalar stats.
+service stage, a grandchild span per resilience retry attempt, and
+``section`` spans for every algorithmic component inside the service call
+(:func:`repro.obs.context.section`).  The paper's latency analyses
+(Figure 8's tail variability, Figures 8b and 9's per-component breakdowns)
+are projections of exactly this tree — it is the only timing record the
+repository keeps — so the serving layer records it first-class instead of
+reconstructing it from scalar stats.
 
 **Deterministic identity.**  Trace and span IDs are *seeded hashes*, never
 wall-clock or random: a trace ID is a function of ``(seed, ordinal)`` and a
@@ -35,7 +37,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, ContextManager, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import SiriusError, TraceError
 
@@ -43,7 +45,7 @@ from repro.errors import SiriusError, TraceError
 QUERY = "query"      #: root span: one whole query through its plan
 SERVICE = "service"  #: one service stage (ASR / classify / QA / IMM)
 ATTEMPT = "attempt"  #: one resilience retry attempt (or breaker rejection)
-SECTION = "section"  #: one profiler section (leaf component timing)
+SECTION = "section"  #: one component section (:func:`repro.obs.context.section`)
 KERNEL = "kernel"    #: one Sirius Suite kernel execution (``repro bench``)
 PARTIAL = "partial"  #: one streaming partial hypothesis (session ``partials()``)
 ROUTER = "router"    #: time a query spent queued/being placed at the cluster router
@@ -221,7 +223,7 @@ class Tracer:
         ``end_span`` alone cannot express that (the open-span stack is
         thread-local).  ``reenter`` pushes the span as this thread's
         innermost frame for the duration of one synchronous work bout, so
-        profiler sections, partial spans, and ``annotate`` calls nest under
+        component sections, partial spans, and ``annotate`` calls nest under
         it.  The last bout may close the span with :meth:`end_span` (which
         pops this frame and collects it).  Sibling counters are shared
         tracer state, so indices stay unique across bouts and threads.
@@ -315,35 +317,33 @@ class Tracer:
         return span
 
     @contextmanager
-    def trace(self, ordinal: int, name: str = "query") -> Iterator[Span]:
-        """Context-managed root span; library errors mark it failed."""
-        span = self.begin_trace(ordinal, name=name)
+    def _closing(self, span: Span) -> Iterator[Span]:
+        """Close ``span`` however the block exits; a library error marks it
+        failed with its code."""
+        error: Optional[SiriusError] = None
         try:
             yield span
         except SiriusError as exc:
-            self.end_span(span, exc)
+            error = exc
             raise
-        else:
-            self.end_span(span)
+        finally:
+            self.end_span(span, error)
 
-    @contextmanager
+    def trace(self, ordinal: int, name: str = "query") -> ContextManager[Span]:
+        """Context-managed root span (see :meth:`_closing`)."""
+        return self._closing(self.begin_trace(ordinal, name=name))
+
     def span(
         self,
         name: str,
         kind: str = SERVICE,
         service: str = "",
         attributes: Optional[Dict[str, Any]] = None,
-    ) -> Iterator[Span]:
-        """Context-managed child span; library errors mark it failed."""
-        span = self.begin_span(name, kind=kind, service=service,
-                               attributes=attributes)
-        try:
-            yield span
-        except SiriusError as exc:
-            self.end_span(span, exc)
-            raise
-        else:
-            self.end_span(span)
+    ) -> ContextManager[Span]:
+        """Context-managed child span (see :meth:`_closing`)."""
+        return self._closing(
+            self.begin_span(name, kind=kind, service=service, attributes=attributes)
+        )
 
     def annotate(self, key: str, value: Any, add: bool = False) -> None:
         """Attach an attribute to this thread's innermost open span.

@@ -3,7 +3,7 @@
 Pipeline per question (paper Figure 6): analyze the question (regex + stemmer
 + CRF), form a web-search query, retrieve documents, run the document-filter
 chain on each, aggregate candidate scores, return the best answer.  Every
-stage is profiled so Figures 8 and 9 can be reproduced, and filter hits are
+stage is a timed section so Figures 8 and 9 can be reproduced, and filter hits are
 reported for the latency-vs-hits correlation (Figure 8c).
 """
 
@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.profiling import Profile, Profiler
 from repro.errors import QueryError
+from repro.obs.context import section
 from repro.qa.crf import LinearChainCRF, default_model
 from repro.qa.extraction import Candidate
 from repro.qa.filters import CandidateExtractionFilter, FilterPipeline, FilterStats
@@ -30,7 +30,6 @@ class QAResult:
     answer: Optional[ScoredAnswer]
     ranked: List[ScoredAnswer]
     stats: FilterStats
-    profile: Profile
     analyzed: AnalyzedQuestion
 
     @property
@@ -69,32 +68,29 @@ class QAEngine:
             extraction_filter=CandidateExtractionFilter(self.tagger)
         )
 
-    def answer(self, question: str, profiler: Optional[Profiler] = None) -> QAResult:
+    def answer(self, question: str) -> QAResult:
         """Answer one natural-language question."""
         if not question or not question.strip():
             raise QueryError("empty question")
-        profiler = profiler if profiler is not None else Profiler()
         stats = FilterStats()
 
-        with profiler.section("qa.analyze"):
+        with section("qa.analyze"):
             analyzed = analyze(question, self.tagger)
 
-        with profiler.section("qa.search"):
+        with section("qa.search"):
             results = self.search_engine.search(
                 search_query(analyzed), k=self.documents_per_query
             )
 
         scored_candidates: List[Tuple[Candidate, float]] = []
-        with profiler.section("qa.filters"):
+        with section("qa.filters"):
             for result in results:
-                candidates = self.pipeline.run(
-                    analyzed, result.document, stats, profiler=profiler
-                )
+                candidates = self.pipeline.run(analyzed, result.document, stats)
                 scored_candidates.extend(
                     (candidate, result.score) for candidate in candidates
                 )
 
-        with profiler.section("qa.aggregate"):
+        with section("qa.aggregate"):
             ranked = aggregate(analyzed, scored_candidates)
 
         answer = ranked[0] if ranked else None
@@ -103,7 +99,6 @@ class QAEngine:
             answer=answer,
             ranked=ranked,
             stats=stats,
-            profile=profiler.profile,
             analyzed=analyzed,
         )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.profiling import Profiler
+from repro.obs.context import section
 from repro.qa.crf import LinearChainCRF, default_model
 from repro.qa.crf.model import record_decode_work
 from repro.qa.extraction import Candidate, typed_candidates
@@ -145,19 +145,17 @@ class FilterPipeline:
         question: AnalyzedQuestion,
         document: Document,
         stats: FilterStats,
-        profiler: Optional[Profiler] = None,
     ) -> List[Candidate]:
-        """Filter one document; profiled per hot component when given a profiler.
+        """Filter one document, one section per hot component.
 
         Sections: ``qa.stemmer`` (keyword/stem overlap), ``qa.regex`` (entity
         patterns), ``qa.crf`` (candidate extraction via the tagger) — the
         three components Figure 9 shows dominating QA cycles.
         """
-        profiler = profiler if profiler is not None else Profiler()
         stats.documents_seen += 1
-        with profiler.section("qa.stemmer"):
+        with section("qa.stemmer"):
             selected = self.keyword_filter.apply(question, document, stats)
-        with profiler.section("qa.regex"):
+        with section("qa.regex"):
             surviving = self.regex_filter.apply(selected, stats)
-        with profiler.section("qa.crf"):
+        with section("qa.crf"):
             return self.extraction_filter.apply(question, surviving, stats)

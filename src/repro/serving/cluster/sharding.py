@@ -36,7 +36,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError, ServiceError, SiriusError
 from repro.imm.database import ImageDatabase, MatchResult
 from repro.obs.context import annotate
-from repro.profiling import Profiler
 from repro.qa.engine import QAEngine, QAResult
 from repro.qa.filters import FilterStats
 from repro.qa.scoring import ScoredAnswer
@@ -223,7 +222,7 @@ class ShardedQaService(_ShardedService):
     def _n_shards(self) -> int:
         return len(self.engines)
 
-    def invoke(self, request: ServiceRequest, profiler: Profiler) -> QAResult:
+    def invoke(self, request: ServiceRequest) -> QAResult:
         question = request.payload or "?"
         gathered: List[QAResult] = []
         codes: List[str] = []
@@ -233,7 +232,7 @@ class ShardedQaService(_ShardedService):
                 codes.append(code)
                 continue
             try:
-                gathered.append(engine.answer(question, profiler=profiler))
+                gathered.append(engine.answer(question))
             except SiriusError as exc:
                 codes.append(exc.code)
         self._annotate_gather(len(codes), codes)
@@ -252,7 +251,6 @@ class ShardedQaService(_ShardedService):
             answer=ranked[0] if ranked else None,
             ranked=ranked,
             stats=stats,
-            profile=profiler.profile,
             analyzed=gathered[0].analyzed,
         )
 
@@ -293,7 +291,7 @@ class ShardedImmService(_ShardedService):
             if shard.n_images:
                 shard._ensure_matcher()
 
-    def invoke(self, request: ServiceRequest, profiler: Profiler) -> MatchResult:
+    def invoke(self, request: ServiceRequest) -> MatchResult:
         candidates: List[MatchResult] = []
         codes: List[str] = []
         total_matches = 0
@@ -305,9 +303,7 @@ class ShardedImmService(_ShardedService):
                 codes.append(code)
                 continue
             try:
-                top = shard.top_matches(
-                    request.payload, k=self.top_k, profiler=profiler
-                )
+                top = shard.top_matches(request.payload, k=self.top_k)
             except SiriusError as exc:
                 codes.append(exc.code)
                 continue

@@ -8,7 +8,7 @@ list-comprehension ``process_all``) with a single walk over a
 - **per-query** (:meth:`PlanExecutor.run`): stages execute level by level;
   when a level holds several runnable stages and ``parallel_branches`` is
   set, the branches overlap on threads (the Lucida-style VIQ
-  optimization), each under its own profiler, merged afterwards.
+  optimization), each under its own resumed tracer, adopted afterwards.
 - **across queries** (:meth:`PlanExecutor.run_all`): whole queries fan out
   over any registered execution backend (``serial`` / ``thread`` /
   ``process``).
@@ -47,7 +47,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.query import IPAQuery, QueryType, SiriusResponse
 from repro.errors import ConfigurationError, SiriusError
-from repro.obs.context import use_tracer
+from repro.obs.context import section, use_tracer
 from repro.obs.timeseries import (
     DEPTH_METRIC,
     ROUTER_WAIT_METRIC,
@@ -56,7 +56,6 @@ from repro.obs.timeseries import (
     record_responses,
 )
 from repro.obs.trace import ROUTER, SERVICE, Span, Tracer
-from repro.profiling import Profiler
 from repro.serving.backends import get_backend
 from repro.serving.faults import drain_virtual_seconds
 from repro.serving.plan import QueryPlan, PlanStage, full_plan
@@ -84,7 +83,6 @@ class ExecutionState:
     """Per-query scratchpad the guards and request builders read."""
 
     query: IPAQuery
-    profiler: Profiler
     wall_start: float
     ordinal: int = 0
     service_seconds: Dict[str, float] = field(default_factory=dict)
@@ -179,7 +177,6 @@ def end_span(
 def run_stage(
     service: Service,
     call: Callable[[], Any],
-    profiler: Profiler,
     record: bool,
     tracer: Optional[Tracer] = None,
     wait: float = 0.0,
@@ -192,23 +189,24 @@ def run_stage(
     failed call must not be charged here), runs ``call`` inside
     ``section(service.name)`` when the stage is recorded, captures a
     :class:`~repro.errors.SiriusError` instead of raising, drains again and
-    closes the span.  ``seconds`` is the *profiled* delta (total profile
-    growth across the call, as the monolithic pipeline attributed
-    per-service time) plus the virtual latency charged meanwhile; ``wait``
-    is a hand-off's measured admission-to-start delay, stamped on the span
-    and never added to ``seconds``.  Serial stages, threaded branches,
-    ``Service.__call__`` and session bouts all account through here.
+    closes the span.  ``seconds`` is one clock bracket around ``call`` when
+    the stage is recorded (0 otherwise) plus the virtual latency charged
+    meanwhile; ``wait`` is a hand-off's measured admission-to-start delay,
+    stamped on the span and never added to ``seconds``.  Serial stages,
+    threaded branches, ``Service.__call__`` and session bouts all account
+    through here.
     """
     span = begin_service_span(tracer, service) if tracer is not None else None
     drain_virtual_seconds()
-    before = profiler.profile.total
     payload: Any = None
     error: Optional[SiriusError] = None
-    try:
-        with profiler.section(service.name) if record else nullcontext():
+    with section(service.name) if record else nullcontext():
+        start = time.perf_counter()
+        try:
             payload = call()
-    except SiriusError as exc:
-        error = exc
+        except SiriusError as exc:
+            error = exc
+        elapsed = time.perf_counter() - start
     virtual = drain_virtual_seconds()
     if span is not None:
         span.wait = wait
@@ -216,26 +214,22 @@ def run_stage(
     return StageOutcome(
         payload=payload,
         error=error,
-        seconds=profiler.profile.total - before + virtual,
+        seconds=(elapsed if record else 0.0) + virtual,
         virtual_seconds=virtual,
         wait_seconds=wait,
     )
 
 
 def run_handed_off(
-    service: Service,
-    request: ServiceRequest,
-    record: bool,
-    profiler: Profiler,
+    service: Service, request: ServiceRequest, record: bool
 ) -> StageOutcome:
-    """:func:`run_stage` away from the query's own profiler and tracer (a
-    branch thread, a standalone ``Service.__call__``).
+    """:func:`run_stage` away from the query's own tracer (a branch thread,
+    a standalone ``Service.__call__``).
 
-    ``profiler`` is the caller's private one (sections from two threads
-    would double-count in one) and the trace is *resumed* from the
-    request's coordinates, not shared (open-span stacks are per thread;
-    resumed IDs are the serial walk's); both travel home on the outcome
-    with the measured admission-to-start wait.
+    The trace is *resumed* from the request's coordinates, not shared
+    (open-span stacks are per thread; resumed IDs are the serial walk's);
+    its spans travel home on the outcome with the measured
+    admission-to-start wait.
     """
     tracer = Tracer.resume(request.trace) if request.trace is not None else None
     wait = 0.0
@@ -243,10 +237,8 @@ def run_handed_off(
         wait = max(time.perf_counter() - request.admitted_at, 0.0)
     with use_tracer(tracer) if tracer is not None else nullcontext():
         outcome = run_stage(
-            service, lambda: service.invoke(request, profiler),
-            profiler, record, tracer, wait,
+            service, lambda: service.invoke(request), record, tracer, wait
         )
-    outcome.profile = profiler.profile
     if tracer is not None:
         outcome.spans = tracer.finish()
     return outcome
@@ -334,7 +326,6 @@ class PlanExecutor:
     def run(
         self,
         query: IPAQuery,
-        profiler: Optional[Profiler] = None,
         plan: Optional[QueryPlan] = None,
         parallel_branches: bool = False,
         ordinal: int = 0,
@@ -351,8 +342,8 @@ class PlanExecutor:
 
         ``precomputed`` maps service names to :class:`~repro.serving.
         service.StageOutcome` objects a streaming session already
-        produced: those stages are *absorbed* (spans adopted, profile
-        merged, failures classified) instead of executed, and the rest of
+        produced: those stages are *absorbed* (spans adopted, failures
+        classified) instead of executed, and the rest of
         the plan runs normally — how the gateway fires classify/QA/IMM off
         a finished ASR session.  ``wall_start`` backdates the query's clock
         (and its root span) to when the session opened, so ``wall_seconds``
@@ -381,7 +372,6 @@ class PlanExecutor:
             wall_start = router_ticket.enqueued_at
         state = ExecutionState(
             query=query,
-            profiler=profiler if profiler is not None else Profiler(),
             wall_start=wall_start if wall_start is not None else time.perf_counter(),
             ordinal=ordinal,
         )
@@ -465,13 +455,12 @@ class PlanExecutor:
         """Fold one stage's outcome into the query's accounting.
 
         The single entry point for stage results, wherever they came from:
-        adopt spans recorded off the query's tracer, observe a hand-off's
-        measured wait, add virtual latency, merge a profile recorded off
-        the query's profiler (a failed stage keeps the sections it got
-        through, as it does when it runs under the query's own), classify
-        a captured failure (fatal services re-raise, the others degrade),
-        and otherwise credit ``service_seconds`` and publish the payload to
-        later stages.
+        adopt spans recorded off the query's tracer (a failed stage keeps
+        the sections it got through, as it does when it runs under the
+        query's own), observe a hand-off's measured wait, add virtual
+        latency, classify a captured failure (fatal services re-raise, the
+        others degrade), and otherwise credit ``service_seconds`` and
+        publish the payload to later stages.
         """
         service = self.services[stage.service]
         if state.tracer is not None:
@@ -482,7 +471,6 @@ class PlanExecutor:
                 stage=service.label,
             )
         state.virtual_seconds += outcome.virtual_seconds
-        state.profiler.profile.merge(outcome.profile)
         if outcome.error is not None:
             state.failures[service.label] = outcome.error.code
             if stage.service in FATAL_SERVICES:
@@ -498,15 +486,11 @@ class PlanExecutor:
             state.classification = outcome.payload
 
     def _run_stage(self, stage: PlanStage, state: ExecutionState) -> None:
-        """Serial stage execution under the query's own profiler and tracer."""
+        """Serial stage execution under the query's own tracer."""
         service = self.services[stage.service]
         request = self._request(stage, state)
         outcome = run_stage(
-            service,
-            lambda: service.invoke(request, state.profiler),
-            state.profiler,
-            stage.record,
-            state.tracer,
+            service, lambda: service.invoke(request), stage.record, state.tracer
         )
         self._absorb(stage, state, outcome)
 
@@ -527,7 +511,6 @@ class PlanExecutor:
                     self.services[stage.service],
                     self._request(stage, state),
                     stage.record,
-                    Profiler(),
                 )
                 for stage in stages
             ]
@@ -558,7 +541,6 @@ class PlanExecutor:
                 state.query,
                 failures,
                 transcript=state.transcript,
-                profile=state.profiler.profile,
                 service_seconds=state.service_seconds,
                 wall_seconds=wall,
             )
@@ -570,7 +552,6 @@ class PlanExecutor:
                 query_type=QueryType.VOICE_COMMAND,
                 transcript=state.transcript,
                 action=state.transcript,
-                profile=state.profiler.profile,
                 service_seconds=state.service_seconds,
                 wall_seconds=wall,
                 degraded=degraded,
@@ -589,7 +570,6 @@ class PlanExecutor:
             transcript=state.transcript,
             answer=qa_result.answer_text if qa_result is not None else "",
             matched_image=match.image_name if match is not None else "",
-            profile=state.profiler.profile,
             service_seconds=state.service_seconds,
             filter_hits=qa_result.stats.total_hits if qa_result is not None else 0,
             wall_seconds=wall,

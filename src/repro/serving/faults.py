@@ -38,7 +38,6 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError, InjectedFaultError
 from repro.obs.context import annotate
-from repro.profiling import Profiler
 from repro.serving.service import Service, ServiceRequest
 
 #: Fault kinds a :class:`FaultRule` may carry.
@@ -208,18 +207,18 @@ class FaultInjector(Service):
     def warmup(self) -> None:
         self.inner.warmup()
 
-    def invoke(self, request: ServiceRequest, profiler: Profiler):
+    def invoke(self, request: ServiceRequest):
         rule = self.plan.fault_for(self.name, request.ordinal, request.attempt)
         if rule is None:
-            return self.inner.invoke(request, profiler)
+            return self.inner.invoke(request)
         annotate("fault.kind", rule.kind)
         if rule.code:
             annotate("fault.code", rule.code)
         if rule.kind == LATENCY:
             charge_virtual_seconds(rule.seconds)
-            return self.inner.invoke(request, profiler)
+            return self.inner.invoke(request)
         if rule.kind == CORRUPT:
-            return CorruptPayload(self.inner.invoke(request, profiler))
+            return CorruptPayload(self.inner.invoke(request))
         raise InjectedFaultError(
             f"injected {rule.kind} fault in {self.name!r} "
             f"(ordinal={request.ordinal}, attempt={request.attempt})",

@@ -50,7 +50,7 @@ class PlanStage:
     service: str                 #: which service executes this stage
     after: Tuple[str, ...] = ()  #: stage names that must complete first
     when: str = ""               #: guard name ('' = unconditional)
-    record: bool = True          #: open a profiler section + service_seconds
+    record: bool = True          #: open a stage section + service_seconds
 
     def guard(self) -> Callable[..., bool]:
         if not self.when:

@@ -46,7 +46,6 @@ from repro.errors import (
 )
 from repro.obs.context import current_tracer
 from repro.obs.trace import ATTEMPT
-from repro.profiling import Profiler
 from repro.serving.faults import (
     FaultPlan,
     FaultInjector,
@@ -268,7 +267,7 @@ class ResilientService(Service):
 
     # -- the attempt loop ---------------------------------------------------------
 
-    def invoke(self, request: ServiceRequest, profiler: Profiler):
+    def invoke(self, request: ServiceRequest):
         policy = self.policy
         rng = backoff_rng(policy.seed, self.name, request.ordinal)
         tracer = current_tracer()
@@ -308,9 +307,7 @@ class ResilientService(Service):
                 failure: Optional[SiriusError] = None
                 payload = None
                 try:
-                    payload = self.inner.invoke(
-                        replace(request, attempt=attempt), profiler
-                    )
+                    payload = self.inner.invoke(replace(request, attempt=attempt))
                 except SiriusError as exc:
                     failure = exc
                 finally:

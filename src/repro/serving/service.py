@@ -4,7 +4,7 @@ The paper treats ASR, QA, and IMM as datacenter *services* — the unit of
 latency measurement (Figs 7/8), queueing (Fig 17), and provisioning
 (Tables 8/9).  This module gives each of them one shape: a typed
 request/response envelope, a ``warmup()`` hook for lazy state (index
-builds, first-call caches), a profiled ``__call__`` for standalone calls,
+builds, first-call caches), a measured ``__call__`` for standalone calls,
 and :class:`StageOutcome` — one stage's result in the plan executor's
 accounting terms, whichever way the stage ran.
 
@@ -16,14 +16,13 @@ envelopes and uniform instrumentation.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.errors import SiriusError
 from repro.obs.trace import Span, TraceContext
-from repro.profiling import Profile, Profiler
 
-#: Canonical service registry keys (also the profiler section names).
+#: Canonical service registry keys (also the stage section names).
 ASR = "asr"
 CLASSIFY = "classify"
 QA = "qa"
@@ -66,7 +65,7 @@ class ServiceStats:
     """Per-call measurements, recorded uniformly for every stage."""
 
     service: str            #: service label, e.g. ``"ASR"``
-    seconds: float          #: profiled seconds inside the call + virtual latency
+    seconds: float          #: measured seconds inside the call + virtual latency
     wait_seconds: float = 0.0  #: admission → invoke-start queueing delay
 
 
@@ -76,7 +75,6 @@ class ServiceResponse:
 
     payload: Any
     stats: ServiceStats
-    profile: Profile = field(default_factory=Profile)
     spans: Tuple[Span, ...] = ()  #: spans recorded by a traced worker-side call
 
 
@@ -87,10 +85,10 @@ class StageOutcome:
     Built by :func:`repro.serving.executor.run_stage` wherever the stage
     ran — in place, on a branch thread, or as a streaming session's bouts
     ahead of ``run()`` — for :meth:`PlanExecutor._absorb`.  ``seconds`` is what
-    ``service_seconds`` records (profiled time plus virtual latency);
-    ``profile`` and ``spans`` carry what a branch's or session's *private*
-    profiler and tracer recorded, and stay empty when the stage ran
-    directly under the query's own.
+    ``service_seconds`` records (measured time plus virtual latency);
+    ``spans`` carries what a branch's or session's *private* tracer
+    recorded, and stays empty when the stage ran directly under the
+    query's own.
     """
 
     payload: Any = None
@@ -100,20 +98,19 @@ class StageOutcome:
     #: Admission-to-start delay, measured only when the stage was handed
     #: to another thread (0 for a stage run in place).
     wait_seconds: float = 0.0
-    profile: Profile = field(default_factory=Profile)
     spans: Tuple[Span, ...] = ()
 
 
 class Service(abc.ABC):
     """One Sirius service behind the uniform serving interface."""
 
-    #: Profiler section / registry key, e.g. ``"asr"``.
+    #: Stage section / registry key, e.g. ``"asr"``.
     name: str = ""
     #: ``SiriusResponse.service_seconds`` label, e.g. ``"ASR"``.
     label: str = ""
 
     @abc.abstractmethod
-    def invoke(self, request: ServiceRequest, profiler: Profiler) -> Any:
+    def invoke(self, request: ServiceRequest) -> Any:
         """Run the wrapped component; returns its natural result object."""
 
     def warmup(self) -> None:
@@ -147,10 +144,8 @@ class Service(abc.ABC):
             record=record, endpoint_config=endpoint_config,
         )
 
-    def __call__(
-        self, request: ServiceRequest, profiler: Optional[Profiler] = None
-    ) -> ServiceResponse:
-        """One instrumented standalone call: payload + :class:`ServiceStats` + profile.
+    def __call__(self, request: ServiceRequest) -> ServiceResponse:
+        """One instrumented standalone call: payload + :class:`ServiceStats`.
 
         An adapter over the executor's stage bracket, so ``stats`` reads
         what a plan stage would be charged.  When the request carries a
@@ -161,9 +156,7 @@ class Service(abc.ABC):
         # Imported lazily: the executor sits above the service layer.
         from repro.serving.executor import run_handed_off
 
-        outcome = run_handed_off(
-            self, request, True, profiler if profiler is not None else Profiler()
-        )
+        outcome = run_handed_off(self, request, True)
         if outcome.error is not None:
             outcome.error.__sirius_spans__ = outcome.spans
             raise outcome.error
@@ -174,7 +167,6 @@ class Service(abc.ABC):
                 seconds=outcome.seconds,
                 wait_seconds=outcome.wait_seconds,
             ),
-            profile=outcome.profile,
             spans=outcome.spans,
         )
 
@@ -191,8 +183,8 @@ class AsrService(Service):
     def __init__(self, decoder):
         self.decoder = decoder
 
-    def invoke(self, request: ServiceRequest, profiler: Profiler):
-        return self.decoder.decode_waveform(request.payload, profiler=profiler)
+    def invoke(self, request: ServiceRequest):
+        return self.decoder.decode_waveform(request.payload)
 
     def open_session(
         self,
@@ -232,7 +224,7 @@ class ClassifierService(Service):
     def __init__(self, classifier):
         self.classifier = classifier
 
-    def invoke(self, request: ServiceRequest, profiler: Profiler):  # noqa: ARG002
+    def invoke(self, request: ServiceRequest):
         return self.classifier.classify(request.payload)
 
 
@@ -245,10 +237,10 @@ class QaService(Service):
     def __init__(self, engine):
         self.engine = engine
 
-    def invoke(self, request: ServiceRequest, profiler: Profiler):
+    def invoke(self, request: ServiceRequest):
         # An unrecognized utterance still gets a QA pass (the pipeline's
         # historical `transcript or "?"` contract).
-        return self.engine.answer(request.payload or "?", profiler=profiler)
+        return self.engine.answer(request.payload or "?")
 
 
 class ImmService(Service):
@@ -265,5 +257,5 @@ class ImmService(Service):
         # query pays the k-d tree construction.
         self.database._ensure_matcher()
 
-    def invoke(self, request: ServiceRequest, profiler: Profiler):
-        return self.database.match(request.payload, profiler=profiler)
+    def invoke(self, request: ServiceRequest):
+        return self.database.match(request.payload)

@@ -28,7 +28,7 @@ byte-identical response — including the span forest exported with
 ``timing=False`` — to :meth:`PlanExecutor.run` on the same query.  Every
 session work bout therefore goes through the executor's own stage bracket
 (:func:`repro.serving.executor.run_stage`: drain the virtual-latency
-ledger, profile a ``section(service.name)`` around the call, capture the
+ledger, time a ``section(service.name)`` around the call, capture the
 error, charge ``virtual_seconds``), and :class:`AsrStreamingSession` defers
 engaging the incremental decoder until a second chunk or a ``partials()``
 poll proves the caller actually streams: the single-chunk session takes
@@ -56,7 +56,6 @@ from repro.asr.vad import EndpointConfig, StreamingEndpointer
 from repro.errors import SessionError, SiriusError
 from repro.obs.context import use_tracer
 from repro.obs.trace import PARTIAL, Span, Tracer
-from repro.profiling import Profiler
 from repro.serving.executor import begin_service_span, end_span, run_stage
 from repro.serving.service import Service, ServiceRequest, StageOutcome
 
@@ -90,7 +89,7 @@ class ServiceSession:
     Not thread-safe by itself: the gateway serializes each session's work
     bouts (different bouts may still run on different pool threads — the
     tracer's :meth:`~repro.obs.trace.Tracer.reenter` and the
-    bout-scoped profiler sections are designed for exactly that).
+    bout-scoped sections are designed for exactly that).
     """
 
     def __init__(
@@ -110,7 +109,6 @@ class ServiceSession:
         self.record = record
         self.state = LISTENING
         self.opened_at = time.perf_counter()
-        self.profiler = Profiler()
         self.chunks: List[Any] = []
         self._endpoint_config = (
             endpoint_config if endpoint_config is not None else EndpointConfig()
@@ -245,7 +243,7 @@ class ServiceSession:
         totals; a captured error is the caller's to surface.
         """
         with self._bout():
-            bout = run_stage(self.service, call, self.profiler, self.record)
+            bout = run_stage(self.service, call, self.record)
         self._seconds += bout.seconds
         self._virtual += bout.virtual_seconds
         return bout
@@ -256,7 +254,7 @@ class ServiceSession:
         The request carries the session's ordinal (attempt/fault keys) but
         no ``TraceContext`` — like the executor's serial path, the call runs
         in-thread under the ambient tracer, so resilience attempt spans and
-        profiler sections nest under the session's service span.
+        component sections nest under the session's service span.
         """
         request = ServiceRequest(
             payload=payload,
@@ -265,7 +263,7 @@ class ServiceSession:
             admitted_at=time.perf_counter(),
         )
         return self._close(
-            self._run_bout(lambda: self.service.invoke(request, self.profiler))
+            self._run_bout(lambda: self.service.invoke(request))
         )
 
     def _end_span(self, error: Optional[SiriusError]) -> Tuple[Span, ...]:
@@ -286,7 +284,6 @@ class ServiceSession:
             error=last.error,
             seconds=self._seconds,
             virtual_seconds=self._virtual,
-            profile=self.profiler.profile,
             spans=self._end_span(last.error),
         )
 
@@ -416,7 +413,7 @@ class AsrStreamingSession(ServiceSession):
         """Switch to incremental decoding, replaying buffered audio."""
         from repro.asr.streaming import StreamingDecoder
 
-        self._streaming = StreamingDecoder(self._decoder, profiler=self.profiler)
+        self._streaming = StreamingDecoder(self._decoder)
         self._pump()
 
     def _pump(self) -> None:

@@ -11,6 +11,7 @@ import numpy as np
 from repro.asr.audio import Waveform
 from repro.core import IPAQuery
 from repro.imm.image import Image
+from repro.obs.context import section
 from repro.serving import ASR, CLASSIFY, IMM, QA, PlanExecutor, Service, wrap_services
 from repro.serving.cluster import AdmissionControl, Cluster
 
@@ -42,15 +43,15 @@ class StubMatch:
 class StubAsr(Service):
     name, label = ASR, "ASR"
 
-    def invoke(self, request, profiler):
-        with profiler.section("asr.decode"):
+    def invoke(self, request):
+        with section("asr.decode"):
             return StubText(request.query.text)
 
 
 class StubClassifier(Service):
     name, label = CLASSIFY, "CLASSIFY"
 
-    def invoke(self, request, profiler):  # noqa: ARG002
+    def invoke(self, request):
         # "command ..." transcripts are voice commands (no QA stage).
         return StubClassification(request.payload.startswith("command"))
 
@@ -58,8 +59,8 @@ class StubClassifier(Service):
 class StubQa(Service):
     name, label = QA, "QA"
 
-    def invoke(self, request, profiler):
-        with profiler.section("qa.search"):
+    def invoke(self, request):
+        with section("qa.search"):
             pass
         return StubAnswer(f"answer to {request.payload}")
 
@@ -67,7 +68,7 @@ class StubQa(Service):
 class StubImm(Service):
     name, label = IMM, "IMM"
 
-    def invoke(self, request, profiler):  # noqa: ARG002
+    def invoke(self, request):
         return StubMatch()
 
 

@@ -19,8 +19,9 @@ from repro.serving.identity import (
 
 BACKENDS = ("serial", "thread", "process")
 #: Pool sizes every concurrent backend is replayed at: the degenerate
-#: serial path, this box's two cores, and more workers than replicas.
-WORKERS = (1, 2, 4)
+#: serial path, two cores, more workers than replicas, and more workers
+#: than most boxes have cores.
+WORKERS = (1, 2, 4, 8)
 POLICIES = ("round-robin", "least-loaded", "power-of-two")
 
 #: Documented tail-prediction contract: the virtual-time replay's p99 must

@@ -16,7 +16,6 @@ from repro.analysis import (
     max_stall_free_speedup,
     measured_service_fractions,
     pearson,
-    pooled_profile,
     run_variability_study,
     service_distributions,
     split_by_service,
@@ -24,7 +23,9 @@ from repro.analysis import (
 from repro.analysis.variability import QAQueryRecord
 from repro.core import VOICE_QUERIES
 from repro.errors import ConfigurationError
-from repro.profiling import Profile
+from repro.obs.context import section, use_tracer
+from repro.obs.critical_path import section_seconds
+from repro.obs.trace import Tracer
 from repro.qa import QAEngine
 
 
@@ -66,32 +67,39 @@ class TestBottleneckModel:
 
 class TestBreakdown:
     def test_split_by_service(self):
-        profile = Profile({"asr.scoring": 2.0, "qa.crf": 1.0, "imm.fe": 0.5, "qa.regex": 0.5})
-        split = split_by_service(profile)
+        split = split_by_service(
+            {"asr.scoring": 2.0, "qa.crf": 1.0, "imm.fe": 0.5, "qa.regex": 0.5}
+        )
         assert split["ASR"].seconds == {"asr.scoring": 2.0}
         assert split["QA"].total == pytest.approx(1.5)
         assert split["IMM"].fraction("imm.fe") == pytest.approx(1.0)
 
     def test_kernel_coverage(self):
-        profile = Profile({"asr.scoring": 9.0, "asr.search": 1.0})
-        assert kernel_coverage(profile) == pytest.approx(0.9)
+        seconds = {"asr.scoring": 9.0, "asr.search": 1.0}
+        assert kernel_coverage(seconds) == pytest.approx(0.9)
 
     def test_kernel_coverage_empty(self):
-        assert kernel_coverage(Profile()) == 0.0
+        assert kernel_coverage({}) == 0.0
 
     def test_pooled_profile(self):
-        pooled = pooled_profile([Profile({"a": 1.0}), Profile({"a": 2.0, "b": 1.0})])
-        assert pooled.seconds == {"a": 3.0, "b": 1.0}
+        # Two queries' traces, pooled by one projection over the forest.
+        now = [0.0]
+        tracer = Tracer(clock=lambda: now[0])
+        for ordinal, sections in enumerate([{"a": 1.0}, {"a": 2.0, "b": 1.0}]):
+            with use_tracer(tracer), tracer.trace(ordinal):
+                for name, seconds in sections.items():
+                    with section(name):
+                        now[0] += seconds
+        assert section_seconds(tracer.finish()) == {"a": 3.0, "b": 1.0}
 
     def test_measured_fractions_normalized(self):
-        profile = Profile(
+        fractions = measured_service_fractions(
             {
                 "asr.scoring": 3.0, "asr.search": 1.0,
                 "qa.stemmer": 1.0, "qa.regex": 2.0, "qa.crf": 1.0,
                 "imm.fe": 3.0, "imm.fd": 1.0,
             }
         )
-        fractions = measured_service_fractions(profile)
         for service, parts in fractions.items():
             assert sum(parts.values()) == pytest.approx(1.0), service
         assert fractions["ASR (GMM)"]["gmm"] == pytest.approx(0.75)
@@ -100,14 +108,13 @@ class TestBreakdown:
     def test_measured_fractions_feed_speedup_model(self):
         from repro.platforms import service_speedup
 
-        profile = Profile(
+        fractions = measured_service_fractions(
             {
                 "asr.scoring": 3.0, "asr.search": 1.0,
                 "qa.stemmer": 1.0, "qa.regex": 1.0, "qa.crf": 1.0,
                 "imm.fe": 1.0, "imm.fd": 1.0,
             }
         )
-        fractions = measured_service_fractions(profile)
         value = service_speedup("QA", "fpga", fractions)
         assert value > 1.0
 

@@ -21,6 +21,8 @@ from repro.core import (
     vocabulary,
 )
 from repro.errors import ConfigurationError, QueryError
+from repro.obs.critical_path import section_seconds
+from repro.serving import PlanExecutor
 
 
 class TestQueryTaxonomy:
@@ -127,8 +129,9 @@ class TestSiriusPipeline:
         assert correct >= 40  # tolerate a couple of borderline misses
 
     def test_profile_sections_present(self, sirius_pipeline, input_set):
-        response = sirius_pipeline.process(input_set.voice_queries[0])
-        sections = set(response.profile.seconds)
+        executor = PlanExecutor(sirius_pipeline.serving.services, trace_seed=0)
+        response = executor.run(input_set.voice_queries[0])
+        sections = set(section_seconds(response.spans))
         assert {"asr.features", "asr.scoring", "asr.search"} <= sections
         assert {"qa.stemmer", "qa.regex", "qa.crf"} <= sections
 

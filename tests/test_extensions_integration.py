@@ -81,9 +81,9 @@ class TestParallelServices:
 
         def meet(stub):
             class Meeting(stub):
-                def invoke(self, request, profiler):
+                def invoke(self, request):
                     barrier.wait(timeout)
-                    return super().invoke(request, profiler)
+                    return super().invoke(request)
 
             return Meeting()
 
@@ -112,8 +112,8 @@ class TestLatencySemantics:
 
     def test_wall_at_least_service_sum_when_serial(self, sirius_pipeline, input_set):
         # By construction, with no tolerance: the wall bracket opens before
-        # and closes after every stage bracket, stage seconds are the
-        # profiler's exclusive intervals on the same clock, and a serial walk
+        # and closes after every stage bracket, stage seconds are clock
+        # brackets inside it on the same clock, and a serial walk
         # runs its stages one after another.
         for query in (input_set.voice_queries[0], input_set.voice_image_queries[0]):
             response = sirius_pipeline.process(query)

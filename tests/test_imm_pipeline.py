@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.profiling import Profiler
 from repro.errors import ImageError
 from repro.imm import (
     DESCRIPTOR_SIZE,
@@ -142,10 +141,9 @@ class TestImageDatabase:
         with pytest.raises(ImageError):
             empty.match(generator.query_for(0))
 
-    def test_profiler_sections(self, generator, database):
-        profiler = Profiler()
-        database.match(generator.query_for(1), profiler=profiler)
-        assert {"imm.fe", "imm.fd", "imm.ann"} <= set(profiler.profile.seconds)
+    def test_profiler_sections(self, generator, database, sections_of):
+        seconds = sections_of(lambda: database.match(generator.query_for(1)))
+        assert {"imm.fe", "imm.fd", "imm.ann"} == set(seconds)
 
     def test_incremental_add_invalidates_matcher(self, generator):
         database = ImageDatabase.with_scenes(2, generator=generator)

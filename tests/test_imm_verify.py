@@ -78,9 +78,8 @@ class TestVerifiedMatching:
         result = database.match(generator.query_for(0), verify=False)
         assert result.inliers == 0
 
-    def test_verification_profiled(self, generator, database):
-        from repro.profiling import Profiler
-
-        profiler = Profiler()
-        database.match(generator.query_for(1), profiler=profiler, verify=True)
-        assert "imm.verify" in profiler.profile.seconds
+    def test_verification_profiled(self, generator, database, sections_of):
+        seconds = sections_of(
+            lambda: database.match(generator.query_for(1), verify=True)
+        )
+        assert "imm.verify" in seconds

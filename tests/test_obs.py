@@ -52,7 +52,9 @@ from repro.obs import (
     use_tracer,
     write_jsonl,
 )
-from repro.profiling import Profiler
+from repro.obs.context import section
+from repro.obs.critical_path import section_seconds
+from repro.obs.trace import KERNEL
 from repro.serving import (
     ASR,
     CLASSIFY,
@@ -105,25 +107,25 @@ class StubMatch:
 class StubAsr(Service):
     name, label = ASR, "ASR"
 
-    def invoke(self, request, profiler):
-        with profiler.section("asr.decode"):
+    def invoke(self, request):
+        with section("asr.decode"):
             return StubText(request.query.text)
 
 
 class StubClassifier(Service):
     name, label = CLASSIFY, "CLASSIFY"
 
-    def invoke(self, request, profiler):  # noqa: ARG002
+    def invoke(self, request):
         return StubClassification()
 
 
 class StubQa(Service):
     name, label = QA, "QA"
 
-    def invoke(self, request, profiler):
-        with profiler.section("qa.search"):
+    def invoke(self, request):
+        with section("qa.search"):
             pass
-        with profiler.section("qa.filters"):
+        with section("qa.filters"):
             pass
         return StubAnswer(f"answer to {request.payload}")
 
@@ -131,13 +133,17 @@ class StubQa(Service):
 class StubImm(Service):
     name, label = IMM, "IMM"
 
-    def invoke(self, request, profiler):  # noqa: ARG002
+    def invoke(self, request):
         return StubMatch()
 
 
 def stub_services():
     return {ASR: StubAsr(), CLASSIFY: StubClassifier(),
             QA: StubQa(), IMM: StubImm()}
+
+
+def section_names(response):
+    return set(section_seconds(response.spans))
 
 
 def make_query(text, with_image=False):
@@ -213,6 +219,21 @@ class TestTracer:
         statuses = {s.name: s.status for s in tracer.spans}
         assert statuses == {"qa": "error", "query": "error"}
         assert all(s.error_code == "CONFIG" for s in tracer.spans)
+
+    def test_foreign_error_still_closes_span(self):
+        # Regression: a non-library exception escaping a span used to leave
+        # it open on this thread, so the root could not close and the
+        # trace's spans were lost.
+        tracer = Tracer()
+        with tracer.trace(0) as root:
+            with pytest.raises(ValueError):
+                with tracer.span("kernel", kind=KERNEL):
+                    raise ValueError("boom")
+            assert tracer.current_span() is root
+        assert tracer.current_span() is None
+        assert {s.name: s.status for s in tracer.finish()} == {
+            "kernel": "ok", "query": "ok",
+        }
 
     def test_resume_nests_under_remote_parent(self):
         parent = Tracer(seed=3)
@@ -437,7 +458,7 @@ class TestExecutorTracing:
         (failed,) = attempts
         assert failed.error_code == "INJECTED"
         assert failed.attributes["attempt"] == 0
-        # The annotation lands on the innermost open qa span (the profiler
+        # The annotation lands on the innermost open qa span (the stage
         # wrapper section on the serial path).
         qa_attempts = next(s for s in response.spans
                            if s.name == QA and "attempts" in s.attributes)
@@ -517,16 +538,16 @@ class TestExecutorTracing:
         assert threaded.wall_seconds >= 7.0
         for label in ("QA", "IMM"):
             assert threaded.service_seconds[label] <= threaded.wall_seconds
-        assert set(threaded.profile.seconds) == set(serial.profile.seconds)
-        assert {"qa", "imm"} <= set(threaded.profile.seconds)
+        assert section_names(threaded) == section_names(serial)
+        assert {"qa", "imm"} <= section_names(threaded)
         assert span_fingerprint([threaded]) == span_fingerprint([serial])
 
     def test_threaded_branch_error_keeps_virtual_seconds(self):
         class SlowThenDeadQa(Service):
             name, label = QA, "QA"
 
-            def invoke(self, request, profiler):
-                with profiler.section("qa.search"):
+            def invoke(self, request):
+                with section("qa.search"):
                     charge_virtual_seconds(3.0)
                     raise InjectedFaultError("slow, then dead", service=QA)
 
@@ -540,17 +561,17 @@ class TestExecutorTracing:
         assert threaded.failures == serial.failures == {"QA": "INJECTED"}
         assert threaded.wall_seconds >= 3.0
         # A failed branch keeps the sections it got through, as in place.
-        assert set(threaded.profile.seconds) == set(serial.profile.seconds)
+        assert section_names(threaded) == section_names(serial)
         assert span_fingerprint([threaded]) == span_fingerprint([serial])
 
     def test_failed_session_keeps_profile_like_batch(self):
         # A failed stage keeps the sections it got through wherever it ran:
-        # a session's private profile used to be dropped on error.
+        # a session's private sections used to be dropped on error.
         class DyingAsr(Service):
             name, label = ASR, "ASR"
 
-            def invoke(self, request, profiler):
-                with profiler.section("asr.decode"):
+            def invoke(self, request):
+                with section("asr.decode"):
                     raise InjectedFaultError("dead", service=ASR)
 
         executor = PlanExecutor({**stub_services(), ASR: DyingAsr()}, trace_seed=7)
@@ -563,8 +584,8 @@ class TestExecutorTracing:
             wall_start=session.opened_at,
         )
         assert streamed.failed and batch.failed
-        assert set(batch.profile.seconds) == {"asr", "asr.decode"}
-        assert set(streamed.profile.seconds) == set(batch.profile.seconds)
+        assert section_names(batch) == {"asr", "asr.decode"}
+        assert section_names(streamed) == section_names(batch)
         assert span_fingerprint([streamed]) == span_fingerprint([batch])
 
     def test_barge_in_after_virtual_latency_bout(self):
@@ -614,7 +635,7 @@ class TestExecutorTracing:
         class ChargingQa(Service):
             name, label = QA, "QA"
 
-            def invoke(self, request, profiler):  # noqa: ARG002
+            def invoke(self, request):
                 charge_virtual_seconds(2.0)
                 return StubAnswer("slow")
 

@@ -449,7 +449,7 @@ def sentence_of(length, seed):
 def work_of(call):
     """``(result, counters)`` of ``call()`` under a fresh tracer.
 
-    A ``record_work`` lands on the innermost open span (a profiler section,
+    A ``record_work`` lands on the innermost open span (a component section,
     when the filter chain runs), so the totals are summed over all of them.
     """
     tracer = Tracer(seed=1)

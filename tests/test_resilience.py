@@ -91,28 +91,28 @@ class StubMatch:
 class StubAsr(Service):
     name, label = ASR, "ASR"
 
-    def invoke(self, request, profiler):  # noqa: ARG002
+    def invoke(self, request):
         return StubText(request.query.text)
 
 
 class StubClassifier(Service):
     name, label = CLASSIFY, "CLASSIFY"
 
-    def invoke(self, request, profiler):  # noqa: ARG002
+    def invoke(self, request):
         return StubClassification(request.payload.startswith("do "))
 
 
 class StubQa(Service):
     name, label = QA, "QA"
 
-    def invoke(self, request, profiler):  # noqa: ARG002
+    def invoke(self, request):
         return StubAnswer(f"answer to {request.payload}")
 
 
 class StubImm(Service):
     name, label = IMM, "IMM"
 
-    def invoke(self, request, profiler):  # noqa: ARG002
+    def invoke(self, request):
         return StubMatch("stub-scene")
 
 
@@ -125,7 +125,7 @@ class FlakyService(Service):
         self.fail_times = fail_times
         self.calls = 0
 
-    def invoke(self, request, profiler):  # noqa: ARG002
+    def invoke(self, request):
         self.calls += 1
         if self.calls <= self.fail_times:
             raise ServiceError("scripted failure", service=self.name)
@@ -141,7 +141,7 @@ class SlowService(Service):
         self.virtual_seconds = virtual_seconds
         self.calls = 0
 
-    def invoke(self, request, profiler):  # noqa: ARG002
+    def invoke(self, request):
         self.calls += 1
         charge_virtual_seconds(self.virtual_seconds)
         return StubAnswer("slow answer")
@@ -306,7 +306,7 @@ class TestResilientService:
     def test_retry_then_success(self):
         inner = FlakyService(fail_times=2)
         service = ResilientService(inner, FAST_RETRY)
-        payload = service.invoke(ServiceRequest(payload="q", ordinal=0), None)
+        payload = service.invoke(ServiceRequest(payload="q", ordinal=0))
         assert payload.answer_text == "recovered"
         assert inner.calls == 3
         (record,) = service.call_log
@@ -316,7 +316,7 @@ class TestResilientService:
         inner = FlakyService(fail_times=99)
         service = ResilientService(inner, FAST_RETRY)
         with pytest.raises(ServiceError) as excinfo:
-            service.invoke(ServiceRequest(payload="q", ordinal=0), None)
+            service.invoke(ServiceRequest(payload="q", ordinal=0))
         assert excinfo.value.code == "SERVICE"
         assert inner.calls == 3
         (record,) = service.call_log
@@ -329,7 +329,7 @@ class TestResilientService:
                                     retry=RetryPolicy(max_attempts=3)),
         )
         with pytest.raises(DeadlineExceededError) as excinfo:
-            service.invoke(ServiceRequest(payload="q", ordinal=0), None)
+            service.invoke(ServiceRequest(payload="q", ordinal=0))
         assert excinfo.value.code == "DEADLINE"
         assert inner.calls == 1  # elapsed only grows; no retry
         (record,) = service.call_log
@@ -338,7 +338,7 @@ class TestResilientService:
     def test_corruption_detected_and_retried_away(self):
         plan = FaultPlan(rules={QA: (FaultRule(kind=CORRUPT, max_attempt=1),)})
         service = ResilientService(FaultInjector(StubQa(), plan), FAST_RETRY)
-        payload = service.invoke(ServiceRequest(payload="q", ordinal=0), None)
+        payload = service.invoke(ServiceRequest(payload="q", ordinal=0))
         assert payload.answer_text == "answer to q"
         (record,) = service.call_log
         assert record.ok and record.attempts == 2
@@ -354,10 +354,10 @@ class TestResilientService:
         )
         for ordinal in range(3):
             with pytest.raises(ServiceError):
-                service.invoke(ServiceRequest(payload="q", ordinal=ordinal), None)
+                service.invoke(ServiceRequest(payload="q", ordinal=ordinal))
         assert service.breaker.state == OPEN
         with pytest.raises(CircuitOpenError) as excinfo:
-            service.invoke(ServiceRequest(payload="q", ordinal=3), None)
+            service.invoke(ServiceRequest(payload="q", ordinal=3))
         assert excinfo.value.code == "CIRCUIT_OPEN"
         assert inner.calls == 3  # the rejected call never reached the service
         assert service.call_log[-1].attempts == 0
@@ -374,12 +374,12 @@ class TestResilientService:
         )
         for ordinal in range(2):  # trip
             with pytest.raises(ServiceError):
-                service.invoke(ServiceRequest(payload="q", ordinal=ordinal), None)
+                service.invoke(ServiceRequest(payload="q", ordinal=ordinal))
         for ordinal in range(2, 4):  # cooldown: fail fast without calling inner
             with pytest.raises(CircuitOpenError):
-                service.invoke(ServiceRequest(payload="q", ordinal=ordinal), None)
+                service.invoke(ServiceRequest(payload="q", ordinal=ordinal))
         # Probe: the service has recovered, so the circuit closes again.
-        payload = service.invoke(ServiceRequest(payload="q", ordinal=4), None)
+        payload = service.invoke(ServiceRequest(payload="q", ordinal=4))
         assert payload.answer_text == "recovered"
         assert service.breaker.state == CLOSED
 

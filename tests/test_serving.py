@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import QueryType, SiriusPipeline
 from repro.errors import ConfigurationError
+from repro.obs.critical_path import section_seconds
 from repro.serving import (
     ExecutionBackend,
     PlanExecutor,
@@ -237,6 +238,7 @@ class TestServingEquivalence:
             overlapped = executor.run(query, parallel_branches=True)
         finally:
             executor.trace_seed = None
-        assert set(overlapped.profile.seconds) == set(serial.profile.seconds)
-        assert {"qa", "imm"} <= set(overlapped.profile.seconds)
+        sections = set(section_seconds(overlapped.spans))
+        assert sections == set(section_seconds(serial.spans))
+        assert {"qa", "imm"} <= sections
         assert replay_divergence([overlapped], [serial]) == (None, None)
