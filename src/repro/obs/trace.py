@@ -386,7 +386,7 @@ def collect_spans(responses: Sequence[Any]) -> Tuple[Span, ...]:
     """Gather the span forest carried by a stream of responses.
 
     Works on anything exposing a ``spans`` attribute (``SiriusResponse``,
-    ``ServiceResponse``); responses without spans contribute nothing.
+    ``StageOutcome``); responses without spans contribute nothing.
     Returns canonical export order.
     """
     collected: List[Span] = []

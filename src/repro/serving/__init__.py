@@ -5,7 +5,7 @@ The paper's headline results treat Sirius as a set of datacenter services
 gives the reproduction that architecture explicitly:
 
 - :mod:`repro.serving.service` — the uniform :class:`Service` interface
-  (typed request/response envelopes, ``warmup()``, per-call stats) with
+  (``invoke`` on a typed request envelope, ``warmup()``) with
   ASR/QA/IMM/classifier wrappers;
 - :mod:`repro.serving.plan` — the query planner compiling each
   :class:`~repro.core.query.QueryType` into a DAG of service stages;
@@ -21,9 +21,9 @@ gives the reproduction that architecture explicitly:
 - :mod:`repro.serving.faults` — the deterministic, seeded fault-injection
   harness (:class:`FaultPlan` / :class:`FaultInjector`) behind the chaos
   test suite and ``repro serve-bench --chaos``;
-- :mod:`repro.serving.sessions` — the streaming session protocol
-  (``feed`` / ``partials`` / ``finish`` / ``cancel``) every service
-  supports via ``open_session()``, with real incremental decoding for ASR;
+- :mod:`repro.serving.sessions` — the streaming ASR session
+  (``feed`` / ``partials`` / ``finish`` / ``cancel``): incremental decoding
+  over a bare ASR service, one buffered ``invoke`` over a wrapped one;
 - :mod:`repro.serving.gateway` — the asyncio front door multiplexing many
   concurrent slow-arriving voice sessions, with VAD endpointing firing
   downstream stages and barge-in cancellation.  See ``docs/STREAMING.md``;
@@ -58,8 +58,6 @@ from repro.serving.service import (
     QaService,
     Service,
     ServiceRequest,
-    ServiceResponse,
-    ServiceStats,
     StageOutcome,
 )
 from repro.serving.executor import (
@@ -78,11 +76,7 @@ from repro.serving.faults import (
     default_chaos_plan,
     drain_virtual_seconds,
 )
-from repro.serving.sessions import (
-    AsrStreamingSession,
-    BufferingSession,
-    ServiceSession,
-)
+from repro.serving.sessions import AsrSession
 from repro.serving.gateway import (
     GatewaySession,
     StreamingGateway,
@@ -105,8 +99,7 @@ from repro.serving.resilience import (
 __all__ = [
     "ASR",
     "AsrService",
-    "AsrStreamingSession",
-    "BufferingSession",
+    "AsrSession",
     "CLASSIFY",
     "IMM",
     "QA",
@@ -136,9 +129,6 @@ __all__ = [
     "SerialBackend",
     "Service",
     "ServiceRequest",
-    "ServiceResponse",
-    "ServiceSession",
-    "ServiceStats",
     "StageOutcome",
     "StreamReport",
     "StreamingGateway",

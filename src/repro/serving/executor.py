@@ -193,8 +193,7 @@ def run_stage(
     the stage is recorded (0 otherwise) plus the virtual latency charged
     meanwhile; ``wait`` is a hand-off's measured admission-to-start delay,
     stamped on the span and never added to ``seconds``.  Serial stages,
-    threaded branches, ``Service.__call__`` and session bouts all account
-    through here.
+    threaded branches and session bouts all account through here.
     """
     span = begin_service_span(tracer, service) if tracer is not None else None
     drain_virtual_seconds()
@@ -223,8 +222,7 @@ def run_stage(
 def run_handed_off(
     service: Service, request: ServiceRequest, record: bool
 ) -> StageOutcome:
-    """:func:`run_stage` away from the query's own tracer (a branch thread,
-    a standalone ``Service.__call__``).
+    """:func:`run_stage` away from the query's own tracer (a branch thread).
 
     The trace is *resumed* from the request's coordinates, not shared
     (open-span stacks are per thread; resumed IDs are the serial walk's);
@@ -286,15 +284,11 @@ class PlanExecutor:
         self,
         services: Dict[str, Service],
         plan: Optional[QueryPlan] = None,
-        max_workers: Optional[int] = None,
         trace_seed: Optional[int] = None,
         metrics: Optional[RollupStore] = None,
     ):
-        if max_workers is not None and max_workers < 1:
-            raise ConfigurationError("max_workers must be >= 1")
         self.services = dict(services)
         self.plan = plan if plan is not None else full_plan()
-        self.max_workers = max_workers
         #: ``None`` disables tracing; any int seeds deterministic span IDs
         #: (chaos replays with the same seed export identical span forests).
         self.trace_seed = trace_seed
@@ -302,10 +296,7 @@ class PlanExecutor:
         #: ``run_all`` records *measured* e2e / per-stage / wait seconds
         #: into, on the stream-ordinal clock.
         self.metrics = metrics
-        self._check_plan(self.plan)
-
-    def _check_plan(self, plan: QueryPlan) -> None:
-        for stage in plan.stages:
+        for stage in self.plan.stages:
             if stage.service not in self.services:
                 raise ConfigurationError(
                     f"plan stage {stage.name!r} needs service {stage.service!r}, "
@@ -326,7 +317,6 @@ class PlanExecutor:
     def run(
         self,
         query: IPAQuery,
-        plan: Optional[QueryPlan] = None,
         parallel_branches: bool = False,
         ordinal: int = 0,
         on_error: str = RAISE,
@@ -334,7 +324,7 @@ class PlanExecutor:
         wall_start: Optional[float] = None,
         router_ticket: Optional[RouterTicket] = None,
     ) -> SiriusResponse:
-        """Run one query through its plan and assemble the response.
+        """Run one query through :attr:`plan` and assemble the response.
 
         A degradable (QA/IMM) failure always yields a degraded response; a
         fatal (ASR/classify) failure re-raises under ``on_error="raise"``
@@ -358,9 +348,6 @@ class PlanExecutor:
         into any service's self time.
         """
         _check_on_error(on_error)
-        plan = plan if plan is not None else self.plan
-        if plan is not self.plan:
-            self._check_plan(plan)
         precomputed = dict(precomputed) if precomputed else {}
         if (
             wall_start is None
@@ -387,7 +374,7 @@ class PlanExecutor:
         )
         try:
             with ambient:
-                for level in plan.levels():
+                for level in self.plan.levels():
                     runnable = [stage for stage in level if stage.guard()(state)]
                     ready = [s for s in runnable if s.service in precomputed]
                     live = [s for s in runnable if s.service not in precomputed]
@@ -585,7 +572,6 @@ class PlanExecutor:
         backend: str = "serial",
         workers: Optional[int] = None,
         parallel_branches: bool = False,
-        plan: Optional[QueryPlan] = None,
         on_error: str = RAISE,
     ) -> List[SiriusResponse]:
         """Process a stream of queries.
@@ -598,13 +584,11 @@ class PlanExecutor:
         aborting the stream.
         """
         _check_on_error(on_error)
-        workers = workers if workers is not None else self.max_workers
 
         def run_one(item) -> SiriusResponse:
             index, query = item
             return self.run(
                 query,
-                plan=plan,
                 parallel_branches=parallel_branches,
                 ordinal=index,
                 on_error=on_error,
@@ -624,7 +608,6 @@ def build_executor(
     qa_engine,
     image_database,
     plan: Optional[QueryPlan] = None,
-    max_workers: Optional[int] = None,
     trace_seed: Optional[int] = None,
     metrics: Optional[RollupStore] = None,
 ) -> PlanExecutor:
@@ -643,6 +626,5 @@ def build_executor(
         IMM: ImmService(image_database),
     }
     return PlanExecutor(
-        services, plan=plan, max_workers=max_workers,
-        trace_seed=trace_seed, metrics=metrics,
+        services, plan=plan, trace_seed=trace_seed, metrics=metrics
     )

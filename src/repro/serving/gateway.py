@@ -5,8 +5,8 @@ datacenter; audio for one query arrives over hundreds of milliseconds
 while other queries are mid-utterance.  The gateway multiplexes those
 sessions over one event loop:
 
-- each arriving query opens an ASR :class:`~repro.serving.sessions.
-  ServiceSession` with a **deterministic ordinal** assigned at open, so
+- each arriving query opens an :class:`~repro.serving.sessions.AsrSession`
+  with a **deterministic ordinal** assigned at open, so
   resilience jitter and injected faults replay byte-identically however
   the audio interleaves;
 - every gateway operation is **one** submission to a thread pool via
@@ -19,13 +19,15 @@ sessions over one event loop:
   while other sessions' audio is still arriving; ``finish()`` merely
   awaits that task;
 - ``cancel()`` is barge-in: the utterance is abandoned, the session's
-  spans close with a ``SESSION`` error code, and downstream never runs.
+  spans close with a ``SESSION`` error code, and downstream never runs
+  (not even when a ``feed`` already on the pool comes back endpointed).
 
 Per-session work bouts are serialized by an ``asyncio.Lock`` (sessions are
 not thread-safe; *different* sessions overlap freely on the pool), and
-time-to-first-partial is observed into the executor's metrics store at
-the first non-empty partial — the TTFP column next to end-to-end latency
-in ``repro trace-report``.
+time-to-first-partial is observed into ``executor.metrics`` at the first
+non-empty partial — the TTFP column next to end-to-end latency in
+``repro trace-report``.  Downstream runs ``executor.plan`` and degrades on
+a failure, as ``run_all(on_error="degrade")`` does.
 """
 
 from __future__ import annotations
@@ -39,11 +41,11 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from repro.asr.audio import Waveform
 from repro.errors import ConfigurationError, SessionError
 from repro.obs.timeseries import TTFP_METRIC, record_response
-from repro.serving.executor import DEGRADE, PlanExecutor, _check_on_error
-from repro.serving.plan import QueryPlan
+from repro.serving.executor import DEGRADE, PlanExecutor
 from repro.serving.service import ASR
+from repro.serving.sessions import AsrSession
 
-#: Gateway-session states (the underlying service session has its own).
+#: Gateway-session states (the underlying ASR session has its own).
 LISTENING = "listening"      #: audio still welcome
 FINALIZING = "finalizing"    #: endpoint fired; downstream running
 DONE = "done"                #: response available
@@ -60,7 +62,9 @@ class GatewaySession:
     deterministic transcript.
     """
 
-    def __init__(self, gateway: "StreamingGateway", session, query, ordinal: int):
+    def __init__(
+        self, gateway: "StreamingGateway", session: AsrSession, query, ordinal: int
+    ):
         self.gateway = gateway
         self.session = session
         self.query = query
@@ -92,7 +96,9 @@ class GatewaySession:
                 return True
             endpointed, fresh = await self.gateway._call(self._feed, chunk)
             self._heard(fresh)
-        if endpointed and self.gateway.auto_finalize:
+        # A cancel() awaited while this bout was on the pool has already
+        # abandoned the utterance: finalizing it could only fail.
+        if endpointed and not self._cancelled:
             self._launch()
         return endpointed
 
@@ -165,9 +171,8 @@ class GatewaySession:
         return self.gateway.executor.run(
             self.query,
             ordinal=self.ordinal,
-            plan=self.gateway.plan,
-            on_error=self.gateway.on_error,
-            precomputed={self.session.service.name: outcome},
+            on_error=DEGRADE,
+            precomputed={ASR: outcome},
             wall_start=self.opened_at,
         )
 
@@ -181,23 +186,17 @@ class StreamingGateway:
 
     ``poll_on_feed`` controls whether every ``feed`` also polls partials
     (engaging incremental decoding); disable it to keep single-chunk
-    sessions on the byte-identical batch path.  ``auto_finalize`` fires
-    downstream stages the moment the endpointer closes an utterance.
+    sessions on the byte-identical batch path.  Downstream stages fire the
+    moment the endpointer closes an utterance.
     """
 
     def __init__(
         self,
         executor: PlanExecutor,
         *,
-        plan: Optional[QueryPlan] = None,
         max_workers: int = 8,
-        on_error: str = DEGRADE,
         poll_on_feed: bool = True,
-        auto_finalize: bool = True,
-        endpoint_config: Any = None,
-        rollups: Any = None,
     ):
-        _check_on_error(on_error)
         if max_workers < 1:
             raise ConfigurationError("max_workers must be >= 1")
         if ASR not in executor.services:
@@ -205,19 +204,9 @@ class StreamingGateway:
                 "streaming gateway needs an 'asr' service in the executor"
             )
         self.executor = executor
-        self.plan = plan if plan is not None else executor.plan
-        self.on_error = on_error
         self.poll_on_feed = poll_on_feed
-        self.auto_finalize = auto_finalize
-        self.endpoint_config = endpoint_config
-        #: Optional :class:`~repro.obs.timeseries.RollupStore` fed what
-        #: ``executor.metrics`` is: TTFP, latency and outcome series on the
-        #: session-ordinal clock.  Gateway seconds are *measured* wall time
-        #: (unlike the replay driver's modeled series), so these rollups
-        #: are operational telemetry, not golden-pinnable output.
-        self.rollups = rollups
         self._asr_record = next(
-            (s.record for s in self.plan.stages if s.service == ASR), True
+            (s.record for s in executor.plan.stages if s.service == ASR), True
         )
         self._next_ordinal = 0
         self._pool = ThreadPoolExecutor(
@@ -228,12 +217,12 @@ class StreamingGateway:
         """Admit one query; its ordinal is fixed now, in arrival order."""
         ordinal = self._next_ordinal
         self._next_ordinal += 1
-        session = self.executor.services[ASR].open_session(
+        session = AsrSession(
+            self.executor.services[ASR],
             query=query,
             ordinal=ordinal,
             seed=self.executor.trace_seed,
             record=self._asr_record,
-            endpoint_config=self.endpoint_config,
         )
         return GatewaySession(self, session, query, ordinal)
 
@@ -242,20 +231,13 @@ class StreamingGateway:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(self._pool, lambda: fn(*args))
 
-    def _stores(self) -> list:
-        """The stores this gateway records into (either may be unset)."""
-        return [
-            store for store in (self.executor.metrics, self.rollups)
-            if store is not None
-        ]
-
     def _observe_ttfp(self, seconds: float, ordinal: int) -> None:
-        for store in self._stores():
-            store.observe(TTFP_METRIC, float(ordinal), seconds)
+        if self.executor.metrics is not None:
+            self.executor.metrics.observe(TTFP_METRIC, float(ordinal), seconds)
 
     def _record(self, response, ordinal: int) -> None:
-        for store in self._stores():
-            record_response(store, response, ordinal)
+        if self.executor.metrics is not None:
+            record_response(self.executor.metrics, response, ordinal)
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)
@@ -330,10 +312,7 @@ def serve_streams(
     *,
     chunk_seconds: float = 0.1,
     max_workers: int = 8,
-    plan: Optional[QueryPlan] = None,
-    on_error: str = DEGRADE,
     poll_on_feed: bool = True,
-    endpoint_config: Any = None,
 ) -> StreamReport:
     """Drive a whole query stream through a gateway, synchronously.
 
@@ -344,12 +323,7 @@ def serve_streams(
     responsiveness (partial counts, TTFP, endpoint decisions).
     """
     gateway = StreamingGateway(
-        executor,
-        plan=plan,
-        max_workers=max_workers,
-        on_error=on_error,
-        poll_on_feed=poll_on_feed,
-        endpoint_config=endpoint_config,
+        executor, max_workers=max_workers, poll_on_feed=poll_on_feed
     )
     try:
         handles, responses = asyncio.run(_drive(gateway, queries, chunk_seconds))

@@ -29,6 +29,7 @@ from repro.obs.export import to_jsonl
 from repro.obs.timeseries import response_outcome
 from repro.obs.trace import collect_spans
 from repro.serving.service import ASR
+from repro.serving.sessions import AsrSession
 
 #: Field names of one :func:`outcome_fingerprint` tuple, in order.
 OUTCOME_FIELDS = (
@@ -151,8 +152,9 @@ def single_chunk_equivalent(executor, query, ordinal: int) -> bool:
     ``action`` field and the timing-stripped spans.
     """
     plain = executor.run(query, ordinal=ordinal, on_error="degrade")
-    session = executor.services[ASR].open_session(
-        query=query, ordinal=ordinal, seed=executor.trace_seed
+    session = AsrSession(
+        executor.services[ASR], query=query, ordinal=ordinal,
+        seed=executor.trace_seed,
     )
     session.feed(query.audio)
     outcome = session.finish()

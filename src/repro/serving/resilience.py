@@ -469,7 +469,6 @@ def resilient_executor(executor, policies: Optional[PolicySpec] = None,
     return PlanExecutor(
         wrap_services(executor.services, policies, fault_plan),
         plan=executor.plan,
-        max_workers=executor.max_workers,
         trace_seed=executor.trace_seed,
         metrics=executor.metrics,
     )

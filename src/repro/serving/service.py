@@ -2,15 +2,16 @@
 
 The paper treats ASR, QA, and IMM as datacenter *services* — the unit of
 latency measurement (Figs 7/8), queueing (Fig 17), and provisioning
-(Tables 8/9).  This module gives each of them one shape: a typed
-request/response envelope, a ``warmup()`` hook for lazy state (index
-builds, first-call caches), a measured ``__call__`` for standalone calls,
-and :class:`StageOutcome` — one stage's result in the plan executor's
-accounting terms, whichever way the stage ran.
+(Tables 8/9).  This module gives each of them one shape: ``invoke`` on a
+typed request envelope, a ``warmup()`` hook for lazy state (index builds,
+first-call caches), and :class:`StageOutcome` — one stage's result in the
+plan executor's accounting terms, whichever way the stage ran.  Every
+call is measured by the executor's stage bracket
+(:func:`repro.serving.executor.run_stage`), never by the service itself.
 
 The wrappers are thin on purpose: all algorithmic behaviour stays in
 ``repro.asr`` / ``repro.qa`` / ``repro.imm``; the serving layer only adds
-envelopes and uniform instrumentation.
+the request envelope.
 """
 
 from __future__ import annotations
@@ -60,24 +61,6 @@ class ServiceRequest:
     admitted_at: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class ServiceStats:
-    """Per-call measurements, recorded uniformly for every stage."""
-
-    service: str            #: service label, e.g. ``"ASR"``
-    seconds: float          #: measured seconds inside the call + virtual latency
-    wait_seconds: float = 0.0  #: admission → invoke-start queueing delay
-
-
-@dataclass
-class ServiceResponse:
-    """Uniform response envelope: the service's natural output + metrics."""
-
-    payload: Any
-    stats: ServiceStats
-    spans: Tuple[Span, ...] = ()  #: spans recorded by a traced worker-side call
-
-
 @dataclass
 class StageOutcome:
     """One plan stage's result, in the executor's own accounting terms.
@@ -116,60 +99,6 @@ class Service(abc.ABC):
     def warmup(self) -> None:
         """Materialize lazy state so the first real query pays no setup."""
 
-    def open_session(
-        self,
-        *,
-        query: Any = None,
-        ordinal: int = 0,
-        seed: Optional[int] = None,
-        record: bool = True,
-        endpoint_config: Any = None,
-    ):
-        """Open a streaming session for one query's stage (see
-        :mod:`repro.serving.sessions`).
-
-        The default is a :class:`~repro.serving.sessions.BufferingSession`:
-        chunks accumulate and ``finish()`` makes one ordinary ``invoke``
-        through *this* service — wrappers (resilience, fault injection)
-        inherit it, so their retry/fault behaviour under a session is
-        byte-identical to the batch path.  Services with a genuinely
-        incremental implementation override this (see
-        :meth:`AsrService.open_session`).
-        """
-        # Imported lazily: sessions sits above the service layer.
-        from repro.serving.sessions import BufferingSession
-
-        return BufferingSession(
-            self, query=query, ordinal=ordinal, seed=seed,
-            record=record, endpoint_config=endpoint_config,
-        )
-
-    def __call__(self, request: ServiceRequest) -> ServiceResponse:
-        """One instrumented standalone call: payload + :class:`ServiceStats`.
-
-        An adapter over the executor's stage bracket, so ``stats`` reads
-        what a plan stage would be charged.  When the request carries a
-        :class:`~repro.obs.trace.TraceContext` the recorded spans ship home
-        on the response (or, on failure, on the re-raised error's
-        ``__sirius_spans__``).
-        """
-        # Imported lazily: the executor sits above the service layer.
-        from repro.serving.executor import run_handed_off
-
-        outcome = run_handed_off(self, request, True)
-        if outcome.error is not None:
-            outcome.error.__sirius_spans__ = outcome.spans
-            raise outcome.error
-        return ServiceResponse(
-            payload=outcome.payload,
-            stats=ServiceStats(
-                service=self.label,
-                seconds=outcome.seconds,
-                wait_seconds=outcome.wait_seconds,
-            ),
-            spans=outcome.spans,
-        )
-
     def __repr__(self) -> str:
         return f"<Service {self.name}>"
 
@@ -185,28 +114,6 @@ class AsrService(Service):
 
     def invoke(self, request: ServiceRequest):
         return self.decoder.decode_waveform(request.payload)
-
-    def open_session(
-        self,
-        *,
-        query: Any = None,
-        ordinal: int = 0,
-        seed: Optional[int] = None,
-        record: bool = True,
-        endpoint_config: Any = None,
-    ):
-        """Incremental recognition with VAD endpointing and partials.
-
-        Only the *bare* ASR service streams incrementally; once wrapped in
-        resilience/fault layers the inherited buffering session applies
-        (retries need the whole utterance to replay an attempt).
-        """
-        from repro.serving.sessions import AsrStreamingSession
-
-        return AsrStreamingSession(
-            self, self.decoder, query=query, ordinal=ordinal, seed=seed,
-            record=record, endpoint_config=endpoint_config,
-        )
 
 
 class ClassifierService(Service):

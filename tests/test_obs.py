@@ -60,7 +60,7 @@ from repro.serving import (
     CLASSIFY,
     IMM,
     QA,
-    BufferingSession,
+    AsrSession,
     FaultInjector,
     FaultPlan,
     FaultRule,
@@ -74,6 +74,7 @@ from repro.serving import (
     resilient_executor,
 )
 from repro.serving.cluster import replay_cluster
+from repro.serving.executor import run_handed_off
 from repro.serving.identity import span_fingerprint
 from repro.serving.faults import ERROR, LATENCY, charge_virtual_seconds
 
@@ -577,7 +578,7 @@ class TestExecutorTracing:
         executor = PlanExecutor({**stub_services(), ASR: DyingAsr()}, trace_seed=7)
         query = make_query("hello")
         batch = executor.run(query, on_error="degrade")
-        session = executor.services[ASR].open_session(query=query, seed=7)
+        session = AsrSession(executor.services[ASR], query=query, seed=7)
         session.feed(query.audio)
         streamed = executor.run(
             query, on_error="degrade", precomputed={ASR: session.finish()},
@@ -591,13 +592,13 @@ class TestExecutorTracing:
     def test_barge_in_after_virtual_latency_bout(self):
         # cancel() closes the service span the way the bracket closes any
         # stage's: virtual latency charged by earlier bouts is stamped on it.
-        class SlowFeedSession(BufferingSession):
+        class SlowFeedSession(AsrSession):
             def feed(self, chunk):
                 self._run_bout(lambda: charge_virtual_seconds(1.5))
                 return super().feed(chunk)
 
         session = SlowFeedSession(StubAsr(), seed=7)
-        session.feed("hel")
+        session.feed(make_query("hello").audio)
         session.cancel()
         (span,) = [s for s in session.spans if s.kind == SERVICE]
         assert (span.status, span.error_code) == ("error", "SESSION")
@@ -628,10 +629,9 @@ class TestExecutorTracing:
                 assert panel.observed == n, stage
 
     def test_virtual_latency_preserves_stats_fields(self):
-        # Service.__call__ reads the stage bracket's accounting whatever the
+        # A handed-off stage reads the bracket's accounting whatever the
         # service is wrapped in: seconds includes charged virtual latency
-        # and the measured admission wait survives beside it (a restamp used
-        # to rebuild ServiceStats field by field, dropping wait_seconds).
+        # and the measured admission wait survives beside it.
         class ChargingQa(Service):
             name, label = QA, "QA"
 
@@ -646,9 +646,10 @@ class TestExecutorTracing:
             ResilientService(ChargingQa(), FAST_RETRY),
         ):
             request = ServiceRequest(payload="q", admitted_at=time.perf_counter())
-            response = service(request)
-            assert response.stats.seconds >= 2.0, service
-            assert response.stats.wait_seconds > 0.0, service
+            outcome = run_handed_off(service, request, True)
+            assert outcome.error is None, service
+            assert outcome.seconds >= 2.0, service
+            assert outcome.wait_seconds > 0.0, service
 
 
 class TestReport:

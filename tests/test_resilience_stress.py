@@ -80,7 +80,7 @@ def test_thread_stress_flapping_qa():
             assert response.answer == f"answer to what is item {ordinal}"
             assert "QA" in response.service_seconds
 
-    # No dropped ServiceStats: one QA CallRecord per query, each ordinal
+    # No dropped call records: one QA CallRecord per query, each ordinal
     # exactly once, ok-ness matching the response stream.
     qa = executor.services[QA]
     assert sorted(record.ordinal for record in qa.call_log) == list(range(N_QUERIES))

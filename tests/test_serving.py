@@ -13,13 +13,13 @@ from repro.serving import (
     QueryPlan,
     ServiceRequest,
     available_backends,
-    build_executor,
     compile_plan,
     full_plan,
     get_backend,
     register_backend,
 )
 from repro.serving.backends import _REGISTRY
+from repro.serving.executor import run_handed_off
 from repro.serving.identity import replay_divergence
 
 
@@ -142,16 +142,6 @@ class TestExecutor:
         with pytest.raises(ConfigurationError):
             PlanExecutor({}, plan=full_plan())
 
-    def test_invalid_max_workers_rejected(self, sirius_pipeline):
-        with pytest.raises(ConfigurationError):
-            build_executor(
-                sirius_pipeline.decoder,
-                sirius_pipeline.classifier,
-                sirius_pipeline.qa_engine,
-                sirius_pipeline.image_database,
-                max_workers=0,
-            )
-
     def test_pipeline_serving_is_cached(self, sirius_pipeline):
         assert sirius_pipeline.serving is sirius_pipeline.serving
 
@@ -176,9 +166,10 @@ class TestExecutor:
 
     def test_static_plan_matches_dynamic_run(self, sirius_pipeline, input_set):
         query = input_set.voice_queries[1]
-        static = sirius_pipeline.serving.run(
-            query, plan=compile_plan(QueryType.VOICE_QUERY)
-        )
+        static = PlanExecutor(
+            sirius_pipeline.serving.services,
+            plan=compile_plan(QueryType.VOICE_QUERY),
+        ).run(query)
         dynamic = sirius_pipeline.process(query)
         assert static.transcript == dynamic.transcript
         assert static.answer == dynamic.answer
@@ -186,10 +177,12 @@ class TestExecutor:
 
     def test_service_call_reports_stats(self, sirius_pipeline, input_set):
         service = sirius_pipeline.serving.services["qa"]
-        response = service(ServiceRequest(payload="what is the capital of italy"))
-        assert response.stats.service == "QA"
-        assert response.stats.seconds > 0
-        assert response.payload.answer_text
+        outcome = run_handed_off(
+            service, ServiceRequest(payload="what is the capital of italy"), True
+        )
+        assert outcome.error is None
+        assert outcome.seconds > 0
+        assert outcome.payload.answer_text
 
 
 class TestServingEquivalence:

@@ -7,13 +7,15 @@ Layout follows the acceptance criteria:
   byte-identical ``SiriusResponse`` — fields *and* the span forest with
   ``timing=False`` — to plain ``PlanExecutor.run()``, on the fault-free
   path, across execution backends, and under seeded chaos;
-- :class:`BufferingSession` combine rules and the session lifecycle
-  (idempotent finish, barge-in cancel, misuse errors);
+- the session over a *wrapped* ASR service (buffered chunks, one invoke
+  at finish) and the session lifecycle (idempotent finish, barge-in
+  cancel, misuse errors);
 - incremental ASR: monotone partials, identical final transcript, partial
   spans with attributes, positive TTFP;
 - the VAD endpointer unit behaviour;
 - the asyncio gateway: 50 concurrent sessions, endpoint auto-fire with
-  late-chunk dropping, barge-in, and chaos replay determinism;
+  late-chunk dropping, barge-in (also racing an endpointing feed), and
+  chaos replay determinism;
 - one pool submission per gateway operation, and the 50-session stream's
   transcripts, partial counts and endpoint decisions against the golden
   written at the commit that still took two hops per ``feed``.
@@ -22,6 +24,7 @@ Layout follows the acceptance criteria:
 import asyncio
 import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -34,9 +37,9 @@ from repro.obs.timeseries import E2E_METRIC, QUERIES_METRIC, TTFP_METRIC, Rollup
 from repro.obs.trace import PARTIAL
 from repro.serving import (
     ASR,
-    CLASSIFY,
-    AsrStreamingSession,
-    BufferingSession,
+    AsrSession,
+    FaultPlan,
+    PlanExecutor,
     StreamingGateway,
     chunk_waveform,
     default_chaos_plan,
@@ -45,6 +48,7 @@ from repro.serving import (
     serve_streams,
 )
 from repro.serving.identity import outcome_fingerprint, span_fingerprint
+from tests.conformance.stubs import make_query, stub_services
 from tests.test_streaming_golden import GATEWAY_KEY, GOLDEN, gateway_trace
 
 CHAOS_SEED = 11
@@ -72,8 +76,9 @@ def _fields(responses):
 def _session_replay(executor, query, ordinal, on_error="raise"):
     """One-chunk session + ``run(precomputed=...)`` — the streaming path
     collapsed to its batch-equivalent skeleton."""
-    session = executor.services[ASR].open_session(
-        query=query, ordinal=ordinal, seed=executor.trace_seed
+    session = AsrSession(
+        executor.services[ASR], query=query, ordinal=ordinal,
+        seed=executor.trace_seed,
     )
     session.feed(query.audio)
     outcome = session.finish()
@@ -136,64 +141,73 @@ class TestSingleChunkEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# BufferingSession combine rules and lifecycle
+# The session over a wrapped ASR service, and the lifecycle
 # ---------------------------------------------------------------------------
 
 
-class TestBufferingSession:
-    def test_single_chunk_is_identity(self, sirius_pipeline, input_set):
-        service = sirius_pipeline.serving.services[ASR]
+@pytest.fixture
+def wrapped_asr(sirius_pipeline):
+    """The pipeline's ASR service behind resilience and an empty fault plan."""
+    executor = resilient_executor(
+        sirius_pipeline.serving, default_policies(seed=CHAOS_SEED),
+        FaultPlan(seed=0, rules={}),
+    )
+    return executor.services[ASR]
+
+
+class TestWrappedAsrSession:
+    def test_single_chunk_is_identity(
+        self, sirius_pipeline, wrapped_asr, input_set, monkeypatch
+    ):
         query = input_set.all_queries[0]
-        session = BufferingSession(service)
+        decoder = sirius_pipeline.decoder
+        decode, heard = decoder.decode_waveform, []
+        monkeypatch.setattr(
+            decoder, "decode_waveform", lambda w: heard.append(w) or decode(w)
+        )
+        session = AsrSession(wrapped_asr)
         session.feed(query.audio)
         outcome = session.finish()
         assert outcome.error is None
-        assert outcome.payload.text == service.decoder.decode_waveform(
-            query.audio
-        ).text
+        # one invoke, on the very object the batch request builder passes
+        assert len(heard) == 1 and heard[0] is query.audio
+        assert outcome.payload.text == decode(query.audio).text
 
-    def test_waveform_chunks_concatenate(self, sirius_pipeline, input_set):
-        service = sirius_pipeline.serving.services[ASR]
+    def test_waveform_chunks_concatenate(
+        self, sirius_pipeline, wrapped_asr, input_set
+    ):
         query = input_set.all_queries[1]
-        session = BufferingSession(service)
+        session = AsrSession(wrapped_asr)
         for chunk in chunk_waveform(query.audio, 0.2):
             session.feed(chunk)
+            # a wrapped service streams nothing, and runs no bout to say so
+            assert session.partials() == []
+        assert session._seconds == 0.0
         outcome = session.finish()
-        assert outcome.payload.text == service.decoder.decode_waveform(
+        assert outcome.payload.text == sirius_pipeline.decoder.decode_waveform(
             query.audio
         ).text
 
-    def test_text_chunks_join(self, sirius_pipeline):
-        service = sirius_pipeline.serving.services[CLASSIFY]
-        whole = BufferingSession(service)
-        whole.feed("what is the capital of italy")
-        split = BufferingSession(service)
-        split.feed("what is the ")
-        split.feed("capital of italy")
-        assert split.finish().payload == whole.finish().payload
-
     def test_mixed_chunk_types_rejected(self, sirius_pipeline, input_set):
-        service = sirius_pipeline.serving.services[ASR]
-        session = BufferingSession(service)
+        session = AsrSession(sirius_pipeline.serving.services[ASR])
         session.feed(input_set.all_queries[0].audio)
-        session.feed("not audio")
+        with pytest.raises(SessionError):
+            session.feed("not audio")
+
+    def test_finish_without_chunks_raises(self, wrapped_asr):
+        session = AsrSession(wrapped_asr)
         with pytest.raises(SessionError):
             session.finish()
 
-    def test_finish_without_chunks_raises(self, sirius_pipeline):
-        session = BufferingSession(sirius_pipeline.serving.services[ASR])
-        with pytest.raises(SessionError):
-            session.finish()
-
-    def test_finish_is_idempotent(self, sirius_pipeline, input_set):
-        session = BufferingSession(sirius_pipeline.serving.services[ASR])
+    def test_finish_is_idempotent(self, wrapped_asr, input_set):
+        session = AsrSession(wrapped_asr)
         session.feed(input_set.all_queries[0].audio)
         assert session.finish() is session.finish()
 
     def test_cancel_lifecycle(self, sirius_pipeline, input_set):
-        service = sirius_pipeline.serving.services[ASR]
-        session = service.open_session(
-            query=input_set.all_queries[0], ordinal=3, seed=0
+        session = AsrSession(
+            sirius_pipeline.serving.services[ASR],
+            query=input_set.all_queries[0], ordinal=3, seed=0,
         )
         session.feed(input_set.all_queries[0].audio)
         session.cancel()
@@ -207,8 +221,8 @@ class TestBufferingSession:
         assert span.error_code == "SESSION"
         assert span.attributes["cancelled"] is True
 
-    def test_cancel_after_finish_is_a_bug(self, sirius_pipeline, input_set):
-        session = BufferingSession(sirius_pipeline.serving.services[ASR])
+    def test_cancel_after_finish_is_a_bug(self, wrapped_asr, input_set):
+        session = AsrSession(wrapped_asr)
         session.feed(input_set.all_queries[0].audio)
         session.finish()
         with pytest.raises(SessionError):
@@ -226,8 +240,7 @@ class TestIncrementalAsr:
     ):
         service = sirius_pipeline.serving.services[ASR]
         query = input_set.all_queries[0]
-        session = service.open_session(query=query, ordinal=0, seed=0)
-        assert isinstance(session, AsrStreamingSession)
+        session = AsrSession(service, query=query, ordinal=0, seed=0)
         counts = []
         for chunk in chunk_waveform(query.audio, 0.1):
             session.feed(chunk)
@@ -245,8 +258,8 @@ class TestIncrementalAsr:
         executor = sirius_pipeline.serving
         executor.trace_seed = 0
         try:
-            session = executor.services[ASR].open_session(
-                query=query, ordinal=0, seed=0
+            session = AsrSession(
+                executor.services[ASR], query=query, ordinal=0, seed=0
             )
             opened_at = session.opened_at
             for chunk in chunk_waveform(query.audio, 0.1):
@@ -412,9 +425,42 @@ class TestStreamingGateway:
         (span,) = [s for s in handle.session.spans if s.kind == "service"]
         assert span.error_code == "SESSION"
 
-    def test_gateway_requires_asr(self, sirius_pipeline):
-        from repro.serving.executor import PlanExecutor
+    def test_cancel_racing_an_endpointing_feed_never_finalizes(self):
+        # cancel() is awaited while a feed bout that comes back endpointed is
+        # still on the pool: the feed must not launch a finalization that
+        # could only fail on the cancelled session.
+        entered, release = threading.Event(), threading.Event()
 
+        def endpointing_feed(chunk):
+            entered.set()
+            release.wait(timeout=30)
+            return True
+
+        async def drive():
+            gateway = StreamingGateway(PlanExecutor(stub_services(), trace_seed=7))
+            try:
+                handle = gateway.open_session(make_query("hello"))
+                handle.session.feed = endpointing_feed
+                feeding = asyncio.ensure_future(handle.feed(handle.query.audio))
+                while not entered.is_set():
+                    await asyncio.sleep(0.001)
+                cancelling = asyncio.ensure_future(handle.cancel())
+                await asyncio.sleep(0)  # cancel() flags, then waits on the lock
+                assert handle.state == "cancelled" and not cancelling.done()
+                release.set()
+                endpointed, heard = await asyncio.gather(feeding, cancelling)
+                return handle, endpointed, heard
+            finally:
+                release.set()
+                gateway.close()
+
+        handle, endpointed, heard = asyncio.run(drive())
+        assert endpointed is True
+        assert handle._task is None  # no finalization was started
+        assert handle.state == "cancelled"
+        assert heard == handle.session.last_partial
+
+    def test_gateway_requires_asr(self, sirius_pipeline):
         no_asr = PlanExecutor(dict(sirius_pipeline.serving.services))
         del no_asr.services[ASR]
         with pytest.raises(ConfigurationError):
