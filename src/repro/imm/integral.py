@@ -41,41 +41,51 @@ def box_sum(ii: np.ndarray, y0: int, x0: int, height: int, width: int) -> float:
 
 
 class PaddedIntegral:
-    """An integral image edge-padded by ``pad`` cells on every side.
+    """An integral image edge-padded by ``pad`` cells on every side, raveled.
 
     Edge padding *is* :func:`box_sum`'s clip: cell ``pad + j`` of the padded
-    table holds ``ii[clip(j, 0, size)]``, so a box-sum map for every pixel is
-    four plain slices.  Build one per batch of maps and drop it with them.
+    table holds ``ii[clip(j, 0, size)]``.  A box-sum map is then one
+    contiguous run of ``height * stride`` cells over the raveled table, its
+    four corners at flat offsets: cell ``y * stride + x`` holds pixel (y, x)'s
+    box for ``x < width``, and the ``stride - width`` cells closing each row
+    are padding, computed and ignored.  Build one per batch of maps and drop
+    it with them.
     """
 
     def __init__(self, ii: np.ndarray, pad: int):
         self.pad = pad
         self.height = ii.shape[0] - 1
         self.width = ii.shape[1] - 1
-        self.table = np.pad(ii, pad, mode="edge")
+        table = np.pad(ii, pad, mode="edge")
+        self.stride = table.shape[1]
+        self.cells = self.height * self.stride
+        self.flat = table.ravel()
 
-    def box_sum_map(self, dy: int, dx: int, height: int, width: int) -> np.ndarray:
-        """Box sums for *every* pixel at once.
+    def box_sums(self, dy: int, dx: int, height: int, width: int, out: np.ndarray) -> np.ndarray:
+        """Box sums for *every* pixel at once, written to the run ``out``.
 
-        For each pixel (y, x) of the original image, returns the sum of the
-        box whose top-left corner is (y + dy, x + dx), exactly as
-        :func:`box_sum` computes it.  Out-of-range boxes are clipped.  This
-        vectorized form is what makes the pure-numpy fast-Hessian tractable.
+        For each pixel (y, x) of the original image, cell ``y * stride + x``
+        holds the sum of the box whose top-left corner is (y + dy, x + dx),
+        exactly as :func:`box_sum` computes it, ``((a - b) - c) + d``.
+        Out-of-range boxes are clipped.
         """
         if box_reach(dy, dx, height, width) > self.pad:
             raise ImageError("box reaches past the integral image's padding")
-        y0 = self.pad + dy
-        x0 = self.pad + dx
-        y1 = y0 + height
-        x1 = x0 + width
-        rows, cols = self.height, self.width
-        table = self.table
-        return (
-            table[y1 : y1 + rows, x1 : x1 + cols]
-            - table[y0 : y0 + rows, x1 : x1 + cols]
-            - table[y1 : y1 + rows, x0 : x0 + cols]
-            + table[y0 : y0 + rows, x0 : x0 + cols]
+        top = (self.pad + dy) * self.stride + self.pad + dx
+        bottom = top + height * self.stride
+        cells, flat = self.cells, self.flat
+        np.subtract(
+            flat[bottom + width : bottom + width + cells],
+            flat[top + width : top + width + cells],
+            out=out,
         )
+        np.subtract(out, flat[bottom : bottom + cells], out=out)
+        np.add(out, flat[top : top + cells], out=out)
+        return out
+
+    def image(self, run: np.ndarray) -> np.ndarray:
+        """The (height, width) in-image view of a run."""
+        return run.reshape(self.height, self.stride)[:, : self.width]
 
 
 def box_reach(dy: int, dx: int, height: int, width: int) -> int:

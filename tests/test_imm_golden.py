@@ -6,8 +6,9 @@ rewrite) and is never regenerated from the code under test: every digest is
 a sha256 over raw float64 bytes, so a one-ulp drift anywhere in FE, FD, ANN
 or verification fails here.  The scalar descriptor loop itself is kept below
 as ``scalar_descriptor`` — the reference the property tests compare against
-at keypoints the golden does not cover — and so is the per-descriptor heap
-walk the batched k-d tree search replaced, as ``heap_walk_query``.
+at keypoints the golden does not cover — and so are the per-descriptor heap
+walk the batched k-d tree search replaced, as ``heap_walk_query``, and the
+2-D-slice fast-Hessian the flat-run detector replaced, as ``oracle_detect``.
 
 Regenerate (only from a commit whose output is the intended reference):
 ``PYTHONPATH=src python tests/test_imm_golden.py``.
@@ -28,6 +29,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.imm import (
     AnnMatcher,
     FastHessianDetector,
+    Image,
     ImageDatabase,
     KDTree,
     SceneGenerator,
@@ -37,7 +39,8 @@ from repro.imm import (
     describe_keypoints,
     integral_image,
 )
-from repro.imm.hessian import Keypoint
+from repro.imm.hessian import DEFAULT_FILTER_SIZES, Keypoint, _filter_reach, _hessian_maps
+from repro.imm.integral import PaddedIntegral
 
 GOLDEN = Path(__file__).parent / "fixtures" / "imm_golden.json"
 N_SCENES = 10
@@ -251,6 +254,167 @@ class TestBatchProperties:
             image, [keypoints[i] for i in order], ii=ii, upright=upright
         )
         assert shuffled.tobytes() == batch[order].tobytes()
+
+
+# -- the 2-D-slice fast-Hessian, kept as the reference -------------------------------
+
+
+def oracle_box_sum_map(table, pad, dy, dx, height, width):
+    """Box sums for every pixel as four 2-D slices of the edge-padded table."""
+    rows, cols = table.shape[0] - 1 - 2 * pad, table.shape[1] - 1 - 2 * pad
+    y0, x0 = pad + dy, pad + dx
+    y1, x1 = y0 + height, x0 + width
+    return (
+        table[y1 : y1 + rows, x1 : x1 + cols]
+        - table[y0 : y0 + rows, x1 : x1 + cols]
+        - table[y1 : y1 + rows, x0 : x0 + cols]
+        + table[y0 : y0 + rows, x0 : x0 + cols]
+    )
+
+
+def oracle_maps(table, pad, filter_size):
+    """The (H, W) response map, and the unscaled trace Dxx + Dyy whose sign
+    ``oracle_laplacian_sign`` computes pixel by pixel."""
+
+    def box(dy, dx, height, width):
+        return oracle_box_sum_map(table, pad, dy, dx, height, width)
+
+    lobe = filter_size // 3
+    border = filter_size // 2
+    inverse_area = 1.0 / (filter_size * filter_size)
+    width = 2 * lobe - 1
+    x_off = -(width // 2)
+    dyy = box(-border, x_off, filter_size, width) - 3.0 * box(-(lobe // 2), x_off, lobe, width)
+    dxx = box(x_off, -border, width, filter_size) - 3.0 * box(x_off, -(lobe // 2), width, lobe)
+    dxy = (
+        box(-lobe, 1, lobe, lobe)
+        + box(1, -lobe, lobe, lobe)
+        - box(-lobe, -lobe, lobe, lobe)
+        - box(1, 1, lobe, lobe)
+    )
+    trace = dxx + dyy
+    dxx *= inverse_area
+    dyy *= inverse_area
+    dxy *= inverse_area
+    return dxx * dyy - (0.9 * dxy) ** 2, trace
+
+
+def oracle_laplacian_sign(ii, y, x, filter_size):
+    """Sign of Dxx + Dyy at one point, from four scalar box sums."""
+    lobe = filter_size // 3
+    border = filter_size // 2
+    width = 2 * lobe - 1
+    x_off = -(width // 2)
+    dyy = box_sum(ii, y - border, x + x_off, filter_size, width) - 3.0 * box_sum(
+        ii, y - (lobe // 2), x + x_off, lobe, width
+    )
+    dxx = box_sum(ii, y + x_off, x - border, width, filter_size) - 3.0 * box_sum(
+        ii, y + x_off, x - (lobe // 2), width, lobe
+    )
+    return 1 if dxx + dyy >= 0 else -1
+
+
+def oracle_detect(detector, image):
+    """The detect the flat-run one replaced: one (H, W) response map per
+    scale, a 26-compare full-plane NMS, and a scalar Laplacian sign."""
+    ii = integral_image(image.pixels)
+    pad = max(detector.filter_sizes) // 2 + 1
+    table = np.pad(ii, pad, mode="edge")
+    responses = np.stack([oracle_maps(table, pad, size)[0] for size in detector.filter_sizes])
+    keypoints = []
+    n_scales, height, width = responses.shape
+    for scale_index in range(1, n_scales - 1):
+        size = detector.filter_sizes[scale_index]
+        border = size // 2 + 1
+        if height <= 2 * border or width <= 2 * border:
+            continue
+        center = responses[scale_index, border : height - border, border : width - border]
+        candidate = center >= detector.threshold
+        for ds in (-1, 0, 1):
+            plane = responses[scale_index + ds]
+            for dy in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    if ds == 0 and dy == 0 and dx == 0:
+                        continue
+                    candidate &= center > plane[
+                        border + dy : height - border + dy,
+                        border + dx : width - border + dx,
+                    ]
+        ys, xs = np.nonzero(candidate)
+        for y, x in zip(ys + border, xs + border):
+            keypoints.append(
+                Keypoint(
+                    y=float(y),
+                    x=float(x),
+                    scale=1.2 * size / 9.0,
+                    response=float(responses[scale_index, y, x]),
+                    sign=oracle_laplacian_sign(ii, int(y), int(x), size),
+                )
+            )
+    keypoints.sort(key=lambda kp: -kp.response)
+    if detector.max_keypoints is not None:
+        keypoints = keypoints[: detector.max_keypoints]
+    return keypoints
+
+
+def exact_rows(keypoints):
+    return [(kp.y, kp.x, kp.scale, kp.response.hex(), kp.sign) for kp in keypoints]
+
+
+@st.composite
+def detector_images(draw):
+    """Images 8-96 px, some smaller than filter 51's reach, with plateaus
+    (constant and 0/1-clipped regions) so that exact response ties reach
+    the NMS's strict ``>``."""
+    rows, cols = draw(st.integers(8, 96)), draw(st.integers(8, 96))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "constant", "binary", "blocks", "patched"]))
+    if kind == "noise":
+        pixels = rng.uniform(size=(rows, cols))
+    elif kind == "constant":
+        pixels = np.full((rows, cols), draw(st.sampled_from([0.0, 0.3, 1.0])))
+    elif kind == "binary":
+        pixels = np.clip(np.round(rng.normal(0.5, 0.6, size=(rows, cols))), 0.0, 1.0)
+    elif kind == "blocks":
+        block = draw(st.integers(2, 12))
+        coarse = rng.uniform(size=(rows // block + 1, cols // block + 1))
+        pixels = np.kron(coarse, np.ones((block, block)))[:rows, :cols]
+    else:
+        pixels = rng.uniform(size=(rows, cols))
+        y, x = rng.integers(0, rows), rng.integers(0, cols)
+        pixels[y : y + rows // 2, x : x + cols // 2] = rng.uniform()
+    return Image(np.ascontiguousarray(pixels))
+
+
+class TestDetectOracle:
+    @given(
+        detector_images(),
+        st.sampled_from([0.0, 5e-6, 1e-4]),
+        st.sampled_from([None, 1, 200]),
+        st.sampled_from([DEFAULT_FILTER_SIZES, (9, 15, 21), (9, 21, 33, 45)]),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_detect_is_the_slice_detector(self, image, threshold, max_keypoints, sizes):
+        detector = FastHessianDetector(threshold, sizes, max_keypoints)
+        expected = exact_rows(oracle_detect(detector, image))
+        assert exact_rows(detector.detect(image)) == expected
+        # A keypoint's response >= threshold >= 0 puts Dxx and Dyy on one
+        # sign, which scaling cannot flip: only the maps show a trace taken
+        # after the area normalization.
+        ii = integral_image(image.pixels)
+        pad = _filter_reach(sizes[-1])
+        padded = PaddedIntegral(ii, pad)
+        table = np.pad(ii, pad, mode="edge")
+        for size in sizes:
+            runs = _hessian_maps(padded, size, np.empty((2, padded.cells)))
+            for run, oracle in zip(runs, oracle_maps(table, pad, size)):
+                assert padded.image(run).tobytes() == oracle.tobytes()
+
+    def test_golden_images_are_the_slice_detector(self):
+        scenes, queries = images()
+        detector = FastHessianDetector()
+        for image in scenes[:2] + queries[:2] + [t for _, _, t in scenes[0].tiles(64)]:
+            assert exact_rows(detector.detect(image)) == exact_rows(oracle_detect(detector, image))
 
 
 # -- the heap walk, kept as the reference --------------------------------------------

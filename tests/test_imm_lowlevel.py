@@ -13,8 +13,15 @@ from repro.imm import (
     box_sum,
     integral_image,
 )
-from repro.imm.hessian import _filter_reach, _response
+from repro.imm.hessian import _filter_reach, _hessian_maps
 from repro.imm.integral import PaddedIntegral, box_reach
+
+
+def response_map(pixels, filter_size):
+    """One filter size's (H, W) Hessian-determinant response."""
+    padded = PaddedIntegral(integral_image(pixels), _filter_reach(filter_size))
+    response, _ = _hessian_maps(padded, filter_size, np.empty((2, padded.cells)))
+    return padded.image(response)
 
 
 class TestIntegralImage:
@@ -61,7 +68,8 @@ class TestIntegralImage:
         rng = np.random.default_rng(2)
         pixels = rng.uniform(size=(16, 12))
         ii = integral_image(pixels)
-        sums = PaddedIntegral(ii, box_reach(-2, 1, 4, 3)).box_sum_map(-2, 1, 4, 3)
+        padded = PaddedIntegral(ii, box_reach(-2, 1, 4, 3))
+        sums = padded.image(padded.box_sums(-2, 1, 4, 3, np.empty(padded.cells)))
         for y in range(16):
             for x in range(12):
                 assert sums[y, x] == pytest.approx(box_sum(ii, y - 2, x + 1, 4, 3))
@@ -76,7 +84,8 @@ class TestIntegralImage:
         # Boxes that overhang the image on every side (filter 51 on a 64-px
         # tile does) must clip exactly as the scalar does: ==, not approx.
         ii = integral_image(np.random.default_rng(seed).uniform(size=(rows, cols)))
-        sums = PaddedIntegral(ii, box_reach(dy, dx, h, w)).box_sum_map(dy, dx, h, w)
+        padded = PaddedIntegral(ii, box_reach(dy, dx, h, w))
+        sums = padded.image(padded.box_sums(dy, dx, h, w, np.empty(rows * padded.stride)))
         assert sums.shape == (rows, cols)
         expected = [
             [box_sum(ii, y + dy, x + dx, h, w) for x in range(cols)] for y in range(rows)
@@ -85,11 +94,12 @@ class TestIntegralImage:
 
     def test_padded_integral_rejects_reach_past_its_pad(self):
         padded = PaddedIntegral(integral_image(np.ones((64, 64))), 26)
-        padded.box_sum_map(-25, -8, 51, 17)
+        out = np.empty(padded.cells)
+        padded.box_sums(-25, -8, 51, 17, out)
         with pytest.raises(ImageError):
-            padded.box_sum_map(-27, 0, 9, 9)
+            padded.box_sums(-27, 0, 9, 9, out)
         with pytest.raises(ImageError):
-            padded.box_sum_map(0, 10, 9, 17)
+            padded.box_sums(0, 10, 9, 17, out)
 
 
 class TestHessian:
@@ -97,23 +107,35 @@ class TestHessian:
         # A bright Gaussian blob centered at (32, 32).
         yy, xx = np.mgrid[0:64, 0:64]
         pixels = np.exp(-((yy - 32) ** 2 + (xx - 32) ** 2) / (2 * 4.0**2))
-        ii = integral_image(pixels)
-        response = _response(PaddedIntegral(ii, _filter_reach(9)), 9)
+        response = response_map(pixels, 9)
         peak = np.unravel_index(np.argmax(response), response.shape)
         assert abs(peak[0] - 32) <= 2 and abs(peak[1] - 32) <= 2
 
     def test_flat_image_near_zero(self):
         # Interior response must vanish; borders clip boxes and may not.
-        ii = integral_image(np.full((40, 40), 0.5))
-        response = _response(PaddedIntegral(ii, _filter_reach(9)), 9)
+        response = response_map(np.full((40, 40), 0.5), 9)
         assert np.abs(response[9:-9, 9:-9]).max() < 1e-9
 
     def test_invalid_filter_size(self):
-        ii = integral_image(np.zeros((20, 20)))
+        # Rejected when the detector is built, not on its first detect.
         with pytest.raises(ImageError):
-            _response(PaddedIntegral(ii, _filter_reach(10)), 10)
+            FastHessianDetector(filter_sizes=(9, 10, 15))
         with pytest.raises(ImageError):
-            _response(PaddedIntegral(ii, _filter_reach(3)), 3)
+            FastHessianDetector(filter_sizes=(3, 9, 15))
+
+    def test_descending_ladder_rejected(self):
+        # Scale NMS compares neighbouring sizes; a reversed or repeated
+        # ladder would compare non-neighbours.
+        with pytest.raises(ImageError):
+            FastHessianDetector(filter_sizes=(27, 15, 9))
+        with pytest.raises(ImageError):
+            FastHessianDetector(filter_sizes=(9, 15, 15, 21))
+
+    def test_negative_max_keypoints_rejected(self):
+        with pytest.raises(ImageError):
+            FastHessianDetector(max_keypoints=-1)
+        image = SceneGenerator(seed=3).scene(1)
+        assert FastHessianDetector(max_keypoints=0).detect(image) == []
 
     def test_detector_finds_blob(self):
         yy, xx = np.mgrid[0:80, 0:80]
