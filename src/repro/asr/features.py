@@ -89,7 +89,13 @@ def frame_signal(samples: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
     shorter than one frame is zero-padded to one)."""
     if len(samples) < frame_size:
         samples = np.pad(samples, (0, frame_size - len(samples)))
-    return np.lib.stride_tricks.sliding_window_view(samples, frame_size)[::hop]
+    (stride,) = samples.strides
+    return np.lib.stride_tricks.as_strided(
+        samples,
+        shape=(1 + (len(samples) - frame_size) // hop, frame_size),
+        strides=(hop * stride, stride),
+        writeable=False,
+    )
 
 
 def compute_deltas(features: np.ndarray, window: int = 2) -> np.ndarray:
@@ -97,14 +103,26 @@ def compute_deltas(features: np.ndarray, window: int = 2) -> np.ndarray:
     padded = np.concatenate(
         (features[:1],) * window + (features,) + (features[-1:],) * window
     )
-    numerator = np.zeros_like(features)
+    return regression_deltas(padded, np.zeros_like(features), window)
+
+
+def regression_deltas(padded: np.ndarray, out: np.ndarray, window: int = 2) -> np.ndarray:
+    """Deltas of ``padded[window : len(padded) - window]`` into ``out``, which
+    holds zeros: ``Σ_o o·(r[t+o] - r[t-o])`` accumulated onto the zeros in
+    offset order, then divided by ``2·Σ_o o²`` — one rounding sequence, so
+    every caller that hands over the same rows gets the same bits."""
+    n = len(out)
+    step = np.empty(out.shape, dtype=out.dtype)
     for offset in range(1, window + 1):
-        numerator += offset * (
-            padded[window + offset : window + offset + len(features)]
-            - padded[window - offset : window - offset + len(features)]
+        np.subtract(
+            padded[window + offset : window + offset + n],
+            padded[window - offset : window - offset + n],
+            out=step,
         )
-    denominator = 2.0 * sum(offset**2 for offset in range(1, window + 1))
-    return numerator / denominator
+        step *= offset
+        out += step
+    out /= 2.0 * sum(offset**2 for offset in range(1, window + 1))
+    return out
 
 
 @lru_cache(maxsize=32)

@@ -9,11 +9,14 @@ literal three-nested-loop form as the single-threaded CMP baseline the suite
 benchmarks against.
 
 The vectorized scorer expands ``-½·p·(x-μ)²`` so that T frames are one
-contraction of the ``(T, 2D)`` moments ``[x² | x]`` with ``(K, 2D)`` weights
-built once per model, and no ``(T, K, D)`` array exists.  It is ``np.einsum``,
-not a BLAS product: a row must score the same whatever rows accompany it
-(streaming scores ten at a time, pinned bit for bit to the whole utterance),
-and OpenBLAS picks other kernels for a block's edge rows (DESIGN.md).
+contraction of the ``(T, 2D)`` moments ``[x² | x]`` with ``(2D, K)`` weights
+built once per model, and no ``(T, K, D)`` array exists.  The contraction is
+one BLAS product per frame row — ``(T, 1, 2D) @ (2D, K)`` — not one
+``(T, 2D) @ (2D, K)`` product: a row must score the same whatever rows
+accompany it (streaming scores ten at a time, pinned bit for bit to the whole
+utterance), and OpenBLAS picks other kernels for a 2-D block's edge rows.
+Every row being its own identical call holds that by construction
+(DESIGN.md "One BLAS product per row").
 """
 
 from __future__ import annotations
@@ -28,6 +31,12 @@ from repro.errors import ModelError
 from repro.obs.counters import record_work
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+#: The BLAS row product computes a component in a whole block of this many
+#: columns one way and one in the trailing partial block another, so the
+#: weights are padded to whole blocks: then a component scores the same in
+#: its own GMM as in a stacked bank of many (``GMMAcousticModel``).
+_COLUMN_BLOCK = 4
 
 #: Mixture weights never reach zero in EM (counts get +1e-10), but a
 #: degenerate component must clamp to a finite log weight, not -inf.
@@ -64,6 +73,11 @@ class DiagonalGMM:
         # score[t, k] = offsets[k] + [x_t² | x_t] · weights[k]
         scaled_means = self.precisions * self.means
         self._weights = np.concatenate([-0.5 * self.precisions, scaled_means], axis=1)
+        # (2D, K), zero-padded to whole ``_COLUMN_BLOCK``s of components.
+        n_components = self.means.shape[0]
+        width = -(-n_components // _COLUMN_BLOCK) * _COLUMN_BLOCK
+        self._weights_t = np.zeros((2 * dimension, width))
+        self._weights_t[:, :n_components] = self._weights.T
         self._offsets = self.factors - 0.5 * (scaled_means * self.means).sum(axis=1)
 
     @property
@@ -84,7 +98,10 @@ class DiagonalGMM:
         moments = np.empty((len(features), 2 * self.dimension))
         np.multiply(features, features, out=moments[:, : self.dimension])
         moments[:, self.dimension :] = features
-        scores = np.einsum("td,kd->tk", moments, self._weights)
+        # One (1, 2D) @ (2D, K) BLAS call per row, so a row's bits cannot
+        # depend on which rows share the call.  Both operands contiguous:
+        # otherwise numpy falls back to its own loop, with other roundings.
+        scores = np.matmul(moments[:, None, :], self._weights_t)[:, 0, : self.n_components]
         scores += self._offsets
         return scores
 
@@ -144,10 +161,11 @@ def score_naive(gmm: DiagonalGMM, features: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Rows taken at a time while fitting.  Taken whole, k-means' (rows, K, D)
-#: distances (19 MB for the 4-component fallback model) and the E-step's
-#: (rows, 2D) moments (10 MB) are the largest allocations the process ever
-#: makes, and the set-up peak they leave is what peak RSS then stands on.
+#: Rows taken at a time while fitting, for memory only (scoring is
+#: row-independent, so blocks give the whole's bits).  Taken whole, k-means'
+#: (rows, K, D) distances (19 MB for the 4-component fallback model) and the
+#: E-step's (rows, 2D) moments (10 MB) are the largest allocations the process
+#: ever makes, and the set-up peak they leave is what peak RSS then stands on.
 _FIT_BLOCK_ROWS = 2048
 
 

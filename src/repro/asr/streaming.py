@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from repro.asr.decoder import DecodeResult, Decoder, ViterbiSearch
-from repro.asr.features import FeatureConfig, FeatureExtractor, compute_deltas
+from repro.asr.features import FeatureConfig, FeatureExtractor, regression_deltas
 from repro.errors import DecodingError
 from repro.obs.context import section
 
@@ -33,7 +33,9 @@ class StreamingFeatureExtractor:
     the remaining rows.  State is constant in utterance length: the
     pre-emphasised samples no complete frame has consumed yet (less than one
     frame window) and the static rows the next release still reads (the
-    ``2 * LOOKAHEAD`` context rows plus whatever is unreleased).
+    ``2 * LOOKAHEAD`` context rows plus whatever is unreleased), held in one
+    array that only grows when a single push brings more rows than it has
+    ever held.
     """
 
     LOOKAHEAD = 2  # frames of future context the delta window needs
@@ -49,7 +51,13 @@ class StreamingFeatureExtractor:
         self._hop = int(config.frame_hop * sample_rate)
         self._samples = np.zeros(0)             # pre-emphasised, not yet consumed
         self._prev_raw: Optional[float] = None  # last raw sample (pre-emphasis carry)
-        self._static = np.zeros((0, config.n_coefficients))  # context + unreleased rows
+        # The utterance's static rows as ``compute_deltas`` pads them (with
+        # deltas, LOOKAHEAD copies of the first row lead and, on flush, of the
+        # last row trail), held from padded row ``_first`` on in
+        # ``_history[:_held]``.
+        self._history = np.empty((8 * self.LOOKAHEAD, config.n_coefficients))
+        self._held = 0
+        self._first = 0
         self._n_static = 0                      # static frames computed so far
         self._emitted = 0                       # frames already released
 
@@ -82,28 +90,51 @@ class StreamingFeatureExtractor:
             self._samples = self._samples[n_ready * self._hop :]
         return self._release(final=False)
 
+    def _hold(self, rows: np.ndarray) -> None:
+        """Append padded rows to the history, growing it only when full."""
+        stop = self._held + len(rows)
+        if stop > len(self._history):
+            grown = np.empty((max(stop, 2 * len(self._history)), self._history.shape[1]))
+            grown[: self._held] = self._history[: self._held]
+            self._history = grown
+        self._history[self._held : stop] = rows
+        self._held = stop
+
     def _add_static(self, rows: np.ndarray) -> None:
-        self._static = np.concatenate([self._static, rows])
+        if not self._n_static and self.config.add_deltas:
+            for _ in range(self.LOOKAHEAD):
+                self._hold(rows[:1])
+        self._hold(rows)
         self._n_static += len(rows)
 
     def _release(self, final: bool) -> np.ndarray:
         available = self._n_static - (0 if final else self.LOOKAHEAD)
         if available <= self._emitted:
             return np.zeros((0, self.config.dimension))
-        # Row i's delta reads rows i-2 .. i+2, so the rows to emit need only
-        # the held window of the history.  ``compute_deltas`` edge-pads the
-        # window, which is the offline padding where the window starts at
-        # row 0 or (on flush) ends at the last row, and otherwise only
-        # reaches the two context rows on each side, which are not emitted.
-        static = self._static
-        low = self._n_static - len(static)
+        n = available - self._emitted
+        start = self._emitted - self._first
+        rows = np.zeros((n, self.config.dimension))
         if self.config.add_deltas:
-            full = np.hstack([static, compute_deltas(static)])
+            if final:
+                # The tail padding: the offline edge copies of the last row.
+                for _ in range(self.LOOKAHEAD):
+                    self._hold(self._history[self._held - 1 : self._held])
+            # Padded row p is static row p - LOOKAHEAD, and row i's delta
+            # reads padded rows i .. i + 2 * LOOKAHEAD.
+            padded = self._history[start : start + n + 2 * self.LOOKAHEAD]
+            width = self.config.n_coefficients
+            rows[:, :width] = padded[self.LOOKAHEAD : self.LOOKAHEAD + n]
+            regression_deltas(padded, rows[:, width:], self.LOOKAHEAD)
         else:
-            full = static
-        rows = full[self._emitted - low : available - low]
+            rows[:] = self._history[start : start + n]
         self._emitted = available
-        self._static = static[max(available - self.LOOKAHEAD - low, 0) :]
+        # Later releases read from padded row ``available`` on: move those
+        # few rows (context plus the unreleased lookahead) to the front.
+        drop = available - self._first
+        kept = self._held - drop
+        self._history[:kept] = self._history[drop : self._held]
+        self._held = kept
+        self._first = available
         return rows
 
     def flush(self) -> np.ndarray:
@@ -134,11 +165,17 @@ class StreamingDecoder:
     >>> streaming = StreamingDecoder(decoder)          # doctest: +SKIP
     >>> for chunk in chunks: streaming.feed(chunk)     # doctest: +SKIP
     >>> streaming.finish().text                        # doctest: +SKIP
+
+    Every chunk is at ``sample_rate``: the front-end frames at that rate,
+    as :meth:`~repro.asr.features.FeatureExtractor.extract` frames a
+    :class:`~repro.asr.audio.Waveform` at its own.
     """
 
-    def __init__(self, decoder: Decoder):
+    def __init__(self, decoder: Decoder, sample_rate: int = 16000):
         self.decoder = decoder
-        self._features = StreamingFeatureExtractor(decoder.feature_extractor.config)
+        self._features = StreamingFeatureExtractor(
+            decoder.feature_extractor.config, sample_rate
+        )
         self._search = ViterbiSearch(decoder)
         self._finished = False
 

@@ -9,21 +9,23 @@ sessions over one event loop:
   with a **deterministic ordinal** assigned at open, so
   resilience jitter and injected faults replay byte-identically however
   the audio interleaves;
-- every gateway operation is **one** submission to a thread pool via
-  ``run_in_executor`` (``feed`` decodes the chunk and extracts its partials
-  in one callable; finalization finishes ASR and runs downstream in one) —
-  the event loop itself never blocks, which is the whole point of an async
-  front door (and what statcheck's SC801 async-hygiene rule checks);
+- every gateway operation is **one** hand-off to the gateway's worker
+  threads (``feed`` decodes the chunk and extracts its partials in one
+  callable; finalization finishes ASR and runs downstream in one): the
+  bout goes on a queue, a worker runs it and resolves the awaiting future
+  through ``loop.call_soon_threadsafe`` — the event loop itself never
+  blocks, which is the whole point of an async front door (and what
+  statcheck's SC801 async-hygiene rule checks);
 - the moment the VAD endpointer closes an utterance, the gateway fires
   the downstream plan stages (classify → QA/IMM) as a background task
   while other sessions' audio is still arriving; ``finish()`` merely
   awaits that task;
 - ``cancel()`` is barge-in: the utterance is abandoned, the session's
   spans close with a ``SESSION`` error code, and downstream never runs
-  (not even when a ``feed`` already on the pool comes back endpointed).
+  (not even when a ``feed`` already on a worker comes back endpointed).
 
 Per-session work bouts are serialized by an ``asyncio.Lock`` (sessions are
-not thread-safe; *different* sessions overlap freely on the pool), and
+not thread-safe; *different* sessions overlap freely on the workers), and
 time-to-first-partial is observed into ``executor.metrics`` at the first
 non-empty partial — the TTFP column next to end-to-end latency in
 ``repro trace-report``.  Downstream runs ``executor.plan`` and degrades on
@@ -33,8 +35,9 @@ a failure, as ``run_all(on_error="degrade")`` does.
 from __future__ import annotations
 
 import asyncio
+import queue
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -56,7 +59,7 @@ class GatewaySession:
     """One user's utterance in flight through the gateway.
 
     All methods must be awaited on the gateway's event loop; the session's
-    blocking work runs on the gateway pool.  Audio fed after finalization
+    blocking work runs on the gateway's workers.  Audio fed after finalization
     started is *dropped* (counted in :attr:`late_chunks`) — the endpointer
     already closed the utterance, and late audio must not perturb the
     deterministic transcript.
@@ -96,7 +99,7 @@ class GatewaySession:
                 return True
             endpointed, fresh = await self.gateway._call(self._feed, chunk)
             self._heard(fresh)
-        # A cancel() awaited while this bout was on the pool has already
+        # A cancel() awaited while this bout was on a worker has already
         # abandoned the utterance: finalizing it could only fail.
         if endpointed and not self._cancelled:
             self._launch()
@@ -104,7 +107,7 @@ class GatewaySession:
 
     def _feed(self, chunk: Any) -> Tuple[bool, List[str]]:
         """Blocking: one chunk in and, with ``poll_on_feed``, its partials out
-        (both in the one pool submission ``feed`` makes)."""
+        (both in the one hand-off ``feed`` makes)."""
         endpointed = self.session.feed(chunk)
         fresh = self.session.partials() if self.gateway.poll_on_feed else []
         return endpointed, fresh
@@ -209,9 +212,19 @@ class StreamingGateway:
             (s.record for s in executor.plan.stages if s.service == ASR), True
         )
         self._next_ordinal = 0
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="stream-gateway"
-        )
+        self._bouts: "queue.SimpleQueue[Optional[_Bout]]" = queue.SimpleQueue()
+        self._closed = False
+        self._workers = [
+            threading.Thread(
+                target=_serve_bouts,
+                args=(self._bouts,),
+                name=f"stream-gateway_{index}",
+                daemon=True,
+            )
+            for index in range(max_workers)
+        ]
+        for worker in self._workers:
+            worker.start()
 
     def open_session(self, query) -> GatewaySession:
         """Admit one query; its ordinal is fixed now, in arrival order."""
@@ -227,9 +240,14 @@ class StreamingGateway:
         return GatewaySession(self, session, query, ordinal)
 
     async def _call(self, fn: Callable, *args):
-        """Run one blocking session bout on the pool, off the event loop."""
+        """Run one blocking session bout on a worker, off the event loop;
+        what it raises is raised here."""
+        if self._closed:
+            raise SessionError("the streaming gateway is closed", service=ASR)
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._pool, lambda: fn(*args))
+        done = loop.create_future()
+        self._bouts.put((loop, done, fn, args))
+        return await done
 
     def _observe_ttfp(self, seconds: float, ordinal: int) -> None:
         if self.executor.metrics is not None:
@@ -240,13 +258,52 @@ class StreamingGateway:
             record_response(self.executor.metrics, response, ordinal)
 
     def close(self) -> None:
-        self._pool.shutdown(wait=True)
+        """Let the workers finish the bouts already queued, then join them."""
+        if not self._closed:
+            self._closed = True
+            for _ in self._workers:
+                self._bouts.put(None)
+        for worker in self._workers:
+            worker.join()
 
     def __enter__(self) -> "StreamingGateway":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+#: One queued bout: the loop awaiting it, its future, the callable and args.
+_Bout = Tuple[asyncio.AbstractEventLoop, "asyncio.Future[Any]", Callable, tuple]
+
+
+def _serve_bouts(bouts: "queue.SimpleQueue[Optional[_Bout]]") -> None:
+    """A gateway worker: run bouts until the ``None`` that ``close`` sends."""
+    while True:
+        bout = bouts.get()
+        if bout is None:
+            return
+        loop, done, fn, args = bout
+        result: Any = None
+        error: Optional[BaseException] = None
+        try:
+            result = fn(*args)
+        except BaseException as raised:  # handed to the awaiting coroutine
+            error = raised
+        try:
+            loop.call_soon_threadsafe(_settle, done, result, error)
+        except RuntimeError:
+            pass  # the loop was closed under an abandoned bout
+
+
+def _settle(done: "asyncio.Future[Any]", result: Any, error: Optional[BaseException]) -> None:
+    """On the loop: resolve a bout's future unless its awaiter gave up."""
+    if done.cancelled():
+        return
+    if error is not None:
+        done.set_exception(error)
+    else:
+        done.set_result(result)
 
 
 # -- synchronous driver -------------------------------------------------------------

@@ -64,18 +64,13 @@ FINISHED = "finished"      #: ``finish()`` ran; outcome available
 CANCELLED = "cancelled"    #: barge-in; the utterance was abandoned
 
 
-def _concat_waveforms(chunks: Sequence[Waveform], service: str) -> Waveform:
-    """Join audio chunks into one utterance (a lone chunk passes through)."""
+def _concat_waveforms(chunks: Sequence[Waveform]) -> Waveform:
+    """Join one session's audio chunks (all at one rate) into one utterance;
+    a lone chunk passes through."""
     if len(chunks) == 1:
         # Identity, not a rebuild: the single-chunk path must hand the
         # service the very object the batch request builder would.
         return chunks[0]
-    rates = {chunk.sample_rate for chunk in chunks}
-    if len(rates) > 1:
-        raise SessionError(
-            f"cannot combine chunks with mixed sample rates {sorted(rates)}",
-            service=service,
-        )
     return Waveform(
         np.concatenate([chunk.samples for chunk in chunks]),
         chunks[0].sample_rate,
@@ -156,9 +151,20 @@ class AsrSession:
             )
 
     def feed(self, chunk: Any) -> bool:
-        """Append one audio chunk; returns the endpointer's decision so far."""
+        """Append one audio chunk; returns the endpointer's decision so far.
+
+        The first chunk fixes the session's sample rate; a chunk at another
+        rate raises :class:`~repro.errors.SessionError`.
+        """
         self._require("feed")
         waveform = self._as_waveform(chunk)
+        if self.chunks and waveform.sample_rate != self.chunks[0].sample_rate:
+            raise SessionError(
+                f"chunk at {waveform.sample_rate} Hz in a session at "
+                f"{self.chunks[0].sample_rate} Hz "
+                f"(service={self.service.name!r}, ordinal={self.ordinal})",
+                service=self.service.name,
+            )
         self.chunks.append(waveform)
         if self._endpointer is None:
             self._endpointer = StreamingEndpointer(sample_rate=waveform.sample_rate)
@@ -281,7 +287,7 @@ class AsrSession:
         """Switch to incremental decoding, replaying buffered audio."""
         from repro.asr.streaming import StreamingDecoder
 
-        self._streaming = StreamingDecoder(self._decoder)
+        self._streaming = StreamingDecoder(self._decoder, self.chunks[0].sample_rate)
         self._pump()
 
     def _pump(self) -> None:
@@ -352,7 +358,7 @@ class AsrSession:
             # resilience attempt spans and component sections nest under
             # the session's service span.
             request = ServiceRequest(
-                payload=_concat_waveforms(self.chunks, self.service.name),
+                payload=_concat_waveforms(self.chunks),
                 query=self.query,
                 ordinal=self.ordinal,
                 admitted_at=time.perf_counter(),

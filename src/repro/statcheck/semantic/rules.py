@@ -16,7 +16,7 @@ Families:
   sink; the finding message carries the root-to-sink witness chain.
 - **SC601/602/603 process-boundary escape** — values flowing into
   ``run_chunks_in_processes``, process-pool ``submit``/``map``, or
-  ``ServiceRequest``/``ServiceResponse`` fields must be pickle-safe,
+  ``ServiceRequest``/``StageOutcome`` fields must be pickle-safe,
   checked along local dataflow rather than only at the literal call site.
 - **SC701/702 shared-state concurrency hazards** — ``Service`` subclasses
   write uninitialized instance attributes on their hot path (executors
@@ -374,7 +374,7 @@ class ClosureOverResource(SemanticRule):
                     )
 
 
-_ENVELOPE_CTORS = {"ServiceRequest", "ServiceResponse"}
+_ENVELOPE_CTORS = {"ServiceRequest", "StageOutcome"}
 
 
 class UnpicklableEnvelopeField(SemanticRule):
@@ -384,15 +384,17 @@ class UnpicklableEnvelopeField(SemanticRule):
     name = "unpicklable-envelope-field"
     severity = Severity.ERROR
     summary = (
-        "ServiceRequest/ServiceResponse field holds a lambda, generator, "
+        "ServiceRequest/StageOutcome field holds a lambda, generator, "
         "open handle, or locally-defined class instance"
     )
     rationale = (
         "Envelopes are the one structure guaranteed to cross execution "
-        "backends: the process backend pickles them through the result "
-        "pipe.  A field that only pickles on the thread backend makes the "
-        "backends observably different — exactly the equivalence the "
-        "serving tests (and the paper's backend comparisons) depend on."
+        "backends: the process backend pickles the request into the worker "
+        "and the StageOutcome (payload, error and the spans the stage "
+        "recorded) back through the result pipe.  A field that only pickles "
+        "on the thread backend makes the backends observably different — "
+        "exactly the equivalence the serving tests (and the paper's backend "
+        "comparisons) depend on."
     )
 
     def check(self, model, graph):

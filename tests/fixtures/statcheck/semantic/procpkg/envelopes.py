@@ -10,6 +10,15 @@ class ServiceRequest:
         self.trace = trace
 
 
+class StageOutcome:
+    """Stand-in for the envelope a stage's result crosses the pipe in."""
+
+    def __init__(self, payload=None, error=None, spans=()):
+        self.payload = payload
+        self.error = error
+        self.spans = spans
+
+
 def lazy_payload_request(frames):
     """SC603 true positive: a generator expression stored in an envelope."""
     payload = (frame * 2 for frame in frames)
@@ -30,3 +39,13 @@ def plain_request(frames):
     """Near-miss: materialized list payloads pickle everywhere."""
     payload = [frame * 2 for frame in frames]
     return ServiceRequest(payload=payload)
+
+
+def streamed_outcome(rows):
+    """SC603 true positive: a generator rides the outcome back to the parent."""
+    return StageOutcome(payload=(row for row in rows))
+
+
+def finished_outcome(rows, spans):
+    """Near-miss: a materialized payload and a tuple of spans pickle."""
+    return StageOutcome(payload=list(rows), spans=tuple(spans))

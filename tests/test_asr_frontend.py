@@ -128,6 +128,25 @@ class TestFraming:
         frames = frame_signal(signal, frame_size=300, hop=100)
         assert frames[1, 0] == 100.0
 
+    @settings(deadline=None, max_examples=80)
+    @given(
+        n=st.integers(0, 2000),
+        frame_size=st.integers(1, 400),
+        hop=st.integers(1, 200),
+        step=st.sampled_from([1, 2, 3]),
+    )
+    def test_strided_view_equals_the_sliding_window_view(self, n, frame_size, hop, step):
+        """The ``sliding_window_view(...)[::hop]`` framing it replaced, on
+        contiguous and strided signals."""
+        samples = np.random.default_rng(n).normal(size=n * step)[::step]
+        frames = frame_signal(samples, frame_size, hop)
+        if len(samples) < frame_size:
+            samples = np.pad(samples, (0, frame_size - len(samples)))
+        expected = np.lib.stride_tricks.sliding_window_view(samples, frame_size)[::hop]
+        assert frames.shape == expected.shape
+        assert frames.tobytes() == expected.tobytes()
+        assert not frames.flags.writeable
+
 
 class TestDCTAndDeltas:
     def test_dct_orthonormal_rows(self):

@@ -21,6 +21,15 @@ every golden utterance.  Utterances are keyed by position since then, so the
 three sentences the input set repeats are pinned on both takes (84 entries;
 ``speaker:text`` keys held 78).
 
+Re-versioned at PR 31: one BLAS product per frame row, scores moved ≤ 1e-10
+(``component_log_likelihood`` contracts the same moments and weights as
+``(T, 1, 2D) @ (2D, K)`` instead of ``np.einsum``: same terms, other summation
+order).  Held against the previous fixture first: every transcript, n-best
+order and ``n_frames`` equal, all 514 scores within 9.8e-11 of their old values
+under one BLAS thread and under default threads (``CHANGES.md``).  The
+replaced body is kept below as ``oracle_einsum_component_log_likelihood`` and
+bounds the new one on every golden utterance and on random banks.
+
 Regenerate (only from a commit whose output is the intended reference):
 ``PYTHONPATH=src python tests/test_asr_golden.py``.
 """
@@ -176,6 +185,64 @@ def rounding_bound(gmm, features):
         gmm.precisions,
     ) + np.abs(gmm.factors)
     return 2 * (2 * gmm.dimension + 4) * np.finfo(np.float64).eps * scale
+
+
+def oracle_einsum_component_log_likelihood(gmm, features):
+    """``DiagonalGMM.component_log_likelihood`` as it was: the same moments and
+    weights contracted by ``np.einsum`` instead of one BLAS product per row."""
+    features = np.atleast_2d(features)
+    moments = np.empty((len(features), 2 * gmm.dimension))
+    np.multiply(features, features, out=moments[:, : gmm.dimension])
+    moments[:, gmm.dimension :] = features
+    scores = np.einsum("td,kd->tk", moments, gmm._weights)
+    scores += gmm._offsets
+    return scores
+
+
+def summation_bound(gmm, features):
+    """``(T, K)`` bound on ``|new - einsum oracle|``: both sum the same 2D
+    rounded products and the offset, in other orders, so each is within
+    ``(2D + 2)·eps`` of the exact sum of ``|terms|`` from it."""
+    moments = np.hstack([features**2, np.abs(features)])
+    scale = moments @ np.abs(gmm._weights).T + np.abs(gmm._offsets)
+    return 2 * (2 * gmm.dimension + 2) * np.finfo(np.float64).eps * scale
+
+
+class TestRowProductEqualsEinsum:
+    def test_every_golden_utterance_within_1e_9(self, decoder):
+        bank = decoder.acoustic_model._bank
+        worst = 0.0
+        for _, _, features in utterances(decoder):
+            moved = np.abs(
+                bank.component_log_likelihood(features)
+                - oracle_einsum_component_log_likelihood(bank, features)
+            )
+            assert np.all(moved <= summation_bound(bank, features))
+            worst = max(worst, float(moved.max()))
+        assert worst <= 1e-9
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_components=st.integers(1, 40),
+        dimension=st.integers(1, 26),
+        n_frames=st.integers(0, 40),
+        mean_scale=st.sampled_from([0.0, 1.0, 50.0]),
+    )
+    def test_random_banks_within_the_summation_bound(
+        self, seed, n_components, dimension, n_frames, mean_scale
+    ):
+        rng = np.random.default_rng(seed)
+        gmm = DiagonalGMM(
+            rng.uniform(-mean_scale, mean_scale, size=(n_components, dimension)),
+            rng.uniform(1e-2, 1e3, size=(n_components, dimension)),
+            np.log(rng.dirichlet(np.ones(n_components))),
+        )
+        features = rng.uniform(-60.0, 60.0, size=(n_frames, dimension))
+        new = gmm.component_log_likelihood(features)
+        assert new.shape == (n_frames, n_components)
+        moved = np.abs(new - oracle_einsum_component_log_likelihood(gmm, features))
+        assert np.all(moved <= summation_bound(gmm, features))
 
 
 class TestExpandedQuadraticEqualsBroadcasting:

@@ -14,7 +14,7 @@ from repro.asr import (
 )
 from repro.asr.audio import Waveform
 from repro.asr.decoder import ViterbiSearch
-from repro.asr.features import compute_deltas
+from repro.asr.features import FeatureConfig, _tables, compute_deltas
 from repro.asr.streaming import StreamingDecoder, StreamingFeatureExtractor
 from repro.errors import DecodingError
 
@@ -92,29 +92,25 @@ class TestStreamingFeatures:
         reference = numerator / (2.0 * sum(o**2 for o in range(1, window + 1)))
         assert compute_deltas(features, window).tobytes() == reference.tobytes()
 
-    def test_held_rows_are_constant_in_utterance_length(self, monkeypatch):
+    def test_held_rows_are_constant_in_utterance_length(self):
         """Ten seconds in 100 ms pushes: the static rows held never exceed the
-        delta context plus one push's worth, and less than one frame window
-        of samples waits between pushes."""
-        from repro.asr import streaming as module
-
-        held = []
-        monkeypatch.setattr(
-            module, "compute_deltas",
-            lambda static: held.append(len(static)) or compute_deltas(static),
-        )
+        delta context, the array holding them never grows past one push's
+        worth plus that context, and less than one frame window of samples
+        waits between pushes."""
         config = FeatureExtractor().config
         streaming = StreamingFeatureExtractor(config)
         audio = np.random.default_rng(9).normal(0, 0.1, 10 * 16000)
         chunk, hop, frame = 1600, int(config.frame_hop * 16000), int(config.frame_length * 16000)
+        capacity = len(streaming._history)
         emitted = 0
         for start in range(0, len(audio), chunk):
             emitted += len(streaming.push(audio[start : start + chunk]))
-            assert len(streaming._static) <= 2 * streaming.LOOKAHEAD
+            assert streaming._held <= 2 * streaming.LOOKAHEAD
             assert len(streaming._samples) < frame
         emitted += len(streaming.flush())
         assert emitted == len(FeatureExtractor().extract(Waveform(audio)))
-        assert max(held) <= 2 * streaming.LOOKAHEAD + chunk // hop
+        assert len(streaming._history) == capacity
+        assert capacity <= 2 * (2 * streaming.LOOKAHEAD + chunk // hop + 1)
 
     def test_empty_pushes_are_noops(self):
         streaming = StreamingFeatureExtractor(FeatureExtractor().config)
@@ -153,6 +149,130 @@ class TestStreamingFeatures:
         hop = int(0.010 * 16000)
         emitted = streaming.push(wave.samples[: frame_size + 2 * hop])
         assert len(emitted) == 1
+
+
+def oracle_compute_deltas(features, window=2):
+    """``compute_deltas`` as it was, before it shared ``regression_deltas``."""
+    padded = np.concatenate(
+        (features[:1],) * window + (features,) + (features[-1:],) * window
+    )
+    numerator = np.zeros_like(features)
+    for offset in range(1, window + 1):
+        numerator += offset * (
+            padded[window + offset : window + offset + len(features)]
+            - padded[window - offset : window - offset + len(features)]
+        )
+    denominator = 2.0 * sum(offset**2 for offset in range(1, window + 1))
+    return numerator / denominator
+
+
+class OracleStreamingFeatureExtractor(StreamingFeatureExtractor):
+    """``push`` / ``_release`` as they were: one ``sliding_window_view``
+    framing, one ``np.concatenate`` of the static history and one
+    ``np.hstack`` of ``compute_deltas`` over it per push."""
+
+    def __init__(self, config, sample_rate=16000):
+        super().__init__(config, sample_rate)
+        self._static = np.zeros((0, config.n_coefficients))
+
+    def _cepstra(self, samples):
+        window, bank, dct = _tables(self.config, self.sample_rate)
+        hop = int(self.config.frame_hop * self.sample_rate)
+        if len(samples) < len(window):
+            samples = np.pad(samples, (0, len(window) - len(samples)))
+        frames = np.lib.stride_tricks.sliding_window_view(samples, len(window))[::hop]
+        frames = frames * window
+        n_fft = 1 << (len(window) - 1).bit_length()
+        power = (np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2) / n_fft
+        return np.log(np.maximum(power @ bank.T, 1e-12)) @ dct.T
+
+    def push(self, samples):
+        samples = np.asarray(samples, dtype=float).ravel()
+        if len(samples):
+            carried = len(self._samples)
+            buffer = np.empty(carried + len(samples))
+            buffer[:carried] = self._samples
+            fresh = buffer[carried:]
+            alpha = self.config.pre_emphasis
+            if alpha > 0:
+                np.multiply(samples[:-1], alpha, out=fresh[1:])
+                np.subtract(samples[1:], fresh[1:], out=fresh[1:])
+                fresh[0] = samples[0]
+                if self._prev_raw is not None:
+                    fresh[0] -= alpha * self._prev_raw
+                self._prev_raw = float(samples[-1])
+            else:
+                fresh[:] = samples
+            self._samples = buffer
+        n_ready = 1 + (len(self._samples) - self._frame_size) // self._hop
+        if n_ready > 0:
+            self._add_static(self._cepstra(self._samples))
+            self._samples = self._samples[n_ready * self._hop :]
+        return self._release(final=False)
+
+    def _add_static(self, rows):
+        self._static = np.concatenate([self._static, rows])
+        self._n_static += len(rows)
+
+    def _release(self, final):
+        available = self._n_static - (0 if final else self.LOOKAHEAD)
+        if available <= self._emitted:
+            return np.zeros((0, self.config.dimension))
+        static = self._static
+        low = self._n_static - len(static)
+        if self.config.add_deltas:
+            full = np.hstack([static, oracle_compute_deltas(static)])
+        else:
+            full = static
+        rows = full[self._emitted - low : available - low]
+        self._emitted = available
+        self._static = static[max(available - self.LOOKAHEAD - low, 0) :]
+        return rows
+
+    def flush(self):
+        if not self._n_static and len(self._samples):
+            self._add_static(self._cepstra(self._samples))
+            self._samples = np.zeros(0)
+        return self._release(final=True)
+
+
+class TestPushEqualsParent:
+    """Every push's rows, byte for byte, against the body it replaced."""
+
+    @pytest.fixture(scope="class")
+    def waves(self):
+        return [
+            Synthesizer(seed=seed).synthesize(text).samples
+            for seed, text in ((83, "set my alarm"), (84, "what is the capital of italy"))
+        ]
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_every_push_is_byte_equal(self, waves, data):
+        samples = data.draw(st.sampled_from(waves), label="utterance")
+        # 0 is an empty push; lengths under 400 samples flush a sub-frame tail.
+        sizes = data.draw(
+            st.lists(st.one_of(st.just(0), st.integers(1, 5000)), min_size=1, max_size=6),
+            label="chunk sizes",
+        )
+        length = data.draw(
+            st.one_of(st.integers(0, 399), st.integers(0, len(samples))), label="samples"
+        )
+        samples = samples[: min(length, 200 * sum(sizes))]
+        add_deltas = data.draw(st.booleans(), label="deltas")
+        config = FeatureConfig(add_deltas=add_deltas)
+        new, old = StreamingFeatureExtractor(config), OracleStreamingFeatureExtractor(config)
+        offset, index = 0, 0
+        while offset < len(samples) or index < len(sizes):
+            size = sizes[index % len(sizes)]
+            chunk = samples[offset : offset + size]
+            offset, index = offset + size, index + 1
+            got, want = new.push(chunk), old.push(chunk)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        got, want = new.flush(), old.flush()
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert new.n_frames_emitted == old.n_frames_emitted
+        assert new.flush().shape == (0, config.dimension)
 
 
 class TestStreamingDecoder:

@@ -219,6 +219,8 @@ class TestProcessBoundaryEscape:
         assert "callback_request" in blob  # lambda payload
         assert "handle_request" in blob  # open file handle
         assert "plain_request" not in blob  # materialized list is fine
+        assert "streamed_outcome" in blob  # generator in a StageOutcome
+        assert "finished_outcome" not in blob  # list and tuple are fine
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,15 @@ Utterances are keyed by position since then, so the three sentences the input
 set repeats are pinned on both takes (84 entries; ``speaker:text`` keys held
 78).
 
+Re-versioned at PR 31: one BLAS product per frame row in GMM scoring, final
+scores moved ≤ 1e-10 (see ``tests/test_asr_golden.py``), alongside the
+strided framing, in-place deltas and held history of the streaming
+front-end.  Held against the previous fixture first: every feature sha256,
+partial with its ``frames_seen``, final text and ``n_frames``, endpointer
+trace and the whole ``gateway`` entry equal, all 168 final scores within
+1.3e-11 of their old values under one BLAS thread and under default threads
+(``CHANGES.md``).
+
 Regenerate (only from a commit whose output is the intended reference):
 ``PYTHONPATH=src:. python tests/test_streaming_golden.py``.
 """

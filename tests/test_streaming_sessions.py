@@ -16,7 +16,10 @@ Layout follows the acceptance criteria:
 - the asyncio gateway: 50 concurrent sessions, endpoint auto-fire with
   late-chunk dropping, barge-in (also racing an endpointing feed), and
   chaos replay determinism;
-- one pool submission per gateway operation, and the 50-session stream's
+- the bout hand-off (errors surface unchanged, ``max_workers`` bounds the
+  bouts in flight, ``close`` joins every worker) and the session's one
+  sample rate;
+- one bout per gateway operation, and the 50-session stream's
   transcripts, partial counts and endpoint decisions against the golden
   written at the commit that still took two hops per ``feed``.
 """
@@ -25,13 +28,15 @@ import asyncio
 import dataclasses
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.asr import Synthesizer
 from repro.asr.audio import Waveform
 from repro.asr.vad import EndpointConfig, StreamingEndpointer
-from repro.errors import ConfigurationError, SessionError
+from repro.errors import ConfigurationError, DecodingError, SessionError
 from repro.obs.report import metrics_from_spans
 from repro.obs.timeseries import E2E_METRIC, QUERIES_METRIC, TTFP_METRIC, RollupStore
 from repro.obs.trace import PARTIAL
@@ -227,6 +232,51 @@ class TestWrappedAsrSession:
         session.finish()
         with pytest.raises(SessionError):
             session.cancel()
+
+
+class TestSessionSampleRate:
+    """The first chunk fixes a session's rate; the streaming front-end frames
+    at it, and a chunk at another rate is refused on either path."""
+
+    @pytest.fixture(scope="class")
+    def narrowband(self):
+        """An utterance decimated to 8 kHz (one the 16 kHz model still
+        decodes to some path: most such utterances leave no survivor)."""
+        wide = Synthesizer(seed=3).synthesize("call the office now")
+        return Waveform(wide.samples[::2], wide.sample_rate // 2)
+
+    def test_8khz_session_frames_as_the_batch_decode(self, sirius_pipeline, narrowband):
+        service = sirius_pipeline.serving.services[ASR]
+        session = AsrSession(service)
+        for chunk in chunk_waveform(narrowband, 0.1):
+            session.feed(chunk)
+            session.partials()
+        outcome = session.finish()
+        assert session._streaming is not None  # the engaged (streaming) path
+        assert outcome.error is None
+        expected = service.decoder.decode_waveform(narrowband)
+        assert outcome.payload.n_frames == expected.n_frames
+        assert expected.n_frames == len(service.decoder.feature_extractor.extract(narrowband))
+        # Framed at 16 kHz, the same samples would be half as many frames.
+        assert session._streaming.frames_seen == expected.n_frames
+
+    def test_mixed_rates_raise_on_the_engaged_path(self, sirius_pipeline, narrowband):
+        session = AsrSession(sirius_pipeline.serving.services[ASR])
+        wide = Synthesizer(seed=3).synthesize("set my alarm")
+        first, second = chunk_waveform(wide, 0.1)[:2]
+        session.feed(first)
+        session.feed(second)
+        assert session._streaming is not None
+        with pytest.raises(SessionError, match="8000 Hz in a session at 16000 Hz"):
+            session.feed(chunk_waveform(narrowband, 0.1)[0])
+        assert len(session.chunks) == 2
+
+    def test_mixed_rates_raise_on_the_buffered_path(self, wrapped_asr, narrowband):
+        session = AsrSession(wrapped_asr)
+        session.feed(narrowband)
+        with pytest.raises(SessionError, match="16000 Hz in a session at 8000 Hz"):
+            session.feed(np.zeros(160))
+        assert session.finish().error is None
 
 
 # ---------------------------------------------------------------------------
@@ -467,32 +517,120 @@ class TestStreamingGateway:
             StreamingGateway(no_asr)
 
 
+class _CountingQueue:
+    """Stands in for the gateway's bout queue, counting the bouts put on it
+    (not ``close``'s ``None``s) and forwarding everything to the workers."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.bouts = 0
+
+    def put(self, item):
+        self.bouts += item is not None
+        self.inner.put(item)
+
+
 def _submissions(executor, session, **gateway_options):
-    """How many callables the gateway's pool is handed while ``session(gateway)``
-    (a coroutine function) runs on a fresh gateway."""
+    """How many callables the gateway's workers are handed while
+    ``session(gateway)`` (a coroutine function) runs on a fresh gateway."""
 
     async def drive():
         gateway = StreamingGateway(executor, **gateway_options)
-        submit = gateway._pool.submit
-        submitted = []
-
-        def counting_submit(fn, *args, **kwargs):
-            submitted.append(fn)
-            return submit(fn, *args, **kwargs)
-
-        gateway._pool.submit = counting_submit
+        counting = gateway._bouts = _CountingQueue(gateway._bouts)
         try:
             await session(gateway)
         finally:
             gateway.close()
-        return len(submitted)
+        return counting.bouts
 
     return asyncio.run(drive())
 
 
+class TestGatewayWorkers:
+    """The bout hand-off: errors, ``max_workers`` and ``close``."""
+
+    def test_a_bout_error_surfaces_unchanged(self):
+        feed_error = DecodingError("garbled chunk")
+        finish_error = SessionError("stream torn down", service=ASR)
+
+        def failing_feed(chunk):
+            raise feed_error
+
+        def failing_finish():
+            raise finish_error
+
+        async def drive():
+            with StreamingGateway(PlanExecutor(stub_services(), trace_seed=7)) as gateway:
+                handle = gateway.open_session(make_query("hello"))
+                handle.session.feed = failing_feed
+                with pytest.raises(DecodingError) as fed:
+                    await handle.feed(handle.query.audio)
+                handle.session.finish = failing_finish
+                with pytest.raises(SessionError) as finished:
+                    await handle.finish()
+                return fed.value, finished.value
+
+        fed, finished = asyncio.run(drive())
+        assert fed is feed_error and finished is finish_error
+
+    @pytest.mark.parametrize("max_workers", [1, 4])
+    def test_max_workers_bounds_concurrent_bouts(self, max_workers):
+        guard = threading.Lock()
+        running, peak = [0], [0]
+        # With four workers all four bouts must be in flight at once to pass
+        # the barrier; with one, they must never overlap.
+        barrier = threading.Barrier(4, timeout=30) if max_workers == 4 else None
+
+        def bout(chunk):
+            with guard:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            if barrier is not None:
+                barrier.wait()
+            else:
+                time.sleep(0.005)
+            with guard:
+                running[0] -= 1
+            return False
+
+        async def drive():
+            executor = PlanExecutor(stub_services(), trace_seed=7)
+            with StreamingGateway(executor, max_workers=max_workers) as gateway:
+                handles = [gateway.open_session(make_query(f"q{i}")) for i in range(4)]
+                for handle in handles:
+                    handle.session.feed = bout
+                    handle.session.partials = lambda: []
+                await asyncio.gather(*(h.feed(h.query.audio) for h in handles))
+
+        asyncio.run(drive())
+        assert peak[0] == max_workers
+
+    def test_close_leaves_no_live_worker(self, traced_executor, input_set):
+        query = input_set.all_queries[0]
+
+        async def drive(gateway):
+            handle = gateway.open_session(query)
+            for chunk in chunk_waveform(query.audio, 0.1):
+                await handle.feed(chunk)
+            return await handle.finish()
+
+        gateway = StreamingGateway(traced_executor, max_workers=3)
+        assert sum(worker.is_alive() for worker in gateway._workers) == 3
+        response = asyncio.run(drive(gateway))
+        assert response.transcript
+        gateway.close()
+        gateway.close()  # idempotent
+        assert not any(worker.is_alive() for worker in gateway._workers)
+        assert not any(
+            thread.name.startswith("stream-gateway") for thread in threading.enumerate()
+        )
+        with pytest.raises(SessionError, match="closed"):
+            asyncio.run(drive(gateway))
+
+
 class TestOneHopPerOperation:
-    """A gateway operation is one pool submission (``feed`` with its poll,
-    ``poll``, finalization with its downstream stages)."""
+    """A gateway operation is one bout handed to the workers (``feed`` with
+    its poll, ``poll``, finalization with its downstream stages)."""
 
     @pytest.fixture
     def spoken(self, input_set):
