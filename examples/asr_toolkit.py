@@ -1,4 +1,4 @@
-"""ASR toolkit tour: n-best, confidences, rescoring, alignment, robustness.
+"""ASR toolkit tour: n-best, confidences, rescoring, streaming, robustness.
 
 Everything a speech developer would poke at before adopting the recognizer.
 
@@ -15,7 +15,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.asr import (
     BigramLanguageModel,
     Decoder,
-    ForcedAligner,
     Synthesizer,
     TrigramLanguageModel,
     collect_training_data,
@@ -52,11 +51,6 @@ def main() -> None:
     print("\nAfter trigram rescoring:")
     for hypothesis in rescore_nbest(nbest, trigram)[:2]:
         print(f"        {hypothesis.text}")
-
-    print("\nForced alignment:")
-    aligner = ForcedAligner(acoustic)
-    for word in aligner.align(wave, text):
-        print(f"  {word.word:8s} {word.start_time:5.2f}s - {word.end_time:5.2f}s")
 
     print("\nStreaming recognition (partial hypotheses as audio arrives):")
     from repro.asr import StreamingDecoder

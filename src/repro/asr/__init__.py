@@ -5,7 +5,6 @@ The full pipeline: :class:`Synthesizer` (test audio) → :class:`FeatureExtracto
 :class:`Decoder` (HMM Viterbi search with a bigram LM).
 """
 
-from repro.asr.align import ForcedAligner, WordAlignment
 from repro.asr.evaluate import (
     WERResult,
     evaluate_wer,
@@ -42,10 +41,8 @@ from repro.asr.phonemes import N_PHONEMES, PHONEMES, pronounce
 
 __all__ = [
     "BigramLanguageModel",
-    "ForcedAligner",
     "QuantizedDNN",
     "WERResult",
-    "WordAlignment",
     "agreement",
     "evaluate_wer",
     "noise_robustness_sweep",

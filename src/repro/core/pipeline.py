@@ -6,7 +6,7 @@ service records wall time, so the same object drives the latency studies
 (Figures 7/8) and the cycle-breakdown analysis (Figure 9).
 
 Since the serving-layer refactor this class is a thin facade: query
-execution lives in :mod:`repro.serving` (Service wrappers, query-plan DAGs,
+execution lives in :mod:`repro.serving` (Service wrappers, the query walk,
 execution backends), and :meth:`process` / :meth:`process_all` delegate to a
 lazily built :class:`~repro.serving.executor.PlanExecutor` while preserving
 the original observable behaviour exactly.
@@ -51,9 +51,6 @@ class SiriusPipeline:
     qa_engine: QAEngine
     image_database: ImageDatabase
     asr_backend: str = GMM_BACKEND
-    #: Run QA and IMM concurrently for voice-image queries (the Lucida-style
-    #: service-parallel execution; numpy releases the GIL in IMM's hot loops).
-    parallel_services: bool = False
     #: Cached serving-layer executor plus the component identities it wraps
     #: (rebuilt when a component is swapped on a live pipeline).
     _serving: Optional[object] = field(
@@ -123,9 +120,7 @@ class SiriusPipeline:
 
     def process(self, query: IPAQuery) -> SiriusResponse:
         """Run one query through the full pipeline."""
-        return self.serving.run(query, parallel_branches=self.parallel_services)
+        return self.serving.run(query)
 
     def process_all(self, queries: List[IPAQuery]) -> List[SiriusResponse]:
-        return self.serving.run_all(
-            queries, parallel_branches=self.parallel_services
-        )
+        return self.serving.run_all(queries)

@@ -59,7 +59,7 @@ class SiriusResponse:
     matched_image: str = ""       # VIQ: IMM's best database image
     service_seconds: Dict[str, float] = field(default_factory=dict)
     filter_hits: int = 0
-    wall_seconds: float = 0.0  # end-to-end wall time (may be < sum when services overlap)
+    wall_seconds: float = 0.0  # end-to-end wall time (>= the sum: stages run in turn)
     #: True when any service failed and the response was served degraded
     #: (e.g. a VIQ answered without its image match) or not at all.
     degraded: bool = False

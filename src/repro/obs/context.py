@@ -3,8 +3,8 @@
 The serving stack has layers that cannot see each other's signatures — the
 plan executor, resilience wrappers, fault injectors, and the algorithmic
 components' sections all run inside one service call but share no
-parameter channel.  This module is that channel: the executor (or its stage
-hand-off on another thread) activates a tracer for the duration of a call,
+parameter channel.  This module is that channel: the executor (or a
+streaming session's work bout) activates a tracer for the duration of a call,
 and any layer underneath reaches it through :func:`current_tracer` /
 :func:`annotate` / :func:`section` without a new argument threading through
 every ``invoke`` in the repository.
@@ -12,9 +12,10 @@ every ``invoke`` in the repository.
 Depends on nothing above :mod:`repro.obs.trace`, so the algorithmic
 packages (``repro.asr`` / ``repro.qa`` / ``repro.imm``) and
 :mod:`repro.serving.faults` sit below the tracing layer and import this
-module without creating a cycle.  The context is thread-local — worker
-threads and forked workers re-activate their own tracer (see
-``repro.serving.executor.run_handed_off``), which is what keeps span
+module without creating a cycle.  The context is thread-local — a
+streaming session's bouts, which may land on different gateway worker
+threads, re-activate the session's tracer on each (see
+``repro.serving.sessions.AsrSession``), which is what keeps span
 parentage per-thread.
 """
 

@@ -11,9 +11,9 @@ Two consumers, two formats:
   checks.  :func:`read_jsonl` round-trips either flavour.
 - **Chrome trace events** (the ``chrome://tracing`` / Perfetto JSON array
   format) are the visual waterfall: each span becomes a complete ``"X"``
-  event; queries map to pids (one row group per ordinal) and sibling
-  branches under the root map to tids, so a VIQ query's overlapped QA and
-  IMM branches render on separate lanes.
+  event; queries map to pids (one row group per ordinal) and each stage
+  under the root maps to a tid of its own, so sibling spans never share a
+  lane.
 """
 
 from __future__ import annotations

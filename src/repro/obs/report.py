@@ -29,7 +29,6 @@ from repro.obs.timeseries import (
     QUERIES_METRIC,
     SERVICE_METRIC,
     TTFP_METRIC,
-    WAIT_METRIC,
     RollupPanel,
     RollupSnapshot,
     RollupStore,
@@ -61,8 +60,7 @@ def metrics_from_spans(
     """Record a span forest's *measured* latencies on the ordinal clock.
 
     Query spans feed ``serve.e2e.seconds`` and ``serve.queries{status}``;
-    service spans feed ``serve.service.seconds{stage}`` and, where a wait
-    was recorded, ``serve.wait.seconds{stage}``.  Each trace's *first*
+    service spans feed ``serve.service.seconds{stage}``.  Each trace's *first*
     partial span yields one time-to-first-partial sample (partial end
     minus the query root's start).  Attempt/section spans are structure,
     not samples — retries would double-count their stage.
@@ -79,8 +77,6 @@ def metrics_from_spans(
         elif span.kind == SERVICE:
             stage = span.service or span.name
             store.observe(SERVICE_METRIC, t, span.duration, stage=stage)
-            if span.wait:
-                store.observe(WAIT_METRIC, t, span.wait, stage=stage)
         elif span.kind == PARTIAL:
             store.inc(PARTIALS_METRIC, t)
             trace = span.trace_id

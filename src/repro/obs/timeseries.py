@@ -35,9 +35,9 @@ boundaries and checks exactly this).
 byte-identical across backends.
 
 **What is complete where.**  The process backend forks, so an observation
-made *inside* ``PlanExecutor.run`` (stage hand-off waits, router
-wait/depth) lands in the worker's copy of the store and is complete on
-the ``serial`` and ``thread`` backends only.  Everything recorded
+made *inside* ``PlanExecutor.run`` (router wait/depth) lands in the
+worker's copy of the store and is complete on the ``serial`` and
+``thread`` backends only.  Everything recorded
 parent-side from the returned responses — ``run_all``, ``Cluster.run_all``
 and the gateway, through :func:`record_response` and the span projection
 — is complete on every backend.
@@ -379,7 +379,7 @@ SHARD_FAILURES_METRIC = "serve.shard.failures"
 STAGE_VIRTUAL_METRIC = "serve.stage.virtual_seconds"  # {stage}
 BREAKER_OPEN_METRIC = "serve.breaker.open"
 E2E_METRIC = "serve.e2e.seconds"
-WAIT_METRIC = "serve.wait.seconds"                  # {stage}
+WAIT_METRIC = "serve.wait.seconds"
 SERVICE_METRIC = "serve.service.seconds"            # {stage}
 TTFP_METRIC = "serve.ttfp.seconds"
 REPLICAS_METRIC = "serve.autoscaler.replicas"

@@ -42,7 +42,7 @@ from typing import Any, ContextManager, Dict, Iterator, List, Optional, Sequence
 from repro.errors import SiriusError, TraceError
 
 #: Span kinds emitted by the serving stack.
-QUERY = "query"      #: root span: one whole query through its plan
+QUERY = "query"      #: root span: one whole query through its walk
 SERVICE = "service"  #: one service stage (ASR / classify / QA / IMM)
 ATTEMPT = "attempt"  #: one resilience retry attempt (or breaker rejection)
 SECTION = "section"  #: one component section (:func:`repro.obs.context.section`)
@@ -155,8 +155,8 @@ class Tracer:
     thread nests its own spans, which is exactly the execution model of the
     serving backends.  Same-named spans opened concurrently under the same
     parent would race for sibling indices; the serving stack never does
-    that (parallel branches have distinct service names, and queries have
-    distinct traces), and the contract is documented rather than policed.
+    that (a query's stages run one at a time, and queries have distinct
+    traces), and the contract is documented rather than policed.
     """
 
     def __init__(self, seed: int = 0, clock=time.perf_counter):
@@ -198,11 +198,11 @@ class Tracer:
     def resume(cls, context: TraceContext, clock=time.perf_counter) -> "Tracer":
         """A fresh tracer whose spans nest under a remote parent span.
 
-        Used by the stage bracket when a stage runs away from its query's
-        tracer (a branch thread, a streaming session): spans recorded here
-        are shipped back and adopted by the parent tracer.
+        Used when a stage runs away from its query's tracer (a streaming
+        session): spans recorded here are shipped back and adopted by the
+        parent tracer.
         Sibling counters start at zero, which is correct because the parent
-        process never creates children under the handed-off span itself.
+        process never creates children under the resumed span itself.
         """
         tracer = cls(seed=context.seed, clock=clock)
         tracer._stack().append(

@@ -1,4 +1,4 @@
-"""Service-oriented serving layer: Service envelopes, query plans, backends.
+"""Service-oriented serving layer: Service envelopes, the query walk, backends.
 
 The paper's headline results treat Sirius as a set of datacenter services
 (per-service latency, M/M/1 queueing, throughput at load).  This package
@@ -7,14 +7,12 @@ gives the reproduction that architecture explicitly:
 - :mod:`repro.serving.service` — the uniform :class:`Service` interface
   (``invoke`` on a typed request envelope, ``warmup()``) with
   ASR/QA/IMM/classifier wrappers;
-- :mod:`repro.serving.plan` — the query planner compiling each
-  :class:`~repro.core.query.QueryType` into a DAG of service stages;
 - :mod:`repro.serving.backends` — the execution-backend registry
   (``serial`` / ``thread`` / ``process``) shared with
   :mod:`repro.suite.parallel`;
-- :mod:`repro.serving.executor` — the plan executor, with bounded
-  concurrency, whole-query fan-out over any backend, and graceful
-  degradation when a service fails;
+- :mod:`repro.serving.executor` — the plan executor: one walk per query
+  (ASR, classify, IMM for an image, QA unless a voice command), whole-query
+  fan-out over any backend, and graceful degradation when a service fails;
 - :mod:`repro.serving.resilience` — deadlines, bounded seeded-jitter
   retries, and per-service circuit breakers applied by the
   :class:`ResilientService` decorator;
@@ -46,7 +44,6 @@ from repro.serving.backends import (
     get_backend,
     register_backend,
 )
-from repro.serving.plan import GUARDS, PlanStage, QueryPlan, compile_plan, full_plan
 from repro.serving.service import (
     ASR,
     CLASSIFY,
@@ -114,14 +111,11 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultRule",
-    "GUARDS",
     "GatewaySession",
     "ImmService",
     "PlanExecutor",
-    "PlanStage",
     "ProcessBackend",
     "QaService",
-    "QueryPlan",
     "ResiliencePolicy",
     "ResilientService",
     "RetryPolicy",
@@ -137,12 +131,10 @@ __all__ = [
     "build_executor",
     "charge_virtual_seconds",
     "chunk_waveform",
-    "compile_plan",
     "default_chaos_plan",
     "default_policies",
     "default_workers",
     "drain_virtual_seconds",
-    "full_plan",
     "get_backend",
     "register_backend",
     "resilient_executor",

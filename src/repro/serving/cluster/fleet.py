@@ -170,7 +170,6 @@ class Cluster:
         queries: Sequence[IPAQuery],
         backend: str = "serial",
         workers: Optional[int] = None,
-        parallel_branches: bool = False,
     ) -> List[SiriusResponse]:
         """Serve a query stream through the routed fleet.
 
@@ -204,7 +203,6 @@ class Cluster:
                 queries[ordinal],
                 ordinal=ordinal,
                 on_error=DEGRADE,
-                parallel_branches=parallel_branches,
                 router_ticket=ticket,
             )
 

@@ -1,24 +1,22 @@
-"""Plan executor: runs query plans over services with pluggable backends.
+"""Plan executor: runs each query through the services, with pluggable backends.
 
 One executor replaces the three ad-hoc execution paths the monolithic
 pipeline accumulated (serial branching, the VIQ thread fork, the
-list-comprehension ``process_all``) with a single walk over a
-:class:`~repro.serving.plan.QueryPlan`:
+list-comprehension ``process_all``) with one walk over the paper's fixed
+sequence (Figure 2, Table 1):
 
-- **per-query** (:meth:`PlanExecutor.run`): stages execute level by level;
-  when a level holds several runnable stages and ``parallel_branches`` is
-  set, the branches overlap on threads (the Lucida-style VIQ
-  optimization), each under its own resumed tracer, adopted afterwards.
+- **per query** (:meth:`PlanExecutor.run`): ASR, then classify, then IMM
+  when the query carries an image, then QA unless the query is a pure
+  voice command — in that order, one stage at a time;
 - **across queries** (:meth:`PlanExecutor.run_all`): whole queries fan out
   over any registered execution backend (``serial`` / ``thread`` /
   ``process``).
 
 Instrumentation is uniform: every stage is reported as a
 :class:`~repro.serving.service.StageOutcome` by :func:`run_stage`, the one
-stage bracket — called in place for a serial stage, through
-:func:`run_handed_off` on a pool thread for a threaded branch, and once
-per work bout by a streaming session ahead of ``run()`` — and enters the
-query's accounting through the single :meth:`PlanExecutor._absorb`.
+stage bracket — called in place by the walk, and once per work bout by a
+streaming session ahead of ``run()`` — and enters the query's accounting
+through the single :meth:`PlanExecutor._absorb`.
 
 **Graceful degradation.**  A stage failure (any :class:`~repro.errors.
 SiriusError`, typically a coded :class:`~repro.errors.ServiceError` from a
@@ -40,7 +38,6 @@ Every degraded or failed response carries ``degraded=True`` and a
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -51,14 +48,12 @@ from repro.obs.context import section, use_tracer
 from repro.obs.timeseries import (
     DEPTH_METRIC,
     ROUTER_WAIT_METRIC,
-    WAIT_METRIC,
     RollupStore,
     record_responses,
 )
 from repro.obs.trace import ROUTER, SERVICE, Span, Tracer
 from repro.serving.backends import get_backend
 from repro.serving.faults import drain_virtual_seconds
-from repro.serving.plan import QueryPlan, PlanStage, full_plan
 from repro.serving.service import (
     ASR,
     CLASSIFY,
@@ -80,7 +75,7 @@ DEGRADE = "degrade"
 
 @dataclass
 class ExecutionState:
-    """Per-query scratchpad the guards and request builders read."""
+    """Per-query scratchpad the walk reads and each stage writes."""
 
     query: IPAQuery
     wall_start: float
@@ -95,40 +90,10 @@ class ExecutionState:
     fatal_error: Optional[SiriusError] = None
     #: Injected virtual latency accumulated across this query's stages.
     virtual_seconds: float = 0.0
-    #: This query's tracer / open root span / picklable parent coordinates
-    #: (all ``None`` when the executor runs untraced).
+    #: This query's tracer and open root span (both ``None`` when the
+    #: executor runs untraced).
     tracer: Any = None
     root_span: Any = None
-    trace_ctx: Any = None
-
-
-def _asr_request(state: ExecutionState) -> ServiceRequest:
-    return ServiceRequest(
-        payload=state.query.audio, query=state.query, ordinal=state.ordinal,
-        trace=state.trace_ctx, admitted_at=time.perf_counter(),
-    )
-
-
-def _text_request(state: ExecutionState) -> ServiceRequest:
-    return ServiceRequest(
-        payload=state.transcript, query=state.query, ordinal=state.ordinal,
-        trace=state.trace_ctx, admitted_at=time.perf_counter(),
-    )
-
-
-def _image_request(state: ExecutionState) -> ServiceRequest:
-    return ServiceRequest(
-        payload=state.query.image, query=state.query, ordinal=state.ordinal,
-        trace=state.trace_ctx, admitted_at=time.perf_counter(),
-    )
-
-
-_REQUEST_BUILDERS: Dict[str, Callable[[ExecutionState], ServiceRequest]] = {
-    ASR: _asr_request,
-    CLASSIFY: _text_request,
-    QA: _text_request,
-    IMM: _image_request,
-}
 
 
 @dataclass(frozen=True)
@@ -179,7 +144,6 @@ def run_stage(
     call: Callable[[], Any],
     record: bool,
     tracer: Optional[Tracer] = None,
-    wait: float = 0.0,
 ) -> StageOutcome:
     """The stage bracket: run ``call`` for ``service`` and account for it.
 
@@ -191,9 +155,8 @@ def run_stage(
     :class:`~repro.errors.SiriusError` instead of raising, drains again and
     closes the span.  ``seconds`` is one clock bracket around ``call`` when
     the stage is recorded (0 otherwise) plus the virtual latency charged
-    meanwhile; ``wait`` is a hand-off's measured admission-to-start delay,
-    stamped on the span and never added to ``seconds``.  Serial stages,
-    threaded branches and session bouts all account through here.
+    meanwhile.  The walk's stages and session bouts both account through
+    here.
     """
     span = begin_service_span(tracer, service) if tracer is not None else None
     drain_virtual_seconds()
@@ -208,38 +171,13 @@ def run_stage(
         elapsed = time.perf_counter() - start
     virtual = drain_virtual_seconds()
     if span is not None:
-        span.wait = wait
         end_span(tracer, span, error, virtual)
     return StageOutcome(
         payload=payload,
         error=error,
         seconds=(elapsed if record else 0.0) + virtual,
         virtual_seconds=virtual,
-        wait_seconds=wait,
     )
-
-
-def run_handed_off(
-    service: Service, request: ServiceRequest, record: bool
-) -> StageOutcome:
-    """:func:`run_stage` away from the query's own tracer (a branch thread).
-
-    The trace is *resumed* from the request's coordinates, not shared
-    (open-span stacks are per thread; resumed IDs are the serial walk's);
-    its spans travel home on the outcome with the measured
-    admission-to-start wait.
-    """
-    tracer = Tracer.resume(request.trace) if request.trace is not None else None
-    wait = 0.0
-    if request.admitted_at is not None:
-        wait = max(time.perf_counter() - request.admitted_at, 0.0)
-    with use_tracer(tracer) if tracer is not None else nullcontext():
-        outcome = run_stage(
-            service, lambda: service.invoke(request), record, tracer, wait
-        )
-    if tracer is not None:
-        outcome.spans = tracer.finish()
-    return outcome
 
 
 def begin_router_span(tracer: Tracer, ticket: RouterTicket) -> Span:
@@ -278,33 +216,28 @@ def failed_response(
 
 
 class PlanExecutor:
-    """Runs :class:`QueryPlan` DAGs over a registry of services."""
+    """Walks each query through a registry of the four services."""
 
     def __init__(
         self,
         services: Dict[str, Service],
-        plan: Optional[QueryPlan] = None,
         trace_seed: Optional[int] = None,
         metrics: Optional[RollupStore] = None,
     ):
         self.services = dict(services)
-        self.plan = plan if plan is not None else full_plan()
         #: ``None`` disables tracing; any int seeds deterministic span IDs
         #: (chaos replays with the same seed export identical span forests).
         self.trace_seed = trace_seed
         #: Optional :class:`~repro.obs.timeseries.RollupStore` that
-        #: ``run_all`` records *measured* e2e / per-stage / wait seconds
-        #: into, on the stream-ordinal clock.
+        #: ``run_all`` records *measured* e2e / per-stage seconds into (and
+        #: ``run`` a router's wait and queue depth), on the stream-ordinal
+        #: clock.
         self.metrics = metrics
-        for stage in self.plan.stages:
-            if stage.service not in self.services:
+        for name in (ASR, CLASSIFY, IMM, QA):
+            if name not in self.services:
                 raise ConfigurationError(
-                    f"plan stage {stage.name!r} needs service {stage.service!r}, "
-                    f"which is not registered (have: {sorted(self.services)})"
-                )
-            if stage.service not in _REQUEST_BUILDERS:
-                raise ConfigurationError(
-                    f"no request builder for service {stage.service!r}"
+                    f"the query walk needs service {name!r}, which is not "
+                    f"registered (have: {sorted(self.services)})"
                 )
 
     def warmup(self) -> None:
@@ -317,14 +250,17 @@ class PlanExecutor:
     def run(
         self,
         query: IPAQuery,
-        parallel_branches: bool = False,
         ordinal: int = 0,
         on_error: str = RAISE,
         precomputed: Optional[Dict[str, Any]] = None,
         wall_start: Optional[float] = None,
         router_ticket: Optional[RouterTicket] = None,
     ) -> SiriusResponse:
-        """Run one query through :attr:`plan` and assemble the response.
+        """Walk one query through the services and assemble the response.
+
+        ASR, then classify, then IMM when the query carries an image, then
+        QA unless the query is a pure voice command (an action with no
+        image, echoed back to the device).
 
         A degradable (QA/IMM) failure always yields a degraded response; a
         fatal (ASR/classify) failure re-raises under ``on_error="raise"``
@@ -334,7 +270,7 @@ class PlanExecutor:
         service.StageOutcome` objects a streaming session already
         produced: those stages are *absorbed* (spans adopted, failures
         classified) instead of executed, and the rest of
-        the plan runs normally — how the gateway fires classify/QA/IMM off
+        the walk runs normally — how the gateway fires classify/QA/IMM off
         a finished ASR session.  ``wall_start`` backdates the query's clock
         (and its root span) to when the session opened, so ``wall_seconds``
         and time-to-first-partial measure from first audio, not from
@@ -348,7 +284,7 @@ class PlanExecutor:
         into any service's self time.
         """
         _check_on_error(on_error)
-        precomputed = dict(precomputed) if precomputed else {}
+        precomputed = precomputed or {}
         if (
             wall_start is None
             and router_ticket is not None
@@ -374,22 +310,14 @@ class PlanExecutor:
         )
         try:
             with ambient:
-                for level in self.plan.levels():
-                    runnable = [stage for stage in level if stage.guard()(state)]
-                    ready = [s for s in runnable if s.service in precomputed]
-                    live = [s for s in runnable if s.service not in precomputed]
-                    for stage in ready:
-                        self._absorb(stage, state, precomputed[stage.service])
-                    if parallel_branches and len(live) > 1:
-                        self._run_level_threaded(live, state)
-                    else:
-                        for stage in live:
-                            self._run_stage(stage, state)
-        except SiriusError as exc:
+                self._stage(ASR, state, precomputed, query.audio)
+                self._stage(CLASSIFY, state, precomputed, state.transcript)
+                if query.image is not None:
+                    self._stage(IMM, state, precomputed, query.image)
+                if not (state.classification.is_action and query.image is None):
+                    self._stage(QA, state, precomputed, state.transcript)
+        except SiriusError:
             if on_error == RAISE or state.fatal_error is None:
-                if state.tracer is not None:
-                    state.tracer.end_span(state.root_span, exc)
-                    exc.__sirius_spans__ = state.tracer.finish()
                 raise
         return self._build_response(state)
 
@@ -431,79 +359,60 @@ class PlanExecutor:
             return
         state.tracer = Tracer(seed=self.trace_seed)
         state.root_span = state.tracer.begin_trace(state.ordinal)
-        state.trace_ctx = state.tracer.context()
 
-    def _request(self, stage: PlanStage, state: ExecutionState) -> ServiceRequest:
-        return _REQUEST_BUILDERS[stage.service](state)
+    def _stage(
+        self,
+        name: str,
+        state: ExecutionState,
+        precomputed: Dict[str, StageOutcome],
+        payload: Any,
+    ) -> None:
+        """One step of the walk: absorb the stage's precomputed outcome, or
+        run it in place under the query's own tracer with ``payload`` as
+        its request.  Classification is glue, not one of the paper's
+        measured services: it runs un-sectioned and credits no
+        ``service_seconds``."""
+        outcome = precomputed.get(name)
+        if outcome is None:
+            service = self.services[name]
+            request = ServiceRequest(
+                payload=payload, query=state.query, ordinal=state.ordinal
+            )
+            outcome = run_stage(
+                service, lambda: service.invoke(request), name != CLASSIFY,
+                state.tracer,
+            )
+        self._absorb(name, state, outcome)
 
     def _absorb(
-        self, stage: PlanStage, state: ExecutionState, outcome: StageOutcome
+        self, name: str, state: ExecutionState, outcome: StageOutcome
     ) -> None:
         """Fold one stage's outcome into the query's accounting.
 
         The single entry point for stage results, wherever they came from:
         adopt spans recorded off the query's tracer (a failed stage keeps
         the sections it got through, as it does when it runs under the
-        query's own), observe a hand-off's measured wait, add virtual
-        latency, classify a captured failure (fatal services re-raise, the
-        others degrade), and otherwise credit ``service_seconds`` and
-        publish the payload to later stages.
+        query's own), add virtual latency, classify a captured failure
+        (fatal services re-raise, the others degrade), and otherwise credit
+        ``service_seconds`` and publish the payload to later stages.
         """
-        service = self.services[stage.service]
+        label = self.services[name].label
         if state.tracer is not None:
             state.tracer.adopt(outcome.spans)
-        if self.metrics is not None and outcome.wait_seconds > 0:
-            self.metrics.observe(
-                WAIT_METRIC, float(state.ordinal), outcome.wait_seconds,
-                stage=service.label,
-            )
         state.virtual_seconds += outcome.virtual_seconds
         if outcome.error is not None:
-            state.failures[service.label] = outcome.error.code
-            if stage.service in FATAL_SERVICES:
+            state.failures[label] = outcome.error.code
+            if name in FATAL_SERVICES:
                 state.fatal_error = outcome.error
                 raise outcome.error
             return
-        if stage.record:
-            state.service_seconds[service.label] = outcome.seconds
-        state.results[stage.name] = outcome.payload
-        if stage.service == ASR:
+        if name != CLASSIFY:
+            state.service_seconds[label] = outcome.seconds
+        state.results[name] = outcome.payload
+        if name == ASR:
             state.transcript = outcome.payload.text
-        elif stage.service == CLASSIFY:
+        elif name == CLASSIFY:
             state.classification = outcome.payload
-
-    def _run_stage(self, stage: PlanStage, state: ExecutionState) -> None:
-        """Serial stage execution under the query's own tracer."""
-        service = self.services[stage.service]
-        request = self._request(stage, state)
-        outcome = run_stage(
-            service, lambda: service.invoke(request), stage.record, state.tracer
-        )
-        self._absorb(stage, state, outcome)
-
-    def _run_level_threaded(
-        self, stages: Sequence[PlanStage], state: ExecutionState
-    ) -> None:
-        """Overlap one level's independent stages on threads.
-
-        Each branch is :func:`run_handed_off`; outcomes are absorbed in
-        declaration order, so accounting and span forest are the serial
-        walk's.  A branch failure degrades that branch alone — the
-        sibling's result is kept either way.
-        """
-        with ThreadPoolExecutor(max_workers=len(stages)) as pool:
-            futures = [
-                pool.submit(
-                    run_handed_off,
-                    self.services[stage.service],
-                    self._request(stage, state),
-                    stage.record,
-                )
-                for stage in stages
-            ]
-            outcomes = [future.result() for future in futures]
-        for stage, outcome in zip(stages, outcomes):
-            self._absorb(stage, state, outcome)
 
     def _build_response(self, state: ExecutionState) -> SiriusResponse:
         """Assemble the response; when traced, close and attach the trace."""
@@ -571,7 +480,6 @@ class PlanExecutor:
         queries: Sequence[IPAQuery],
         backend: str = "serial",
         workers: Optional[int] = None,
-        parallel_branches: bool = False,
         on_error: str = RAISE,
     ) -> List[SiriusResponse]:
         """Process a stream of queries.
@@ -587,12 +495,7 @@ class PlanExecutor:
 
         def run_one(item) -> SiriusResponse:
             index, query = item
-            return self.run(
-                query,
-                parallel_branches=parallel_branches,
-                ordinal=index,
-                on_error=on_error,
-            )
+            return self.run(query, ordinal=index, on_error=on_error)
 
         responses = get_backend(backend).map(
             run_one, list(enumerate(queries)), workers=workers
@@ -607,7 +510,6 @@ def build_executor(
     classifier,
     qa_engine,
     image_database,
-    plan: Optional[QueryPlan] = None,
     trace_seed: Optional[int] = None,
     metrics: Optional[RollupStore] = None,
 ) -> PlanExecutor:
@@ -625,6 +527,4 @@ def build_executor(
         QA: QaService(qa_engine),
         IMM: ImmService(image_database),
     }
-    return PlanExecutor(
-        services, plan=plan, trace_seed=trace_seed, metrics=metrics
-    )
+    return PlanExecutor(services, trace_seed=trace_seed, metrics=metrics)

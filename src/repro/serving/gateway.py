@@ -17,7 +17,7 @@ sessions over one event loop:
   blocks, which is the whole point of an async front door (and what
   statcheck's SC801 async-hygiene rule checks);
 - the moment the VAD endpointer closes an utterance, the gateway fires
-  the downstream plan stages (classify → QA/IMM) as a background task
+  the rest of the query walk (classify → IMM/QA) as a background task
   while other sessions' audio is still arriving; ``finish()`` merely
   awaits that task;
 - ``cancel()`` is barge-in: the utterance is abandoned, the session's
@@ -28,8 +28,8 @@ Per-session work bouts are serialized by an ``asyncio.Lock`` (sessions are
 not thread-safe; *different* sessions overlap freely on the workers), and
 time-to-first-partial is observed into ``executor.metrics`` at the first
 non-empty partial — the TTFP column next to end-to-end latency in
-``repro trace-report``.  Downstream runs ``executor.plan`` and degrades on
-a failure, as ``run_all(on_error="degrade")`` does.
+``repro trace-report``.  Downstream runs the executor's walk and degrades
+on a failure, as ``run_all(on_error="degrade")`` does.
 """
 
 from __future__ import annotations
@@ -208,9 +208,6 @@ class StreamingGateway:
             )
         self.executor = executor
         self.poll_on_feed = poll_on_feed
-        self._asr_record = next(
-            (s.record for s in executor.plan.stages if s.service == ASR), True
-        )
         self._next_ordinal = 0
         self._bouts: "queue.SimpleQueue[Optional[_Bout]]" = queue.SimpleQueue()
         self._closed = False
@@ -235,7 +232,6 @@ class StreamingGateway:
             query=query,
             ordinal=ordinal,
             seed=self.executor.trace_seed,
-            record=self._asr_record,
         )
         return GatewaySession(self, session, query, ordinal)
 

@@ -468,7 +468,6 @@ def resilient_executor(executor, policies: Optional[PolicySpec] = None,
 
     return PlanExecutor(
         wrap_services(executor.services, policies, fault_plan),
-        plan=executor.plan,
         trace_seed=executor.trace_seed,
         metrics=executor.metrics,
     )

@@ -5,7 +5,8 @@ latency measurement (Figs 7/8), queueing (Fig 17), and provisioning
 (Tables 8/9).  This module gives each of them one shape: ``invoke`` on a
 typed request envelope, a ``warmup()`` hook for lazy state (index builds,
 first-call caches), and :class:`StageOutcome` — one stage's result in the
-plan executor's accounting terms, whichever way the stage ran.  Every
+plan executor's accounting terms, whether the walk ran it in place or a
+streaming session ran it ahead of the walk.  Every
 call is measured by the executor's stage bracket
 (:func:`repro.serving.executor.run_stage`), never by the service itself.
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.errors import SiriusError
-from repro.obs.trace import Span, TraceContext
+from repro.obs.trace import Span
 
 #: Canonical service registry keys (also the stage section names).
 ASR = "asr"
@@ -43,44 +44,30 @@ class ServiceRequest:
     ``attempt`` the retry attempt number — together the deterministic key
     the resilience layer uses to seed jitter and replay injected faults
     identically on every backend (see :mod:`repro.serving.faults`).
-
-    ``trace`` carries the parent span's picklable coordinates when the
-    call is part of a traced query: a stage handed to another thread
-    resumes the trace there and ships the recorded spans back on its
-    outcome (see :mod:`repro.obs.trace`).  ``admitted_at`` is the
-    dispatcher's ``perf_counter`` reading at hand-off, so the receiving
-    side can measure queueing delay (``wait_seconds``) separately from
-    service time.
     """
 
     payload: Any
     query: Any = None
     ordinal: int = 0
     attempt: int = 0
-    trace: Optional[TraceContext] = None
-    admitted_at: Optional[float] = None
 
 
 @dataclass
 class StageOutcome:
-    """One plan stage's result, in the executor's own accounting terms.
+    """One stage's result, in the executor's own accounting terms.
 
     Built by :func:`repro.serving.executor.run_stage` wherever the stage
-    ran — in place, on a branch thread, or as a streaming session's bouts
-    ahead of ``run()`` — for :meth:`PlanExecutor._absorb`.  ``seconds`` is what
+    ran — in place by the walk, or as a streaming session's bouts ahead of
+    ``run()`` — for :meth:`PlanExecutor._absorb`.  ``seconds`` is what
     ``service_seconds`` records (measured time plus virtual latency);
-    ``spans`` carries what a branch's or session's *private* tracer
-    recorded, and stays empty when the stage ran directly under the
-    query's own.
+    ``spans`` carries what a session's *private* tracer recorded, and
+    stays empty when the stage ran directly under the query's own.
     """
 
     payload: Any = None
     error: Optional[SiriusError] = None
     seconds: float = 0.0
     virtual_seconds: float = 0.0
-    #: Admission-to-start delay, measured only when the stage was handed
-    #: to another thread (0 for a stage run in place).
-    wait_seconds: float = 0.0
     spans: Tuple[Span, ...] = ()
 
 
@@ -120,9 +107,8 @@ class ClassifierService(Service):
     """Query classification (action vs. question).
 
     Classification is glue, not one of the paper's measured services, so
-    the default query plans mark its stage ``record=False`` — it runs
-    un-sectioned and contributes no ``service_seconds`` entry, exactly as
-    the monolithic pipeline behaved.
+    the executor's walk runs it un-sectioned and it contributes no
+    ``service_seconds`` entry, exactly as the monolithic pipeline behaved.
     """
 
     name = CLASSIFY

@@ -106,12 +106,10 @@ class AsrSession:
         query: Any = None,
         ordinal: int = 0,
         seed: Optional[int] = None,
-        record: bool = True,
     ):
         self.service = service
         self.query = query
         self.ordinal = ordinal
-        self.record = record
         self.state = LISTENING
         self.opened_at = time.perf_counter()
         self.chunks: List[Waveform] = []
@@ -323,7 +321,7 @@ class AsrSession:
         totals; a captured error is the caller's to surface.
         """
         with self._bout():
-            bout = run_stage(self.service, call, self.record)
+            bout = run_stage(self.service, call, True)
         self._seconds += bout.seconds
         self._virtual += bout.virtual_seconds
         return bout
@@ -352,16 +350,15 @@ class AsrSession:
     def _finalize(self) -> StageOutcome:
         if self._streaming is None:
             # Never engaged (or a wrapped service): one batch invoke, as
-            # ``PlanExecutor._run_stage`` makes it.  The request carries the
-            # session's ordinal (attempt/fault keys) but no ``TraceContext``:
-            # the call runs in-thread under the ambient tracer, so
-            # resilience attempt spans and component sections nest under
-            # the session's service span.
+            # ``PlanExecutor._stage`` makes it.  The request carries the
+            # session's ordinal (attempt/fault keys); the call runs
+            # in-thread under the ambient tracer, so resilience attempt
+            # spans and component sections nest under the session's
+            # service span.
             request = ServiceRequest(
                 payload=_concat_waveforms(self.chunks),
                 query=self.query,
                 ordinal=self.ordinal,
-                admitted_at=time.perf_counter(),
             )
             return self._close(
                 self._run_bout(lambda: self.service.invoke(request))

@@ -1,17 +1,11 @@
-"""Integration tests for the newer features: persistence, parallel services,
-ranker choice, and the response latency semantics."""
+"""Integration tests for the newer features: persistence, ranker choice,
+and the response latency semantics."""
 
-import threading
-
-import numpy as np
 import pytest
 
-from repro.core import IPAQuery, SiriusPipeline
 from repro.errors import ImageError
 from repro.imm import ImageDatabase, SceneGenerator
-from repro.serving import IMM, QA
 from repro.websearch import Corpus, SearchEngine
-from tests.conformance.stubs import StubImm, StubQa
 
 
 class TestImageDatabasePersistence:
@@ -49,59 +43,6 @@ class TestImageDatabasePersistence:
         restored = ImageDatabase.load(path)
         restored.add(generator.scene(5))
         assert restored.n_images == 3
-
-
-class TestParallelServices:
-    def test_parallel_viq_same_answers(self, sirius_pipeline, input_set):
-        parallel = SiriusPipeline(
-            decoder=sirius_pipeline.decoder,
-            classifier=sirius_pipeline.classifier,
-            qa_engine=sirius_pipeline.qa_engine,
-            image_database=sirius_pipeline.image_database,
-            parallel_services=True,
-        )
-        for query in input_set.voice_image_queries[:3]:
-            serial_response = sirius_pipeline.process(query)
-            parallel_response = parallel.process(query)
-            assert parallel_response.answer == serial_response.answer
-            assert parallel_response.matched_image == serial_response.matched_image
-            assert set(parallel_response.service_seconds) == {"ASR", "QA", "IMM"}
-
-    @staticmethod
-    def meeting_pipeline(sirius_pipeline, parallel_services, timeout):
-        """The pipeline with QA and IMM swapped for stubs that wait for each other."""
-        pipeline = SiriusPipeline(
-            decoder=sirius_pipeline.decoder,
-            classifier=sirius_pipeline.classifier,
-            qa_engine=sirius_pipeline.qa_engine,
-            image_database=sirius_pipeline.image_database,
-            parallel_services=parallel_services,
-        )
-        barrier = threading.Barrier(2)
-
-        def meet(stub):
-            class Meeting(stub):
-                def invoke(self, request):
-                    barrier.wait(timeout)
-                    return super().invoke(request)
-
-            return Meeting()
-
-        pipeline.serving.services[QA] = meet(StubQa)
-        pipeline.serving.services[IMM] = meet(StubImm)
-        return pipeline
-
-    def test_parallel_wall_time_below_service_sum(self, sirius_pipeline, input_set):
-        # "Did the two branches overlap" asked without a clock: each stub
-        # returns only once the other is in flight too.
-        query = input_set.voice_image_queries[0]
-        response = self.meeting_pipeline(sirius_pipeline, True, timeout=30.0).process(query)
-        assert response.answer.startswith("answer to ")
-        assert response.matched_image == "stub-scene"
-        assert set(response.service_seconds) == {"ASR", "QA", "IMM"}
-        # The serial walk runs one branch to completion first: nobody to meet.
-        with pytest.raises(threading.BrokenBarrierError):
-            self.meeting_pipeline(sirius_pipeline, False, timeout=0.2).process(query)
 
 
 class TestLatencySemantics:

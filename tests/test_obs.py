@@ -8,8 +8,9 @@ Four tiers:
   exact snapshot/merge protocol;
 - executor integration over module-level picklable stubs: the same span
   forest (IDs, parentage, attributes) on every backend, attempt spans and
-  fault annotations under resilience wrappers, wait times of threaded branches,
-  and byte-identical deterministic exports across chaos replays;
+  fault annotations under resilience wrappers, virtual latency and sections
+  kept through a failed stage, and byte-identical deterministic exports
+  across chaos replays;
 - the ``trace-report`` CLI end-to-end, with its percentiles checked
   against an independent numpy computation over the raw span durations.
 """
@@ -74,7 +75,7 @@ from repro.serving import (
     resilient_executor,
 )
 from repro.serving.cluster import replay_cluster
-from repro.serving.executor import run_handed_off
+from repro.serving.executor import run_stage
 from repro.serving.identity import span_fingerprint
 from repro.serving.faults import ERROR, LATENCY, charge_virtual_seconds
 
@@ -498,52 +499,24 @@ class TestExecutorTracing:
         assert root.error_code == "INJECTED"
         assert root.attributes["failed"] is True
 
-    def test_threaded_branches_measure_wait(self):
-        store = RollupStore()
-        executor = PlanExecutor(stub_services(), trace_seed=7,
-                                metrics=store)
-        responses = executor.run_all(make_queries(4), parallel_branches=True)
-        spans = collect_spans(responses)
-        stage_spans = [s for s in spans if s.kind == SERVICE]
-        assert stage_spans and all(s.wait >= 0 for s in stage_spans)
-        # Queries 0 and 2 carry an image, so their IMM and QA branches fork
-        # onto threads — the dispatch that measures admission-to-start wait.
-        assert series(store, "serve.wait.seconds", stage="QA").observed == 2
-        assert series(store, "serve.wait.seconds", stage="IMM").observed == 2
-        assert series(store, "serve.e2e.seconds").observed == 4
-        assert store.snapshot().counter_total("serve.queries", status="ok") == 4
-
-    def test_threaded_branches_account_like_serial(self):
-        # Both branches of a VIQ carry injected latency.  The threaded walk
-        # used to go through a second bracket that dropped it from the
-        # query (a stage outlasting its query) along with the qa/imm
-        # sections and their spans.
+    def test_stage_latency_sums_onto_the_root(self):
+        # Both stages after classification carry injected latency: the root
+        # charges their sum, and each keeps its section.
         plan = FaultPlan(seed=0, rules={
             QA: (FaultRule(kind=LATENCY, seconds=5.0),),
             IMM: (FaultRule(kind=LATENCY, seconds=2.0),),
         })
-        query = make_query("hello", with_image=True)
+        services = {name: FaultInjector(service, plan)
+                    for name, service in stub_services().items()}
+        response = PlanExecutor(services, trace_seed=7).run(
+            make_query("hello", with_image=True)
+        )
+        root = next(s for s in response.spans if s.kind == QUERY)
+        assert root.attributes["virtual_seconds"] == 7.0
+        assert response.wall_seconds >= 7.0
+        assert {"qa", "imm"} <= section_names(response)
 
-        def run(**kwargs):
-            services = {name: FaultInjector(service, plan)
-                        for name, service in stub_services().items()}
-            return PlanExecutor(services, trace_seed=7).run(query, **kwargs)
-
-        def root_virtual(response):
-            root = next(s for s in response.spans if s.kind == QUERY)
-            return root.attributes.get("virtual_seconds")
-
-        serial, threaded = run(), run(parallel_branches=True)
-        assert root_virtual(serial) == 7.0
-        assert root_virtual(threaded) == root_virtual(serial)
-        assert threaded.wall_seconds >= 7.0
-        for label in ("QA", "IMM"):
-            assert threaded.service_seconds[label] <= threaded.wall_seconds
-        assert section_names(threaded) == section_names(serial)
-        assert {"qa", "imm"} <= section_names(threaded)
-        assert span_fingerprint([threaded]) == span_fingerprint([serial])
-
-    def test_threaded_branch_error_keeps_virtual_seconds(self):
+    def test_failed_stage_keeps_virtual_seconds_and_sections(self):
         class SlowThenDeadQa(Service):
             name, label = QA, "QA"
 
@@ -552,18 +525,13 @@ class TestExecutorTracing:
                     charge_virtual_seconds(3.0)
                     raise InjectedFaultError("slow, then dead", service=QA)
 
-        query = make_query("hello", with_image=True)
-
-        def run(**kwargs):
-            services = {**stub_services(), QA: SlowThenDeadQa()}
-            return PlanExecutor(services, trace_seed=7).run(query, **kwargs)
-
-        serial, threaded = run(), run(parallel_branches=True)
-        assert threaded.failures == serial.failures == {"QA": "INJECTED"}
-        assert threaded.wall_seconds >= 3.0
-        # A failed branch keeps the sections it got through, as in place.
-        assert section_names(threaded) == section_names(serial)
-        assert span_fingerprint([threaded]) == span_fingerprint([serial])
+        services = {**stub_services(), QA: SlowThenDeadQa()}
+        response = PlanExecutor(services, trace_seed=7).run(
+            make_query("hello", with_image=True)
+        )
+        assert response.failures == {"QA": "INJECTED"}
+        assert response.wall_seconds >= 3.0
+        assert "qa.search" in section_names(response)
 
     def test_failed_session_keeps_profile_like_batch(self):
         # A failed stage keeps the sections it got through wherever it ran:
@@ -629,9 +597,8 @@ class TestExecutorTracing:
                 assert panel.observed == n, stage
 
     def test_virtual_latency_preserves_stats_fields(self):
-        # A handed-off stage reads the bracket's accounting whatever the
-        # service is wrapped in: seconds includes charged virtual latency
-        # and the measured admission wait survives beside it.
+        # A stage reads the bracket's accounting whatever the service is
+        # wrapped in: seconds includes charged virtual latency.
         class ChargingQa(Service):
             name, label = QA, "QA"
 
@@ -639,17 +606,15 @@ class TestExecutorTracing:
                 charge_virtual_seconds(2.0)
                 return StubAnswer("slow")
 
-        import time
         for service in (
             ChargingQa(),
             FaultInjector(ChargingQa(), FaultPlan(seed=0, rules={})),
             ResilientService(ChargingQa(), FAST_RETRY),
         ):
-            request = ServiceRequest(payload="q", admitted_at=time.perf_counter())
-            outcome = run_handed_off(service, request, True)
+            request = ServiceRequest(payload="q")
+            outcome = run_stage(service, lambda: service.invoke(request), True)
             assert outcome.error is None, service
             assert outcome.seconds >= 2.0, service
-            assert outcome.wait_seconds > 0.0, service
 
 
 class TestReport:

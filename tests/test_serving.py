@@ -1,26 +1,20 @@
-"""Tests for the serving layer: backends, query plans, executor, and the
+"""Tests for the serving layer: backends, the executor's query walk, and the
 cross-backend equivalence property on the full 42-query input set."""
 
 import pytest
 
 from repro.core import QueryType, SiriusPipeline
 from repro.errors import ConfigurationError
-from repro.obs.critical_path import section_seconds
 from repro.serving import (
     ExecutionBackend,
     PlanExecutor,
-    PlanStage,
-    QueryPlan,
     ServiceRequest,
     available_backends,
-    compile_plan,
-    full_plan,
     get_backend,
     register_backend,
 )
 from repro.serving.backends import _REGISTRY
-from repro.serving.executor import run_handed_off
-from repro.serving.identity import replay_divergence
+from repro.serving.executor import run_stage
 
 
 def _double(value):
@@ -81,66 +75,10 @@ class TestBackendRegistry:
             register_backend(Nameless())
 
 
-class TestQueryPlans:
-    def test_compiled_services_match_table1(self):
-        for query_type in QueryType:
-            plan = compile_plan(query_type)
-            expected = tuple(s.lower() for s in query_type.services)
-            recorded = tuple(
-                stage.service for stage in plan.order() if stage.record
-            )
-            assert set(recorded) == set(expected)
-
-    def test_viq_branches_share_a_level(self):
-        levels = compile_plan(QueryType.VOICE_IMAGE_QUERY).levels()
-        names = [[stage.name for stage in level] for level in levels]
-        assert names == [["asr"], ["classify"], ["imm", "qa"]]
-
-    def test_full_plan_guards(self):
-        guards = {stage.name: stage.when for stage in full_plan().stages}
-        assert guards["imm"] == "has_image"
-        assert guards["qa"] == "needs_answer"
-        assert guards["asr"] == ""
-
-    def test_duplicate_stage_names_rejected(self):
-        with pytest.raises(ConfigurationError):
-            QueryPlan(
-                name="dup",
-                stages=(
-                    PlanStage(name="asr", service="asr"),
-                    PlanStage(name="asr", service="qa"),
-                ),
-            )
-
-    def test_unknown_dependency_rejected(self):
-        with pytest.raises(ConfigurationError):
-            QueryPlan(
-                name="bad-dep",
-                stages=(PlanStage(name="qa", service="qa", after=("asr",)),),
-            )
-
-    def test_cycle_rejected(self):
-        with pytest.raises(ConfigurationError):
-            QueryPlan(
-                name="cycle",
-                stages=(
-                    PlanStage(name="a", service="asr", after=("b",)),
-                    PlanStage(name="b", service="qa", after=("a",)),
-                ),
-            )
-
-    def test_unknown_guard_rejected(self):
-        with pytest.raises(ConfigurationError):
-            QueryPlan(
-                name="bad-guard",
-                stages=(PlanStage(name="asr", service="asr", when="full-moon"),),
-            )
-
-
 class TestExecutor:
     def test_missing_service_rejected(self):
         with pytest.raises(ConfigurationError):
-            PlanExecutor({}, plan=full_plan())
+            PlanExecutor({})
 
     def test_pipeline_serving_is_cached(self, sirius_pipeline):
         assert sirius_pipeline.serving is sirius_pipeline.serving
@@ -164,22 +102,10 @@ class TestExecutor:
         executor.warmup()
         assert executor.services["imm"].database._matcher is not None
 
-    def test_static_plan_matches_dynamic_run(self, sirius_pipeline, input_set):
-        query = input_set.voice_queries[1]
-        static = PlanExecutor(
-            sirius_pipeline.serving.services,
-            plan=compile_plan(QueryType.VOICE_QUERY),
-        ).run(query)
-        dynamic = sirius_pipeline.process(query)
-        assert static.transcript == dynamic.transcript
-        assert static.answer == dynamic.answer
-        assert static.query_type == dynamic.query_type
-
     def test_service_call_reports_stats(self, sirius_pipeline, input_set):
         service = sirius_pipeline.serving.services["qa"]
-        outcome = run_handed_off(
-            service, ServiceRequest(payload="what is the capital of italy"), True
-        )
+        request = ServiceRequest(payload="what is the capital of italy")
+        outcome = run_stage(service, lambda: service.invoke(request), True)
         assert outcome.error is None
         assert outcome.seconds > 0
         assert outcome.payload.answer_text
@@ -209,29 +135,13 @@ class TestServingEquivalence:
             assert got.matched_image == expected.matched_image
             assert got.filter_hits == expected.filter_hits
 
-    def test_parallel_branches_equivalent(self, sirius_pipeline, input_set):
-        for query in input_set.voice_image_queries[:2]:
-            serial = sirius_pipeline.process(query)
-            overlapped = sirius_pipeline.serving.run(query, parallel_branches=True)
-            assert overlapped.answer == serial.answer
-            assert overlapped.matched_image == serial.matched_image
-            assert set(overlapped.service_seconds) == {"ASR", "QA", "IMM"}
-
-    def test_parallel_branches_same_sections_and_forest(
-        self, sirius_pipeline, input_set
-    ):
-        # Threaded branches run the same stage bracket as serial stages: the
-        # qa/imm sections (Fig 9's service-exclusive rows) and the whole
-        # timing-stripped span forest come out the same either way.
-        executor = sirius_pipeline.serving
-        query = input_set.voice_image_queries[0]
-        executor.trace_seed = 11
-        try:
-            serial = executor.run(query)
-            overlapped = executor.run(query, parallel_branches=True)
-        finally:
-            executor.trace_seed = None
-        sections = set(section_seconds(overlapped.spans))
-        assert sections == set(section_seconds(serial.spans))
-        assert {"qa", "imm"} <= sections
-        assert replay_divergence([overlapped], [serial]) == (None, None)
+    def test_walk_services_match_table1(self, input_set, reference):
+        # Table 1: VC = ASR, VQ = ASR + QA, VIQ = ASR + QA + IMM; the walk
+        # credits exactly those services (classification is glue).
+        responses = iter(reference)
+        for query_type in QueryType:
+            expected = {service.lower() for service in query_type.services}
+            for _ in input_set.by_type(query_type):
+                response = next(responses)
+                assert response.query_type is query_type
+                assert {label.lower() for label in response.service_seconds} == expected

@@ -2,10 +2,6 @@
 
 Randomized structural checks the example-based suites cannot cover:
 
-- **plan compilation** never accepts a cyclic plan, and for every valid
-  random DAG the Kahn waves of :meth:`QueryPlan.levels` are a topological
-  order (each stage strictly after all of its dependencies) and
-  :meth:`QueryPlan.order` is a permutation of the declared stages;
 - **retry/backoff invariants**: the unjittered schedule is monotone
   non-decreasing and capped, and every jittered delay stays inside the
   ``raw * [1 - jitter, 1 + jitter]`` envelope, deterministically per
@@ -20,58 +16,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigurationError
-from repro.serving import FaultPlan, FaultRule, PlanStage, QueryPlan, RetryPolicy
+from repro.serving import FaultPlan, FaultRule, RetryPolicy
 from repro.serving.faults import ERROR, FAULT_KINDS, FLAP, LATENCY, OUTAGE
 from repro.serving.resilience import backoff_rng
 
-#: Services PlanStage may reference (request builders exist for these).
-SERVICES = ("asr", "classify", "qa", "imm")
-
 
 # -- strategies --------------------------------------------------------------------
-
-
-@st.composite
-def acyclic_plans(draw):
-    """A random DAG: edges only point from later stages to earlier ones
-    (``after`` references stages declared before), so the plan is acyclic
-    by construction."""
-    n = draw(st.integers(min_value=1, max_value=8))
-    names = [f"s{i}" for i in range(n)]
-    stages = []
-    for i, name in enumerate(names):
-        deps = draw(
-            st.lists(st.sampled_from(names[:i]), unique=True, max_size=i)
-            if i
-            else st.just([])
-        )
-        stages.append(
-            PlanStage(
-                name=name,
-                service=draw(st.sampled_from(SERVICES)),
-                after=tuple(deps),
-            )
-        )
-    return QueryPlan(name="random", stages=tuple(stages))
-
-
-@st.composite
-def cyclic_stage_sets(draw):
-    """Stages containing at least one genuine dependency cycle."""
-    n = draw(st.integers(min_value=2, max_value=6))
-    names = [f"s{i}" for i in range(n)]
-    cycle_len = draw(st.integers(min_value=2, max_value=n))
-    cycle = names[:cycle_len]
-    stages = []
-    for i, name in enumerate(names):
-        if i < cycle_len:
-            deps = (cycle[(i + 1) % cycle_len],)  # s0 -> s1 -> ... -> s0
-        else:
-            deps = tuple(draw(st.lists(st.sampled_from(names[:i]), unique=True,
-                                       max_size=2)))
-        stages.append(PlanStage(name=name, service="qa", after=deps))
-    return tuple(stages)
 
 
 retry_policies = st.builds(
@@ -82,77 +32,6 @@ retry_policies = st.builds(
     backoff_max=st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
     jitter=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
 )
-
-
-# -- plan compilation --------------------------------------------------------------
-
-
-class TestPlanProperties:
-    @settings(deadline=None, max_examples=200)
-    @given(plan=acyclic_plans())
-    def test_levels_topologically_order_every_random_dag(self, plan):
-        position = {}
-        for depth, level in enumerate(plan.levels()):
-            for stage in level:
-                position[stage.name] = depth
-        assert set(position) == {stage.name for stage in plan.stages}
-        for stage in plan.stages:
-            for dep in stage.after:
-                assert position[dep] < position[stage.name]
-
-    @settings(deadline=None, max_examples=200)
-    @given(plan=acyclic_plans())
-    def test_order_is_a_permutation_respecting_dependencies(self, plan):
-        order = plan.order()
-        assert sorted(s.name for s in order) == sorted(s.name for s in plan.stages)
-        seen = set()
-        for stage in order:
-            assert set(stage.after) <= seen
-            seen.add(stage.name)
-
-    @settings(deadline=None, max_examples=100)
-    @given(stages=cyclic_stage_sets())
-    def test_cyclic_plans_never_compile(self, stages):
-        with pytest.raises(ConfigurationError):
-            QueryPlan(name="cyclic", stages=stages)
-
-    @settings(deadline=None, max_examples=100)
-    @given(plan=acyclic_plans(), data=st.data())
-    def test_mutating_any_stage_into_a_cycle_is_rejected(self, plan, data):
-        """Random DAG mutation: pick a victim stage and a target at or before
-        it, then add the back edge ``target -> victim`` (and, when they are
-        distinct, the forward edge ``victim -> target``), closing a cycle —
-        compilation must refuse every such mutated plan."""
-        index = data.draw(st.integers(min_value=0,
-                                      max_value=len(plan.stages) - 1))
-        target = data.draw(st.integers(min_value=0, max_value=index))
-        mutated = list(plan.stages)
-
-        def add_dep(at, dep_name):
-            stage = mutated[at]
-            mutated[at] = PlanStage(
-                name=stage.name, service=stage.service,
-                after=tuple(sorted(set(stage.after) | {dep_name})),
-            )
-
-        add_dep(target, plan.stages[index].name)
-        if target != index:
-            add_dep(index, plan.stages[target].name)
-        with pytest.raises(ConfigurationError):
-            QueryPlan(name="mutated", stages=tuple(mutated))
-
-    def test_duplicate_stage_names_rejected(self):
-        with pytest.raises(ConfigurationError):
-            QueryPlan(name="dup", stages=(
-                PlanStage(name="a", service="qa"),
-                PlanStage(name="a", service="imm"),
-            ))
-
-    def test_unknown_dependency_rejected(self):
-        with pytest.raises(ConfigurationError):
-            QueryPlan(name="dangling", stages=(
-                PlanStage(name="a", service="qa", after=("ghost",)),
-            ))
 
 
 # -- retry / backoff invariants ----------------------------------------------------
