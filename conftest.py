@@ -3,40 +3,11 @@
 The offline environment has no ``wheel`` package, so ``pip install -e .``
 cannot build editable metadata.  Adding ``src`` to ``sys.path`` here gives
 tests and benchmarks the same import surface an editable install would.
-
-Also registers the ``--statcheck-strict`` flag: the statcheck rule unit
-tests and the default full-repo sweep always run, while tests marked
-``statcheck_strict`` (baseline burn-down enforcement) run only when the
-flag is passed — so rule fixtures can be exercised independently of the
-strictest repo-wide policy.
 """
 
 import os
 import sys
 
-import pytest
-
 _SRC = os.path.join(os.path.dirname(__file__), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--statcheck-strict",
-        action="store_true",
-        default=False,
-        help="also run strict statcheck policy tests (empty-baseline "
-        "enforcement in tests/test_statcheck.py)",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--statcheck-strict"):
-        return
-    skip_strict = pytest.mark.skip(
-        reason="strict statcheck policy checks need --statcheck-strict"
-    )
-    for item in items:
-        if "statcheck_strict" in item.keywords:
-            item.add_marker(skip_strict)

@@ -17,7 +17,7 @@ Subcommands::
     repro bench list
     repro design
     repro wer [--noise 0.0 0.05 0.1]
-    repro lint [paths ...] [--format json] [--fail-on warning]
+    repro lint [paths ...] [--fail-on warning] [--select CODES] [--ignore CODES]
 
 Run as ``python -m repro.cli <subcommand>`` (or the ``sirius-repro``
 console script once installed).

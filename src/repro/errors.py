@@ -171,9 +171,9 @@ class ObsError(SiriusError):
 class StatcheckError(SiriusError):
     """The statcheck analyzer was misconfigured or could not run.
 
-    Raised for analyzer-side failures (malformed baseline, unknown rule
-    code, unreadable path) — never for findings in the analyzed code, which
-    are reported as :class:`repro.statcheck.Finding` objects instead.
+    Raised for analyzer-side failures (unknown rule code, missing or
+    unreadable path) — never for findings in the analyzed code, which are
+    reported as :class:`repro.statcheck.Finding` objects instead.
     """
 
     code = "STATCHECK"

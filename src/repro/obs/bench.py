@@ -22,7 +22,9 @@ higher-is-better) and flags only when the best crosses the baseline's
 best by more than the metric's relative tolerance — the standard
 min-of-k + relative-threshold rule, which a noisy-but-flat trajectory
 must pass.  For ``better="equal"`` metrics (checksums, counters) the rule
-degenerates to a tolerance band around the baseline value.
+degenerates to a tolerance band around the baseline value that *every*
+current repeat must sit inside: a fingerprint that differs between
+repeats is itself the regression.
 
 See ``docs/BENCHMARKING.md`` for the JSON schema and baseline-update
 workflow.
@@ -766,7 +768,10 @@ def check_report(
             better = base_metric.get("better", EQUAL)
             rel_tol = float(base_metric.get("rel_tol", 0.0))
             base_best = _best(base_metric.get("samples", ()), better)
-            cur_best = _best(cur_metric.get("samples", ()), better)
+            cur_samples = cur_metric.get("samples", ())
+            cur_best = _best(cur_samples, better)
+            if better == EQUAL:  # judge the repeat furthest from the baseline
+                cur_best = max(cur_samples, key=lambda v: abs(v - base_best))
             regressed, message = _compare(base_best, cur_best, better, rel_tol)
             if regressed:
                 findings.append(GateFinding(

@@ -9,28 +9,22 @@ catalogue and ``repro lint --help`` for the CLI.
 Programmatic use::
 
     from repro.statcheck import analyze_paths
-    reports = analyze_paths(["src/repro"])
-    findings = [f for report in reports for f in report.findings]
+    report = analyze_paths(["src/repro"])
+    print(report.render())
 """
 
-from repro.statcheck.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.statcheck.core import (
     PARSE_ERROR_CODE,
-    FileReport,
     Finding,
+    Report,
     Rule,
     RuleContext,
     Severity,
-    analyze_file,
+    SourceFile,
     analyze_paths,
     analyze_source,
     discover_files,
-)
-from repro.statcheck.reporters import (
-    findings_from_json,
-    render_json,
-    render_sarif,
-    render_text,
+    parse_paths,
 )
 from repro.statcheck.rules import (
     RULE_CLASSES,
@@ -44,27 +38,22 @@ from repro.statcheck.rules import (
 )
 
 __all__ = [
-    "Baseline",
-    "DEFAULT_BASELINE_NAME",
-    "FileReport",
     "Finding",
     "PARSE_ERROR_CODE",
     "RULE_CLASSES",
     "RULE_CODES",
+    "Report",
     "Rule",
     "RuleContext",
     "Severity",
+    "SourceFile",
     "all_rule_codes",
     "all_rules",
-    "analyze_file",
     "analyze_paths",
     "analyze_source",
     "discover_files",
-    "findings_from_json",
     "full_catalogue",
-    "render_json",
-    "render_sarif",
-    "render_text",
+    "parse_paths",
     "resolve_selection",
     "select_rules",
     "validate_codes",

@@ -4,38 +4,22 @@ Exit codes (enforced by :func:`repro.cli.main`):
 
 - ``0`` — clean (no finding at or above the ``--fail-on`` threshold)
 - ``1`` — findings at or above the threshold
-- ``2`` — the analyzer itself failed (bad baseline, unknown rule code,
-  missing path, ...): a :class:`repro.errors.StatcheckError` with a stable
-  ``code`` attribute propagates to the top-level CLI handler.
+- ``2`` — the analyzer itself failed (unknown rule code, missing path,
+  ...): a :class:`repro.errors.StatcheckError` with a stable ``code``
+  attribute propagates to the top-level CLI handler.
 
-The syntactic pass (SC1xx-SC4xx) always runs.  The whole-program semantic
-pass (SC5xx-SC8xx) is opt-in via ``--semantic`` — or implied by selecting a
-semantic code explicitly or asking for ``--call-graph`` — because it parses
-the entire tree into one project model before any rule fires.
+Every run applies the whole catalogue (narrowed by ``--select`` and
+``--ignore``): the syntactic rules (SC1xx-SC4xx, SC9xx, SC10xx) and the
+whole-program rules (SC5xx-SC8xx) over the same parsed trees.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import sys
-from pathlib import Path
 from typing import List, Optional
 
-from repro.statcheck.baseline import DEFAULT_BASELINE_NAME, Baseline
-from repro.statcheck.core import Finding, Severity, analyze_paths
-from repro.statcheck.reporters import render_json, render_sarif, render_text
-from repro.statcheck.rules import (
-    full_catalogue,
-    resolve_selection,
-    validate_codes,
-)
-
-_RENDERERS = {
-    "text": render_text,
-    "json": render_json,
-    "sarif": render_sarif,
-}
+from repro.statcheck.core import Severity, analyze_paths
+from repro.statcheck.rules import full_catalogue, validate_codes
 
 
 def list_rules_text() -> str:
@@ -49,10 +33,6 @@ def list_rules_text() -> str:
     lines.append(
         "SC001  error    parse-error                 file does not parse "
         "(emitted by the framework)"
-    )
-    lines.append(
-        "SC5xx-SC8xx are whole-program rules: run them with --semantic "
-        "(or select them explicitly)."
     )
     return "\n".join(lines)
 
@@ -79,16 +59,6 @@ def explain_rule_text(code: str) -> str:
     raise AssertionError(f"validated code {normalized} not in catalogue")
 
 
-def _resolve_baseline(args: argparse.Namespace) -> Optional[Baseline]:
-    if args.no_baseline:
-        return None
-    if args.baseline is not None:
-        return Baseline.load(args.baseline)
-    if os.path.exists(DEFAULT_BASELINE_NAME):
-        return Baseline.load(DEFAULT_BASELINE_NAME)
-    return None
-
-
 def _split_codes(raw: Optional[str]) -> Optional[List[str]]:
     return raw.split(",") if raw else None
 
@@ -102,73 +72,12 @@ def run_lint(args: argparse.Namespace) -> int:
         print(explain_rule_text(args.explain))
         return 0
 
-    select = _split_codes(args.select)
-    ignore = _split_codes(getattr(args, "ignore", None))
-    syntactic_rules, semantic_rules = resolve_selection(select, ignore)
-
-    # The semantic pass is opt-in; selecting a semantic code explicitly or
-    # asking for the call graph is as clear an opt-in as --semantic.
-    run_semantic = bool(
-        args.semantic
-        or args.call_graph
-        or (select is not None and semantic_rules)
+    report = analyze_paths(
+        args.paths, _split_codes(args.select), _split_codes(args.ignore)
     )
-
-    reports = analyze_paths(args.paths, syntactic_rules)
-    findings: List[Finding] = []
-    suppressed = 0
-    for report in reports:
-        findings.extend(report.findings)
-        suppressed += len(report.suppressed)
-    files_scanned = len(reports)
-
-    if run_semantic:
-        from repro.statcheck.semantic.rules import analyze_semantic
-
-        semantic_report = analyze_semantic(args.paths, rules=semantic_rules)
-        findings.extend(semantic_report.findings)
-        suppressed += len(semantic_report.suppressed)
-        if args.call_graph:
-            graph = semantic_report.graph
-            Path(args.call_graph).write_text(
-                graph.to_dot(), encoding="utf-8"
-            )
-            print(
-                f"statcheck: wrote call graph "
-                f"({len(semantic_report.model.functions)} functions, "
-                f"{len(graph.edges)} edges) to {args.call_graph}",
-                file=sys.stderr,
-            )
-
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code, f.message))
-
-    if args.write_baseline:
-        target = args.baseline or DEFAULT_BASELINE_NAME
-        Baseline.write(target, findings)
-        print(
-            f"statcheck: wrote {len(findings)} finding(s) to baseline {target}"
-        )
-        return 0
-
-    baseline = _resolve_baseline(args)
-    if baseline is not None:
-        new_findings, baselined = baseline.partition(findings)
-    else:
-        new_findings, baselined = findings, []
-
-    renderer = _RENDERERS[args.format]
-    print(
-        renderer(
-            new_findings,
-            files_scanned=files_scanned,
-            baselined=len(baselined),
-            suppressed=suppressed,
-        )
-    )
-
+    print(report.render())
     threshold = Severity.from_label(args.fail_on)
-    failing = [f for f in new_findings if f.severity >= threshold]
-    return 1 if failing else 0
+    return 1 if any(f.severity >= threshold for f in report.findings) else 0
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -180,33 +89,11 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="files or directories to analyze (default: src)",
     )
     parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
         "--fail-on",
         choices=tuple(s.label for s in Severity),
         default="info",
         help="exit 1 if any finding is at or above this severity "
         "(default: info, i.e. any finding fails)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help=f"baseline file (default: ./{DEFAULT_BASELINE_NAME} if present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to the baseline file and exit 0",
     )
     parser.add_argument(
         "--select",
@@ -219,18 +106,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="CODES",
         help="comma-separated rule codes to skip",
-    )
-    parser.add_argument(
-        "--semantic",
-        action="store_true",
-        help="also run the whole-program semantic rules (SC5xx-SC8xx)",
-    )
-    parser.add_argument(
-        "--call-graph",
-        default=None,
-        metavar="DOT_PATH",
-        help="write the project call graph as Graphviz DOT (implies the "
-        "semantic model build)",
     )
     parser.add_argument(
         "--explain",

@@ -1,13 +1,17 @@
-"""statcheck core: findings, the ``Rule`` base class, and the AST walker.
+"""statcheck core: findings, the ``Rule`` base class, the AST walker, one pass.
 
-The framework is deliberately small.  A :class:`Rule` subclass declares
-``visit_<NodeType>`` methods (mirroring :class:`ast.NodeVisitor` naming);
-:func:`analyze_source` parses a module once and walks the tree, dispatching
-every node to each rule that registered interest in that node type.  Rules
-see a :class:`RuleContext` carrying the ancestor chain (am I inside a loop?
-inside a kernel ``run`` method?) and report :class:`Finding` objects.
+The framework is deliberately small.  :func:`analyze_paths` reads and
+parses every file once.  A :class:`Rule` subclass declares
+``visit_<NodeType>`` methods (mirroring :class:`ast.NodeVisitor` naming),
+and the walker dispatches every node of each tree to each rule that
+registered interest in that node type.  The whole-program rules
+(:mod:`repro.statcheck.semantic`) then run over one project model built
+from the same trees, and pragmas, de-duplication and sorting are applied
+once to everything found.  Rules see a :class:`RuleContext` carrying the
+ancestor chain (am I inside a loop?  inside a kernel ``run`` method?) and
+report :class:`Finding` objects.
 
-Inline suppression uses a pragma comment on the offending line::
+The one way to silence a finding is a pragma comment on the offending line::
 
     value = np.log(prob)  # statcheck: ignore[SC101]
     value = np.log(prob)  # statcheck: ignore          (all rules)
@@ -21,10 +25,15 @@ from __future__ import annotations
 
 import ast
 import enum
+import os
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+    Type, Union,
+)
 
 from repro.errors import StatcheckError
 
@@ -64,13 +73,6 @@ class Finding:
     code: str
     severity: Severity
     message: str
-    #: Stripped text of the offending source line (baseline fingerprinting).
-    source: str = ""
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-number-independent identity used by the baseline file."""
-        return f"{self.path}::{self.code}::{self.source}"
 
     def render(self) -> str:
         return (
@@ -104,12 +106,11 @@ class Rule:
 class RuleContext:
     """Per-file state shared by all rules during one walk."""
 
-    def __init__(self, path: str, source_lines: Sequence[str], tree: ast.AST):
+    def __init__(self, path: str):
         self.path = path
-        self.source_lines = source_lines
-        self.tree = tree
         self.findings: List[Finding] = []
         self._ancestors: List[ast.AST] = []
+        self._sites: Set[Tuple[int, int, str]] = set()
 
     # -- tree navigation -----------------------------------------------------
 
@@ -134,11 +135,6 @@ class RuleContext:
         node = self.enclosing(ast.ClassDef)
         return node if isinstance(node, ast.ClassDef) else None
 
-    def source_line(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.source_lines):
-            return self.source_lines[lineno - 1]
-        return ""
-
     # -- reporting -----------------------------------------------------------
 
     def report(
@@ -150,6 +146,9 @@ class RuleContext:
     ) -> None:
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0) + 1
+        if (line, col, rule.code) in self._sites:
+            return  # overlapping-scope rules may fire twice on one site
+        self._sites.add((line, col, rule.code))
         self.findings.append(
             Finding(
                 path=self.path,
@@ -158,7 +157,6 @@ class RuleContext:
                 code=rule.code,
                 severity=severity if severity is not None else rule.severity,
                 message=message,
-                source=self.source_line(line).strip(),
             )
         )
 
@@ -254,27 +252,45 @@ def parse_suppressions(
     return pragmas
 
 
-def _is_suppressed(
-    finding: Finding, pragmas: Dict[int, Optional[frozenset]]
-) -> bool:
-    codes = pragmas.get(finding.line, frozenset())
-    if codes is None:  # bare ``ignore`` pragma
-        return True
-    return finding.code in codes
-
-
 # ---------------------------------------------------------------------------
 # Analysis entry points
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class FileReport:
-    """Outcome of analyzing one file."""
+class SourceFile:
+    """One parsed module, read once and shared by both rule passes."""
 
-    path: str
-    findings: List[Finding]
-    suppressed: List[Finding]
+    file: Path                     #: location on disk (module naming)
+    path: str                      #: display path, as reported in findings
+    source_lines: List[str]
+    tree: ast.Module
+
+
+@dataclass
+class Report:
+    """Outcome of one analysis: reported and pragma-suppressed findings."""
+
+    files_scanned: int
+    findings: List[Finding] = field(default_factory=list)
+    suppressed: List[Finding] = field(default_factory=list)
+
+    def render(self) -> str:
+        """The text report: one line per finding, then a summary line."""
+        counts = Counter(finding.severity for finding in self.findings)
+        breakdown = ", ".join(
+            f"{counts[severity]} {severity.label}"
+            for severity in Severity
+            if counts[severity]
+        )
+        summary = (
+            f"statcheck: {len(self.findings)} finding(s)"
+            + (f" ({breakdown})" if breakdown else "")
+            + f" in {self.files_scanned} file(s)"
+        )
+        if self.suppressed:
+            summary += f"; {len(self.suppressed)} suppressed inline"
+        return "\n".join([f.render() for f in self.findings] + [summary])
 
 
 class _Walker(ast.NodeVisitor):
@@ -302,72 +318,78 @@ class _Walker(ast.NodeVisitor):
             self._ctx._ancestors.pop()
 
 
+def _check_tree(source: SourceFile, rules: Sequence[Rule]) -> List[Finding]:
+    """Findings of the syntactic ``rules`` over one parsed module."""
+    ctx = RuleContext(source.path)
+    if rules:
+        _Walker(rules, ctx).visit(source.tree)
+    return ctx.findings
+
+
+def parse_source(
+    text: str, path: str, file: Optional[Path] = None
+) -> Union[SourceFile, Finding]:
+    """Parse one module; a file that does not parse becomes its SC001 finding."""
+    source_lines = text.splitlines()
+    try:
+        tree = ast.parse(text)
+    except SyntaxError as exc:
+        return Finding(
+            path=path,
+            line=exc.lineno or 1,
+            col=(exc.offset or 0) + 1,
+            code=PARSE_ERROR_CODE,
+            severity=Severity.ERROR,
+            message=f"file does not parse: {exc.msg}",
+        )
+    return SourceFile(file or Path(path), path, source_lines, tree)
+
+
+def _settle(
+    findings: Iterable[Finding], sources: Sequence[SourceFile], files_scanned: int
+) -> Report:
+    """Apply inline pragmas, drop duplicates and sort, once per analysis.
+
+    Pragmas come from parsed files only, so an ``SC001`` is never silenced.
+    """
+    pragmas = {
+        source.path: parse_suppressions(source.source_lines) for source in sources
+    }
+    report = Report(files_scanned)
+    for finding in sorted(
+        set(findings), key=lambda f: (f.path, f.line, f.col, f.code, f.message)
+    ):
+        codes = pragmas.get(finding.path, {}).get(finding.line, frozenset())
+        if codes is None or finding.code in codes:  # ``None``: bare ``ignore``
+            report.suppressed.append(finding)
+        else:
+            report.findings.append(finding)
+    return report
+
+
 def analyze_source(
     source: str,
     path: str = "<string>",
     rules: Optional[Sequence[Rule]] = None,
-) -> FileReport:
-    """Run the rule catalogue over one module's source text."""
+) -> Report:
+    """Run the syntactic rules over one module's source text."""
     if rules is None:
         from repro.statcheck.rules import all_rules
 
         rules = all_rules()
-    source_lines = source.splitlines()
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        lineno = exc.lineno or 1
-        finding = Finding(
-            path=path,
-            line=lineno,
-            col=(exc.offset or 0) + 1 if exc.offset is not None else 1,
-            code=PARSE_ERROR_CODE,
-            severity=Severity.ERROR,
-            message=f"file does not parse: {exc.msg}",
-            source=(
-                source_lines[lineno - 1].strip()
-                if 1 <= lineno <= len(source_lines)
-                else ""
-            ),
-        )
-        return FileReport(path=path, findings=[finding], suppressed=[])
-
-    ctx = RuleContext(path, source_lines, tree)
-    _Walker(rules, ctx).visit(tree)
-
-    pragmas = parse_suppressions(source_lines)
-    seen = set()
-    findings: List[Finding] = []
-    suppressed: List[Finding] = []
-    for finding in sorted(
-        ctx.findings, key=lambda f: (f.line, f.col, f.code)
-    ):
-        key = (finding.line, finding.col, finding.code)
-        if key in seen:  # overlapping-scope rules may fire twice on one site
-            continue
-        seen.add(key)
-        if _is_suppressed(finding, pragmas):
-            suppressed.append(finding)
-        else:
-            findings.append(finding)
-    return FileReport(path=path, findings=findings, suppressed=suppressed)
-
-
-def analyze_file(
-    file_path: Path,
-    rules: Optional[Sequence[Rule]] = None,
-    display_path: Optional[str] = None,
-) -> FileReport:
-    """Analyze one file on disk; unreadable files raise StatcheckError."""
-    try:
-        source = Path(file_path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise StatcheckError(f"cannot read {file_path}: {exc}") from exc
-    return analyze_source(source, display_path or str(file_path), rules)
+    parsed = parse_source(source, path)
+    if isinstance(parsed, Finding):
+        return _settle([parsed], [], 1)
+    return _settle(_check_tree(parsed, rules), [parsed], 1)
 
 
 def discover_files(paths: Iterable) -> List[Path]:
-    """Expand files/directories into a sorted list of ``.py`` files."""
+    """Expand files/directories into a sorted list of ``.py`` files.
+
+    Hidden and ``__pycache__`` directories are skipped only *below* each
+    given root, so a tree that itself lives under a dot-directory is still
+    analyzed.
+    """
     files: List[Path] = []
     for raw in paths:
         path = Path(raw)
@@ -377,36 +399,69 @@ def discover_files(paths: Iterable) -> List[Path]:
                 for candidate in sorted(path.rglob("*.py"))
                 if not any(
                     part.startswith(".") or part == "__pycache__"
-                    for part in candidate.parts
+                    for part in candidate.relative_to(path).parts
                 )
             )
         elif path.is_file():
             files.append(path)
         else:
             raise StatcheckError(f"path does not exist: {path}")
-    unique: List[Path] = []
-    seen = set()
-    for candidate in files:
-        if candidate not in seen:
-            seen.add(candidate)
-            unique.append(candidate)
-    return unique
+    return list(dict.fromkeys(files))
+
+
+def _display_path(file_path: Path) -> str:
+    try:
+        display = os.path.relpath(file_path, os.getcwd())
+    except ValueError:  # different drive (Windows); keep absolute
+        display = str(file_path)
+    return display.replace(os.sep, "/")
+
+
+def parse_paths(paths: Iterable) -> Tuple[List[SourceFile], List[Finding]]:
+    """Read and parse every ``.py`` file under ``paths`` once.
+
+    Returns the parsed modules and the ``SC001`` findings of the files that
+    do not parse; unreadable files raise :class:`StatcheckError`.
+    """
+    sources: List[SourceFile] = []
+    parse_errors: List[Finding] = []
+    for file_path in discover_files(paths):
+        try:
+            text = file_path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise StatcheckError(f"cannot read {file_path}: {exc}") from exc
+        parsed = parse_source(text, _display_path(file_path), file_path)
+        if isinstance(parsed, Finding):
+            parse_errors.append(parsed)
+        else:
+            sources.append(parsed)
+    return sources, parse_errors
 
 
 def analyze_paths(
     paths: Iterable,
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[FileReport]:
-    """Analyze every ``.py`` file under the given files/directories."""
-    import os
+    select: Optional[Sequence[str]] = None,
+    ignore: Optional[Sequence[str]] = None,
+) -> Report:
+    """Run the rule catalogue over every ``.py`` file under ``paths``.
 
-    reports = []
-    cwd = os.getcwd()
-    for file_path in discover_files(paths):
-        try:
-            display = os.path.relpath(file_path, cwd)
-        except ValueError:  # different drive (Windows); keep absolute
-            display = str(file_path)
-        display = display.replace(os.sep, "/")
-        reports.append(analyze_file(file_path, rules, display_path=display))
-    return reports
+    ``select``/``ignore`` take rule codes (``None``: the full catalogue).
+    The syntactic rules walk each tree; the whole-program rules run over
+    one project model of the same trees.
+    """
+    # Imported here: both packages build on this module.
+    from repro.statcheck.rules import resolve_selection
+    from repro.statcheck.semantic.callgraph import build_call_graph
+    from repro.statcheck.semantic.model import build_model
+
+    syntactic, semantic = resolve_selection(select, ignore)
+    sources, findings = parse_paths(paths)  # findings so far: the SC001s
+    files_scanned = len(sources) + len(findings)
+    for source in sources:
+        findings.extend(_check_tree(source, syntactic))
+    if semantic:
+        model = build_model(sources)
+        graph = build_call_graph(model)
+        for rule in semantic:
+            findings.extend(rule.check(model, graph))
+    return _settle(findings, sources, files_scanned)

@@ -9,14 +9,16 @@ interprocedural rule families on top of it:
 - :mod:`repro.statcheck.semantic.model` — module/import graph, function
   table, class-hierarchy map (who subclasses ``Kernel``/``Service``/``Rule``)
 - :mod:`repro.statcheck.semantic.callgraph` — a conservative call graph
-  over the analyzed files, with witness-path extraction and DOT export
+  over the analyzed files, with witness-path extraction
 - :mod:`repro.statcheck.semantic.taint` — determinism-sink detection and
   root-to-sink reachability used by the SC5xx family
 - :mod:`repro.statcheck.semantic.rules` — the semantic rule catalogue:
   SC5xx determinism taint, SC6xx process-boundary escape analysis,
   SC7xx shared-state concurrency hazards, SC801 async hygiene
 
-Entry point: :func:`analyze_semantic` (used by ``repro lint --semantic``).
+:func:`repro.statcheck.core.analyze_paths` builds the model from the trees
+it parsed for the syntactic rules and runs these rules on every
+``repro lint``.
 """
 
 from repro.statcheck.semantic.callgraph import CallGraph, build_call_graph
@@ -25,8 +27,6 @@ from repro.statcheck.semantic.rules import (
     SEMANTIC_RULE_CLASSES,
     SEMANTIC_RULE_CODES,
     SemanticRule,
-    all_semantic_rules,
-    analyze_semantic,
 )
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "SEMANTIC_RULE_CLASSES",
     "SEMANTIC_RULE_CODES",
     "SemanticRule",
-    "all_semantic_rules",
-    "analyze_semantic",
     "build_call_graph",
     "build_model",
 ]

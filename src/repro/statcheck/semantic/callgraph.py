@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.statcheck.core import dotted_name, scope_walk
 from repro.statcheck.semantic.model import FunctionInfo, ProjectModel
@@ -92,26 +92,6 @@ class CallGraph:
             current = edge.caller
         chain.reverse()
         return chain
-
-    def to_dot(self) -> str:
-        """Deterministic Graphviz DOT rendering of the whole graph."""
-        nodes: Set[str] = set(self.model.functions)
-        for edge in self.edges:
-            nodes.add(edge.caller)
-            nodes.add(edge.callee)
-        lines = ["digraph callgraph {", "  rankdir=LR;"]
-        for node in sorted(nodes):
-            info = self.model.functions.get(node)
-            shape = "box" if info is not None and info.cls else "ellipse"
-            lines.append(f'  "{node}" [shape={shape}];')
-        for edge in sorted(
-            set(self.edges), key=lambda e: (e.caller, e.callee, e.line)
-        ):
-            lines.append(
-                f'  "{edge.caller}" -> "{edge.callee}" [label="L{edge.line}"];'
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 def _local_constructions(fn_node: ast.AST) -> Dict[str, str]:

@@ -1,10 +1,11 @@
 """The project semantic model: modules, imports, functions, class hierarchy.
 
-:func:`build_model` parses every analyzed file once and produces a
-:class:`ProjectModel` the interprocedural passes share.  Resolution is
-deliberately *name-level* (no runtime imports, no type inference beyond
-literal constructor assignments): every lookup either resolves to a
-project-qualified name or degrades to "unknown", never to a guess.
+:func:`build_model` indexes modules parsed once by
+:func:`repro.statcheck.core.parse_paths` into a :class:`ProjectModel` the
+interprocedural passes share.  Resolution is deliberately *name-level* (no
+runtime imports, no type inference beyond literal constructor
+assignments): every lookup either resolves to a project-qualified name or
+degrades to "unknown", never to a guess.
 
 Qualified names follow runtime dotted paths: ``repro.obs.export.to_jsonl``
 for a module function, ``repro.serving.service.Service.__call__`` for a
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.statcheck.core import discover_files
+from repro.statcheck.core import SourceFile, dotted_name
 
 #: Marks a function as a deterministic-export root for the SC5xx taint pass
 #: when placed on (or immediately above) its ``def`` line.
@@ -280,8 +281,6 @@ def _index_module(model: ProjectModel, info: ModuleInfo) -> None:
 
 
 def _resolve_bases(model: ProjectModel) -> None:
-    from repro.statcheck.core import dotted_name
-
     for class_info in model.classes.values():
         resolved: List[str] = []
         for base in class_info.node.bases:
@@ -293,40 +292,24 @@ def _resolve_bases(model: ProjectModel) -> None:
         class_info.bases = tuple(resolved)
 
 
-def build_model(
-    paths: Iterable, display_paths: Optional[Dict[str, str]] = None
-) -> ProjectModel:
-    """Parse every ``.py`` file under ``paths`` into one :class:`ProjectModel`.
+def build_model(sources: Iterable[SourceFile]) -> ProjectModel:
+    """Index parsed modules (:func:`repro.statcheck.core.parse_paths`) into
+    one :class:`ProjectModel`.
 
-    Files that fail to parse are skipped here — the syntactic pass already
-    reports them as ``SC001``, and a half-parsed module would only poison
-    the whole-program tables.
+    Files that fail to parse never get here — ``analyze_paths`` reports
+    them as ``SC001``, and a half-parsed module would only poison the
+    whole-program tables.
     """
-    import os
-
     model = ProjectModel()
-    cwd = os.getcwd()
-    for file_path in discover_files(paths):
-        try:
-            source = Path(file_path).read_text(encoding="utf-8")
-            tree = ast.parse(source)
-        except (OSError, SyntaxError):
-            continue
-        try:
-            display = os.path.relpath(file_path, cwd)
-        except ValueError:
-            display = str(file_path)
-        display = display.replace(os.sep, "/")
-        if display_paths:
-            display = display_paths.get(str(file_path), display)
-        name = module_name_for(Path(file_path))
+    for source in sources:
+        name = module_name_for(source.file)
         info = ModuleInfo(
             name=name,
-            path=display,
-            tree=tree,
-            source_lines=source.splitlines(),
+            path=source.path,
+            tree=source.tree,
+            source_lines=source.source_lines,
         )
-        info.imports = _collect_imports(name, tree)
+        info.imports = _collect_imports(name, source.tree)
         # Last parse of a duplicated module name wins; analyzed trees are
         # disjoint packages in practice so collisions mean duplicated input.
         model.modules[name] = info

@@ -3,10 +3,9 @@
 Unlike the syntactic rules (which see one AST at a time through
 ``visit_<NodeType>`` dispatch), a :class:`SemanticRule` sees the whole
 :class:`~repro.statcheck.semantic.model.ProjectModel` and call graph and
-returns findings directly.  Everything downstream — inline suppression
-pragmas, baseline fingerprints, reporters — is shared with the syntactic
-pass, so ``# statcheck: ignore[SC501]`` and the committed baseline work
-unchanged.
+returns findings directly.  :func:`repro.statcheck.core.analyze_paths`
+settles the findings of both kinds of rule together, so
+``# statcheck: ignore[SC501]`` works exactly as for SC101.
 
 Families:
 
@@ -41,20 +40,10 @@ from repro.statcheck.core import (
     dotted_name,
     identifiers,
     normalized_call,
-    parse_suppressions,
     scope_walk,
 )
-from repro.statcheck.semantic.callgraph import (
-    CallGraph,
-    build_call_graph,
-    function_calls,
-)
-from repro.statcheck.semantic.model import (
-    ClassInfo,
-    FunctionInfo,
-    ProjectModel,
-    build_model,
-)
+from repro.statcheck.semantic.callgraph import CallGraph, function_calls
+from repro.statcheck.semantic.model import ClassInfo, FunctionInfo, ProjectModel
 from repro.statcheck.semantic.taint import DEFAULT_ROOT_PATTERNS, taint_findings
 
 
@@ -62,8 +51,8 @@ class SemanticRule(Rule):
     """Base class for whole-program rules.
 
     Subclasses implement :meth:`check`; :meth:`finding` builds
-    :class:`~repro.statcheck.core.Finding` objects with the source-line
-    text the baseline fingerprints need.
+    :class:`~repro.statcheck.core.Finding` objects at a module's display
+    path.
     """
 
     def check(
@@ -80,18 +69,13 @@ class SemanticRule(Rule):
         message: str,
         severity: Optional[Severity] = None,
     ) -> Finding:
-        info = model.modules[module]
-        source = ""
-        if 1 <= line <= len(info.source_lines):
-            source = info.source_lines[line - 1].strip()
         return Finding(
-            path=info.path,
+            path=model.modules[module].path,
             line=line,
             col=col,
             code=self.code,
             severity=severity if severity is not None else self.severity,
             message=message,
-            source=source,
         )
 
 
@@ -889,7 +873,7 @@ class AsyncBlockingCall(SemanticRule):
 
 
 # ---------------------------------------------------------------------------
-# Registry and entry point
+# Registry
 # ---------------------------------------------------------------------------
 
 SEMANTIC_RULE_CLASSES: Tuple[Type[SemanticRule], ...] = (
@@ -905,65 +889,3 @@ SEMANTIC_RULE_CLASSES: Tuple[Type[SemanticRule], ...] = (
 SEMANTIC_RULE_CODES: Tuple[str, ...] = tuple(
     cls.code for cls in SEMANTIC_RULE_CLASSES
 )
-
-
-def all_semantic_rules() -> List[SemanticRule]:
-    """Fresh instances of the semantic catalogue, code order."""
-    return [cls() for cls in SEMANTIC_RULE_CLASSES]
-
-
-class SemanticReport:
-    """Outcome of one whole-program pass (plus the model for reuse)."""
-
-    def __init__(self, model, graph, findings, suppressed):
-        self.model = model
-        self.graph = graph
-        self.findings: List[Finding] = findings
-        self.suppressed: List[Finding] = suppressed
-
-
-def analyze_semantic(
-    paths,
-    rules: Optional[Sequence[SemanticRule]] = None,
-    model: Optional[ProjectModel] = None,
-    graph: Optional[CallGraph] = None,
-) -> SemanticReport:
-    """Run the semantic catalogue over the files under ``paths``.
-
-    Inline ``# statcheck: ignore[...]`` pragmas apply exactly as in the
-    syntactic pass; findings come back sorted and de-duplicated so reports
-    are byte-identical across runs.
-    """
-    if model is None:
-        model = build_model(paths)
-    if graph is None:
-        graph = build_call_graph(model)
-    if rules is None:
-        rules = all_semantic_rules()
-    raw: List[Finding] = []
-    for rule in rules:
-        raw.extend(rule.check(model, graph))
-
-    pragmas_by_path = {
-        info.path: parse_suppressions(info.source_lines)
-        for info in model.modules.values()
-    }
-    findings: List[Finding] = []
-    suppressed: List[Finding] = []
-    seen = set()
-    for finding in sorted(
-        raw, key=lambda f: (f.path, f.line, f.col, f.code, f.message)
-    ):
-        key = (finding.path, finding.line, finding.col, finding.code, finding.message)
-        if key in seen:
-            continue
-        seen.add(key)
-        pragmas = pragmas_by_path.get(finding.path, {})
-        codes = pragmas.get(finding.line, frozenset())
-        if codes is None or finding.code in codes:
-            suppressed.append(finding)
-        else:
-            findings.append(finding)
-    return SemanticReport(
-        model=model, graph=graph, findings=findings, suppressed=suppressed
-    )

@@ -34,7 +34,7 @@ from repro.statcheck.semantic.model import FunctionInfo, ProjectModel
 
 #: Qualified-name patterns (fnmatch) of the repo's deterministic roots:
 #: fault-plan decisions, span/bench exporters, work counters, statcheck's
-#: own machine-readable reports.  Fixture/downstream code uses the pragma.
+#: own report.  Fixture/downstream code uses the pragma.
 DEFAULT_ROOT_PATTERNS: Tuple[str, ...] = (
     "repro.serving.faults.FaultPlan.*",
     "repro.serving.faults.FaultRule.*",
@@ -45,8 +45,7 @@ DEFAULT_ROOT_PATTERNS: Tuple[str, ...] = (
     "repro.obs.export.write_chrome_trace",
     "repro.obs.bench.to_json",
     "repro.obs.counters.record_work",
-    "repro.statcheck.reporters.render_json",
-    "repro.statcheck.reporters.render_sarif",
+    "repro.statcheck.core.Report.render",
 )
 
 #: Exact dotted calls that read a non-monotonic wall clock or OS entropy.

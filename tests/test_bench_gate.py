@@ -95,6 +95,14 @@ class TestGateTrajectories:
         assert check_report(good, base) == []
         assert kinds(check_report(bad, base)) == ["regression"]
 
+    def test_equal_metric_must_hold_on_every_repeat(self):
+        # One drifted repeat fails even though min(samples) still matches.
+        base = make_report({"count": metric([5, 5, 5], better="equal")})
+        cur = make_report({"count": metric([5, 6, 5], better="equal")})
+        findings = check_report(cur, base)
+        assert kinds(findings) == ["regression"]
+        assert findings[0].current == 6
+
     def test_wall_clock_never_gates(self):
         # Identical gated metrics, wildly different wall clocks: pass.
         base = make_report({"flops": metric([100], better="equal")})

@@ -3,37 +3,30 @@
 Layout mirrors the acceptance criteria:
 
 - project-model and call-graph unit tests (module naming, hierarchy,
-  edge resolution, deterministic DOT output);
+  edge resolution);
 - one test class per rule family over the fixture packages in
   ``tests/fixtures/statcheck/semantic/``, asserting every true positive
   fires and every near-miss stays clean;
-- CLI surface (``--semantic``, ``--ignore``, ``--explain``,
-  ``--call-graph``, SARIF format, semantic auto-enable via ``--select``);
-- golden-file tests pinning the JSON and SARIF reports byte-for-byte,
-  plus the JSON -> findings -> baseline round-trip;
-- the semantic repo sweep: ``src/repro`` must be semantically clean.
+- CLI surface (whole-program rules on every run, ``--select``,
+  ``--ignore``, ``--explain``);
+- golden-file tests pinning the text report's finding lines byte-for-byte
+  (written by the analyzer before the syntactic and whole-program passes
+  ran in one pass);
+- the model's coverage of ``src/repro`` (the clean-tree sweep itself lives
+  in ``tests/test_statcheck.py``).
 """
 
-import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.errors import StatcheckError
-from repro.statcheck import (
-    Baseline,
-    findings_from_json,
-    render_json,
-    render_sarif,
-)
+from repro.statcheck import analyze_paths, parse_paths
 from repro.statcheck.rules import resolve_selection, validate_codes
 from repro.statcheck.semantic.callgraph import build_call_graph
 from repro.statcheck.semantic.model import build_model
-from repro.statcheck.semantic.rules import (
-    SEMANTIC_RULE_CODES,
-    analyze_semantic,
-)
+from repro.statcheck.semantic.rules import SEMANTIC_RULE_CODES
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SEMANTIC_FIXTURES = REPO_ROOT / "tests" / "fixtures" / "statcheck" / "semantic"
@@ -45,13 +38,18 @@ SVCPKG = str(SEMANTIC_FIXTURES / "svcpkg")
 ASYNCPKG = str(SEMANTIC_FIXTURES / "asyncpkg")
 
 
-def codes_by_function(report):
-    """(code, message) pairs for compact containment assertions."""
-    return [(f.code, f.message) for f in report.findings]
+def model_of(*paths):
+    sources, _ = parse_paths(paths)
+    return build_model(sources)
 
 
 def fired(report, code):
     return [f for f in report.findings if f.code == code]
+
+
+def report_codes(out):
+    """Rule codes of a text report's finding lines (the summary excluded)."""
+    return {line.split()[1] for line in out.splitlines()[:-1]}
 
 
 # ---------------------------------------------------------------------------
@@ -61,31 +59,31 @@ def fired(report, code):
 
 class TestProjectModel:
     def test_module_names_derived_from_package_layout(self):
-        model = build_model([DETPKG])
+        model = model_of(DETPKG)
         assert "detpkg.exporters" in model.modules
         assert "detpkg.helpers" in model.modules
 
     def test_functions_and_classes_indexed_by_qname(self):
-        model = build_model([SVCPKG])
+        model = model_of(SVCPKG)
         assert "svcpkg.services.LazyCacheService" in model.classes
         assert "svcpkg.services.LazyCacheService.process" in model.functions
 
     def test_subclasses_of_matches_hierarchy_root_by_name(self):
-        model = build_model([SVCPKG])
+        model = model_of(SVCPKG)
         names = {cls.name for cls in model.subclasses_of("Service")}
         assert "LazyCacheService" in names
         assert "CollectingService" in names  # defined in a sibling module
         assert "Service" not in names  # the root itself is not a subclass
 
     def test_import_bindings_resolve_cross_module(self):
-        model = build_model([DETPKG])
+        model = model_of(DETPKG)
         resolved = model.resolve("detpkg.exporters", "spread")
         assert resolved == "detpkg.helpers.spread"
 
 
 class TestCallGraph:
     def test_cross_module_edge_through_import_binding(self):
-        model = build_model([DETPKG])
+        model = model_of(DETPKG)
         graph = build_call_graph(model)
         callees = {
             e.callee for e in graph.callees("detpkg.exporters.export_report")
@@ -94,7 +92,7 @@ class TestCallGraph:
         assert "detpkg.helpers.shuffle_tags" in callees
 
     def test_self_call_edge_within_class(self):
-        model = build_model([SVCPKG])
+        model = model_of(SVCPKG)
         graph = build_call_graph(model)
         callees = {
             e.callee
@@ -103,20 +101,10 @@ class TestCallGraph:
         assert "svcpkg.services.CountingService._bump" in callees
 
     def test_unresolvable_receivers_produce_no_edges(self):
-        model = build_model([DETPKG])
+        model = model_of(DETPKG)
         graph = build_call_graph(model)
         for edge in graph.edges:
             assert edge.callee in model.functions
-
-    def test_dot_output_is_deterministic(self):
-        dots = set()
-        for _ in range(2):
-            model = build_model([SVCPKG])
-            dots.add(build_call_graph(model).to_dot())
-        assert len(dots) == 1
-        dot = dots.pop()
-        assert dot.startswith("digraph callgraph {")
-        assert '"svcpkg.services.CountingService.process"' in dot
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +114,7 @@ class TestCallGraph:
 
 class TestDeterminismTaint:
     def test_true_positives_fire_with_witness_chains(self):
-        report = analyze_semantic([DETPKG])
+        report = analyze_paths([DETPKG])
         sc501 = fired(report, "SC501")
         assert len(sc501) == 2
         by_sink = {f.message.split(" in ")[1].split(" ")[0]: f for f in sc501}
@@ -142,7 +130,7 @@ class TestDeterminismTaint:
         assert "(called at" in jitter.message
 
     def test_near_misses_stay_clean(self):
-        report = analyze_semantic([DETPKG])
+        report = analyze_paths([DETPKG])
         blob = "\n".join(f.message for f in fired(report, "SC501"))
         # seeded instance RNG, sorted set, and unrooted sinks don't taint
         assert "seeded_jitter" not in blob
@@ -165,7 +153,7 @@ class TestDeterminismTaint:
             "def unmarked():\n"
             "    return time.time()\n"
         )
-        report = analyze_semantic([str(pkg)])
+        report = analyze_paths([str(pkg)])
         sc501 = fired(report, "SC501")
         assert len(sc501) == 1
         assert "minipkg.mod.stamped" in sc501[0].message
@@ -181,7 +169,7 @@ class TestDeterminismTaint:
             "def stamped():  # statcheck: deterministic\n"
             "    return time.time()  # statcheck: ignore[SC501]\n"
         )
-        report = analyze_semantic([str(pkg)])
+        report = analyze_paths([str(pkg)])
         assert fired(report, "SC501") == []
         assert len(report.suppressed) == 1
 
@@ -194,7 +182,7 @@ class TestDeterminismTaint:
 class TestProcessBoundaryEscape:
     @pytest.fixture(scope="class")
     def report(self):
-        return analyze_semantic([PROCPKG])
+        return analyze_paths([PROCPKG])
 
     def test_sc601_dataflow_true_positives(self, report):
         blob = "\n".join(f.message for f in fired(report, "SC601"))
@@ -231,7 +219,7 @@ class TestProcessBoundaryEscape:
 class TestSharedStateHazards:
     @pytest.fixture(scope="class")
     def report(self):
-        return analyze_semantic([SVCPKG])
+        return analyze_paths([SVCPKG])
 
     def test_sc701_lazy_hot_path_write(self, report):
         blob = "\n".join(f.message for f in fired(report, "SC701"))
@@ -266,7 +254,7 @@ class TestSharedStateHazards:
 class TestAsyncBlockingCall:
     @pytest.fixture(scope="class")
     def report(self):
-        return analyze_semantic([ASYNCPKG])
+        return analyze_paths([ASYNCPKG])
 
     def test_true_positives_fire(self, report):
         blob = "\n".join(f.message for f in fired(report, "SC801"))
@@ -305,7 +293,7 @@ class TestAsyncBlockingCall:
             "async def nap():\n"
             "    sleep(1)\n"
         )
-        report = analyze_semantic([str(pkg)])
+        report = analyze_paths([str(pkg)])
         sc801 = fired(report, "SC801")
         assert len(sc801) == 1
         assert "time.sleep()" in sc801[0].message
@@ -321,7 +309,7 @@ class TestAsyncBlockingCall:
             "def pause():\n"
             "    time.sleep(1)\n"
         )
-        report = analyze_semantic([str(pkg)])
+        report = analyze_paths([str(pkg)])
         assert fired(report, "SC801") == []
 
 
@@ -369,32 +357,15 @@ class TestSelection:
 
 
 class TestSemanticCLI:
-    def test_semantic_flag_runs_whole_program_rules(self, capsys):
-        exit_code = main(
-            ["lint", DETPKG, "--no-baseline", "--semantic", "--format", "json"]
-        )
+    def test_whole_program_rules_run_by_default(self, capsys):
+        exit_code = main(["lint", DETPKG])
         assert exit_code == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert "SC501" in {f["code"] for f in payload["findings"]}
+        assert "SC501" in report_codes(capsys.readouterr().out)
 
-    def test_without_semantic_flag_sc5xx_stays_off(self, capsys):
-        exit_code = main(
-            ["lint", DETPKG, "--no-baseline", "--format", "json"]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert "SC501" not in {f["code"] for f in payload["findings"]}
-        assert exit_code == 1  # the syntactic SC303 near-miss still fires
-
-    def test_selecting_semantic_code_auto_enables_pass(self, capsys):
-        exit_code = main(
-            [
-                "lint", DETPKG, "--no-baseline",
-                "--select", "SC501", "--format", "json",
-            ]
-        )
+    def test_select_narrows_to_a_whole_program_code(self, capsys):
+        exit_code = main(["lint", DETPKG, "--select", "SC501"])
         assert exit_code == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert {f["code"] for f in payload["findings"]} == {"SC501"}
+        assert report_codes(capsys.readouterr().out) == {"SC501"}
 
     def test_ignore_unknown_code_exits_2(self, capsys):
         exit_code = main(["lint", DETPKG, "--ignore", "SC999"])
@@ -404,15 +375,9 @@ class TestSemanticCLI:
         assert "valid codes" in err
 
     def test_ignore_filters_codes(self, capsys):
-        exit_code = main(
-            [
-                "lint", DETPKG, "--no-baseline", "--semantic",
-                "--ignore", "SC303", "--format", "json",
-            ]
-        )
+        exit_code = main(["lint", DETPKG, "--ignore", "SC303"])
         assert exit_code == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert "SC303" not in {f["code"] for f in payload["findings"]}
+        assert "SC303" not in report_codes(capsys.readouterr().out)
 
     def test_explain_known_code(self, capsys):
         assert main(["lint", "--explain", "SC501"]) == 0
@@ -431,47 +396,10 @@ class TestSemanticCLI:
         for code in SEMANTIC_RULE_CODES:
             assert code in out
 
-    def test_call_graph_writes_dot(self, tmp_path, capsys):
-        dot_path = tmp_path / "graph.dot"
-        exit_code = main(
-            [
-                "lint", SVCPKG, "--no-baseline",
-                "--call-graph", str(dot_path),
-            ]
-        )
-        assert exit_code == 1  # svcpkg has semantic findings
-        text = dot_path.read_text()
-        assert text.startswith("digraph callgraph {")
-        assert "CountingService._bump" in text
-        capsys.readouterr()
-
-    def test_sarif_format_is_valid_and_fails_run(self, capsys):
-        exit_code = main(
-            ["lint", DETPKG, "--no-baseline", "--semantic", "--format", "sarif"]
-        )
-        assert exit_code == 1
-        log = json.loads(capsys.readouterr().out)
-        assert log["version"] == "2.1.0"
-        run = log["runs"][0]
-        assert run["tool"]["driver"]["name"] == "statcheck"
-        rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-        assert rule_ids == sorted(rule_ids)
-        for result in run["results"]:
-            assert rule_ids[result["ruleIndex"]] == result["ruleId"]
-            location = result["locations"][0]["physicalLocation"]
-            assert location["region"]["startLine"] >= 1
-
 
 # ---------------------------------------------------------------------------
-# Golden files and round-trips
+# Golden files
 # ---------------------------------------------------------------------------
-
-
-def _fixture_findings():
-    """Deterministic finding set: the full semantic fixture tree, analyzed
-    with repo-relative paths so reports are location-independent."""
-    report = analyze_semantic(["tests/fixtures/statcheck/semantic"])
-    return report.findings, len(report.model.modules)
 
 
 class TestGoldenReports:
@@ -479,70 +407,36 @@ class TestGoldenReports:
     def _repo_cwd(self, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
 
-    def test_json_report_matches_golden(self):
-        findings, files = _fixture_findings()
-        rendered = render_json(findings, files_scanned=files) + "\n"
-        golden = (GOLDEN_DIR / "semantic-report.json").read_text()
-        assert rendered == golden
+    def _finding_lines(self, target, capsys):
+        assert main(["lint", target]) == 1
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        return "".join(lines[:-1])  # the summary line is not pinned
 
-    def test_sarif_report_matches_golden(self):
-        findings, files = _fixture_findings()
-        rendered = render_sarif(findings, files_scanned=files) + "\n"
-        golden = (GOLDEN_DIR / "semantic-report.sarif").read_text()
-        assert rendered == golden
+    def test_text_report_matches_golden(self, capsys):
+        assert self._finding_lines(
+            "tests/fixtures/statcheck/semantic", capsys
+        ) == (GOLDEN_DIR / "semantic-findings.txt").read_text()
+
+    def test_violations_report_matches_golden(self, capsys):
+        assert self._finding_lines(
+            "tests/fixtures/statcheck/violations.py", capsys
+        ) == (GOLDEN_DIR / "violations-findings.txt").read_text()
 
     def test_reports_are_byte_identical_across_runs(self):
-        first_findings, files = _fixture_findings()
-        second_findings, _ = _fixture_findings()
-        assert render_json(first_findings, files) == render_json(
-            second_findings, files
-        )
-        assert render_sarif(first_findings, files) == render_sarif(
-            second_findings, files
-        )
-
-    def test_json_round_trips_into_baseline_writer(self, tmp_path):
-        findings, files = _fixture_findings()
-        recovered = findings_from_json(render_json(findings, files))
-        assert [
-            (f.path, f.line, f.col, f.code, f.severity, f.message, f.source)
-            for f in recovered
-        ] == [
-            (f.path, f.line, f.col, f.code, f.severity, f.message, f.source)
-            for f in findings
-        ]
-        direct = tmp_path / "direct.json"
-        roundtrip = tmp_path / "roundtrip.json"
-        Baseline.write(direct, findings)
-        Baseline.write(roundtrip, recovered)
-        assert direct.read_text() == roundtrip.read_text()
-
-    def test_findings_from_json_rejects_malformed_input(self):
-        with pytest.raises(StatcheckError):
-            findings_from_json("{not json")
-        with pytest.raises(StatcheckError):
-            findings_from_json('{"version": 99, "findings": []}')
-        with pytest.raises(StatcheckError):
-            findings_from_json(
-                '{"version": 1, "findings": [{"path": "x"}]}'
-            )
+        fixtures = ["tests/fixtures/statcheck/semantic"]
+        first = analyze_paths(fixtures).render()
+        assert first == analyze_paths(fixtures).render()
 
 
 # ---------------------------------------------------------------------------
-# Semantic repo sweep (the CI guardrail)
+# Whole-program model over the repo
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.statcheck_sweep
 class TestSemanticRepoSweep:
-    def test_src_is_semantically_clean(self):
-        report = analyze_semantic([str(REPO_ROOT / "src" / "repro")])
-        assert report.findings == [], "\n".join(
-            f.render() for f in report.findings
-        )
-
     def test_model_covers_the_whole_tree(self):
-        report = analyze_semantic([str(REPO_ROOT / "src" / "repro")])
-        assert len(report.model.modules) > 50
-        assert len(report.model.functions) > 400
-        assert len(report.graph.edges) > 500
+        model = model_of(str(REPO_ROOT / "src" / "repro"))
+        assert len(model.modules) > 50
+        assert len(model.functions) > 400
+        assert len(build_call_graph(model).edges) > 500
