@@ -12,8 +12,8 @@ Layout mirrors the acceptance criteria:
 - golden-file tests pinning the text report's finding lines byte-for-byte
   (written by the analyzer before the syntactic and whole-program passes
   ran in one pass);
-- the model's coverage of ``src/repro`` (the clean-tree sweep itself lives
-  in ``tests/test_statcheck.py``).
+- the whole-program rules over ``src/repro``: no findings, and a model
+  that covers the whole tree.
 """
 
 from pathlib import Path
@@ -435,6 +435,12 @@ class TestGoldenReports:
 
 @pytest.mark.statcheck_sweep
 class TestSemanticRepoSweep:
+    def test_src_is_semantically_clean(self):
+        report = analyze_paths(
+            [str(REPO_ROOT / "src" / "repro")], select=sorted(SEMANTIC_RULE_CODES)
+        )
+        assert report.findings == [], report.render()
+
     def test_model_covers_the_whole_tree(self):
         model = model_of(str(REPO_ROOT / "src" / "repro"))
         assert len(model.modules) > 50
