@@ -1,4 +1,4 @@
-"""ASR toolkit tour: n-best, confidences, rescoring, streaming, robustness.
+"""ASR toolkit tour: n-best, confidences, streaming, robustness.
 
 Everything a speech developer would poke at before adopting the recognizer.
 
@@ -16,10 +16,8 @@ from repro.asr import (
     BigramLanguageModel,
     Decoder,
     Synthesizer,
-    TrigramLanguageModel,
     collect_training_data,
     noise_robustness_sweep,
-    rescore_nbest,
     train_gmm_acoustic_model,
 )
 
@@ -37,7 +35,6 @@ def main() -> None:
     data = collect_training_data(SENTENCES, repetitions=4)
     acoustic = train_gmm_acoustic_model(data)
     decoder = Decoder(acoustic, BigramLanguageModel(SENTENCES))
-    trigram = TrigramLanguageModel(SENTENCES)
     synthesizer = Synthesizer(seed=777)
 
     text = SENTENCES[0]
@@ -47,10 +44,6 @@ def main() -> None:
     nbest = decoder.decode_nbest(wave, n=4)
     for hypothesis, confidence in zip(nbest, Decoder.nbest_confidences(nbest)):
         print(f"  {confidence:5.2f}  {hypothesis.text}")
-
-    print("\nAfter trigram rescoring:")
-    for hypothesis in rescore_nbest(nbest, trigram)[:2]:
-        print(f"        {hypothesis.text}")
 
     print("\nStreaming recognition (partial hypotheses as audio arrives):")
     from repro.asr import StreamingDecoder

@@ -11,7 +11,6 @@ from repro.asr.evaluate import (
     noise_robustness_sweep,
     word_edit_distance,
 )
-from repro.asr.quantize import QuantizedDNN, agreement, quantize
 from repro.asr.streaming import StreamingDecoder, StreamingFeatureExtractor
 from repro.asr.vad import (
     EndpointConfig,
@@ -36,17 +35,14 @@ from repro.asr.decoder import DecodeResult, Decoder
 from repro.asr.dnn import DeepNeuralNetwork, DNNConfig
 from repro.asr.features import FeatureConfig, FeatureExtractor
 from repro.asr.gmm import DiagonalGMM, fit_gmm, score_naive
-from repro.asr.lm import BigramLanguageModel, TrigramLanguageModel, rescore_nbest
+from repro.asr.lm import BigramLanguageModel
 from repro.asr.phonemes import N_PHONEMES, PHONEMES, pronounce
 
 __all__ = [
     "BigramLanguageModel",
-    "QuantizedDNN",
     "WERResult",
-    "agreement",
     "evaluate_wer",
     "noise_robustness_sweep",
-    "quantize",
     "word_edit_distance",
     "DNNAcousticModel",
     "DNNConfig",
@@ -71,8 +67,6 @@ __all__ = [
     "VoiceActivityDetector",
     "Synthesizer",
     "TrainingData",
-    "TrigramLanguageModel",
-    "rescore_nbest",
     "Waveform",
     "collect_training_data",
     "fit_gmm",

@@ -30,7 +30,6 @@ class FeatureConfig:
     low_freq: float = 100.0
     high_freq: float = 7000.0
     add_deltas: bool = True
-    cmvn: bool = False  # per-utterance cepstral mean-variance normalization
 
     def __post_init__(self) -> None:
         if self.frame_length <= 0 or self.frame_hop <= 0:
@@ -156,19 +155,15 @@ class FeatureExtractor:
                 [samples[:1], samples[1:] - config.pre_emphasis * samples[:-1]]
             )
         cepstra = self.static_cepstra(samples, waveform.sample_rate)
-        if config.cmvn and len(cepstra) > 1:
-            mean = cepstra.mean(axis=0, keepdims=True)
-            std = cepstra.std(axis=0, keepdims=True)
-            cepstra = (cepstra - mean) / np.maximum(std, 1e-8)
         if config.add_deltas:
             cepstra = np.hstack([cepstra, compute_deltas(cepstra)])
         return cepstra
 
     def static_cepstra(self, samples: np.ndarray, rate: int) -> np.ndarray:
         """Window → power spectrum → mel → log → DCT of float ``samples`` as
-        given: the per-frame part of :meth:`extract`, without pre-emphasis,
-        CMVN or deltas (which need cross-chunk or whole-utterance context and
-        are the streaming front-end's own to apply)."""
+        given: the per-frame part of :meth:`extract`, without pre-emphasis
+        or deltas (which need cross-chunk context and are the streaming
+        front-end's own to apply)."""
         window, bank, dct = _tables(self.config, rate)
         hop = int(self.config.frame_hop * rate)
         frames = frame_signal(samples, len(window), hop) * window

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 from repro.errors import ModelError
 
@@ -83,84 +83,3 @@ class BigramLanguageModel:
         import numpy as np
 
         return np.array([self.log_prob(EOS, word) for word in words])
-
-
-class TrigramLanguageModel:
-    """Interpolated trigram LM for second-pass (n-best) rescoring.
-
-    P(w | u, v) = l3*ML(w|u,v) + l2*ML(w|v) + l1*ML(w), with add-k smoothing
-    on the unigram floor.  Decoding stays bigram (the graph would otherwise
-    need per-history states); the trigram re-ranks the decoder's n-best list
-    — the classic two-pass architecture large-vocabulary systems use.
-    """
-
-    def __init__(
-        self,
-        sentences: Iterable[str],
-        weights: Tuple[float, float, float] = (0.6, 0.3, 0.1),
-        add_k: float = 0.1,
-    ):
-        l3, l2, l1 = weights
-        if min(weights) < 0 or not 0.99 <= l3 + l2 + l1 <= 1.01:
-            raise ModelError("interpolation weights must be >= 0 and sum to 1")
-        self.weights = weights
-        self.add_k = add_k
-        self._unigrams: Counter = Counter()
-        self._bigrams: Dict[str, Counter] = defaultdict(Counter)
-        self._trigrams: Dict[Tuple[str, str], Counter] = defaultdict(Counter)
-        n_sentences = 0
-        for sentence in sentences:
-            words = [w.lower() for w in sentence.split() if w]
-            if not words:
-                continue
-            n_sentences += 1
-            history = (BOS, BOS)
-            for word in words + [EOS]:
-                self._unigrams[word] += 1
-                self._bigrams[history[1]][word] += 1
-                self._trigrams[history][word] += 1
-                history = (history[1], word)
-        if n_sentences == 0:
-            raise ModelError("language model needs at least one sentence")
-        self._total_words = sum(self._unigrams.values())
-        self._vocab_size = len(self._unigrams)
-
-    def probability(self, word: str, context: Tuple[str, str]) -> float:
-        """Interpolated P(word | context); context is (u, v)."""
-        word = word.lower()
-        u, v = context
-        l3, l2, l1 = self.weights
-        tri = self._trigrams.get((u, v), Counter())
-        tri_total = sum(tri.values())
-        p3 = tri.get(word, 0) / tri_total if tri_total else 0.0
-        bi = self._bigrams.get(v, Counter())
-        bi_total = sum(bi.values())
-        p2 = bi.get(word, 0) / bi_total if bi_total else 0.0
-        p1 = (self._unigrams.get(word, 0) + self.add_k) / (
-            self._total_words + self.add_k * (self._vocab_size + 1)
-        )
-        return l3 * p3 + l2 * p2 + l1 * p1
-
-    def sentence_log_prob(self, sentence: str) -> float:
-        words = [w.lower() for w in sentence.split() if w]
-        history = (BOS, BOS)
-        total = 0.0
-        for word in words + [EOS]:
-            total += math.log(max(self.probability(word, history), 1e-300))
-            history = (history[1], word)
-        return total
-
-
-def rescore_nbest(results, trigram: TrigramLanguageModel, weight: float = 5.0):
-    """Re-rank an n-best list by decoder score + weighted trigram score.
-
-    Returns the results sorted by the combined score, best first.
-    """
-    if weight < 0:
-        raise ModelError("rescoring weight must be >= 0")
-    scored = [
-        (result.log_score + weight * trigram.sentence_log_prob(result.text), result)
-        for result in results
-    ]
-    scored.sort(key=lambda item: -item[0])
-    return [result for _, result in scored]

@@ -45,7 +45,7 @@ class StreamingFeatureExtractor:
         self.sample_rate = sample_rate
         # Only ``static_cepstra`` is used: pre-emphasis is applied here (it
         # needs one sample of cross-chunk context), deltas over the lookahead
-        # window, and CMVN needs the whole utterance, so it is not streamable.
+        # window.
         self._extractor = FeatureExtractor(config)
         self._frame_size = int(config.frame_length * sample_rate)
         self._hop = int(config.frame_hop * sample_rate)

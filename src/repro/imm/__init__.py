@@ -1,8 +1,9 @@
 """Image Matching service (OpenCV-SURF replacement).
 
 Pipeline (paper Figure 5): integral image → fast-Hessian scale space →
-keypoints (FE) → Haar-wavelet orientation + 64-d descriptors (FD) → ANN
-match against the image database.
+keypoints (FE) → upright 64-d descriptors (FD, ``Surf(upright=True)``) →
+ANN match against the image database.  Haar-wavelet orientation exists
+only for the oriented descriptors that ``suite.fd`` measures.
 """
 
 from repro.imm.database import ImageDatabase, MatchResult
@@ -11,10 +12,8 @@ from repro.imm.hessian import FastHessianDetector, Keypoint
 from repro.imm.image import Image, SceneGenerator
 from repro.imm.integral import box_sum, integral_image
 from repro.imm.kdtree import KDTree
-from repro.imm.lsh import LSHIndex
 from repro.imm.matcher import AnnMatcher, DescriptorMatch, match_bruteforce
 from repro.imm.surf import Surf, SurfFeatures
-from repro.imm.verify import VerificationResult, ransac_translation
 
 __all__ = [
     "AnnMatcher",
@@ -25,10 +24,7 @@ __all__ = [
     "ImageDatabase",
     "KDTree",
     "Keypoint",
-    "LSHIndex",
     "MatchResult",
-    "VerificationResult",
-    "ransac_translation",
     "SceneGenerator",
     "Surf",
     "SurfFeatures",

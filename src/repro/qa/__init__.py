@@ -7,7 +7,6 @@ account for ~85% of QA cycles.
 
 from repro.qa.engine import QAEngine, QAResult
 from repro.qa.evaluate import QAEvaluation, answer_matches, evaluate_qa
-from repro.qa.qclassify import NaiveBayesClassifier, train_default_classifier
 from repro.qa.extraction import Candidate, extract_candidates
 from repro.qa.filters import FilterPipeline, FilterStats
 from repro.qa.question import (
@@ -35,12 +34,10 @@ __all__ = [
     "GENERIC",
     "LOCATION",
     "NUMBER",
-    "NaiveBayesClassifier",
     "PERSON",
     "QAEvaluation",
     "answer_matches",
     "evaluate_qa",
-    "train_default_classifier",
     "PorterStemmer",
     "QAEngine",
     "QAResult",

@@ -72,14 +72,10 @@ def shard_image_database(
         )
         for _ in range(n_shards)
     ]
-    for image_id, name in enumerate(database._names):
-        shard = shards[image_id % n_shards]
-        features = database._features[image_id]
-        local_id = len(shard._names)
-        shard._names.append(name)
-        shard._features.append(features)
-        shard._owner_of_row.extend([local_id] * len(features))
-        shard._keypoint_of_row.extend(range(len(features)))
+    for image_id, (name, features) in enumerate(
+        zip(database._names, database._features)
+    ):
+        shards[image_id % n_shards].register(name, features)
     return shards
 
 

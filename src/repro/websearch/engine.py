@@ -32,6 +32,7 @@ def _split_phrases(query: str) -> Tuple[List[str], str]:
         remainder_parts.extend(current)
     return phrases, "".join(remainder_parts)
 
+from repro.errors import QueryError
 from repro.websearch.bm25 import BM25, ScoredDocument
 from repro.websearch.documents import Corpus, Document
 from repro.websearch.index import InvertedIndex, analyze
@@ -53,24 +54,11 @@ class SearchEngine:
     True
     """
 
-    def __init__(
-        self,
-        corpus: Corpus,
-        k1: float = 1.5,
-        b: float = 0.75,
-        ranker: str = "bm25",
-    ):
+    def __init__(self, corpus: Corpus, k1: float = 1.5, b: float = 0.75):
         self.corpus = corpus
         self.index = InvertedIndex()
         self.index.add_all(corpus)
-        if ranker == "bm25":
-            self.ranker = BM25(self.index, k1=k1, b=b)
-        elif ranker == "tfidf":
-            from repro.websearch.tfidf import TfIdfRanker
-
-            self.ranker = TfIdfRanker(self.index)
-        else:
-            raise ValueError(f"unknown ranker {ranker!r}; use 'bm25' or 'tfidf'")
+        self.bm25 = BM25(self.index, k1=k1, b=b)
 
     @classmethod
     def with_default_corpus(cls, **corpus_kwargs) -> "SearchEngine":
@@ -81,19 +69,24 @@ class SearchEngine:
 
         Double-quoted segments are phrase constraints: ``'"barack obama"
         capital'`` only returns documents where the quoted terms appear
-        consecutively, ranked by BM25 over all terms.
+        consecutively, ranked by BM25 over all terms.  A phrase with no
+        indexable terms (``'"the"'``) constrains nothing.
         """
+        if k < 1:
+            raise QueryError("search needs k >= 1")
         phrases, remainder = _split_phrases(query)
         terms = analyze(remainder)
         allowed = None
         for phrase in phrases:
             phrase_terms = analyze(phrase)
+            if not phrase_terms:
+                continue
             terms.extend(phrase_terms)
             docs = set(self.index.phrase_documents(phrase_terms))
             allowed = docs if allowed is None else (allowed & docs)
         if not terms:
             return []
-        scored: List[ScoredDocument] = self.ranker.top_k(
+        scored: List[ScoredDocument] = self.bm25.top_k(
             terms, k if allowed is None else self.index.n_documents
         )
         results = [

@@ -1,48 +1,7 @@
-"""Integration tests for the newer features: persistence, ranker choice,
-and the response latency semantics."""
+"""Integration tests for the response latency semantics and the
+distractor corpus."""
 
-import pytest
-
-from repro.errors import ImageError
-from repro.imm import ImageDatabase, SceneGenerator
-from repro.websearch import Corpus, SearchEngine
-
-
-class TestImageDatabasePersistence:
-    def test_roundtrip_matches_identically(self, tmp_path):
-        generator = SceneGenerator(seed=61)
-        original = ImageDatabase.with_scenes(4, generator=generator)
-        path = str(tmp_path / "scenes.npz")
-        original.save(path)
-        restored = ImageDatabase.load(path)
-        assert restored.n_images == original.n_images
-        assert restored.n_descriptors == original.n_descriptors
-        for index in range(4):
-            query = generator.query_for(index)
-            assert restored.match(query).image_name == original.match(query).image_name
-
-    def test_verified_match_after_load(self, tmp_path):
-        generator = SceneGenerator(seed=62)
-        database = ImageDatabase.with_scenes(3, generator=generator)
-        path = str(tmp_path / "db.npz")
-        database.save(path)
-        restored = ImageDatabase.load(path)
-        result = restored.match(generator.query_for(1), verify=True)
-        assert result.image_name == "scene-1"
-        assert result.inliers > 0
-
-    def test_empty_database_cannot_save(self, tmp_path):
-        with pytest.raises(ImageError):
-            ImageDatabase().save(str(tmp_path / "empty.npz"))
-
-    def test_loaded_database_can_grow(self, tmp_path):
-        generator = SceneGenerator(seed=63)
-        database = ImageDatabase.with_scenes(2, generator=generator)
-        path = str(tmp_path / "db.npz")
-        database.save(path)
-        restored = ImageDatabase.load(path)
-        restored.add(generator.scene(5))
-        assert restored.n_images == 3
+from repro.websearch import Corpus
 
 
 class TestLatencySemantics:
@@ -64,17 +23,7 @@ class TestLatencySemantics:
             assert response.wall_seconds >= sum(response.service_seconds.values())
 
 
-class TestRankerChoice:
-    def test_invalid_ranker_rejected(self):
-        with pytest.raises(ValueError):
-            SearchEngine(Corpus(), ranker="pagerank")
-
-    def test_tfidf_engine_retrieves(self):
-        engine = SearchEngine(Corpus(), ranker="tfidf")
-        results = engine.search("capital of italy")
-        assert results
-        assert "Italy" in results[0].document.title
-
+class TestDistractorCorpus:
     def test_distractor_corpus_counts(self):
         corpus = Corpus(documents_per_fact=1, n_noise_docs=0, distractors_per_fact=2)
         from repro.websearch.documents import FACTS

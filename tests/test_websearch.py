@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import QueryError
 from repro.websearch import (
     BM25,
     Corpus,
@@ -182,6 +183,11 @@ class TestSearchEngine:
 
     def test_stopword_only_query(self, engine):
         assert engine.search("the of and is") == []
+
+    @pytest.mark.parametrize("k", [0, -1, -25])
+    def test_k_below_one_rejected(self, engine, k):
+        with pytest.raises(QueryError):
+            engine.search("capital of italy", k=k)
 
     def test_best_returns_top(self, engine):
         best = engine.best("author Harry Potter")

@@ -91,3 +91,9 @@ class TestPhraseSearch:
         results = engine.search('"capital of italy"')
         assert results
         assert "Italy" in results[0].document.title
+
+    @pytest.mark.parametrize("phrase", ['"the"', '" "', '""'])
+    def test_termless_phrase_constrains_nothing(self, engine, phrase):
+        plain = engine.search("capital of italy")
+        assert len(plain) == 10
+        assert engine.search(f"{phrase} capital of italy") == plain
