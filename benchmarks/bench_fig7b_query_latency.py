@@ -2,7 +2,8 @@
 
 Shape to reproduce: WS << VC < VQ <= VIQ, with QA the dominant service.
 The ordering is asserted on medians of five warm runs per query, never on
-one cold ``perf_counter`` delta (ROADMAP item 1(b)).
+one cold ``perf_counter`` delta (ROADMAP: "Upkeep: stale prose, and green
+on any box").
 """
 
 import statistics

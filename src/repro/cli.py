@@ -581,23 +581,17 @@ def _cmd_cost_report(args: argparse.Namespace) -> int:
     """``repro cost-report``: the per-query joule/dollar ledger.
 
     Folds a span export (or a seeded cluster replay) into per-query,
-    per-stage energy and dollars with the AI-tax decomposition, reprices
-    the same trace on CMP/GPU/Phi/FPGA, and (``--fleet``) extrapolates to
-    the million-query day.  Every number derives from seeds, virtual
-    time, and the Table 5/6/7 constants — never wall clocks — so the
-    ledger is byte-identical across execution backends.
+    per-stage energy and dollars on the CMP baseline, with the AI-tax
+    decomposition.  Every number derives from seeds, virtual time, and
+    the Table 6/7 constants — never wall clocks — so the ledger is
+    byte-identical across execution backends.
     """
     from repro.obs import cost
 
-    pricing = dict(
-        platform=args.platform,
-        fleet=args.fleet,
-        target_queries=args.target_queries,
-    )
     return _run_report(
         args,
-        lambda spans: cost.cost_report_from_spans(spans, **pricing),
-        lambda replay: cost.cost_report_from_replay(replay(), **pricing),
+        cost.ledger_from_spans,
+        lambda replay: cost.ledger_from_replay(replay()),
         cost.render_cost_report,
         cost.report_to_json,
         "cost-report",
@@ -900,21 +894,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     cost = sub.add_parser(
         "cost-report",
-        help="per-query joule/dollar ledger with the AI-tax decomposition "
-             "and platform what-if repricing",
+        help="per-query joule/dollar ledger with the AI-tax decomposition",
     )
     _add_report_arguments(cost, "price", "ledger")
-    cost.add_argument(
-        "--platform", default="cmp", choices=("cmp", "gpu", "phi", "fpga"),
-        help="platform the headline ledger is priced on (default cmp)",
-    )
-    cost.add_argument(
-        "--fleet", action="store_true",
-        help="extrapolate to --target-queries per day: servers, joules, "
-             "and dollars per platform",
-    )
-    cost.add_argument("--target-queries", type=int, default=1_000_000,
-                      help="fleet extrapolation volume (default 1e6/day)")
     cost.set_defaults(func=_cmd_cost_report)
 
     bench = sub.add_parser(

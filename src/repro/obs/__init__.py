@@ -46,9 +46,8 @@ produces those measurements from a live run:
   pricing numbers from appearing anywhere else;
 - :mod:`repro.obs.cost` — the ``repro cost-report`` ledger: per-query,
   per-stage energy (exact integer microjoules) and dollars folded from
-  span forests or cluster replays, the compute-vs-AI-tax decomposition,
-  platform what-if repricing against Figure 18's TCO ordering, and the
-  million-query-day fleet extrapolation.
+  span forests or cluster replays on the CMP baseline, with the
+  compute-vs-AI-tax decomposition.
 
 Wired into ``repro serve-bench --trace/--metrics``, ``repro trace-report``,
 ``repro fleet-report``, ``repro cost-report`` and ``repro bench``; see

@@ -565,15 +565,14 @@ class ObsCostBenchmark(Benchmark):
     """The cost ledger under a pinned-seed replay.
 
     Replays a seeded arrival stream, folds it into the joule/dollar
-    ledger, reprices it on every platform, and extrapolates the fleet
-    bill — then gates the canonical-JSON fingerprint of the whole report
-    plus the headline integers.  Every number is a pure function of the
-    seeds and the Table 5/6/7 constants, so a drifted watt, speedup, or
-    rounding point fails the gate exactly.
+    ledger, then gates the canonical-JSON and text fingerprints of the
+    report plus the headline integers.  Every number is a pure function
+    of the seeds and the Table 6/7 constants, so a drifted watt, roofline
+    or rounding point fails the gate exactly.
     """
 
     name = "obs.cost"
-    description = "joule/dollar ledger + what-if repricing over a pinned replay (seed 13)"
+    description = "joule/dollar ledger with the AI-tax split over a pinned replay (seed 13)"
     seed = 13
     metric_specs = {
         "report_fingerprint": EXACT,
@@ -581,27 +580,22 @@ class ObsCostBenchmark(Benchmark):
         "total_microjoules": EXACT,
         "tax_microjoules": EXACT,
         "queries": EXACT,
-        "what_if_platforms": EXACT,
-        "fleet_servers": EXACT,
     }
 
     def run(self, state: Any, quick: bool) -> Dict[str, float]:
         from repro.obs.cost import (
-            cost_report_from_replay,
+            ledger_from_replay,
             render_cost_report,
             report_to_json,
         )
 
-        report = cost_report_from_replay(_pinned_replay(self.seed, quick), fleet=True)
-        ledger = report.ledger
+        ledger = ledger_from_replay(_pinned_replay(self.seed, quick))
         return {
-            "report_fingerprint": fingerprint(report_to_json(report)),
-            "ledger_fingerprint": fingerprint(render_cost_report(report)),
+            "report_fingerprint": fingerprint(report_to_json(ledger)),
+            "ledger_fingerprint": fingerprint(render_cost_report(ledger)),
             "total_microjoules": ledger.total_microjoules,
             "tax_microjoules": ledger.tax_microjoules(),
             "queries": len(ledger.queries),
-            "what_if_platforms": len(report.what_if),
-            "fleet_servers": sum(row.n_servers for row in report.fleet.rows),
         }
 
 

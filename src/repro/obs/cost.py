@@ -20,6 +20,11 @@ split into an explicit "AI tax" decomposition:
 Everything except ``compute`` is overhead the accelerators never touch —
 the "AI tax" made a measured line item instead of noise.
 
+The ledger prices the trace it was given on the CMP baseline it ran on.
+Section 5's platform dollars (Figure 18, Tables 8/9) belong to
+:class:`~repro.platforms.model.AcceleratorModel` x
+:class:`~repro.datacenter.tco.TCOModel`.
+
 **Exactness discipline.**  Energy is produced at exactly one rounding
 point (:func:`repro.obs.pricing.energy_microjoules`) and totals are
 integer sums of those values, so per-stage attributions sum *exactly* to
@@ -27,31 +32,16 @@ per-query and per-trace totals (``math.fsum`` over the integers is the
 plain sum); dollars accumulate with ``math.fsum``.  Every input is a pure
 function of seeds and virtual time, so the ledger is byte-identical
 across serial/thread/process backends, chaos replays included.
-
-**What-if repricing.**  :func:`reprice` rebuilds the same ledger on
-CMP/GPU/Phi/FPGA: service-stage compute seconds scale by the Table 5
-service speedups (Amdahl-composed, transfer-overhead-burdened —
-:mod:`repro.platforms.speedups`), Sirius Suite kernel spans go through
-the roofline with their per-kernel SIMD-friendliness
-(:mod:`repro.platforms.roofline`), and the tax never scales.  Per-stage
-compute dollars then reproduce the Figure 18 / Table 8/9 TCO rank order
-at trace granularity (the proportionality is exact: both are
-``monthly_tco x (1 + overhead) / speedup``).  :func:`fleet_costs`
-extrapolates through the cluster replay's scale-invariance argument to
-the million-query day: servers, joules, and dollars per platform, with
-the AI tax as its own line.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis import format_table
-from repro.datacenter.tco import TCOModel, TCOParameters
-from repro.errors import ObsError
 from repro.obs.counters import WorkCounters, counters_of, wasted_span_ids
 from repro.obs.pricing import (
     dollars_per_server_second,
@@ -60,11 +50,10 @@ from repro.obs.pricing import (
 )
 from repro.obs.trace import KERNEL, QUERY, ROUTER, SERVICE, query_outcome, sort_key
 from repro.platforms.roofline import KERNEL_PROFILES, attainable_for_intensity
-from repro.platforms.spec import CMP, PLATFORMS, spec
-from repro.platforms.speedups import ASR_GMM, IMM, QA, service_speedup
+from repro.platforms.spec import CMP
 
 #: Canonical JSON schema tag for ``repro cost-report --json``.
-SCHEMA = "repro.cost-report/v1"
+SCHEMA = "repro.cost-report/v2"
 
 #: Ledger categories, in decomposition order.  ``COMPUTE`` is served work;
 #: everything after it is the AI tax.
@@ -76,37 +65,18 @@ QUEUEING = "queueing"
 TAX_CATEGORIES: Tuple[str, ...] = (DEGRADED, RETRIES, ROUTER_WAIT, QUEUEING)
 CATEGORIES: Tuple[str, ...] = (COMPUTE,) + TAX_CATEGORIES
 
-#: Trace service labels -> the Section 5 service whose Table 5 speedup
-#: reprices the stage.  Glue stages (CLASSIFY, ROUTER) have no entry and
-#: never accelerate — they are part of the tax argument.
-SERVICE_SPEEDUP_KEYS: Dict[str, str] = {"ASR": ASR_GMM, "QA": QA, "IMM": IMM}
-
 #: Fallback operational intensity when a span recorded flops but no bytes.
 _DEFAULT_INTENSITY = 1.0
 
 #: Per-query entries included verbatim in reports (totals always cover all).
-DEFAULT_QUERY_LIMIT = 12
+QUERY_LIMIT = 12
 
 _GIGA = 1e9
 
 
 # -- time models --------------------------------------------------------------------
 
-def stage_time_scale(stage: str, platform: str) -> float:
-    """Service-stage time on ``platform`` relative to the CMP baseline.
-
-    ``(1 + transfer_overhead) / relative_speedup`` with the relative
-    speedup read from the Amdahl-composed Table 5 service speedups; CMP is
-    exactly 1.0, and unmapped (glue) stages never accelerate.
-    """
-    key = SERVICE_SPEEDUP_KEYS.get(stage)
-    if key is None:
-        return 1.0
-    relative = service_speedup(key, platform) / service_speedup(key, CMP)
-    return (1.0 + spec(platform).transfer_overhead) / relative
-
-
-def _cmp_compute_seconds(counters: WorkCounters) -> float:
+def service_compute_seconds(counters: WorkCounters) -> float:
     """Modeled CMP seconds for a counter total (roofline at measured intensity)."""
     if counters.flops <= 0:
         return 0.0
@@ -114,22 +84,13 @@ def _cmp_compute_seconds(counters: WorkCounters) -> float:
     return counters.flops / _GIGA / attainable_for_intensity(intensity, CMP)
 
 
-def service_compute_seconds(
-    counters: WorkCounters, stage: str, platform: str
-) -> float:
-    """Modeled seconds of a service stage's counter work on ``platform``."""
-    return _cmp_compute_seconds(counters) * stage_time_scale(stage, platform)
+def kernel_compute_seconds(counters: WorkCounters, kernel: str) -> float:
+    """Modeled CMP seconds of a Sirius Suite kernel span.
 
-
-def kernel_compute_seconds(
-    counters: WorkCounters, kernel: str, platform: str
-) -> float:
-    """Modeled seconds of a Sirius Suite kernel span on ``platform``.
-
-    Suite traces carry no service stage, so they are repriced directly on
+    Suite traces carry no service stage, so they are priced directly on
     the roofline: attainable GFLOP/s at the *measured* intensity (falling
-    back to the kernel's analytic profile) and the kernel's per-platform
-    SIMD friendliness, plus the accelerator's transfer overhead.
+    back to the kernel's analytic profile) and the kernel's CMP SIMD
+    friendliness.
     """
     if counters.flops <= 0:
         return 0.0
@@ -141,12 +102,9 @@ def kernel_compute_seconds(
         intensity = (
             profile.operational_intensity if profile else _DEFAULT_INTENSITY
         )
-    seconds = counters.flops / _GIGA / attainable_for_intensity(
-        intensity, platform, friendliness
+    return counters.flops / _GIGA / attainable_for_intensity(
+        intensity, CMP, friendliness
     )
-    if platform != CMP:
-        seconds *= 1.0 + spec(platform).transfer_overhead
-    return seconds
 
 
 # -- ledger data model --------------------------------------------------------------
@@ -202,12 +160,10 @@ class CategoryTotal:
 
 @dataclass(frozen=True)
 class CostLedger:
-    """The full attribution of one trace set (or replay) on one platform."""
+    """The full attribution of one trace set (or replay) on the CMP baseline."""
 
-    platform: str
     source: str    #: "spans" | "replay"
     queries: Tuple[QueryCost, ...]
-    parameters: TCOParameters = field(default_factory=TCOParameters)
 
     @property
     def total_microjoules(self) -> int:
@@ -274,16 +230,14 @@ class _EntryAccumulator:
         bucket[1] = bucket[1] + counters
         bucket[2] += events
 
-    def entries(
-        self, platform: str, rate: float
-    ) -> Tuple[LedgerEntry, ...]:
+    def entries(self, rate: float) -> Tuple[LedgerEntry, ...]:
         entries = []
         for (stage, category, kernel) in sorted(self.buckets):
             stall, counters, events = self.buckets[(stage, category, kernel)]
             if kernel:
-                work = kernel_compute_seconds(counters, stage, platform)
+                work = kernel_compute_seconds(counters, stage)
             else:
-                work = service_compute_seconds(counters, stage, platform)
+                work = service_compute_seconds(counters)
             seconds = stall + work
             if seconds == 0.0 and counters.invocations == 0 and events == 0:
                 continue
@@ -292,7 +246,7 @@ class _EntryAccumulator:
                     stage=stage,
                     category=category,
                     seconds=seconds,
-                    microjoules=energy_microjoules(platform, seconds),
+                    microjoules=energy_microjoules(CMP, seconds),
                     dollars=seconds * rate,
                     counters=counters,
                     events=events,
@@ -301,11 +255,7 @@ class _EntryAccumulator:
         return tuple(entries)
 
 
-def ledger_from_spans(
-    spans: Sequence,
-    platform: str = CMP,
-    parameters: Optional[TCOParameters] = None,
-) -> CostLedger:
+def ledger_from_spans(spans: Sequence) -> CostLedger:
     """Fold a deterministic span forest into a :class:`CostLedger`.
 
     Only seed-deterministic span fields are read (kinds, status, parent
@@ -313,10 +263,7 @@ def ledger_from_spans(
     clocks, so the same chaos run ledgers byte-identically on every
     execution backend.
     """
-    if platform not in PLATFORMS:
-        raise ObsError(f"unknown platform {platform!r}; expected {PLATFORMS}")
-    parameters = parameters if parameters is not None else TCOParameters()
-    rate = dollars_per_server_second(platform, parameters)
+    rate = dollars_per_server_second(CMP)
     ordered = sorted(spans, key=sort_key)
     by_id = {span.span_id: span for span in ordered}
     wasted = wasted_span_ids(ordered)
@@ -391,48 +338,24 @@ def ledger_from_spans(
                 trace_id=trace_id,
                 ordinal=root.ordinal if root is not None else 0,
                 outcome=outcome,
-                entries=acc.entries(platform, rate),
+                entries=acc.entries(rate),
             )
         )
-    return CostLedger(
-        platform=platform, source="spans",
-        queries=tuple(queries), parameters=parameters,
-    )
+    return CostLedger(source="spans", queries=tuple(queries))
 
 
 # -- building a ledger from a cluster replay ----------------------------------------
 
-def replay_mix_scale(platform: str) -> float:
-    """Replay time scale: the mean of the mapped service stage scales.
-
-    The virtual replay samples one opaque service time per query, so the
-    what-if repricing assumes a uniform mix of the paper services (ASR,
-    QA, IMM) and scales the busy time by their average Table 5 factor.
-    """
-    scales = [
-        stage_time_scale(stage, platform) for stage in sorted(SERVICE_SPEEDUP_KEYS)
-    ]
-    return math.fsum(scales) / len(scales)
-
-
-def ledger_from_replay(
-    result,
-    platform: str = CMP,
-    parameters: Optional[TCOParameters] = None,
-) -> CostLedger:
+def ledger_from_replay(result) -> CostLedger:
     """Price a :class:`~repro.serving.cluster.replay.ReplayResult`.
 
-    Admitted queries attribute their sampled service seconds (scaled by
-    :func:`replay_mix_scale`) to ``compute`` and their queue wait to
-    ``router_wait`` — the replay's wait *is* router queueing.  Shed
+    Admitted queries attribute their sampled service seconds to
+    ``compute`` and their queue wait to ``router_wait`` — the replay's
+    wait *is* router queueing.  Shed
     arrivals become zero-second ``retries`` entries so rejected work is a
     visible (countable) line even though it burned no modeled joules.
     """
-    if platform not in PLATFORMS:
-        raise ObsError(f"unknown platform {platform!r}; expected {PLATFORMS}")
-    parameters = parameters if parameters is not None else TCOParameters()
-    rate = dollars_per_server_second(platform, parameters)
-    scale = replay_mix_scale(platform)
+    rate = dollars_per_server_second(CMP)
     queries: List[QueryCost] = []
     for outcome in result.outcomes:
         trace_id = f"replay-{outcome.ordinal}"
@@ -448,13 +371,12 @@ def ledger_from_replay(
                 )
             )
             continue
-        busy = outcome.service * scale
         entries = [
             LedgerEntry(
                 stage="service", category=COMPUTE,
-                seconds=busy,
-                microjoules=energy_microjoules(platform, busy),
-                dollars=busy * rate,
+                seconds=outcome.service,
+                microjoules=energy_microjoules(CMP, outcome.service),
+                dollars=outcome.service * rate,
                 events=1,
             )
         ]
@@ -463,7 +385,7 @@ def ledger_from_replay(
                 LedgerEntry(
                     stage="ROUTER", category=ROUTER_WAIT,
                     seconds=outcome.wait,
-                    microjoules=energy_microjoules(platform, outcome.wait),
+                    microjoules=energy_microjoules(CMP, outcome.wait),
                     dollars=outcome.wait * rate,
                     events=1,
                 )
@@ -474,185 +396,10 @@ def ledger_from_replay(
                 outcome="ok", entries=tuple(entries),
             )
         )
-    return CostLedger(
-        platform=platform, source="replay",
-        queries=tuple(queries), parameters=parameters,
-    )
+    return CostLedger(source="replay", queries=tuple(queries))
 
 
-# -- what-if repricing --------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WhatIfRow:
-    """One platform's repriced totals over the same trace."""
-
-    platform: str
-    compute_microjoules: int
-    tax_microjoules: int
-    compute_dollars: float
-    tax_dollars: float
-
-    @property
-    def total_microjoules(self) -> int:
-        return self.compute_microjoules + self.tax_microjoules
-
-    @property
-    def total_dollars(self) -> float:
-        return math.fsum((self.compute_dollars, self.tax_dollars))
-
-
-def reprice(
-    build_ledger: Callable[[str], CostLedger],
-    platforms: Sequence[str] = PLATFORMS,
-) -> Tuple[WhatIfRow, ...]:
-    """Re-run a ledger builder per platform and summarize the what-ifs."""
-    rows = []
-    for platform in platforms:
-        ledger = build_ledger(platform)
-        totals = ledger.category_totals()
-        rows.append(
-            WhatIfRow(
-                platform=platform,
-                compute_microjoules=totals[COMPUTE].microjoules,
-                tax_microjoules=ledger.tax_microjoules(),
-                compute_dollars=totals[COMPUTE].dollars,
-                tax_dollars=ledger.tax_dollars(),
-            )
-        )
-    return tuple(rows)
-
-
-def stage_compute_dollars(
-    build_ledger: Callable[[str], CostLedger],
-    platforms: Sequence[str] = PLATFORMS,
-) -> Dict[str, Dict[str, float]]:
-    """stage -> platform -> served-compute dollars (the Fig 18 analogue)."""
-    table: Dict[str, Dict[str, float]] = {}
-    for platform in platforms:
-        ledger = build_ledger(platform)
-        for (stage, category), total in ledger.stage_totals().items():
-            if category != COMPUTE:
-                continue
-            table.setdefault(stage, {})[platform] = total.dollars
-    return {stage: table[stage] for stage in sorted(table)}
-
-
-def fig18_reference_order(
-    service_key: str, parameters: Optional[TCOParameters] = None
-) -> Tuple[str, ...]:
-    """Platforms cheapest-first by Figure 18's normalized TCO for a service."""
-    from repro.platforms.model import AcceleratorModel
-
-    model = AcceleratorModel()
-    tco = TCOModel(parameters) if parameters is not None else TCOModel()
-    return tuple(
-        sorted(
-            PLATFORMS,
-            key=lambda platform: tco.normalized_tco(
-                platform, model.throughput_improvement(service_key, platform)
-            ),
-        )
-    )
-
-
-def ledger_rank_order(platform_dollars: Mapping[str, float]) -> Tuple[str, ...]:
-    """Platforms cheapest-first by repriced ledger dollars."""
-    return tuple(
-        sorted(platform_dollars, key=lambda platform: platform_dollars[platform])
-    )
-
-
-# -- fleet extrapolation ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FleetCostRow:
-    """One platform's million-query-day bill."""
-
-    platform: str
-    n_servers: int
-    compute_microjoules: int
-    tax_microjoules: int
-    dollars: float        #: provisioned fleet TCO over the window
-    tax_dollars: float    #: the AI-tax line item (busy-second priced)
-
-    @property
-    def total_microjoules(self) -> int:
-        return self.compute_microjoules + self.tax_microjoules
-
-    @property
-    def tax_share(self) -> float:
-        total = self.total_microjoules
-        return self.tax_microjoules / total if total else 0.0
-
-
-@dataclass(frozen=True)
-class FleetCost:
-    """The extrapolated per-platform fleet bill for a target volume."""
-
-    target_queries: int
-    window_seconds: float
-    rows: Tuple[FleetCostRow, ...]
-
-
-def fleet_costs(
-    build_ledger: Callable[[str], CostLedger],
-    target_queries: int = 1_000_000,
-    window_seconds: float = 86_400.0,
-    platforms: Sequence[str] = PLATFORMS,
-    per_replica_rate: Optional[float] = None,
-) -> FleetCost:
-    """Extrapolate a measured ledger to ``target_queries`` per window.
-
-    Energy and attributed dollars scale linearly (target / measured
-    queries — the cluster replay's scale-invariance argument).  Server
-    counts come from ``per_replica_rate`` when a replay measured one
-    (each replica's sustainable rate shrinks by the platform's busy-time
-    scale), else from busy-second occupancy at the Table 7 average
-    utilization.
-    """
-    if target_queries < 1 or window_seconds <= 0:
-        raise ObsError("need target_queries >= 1 and a positive window")
-    rows = []
-    for platform in platforms:
-        ledger = build_ledger(platform)
-        n_measured = len(ledger.queries)
-        if n_measured == 0:
-            raise ObsError("cannot extrapolate from an empty ledger")
-        scale = target_queries / n_measured
-        totals = ledger.category_totals()
-        compute_uj = int(round(totals[COMPUTE].microjoules * scale))
-        tax_uj = int(round(ledger.tax_microjoules() * scale))
-        busy_seconds = math.fsum(
-            totals[category].seconds for category in CATEGORIES
-        ) * scale
-        if per_replica_rate is not None:
-            platform_rate = per_replica_rate / replay_mix_scale(platform)
-            n_servers = max(
-                int(math.ceil(target_queries / window_seconds / platform_rate)),
-                1,
-            )
-        else:
-            utilization = ledger.parameters.average_utilization
-            n_servers = max(
-                int(math.ceil(busy_seconds / (window_seconds * utilization))), 1
-            )
-        rate = dollars_per_server_second(platform, ledger.parameters)
-        rows.append(
-            FleetCostRow(
-                platform=platform,
-                n_servers=n_servers,
-                compute_microjoules=compute_uj,
-                tax_microjoules=tax_uj,
-                dollars=n_servers * window_seconds * rate,
-                tax_dollars=ledger.tax_dollars() * scale,
-            )
-        )
-    return FleetCost(
-        target_queries=target_queries,
-        window_seconds=window_seconds,
-        rows=tuple(rows),
-    )
-
+# -- the fleet report's panel ------------------------------------------------------
 
 def fleet_cost_panel(
     ledger: CostLedger,
@@ -669,11 +416,11 @@ def fleet_cost_panel(
     """
     total_uj = ledger.total_microjoules
     panel = {
-        "platform": ledger.platform,
+        "platform": CMP,
         "queries": len(ledger.queries),
         "microjoules": total_uj,
         "tco_dollars": ledger.total_dollars,
-        "electricity_dollars": electricity_dollars(total_uj, ledger.parameters),
+        "electricity_dollars": electricity_dollars(total_uj),
         "tax_microjoules": ledger.tax_microjoules(),
         "tax_dollars": ledger.tax_dollars(),
         "tax_share": ledger.tax_microjoules() / total_uj if total_uj else 0.0,
@@ -685,91 +432,10 @@ def fleet_cost_panel(
         provisioned = math.fsum(
             count * tick_seconds for _, count in replica_timeline
         )
-        rate = dollars_per_server_second(ledger.platform, ledger.parameters)
         panel["provisioned_replica_seconds"] = provisioned
-        panel["provisioned_dollars"] = provisioned * rate
-        panel["provisioned_microjoules"] = energy_microjoules(
-            ledger.platform, provisioned
-        )
+        panel["provisioned_dollars"] = provisioned * dollars_per_server_second(CMP)
+        panel["provisioned_microjoules"] = energy_microjoules(CMP, provisioned)
     return panel
-
-
-# -- the report ---------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CostReport:
-    """Everything ``repro cost-report`` renders, already evaluated."""
-
-    ledger: CostLedger
-    what_if: Tuple[WhatIfRow, ...]
-    stage_dollars: Dict[str, Dict[str, float]]
-    fleet: Optional[FleetCost] = None
-    query_limit: int = DEFAULT_QUERY_LIMIT
-
-
-def cost_report_from_spans(
-    spans: Sequence,
-    platform: str = CMP,
-    parameters: Optional[TCOParameters] = None,
-    fleet: bool = False,
-    target_queries: int = 1_000_000,
-    window_seconds: float = 86_400.0,
-    query_limit: int = DEFAULT_QUERY_LIMIT,
-) -> CostReport:
-    """Evaluate a span forest end to end (ledger, what-ifs, optional fleet)."""
-    def build(p: str) -> CostLedger:
-        return ledger_from_spans(spans, platform=p, parameters=parameters)
-
-    return CostReport(
-        ledger=build(platform),
-        what_if=reprice(build),
-        stage_dollars=stage_compute_dollars(build),
-        fleet=(
-            fleet_costs(
-                build, target_queries=target_queries,
-                window_seconds=window_seconds,
-            )
-            if fleet else None
-        ),
-        query_limit=query_limit,
-    )
-
-
-def cost_report_from_replay(
-    result,
-    platform: str = CMP,
-    parameters: Optional[TCOParameters] = None,
-    fleet: bool = False,
-    target_queries: int = 1_000_000,
-    window_seconds: float = 86_400.0,
-    query_limit: int = DEFAULT_QUERY_LIMIT,
-) -> CostReport:
-    """Evaluate a cluster replay end to end, extrapolating via its rates."""
-    from repro.serving.cluster.replay import extrapolate_fleet
-
-    def build(p: str) -> CostLedger:
-        return ledger_from_replay(result, platform=p, parameters=parameters)
-
-    per_replica = None
-    if fleet and result.n_admitted:
-        per_replica = extrapolate_fleet(
-            result, target_queries=target_queries,
-            window_seconds=window_seconds,
-        ).per_replica_rate
-    return CostReport(
-        ledger=build(platform),
-        what_if=reprice(build),
-        stage_dollars=stage_compute_dollars(build),
-        fleet=(
-            fleet_costs(
-                build, target_queries=target_queries,
-                window_seconds=window_seconds,
-                per_replica_rate=per_replica,
-            )
-            if fleet else None
-        ),
-        query_limit=query_limit,
-    )
 
 
 # -- rendering ----------------------------------------------------------------------
@@ -786,14 +452,13 @@ def format_energy(microjoules: int) -> str:
     return f"{microjoules} uJ"
 
 
-def _overview_rows(report: CostReport) -> List[List[str]]:
-    ledger = report.ledger
+def _overview_rows(ledger: CostLedger) -> List[List[str]]:
     outcomes: Dict[str, int] = {}
     for query in ledger.queries:
         outcomes[query.outcome] = outcomes.get(query.outcome, 0) + 1
     rows = [
         ["source", ledger.source],
-        ["platform", ledger.platform],
+        ["platform", CMP],
         ["queries", str(len(ledger.queries))],
     ]
     for outcome in sorted(outcomes):
@@ -802,8 +467,7 @@ def _overview_rows(report: CostReport) -> List[List[str]]:
     rows.append(["energy", format_energy(total)])
     rows.append(["dollars (TCO-amortized)", f"${ledger.total_dollars:.8f}"])
     rows.append([
-        "dollars (electricity only)",
-        f"${electricity_dollars(total, ledger.parameters):.8f}",
+        "dollars (electricity only)", f"${electricity_dollars(total):.8f}",
     ])
     tax = ledger.tax_microjoules()
     rows.append([
@@ -813,9 +477,9 @@ def _overview_rows(report: CostReport) -> List[List[str]]:
     return rows
 
 
-def _category_rows(report: CostReport) -> List[List[str]]:
-    totals = report.ledger.category_totals()
-    grand = report.ledger.total_microjoules
+def _category_rows(ledger: CostLedger) -> List[List[str]]:
+    totals = ledger.category_totals()
+    grand = ledger.total_microjoules
     rows = []
     for category in CATEGORIES:
         total = totals[category]
@@ -831,9 +495,9 @@ def _category_rows(report: CostReport) -> List[List[str]]:
     return rows
 
 
-def _stage_rows(report: CostReport) -> List[List[str]]:
+def _stage_rows(ledger: CostLedger) -> List[List[str]]:
     rows = []
-    for (stage, category), total in report.ledger.stage_totals().items():
+    for (stage, category), total in ledger.stage_totals().items():
         rows.append([
             stage, category,
             f"{total.seconds:.6f}",
@@ -843,43 +507,9 @@ def _stage_rows(report: CostReport) -> List[List[str]]:
     return rows
 
 
-def _what_if_rows(report: CostReport) -> List[List[str]]:
-    ranked = {
-        row.platform: rank + 1
-        for rank, row in enumerate(
-            sorted(report.what_if, key=lambda row: row.total_dollars)
-        )
-    }
+def _query_rows(ledger: CostLedger) -> List[List[str]]:
     rows = []
-    for row in report.what_if:
-        rows.append([
-            row.platform,
-            format_energy(row.compute_microjoules),
-            format_energy(row.tax_microjoules),
-            f"${row.compute_dollars:.8f}",
-            f"${row.total_dollars:.8f}",
-            str(ranked[row.platform]),
-        ])
-    return rows
-
-
-def _fleet_rows(fleet: FleetCost) -> List[List[str]]:
-    rows = []
-    for row in fleet.rows:
-        rows.append([
-            row.platform,
-            str(row.n_servers),
-            format_energy(row.total_microjoules),
-            f"${row.dollars:,.2f}",
-            f"${row.tax_dollars:,.2f}",
-            f"{row.tax_share:.1%}",
-        ])
-    return rows
-
-
-def _query_rows(report: CostReport) -> List[List[str]]:
-    rows = []
-    for query in report.ledger.queries[: report.query_limit]:
+    for query in ledger.queries[:QUERY_LIMIT]:
         top = max(
             query.entries, key=lambda e: e.microjoules, default=None
         )
@@ -893,28 +523,28 @@ def _query_rows(report: CostReport) -> List[List[str]]:
     return rows
 
 
-def render_cost_report(report: CostReport) -> str:
+def render_cost_report(ledger: CostLedger) -> str:
     """The deterministic text ledger."""
     sections = [
         format_table("Cost & energy ledger", ["Metric", "Value"],
-                     _overview_rows(report)),
+                     _overview_rows(ledger)),
         format_table(
             "AI tax decomposition",
             ["Category", "Seconds", "Energy", "Dollars", "Events", "Share"],
-            _category_rows(report),
+            _category_rows(ledger),
         ),
     ]
-    stage_rows = _stage_rows(report)
+    stage_rows = _stage_rows(ledger)
     if stage_rows:
         sections.append(format_table(
             "Per-stage attribution",
             ["Stage", "Category", "Seconds", "Energy", "Dollars"],
             stage_rows,
         ))
-    query_rows = _query_rows(report)
+    query_rows = _query_rows(ledger)
     if query_rows:
         shown = len(query_rows)
-        total = len(report.ledger.queries)
+        total = len(ledger.queries)
         title = (
             f"Per-query ledger (first {shown} of {total})"
             if total > shown else "Per-query ledger"
@@ -923,24 +553,19 @@ def render_cost_report(report: CostReport) -> str:
             title, ["Query", "Outcome", "Energy", "Dollars", "Top entry"],
             query_rows,
         ))
-    sections.append(format_table(
-        "Platform what-if repricing (same trace, Table 5 + roofline)",
-        ["Platform", "Compute", "AI tax", "Compute $", "Total $", "Rank"],
-        _what_if_rows(report),
-    ))
-    if report.fleet is not None:
-        fleet = report.fleet
-        sections.append(format_table(
-            f"Fleet @ {fleet.target_queries:,} queries / "
-            f"{fleet.window_seconds / 3600.0:g} h",
-            ["Platform", "Servers", "Energy", "Fleet TCO", "AI tax $",
-             "Tax share"],
-            _fleet_rows(fleet),
-        ))
     return "\n\n".join(sections) + "\n"
 
 
 # -- canonical JSON -----------------------------------------------------------------
+
+def _total_dict(total: CategoryTotal) -> Dict:
+    return {
+        "seconds": total.seconds,
+        "microjoules": total.microjoules,
+        "dollars": total.dollars,
+        "events": total.events,
+    }
+
 
 def _entry_dict(entry: LedgerEntry) -> Dict:
     return {
@@ -954,39 +579,25 @@ def _entry_dict(entry: LedgerEntry) -> Dict:
     }
 
 
-def report_to_dict(report: CostReport) -> Dict:
-    """The JSON-ready projection of a report (plain types only)."""
-    ledger = report.ledger
-    categories = {
-        category: {
-            "seconds": total.seconds,
-            "microjoules": total.microjoules,
-            "dollars": total.dollars,
-            "events": total.events,
-        }
-        for category, total in ledger.category_totals().items()
-    }
+def report_to_json(ledger: CostLedger) -> str:
+    """Canonical JSON (sorted keys, 2-space indent, trailing newline)."""
     stages: Dict[str, Dict] = {}
     for (stage, category), total in ledger.stage_totals().items():
-        stages.setdefault(stage, {})[category] = {
-            "seconds": total.seconds,
-            "microjoules": total.microjoules,
-            "dollars": total.dollars,
-            "events": total.events,
-        }
+        stages.setdefault(stage, {})[category] = _total_dict(total)
     payload = {
         "schema": SCHEMA,
         "source": ledger.source,
-        "platform": ledger.platform,
+        "platform": CMP,
         "n_queries": len(ledger.queries),
         "total_microjoules": ledger.total_microjoules,
         "total_dollars": ledger.total_dollars,
-        "electricity_dollars": electricity_dollars(
-            ledger.total_microjoules, ledger.parameters
-        ),
+        "electricity_dollars": electricity_dollars(ledger.total_microjoules),
         "tax_microjoules": ledger.tax_microjoules(),
         "tax_dollars": ledger.tax_dollars(),
-        "categories": categories,
+        "categories": {
+            category: _total_dict(total)
+            for category, total in ledger.category_totals().items()
+        },
         "stages": stages,
         "queries": [
             {
@@ -997,46 +608,8 @@ def report_to_dict(report: CostReport) -> Dict:
                 "dollars": query.dollars,
                 "entries": [_entry_dict(entry) for entry in query.entries],
             }
-            for query in ledger.queries[: report.query_limit]
+            for query in ledger.queries[:QUERY_LIMIT]
         ],
-        "queries_rendered": min(len(ledger.queries), report.query_limit),
-        "what_if": [
-            {
-                "platform": row.platform,
-                "compute_microjoules": row.compute_microjoules,
-                "tax_microjoules": row.tax_microjoules,
-                "total_microjoules": row.total_microjoules,
-                "compute_dollars": row.compute_dollars,
-                "tax_dollars": row.tax_dollars,
-                "total_dollars": row.total_dollars,
-            }
-            for row in report.what_if
-        ],
-        "stage_compute_dollars": report.stage_dollars,
-        "fleet": None,
+        "queries_rendered": min(len(ledger.queries), QUERY_LIMIT),
     }
-    if report.fleet is not None:
-        fleet = report.fleet
-        payload["fleet"] = {
-            "target_queries": fleet.target_queries,
-            "window_seconds": fleet.window_seconds,
-            "rows": [
-                {
-                    "platform": row.platform,
-                    "n_servers": row.n_servers,
-                    "compute_microjoules": row.compute_microjoules,
-                    "tax_microjoules": row.tax_microjoules,
-                    "total_microjoules": row.total_microjoules,
-                    "dollars": row.dollars,
-                    "tax_dollars": row.tax_dollars,
-                    "tax_share": row.tax_share,
-                }
-                for row in fleet.rows
-            ],
-        }
-    return payload
-
-
-def report_to_json(report: CostReport) -> str:
-    """Canonical JSON (sorted keys, 2-space indent, trailing newline)."""
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -1,7 +1,5 @@
 """Tests for the query taxonomy, classifier, input set, and full pipeline."""
 
-import statistics
-
 import numpy as np
 import pytest
 
@@ -136,15 +134,18 @@ class TestSiriusPipeline:
         assert {"qa.stemmer", "qa.regex", "qa.crf"} <= sections
 
     def test_latency_ordering_vc_fastest(self, sirius_pipeline, input_set):
-        def warm_median(query, runs=5):
+        # Best of interleaved rounds, the benchmarks/perf rule: a slow
+        # stretch of the machine can only add time, and alternating the two
+        # queries lets a stretch that slows one slow the other too.
+        vc_query = input_set.voice_commands[0]
+        viq_query = input_set.voice_image_queries[0]
+        for query in (vc_query, viq_query):
             sirius_pipeline.process(query)  # first call pays the cold caches
-            return statistics.median(
-                sirius_pipeline.process(query).latency for _ in range(runs)
-            )
-
-        vc = warm_median(input_set.voice_commands[0])
-        viq = warm_median(input_set.voice_image_queries[0])
-        assert vc < viq
+        vc, viq = [], []
+        for _ in range(7):
+            vc.append(sirius_pipeline.process(vc_query).latency)
+            viq.append(sirius_pipeline.process(viq_query).latency)
+        assert min(vc) < min(viq)
 
     def test_filter_hits_reported(self, sirius_pipeline, input_set):
         response = sirius_pipeline.process(input_set.voice_queries[1])

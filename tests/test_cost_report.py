@@ -1,4 +1,4 @@
-"""The cost ledger: exact attribution, golden JSON, and the fig18 bridge.
+"""The cost ledger: exact attribution, golden JSON, and wasted work.
 
 Acceptance checks for the cost & energy observability plane:
 
@@ -9,10 +9,8 @@ Acceptance checks for the cost & energy observability plane:
 - the ``repro cost-report`` JSON of a pinned chaos replay matches a
   committed golden byte-for-byte, and the ledger of the same chaos run
   is byte-identical across the serial/thread/process backends;
-- the platform what-if repricing reproduces the Figure 18 / Table 8/9
-  normalized-TCO rank order per service stage, at trace granularity;
-- the fleet extrapolation prices the router/queueing "AI tax" as an
-  explicit line item at 10^6 queries/day;
+- the fleet report's cost panel prices the autoscaler's provisioned
+  trajectory;
 - wasted work (retried and degraded-then-discarded attempts) partitions
   out of served counters exactly — the regression for the
   ``counters_by_key`` blending bug.
@@ -22,7 +20,6 @@ import json
 import math
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
@@ -32,25 +29,20 @@ from repro.obs.cost import (
     COMPUTE,
     ROUTER_WAIT,
     TAX_CATEGORIES,
-    cost_report_from_replay,
-    cost_report_from_spans,
-    fig18_reference_order,
     fleet_cost_panel,
+    ledger_from_replay,
     ledger_from_spans,
-    ledger_rank_order,
     render_cost_report,
     report_to_json,
-    stage_compute_dollars,
 )
 from repro.obs.counters import (
     counters_by_key,
     split_wasted_counters,
     wasted_span_ids,
 )
-from repro.obs.pricing import PLATFORM_WATTS, energy_microjoules
+from repro.obs.pricing import energy_microjoules
 from repro.obs.trace import QUERY, ROUTER, SERVICE, Span
-from repro.platforms.spec import CMP, PLATFORMS
-from repro.platforms.speedups import ASR_GMM, IMM, QA
+from repro.platforms.spec import CMP
 
 from tests.test_fleet_report import chaos_spans, BACKENDS
 
@@ -58,7 +50,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = REPO_ROOT / "tests" / "fixtures" / "cost" / "cost-report.json"
 
 
-def pinned_replay_cost_report():
+def pinned_replay_ledger():
     """The pinned chaos-flavored replay behind the committed golden file."""
     from repro.datacenter.arrivals import PoissonProcess
     from repro.datacenter.simulation import exponential_sampler
@@ -76,7 +68,7 @@ def pinned_replay_cost_report():
         autoscaler=AutoscalerPolicy(slo_p99=0.4, max_replicas=5),
         tick_seconds=2.0,
     )
-    return cost_report_from_replay(result, fleet=True)
+    return ledger_from_replay(result)
 
 
 def synthetic_forest():
@@ -84,7 +76,7 @@ def synthetic_forest():
 
     Three queries; each runs ASR / QA / IMM service spans carrying
     counter work at paper-ish intensities, plus a router span with
-    virtual queueing — enough structure to exercise per-stage repricing
+    virtual queueing — enough structure to exercise per-stage attribution
     without the full pipeline.
     """
     stage_work = {
@@ -149,13 +141,11 @@ class TestExactness:
     def test_chaos_spans_conserve_energy(self):
         self.assert_conserved(ledger_from_spans(chaos_spans("serial")))
 
-    def test_synthetic_forest_conserves_on_every_platform(self):
-        spans = synthetic_forest()
-        for platform in PLATFORMS:
-            self.assert_conserved(ledger_from_spans(spans, platform=platform))
+    def test_synthetic_forest_conserves_energy(self):
+        self.assert_conserved(ledger_from_spans(synthetic_forest()))
 
     def test_replay_ledger_conserves_energy(self):
-        self.assert_conserved(pinned_replay_cost_report().ledger)
+        self.assert_conserved(pinned_replay_ledger())
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -170,9 +160,8 @@ class TestExactness:
             min_size=1,
             max_size=12,
         ),
-        st.sampled_from(list(PLATFORMS)),
     )
-    def test_property_attributions_sum_exactly(self, stages, platform):
+    def test_property_attributions_sum_exactly(self, stages):
         spans = []
         for ordinal, (stage, flops, mem, stall, errored) in enumerate(stages):
             trace = f"h{ordinal:03d}"
@@ -191,7 +180,7 @@ class TestExactness:
                     "virtual_seconds": stall,
                 },
             ))
-        ledger = ledger_from_spans(spans, platform=platform)
+        ledger = ledger_from_spans(spans)
         # integer microjoules: per-stage sums are *exactly* the totals
         assert ledger.total_microjoules == sum(
             total.microjoules for total in ledger.stage_totals().values()
@@ -217,20 +206,20 @@ class TestByteIdentity:
     def test_ledger_identical_across_backends_under_chaos(self):
         rendered = {}
         for backend in BACKENDS:
-            report = cost_report_from_spans(chaos_spans(backend), fleet=True)
+            ledger = ledger_from_spans(chaos_spans(backend))
             rendered[backend] = (
-                render_cost_report(report), report_to_json(report)
+                render_cost_report(ledger), report_to_json(ledger)
             )
         assert (
             rendered["serial"] == rendered["thread"] == rendered["process"]
         )
 
     def test_json_matches_golden_byte_for_byte(self):
-        assert report_to_json(pinned_replay_cost_report()) == GOLDEN.read_text()
+        assert report_to_json(pinned_replay_ledger()) == GOLDEN.read_text()
 
     def test_report_is_replay_stable(self):
-        first = pinned_replay_cost_report()
-        second = pinned_replay_cost_report()
+        first = pinned_replay_ledger()
+        second = pinned_replay_ledger()
         assert report_to_json(first) == report_to_json(second)
         assert render_cost_report(first) == render_cost_report(second)
 
@@ -238,72 +227,19 @@ class TestByteIdentity:
         spans = chaos_spans("serial")
         replayed = read_jsonl(to_jsonl(spans, timing=False).splitlines())
         assert report_to_json(
-            cost_report_from_spans(spans)
-        ) == report_to_json(cost_report_from_spans(replayed))
+            ledger_from_spans(spans)
+        ) == report_to_json(ledger_from_spans(replayed))
 
 
 # ---------------------------------------------------------------------------
-# The fig18 bridge: what-if repricing rank order
-# ---------------------------------------------------------------------------
-
-
-class TestWhatIfRepricing:
-    def test_per_stage_rank_matches_fig18(self):
-        spans = synthetic_forest()
-
-        def build(platform):
-            return ledger_from_spans(spans, platform=platform)
-
-        table = stage_compute_dollars(build)
-        reference_keys = {"ASR": ASR_GMM, "QA": QA, "IMM": IMM}
-        for stage, service_key in reference_keys.items():
-            assert ledger_rank_order(table[stage]) == fig18_reference_order(
-                service_key
-            ), stage
-
-    def test_reference_order_prefers_accelerators(self):
-        # Table 8/9: the FPGA and GPU datacenters beat the CMP baseline
-        # for QA; Phi never does.
-        order = fig18_reference_order(QA)
-        assert order.index("fpga") < order.index("cmp")
-        assert order.index("gpu") < order.index("cmp")
-        assert order.index("phi") > order.index("cmp")
-
-    def test_tax_never_accelerates(self):
-        report = pinned_replay_cost_report()
-        by_platform = {row.platform: row for row in report.what_if}
-        cmp_tax_seconds = by_platform[CMP].tax_microjoules / PLATFORM_WATTS[CMP]
-        for platform, row in by_platform.items():
-            # same tax *seconds* on every platform; joules scale with watts
-            assert row.tax_microjoules / PLATFORM_WATTS[platform] == (
-                pytest.approx(cmp_tax_seconds, rel=1e-6)
-            )
-
-
-# ---------------------------------------------------------------------------
-# Fleet extrapolation: the million-query day
+# The fleet report's cost panel
 # ---------------------------------------------------------------------------
 
 
 class TestFleetExtrapolation:
-    def test_ai_tax_is_an_explicit_line_item(self):
-        report = pinned_replay_cost_report()
-        assert report.fleet is not None
-        assert report.fleet.target_queries == 1_000_000
-        for row in report.fleet.rows:
-            assert row.tax_dollars > 0.0
-            assert 0.0 < row.tax_share < 1.0
-            assert row.n_servers >= 1
-        rendered = render_cost_report(report)
-        assert "AI tax $" in rendered
-        payload = json.loads(report_to_json(report))
-        assert payload["fleet"]["rows"]
-        assert all(r["tax_dollars"] > 0 for r in payload["fleet"]["rows"])
-
     def test_fleet_panel_prices_autoscaler_trajectory(self):
-        report = pinned_replay_cost_report()
         panel = fleet_cost_panel(
-            report.ledger,
+            pinned_replay_ledger(),
             replica_timeline=((0, 2), (1, 3), (2, 3)),
             tick_seconds=2.0,
         )
@@ -376,7 +312,7 @@ class TestWastedWork:
 class TestCli:
     def test_smoke_replay_exits_zero(self, capsys):
         assert main([
-            "cost-report", "--smoke", "--queries", "300", "--fleet",
+            "cost-report", "--smoke", "--queries", "300",
         ]) == 0
         out = capsys.readouterr()
         assert "Cost & energy ledger" in out.out
@@ -385,7 +321,7 @@ class TestCli:
     def test_json_flag_emits_canonical_json(self, capsys):
         assert main(["cost-report", "--queries", "200", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == "repro.cost-report/v1"
+        assert payload["schema"] == "repro.cost-report/v2"
         assert payload["source"] == "replay"
         assert set(payload["categories"]) == set(CATEGORIES)
 
@@ -393,12 +329,11 @@ class TestCli:
         spans = chaos_spans("serial")
         path = tmp_path / "spans.jsonl"
         path.write_text(to_jsonl(spans, timing=False))
-        assert main([
-            "cost-report", str(path), "--platform", "gpu", "--smoke",
-        ]) == 0
+        # a span export is priced on the CMP baseline it ran on
+        assert main(["cost-report", str(path), "--smoke"]) == 0
         out = capsys.readouterr().out
-        assert "gpu" in out
-        assert "Platform what-if repricing" in out
+        assert ["platform", "cmp"] in [line.split() for line in out.splitlines()]
+        assert "Per-stage attribution" in out
 
     def test_router_wait_is_priced_from_replay(self, capsys):
         assert main(["cost-report", "--queries", "400", "--json"]) == 0

@@ -20,7 +20,9 @@ from repro.datacenter import (
     throughput_improvement_at_load,
 )
 from repro.errors import ConfigurationError, DesignError
-from repro.platforms import CMP, FPGA, GPU, PHI, AcceleratorModel
+from repro.platforms import (
+    CMP, FPGA, GPU, PHI, PLATFORMS, QA, AcceleratorModel,
+)
 
 
 class TestMM1:
@@ -115,6 +117,20 @@ class TestTCO:
         model = AcceleratorModel()
         reduction = tco.tco_reduction(FPGA, model.throughput_improvement("IMM", FPGA))
         assert reduction > 4.0
+
+    def test_reference_order_prefers_accelerators(self, tco):
+        # Table 8/9: the FPGA and GPU datacenters beat the CMP baseline
+        # for QA; Phi never does.
+        model = AcceleratorModel()
+        order = sorted(
+            PLATFORMS,
+            key=lambda p: tco.normalized_tco(
+                p, model.throughput_improvement(QA, p)
+            ),
+        )
+        assert order.index(FPGA) < order.index(CMP)
+        assert order.index(GPU) < order.index(CMP)
+        assert order.index(PHI) > order.index(CMP)
 
     def test_normalized_tco_validation(self, tco):
         with pytest.raises(ConfigurationError):
