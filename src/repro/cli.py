@@ -12,8 +12,8 @@ Subcommands::
     repro cluster-bench [--smoke] [--replicas 3] [--shards 2] [--policy power-of-two]
     repro trace-report spans.jsonl [--limit 3] [--chrome trace.json] [--mm1 0.7]
     repro trace-report spans.jsonl --critical-path [--tail-quantile 0.99] --roofline
-    repro bench [run] [--quick] [--json] [--tag pr17] [--filter suite.]
-    repro bench --check BASELINE.json   (or: repro bench check BASELINE.json)
+    repro bench [--quick] [--out report.json] [--tag prN] [--filter suite.]
+    repro bench --check BASELINE.json [--current report.json] [--filter suite.]
     repro bench list
     repro design
     repro wer [--noise 0.0 0.05 0.1]
@@ -288,6 +288,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if args.streaming:
         return _cmd_streaming_bench(args, pipeline, queries)
     from repro.obs import RollupStore, collect_spans, format_service_summary
+    from repro.serving.identity import first_divergence, outcome_fingerprint
 
     executor = pipeline.serving
     executor.warmup()
@@ -309,8 +310,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     finally:
         executor.trace_seed = None
         executor.metrics = None
-    if any(a.answer != b.answer for a, b in zip(sequential, fanout)):
-        print("warning: fan-out answers diverge from sequential", file=sys.stderr)
+    divergence = first_divergence(
+        outcome_fingerprint(sequential), outcome_fingerprint(fanout)
+    )
     rows = [
         ["sequential", "serial", f"{sequential_s:.2f}",
          f"{len(queries) / sequential_s:.2f}"],
@@ -327,7 +329,8 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         print(format_service_summary(
             store, title="Serving latency (fan-out run)"
         ))
-    return 0
+    print(f"fan-out determinism: {_verdict(divergence)}")
+    return 0 if divergence is None else 2
 
 
 def _cmd_cluster_bench(args: argparse.Namespace) -> int:
@@ -599,58 +602,37 @@ def _cmd_cost_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench``: run the registry and/or gate against a baseline."""
+    """``repro bench``: run the benchmarks, or gate a run against a baseline."""
     from repro.obs import bench
 
-    action = args.action
-    baseline_path = args.baseline or args.check
-    if action == "run" and args.check:
-        action = "check"
-    if action == "check" and not baseline_path:
-        print("error[CONFIG]: bench check needs a baseline "
-              "(repro bench --check BASELINE.json)", file=sys.stderr)
-        return 2
-    if action == "run" and args.json and not (args.out or args.tag):
-        print("error[CONFIG]: bench run --json needs --out PATH or --tag TAG",
-              file=sys.stderr)
-        return 2
-
-    if action == "list":
-        for benchmark in bench.all_benchmarks():
-            gated = ", ".join(
-                metric for metric, spec in sorted(benchmark.metric_specs.items())
-                if spec.gated
-            )
-            print(f"{benchmark.name:<16} {benchmark.description}")
-            print(f"{'':<16} gated: {gated}")
+    if args.action == "list":
+        for name, (description, _) in bench.BENCHMARKS.items():
+            print(f"{name:<16} {description}")
+        tolerances = ", ".join(f"{m} {tol:g}" for m, tol in bench.TOLERANCE.items())
+        print(f"gated: every metric, {bench.REPEATS} repeats, rel_tol 0 "
+              f"except {tolerances}")
         return 0
 
-    def progress(message: str) -> None:
-        print(message, file=sys.stderr)
-
-    def run_current():
-        if args.current:
-            return bench.load_report(args.current)
-        return bench.run_benchmarks(
-            filters=args.filter, quick=args.quick, repeats=args.repeats,
-            tag=args.tag or "dev", progress=progress,
+    baseline = bench.load_report(args.check) if args.check else None
+    if args.current:
+        report = bench.load_report(args.current)
+    else:
+        report = bench.run_benchmarks(
+            filters=args.filter,
+            # A check runs at the baseline's size: counters scale with it.
+            quick=bool(baseline.get("quick")) if baseline else args.quick,
+            tag=args.tag or "dev",
+            progress=lambda message: print(message, file=sys.stderr),
         )
-
-    if action == "run":
-        report = run_current()
-        if args.json:
-            out_path = args.out or f"BENCH_{args.tag}.json"
-            with open(out_path, "w") as handle:
-                handle.write(bench.to_json(report))
-            print(f"wrote {len(report['benchmarks'])} benchmarks to {out_path}",
-                  file=sys.stderr)
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(bench.to_json(report))
+        print(f"wrote {len(report['benchmarks'])} benchmarks to {args.out}",
+              file=sys.stderr)
+    if baseline is None:
         print(bench.format_report(report))
         return 0
-
-    # action == "check"
-    baseline = bench.load_report(baseline_path)
-    current = run_current()
-    findings = bench.check_report(current, baseline)
+    findings = bench.check_report(report, baseline, filters=args.filter)
     print(bench.format_findings(findings))
     return 1 if findings else 0
 
@@ -901,48 +883,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run the pinned-seed benchmark registry / check the regression gate",
+        help="run the pinned-seed benchmarks / check the determinism gate",
         description=(
-            "repro bench [run|check|list]: run the registered benchmarks "
-            "(schema-versioned BENCH_<tag>.json with counter totals and "
-            "latency percentiles), or gate a run against a committed "
-            "baseline.  Gated metrics are deterministic (counters, "
-            "checksums, virtual latency) — wall clocks never decide the "
-            "gate.  Compare like with like: a --quick baseline only gates "
-            "--quick runs."
+            "repro bench [list]: run the pinned-seed benchmarks and print "
+            "their work counters (--out writes the repro.bench/v2 JSON "
+            "report), or gate a run against a committed baseline with "
+            "--check.  Every metric is deterministic and every repeat must "
+            "equal the baseline; no wall clock is read.  A check runs at "
+            "the baseline's size (its quick flag)."
         ),
     )
     bench.add_argument(
-        "action", nargs="?", choices=("run", "check", "list"), default="run",
-        help="run benchmarks (default), check against a baseline, or list "
-             "the registry",
-    )
-    bench.add_argument(
-        "baseline", nargs="?", default=None,
-        help="baseline JSON for the check action",
+        "action", nargs="?", choices=("list",), default=None,
+        help="list the benchmarks instead of running them",
     )
     bench.add_argument(
         "--check", default=None, metavar="BASELINE",
-        help="shorthand: gate a fresh run (or --current) against BASELINE",
+        help="gate a fresh run (or --current) against BASELINE; exit 1 on "
+             "any finding",
     )
     bench.add_argument(
         "--current", default=None, metavar="PATH",
-        help="use an existing report JSON instead of re-running (check mode)",
+        help="use an existing report instead of running the benchmarks",
     )
-    bench.add_argument("--json", action="store_true",
-                       help="also write the report JSON (see --out)")
     bench.add_argument("--out", default=None, metavar="PATH",
-                       help="report path for --json (default BENCH_<tag>.json)")
+                       help="write the report JSON to PATH")
     bench.add_argument("--tag", default=None,
-                       help="report tag; names the default output file")
+                       help="report tag (default dev)")
     bench.add_argument("--quick", action="store_true",
-                       help="small inputs / fewer queries (CI smoke)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="repeats per benchmark (min-of-k gate rule)")
+                       help="small inputs / fewer queries (ignored by --check, "
+                            "which runs at the baseline's size)")
     bench.add_argument("--filter", action="append", default=[],
                        metavar="SUBSTR",
                        help="only benchmarks whose name contains SUBSTR "
-                            "(repeatable)")
+                            "(repeatable; --check compares only these)")
     bench.set_defaults(func=_cmd_bench)
 
     design = sub.add_parser("design", help="print the datacenter design study")

@@ -27,8 +27,9 @@ produces those measurements from a live run:
 - :mod:`repro.obs.critical_path` — longest-path extraction and exact
   self/wait/virtual time attribution over span forests
   (``repro trace-report --critical-path``);
-- :mod:`repro.obs.bench` — the benchmark registry, ``BENCH_<tag>.json``
-  reports, and the counter-based regression gate (``repro bench``);
+- :mod:`repro.obs.bench` — the determinism gate (``repro bench``):
+  pinned-seed benchmarks whose every counter and fingerprint must replay
+  a committed baseline;
 - :mod:`repro.obs.timeseries` — :class:`RollupStore`, the one telemetry
   store: counters + value panels keyed by metric × labels × window over
   virtual time, with an associative/commutative/exact snapshot merge;

@@ -1,20 +1,24 @@
-"""The benchmark registry and the noise-aware regression gate.
+"""The benchmark table and the determinism gate.
 
 Gate semantics are locked down on synthetic reports (every trajectory is
-hand-built, so the expected verdict is unambiguous); registry behaviour
+hand-built, so the expected verdict is unambiguous); the benchmark table
 and end-to-end determinism use a real quick run of one cheap kernel
-benchmark.
+benchmark, and the committed quick baseline is checked once through the
+CLI.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.obs.bench import (
+    BENCHMARKS,
+    REPEATS,
     SCHEMA,
-    SCHEMA_VERSION,
-    all_benchmarks,
+    TOLERANCE,
     benchmarks_matching,
     check_report,
     fingerprint,
@@ -25,28 +29,19 @@ from repro.obs.bench import (
     to_json,
 )
 
-
-def metric(samples, *, gated=True, better="lower", rel_tol=0.0):
-    return {"samples": list(samples), "gated": gated, "better": better,
-            "rel_tol": rel_tol}
+BASELINE = Path(__file__).resolve().parents[1] / "benchmarks/baselines/bench-quick.json"
 
 
-def make_report(metrics, name="bench.one"):
+def metric(samples, *, rel_tol=0.0):
+    return {"samples": list(samples), "rel_tol": rel_tol}
+
+
+def make_report(metrics, name="bench.one", quick=True):
     return {
         "schema": SCHEMA,
-        "schema_version": SCHEMA_VERSION,
         "tag": "test",
-        "quick": True,
-        "repeats": 3,
-        "benchmarks": {
-            name: {
-                "description": "synthetic",
-                "wall_seconds": [0.01] * 3,
-                "latency_ms": {"mean": 10.0, "p50": 10.0, "p95": 10.0,
-                               "p99": 10.0},
-                "metrics": metrics,
-            }
-        },
+        "quick": quick,
+        "benchmarks": {name: {"description": "synthetic", "metrics": metrics}},
     }
 
 
@@ -56,60 +51,50 @@ def kinds(findings):
 
 class TestGateTrajectories:
     def test_flat_passes(self):
-        base = make_report({"flops": metric([100, 100, 100], better="equal")})
-        cur = make_report({"flops": metric([100, 100, 100], better="equal")})
+        base = make_report({"flops": metric([100, 100, 100])})
+        cur = make_report({"flops": metric([100, 100, 100])})
         assert check_report(cur, base) == []
-
-    def test_improvement_passes_lower_better(self):
-        base = make_report({"ops": metric([100, 102, 101])})
-        cur = make_report({"ops": metric([90, 95, 92])})
-        assert check_report(cur, base) == []
-
-    def test_regression_fails_lower_better(self):
-        base = make_report({"ops": metric([100, 102, 101], rel_tol=0.05)})
-        cur = make_report({"ops": metric([120, 118, 119], rel_tol=0.05)})
-        findings = check_report(cur, base)
-        assert kinds(findings) == ["regression"]
-        assert findings[0].baseline == 100
-        assert findings[0].current == 118
-        assert "bench.one.ops" in format_findings(findings)
-
-    def test_noisy_but_flat_passes_min_of_k(self):
-        # One good repeat among noisy ones: min-of-k absorbs the noise.
-        base = make_report({"ops": metric([100, 140, 160], rel_tol=0.05)})
-        cur = make_report({"ops": metric([150, 103, 155], rel_tol=0.05)})
-        assert check_report(cur, base) == []
-
-    def test_regression_fails_higher_better(self):
-        base = make_report({"goodput": metric([10, 10, 10], better="higher")})
-        cur = make_report({"goodput": metric([8, 8, 8], better="higher")})
-        assert kinds(check_report(cur, base)) == ["regression"]
 
     def test_equal_metric_drift_fails(self):
-        base = make_report(
-            {"checksum": metric([2.0], better="equal", rel_tol=1e-6)})
-        good = make_report(
-            {"checksum": metric([2.0 + 1e-9], better="equal", rel_tol=1e-6)})
-        bad = make_report(
-            {"checksum": metric([2.1], better="equal", rel_tol=1e-6)})
+        base = make_report({"checksum": metric([2.0], rel_tol=1e-6)})
+        good = make_report({"checksum": metric([2.0 + 1e-9], rel_tol=1e-6)})
+        bad = make_report({"checksum": metric([2.1], rel_tol=1e-6)})
         assert check_report(good, base) == []
         assert kinds(check_report(bad, base)) == ["regression"]
 
     def test_equal_metric_must_hold_on_every_repeat(self):
-        # One drifted repeat fails even though min(samples) still matches.
-        base = make_report({"count": metric([5, 5, 5], better="equal")})
-        cur = make_report({"count": metric([5, 6, 5], better="equal")})
+        # One drifted repeat fails even though the others still match.
+        base = make_report({"count": metric([5, 5, 5])})
+        cur = make_report({"count": metric([5, 6, 5])})
         findings = check_report(cur, base)
         assert kinds(findings) == ["regression"]
-        assert findings[0].current == 6
+        assert (findings[0].baseline, findings[0].current) == (5, 6)
+        assert "bench.one.count" in format_findings(findings)
+
+    def test_any_move_is_a_finding(self):
+        # Fewer ops is a finding too: the baseline is re-recorded, not beaten.
+        base = make_report({"ops": metric([100, 100, 100])})
+        cur = make_report({"ops": metric([90, 90, 90])})
+        assert kinds(check_report(cur, base)) == ["regression"]
 
     def test_wall_clock_never_gates(self):
-        # Identical gated metrics, wildly different wall clocks: pass.
-        base = make_report({"flops": metric([100], better="equal")})
-        cur = make_report({"flops": metric([100], better="equal")})
+        # Only metric samples are read: stray timing fields decide nothing.
+        base = make_report({"flops": metric([100])})
+        cur = make_report({"flops": metric([100])})
         cur["benchmarks"]["bench.one"]["wall_seconds"] = [9.9] * 3
-        cur["benchmarks"]["bench.one"]["latency_ms"] = {
-            "mean": 9900.0, "p50": 9900.0, "p95": 9900.0, "p99": 9900.0}
+        cur["benchmarks"]["bench.one"]["latency_ms"] = {"p50": 9900.0}
+        assert check_report(cur, base) == []
+
+    def test_unstable_baseline_is_a_finding(self):
+        base = make_report({"count": metric([5, 6, 5])})
+        cur = make_report({"count": metric([5, 5, 5])})
+        findings = check_report(cur, base)
+        assert kinds(findings) == ["unstable-baseline"]
+        assert (findings[0].baseline, findings[0].current) == (5, 6)
+
+    def test_baseline_within_its_tolerance_is_stable(self):
+        base = make_report({"checksum": metric([2.0, 2.0 + 1e-9], rel_tol=1e-6)})
+        cur = make_report({"checksum": metric([2.0], rel_tol=1e-6)})
         assert check_report(cur, base) == []
 
 
@@ -125,8 +110,9 @@ class TestGateCoverage:
         assert kinds(check_report(cur, base)) == ["missing-metric"]
 
     def test_ungated_metric_ignored(self):
-        base = make_report({"wall": metric([1], gated=False)})
-        cur = make_report({})
+        # A metric the baseline does not record is not gated (yet).
+        base = make_report({})
+        cur = make_report({"new": metric([1])})
         assert check_report(cur, base) == []
 
     def test_new_benchmark_in_current_passes(self):
@@ -139,11 +125,23 @@ class TestGateCoverage:
         assert check_report(cur, base) == []
 
     def test_baseline_spec_wins_over_current(self):
-        # A PR that un-gates a metric in code is still held to the
-        # committed baseline's promise.
+        # A change that loosens a tolerance in code is still held to the
+        # committed baseline's.
         base = make_report({"ops": metric([100], rel_tol=0.0)})
-        cur = make_report({"ops": metric([150], gated=False)})
+        cur = make_report({"ops": metric([150], rel_tol=1.0)})
         assert kinds(check_report(cur, base)) == ["regression"]
+
+    def test_filters_compare_only_matching_baseline_benchmarks(self):
+        base = make_report({"ops": metric([1])})
+        base["benchmarks"]["bench.two"] = base["benchmarks"]["bench.one"]
+        cur = make_report({"ops": metric([1])})
+        assert kinds(check_report(cur, base)) == ["missing-benchmark"]
+        assert check_report(cur, base, filters=["one"]) == []
+
+    def test_size_mismatch_is_the_only_finding(self):
+        base = make_report({"ops": metric([18])}, quick=True)
+        cur = make_report({"ops": metric([512])}, quick=False)
+        assert kinds(check_report(cur, base)) == ["size-mismatch"]
 
 
 class TestReportIO:
@@ -171,8 +169,8 @@ class TestReportIO:
 
     def test_wrong_version_raises(self, tmp_path):
         report = make_report({})
-        report["schema_version"] = SCHEMA_VERSION + 1
-        path = tmp_path / "future.json"
+        report["schema"] = "repro.bench/v1"
+        path = tmp_path / "old.json"
         path.write_text(to_json(report))
         with pytest.raises(ConfigurationError, match="regenerate"):
             load_report(str(path))
@@ -180,52 +178,51 @@ class TestReportIO:
 
 class TestRegistry:
     def test_full_registry(self):
-        names = [b.name for b in all_benchmarks()]
+        names = list(BENCHMARKS)
         assert names == sorted(names)
-        assert len(names) >= 8
+        assert len(names) == 13
         assert {"suite.gmm", "suite.dnn", "suite.stemmer", "suite.regex",
                 "suite.crf", "suite.fe", "suite.fd", "serve.chaos",
                 "serve.plain"} <= set(names)
 
     def test_filtering(self):
-        suite_only = [b.name for b in benchmarks_matching(["suite."])]
+        suite_only = benchmarks_matching(["suite."])
         assert len(suite_only) == 7
         assert all(name.startswith("suite.") for name in suite_only)
-        assert [b.name for b in benchmarks_matching(["gmm"])] == ["suite.gmm"]
+        assert benchmarks_matching(["gmm"]) == ["suite.gmm"]
+        with pytest.raises(ConfigurationError, match="no benchmark matches"):
+            benchmarks_matching(["nothing"])
 
     def test_fingerprint_is_stable_and_json_safe(self):
         assert fingerprint("abc") == fingerprint("abc")
         assert fingerprint("abc") != fingerprint("abd")
         assert isinstance(fingerprint("abc"), int)
 
-    def test_repeats_validated(self):
-        with pytest.raises(ConfigurationError):
-            run_benchmarks(repeats=0)
-
 
 class TestQuickRunEndToEnd:
     @pytest.fixture(scope="class")
     def report(self):
-        return run_benchmarks(filters=["suite.gmm"], quick=True, repeats=2,
-                              tag="test")
+        return run_benchmarks(filters=["suite.gmm"], quick=True, tag="test")
 
     def test_report_shape(self, report):
         assert report["schema"] == SCHEMA
-        assert report["schema_version"] == SCHEMA_VERSION
+        assert set(report) == {"schema", "tag", "quick", "benchmarks"}
         entry = report["benchmarks"]["suite.gmm"]
-        assert len(entry["wall_seconds"]) == 2
-        gated = {name for name, m in entry["metrics"].items() if m["gated"]}
-        assert {"flops", "bytes", "items", "invocations", "checksum"} <= gated
+        assert set(entry) == {"description", "metrics"}
+        assert set(entry["metrics"]) == {
+            "flops", "bytes", "items", "invocations", "checksum"}
+        for name, m in entry["metrics"].items():
+            assert len(m["samples"]) == REPEATS
+            assert m["rel_tol"] == TOLERANCE.get(name, 0.0)
 
     def test_gated_samples_deterministic_across_repeats(self, report):
         for m in report["benchmarks"]["suite.gmm"]["metrics"].values():
-            if m["gated"] and m["better"] == "equal" and m["rel_tol"] == 0.0:
-                assert len(set(m["samples"])) == 1
+            assert len(set(m["samples"])) == 1
 
     def test_self_check_passes_and_doctored_fails(self, report):
         assert check_report(report, report) == []
         doctored = json.loads(to_json(report))
-        doctored["benchmarks"]["suite.gmm"]["metrics"]["flops"]["samples"] = [1, 1]
+        doctored["benchmarks"]["suite.gmm"]["metrics"]["flops"]["samples"] = [1] * 3
         findings = check_report(doctored, report)
         assert kinds(findings) == ["regression"]
 
@@ -233,3 +230,17 @@ class TestQuickRunEndToEnd:
         text = format_report(report)
         assert "suite.gmm" in text
         assert "tag=test, quick" in text
+
+
+class TestCommittedBaseline:
+    def test_filtered_check_runs_at_the_baseline_size(self, capsys):
+        # No --quick: the quick baseline sets the size, and the filter
+        # keeps the other twelve baseline benchmarks out of the verdict.
+        assert main(["bench", "--check", str(BASELINE),
+                     "--filter", "suite.gmm"]) == 0
+        assert "bench gate: ok" in capsys.readouterr().out
+
+    def test_every_baseline_metric_is_stable(self):
+        baseline = load_report(str(BASELINE))
+        assert baseline["quick"] is True
+        assert check_report(baseline, baseline) == []

@@ -78,17 +78,20 @@ class TestCommands:
 class TestBenchParser:
     def test_defaults(self):
         args = build_parser().parse_args(["bench"])
-        assert args.action == "run"
-        assert args.tag is None
-        assert args.repeats == 3
+        assert args.action is None
+        assert args.check is None and args.current is None
+        assert args.out is None and args.tag is None
         assert args.quick is False
         assert args.filter == []
 
     def test_check_forms(self):
         args = build_parser().parse_args(["bench", "--check", "BASE.json"])
         assert args.check == "BASE.json"
-        args = build_parser().parse_args(["bench", "check", "BASE.json"])
-        assert args.action == "check" and args.baseline == "BASE.json"
+        # --check is the one spelling: no positional action or baseline.
+        for retired in (["bench", "check", "BASE.json"], ["bench", "run"],
+                        ["bench", "--json"], ["bench", "--repeats", "2"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(retired)
 
     def test_trace_report_analysis_flags(self):
         args = build_parser().parse_args(
@@ -104,18 +107,18 @@ class TestBenchCommand:
         assert main(["bench", "list"]) == 0
         output = capsys.readouterr().out
         assert "suite.gmm" in output and "serve.chaos" in output
-        assert "gated:" in output
+        assert "gated: every metric" in output
 
     def test_run_check_roundtrip_and_regression(self, tmp_path, capsys):
         import json
 
         out = tmp_path / "bench.json"
-        assert main(["bench", "run", "--quick", "--json", "--repeats", "2",
-                     "--filter", "suite.gmm", "--out", str(out)]) == 0
+        assert main(["bench", "--quick", "--filter", "suite.gmm",
+                     "--out", str(out)]) == 0
         output = capsys.readouterr().out
         assert "suite.gmm" in output
         report = json.loads(out.read_text())
-        assert report["schema"] == "repro.bench/v1"
+        assert report["schema"] == "repro.bench/v2"
 
         # A run gates cleanly against itself …
         assert main(["bench", "--check", str(out),
@@ -123,20 +126,16 @@ class TestBenchCommand:
         assert "bench gate: ok" in capsys.readouterr().out
 
         # … and a doctored counter regression fails the gate.
-        report["benchmarks"]["suite.gmm"]["metrics"]["flops"]["samples"] = [1, 1]
+        report["benchmarks"]["suite.gmm"]["metrics"]["flops"]["samples"] = [1] * 3
         doctored = tmp_path / "doctored.json"
         doctored.write_text(json.dumps(report))
-        assert main(["bench", "check", str(out),
+        assert main(["bench", "--check", str(out),
                      "--current", str(doctored)]) == 1
         assert "regression" in capsys.readouterr().out
 
-    def test_check_without_baseline_is_config_error(self, capsys):
-        assert main(["bench", "check"]) == 2
+    def test_check_without_baseline_is_config_error(self, tmp_path, capsys):
+        assert main(["bench", "--check", str(tmp_path / "absent.json")]) == 2
         assert "error[CONFIG]" in capsys.readouterr().err
-
-    def test_json_without_out_or_tag_is_usage_error(self, capsys):
-        assert main(["bench", "run", "--json", "--filter", "suite.gmm"]) == 2
-        assert "--out PATH or --tag TAG" in capsys.readouterr().err
 
 
 class TestTraceReportCommand:

@@ -2,15 +2,18 @@
 
 The locator is exercised on hand-made pairs (an outcome stream, a span
 export, a JSON report), the streaming anchor on a stub executor with one
-perturbed field, and the two CLI surfaces that print the locator on a
+perturbed field, and the CLI surfaces that print the locator on a
 forced divergence: ``serve-bench --chaos`` with a breaker that trips
-early in one of its two runs, and ``fleet-report --smoke`` with a replay
-whose seed drifts between builds.
+early in one of its two runs, plain ``serve-bench`` with a fan-out run
+that drifts from the sequential one, and ``fleet-report --smoke`` with a
+replay whose seed drifts between builds.
 """
 
 import dataclasses
 import itertools
 import re
+
+import pytest
 
 from repro.cli import main
 from repro.core import QueryType, SiriusResponse
@@ -150,6 +153,28 @@ class TestForcedDivergenceAtTheCli:
             r"^span replay determinism: FAILED at ordinal \d+ span '[\w.]+' [\w.]+: ",
             output, re.M,
         )
+
+    @pytest.mark.parametrize("drift, where", [
+        ("answer", r"ordinal 1 answer: '\w+' vs 'drifted'"),
+        ("length", r"ordinal 2: stream lengths differ \(3 vs 2 responses\)"),
+    ], ids=["answer", "length"])
+    def test_plain_serve_bench_names_ordinal(self, monkeypatch, capsys, drift, where):
+        """The fan-out run drifts one answer, or drops its last response."""
+        real = PlanExecutor.run_all
+
+        def drifting(self, queries, **kwargs):
+            responses = real(self, queries, **kwargs)
+            if "backend" not in kwargs:  # the sequential reference run
+                return responses
+            if drift == "length":
+                return responses[:-1]
+            responses[1] = dataclasses.replace(responses[1], answer="drifted")
+            return responses
+
+        monkeypatch.setattr(PlanExecutor, "run_all", drifting)
+        assert main(["serve-bench", "--queries", "3", "--backend", "serial"]) == 2
+        assert re.search(rf"^fan-out determinism: FAILED at {where}",
+                         capsys.readouterr().out, re.M)
 
     def test_fleet_report_smoke_names_the_path(self, monkeypatch, capsys):
         """The rebuild replays under a drifted seed."""
