@@ -500,64 +500,24 @@ def _cmd_trace_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_report(args, from_spans, from_replay, render, to_json, label) -> int:
-    """The ``fleet-report`` / ``cost-report`` driver.
+def _cmd_fleet_report(args: argparse.Namespace) -> int:
+    """``repro fleet-report``: the fleet health dashboard.
 
-    Two sources: a timing-stripped span export (positional path) goes to
-    ``from_spans(spans)``; otherwise ``from_replay(replay)`` gets the
-    seeded virtual-time replay the shared flags describe, as a callable
-    taking extra :func:`~repro.serving.cluster.replay.replay_cluster`
-    keywords.  ``--json`` prints ``to_json(report)`` instead of
-    ``render(report)``; ``--smoke`` rebuilds the report from scratch and
-    exits 2, naming the first difference, unless both renderings are
-    byte-identical.
+    Rollups, SLO burn rates, the autoscaler trajectory, the cost panel
+    and the trace sampling bill in one deterministic page, over a seeded
+    cluster replay (default; arrivals, routing, optional autoscaling) or
+    a span export from ``serve-bench --trace`` projected onto the ordinal
+    clock.  ``--json`` prints the canonical JSON instead of the text;
+    ``--smoke`` rebuilds the report from scratch and exits 2, naming the
+    first difference, unless both renderings are byte-identical.
     """
-    import functools
-
+    from repro.obs import fleet_report
+    from repro.obs.slo import default_slos
     from repro.serving.cluster import AutoscalerPolicy, seeded_replay
     from repro.serving.identity import first_divergence
 
     if args.smoke:
         args.queries = min(args.queries, 2_000)
-    if args.path:
-        build = functools.partial(from_spans, _read_spans(args.path))
-    else:
-        build = functools.partial(from_replay, functools.partial(
-            seeded_replay,
-            args.arrivals, args.rate, args.service_mean, args.queries,
-            seed=args.seed,
-            policy=args.policy,
-            n_replicas=args.replicas,
-            autoscaler=(
-                AutoscalerPolicy(slo_p99=args.e2e_slo) if args.autoscale else None
-            ),
-        ))
-
-    report = build()
-    print(to_json(report) if args.json else render(report), end="")
-    if args.smoke:
-        again = build()
-        drift = (
-            first_divergence(to_json(report), to_json(again))
-            or first_divergence(render(report), render(again))
-        )
-        print(f"{label} determinism: {_verdict(drift)}", file=sys.stderr)
-        if drift is not None:
-            return 2
-    return 0
-
-
-def _cmd_fleet_report(args: argparse.Namespace) -> int:
-    """``repro fleet-report``: the fleet health dashboard.
-
-    Rollups, SLO burn rates, the autoscaler trajectory, and the trace
-    sampling bill in one deterministic page, over a seeded cluster replay
-    (default; arrivals, routing, optional autoscaling) or a span export
-    from ``serve-bench --trace`` projected onto the ordinal clock.
-    """
-    from repro.obs import fleet_report
-    from repro.obs.slo import default_slos
-
     sampling = dict(
         head_rate=args.head_rate,
         top_k=args.top_k,
@@ -566,39 +526,41 @@ def _cmd_fleet_report(args: argparse.Namespace) -> int:
             e2e_threshold=args.e2e_slo, ttfp_threshold=args.ttfp_slo
         ),
     )
-    return _run_report(
-        args,
-        lambda spans: fleet_report.report_from_spans(
-            spans, window=args.window, **sampling
-        ),
-        lambda replay: fleet_report.report_from_replay(
-            replay(tick_seconds=args.window), trace_seed=args.seed, **sampling
-        ),
-        fleet_report.render_fleet_report,
-        fleet_report.report_to_json,
-        "fleet-report",
-    )
+    spans = _read_spans(args.path) if args.path else None
 
+    def build():
+        if spans is not None:
+            return fleet_report.report_from_spans(
+                spans, window=args.window, **sampling
+            )
+        replay = seeded_replay(
+            args.arrivals, args.rate, args.service_mean, args.queries,
+            seed=args.seed,
+            policy=args.policy,
+            n_replicas=args.replicas,
+            autoscaler=(
+                AutoscalerPolicy(slo_p99=args.e2e_slo) if args.autoscale else None
+            ),
+            tick_seconds=args.window,
+        )
+        return fleet_report.report_from_replay(
+            replay, trace_seed=args.seed, **sampling
+        )
 
-def _cmd_cost_report(args: argparse.Namespace) -> int:
-    """``repro cost-report``: the per-query joule/dollar ledger.
-
-    Folds a span export (or a seeded cluster replay) into per-query,
-    per-stage energy and dollars on the CMP baseline, with the AI-tax
-    decomposition.  Every number derives from seeds, virtual time, and
-    the Table 6/7 constants — never wall clocks — so the ledger is
-    byte-identical across execution backends.
-    """
-    from repro.obs import cost
-
-    return _run_report(
-        args,
-        cost.ledger_from_spans,
-        lambda replay: cost.ledger_from_replay(replay()),
-        cost.render_cost_report,
-        cost.report_to_json,
-        "cost-report",
-    )
+    render = fleet_report.render_fleet_report
+    to_json = fleet_report.report_to_json
+    report = build()
+    print(to_json(report) if args.json else render(report), end="")
+    if args.smoke:
+        again = build()
+        drift = (
+            first_divergence(to_json(report), to_json(again))
+            or first_divergence(render(report), render(again))
+        )
+        print(f"fleet-report determinism: {_verdict(drift)}", file=sys.stderr)
+        if drift is not None:
+            return 2
+    return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -691,42 +653,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 #: Routing policies and arrival processes the cluster commands accept.
 _POLICIES = ("round-robin", "least-loaded", "power-of-two")
 _ARRIVALS = ("poisson", "diurnal", "bursty")
-
-
-def _add_report_arguments(
-    parser: argparse.ArgumentParser, verb: str, page: str
-) -> None:
-    """The source, replay and output flags ``fleet-report`` and
-    ``cost-report`` share (see :func:`_run_report`)."""
-    parser.add_argument(
-        "path", nargs="?", default=None,
-        help=f"JSONL span export to {verb} (default: run a seeded replay)",
-    )
-    parser.add_argument("--queries", type=int, default=5_000,
-                        help="replay arrival count (default 5000)")
-    parser.add_argument("--replicas", type=int, default=2)
-    parser.add_argument("--policy", default="least-loaded", choices=_POLICIES)
-    parser.add_argument("--arrivals", default="poisson", choices=_ARRIVALS)
-    parser.add_argument("--rate", type=float, default=12.0,
-                        help="arrival rate in queries/second (default 12)")
-    parser.add_argument("--service-mean", type=float, default=0.12,
-                        help="mean service time in seconds (default 0.12)")
-    parser.add_argument(
-        "--autoscale", action="store_true",
-        help="enable the SLO autoscaler in replay mode (target = --e2e-slo)",
-    )
-    parser.add_argument("--e2e-slo", type=float, default=2.5,
-                        help="end-to-end p99 target in seconds")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--json", action="store_true",
-        help=f"emit canonical JSON (sorted keys) instead of the {page}",
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI shape: <= 2000 arrivals, rebuild twice, exit 2 unless "
-             "both renderings are byte-identical",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -826,7 +752,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_report = sub.add_parser(
         "trace-report",
-        help="render waterfalls and tail percentiles from a span export",
+        help="render waterfalls, tail percentiles and the cost ledger from "
+             "a span export",
     )
     trace_report.add_argument("path", help="JSONL span export to read")
     trace_report.add_argument(
@@ -861,9 +788,37 @@ def build_parser() -> argparse.ArgumentParser:
     fleet = sub.add_parser(
         "fleet-report",
         help="fleet health dashboard: rollups, SLO burn rates, autoscaler "
-             "trajectory, and the trace-sampling bill",
+             "trajectory, cost panel, and the trace-sampling bill",
     )
-    _add_report_arguments(fleet, "evaluate", "dashboard")
+    fleet.add_argument(
+        "path", nargs="?", default=None,
+        help="JSONL span export to evaluate (default: run a seeded replay)",
+    )
+    fleet.add_argument("--queries", type=int, default=5_000,
+                       help="replay arrival count (default 5000)")
+    fleet.add_argument("--replicas", type=int, default=2)
+    fleet.add_argument("--policy", default="least-loaded", choices=_POLICIES)
+    fleet.add_argument("--arrivals", default="poisson", choices=_ARRIVALS)
+    fleet.add_argument("--rate", type=float, default=12.0,
+                       help="arrival rate in queries/second (default 12)")
+    fleet.add_argument("--service-mean", type=float, default=0.12,
+                       help="mean service time in seconds (default 0.12)")
+    fleet.add_argument(
+        "--autoscale", action="store_true",
+        help="enable the SLO autoscaler in replay mode (target = --e2e-slo)",
+    )
+    fleet.add_argument("--e2e-slo", type=float, default=2.5,
+                       help="end-to-end p99 target in seconds")
+    fleet.add_argument("--seed", type=int, default=0)
+    fleet.add_argument(
+        "--json", action="store_true",
+        help="emit canonical JSON (sorted keys) instead of the dashboard",
+    )
+    fleet.add_argument(
+        "--smoke", action="store_true",
+        help="CI shape: <= 2000 arrivals, rebuild twice, exit 2 unless "
+             "both renderings are byte-identical",
+    )
     fleet.add_argument("--window", type=float, default=5.0,
                        help="rollup window width in virtual seconds")
     fleet.add_argument("--head-rate", type=float, default=0.1,
@@ -873,13 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--ttfp-slo", type=float, default=0.5,
                        help="time-to-first-partial p95 threshold in seconds")
     fleet.set_defaults(func=_cmd_fleet_report)
-
-    cost = sub.add_parser(
-        "cost-report",
-        help="per-query joule/dollar ledger with the AI-tax decomposition",
-    )
-    _add_report_arguments(cost, "price", "ledger")
-    cost.set_defaults(func=_cmd_cost_report)
 
     bench = sub.add_parser(
         "bench",

@@ -19,9 +19,9 @@ produces those measurements from a live run:
 - :mod:`repro.obs.export` — JSONL span export (optionally
   timing-stripped/deterministic) and Chrome trace-event export;
 - :mod:`repro.obs.report` — the ``repro trace-report`` renderer:
-  per-query waterfalls, per-service p50/p95/p99 summaries, the
-  measured-histogram vs M/M/1 comparison, and the roofline placement of
-  traced kernels;
+  per-query waterfalls, per-service p50/p95/p99 summaries, the cost
+  ledger, the measured-histogram vs M/M/1 comparison, and the roofline
+  placement of traced kernels;
 - :mod:`repro.obs.counters` — deterministic work counters (flops, bytes,
   items, invocations) that hot paths attach to the innermost span;
 - :mod:`repro.obs.critical_path` — longest-path extraction and exact
@@ -45,13 +45,14 @@ produces those measurements from a live run:
   (Table 6 TDPs, server prices, electricity and TCO rates) derived from
   :mod:`repro.platforms.spec`; statcheck rule ``SC1002`` keeps magic
   pricing numbers from appearing anywhere else;
-- :mod:`repro.obs.cost` — the ``repro cost-report`` ledger: per-query,
-  per-stage energy (exact integer microjoules) and dollars folded from
-  span forests or cluster replays on the CMP baseline, with the
-  compute-vs-AI-tax decomposition.
+- :mod:`repro.obs.cost` — the cost ledger: per-query, per-stage energy
+  (exact integer microjoules) and dollars folded from span forests or
+  cluster replays on the CMP baseline, with the compute-vs-AI-tax
+  decomposition — the one account of wasted work, rendered by
+  ``repro trace-report`` and totalled in ``repro fleet-report``.
 
 Wired into ``repro serve-bench --trace/--metrics``, ``repro trace-report``,
-``repro fleet-report``, ``repro cost-report`` and ``repro bench``; see
+``repro fleet-report`` and ``repro bench``; see
 ``docs/OBSERVABILITY.md`` and ``docs/BENCHMARKING.md``.
 """
 

@@ -297,12 +297,11 @@ def _obs_rollup(quick: bool) -> Metrics:
 
 def _obs_cost(quick: bool) -> Metrics:
     """The cost ledger: a pure function of the seeds and Table 6/7 constants."""
-    from repro.obs.cost import ledger_from_replay, render_cost_report, report_to_json
+    from repro.obs.cost import format_ledger, ledger_from_replay
 
     ledger = ledger_from_replay(_pinned_replay(13, quick))
     return {
-        "report_fingerprint": fingerprint(report_to_json(ledger)),
-        "ledger_fingerprint": fingerprint(render_cost_report(ledger)),
+        "ledger_fingerprint": fingerprint(format_ledger(ledger)),
         "total_microjoules": ledger.total_microjoules,
         "tax_microjoules": ledger.tax_microjoules(),
         "queries": len(ledger.queries),

@@ -18,7 +18,10 @@ split into an explicit "AI tax" decomposition:
 - ``queueing``  — injected stall time on otherwise successful paths.
 
 Everything except ``compute`` is overhead the accelerators never touch —
-the "AI tax" made a measured line item instead of noise.
+the "AI tax" made a measured line item instead of noise.  The ledger is
+the one account of discarded work: :func:`format_ledger` renders it as
+the closing tables of ``repro trace-report``, and
+:func:`fleet_cost_panel` totals it for ``repro fleet-report``.
 
 The ledger prices the trace it was given on the CMP baseline it ran on.
 Section 5's platform dollars (Figure 18, Tables 8/9) belong to
@@ -36,13 +39,17 @@ across serial/thread/process backends, chaos replays included.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis import format_table
-from repro.obs.counters import WorkCounters, counters_of, wasted_span_ids
+from repro.obs.counters import (
+    WorkCounters,
+    counters_of,
+    format_count,
+    wasted_span_ids,
+)
 from repro.obs.pricing import (
     dollars_per_server_second,
     electricity_dollars,
@@ -51,9 +58,6 @@ from repro.obs.pricing import (
 from repro.obs.trace import KERNEL, QUERY, ROUTER, SERVICE, query_outcome, sort_key
 from repro.platforms.roofline import KERNEL_PROFILES, attainable_for_intensity
 from repro.platforms.spec import CMP
-
-#: Canonical JSON schema tag for ``repro cost-report --json``.
-SCHEMA = "repro.cost-report/v2"
 
 #: Ledger categories, in decomposition order.  ``COMPUTE`` is served work;
 #: everything after it is the AI tax.
@@ -67,9 +71,6 @@ CATEGORIES: Tuple[str, ...] = (COMPUTE,) + TAX_CATEGORIES
 
 #: Fallback operational intensity when a span recorded flops but no bytes.
 _DEFAULT_INTENSITY = 1.0
-
-#: Per-query entries included verbatim in reports (totals always cover all).
-QUERY_LIMIT = 12
 
 _GIGA = 1e9
 
@@ -148,6 +149,7 @@ class CategoryTotal:
     microjoules: int = 0
     dollars: float = 0.0
     events: int = 0
+    flops: int = 0
 
     def fold(self, entry: LedgerEntry) -> "CategoryTotal":
         return CategoryTotal(
@@ -155,6 +157,7 @@ class CategoryTotal:
             microjoules=self.microjoules + entry.microjoules,
             dollars=self.dollars + entry.dollars,
             events=self.events + entry.events,
+            flops=self.flops + entry.counters.flops,
         )
 
 
@@ -452,39 +455,18 @@ def format_energy(microjoules: int) -> str:
     return f"{microjoules} uJ"
 
 
-def _overview_rows(ledger: CostLedger) -> List[List[str]]:
-    outcomes: Dict[str, int] = {}
-    for query in ledger.queries:
-        outcomes[query.outcome] = outcomes.get(query.outcome, 0) + 1
-    rows = [
-        ["source", ledger.source],
-        ["platform", CMP],
-        ["queries", str(len(ledger.queries))],
-    ]
-    for outcome in sorted(outcomes):
-        rows.append([f"  {outcome}", str(outcomes[outcome])])
-    total = ledger.total_microjoules
-    rows.append(["energy", format_energy(total)])
-    rows.append(["dollars (TCO-amortized)", f"${ledger.total_dollars:.8f}"])
-    rows.append([
-        "dollars (electricity only)", f"${electricity_dollars(total):.8f}",
-    ])
-    tax = ledger.tax_microjoules()
-    rows.append([
-        "AI tax share",
-        f"{tax / total:.1%}" if total else "-",
-    ])
-    return rows
+def format_ledger(ledger: CostLedger) -> str:
+    """The ledger as text: the AI-tax category split, then per (stage, category).
 
-
-def _category_rows(ledger: CostLedger) -> List[List[str]]:
-    totals = ledger.category_totals()
+    The per-stage table's flops are the work counters the stage's entries
+    carry, so discarded work (``degraded``/``retries``) shows as its own
+    line next to the served ``compute`` it did not become.
+    """
     grand = ledger.total_microjoules
-    rows = []
-    for category in CATEGORIES:
-        total = totals[category]
+    category_rows = []
+    for category, total in ledger.category_totals().items():
         share = total.microjoules / grand if grand else 0.0
-        rows.append([
+        category_rows.append([
             category,
             f"{total.seconds:.6f}",
             format_energy(total.microjoules),
@@ -492,124 +474,26 @@ def _category_rows(ledger: CostLedger) -> List[List[str]]:
             str(total.events),
             f"{share:.1%}",
         ])
-    return rows
-
-
-def _stage_rows(ledger: CostLedger) -> List[List[str]]:
-    rows = []
-    for (stage, category), total in ledger.stage_totals().items():
-        rows.append([
+    sections = [format_table(
+        f"Cost ledger on {CMP}: compute vs AI tax "
+        f"({len(ledger.queries)} queries)",
+        ["Category", "Seconds", "Energy", "Dollars", "Events", "Share"],
+        category_rows,
+    )]
+    stage_rows = [
+        [
             stage, category,
             f"{total.seconds:.6f}",
             format_energy(total.microjoules),
             f"${total.dollars:.8f}",
-        ])
-    return rows
-
-
-def _query_rows(ledger: CostLedger) -> List[List[str]]:
-    rows = []
-    for query in ledger.queries[:QUERY_LIMIT]:
-        top = max(
-            query.entries, key=lambda e: e.microjoules, default=None
-        )
-        rows.append([
-            str(query.ordinal),
-            query.outcome,
-            format_energy(query.microjoules),
-            f"${query.dollars:.8f}",
-            f"{top.stage}/{top.category}" if top is not None else "-",
-        ])
-    return rows
-
-
-def render_cost_report(ledger: CostLedger) -> str:
-    """The deterministic text ledger."""
-    sections = [
-        format_table("Cost & energy ledger", ["Metric", "Value"],
-                     _overview_rows(ledger)),
-        format_table(
-            "AI tax decomposition",
-            ["Category", "Seconds", "Energy", "Dollars", "Events", "Share"],
-            _category_rows(ledger),
-        ),
+            format_count(total.flops),
+        ]
+        for (stage, category), total in ledger.stage_totals().items()
     ]
-    stage_rows = _stage_rows(ledger)
     if stage_rows:
         sections.append(format_table(
-            "Per-stage attribution",
-            ["Stage", "Category", "Seconds", "Energy", "Dollars"],
+            "Cost ledger per stage",
+            ["Stage", "Category", "Seconds", "Energy", "Dollars", "Flops"],
             stage_rows,
         ))
-    query_rows = _query_rows(ledger)
-    if query_rows:
-        shown = len(query_rows)
-        total = len(ledger.queries)
-        title = (
-            f"Per-query ledger (first {shown} of {total})"
-            if total > shown else "Per-query ledger"
-        )
-        sections.append(format_table(
-            title, ["Query", "Outcome", "Energy", "Dollars", "Top entry"],
-            query_rows,
-        ))
-    return "\n\n".join(sections) + "\n"
-
-
-# -- canonical JSON -----------------------------------------------------------------
-
-def _total_dict(total: CategoryTotal) -> Dict:
-    return {
-        "seconds": total.seconds,
-        "microjoules": total.microjoules,
-        "dollars": total.dollars,
-        "events": total.events,
-    }
-
-
-def _entry_dict(entry: LedgerEntry) -> Dict:
-    return {
-        "stage": entry.stage,
-        "category": entry.category,
-        "seconds": entry.seconds,
-        "microjoules": entry.microjoules,
-        "dollars": entry.dollars,
-        "events": entry.events,
-        "counters": entry.counters.as_dict(),
-    }
-
-
-def report_to_json(ledger: CostLedger) -> str:
-    """Canonical JSON (sorted keys, 2-space indent, trailing newline)."""
-    stages: Dict[str, Dict] = {}
-    for (stage, category), total in ledger.stage_totals().items():
-        stages.setdefault(stage, {})[category] = _total_dict(total)
-    payload = {
-        "schema": SCHEMA,
-        "source": ledger.source,
-        "platform": CMP,
-        "n_queries": len(ledger.queries),
-        "total_microjoules": ledger.total_microjoules,
-        "total_dollars": ledger.total_dollars,
-        "electricity_dollars": electricity_dollars(ledger.total_microjoules),
-        "tax_microjoules": ledger.tax_microjoules(),
-        "tax_dollars": ledger.tax_dollars(),
-        "categories": {
-            category: _total_dict(total)
-            for category, total in ledger.category_totals().items()
-        },
-        "stages": stages,
-        "queries": [
-            {
-                "trace_id": query.trace_id,
-                "ordinal": query.ordinal,
-                "outcome": query.outcome,
-                "microjoules": query.microjoules,
-                "dollars": query.dollars,
-                "entries": [_entry_dict(entry) for entry in query.entries],
-            }
-            for query in ledger.queries[:QUERY_LIMIT]
-        ],
-        "queries_rendered": min(len(ledger.queries), QUERY_LIMIT),
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return "\n\n".join(sections)

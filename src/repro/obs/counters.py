@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Mapping, Sequence, Tuple
 
 from repro.obs.context import current_tracer
 
@@ -122,20 +122,6 @@ def aggregate_counters(spans: Iterable[Any]) -> WorkCounters:
     return total
 
 
-def counters_by_key(
-    spans: Iterable[Any], key=lambda span: span.service or span.name
-) -> Dict[str, WorkCounters]:
-    """Group-and-sum counters, keyed by ``key(span)`` (default: service)."""
-    grouped: Dict[str, WorkCounters] = {}
-    for span in spans:
-        counters = counters_of(span.attributes)
-        if counters.invocations == 0 and counters.flops == 0 and counters.bytes == 0:
-            continue
-        label = key(span)
-        grouped[label] = grouped.get(label, WorkCounters()) + counters
-    return grouped
-
-
 #: Attribute set by the resilience layer on attempt spans whose work was
 #: discarded (failed/retried attempts, breaker fast-fails).
 WASTED = "wasted"
@@ -181,27 +167,6 @@ def wasted_span_ids(spans: Iterable[Any]) -> frozenset:
     )
 
 
-def split_wasted_counters(
-    spans: Iterable[Any], key=lambda span: span.service or span.name
-) -> Tuple[Dict[str, WorkCounters], Dict[str, WorkCounters]]:
-    """``counters_by_key`` split into (served, wasted) halves.
-
-    The two dicts partition exactly: summing them value-wise reproduces
-    :func:`counters_by_key` over the same spans — the regression the
-    ledger tests pin, so retried and degraded-then-discarded work can
-    never silently blend back into served totals.
-    """
-    materialized = list(spans)
-    wasted_ids = wasted_span_ids(materialized)
-    served = counters_by_key(
-        (s for s in materialized if s.span_id not in wasted_ids), key=key
-    )
-    wasted = counters_by_key(
-        (s for s in materialized if s.span_id in wasted_ids), key=key
-    )
-    return served, wasted
-
-
 def kernel_counters(spans: Sequence[Any]) -> Dict[str, WorkCounters]:
     """Counter totals per Sirius Suite kernel, from its ``kernel`` spans.
 
@@ -232,11 +197,3 @@ def format_count(value: float) -> str:
         return str(int(value)) if float(value).is_integer() else f"{value:.2f}"
     suffix = " KMGT"[magnitude]
     return f"{value / 1000 ** magnitude:.2f}{suffix}"
-
-
-def intensity_of(span: Any) -> Optional[float]:
-    """Operational intensity of one span, or None without both counters."""
-    counters = counters_of(span.attributes)
-    if counters.flops and counters.bytes:
-        return counters.intensity
-    return None

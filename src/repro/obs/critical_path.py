@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import format_table
-from repro.errors import ObsError
+from repro.errors import ConfigurationError, ObsError
 from repro.obs.trace import QUERY, SECTION, Span, sort_key
 
 #: Span attribute carrying injected virtual latency (seconds, deterministic).
@@ -369,7 +369,15 @@ def nearest_rank(sorted_values: Sequence[float], quantile: float) -> float:
 def tail_attribution(
     analyses: Sequence[TraceAnalysis], quantile: float = 0.99
 ) -> TailAttribution:
-    """Attribute overall and tail (≥ the ``quantile`` trace total) time."""
+    """Attribute overall and tail (≥ the ``quantile`` trace total) time.
+
+    Raises :class:`~repro.errors.ConfigurationError` unless
+    ``0 < quantile <= 1``.
+    """
+    if not 0.0 < quantile <= 1.0:
+        raise ConfigurationError(
+            f"tail quantile must be in (0, 1], got {quantile}"
+        )
     if not analyses:
         raise ObsError("span forest contains no query traces")
     totals = sorted(a.total_seconds for a in analyses)

@@ -68,12 +68,12 @@ class FleetReport:
     slos: Tuple[SLOStatus, ...]
     sampling: SamplingStats
     extrapolated: Optional[SamplingStats]
-    #: (tick, active replicas) — replay source only.
-    replica_timeline: Tuple[Tuple[int, int], ...] = ()
     #: The cost ledger's panel (:func:`repro.obs.cost.fleet_cost_panel`):
     #: attributed joules/dollars plus, for replays, the priced autoscaler
-    #: trajectory.  ``None`` only for reports built before the cost plane.
-    cost: Optional[Dict] = None
+    #: trajectory.
+    cost: Dict
+    #: (tick, active replicas) — replay source only.
+    replica_timeline: Tuple[Tuple[int, int], ...] = ()
 
 
 def report_from_replay(
@@ -344,11 +344,9 @@ def render_fleet_report(report: FleetReport, max_firings: int = 8) -> str:
             sections.append("Firing burn-rate alerts:\n" + "\n".join(firing_lines))
         else:
             sections.append("Firing burn-rate alerts: none")
-    if report.cost is not None:
-        sections.append(format_table(
-            "Cost & energy (see repro cost-report)",
-            ["Metric", "Value"], _cost_rows(report),
-        ))
+    sections.append(format_table(
+        "Cost & energy", ["Metric", "Value"], _cost_rows(report)
+    ))
     sections.append(format_table(
         "Trace sampling", ["Metric", "Value"], _sampling_rows(report)
     ))
@@ -440,7 +438,7 @@ def report_to_dict(report: FleetReport) -> Dict:
             _stats_dict(report.extrapolated)
             if report.extrapolated is not None else None
         ),
-        "cost": dict(report.cost) if report.cost is not None else None,
+        "cost": dict(report.cost),
     }
 
 

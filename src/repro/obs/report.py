@@ -1,13 +1,16 @@
 """Text reporting over span exports: waterfalls and percentile summaries.
 
-``repro trace-report`` renders two views of a span forest:
+``repro trace-report`` renders three views of a span forest:
 
 - a **per-query waterfall** — the span tree, indented, with measured
   durations, retry/fault annotations, and error codes, i.e. Figure 8's
   "where did this query's time go" at a glance;
 - a **per-series latency summary** — count, mean, and exact
   p50/p95/p99 over the recorded service spans plus the end-to-end query
-  spans, the numbers the M/M/1 comparison (Figure 17 bridge) consumes.
+  spans, the numbers the M/M/1 comparison (Figure 17 bridge) consumes;
+- the **cost ledger** (:func:`repro.obs.cost.format_ledger`) — joules,
+  dollars and flops split into served compute and the AI tax, the one
+  account of work that retries, fast-fails and degradations threw away.
 
 The percentile math lives in :mod:`repro.obs.metrics` (exact,
 numpy-compatible interpolation over raw samples) and the series in a
@@ -23,6 +26,7 @@ from repro.analysis import format_table
 from repro.datacenter.arrivals import PoissonProcess
 from repro.datacenter.queueing import mm1_percentile
 from repro.datacenter.simulation import histogram_sampler
+from repro.errors import ConfigurationError
 from repro.obs.timeseries import (
     E2E_METRIC,
     PARTIALS_METRIC,
@@ -117,8 +121,11 @@ def format_waterfall(spans: Sequence[Span], limit: int = 0) -> str:
     """The per-query waterfall: one indented span tree per trace.
 
     ``limit`` caps the number of queries rendered (0 = all); the summary
-    tables always cover every span regardless.
+    tables always cover every span regardless.  A negative ``limit``
+    raises :class:`~repro.errors.ConfigurationError`.
     """
+    if limit < 0:
+        raise ConfigurationError(f"waterfall limit must be >= 0, got {limit}")
     ordered = sorted(spans, key=sort_key)
     children = _children_by_parent(ordered)
     roots = sorted((s for s in ordered if not s.parent_id),
@@ -279,64 +286,19 @@ def format_roofline(spans: Sequence[Span]) -> str:
     )
 
 
-def format_wasted_work(spans: Sequence[Span]) -> str:
-    """Served vs wasted work counters, per service/kernel key.
-
-    Splits :func:`repro.obs.counters.counters_by_key` along the
-    :func:`repro.obs.counters.wasted_span_ids` verdicts — retried tries,
-    breaker fast-fails, and everything under failed queries — so discarded
-    flops show up as their own line instead of blending into served
-    totals.  Empty string when nothing was wasted (no section rendered).
-    """
-    from repro.obs.counters import (
-        WorkCounters,
-        format_count,
-        split_wasted_counters,
-        wasted_span_ids,
-    )
-
-    materialized = list(spans)
-    wasted_ids = wasted_span_ids(materialized)
-    if not wasted_ids:
-        return ""
-    served, wasted = split_wasted_counters(materialized)
-    span_counts: Dict[str, int] = {}
-    for span in materialized:
-        if span.span_id in wasted_ids:
-            key = span.service or span.name
-            span_counts[key] = span_counts.get(key, 0) + 1
-    rows: List[List[str]] = []
-    for key in sorted(span_counts):
-        kept = served.get(key, WorkCounters())
-        lost = wasted.get(key, WorkCounters())
-        total_flops = kept.flops + lost.flops
-        share = lost.flops / total_flops if total_flops else 0.0
-        rows.append([
-            key,
-            str(span_counts[key]),
-            format_count(kept.flops),
-            format_count(lost.flops),
-            f"{share:.1%}" if total_flops else "-",
-        ])
-    return format_table(
-        "Wasted work (retries, fast-fails, failed queries)",
-        ["Key", "Wasted spans", "Served flops", "Wasted flops",
-         "Wasted flop share"],
-        rows,
-    )
-
-
 def render_report(
     spans: Sequence[Span],
     limit: int = 0,
     mm1_load: Optional[float] = None,
 ) -> str:
-    """The full ``repro trace-report`` text: waterfall + summaries."""
+    """The full ``repro trace-report`` text: waterfall + summaries + ledger."""
+    from repro.obs.cost import format_ledger, ledger_from_spans
+
     store = metrics_from_spans(spans)
     sections = [
         format_waterfall(spans, limit=limit),
         format_service_summary(store, title="Per-service latency (from spans)"),
-        format_wasted_work(spans),
+        format_ledger(ledger_from_spans(spans)),
     ]
     if mm1_load is not None:
         sections.append(format_mm1_comparison(store, load=mm1_load))

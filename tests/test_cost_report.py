@@ -1,4 +1,4 @@
-"""The cost ledger: exact attribution, golden JSON, and wasted work.
+"""The cost ledger: exact attribution, the golden ledger, and wasted work.
 
 Acceptance checks for the cost & energy observability plane:
 
@@ -6,41 +6,37 @@ Acceptance checks for the cost & energy observability plane:
   fsum dollars) to per-query and per-trace totals, including on
   hypothesis-generated forests — the energy analogue of the
   critical-path conservation invariant;
-- the ``repro cost-report`` JSON of a pinned chaos replay matches a
-  committed golden byte-for-byte, and the ledger of the same chaos run
-  is byte-identical across the serial/thread/process backends;
+- the ledger of a pinned chaos replay equals a committed golden file
+  field for field, and the ledger text of the same chaos run is
+  byte-identical across the serial/thread/process backends;
 - the fleet report's cost panel prices the autoscaler's provisioned
   trajectory;
 - wasted work (retried and degraded-then-discarded attempts) partitions
-  out of served counters exactly — the regression for the
-  ``counters_by_key`` blending bug.
+  out of served counters exactly, and ``repro trace-report`` renders
+  that one partition.
 """
 
 import json
 import math
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cli import main
 from repro.obs import collect_spans, read_jsonl, to_jsonl
 from repro.obs.cost import (
     CATEGORIES,
     COMPUTE,
-    ROUTER_WAIT,
+    DEGRADED,
+    RETRIES,
     TAX_CATEGORIES,
     fleet_cost_panel,
+    format_ledger,
     ledger_from_replay,
     ledger_from_spans,
-    render_cost_report,
-    report_to_json,
 )
-from repro.obs.counters import (
-    counters_by_key,
-    split_wasted_counters,
-    wasted_span_ids,
-)
-from repro.obs.pricing import energy_microjoules
+from repro.obs.counters import aggregate_counters, wasted_span_ids
+from repro.obs.pricing import electricity_dollars, energy_microjoules
 from repro.obs.trace import QUERY, ROUTER, SERVICE, Span
 from repro.platforms.spec import CMP
 
@@ -48,6 +44,9 @@ from tests.test_fleet_report import chaos_spans, BACKENDS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = REPO_ROOT / "tests" / "fixtures" / "cost" / "cost-report.json"
+
+#: Per-query entries the golden file records (its totals cover all 600).
+GOLDEN_QUERIES = 12
 
 
 def pinned_replay_ledger():
@@ -69,6 +68,63 @@ def pinned_replay_ledger():
         tick_seconds=2.0,
     )
     return ledger_from_replay(result)
+
+
+def total_fields(total):
+    """A :class:`CategoryTotal` as the golden file records it."""
+    return {
+        "seconds": total.seconds,
+        "microjoules": total.microjoules,
+        "dollars": total.dollars,
+        "events": total.events,
+    }
+
+
+def query_fields(query):
+    """A :class:`QueryCost` and its entries as the golden file records them."""
+    return {
+        "trace_id": query.trace_id,
+        "ordinal": query.ordinal,
+        "outcome": query.outcome,
+        "microjoules": query.microjoules,
+        "dollars": query.dollars,
+        "entries": [
+            {
+                "stage": entry.stage,
+                "category": entry.category,
+                "seconds": entry.seconds,
+                "microjoules": entry.microjoules,
+                "dollars": entry.dollars,
+                "events": entry.events,
+                "counters": entry.counters.as_dict(),
+            }
+            for entry in query.entries
+        ],
+    }
+
+
+@pytest.fixture(scope="module")
+def pipeline_chaos_spans(sirius_pipeline, input_set):
+    """The span forest of ``serve-bench --chaos 42 --queries 8 --trace``.
+
+    The real pipeline records work counters, and under the seed-42 plan
+    two queries degrade after QA did work that is then thrown away.
+    """
+    from repro.core import QueryType
+    from repro.serving import (
+        default_chaos_plan,
+        default_policies,
+        resilient_executor,
+    )
+
+    queries = input_set.by_type(QueryType.VOICE_QUERY)[:8]
+    executor = resilient_executor(
+        sirius_pipeline.serving, default_policies(seed=42),
+        default_chaos_plan(42),
+    )
+    executor.trace_seed = 42
+    executor.warmup()
+    return collect_spans(executor.run_all(queries, on_error="degrade"))
 
 
 def synthetic_forest():
@@ -204,31 +260,49 @@ class TestExactness:
 
 class TestByteIdentity:
     def test_ledger_identical_across_backends_under_chaos(self):
-        rendered = {}
-        for backend in BACKENDS:
-            ledger = ledger_from_spans(chaos_spans(backend))
-            rendered[backend] = (
-                render_cost_report(ledger), report_to_json(ledger)
-            )
+        rendered = {
+            backend: format_ledger(ledger_from_spans(chaos_spans(backend)))
+            for backend in BACKENDS
+        }
         assert (
             rendered["serial"] == rendered["thread"] == rendered["process"]
         )
 
-    def test_json_matches_golden_byte_for_byte(self):
-        assert report_to_json(pinned_replay_ledger()) == GOLDEN.read_text()
+    def test_ledger_matches_golden(self):
+        golden = json.loads(GOLDEN.read_text())
+        ledger = pinned_replay_ledger()
+        assert golden["source"] == ledger.source
+        assert golden["platform"] == CMP
+        assert golden["n_queries"] == len(ledger.queries)
+        assert golden["total_microjoules"] == ledger.total_microjoules
+        assert golden["total_dollars"] == ledger.total_dollars
+        assert golden["electricity_dollars"] == electricity_dollars(
+            ledger.total_microjoules
+        )
+        assert golden["tax_microjoules"] == ledger.tax_microjoules()
+        assert golden["tax_dollars"] == ledger.tax_dollars()
+        assert golden["categories"] == {
+            category: total_fields(total)
+            for category, total in ledger.category_totals().items()
+        }
+        stages = {}
+        for (stage, category), total in ledger.stage_totals().items():
+            stages.setdefault(stage, {})[category] = total_fields(total)
+        assert golden["stages"] == stages
+        assert golden["queries"] == [
+            query_fields(query) for query in ledger.queries[:GOLDEN_QUERIES]
+        ]
 
     def test_report_is_replay_stable(self):
         first = pinned_replay_ledger()
         second = pinned_replay_ledger()
-        assert report_to_json(first) == report_to_json(second)
-        assert render_cost_report(first) == render_cost_report(second)
+        assert first == second
+        assert format_ledger(first) == format_ledger(second)
 
     def test_jsonl_roundtrip_is_lossless(self):
         spans = chaos_spans("serial")
         replayed = read_jsonl(to_jsonl(spans, timing=False).splitlines())
-        assert report_to_json(
-            ledger_from_spans(spans)
-        ) == report_to_json(ledger_from_spans(replayed))
+        assert ledger_from_spans(spans) == ledger_from_spans(replayed)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +325,7 @@ class TestFleetExtrapolation:
 
 
 # ---------------------------------------------------------------------------
-# Wasted-work accounting (the counters_by_key regression)
+# Wasted-work accounting: the ledger is the one partition
 # ---------------------------------------------------------------------------
 
 
@@ -260,20 +334,24 @@ class TestWastedWork:
         spans = chaos_spans("serial")
         assert wasted_span_ids(spans)
 
-    def test_split_partitions_counters_exactly(self):
-        spans = chaos_spans("serial")
-        served, wasted = split_wasted_counters(spans)
-        merged = counters_by_key(spans)
-        keys = set(served) | set(wasted)
-        assert keys == set(merged)
-        from repro.obs.counters import WorkCounters
-
-        for key in keys:
-            combined = (
-                served.get(key, WorkCounters())
-                + wasted.get(key, WorkCounters())
-            )
-            assert combined == merged[key], key
+    def test_split_partitions_counters_exactly(self, pipeline_chaos_spans):
+        spans = pipeline_chaos_spans
+        wasted_ids = wasted_span_ids(spans)
+        ledger = ledger_from_spans(spans)
+        flops = {category: 0 for category in CATEGORIES}
+        for query in ledger.queries:
+            for entry in query.entries:
+                flops[entry.category] += entry.counters.flops
+        assert flops[COMPUTE] + flops[DEGRADED] + flops[RETRIES] == (
+            aggregate_counters(spans).flops
+        )
+        assert flops[COMPUTE] == aggregate_counters(
+            s for s in spans if s.span_id not in wasted_ids
+        ).flops
+        assert flops[DEGRADED] + flops[RETRIES] == aggregate_counters(
+            s for s in spans if s.span_id in wasted_ids
+        ).flops
+        assert ledger.stage_totals()[("QA", DEGRADED)].flops > 0
 
     def test_retried_attempts_are_tagged_wasted(self):
         spans = chaos_spans("serial")
@@ -297,45 +375,13 @@ class TestWastedWork:
             ledger.total_microjoules
         )
 
-    def test_trace_report_renders_wasted_section(self):
+    def test_trace_report_renders_wasted_section(self, pipeline_chaos_spans):
         from repro.obs.report import render_report
 
-        text = render_report(chaos_spans("serial"))
-        assert "Wasted work" in text
-
-
-# ---------------------------------------------------------------------------
-# CLI
-# ---------------------------------------------------------------------------
-
-
-class TestCli:
-    def test_smoke_replay_exits_zero(self, capsys):
-        assert main([
-            "cost-report", "--smoke", "--queries", "300",
-        ]) == 0
-        out = capsys.readouterr()
-        assert "Cost & energy ledger" in out.out
-        assert "cost-report determinism: ok" in out.err
-
-    def test_json_flag_emits_canonical_json(self, capsys):
-        assert main(["cost-report", "--queries", "200", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == "repro.cost-report/v2"
-        assert payload["source"] == "replay"
-        assert set(payload["categories"]) == set(CATEGORIES)
-
-    def test_span_export_mode_with_platform(self, tmp_path, capsys):
-        spans = chaos_spans("serial")
-        path = tmp_path / "spans.jsonl"
-        path.write_text(to_jsonl(spans, timing=False))
-        # a span export is priced on the CMP baseline it ran on
-        assert main(["cost-report", str(path), "--smoke"]) == 0
-        out = capsys.readouterr().out
-        assert ["platform", "cmp"] in [line.split() for line in out.splitlines()]
-        assert "Per-stage attribution" in out
-
-    def test_router_wait_is_priced_from_replay(self, capsys):
-        assert main(["cost-report", "--queries", "400", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["categories"][ROUTER_WAIT]["microjoules"] > 0
+        spans = pipeline_chaos_spans
+        text = render_report(spans)
+        ledger = format_ledger(ledger_from_spans(spans))
+        assert ledger in text
+        assert any(
+            line.split()[:2] == ["QA", DEGRADED] for line in ledger.splitlines()
+        )

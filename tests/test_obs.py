@@ -633,6 +633,11 @@ class TestReport:
         assert "serve.service.seconds{stage=ASR}" in report
         assert "2 queries" in report
 
+    @pytest.mark.parametrize("limit", [-1, -3])
+    def test_negative_waterfall_limit_raises(self, limit):
+        with pytest.raises(ConfigurationError, match="limit"):
+            render_report(sample_forest(), limit=limit)
+
     def test_rendering_does_not_change_the_store(self):
         from repro.obs.report import format_mm1_comparison
 
@@ -677,6 +682,23 @@ class TestTraceReportCli:
         with open(chrome) as handle:
             trace = json.load(handle)
         assert trace["traceEvents"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--limit", "-1"],
+        ["--critical-path", "--tail-quantile", "2"],
+        ["--critical-path", "--tail-quantile", "-0.5"],
+    ])
+    def test_trace_report_rejects_out_of_range_flags(self, tmp_path, capsys,
+                                                     flags):
+        from repro.cli import main
+
+        path = str(tmp_path / "spans.jsonl")
+        write_jsonl(collect_spans(traced_executor().run_all(make_queries(3))),
+                    path)
+        assert main(["trace-report", path, *flags]) == 2
+        captured = capsys.readouterr()
+        assert "error[CONFIG]" in captured.err
+        assert captured.out == ""
 
     def test_trace_report_rejects_garbage(self, tmp_path):
         from repro.cli import main

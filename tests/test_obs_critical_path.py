@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from repro.errors import ObsError
+from repro.errors import ConfigurationError, ObsError
 from repro.obs.critical_path import (
     VIRTUAL_ATTR,
     analyze_forest,
@@ -206,6 +206,12 @@ class TestTailAttribution:
         assert tail_stages["QA"].total_seconds == pytest.approx(10.0)
         assert "ASR" not in tail_stages
         assert tail_stages["QA"].critical_hits == 1
+
+    @pytest.mark.parametrize("quantile", [0.0, -0.5, 1.5, 2.0])
+    def test_quantile_outside_unit_interval_raises(self, quantile):
+        analyses = analyze_forest(self.forest())
+        with pytest.raises(ConfigurationError, match="tail quantile"):
+            tail_attribution(analyses, quantile=quantile)
 
     def test_report_renders_the_slow_query(self):
         text = format_critical_path_report(self.forest(), quantile=0.99)
