@@ -49,18 +49,22 @@ def _haar(ii: np.ndarray, y: np.ndarray, x: np.ndarray, half: np.ndarray):
     half minus the upper; each half is a clipped box sum, so together they
     read the integral image at eight of the nine points of a 3x3 lattice.
     """
+    stride = ii.shape[1]
     max_y = ii.shape[0] - 1
-    max_x = ii.shape[1] - 1
-    top = np.clip(y - half, 0, max_y)
-    middle = np.clip(y, 0, max_y)
-    bottom = np.clip(y + half, 0, max_y)
+    max_x = stride - 1
+    # Rows as flat offsets: one 1-D gather per point reads what ``ii[row,
+    # col]`` would, at under half the cost of 2-D fancy indexing.
+    flat = ii.ravel()
+    top = np.clip(y - half, 0, max_y) * stride
+    middle = np.clip(y, 0, max_y) * stride
+    bottom = np.clip(y + half, 0, max_y) * stride
     left = np.clip(x - half, 0, max_x)
     center = np.clip(x, 0, max_x)
     right = np.clip(x + half, 0, max_x)
-    top_left, top_center, top_right = ii[top, left], ii[top, center], ii[top, right]
-    middle_left, middle_right = ii[middle, left], ii[middle, right]
+    top_left, top_center, top_right = flat[top + left], flat[top + center], flat[top + right]
+    middle_left, middle_right = flat[middle + left], flat[middle + right]
     bottom_left, bottom_center, bottom_right = (
-        ii[bottom, left], ii[bottom, center], ii[bottom, right]
+        flat[bottom + left], flat[bottom + center], flat[bottom + right]
     )
     # Each box keeps box_sum's operation order: ii[y1,x1] - ii[y0,x1] - ii[y1,x0] + ii[y0,x0].
     haar_x = (bottom_right - top_right - bottom_center + top_center) - (
@@ -140,31 +144,42 @@ def _gaussian_window(scale: int) -> np.ndarray:
 
 
 def _describe(
-    ii: np.ndarray, keypoints: Sequence[Keypoint], orientations: Sequence[float]
+    ii: np.ndarray, keypoints: Sequence[Keypoint], orientations: Optional[Sequence[float]]
 ) -> np.ndarray:
     """(N, 64) descriptors of ``keypoints`` at the given orientations.
 
     All N x 20 x 20 samples are taken at once; axes are (keypoint, v, u)
-    with u along the keypoint's orientation and v across it.
+    with u along the keypoint's orientation and v across it.  ``None``
+    orientations are U-SURF's: the frame is the image's, and nothing is
+    rotated.  That is bit-equal to orientation 0, where the rotation only
+    adds signed zeros to the offsets and to the responses, and the sums
+    below start from +0.0, which absorbs a -0.0.
     """
     count = len(keypoints)
     scales = [_integer_scale(kp) for kp in keypoints]
     scale = np.array(scales).reshape(count, 1, 1)
-    cos_o = np.array([math.cos(angle) for angle in orientations]).reshape(count, 1, 1)
-    sin_o = np.array([math.sin(angle) for angle in orientations]).reshape(count, 1, 1)
     cy = np.array([kp.y for kp in keypoints]).reshape(count, 1, 1)
     cx = np.array([kp.x for kp in keypoints]).reshape(count, 1, 1)
     gauss = np.stack([_gaussian_window(s) for s in scales])
 
-    # Sample offsets in the keypoint's (rotated) frame, in pixels.
+    # Sample offsets in the keypoint's frame, in pixels.
     u = _GRID[None, None, :] * scale
     v = _GRID[None, :, None] * scale
-    y = np.rint(cy + (-u * sin_o + v * cos_o)).astype(np.intp)
-    x = np.rint(cx + (u * cos_o + v * sin_o)).astype(np.intp)
-    rx, ry = _haar(ii, y, x, scale)
-    # Rotate responses back into the keypoint frame.
-    dx = gauss * (cos_o * rx + sin_o * ry)
-    dy = gauss * (-sin_o * rx + cos_o * ry)
+    if orientations is None:
+        y = np.rint(cy + v).astype(np.intp)
+        x = np.rint(cx + u).astype(np.intp)
+        rx, ry = _haar(ii, y, x, scale)
+        dx = gauss * rx
+        dy = gauss * ry
+    else:
+        cos_o = np.array([math.cos(angle) for angle in orientations]).reshape(count, 1, 1)
+        sin_o = np.array([math.sin(angle) for angle in orientations]).reshape(count, 1, 1)
+        y = np.rint(cy + (-u * sin_o + v * cos_o)).astype(np.intp)
+        x = np.rint(cx + (u * cos_o + v * sin_o)).astype(np.intp)
+        rx, ry = _haar(ii, y, x, scale)
+        # Rotate responses back into the keypoint frame.
+        dx = gauss * (cos_o * rx + sin_o * ry)
+        dy = gauss * (-sin_o * rx + cos_o * ry)
 
     # (keypoint, sub_y, sample_y, sub_x, sample_x, quantity); the 25 samples
     # of a subregion are added one at a time in (sample_y, sample_x) order —
@@ -176,12 +191,12 @@ def _describe(
             sums += samples[:, :, sample_y, :, sample_x, :]
     # Row layout: subregions row-major, four quantities each.
     descriptors = sums.reshape(count, DESCRIPTOR_SIZE)
-    # One norm call per row, as the reference takes it: a BLAS dot over 64
-    # contiguous floats, whose rounding an ``axis=1`` reduction need not share.
-    for descriptor in descriptors:
-        norm = np.linalg.norm(descriptor)
-        if norm > 0:
-            descriptor /= norm
+    # Unit rows, each norm as ``np.linalg.norm`` takes it: the square root
+    # of a BLAS dot over the row's 64 contiguous floats, whose rounding an
+    # ``axis=1`` reduction need not share.  A (1, 64) @ (64, 1) matmul core
+    # is that dot, one call per row.
+    norms = np.sqrt(np.matmul(descriptors[:, None, :], descriptors[:, :, None])).reshape(count, 1)
+    np.divide(descriptors, norms, out=descriptors, where=norms > 0)
     return descriptors
 
 
@@ -215,5 +230,4 @@ def describe_keypoints(
         mem_bytes=len(keypoints) * (128 * samples + 8 * DESCRIPTOR_SIZE),
         items=len(keypoints),
     )
-    orientations = [0.0] * len(keypoints) if upright else assign_orientations(ii, keypoints)
-    return _describe(ii, keypoints, orientations)
+    return _describe(ii, keypoints, None if upright else assign_orientations(ii, keypoints))

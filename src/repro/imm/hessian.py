@@ -9,8 +9,9 @@ threshold become keypoints ("Find Keypoints").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,20 +40,21 @@ def _filter_reach(filter_size: int) -> int:
     return filter_size // 2 + 1
 
 
-def _hessian_maps(padded: PaddedIntegral, filter_size: int, out: np.ndarray) -> np.ndarray:
-    """Hessian-determinant response and Laplacian trace runs for one filter size.
+def _hessian(filter_size: int, box, quadrant, out: np.ndarray) -> np.ndarray:
+    """Hessian-determinant response and Laplacian trace from box sums.
 
     Uses the canonical SURF box layouts: three stacked lobes for Dyy/Dxx and
     four diagonal lobes for Dxy, weighted 1/-2/1 and +1/-1 respectively.  The
     response is normalized by the filter area; the trace ``Dxx + Dyy`` is
-    not, so its sign is that of the unscaled box sums.  Fills and returns
-    ``out`` (2, cells): response, trace.
+    not, so its sign is that of the unscaled box sums.  ``box(dy, dx,
+    height, width, into)`` writes one box's sums, ``quadrant(dy, dx)``
+    returns the lobe x lobe box's at that offset.  Fills and returns ``out``
+    (2, n): response, trace.
     """
-    box = padded.box_sums
     lobe = filter_size // 3
     border = filter_size // 2
     inverse_area = 1.0 / (filter_size * filter_size)
-    dxx, dyy, dxy, term = np.empty((4, padded.cells))
+    dxx, dyy, dxy, term = np.empty((4, out.shape[1]))
     response, trace = out
 
     # Dyy: full-height stack of three lobe-high boxes, width 2*lobe - 1.
@@ -64,10 +66,9 @@ def _hessian_maps(padded: PaddedIntegral, filter_size: int, out: np.ndarray) -> 
     box(x_off, -border, width, filter_size, dxx)
     dxx -= np.multiply(box(x_off, -(lobe // 2), width, lobe, term), 3.0, out=term)
     # Dxy: four lobe x lobe boxes in the quadrants.
-    box(-lobe, 1, lobe, lobe, dxy)           # top-right (+)
-    dxy += box(1, -lobe, lobe, lobe, term)   # bottom-left (+)
-    dxy -= box(-lobe, -lobe, lobe, lobe, term)  # top-left (-)
-    dxy -= box(1, 1, lobe, lobe, term)       # bottom-right (-)
+    np.add(quadrant(-lobe, 1), quadrant(1, -lobe), out=dxy)  # top-right + bottom-left
+    dxy -= quadrant(-lobe, -lobe)  # top-left
+    dxy -= quadrant(1, 1)  # bottom-right
 
     np.add(dxx, dyy, out=trace)
     dxx *= inverse_area
@@ -79,13 +80,68 @@ def _hessian_maps(padded: PaddedIntegral, filter_size: int, out: np.ndarray) -> 
     return out
 
 
+def _hessian_maps(
+    padded: PaddedIntegral, filter_size: int, out: np.ndarray, start: int = 0
+) -> np.ndarray:
+    """Response and trace runs of one filter size over cells ``start ..
+    start + n``, ``out`` being (2, n); ``start`` 0 and ``n = padded.cells``
+    is the whole image.
+
+    The four Dxy quadrants are one lobe x lobe box read at four shifts: the
+    box at offset (dy, dx) of cell c is cell ``c + dy * stride + dx`` of the
+    box's run at offset (0, 0), the same four table reads.
+    """
+    count, stride, lobe = out.shape[1], padded.stride, filter_size // 3
+    first = start - lobe * (stride + 1)
+    lobes = padded.box_sums(0, 0, lobe, lobe, np.empty(count + (lobe + 1) * (stride + 1)), first)
+
+    def box(dy, dx, height, width, into):
+        return padded.box_sums(dy, dx, height, width, into, start)
+
+    def quadrant(dy, dx):
+        offset = start - first + dy * stride + dx
+        return lobes[offset : offset + count]
+
+    return _hessian(filter_size, box, quadrant, out)
+
+
+def _response_at(padded: PaddedIntegral, filter_size: int, cells: np.ndarray) -> np.ndarray:
+    """One filter size's response at the given in-image cells only."""
+    lobe = filter_size // 3
+
+    def box(dy, dx, height, width, into):
+        return padded.box_sums_at(dy, dx, height, width, into, cells)
+
+    def quadrant(dy, dx):
+        return box(dy, dx, lobe, lobe, np.empty(len(cells)))
+
+    return _hessian(filter_size, box, quadrant, np.empty((2, len(cells))))[0]
+
+
+def _centre_rows(
+    filter_sizes: Sequence[int], height: int, width: int
+) -> List[Tuple[int, int]]:
+    """The (first, last) rows of each centre scale's maps that ``detect`` reads.
+
+    Centres are the interior scales whose NMS window is not empty; borders
+    grow along the ladder, so they are scales 1 .. m.  Centre s thresholds
+    rows ``border .. height - border`` and its NMS reads one row more on
+    each side, which also covers centre s + 1's reads; centre s - 1's
+    reads reach one row past its own, wider, window.
+    """
+    borders = [size // 2 + 1 for size in filter_sizes[1:-1]]
+    borders = [border for border in borders if height > 2 * border and width > 2 * border]
+    return [(border - 1, height - border + 1) for border in borders[:1] + borders[:-1]]
+
+
 class FastHessianDetector:
     """Multi-scale keypoint detector.
 
     Parameters
     ----------
     threshold:
-        Minimum determinant response; lower finds more keypoints.
+        Minimum determinant response, finite and >= 0 (a negative one
+        would admit saddle points); lower finds more keypoints.
     filter_sizes:
         Ladder of box-filter sizes; consecutive triples form NMS octaves.
     max_keypoints:
@@ -107,6 +163,8 @@ class FastHessianDetector:
             raise ImageError("filter sizes must be strictly ascending for scale NMS")
         if max_keypoints is not None and max_keypoints < 0:
             raise ImageError("max_keypoints must be None or >= 0")
+        if not 0.0 <= threshold < math.inf:
+            raise ImageError("threshold must be finite and >= 0")
         self.threshold = threshold
         self.filter_sizes = sizes
         self.max_keypoints = max_keypoints
@@ -118,49 +176,67 @@ class FastHessianDetector:
         # filter sets its pad, and it goes when this call returns.
         padded = PaddedIntegral(ii, _filter_reach(self.filter_sizes[-1]))
         n_scales = len(self.filter_sizes)
-        responses, traces = maps = np.empty((2, n_scales, padded.cells))
-        for scale_index, size in enumerate(self.filter_sizes):
-            _hessian_maps(padded, size, maps[:, scale_index])
-
-        height, width, stride = padded.height, padded.width, padded.stride
+        height, width, stride, cells = padded.height, padded.width, padded.stride, padded.cells
         # Counter model: the dense Table 4 demand, not what the pass below
-        # executes (its NMS compares only threshold survivors).  Each scale
-        # evaluates ~10 box sums per pixel at 4 adds each plus ~6 ops for the
-        # weighted determinant (~46/pixel), and each interior scale runs 26
-        # NMS comparisons per pixel; bytes cover the integral-image reads per
-        # scale and the response stack written then reread, float64.
+        # executes (it fills only the rows the NMS reads and compares only
+        # threshold survivors).  Each scale evaluates ~10 box sums per pixel
+        # at 4 adds each plus ~6 ops for the weighted determinant
+        # (~46/pixel), and each interior scale runs 26 NMS comparisons per
+        # pixel; bytes cover the integral-image reads per scale and the
+        # response stack written then reread, float64.
         pixels = height * width
         record_work(
             flops=46 * n_scales * pixels + 26 * (n_scales - 2) * pixels,
             mem_bytes=8 * (n_scales * pixels + 2 * n_scales * pixels),
             items=pixels,
         )
+        rows = _centre_rows(self.filter_sizes, height, width)
+        if not rows:
+            return []
+        # The stack holds scales 0 .. m + 1 for centres 1 .. m.  A centre's
+        # maps are filled on the rows read; the two outer scales stay -inf,
+        # which every candidate beats, until evaluated around the survivors.
+        responses, traces = maps = np.empty((2, len(rows) + 2, cells))
+        for scale_index, (first, last) in enumerate(rows, 1):
+            run = maps[:, scale_index, first * stride : last * stride]
+            _hessian_maps(padded, self.filter_sizes[scale_index], run, first * stride)
+        responses[0] = responses[-1] = -np.inf
+
         # 3x3x3 non-maximum suppression on the interior only: within
         # ``border`` of an edge nothing is a candidate, and every neighbour
         # of an interior pixel is inside the map.  Threshold first, then
         # test the survivors against their 26 neighbours at flat offsets of
-        # the (n_scales, height, stride) stack, in row-major order.
+        # the (scale, height, stride) stack, in row-major order.
         found = []
-        for scale_index in range(1, n_scales - 1):
+        for scale_index in range(1, len(rows) + 1):
             border = self.filter_sizes[scale_index] // 2 + 1
-            if height <= 2 * border or width <= 2 * border:
-                continue
-            rows = responses[scale_index, border * stride : (height - border) * stride]
-            candidate = (rows >= self.threshold).reshape(-1, stride)
+            plane = responses[scale_index, border * stride : (height - border) * stride]
+            candidate = (plane >= self.threshold).reshape(-1, stride)
             candidate[:, :border] = False
             candidate[:, width - border :] = False
             found.append(np.flatnonzero(candidate) + (scale_index * height + border) * stride)
-        index = np.concatenate(found) if found else np.zeros(0, dtype=np.intp)
+        index = np.concatenate(found)
         stack = responses.ravel()
         center = stack[index]
-        for offset in _neighbour_offsets(padded.cells, stride):
+        for offset in _neighbour_offsets(cells, stride):
             keep = center > stack[index + offset]
+            index, center = index[keep], center[keep]
+        # Then each outer scale, at the 3x3 neighbourhoods of the survivors
+        # beside it.  Each compare is a predicate on fixed floats, so their
+        # order changes how many points are evaluated, not who survives.
+        plane_offsets = np.array([dy * stride + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
+        for outer, beside in ((0, 1), (len(rows) + 1, len(rows))):
+            near = index // cells == beside
+            points = (index[near] - beside * cells)[:, None] + plane_offsets
+            neighbours = _response_at(padded, self.filter_sizes[outer], points.ravel())
+            keep = ~near
+            keep[near] = (center[near, None] > neighbours.reshape(-1, 9)).all(axis=1)
             index, center = index[keep], center[keep]
 
         # Strongest first; the stable sort keeps ties in (scale, y, x) order.
         order = np.argsort(-center, kind="stable")[: self.max_keypoints]
         index, center = index[order], center[order]
-        scales, cell = np.divmod(index, padded.cells)
+        scales, cell = np.divmod(index, cells)
         ys, xs = np.divmod(cell, stride)
         signs = np.where(traces.ravel()[index] >= 0, 1, -1)
         return [

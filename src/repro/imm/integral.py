@@ -48,8 +48,9 @@ class PaddedIntegral:
     contiguous run of ``height * stride`` cells over the raveled table, its
     four corners at flat offsets: cell ``y * stride + x`` holds pixel (y, x)'s
     box for ``x < width``, and the ``stride - width`` cells closing each row
-    are padding, computed and ignored.  Build one per batch of maps and drop
-    it with them.
+    are padding, computed and ignored.  A run may also cover only some rows,
+    or reach into the padding rows above and below.  Build one per batch of
+    maps and drop it with them.
     """
 
     def __init__(self, ii: np.ndarray, pad: int):
@@ -61,19 +62,25 @@ class PaddedIntegral:
         self.cells = self.height * self.stride
         self.flat = table.ravel()
 
-    def box_sums(self, dy: int, dx: int, height: int, width: int, out: np.ndarray) -> np.ndarray:
-        """Box sums for *every* pixel at once, written to the run ``out``.
+    def box_sums(
+        self, dy: int, dx: int, height: int, width: int, out: np.ndarray, start: int = 0
+    ) -> np.ndarray:
+        """Box sums for a run of cells at once, written to ``out``.
 
-        For each pixel (y, x) of the original image, cell ``y * stride + x``
-        holds the sum of the box whose top-left corner is (y + dy, x + dx),
-        exactly as :func:`box_sum` computes it, ``((a - b) - c) + d``.
-        Out-of-range boxes are clipped.
+        ``out[i]`` holds the sum of the box whose top-left corner is
+        (y + dy, x + dx) for cell ``start + i = y * stride + x``, exactly as
+        :func:`box_sum` computes it, ``((a - b) - c) + d``.  With ``start``
+        0 and ``height * stride`` cells that is every pixel of the image;
+        any other range of the same flat layout, rows above or below the
+        image included, is a run too.  Out-of-range boxes are clipped.
         """
         if box_reach(dy, dx, height, width) > self.pad:
             raise ImageError("box reaches past the integral image's padding")
-        top = (self.pad + dy) * self.stride + self.pad + dx
+        top = (self.pad + dy) * self.stride + self.pad + dx + start
         bottom = top + height * self.stride
-        cells, flat = self.cells, self.flat
+        cells, flat = len(out), self.flat
+        if top < 0 or bottom + width + cells > flat.size:
+            raise ImageError("run reaches past the integral image's padding")
         np.subtract(
             flat[bottom + width : bottom + width + cells],
             flat[top + width : top + width + cells],
@@ -81,6 +88,20 @@ class PaddedIntegral:
         )
         np.subtract(out, flat[bottom : bottom + cells], out=out)
         np.add(out, flat[top : top + cells], out=out)
+        return out
+
+    def box_sums_at(
+        self, dy: int, dx: int, height: int, width: int, out: np.ndarray, cells: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`box_sums` at the given in-image cells only, in the same order."""
+        if box_reach(dy, dx, height, width) > self.pad:
+            raise ImageError("box reaches past the integral image's padding")
+        top = (self.pad + dy) * self.stride + self.pad + dx + cells
+        bottom = top + height * self.stride
+        flat = self.flat
+        np.subtract(flat[bottom + width], flat[top + width], out=out)
+        np.subtract(out, flat[bottom], out=out)
+        np.add(out, flat[top], out=out)
         return out
 
     def image(self, run: np.ndarray) -> np.ndarray:

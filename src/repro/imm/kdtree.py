@@ -140,8 +140,8 @@ class KDTree:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """(distances, indices) of up to ``k`` nearest rows, nearest first.
 
-        ``max_checks`` bounds how many leaf points are examined (best-bin-
-        first approximation); None searches exactly.  The result is the
+        ``max_checks`` (>= 1) bounds how many leaf points are examined
+        (best-bin-first approximation); None searches exactly.  The result is the
         ``k`` rows smallest by (distance, row index) among those a heap-
         driven best-bin-first walk examines: when more than ``k`` of them tie
         at the k-th distance, the lowest row indices win.  A one-row
@@ -178,6 +178,8 @@ class KDTree:
             raise ImageError("query dimension mismatch")
         if k < 1:
             raise ImageError("k must be >= 1")
+        if max_checks is not None and max_checks < 1:
+            raise ImageError("max_checks must be None or >= 1")
         distances = np.full((len(queries), k), np.inf)
         indices = np.full((len(queries), k), -1, dtype=int)
         checks = np.inf if max_checks is None else max_checks

@@ -63,6 +63,8 @@ class AnnMatcher:
     ):
         if not 0 < ratio <= 1:
             raise ImageError("ratio must be in (0, 1]")
+        if max_checks is not None and max_checks < 1:
+            raise ImageError("max_checks must be None or >= 1")
         self.database = np.atleast_2d(database)
         self.ratio = ratio
         self.max_checks = max_checks

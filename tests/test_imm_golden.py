@@ -39,7 +39,14 @@ from repro.imm import (
     describe_keypoints,
     integral_image,
 )
-from repro.imm.hessian import DEFAULT_FILTER_SIZES, Keypoint, _filter_reach, _hessian_maps
+from repro.imm.hessian import (
+    DEFAULT_FILTER_SIZES,
+    Keypoint,
+    _centre_rows,
+    _filter_reach,
+    _hessian_maps,
+    _response_at,
+)
 from repro.imm.integral import PaddedIntegral
 
 GOLDEN = Path(__file__).parent / "fixtures" / "imm_golden.json"
@@ -252,6 +259,28 @@ class TestBatchProperties:
             single = describe_keypoint(ii, keypoint, orientation=0.0 if upright else None)
             assert row.tobytes() == single.tobytes()
 
+    def test_upright_on_a_constant_region_is_the_rotation_path(self):
+        # Haar responses over a constant region are exactly zero, where the
+        # rotation at orientation 0 multiplies them by -sin = -0.0 and adds
+        # signed zeros; the upright path skips that, and the 25-sample sums,
+        # starting from +0.0, must absorb the difference.
+        rng = np.random.default_rng(7)
+        pixels = np.full((64, 64), 0.5)
+        pixels[:, 40:] = rng.uniform(size=(64, 24))
+        ii = integral_image(pixels)
+        keypoints = [
+            Keypoint(float(y), float(x), scale, 1.0, 1)
+            for y in (10.0, 31.5, 50.0)
+            for x in (8.0, 20.0, 35.0, 52.5)
+            for scale in (1.2, 2.0, 3.6)
+        ]
+        batch = describe_keypoints(Image(pixels), keypoints, ii=ii, upright=True)
+        assert (batch == 0).all(axis=1).any()  # windows wholly inside the region
+        for row, keypoint in zip(batch, keypoints):
+            rotated = describe_keypoint(ii, keypoint, orientation=0.0)
+            assert row.tobytes() == rotated.tobytes()
+            assert row.tobytes() == scalar_descriptor(ii, keypoint, 0.0).tobytes()
+
     @pytest.mark.parametrize("upright", [True, False])
     def test_permuting_keypoints_permutes_rows(self, scene, upright):
         image, ii = scene
@@ -417,6 +446,60 @@ class TestDetectOracle:
             runs = _hessian_maps(padded, size, np.empty((2, padded.cells)))
             for run, oracle in zip(runs, oracle_maps(table, pad, size)):
                 assert padded.image(run).tobytes() == oracle.tobytes()
+
+    @given(
+        detector_images(),
+        st.sampled_from([DEFAULT_FILTER_SIZES, (9, 15, 21), (9, 21, 33, 45)]),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_every_computed_cell_is_the_oracle(self, image, sizes):
+        # detect fills each centre scale's maps on a row range only, and
+        # evaluates the two outer scales at single cells: each must hold the
+        # oracle's floats, and each row range must cover every row that the
+        # NMS of that scale and of its centre neighbours reads.
+        ii = integral_image(image.pixels)
+        pad = _filter_reach(sizes[-1])
+        padded = PaddedIntegral(ii, pad)
+        table = np.pad(ii, pad, mode="edge")
+        height, width, stride = padded.height, padded.width, padded.stride
+        rows = _centre_rows(sizes, height, width)
+        borders = [size // 2 + 1 for size in sizes]
+        for scale_index, (first, last) in enumerate(rows, 1):
+            for centre in range(max(scale_index - 1, 1), min(scale_index + 1, len(rows)) + 1):
+                assert first <= borders[centre] - 1 and height - borders[centre] + 1 <= last
+            runs = _hessian_maps(
+                padded, sizes[scale_index], np.empty((2, (last - first) * stride)), first * stride
+            )
+            for run, oracle in zip(runs, oracle_maps(table, pad, sizes[scale_index])):
+                assert run.reshape(-1, stride)[:, :width].tobytes() == oracle[first:last].tobytes()
+        if not rows:
+            return
+        for outer, beside in ((0, 1), (len(rows) + 1, len(rows))):
+            border = borders[beside]
+            ys, xs = np.mgrid[border - 1 : height - border + 1, border - 1 : width - border + 1]
+            response = _response_at(padded, sizes[outer], (ys * stride + xs).ravel())
+            oracle = oracle_maps(table, pad, sizes[outer])[0]
+            assert response.tobytes() == oracle[ys, xs].ravel().tobytes()
+
+    @pytest.mark.parametrize(
+        "rows, cols", [(16, 80), (17, 60), (22, 96), (28, 40), (40, 41), (60, 25), (96, 30)]
+    )
+    @pytest.mark.parametrize("threshold", [0.0, 5e-6])
+    def test_skipped_interior_scales(self, rows, cols, threshold):
+        # height or width <= 2 * border leaves a scale no NMS window; the
+        # last centre's neighbour is then an interior scale, evaluated at
+        # points like the ladder's last, and the scales past it not at all.
+        detector = FastHessianDetector(threshold, DEFAULT_FILTER_SIZES, None)
+        centres = len(_centre_rows(DEFAULT_FILTER_SIZES, rows, cols))
+        assert centres < len(DEFAULT_FILTER_SIZES) - 2
+        rng = np.random.default_rng(rows * cols)
+        coarse = rng.uniform(size=(rows // 3 + 1, cols // 3 + 1))
+        blocks = np.kron(coarse, np.ones((3, 3)))[:rows, :cols]
+        for pixels in (rng.uniform(size=(rows, cols)), blocks):
+            image = Image(np.ascontiguousarray(pixels))
+            expected = exact_rows(oracle_detect(detector, image))
+            assert exact_rows(detector.detect(image)) == expected
+            assert bool(expected) <= bool(centres)
 
     def test_golden_images_are_the_slice_detector(self):
         scenes, queries = images()

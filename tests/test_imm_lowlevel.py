@@ -91,6 +91,14 @@ class TestIntegralImage:
             [box_sum(ii, y + dy, x + dx, h, w) for x in range(cols)] for y in range(rows)
         ]
         assert sums.tolist() == expected
+        # Any cell range of the layout, and any cells gathered, hold the same floats.
+        run = padded.box_sums(dy, dx, h, w, np.empty(padded.cells))
+        first, last = sorted(np.random.default_rng(seed).integers(0, padded.cells + 1, 2))
+        part = padded.box_sums(dy, dx, h, w, np.empty(last - first), first)
+        assert part.tobytes() == run[first:last].tobytes()
+        cells = np.arange(padded.cells).reshape(rows, padded.stride)[:, :cols].ravel()
+        gathered = padded.box_sums_at(dy, dx, h, w, np.empty(cells.size), cells)
+        assert gathered.tobytes() == sums.tobytes()
 
     def test_padded_integral_rejects_reach_past_its_pad(self):
         padded = PaddedIntegral(integral_image(np.ones((64, 64))), 26)
@@ -100,6 +108,12 @@ class TestIntegralImage:
             padded.box_sums(-27, 0, 9, 9, out)
         with pytest.raises(ImageError):
             padded.box_sums(0, 10, 9, 17, out)
+        # A run may start in the padding rows above the image, not before the table.
+        padded.box_sums(0, 0, 9, 9, np.empty(10), -20 * padded.stride)
+        with pytest.raises(ImageError):
+            padded.box_sums(0, 0, 9, 9, np.empty(10), -(26 * padded.stride + 27))
+        with pytest.raises(ImageError):
+            padded.box_sums(0, 0, 9, 9, out, 27 * padded.stride)
 
 
 class TestHessian:
@@ -136,6 +150,18 @@ class TestHessian:
             FastHessianDetector(max_keypoints=-1)
         image = SceneGenerator(seed=3).scene(1)
         assert FastHessianDetector(max_keypoints=0).detect(image) == []
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf"), -1e-3])
+    def test_threshold_must_be_finite_and_non_negative(self, threshold):
+        # nan and inf found nothing, silently; a negative threshold admitted
+        # saddle points, whose Dxx and Dyy differ in sign, so the Laplacian
+        # sign no longer told light blobs from dark.
+        with pytest.raises(ImageError):
+            FastHessianDetector(threshold=threshold)
+
+    def test_zero_threshold_accepted(self):
+        image = SceneGenerator(seed=3).scene(0)
+        assert FastHessianDetector(threshold=0.0).detect(image)
 
     def test_detector_finds_blob(self):
         yy, xx = np.mgrid[0:80, 0:80]
@@ -226,6 +252,13 @@ class TestKDTree:
             tree.query(np.zeros(3))
         with pytest.raises(ImageError):
             tree.query(np.zeros(8), k=0)
+        for max_checks in (0, -5):
+            with pytest.raises(ImageError):
+                tree.query(np.zeros(8), max_checks=max_checks)
+            with pytest.raises(ImageError):
+                tree.query_batch(np.zeros((3, 8)), max_checks=max_checks)
+        _, indices = tree.query(np.zeros(8), max_checks=1)
+        assert len(indices) == 1
 
     @given(st.integers(0, 10_000))
     @settings(deadline=None, max_examples=25)

@@ -113,6 +113,18 @@ class TestMatching:
         with pytest.raises(ImageError):
             AnnMatcher(np.zeros((2, 4)), ratio=2.0)
 
+    @pytest.mark.parametrize("max_checks", [0, -5])
+    def test_check_budget_validation(self, max_checks):
+        # A budget below one row examined nothing: every query went
+        # unmatched with no error.  None stays exhaustive.
+        with pytest.raises(ImageError):
+            AnnMatcher(np.zeros((2, 4)), max_checks=max_checks)
+        database = ImageDatabase(max_checks=max_checks)
+        database.add(SceneGenerator().scene(0))
+        with pytest.raises(ImageError):
+            database.match(SceneGenerator().query_for(0))
+        assert AnnMatcher(np.eye(4), max_checks=None).match(np.eye(4)[:1])[0].database_index == 0
+
     def test_ann_agrees_with_bruteforce_mostly(self):
         rng = np.random.default_rng(3)
         database = rng.normal(size=(100, 16))
