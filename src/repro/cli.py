@@ -9,9 +9,10 @@ Subcommands::
     repro serve-bench --trace spans.jsonl --chrome-trace trace.json --metrics
     repro serve-bench --chaos 42 [--queries 16] [--trace spans.jsonl]
     repro serve-bench --streaming [--queries 16] [--chunk-ms 100] [--trace spans.jsonl]
-    repro cluster-bench [--smoke] [--replicas 3] [--shards 2] [--policy power-of-two]
+    repro serve-bench --replicas 3 [--queries 16] [--backend thread] [--trace spans.jsonl]
     repro trace-report spans.jsonl [--limit 3] [--chrome trace.json] [--mm1 0.7]
     repro trace-report spans.jsonl --critical-path [--tail-quantile 0.99] --roofline
+    repro fleet-report [spans.jsonl] [--queries 5000] [--autoscale] [--json] [--smoke]
     repro bench [--quick] [--out report.json] [--tag prN] [--filter suite.]
     repro bench --check BASELINE.json [--current report.json] [--filter suite.]
     repro bench list
@@ -56,7 +57,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.core import InputSet, SiriusPipeline
+    from repro.errors import ConfigurationError
 
+    if args.limit < 0:
+        raise ConfigurationError(f"--limit must be >= 0 (0 = all), got {args.limit}")
     pipeline = SiriusPipeline.build(asr_backend=args.asr_backend)
     inputs = InputSet.build()
     queries = inputs.all_queries[: args.limit] if args.limit else inputs.all_queries
@@ -75,12 +79,18 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 def _cmd_suite(args: argparse.Namespace) -> int:
     import contextlib
+    import math
 
     from repro.analysis import format_table
+    from repro.errors import ConfigurationError
     from repro.obs.context import use_tracer
     from repro.obs.trace import Tracer
     from repro.suite import all_kernels
 
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        raise ConfigurationError(
+            f"--scale must be a positive finite number, got {args.scale}"
+        )
     tracer = Tracer(seed=0) if args.trace else None
     rows = []
     with use_tracer(tracer) if tracer else contextlib.nullcontext():
@@ -270,11 +280,25 @@ def _cmd_streaming_bench(args: argparse.Namespace, pipeline, queries) -> int:
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
+    """``repro serve-bench``: a sequential run, then a fan-out run on ``--backend``.
+
+    The executor is the pipeline's own, or with ``--replicas N`` a routed
+    fleet of N replicas over 2 shards (power-of-two, seed 0).  Both runs
+    are traced or neither, so the speedup compares like with like, and
+    the verdict is :func:`~repro.serving.identity.replay_divergence` of
+    the two (outcomes, plus span forests when traced).  Only the fan-out
+    run is exported and measured.
+    """
     import time
 
     from repro.analysis import format_table
     from repro.core import InputSet, QueryType, SiriusPipeline
+    from repro.errors import ConfigurationError
 
+    if args.queries < 1:
+        raise ConfigurationError(f"--queries must be >= 1, got {args.queries}")
+    if args.replicas is not None and args.replicas < 1:
+        raise ConfigurationError(f"--replicas must be >= 1, got {args.replicas}")
     pipeline = SiriusPipeline.build(asr_backend=args.asr_backend)
     inputs = InputSet.build()
     base = (
@@ -288,9 +312,17 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if args.streaming:
         return _cmd_streaming_bench(args, pipeline, queries)
     from repro.obs import RollupStore, collect_spans, format_service_summary
-    from repro.serving.identity import first_divergence, outcome_fingerprint
+    from repro.serving.cluster import build_cluster
+    from repro.serving.identity import replay_divergence
 
-    executor = pipeline.serving
+    trace_seed = 0 if args.trace or args.chrome_trace else None
+    if args.replicas is None:
+        executor = pipeline.serving
+        executor.trace_seed = trace_seed
+    else:
+        executor = build_cluster(
+            pipeline, n_replicas=args.replicas, trace_seed=trace_seed
+        )
     executor.warmup()
 
     def timed(**kwargs):
@@ -299,28 +331,19 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         return time.perf_counter() - start, responses
 
     sequential_s, sequential = timed()
-    # Only the fan-out run is traced/measured: tracing the reference run too
-    # would double-count every query in the exported forest and metrics.
     store = RollupStore() if args.metrics else None
-    if args.trace or args.chrome_trace:
-        executor.trace_seed = 0
     executor.metrics = store
-    try:
-        fanout_s, fanout = timed(backend=args.backend, workers=args.workers)
-    finally:
-        executor.trace_seed = None
-        executor.metrics = None
-    divergence = first_divergence(
-        outcome_fingerprint(sequential), outcome_fingerprint(fanout)
-    )
+    fanout_s, fanout = timed(backend=args.backend, workers=args.workers)
+    outcome_drift, span_drift = replay_divergence(sequential, fanout)
     rows = [
         ["sequential", "serial", f"{sequential_s:.2f}",
          f"{len(queries) / sequential_s:.2f}"],
         ["fan-out", args.backend, f"{fanout_s:.2f}",
          f"{len(queries) / fanout_s:.2f}"],
     ]
+    fleet = f", {args.replicas} replicas" if args.replicas else ""
     print(format_table(
-        f"Serving throughput ({len(queries)} {args.mix.upper()} queries)",
+        f"Serving throughput ({len(queries)} {args.mix.upper()} queries{fleet})",
         ["Mode", "Backend", "Seconds", "Queries/s"], rows,
     ))
     print(f"fan-out speedup over sequential: {sequential_s / fanout_s:.2f}x")
@@ -329,145 +352,8 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         print(format_service_summary(
             store, title="Serving latency (fan-out run)"
         ))
-    print(f"fan-out determinism: {_verdict(divergence)}")
-    return 0 if divergence is None else 2
-
-
-def _cmd_cluster_bench(args: argparse.Namespace) -> int:
-    """``repro cluster-bench``: the fleet layer, live and at model scale.
-
-    Two halves, both determinism-checked:
-
-    1. **Live fleet** — a few real queries through sharded replica
-       executors behind the router, run *twice* (and across backends) to
-       verify outcome and timing-stripped-span byte-identity, with the
-       router visible as its own critical-path stage.
-    2. **Model replay** — an open-loop seeded arrival stream (50 k queries
-       in ``--smoke``) through one virtual-time replica, with exponential
-       and with measured-histogram service at matched utilization,
-       compared against the analytic M/M/1 tail, then extrapolated to a
-       million-query hour.
-
-    Exits 2 if any determinism check fails.
-    """
-    from repro.analysis import format_table
-    from repro.core import InputSet, SiriusPipeline
-    from repro.datacenter.arrivals import make_process
-    from repro.datacenter.queueing import mm1_percentile
-    from repro.datacenter.simulation import histogram_sampler
-    from repro.obs import RollupStore, collect_spans, format_critical_path_report
-    from repro.obs.timeseries import DEPTH_METRIC, E2E_METRIC, REJECTED_METRIC
-    from repro.serving.cluster import (
-        AdmissionControl,
-        build_cluster,
-        extrapolate_fleet,
-        replay_cluster,
-        seeded_replay,
-    )
-    from repro.serving.identity import outcome_counts, replay_divergence
-
-    if args.smoke:
-        args.queries = min(args.queries, 50_000)
-        args.live = min(args.live, 6)
-
-    pipeline = SiriusPipeline.build()
-    inputs = InputSet.build()
-    live_queries = [
-        inputs.all_queries[i % len(inputs.all_queries)] for i in range(args.live)
-    ]
-
-    # -- live fleet ---------------------------------------------------------
-    metrics, rollups = RollupStore(), RollupStore()
-    admission = (
-        AdmissionControl(drop_rate=args.drop_rate, seed=args.seed)
-        if args.drop_rate > 0
-        else None
-    )
-    cluster = build_cluster(
-        pipeline,
-        n_replicas=args.replicas,
-        n_shards=args.shards,
-        policy=args.policy,
-        seed=args.seed,
-        admission=admission,
-        metrics=metrics,
-        trace_seed=args.seed,
-        rollups=rollups,
-    )
-    cluster.warmup()
-    first = cluster.run_all(live_queries, backend=args.backend)
-    second = cluster.run_all(live_queries, backend=args.backend)
-    outcome_drift, span_drift = replay_divergence(first, second)
-
-    n_ok, n_degraded, n_failed = outcome_counts(first)
-    routed = rollups.snapshot()
-    rows = [
-        ["queries", str(len(first))],
-        ["replicas x shards", f"{cluster.n_replicas} x {args.shards}"],
-        ["policy", cluster.policy.name],
-        ["ok / degraded / failed", f"{n_ok} / {n_degraded} / {n_failed}"],
-        ["rejected (admission)",
-         str(routed.counter_total(REJECTED_METRIC))],
-        ["mean queue depth seen", f"{routed.merged_panel(DEPTH_METRIC).mean:.2f}"],
-    ]
-    print(format_table(
-        f"Live fleet (seed={args.seed}, backend={args.backend})",
-        ["Metric", "Value"], rows,
-    ))
-    print(f"outcome replay determinism: {_verdict(outcome_drift)}")
-    print(f"span replay determinism:    {_verdict(span_drift)}")
-    print()
-    print(format_critical_path_report(collect_spans(first)))
-
-    # -- model replay vs analytic M/M/1 ------------------------------------
-    e2e = metrics.snapshot().merged_panel(E2E_METRIC)
-    mean_service = max(e2e.mean, 1e-6)
-    load = args.load
-    rate = load / mean_service  # one-replica parameterization
-
-    def exponential_replay():
-        return seeded_replay(
-            args.arrivals, rate, mean_service, args.queries, seed=args.seed
-        )
-
-    analytic_p99 = mm1_percentile(mean_service, load, 99.0)
-    exp_replay = exponential_replay()
-    digest_ok = exp_replay.digest() == exponential_replay().digest()
-    measured_replay = replay_cluster(
-        make_process(args.arrivals, rate),
-        histogram_sampler(e2e, seed=args.seed + 2),
-        args.queries,
-        policy=args.policy,
-        n_replicas=1,
-        seed=args.seed,
-    )
-
-    rows = [
-        ["mean service (measured, ms)", f"{mean_service * 1000:.1f}"],
-        ["target utilization", f"{load:.2f}"],
-        ["analytic M/M/1 p99 (ms)", f"{analytic_p99 * 1000:.1f}"],
-        [f"replay p99, exponential service ({args.queries} q, ms)",
-         f"{exp_replay.p99_response * 1000:.1f}"],
-        ["replay vs M/M/1 relative error", f"{exp_replay.mm1_error():.3f}"],
-        ["replay p99, measured histogram (ms)",
-         f"{measured_replay.p99_response * 1000:.1f}"],
-        ["replay utilization", f"{exp_replay.utilization:.3f}"],
-    ]
-    print()
-    print(format_table(
-        f"Model replay ({args.arrivals} arrivals, seed={args.seed})",
-        ["Metric", "Value"], rows,
-    ))
-    print(f"replay digest determinism:  {'ok' if digest_ok else 'FAILED'}")
-
-    estimate = extrapolate_fleet(measured_replay, target_queries=1_000_000)
-    print(
-        f"extrapolated fleet: {estimate.n_replicas} replicas serve "
-        f"{estimate.target_queries:,} queries/hour "
-        f"({estimate.target_rate:.0f} q/s) at per-replica load {load:.2f}, "
-        f"projected p99 {estimate.projected_p99 * 1000:.0f} ms"
-    )
-    return 0 if outcome_drift is None and span_drift is None and digest_ok else 2
+    print(f"fan-out determinism: {_verdict(outcome_drift or span_drift)}")
+    return 0 if outcome_drift is None and span_drift is None else 2
 
 
 def _read_spans(path: str):
@@ -650,7 +536,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return run_lint(args)
 
 
-#: Routing policies and arrival processes the cluster commands accept.
+#: Routing policies and arrival processes ``fleet-report`` accepts.
 _POLICIES = ("round-robin", "least-loaded", "power-of-two")
 _ARRIVALS = ("poisson", "diurnal", "bursty")
 
@@ -693,16 +579,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--workers", type=int, default=None)
     serve.add_argument("--asr-backend", choices=("gmm", "dnn"), default="gmm")
-    serve.add_argument(
+    mode = serve.add_mutually_exclusive_group()
+    mode.add_argument(
         "--chaos", type=int, default=None, metavar="SEED",
         help="run the seeded chaos bench instead: availability/goodput under "
              "the default fault plan, with a replay-determinism check",
     )
-    serve.add_argument(
+    mode.add_argument(
         "--streaming", action="store_true",
         help="drive the asyncio session gateway instead: chunked audio, "
              "partial hypotheses, endpointing, TTFP percentiles, and the "
              "single-chunk byte-equivalence check (exit 2 on mismatch)",
+    )
+    mode.add_argument(
+        "--replicas", type=int, default=None, metavar="N",
+        help="serve through a routed fleet of N replicas over 2 shards "
+             "(power-of-two routing, seed 0) instead of one executor",
     )
     serve.add_argument(
         "--chunk-ms", type=float, default=100.0, metavar="MS",
@@ -722,33 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print per-service latency histograms (count/mean/p50/p95/p99)",
     )
     serve.set_defaults(func=_cmd_serve_bench)
-
-    cluster = sub.add_parser(
-        "cluster-bench",
-        help="cluster serving: routed sharded replicas live, plus the "
-             "virtual-time traffic replay vs the M/M/1 model",
-    )
-    cluster.add_argument("--queries", type=int, default=50_000,
-                         help="replay arrival count (default 50000)")
-    cluster.add_argument("--live", type=int, default=12,
-                         help="real queries through the live fleet")
-    cluster.add_argument("--replicas", type=int, default=3)
-    cluster.add_argument("--shards", type=int, default=2)
-    cluster.add_argument("--policy", default="power-of-two", choices=_POLICIES)
-    cluster.add_argument("--arrivals", default="poisson", choices=_ARRIVALS)
-    cluster.add_argument("--load", type=float, default=0.7,
-                         help="target single-replica utilization (0, 1)")
-    cluster.add_argument("--drop-rate", type=float, default=0.0,
-                         help="seeded admission drop fraction for the live run")
-    cluster.add_argument(
-        "--backend", choices=("serial", "thread", "process"), default="serial"
-    )
-    cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument(
-        "--smoke", action="store_true",
-        help="CI shape: <= 6 live queries, <= 50k replay arrivals",
-    )
-    cluster.set_defaults(func=_cmd_cluster_bench)
 
     trace_report = sub.add_parser(
         "trace-report",

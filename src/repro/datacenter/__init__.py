@@ -36,13 +36,10 @@ from repro.datacenter.queueing import (
     throughput_improvement_at_load,
 )
 from repro.datacenter.simulation import (
-    ServingSimulationResult,
     deterministic_sampler,
     empirical_sampler,
     exponential_sampler,
     histogram_sampler,
-    live_service_sampler,
-    simulate_serving,
 )
 from repro.datacenter.scalability import (
     PAPER_GAP,
@@ -67,15 +64,12 @@ __all__ = [
     "make_process",
     "DatacenterDesigner",
     "ProvisioningPlan",
-    "ServingSimulationResult",
     "WorkloadMix",
     "deterministic_sampler",
     "empirical_sampler",
     "exponential_sampler",
     "histogram_sampler",
-    "live_service_sampler",
     "mm1_percentile",
-    "simulate_serving",
     "DesignPoint",
     "EFFICIENCY",
     "LATENCY",

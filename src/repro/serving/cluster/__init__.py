@@ -16,11 +16,15 @@ of Sirius replicas look like under load?  Four modules:
   per query, conservation guaranteed;
 - :mod:`repro.serving.cluster.autoscaler` / :mod:`~repro.serving.cluster.
   replay` — the SLO-driven scaling policy and the virtual-time open-loop
-  replay driver that exercises it at model scale (millions of queries by
-  extrapolation), validated against the M/M/1 closed form.
+  replay driver that exercises it at model scale, validated against the
+  M/M/1 closed form.
 
-The whole layer is locked down by the reusable serving conformance suite
-in ``tests/conformance/``.  See ``docs/CLUSTER.md``.
+The live fleet runs from ``repro serve-bench --replicas N``; its span
+export feeds ``trace-report --critical-path`` (the router stage) and
+``fleet-report`` (per-replica depth and rejections), and model replays run
+from ``fleet-report``.  The whole layer is locked down by the reusable
+serving conformance suite in ``tests/conformance/``.  See
+``docs/CLUSTER.md``.
 """
 
 from repro.serving.cluster.autoscaler import (
@@ -32,10 +36,8 @@ from repro.serving.cluster.autoscaler import (
 )
 from repro.serving.cluster.fleet import Cluster, RouteDecision, build_cluster
 from repro.serving.cluster.replay import (
-    FleetEstimate,
     QueryOutcome,
     ReplayResult,
-    extrapolate_fleet,
     replay_cluster,
     seeded_replay,
 )
@@ -66,7 +68,6 @@ __all__ = [
     "AdmissionControl",
     "AutoscalerPolicy",
     "Cluster",
-    "FleetEstimate",
     "HOLD",
     "LEAST_LOADED",
     "LeastLoadedPolicy",
@@ -85,7 +86,6 @@ __all__ = [
     "ShardedQaService",
     "available_policies",
     "build_cluster",
-    "extrapolate_fleet",
     "get_policy",
     "merge_match_candidates",
     "merge_ranked_answers",

@@ -8,9 +8,7 @@ time — per-replica FIFO queues, service times drawn from a seeded sampler
 (measured histogram or exponential), the same pluggable routing policies
 and admission control as the live cluster, and an SLO autoscaler evaluated
 on the measured p99 once per tick.  Fifty thousand virtual queries replay
-in well under a second, and the per-replica load is scale-invariant, so
-tail estimates extrapolate to the paper's millions-of-queries regime
-(:func:`extrapolate_fleet`).
+in well under a second.
 
 **Everything is deterministic.**  Arrivals, service draws, routing,
 admission, and scaling decisions are all pure functions of the run's
@@ -20,10 +18,9 @@ the conformance suite asserts digest equality across repeated runs.  The
 model is also *checkable*: at ``n_replicas=1`` with Poisson arrivals and
 an exponential sampler it **is** an M/M/1 queue, and
 :meth:`ReplayResult.mm1_p99` gives the closed-form tail to compare
-against (``repro cluster-bench`` prints both; the conformance suite
-asserts the documented error bound).  It is the repo's only queueing
-event loop: the Fig 17 validation, ``trace-report --mm1`` and
-:func:`repro.datacenter.simulation.simulate_serving` all run through it.
+against (the conformance suite asserts the documented error bound).  It
+is the repo's only queueing event loop: the Fig 17 validation,
+``trace-report --mm1`` and ``fleet-report`` all run through it.
 
 The loop records only outcomes, scaling decisions and the replica
 timeline; the windowed telemetry is a projection of those
@@ -396,50 +393,4 @@ def seeded_replay(
         n_queries,
         seed=seed,
         **fleet,
-    )
-
-
-@dataclass(frozen=True)
-class FleetEstimate:
-    """A model-extrapolated fleet size for a target query volume."""
-
-    target_queries: int      #: total queries over the planning window
-    window_seconds: float    #: planning window length
-    target_rate: float       #: implied queries/second
-    per_replica_rate: float  #: sustainable admitted rate per replica
-    n_replicas: int          #: replicas needed at the measured load point
-    projected_p99: float     #: per-replica load is preserved, so p99 carries
-
-
-def extrapolate_fleet(
-    result: ReplayResult,
-    target_queries: int = 1_000_000,
-    window_seconds: float = 3600.0,
-) -> FleetEstimate:
-    """Size a fleet for ``target_queries`` over ``window_seconds``.
-
-    Scale-invariance does the work: each replica in the measured replay
-    sustained ``mean_rate / active_replicas`` admitted queries per second
-    at the measured utilization and tail.  Holding the *per-replica* load
-    fixed, serving the target volume needs proportionally more replicas —
-    and preserves the measured p99, because a FIFO replica's response
-    distribution depends only on its own arrival/service processes.  This
-    is the model-extrapolation step: a 50 k-query replay prices a
-    million-query hour without simulating it.
-    """
-    if target_queries < 1 or window_seconds <= 0:
-        raise ConfigurationError("need target_queries >= 1 and window > 0")
-    if result.n_admitted == 0 or result.horizon <= 0:
-        raise ConfigurationError("cannot extrapolate from an empty replay")
-    counts = [count for _, count in result.replica_timeline] or [1]
-    mean_active = math.fsum(counts) / len(counts)
-    per_replica = result.mean_rate / max(mean_active, 1.0)
-    target_rate = target_queries / window_seconds
-    return FleetEstimate(
-        target_queries=target_queries,
-        window_seconds=window_seconds,
-        target_rate=target_rate,
-        per_replica_rate=per_replica,
-        n_replicas=max(int(math.ceil(target_rate / per_replica)), 1),
-        projected_p99=result.p99_response,
     )

@@ -2,7 +2,7 @@
 
 The serving stack's standing promise is that the same ``(seed, stream)``
 replays byte-identically on every backend.  Every check of that promise —
-``serve-bench --chaos/--streaming``, ``cluster-bench``, the ``serve.*``
+``serve-bench`` in every mode (``--replicas`` included), the ``serve.*``
 registry benchmarks, the conformance suite — compares the projections
 built here, and :func:`first_divergence` names *where* two runs differ
 (ordinal and field; for span exports the span and attribute key) instead

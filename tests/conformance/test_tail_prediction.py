@@ -16,7 +16,6 @@ from repro.datacenter import PoissonProcess, exponential_sampler
 from repro.serving.cluster import (
     AdmissionControl,
     AutoscalerPolicy,
-    extrapolate_fleet,
     replay_cluster,
 )
 
@@ -65,20 +64,3 @@ class TestReplayConservation:
             for o in result.outcomes
             if not o.admitted
         )
-
-    def test_extrapolation_scales_replicas_linearly(self):
-        result = replay_cluster(
-            PoissonProcess(rate=70.0),
-            exponential_sampler(0.01, seed=1),
-            n_queries=20_000,
-            policy="round-robin",
-            n_replicas=1,
-            seed=0,
-        )
-        small = extrapolate_fleet(result, target_queries=500_000)
-        large = extrapolate_fleet(result, target_queries=1_000_000)
-        assert large.target_rate == pytest.approx(2 * small.target_rate)
-        assert large.n_replicas >= small.n_replicas
-        # Per-replica load is held fixed, so the projected tail is too.
-        assert large.projected_p99 == pytest.approx(small.projected_p99)
-        assert small.n_replicas >= 1

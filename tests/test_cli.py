@@ -37,6 +37,21 @@ class TestParser:
         assert args.chaos == 42
         assert build_parser().parse_args(["serve-bench"]).chaos is None
 
+    def test_serve_bench_modes_are_mutually_exclusive(self):
+        for argv in (["--chaos", "42", "--streaming"],
+                     ["--chaos", "42", "--replicas", "2"],
+                     ["--streaming", "--replicas", "2"]):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(["serve-bench", *argv])
+            assert exit_info.value.code == 2, argv
+
+    def test_cluster_bench_is_retired(self):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["cluster-bench"])
+        assert exit_info.value.code == 2
+        subcommands = build_parser()._subparsers._group_actions[0].choices
+        assert len(subcommands) == 10
+
 
 class TestCommands:
     def test_suite_command_runs(self, capsys):
@@ -65,6 +80,37 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "Serving throughput" in output
         assert "fan-out speedup over sequential" in output
+
+    def test_serve_bench_replicas_runs_a_traced_fleet(self, tmp_path, capsys):
+        from collections import Counter
+
+        from repro.obs import read_jsonl
+        from repro.obs.trace import ROUTER
+
+        trace = tmp_path / "fleet.jsonl"
+        assert main(["serve-bench", "--replicas", "2", "--queries", "3",
+                     "--backend", "thread", "--trace", str(trace)]) == 0
+        assert "fan-out determinism: ok" in capsys.readouterr().out
+        spans = read_jsonl(str(trace))
+        routers = Counter(s.trace_id for s in spans if s.kind == ROUTER)
+        traces = {s.trace_id for s in spans}
+        assert len(traces) == 3
+        assert routers == Counter({trace_id: 1 for trace_id in traces})
+
+    @pytest.mark.parametrize("argv", [
+        *(["serve-bench", *mode, "--queries", queries]
+          for mode in ([], ["--chaos", "42"], ["--streaming"], ["--replicas", "2"])
+          for queries in ("0", "-2")),
+        ["serve-bench", "--replicas", "0"],
+        ["demo", "--limit", "-1"],
+        *(["suite", "--scale", scale] for scale in ("-1", "0", "nan", "inf")),
+    ], ids=" ".join)
+    def test_out_of_range_flags_are_config_errors(self, capsys, argv):
+        """Rejected before any pipeline is built or any work runs."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error[CONFIG]" in captured.err
+        assert captured.out == ""
 
     def test_serve_bench_chaos_runs_and_replays(self, capsys):
         assert main(["serve-bench", "--chaos", "42", "--queries", "6",

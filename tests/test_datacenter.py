@@ -247,96 +247,3 @@ class TestDesigner:
 
     def test_candidate_sets_cover_paper_columns(self):
         assert set(CANDIDATE_SETS) == {"with FPGA", "without FPGA", "without FPGA/GPU"}
-
-
-class TestServiceBackedSimulation:
-    """The serving-layer mode: arrivals serviced by real Service objects."""
-
-    def test_live_sampler_measures_real_executions(self, sirius_pipeline, input_set):
-        from repro.datacenter import live_service_sampler
-
-        calls = []
-
-        def process(query):
-            calls.append(query)
-            return sirius_pipeline.process(query)
-
-        sample = live_service_sampler(process, input_set.voice_commands[:3], seed=1)
-        drawn = [sample() for _ in range(2)]
-        assert len(calls) == 2
-        assert all(value > 0 for value in drawn)
-
-    def test_simulate_serving_runs_real_queries(self, sirius_pipeline, input_set):
-        from repro.datacenter import simulate_serving
-
-        result = simulate_serving(
-            sirius_pipeline.process,
-            input_set.voice_commands[:4],
-            arrival_rate=0.5,
-            n_queries=12,
-            seed=3,
-        )
-        assert result.replay.n_admitted > 0
-        assert result.replay.mean_response > 0
-        assert result.replay.mean_response >= result.replay.mean_wait
-        # Every arrival is classed; the fault-free pipeline serves them all.
-        assert (result.n_ok, result.n_degraded, result.n_failed) == (12, 0, 0)
-
-    def test_raised_error_counts_as_a_failed_arrival(self):
-        from repro.core import QueryType, SiriusResponse
-        from repro.datacenter import simulate_serving
-        from repro.errors import ServiceError
-
-        calls = iter(range(12))
-
-        def process(query):
-            if next(calls) % 3 == 0:
-                raise ServiceError("down")
-            return SiriusResponse(query_type=QueryType.VOICE_COMMAND, transcript=query)
-
-        result = simulate_serving(process, ["q"], arrival_rate=0.5, n_queries=12)
-        assert (result.n_ok, result.n_degraded, result.n_failed) == (8, 0, 4)
-        assert result.availability == pytest.approx(8 / 12)
-
-    def test_empty_query_pool_rejected(self):
-        from repro.datacenter import live_service_sampler
-
-        with pytest.raises(ConfigurationError):
-            live_service_sampler(lambda q: q, [])
-
-    def test_simulate_serving_degraded_mode(self, sirius_pipeline, input_set):
-        """The degraded-mode arrival path: arrivals served by a resilient
-        executor under fault injection report availability and goodput."""
-        from repro.datacenter import ServingSimulationResult, simulate_serving
-        from repro.serving import (
-            default_chaos_plan,
-            default_policies,
-            resilient_executor,
-        )
-
-        executor = resilient_executor(
-            sirius_pipeline.serving, default_policies(seed=11),
-            default_chaos_plan(11),
-        )
-        executor.warmup()
-        counter = {"next": 0}
-
-        def process(query):
-            ordinal = counter["next"]
-            counter["next"] += 1
-            return executor.run(query, ordinal=ordinal, on_error="degrade")
-
-        result = simulate_serving(
-            process,
-            input_set.voice_queries[:4],
-            arrival_rate=0.5,
-            n_queries=20,
-            seed=3,
-        )
-        assert isinstance(result, ServingSimulationResult)
-        assert result.n_arrivals == 20
-        assert result.n_ok + result.n_degraded + result.n_failed == 20
-        assert 0.0 <= result.goodput <= result.availability <= 1.0
-        # The default chaos plan always bites somewhere in 20 arrivals.
-        assert result.n_degraded + result.n_failed > 0
-        assert result.replay.mean_response > 0

@@ -4,9 +4,9 @@ The locator is exercised on hand-made pairs (an outcome stream, a span
 export, a JSON report), the streaming anchor on a stub executor with one
 perturbed field, and the CLI surfaces that print the locator on a
 forced divergence: ``serve-bench --chaos`` with a breaker that trips
-early in one of its two runs, plain ``serve-bench`` with a fan-out run
-that drifts from the sequential one, and ``fleet-report --smoke`` with a
-replay whose seed drifts between builds.
+early in one of its two runs, plain and ``--replicas`` ``serve-bench``
+with a fan-out run that drifts from the sequential one, and
+``fleet-report --smoke`` with a replay whose seed drifts between builds.
 """
 
 import dataclasses
@@ -175,6 +175,24 @@ class TestForcedDivergenceAtTheCli:
         assert main(["serve-bench", "--queries", "3", "--backend", "serial"]) == 2
         assert re.search(rf"^fan-out determinism: FAILED at {where}",
                          capsys.readouterr().out, re.M)
+
+    def test_fleet_serve_bench_names_ordinal(self, monkeypatch, capsys):
+        """``--replicas``: the fleet's fan-out run drifts one answer."""
+        from repro.serving.cluster import Cluster
+
+        real = Cluster.run_all
+
+        def drifting(self, queries, **kwargs):
+            responses = real(self, queries, **kwargs)
+            if "backend" in kwargs:  # the fan-out run
+                responses[1] = dataclasses.replace(responses[1], answer="drifted")
+            return responses
+
+        monkeypatch.setattr(Cluster, "run_all", drifting)
+        assert main(["serve-bench", "--replicas", "2", "--queries", "3",
+                     "--backend", "serial"]) == 2
+        assert re.search(r"^fan-out determinism: FAILED at ordinal 1 answer: "
+                         r"'[^']+' vs 'drifted'", capsys.readouterr().out, re.M)
 
     def test_fleet_report_smoke_names_the_path(self, monkeypatch, capsys):
         """The rebuild replays under a drifted seed."""
