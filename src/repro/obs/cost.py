@@ -259,12 +259,13 @@ class _EntryAccumulator:
 
 
 def ledger_from_spans(spans: Sequence) -> CostLedger:
-    """Fold a deterministic span forest into a :class:`CostLedger`.
+    """Fold a span forest into a :class:`CostLedger`.
 
-    Only seed-deterministic span fields are read (kinds, status, parent
-    links, attributes — counters and ``virtual_seconds``), never wall
-    clocks, so the same chaos run ledgers byte-identically on every
-    execution backend.
+    Seed-deterministic span fields are read (kinds, status, parent links,
+    attributes — counters and ``virtual_seconds``) and one measured one: a
+    live router span has no ``virtual_seconds``, so its queue ``wait`` is
+    priced.  A timing-stripped export carries no wait, so the same chaos
+    run ledgers byte-identically on every execution backend.
     """
     rate = dollars_per_server_second(CMP)
     ordered = sorted(spans, key=sort_key)
@@ -318,7 +319,10 @@ def ledger_from_spans(spans: Sequence) -> CostLedger:
                 return RETRIES
 
             if span.kind == ROUTER:
-                seconds = float(span.attributes.get("virtual_seconds", 0.0))
+                # A model replay's router span carries its virtual queue
+                # wait; a live one only the measured ``wait``.
+                virtual = span.attributes.get("virtual_seconds")
+                seconds = float(span.wait if virtual is None else virtual)
                 category = wasted_category() if is_wasted else ROUTER_WAIT
                 acc.add("ROUTER", category, stall_seconds=seconds, events=1)
                 continue

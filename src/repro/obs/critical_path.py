@@ -13,11 +13,15 @@ answers, with three properties the raw waterfall does not have:
   tolerance, because self times come from a segment sweep that assigns
   each elementary time segment to exactly one span, and exclusive virtual
   telescopes (own minus children's own) to the root total by construction.
-- **Critical path.**  The chain root → … → leaf obtained by repeatedly
-  descending into the *dominating* child: the one whose clamped window
-  ends last, with deterministic tie-breaks (subtree virtual latency, then
-  canonical span order).  On a timing-stripped export all windows are
-  empty, so the path degrades gracefully to "follow the virtual latency".
+- **Critical path.**  Under each span, the chain of children that ran
+  back to back up to the *dominating* child — the one whose clamped
+  window ends last, with deterministic tie-breaks (subtree virtual
+  latency, then canonical span order) — found by walking back from it to
+  the dominating sibling that ended at or before its start, and so on;
+  each link's own path follows, in time order.  A stage that ended before
+  its last sibling (a router wait before ASR and QA) is on the path.  On a
+  timing-stripped export all windows are empty and nothing chains, so the
+  path degrades gracefully to "follow the virtual latency".
 - **Replay stability.**  On deterministic (timing-stripped) exports every
   number in the report is a pure function of the seed — measured columns
   collapse to zero and virtual/structural columns are identical across
@@ -228,12 +232,30 @@ def _sweep(
             _sweep(child, (start, start), out)
 
 
-def _critical_path(root: _Node) -> Tuple[Span, ...]:
-    path = [root.span]
-    node = root
-    while node.children:
-        node = max(node.children, key=_rank)
-        path.append(node.span)
+def _critical_path(node: _Node) -> Tuple[Span, ...]:
+    """``node``, then the critical paths of its chain of children in time order.
+
+    The chain ends at the dominating child; each earlier link is the
+    dominating timed sibling among those that ended at or before the next
+    link started.  Untimed (zero-width) spans never link, so on a
+    timing-stripped export the path follows the virtual latency alone.
+    """
+    if not node.children:
+        return (node.span,)
+    current = max(node.children, key=_rank)
+    chain = [current]
+    while current.span.start < current.span.end:
+        earlier = [
+            child for child in node.children
+            if child.span.start < child.span.end <= current.span.start
+        ]
+        if not earlier:
+            break
+        current = max(earlier, key=_rank)
+        chain.append(current)
+    path = [node.span]
+    for child in reversed(chain):
+        path.extend(_critical_path(child))
     return tuple(path)
 
 

@@ -23,7 +23,7 @@ JSON (sorted keys, 2-space indent, trailing newline) for golden files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import format_table
@@ -131,7 +131,12 @@ def report_from_spans(
         slos=evaluate_slos(rollups, slos, alerts=alerts),
         sampling=stats,
         extrapolated=stats.extrapolate(target_queries) if summaries else None,
-        cost=fleet_cost_panel(ledger_from_spans(spans)),
+        # Priced without the measured router waits, so the panel stays
+        # equal across backends like the rest; `trace-report`'s ledger
+        # prices them.
+        cost=fleet_cost_panel(ledger_from_spans(
+            [replace(span, wait=0.0) for span in spans]
+        )),
     )
 
 

@@ -94,7 +94,7 @@ class LinearChainCRF:
         width = max(map(len, feature_ids), default=0)
         padded = [ids + [-1] * (width - len(ids)) for ids in feature_ids]
         id_matrix = np.array(padded, dtype=np.intp).reshape(len(padded), width)
-        return self._emission[id_matrix].sum(axis=1)
+        return self._emission.take(id_matrix, axis=0).sum(axis=1)
 
     def sentence_potentials(self, tokens: Sequence[str]) -> np.ndarray:
         """Emission score matrix for external inspection/benchmarks."""
@@ -103,31 +103,71 @@ class LinearChainCRF:
     # -- inference ----------------------------------------------------------------
 
     def decode(self, tokens: Sequence[str]) -> List[str]:
-        """Most likely tag sequence (Viterbi)."""
+        """Most likely tag sequence (Viterbi): a lattice of one sentence,
+        charged as one decode."""
         if not tokens:
             return []
-        emissions = self._emission_scores(lookup_ids(tokens, self.feature_map))
-        length = len(tokens)
-        record_decode_work(length, self.n_tags)
+        record_decode_work(len(tokens), self.n_tags)
+        return self.decode_lattice([tokens])[0]
+
+    def decode_lattice(self, sentences: Sequence[Sequence[str]]) -> List[List[str]]:
+        """Most likely tag sequence of every sentence, decoded in lock step.
+
+        Sentences are ordered longest first (stably), so the ones still
+        running at step t are a prefix of that order and each step is one
+        set of numpy calls over all of them: per sentence the arithmetic of
+        a lone Viterbi (``delta[:, None] + transition``, first-max
+        ``argmax``, ``max``, ``+= emissions[t]``, ``+ end``), so the tags
+        are the ones :meth:`decode` gives each sentence alone.  Emission
+        rows are laid out step-major, which makes step t's rows one
+        contiguous slice.  Charges no work: a caller charges
+        :func:`record_decode_work` per sentence it presents.
+        """
+        lengths = list(map(len, sentences))
+        tags: List[List[str]] = [[] for _ in sentences]
+        live = len(lengths) - lengths.count(0)
+        if not live:
+            return tags
+        # A reversed sort is still stable: equal lengths keep their order.
+        order = sorted(range(len(sentences)), key=lengths.__getitem__, reverse=True)[:live]
+        ids = [lookup_ids(sentences[index], self.feature_map) for index in order]
+        # bounds[t]: step t's rows of the emission and backpointer tables,
+        # one per sentence longer than t (a prefix of ``order``).
+        bounds: List[Tuple[int, int]] = []
+        rows: List[List[int]] = []
+        running = live
+        for t in range(lengths[order[0]]):
+            while lengths[order[running - 1]] <= t:
+                running -= 1
+            bounds.append((len(rows), len(rows) + running))
+            rows += [sentence[t] for sentence in ids[:running]]
+        emissions = self._emission_scores(rows)
+        n_tags = self.n_tags
         transition = self.transition
-        candidate = np.empty_like(transition)
-        backpointer = np.empty((length, self.n_tags), dtype=np.intp)
-        delta = self.start + emissions[0]
-        for t in range(1, length):
-            # candidate[i, j] = delta[i] + transition[i, j]
-            np.add(delta[:, None], transition, out=candidate)
-            candidate.argmax(axis=0, out=backpointer[t])
-            delta = candidate.max(axis=0)
-            delta += emissions[t]
+        backpointer = np.empty((len(rows), n_tags), dtype=np.intp)
+        delta = self.start + emissions[:live]
+        candidate = np.empty((live, n_tags, n_tags))
+        running = live
+        view, grid, scores = delta, delta[:, :, None], candidate
+        for begin, end in bounds[1:]:
+            if end - begin != running:
+                running = end - begin
+                view, grid, scores = delta[:running], delta[:running, :, None], candidate[:running]
+            # scores[s, i, j] = delta[s, i] + transition[i, j]
+            np.add(grid, transition, out=scores)
+            scores.argmax(axis=1, out=backpointer[begin:end])
+            scores.max(axis=1, out=view)
+            view += emissions[begin:end]
         delta += self.end
-        tag = int(delta.argmax())
-        path = [tag]
         pointers = backpointer.tolist()
-        for t in range(length - 1, 0, -1):
-            tag = pointers[t][tag]
-            path.append(tag)
-        path.reverse()
-        return [TAGS[tag] for tag in path]
+        for row, (index, tag) in enumerate(zip(order, delta.argmax(axis=1).tolist())):
+            path = [tag]
+            for begin, _ in bounds[lengths[index] - 1 : 0 : -1]:
+                tag = pointers[begin + row][tag]
+                path.append(tag)
+            path.reverse()
+            tags[index] = [TAGS[tag] for tag in path]
+        return tags
 
     def forward_backward(
         self, emissions: np.ndarray

@@ -95,7 +95,6 @@ class TrainResult:
     model: LinearChainCRF
     epochs: int
     final_log_likelihood: float
-    accuracy: float
 
 
 def train_crf(
@@ -127,8 +126,7 @@ def train_crf(
                 examples[index] = ids, sentence.tag_ids()
             total += model.update(*examples[index], rate, l2)
     model.feature_map.freeze()
-    accuracy = evaluate(model, corpus)
-    return TrainResult(model, epochs, total / max(len(corpus), 1), accuracy)
+    return TrainResult(model, epochs, total / max(len(corpus), 1))
 
 
 def evaluate(model: LinearChainCRF, corpus: Sequence[TaggedSentence]) -> float:

@@ -84,8 +84,10 @@ class QAEngine:
 
         scored_candidates: List[Tuple[Candidate, float]] = []
         with section("qa.filters"):
-            for result in results:
-                candidates = self.pipeline.run(analyzed, result.document, stats)
+            per_document = self.pipeline.run(
+                analyzed, [result.document for result in results], stats
+            )
+            for result, candidates in zip(results, per_document):
                 scored_candidates.extend(
                     (candidate, result.score) for candidate in candidates
                 )

@@ -10,7 +10,7 @@ correlation can be reproduced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs.context import section
 from repro.qa.crf import LinearChainCRF, default_model
@@ -102,13 +102,28 @@ class CandidateExtractionFilter:
     """Runs typed candidate extraction (CRF-backed) on surviving sentences.
 
     A corpus states a fact in several articles, so one question's sentences
-    repeat.  Its tagger is fixed: each distinct sentence is tagged once, the
-    tags kept on the question (``tagged``), and a repeat is charged the decode
-    it did not run (the ``StemMemo`` rule) before its candidates are read off.
+    repeat.  Its tagger is fixed: each distinct sentence is tagged once
+    (:meth:`tag`, every pending sentence in one lattice) and the tags kept on
+    the question (``tagged``).  :meth:`apply` charges one decode to the
+    calling section for every sentence it presents — tagged there, earlier,
+    or by another document's lattice (the ``StemMemo`` rule) — before its
+    candidates are read off.
     """
 
     def __init__(self, tagger: Optional[LinearChainCRF] = None):
         self.tagger = tagger if tagger is not None else default_model()
+
+    def tag(self, question: AnalyzedQuestion, filtered: Sequence[FilteredSentence]) -> None:
+        """Tag every sentence of ``filtered`` the question has not tagged
+        yet, all in one :meth:`~LinearChainCRF.decode_lattice` (no work charged)."""
+        pending: Dict[str, List[str]] = {}
+        for item in filtered:
+            if item.text not in question.tagged and item.text not in pending:
+                pending[item.text] = tokenize_keep_case(item.text)
+        if pending:
+            lattice = self.tagger.decode_lattice(list(pending.values()))
+            for (text, tokens), tags in zip(pending.items(), lattice):
+                question.tagged[text] = (tokens, tags)
 
     def apply(
         self,
@@ -116,15 +131,13 @@ class CandidateExtractionFilter:
         filtered: List[FilteredSentence],
         stats: FilterStats,
     ) -> List[Candidate]:
+        self.tag(question, filtered)
         candidates: List[Candidate] = []
         for item in filtered:
-            entry = question.tagged.get(item.text)
-            if entry is None:
-                tokens = tokenize_keep_case(item.text)
-                entry = question.tagged[item.text] = (tokens, self.tagger.decode(tokens))
-            elif entry[0]:
-                record_decode_work(len(entry[0]), self.tagger.n_tags)
-            found = typed_candidates(item.text, *entry, question.answer_type)
+            tokens, tags = question.tagged[item.text]
+            if tokens:
+                record_decode_work(len(tokens), self.tagger.n_tags)
+            found = typed_candidates(item.text, tokens, tags, question.answer_type)
             stats.candidate_hits += len(found)
             candidates.extend(found)
         return candidates
@@ -132,7 +145,7 @@ class CandidateExtractionFilter:
 
 @dataclass
 class FilterPipeline:
-    """The full per-document filter chain used by the QA engine."""
+    """The filter chain used by the QA engine, over all of a question's documents."""
 
     keyword_filter: KeywordOverlapFilter = field(default_factory=KeywordOverlapFilter)
     regex_filter: RegexEntityFilter = field(default_factory=RegexEntityFilter)
@@ -143,19 +156,31 @@ class FilterPipeline:
     def run(
         self,
         question: AnalyzedQuestion,
-        document: Document,
+        documents: Sequence[Document],
         stats: FilterStats,
-    ) -> List[Candidate]:
-        """Filter one document, one section per hot component.
+    ) -> List[List[Candidate]]:
+        """Filter every document; returns each document's candidates, in order.
 
-        Sections: ``qa.stemmer`` (keyword/stem overlap), ``qa.regex`` (entity
-        patterns), ``qa.crf`` (candidate extraction via the tagger) — the
-        three components Figure 9 shows dominating QA cycles.
+        One section per hot component per document: ``qa.stemmer``
+        (keyword/stem overlap) and ``qa.regex`` (entity patterns) for every
+        document, then ``qa.crf`` (candidate extraction via the tagger) for
+        every document — the three components Figure 9 shows dominating QA
+        cycles.  The first ``qa.crf`` section tags every sentence that
+        survived in any document in one lattice; each section charges the
+        decodes of its own document's sentences.
         """
-        stats.documents_seen += 1
-        with section("qa.stemmer"):
-            selected = self.keyword_filter.apply(question, document, stats)
-        with section("qa.regex"):
-            surviving = self.regex_filter.apply(selected, stats)
-        with section("qa.crf"):
-            return self.extraction_filter.apply(question, surviving, stats)
+        surviving: List[List[FilteredSentence]] = []
+        for document in documents:
+            stats.documents_seen += 1
+            with section("qa.stemmer"):
+                selected = self.keyword_filter.apply(question, document, stats)
+            with section("qa.regex"):
+                surviving.append(self.regex_filter.apply(selected, stats))
+        extraction = self.extraction_filter
+        candidates: List[List[Candidate]] = []
+        for filtered in surviving:
+            with section("qa.crf"):
+                if not candidates:
+                    extraction.tag(question, [item for items in surviving for item in items])
+                candidates.append(extraction.apply(question, filtered, stats))
+        return candidates

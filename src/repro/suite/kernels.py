@@ -250,6 +250,10 @@ class CRFKernel(Kernel):
         return CRFInputs(default_model(), [s.tokens for s in corpus])
 
     def run(self, inputs: CRFInputs) -> float:
+        # Every run starts from an empty lexeme table, so a run (serial,
+        # threaded or one forked chunk) never times word types an earlier
+        # run looked up.
+        inputs.model.feature_map.clear_lexemes()
         return float(
             sum(len(inputs.model.decode(tokens)) for tokens in inputs.sentences)
         )
@@ -258,6 +262,7 @@ class CRFKernel(Kernel):
         def work(sentences: Sequence[Tuple[str, ...]]) -> float:
             return float(sum(len(inputs.model.decode(t)) for t in sentences))
 
+        inputs.model.feature_map.clear_lexemes()
         return sum(map_chunks(work, inputs.sentences, workers))
 
     def subset(self, inputs: CRFInputs, chunk: range) -> CRFInputs:

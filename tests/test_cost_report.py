@@ -29,6 +29,7 @@ from repro.obs.cost import (
     COMPUTE,
     DEGRADED,
     RETRIES,
+    ROUTER_WAIT,
     TAX_CATEGORIES,
     fleet_cost_panel,
     format_ledger,
@@ -258,10 +259,21 @@ class TestExactness:
 # ---------------------------------------------------------------------------
 
 
+def deterministic_export(spans):
+    """The timing-stripped export of ``spans``, read back."""
+    return read_jsonl(to_jsonl(spans, timing=False).splitlines())
+
+
+def without_router(ledger):
+    return {key: total for key, total in ledger.stage_totals().items() if key[0] != "ROUTER"}
+
+
 class TestByteIdentity:
     def test_ledger_identical_across_backends_under_chaos(self):
+        # The measured router waits of a live run differ run to run; its
+        # deterministic export carries none of them.
         rendered = {
-            backend: format_ledger(ledger_from_spans(chaos_spans(backend)))
+            backend: format_ledger(ledger_from_spans(deterministic_export(chaos_spans(backend))))
             for backend in BACKENDS
         }
         assert (
@@ -301,8 +313,48 @@ class TestByteIdentity:
 
     def test_jsonl_roundtrip_is_lossless(self):
         spans = chaos_spans("serial")
-        replayed = read_jsonl(to_jsonl(spans, timing=False).splitlines())
+        replayed = read_jsonl(to_jsonl(spans).splitlines())
         assert ledger_from_spans(spans) == ledger_from_spans(replayed)
+        # Stripping the timing drops the router's measured wait and nothing else.
+        live, stripped = ledger_from_spans(spans), ledger_from_spans(deterministic_export(spans))
+        assert without_router(live) == without_router(stripped)
+        assert live.category_totals()[ROUTER_WAIT].seconds > 0
+        assert stripped.category_totals()[ROUTER_WAIT].seconds == 0
+
+
+class TestLiveRouterWait:
+    """A live fleet's router spans carry a measured wait and no virtual seconds."""
+
+    def test_ledger_router_wait_equals_the_critical_path_router_wait(
+        self, sirius_pipeline, input_set, tmp_path
+    ):
+        from repro.obs import write_jsonl
+        from repro.obs.critical_path import analyze_forest
+        from repro.serving.cluster import build_cluster
+
+        cluster = build_cluster(sirius_pipeline, n_replicas=3, trace_seed=0)
+        responses = cluster.run_all(input_set.all_queries[:6], backend="thread", workers=2)
+        path = tmp_path / "fleet.jsonl"
+        write_jsonl(collect_spans(responses), str(path))
+        spans = read_jsonl(str(path))
+        routers = [span for span in spans if span.kind == ROUTER]
+        assert len(routers) == 6 and all("virtual_seconds" not in s.attributes for s in routers)
+        table_wait = math.fsum(
+            attribution.wait_seconds
+            for analysis in analyze_forest(spans)
+            for attribution in analysis.attributions
+            if attribution.stage == "ROUTER"
+        )
+        live = ledger_from_spans(spans)
+        ledger = live.category_totals()[ROUTER_WAIT]
+        assert table_wait > 0
+        assert ledger.seconds == pytest.approx(table_wait, rel=1e-12)
+        assert ledger.events == 6 and ledger.microjoules > 0
+        # fleet-report's panel leaves out exactly the measured router wait.
+        from repro.obs.fleet_report import report_from_spans
+
+        panel = report_from_spans(spans).cost
+        assert panel["tax_microjoules"] == live.tax_microjoules() - ledger.microjoules
 
 
 # ---------------------------------------------------------------------------

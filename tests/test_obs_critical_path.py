@@ -20,7 +20,7 @@ from repro.obs.critical_path import (
     tail_attribution,
 )
 from repro.obs.export import span_from_dict, to_jsonl
-from repro.obs.trace import ATTEMPT, QUERY, SECTION, SERVICE, Span, collect_spans
+from repro.obs.trace import ATTEMPT, QUERY, ROUTER, SECTION, SERVICE, Span, collect_spans
 
 from tests.test_obs import make_queries, traced_executor
 
@@ -70,8 +70,12 @@ class TestSerialChain:
         assert analysis.total_seconds == pytest.approx(10.0)
 
     def test_critical_path_follows_latest_end(self):
+        # qa ends last; asr ended when qa started, so it ran before it on
+        # the path, with its own section.
         (analysis,) = analyze_forest(self.forest())
-        assert [s.name for s in analysis.critical_path] == ["query", "qa"]
+        assert [s.name for s in analysis.critical_path] == [
+            "query", "asr", "asr.decode", "qa",
+        ]
 
     def test_stage_inherited_from_service_ancestor(self):
         (analysis,) = analyze_forest(self.forest())
@@ -113,6 +117,44 @@ class TestOverlappingChildren:
         assert attributed_total(analysis) == pytest.approx(
             analysis.total_seconds, abs=1e-12
         )
+
+
+class TestSiblingChain:
+    """Stages that ran back to back are all on the path, not just the last."""
+
+    def forest(self):
+        # A 400 ms query that waited 342 ms in the router queue.
+        return [
+            mkspan("r", "", "query", kind=QUERY, start=0.0, end=0.400),
+            mkspan("w", "r", "router", kind=ROUTER, service="ROUTER",
+                   start=0.0, end=0.342, wait=0.342),
+            mkspan("a", "r", "asr", service="ASR", start=0.342, end=0.380),
+            mkspan("q", "r", "qa", service="QA", start=0.380, end=0.400),
+            mkspan("s", "q", "qa.aggregate", kind=SECTION, start=0.390, end=0.400),
+        ]
+
+    def test_router_asr_and_qa_are_all_on_the_path(self):
+        (analysis,) = analyze_forest(self.forest())
+        assert [s.name for s in analysis.critical_path] == [
+            "query", "router", "asr", "qa", "qa.aggregate",
+        ]
+        assert all(a.on_critical_path for a in analysis.attributions)
+        shares = {share.stage: share for share in tail_attribution([analysis]).tail}
+        assert shares["ROUTER"].critical_hits == 1
+        assert shares["ROUTER"].wait_seconds == pytest.approx(0.342)
+        assert "query -> router [ROUTER] -> asr [ASR] -> qa [QA]" in (
+            format_critical_path_report(self.forest(), quantile=0.99)
+        )
+
+    def test_an_overlapping_sibling_is_not_chained(self):
+        # asr still runs when qa starts, so qa's chain skips it and links
+        # to the router, the latest sibling that ended before qa started.
+        spans = self.forest()
+        spans[2] = mkspan("a", "r", "asr", service="ASR", start=0.342, end=0.385)
+        (analysis,) = analyze_forest(spans)
+        assert [s.name for s in analysis.critical_path] == [
+            "query", "router", "qa", "qa.aggregate",
+        ]
 
 
 class TestDegradedTimingStripped:

@@ -10,6 +10,10 @@ never regenerated from the code under test.  Those bodies are
 ``oracle_token_features``, ``oracle_emission_scores``, ``oracle_decode`` and
 ``oracle_gradient_step`` below; the trained weights are compared against them
 on the machine the test runs on, so no float is pinned across machines.
+``oracle_loop_decode`` is the one-sentence Viterbi loop that ``decode`` ran
+before the lock-step lattice (four numpy calls per step on ``(K, K)``
+arrays); the lattice and the lexeme table are held to it and to the
+string-feature walk (``known_ids``).
 
 Regenerate (only from a commit whose output is the intended reference):
 ``PYTHONPATH=src python tests/test_qa_crf.py``.
@@ -17,6 +21,8 @@ Regenerate (only from a commit whose output is the intended reference):
 
 import json
 import random
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +47,7 @@ from repro.qa.crf import (
     train_crf,
 )
 from repro.qa.crf import features as crf_features
-from repro.qa.crf.model import _logsumexp
+from repro.qa.crf.model import _logsumexp, record_decode_work
 from repro.qa.extraction import extract_candidates
 from repro.qa.filters import (
     CandidateExtractionFilter,
@@ -178,9 +184,20 @@ class TestTraining:
         corpus = generate_corpus(200)
         untrained = LinearChainCRF()
         baseline = evaluate(untrained, corpus[:50])
-        result = train_crf(corpus, epochs=3)
-        assert result.accuracy > baseline
-        assert result.accuracy > 0.9  # templates are highly learnable
+        accuracy = evaluate(train_crf(corpus, epochs=3).model, corpus)
+        assert accuracy > baseline
+        assert accuracy > 0.9  # templates are highly learnable
+
+    def test_default_model_trains_without_evaluating(self, monkeypatch):
+        from repro.qa.crf import train
+
+        def refuse(*args):
+            raise AssertionError("evaluate ran")
+
+        monkeypatch.setattr(train, "_CACHED_MODEL", None)
+        monkeypatch.setattr(train, "evaluate", refuse)
+        model = default_model()
+        assert model.feature_map.frozen and model is default_model()
 
     def test_default_model_is_cached(self):
         assert default_model() is default_model()
@@ -310,6 +327,34 @@ def oracle_decode(model, tokens):
     path = [best_last]
     for t in range(length - 1, 0, -1):
         path.append(int(backpointer[t][path[-1]]))
+    path.reverse()
+    return [TAGS[tag] for tag in path]
+
+
+def oracle_loop_decode(model, tokens):
+    """The one-sentence Viterbi loop ``decode`` ran before the lattice: four
+    numpy calls per step on (K, K) arrays, charged as one decode."""
+    if not tokens:
+        return []
+    emissions = model._emission_scores(known_ids(tokens, model.feature_map))
+    length = len(tokens)
+    record_decode_work(length, model.n_tags)
+    transition = model.transition
+    candidate = np.empty_like(transition)
+    backpointer = np.empty((length, model.n_tags), dtype=np.intp)
+    delta = model.start + emissions[0]
+    for t in range(1, length):
+        np.add(delta[:, None], transition, out=candidate)
+        candidate.argmax(axis=0, out=backpointer[t])
+        delta = candidate.max(axis=0)
+        delta += emissions[t]
+    delta += model.end
+    tag = int(delta.argmax())
+    path = [tag]
+    pointers = backpointer.tolist()
+    for t in range(length - 1, 0, -1):
+        tag = pointers[t][tag]
+        path.append(tag)
     path.reverse()
     return [TAGS[tag] for tag in path]
 
@@ -623,6 +668,159 @@ class TestInferenceNeverGrowsTheModel:
         )
 
 
+SENTENCE_SETS = st.lists(
+    st.integers(min_value=0, max_value=14).flatmap(
+        lambda length: st.lists(
+            st.sampled_from(["the", "capital", "Italy", "was", "44th", "1969", "?", "Unseen", "x-ray", "é"]),
+            min_size=length, max_size=length,
+        )
+    ),
+    min_size=0, max_size=9,
+)
+
+
+class TestLatticeEqualsLoopOracle:
+    """One lock-step lattice tags every sentence as the per-sentence loop did."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=5),
+        st.sampled_from([None, 2, 3]),
+        SENTENCE_SETS,
+    )
+    def test_ragged_sets_on_random_models(self, seed, levels, sentences_):
+        model = random_model(seed=seed, levels=levels)
+        expected = [oracle_loop_decode(model, tokens) for tokens in sentences_]
+        assert model.decode_lattice(sentences_) == expected
+        for tokens, tags in zip(sentences_, expected):
+            assert model.decode(tokens) == tags
+
+    @pytest.mark.parametrize("levels", [None, 2])
+    def test_frozen_model_with_empty_and_one_token_sentences(self, levels):
+        model = random_model(seed=7, levels=levels)
+        model.feature_map.freeze()
+        sentences_ = [sentence_of(n, seed=n) for n in (9, 0, 1, 40, 1, 0, 2, 9)]
+        assert model.decode_lattice(sentences_) == [
+            oracle_loop_decode(model, tokens) for tokens in sentences_
+        ]
+        assert model.decode_lattice([]) == [] and model.decode_lattice([[], []]) == [[], []]
+
+    def test_all_zero_model_ties_to_tag_zero(self):
+        sentences_ = [sentence_of(n, seed=1) for n in (3, 1, 7)]
+        assert LinearChainCRF().decode_lattice(sentences_) == [[TAGS[0]] * n for n in (3, 1, 7)]
+
+    def test_default_model_on_the_corpus(self):
+        model = default_model()
+        batch = [tokenize_keep_case(sentence) for sentence in golden_sentences()[:40]]
+        assert model.decode_lattice(batch) == [oracle_loop_decode(model, t) for t in batch]
+
+    def test_lattice_charges_nothing_and_decode_charges_one(self):
+        model = random_model(seed=2)
+        sentences_ = [sentence_of(n, seed=n) for n in (4, 9)]
+        _, counters = work_of(lambda: model.decode_lattice(sentences_))
+        assert counters == {"flops": 0, "bytes": 0, "items": 0, "invocations": 0}
+        for tokens in sentences_ + [[]]:
+            assert work_of(lambda: model.decode(tokens)) == work_of(
+                lambda: oracle_loop_decode(model, tokens)
+            )
+
+    def test_batched_emission_rows_equal_each_sentences(self):
+        model = random_model(seed=6)
+        model.feature_map.freeze()
+        sentences_ = [sentence_of(n, seed=n) for n in (1, 9, 3, 12)]
+        per_sentence = [crf_features.lookup_ids(tokens, model.feature_map) for tokens in sentences_]
+        batched = model._emission_scores([row for ids in per_sentence for row in ids])
+        at = 0
+        for ids in per_sentence:
+            alone = model._emission_scores(ids)
+            assert batched[at : at + len(ids)].tobytes() == alone.tobytes()
+            at += len(ids)
+
+
+LEXEME_TOKENS = [
+    "the", "The", "THE", "Italy", "italy", "1969", "44th", "x-ray", "X-Ray", "-",
+    "Unseen", "zzqx", "é", "École", "İ", "ǅ", "ß", "²", "Ⅷ", "①", "McDonald's", "U.S", "?",
+]
+
+
+class TestLexemeTable:
+    """A frozen map's lexeme table gives the string walk's id lists."""
+
+    def frozen_model(self):
+        model = random_model(seed=9)
+        model.feature_map.freeze()
+        return model
+
+    @pytest.mark.parametrize("length", [1, 2, 5, len(LEXEME_TOKENS)])
+    def test_equals_the_string_walk(self, length):
+        fmap = self.frozen_model().feature_map
+        for start in range(len(LEXEME_TOKENS)):
+            tokens = (LEXEME_TOKENS[start:] + LEXEME_TOKENS[:start])[:length]
+            assert crf_features.lookup_ids(tokens, fmap) == known_ids(tokens, fmap)
+        assert 0 < len(fmap._lexemes) <= len(LEXEME_TOKENS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(TOKEN_LISTS)
+    def test_equals_the_string_walk_on_any_text(self, tokens):
+        fmap = default_model().feature_map
+        assert crf_features.lookup_ids(tokens, fmap) == known_ids(tokens, fmap)
+
+    def test_default_model_on_the_corpus(self):
+        fmap = default_model().feature_map
+        for sentence in golden_sentences():
+            tokens = tokenize_keep_case(sentence)
+            assert crf_features.lookup_ids(tokens, fmap) == known_ids(tokens, fmap)
+
+    def test_rows_are_the_callers_to_keep(self):
+        fmap = self.frozen_model().feature_map
+        first = crf_features.lookup_ids(["Italy", "Italy"], fmap)
+        for row in first:
+            row.append(-7)
+        assert crf_features.lookup_ids(["Italy", "Italy"], fmap) == known_ids(["Italy", "Italy"], fmap)
+
+    def test_an_unfrozen_map_takes_the_string_walk(self):
+        model = random_model(seed=9)
+        assert crf_features.lookup_ids(LEXEME_TOKENS, model.feature_map) == known_ids(
+            LEXEME_TOKENS, model.feature_map
+        )
+        assert model.feature_map._lexemes == {}
+
+    def test_threads_sharing_a_small_table_read_the_string_walk(self, monkeypatch):
+        # The table is shared by every thread that tags with the model: a
+        # lookup racing an insert or a clear must still give the walk's ids.
+        monkeypatch.setattr(crf_features, "LEXEME_TABLE_SIZE", 5)
+        fmap = self.frozen_model().feature_map
+        failures = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            for _ in range(300):
+                tokens = rng.sample(LEXEME_TOKENS, rng.randint(1, 8))
+                if crf_features.lookup_ids(tokens, fmap) != known_ids(tokens, fmap):
+                    failures.append(tokens)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    def test_a_full_table_starts_over(self, monkeypatch):
+        monkeypatch.setattr(crf_features, "LEXEME_TABLE_SIZE", 4)
+        fmap = self.frozen_model().feature_map
+        for start in range(0, len(LEXEME_TOKENS), 3):
+            tokens = LEXEME_TOKENS[start : start + 7]
+            assert crf_features.lookup_ids(tokens, fmap) == known_ids(tokens, fmap)
+            assert len(fmap._lexemes) <= 4
+
+
 class TestSentenceMemo:
     """Each distinct sentence is tagged once per question and charged every time."""
 
@@ -635,15 +833,20 @@ class TestSentenceMemo:
         return [Document(at, f"copy {at}", " ".join(body)) for at, body in enumerate(bodies)]
 
     def run(self, questions):
-        """The filter chain over the three documents, document ``i`` with ``questions[i]``."""
+        """The filter chain over the three documents, document ``i`` with
+        ``questions[i]``: one call when the question is shared, else one per document."""
         pipeline = FilterPipeline(extraction_filter=CandidateExtractionFilter(default_model()))
         stats = FilterStats()
-        candidates, counters = work_of(
-            lambda: [
-                pipeline.run(question, document, stats)
-                for question, document in zip(questions, self.documents())
+        documents = self.documents()
+        if all(question is questions[0] for question in questions):
+            call = lambda: pipeline.run(questions[0], documents, stats)  # noqa: E731
+        else:
+            call = lambda: [  # noqa: E731
+                found
+                for question, document in zip(questions, documents)
+                for found in pipeline.run(question, [document], stats)
             ]
-        )
+        candidates, counters = work_of(call)
         return candidates, stats, counters
 
     #: One question per answer type: DATE, NUMBER and GENERIC candidates are
@@ -670,6 +873,19 @@ class TestSentenceMemo:
         assert memo_counters == counters and counters["invocations"] > 0
         assert list(shared.tagged) == [self.FACT]
         assert all(list(question.tagged) == [self.FACT] for question in fresh)
+
+    def test_one_lattice_tags_every_document(self, monkeypatch):
+        tagger = default_model()
+        question = analyze(self.QUESTION, tagger)
+        calls = []
+        real = tagger.decode_lattice
+        monkeypatch.setattr(
+            tagger, "decode_lattice", lambda batch: calls.append(len(batch)) or real(batch)
+        )
+        pipeline = FilterPipeline(extraction_filter=CandidateExtractionFilter(tagger))
+        per_document = pipeline.run(question, self.documents(), FilterStats())
+        assert calls == [1] and len(per_document) == 3
+        assert per_document[0] == per_document[1] == per_document[2] != []
 
     def test_the_four_questions_cover_the_four_answer_types(self):
         types = [analyze(text, default_model()).answer_type for text in self.QUESTIONS]

@@ -107,7 +107,7 @@ class TestFilters:
         stats = FilterStats()
         analyzed = analyze("What is the capital of Italy?")
         document = Document(0, "t", "Rome is the capital of Italy. Unrelated words here.")
-        candidates = pipeline.run(analyzed, document, stats)
+        (candidates,) = pipeline.run(analyzed, [document], stats)
         assert stats.documents_seen == 1
         assert stats.sentence_hits == 1  # only the first sentence overlaps
         assert stats.regex_hits >= 1
@@ -118,8 +118,13 @@ class TestFilters:
         stats = FilterStats()
         analyzed = analyze("What is the capital of Italy?")
         document = Document(0, "t", "Completely unrelated filler text.")
-        assert pipeline.run(analyzed, document, stats) == []
+        assert pipeline.run(analyzed, [document], stats) == [[]]
         assert stats.sentence_hits == 0
+
+    def test_no_documents(self):
+        stats = FilterStats()
+        assert FilterPipeline().run(analyze("What is the capital of Italy?"), [], stats) == []
+        assert stats == FilterStats()
 
     def test_stats_merge(self):
         a = FilterStats(sentence_hits=1, regex_hits=2, candidate_hits=3, documents_seen=1)

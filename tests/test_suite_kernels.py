@@ -113,3 +113,18 @@ class TestKernelContracts:
     def test_invalid_workers(self, kernel_cls):
         with pytest.raises(ConfigurationError):
             kernel_cls().execute(scale=0.1, workers=0)
+
+
+class TestCRFKernelStartsCold:
+    """A warm lexeme table would time one run's lookups as another's hits."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_run_starts_from_an_empty_lexeme_table(self, workers):
+        kernel = kernel_by_name("crf")
+        inputs = kernel.prepare(scale=0.0)
+        lexemes = inputs.model.feature_map._lexemes
+        inputs.model.decode(("Zanzibar",))
+        assert "Zanzibar" in lexemes
+        kernel.execute(inputs=inputs, workers=workers)
+        assert "Zanzibar" not in lexemes
+        assert {token for tokens in inputs.sentences for token in tokens} == set(lexemes)
