@@ -1,9 +1,9 @@
 """Image Matching service (OpenCV-SURF replacement).
 
 Pipeline (paper Figure 5): integral image → fast-Hessian scale space →
-keypoints (FE) → upright 64-d descriptors (FD, ``Surf(upright=True)``) →
-ANN match against the image database.  Haar-wavelet orientation exists
-only for the oriented descriptors that ``suite.fd`` measures.
+keypoints (FE) → upright 64-d descriptors (FD, U-SURF: no orientation is
+assigned) → ANN match against the image database.  ``suite.fd`` times the
+same ``Surf.describe`` call.
 """
 
 from repro.imm.database import ImageDatabase, MatchResult

@@ -7,7 +7,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.imm.descriptor import DESCRIPTOR_SIZE, describe_keypoints
+from repro.imm.descriptor import describe_keypoints
 from repro.imm.hessian import FastHessianDetector, Keypoint
 from repro.imm.image import Image
 from repro.imm.integral import integral_image
@@ -28,18 +28,14 @@ class SurfFeatures:
 class Surf:
     """The full SURF pipeline, FE and FD timed as sections.
 
-    ``upright=True`` selects U-SURF (no orientation assignment) — faster and
-    adequate when queries are not rotated, which matches our synthetic
-    perturbations; the oriented path is exercised by tests and benches.
+    Descriptors are U-SURF's (no orientation assignment): query views are
+    shifted and noised, never rotated, so orientation buys no matches here
+    (DESIGN.md "U-SURF without the rotation").  ``suite.fd`` times
+    :meth:`describe`, the same call ``imm.fd`` makes.
     """
 
-    def __init__(
-        self,
-        detector: Optional[FastHessianDetector] = None,
-        upright: bool = True,
-    ):
+    def __init__(self, detector: Optional[FastHessianDetector] = None):
         self.detector = detector if detector is not None else FastHessianDetector()
-        self.upright = upright
 
     def extract_keypoints(self, image: Image, ii: Optional[np.ndarray] = None) -> List[Keypoint]:
         """Feature Extraction (FE): keypoints only."""
@@ -52,7 +48,7 @@ class Surf:
         ii: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Feature Description (FD): descriptors for given keypoints."""
-        return describe_keypoints(image, keypoints, ii=ii, upright=self.upright)
+        return describe_keypoints(image, keypoints, ii=ii)
 
     def extract(self, image: Image) -> SurfFeatures:
         """FE + FD, in sections ``imm.fe`` / ``imm.fd``."""

@@ -78,10 +78,17 @@ def _pipeline():
 
 @lru_cache(maxsize=None)
 def _queries(quick: bool) -> tuple:
+    """The first 2 (quick) or 4 queries of each kind — voice commands, voice
+    questions, voice-image questions — so ASR, QA and IMM spans are all gated."""
     from repro.core import InputSet
 
-    queries = InputSet.build().all_queries
-    return tuple(queries[i % len(queries)] for i in range(6 if quick else 12))
+    inputs = InputSet.build()
+    per_kind = 2 if quick else 4
+    return tuple(
+        query
+        for kind in (inputs.voice_commands, inputs.voice_queries, inputs.voice_image_queries)
+        for query in kind[:per_kind]
+    )
 
 
 def _outcome_metrics(responses) -> Dict[str, int]:

@@ -2,13 +2,13 @@
 
 | Service | Kernel   | Baseline source            | Granularity               |
 |---------|----------|----------------------------|---------------------------|
-| ASR     | gmm      | repro.asr.gmm              | per HMM state             |
+| ASR     | gmm      | repro.asr.acoustic         | per HMM state             |
 | ASR     | dnn      | repro.asr.dnn              | per matrix multiplication |
 | QA      | stemmer  | repro.qa.stemmer           | per word                  |
 | QA      | regex    | repro.regex                | per (pattern, sentence)   |
 | QA      | crf      | repro.qa.crf               | per sentence              |
 | IMM     | fe       | repro.imm.hessian          | per image tile            |
-| IMM     | fd       | repro.imm.descriptor       | per keypoint              |
+| IMM     | fd       | repro.imm.surf             | per keypoint              |
 
 Every baseline hot path carries a :func:`repro.obs.counters.record_work`
 hook with an analytic flops/bytes model documented next to its formula
@@ -28,12 +28,13 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.asr.acoustic import N_EMISSION_STATES, GMMAcousticModel
 from repro.asr.dnn import DeepNeuralNetwork, DNNConfig
 from repro.asr.gmm import DiagonalGMM, fit_gmm
-from repro.imm.descriptor import describe_keypoints
 from repro.imm.hessian import FastHessianDetector, Keypoint
 from repro.imm.image import Image, SceneGenerator
 from repro.imm.integral import integral_image
+from repro.imm.surf import Surf
 from repro.qa.crf import LinearChainCRF, default_model, generate_corpus
 from repro.qa.stemmer import stem
 from repro.regex.engine import Pattern
@@ -53,9 +54,20 @@ class GMMInputs:
     gmms: List[DiagonalGMM]
     features: np.ndarray
 
+    def __post_init__(self) -> None:
+        # The pipeline's scorer: GMM i scores emission state i, and all of
+        # them are stacked in one bank.
+        self.model = GMMAcousticModel(dict(enumerate(self.gmms)))
+
+    def score(self) -> float:
+        """Sum of every state's log-likelihood over every frame."""
+        scores = self.model.emission_scores(self.features)
+        return float(scores[:, : len(self.gmms)].sum())
+
 
 class GMMKernel(Kernel):
-    """Acoustic scoring: every HMM state's GMM scores every frame."""
+    """Acoustic scoring: every HMM state's GMM scores every frame, stacked in
+    one bank as the pipeline scores them (``GMMAcousticModel``)."""
 
     name = "gmm"
     service = "ASR"
@@ -63,7 +75,8 @@ class GMMKernel(Kernel):
 
     def prepare(self, scale: float = 1.0) -> GMMInputs:
         rng = np.random.default_rng(7)
-        n_states = max(int(32 * scale), 2)
+        # At most one GMM per emission state of the pipeline's model.
+        n_states = min(max(int(32 * scale), 2), N_EMISSION_STATES)
         n_frames = max(int(64 * scale), 4)
         dimension = 26
         gmms = []
@@ -74,14 +87,11 @@ class GMMKernel(Kernel):
         return GMMInputs(gmms, features)
 
     def run(self, inputs: GMMInputs) -> float:
-        total = 0.0
-        for gmm in inputs.gmms:
-            total += float(gmm.log_likelihood(inputs.features).sum())
-        return total
+        return inputs.score()
 
     def run_parallel(self, inputs: GMMInputs, workers: int) -> float:
         def work(gmms: Sequence[DiagonalGMM]) -> float:
-            return sum(float(g.log_likelihood(inputs.features).sum()) for g in gmms)
+            return GMMInputs(list(gmms), inputs.features).score()
 
         return sum(map_chunks(work, inputs.gmms, workers))
 
@@ -322,10 +332,12 @@ class FDInputs:
     ii: np.ndarray
     image: Image
     keypoints: List[Keypoint]
+    surf: Surf
 
 
 class FDKernel(Kernel):
-    """SURF feature description, one keypoint per work item."""
+    """SURF feature description (the pipeline's ``Surf.describe``), one
+    keypoint per work item."""
 
     name = "fd"
     service = "IMM"
@@ -339,25 +351,23 @@ class FDKernel(Kernel):
         target = max(int(80 * scale), 4)
         while len(keypoints) < target:
             keypoints = keypoints + keypoints  # repeat work items to scale up
-        return FDInputs(integral_image(image.pixels), image, keypoints[:target])
+        return FDInputs(integral_image(image.pixels), image, keypoints[:target], Surf())
 
     def run(self, inputs: FDInputs) -> float:
-        descriptors = describe_keypoints(
-            inputs.image, inputs.keypoints, ii=inputs.ii, upright=False
-        )
+        descriptors = inputs.surf.describe(inputs.image, inputs.keypoints, ii=inputs.ii)
         return float(np.abs(descriptors).sum())
 
     def run_parallel(self, inputs: FDInputs, workers: int) -> float:
         def work(keypoints: Sequence[Keypoint]) -> float:
-            descriptors = describe_keypoints(
-                inputs.image, list(keypoints), ii=inputs.ii, upright=False
-            )
+            descriptors = inputs.surf.describe(inputs.image, list(keypoints), ii=inputs.ii)
             return float(np.abs(descriptors).sum())
 
         return sum(map_chunks(work, inputs.keypoints, workers))
 
     def subset(self, inputs: FDInputs, chunk: range) -> FDInputs:
-        return FDInputs(inputs.ii, inputs.image, inputs.keypoints[chunk.start : chunk.stop])
+        return FDInputs(
+            inputs.ii, inputs.image, inputs.keypoints[chunk.start : chunk.stop], inputs.surf
+        )
 
     def count_items(self, inputs: FDInputs) -> int:
         return len(inputs.keypoints)

@@ -232,6 +232,23 @@ class TestQuickRunEndToEnd:
         assert "tag=test, quick" in text
 
 
+class TestQuerySlice:
+    def test_quick_slice_reaches_every_service(self):
+        # The serve.* fingerprints gate only the spans the slice produces,
+        # so it must hold voice questions and voice-image questions too.
+        from repro.obs.bench import _pipeline, _queries
+        from repro.obs.trace import collect_spans
+
+        executor = _pipeline().serving
+        executor.trace_seed = 0
+        try:
+            responses = executor.run_all(list(_queries(True)))
+        finally:
+            executor.trace_seed = None
+        names = {span.name for span in collect_spans(responses)}
+        assert {"qa.stemmer", "qa.regex", "qa.crf", "imm.fe", "imm.fd"} <= names
+
+
 class TestCommittedBaseline:
     def test_filtered_check_runs_at_the_baseline_size(self, capsys):
         # No --quick: the quick baseline sets the size, and the filter

@@ -6,7 +6,8 @@ rewrite) and is never regenerated from the code under test: every digest is
 a sha256 over raw float64 bytes, so a one-ulp drift anywhere in FE, FD or
 ANN fails here.  The scalar descriptor loop itself is kept below
 as ``scalar_descriptor`` — the reference the property tests compare against
-at keypoints the golden does not cover — and so are the per-descriptor heap
+at keypoints the golden does not cover, called at orientation 0 (the
+descriptor is upright only) — and so are the per-descriptor heap
 walk the batched k-d tree search replaced, as ``heap_walk_query``, and the
 2-D-slice fast-Hessian the flat-run detector replaced, as ``oracle_detect``.
 
@@ -51,10 +52,6 @@ from repro.imm.integral import PaddedIntegral
 
 GOLDEN = Path(__file__).parent / "fixtures" / "imm_golden.json"
 N_SCENES = 10
-
-#: Orientations that put cos/sin on exact 0/±1 or a hair off it, plus a
-#: generic angle: the rotated-frame rounding is most fragile there.
-EDGE_ORIENTATIONS = (0.0, math.pi / 2, -math.pi / 2, math.pi, 0.3)
 
 
 def digest(array) -> str:
@@ -108,12 +105,11 @@ def compute_golden():
     for image in scenes + queries:
         ii = integral_image(image.pixels)
         keypoints = detector.detect(image, ii=ii)
-        upright_of[image.name] = describe_keypoints(image, keypoints, ii=ii, upright=True)
+        upright_of[image.name] = describe_keypoints(image, keypoints, ii=ii)
         golden["images"][image.name] = {
             "n_keypoints": len(keypoints),
             "keypoints": digest(keypoint_rows(keypoints)),
             "upright": digest(upright_of[image.name]),
-            "oriented": digest(describe_keypoints(image, keypoints, ii=ii, upright=False)),
         }
 
     # FEKernel's shape: 64-px tiles under the full ladder, so filter 51's
@@ -138,16 +134,11 @@ def compute_golden():
             result.n_query_keypoints,
         ]
 
+    # The scalar loop wrote this entry through its rotation at angle 0; the
+    # upright batch, which has no rotation, must give the same bytes.
     ii = integral_image(scenes[0].pixels)
-    edges = edge_keypoints()
     golden["edge_cases"] = {
-        "oriented": digest(describe_keypoints(scenes[0], edges, ii=ii, upright=False)),
-        **{
-            f"orientation={angle!r}": digest(
-                np.vstack([describe_keypoint(ii, kp, orientation=angle) for kp in edges])
-            )
-            for angle in EDGE_ORIENTATIONS
-        },
+        "orientation=0.0": digest(describe_keypoints(scenes[0], edge_keypoints(), ii=ii)),
     }
 
     data, kd_queries = kdtree_cases()
@@ -237,33 +228,28 @@ def scene():
 
 
 class TestBatchProperties:
-    @given(
-        st.floats(-12, 140), st.floats(-12, 140), st.floats(0.4, 7.5),
-        st.floats(-math.pi, math.pi),
-    )
+    @given(st.floats(-12, 140), st.floats(-12, 140), st.floats(0.4, 7.5))
     @settings(deadline=None, max_examples=40)
-    def test_one_row_equals_scalar_loop(self, scene, y, x, scale, orientation):
+    def test_one_row_equals_scalar_loop(self, scene, y, x, scale):
         _, ii = scene
         keypoint = Keypoint(y, x, scale, 1.0, 1)
-        expected = scalar_descriptor(ii, keypoint, orientation)
-        actual = describe_keypoint(ii, keypoint, orientation=orientation)
-        assert actual.tobytes() == expected.tobytes()
+        expected = scalar_descriptor(ii, keypoint, 0.0)
+        assert describe_keypoint(ii, keypoint).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("upright", [True, False])
-    def test_row_i_is_describe_keypoint_i(self, scene, upright):
+    def test_row_i_is_describe_keypoint_i(self, scene):
         image, ii = scene
         keypoints = Surf().extract_keypoints(image, ii) + edge_keypoints()[::5]
-        batch = describe_keypoints(image, keypoints, ii=ii, upright=upright)
+        batch = describe_keypoints(image, keypoints, ii=ii)
         assert batch.shape == (len(keypoints), 64)
         for row, keypoint in zip(batch, keypoints):
-            single = describe_keypoint(ii, keypoint, orientation=0.0 if upright else None)
-            assert row.tobytes() == single.tobytes()
+            assert row.tobytes() == describe_keypoint(ii, keypoint).tobytes()
 
     def test_upright_on_a_constant_region_is_the_rotation_path(self):
         # Haar responses over a constant region are exactly zero, where the
-        # rotation at orientation 0 multiplies them by -sin = -0.0 and adds
-        # signed zeros; the upright path skips that, and the 25-sample sums,
-        # starting from +0.0, must absorb the difference.
+        # scalar loop's rotation at orientation 0 multiplies them by
+        # -sin = -0.0 and adds signed zeros; the upright path has no
+        # rotation, and the 25-sample sums, starting from +0.0, must absorb
+        # the difference.
         rng = np.random.default_rng(7)
         pixels = np.full((64, 64), 0.5)
         pixels[:, 40:] = rng.uniform(size=(64, 24))
@@ -274,22 +260,17 @@ class TestBatchProperties:
             for x in (8.0, 20.0, 35.0, 52.5)
             for scale in (1.2, 2.0, 3.6)
         ]
-        batch = describe_keypoints(Image(pixels), keypoints, ii=ii, upright=True)
+        batch = describe_keypoints(Image(pixels), keypoints, ii=ii)
         assert (batch == 0).all(axis=1).any()  # windows wholly inside the region
         for row, keypoint in zip(batch, keypoints):
-            rotated = describe_keypoint(ii, keypoint, orientation=0.0)
-            assert row.tobytes() == rotated.tobytes()
             assert row.tobytes() == scalar_descriptor(ii, keypoint, 0.0).tobytes()
 
-    @pytest.mark.parametrize("upright", [True, False])
-    def test_permuting_keypoints_permutes_rows(self, scene, upright):
+    def test_permuting_keypoints_permutes_rows(self, scene):
         image, ii = scene
         keypoints = Surf().extract_keypoints(image, ii)
         order = np.random.default_rng(5).permutation(len(keypoints))
-        batch = describe_keypoints(image, keypoints, ii=ii, upright=upright)
-        shuffled = describe_keypoints(
-            image, [keypoints[i] for i in order], ii=ii, upright=upright
-        )
+        batch = describe_keypoints(image, keypoints, ii=ii)
+        shuffled = describe_keypoints(image, [keypoints[i] for i in order], ii=ii)
         assert shuffled.tobytes() == batch[order].tobytes()
 
 

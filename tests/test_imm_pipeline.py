@@ -14,9 +14,6 @@ from repro.imm import (
     describe_keypoints,
     match_bruteforce,
 )
-from repro.imm.descriptor import assign_orientation
-from repro.imm.hessian import Keypoint
-from repro.imm.integral import integral_image
 
 
 @pytest.fixture(scope="module")
@@ -77,21 +74,6 @@ class TestDescriptors:
         noisy = surf.extract(generator.query_for(2, shift=0))
         matches = match_bruteforce(noisy.descriptors, clean.descriptors)
         assert len(matches) >= min(len(noisy), len(clean)) // 3
-
-    def test_orientation_of_horizontal_gradient(self):
-        # Brightness increasing to the right -> dominant orientation ~0 rad.
-        pixels = np.tile(np.linspace(0, 1, 64)[None, :], (64, 1))
-        ii = integral_image(pixels)
-        keypoint = Keypoint(32.0, 32.0, 1.2, 1.0, 1)
-        angle = assign_orientation(ii, keypoint)
-        assert abs(angle) < 0.4
-
-    def test_upright_vs_oriented_paths(self, generator):
-        image = generator.scene(4)
-        upright = Surf(upright=True).extract(image)
-        oriented = Surf(upright=False).extract(image)
-        assert len(upright) == len(oriented)
-        assert upright.descriptors.shape == oriented.descriptors.shape
 
 
 class TestMatching:

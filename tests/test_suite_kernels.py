@@ -1,9 +1,14 @@
 """Tests for the Sirius Suite kernels and the parallel-port helpers."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
+from repro.imm import SceneGenerator, Surf, integral_image
+from repro.obs.context import use_tracer
+from repro.obs.counters import WorkCounters, counters_of, kernel_counters
+from repro.obs.trace import Tracer
 from repro.suite import (
     KERNEL_CLASSES,
     all_kernels,
@@ -11,6 +16,7 @@ from repro.suite import (
     kernel_by_name,
     map_chunks,
 )
+from repro.suite.kernels import FDInputs
 
 
 class TestKernelRun:
@@ -128,3 +134,79 @@ class TestCRFKernelStartsCold:
         kernel.execute(inputs=inputs, workers=workers)
         assert "Zanzibar" not in lexemes
         assert {token for tokens in inputs.sentences for token in tokens} == set(lexemes)
+
+
+def traced(call):
+    """Spans of ``call()`` run inside one trace."""
+    tracer = Tracer(seed=0)
+    with use_tracer(tracer):
+        with tracer.trace(0, name="test"):
+            call()
+    return tracer.spans
+
+
+class TestKernelIsThePipelinesCall:
+    """A suite kernel times the function the pipeline's section runs."""
+
+    def test_fd_charges_what_imm_fd_charges(self):
+        image = SceneGenerator().query_for(3)
+        spans = traced(lambda: Surf().extract(image))
+        (section,) = [s for s in spans if s.name == "imm.fd"]
+        expected = counters_of(section.attributes)
+
+        kernel = kernel_by_name("fd")
+        keypoints = Surf().extract_keypoints(image)
+        inputs = FDInputs(integral_image(image.pixels), image, keypoints, Surf())
+        actual = kernel_counters(traced(lambda: kernel.execute(inputs=inputs)))["fd"]
+        assert actual == expected
+        assert actual.items == len(keypoints)
+        assert actual.flops == len(keypoints) * 30 * 400  # 400 samples a keypoint
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_fd_descriptors_are_surf_describe(self, workers):
+        calls = []
+
+        class RecordingSurf(Surf):
+            def describe(self, image, keypoints, ii=None):
+                descriptors = super().describe(image, keypoints, ii=ii)
+                calls.append((keypoints, descriptors))
+                return descriptors
+
+        kernel = kernel_by_name("fd")
+        inputs = kernel.prepare(0.1)
+        inputs.surf = RecordingSurf()
+        checksum = kernel.execute(inputs=inputs, workers=workers).checksum
+        # Chunks are contiguous; threads may finish them in any order.
+        calls.sort(key=lambda call: inputs.keypoints.index(call[0][0]))
+        assert [kp for keypoints, _ in calls for kp in keypoints] == inputs.keypoints
+        expected = Surf().describe(inputs.image, inputs.keypoints, ii=inputs.ii)
+        assert np.vstack([d for _, d in calls]).tobytes() == expected.tobytes()
+        assert checksum == pytest.approx(float(np.abs(expected).sum()), rel=1e-12)
+
+    def test_gmm_scores_one_bank_bit_for_bit(self):
+        kernel = kernel_by_name("gmm")
+        inputs = kernel.prepare(1.0)
+        scores = inputs.model.emission_scores(inputs.features)
+        for state, gmm in enumerate(inputs.gmms):
+            column = np.ascontiguousarray(scores[:, state])
+            assert column.tobytes() == gmm.log_likelihood(inputs.features).tobytes()
+
+    def test_gmm_charges_what_its_members_charge(self):
+        kernel = kernel_by_name("gmm")
+        inputs = kernel.prepare(0.5)
+        bank = kernel_counters(traced(lambda: kernel.execute(inputs=inputs)))["gmm"]
+        members = WorkCounters()
+        for gmm in inputs.gmms:
+            (span,) = [s for s in traced(lambda: gmm.log_likelihood(inputs.features))
+                       if s.name == "test"]
+            members = members + counters_of(span.attributes)
+        assert (bank.flops, bank.bytes, bank.items) == (
+            members.flops, members.bytes, members.items)
+        assert bank.invocations == 1
+
+    def test_gmm_states_stop_at_the_pipelines_state_count(self):
+        from repro.asr.acoustic import N_EMISSION_STATES
+
+        kernel = kernel_by_name("gmm")
+        assert kernel.count_items(kernel.prepare(4.0)) == N_EMISSION_STATES
+
