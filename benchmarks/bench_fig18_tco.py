@@ -8,6 +8,7 @@ import pytest
 
 from repro.analysis import format_table
 from repro.datacenter import TCOModel, TCOParameters
+from repro.datacenter.tco import DC_DEPRECIATION_YEARS, SERVER_OPEX_FRACTION_PER_YEAR
 from repro.obs.pricing import (
     PLATFORM_WATTS,
     SERVER_PRICES,
@@ -15,6 +16,7 @@ from repro.obs.pricing import (
     server_tco_breakdown,
 )
 from repro.platforms import AcceleratorModel, FPGA, GPU, PHI, PLATFORMS, SERVICES
+from repro.platforms.spec import DC_OPEX_PER_WATT_MONTH, DC_PRICE_PER_WATT
 
 
 @pytest.fixture(scope="module")
@@ -30,13 +32,13 @@ def model():
 def test_table7_report(tco, save_report):
     p = tco.parameters
     rows = [
-        ["DC depreciation time", f"{p.dc_depreciation_years:.0f} years"],
+        ["DC depreciation time", f"{DC_DEPRECIATION_YEARS:.0f} years"],
         ["Server depreciation time", f"{p.server_depreciation_years:.0f} years"],
         ["Average server utilization", f"{p.average_utilization:.0%}"],
         ["Electricity cost", f"${p.electricity_cost_per_kwh}/kWh"],
-        ["Datacenter price", f"${p.dc_price_per_watt:.0f}/W"],
-        ["Datacenter opex", f"${p.dc_opex_per_watt_month}/W-month"],
-        ["Server opex", f"{p.server_opex_fraction_per_year:.0%} of capex/year"],
+        ["Datacenter price", f"${DC_PRICE_PER_WATT:.0f}/W"],
+        ["Datacenter opex", f"${DC_OPEX_PER_WATT_MONTH}/W-month"],
+        ["Server opex", f"{SERVER_OPEX_FRACTION_PER_YEAR:.0%} of capex/year"],
         ["PUE", f"{p.pue}"],
     ]
     save_report(

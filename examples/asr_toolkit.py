@@ -41,7 +41,7 @@ def main() -> None:
     wave = synthesizer.synthesize(text)
 
     print(f"\nN-best hypotheses for {text!r}:")
-    nbest = decoder.decode_nbest(wave, n=4)
+    nbest = decoder.decode_nbest(wave)
     for hypothesis, confidence in zip(nbest, Decoder.nbest_confidences(nbest)):
         print(f"  {confidence:5.2f}  {hypothesis.text}")
 
@@ -57,24 +57,6 @@ def main() -> None:
             print(f"  t={start / 16000:4.2f}s  {partial!r}")
             previous = partial
     print(f"  final:  {streaming.finish().text!r}")
-
-    print("\nVoice activity detection on padded audio:")
-    import numpy as np
-
-    from repro.asr import VoiceActivityDetector, Waveform
-
-    rng = np.random.default_rng(0)
-    padded = Waveform(
-        np.concatenate(
-            [rng.normal(0, 0.003, 8000), wave.samples, rng.normal(0, 0.003, 8000)]
-        )
-    )
-    detector = VoiceActivityDetector()
-    for segment in detector.segments(padded):
-        print(f"  speech {segment.start:4.2f}s - {segment.end:4.2f}s")
-    trimmed = detector.trim(padded)
-    print(f"  trimmed {padded.duration:.2f}s -> {trimmed.duration:.2f}s; "
-          f"decodes to {decoder.decode_waveform(trimmed).text!r}")
 
     print("\nNoise robustness (WER by synthesis noise level):")
     for level, result in noise_robustness_sweep(

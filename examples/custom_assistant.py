@@ -1,7 +1,7 @@
 """Build a custom-domain assistant on the Sirius stack.
 
 Shows the extension points a downstream user would touch: a custom command
-grammar for ASR, a custom knowledge base for QA, and a custom image gallery
+grammar for ASR, a custom knowledge base for QA, and a smaller image gallery
 for IMM — all without modifying the library.
 
 Run with::
@@ -18,7 +18,7 @@ from repro.asr import Synthesizer
 from repro.core import IPAQuery, SiriusPipeline
 from repro.imm.image import SceneGenerator
 from repro.qa import QAEngine
-from repro.websearch import Corpus, Fact, SearchEngine
+from repro.websearch import Document, Fact, SearchEngine
 
 # A smart-factory domain: spoken commands plus a machine-manual KB.
 SENTENCES = [
@@ -42,14 +42,13 @@ FACTS = [
 
 def main() -> None:
     print("Training a factory-domain assistant...")
-    corpus = Corpus(facts=FACTS, documents_per_fact=3, n_noise_docs=10)
-    qa_engine = QAEngine(SearchEngine(corpus))
-    pipeline = SiriusPipeline.build(
-        training_sentences=SENTENCES,
-        n_scenes=4,
-        scene_generator=SceneGenerator(seed=99),
-        qa_engine=qa_engine,
-    )
+    pipeline = SiriusPipeline.build(training_sentences=SENTENCES, n_scenes=4)
+    # The machine manual is the knowledge base: one document per fact.
+    manual = [
+        Document(doc_id, f"{fact.subject} ({fact.relation})", fact.sentence)
+        for doc_id, fact in enumerate(FACTS)
+    ]
+    pipeline.qa_engine = QAEngine(SearchEngine(manual))
 
     synthesizer = Synthesizer(seed=4242)
     for text in SENTENCES[:5]:
@@ -58,7 +57,7 @@ def main() -> None:
         print(f"  {response.summary()}")
 
     # A voice-image query against the factory's camera gallery.
-    generator = SceneGenerator(seed=99)
+    generator = SceneGenerator()
     query = IPAQuery(
         audio=synthesizer.synthesize("what is the torque limit of the press"),
         image=generator.query_for(2),

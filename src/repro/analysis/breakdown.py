@@ -32,7 +32,7 @@ class ServiceBreakdown:
     """Fractions of one service's time per component."""
 
     service: str
-    seconds: Dict[str, float] = field(default_factory=dict)
+    seconds: Dict[str, float] = field(default_factory=dict, init=False)
 
     @property
     def total(self) -> float:

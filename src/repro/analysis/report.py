@@ -60,7 +60,7 @@ def format_matrix(
     return format_table(title, headers, rows, float_format)
 
 
-def format_bar(value: float, scale: float, width: int = 40) -> str:
-    """A crude ASCII bar for figure-style output."""
-    filled = int(round(width * min(value / scale, 1.0))) if scale > 0 else 0
+def format_bar(value: float, scale: float) -> str:
+    """A crude ASCII bar for figure-style output, 40 characters at full scale."""
+    filled = int(round(40 * min(value / scale, 1.0))) if scale > 0 else 0
     return "#" * filled

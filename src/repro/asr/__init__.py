@@ -12,13 +12,7 @@ from repro.asr.evaluate import (
     word_edit_distance,
 )
 from repro.asr.streaming import StreamingDecoder, StreamingFeatureExtractor
-from repro.asr.vad import (
-    EndpointConfig,
-    SpeechSegment,
-    StreamingEndpointer,
-    VADConfig,
-    VoiceActivityDetector,
-)
+from repro.asr.vad import StreamingEndpointer
 from repro.asr.acoustic import (
     DNNAcousticModel,
     GMMAcousticModel,
@@ -33,7 +27,7 @@ from repro.asr.acoustic import (
 from repro.asr.audio import SAMPLE_RATE, Synthesizer, Waveform
 from repro.asr.decoder import DecodeResult, Decoder
 from repro.asr.dnn import DeepNeuralNetwork, DNNConfig
-from repro.asr.features import FeatureConfig, FeatureExtractor
+from repro.asr.features import FeatureExtractor
 from repro.asr.gmm import DiagonalGMM, fit_gmm, score_naive
 from repro.asr.lm import BigramLanguageModel
 from repro.asr.phonemes import N_PHONEMES, PHONEMES, pronounce
@@ -50,7 +44,6 @@ __all__ = [
     "Decoder",
     "DeepNeuralNetwork",
     "DiagonalGMM",
-    "FeatureConfig",
     "FeatureExtractor",
     "GMMAcousticModel",
     "N_EMISSION_STATES",
@@ -58,13 +51,9 @@ __all__ = [
     "PHONEMES",
     "SAMPLE_RATE",
     "STATES_PER_PHONEME",
-    "EndpointConfig",
-    "SpeechSegment",
     "StreamingDecoder",
     "StreamingEndpointer",
     "StreamingFeatureExtractor",
-    "VADConfig",
-    "VoiceActivityDetector",
     "Synthesizer",
     "TrainingData",
     "Waveform",

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.asr.audio import SAMPLE_RATE, Synthesizer
 from repro.asr.dnn import DeepNeuralNetwork, DNNConfig
-from repro.asr.features import FeatureConfig, FeatureExtractor
+from repro.asr.features import FRAME_HOP, FRAME_LENGTH, FeatureExtractor
 from repro.asr.gmm import DiagonalGMM, fit_gmm, log_sum_exp, record_scoring
 from repro.asr.phonemes import N_PHONEMES, PHONEME_INDEX
 from repro.errors import ModelError
@@ -28,6 +28,8 @@ SILENCE = "SIL"
 SILENCE_INDEX = N_PHONEMES  # appended after the real phonemes
 N_UNITS = N_PHONEMES + 1
 N_EMISSION_STATES = N_UNITS * STATES_PER_PHONEME
+#: Log units subtracted from a score the fallback GMM gives an untrained state.
+FALLBACK_PENALTY = 8.0
 
 
 def phoneme_state_id(symbol: str, sub_state: int) -> int:
@@ -51,7 +53,7 @@ class GMMAcousticModel:
     """One diagonal GMM per emission state (the Sphinx-style model).
 
     States that had too little training data score through the ``fallback``
-    GMM (fit on all frames) with ``fallback_penalty`` subtracted, so rare
+    GMM (fit on all frames) with ``FALLBACK_PENALTY`` subtracted, so rare
     states stay reachable without being preferred.
 
     Scoring runs on one *bank* built at construction: the components of
@@ -68,14 +70,13 @@ class GMMAcousticModel:
 
     gmms: Dict[int, DiagonalGMM]
     fallback: Optional[DiagonalGMM] = None
-    fallback_penalty: float = 8.0
 
     def __post_init__(self) -> None:
         # (GMM, emission states it scores, penalty subtracted from its score)
         members = [(gmm, [state], 0.0) for state, gmm in sorted(self.gmms.items())]
         if self.fallback is not None:
             untrained = [s for s in range(N_EMISSION_STATES) if s not in self.gmms]
-            members.append((self.fallback, untrained, self.fallback_penalty))
+            members.append((self.fallback, untrained, FALLBACK_PENALTY))
         if not members:
             raise ModelError("acoustic model has neither state GMMs nor a fallback")
         # Stable, so members of equal K stay in state order.
@@ -147,7 +148,6 @@ def label_frames(
     alignment: Sequence[Tuple[str, int, int]],
     n_frames: int,
     n_samples: int,
-    feature_config: FeatureConfig,
     sample_rate: int = SAMPLE_RATE,
 ) -> np.ndarray:
     """Assign each feature frame an emission-state label.
@@ -156,8 +156,8 @@ def label_frames(
     phoneme segment splits evenly into its three HMM sub-states.  Samples
     not covered by any phoneme (inter-word pauses) label as silence.
     """
-    hop = int(feature_config.frame_hop * sample_rate)
-    frame_size = int(feature_config.frame_length * sample_rate)
+    hop = int(FRAME_HOP * sample_rate)
+    frame_size = int(FRAME_LENGTH * sample_rate)
     labels = np.full(n_frames, phoneme_state_id(SILENCE, 1), dtype=np.int64)
     centers = np.arange(n_frames) * hop + frame_size // 2
     for symbol, start, end in alignment:
@@ -186,28 +186,21 @@ TRAINING_NOISE_LEVELS = (0.0, 0.02, 0.05, 0.1)
 
 def collect_training_data(
     sentences: Iterable[str],
-    synthesizer: Optional[Synthesizer] = None,
-    extractor: Optional[FeatureExtractor] = None,
     repetitions: int = 3,
 ) -> TrainingData:
     """Synthesize sentences (several noisy takes each) and label every frame."""
-    extractor = extractor if extractor is not None else FeatureExtractor()
+    extractor = FeatureExtractor()
     feature_blocks: List[np.ndarray] = []
     label_blocks: List[np.ndarray] = []
     sentences = list(sentences)
     for repetition in range(repetitions):
         noise = TRAINING_NOISE_LEVELS[repetition % len(TRAINING_NOISE_LEVELS)]
-        synth = (
-            synthesizer
-            if synthesizer is not None
-            else Synthesizer(seed=1000 + repetition, noise_level=noise)
-        )
+        synth = Synthesizer(seed=1000 + repetition, noise_level=noise)
         for sentence in sentences:
             waveform, alignment = synth.aligned_synthesize(sentence)
             features = extractor.extract(waveform)
             labels = label_frames(
-                alignment, len(features), len(waveform), extractor.config,
-                waveform.sample_rate,
+                alignment, len(features), len(waveform), waveform.sample_rate
             )
             feature_blocks.append(features)
             label_blocks.append(labels)
@@ -216,12 +209,10 @@ def collect_training_data(
     return TrainingData(np.vstack(feature_blocks), np.concatenate(label_blocks))
 
 
-def train_gmm_acoustic_model(
-    data: TrainingData,
-    n_components: int = 2,
-    n_iterations: int = 6,
-) -> GMMAcousticModel:
-    """Fit a per-state diagonal GMM wherever the state has enough frames."""
+def train_gmm_acoustic_model(data: TrainingData) -> GMMAcousticModel:
+    """Fit a per-state diagonal GMM (up to 2 components, 6 EM iterations)
+    wherever the state has enough frames."""
+    n_components, n_iterations = 2, 6
     gmms: Dict[int, DiagonalGMM] = {}
     for state in range(N_EMISSION_STATES):
         member_rows = data.features[data.labels == state]
@@ -237,19 +228,13 @@ def train_gmm_acoustic_model(
     return GMMAcousticModel(gmms, fallback=fallback)
 
 
-def train_dnn_acoustic_model(
-    data: TrainingData,
-    hidden_sizes: Tuple[int, ...] = (256, 256),
-    epochs: int = 20,
-    feature_dim: Optional[int] = None,
-) -> DNNAcousticModel:
+def train_dnn_acoustic_model(data: TrainingData) -> DNNAcousticModel:
     """Train the hybrid DNN on the same labeled frames."""
-    dimension = feature_dim if feature_dim is not None else data.features.shape[1]
     config = DNNConfig(
-        input_dim=dimension,
+        input_dim=data.features.shape[1],
         n_classes=N_EMISSION_STATES,
-        hidden_sizes=hidden_sizes,
-        epochs=epochs,
+        hidden_sizes=(256, 256),
+        epochs=20,
     )
     network = DeepNeuralNetwork(config)
     network.fit(data.features, data.labels)

@@ -20,6 +20,8 @@ from repro.asr.phonemes import PHONEME_BY_SYMBOL, Phoneme, pronounce
 from repro.errors import ConfigurationError
 
 SAMPLE_RATE = 16000
+#: Mean seconds per phoneme (each rendering jitters it ±20%).
+PHONE_DURATION = 0.10
 
 
 @dataclass(frozen=True)
@@ -46,10 +48,10 @@ class Waveform:
 class Synthesizer:
     """Formant synthesizer turning text into a :class:`Waveform`.
 
+    Each phoneme lasts ``PHONE_DURATION`` seconds, jittered ±20%.
+
     Parameters
     ----------
-    phone_duration:
-        Mean seconds per phoneme; each instance jitters ±20%.
     noise_level:
         Standard deviation of additive white noise, relative to signal.
     seed:
@@ -59,21 +61,17 @@ class Synthesizer:
 
     def __init__(
         self,
-        phone_duration: float = 0.10,
         noise_level: float = 0.02,
         seed: int = 1234,
     ):
-        if phone_duration <= 0:
-            raise ConfigurationError("phone_duration must be positive")
         if noise_level < 0:
             raise ConfigurationError("noise_level must be >= 0")
-        self.phone_duration = phone_duration
         self.noise_level = noise_level
         self._rng = np.random.default_rng(seed)
 
     def synthesize_phoneme(self, phoneme: Phoneme, duration: Optional[float] = None) -> np.ndarray:
         """Render one phoneme to samples."""
-        duration = duration if duration is not None else self.phone_duration
+        duration = duration if duration is not None else PHONE_DURATION
         n = max(int(duration * SAMPLE_RATE), 1)
         t = np.arange(n) / SAMPLE_RATE
         signal = np.zeros(n, dtype=np.float64)
@@ -101,7 +99,7 @@ class Synthesizer:
         pieces: List[np.ndarray] = []
         for symbol in symbols:
             phoneme = PHONEME_BY_SYMBOL[symbol]
-            duration = self.phone_duration * float(self._rng.uniform(0.8, 1.2))
+            duration = PHONE_DURATION * float(self._rng.uniform(0.8, 1.2))
             pieces.append(self.synthesize_phoneme(phoneme, duration))
         if not pieces:
             return Waveform(np.zeros(1))
@@ -143,7 +141,7 @@ class Synthesizer:
         for word in text.split():
             for symbol in pronounce(word):
                 phoneme = PHONEME_BY_SYMBOL[symbol]
-                duration = self.phone_duration * float(self._rng.uniform(0.8, 1.2))
+                duration = PHONE_DURATION * float(self._rng.uniform(0.8, 1.2))
                 samples = self.synthesize_phoneme(phoneme, duration)
                 alignment.append((symbol, cursor, cursor + len(samples)))
                 pieces.append(samples)

@@ -32,6 +32,12 @@ from repro.asr.phonemes import pronounce
 from repro.errors import DecodingError
 from repro.obs.context import section
 
+#: Log score added at every word entry (favours fewer, longer words).
+INSERTION_PENALTY = -2.0
+#: Probability that an HMM state loops to itself rather than advancing.
+SELF_LOOP_PROB = 0.7
+#: Hypotheses :meth:`Decoder.decode_nbest` returns at most.
+N_BEST = 5
 
 @dataclass(frozen=True)
 class DecodeResult:
@@ -105,43 +111,31 @@ class Decoder:
     acoustic_model:
         Emission scorer (GMM- or DNN-based).
     language_model:
-        Bigram LM; its vocabulary becomes the decoding vocabulary unless
-        ``vocabulary`` narrows it.
-    lm_weight / insertion_penalty / self_loop_prob / beam:
+        Bigram LM; its vocabulary is the decoding vocabulary.
+    lm_weight / beam:
         Standard decoding knobs.  ``beam`` prunes states more than that many
-        log units below the frame-best token (None disables pruning).
+        log units below the frame-best token (None disables pruning).  The
+        word insertion penalty is ``INSERTION_PENALTY`` and the HMM
+        self-loop probability ``SELF_LOOP_PROB``.
     """
 
     def __init__(
         self,
         acoustic_model: AcousticModel,
         language_model: BigramLanguageModel,
-        vocabulary: Optional[Sequence[str]] = None,
-        feature_extractor: Optional[FeatureExtractor] = None,
         lm_weight: float = 10.0,
-        insertion_penalty: float = -2.0,
-        self_loop_prob: float = 0.7,
         beam: Optional[float] = 200.0,
     ):
-        if not 0 < self_loop_prob < 1:
-            raise DecodingError("self_loop_prob must be in (0, 1)")
         if beam is not None and beam < 0:
             raise DecodingError("beam must be >= 0 (or None for no pruning)")
         self.acoustic_model = acoustic_model
         self.language_model = language_model
-        self.vocabulary = list(vocabulary) if vocabulary is not None else list(
-            language_model.vocabulary
-        )
-        if not self.vocabulary:
-            raise DecodingError("empty decoding vocabulary")
-        self.feature_extractor = (
-            feature_extractor if feature_extractor is not None else FeatureExtractor()
-        )
+        self.vocabulary = list(language_model.vocabulary)
+        self.feature_extractor = FeatureExtractor()
         self.lm_weight = lm_weight
-        self.insertion_penalty = insertion_penalty
-        # self_loop_prob is validated to lie strictly inside (0, 1) above.
-        self.log_self = math.log(self_loop_prob)  # statcheck: ignore[SC101]
-        self.log_adv = math.log(1.0 - self_loop_prob)  # statcheck: ignore[SC101]
+        # SELF_LOOP_PROB lies strictly inside (0, 1).
+        self.log_self = math.log(SELF_LOOP_PROB)  # statcheck: ignore[SC101]
+        self.log_adv = math.log(1.0 - SELF_LOOP_PROB)  # statcheck: ignore[SC101]
         self.beam = beam
 
         self._graph = _build_graph(self.vocabulary)
@@ -171,18 +165,15 @@ class Decoder:
         """Recognize pre-extracted feature frames."""
         return self._decode(None, features)[0]
 
-    def decode_nbest(
-        self, waveform: Waveform, n: int = 5
-    ) -> List["DecodeResult"]:
-        """Approximate n-best list: alternatives differing in the last word.
+    def decode_nbest(self, waveform: Waveform) -> List["DecodeResult"]:
+        """Approximate ``N_BEST``-best list: alternatives differing in the
+        last word.
 
         Hypotheses are ranked by total path score; the first entry equals
         :meth:`decode_waveform`'s result.  Use :func:`nbest_confidences` to
         turn the scores into a posterior-style confidence distribution.
         """
-        if n < 1:
-            raise DecodingError("n must be >= 1")
-        return self._decode(waveform, None, n_best=n)
+        return self._decode(waveform, None, n_best=N_BEST)
 
     def _decode(
         self,
@@ -300,7 +291,7 @@ class ViterbiSearch:
             next(rows).take(pstate, out=scores, mode="clip")
             delta = now[0]
             delta[graph.starts] = scores[graph.starts] + (
-                decoder._lm_scores[0] + decoder.insertion_penalty
+                decoder._lm_scores[0] + INSERTION_PENALTY
             )
             delta[0] = scores[0]  # first lead-silence state
 
@@ -356,7 +347,7 @@ class ViterbiSearch:
         decoder = self._decoder
         graph = decoder._graph
         lm_scores, penalty, log_adv = (
-            decoder._lm_scores, decoder.insertion_penalty, decoder.log_adv
+            decoder._lm_scores, INSERTION_PENALTY, decoder.log_adv
         )
         (from_phone, from_sil), end_tokens = self._ends, self._end_tokens
         offer, wins = self._offer, self._wins

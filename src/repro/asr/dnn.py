@@ -17,6 +17,12 @@ import numpy as np
 from repro.errors import ModelError
 from repro.obs.counters import record_work
 
+#: SGD step size at epoch 0 (it decays as 1 / (1 + epoch / 4)).
+LEARNING_RATE = 0.01
+BATCH_SIZE = 128
+#: Seeds the weight initialisation; ``SEED + 1`` seeds the batch order.
+SEED = 99
+
 
 def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
@@ -37,10 +43,7 @@ class DNNConfig:
     n_classes: int
     hidden_sizes: Tuple[int, ...] = (128, 128)
     context: int = 2           # frames of context on each side
-    learning_rate: float = 0.01
-    batch_size: int = 128
     epochs: int = 8
-    seed: int = 99
 
     @property
     def stacked_dim(self) -> int:
@@ -52,7 +55,7 @@ class DeepNeuralNetwork:
 
     def __init__(self, config: DNNConfig):
         self.config = config
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(SEED)
         sizes = [config.stacked_dim, *config.hidden_sizes, config.n_classes]
         self.weights: List[np.ndarray] = []
         self.biases: List[np.ndarray] = []
@@ -113,7 +116,7 @@ class DeepNeuralNetwork:
 
     # -- training -------------------------------------------------------------------
 
-    def fit(self, features: np.ndarray, labels: np.ndarray, verbose: bool = False) -> List[float]:
+    def fit(self, features: np.ndarray, labels: np.ndarray) -> List[float]:
         """Mini-batch SGD on cross-entropy; returns per-epoch mean loss."""
         if len(features) != len(labels):
             raise ModelError("features and labels must align")
@@ -124,15 +127,15 @@ class DeepNeuralNetwork:
         counts = np.bincount(labels, minlength=config.n_classes).astype(float)
         self.log_priors = np.log((counts + 1.0) / (counts.sum() + config.n_classes))
 
-        rng = np.random.default_rng(config.seed + 1)
+        rng = np.random.default_rng(SEED + 1)
         losses: List[float] = []
         for epoch in range(config.epochs):
             order = rng.permutation(len(stacked))
             epoch_loss = 0.0
             n_batches = 0
-            rate = config.learning_rate / (1.0 + epoch / 4.0)
-            for start in range(0, len(order), config.batch_size):
-                batch = order[start : start + config.batch_size]
+            rate = LEARNING_RATE / (1.0 + epoch / 4.0)
+            for start in range(0, len(order), BATCH_SIZE):
+                batch = order[start : start + BATCH_SIZE]
                 epoch_loss += self._sgd_step(stacked[batch], labels[batch], rate)
                 n_batches += 1
             losses.append(epoch_loss / max(n_batches, 1))

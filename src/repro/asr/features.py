@@ -1,50 +1,33 @@
 """MFCC feature extraction — the ASR front-end (paper Figure 4, left box).
 
 Standard pipeline: pre-emphasis → 25 ms Hamming frames at 10 ms hop → power
-spectrum → mel filterbank → log → DCT-II → first ``n_coefficients`` cepstra,
-optionally with delta features appended.  Implemented directly on numpy so
-the whole front-end is self-contained.
+spectrum → mel filterbank → log → DCT-II → first ``N_COEFFICIENTS`` cepstra,
+with delta features appended.  Implemented directly on numpy so the whole
+front-end is self-contained.  There is one front end: the streaming
+:class:`StreamingFeatureExtractor`; :meth:`FeatureExtractor.extract` is the
+whole waveform pushed through it at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.asr.audio import Waveform
-from repro.errors import ConfigurationError
 
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Front-end parameters; defaults match common ASR setups."""
-
-    frame_length: float = 0.025   # seconds
-    frame_hop: float = 0.010      # seconds
-    n_filters: int = 26
-    n_coefficients: int = 13
-    pre_emphasis: float = 0.97
-    low_freq: float = 100.0
-    high_freq: float = 7000.0
-    add_deltas: bool = True
-
-    def __post_init__(self) -> None:
-        if self.frame_length <= 0 or self.frame_hop <= 0:
-            raise ConfigurationError("frame length/hop must be positive")
-        if self.n_coefficients > self.n_filters:
-            raise ConfigurationError("need n_coefficients <= n_filters")
-        if not 0 <= self.pre_emphasis < 1:
-            raise ConfigurationError("pre_emphasis must be in [0, 1)")
-        if not 0 < self.low_freq < self.high_freq:
-            raise ConfigurationError("require 0 < low_freq < high_freq")
-
-    @property
-    def dimension(self) -> int:
-        """Final feature dimension (doubles when deltas are appended)."""
-        return self.n_coefficients * (2 if self.add_deltas else 1)
+FRAME_LENGTH = 0.025   # seconds
+FRAME_HOP = 0.010      # seconds
+N_FILTERS = 26
+N_COEFFICIENTS = 13
+PRE_EMPHASIS = 0.97
+LOW_FREQ = 100.0
+HIGH_FREQ = 7000.0
+#: Frames of context on each side of a delta (the regression window).
+DELTA_WINDOW = 2
+#: Final feature dimension: the cepstra, then their deltas.
+DIMENSION = 2 * N_COEFFICIENTS
 
 
 def hz_to_mel(hz):
@@ -97,19 +80,13 @@ def frame_signal(samples: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
     )
 
 
-def compute_deltas(features: np.ndarray, window: int = 2) -> np.ndarray:
-    """First-order regression deltas over ±``window`` frames (edge-padded)."""
-    padded = np.concatenate(
-        (features[:1],) * window + (features,) + (features[-1:],) * window
-    )
-    return regression_deltas(padded, np.zeros_like(features), window)
-
-
-def regression_deltas(padded: np.ndarray, out: np.ndarray, window: int = 2) -> np.ndarray:
-    """Deltas of ``padded[window : len(padded) - window]`` into ``out``, which
-    holds zeros: ``Σ_o o·(r[t+o] - r[t-o])`` accumulated onto the zeros in
-    offset order, then divided by ``2·Σ_o o²`` — one rounding sequence, so
-    every caller that hands over the same rows gets the same bits."""
+def regression_deltas(padded: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Deltas of ``padded[DELTA_WINDOW : len(padded) - DELTA_WINDOW]`` into
+    ``out``, which holds zeros: ``Σ_o o·(r[t+o] - r[t-o])`` accumulated onto
+    the zeros in offset order, then divided by ``2·Σ_o o²`` — one rounding
+    sequence, so every caller that hands over the same rows gets the same
+    bits."""
+    window = DELTA_WINDOW
     n = len(out)
     step = np.empty(out.shape, dtype=out.dtype)
     for offset in range(1, window + 1):
@@ -125,16 +102,16 @@ def regression_deltas(padded: np.ndarray, out: np.ndarray, window: int = 2) -> n
 
 
 @lru_cache(maxsize=32)
-def _tables(config: FeatureConfig, rate: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Hamming window, mel filterbank, DCT matrix) for one configuration at
-    one sample rate: they depend on nothing else, so they are built once per
-    process — not per extractor, streaming session or push."""
-    frame_size = int(config.frame_length * rate)
+def _tables(rate: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Hamming window, mel filterbank, DCT matrix) at one sample rate: they
+    depend on nothing else, so they are built once per process — not per
+    extractor, streaming session or push."""
+    frame_size = int(FRAME_LENGTH * rate)
     n_fft = 1 << (frame_size - 1).bit_length()
     tables = (
         np.hamming(frame_size),
-        mel_filterbank(config.n_filters, n_fft, rate, config.low_freq, config.high_freq),
-        dct_matrix(config.n_coefficients, config.n_filters),
+        mel_filterbank(N_FILTERS, n_fft, rate, LOW_FREQ, HIGH_FREQ),
+        dct_matrix(N_COEFFICIENTS, N_FILTERS),
     )
     for table in tables:
         table.setflags(write=False)
@@ -142,30 +119,21 @@ def _tables(config: FeatureConfig, rate: int) -> Tuple[np.ndarray, np.ndarray, n
 
 
 class FeatureExtractor:
-    """Waveform → (n_frames, dimension) MFCC matrix."""
-
-    def __init__(self, config: FeatureConfig = FeatureConfig()):
-        self.config = config
+    """Waveform → (n_frames, DIMENSION) MFCC matrix."""
 
     def extract(self, waveform: Waveform) -> np.ndarray:
-        config = self.config
-        samples = waveform.samples.astype(float)
-        if config.pre_emphasis > 0 and len(samples) > 1:
-            samples = np.concatenate(
-                [samples[:1], samples[1:] - config.pre_emphasis * samples[:-1]]
-            )
-        cepstra = self.static_cepstra(samples, waveform.sample_rate)
-        if config.add_deltas:
-            cepstra = np.hstack([cepstra, compute_deltas(cepstra)])
-        return cepstra
+        """The streaming front end's rows for the whole waveform: one push,
+        then the flush."""
+        stream = StreamingFeatureExtractor(waveform.sample_rate)
+        return np.vstack([stream.push(waveform.samples), stream.flush()])
 
     def static_cepstra(self, samples: np.ndarray, rate: int) -> np.ndarray:
         """Window → power spectrum → mel → log → DCT of float ``samples`` as
-        given: the per-frame part of :meth:`extract`, without pre-emphasis
-        or deltas (which need cross-chunk context and are the streaming
+        given: the per-frame part of the front end, without pre-emphasis or
+        deltas (which need cross-chunk context and are the streaming
         front-end's own to apply)."""
-        window, bank, dct = _tables(self.config, rate)
-        hop = int(self.config.frame_hop * rate)
+        window, bank, dct = _tables(rate)
+        hop = int(FRAME_HOP * rate)
         frames = frame_signal(samples, len(window), hop) * window
 
         n_fft = 1 << (len(window) - 1).bit_length()
@@ -177,6 +145,128 @@ class FeatureExtractor:
 
     def frames_for_samples(self, n_samples: int, rate: int) -> int:
         """How many frames :meth:`extract` yields for ``n_samples`` samples."""
-        frame_size = int(self.config.frame_length * rate)
-        hop = int(self.config.frame_hop * rate)
+        frame_size = int(FRAME_LENGTH * rate)
+        hop = int(FRAME_HOP * rate)
         return 1 + max(n_samples - frame_size, 0) // hop
+
+
+class StreamingFeatureExtractor:
+    """Incremental MFCC extraction with delta lookahead.
+
+    ``push(samples)`` returns any newly completed feature rows; ``flush()``
+    pads the tail (edge-style) and returns the remaining rows.  State is
+    constant in utterance length: the pre-emphasised samples no complete
+    frame has consumed yet (less than one frame window) and the static rows
+    the next release still reads (the ``2 * LOOKAHEAD`` context rows plus
+    whatever is unreleased), held in one array that only grows when a single
+    push brings more rows than it has ever held.
+    """
+
+    LOOKAHEAD = DELTA_WINDOW  # frames of future context the deltas need
+
+    def __init__(self, sample_rate: int = 16000):
+        self.sample_rate = sample_rate
+        # Only ``static_cepstra`` is used: pre-emphasis is applied here (it
+        # needs one sample of cross-chunk context), deltas over the lookahead
+        # window.
+        self._extractor = FeatureExtractor()
+        self._frame_size = int(FRAME_LENGTH * sample_rate)
+        self._hop = int(FRAME_HOP * sample_rate)
+        self._samples = np.zeros(0)             # pre-emphasised, not yet consumed
+        self._prev_raw: Optional[float] = None  # last raw sample (pre-emphasis carry)
+        # The utterance's static rows, edge-padded for the deltas (LOOKAHEAD
+        # copies of the first row lead and, on flush, of the last row trail),
+        # held from padded row ``_first`` on in ``_history[:_held]``.
+        self._history = np.empty((8 * self.LOOKAHEAD, N_COEFFICIENTS))
+        self._held = 0
+        self._first = 0
+        self._n_static = 0                      # static frames computed so far
+        self._emitted = 0                       # frames already released
+
+    def push(self, samples: np.ndarray) -> np.ndarray:
+        """Add audio; return newly available (n, dim) feature rows."""
+        samples = np.asarray(samples, dtype=float).ravel()
+        if len(samples):
+            carried = len(self._samples)
+            buffer = np.empty(carried + len(samples))
+            buffer[:carried] = self._samples
+            fresh = buffer[carried:]
+            # Incremental pre-emphasis: y[i] = x[i] - a*x[i-1], carrying the
+            # previous chunk's last raw sample (the utterance's first sample
+            # passes through).
+            np.multiply(samples[:-1], PRE_EMPHASIS, out=fresh[1:])
+            np.subtract(samples[1:], fresh[1:], out=fresh[1:])
+            fresh[0] = samples[0]
+            if self._prev_raw is not None:
+                fresh[0] -= PRE_EMPHASIS * self._prev_raw
+            self._prev_raw = float(samples[-1])
+            self._samples = buffer
+        # Process every complete frame window currently in the buffer.
+        n_ready = 1 + (len(self._samples) - self._frame_size) // self._hop
+        if n_ready > 0:
+            self._add_static(self._extractor.static_cepstra(self._samples, self.sample_rate))
+            self._samples = self._samples[n_ready * self._hop :]
+        return self._release(final=False)
+
+    def _hold(self, rows: np.ndarray) -> None:
+        """Append padded rows to the history, growing it only when full."""
+        stop = self._held + len(rows)
+        if stop > len(self._history):
+            grown = np.empty((max(stop, 2 * len(self._history)), self._history.shape[1]))
+            grown[: self._held] = self._history[: self._held]
+            self._history = grown
+        self._history[self._held : stop] = rows
+        self._held = stop
+
+    def _add_static(self, rows: np.ndarray) -> None:
+        if not self._n_static:
+            for _ in range(self.LOOKAHEAD):
+                self._hold(rows[:1])
+        self._hold(rows)
+        self._n_static += len(rows)
+
+    def _release(self, final: bool) -> np.ndarray:
+        available = self._n_static - (0 if final else self.LOOKAHEAD)
+        if available <= self._emitted:
+            return np.zeros((0, DIMENSION))
+        n = available - self._emitted
+        start = self._emitted - self._first
+        rows = np.zeros((n, DIMENSION))
+        if final:
+            # The tail padding: edge copies of the last row.
+            for _ in range(self.LOOKAHEAD):
+                self._hold(self._history[self._held - 1 : self._held])
+        # Padded row p is static row p - LOOKAHEAD, and row i's delta reads
+        # padded rows i .. i + 2 * LOOKAHEAD.
+        padded = self._history[start : start + n + 2 * self.LOOKAHEAD]
+        rows[:, :N_COEFFICIENTS] = padded[self.LOOKAHEAD : self.LOOKAHEAD + n]
+        regression_deltas(padded, rows[:, N_COEFFICIENTS:])
+        self._emitted = available
+        # Later releases read from padded row ``available`` on: move those
+        # few rows (context plus the unreleased lookahead) to the front.
+        drop = available - self._first
+        kept = self._held - drop
+        self._history[:kept] = self._history[drop : self._held]
+        self._held = kept
+        self._first = available
+        return rows
+
+    def flush(self) -> np.ndarray:
+        """Emit the remaining frames (tail lookahead resolved by padding).
+
+        An utterance whose *total* length never reached one frame window is
+        zero-padded to a single frame here (``frame_signal`` pads sub-frame
+        signals rather than dropping them).
+        A stream that received no samples at all stays empty — padding it
+        would fabricate a frame out of nothing.
+        """
+        if not self._n_static and len(self._samples):
+            # Sub-frame utterance: the buffer holds every (already
+            # pre-emphasized) sample, and framing zero-pads it.
+            self._add_static(self._extractor.static_cepstra(self._samples, self.sample_rate))
+            self._samples = np.zeros(0)
+        return self._release(final=True)
+
+    @property
+    def n_frames_emitted(self) -> int:
+        return self._emitted

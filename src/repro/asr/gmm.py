@@ -167,6 +167,8 @@ def score_naive(gmm: DiagonalGMM, features: np.ndarray) -> np.ndarray:
 #: E-step's (rows, 2D) moments (10 MB) are the largest allocations the process
 #: ever makes, and the set-up peak they leave is what peak RSS then stands on.
 _FIT_BLOCK_ROWS = 2048
+#: Floor on every fitted variance.
+MIN_VARIANCE = 1e-3
 
 
 def _by_row_blocks(function: Callable[[np.ndarray], np.ndarray], data: np.ndarray) -> np.ndarray:
@@ -184,7 +186,6 @@ def fit_gmm(
     n_components: int = 4,
     n_iterations: int = 10,
     seed: int = 0,
-    min_variance: float = 1e-3,
 ) -> DiagonalGMM:
     """Fit a diagonal GMM with k-means initialization then EM.
 
@@ -210,7 +211,7 @@ def fit_gmm(
             if len(members):
                 means[k] = members.mean(axis=0)
 
-    variances = np.full((n_components, dimension), data.var(axis=0) + min_variance)
+    variances = np.full((n_components, dimension), data.var(axis=0) + MIN_VARIANCE)
     weights = np.full(n_components, 1.0 / n_components)
 
     for _ in range(n_iterations):
@@ -224,6 +225,6 @@ def fit_gmm(
         weights = counts / counts.sum()
         means = (resp.T @ data) / counts[:, None]
         squared = (resp.T @ (data * data)) / counts[:, None]
-        variances = np.maximum(squared - means**2, min_variance)
+        variances = np.maximum(squared - means**2, MIN_VARIANCE)
 
     return DiagonalGMM(means, 1.0 / variances, np.log(np.maximum(weights, _WEIGHT_FLOOR)))

@@ -10,6 +10,8 @@ from repro.errors import ModelError
 
 BOS = "<s>"
 EOS = "</s>"
+#: Add-k smoothing mass given to every bigram.
+ADD_K = 0.1
 
 
 class BigramLanguageModel:
@@ -20,10 +22,7 @@ class BigramLanguageModel:
     True
     """
 
-    def __init__(self, sentences: Iterable[str], add_k: float = 0.1):
-        if add_k <= 0:
-            raise ModelError("add_k must be positive")
-        self.add_k = add_k
+    def __init__(self, sentences: Iterable[str]):
         self._unigrams: Counter = Counter()
         self._bigrams: Dict[str, Counter] = defaultdict(Counter)
         n_sentences = 0
@@ -48,8 +47,8 @@ class BigramLanguageModel:
         word = word.lower()
         previous = previous.lower() if previous not in (BOS, EOS) else previous
         context = self._bigrams.get(previous, Counter())
-        numerator = context.get(word, 0) + self.add_k
-        denominator = sum(context.values()) + self.add_k * self._vocab_size
+        numerator = context.get(word, 0) + ADD_K
+        denominator = sum(context.values()) + ADD_K * self._vocab_size
         return math.log(numerator / denominator)
 
     def sentence_log_prob(self, sentence: str) -> float:

@@ -404,20 +404,14 @@ def _cmd_fleet_report(args: argparse.Namespace) -> int:
 
     if args.smoke:
         args.queries = min(args.queries, 2_000)
-    sampling = dict(
-        head_rate=args.head_rate,
-        top_k=args.top_k,
-        sample_seed=args.seed,
-        slos=default_slos(
-            e2e_threshold=args.e2e_slo, ttfp_threshold=args.ttfp_slo
-        ),
-    )
+    slos = default_slos(e2e_threshold=args.e2e_slo, ttfp_threshold=args.ttfp_slo)
     spans = _read_spans(args.path) if args.path else None
 
     def build():
         if spans is not None:
             return fleet_report.report_from_spans(
-                spans, window=args.window, **sampling
+                spans, window=args.window, head_rate=args.head_rate,
+                top_k=args.top_k, sample_seed=args.seed, slos=slos,
             )
         replay = seeded_replay(
             args.arrivals, args.rate, args.service_mean, args.queries,
@@ -430,7 +424,8 @@ def _cmd_fleet_report(args: argparse.Namespace) -> int:
             tick_seconds=args.window,
         )
         return fleet_report.report_from_replay(
-            replay, trace_seed=args.seed, **sampling
+            replay, head_rate=args.head_rate, top_k=args.top_k,
+            sample_seed=args.seed, trace_seed=args.seed, slos=slos,
         )
 
     render = fleet_report.render_fleet_report

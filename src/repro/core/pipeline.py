@@ -29,7 +29,6 @@ from repro.core.inputset import all_sentences
 from repro.core.query import IPAQuery, SiriusResponse
 from repro.errors import ConfigurationError
 from repro.imm.database import ImageDatabase
-from repro.imm.image import SceneGenerator
 from repro.qa import QAEngine
 
 #: Supported acoustic back-ends (paper: Sphinx GMM vs. Kaldi/RASR DNN).
@@ -43,7 +42,7 @@ class SiriusPipeline:
 
     Use :meth:`build` for the standard construction (trains the acoustic
     model on the input-set sentences, indexes the default corpus and scene
-    database); pass components explicitly for custom setups.
+    database); swap a component on the built pipeline for a custom setup.
     """
 
     decoder: Decoder
@@ -65,30 +64,27 @@ class SiriusPipeline:
         cls,
         asr_backend: str = GMM_BACKEND,
         training_sentences: Optional[List[str]] = None,
-        training_repetitions: int = 3,
         n_scenes: int = 10,
-        scene_generator: Optional[SceneGenerator] = None,
-        qa_engine: Optional[QAEngine] = None,
     ) -> "SiriusPipeline":
-        """Assemble and train all services."""
+        """Assemble and train all services (three noisy takes of every
+        training sentence)."""
         if asr_backend not in (GMM_BACKEND, DNN_BACKEND):
             raise ConfigurationError(f"unknown ASR backend: {asr_backend!r}")
         sentences = (
             list(training_sentences) if training_sentences is not None else all_sentences()
         )
-        data = collect_training_data(sentences, repetitions=training_repetitions)
+        data = collect_training_data(sentences)
         if asr_backend == GMM_BACKEND:
             acoustic_model = train_gmm_acoustic_model(data)
         else:
             acoustic_model = train_dnn_acoustic_model(data)
         language_model = BigramLanguageModel(sentences)
         decoder = Decoder(acoustic_model, language_model)
-        generator = scene_generator if scene_generator is not None else SceneGenerator()
-        database = ImageDatabase.with_scenes(n_scenes, generator=generator)
+        database = ImageDatabase.with_scenes(n_scenes)
         return cls(
             decoder=decoder,
             classifier=QueryClassifier(),
-            qa_engine=qa_engine if qa_engine is not None else QAEngine(),
+            qa_engine=QAEngine(),
             image_database=database,
             asr_backend=asr_backend,
         )

@@ -37,6 +37,14 @@ DIURNAL = "diurnal"
 BURSTY = "bursty"
 
 
+#: The diurnal swing: the rate's relative amplitude and its period (s).
+DIURNAL_AMPLITUDE = 0.5
+DIURNAL_PERIOD = 60.0
+#: Mean seconds a bursty process holds its calm and its burst state.
+MEAN_CALM = 20.0
+MEAN_BURST = 5.0
+
+
 class ArrivalProcess(abc.ABC):
     """A deterministic stream of absolute arrival times.
 
@@ -87,35 +95,28 @@ class DiurnalProcess(ArrivalProcess):
     """Sinusoidally modulated Poisson arrivals (the day/night swing).
 
     The instantaneous rate is
-    ``base * (1 + amplitude * sin(2*pi*t / period))``, clamped at 0 —
-    with ``amplitude`` in [0, 1] the clamp never engages and the long-run
-    mean rate is exactly ``base``.  Arrivals are generated by thinning at
-    the peak rate ``base * (1 + amplitude)``.
+    ``base * (1 + DIURNAL_AMPLITUDE * sin(2*pi*t / DIURNAL_PERIOD))``; with
+    the amplitude in [0, 1] it never goes negative and the long-run mean
+    rate is exactly ``base``.  Arrivals are generated by thinning at the peak rate
+    ``base * (1 + DIURNAL_AMPLITUDE)``.
     """
 
     name = DIURNAL
 
-    def __init__(self, base_rate: float, amplitude: float = 0.5,
-                 period: float = 60.0):
+    def __init__(self, base_rate: float):
         if base_rate <= 0:
             raise ConfigurationError("base_rate must be positive")
-        if not 0.0 <= amplitude <= 1.0:
-            raise ConfigurationError("amplitude must be in [0, 1]")
-        if period <= 0:
-            raise ConfigurationError("period must be positive")
         self.base_rate = base_rate
-        self.amplitude = amplitude
-        self.period = period
         self.mean_rate = base_rate
 
     def rate_at(self, t: float) -> float:
         """Instantaneous arrival rate at absolute time ``t``."""
-        swing = 1.0 + self.amplitude * math.sin(2.0 * math.pi * t / self.period)
+        swing = 1.0 + DIURNAL_AMPLITUDE * math.sin(2.0 * math.pi * t / DIURNAL_PERIOD)
         return max(self.base_rate * swing, 0.0)
 
     def stream(self, seed: int = 0) -> Iterator[float]:
         rng = random.Random(f"{seed}:diurnal")
-        peak = self.base_rate * (1.0 + self.amplitude)
+        peak = self.base_rate * (1.0 + DIURNAL_AMPLITUDE)
         clock = 0.0
         while True:
             clock += rng.expovariate(peak)
@@ -128,32 +129,27 @@ class BurstyProcess(ArrivalProcess):
 
     The process alternates between a *calm* state (rate ``base_rate``) and
     a *burst* state (rate ``burst_rate``); holding times in each state are
-    exponential with the given means.  Flash-crowd traffic in miniature:
-    long quiet stretches punctuated by arrival storms several times the
-    mean rate — exactly the shape that separates a tail-aware autoscaler
-    from a mean-rate capacity plan.
+    exponential with means ``MEAN_CALM`` and ``MEAN_BURST``.  Flash-crowd
+    traffic in miniature: long quiet stretches punctuated by arrival storms
+    several times the mean rate — exactly the shape that separates a
+    tail-aware autoscaler from a mean-rate capacity plan.
     """
 
     name = BURSTY
 
-    def __init__(self, base_rate: float, burst_rate: float,
-                 mean_calm: float = 20.0, mean_burst: float = 5.0):
+    def __init__(self, base_rate: float, burst_rate: float):
         if base_rate <= 0 or burst_rate <= base_rate:
             raise ConfigurationError("need 0 < base_rate < burst_rate")
-        if mean_calm <= 0 or mean_burst <= 0:
-            raise ConfigurationError("state holding times must be positive")
         self.base_rate = base_rate
         self.burst_rate = burst_rate
-        self.mean_calm = mean_calm
-        self.mean_burst = mean_burst
-        calm_share = mean_calm / (mean_calm + mean_burst)
+        calm_share = MEAN_CALM / (MEAN_CALM + MEAN_BURST)
         self.mean_rate = calm_share * base_rate + (1 - calm_share) * burst_rate
 
     def stream(self, seed: int = 0) -> Iterator[float]:
         rng = random.Random(f"{seed}:bursty")
         clock = 0.0
         bursting = False
-        state_ends = rng.expovariate(1.0 / self.mean_calm)
+        state_ends = rng.expovariate(1.0 / MEAN_CALM)
         while True:
             rate = self.burst_rate if bursting else self.base_rate
             gap = rng.expovariate(rate)
@@ -163,28 +159,28 @@ class BurstyProcess(ArrivalProcess):
                 # so discarding the partial gap is exact).
                 clock = state_ends
                 bursting = not bursting
-                mean_hold = self.mean_burst if bursting else self.mean_calm
+                mean_hold = MEAN_BURST if bursting else MEAN_CALM
                 state_ends = clock + rng.expovariate(1.0 / mean_hold)
                 continue
             clock += gap
             yield clock
 
 
-def make_process(name: str, rate: float, **kwargs) -> ArrivalProcess:
-    """Build a named arrival process around a base rate (CLI helper)."""
+def make_process(name: str, rate: float) -> ArrivalProcess:
+    """Build a named arrival process around a base rate (a bursty one
+    bursts at four times it)."""
     if name == POISSON:
         return PoissonProcess(rate)
     if name == DIURNAL:
-        return DiurnalProcess(rate, **kwargs)
+        return DiurnalProcess(rate)
     if name == BURSTY:
-        burst = kwargs.pop("burst_rate", rate * 4.0)
-        return BurstyProcess(rate, burst, **kwargs)
+        return BurstyProcess(rate, rate * 4.0)
     raise ConfigurationError(
         f"unknown arrival process {name!r} "
         f"(available: {POISSON}, {DIURNAL}, {BURSTY})"
     )
 
 
-def arrival_times(process: ArrivalProcess, n: int, seed: int = 0) -> List[float]:
-    """The first ``n`` arrivals of ``process`` under ``seed``."""
-    return process.times(n, seed=seed)
+def arrival_times(process: ArrivalProcess, n: int) -> List[float]:
+    """The first ``n`` arrivals of ``process`` under seed 0."""
+    return process.times(n, seed=0)

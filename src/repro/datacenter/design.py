@@ -15,7 +15,7 @@ service; partitioned (heterogeneous) designs pick per service.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.datacenter.tco import TCOModel
 from repro.errors import DesignError
@@ -36,6 +36,8 @@ LATENCY = "latency"
 TCO = "tco"
 EFFICIENCY = "efficiency"
 OBJECTIVES = (LATENCY, TCO, EFFICIENCY)
+#: The ASR service a query's "ASR" stage runs as.
+ASR_VARIANT = "ASR (GMM)"
 
 #: Query-type service composition (Table 1).
 QUERY_SERVICES: Dict[str, Tuple[str, ...]] = {
@@ -62,13 +64,9 @@ class DesignPoint:
 class DatacenterDesigner:
     """Evaluates platforms per service and picks designs per objective."""
 
-    def __init__(
-        self,
-        model: Optional[AcceleratorModel] = None,
-        tco_model: Optional[TCOModel] = None,
-    ):
-        self.model = model if model is not None else AcceleratorModel()
-        self.tco_model = tco_model if tco_model is not None else TCOModel()
+    def __init__(self):
+        self.model = AcceleratorModel()
+        self.tco_model = TCOModel()
 
     # -- point evaluation -----------------------------------------------------
 
@@ -87,14 +85,12 @@ class DatacenterDesigner:
             performance_per_watt=self.model.performance_per_watt(service, platform),
         )
 
-    def all_points(
-        self, candidates: Sequence[str] = PLATFORMS
-    ) -> List[DesignPoint]:
+    def all_points(self) -> List[DesignPoint]:
         """Every (service, platform) point — the Figure 19 scatter."""
         return [
             self.evaluate(service, platform)
             for service in self.model.baseline_latency
-            for platform in candidates
+            for platform in PLATFORMS
         ]
 
     def _latency_constraint(self, service: str) -> float:
@@ -108,13 +104,12 @@ class DatacenterDesigner:
         service: str,
         objective: str,
         candidates: Sequence[str],
-        latency_constrained: bool = True,
     ) -> DesignPoint:
         """The winning platform for one service under one objective."""
         if objective not in OBJECTIVES:
             raise DesignError(f"unknown objective {objective!r}")
         points = [self.evaluate(service, platform) for platform in candidates]
-        if objective != LATENCY and latency_constrained:
+        if objective != LATENCY:
             limit = self._latency_constraint(service)
             feasible = [p for p in points if p.latency <= limit * (1 + 1e-9)]
             if not feasible:
@@ -200,38 +195,32 @@ class DatacenterDesigner:
 
     # -- query-level (Figure 20) ---------------------------------------------------------
 
-    def query_latency(
-        self, query_type: str, platform: str, asr_variant: str = "ASR (GMM)"
-    ) -> float:
+    def query_latency(self, query_type: str, platform: str) -> float:
         """End-to-end query latency summing its services' latencies."""
         if query_type not in QUERY_SERVICES:
             raise DesignError(f"unknown query type {query_type!r}")
         total = 0.0
         for service in QUERY_SERVICES[query_type]:
-            name = asr_variant if service == "ASR" else service
+            name = ASR_VARIANT if service == "ASR" else service
             total += self.model.latency(name, platform)
         return total
 
-    def query_baseline_latency(
-        self, query_type: str, asr_variant: str = "ASR (GMM)"
-    ) -> float:
+    def query_baseline_latency(self, query_type: str) -> float:
         total = 0.0
         for service in QUERY_SERVICES[query_type]:
-            name = asr_variant if service == "ASR" else service
+            name = ASR_VARIANT if service == "ASR" else service
             total += self.model.baseline_latency[name]
         return total
 
-    def query_level_summary(
-        self, platform: str, asr_variant: str = "ASR (GMM)"
-    ) -> Dict[str, Dict[str, float]]:
+    def query_level_summary(self, platform: str) -> Dict[str, Dict[str, float]]:
         """Figure 20 rows for one accelerated datacenter."""
         summary: Dict[str, Dict[str, float]] = {}
         for query_type, services in QUERY_SERVICES.items():
-            base = self.query_baseline_latency(query_type, asr_variant)
-            accelerated = self.query_latency(query_type, platform, asr_variant)
+            base = self.query_baseline_latency(query_type)
+            accelerated = self.query_latency(query_type, platform)
             improvement = base / accelerated
             throughput = improvement / 4.0  # vs 4-core query-parallel baseline
-            names = [asr_variant if s == "ASR" else s for s in services]
+            names = [ASR_VARIANT if s == "ASR" else s for s in services]
             perf_watt = sum(
                 self.model.performance_per_watt(name, platform) for name in names
             ) / len(names)
@@ -242,9 +231,7 @@ class DatacenterDesigner:
             }
         return summary
 
-    def average_query_latency_improvement(
-        self, platform: str, asr_variant: str = "ASR (GMM)"
-    ) -> float:
-        summary = self.query_level_summary(platform, asr_variant)
+    def average_query_latency_improvement(self, platform: str) -> float:
+        summary = self.query_level_summary(platform)
         values = [row["latency_improvement"] for row in summary.values()]
         return sum(values) / len(values)

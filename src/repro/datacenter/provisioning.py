@@ -15,30 +15,23 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.datacenter.design import QUERY_SERVICES
+from repro.datacenter.design import ASR_VARIANT, QUERY_SERVICES
 from repro.datacenter.tco import TCOModel
 from repro.errors import DesignError
 from repro.platforms.model import AcceleratorModel, BASELINE_CORES
 from repro.platforms.spec import CMP, PLATFORMS, server_watts
 
+_MIX = {"VC": 0.5, "VQ": 0.35, "VIQ": 0.15}
+#: Target server utilization (Table 7: 45%).
+HEADROOM = 0.45
 
-@dataclass(frozen=True)
+
 class WorkloadMix:
-    """Fractions of each query type in the arriving stream."""
-
-    vc: float = 0.5
-    vq: float = 0.35
-    viq: float = 0.15
-
-    def __post_init__(self) -> None:
-        total = self.vc + self.vq + self.viq
-        if not 0.99 <= total <= 1.01:
-            raise DesignError(f"mix fractions sum to {total}, not 1")
-        if min(self.vc, self.vq, self.viq) < 0:
-            raise DesignError("mix fractions must be non-negative")
+    """Fractions of each query type in the arriving stream: half voice
+    commands, 35% voice queries, 15% voice-image queries."""
 
     def fraction(self, query_type: str) -> float:
-        return {"VC": self.vc, "VQ": self.vq, "VIQ": self.viq}[query_type]
+        return _MIX[query_type]
 
 
 @dataclass(frozen=True)
@@ -60,19 +53,9 @@ class ProvisioningPlan:
 class CapacityPlanner:
     """Sizes datacenters for a workload mix across platform choices."""
 
-    def __init__(
-        self,
-        model: Optional[AcceleratorModel] = None,
-        tco_model: Optional[TCOModel] = None,
-        asr_variant: str = "ASR (GMM)",
-        headroom: float = 0.45,
-    ):
-        if not 0 < headroom <= 1:
-            raise DesignError("headroom (target utilization) must be in (0, 1]")
-        self.model = model if model is not None else AcceleratorModel()
+    def __init__(self, tco_model: Optional[TCOModel] = None):
+        self.model = AcceleratorModel()
         self.tco = tco_model if tco_model is not None else TCOModel()
-        self.asr_variant = asr_variant
-        self.headroom = headroom  # target server utilization (Table 7: 45%)
 
     # -- per-query demand -------------------------------------------------------
 
@@ -86,7 +69,7 @@ class CapacityPlanner:
         """
         total = 0.0
         for service in QUERY_SERVICES[query_type]:
-            name = self.asr_variant if service == "ASR" else service
+            name = ASR_VARIANT if service == "ASR" else service
             if platform == CMP:
                 total += self.model.baseline_latency[name]
             else:
@@ -109,7 +92,7 @@ class CapacityPlanner:
         """
         service_time = self.mean_service_time(mix, platform)
         streams = BASELINE_CORES if platform == CMP else 1
-        return streams * self.headroom / service_time
+        return streams * HEADROOM / service_time
 
     def plan(
         self, mix: WorkloadMix, queries_per_second: float, platform: str
@@ -157,7 +140,7 @@ class CapacityPlanner:
         for query_type, services in QUERY_SERVICES.items():
             rate = queries_per_second * mix.fraction(query_type)
             for service in services:
-                name = self.asr_variant if service == "ASR" else service
+                name = ASR_VARIANT if service == "ASR" else service
                 demand[name] = demand.get(name, 0.0) + rate
         return demand
 
@@ -171,7 +154,7 @@ class CapacityPlanner:
         else:
             latency = self.model.latency(service, platform)
             streams = 1
-        capacity = streams * self.headroom / latency
+        capacity = streams * HEADROOM / latency
         n_servers = max(int(math.ceil(rate / capacity)), 1)
         return n_servers, n_servers * self.tco.monthly_tco(platform)
 

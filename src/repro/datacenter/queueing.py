@@ -105,10 +105,7 @@ def throughput_improvement_at_load(
 def improvement_curve(
     speedup: float,
     loads: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9),
-    baseline_cores: int = 4,
 ) -> List[float]:
-    """Figure 17 series: improvement at each load level (darker = higher)."""
-    return [
-        throughput_improvement_at_load(speedup, load, baseline_cores)
-        for load in loads
-    ]
+    """Figure 17 series: improvement at each load level (darker = higher)
+    over the 4-core baseline."""
+    return [throughput_improvement_at_load(speedup, load, 4) for load in loads]

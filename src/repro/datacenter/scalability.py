@@ -54,13 +54,14 @@ class ScalabilityGap:
         return self.gap / query_latency_improvement
 
 
-def measure_web_search_latency(engine, queries: Sequence[str], repeats: int = 3) -> float:
-    """Mean per-query latency of the search engine (the WS baseline)."""
+def measure_web_search_latency(engine, queries: Sequence[str]) -> float:
+    """Mean per-query latency of the search engine (the WS baseline), over
+    three passes of ``queries``."""
     if not queries:
         raise ConfigurationError("need at least one query")
     start = time.perf_counter()
     count = 0
-    for _ in range(repeats):
+    for _ in range(3):
         for query in queries:
             engine.search(query)
             count += 1

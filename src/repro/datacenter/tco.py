@@ -27,19 +27,19 @@ from repro.platforms.spec import (
 )
 
 HOURS_PER_MONTH = 730.0
+DC_DEPRECIATION_YEARS = 12.0
+SERVER_OPEX_FRACTION_PER_YEAR = 0.05
 
 
 @dataclass(frozen=True)
 class TCOParameters:
-    """Table 7, verbatim (money/watt figures live in :mod:`platforms.spec`)."""
+    """The Table 7 figures a TCO sweep varies (money/watt figures live in
+    :mod:`platforms.spec`; the datacenter's depreciation and the server opex
+    are ``DC_DEPRECIATION_YEARS`` and ``SERVER_OPEX_FRACTION_PER_YEAR``)."""
 
-    dc_depreciation_years: float = 12.0
     server_depreciation_years: float = 3.0
     average_utilization: float = 0.45
     electricity_cost_per_kwh: float = ELECTRICITY_COST_PER_KWH
-    dc_price_per_watt: float = DC_PRICE_PER_WATT
-    dc_opex_per_watt_month: float = DC_OPEX_PER_WATT_MONTH
-    server_opex_fraction_per_year: float = 0.05
     pue: float = 1.1
 
     def __post_init__(self) -> None:
@@ -81,10 +81,10 @@ class TCOModel:
             raise ConfigurationError("price and watts must be positive")
         p = self.parameters
         peak_watts = watts * p.pue
-        dc_capex = p.dc_price_per_watt * peak_watts / (p.dc_depreciation_years * 12.0)
-        dc_opex = p.dc_opex_per_watt_month * peak_watts
+        dc_capex = DC_PRICE_PER_WATT * peak_watts / (DC_DEPRECIATION_YEARS * 12.0)
+        dc_opex = DC_OPEX_PER_WATT_MONTH * peak_watts
         server_capex = price / (p.server_depreciation_years * 12.0)
-        server_opex = price * p.server_opex_fraction_per_year / 12.0
+        server_opex = price * SERVER_OPEX_FRACTION_PER_YEAR / 12.0
         average_kw = watts * p.pue * p.average_utilization / 1000.0
         energy = average_kw * HOURS_PER_MONTH * p.electricity_cost_per_kwh
         return TCOBreakdown(dc_capex, dc_opex, server_capex, server_opex, energy)

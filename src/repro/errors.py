@@ -103,19 +103,9 @@ class CircuitOpenError(ServiceError):
 
 
 class InjectedFaultError(ServiceError):
-    """A deterministic fault injected by :class:`repro.serving.faults.FaultInjector`.
-
-    The default code is ``INJECTED``; a :class:`~repro.serving.faults.FaultRule`
-    may override it per rule so chaos tests can assert exactly which injected
-    failure surfaced where.
-    """
+    """A deterministic fault injected by :class:`repro.serving.faults.FaultInjector`."""
 
     code = "INJECTED"
-
-    def __init__(self, message: str, service: str = "", code: str = ""):
-        super().__init__(message, service=service)
-        if code:
-            self.code = code
 
 
 class AdmissionError(ServiceError):

@@ -20,7 +20,9 @@ from repro.imm.image import Image
 from repro.obs.counters import record_work
 from repro.imm.integral import PaddedIntegral, integral_image
 
-#: Default filter-size ladder (pixels).  9 -> scale 1.2, SURF's base.
+#: The box-filter ladder (pixels): odd multiples of 3 from 9 up, strictly
+#: ascending, so consecutive triples form the scale-NMS octaves.  9 -> scale
+#: 1.2, SURF's base.
 DEFAULT_FILTER_SIZES = (9, 15, 21, 27, 39, 51)
 
 
@@ -135,15 +137,13 @@ def _centre_rows(
 
 
 class FastHessianDetector:
-    """Multi-scale keypoint detector.
+    """Multi-scale keypoint detector over the ``DEFAULT_FILTER_SIZES`` ladder.
 
     Parameters
     ----------
     threshold:
         Minimum determinant response, finite and >= 0 (a negative one
         would admit saddle points); lower finds more keypoints.
-    filter_sizes:
-        Ladder of box-filter sizes; consecutive triples form NMS octaves.
     max_keypoints:
         Keep only the strongest N (None keeps all).
     """
@@ -151,22 +151,14 @@ class FastHessianDetector:
     def __init__(
         self,
         threshold: float = 1e-4,
-        filter_sizes: Sequence[int] = DEFAULT_FILTER_SIZES,
         max_keypoints: Optional[int] = 200,
     ):
-        sizes = tuple(filter_sizes)
-        if len(sizes) < 3:
-            raise ImageError("need at least three filter sizes for scale NMS")
-        if any(size % 2 == 0 or size < 9 or size % 3 != 0 for size in sizes):
-            raise ImageError("filter size must be an odd multiple of 3, >= 9")
-        if any(lower >= upper for lower, upper in zip(sizes, sizes[1:])):
-            raise ImageError("filter sizes must be strictly ascending for scale NMS")
         if max_keypoints is not None and max_keypoints < 0:
             raise ImageError("max_keypoints must be None or >= 0")
         if not 0.0 <= threshold < math.inf:
             raise ImageError("threshold must be finite and >= 0")
         self.threshold = threshold
-        self.filter_sizes = sizes
+        self.filter_sizes = DEFAULT_FILTER_SIZES
         self.max_keypoints = max_keypoints
 
     def detect(self, image: Image, ii: Optional[np.ndarray] = None) -> List[Keypoint]:

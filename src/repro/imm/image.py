@@ -67,6 +67,13 @@ def _edges(extent: int, step: int) -> List[int]:
     return edges
 
 
+#: How far a query view strays from its scene: pixels of shift each way,
+#: the standard deviation of pixel noise, and the brightness offset bound.
+QUERY_SHIFT = 2
+QUERY_NOISE = 0.02
+QUERY_BRIGHTNESS = 0.05
+
+
 class SceneGenerator:
     """Deterministic synthetic scene factory."""
 
@@ -113,14 +120,16 @@ class SceneGenerator:
     def scenes(self, count: int) -> List[Image]:
         return [self.scene(index) for index in range(count)]
 
-    def query_for(self, index: int, noise: float = 0.02, shift: int = 2,
-                  brightness: float = 0.05, seed: int = 77) -> Image:
-        """A perturbed view of scene ``index`` (the camera-captured query)."""
+    def query_for(self, index: int, seed: int = 77) -> Image:
+        """A perturbed view of scene ``index`` (the camera-captured query):
+        shifted up to ``QUERY_SHIFT`` pixels each way, with Gaussian pixel
+        noise of ``QUERY_NOISE`` and a brightness offset within
+        ±``QUERY_BRIGHTNESS``."""
         rng = np.random.default_rng(seed * 31 + index)
         base = self.scene(index).pixels
-        dy = int(rng.integers(-shift, shift + 1))
-        dx = int(rng.integers(-shift, shift + 1))
+        dy = int(rng.integers(-QUERY_SHIFT, QUERY_SHIFT + 1))
+        dx = int(rng.integers(-QUERY_SHIFT, QUERY_SHIFT + 1))
         shifted = np.roll(np.roll(base, dy, axis=0), dx, axis=1)
-        perturbed = shifted + rng.normal(0.0, noise, base.shape)
-        perturbed += rng.uniform(-brightness, brightness)
+        perturbed = shifted + rng.normal(0.0, QUERY_NOISE, base.shape)
+        perturbed += rng.uniform(-QUERY_BRIGHTNESS, QUERY_BRIGHTNESS)
         return Image(np.clip(perturbed, 0.0, 1.0), name=f"query-{index}")

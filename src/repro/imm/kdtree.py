@@ -26,12 +26,14 @@ from repro.errors import ImageError
 #: every node's bound and the (queries, leaves, rows, dims) gather; one query
 #: image's descriptors fit in one chunk.
 _CHUNK_ELEMENTS = 1 << 19
+#: Most points a leaf holds.
+LEAF_SIZE = 8
 
 
-def _split(data: np.ndarray, rows: np.ndarray, leaf_size: int):
+def _split(data: np.ndarray, rows: np.ndarray):
     """(axis, value, left mask) splitting ``rows`` at the median of the
     widest axis, or None when they make a leaf."""
-    if len(rows) <= leaf_size:
+    if len(rows) <= LEAF_SIZE:
         return None
     subset = data[rows]
     axis = int(np.argmax(subset.var(axis=0)))
@@ -62,18 +64,15 @@ class KDTree:
     ----------
     data:
         (N, D) float matrix; rows are indexed 0..N-1 in query results.
-    leaf_size:
-        Maximum points per leaf.
+
+    A leaf holds at most ``LEAF_SIZE`` points.
     """
 
-    def __init__(self, data: np.ndarray, leaf_size: int = 8):
+    def __init__(self, data: np.ndarray):
         data = np.atleast_2d(np.asarray(data, dtype=float))
         if data.size == 0:
             raise ImageError("cannot build a k-d tree over no data")
-        if leaf_size < 1:
-            raise ImageError("leaf_size must be >= 1")
         self.data = data
-        self.leaf_size = leaf_size
 
         # Nodes breadth-first from the root (node 0); two ids follow the
         # last node, the root-path padding and the frontier padding.  A
@@ -85,7 +84,7 @@ class KDTree:
         leaf_nodes: List[int] = []
         node = 0
         while node < len(members):
-            chosen = _split(data, members[node], leaf_size)
+            chosen = _split(data, members[node])
             if chosen is None:
                 leaf_nodes.append(node)
             else:
@@ -135,28 +134,17 @@ class KDTree:
             self._rows[leaf, : len(members[node])] = members[node]
         self._padded = np.vstack([data, np.full((1, data.shape[1]), np.inf)])
 
-    def query(
-        self, vector: np.ndarray, k: int = 1, max_checks: Optional[int] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(distances, indices) of up to ``k`` nearest rows, nearest first.
-
-        ``max_checks`` (>= 1) bounds how many leaf points are examined
-        (best-bin-first approximation); None searches exactly.  The result is the
-        ``k`` rows smallest by (distance, row index) among those a heap-
-        driven best-bin-first walk examines: when more than ``k`` of them tie
-        at the k-th distance, the lowest row indices win.  A one-row
-        :meth:`query_batch`.
-        """
-        vector = np.asarray(vector, dtype=float).ravel()
-        distances, indices = self.query_batch(vector[None, :], k, max_checks)
-        found = indices[0] >= 0
-        return distances[0, found], indices[0, found]
-
     def query_batch(
         self, queries: np.ndarray, k: int = 1, max_checks: Optional[int] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """(distances, indices), each (Q, k): :meth:`query` for every row.
+        """(distances, indices), each (Q, k): up to ``k`` nearest rows for
+        every query row, nearest first.
 
+        ``max_checks`` (>= 1) bounds how many leaf points are examined
+        (best-bin-first approximation); None searches exactly.  The result is
+        the ``k`` rows smallest by (distance, row index) among those a heap-
+        driven best-bin-first walk examines: when more than ``k`` of them tie
+        at the k-th distance, the lowest row indices win.
         Row q is query q's result, padded with distance ``inf`` and index -1
         where fewer than ``k`` rows were examined.
 

@@ -59,7 +59,6 @@ class AnnMatcher:
         database: np.ndarray,
         ratio: float = 0.8,
         max_checks: Optional[int] = 64,
-        leaf_size: int = 8,
     ):
         if not 0 < ratio <= 1:
             raise ImageError("ratio must be in (0, 1]")
@@ -68,7 +67,7 @@ class AnnMatcher:
         self.database = np.atleast_2d(database)
         self.ratio = ratio
         self.max_checks = max_checks
-        self.tree = KDTree(self.database, leaf_size=leaf_size)
+        self.tree = KDTree(self.database)
 
     def match(self, query: np.ndarray) -> List[DescriptorMatch]:
         """Ratio-tested matches for each query descriptor, from one batched search.

@@ -34,8 +34,8 @@ class Surf:
     :meth:`describe`, the same call ``imm.fd`` makes.
     """
 
-    def __init__(self, detector: Optional[FastHessianDetector] = None):
-        self.detector = detector if detector is not None else FastHessianDetector()
+    def __init__(self):
+        self.detector = FastHessianDetector()
 
     def extract_keypoints(self, image: Image, ii: Optional[np.ndarray] = None) -> List[Keypoint]:
         """Feature Extraction (FE): keypoints only."""

@@ -423,15 +423,14 @@ def _ms(seconds: float) -> str:
 
 
 def format_critical_path_report(
-    spans: Sequence[Span], quantile: float = 0.99, paths: int = 3
+    spans: Sequence[Span], quantile: float = 0.99
 ) -> str:
     """The ``repro trace-report --critical-path`` text.
 
     Deterministic: on a timing-stripped export every number is a pure
     function of the run's seed, so the text is byte-identical across
-    execution backends.  ``paths`` caps how many individual critical paths
-    are printed (slowest traces first); the attribution tables always
-    cover the whole forest.
+    execution backends.  The three slowest traces' critical paths are
+    printed; the attribution tables always cover the whole forest.
     """
     analyses = analyze_forest(spans)
     queries = [a for a in analyses if a.root.kind == QUERY] or analyses
@@ -481,7 +480,7 @@ def format_critical_path_report(
 
     slowest = sorted(
         queries, key=lambda a: (-a.total_seconds, sort_key(a.root))
-    )[: max(paths, 0)]
+    )[:3]
     for analysis in slowest:
         steps = " -> ".join(
             f"{span.name}" + (f" [{span.service}]" if span.service else "")

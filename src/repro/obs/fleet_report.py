@@ -33,13 +33,7 @@ from repro.obs.sampling import (
     summarize_forest,
     summarize_outcomes,
 )
-from repro.obs.slo import (
-    BurnRateAlert,
-    DEFAULT_ALERTS,
-    SLODefinition,
-    SLOStatus,
-    evaluate_slos,
-)
+from repro.obs.slo import SLODefinition, SLOStatus, evaluate_slos
 from repro.obs.timeseries import (
     ARRIVALS_METRIC,
     ASSIGNMENTS_METRIC,
@@ -57,6 +51,10 @@ from repro.obs.timeseries import (
 
 #: Report schema tag for the ``--json`` output.
 SCHEMA = "repro.fleet-report/v1"
+#: The fleet size the sampling bill is extrapolated to (queries).
+TARGET_QUERIES = 1_000_000
+#: Burn-rate firings listed per SLO before the rest are counted.
+MAX_FIRINGS = 8
 
 
 @dataclass(frozen=True)
@@ -83,8 +81,6 @@ def report_from_replay(
     sample_seed: int = 0,
     trace_seed: int = 0,
     slos: Optional[Sequence[SLODefinition]] = None,
-    alerts: Sequence[BurnRateAlert] = DEFAULT_ALERTS,
-    target_queries: int = 1_000_000,
 ) -> FleetReport:
     """Evaluate a :class:`~repro.serving.cluster.replay.ReplayResult`."""
     rollups = result.rollups()
@@ -96,9 +92,9 @@ def report_from_replay(
     return FleetReport(
         source="replay",
         rollups=rollups,
-        slos=evaluate_slos(rollups, slos, alerts=alerts),
+        slos=evaluate_slos(rollups, slos),
         sampling=stats,
-        extrapolated=stats.extrapolate(target_queries) if summaries else None,
+        extrapolated=stats.extrapolate(TARGET_QUERIES) if summaries else None,
         replica_timeline=tuple(result.replica_timeline),
         cost=fleet_cost_panel(
             ledger_from_replay(result),
@@ -115,8 +111,6 @@ def report_from_spans(
     top_k: int = 8,
     sample_seed: int = 0,
     slos: Optional[Sequence[SLODefinition]] = None,
-    alerts: Sequence[BurnRateAlert] = DEFAULT_ALERTS,
-    target_queries: int = 1_000_000,
 ) -> FleetReport:
     """Evaluate a span forest (ordinal clock; deterministic fields only)."""
     rollups = rollups_from_spans(spans, window=window)
@@ -128,9 +122,9 @@ def report_from_spans(
     return FleetReport(
         source="spans",
         rollups=rollups,
-        slos=evaluate_slos(rollups, slos, alerts=alerts),
+        slos=evaluate_slos(rollups, slos),
         sampling=stats,
-        extrapolated=stats.extrapolate(target_queries) if summaries else None,
+        extrapolated=stats.extrapolate(TARGET_QUERIES) if summaries else None,
         # Priced without the measured router waits, so the panel stays
         # equal across backends like the rest; `trace-report`'s ledger
         # prices them.
@@ -301,7 +295,7 @@ def _cost_rows(report: FleetReport) -> List[List[str]]:
     return rows
 
 
-def render_fleet_report(report: FleetReport, max_firings: int = 8) -> str:
+def render_fleet_report(report: FleetReport) -> str:
     """The deterministic text dashboard."""
     sections = [
         format_table("Fleet overview", ["Metric", "Value"],
@@ -334,15 +328,15 @@ def render_fleet_report(report: FleetReport, max_firings: int = 8) -> str:
         ))
         firing_lines = []
         for status in report.slos:
-            for firing in status.firings[:max_firings]:
+            for firing in status.firings[:MAX_FIRINGS]:
                 firing_lines.append(
                     f"  [{firing.alert}] {status.slo.name} at window "
                     f"{firing.window}: long {firing.long_burn:.1f}x / "
                     f"short {firing.short_burn:.1f}x budget"
                 )
-            if len(status.firings) > max_firings:
+            if len(status.firings) > MAX_FIRINGS:
                 firing_lines.append(
-                    f"  ... {len(status.firings) - max_firings} more "
+                    f"  ... {len(status.firings) - MAX_FIRINGS} more "
                     f"{status.slo.name} firings"
                 )
         if firing_lines:

@@ -26,7 +26,7 @@ watt/joule/dollar numeric literals are flagged everywhere outside
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.datacenter.tco import (
     HOURS_PER_MONTH,
@@ -65,35 +65,24 @@ def watt_ratio(platform: str) -> float:
     return spec(platform).tdp_watts / spec(CMP).tdp_watts
 
 
-def server_tco_breakdown(
-    platform: str, parameters: Optional[TCOParameters] = None
-) -> TCOBreakdown:
-    """Monthly itemized TCO of one ``platform``-equipped server."""
-    model = TCOModel(parameters) if parameters is not None else TCOModel()
-    return model.platform_breakdown(platform)
+def server_tco_breakdown(platform: str) -> TCOBreakdown:
+    """Monthly itemized TCO of one ``platform``-equipped server (Table 7)."""
+    return TCOModel().platform_breakdown(platform)
 
 
-def monthly_server_tco(
-    platform: str, parameters: Optional[TCOParameters] = None
-) -> float:
+def monthly_server_tco(platform: str) -> float:
     """Monthly all-in dollars for one ``platform``-equipped server."""
-    return server_tco_breakdown(platform, parameters).total
+    return server_tco_breakdown(platform).total
 
 
-def dollars_per_server_second(
-    platform: str, parameters: Optional[TCOParameters] = None
-) -> float:
+def dollars_per_server_second(platform: str) -> float:
     """The TCO-amortized rate one provisioned server-second costs."""
-    return monthly_server_tco(platform, parameters) / (
-        HOURS_PER_MONTH * SECONDS_PER_HOUR
-    )
+    return monthly_server_tco(platform) / (HOURS_PER_MONTH * SECONDS_PER_HOUR)
 
 
-def electricity_dollars_per_joule(
-    parameters: Optional[TCOParameters] = None,
-) -> float:
-    """Electricity-only rate per *served* joule, PUE-burdened."""
-    p = parameters if parameters is not None else TCOParameters()
+def electricity_dollars_per_joule() -> float:
+    """Electricity-only rate per *served* joule, PUE-burdened (Table 7)."""
+    p = TCOParameters()
     return p.electricity_cost_per_kwh * p.pue / JOULES_PER_KWH
 
 
@@ -109,13 +98,9 @@ def energy_microjoules(platform: str, seconds: float) -> int:
     return int(round(seconds * PLATFORM_WATTS[platform] * MICROJOULES_PER_JOULE))
 
 
-def electricity_dollars(
-    microjoules: int, parameters: Optional[TCOParameters] = None
-) -> float:
+def electricity_dollars(microjoules: int) -> float:
     """Electricity-only dollars for an integer-microjoule energy total."""
-    return (
-        microjoules / MICROJOULES_PER_JOULE
-    ) * electricity_dollars_per_joule(parameters)
+    return (microjoules / MICROJOULES_PER_JOULE) * electricity_dollars_per_joule()
 
 
 __all__ = [

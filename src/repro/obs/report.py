@@ -51,16 +51,13 @@ from repro.obs.trace import (
 
 #: Attributes surfaced inline in the waterfall, in display order.
 _WATERFALL_ATTRIBUTES = (
-    "attempts", "virtual_seconds", "fault.kind", "fault.code",
+    "attempts", "virtual_seconds", "fault.kind",
     "breaker", "rejected", "wasted", "degraded", "failed", "query_type",
     "partial_index", "chars", "chunks", "endpointed",
 )
 
 
-def metrics_from_spans(
-    spans: Sequence[Span],
-    store: Optional[RollupStore] = None,
-) -> RollupStore:
+def metrics_from_spans(spans: Sequence[Span]) -> RollupStore:
     """Record a span forest's *measured* latencies on the ordinal clock.
 
     Query spans feed ``serve.e2e.seconds`` and ``serve.queries{status}``;
@@ -69,7 +66,7 @@ def metrics_from_spans(
     minus the query root's start).  Attempt/section spans are structure,
     not samples — retries would double-count their stage.
     """
-    store = store if store is not None else RollupStore()
+    store = RollupStore()
     query_starts: Dict[str, Tuple[float, float]] = {}
     first_partial: Dict[str, float] = {}
     for span in spans:
@@ -193,22 +190,19 @@ def format_service_summary(store: RollupStore, title: str = "Latency summary") -
     return table
 
 
-def format_mm1_comparison(
-    store: RollupStore,
-    load: float,
-    seed: int = 7,
-    title: str = "Measured vs M/M/1 prediction",
-) -> str:
+def format_mm1_comparison(store: RollupStore, load: float) -> str:
     """Empirical-distribution queueing vs the analytic M/M/1 model (Fig 17).
 
     For each latency series with samples, replays Poisson arrivals through
     one replica at utilization ``load`` drawing service times from the
     *measured* distribution, and prints its p95/p99 next to the M/M/1
     prediction parameterized by the measured mean — the Figure 8/17 bridge.
+    The replay is seeded 7 and its sampler 8.
     """
     # Imported here: the serving layer imports this package.
     from repro.serving.cluster.replay import replay_cluster
 
+    seed, title = 7, "Measured vs M/M/1 prediction"
     rows: List[List[str]] = []
     for name, panel in _series_panels(store.snapshot()):
         mean = panel.mean

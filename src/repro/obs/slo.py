@@ -69,9 +69,8 @@ class SLODefinition:
 def default_slos(
     e2e_threshold: float = 2.5,
     ttfp_threshold: float = 0.5,
-    availability_target: float = 0.999,
 ) -> Tuple[SLODefinition, ...]:
-    """The fleet's stock objectives: availability, e2e p99, TTFP p95.
+    """The fleet's stock objectives: availability (99.9%), e2e p99, TTFP p95.
 
     Latency targets encode the percentile: "e2e p99 under the threshold"
     is a 0.99 target on the fraction of queries beating the threshold;
@@ -79,7 +78,7 @@ def default_slos(
     """
     return (
         SLODefinition(
-            name="availability", kind=AVAILABILITY, target=availability_target,
+            name="availability", kind=AVAILABILITY, target=0.999,
             metric=QUERIES_METRIC,
         ),
         SLODefinition(
@@ -259,9 +258,9 @@ def _firings(
 def evaluate_slo(
     snapshot: RollupSnapshot,
     slo: SLODefinition,
-    alerts: Sequence[BurnRateAlert] = DEFAULT_ALERTS,
 ) -> SLOStatus:
-    """Evaluate one objective over a rollup snapshot's full horizon."""
+    """Evaluate one objective over a rollup snapshot's full horizon, firing
+    the ``DEFAULT_ALERTS``."""
     if slo.kind == AVAILABILITY:
         windows = _availability_windows(snapshot, slo)
     else:
@@ -273,14 +272,13 @@ def evaluate_slo(
         windows=tuple(windows),
         good=good,
         bad=bad,
-        firings=tuple(_firings(windows, slo.budget, alerts)),
+        firings=tuple(_firings(windows, slo.budget, DEFAULT_ALERTS)),
     )
 
 
 def evaluate_slos(
     snapshot: RollupSnapshot,
     slos: Optional[Sequence[SLODefinition]] = None,
-    alerts: Sequence[BurnRateAlert] = DEFAULT_ALERTS,
 ) -> Tuple[SLOStatus, ...]:
     """Evaluate objectives (default set when none given) with data present.
 
@@ -291,7 +289,7 @@ def evaluate_slos(
     chosen = tuple(slos) if slos is not None else default_slos()
     present = set(snapshot.metrics())
     return tuple(
-        evaluate_slo(snapshot, slo, alerts=alerts)
+        evaluate_slo(snapshot, slo)
         for slo in chosen
         if slo.metric in present
     )

@@ -17,7 +17,7 @@ derivation — not the silicon — is what is being reproduced (see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict
 
 from repro.errors import ConfigurationError
 from repro.platforms.spec import CMP, PLATFORMS, spec
@@ -44,7 +44,6 @@ class AcceleratorModel:
     baseline_latency: Dict[str, float] = field(
         default_factory=lambda: dict(DEFAULT_BASELINE_LATENCY)
     )
-    fractions: Optional[Mapping[str, Mapping[str, float]]] = None
 
     def __post_init__(self) -> None:
         for service, latency in self.baseline_latency.items():
@@ -54,7 +53,7 @@ class AcceleratorModel:
     # -- Figure 14 -------------------------------------------------------------
 
     def speedup(self, service: str, platform: str) -> float:
-        return service_speedup(service, platform, self.fractions)
+        return service_speedup(service, platform)
 
     def latency(self, service: str, platform: str) -> float:
         """Accelerated query latency for one service on one platform."""

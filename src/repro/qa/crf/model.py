@@ -52,15 +52,15 @@ def record_decode_work(length: int, n_tags: int) -> None:
 class LinearChainCRF:
     """A trained (or trainable) linear-chain CRF over the fixed POS tagset."""
 
-    def __init__(self, feature_map: FeatureMap | None = None, n_tags: int = N_TAGS):
-        self.feature_map = feature_map if feature_map is not None else FeatureMap()
-        self.n_tags = n_tags
+    def __init__(self):
+        self.feature_map = FeatureMap()
+        self.n_tags = N_TAGS
         # Emission weights grow with the feature map; the table ends in one
         # extra all-zero row, so id -1 pads a ragged feature-id matrix.
-        self._emission = np.zeros((1, n_tags))
-        self.transition = np.zeros((n_tags, n_tags))
-        self.start = np.zeros(n_tags)
-        self.end = np.zeros(n_tags)
+        self._emission = np.zeros((1, N_TAGS))
+        self.transition = np.zeros((N_TAGS, N_TAGS))
+        self.start = np.zeros(N_TAGS)
+        self.end = np.zeros(N_TAGS)
 
     # -- parameter plumbing ---------------------------------------------------
 
@@ -227,7 +227,7 @@ class LinearChainCRF:
         tokens: Sequence[str],
         tags: Sequence[int],
         learning_rate: float,
-        l2: float = 0.0,
+        l2: float,
     ) -> float:
         """One stochastic gradient ascent step on the conditional likelihood.
 

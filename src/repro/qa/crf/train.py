@@ -18,6 +18,13 @@ from repro.qa.crf.features import extract_ids
 from repro.qa.crf.model import LinearChainCRF
 from repro.qa.crf.tagset import TAG_TO_ID
 
+#: Training schedule: passes over the corpus, initial step, L2 penalty and
+#: the seed of the per-epoch shuffle.
+EPOCHS = 5
+LEARNING_RATE = 0.1
+L2 = 1e-4
+SEED = 13
+
 #: Per-tag vocabulary used by the sentence templates.
 VOCABULARY = {
     "NOUN": [
@@ -97,21 +104,18 @@ class TrainResult:
     final_log_likelihood: float
 
 
-def train_crf(
-    corpus: Sequence[TaggedSentence],
-    epochs: int = 5,
-    learning_rate: float = 0.1,
-    l2: float = 1e-4,
-    seed: int = 13,
-) -> TrainResult:
-    """Train a CRF by per-sentence stochastic gradient ascent.
+def train_crf(corpus: Sequence[TaggedSentence]) -> TrainResult:
+    """Train a CRF by per-sentence stochastic gradient ascent: ``EPOCHS``
+    shuffled passes (seeded ``SEED``) at ``LEARNING_RATE``, decaying
+    1/(1 + epoch/2), with L2 penalty ``L2``.
 
-    The learning rate decays 1/(1 + epoch/2); the feature map is frozen after
-    training.  A sentence's features are interned on its first visit and the
-    id lists reused by every later epoch.
+    The feature map is frozen after training.  A sentence's features are
+    interned on its first visit and the id lists reused by every later
+    epoch.
     """
+    epochs, learning_rate, l2 = EPOCHS, LEARNING_RATE, L2
     model = LinearChainCRF()
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     order = list(range(len(corpus)))
     examples: Dict[int, Tuple[List[List[int]], List[int]]] = {}
     total = 0.0

@@ -8,9 +8,9 @@ supplies part-of-speech evidence, exactly the role it plays in OpenEphyra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.qa.crf import LinearChainCRF, default_model
+from repro.qa.crf import default_model
 from repro.qa.question import DATE, GENERIC, LOCATION, NUMBER, PERSON
 from repro.qa.tokenizer import tokenize_keep_case
 from repro.regex import Pattern
@@ -62,9 +62,9 @@ def _proper_noun_runs(tokens: Sequence[str], tags: Sequence[str]) -> List[str]:
 def extract_candidates(
     sentence: str,
     answer_type: str,
-    tagger: Optional[LinearChainCRF] = None,
 ) -> List[Candidate]:
-    """All candidates of ``answer_type`` present in ``sentence``.
+    """All candidates of ``answer_type`` present in ``sentence``, tagged by
+    the default CRF.
 
     Sentence-initial capitalized words are kept only when the CRF also calls
     them PROPN, which suppresses ordinary sentence-start capitals.
@@ -72,8 +72,7 @@ def extract_candidates(
     tokens = tokenize_keep_case(sentence)
     if not tokens:
         return []
-    tagger = tagger if tagger is not None else default_model()
-    return typed_candidates(sentence, tokens, tagger.decode(tokens), answer_type)
+    return typed_candidates(sentence, tokens, default_model().decode(tokens), answer_type)
 
 
 def typed_candidates(

@@ -35,10 +35,12 @@ ENTITY_PATTERNS: List[Pattern] = [
 class FilterStats:
     """Hit counters per filter, accumulated over one question."""
 
-    sentence_hits: int = 0     # sentences passing the keyword filter
-    regex_hits: int = 0        # entity-pattern matches inside those sentences
-    candidate_hits: int = 0    # typed answer candidates extracted
-    documents_seen: int = 0
+    #: Sentences passing the keyword filter, entity-pattern matches inside
+    #: them, typed answer candidates extracted, and documents filtered.
+    sentence_hits: int = field(default=0, init=False)
+    regex_hits: int = field(default=0, init=False)
+    candidate_hits: int = field(default=0, init=False)
+    documents_seen: int = field(default=0, init=False)
 
     @property
     def total_hits(self) -> int:
@@ -60,12 +62,8 @@ class FilteredSentence:
 
 
 class KeywordOverlapFilter:
-    """Selects document sentences sharing stemmed content terms with the question."""
-
-    def __init__(self, min_overlap: int = 1):
-        if min_overlap < 1:
-            raise ValueError("min_overlap must be >= 1")
-        self.min_overlap = min_overlap
+    """Selects document sentences sharing at least one stemmed content term
+    with the question."""
 
     def apply(
         self, question: AnalyzedQuestion, document: Document, stats: FilterStats
@@ -74,24 +72,21 @@ class KeywordOverlapFilter:
         selected: List[FilteredSentence] = []
         for sentence in document.sentences:
             overlap = len(terms & question.stems.stems_of(sentence))
-            if overlap >= self.min_overlap:
+            if overlap:
                 selected.append(FilteredSentence(sentence, overlap))
                 stats.sentence_hits += 1
         return selected
 
 
 class RegexEntityFilter:
-    """Counts entity-shape matches; sentences with no entities are dropped."""
-
-    def __init__(self, patterns: Optional[Sequence[Pattern]] = None):
-        self.patterns = list(patterns) if patterns is not None else list(ENTITY_PATTERNS)
+    """Counts ``ENTITY_PATTERNS`` matches; sentences with no entities are dropped."""
 
     def apply(
         self, filtered: List[FilteredSentence], stats: FilterStats
     ) -> List[FilteredSentence]:
         surviving: List[FilteredSentence] = []
         for item in filtered:
-            matches = sum(pattern.count(item.text) for pattern in self.patterns)
+            matches = sum(pattern.count(item.text) for pattern in ENTITY_PATTERNS)
             stats.regex_hits += matches
             if matches > 0:
                 surviving.append(item)
@@ -147,11 +142,13 @@ class CandidateExtractionFilter:
 class FilterPipeline:
     """The filter chain used by the QA engine, over all of a question's documents."""
 
-    keyword_filter: KeywordOverlapFilter = field(default_factory=KeywordOverlapFilter)
-    regex_filter: RegexEntityFilter = field(default_factory=RegexEntityFilter)
     extraction_filter: CandidateExtractionFilter = field(
         default_factory=CandidateExtractionFilter
     )
+    keyword_filter: KeywordOverlapFilter = field(
+        default_factory=KeywordOverlapFilter, init=False
+    )
+    regex_filter: RegexEntityFilter = field(default_factory=RegexEntityFilter, init=False)
 
     def run(
         self,

@@ -55,7 +55,7 @@ class AnalyzedQuestion:
     #: Sentence text -> (tokens, CRF tags), filled by the extraction filter so a
     #: sentence several documents repeat is tagged once (not part of its value either).
     tagged: Dict[str, Tuple[List[str], List[str]]] = field(
-        default_factory=dict, compare=False, repr=False
+        default_factory=dict, init=False, compare=False, repr=False
     )
 
 

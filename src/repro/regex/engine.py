@@ -259,9 +259,9 @@ class Pattern:
 
     # -- public API -----------------------------------------------------------
 
-    def match(self, text: str, pos: int = 0) -> Optional[Match]:
-        """Match anchored at ``pos``; returns the longest such match or None."""
-        start, end = self._scan(text, pos, pos, searches=0)
+    def match(self, text: str) -> Optional[Match]:
+        """Match anchored at the start; returns the longest such match or None."""
+        start, end = self._scan(text, 0, 0, searches=0)
         return Match(start, end, text) if start >= 0 else None
 
     def fullmatch(self, text: str) -> Optional[Match]:

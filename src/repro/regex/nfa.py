@@ -43,7 +43,7 @@ class State:
     """One NFA state; ``transitions`` maps to (kind, payload, target)."""
 
     index: int
-    transitions: List["Transition"] = field(default_factory=list)
+    transitions: List["Transition"] = field(default_factory=list, init=False)
 
 
 @dataclass

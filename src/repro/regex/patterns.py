@@ -88,9 +88,10 @@ _NAMES = ["Barack Obama", "Harry Potter", "Ada Lovelace", "Alan Turing", "Grace 
 _DAYS = ["monday", "tuesday", "friday", "saturday", "sunday"]
 
 
-def build_sentences(count: int = 400, seed: int = 2015) -> List[str]:
-    """Generate ``count`` deterministic sentences mixing query and document text."""
-    rng = random.Random(seed)
+def build_sentences(count: int = 400) -> List[str]:
+    """Generate ``count`` deterministic sentences mixing query and document
+    text (seeded 2015)."""
+    rng = random.Random(2015)
     sentences = []
     for index in range(count):
         template = _SENTENCE_TEMPLATES[index % len(_SENTENCE_TEMPLATES)]

@@ -14,7 +14,7 @@ applies its decisions.
 - scale **up** whenever the observed p99 exceeds the SLO — always, no
   randomness, because reacting late to an SLO breach is the one
   unforgivable autoscaler sin;
-- scale **down** only when p99 has dropped below ``hysteresis * slo`` (the
+- scale **down** only when p99 has dropped below ``HYSTERESIS * slo`` (the
   classic dead-band that prevents flapping at the threshold) *and* a
   seeded per-tick coin agrees — the coin models the lazy, conservative
   downscaling real autoscalers use (scale-in is cheap to defer, expensive
@@ -36,6 +36,13 @@ SCALE_UP = "scale-up"
 SCALE_DOWN = "scale-down"
 HOLD = "hold"
 
+#: The fleet never scales in below one replica.
+MIN_REPLICAS = 1
+#: Scale-in dead-band: p99 must fall below this fraction of the SLO.
+HYSTERESIS = 0.8
+#: Chance the seeded coin lets an allowed scale-in happen.
+DOWN_PROBABILITY = 0.5
+
 
 @dataclass(frozen=True)
 class ScaleDecision:
@@ -55,41 +62,22 @@ class ScaleDecision:
 class AutoscalerPolicy:
     """Target-tail autoscaling with hysteresis and seeded lazy scale-in.
 
-    ``slo_p99`` is the latency target in seconds.  ``scale_up_step`` /
-    ``scale_down_step`` bound how many replicas one tick may add/remove
-    (step scaling, not target-tracking — deliberate, so a single noisy
-    tick cannot double the fleet).  ``hysteresis`` in (0, 1] sets the
-    scale-in dead-band; ``down_probability`` is the seeded coin's chance
-    of *actually* scaling in once the dead-band allows it.
+    ``slo_p99`` is the latency target in seconds and the fleet stays within
+    ``[MIN_REPLICAS, max_replicas]``.  One tick adds or removes at most one
+    replica (step scaling, not target-tracking — deliberate, so a single
+    noisy tick cannot double the fleet).  ``HYSTERESIS`` sets the scale-in
+    dead-band; ``DOWN_PROBABILITY`` is the seeded coin's chance of
+    *actually* scaling in once the dead-band allows it.
     """
 
-    def __init__(
-        self,
-        slo_p99: float,
-        min_replicas: int = 1,
-        max_replicas: int = 8,
-        scale_up_step: int = 1,
-        scale_down_step: int = 1,
-        hysteresis: float = 0.8,
-        down_probability: float = 0.5,
-    ):
+    def __init__(self, slo_p99: float, max_replicas: int = 8):
         if slo_p99 <= 0:
             raise ConfigurationError("slo_p99 must be > 0")
-        if not 1 <= min_replicas <= max_replicas:
-            raise ConfigurationError("need 1 <= min_replicas <= max_replicas")
-        if scale_up_step < 1 or scale_down_step < 1:
-            raise ConfigurationError("scale steps must be >= 1")
-        if not 0.0 < hysteresis <= 1.0:
-            raise ConfigurationError("hysteresis must be in (0, 1]")
-        if not 0.0 <= down_probability <= 1.0:
-            raise ConfigurationError("down_probability must be in [0, 1]")
+        if max_replicas < MIN_REPLICAS:
+            raise ConfigurationError("need max_replicas >= 1")
         self.slo_p99 = slo_p99
-        self.min_replicas = min_replicas
+        self.min_replicas = MIN_REPLICAS
         self.max_replicas = max_replicas
-        self.scale_up_step = scale_up_step
-        self.scale_down_step = scale_down_step
-        self.hysteresis = hysteresis
-        self.down_probability = down_probability
 
     def decide(
         self, tick: int, p99: float, n_replicas: int, seed: int = 0
@@ -98,7 +86,7 @@ class AutoscalerPolicy:
         if n_replicas < 1:
             raise ConfigurationError("n_replicas must be >= 1")
         if p99 > self.slo_p99:
-            target = min(n_replicas + self.scale_up_step, self.max_replicas)
+            target = min(n_replicas + 1, self.max_replicas)
             if target > n_replicas:
                 return ScaleDecision(
                     tick=tick, action=SCALE_UP, n_replicas=target, p99=p99,
@@ -115,15 +103,15 @@ class AutoscalerPolicy:
                     f"max_replicas={self.max_replicas}"
                 ),
             )
-        floor = self.hysteresis * self.slo_p99
+        floor = HYSTERESIS * self.slo_p99
         if p99 < floor and n_replicas > self.min_replicas:
             coin = random.Random(f"{seed}:{tick}:scale")
-            if coin.random() < self.down_probability:
-                target = max(n_replicas - self.scale_down_step, self.min_replicas)
+            if coin.random() < DOWN_PROBABILITY:
+                target = max(n_replicas - 1, self.min_replicas)
                 return ScaleDecision(
                     tick=tick, action=SCALE_DOWN, n_replicas=target, p99=p99,
                     reason=(
-                        f"p99 {p99 * 1000:.1f}ms < {self.hysteresis:.0%} of "
+                        f"p99 {p99 * 1000:.1f}ms < {HYSTERESIS:.0%} of "
                         f"SLO: {n_replicas} -> {target} replicas"
                     ),
                 )

@@ -86,9 +86,10 @@ class Cluster:
     ``executors`` are the replicas (index = replica id).  ``policy`` may be
     a registry name or a :class:`~repro.serving.cluster.router.
     RoutingPolicy` instance; ``admission`` is optional seeded load
-    shedding.  ``window`` sizes the assignment-count load signal (default:
-    four outstanding queries per replica).  ``metrics`` and ``rollups``
-    are optional :class:`~repro.obs.timeseries.RollupStore` instances,
+    shedding.  The assignment-count load signal spans the last four
+    assignments per replica.  ``metrics`` and ``rollups`` are optional
+    :class:`~repro.obs.timeseries.RollupStore` instances (attach them by
+    assignment; both start ``None``),
     both recorded parent-side after each stream on the ordinal clock, so
     the numbers are complete even when replicas ran in forked workers.
     ``metrics`` holds what was *measured*: e2e/stage seconds and outcomes
@@ -106,9 +107,6 @@ class Cluster:
         policy: Union[str, RoutingPolicy] = POWER_OF_TWO,
         seed: int = 0,
         admission: Optional[AdmissionControl] = None,
-        metrics: Optional[RollupStore] = None,
-        window: Optional[int] = None,
-        rollups: Optional[RollupStore] = None,
     ):
         if not executors:
             raise ConfigurationError("a cluster needs >= 1 replica executor")
@@ -116,11 +114,9 @@ class Cluster:
         self.policy = policy if isinstance(policy, RoutingPolicy) else get_policy(policy)
         self.seed = seed
         self.admission = admission
-        self.metrics = metrics
-        self.rollups = rollups
-        self.window = window if window is not None else 4 * len(self.executors)
-        if self.window < 1:
-            raise ConfigurationError("window must be >= 1")
+        self.metrics: Optional[RollupStore] = None
+        self.rollups: Optional[RollupStore] = None
+        self.window = 4 * len(self.executors)
 
     @property
     def n_replicas(self) -> int:
@@ -292,11 +288,8 @@ def build_cluster(
     policy: Union[str, RoutingPolicy] = POWER_OF_TWO,
     seed: int = 0,
     admission: Optional[AdmissionControl] = None,
-    metrics: Optional[RollupStore] = None,
     trace_seed: Optional[int] = None,
-    imm_top_k: int = 3,
     fault_plan=None,
-    rollups: Optional[RollupStore] = None,
 ) -> Cluster:
     """Assemble a sharded fleet from one built pipeline's components.
 
@@ -338,7 +331,7 @@ def build_cluster(
             ASR: AsrService(pipeline.decoder),
             CLASSIFY: ClassifierService(pipeline.classifier),
             QA: ShardedQaService(qa_shards, fault_plan=fault_plan),
-            IMM: ShardedImmService(imm_shards, top_k=imm_top_k, fault_plan=fault_plan),
+            IMM: ShardedImmService(imm_shards, fault_plan=fault_plan),
         }
         if fault_plan is not None:
             services = {
@@ -346,11 +339,4 @@ def build_cluster(
                 for name, service in services.items()
             }
         executors.append(PlanExecutor(services, trace_seed=trace_seed))
-    return Cluster(
-        executors,
-        policy=policy,
-        seed=seed,
-        admission=admission,
-        metrics=metrics,
-        rollups=rollups,
-    )
+    return Cluster(executors, policy=policy, seed=seed, admission=admission)

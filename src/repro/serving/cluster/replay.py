@@ -67,6 +67,10 @@ from repro.serving.cluster.router import (
     place,
 )
 
+#: Share of admitted queries (the ramp from an empty fleet) that queueing
+#: means and percentiles leave out.
+WARMUP_FRACTION = 0.1
+
 
 def ttfp_fraction(seed: int, ordinal: int) -> float:
     """The modeled first-partial point of a query's service time, in [0.1, 0.4).
@@ -222,7 +226,6 @@ def replay_cluster(
     admission: Optional[AdmissionControl] = None,
     autoscaler: Optional[AutoscalerPolicy] = None,
     tick_seconds: float = 5.0,
-    warmup_fraction: float = 0.1,
 ) -> ReplayResult:
     """Replay ``n_queries`` of a seeded arrival process through a model fleet.
 
@@ -236,7 +239,7 @@ def replay_cluster(
     replicas, scale-downs stop *assigning* to the highest-indexed replicas
     (in-flight work drains — connection draining, not job killing).
 
-    Queueing means and percentiles discard the first ``warmup_fraction``
+    Queueing means and percentiles discard the first ``WARMUP_FRACTION``
     of admitted queries (transient ramp from the empty state);
     conservation counts never discard anything.  ``tick_seconds`` is also
     the window width of :meth:`ReplayResult.rollups`.
@@ -247,8 +250,6 @@ def replay_cluster(
         raise ConfigurationError("need n_replicas >= 1")
     if tick_seconds <= 0:
         raise ConfigurationError("tick_seconds must be positive")
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigurationError("warmup_fraction must be in [0, 1)")
     resolved = policy if isinstance(policy, RoutingPolicy) else get_policy(policy)
 
     max_replicas = (
@@ -338,7 +339,7 @@ def replay_cluster(
         # No autoscaler ticks fired: the fleet held its initial size.
         replica_timeline.append((0, active))
     admitted_outcomes = [outcome for outcome in outcomes if outcome.admitted]
-    cutoff = int(len(admitted_outcomes) * warmup_fraction)
+    cutoff = int(len(admitted_outcomes) * WARMUP_FRACTION)
     kept = admitted_outcomes[cutoff:]
     responses = [outcome.response for outcome in kept]
     waits = [outcome.wait for outcome in kept]
@@ -376,21 +377,28 @@ def seeded_replay(
     mean_service: float,
     n_queries: int,
     seed: int = 0,
-    **fleet,
+    policy: Union[str, RoutingPolicy] = "round-robin",
+    n_replicas: int = 1,
+    admission: Optional[AdmissionControl] = None,
+    autoscaler: Optional[AutoscalerPolicy] = None,
+    tick_seconds: float = 5.0,
 ) -> ReplayResult:
     """:func:`replay_cluster` over a named arrival process and exponential service.
 
     Owns the seeding convention every pinned replay shares: arrivals,
     routing, admission and scaling draw from ``seed`` and service times
     from ``seed + 1``, so the two streams are independent yet one number
-    replays the run.  ``fleet`` passes through to :func:`replay_cluster`
-    (``policy``, ``n_replicas``, ``admission``, ``autoscaler``,
-    ``tick_seconds``).
+    replays the run.  The fleet arguments pass through to
+    :func:`replay_cluster`.
     """
     return replay_cluster(
         make_process(arrivals, rate),
         exponential_sampler(mean_service, seed=seed + 1),
         n_queries,
+        policy=policy,
+        n_replicas=n_replicas,
         seed=seed,
-        **fleet,
+        admission=admission,
+        autoscaler=autoscaler,
+        tick_seconds=tick_seconds,
     )

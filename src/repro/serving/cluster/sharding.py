@@ -183,7 +183,7 @@ class _ShardedService(Service):
         if rule.kind == LATENCY:
             charge_virtual_seconds(rule.seconds)
             return False, ""
-        return True, rule.code or "INJECTED"
+        return True, "INJECTED"
 
     def _annotate_gather(self, n_failed: int, codes: Sequence[str]) -> None:
         annotate("shard.fanout", self._n_shards())
@@ -256,7 +256,8 @@ class ShardedImmService(_ShardedService):
 
     Each shard extracts query features and votes locally
     (:meth:`~repro.imm.database.ImageDatabase.top_matches`); the gather
-    merges candidate lists deterministically and serves the winner.  An
+    merges the shards' top-3 candidate lists deterministically and serves
+    the winner.  An
     *empty* shard (no registered scenes) fails its scatter leg — the
     partial-degradation contract absorbs it as long as any shard holds
     data.
@@ -268,15 +269,11 @@ class ShardedImmService(_ShardedService):
     def __init__(
         self,
         shards: Sequence[ImageDatabase],
-        top_k: int = 3,
         fault_plan: Optional[FaultPlan] = None,
     ):
         if not shards:
             raise ConfigurationError("ShardedImmService needs >= 1 shard")
-        if top_k < 1:
-            raise ConfigurationError("top_k must be >= 1")
         self.shards: Tuple[ImageDatabase, ...] = tuple(shards)
-        self.top_k = top_k
         self.fault_plan = fault_plan
 
     def _n_shards(self) -> int:
@@ -299,7 +296,7 @@ class ShardedImmService(_ShardedService):
                 codes.append(code)
                 continue
             try:
-                top = shard.top_matches(request.payload, k=self.top_k)
+                top = shard.top_matches(request.payload, k=3)
             except SiriusError as exc:
                 codes.append(exc.code)
                 continue

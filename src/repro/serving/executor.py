@@ -40,7 +40,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.query import IPAQuery, QueryType, SiriusResponse
 from repro.errors import ConfigurationError, SiriusError
@@ -75,25 +75,26 @@ DEGRADE = "degrade"
 
 @dataclass
 class ExecutionState:
-    """Per-query scratchpad the walk reads and each stage writes."""
+    """Per-query scratchpad the walk reads and each stage writes (only the
+    query, its clock start and its ordinal are given; the rest is written)."""
 
     query: IPAQuery
     wall_start: float
-    ordinal: int = 0
-    service_seconds: Dict[str, float] = field(default_factory=dict)
-    results: Dict[str, Any] = field(default_factory=dict)
-    transcript: str = ""
-    classification: Any = None
+    ordinal: int
+    service_seconds: Dict[str, float] = field(default_factory=dict, init=False)
+    results: Dict[str, Any] = field(default_factory=dict, init=False)
+    transcript: str = field(default="", init=False)
+    classification: Any = field(default=None, init=False)
     #: Failing service label -> stable error code, in failure order.
-    failures: Dict[str, str] = field(default_factory=dict)
+    failures: Dict[str, str] = field(default_factory=dict, init=False)
     #: The fatal (ASR/classify) error, when one occurred.
-    fatal_error: Optional[SiriusError] = None
+    fatal_error: Optional[SiriusError] = field(default=None, init=False)
     #: Injected virtual latency accumulated across this query's stages.
-    virtual_seconds: float = 0.0
+    virtual_seconds: float = field(default=0.0, init=False)
     #: This query's tracer and open root span (both ``None`` when the
     #: executor runs untraced).
-    tracer: Any = None
-    root_span: Any = None
+    tracer: Any = field(default=None, init=False)
+    root_span: Any = field(default=None, init=False)
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,12 @@ def begin_router_span(tracer: Tracer, ticket: RouterTicket) -> Span:
 
 
 def failed_response(
-    query: IPAQuery, failures: Dict[str, str], transcript: str = "", **measured: Any
+    query: IPAQuery,
+    failures: Dict[str, str],
+    transcript: str = "",
+    service_seconds: Optional[Dict[str, float]] = None,
+    wall_seconds: float = 0.0,
+    spans: Tuple[Any, ...] = (),
 ) -> SiriusResponse:
     """The response of a query with nothing usable (ASR or classification
     died, or the router shed it), classed by the only evidence left: an
@@ -209,9 +215,11 @@ def failed_response(
             else QueryType.VOICE_COMMAND
         ),
         transcript=transcript,
+        service_seconds=service_seconds if service_seconds is not None else {},
+        wall_seconds=wall_seconds,
         degraded=True,
         failures=failures,
-        **measured,
+        spans=spans,
     )
 
 
@@ -510,10 +518,9 @@ def build_executor(
     classifier,
     qa_engine,
     image_database,
-    trace_seed: Optional[int] = None,
-    metrics: Optional[RollupStore] = None,
 ) -> PlanExecutor:
-    """Wrap pipeline components in services and assemble an executor."""
+    """Wrap pipeline components in services and assemble an (untraced)
+    executor."""
     from repro.serving.service import (
         AsrService,
         ClassifierService,
@@ -527,4 +534,4 @@ def build_executor(
         QA: QaService(qa_engine),
         IMM: ImmService(image_database),
     }
-    return PlanExecutor(services, trace_seed=trace_seed, metrics=metrics)
+    return PlanExecutor(services)

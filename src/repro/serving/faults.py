@@ -117,7 +117,6 @@ class FaultRule:
     kind: str
     rate: float = 1.0            #: per-call trigger probability (latency/error/corrupt)
     seconds: float = 0.0         #: virtual latency charged by ``latency`` faults
-    code: str = ""               #: error code override for ``error``/``flap``/``outage``
     on: int = 0                  #: ``flap``: failing ordinals per period
     off: int = 0                 #: ``flap``: healthy ordinals per period
     start: int = 0               #: ``outage``: first failing ordinal
@@ -212,8 +211,6 @@ class FaultInjector(Service):
         if rule is None:
             return self.inner.invoke(request)
         annotate("fault.kind", rule.kind)
-        if rule.code:
-            annotate("fault.code", rule.code)
         if rule.kind == LATENCY:
             charge_virtual_seconds(rule.seconds)
             return self.inner.invoke(request)
@@ -223,7 +220,6 @@ class FaultInjector(Service):
             f"injected {rule.kind} fault in {self.name!r} "
             f"(ordinal={request.ordinal}, attempt={request.attempt})",
             service=self.name,
-            code=rule.code,
         )
 
     def __repr__(self) -> str:

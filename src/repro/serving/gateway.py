@@ -365,7 +365,6 @@ def serve_streams(
     *,
     chunk_seconds: float = 0.1,
     max_workers: int = 8,
-    poll_on_feed: bool = True,
 ) -> StreamReport:
     """Drive a whole query stream through a gateway, synchronously.
 
@@ -375,9 +374,7 @@ def serve_streams(
     round-robin, finishes everything, and reports responses plus streaming
     responsiveness (partial counts, TTFP, endpoint decisions).
     """
-    gateway = StreamingGateway(
-        executor, max_workers=max_workers, poll_on_feed=poll_on_feed
-    )
+    gateway = StreamingGateway(executor, max_workers=max_workers)
     try:
         handles, responses = asyncio.run(_drive(gateway, queries, chunk_seconds))
     finally:

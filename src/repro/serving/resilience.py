@@ -35,7 +35,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import (
     CircuitOpenError,
@@ -58,39 +58,36 @@ from repro.serving.service import Service, ServiceRequest
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
+#: Cap on one retry's backoff delay, in seconds.
+BACKOFF_MAX = 1.0
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retries with exponential backoff and seeded jitter.
 
-    The *raw* schedule is ``min(backoff_base * backoff_factor**i,
-    backoff_max)`` for retry ``i`` (0-based) — non-decreasing because
-    ``backoff_factor >= 1``.  Jitter scales each delay by a seeded factor in
-    ``[1 - jitter, 1 + jitter]``, so delays stay within a provable envelope
-    (the property suite locks down exactly these invariants).
+    The *raw* schedule is ``min(backoff_base * 2**i, BACKOFF_MAX)`` for
+    retry ``i`` (0-based) — non-decreasing, as the delay doubles per retry.
+    Jitter scales each delay by a seeded factor in ``[1 - jitter,
+    1 + jitter]``, so delays stay within a provable envelope (the property
+    suite locks down exactly these invariants).
     """
 
     max_attempts: int = 3        #: total tries, including the first (>= 1)
     backoff_base: float = 0.0    #: first retry delay in seconds (0 = no sleeping)
-    backoff_factor: float = 2.0  #: growth per retry (>= 1 keeps the schedule monotone)
-    backoff_max: float = 1.0     #: per-delay cap in seconds
     jitter: float = 0.0          #: relative jitter amplitude in [0, 1]
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ConfigurationError("max_attempts must be >= 1")
-        if self.backoff_base < 0 or self.backoff_max < 0:
+        if self.backoff_base < 0:
             raise ConfigurationError("backoff delays must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError("backoff_factor must be >= 1")
         if not 0.0 <= self.jitter <= 1.0:
             raise ConfigurationError("jitter must be in [0, 1]")
 
     def raw_delay(self, retry_index: int) -> float:
         """Unjittered delay before retry ``retry_index`` (0-based)."""
-        return min(self.backoff_base * self.backoff_factor ** retry_index,
-                   self.backoff_max)
+        return min(self.backoff_base * 2.0 ** retry_index, BACKOFF_MAX)
 
     def delay(self, retry_index: int, rng: random.Random) -> float:
         """Jittered delay; always within ``raw * [1 - jitter, 1 + jitter]``."""
@@ -99,7 +96,7 @@ class RetryPolicy:
             return raw
         return raw * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
 
-    def schedule(self, seed: int = 0, service: str = "", ordinal: int = 0) -> Tuple[float, ...]:
+    def schedule(self, seed: int, service: str, ordinal: int) -> Tuple[float, ...]:
         """The full jittered backoff schedule one call would sleep through."""
         rng = backoff_rng(seed, service, ordinal)
         return tuple(self.delay(i, rng) for i in range(self.max_attempts - 1))
@@ -117,40 +114,29 @@ class BreakerPolicy:
 
     failure_threshold: int = 5       #: consecutive failures that open the circuit
     cooldown_calls: int = 8          #: rejected calls before a half-open probe
-    cooldown_seconds: Optional[float] = None  #: wall-clock cooldown instead, if set
-    recovery_successes: int = 1      #: half-open successes that close the circuit
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
             raise ConfigurationError("failure_threshold must be >= 1")
         if self.cooldown_calls < 1:
             raise ConfigurationError("cooldown_calls must be >= 1")
-        if self.cooldown_seconds is not None and self.cooldown_seconds <= 0:
-            raise ConfigurationError("cooldown_seconds must be > 0 when set")
-        if self.recovery_successes < 1:
-            raise ConfigurationError("recovery_successes must be >= 1")
 
 
 class CircuitBreaker:
     """Closed → open → half-open breaker keyed to one service.
 
-    Thread-safe; state transitions happen under one lock.  The default
-    cooldown is counted in *rejected calls* rather than wall seconds so a
-    seeded chaos run transitions at exactly the same points every replay;
-    pass ``cooldown_seconds`` (with an injectable ``clock``) for the
-    conventional time-based behaviour.
+    Thread-safe; state transitions happen under one lock.  The cooldown is
+    counted in *rejected calls* rather than wall seconds so a seeded chaos
+    run transitions at exactly the same points every replay, and one
+    half-open success closes the circuit.
     """
 
-    def __init__(self, policy: BreakerPolicy,
-                 clock: Callable[[], float] = time.monotonic):
+    def __init__(self, policy: BreakerPolicy):
         self.policy = policy
-        self.clock = clock
         self._lock = threading.Lock()
         self._state = CLOSED
         self._consecutive_failures = 0
         self._rejected_in_cooldown = 0
-        self._half_open_successes = 0
-        self._opened_at = 0.0
 
     @property
     def state(self) -> str:
@@ -162,14 +148,8 @@ class CircuitBreaker:
         with self._lock:
             if self._state != OPEN:
                 return True
-            if self.policy.cooldown_seconds is not None:
-                cooled = (self.clock() - self._opened_at
-                          >= self.policy.cooldown_seconds)
-            else:
-                cooled = self._rejected_in_cooldown >= self.policy.cooldown_calls
-            if cooled:
+            if self._rejected_in_cooldown >= self.policy.cooldown_calls:
                 self._state = HALF_OPEN
-                self._half_open_successes = 0
                 return True
             self._rejected_in_cooldown += 1
             return False
@@ -178,9 +158,7 @@ class CircuitBreaker:
         with self._lock:
             self._consecutive_failures = 0
             if self._state == HALF_OPEN:
-                self._half_open_successes += 1
-                if self._half_open_successes >= self.policy.recovery_successes:
-                    self._state = CLOSED
+                self._state = CLOSED
             elif self._state == OPEN:
                 # A call admitted just before the circuit opened finished
                 # fine; leave the open circuit to its cooldown.
@@ -198,8 +176,6 @@ class CircuitBreaker:
     def _trip(self) -> None:
         self._state = OPEN
         self._rejected_in_cooldown = 0
-        self._half_open_successes = 0
-        self._opened_at = self.clock()
 
     def __repr__(self) -> str:
         return f"<CircuitBreaker {self.state}>"
@@ -213,7 +189,6 @@ class ResiliencePolicy:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     breaker: Optional[BreakerPolicy] = None   #: None disables the breaker
     seed: int = 0                             #: jitter stream seed
-    detect_corruption: bool = True            #: treat marked payloads as failures
 
     def __post_init__(self) -> None:
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
@@ -242,13 +217,11 @@ class ResilientService(Service):
     what the executor's degradation rules key on.
     """
 
-    def __init__(self, inner: Service, policy: ResiliencePolicy,
-                 sleep: Callable[[float], None] = time.sleep):
+    def __init__(self, inner: Service, policy: ResiliencePolicy):
         self.inner = inner
         self.policy = policy
         self.name = inner.name
         self.label = inner.label
-        self._sleep = sleep
         self._breaker = (CircuitBreaker(policy.breaker)
                          if policy.breaker is not None else None)
         self._log_lock = threading.Lock()
@@ -361,7 +334,7 @@ class ResilientService(Service):
                         service=self.name,
                     )
                 if delay > 0:
-                    self._sleep(delay)
+                    time.sleep(delay)
         except SiriusError as exc:
             elapsed = time.perf_counter() - start + total_virtual
             code = getattr(exc, "code", "SIRIUS")
@@ -374,8 +347,7 @@ class ResilientService(Service):
             raise
 
     def _corrupted(self, payload) -> bool:
-        if not self.policy.detect_corruption:
-            return False
+        """``None`` and payloads marked ``__sirius_corrupt__`` are failures."""
         return payload is None or getattr(payload, "__sirius_corrupt__", False)
 
     def _record(self, ordinal: int, attempts: int, seconds: float,

@@ -19,10 +19,12 @@ import abc
 import contextlib
 import time
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.obs.context import current_tracer
+from repro.serving.backends import get_backend
+from repro.suite.parallel import chunk_ranges
 
 
 @dataclass(frozen=True)
@@ -64,45 +66,47 @@ class Kernel(abc.ABC):
         """Single-threaded baseline; returns a checksum."""
 
     @abc.abstractmethod
-    def run_parallel(self, inputs: Any, workers: int) -> float:
-        """Data-parallel port; must produce the same checksum as ``run``."""
-
-    @abc.abstractmethod
     def count_items(self, inputs: Any) -> int:
         """How many granularity units the input contains."""
 
     @abc.abstractmethod
     def subset(self, inputs: Any, chunk: range) -> Any:
-        """The sub-input covering work items ``chunk`` (for process ports)."""
+        """The sub-input covering work items ``chunk`` (for both ports)."""
+
+    def run_parallel(self, inputs: Any, workers: int) -> float:
+        """Data-parallel port on threads; the same checksum as ``run``."""
+        return self._run_chunks(inputs, workers, "thread")
 
     def run_parallel_processes(self, inputs: Any, workers: int) -> float:
         """Data-parallel port on OS processes (true multicore, no GIL).
 
-        This is the faithful pthread analogue for the pure-Python kernels:
-        the input splits into contiguous chunks (via :meth:`subset`), each
-        chunk runs ``run`` in a forked worker, and partial checksums sum at
-        the end — one synchronization, as in the paper's ports.
+        This is the faithful pthread analogue for the pure-Python kernels.
         """
-        from repro.suite.parallel import chunk_ranges, run_chunks_in_processes
+        return self._run_chunks(inputs, workers, "process")
 
+    def _run_chunks(self, inputs: Any, workers: int, backend: str) -> float:
+        """Both ports: the input splits into contiguous chunks (via
+        :meth:`subset`, all built before any runs), each chunk runs ``run``
+        on ``backend``, and partial checksums sum in chunk order at the end
+        — one synchronization, as in the paper's ports.  The ``process``
+        backend forks, so chunks are shared copy-on-write, not re-pickled.
+        """
         ranges = chunk_ranges(self.count_items(inputs), workers)
         if len(ranges) <= 1:
             return self.run(inputs)
         chunks = [self.subset(inputs, chunk) for chunk in ranges]
-        return run_chunks_in_processes(self, chunks)
+        partials = get_backend(backend).map(self.run, chunks, workers=len(chunks))
+        return float(sum(partials))
 
     def execute(
         self,
-        scale: float = 1.0,
+        inputs: Any,
         workers: int = 1,
-        inputs: Optional[Any] = None,
         use_processes: bool = False,
     ) -> KernelRun:
-        """Prepare (unless given), run, and time the kernel."""
+        """Run and time the kernel over prepared ``inputs``."""
         if workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        if inputs is None:
-            inputs = self.prepare(scale)
         # With an ambient tracer and an open trace, the run is wrapped in a
         # ``kernel`` span so the hot-path work counters (repro.obs.counters)
         # accumulate on a per-kernel node — this is what `repro bench` and

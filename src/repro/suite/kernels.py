@@ -22,9 +22,10 @@ operational intensity on the :mod:`repro.platforms.roofline` model.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from repro.qa.stemmer import stem
 from repro.regex.engine import Pattern
 from repro.regex.patterns import build_patterns, build_sentences
 from repro.suite.base import Kernel
-from repro.suite.parallel import map_chunks
 
 # ---------------------------------------------------------------------------
 # ASR kernels
@@ -89,11 +89,6 @@ class GMMKernel(Kernel):
     def run(self, inputs: GMMInputs) -> float:
         return inputs.score()
 
-    def run_parallel(self, inputs: GMMInputs, workers: int) -> float:
-        def work(gmms: Sequence[DiagonalGMM]) -> float:
-            return GMMInputs(list(gmms), inputs.features).score()
-
-        return sum(map_chunks(work, inputs.gmms, workers))
 
     def subset(self, inputs: GMMInputs, chunk: range) -> GMMInputs:
         return GMMInputs(inputs.gmms[chunk.start : chunk.stop], inputs.features)
@@ -128,11 +123,6 @@ class DNNKernel(Kernel):
     def run(self, inputs: DNNInputs) -> float:
         return sum(float(inputs.network.forward(batch).sum()) for batch in inputs.batches)
 
-    def run_parallel(self, inputs: DNNInputs, workers: int) -> float:
-        def work(batches: Sequence[np.ndarray]) -> float:
-            return sum(float(inputs.network.forward(b).sum()) for b in batches)
-
-        return sum(map_chunks(work, inputs.batches, workers))
 
     def subset(self, inputs: DNNInputs, chunk: range) -> DNNInputs:
         return DNNInputs(inputs.network, inputs.batches[chunk.start : chunk.stop])
@@ -154,9 +144,10 @@ _SUFFIXES = ["al", "ance", "ation", "izer", "alism", "iveness", "fulness",
              "ousli", "ement", "iviti", "ing", "ed", "s", "es", "ness", ""]
 
 
-def build_word_list(count: int, seed: int = 3) -> List[str]:
-    """Deterministic word list in the spirit of Table 4's 4M-word input."""
-    rng = random.Random(seed)
+def build_word_list(count: int) -> List[str]:
+    """Deterministic word list (seeded 3) in the spirit of Table 4's
+    4M-word input."""
+    rng = random.Random(3)
     return [
         rng.choice(_WORD_STEMS) + rng.choice(_SUFFIXES) for _ in range(count)
     ]
@@ -178,11 +169,6 @@ class StemmerKernel(Kernel):
     def run(self, inputs: List[str]) -> float:
         return float(sum(len(stem(word)) for word in inputs))
 
-    def run_parallel(self, inputs: List[str], workers: int) -> float:
-        def work(words: Sequence[str]) -> float:
-            return float(sum(len(stem(word)) for word in words))
-
-        return sum(map_chunks(work, inputs, workers))
 
     def subset(self, inputs: List[str], chunk: range) -> List[str]:
         return inputs[chunk.start : chunk.stop]
@@ -220,17 +206,6 @@ class RegexKernel(Kernel):
                 hits += 1
         return float(hits)
 
-    def run_parallel(self, inputs: RegexInputs, workers: int) -> float:
-        def work(pairs: Sequence[Tuple[int, int]]) -> float:
-            return float(
-                sum(
-                    1
-                    for p, s in pairs
-                    if inputs.patterns[p].test(inputs.sentences[s])
-                )
-            )
-
-        return sum(map_chunks(work, inputs.pairs, workers))
 
     def subset(self, inputs: RegexInputs, chunk: range) -> RegexInputs:
         return RegexInputs(
@@ -260,23 +235,21 @@ class CRFKernel(Kernel):
         return CRFInputs(default_model(), [s.tokens for s in corpus])
 
     def run(self, inputs: CRFInputs) -> float:
-        # Every run starts from an empty lexeme table, so a run (serial,
-        # threaded or one forked chunk) never times word types an earlier
-        # run looked up.
+        # Every run starts from an empty lexeme table, so a run (serial or
+        # one chunk of a port) never times word types an earlier run looked
+        # up.
         inputs.model.feature_map.clear_lexemes()
         return float(
             sum(len(inputs.model.decode(tokens)) for tokens in inputs.sentences)
         )
 
-    def run_parallel(self, inputs: CRFInputs, workers: int) -> float:
-        def work(sentences: Sequence[Tuple[str, ...]]) -> float:
-            return float(sum(len(inputs.model.decode(t)) for t in sentences))
-
-        inputs.model.feature_map.clear_lexemes()
-        return sum(map_chunks(work, inputs.sentences, workers))
 
     def subset(self, inputs: CRFInputs, chunk: range) -> CRFInputs:
-        return CRFInputs(inputs.model, inputs.sentences[chunk.start : chunk.stop])
+        # A chunk decodes with a lexeme table of its own, as a forked chunk
+        # does, so chunks on threads never clear or warm each other's.
+        model = copy.copy(inputs.model)
+        model.feature_map = model.feature_map.with_own_lexemes()
+        return CRFInputs(model, inputs.sentences[chunk.start : chunk.stop])
 
     def count_items(self, inputs: CRFInputs) -> int:
         return len(inputs.sentences)
@@ -314,11 +287,6 @@ class FEKernel(Kernel):
             sum(len(inputs.detector.detect(tile)) for tile in inputs.tiles)
         )
 
-    def run_parallel(self, inputs: FEInputs, workers: int) -> float:
-        def work(tiles: Sequence[Image]) -> float:
-            return float(sum(len(inputs.detector.detect(t)) for t in tiles))
-
-        return sum(map_chunks(work, inputs.tiles, workers))
 
     def subset(self, inputs: FEInputs, chunk: range) -> FEInputs:
         return FEInputs(inputs.tiles[chunk.start : chunk.stop], inputs.detector)
@@ -357,12 +325,6 @@ class FDKernel(Kernel):
         descriptors = inputs.surf.describe(inputs.image, inputs.keypoints, ii=inputs.ii)
         return float(np.abs(descriptors).sum())
 
-    def run_parallel(self, inputs: FDInputs, workers: int) -> float:
-        def work(keypoints: Sequence[Keypoint]) -> float:
-            descriptors = inputs.surf.describe(inputs.image, list(keypoints), ii=inputs.ii)
-            return float(np.abs(descriptors).sum())
-
-        return sum(map_chunks(work, inputs.keypoints, workers))
 
     def subset(self, inputs: FDInputs, chunk: range) -> FDInputs:
         return FDInputs(

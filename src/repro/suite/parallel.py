@@ -7,8 +7,8 @@ iterations ... synchronizing only at the end of the execution"
 
 The pools themselves live in the shared execution-backend registry
 (:mod:`repro.serving.backends`); this module only contributes the Table 4
-chunking policy and dispatches the chunks through the ``thread`` /
-``process`` backends that the serving layer also uses.
+chunking policy (``Kernel.run_parallel`` and ``run_parallel_processes``
+chunk with it too).
 """
 
 from __future__ import annotations
@@ -50,13 +50,3 @@ def map_chunks(
         return [work(items)]
     chunks = [items[chunk.start : chunk.stop] for chunk in ranges]
     return get_backend("thread").map(work, chunks, workers=len(chunks))
-
-
-def run_chunks_in_processes(kernel, chunks: List) -> float:
-    """Run ``kernel.run`` over each chunk in its own OS process and sum.
-
-    The ``process`` backend forks (Linux), so the kernel and its large
-    read-only inputs are shared copy-on-write rather than re-pickled.
-    """
-    partials = get_backend("process").map(kernel.run, chunks, workers=len(chunks))
-    return float(sum(partials))

@@ -8,6 +8,10 @@ from typing import Dict, List, Sequence
 
 from repro.websearch.index import InvertedIndex
 
+#: Term-frequency saturation and document-length normalisation.
+K1 = 1.5
+B = 0.75
+
 
 @dataclass(frozen=True)
 class ScoredDocument:
@@ -16,18 +20,14 @@ class ScoredDocument:
 
 
 class BM25:
-    """Standard BM25 with the usual k1/b parametrization.
+    """Standard BM25 with the usual ``K1``/``B`` parametrization.
 
     idf uses the squashed form ``log(1 + (N - df + 0.5) / (df + 0.5))`` so
     scores stay positive even for very common terms.
     """
 
-    def __init__(self, index: InvertedIndex, k1: float = 1.5, b: float = 0.75):
-        if k1 < 0 or not 0 <= b <= 1:
-            raise ValueError("require k1 >= 0 and 0 <= b <= 1")
+    def __init__(self, index: InvertedIndex):
         self.index = index
-        self.k1 = k1
-        self.b = b
 
     def idf(self, term: str) -> float:
         df = self.index.document_frequency(term)
@@ -42,10 +42,8 @@ class BM25:
             idf = self.idf(term)
             for posting in self.index.postings(term):
                 tf = posting.term_frequency
-                norm = self.k1 * (
-                    1.0 - self.b + self.b * self.index.doc_length(posting.doc_id) / avg_len
-                )
-                gain = idf * tf * (self.k1 + 1.0) / (tf + norm)
+                norm = K1 * (1.0 - B + B * self.index.doc_length(posting.doc_id) / avg_len)
+                gain = idf * tf * (K1 + 1.0) / (tf + norm)
                 scores[posting.doc_id] = scores.get(posting.doc_id, 0.0) + gain
         return scores
 

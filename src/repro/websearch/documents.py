@@ -115,61 +115,49 @@ _FILLER_SENTENCES = [
 ]
 
 
+#: Articles that embed each fact, and documents of filler only.
+DOCUMENTS_PER_FACT = 3
+N_NOISE_DOCS = 40
+#: A document has 3 to 8 filler sentences.
+FILLER_RANGE = (3, 8)
+CORPUS_SEED = 42
+
+
+def _filler(rng: random.Random) -> List[str]:
+    """A document's filler: 3 to 8 sentences drawn from the filler pool."""
+    return [rng.choice(_FILLER_SENTENCES) for _ in range(rng.randint(*FILLER_RANGE))]
+
+
 class Corpus:
     """A generated document collection with known ground truth.
 
-    ``documents_per_fact`` articles embed each fact; ``n_noise_docs`` contain
-    filler only.  Deterministic for a given seed.
+    ``DOCUMENTS_PER_FACT`` articles embed each fact; ``N_NOISE_DOCS``
+    contain filler only.  Deterministic: the filler is drawn from one
+    seeded generator.
     """
 
-    def __init__(
-        self,
-        facts: Optional[List[Fact]] = None,
-        documents_per_fact: int = 3,
-        n_noise_docs: int = 40,
-        distractors_per_fact: int = 0,
-        filler_sentences: Tuple[int, int] = (3, 8),
-        seed: int = 42,
-    ):
-        self.facts = list(facts) if facts is not None else list(FACTS)
+    def __init__(self):
+        self.facts = list(FACTS)
         self.documents: List[Document] = []
         self._answer_by_doc: Dict[int, str] = {}
-        rng = random.Random(seed)
+        rng = random.Random(CORPUS_SEED)
         doc_id = 0
         for fact in self.facts:
-            for copy in range(documents_per_fact):
-                body = self._article_body(fact, rng, filler_sentences)
+            for copy in range(DOCUMENTS_PER_FACT):
+                body = self._article_body(fact, rng)
                 self.documents.append(
                     Document(doc_id, f"{fact.subject} ({fact.relation}) #{copy}", body)
                 )
                 self._answer_by_doc[doc_id] = fact.answer
                 doc_id += 1
-            # Distractors mention the subject (and sometimes the relation)
-            # without carrying the answer — hard negatives for retrieval.
-            for copy in range(distractors_per_fact):
-                sentence_count = rng.randint(*filler_sentences)
-                sentences = [rng.choice(_FILLER_SENTENCES) for _ in range(sentence_count)]
-                mention = f"Many travel writers have described {fact.subject} at length."
-                if copy % 2 == 1:
-                    mention = (
-                        f"Debates about the {fact.relation} of {fact.subject} "
-                        "filled newspapers for a decade."
-                    )
-                sentences.insert(rng.randrange(len(sentences) + 1), mention)
-                self.documents.append(
-                    Document(doc_id, f"{fact.subject} (misc) #{copy}", " ".join(sentences))
-                )
-                doc_id += 1
-        for noise in range(n_noise_docs):
-            sentence_count = rng.randint(*filler_sentences)
-            body = " ".join(rng.choice(_FILLER_SENTENCES) for _ in range(sentence_count))
+        for noise in range(N_NOISE_DOCS):
+            body = " ".join(_filler(rng))
             self.documents.append(Document(doc_id, f"Miscellany #{noise}", body))
             doc_id += 1
 
     @staticmethod
-    def _article_body(fact: Fact, rng: random.Random, filler_range: Tuple[int, int]) -> str:
-        sentence_count = rng.randint(*filler_range)
-        sentences = [rng.choice(_FILLER_SENTENCES) for _ in range(sentence_count)]
+    def _article_body(fact: Fact, rng: random.Random) -> str:
+        sentences = _filler(rng)
         # Embed the fact at a random position so extraction must scan.
         sentences.insert(rng.randrange(len(sentences) + 1), fact.sentence)
         return " ".join(sentences)

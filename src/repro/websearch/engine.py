@@ -8,7 +8,7 @@ both the QA service (document retrieval) and the scalability-gap experiment
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 
 def _split_phrases(query: str) -> Tuple[List[str], str]:
@@ -54,15 +54,15 @@ class SearchEngine:
     True
     """
 
-    def __init__(self, corpus: Corpus, k1: float = 1.5, b: float = 0.75):
+    def __init__(self, corpus: Iterable[Document]):
         self.corpus = corpus
         self.index = InvertedIndex()
         self.index.add_all(corpus)
-        self.bm25 = BM25(self.index, k1=k1, b=b)
+        self.bm25 = BM25(self.index)
 
     @classmethod
-    def with_default_corpus(cls, **corpus_kwargs) -> "SearchEngine":
-        return cls(Corpus(**corpus_kwargs))
+    def with_default_corpus(cls) -> "SearchEngine":
+        return cls(Corpus())
 
     def search(self, query: str, k: int = 10) -> List[SearchResult]:
         """Rank documents for a free-text query.

@@ -186,6 +186,6 @@ class TestReport:
         assert "QA" in text and "gpu" in text and "2.00" in text
 
     def test_format_bar(self):
-        assert format_bar(5.0, 10.0, width=10) == "#####"
-        assert format_bar(20.0, 10.0, width=10) == "#" * 10
+        assert format_bar(5.0, 10.0) == "#" * 20
+        assert format_bar(20.0, 10.0) == "#" * 40
         assert format_bar(1.0, 0.0) == ""

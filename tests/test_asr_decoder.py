@@ -25,8 +25,15 @@ from repro.asr.acoustic import (
     label_frames,
     phoneme_state_id,
 )
-from repro.asr.decoder import DecodeResult, ViterbiSearch, _ALIVE, _NEG_INF
-from repro.asr.features import FeatureConfig
+from repro.asr.audio import Waveform
+from repro.asr.decoder import (
+    INSERTION_PENALTY,
+    SELF_LOOP_PROB,
+    DecodeResult,
+    ViterbiSearch,
+    _ALIVE,
+    _NEG_INF,
+)
 from repro.asr.phonemes import pronounce
 from repro.core.inputset import all_sentences
 from repro.errors import DecodingError, ModelError
@@ -61,17 +68,15 @@ def gmm_decoder(gmm_model, language_model):
 
 class TestFrameLabeling:
     def test_labels_match_alignment(self):
-        config = FeatureConfig()
         # One phoneme spanning samples [0, 4800) at 16 kHz = 30 frames-ish.
         alignment = [("AA", 0, 4800)]
-        labels = label_frames(alignment, n_frames=28, n_samples=4800, feature_config=config)
+        labels = label_frames(alignment, n_frames=28, n_samples=4800)
         # Early frames get sub-state 0, late frames sub-state 2.
         assert labels[0] == phoneme_state_id("AA", 0)
         assert labels[26] == phoneme_state_id("AA", 2)
 
     def test_uncovered_frames_are_silence(self):
-        config = FeatureConfig()
-        labels = label_frames([], n_frames=5, n_samples=2000, feature_config=config)
+        labels = label_frames([], n_frames=5, n_samples=2000)
         assert all(label == phoneme_state_id(SILENCE, 1) for label in labels)
 
     def test_phoneme_state_id_bounds(self):
@@ -104,6 +109,18 @@ class TestGMMDecoding:
         with pytest.raises(DecodingError):
             gmm_decoder.decode_features(np.zeros((0, 26)))
 
+    def test_utterance_initial_noise_is_decodable(self):
+        # The decoding graph opens with a silence unit, so audio that starts
+        # with a pause (here 0.1 s of low noise) needs no voice-activity
+        # trim before it is decoded.
+        sentences = ["play some music now"]
+        data = collect_training_data(sentences, repetitions=3)
+        decoder = Decoder(train_gmm_acoustic_model(data), BigramLanguageModel(sentences))
+        speech = Synthesizer(seed=5).synthesize(sentences[0])
+        lead = np.random.default_rng(5).normal(0, 0.003, int(0.1 * speech.sample_rate))
+        padded = Waveform(np.concatenate([lead, speech.samples]), speech.sample_rate)
+        assert decoder.decode_waveform(padded).text == sentences[0]
+
     def test_novel_word_order(self, gmm_decoder):
         # Words recombine across training sentences (continuous decoding).
         result = gmm_decoder.decode_waveform(
@@ -126,13 +143,17 @@ class TestDNNDecoding:
 
 class TestDecoderConfig:
     def test_requires_vocabulary(self, gmm_model):
+        # The decoding vocabulary is the language model's, which is never empty.
+        with pytest.raises(ModelError):
+            BigramLanguageModel([""])
         lm = BigramLanguageModel(["hello world"])
-        with pytest.raises(DecodingError):
-            Decoder(gmm_model, lm, vocabulary=[])
+        assert Decoder(gmm_model, lm).vocabulary == ["hello", "world"]
 
     def test_self_loop_validation(self, gmm_model, language_model):
-        with pytest.raises(DecodingError):
-            Decoder(gmm_model, language_model, self_loop_prob=1.0)
+        # Both log transition scores must be finite.
+        assert 0 < SELF_LOOP_PROB < 1
+        decoder = Decoder(gmm_model, language_model)
+        assert np.isfinite(decoder.log_self) and np.isfinite(decoder.log_adv)
 
     def test_negative_beam_is_rejected(self, gmm_model, language_model):
         # It would prune the frame maximum itself and fail every decode.
@@ -149,11 +170,8 @@ class TestDecoderConfig:
         except DecodingError:
             pass  # acceptable: pruning removed all paths
 
-    def test_restricted_vocabulary(self, gmm_model, language_model):
-        decoder = Decoder(
-            gmm_model, language_model,
-            vocabulary=["set", "my", "alarm", "for", "eight", "am"],
-        )
+    def test_restricted_vocabulary(self, gmm_model):
+        decoder = Decoder(gmm_model, BigramLanguageModel(["set my alarm for eight am"]))
         result = decoder.decode_waveform(
             Synthesizer(seed=8).synthesize("set my alarm")
         )
@@ -186,7 +204,7 @@ class TestViterbiStep:
         # Every frame is a perfect match for the first state of "play" and a
         # poor one for everything else: the token that stays there outscores
         # any that moves on by more than the beam, so no word ever ends.
-        decoder = Decoder(gmm_model, language_model, vocabulary=["play"], beam=10.0)
+        decoder = Decoder(gmm_model, BigramLanguageModel(["play"]), beam=10.0)
         emissions = np.full((20, N_EMISSION_STATES), -50.0)
         emissions[:, decoder._graph.pstate[decoder._graph.starts[0]]] = 0.0
         search = ViterbiSearch(decoder)
@@ -223,14 +241,16 @@ class TestViterbiStep:
     @pytest.mark.parametrize("vocabulary", [["to", "too"], ["too", "to"]])
     def test_exact_ties_go_to_the_lowest_word_index(self, gmm_model, vocabulary):
         # Homophones under a language model that cannot tell them apart:
-        # every cross-word candidate and every final score ties exactly.
-        decoder = Decoder(gmm_model, BigramLanguageModel(["to", "too"]), vocabulary=vocabulary)
+        # every cross-word candidate and every final score ties exactly,
+        # whichever order the model met the words in.
+        decoder = Decoder(gmm_model, BigramLanguageModel(vocabulary))
+        lowest, other = decoder.vocabulary
         wave = Synthesizer(seed=4).synthesize("to too to")
-        first, second = decoder.decode_nbest(wave, n=2)
+        first, second = decoder.decode_nbest(wave)[:2]
         assert len(first.words) > 1
-        assert set(first.words) == {vocabulary[0]}
+        assert set(first.words) == {lowest}
         assert second.log_score == first.log_score
-        assert second.words == first.words[:-1] + (vocabulary[1],)
+        assert second.words == first.words[:-1] + (other,)
 
 
 # -- the oracle: the search body at the parent commit ---------------------------------
@@ -280,7 +300,7 @@ class OracleViterbiSearch:
             bos_scores = self.lm_scores[len(decoder.vocabulary)]
             delta[start_states] = (
                 frame_scores[0, start_states]
-                + (bos_scores + decoder.insertion_penalty)
+                + (bos_scores + INSERTION_PENALTY)
             )
             delta[0] = frame_scores[0, 0]
             frame_scores = frame_scores[1:]
@@ -321,13 +341,13 @@ class OracleViterbiSearch:
         if len(alive):
             candidate = end_scores[alive, None] + self.lm_scores[alive]
             incoming = entry_delta = (
-                candidate.max(axis=0) + decoder.insertion_penalty + decoder.log_adv
+                candidate.max(axis=0) + INSERTION_PENALTY + decoder.log_adv
             )
         if lead_alive:
             incoming = bos_entry = (
                 ends[-1]
                 + self.lm_scores[n_words]
-                + decoder.insertion_penalty
+                + INSERTION_PENALTY
                 + decoder.log_adv
             )
             if len(alive):
@@ -390,11 +410,14 @@ class OracleViterbiSearch:
 
 
 WORDS = sorted({word for sentence in all_sentences() for word in sentence.split()} | {"too"})
+#: Language models over a drawn vocabulary (the decoder's vocabulary is its
+#: language model's).
 LANGUAGE_MODELS = {
-    "input set": BigramLanguageModel(all_sentences()),
-    # Scores "to" and "too" alike and every other word as equally unseen, so
-    # cross-word candidates tie exactly.
-    "flat": BigramLanguageModel(["to", "too"]),
+    # Every word its own sentence: all words score alike, so cross-word
+    # candidates tie exactly.
+    "flat": BigramLanguageModel,
+    # One sentence in drawn order: a chain of seen bigrams among unseen ones.
+    "chain": lambda words: BigramLanguageModel([" ".join(words)]),
 }
 
 
@@ -445,7 +468,7 @@ class TestSearchEqualsOracle:
     def test_results_equal_the_parent_body(self, case):
         vocabulary, lm_name, beam, emissions, bounds = case
         # No acoustic model: the search is handed its emissions.
-        decoder = Decoder(None, LANGUAGE_MODELS[lm_name], vocabulary=vocabulary, beam=beam)
+        decoder = Decoder(None, LANGUAGE_MODELS[lm_name](vocabulary), beam=beam)
         oracle = OracleViterbiSearch(decoder)
         oracle.advance(emissions)
         search = ViterbiSearch(decoder)

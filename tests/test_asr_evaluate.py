@@ -16,7 +16,8 @@ from repro.asr.evaluate import (
     noise_robustness_sweep,
     word_edit_distance,
 )
-from repro.errors import ConfigurationError, DecodingError
+from repro.asr.decoder import N_BEST
+from repro.errors import ConfigurationError
 
 SENTENCES = [
     "set my alarm for eight am",
@@ -94,29 +95,30 @@ class TestNBest:
     def test_top_hypothesis_matches_decode(self, decoder):
         wave = Synthesizer(seed=11).synthesize("set my alarm")
         single = decoder.decode_waveform(wave)
-        for n in (1, 3):  # n=1 still returns a list
-            nbest = decoder.decode_nbest(wave, n=n)
-            assert 1 <= len(nbest) <= n
-            assert nbest[0].text == single.text
-            assert nbest[0].log_score == pytest.approx(single.log_score)
+        nbest = decoder.decode_nbest(wave)
+        assert 1 <= len(nbest) <= N_BEST
+        assert nbest[0].text == single.text
+        assert nbest[0].log_score == pytest.approx(single.log_score)
 
     def test_scores_descending(self, decoder):
         wave = Synthesizer(seed=12).synthesize("what is the capital of italy")
-        nbest = decoder.decode_nbest(wave, n=5)
+        nbest = decoder.decode_nbest(wave)
         scores = [hyp.log_score for hyp in nbest]
         assert scores == sorted(scores, reverse=True)
 
     def test_confidences_form_distribution(self, decoder):
         wave = Synthesizer(seed=13).synthesize("play some music now")
-        nbest = decoder.decode_nbest(wave, n=4)
+        nbest = decoder.decode_nbest(wave)
         confidences = Decoder.nbest_confidences(nbest)
         assert len(confidences) == len(nbest)
         assert sum(confidences) == pytest.approx(1.0)
         assert confidences[0] == max(confidences)
 
     def test_invalid_n(self, decoder):
-        with pytest.raises(DecodingError):
-            decoder.decode_nbest(Synthesizer().synthesize("play"), n=0)
+        # The list length is fixed: at least the best path, at most N_BEST.
+        assert N_BEST >= 1
+        nbest = decoder.decode_nbest(Synthesizer().synthesize("play"))
+        assert 1 <= len(nbest) <= N_BEST
 
     def test_empty_confidences(self):
         assert Decoder.nbest_confidences([]) == []

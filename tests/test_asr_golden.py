@@ -49,7 +49,7 @@ from repro.asr import (
     collect_training_data,
     train_gmm_acoustic_model,
 )
-from repro.asr.acoustic import N_EMISSION_STATES, GMMAcousticModel
+from repro.asr.acoustic import FALLBACK_PENALTY, N_EMISSION_STATES, GMMAcousticModel
 from repro.asr.gmm import DiagonalGMM
 from repro.core.inputset import all_sentences
 from repro.errors import ModelError
@@ -60,7 +60,6 @@ GOLDEN = Path(__file__).parent / "fixtures" / "asr_golden.json"
 #: Synthesizer seeds; each speaker says the whole input set in order.
 SPEAKERS = (3, 17)
 BEAMS = (None, 200.0)
-N_BEST = 5
 
 
 def build_decoders():
@@ -101,7 +100,7 @@ def compute_golden():
         for beam, decoder in decoders.items():
             entry[f"beam={beam}"] = [
                 [result.text, float(result.log_score).hex(), result.n_frames]
-                for result in decoder.decode_nbest(waveform, n=N_BEST)
+                for result in decoder.decode_nbest(waveform)
             ]
         golden[key] = entry
     return golden
@@ -121,7 +120,7 @@ def test_matches_parent_golden():
 def per_state_emission_scores(model, features):
     """``GMMAcousticModel.emission_scores`` as it was: one GMM call per state."""
     if model.fallback is not None:
-        base = model.fallback.log_likelihood(features) - model.fallback_penalty
+        base = model.fallback.log_likelihood(features) - FALLBACK_PENALTY
         scores = np.tile(base[:, None], (1, N_EMISSION_STATES))
     else:
         scores = np.full((len(features), N_EMISSION_STATES), -1e30)
@@ -160,7 +159,7 @@ def mixed_k_model(rng, with_fallback):
         for state, n_components in zip(range(2, 60, 3), [3, 1, 9, 5, 12] * 4)
     }
     fallback = random_gmm(rng, 2) if with_fallback else None
-    return GMMAcousticModel(gmms, fallback=fallback, fallback_penalty=3.5)
+    return GMMAcousticModel(gmms, fallback=fallback)
 
 
 # -- the broadcasting body, kept as the reference ------------------------------------

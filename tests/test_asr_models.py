@@ -9,13 +9,13 @@ from repro.asr import (
     DNNConfig,
     DeepNeuralNetwork,
     DiagonalGMM,
-    FeatureExtractor,
     fit_gmm,
     score_naive,
 )
 from repro.asr import acoustic
 from repro.asr.acoustic import SILENCE, label_frames, phoneme_state_id
 from repro.asr.audio import SAMPLE_RATE
+from repro.asr.features import FRAME_HOP, FRAME_LENGTH
 from repro.asr.gmm import _FIT_BLOCK_ROWS, _by_row_blocks
 from repro.asr.lm import BOS, EOS
 from repro.asr.phonemes import PHONEME_INDEX
@@ -103,10 +103,10 @@ class TestFitGMM:
         assert _by_row_blocks(gmm.component_log_likelihood, data).tobytes() == whole.tobytes()
 
 
-def oracle_label_frames(alignment, n_frames, feature_config, sample_rate=SAMPLE_RATE):
+def oracle_label_frames(alignment, n_frames, sample_rate=SAMPLE_RATE):
     """``label_frames`` as it was: every segment against every frame."""
-    hop = int(feature_config.frame_hop * sample_rate)
-    frame_size = int(feature_config.frame_length * sample_rate)
+    hop = int(FRAME_HOP * sample_rate)
+    frame_size = int(FRAME_LENGTH * sample_rate)
     labels = np.full(n_frames, phoneme_state_id(SILENCE, 1), dtype=np.int64)
     for symbol, start, end in alignment:
         if end <= start:
@@ -124,9 +124,9 @@ class TestLabelFramesEqualsTheFrameLoop:
     def test_every_training_take(self, monkeypatch):
         takes = []
 
-        def checked(alignment, n_frames, n_samples, config, sample_rate):
-            labels = label_frames(alignment, n_frames, n_samples, config, sample_rate)
-            expected = oracle_label_frames(alignment, n_frames, config, sample_rate)
+        def checked(alignment, n_frames, n_samples, sample_rate):
+            labels = label_frames(alignment, n_frames, n_samples, sample_rate)
+            expected = oracle_label_frames(alignment, n_frames, sample_rate)
             assert labels.dtype == expected.dtype
             assert np.array_equal(labels, expected), alignment
             takes.append(n_frames)
@@ -152,10 +152,9 @@ class TestLabelFramesEqualsTheFrameLoop:
         # Synthesis alignments are ordered and disjoint; the loop's contract
         # (later segments overwrite, empty ones are skipped, samples past the
         # last frame label nothing) is wider.
-        config = FeatureExtractor().config
         assert np.array_equal(
-            label_frames(segments, n_frames, 6000, config),
-            oracle_label_frames(segments, n_frames, config),
+            label_frames(segments, n_frames, 6000),
+            oracle_label_frames(segments, n_frames),
         )
 
 
@@ -169,7 +168,7 @@ class TestDNN:
     def test_learns_xor(self):
         x, y = self._xor_data()
         config = DNNConfig(input_dim=2, n_classes=2, hidden_sizes=(32,), context=0,
-                           epochs=60, learning_rate=0.1, seed=1)
+                           epochs=200)
         net = DeepNeuralNetwork(config)
         losses = net.fit(x, y)
         assert losses[-1] < losses[0]
@@ -224,8 +223,6 @@ class TestBigramLM:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ModelError):
             BigramLanguageModel([])
-        with pytest.raises(ModelError):
-            BigramLanguageModel(["a"], add_k=0)
 
     def test_transition_matrix_shape(self):
         lm = BigramLanguageModel(["a b", "b c"])

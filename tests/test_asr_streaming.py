@@ -14,8 +14,18 @@ from repro.asr import (
 )
 from repro.asr.audio import Waveform
 from repro.asr.decoder import ViterbiSearch
-from repro.asr.features import FeatureConfig, _tables, compute_deltas
+from repro.asr.features import (
+    DELTA_WINDOW,
+    DIMENSION,
+    FRAME_HOP,
+    FRAME_LENGTH,
+    N_COEFFICIENTS,
+    PRE_EMPHASIS,
+    _tables,
+    regression_deltas,
+)
 from repro.asr.streaming import StreamingDecoder, StreamingFeatureExtractor
+from repro.core.inputset import all_sentences
 from repro.errors import DecodingError
 
 SENTENCES = [
@@ -23,6 +33,26 @@ SENTENCES = [
     "what is the capital of italy",
     "play some music now",
 ]
+
+
+def compute_deltas(features):
+    """Deltas over the whole utterance as the batch front end took them:
+    edge rows repeated ``DELTA_WINDOW`` times, then regression deltas."""
+    padded = np.concatenate(
+        (features[:1],) * DELTA_WINDOW + (features,) + (features[-1:],) * DELTA_WINDOW
+    )
+    return regression_deltas(padded, np.zeros_like(features))
+
+
+def oracle_extract(wave):
+    """The batch front end ``FeatureExtractor.extract`` was before it became
+    one push and a flush: pre-emphasis over the whole signal, the per-frame
+    cepstra, then the deltas of all of them."""
+    samples = wave.samples.astype(float)
+    if len(samples) > 1:
+        samples = np.concatenate([samples[:1], samples[1:] - PRE_EMPHASIS * samples[:-1]])
+    static = FeatureExtractor().static_cepstra(samples, wave.sample_rate)
+    return np.hstack([static, compute_deltas(static)])
 
 
 @pytest.fixture(scope="module")
@@ -33,8 +63,8 @@ def decoder():
 
 class TestStreamingFeatures:
     def _compare(self, wave, chunk_size):
-        offline = FeatureExtractor().extract(wave)
-        streaming = StreamingFeatureExtractor(FeatureExtractor().config)
+        offline = oracle_extract(wave)
+        streaming = StreamingFeatureExtractor()
         rows = []
         for start in range(0, len(wave.samples), chunk_size):
             rows.append(streaming.push(wave.samples[start : start + chunk_size]))
@@ -65,7 +95,7 @@ class TestStreamingFeatures:
         n = len(wave.samples)
         cuts = sorted(data.draw(st.sets(st.integers(0, n), max_size=12), label="cuts"))
         bounds = [0, *cuts, n]
-        streaming = StreamingFeatureExtractor(FeatureExtractor().config)
+        streaming = StreamingFeatureExtractor()
         rows = [streaming.push(wave.samples[a:b]) for a, b in zip(bounds, bounds[1:])]
         online = np.vstack([*rows, streaming.flush()])
         static = online[:, : online.shape[1] // 2]
@@ -73,14 +103,11 @@ class TestStreamingFeatures:
         assert online[:, static.shape[1] :].tobytes() == compute_deltas(static).tobytes()
 
     @settings(deadline=None, max_examples=60)
-    @given(
-        rows=st.sampled_from([1, 2, 3, 5, 50]),
-        window=st.sampled_from([1, 2, 3]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_deltas_equal_the_np_pad_formulation(self, rows, window, seed):
-        """``compute_deltas`` pads by repeating the edge rows itself; the
-        ``np.pad(mode="edge")`` formulation it replaced is the reference."""
+    @given(rows=st.sampled_from([1, 2, 3, 5, 50]), seed=st.integers(0, 2**32 - 1))
+    def test_deltas_equal_the_np_pad_formulation(self, rows, seed):
+        """Deltas over edge rows repeated by hand; the ``np.pad(mode="edge")``
+        formulation that padding replaced is the reference."""
+        window = DELTA_WINDOW
         features = np.random.default_rng(seed).normal(0, 3, (rows, 13))
         padded = np.pad(features, ((window, window), (0, 0)), mode="edge")
         numerator = np.zeros_like(features)
@@ -90,17 +117,16 @@ class TestStreamingFeatures:
                 - padded[window - offset : window - offset + rows]
             )
         reference = numerator / (2.0 * sum(o**2 for o in range(1, window + 1)))
-        assert compute_deltas(features, window).tobytes() == reference.tobytes()
+        assert compute_deltas(features).tobytes() == reference.tobytes()
 
     def test_held_rows_are_constant_in_utterance_length(self):
         """Ten seconds in 100 ms pushes: the static rows held never exceed the
         delta context, the array holding them never grows past one push's
         worth plus that context, and less than one frame window of samples
         waits between pushes."""
-        config = FeatureExtractor().config
-        streaming = StreamingFeatureExtractor(config)
+        streaming = StreamingFeatureExtractor()
         audio = np.random.default_rng(9).normal(0, 0.1, 10 * 16000)
-        chunk, hop, frame = 1600, int(config.frame_hop * 16000), int(config.frame_length * 16000)
+        chunk, hop, frame = 1600, int(FRAME_HOP * 16000), int(FRAME_LENGTH * 16000)
         capacity = len(streaming._history)
         emitted = 0
         for start in range(0, len(audio), chunk):
@@ -113,7 +139,7 @@ class TestStreamingFeatures:
         assert capacity <= 2 * (2 * streaming.LOOKAHEAD + chunk // hop + 1)
 
     def test_empty_pushes_are_noops(self):
-        streaming = StreamingFeatureExtractor(FeatureExtractor().config)
+        streaming = StreamingFeatureExtractor()
         assert streaming.push(np.zeros(0)).shape[0] == 0
         assert streaming.flush().shape[0] >= 0
 
@@ -121,12 +147,11 @@ class TestStreamingFeatures:
         """Regression: a whole utterance shorter than one analysis frame
         must still produce the same (padded) frames the offline extractor
         computes, not crash or emit nothing."""
-        extractor = FeatureExtractor()
-        frame_size = int(extractor.config.frame_length * 16000)
+        frame_size = int(FRAME_LENGTH * 16000)
         wave = Synthesizer(seed=79).synthesize("set")
         short = Waveform(wave.samples[: frame_size // 2], wave.sample_rate)
-        offline = extractor.extract(short)
-        streaming = StreamingFeatureExtractor(extractor.config)
+        offline = oracle_extract(short)
+        streaming = StreamingFeatureExtractor()
         rows = [streaming.push(short.samples), streaming.flush()]
         online = np.vstack([r for r in rows if r.shape[0]])
         assert online.shape == offline.shape
@@ -141,7 +166,7 @@ class TestStreamingFeatures:
         assert np.allclose(offline, online, atol=1e-10)
 
     def test_lookahead_delays_emission(self):
-        streaming = StreamingFeatureExtractor(FeatureExtractor().config)
+        streaming = StreamingFeatureExtractor()
         wave = Synthesizer(seed=73).synthesize("set")
         # Push exactly enough for 3 frames; only 1 should be emitted
         # (2 held back as delta lookahead).
@@ -171,13 +196,13 @@ class OracleStreamingFeatureExtractor(StreamingFeatureExtractor):
     framing, one ``np.concatenate`` of the static history and one
     ``np.hstack`` of ``compute_deltas`` over it per push."""
 
-    def __init__(self, config, sample_rate=16000):
-        super().__init__(config, sample_rate)
-        self._static = np.zeros((0, config.n_coefficients))
+    def __init__(self, sample_rate=16000):
+        super().__init__(sample_rate)
+        self._static = np.zeros((0, N_COEFFICIENTS))
 
     def _cepstra(self, samples):
-        window, bank, dct = _tables(self.config, self.sample_rate)
-        hop = int(self.config.frame_hop * self.sample_rate)
+        window, bank, dct = _tables(self.sample_rate)
+        hop = int(FRAME_HOP * self.sample_rate)
         if len(samples) < len(window):
             samples = np.pad(samples, (0, len(window) - len(samples)))
         frames = np.lib.stride_tricks.sliding_window_view(samples, len(window))[::hop]
@@ -193,16 +218,12 @@ class OracleStreamingFeatureExtractor(StreamingFeatureExtractor):
             buffer = np.empty(carried + len(samples))
             buffer[:carried] = self._samples
             fresh = buffer[carried:]
-            alpha = self.config.pre_emphasis
-            if alpha > 0:
-                np.multiply(samples[:-1], alpha, out=fresh[1:])
-                np.subtract(samples[1:], fresh[1:], out=fresh[1:])
-                fresh[0] = samples[0]
-                if self._prev_raw is not None:
-                    fresh[0] -= alpha * self._prev_raw
-                self._prev_raw = float(samples[-1])
-            else:
-                fresh[:] = samples
+            np.multiply(samples[:-1], PRE_EMPHASIS, out=fresh[1:])
+            np.subtract(samples[1:], fresh[1:], out=fresh[1:])
+            fresh[0] = samples[0]
+            if self._prev_raw is not None:
+                fresh[0] -= PRE_EMPHASIS * self._prev_raw
+            self._prev_raw = float(samples[-1])
             self._samples = buffer
         n_ready = 1 + (len(self._samples) - self._frame_size) // self._hop
         if n_ready > 0:
@@ -217,13 +238,10 @@ class OracleStreamingFeatureExtractor(StreamingFeatureExtractor):
     def _release(self, final):
         available = self._n_static - (0 if final else self.LOOKAHEAD)
         if available <= self._emitted:
-            return np.zeros((0, self.config.dimension))
+            return np.zeros((0, DIMENSION))
         static = self._static
         low = self._n_static - len(static)
-        if self.config.add_deltas:
-            full = np.hstack([static, oracle_compute_deltas(static)])
-        else:
-            full = static
+        full = np.hstack([static, oracle_compute_deltas(static)])
         rows = full[self._emitted - low : available - low]
         self._emitted = available
         self._static = static[max(available - self.LOOKAHEAD - low, 0) :]
@@ -259,9 +277,7 @@ class TestPushEqualsParent:
             st.one_of(st.integers(0, 399), st.integers(0, len(samples))), label="samples"
         )
         samples = samples[: min(length, 200 * sum(sizes))]
-        add_deltas = data.draw(st.booleans(), label="deltas")
-        config = FeatureConfig(add_deltas=add_deltas)
-        new, old = StreamingFeatureExtractor(config), OracleStreamingFeatureExtractor(config)
+        new, old = StreamingFeatureExtractor(), OracleStreamingFeatureExtractor()
         offset, index = 0, 0
         while offset < len(samples) or index < len(sizes):
             size = sizes[index % len(sizes)]
@@ -272,7 +288,23 @@ class TestPushEqualsParent:
         got, want = new.flush(), old.flush()
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert new.n_frames_emitted == old.n_frames_emitted
-        assert new.flush().shape == (0, config.dimension)
+        assert new.flush().shape == (0, DIMENSION)
+
+
+class TestExtractIsTheStream:
+    """One MFCC front end: the batch call is the stream pushed whole."""
+
+    def test_extract_is_push_all_then_flush_over_the_input_set(self):
+        synthesizer = Synthesizer(seed=1)
+        for sentence in all_sentences():
+            wave = synthesizer.synthesize(sentence)
+            stream = StreamingFeatureExtractor(wave.sample_rate)
+            pushed = np.vstack([stream.push(wave.samples), stream.flush()])
+            extracted = FeatureExtractor().extract(wave)
+            assert extracted.shape == pushed.shape
+            assert extracted.tobytes() == pushed.tobytes()
+            # ... and both are the batch front end's bits.
+            assert extracted.tobytes() == oracle_extract(wave).tobytes()
 
 
 class TestStreamingDecoder:
@@ -373,7 +405,7 @@ class TestUnifiedSearch:
             wave.samples[start : start + 1600]
             for start in range(0, len(wave.samples), 1600)
         ]
-        extractor = StreamingFeatureExtractor(decoder.feature_extractor.config)
+        extractor = StreamingFeatureExtractor()
         rows = np.vstack([*(extractor.push(c) for c in chunks), extractor.flush()])
         streaming = StreamingDecoder(decoder)
         for chunk in chunks:

@@ -8,6 +8,7 @@ the deeper tail-agreement bound lives in tests/conformance/).
 """
 
 import math
+import random
 
 import pytest
 
@@ -28,11 +29,12 @@ from repro.serving.cluster import (
     AutoscalerPolicy,
     replay_cluster,
 )
+from repro.serving.cluster.autoscaler import DOWN_PROBABILITY
 
 
 PROCESSES = (
     PoissonProcess(rate=40.0),
-    DiurnalProcess(base_rate=40.0, amplitude=0.5, period=30.0),
+    DiurnalProcess(base_rate=40.0),
     BurstyProcess(base_rate=20.0, burst_rate=120.0),
 )
 
@@ -56,20 +58,18 @@ class TestArrivalProcesses:
         assert measured == pytest.approx(50.0, rel=0.05)
 
     def test_diurnal_rate_modulates_around_base(self):
-        process = DiurnalProcess(base_rate=40.0, amplitude=0.5, period=30.0)
+        process = DiurnalProcess(base_rate=40.0)  # amplitude 0.5, period 60 s
         assert process.rate_at(0.0) == pytest.approx(40.0)
-        assert process.rate_at(7.5) == pytest.approx(60.0)   # peak
-        assert process.rate_at(22.5) == pytest.approx(20.0)  # trough
+        assert process.rate_at(15.0) == pytest.approx(60.0)  # peak
+        assert process.rate_at(45.0) == pytest.approx(20.0)  # trough
         # Over whole periods the thinned stream averages the base rate.
         times = process.times(30_000, seed=0)
-        horizon = math.floor(times[-1] / 30.0) * 30.0
+        horizon = math.floor(times[-1] / 60.0) * 60.0
         n = sum(1 for t in times if t <= horizon)
         assert n / horizon == pytest.approx(40.0, rel=0.05)
 
     def test_bursty_mean_rate_is_the_state_mixture(self):
-        process = BurstyProcess(
-            base_rate=20.0, burst_rate=120.0, mean_calm=20.0, mean_burst=5.0
-        )
+        process = BurstyProcess(base_rate=20.0, burst_rate=120.0)  # holds 20 s / 5 s
         expected = (20.0 * 20.0 + 120.0 * 5.0) / 25.0
         assert process.mean_rate == pytest.approx(expected)
         # Regeneration cycles are ~25 s long, so the time-average converges
@@ -88,14 +88,12 @@ class TestArrivalProcesses:
 
     def test_arrival_times_helper_matches_method(self):
         process = PoissonProcess(rate=25.0)
-        assert arrival_times(process, 50, seed=9) == process.times(50, seed=9)
+        assert arrival_times(process, 50) == process.times(50, seed=0)
 
 
 class TestAutoscaler:
-    def policy(self, **kwargs):
-        defaults = dict(slo_p99=0.100, min_replicas=1, max_replicas=6)
-        defaults.update(kwargs)
-        return AutoscalerPolicy(**defaults)
+    def policy(self, max_replicas=6):
+        return AutoscalerPolicy(slo_p99=0.100, max_replicas=max_replicas)
 
     def test_decisions_are_pure_in_seed_and_tick(self):
         policy = self.policy()
@@ -113,19 +111,24 @@ class TestAutoscaler:
         assert capped.action == HOLD and capped.n_replicas == 4
 
     def test_dead_band_holds(self):
-        policy = self.policy(hysteresis=0.8)
-        # p99 inside [hysteresis * slo, slo]: neither direction fires.
+        policy = self.policy()
+        # p99 inside [HYSTERESIS * slo, slo] (HYSTERESIS = 0.8): neither
+        # direction fires.
         decision = policy.decide(0, 0.090, 3, seed=0)
         assert decision.action == HOLD and decision.n_replicas == 3
 
     def test_scale_down_is_a_seeded_coin_bounded_below(self):
-        policy = self.policy(down_probability=1.0)
-        decision = policy.decide(0, 0.010, 3, seed=0)
-        assert decision.action == SCALE_DOWN and decision.n_replicas == 2
-        floor = policy.decide(1, 0.010, 1, seed=0)
-        assert floor.action == HOLD and floor.n_replicas == 1
-        never = self.policy(down_probability=0.0).decide(2, 0.010, 3, seed=0)
-        assert never.action == HOLD
+        policy = self.policy()
+        decisions = [policy.decide(tick, 0.010, 3, seed=0) for tick in range(40)]
+        for tick, decision in enumerate(decisions):
+            heads = random.Random(f"0:{tick}:scale").random() < DOWN_PROBABILITY
+            assert decision.action == (SCALE_DOWN if heads else HOLD)
+            assert decision.n_replicas == (2 if heads else 3)
+        # A fair coin over 40 ticks: both sides come up.
+        assert {d.action for d in decisions} == {SCALE_DOWN, HOLD}
+        for tick in range(40):
+            floor = policy.decide(tick, 0.010, 1, seed=0)
+            assert floor.action == HOLD and floor.n_replicas == 1
 
     def test_changed_flag(self):
         policy = self.policy()

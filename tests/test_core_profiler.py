@@ -144,7 +144,9 @@ class TestProfiler:
 
 class TestProfile:
     def test_breakdown_fractions(self):
-        breakdown = ServiceBreakdown("QA", {"a": 3.0, "b": 1.0}).fractions()
+        breakdown = ServiceBreakdown("QA")
+        breakdown.seconds.update({"a": 3.0, "b": 1.0})
+        breakdown = breakdown.fractions()
         assert breakdown["a"] == pytest.approx(0.75)
         assert breakdown["b"] == pytest.approx(0.25)
         assert list(breakdown) == ["a", "b"]  # descending

@@ -1,7 +1,4 @@
-"""Integration tests for the response latency semantics and the
-distractor corpus."""
-
-from repro.websearch import Corpus
+"""Integration tests for the response latency semantics."""
 
 
 class TestLatencySemantics:
@@ -21,16 +18,3 @@ class TestLatencySemantics:
             for seconds in response.service_seconds.values():
                 assert response.wall_seconds >= seconds
             assert response.wall_seconds >= sum(response.service_seconds.values())
-
-
-class TestDistractorCorpus:
-    def test_distractor_corpus_counts(self):
-        corpus = Corpus(documents_per_fact=1, n_noise_docs=0, distractors_per_fact=2)
-        from repro.websearch.documents import FACTS
-
-        assert len(corpus) == 3 * len(FACTS)
-        # Distractor docs never carry answers.
-        with_answers = sum(
-            1 for d in corpus if corpus.answer_for_doc(d.doc_id) is not None
-        )
-        assert with_answers == len(FACTS)

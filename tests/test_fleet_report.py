@@ -50,7 +50,9 @@ def chaos_cluster(rollups=None):
         )
         for _ in range(2)
     ]
-    return Cluster(executors, policy="least-loaded", seed=5, rollups=rollups)
+    cluster = Cluster(executors, policy="least-loaded", seed=5)
+    cluster.rollups = rollups
+    return cluster
 
 
 def chaos_spans(backend):
@@ -130,8 +132,8 @@ class TestCrossBackendByteIdentity:
                     [PlanExecutor(stub_services(), trace_seed=trace_seed)
                      for _ in range(2)],
                     seed=5, admission=AdmissionControl(drop_rate=0.4, seed=1),
-                    metrics=metrics, rollups=rollups,
                 )
+                cluster.metrics, cluster.rollups = metrics, rollups
                 responses = cluster.run_all(queries, backend=backend)
                 shed = sum(1 for r in responses if "ROUTER" in r.failures)
                 assert shed > 0

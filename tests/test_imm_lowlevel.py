@@ -13,7 +13,8 @@ from repro.imm import (
     box_sum,
     integral_image,
 )
-from repro.imm.hessian import _filter_reach, _hessian_maps
+from repro.imm.hessian import DEFAULT_FILTER_SIZES, _filter_reach, _hessian_maps
+from repro.imm.image import QUERY_NOISE
 from repro.imm.integral import PaddedIntegral, box_reach
 
 
@@ -131,19 +132,14 @@ class TestHessian:
         assert np.abs(response[9:-9, 9:-9]).max() < 1e-9
 
     def test_invalid_filter_size(self):
-        # Rejected when the detector is built, not on its first detect.
-        with pytest.raises(ImageError):
-            FastHessianDetector(filter_sizes=(9, 10, 15))
-        with pytest.raises(ImageError):
-            FastHessianDetector(filter_sizes=(3, 9, 15))
+        # A box filter has a centre pixel and thirds: odd multiples of 3, >= 9.
+        assert all(size % 2 == 1 and size % 3 == 0 and size >= 9 for size in DEFAULT_FILTER_SIZES)
+        assert FastHessianDetector().filter_sizes == DEFAULT_FILTER_SIZES
 
     def test_descending_ladder_rejected(self):
         # Scale NMS compares neighbouring sizes; a reversed or repeated
         # ladder would compare non-neighbours.
-        with pytest.raises(ImageError):
-            FastHessianDetector(filter_sizes=(27, 15, 9))
-        with pytest.raises(ImageError):
-            FastHessianDetector(filter_sizes=(9, 15, 15, 21))
+        assert all(low < high for low, high in zip(DEFAULT_FILTER_SIZES, DEFAULT_FILTER_SIZES[1:]))
 
     def test_negative_max_keypoints_rejected(self):
         with pytest.raises(ImageError):
@@ -184,14 +180,16 @@ class TestHessian:
         assert len(capped) <= 5
 
     def test_detector_needs_three_scales(self):
-        with pytest.raises(ImageError):
-            FastHessianDetector(filter_sizes=(9, 15))
+        # Scale NMS compares each interior scale with both neighbours.
+        assert len(DEFAULT_FILTER_SIZES) >= 3
 
     def test_keypoints_repeatable_under_noise(self):
         generator = SceneGenerator(seed=5)
         detector = FastHessianDetector()
         clean = detector.detect(generator.scene(2))
-        noisy = detector.detect(generator.query_for(2, shift=0))
+        pixels = generator.scene(2).pixels
+        noise = np.random.default_rng(2).normal(0.0, QUERY_NOISE, pixels.shape)
+        noisy = detector.detect(Image(np.clip(pixels + noise, 0.0, 1.0)))
         # Most strong keypoints should reappear within 2px.
         clean_xy = {(round(kp.y), round(kp.x)) for kp in clean[:20]}
         reappeared = sum(
@@ -200,6 +198,15 @@ class TestHessian:
             if any(abs(kp.y - y) <= 2 and abs(kp.x - x) <= 2 for y, x in clean_xy)
         )
         assert reappeared >= 10
+
+
+def query_one(tree, vector, k=1, max_checks=None):
+    """One vector's nearest rows: a one-row ``query_batch`` without the
+    padding of unexamined slots."""
+    vector = np.asarray(vector, dtype=float).ravel()
+    distances, indices = tree.query_batch(vector[None, :], k, max_checks)
+    found = indices[0] >= 0
+    return distances[0, found], indices[0, found]
 
 
 class TestKDTree:
@@ -212,7 +219,7 @@ class TestKDTree:
         rng = np.random.default_rng(1)
         for _ in range(20):
             query = rng.normal(size=8)
-            distances, indices = tree.query(query, k=3)
+            distances, indices = query_one(tree, query, k=3)
             brute = np.linalg.norm(data - query, axis=1)
             expected = np.argsort(brute)[:3]
             assert list(indices) == list(expected)
@@ -225,47 +232,45 @@ class TestKDTree:
         hits = 0
         for _ in range(50):
             query = rng.normal(size=8)
-            _, indices = tree.query(query, k=1, max_checks=64)
+            _, indices = query_one(tree, query, k=1, max_checks=64)
             truth = int(np.argmin(np.linalg.norm(data - query, axis=1)))
             hits += int(indices[0] == truth)
         assert hits >= 35  # >=70% recall with a 64-check budget
 
     def test_k_larger_than_data(self):
         data = self._data(3)
-        _, indices = KDTree(data).query(np.zeros(8), k=10)
+        _, indices = query_one(KDTree(data), np.zeros(8), k=10)
         assert len(indices) == 3
 
     def test_duplicate_points(self):
         data = np.zeros((10, 4))
         tree = KDTree(data)
-        distances, indices = tree.query(np.zeros(4), k=2)
+        distances, indices = query_one(tree, np.zeros(4), k=2)
         assert np.allclose(distances, 0.0)
         assert len(indices) == 2
 
     def test_validation(self):
         with pytest.raises(ImageError):
             KDTree(np.zeros((0, 3)))
-        with pytest.raises(ImageError):
-            KDTree(np.zeros((5, 3)), leaf_size=0)
         tree = KDTree(self._data(10))
         with pytest.raises(ImageError):
-            tree.query(np.zeros(3))
+            query_one(tree, np.zeros(3))
         with pytest.raises(ImageError):
-            tree.query(np.zeros(8), k=0)
+            query_one(tree, np.zeros(8), k=0)
         for max_checks in (0, -5):
             with pytest.raises(ImageError):
-                tree.query(np.zeros(8), max_checks=max_checks)
+                query_one(tree, np.zeros(8), max_checks=max_checks)
             with pytest.raises(ImageError):
                 tree.query_batch(np.zeros((3, 8)), max_checks=max_checks)
-        _, indices = tree.query(np.zeros(8), max_checks=1)
+        _, indices = query_one(tree, np.zeros(8), max_checks=1)
         assert len(indices) == 1
 
     @given(st.integers(0, 10_000))
     @settings(deadline=None, max_examples=25)
     def test_nearest_is_truly_nearest(self, seed):
         data = self._data(64, 4, seed=3)
-        tree = KDTree(data, leaf_size=4)
+        tree = KDTree(data)
         query = np.random.default_rng(seed).normal(size=4)
-        _, indices = tree.query(query, k=1)
+        _, indices = query_one(tree, query, k=1)
         brute = int(np.argmin(np.linalg.norm(data - query, axis=1)))
         assert indices[0] == brute

@@ -14,6 +14,7 @@ from repro.imm import (
     describe_keypoints,
     match_bruteforce,
 )
+from repro.imm.image import QUERY_NOISE
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +72,9 @@ class TestDescriptors:
     def test_descriptor_stable_under_noise(self, generator):
         surf = Surf()
         clean = surf.extract(generator.scene(2))
-        noisy = surf.extract(generator.query_for(2, shift=0))
+        pixels = generator.scene(2).pixels
+        noise = np.random.default_rng(2).normal(0.0, QUERY_NOISE, pixels.shape)
+        noisy = surf.extract(Image(np.clip(pixels + noise, 0.0, 1.0)))
         matches = match_bruteforce(noisy.descriptors, clean.descriptors)
         assert len(matches) >= min(len(noisy), len(clean)) // 3
 

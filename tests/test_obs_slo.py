@@ -13,7 +13,6 @@ from repro.errors import ConfigurationError
 from repro.obs.slo import (
     AVAILABILITY,
     BurnRateAlert,
-    DEFAULT_ALERTS,
     LATENCY,
     SLODefinition,
     default_slos,
@@ -68,7 +67,7 @@ class TestAvailability:
     def test_degraded_counts_as_served(self):
         snapshot = store_with_failures(0)
         slo = SLODefinition(name="avail", kind=AVAILABILITY, target=0.999)
-        status = evaluate_slo(snapshot, slo, alerts=())
+        status = evaluate_slo(snapshot, slo)
         assert status.bad == 0
         assert status.good == 40 * 98          # ok + degraded
         assert status.compliance == 1.0
@@ -79,7 +78,7 @@ class TestAvailability:
         # against a 0.99 target -> budget burned exactly 2x over.
         snapshot = store_with_failures(2)
         slo = SLODefinition(name="avail", kind=AVAILABILITY, target=0.99)
-        status = evaluate_slo(snapshot, slo, alerts=())
+        status = evaluate_slo(snapshot, slo)
         assert status.bad == 80
         assert status.compliance == 0.98
         assert status.budget_consumed == pytest.approx(2.0)
@@ -93,7 +92,7 @@ class TestLatency:
             store.observe(E2E_METRIC, float(i % 2), value)
         slo = SLODefinition(name="e2e", kind=LATENCY, target=0.99,
                             metric=E2E_METRIC, threshold=1.0)
-        status = evaluate_slo(store.snapshot(), slo, alerts=())
+        status = evaluate_slo(store.snapshot(), slo)
         assert (status.good, status.bad) == (3, 2)
         assert status.compliance == 0.6
 
@@ -103,14 +102,14 @@ class TestBurnRateAlerts:
         # Windows 10-13 melt down (50% failures); elsewhere clean.
         meltdown = store_with_failures(lambda w: 96 if 10 <= w < 14 else 0)
         slo = SLODefinition(name="avail", kind=AVAILABILITY, target=0.99)
-        status = evaluate_slo(meltdown, slo, alerts=DEFAULT_ALERTS)
+        status = evaluate_slo(meltdown, slo)
         names = {f.alert for f in status.firings}
         assert "page" in names
         # a slow ~3%-of-traffic leak never reaches the 8x page factor
         # (not exactly 2% — a burn sitting on the factor boundary would
         # make the test hinge on one float ulp)
         leak = store_with_failures(3)
-        leak_status = evaluate_slo(leak, slo, alerts=DEFAULT_ALERTS)
+        leak_status = evaluate_slo(leak, slo)
         leak_names = {f.alert for f in leak_status.firings}
         assert leak_names == {"ticket"}
 
@@ -120,24 +119,20 @@ class TestBurnRateAlerts:
         # so the page rule stays quiet.
         blip = store_with_failures(lambda w: 20 if w == 30 else 0)
         slo = SLODefinition(name="avail", kind=AVAILABILITY, target=0.99)
-        status = evaluate_slo(
-            blip, slo,
-            alerts=(BurnRateAlert(name="page", long_windows=12,
-                                  short_windows=2, factor=8.0),),
-        )
-        assert status.firings == ()
+        status = evaluate_slo(blip, slo)
+        assert "page" not in {f.alert for f in status.firings}
 
     def test_clean_horizon_never_fires(self):
         snapshot = store_with_failures(0)
         slo = SLODefinition(name="avail", kind=AVAILABILITY, target=0.999)
-        status = evaluate_slo(snapshot, slo, alerts=DEFAULT_ALERTS)
+        status = evaluate_slo(snapshot, slo)
         assert status.firings == ()
 
 
 class TestEvaluateSlos:
     def test_skips_objectives_without_data(self):
         snapshot = store_with_failures(0)  # QUERIES only, no latency panels
-        statuses = evaluate_slos(snapshot, default_slos(), alerts=())
+        statuses = evaluate_slos(snapshot, default_slos())
         assert [s.slo.name for s in statuses] == ["availability"]
 
     def test_replay_snapshot_supports_all_three(self):
@@ -152,7 +147,7 @@ class TestEvaluateSlos:
             n_replicas=2,
             seed=2,
         )
-        statuses = evaluate_slos(result.rollups(), default_slos(), alerts=())
+        statuses = evaluate_slos(result.rollups(), default_slos())
         assert [s.slo.name for s in statuses] == [
             "availability", "e2e-p99", "ttfp-p95"
         ]

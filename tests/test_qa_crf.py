@@ -48,6 +48,7 @@ from repro.qa.crf import (
 )
 from repro.qa.crf import features as crf_features
 from repro.qa.crf.model import _logsumexp, record_decode_work
+from repro.qa.crf.train import EPOCHS
 from repro.qa.extraction import extract_candidates
 from repro.qa.filters import (
     CandidateExtractionFilter,
@@ -184,7 +185,7 @@ class TestTraining:
         corpus = generate_corpus(200)
         untrained = LinearChainCRF()
         baseline = evaluate(untrained, corpus[:50])
-        accuracy = evaluate(train_crf(corpus, epochs=3).model, corpus)
+        accuracy = evaluate(train_crf(corpus).model, corpus)
         assert accuracy > baseline
         assert accuracy > 0.9  # templates are highly learnable
 
@@ -595,8 +596,8 @@ class TestDecodeEqualsParentBody:
 class TestTrainingEqualsParentSteps:
     def test_sixty_sentences_two_epochs_byte_equal(self):
         corpus = generate_corpus(60)
-        result = train_crf(corpus, epochs=2)
-        oracle, total = oracle_train(corpus, epochs=2)
+        result = train_crf(corpus)
+        oracle, total = oracle_train(corpus, epochs=EPOCHS)
         assert result.model.feature_map._ids == oracle.feature_map._ids
         assert list(result.model.feature_map._ids) == list(oracle.feature_map._ids)
         assert parameter_bytes(result.model) == parameter_bytes(oracle)
@@ -642,7 +643,7 @@ class TestInferenceNeverGrowsTheModel:
         # Half-trained: evaluating between epochs must not change what it evaluates.
         model = LinearChainCRF()
         for sentence in generate_corpus(10):
-            model.gradient_step(sentence.tokens, sentence.tag_ids(), 0.1)
+            model.gradient_step(sentence.tokens, sentence.tag_ids(), 0.1, 0.0)
         before = len(model.feature_map), model.emission.shape, parameter_bytes(model)
         call(model, self.TOKENS + ["Unseen", "44th"])
         assert (len(model.feature_map), model.emission.shape, parameter_bytes(model)) == before
@@ -650,7 +651,7 @@ class TestInferenceNeverGrowsTheModel:
 
     def test_only_a_gradient_step_interns(self):
         model = LinearChainCRF()
-        model.gradient_step(self.TOKENS, [0, 1, 2], 0.1)
+        model.gradient_step(self.TOKENS, [0, 1, 2], 0.1, 0.0)
         assert len(model.feature_map) == 30 and model.emission.shape == (30, N_TAGS)
 
     def test_frozen_model_behaves_as_it_did(self):
@@ -868,7 +869,7 @@ class TestSentenceMemo:
         candidates, stats, counters = self.run(fresh)
         assert memo_candidates == candidates
         assert memo_candidates[0] == memo_candidates[1] == memo_candidates[2] != []
-        assert memo_candidates[0] == extract_candidates(self.FACT, shared.answer_type, tagger)
+        assert memo_candidates[0] == extract_candidates(self.FACT, shared.answer_type)
         assert memo_stats == stats and stats.candidate_hits == 3 * len(candidates[0])
         assert memo_counters == counters and counters["invocations"] > 0
         assert list(shared.tagged) == [self.FACT]
@@ -878,9 +879,12 @@ class TestSentenceMemo:
         tagger = default_model()
         question = analyze(self.QUESTION, tagger)
         calls = []
-        real = tagger.decode_lattice
+        real = LinearChainCRF.decode_lattice
+        # Patched on the class: an instance patch would leave its bound
+        # method behind on the shared default model.
         monkeypatch.setattr(
-            tagger, "decode_lattice", lambda batch: calls.append(len(batch)) or real(batch)
+            LinearChainCRF, "decode_lattice",
+            lambda model, batch: calls.append(len(batch)) or real(model, batch),
         )
         pipeline = FilterPipeline(extraction_filter=CandidateExtractionFilter(tagger))
         per_document = pipeline.run(question, self.documents(), FilterStats())
@@ -900,7 +904,7 @@ class TestSentenceMemo:
         miss = work_of(lambda: extraction.apply(question, filtered, FilterStats()))
         hit = work_of(lambda: extraction.apply(question, filtered, FilterStats()))
         assert hit == miss
-        direct = work_of(lambda: extract_candidates(self.FACT, question.answer_type, tagger))
+        direct = work_of(lambda: extract_candidates(self.FACT, question.answer_type))
         assert hit == direct
         if question.answer_type == "PERSON":  # no regex tests: the decode is all of it
             decode = work_of(lambda: tagger.decode(tokenize_keep_case(self.FACT)))
@@ -924,8 +928,8 @@ class TestSentenceMemo:
         people = extraction.apply(who, filtered, FilterStats())
         assert when.tagged == {}
         years = extraction.apply(when, filtered, FilterStats())
-        assert people == extract_candidates(self.FACT, who.answer_type, tagger)
-        assert years == extract_candidates(self.FACT, when.answer_type, tagger)
+        assert people == extract_candidates(self.FACT, who.answer_type)
+        assert years == extract_candidates(self.FACT, when.answer_type)
         assert [c.text for c in years] == ["2008"] and people != years
         # The memo is not part of the question's value.
         assert who == analyze(self.QUESTION, tagger) and "tagged" not in repr(who)

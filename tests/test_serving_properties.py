@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.serving import FaultPlan, FaultRule, RetryPolicy
 from repro.serving.faults import ERROR, FAULT_KINDS, FLAP, LATENCY, OUTAGE
-from repro.serving.resilience import backoff_rng
+from repro.serving.resilience import BACKOFF_MAX, backoff_rng
 
 
 # -- strategies --------------------------------------------------------------------
@@ -28,8 +28,6 @@ retry_policies = st.builds(
     RetryPolicy,
     max_attempts=st.integers(min_value=1, max_value=8),
     backoff_base=st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
-    backoff_factor=st.floats(min_value=1.0, max_value=4.0, allow_nan=False),
-    backoff_max=st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
     jitter=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
 )
 
@@ -43,7 +41,7 @@ class TestRetryProperties:
     def test_raw_schedule_monotone_and_capped(self, policy):
         raw = [policy.raw_delay(i) for i in range(policy.max_attempts - 1)]
         assert all(b >= a for a, b in zip(raw, raw[1:]))
-        assert all(0.0 <= delay <= policy.backoff_max for delay in raw)
+        assert all(0.0 <= delay <= BACKOFF_MAX for delay in raw)
 
     @settings(deadline=None, max_examples=300)
     @given(policy=retry_policies,
@@ -59,7 +57,7 @@ class TestRetryProperties:
             assert delay >= 0.0
             assert raw * (1.0 - policy.jitter) - 1e-12 <= delay
             assert delay <= raw * (1.0 + policy.jitter) + 1e-12
-            assert delay <= policy.backoff_max * (1.0 + policy.jitter) + 1e-12
+            assert delay <= BACKOFF_MAX * (1.0 + policy.jitter) + 1e-12
 
     @settings(deadline=None, max_examples=100)
     @given(policy=retry_policies,

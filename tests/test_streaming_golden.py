@@ -73,7 +73,7 @@ def endpoint_trace(chunks):
 def stream_utterance(decoder, samples, step):
     """Everything one chunking of one utterance produces, as JSON values."""
     chunks = [samples[offset : offset + step] for offset in range(0, len(samples), step)]
-    features = StreamingFeatureExtractor(decoder.feature_extractor.config)
+    features = StreamingFeatureExtractor()
     rows = [features.push(chunk) for chunk in chunks] + [features.flush()]
     streaming = StreamingDecoder(decoder)
     partials, last = [], ""

@@ -99,12 +99,13 @@ class TestKernelContracts:
         kernel = kernel_cls()
         inputs = kernel.prepare(0.1)
         base = kernel.run(inputs)
-        parallel = kernel.run_parallel(inputs, workers=3)
-        assert parallel == pytest.approx(base, rel=1e-9)
+        for workers in (2, 3):
+            parallel = kernel.run_parallel(inputs, workers=workers)
+            assert parallel == pytest.approx(base, rel=1e-9)
 
     def test_execute_metadata(self, kernel_cls):
         kernel = kernel_cls()
-        run = kernel.execute(scale=0.1)
+        run = kernel.execute(kernel.prepare(0.1))
         assert run.kernel == kernel.name
         assert run.items >= 1
         assert run.seconds > 0
@@ -118,7 +119,7 @@ class TestKernelContracts:
 
     def test_invalid_workers(self, kernel_cls):
         with pytest.raises(ConfigurationError):
-            kernel_cls().execute(scale=0.1, workers=0)
+            kernel_cls().execute(kernel_cls().prepare(0.1), workers=0)
 
 
 class TestCRFKernelStartsCold:
@@ -128,12 +129,17 @@ class TestCRFKernelStartsCold:
     def test_every_run_starts_from_an_empty_lexeme_table(self, workers):
         kernel = kernel_by_name("crf")
         inputs = kernel.prepare(scale=0.0)
-        lexemes = inputs.model.feature_map._lexemes
-        inputs.model.decode(("Zanzibar",))
-        assert "Zanzibar" in lexemes
-        kernel.execute(inputs=inputs, workers=workers)
-        assert "Zanzibar" not in lexemes
-        assert {token for tokens in inputs.sentences for token in tokens} == set(lexemes)
+        ranges = chunk_ranges(kernel.count_items(inputs), workers)
+        chunks = [kernel.subset(inputs, chunk) for chunk in ranges]
+        tables = [chunk.model.feature_map._lexemes for chunk in chunks]
+        # Every chunk of a port has a table of its own, as a forked one does.
+        assert len({id(table) for table in tables + [inputs.model.feature_map._lexemes]}) == workers + 1
+        for chunk, lexemes in zip(chunks, tables):
+            chunk.model.decode(("Zanzibar",))
+            assert "Zanzibar" in lexemes
+            kernel.run(chunk)
+            assert "Zanzibar" not in lexemes
+            assert {token for tokens in chunk.sentences for token in tokens} == set(lexemes)
 
 
 def traced(call):

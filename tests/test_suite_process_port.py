@@ -27,17 +27,14 @@ class TestSubset:
         assert partial == pytest.approx(kernel.run(inputs), rel=1e-9)
 
 
-@pytest.mark.parametrize(
-    "kernel_cls",
-    [cls for cls in KERNEL_CLASSES if cls.name in ("stemmer", "gmm", "crf")],
-    ids=lambda c: c.name,
-)
+@pytest.mark.parametrize("kernel_cls", KERNEL_CLASSES, ids=lambda c: c.name)
 def test_process_port_matches_baseline(kernel_cls):
     kernel = kernel_cls()
     inputs = kernel.prepare(0.05)
     baseline = kernel.run(inputs)
-    processed = kernel.run_parallel_processes(inputs, workers=2)
-    assert processed == pytest.approx(baseline, rel=1e-9)
+    for workers in (2, 3):
+        processed = kernel.run_parallel_processes(inputs, workers=workers)
+        assert processed == pytest.approx(baseline, rel=1e-9)
 
 
 def test_execute_with_processes_flag():
