@@ -1,7 +1,7 @@
 """Serving-layer throughput: whole-query fan-out vs sequential.
 
 ``PlanExecutor.run_all`` maps whole queries over an execution backend.
-This benchmark pits the classic sequential ``process_all`` (the ``serial``
+This benchmark pits the classic sequential run (the ``serial``
 backend) against fan-out on the thread and process backends over a VQ-mix
 workload, and checks that the backend never changes an answer.
 

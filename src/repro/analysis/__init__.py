@@ -4,7 +4,6 @@ from repro.analysis.bottleneck import (
     CYCLE_ACCOUNTS,
     CycleAccount,
     ISSUE_WIDTH,
-    account,
     bottleneck_rows,
     ipc_table,
     max_stall_free_speedup,
@@ -36,7 +35,6 @@ __all__ = [
     "QAQueryRecord",
     "SERVICE_SECTIONS",
     "ServiceBreakdown",
-    "account",
     "bottleneck_rows",
     "format_bar",
     "format_matrix",

@@ -69,13 +69,6 @@ CYCLE_ACCOUNTS: Dict[str, CycleAccount] = {
 }
 
 
-def account(kernel: str) -> CycleAccount:
-    try:
-        return CYCLE_ACCOUNTS[kernel]
-    except KeyError:
-        raise KeyError(f"no cycle account for kernel {kernel!r}") from None
-
-
 def ipc_table() -> Dict[str, float]:
     return {name: acc.ipc for name, acc in CYCLE_ACCOUNTS.items()}
 

@@ -43,18 +43,6 @@ class Distribution:
         """max/min ratio — QA's is the largest in the paper (1.7 s to 35 s)."""
         return self.maximum / self.minimum if self.minimum > 0 else float("inf")
 
-    def percentile(self, q: float) -> float:
-        if not 0 <= q <= 100:
-            raise ConfigurationError("percentile must be in [0, 100]")
-        ordered = sorted(self.samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        position = q / 100 * (len(ordered) - 1)
-        low = int(math.floor(position))
-        high = min(low + 1, len(ordered) - 1)
-        weight = position - low
-        return ordered[low] * (1 - weight) + ordered[high] * weight
-
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Pearson correlation coefficient (Figure 8c's statistic)."""

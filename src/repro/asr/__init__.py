@@ -28,7 +28,7 @@ from repro.asr.audio import SAMPLE_RATE, Synthesizer, Waveform
 from repro.asr.decoder import DecodeResult, Decoder
 from repro.asr.dnn import DeepNeuralNetwork, DNNConfig
 from repro.asr.features import FeatureExtractor
-from repro.asr.gmm import DiagonalGMM, fit_gmm, score_naive
+from repro.asr.gmm import DiagonalGMM, fit_gmm
 from repro.asr.lm import BigramLanguageModel
 from repro.asr.phonemes import N_PHONEMES, PHONEMES, pronounce
 
@@ -61,7 +61,6 @@ __all__ = [
     "fit_gmm",
     "phoneme_state_id",
     "pronounce",
-    "score_naive",
     "train_dnn_acoustic_model",
     "train_gmm_acoustic_model",
 ]

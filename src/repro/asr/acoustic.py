@@ -62,7 +62,7 @@ class GMMAcousticModel:
     run of equal K reshapes to ``(T, members, K)`` for the log-sum-exp.
     An utterance is then one :meth:`DiagonalGMM.component_log_likelihood`
     call and one :func:`~repro.asr.gmm.log_sum_exp` per distinct K instead
-    of one :meth:`DiagonalGMM.log_likelihood` call per state, and gives the
+    of one component scoring and log-sum-exp per state, and gives the
     same bits as those calls — for the whole utterance or for any split of
     its rows.  Mutating ``gmms`` or ``fallback`` afterwards does not
     rebuild it.
@@ -147,7 +147,6 @@ class DNNAcousticModel:
 def label_frames(
     alignment: Sequence[Tuple[str, int, int]],
     n_frames: int,
-    n_samples: int,
     sample_rate: int = SAMPLE_RATE,
 ) -> np.ndarray:
     """Assign each feature frame an emission-state label.
@@ -199,9 +198,7 @@ def collect_training_data(
         for sentence in sentences:
             waveform, alignment = synth.aligned_synthesize(sentence)
             features = extractor.extract(waveform)
-            labels = label_frames(
-                alignment, len(features), len(waveform), waveform.sample_rate
-            )
+            labels = label_frames(alignment, len(features), waveform.sample_rate)
             feature_blocks.append(features)
             label_blocks.append(labels)
     if not feature_blocks:

@@ -111,9 +111,6 @@ class DeepNeuralNetwork:
         """Hybrid scaled likelihood: log p(x|s) ∝ log p(s|x) - log p(s)."""
         return self.log_posteriors(features) - self.log_priors[None, :]
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        return self.log_posteriors(features).argmax(axis=1)
-
     # -- training -------------------------------------------------------------------
 
     def fit(self, features: np.ndarray, labels: np.ndarray) -> List[float]:

@@ -143,12 +143,6 @@ class FeatureExtractor:
         log_energies = np.log(np.maximum(power @ bank.T, 1e-12))
         return log_energies @ dct.T
 
-    def frames_for_samples(self, n_samples: int, rate: int) -> int:
-        """How many frames :meth:`extract` yields for ``n_samples`` samples."""
-        frame_size = int(FRAME_LENGTH * rate)
-        hop = int(FRAME_HOP * rate)
-        return 1 + max(n_samples - frame_size, 0) // hop
-
 
 class StreamingFeatureExtractor:
     """Incremental MFCC extraction with delta lookahead.
@@ -266,7 +260,3 @@ class StreamingFeatureExtractor:
             self._add_static(self._extractor.static_cepstra(self._samples, self.sample_rate))
             self._samples = np.zeros(0)
         return self._release(final=True)
-
-    @property
-    def n_frames_emitted(self) -> int:
-        return self._emitted

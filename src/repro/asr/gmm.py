@@ -3,10 +3,8 @@
 This is the paper's GMM kernel (Table 4): "the major computation of the
 algorithm lies in three nested loops that iteratively score the feature
 vector against the training data" — feature vectors against per-state means,
-precisions, and mixture weights.  :meth:`DiagonalGMM.log_likelihood` is the
-vectorized scorer used in production paths; :func:`score_naive` keeps the
-literal three-nested-loop form as the single-threaded CMP baseline the suite
-benchmarks against.
+precisions, and mixture weights.  :meth:`DiagonalGMM.component_log_likelihood`
+is the vectorized scorer and :func:`log_sum_exp` folds its components.
 
 The vectorized scorer expands ``-½·p·(x-μ)²`` so that T frames are one
 contraction of the ``(T, 2D)`` moments ``[x² | x]`` with ``(2D, K)`` weights
@@ -105,16 +103,6 @@ class DiagonalGMM:
         scores += self._offsets
         return scores
 
-    def log_likelihood(self, features: np.ndarray) -> np.ndarray:
-        """(T,) log p(x_t) via log-sum-exp over components."""
-        component = self.component_log_likelihood(features)
-        record_scoring(len(component), self.n_components, self.dimension)
-        return log_sum_exp(component)
-
-    def score(self, feature: np.ndarray) -> float:
-        """Log-likelihood of a single feature vector."""
-        return float(self.log_likelihood(feature[None, :])[0])
-
 
 def record_scoring(frames: int, components: int, dimension: int, mixtures: int = 1) -> None:
     """Counter model of scoring ``frames`` rows against ``mixtures`` GMMs of
@@ -137,28 +125,6 @@ def log_sum_exp(scores: np.ndarray) -> np.ndarray:
     slabs = [scores[..., k] for k in range(scores.shape[-1])]
     peak = functools.reduce(np.maximum, slabs)
     return peak + np.log(sum(np.exp(slab - peak) for slab in slabs))
-
-
-def score_naive(gmm: DiagonalGMM, features: np.ndarray) -> np.ndarray:
-    """Literal three-nested-loop GMM scoring (the CMP baseline kernel).
-
-    Outer loop over feature vectors, middle loop over mixture components
-    (the log-summation the paper could not parallelize), inner loop over
-    dimensions (the log-differential unit it fully parallelized on FPGA).
-    """
-    features = np.atleast_2d(features)
-    n_frames = features.shape[0]
-    out = np.empty(n_frames)
-    for t in range(n_frames):
-        total = -np.inf
-        for k in range(gmm.n_components):
-            acc = gmm.factors[k]
-            for d in range(gmm.dimension):
-                diff = features[t, d] - gmm.means[k, d]
-                acc -= 0.5 * gmm.precisions[k, d] * diff * diff
-            total = max(total, acc) + np.log1p(np.exp(-abs(total - acc)))
-        out[t] = total
-    return out
 
 
 #: Rows taken at a time while fitting, for memory only (scoring is

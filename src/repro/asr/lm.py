@@ -51,16 +51,6 @@ class BigramLanguageModel:
         denominator = sum(context.values()) + ADD_K * self._vocab_size
         return math.log(numerator / denominator)
 
-    def sentence_log_prob(self, sentence: str) -> float:
-        """Joint log probability of a sentence, including the EOS event."""
-        words = [w.lower() for w in sentence.split() if w]
-        total = 0.0
-        previous = BOS
-        for word in words:
-            total += self.log_prob(word, previous)
-            previous = word
-        return total + self.log_prob(EOS, previous)
-
     def transition_matrix(self, words: Sequence[str]) -> "np.ndarray":
         """(V+1, V) matrix of log P(words[j] | row) for decoding.
 

@@ -61,10 +61,6 @@ class StreamingEndpointer:
         self.endpointed = False
         self._trailing_silence = 0
 
-    @property
-    def frames_seen(self) -> int:
-        return len(self._sorted)
-
     def _floor(self) -> float:
         """``np.percentile(energies, FLOOR_PERCENTILE)`` off the sorted list:
         numpy's ``linear`` method, two-sided lerp included."""

@@ -7,7 +7,6 @@ from repro.core.inputset import (
     VOICE_IMAGE_QUERIES,
     VOICE_QUERIES,
     all_sentences,
-    vocabulary,
 )
 from repro.core.pipeline import DNN_BACKEND, GMM_BACKEND, SiriusPipeline
 from repro.core.query import IPAQuery, QueryType, SiriusResponse
@@ -28,5 +27,4 @@ __all__ = [
     "VOICE_IMAGE_QUERIES",
     "VOICE_QUERIES",
     "all_sentences",
-    "vocabulary",
 ]

@@ -83,14 +83,6 @@ def all_sentences() -> List[str]:
     return texts
 
 
-def vocabulary() -> List[str]:
-    """Sorted unique word list across the input set."""
-    words: Set[str] = set()
-    for sentence in all_sentences():
-        words.update(sentence.split())
-    return sorted(words)
-
-
 @dataclass
 class InputSet:
     """Materialized queries: audio synthesized, images attached.

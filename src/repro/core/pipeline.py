@@ -7,7 +7,7 @@ service records wall time, so the same object drives the latency studies
 
 Since the serving-layer refactor this class is a thin facade: query
 execution lives in :mod:`repro.serving` (Service wrappers, the query walk,
-execution backends), and :meth:`process` / :meth:`process_all` delegate to a
+execution backends), and :meth:`process` delegates to a
 lazily built :class:`~repro.serving.executor.PlanExecutor` while preserving
 the original observable behaviour exactly.
 """
@@ -117,6 +117,3 @@ class SiriusPipeline:
     def process(self, query: IPAQuery) -> SiriusResponse:
         """Run one query through the full pipeline."""
         return self.serving.run(query)
-
-    def process_all(self, queries: List[IPAQuery]) -> List[SiriusResponse]:
-        return self.serving.run_all(queries)

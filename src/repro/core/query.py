@@ -18,15 +18,6 @@ class QueryType(enum.Enum):
     VOICE_QUERY = "VQ"
     VOICE_IMAGE_QUERY = "VIQ"
 
-    @property
-    def services(self) -> Tuple[str, ...]:
-        """Which Sirius services this query type exercises (Table 1)."""
-        return {
-            QueryType.VOICE_COMMAND: ("ASR",),
-            QueryType.VOICE_QUERY: ("ASR", "QA"),
-            QueryType.VOICE_IMAGE_QUERY: ("ASR", "QA", "IMM"),
-        }[self]
-
 
 @dataclass(frozen=True)
 class IPAQuery:

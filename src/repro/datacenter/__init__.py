@@ -8,7 +8,6 @@ from repro.datacenter.arrivals import (
     DiurnalProcess,
     POISSON,
     PoissonProcess,
-    arrival_times,
     make_process,
 )
 from repro.datacenter.design import (
@@ -36,7 +35,6 @@ from repro.datacenter.queueing import (
     throughput_improvement_at_load,
 )
 from repro.datacenter.simulation import (
-    deterministic_sampler,
     empirical_sampler,
     exponential_sampler,
     histogram_sampler,
@@ -60,12 +58,10 @@ __all__ = [
     "DiurnalProcess",
     "POISSON",
     "PoissonProcess",
-    "arrival_times",
     "make_process",
     "DatacenterDesigner",
     "ProvisioningPlan",
     "WorkloadMix",
-    "deterministic_sampler",
     "empirical_sampler",
     "exponential_sampler",
     "histogram_sampler",

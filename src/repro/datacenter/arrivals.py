@@ -18,8 +18,7 @@ in their seed:
   must absorb.
 
 All processes yield *inter-arrival-ordered absolute times* (strictly
-increasing floats, seconds from 0).  :func:`arrival_times` materializes the
-first ``n`` arrivals of any process.
+increasing floats, seconds from 0).
 """
 
 from __future__ import annotations
@@ -179,8 +178,3 @@ def make_process(name: str, rate: float) -> ArrivalProcess:
         f"unknown arrival process {name!r} "
         f"(available: {POISSON}, {DIURNAL}, {BURSTY})"
     )
-
-
-def arrival_times(process: ArrivalProcess, n: int) -> List[float]:
-    """The first ``n`` arrivals of ``process`` under seed 0."""
-    return process.times(n, seed=0)

@@ -29,9 +29,6 @@ class MM1Queue:
     def service_rate(self) -> float:
         return 1.0 / self.service_time
 
-    def utilization(self, arrival_rate: float) -> float:
-        return arrival_rate * self.service_time
-
     def response_time(self, arrival_rate: float) -> float:
         """Mean time in system; infinite at or beyond saturation."""
         if arrival_rate < 0:
@@ -39,13 +36,6 @@ class MM1Queue:
         if arrival_rate >= self.service_rate:
             return float("inf")
         return 1.0 / (self.service_rate - arrival_rate)
-
-    def waiting_time(self, arrival_rate: float) -> float:
-        return self.response_time(arrival_rate) - self.service_time
-
-    def queue_length(self, arrival_rate: float) -> float:
-        """Mean number in system (Little's law)."""
-        return arrival_rate * self.response_time(arrival_rate)
 
     def max_load_for_response_time(self, target: float) -> float:
         """Largest arrival rate keeping mean response time <= ``target``."""

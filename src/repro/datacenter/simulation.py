@@ -28,13 +28,6 @@ def exponential_sampler(mean: float, seed: int = 0) -> Callable[[], float]:
     return lambda: rng.expovariate(1.0 / mean)
 
 
-def deterministic_sampler(value: float) -> Callable[[], float]:
-    """Service-time sampler for an M/D/1 run."""
-    if value <= 0:
-        raise ConfigurationError("service time must be positive")
-    return lambda: value
-
-
 def empirical_sampler(samples: Sequence[float], seed: int = 0) -> Callable[[], float]:
     """Sampler drawing from measured latencies (e.g. real Sirius queries)."""
     if not samples:

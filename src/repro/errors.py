@@ -125,10 +125,8 @@ class SessionError(ServiceError):
     """A streaming service session was used outside its lifecycle contract.
 
     Raised by :mod:`repro.serving.sessions` when a session is fed after
-    ``finish()``/``cancel()``, finished twice with conflicting expectations,
-    finished with no audio, or asked to combine chunks of incompatible
-    types.  Barge-in itself is not an error — ``cancel()`` succeeds — but
-    *using* a cancelled session is.
+    ``finish()``, finished with no audio, or fed a chunk of another type or
+    sample rate.
     """
 
     code = "SESSION"

@@ -7,10 +7,10 @@ same ``Surf.describe`` call.
 """
 
 from repro.imm.database import ImageDatabase, MatchResult
-from repro.imm.descriptor import DESCRIPTOR_SIZE, describe_keypoint, describe_keypoints
+from repro.imm.descriptor import DESCRIPTOR_SIZE, describe_keypoints
 from repro.imm.hessian import FastHessianDetector, Keypoint
 from repro.imm.image import Image, SceneGenerator
-from repro.imm.integral import box_sum, integral_image
+from repro.imm.integral import integral_image
 from repro.imm.kdtree import KDTree
 from repro.imm.matcher import AnnMatcher, DescriptorMatch, match_bruteforce
 from repro.imm.surf import Surf, SurfFeatures
@@ -28,8 +28,6 @@ __all__ = [
     "SceneGenerator",
     "Surf",
     "SurfFeatures",
-    "box_sum",
-    "describe_keypoint",
     "describe_keypoints",
     "integral_image",
     "match_bruteforce",

@@ -30,10 +30,6 @@ class MatchResult:
     total_matches: int
     n_query_keypoints: int
 
-    @property
-    def matched(self) -> bool:
-        return self.votes > 0
-
 
 class ImageDatabase:
     """The Mobile-Visual-Search stand-in: registered scenes + ANN matching."""
@@ -140,7 +136,3 @@ class ImageDatabase:
     @property
     def n_images(self) -> int:
         return len(self._names)
-
-    @property
-    def n_descriptors(self) -> int:
-        return len(self._owner_of_row)

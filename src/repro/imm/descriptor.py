@@ -56,7 +56,7 @@ def _haar(ii: np.ndarray, y: np.ndarray, x: np.ndarray, half: np.ndarray):
     bottom_left, bottom_center, bottom_right = (
         flat[bottom + left], flat[bottom + center], flat[bottom + right]
     )
-    # Each box keeps box_sum's operation order: ii[y1,x1] - ii[y0,x1] - ii[y1,x0] + ii[y0,x0].
+    # Each box sums in the order ((ii[y1,x1] - ii[y0,x1]) - ii[y1,x0]) + ii[y0,x0].
     haar_x = (bottom_right - top_right - bottom_center + top_center) - (
         bottom_center - top_center - bottom_left + top_left
     )
@@ -125,11 +125,6 @@ def _describe(ii: np.ndarray, keypoints: Sequence[Keypoint]) -> np.ndarray:
     norms = np.sqrt(np.matmul(descriptors[:, None, :], descriptors[:, :, None])).reshape(count, 1)
     np.divide(descriptors, norms, out=descriptors, where=norms > 0)
     return descriptors
-
-
-def describe_keypoint(ii: np.ndarray, keypoint: Keypoint) -> np.ndarray:
-    """64-d upright SURF descriptor for one keypoint."""
-    return _describe(ii, [keypoint])[0]
 
 
 def describe_keypoints(

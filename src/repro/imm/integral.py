@@ -25,30 +25,16 @@ def integral_image(pixels: np.ndarray) -> np.ndarray:
     return table
 
 
-def box_sum(ii: np.ndarray, y0: int, x0: int, height: int, width: int) -> float:
-    """Sum of the box with top-left (y0, x0) and the given extent.
-
-    Coordinates are clipped to the image, so partially out-of-bounds boxes
-    contribute only their visible part (SURF border behaviour).
-    """
-    max_y = ii.shape[0] - 1
-    max_x = ii.shape[1] - 1
-    y1 = min(max(y0 + height, 0), max_y)
-    x1 = min(max(x0 + width, 0), max_x)
-    y0 = min(max(y0, 0), max_y)
-    x0 = min(max(x0, 0), max_x)
-    return float(ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0])
-
-
 class PaddedIntegral:
     """An integral image edge-padded by ``pad`` cells on every side, raveled.
 
-    Edge padding *is* :func:`box_sum`'s clip: cell ``pad + j`` of the padded
-    table holds ``ii[clip(j, 0, size)]``.  A box-sum map is then one
-    contiguous run of ``height * stride`` cells over the raveled table, its
-    four corners at flat offsets: cell ``y * stride + x`` holds pixel (y, x)'s
-    box for ``x < width``, and the ``stride - width`` cells closing each row
-    are padding, computed and ignored.  A run may also cover only some rows,
+    Edge padding clips a box to the image: cell ``pad + j`` of the padded
+    table holds ``ii[clip(j, 0, size)]``, so a partly out-of-bounds box
+    contributes only its visible part (SURF border behaviour).  A box-sum
+    map is then one contiguous run of ``height * stride`` cells over the
+    raveled table, its four corners at flat offsets: cell ``y * stride + x``
+    holds pixel (y, x)'s box for ``x < width``, and the ``stride - width``
+    cells closing each row are padding, computed and ignored.  A run may also cover only some rows,
     or reach into the padding rows above and below.  Build one per batch of
     maps and drop it with them.
     """
@@ -68,11 +54,11 @@ class PaddedIntegral:
         """Box sums for a run of cells at once, written to ``out``.
 
         ``out[i]`` holds the sum of the box whose top-left corner is
-        (y + dy, x + dx) for cell ``start + i = y * stride + x``, exactly as
-        :func:`box_sum` computes it, ``((a - b) - c) + d``.  With ``start``
-        0 and ``height * stride`` cells that is every pixel of the image;
-        any other range of the same flat layout, rows above or below the
-        image included, is a run too.  Out-of-range boxes are clipped.
+        (y + dy, x + dx) for cell ``start + i = y * stride + x``, summed in
+        the order ``((ii[y1, x1] - ii[y0, x1]) - ii[y1, x0]) + ii[y0, x0]``.
+        With ``start`` 0 and ``height * stride`` cells that is every pixel
+        of the image; any other range of the same flat layout, rows above
+        or below the image included, is a run too.  Out-of-range boxes are clipped.
         """
         if box_reach(dy, dx, height, width) > self.pad:
             raise ImageError("box reaches past the integral image's padding")
@@ -103,10 +89,6 @@ class PaddedIntegral:
         np.subtract(out, flat[bottom], out=out)
         np.add(out, flat[top], out=out)
         return out
-
-    def image(self, run: np.ndarray) -> np.ndarray:
-        """The (height, width) in-image view of a run."""
-        return run.reshape(self.height, self.stride)[:, : self.width]
 
 
 def box_reach(dy: int, dx: int, height: int, width: int) -> int:

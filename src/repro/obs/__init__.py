@@ -32,7 +32,7 @@ produces those measurements from a live run:
   a committed baseline;
 - :mod:`repro.obs.timeseries` — :class:`RollupStore`, the one telemetry
   store: counters + value panels keyed by metric × labels × window over
-  virtual time, with an associative/commutative/exact snapshot merge;
+  virtual time;
 - :mod:`repro.obs.sampling` — deterministic trace sampling: hash-based
   head decisions pure in ``(seed, trace_id)`` plus always-keep tail
   rules for errors/deadlines/breaker-opens/degradations and a

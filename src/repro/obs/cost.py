@@ -136,10 +136,6 @@ class QueryCost:
     def microjoules(self) -> int:
         return sum(entry.microjoules for entry in self.entries)
 
-    @property
-    def dollars(self) -> float:
-        return math.fsum(entry.dollars for entry in self.entries)
-
 
 @dataclass(frozen=True)
 class CategoryTotal:

@@ -67,8 +67,8 @@ def _reservoir_priority(value: float) -> int:
     """The hash priority that ranks a value for bottom-k retention.
 
     A pure function of the value — ``float.hex`` is an exact, canonical
-    encoding — so every process ranks every value identically and sharded
-    reservoirs merge deterministically.  The ``0:`` prefix is the seed the
+    encoding — so every process ranks every value identically and a
+    truncated reservoir is a pure function of its pool.  The ``0:`` prefix is the seed the
     hash once took; it stays so truncated reservoirs keep their bytes.
     """
     payload = f"0:{float(value).hex()}".encode()
@@ -126,9 +126,9 @@ def _canonical_reservoir(
 ) -> Tuple[Tuple[float, ...], Tuple[int, ...], float]:
     """Apply bottom-k truncation and return (sorted values, weights, total).
 
-    A pure function of the pooled value→count map, which is what makes
-    merge trees order-independent: any sequence of unions followed by this
-    canonicalization lands on the same bytes.
+    A pure function of the pooled value→count map, which is what makes a
+    fold of cells order-independent: any sequence of unions followed by
+    this canonicalization lands on the same bytes.
     """
     if len(pool) > max_samples:
         ranked = sorted(

@@ -117,12 +117,6 @@ class SamplingStats:
             return float("inf") if self.total_spans else 1.0
         return self.total_spans / self.kept_spans
 
-    def kept_for(self, reason: str) -> int:
-        for key, value in self.by_reason:
-            if key == reason:
-                return value
-        return 0
-
     def extrapolate(self, target_queries: int = 1_000_000) -> "SamplingStats":
         """Project the measured mix to ``target_queries`` traces.
 
@@ -305,13 +299,3 @@ class TraceSampler:
             kept_spans=kept_spans,
             by_reason=tuple(sorted(by_reason.items())),
         )
-
-    def sample_spans(self, spans: Sequence[Span]) -> Tuple[List[Span], SamplingStats]:
-        """Filter a span forest down to the kept traces, plus the stats."""
-        summaries = summarize_forest(spans)
-        verdicts = {v.trace_id: v for v in self.verdicts(summaries)}
-        kept = [
-            span for span in spans
-            if verdicts[span.trace_id].kept
-        ]
-        return kept, self.stats(summaries)

@@ -100,14 +100,6 @@ class WindowCompliance:
     good: int
     bad: int
 
-    @property
-    def total(self) -> int:
-        return self.good + self.bad
-
-    @property
-    def bad_fraction(self) -> float:
-        return self.bad / self.total if self.total else 0.0
-
 
 @dataclass(frozen=True)
 class BurnRateAlert:

@@ -19,20 +19,16 @@ Two cell kinds:
   reservoir of :mod:`repro.obs.metrics`, plus exact
   ``observed``/``min``/``max``.
 
-:meth:`RollupStore.snapshot` is picklable and canonically sorted, and
-:func:`merge_rollup_snapshots` is associative, commutative, and
-fsum-exact — counters add, reservoirs union value-wise and re-apply the
-bottom-k rule (:func:`_merge_cells`, the only place two reservoirs meet),
-min/max fold — so shards of one stream merge into one view in any order,
-byte-identically (the property suite splits streams across window
-boundaries and checks exactly this).
+:meth:`RollupStore.snapshot` is picklable and canonically sorted;
+:func:`_merge_cells` is the only place two reservoirs meet (pools union
+value-wise and re-apply the bottom-k rule, min/max fold), so a folded
+panel is a pure function of the pooled observations.
 
 **Two instances, one type.**  What a store holds depends on who feeds it:
 ``metrics=`` stores (``PlanExecutor``, ``Cluster``, :func:`record_response`,
 ``metrics_from_spans``) hold *measured* seconds; ``rollups=`` stores
-(:func:`rollups_from_spans`, ``Cluster.rollups``,
-``ReplayResult.rollups()``) hold only seed-deterministic values and are
-byte-identical across backends.
+(:func:`rollups_from_spans`, ``ReplayResult.rollups()``) hold only
+seed-deterministic values and are byte-identical across backends.
 
 **What is complete where.**  The process backend forks, so an observation
 made *inside* ``PlanExecutor.run`` (router wait/depth) lands in the
@@ -49,7 +45,7 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.errors import ConfigurationError, TraceError
+from repro.errors import ConfigurationError
 from repro.obs.metrics import (
     DEFAULT_MAX_SAMPLES,
     _canonical_reservoir,
@@ -129,7 +125,7 @@ class RollupPanel:
 
 @dataclass(frozen=True)
 class RollupSnapshot:
-    """Picklable, mergeable state of a whole rollup store.
+    """Picklable state of a whole rollup store.
 
     Cells are canonically sorted by ``(metric, labels, window)``, so equal
     observation multisets produce byte-equal snapshots whatever order —
@@ -239,19 +235,6 @@ def _merge_cells(
     )
 
 
-def merge_rollup_snapshots(a: RollupSnapshot, b: RollupSnapshot) -> RollupSnapshot:
-    """Combine two rollup snapshots (associative, commutative, exact).
-
-    Counters add per cell; panels go through :func:`_merge_cells`.  The
-    result is a pure function of the pooled observation multiset, so any
-    merge tree over the same shards yields byte-identical snapshots.
-    """
-    merged = RollupStore(a.window_seconds, a.max_samples)
-    merged.merge(a)
-    merged.merge(b)
-    return merged.snapshot()
-
-
 class RollupStore:
     """Accumulates windowed counters and value panels over virtual time.
 
@@ -259,23 +242,18 @@ class RollupStore:
     seconds, or a stream ordinal for live runs and span exports) lands in
     window ``floor(t / window_seconds)``.  A cell keeps every distinct
     value of its window and is truncated to ``max_samples`` when read
-    (:meth:`snapshot`) or merged.  Thread-safe: one lock around
-    :meth:`inc` / :meth:`observe` / :meth:`merge` / :meth:`snapshot`,
+    (:meth:`snapshot`); a test lowers the cap by assigning it before the
+    first observation.  Thread-safe: one lock around
+    :meth:`inc` / :meth:`observe` / :meth:`snapshot`,
     because ``run_all(backend="thread")`` workers observe into the
     executor's store concurrently.
     """
 
-    def __init__(
-        self,
-        window_seconds: float = DEFAULT_WINDOW_SECONDS,
-        max_samples: int = DEFAULT_MAX_SAMPLES,
-    ):
+    def __init__(self, window_seconds: float = DEFAULT_WINDOW_SECONDS):
         if window_seconds <= 0:
             raise ConfigurationError("window_seconds must be positive")
-        if max_samples < 1:
-            raise ConfigurationError("max_samples must be >= 1")
         self.window_seconds = float(window_seconds)
-        self.max_samples = max_samples
+        self.max_samples = DEFAULT_MAX_SAMPLES
         self._lock = threading.Lock()
         self._counters: Dict[CellKey, int] = {}
         # Panel accumulator: [value→count pool, observed, minimum, maximum].
@@ -337,29 +315,6 @@ class RollupStore:
             counters=counters,
             panels=panels,
         )
-
-    def merge(self, snapshot: RollupSnapshot) -> None:
-        """Fold another store's snapshot in (equal window width and cap only)."""
-        if (
-            snapshot.window_seconds != self.window_seconds
-            or snapshot.max_samples != self.max_samples
-        ):
-            raise TraceError(
-                "cannot merge rollups with mismatched window/reservoir "
-                "configuration"
-            )
-        with self._lock:
-            for cell in snapshot.counters:
-                key = (cell.metric, cell.labels, cell.window)
-                self._counters[key] = self._counters.get(key, 0) + cell.value
-            for cell in snapshot.panels:
-                key = (cell.metric, cell.labels, cell.window)
-                cells = [self._panel(key), cell] if key in self._panels else [cell]
-                merged = _merge_cells(key, cells, self.max_samples)
-                self._panels[key] = [
-                    dict(zip(merged.samples, merged.weights)),
-                    merged.observed, merged.minimum, merged.maximum,
-                ]
 
 
 # -- metric vocabulary --------------------------------------------------------------
@@ -423,11 +378,7 @@ def record_responses(store: RollupStore, responses: Sequence) -> None:
 # -- span-export projection ---------------------------------------------------------
 
 
-def rollups_from_spans(
-    spans: Iterable,
-    window: float = 16.0,
-    max_samples: int = DEFAULT_MAX_SAMPLES,
-) -> RollupSnapshot:
+def rollups_from_spans(spans: Iterable, window: float = 16.0) -> RollupSnapshot:
     """Project a span forest onto windowed rollups, deterministically.
 
     The virtual clock is the **stream ordinal** (window width ``window``
@@ -443,7 +394,7 @@ def rollups_from_spans(
     ``serve.stage.virtual_seconds{stage}`` plus per-query
     ``serve.e2e.seconds`` from the root's virtual cost.
     """
-    store = RollupStore(window_seconds=window, max_samples=max_samples)
+    store = RollupStore(window_seconds=window)
     for span in spans:
         t = float(span.ordinal)
         if span.kind == QUERY:

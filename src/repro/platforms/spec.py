@@ -39,10 +39,6 @@ class PlatformSpec:
     cost_dollars: float         # Table 6
     transfer_overhead: float    # fraction of accelerated time lost to PCIe/launch
 
-    @property
-    def is_accelerator(self) -> bool:
-        return self.key != CMP
-
 
 SPECS: Dict[str, PlatformSpec] = {
     CMP: PlatformSpec(

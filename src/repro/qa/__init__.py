@@ -6,8 +6,8 @@ account for ~85% of QA cycles.
 """
 
 from repro.qa.engine import QAEngine, QAResult
-from repro.qa.evaluate import QAEvaluation, answer_matches, evaluate_qa
-from repro.qa.extraction import Candidate, extract_candidates
+from repro.qa.evaluate import answer_matches
+from repro.qa.extraction import Candidate
 from repro.qa.filters import FilterPipeline, FilterStats
 from repro.qa.question import (
     DATE,
@@ -21,8 +21,8 @@ from repro.qa.question import (
     is_question,
     search_query,
 )
-from repro.qa.scoring import ScoredAnswer, aggregate, best_answer
-from repro.qa.stemmer import PorterStemmer, stem, stem_words
+from repro.qa.scoring import ScoredAnswer, aggregate
+from repro.qa.stemmer import PorterStemmer, stem
 from repro.qa.tokenizer import remove_stopwords, sentences, tokenize
 
 __all__ = [
@@ -35,23 +35,18 @@ __all__ = [
     "LOCATION",
     "NUMBER",
     "PERSON",
-    "QAEvaluation",
     "answer_matches",
-    "evaluate_qa",
     "PorterStemmer",
     "QAEngine",
     "QAResult",
     "ScoredAnswer",
     "aggregate",
     "analyze",
-    "best_answer",
     "classify_answer_type",
-    "extract_candidates",
     "is_question",
     "remove_stopwords",
     "search_query",
     "sentences",
     "stem",
-    "stem_words",
     "tokenize",
 ]

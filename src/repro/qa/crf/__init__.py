@@ -1,13 +1,12 @@
 """Linear-chain CRF part-of-speech tagger (CRFsuite replacement)."""
 
-from repro.qa.crf.features import FeatureMap, token_features
+from repro.qa.crf.features import FeatureMap
 from repro.qa.crf.model import LinearChainCRF
 from repro.qa.crf.tagset import N_TAGS, TAGS, TAG_TO_ID
 from repro.qa.crf.train import (
     TaggedSentence,
     TrainResult,
     default_model,
-    evaluate,
     generate_corpus,
     train_crf,
 )
@@ -21,8 +20,6 @@ __all__ = [
     "TaggedSentence",
     "TrainResult",
     "default_model",
-    "evaluate",
     "generate_corpus",
-    "token_features",
     "train_crf",
 ]

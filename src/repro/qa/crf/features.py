@@ -146,15 +146,6 @@ def sentence_features(tokens: Sequence[str]) -> List[List[str]]:
     return rows
 
 
-def token_features(tokens: Sequence[str], position: int) -> List[str]:
-    """Feature names active for ``tokens[position]``: one row of :func:`sentence_features`.
-
-    >>> token_features(["Who", "was", "elected"], 2)[:2]
-    ['w=elected', 'lower=elected']
-    """
-    return sentence_features(tokens)[position]
-
-
 def extract_ids(tokens: Sequence[str], feature_map: FeatureMap) -> List[List[int]]:
     """Feature-id lists for every position of a training sentence.
 

@@ -16,9 +16,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ModelError
 from repro.obs.counters import record_work
-from repro.qa.crf.features import FeatureMap, extract_ids, lookup_ids
+from repro.qa.crf.features import FeatureMap, lookup_ids
 from repro.qa.crf.tagset import N_TAGS, TAGS
 
 
@@ -76,10 +75,6 @@ class LinearChainCRF:
         self._ensure_capacity()
         return self._emission[:-1]
 
-    @property
-    def n_parameters(self) -> int:
-        return self.emission.size + self.transition.size + self.start.size + self.end.size
-
     # -- potentials -------------------------------------------------------------
 
     def _emission_scores(self, feature_ids: List[List[int]]) -> np.ndarray:
@@ -95,10 +90,6 @@ class LinearChainCRF:
         padded = [ids + [-1] * (width - len(ids)) for ids in feature_ids]
         id_matrix = np.array(padded, dtype=np.intp).reshape(len(padded), width)
         return self._emission.take(id_matrix, axis=0).sum(axis=1)
-
-    def sentence_potentials(self, tokens: Sequence[str]) -> np.ndarray:
-        """Emission score matrix for external inspection/benchmarks."""
-        return self._emission_scores(lookup_ids(tokens, self.feature_map))
 
     # -- inference ----------------------------------------------------------------
 
@@ -194,14 +185,6 @@ class LinearChainCRF:
         log_z = float(_logsumexp(alpha[length - 1] + self.end, axis=0))
         return alpha, beta, log_z
 
-    def marginals(self, tokens: Sequence[str]) -> np.ndarray:
-        """(T, n_tags) posterior tag marginals p(y_t = k | x)."""
-        if not tokens:
-            return np.zeros((0, self.n_tags))
-        emissions = self._emission_scores(lookup_ids(tokens, self.feature_map))
-        alpha, beta, log_z = self.forward_backward(emissions)
-        return np.exp(alpha + beta - log_z)
-
     def _path_score(self, emissions: np.ndarray, tags: Sequence[int]) -> float:
         """Unnormalised score of one tag-id sequence."""
         score = self.start[tags[0]] + emissions[0, tags[0]]
@@ -210,42 +193,22 @@ class LinearChainCRF:
         score += self.end[tags[-1]]
         return score
 
-    def log_likelihood(self, tokens: Sequence[str], tags: Sequence[int]) -> float:
-        """Conditional log-likelihood of a gold tag-id sequence."""
-        if len(tokens) != len(tags):
-            raise ModelError("tokens and tags must have equal length")
-        if not tokens:
-            return 0.0
-        emissions = self._emission_scores(lookup_ids(tokens, self.feature_map))
-        _, _, log_z = self.forward_backward(emissions)
-        return float(self._path_score(emissions, tags) - log_z)
-
     # -- training-time gradients ------------------------------------------------
-
-    def gradient_step(
-        self,
-        tokens: Sequence[str],
-        tags: Sequence[int],
-        learning_rate: float,
-        l2: float,
-    ) -> float:
-        """One stochastic gradient ascent step on the conditional likelihood.
-
-        Returns the sentence log-likelihood *before* the update.  Sparse
-        emission updates touch only the features active in this sentence.
-        The only call that may grow the feature map.
-        """
-        return self.update(extract_ids(tokens, self.feature_map), tags, learning_rate, l2)
 
     def update(
         self,
         feature_ids: List[List[int]],
         tags: Sequence[int],
         learning_rate: float,
-        l2: float = 0.0,
+        l2: float,
     ) -> float:
-        """:meth:`gradient_step` on a sentence whose features are already
-        interned: a training loop extracts them once and reuses the lists."""
+        """One stochastic gradient ascent step on the conditional likelihood.
+
+        ``feature_ids`` are the sentence's already interned features (a
+        training loop extracts them once and reuses the lists).  Returns the
+        sentence log-likelihood *before* the update.  Sparse emission
+        updates touch only the features active in this sentence.
+        """
         if not feature_ids:
             return 0.0
         weights = self.emission  # triggers capacity growth

@@ -29,12 +29,3 @@ TAGS: List[str] = [
 TAG_TO_ID: Dict[str, int] = {tag: index for index, tag in enumerate(TAGS)}
 
 N_TAGS = len(TAGS)
-
-
-def tag_id(tag: str) -> int:
-    """Tag name to id, raising KeyError for unknown tags."""
-    return TAG_TO_ID[tag]
-
-
-def tag_name(index: int) -> str:
-    return TAGS[index]

@@ -133,17 +133,6 @@ def train_crf(corpus: Sequence[TaggedSentence]) -> TrainResult:
     return TrainResult(model, epochs, total / max(len(corpus), 1))
 
 
-def evaluate(model: LinearChainCRF, corpus: Sequence[TaggedSentence]) -> float:
-    """Token-level tagging accuracy of ``model`` on ``corpus``."""
-    correct = 0
-    total = 0
-    for sentence in corpus:
-        predicted = model.decode(sentence.tokens)
-        correct += sum(1 for p, g in zip(predicted, sentence.tags) if p == g)
-        total += len(sentence.tokens)
-    return correct / total if total else 0.0
-
-
 _CACHED_MODEL: LinearChainCRF | None = None
 
 

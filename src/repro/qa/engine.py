@@ -103,7 +103,3 @@ class QAEngine:
             stats=stats,
             analyzed=analyzed,
         )
-
-    def answer_text(self, question: str) -> str:
-        """Convenience: just the best answer string ('' when unanswered)."""
-        return self.answer(question).answer_text

@@ -1,17 +1,11 @@
-"""QA quality evaluation: answer accuracy and mean reciprocal rank.
+"""Answer matching: does a ranked answer name the gold answer?
 
 A gold answer counts as found when its normalized form appears inside a
-ranked answer (so "Rowling" matches "J K Rowling").  MRR uses the rank of
-the first matching answer in the engine's ranked list.
+ranked answer (so "Rowling" matches "J K Rowling"), or the other way round.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-from repro.errors import ConfigurationError
-from repro.qa.engine import QAEngine
 from repro.qa.tokenizer import tokenize
 
 
@@ -26,77 +20,3 @@ def answer_matches(gold: str, candidate: str) -> bool:
     if not gold_norm or not candidate_norm:
         return False
     return gold_norm in candidate_norm or candidate_norm in gold_norm
-
-
-@dataclass(frozen=True)
-class QuestionVerdict:
-    """Evaluation outcome for one question."""
-
-    question: str
-    gold: str
-    top_answer: str
-    rank: Optional[int]  # 1-based rank of the first correct answer; None if absent
-
-    @property
-    def correct_at_1(self) -> bool:
-        return self.rank == 1
-
-    @property
-    def reciprocal_rank(self) -> float:
-        return 1.0 / self.rank if self.rank else 0.0
-
-
-@dataclass(frozen=True)
-class QAEvaluation:
-    """Aggregate metrics over an evaluation set."""
-
-    verdicts: Tuple[QuestionVerdict, ...]
-
-    @property
-    def accuracy(self) -> float:
-        """Precision@1: fraction answered correctly by the top answer."""
-        if not self.verdicts:
-            return 0.0
-        return sum(v.correct_at_1 for v in self.verdicts) / len(self.verdicts)
-
-    @property
-    def mrr(self) -> float:
-        """Mean reciprocal rank of the gold answer."""
-        if not self.verdicts:
-            return 0.0
-        return sum(v.reciprocal_rank for v in self.verdicts) / len(self.verdicts)
-
-    @property
-    def answered(self) -> float:
-        """Fraction with the gold answer anywhere in the ranked list."""
-        if not self.verdicts:
-            return 0.0
-        return sum(v.rank is not None for v in self.verdicts) / len(self.verdicts)
-
-    def failures(self) -> List[QuestionVerdict]:
-        return [v for v in self.verdicts if not v.correct_at_1]
-
-
-def evaluate_qa(
-    engine: QAEngine, questions: Sequence[Tuple[str, str]]
-) -> QAEvaluation:
-    """Run each (question, gold answer) pair through the engine."""
-    if not questions:
-        raise ConfigurationError("need at least one (question, answer) pair")
-    verdicts: List[QuestionVerdict] = []
-    for question, gold in questions:
-        result = engine.answer(question)
-        rank: Optional[int] = None
-        for index, answer in enumerate(result.ranked, start=1):
-            if answer_matches(gold, answer.text):
-                rank = index
-                break
-        verdicts.append(
-            QuestionVerdict(
-                question=question,
-                gold=gold,
-                top_answer=result.answer_text,
-                rank=rank,
-            )
-        )
-    return QAEvaluation(tuple(verdicts))

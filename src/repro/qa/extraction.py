@@ -10,9 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.qa.crf import default_model
 from repro.qa.question import DATE, GENERIC, LOCATION, NUMBER, PERSON
-from repro.qa.tokenizer import tokenize_keep_case
 from repro.regex import Pattern
 
 _YEAR = Pattern(r"^(1[0-9]{3}|20[0-9]{2})$")
@@ -59,26 +57,15 @@ def _proper_noun_runs(tokens: Sequence[str], tags: Sequence[str]) -> List[str]:
     return runs
 
 
-def extract_candidates(
-    sentence: str,
-    answer_type: str,
+def typed_candidates(
+    sentence: str, tokens: Sequence[str], tags: Sequence[str], answer_type: str
 ) -> List[Candidate]:
-    """All candidates of ``answer_type`` present in ``sentence``, tagged by
-    the default CRF.
+    """All candidates of ``answer_type`` in a sentence already tokenized and
+    tagged.
 
     Sentence-initial capitalized words are kept only when the CRF also calls
     them PROPN, which suppresses ordinary sentence-start capitals.
     """
-    tokens = tokenize_keep_case(sentence)
-    if not tokens:
-        return []
-    return typed_candidates(sentence, tokens, default_model().decode(tokens), answer_type)
-
-
-def typed_candidates(
-    sentence: str, tokens: Sequence[str], tags: Sequence[str], answer_type: str
-) -> List[Candidate]:
-    """:func:`extract_candidates` for a sentence already tokenized and tagged."""
     candidates: List[Candidate] = []
     if answer_type in (PERSON, LOCATION):
         for run in _proper_noun_runs(tokens, tags):

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.qa.extraction import Candidate
 from repro.qa.question import AnalyzedQuestion
 from repro.qa.tokenizer import tokenize
+
+#: Ranked answers a question keeps.
+TOP_K = 5
 
 
 @dataclass(frozen=True)
@@ -51,9 +54,9 @@ def _question_echo_penalty(question: AnalyzedQuestion, candidate_text: str) -> f
 def aggregate(
     question: AnalyzedQuestion,
     candidates: Sequence[Tuple[Candidate, float]],
-    top_k: int = 5,
 ) -> List[ScoredAnswer]:
     """Rank candidates; each item pairs a Candidate with its document score.
+    The best ``TOP_K`` answers are kept.
 
     Score per group = sum over extractions of
     ``doc_score * (1 + proximity) * (1 - 0.8 * echo_penalty)``.
@@ -85,12 +88,4 @@ def aggregate(
         )
 
     answers.sort(key=lambda a: (-a.score, -a.support, a.text))
-    return answers[:top_k]
-
-
-def best_answer(
-    question: AnalyzedQuestion,
-    candidates: Sequence[Tuple[Candidate, float]],
-) -> Optional[ScoredAnswer]:
-    ranked = aggregate(question, candidates, top_k=1)
-    return ranked[0] if ranked else None
+    return answers[:TOP_K]

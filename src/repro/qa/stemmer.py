@@ -16,7 +16,7 @@ not well suited for SIMD operations").
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from repro.obs.counters import record_work
 from repro.qa.tokenizer import tokenize
@@ -131,10 +131,6 @@ class PorterStemmer:
         _record_stemming(len(word), 1)
         return self._porter(word)
 
-    def stem_words(self, words: Iterable[str]) -> List[str]:
-        """Stem a word list (the suite kernel's per-word granularity)."""
-        return [self.stem(word) for word in words]
-
     @staticmethod
     def _porter(word: str) -> str:
         if len(word) <= 2:
@@ -214,8 +210,7 @@ class StemMemo:
     stems the same sentences again once per candidate, so one question
     presents about five times as many words as it has distinct ones.  The memo
     belongs to one :class:`~repro.qa.question.AnalyzedQuestion` and goes when
-    it goes; :func:`stem` and :func:`stem_words`, the suite kernel's path,
-    never see it.
+    it goes; :func:`stem`, the suite kernel's path, never sees it.
     """
 
     def __init__(self) -> None:
@@ -248,8 +243,3 @@ class StemMemo:
 def stem(word: str) -> str:
     """Stem one word with a shared :class:`PorterStemmer` instance."""
     return _DEFAULT.stem(word)
-
-
-def stem_words(words: Iterable[str]) -> List[str]:
-    """Stem many words (used by the Sirius Suite stemmer kernel)."""
-    return _DEFAULT.stem_words(words)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 #: Words carrying no retrieval signal, dropped when building search queries.
 STOPWORDS = frozenset(
@@ -99,10 +99,3 @@ def sentences(text: str) -> List[str]:
 def remove_stopwords(tokens: List[str]) -> List[str]:
     """Drop stopwords; used when forming web-search queries from questions."""
     return [token for token in tokens if token not in STOPWORDS]
-
-
-def ngrams(tokens: List[str], n: int) -> List[Tuple[str, ...]]:
-    """All contiguous n-grams of ``tokens`` (answer-candidate generation)."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]

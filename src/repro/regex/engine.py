@@ -170,11 +170,6 @@ class Pattern:
         # Recompile on the other side; the lock and the cache stay with their owner.
         return (Pattern, (self.pattern,))
 
-    @property
-    def state_count(self) -> int:
-        """Number of NFA states (proportional to pattern length)."""
-        return self._nfa.size
-
     @cached_property
     def _first_chars(self) -> Optional[_FirstChars]:
         # Built on the first search, like the DFA: nothing is built at compile time.
@@ -249,7 +244,7 @@ class Pattern:
             start += 1
         # Counter model (branchy string kernel): NFA-equivalent work.  A run
         # anchored at ``start`` stops where the NFA's state set would empty, so
-        # it examines the same positions, and each is charged O(state_count)
+        # it examines the same positions, and each is charged O(NFA size)
         # transition tests — one "op" per (position, state) pair; bytes are the
         # 1-byte characters read.  A cached transition or a skipped start is
         # charged like a run: the counter is the kernel's demand, not the

@@ -112,17 +112,3 @@ def build_sentences(count: int = 400) -> List[str]:
             )
         )
     return sentences
-
-
-def match_all(patterns: List[Pattern], sentences: List[str]) -> int:
-    """Run every pattern over every sentence (the paper's per-pair granularity).
-
-    Returns the total number of pattern-sentence pairs that matched, which the
-    benchmark uses as a checksum.
-    """
-    hits = 0
-    for pattern in patterns:
-        for sentence in sentences:
-            if pattern.test(sentence):
-                hits += 1
-    return hits

@@ -20,11 +20,11 @@ gives the reproduction that architecture explicitly:
   harness (:class:`FaultPlan` / :class:`FaultInjector`) behind the chaos
   test suite and ``repro serve-bench --chaos``;
 - :mod:`repro.serving.sessions` — the streaming ASR session
-  (``feed`` / ``partials`` / ``finish`` / ``cancel``): incremental decoding
+  (``feed`` / ``partials`` / ``finish``): incremental decoding
   over a bare ASR service, one buffered ``invoke`` over a wrapped one;
 - :mod:`repro.serving.gateway` — the asyncio front door multiplexing many
   concurrent slow-arriving voice sessions, with VAD endpointing firing
-  downstream stages and barge-in cancellation.  See ``docs/STREAMING.md``;
+  downstream stages.  See ``docs/STREAMING.md``;
 - :mod:`repro.serving.cluster` — the fleet layer: sharded replica
   executors behind a pluggable router, seeded admission control, an SLO
   autoscaler, and the virtual-time traffic-replay driver.  See
@@ -39,7 +39,6 @@ from repro.serving.backends import (
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
-    available_backends,
     default_workers,
     get_backend,
     register_backend,
@@ -127,7 +126,6 @@ __all__ = [
     "StreamReport",
     "StreamingGateway",
     "ThreadBackend",
-    "available_backends",
     "build_executor",
     "charge_virtual_seconds",
     "chunk_waveform",

@@ -29,7 +29,7 @@ import abc
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -147,11 +147,6 @@ def get_backend(name: str) -> ExecutionBackend:
         raise ConfigurationError(
             f"unknown execution backend {name!r} (known: {known})"
         ) from None
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(_REGISTRY))
 
 
 register_backend(SerialBackend())

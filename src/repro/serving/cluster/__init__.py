@@ -50,7 +50,6 @@ from repro.serving.cluster.router import (
     PowerOfTwoPolicy,
     RoundRobinPolicy,
     RoutingPolicy,
-    available_policies,
     get_policy,
 )
 from repro.serving.cluster.sharding import (
@@ -61,7 +60,6 @@ from repro.serving.cluster.sharding import (
     shard_documents,
     shard_image_database,
     shard_qa_engines,
-    shard_service_name,
 )
 
 __all__ = [
@@ -84,7 +82,6 @@ __all__ = [
     "ScaleDecision",
     "ShardedImmService",
     "ShardedQaService",
-    "available_policies",
     "build_cluster",
     "get_policy",
     "merge_match_candidates",
@@ -94,5 +91,4 @@ __all__ = [
     "shard_documents",
     "shard_image_database",
     "shard_qa_engines",
-    "shard_service_name",
 ]

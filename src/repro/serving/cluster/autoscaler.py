@@ -54,10 +54,6 @@ class ScaleDecision:
     p99: float           #: the observed p99 the decision was based on
     reason: str
 
-    @property
-    def changed(self) -> bool:
-        return self.action != HOLD
-
 
 class AutoscalerPolicy:
     """Target-tail autoscaling with hysteresis and seeded lazy scale-in.

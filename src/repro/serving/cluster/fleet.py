@@ -39,15 +39,8 @@ from typing import List, Optional, Sequence, Union
 
 from repro.core.query import IPAQuery, SiriusResponse
 from repro.errors import AdmissionError, ConfigurationError
-from repro.obs.timeseries import (
-    ARRIVALS_METRIC,
-    REJECTED_METRIC,
-    ROUTER_WAIT_METRIC,
-    RollupStore,
-    record_responses,
-    rollups_from_spans,
-)
-from repro.obs.trace import ROUTER, Tracer, collect_spans
+from repro.obs.timeseries import ROUTER_WAIT_METRIC, RollupStore, record_responses
+from repro.obs.trace import ROUTER, Tracer
 from repro.serving.backends import get_backend
 from repro.serving.cluster.router import (
     AdmissionControl,
@@ -87,18 +80,13 @@ class Cluster:
     a registry name or a :class:`~repro.serving.cluster.router.
     RoutingPolicy` instance; ``admission`` is optional seeded load
     shedding.  The assignment-count load signal spans the last four
-    assignments per replica.  ``metrics`` and ``rollups`` are optional
-    :class:`~repro.obs.timeseries.RollupStore` instances (attach them by
-    assignment; both start ``None``),
-    both recorded parent-side after each stream on the ordinal clock, so
-    the numbers are complete even when replicas ran in forked workers.
-    ``metrics`` holds what was *measured*: e2e/stage seconds and outcomes
+    assignments per replica.  ``metrics`` is an optional
+    :class:`~repro.obs.timeseries.RollupStore` (attach it by assignment; it
+    starts ``None``), recorded parent-side after each stream on the ordinal
+    clock, so the numbers are complete even when replicas ran in forked
+    workers.  It holds what was *measured*: e2e/stage seconds and outcomes
     via :func:`~repro.obs.timeseries.record_responses` plus the router
-    spans' waits.  ``rollups`` holds only what the seed determines:
-    arrivals from the placement table plus the span projection
-    (:func:`~repro.obs.timeseries.rollups_from_spans` — assignments,
-    depths, rejections, fan-out, errors, virtual stage costs), so a live
-    chaos run yields the same windowed telemetry on any backend.
+    spans' waits.
     """
 
     def __init__(
@@ -115,7 +103,6 @@ class Cluster:
         self.seed = seed
         self.admission = admission
         self.metrics: Optional[RollupStore] = None
-        self.rollups: Optional[RollupStore] = None
         self.window = 4 * len(self.executors)
 
     @property
@@ -215,8 +202,6 @@ class Cluster:
         responses = [by_ordinal[ordinal] for ordinal in range(len(queries))]
         if self.metrics is not None:
             self._record_metrics(responses)
-        if self.rollups is not None:
-            self._record_rollups(decisions, responses)
         return responses
 
     def _rejected_response(
@@ -248,37 +233,6 @@ class Cluster:
                 self.metrics.observe(
                     ROUTER_WAIT_METRIC, float(span.ordinal), span.wait
                 )
-
-    def _record_rollups(
-        self,
-        decisions: Sequence[RouteDecision],
-        responses: Sequence[SiriusResponse],
-    ) -> None:
-        """Windowed telemetry on the ordinal clock, deterministic by design.
-
-        Arrivals come from the placement table; everything else
-        (per-replica assignments and depths, rejections, stage costs,
-        errors, fan-out, breaker trips) is projected from the responses'
-        span forests, which read only seed-deterministic span fields — so
-        the same chaos stream rolls up byte-identically on every backend.
-        An untraced rejection has no router span to project, so it is
-        counted from the placement table instead (never both).
-        """
-        store = self.rollups
-        for decision, response in zip(decisions, responses):
-            t = float(decision.ordinal)
-            store.inc(ARRIVALS_METRIC, t)
-            if not decision.admitted and not response.spans:
-                store.inc(REJECTED_METRIC, t)
-        spans = collect_spans(responses)
-        if spans:
-            store.merge(
-                rollups_from_spans(
-                    spans,
-                    window=store.window_seconds,
-                    max_samples=store.max_samples,
-                )
-            )
 
 
 def build_cluster(

@@ -16,9 +16,9 @@ seeds, so the same ``(seed, arrival process)`` replays byte-identically —
 :meth:`ReplayResult.digest` hashes the full per-query outcome stream and
 the conformance suite asserts digest equality across repeated runs.  The
 model is also *checkable*: at ``n_replicas=1`` with Poisson arrivals and
-an exponential sampler it **is** an M/M/1 queue, and
-:meth:`ReplayResult.mm1_p99` gives the closed-form tail to compare
-against (the conformance suite asserts the documented error bound).  It
+an exponential sampler it **is** an M/M/1 queue, whose closed-form tail
+(:func:`~repro.datacenter.queueing.mm1_percentile`) the conformance suite
+holds its p99 to within the documented error bound.  It
 is the repo's only queueing event loop: the Fig 17 validation,
 ``trace-report --mm1`` and ``fleet-report`` all run through it.
 
@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple, Union
 
 from repro.datacenter.arrivals import ArrivalProcess, make_process
-from repro.datacenter.queueing import mm1_percentile
 from repro.datacenter.simulation import exponential_sampler
 from repro.errors import ConfigurationError
 from repro.obs.metrics import percentile
@@ -195,25 +194,6 @@ class ReplayResult:
                 f"{decision.tick}:{decision.action}:{decision.n_replicas}".encode()
             )
         return hasher.hexdigest()
-
-    def mm1_p99(self) -> float:
-        """Closed-form M/M/1 p99 at this run's measured service mean and load.
-
-        Exact only for the M/M/1 configuration (one replica, Poisson
-        arrivals, exponential service); for everything else it is the
-        analytic baseline the measured tail is compared against.
-        """
-        if not 0 < self.utilization < 1:
-            raise ConfigurationError(
-                "mm1_p99 needs utilization in (0, 1); the replay measured "
-                f"{self.utilization:.3f}"
-            )
-        return mm1_percentile(self.mean_service, self.utilization, 99.0)
-
-    def mm1_error(self) -> float:
-        """Relative error of the measured p99 against the M/M/1 prediction."""
-        predicted = self.mm1_p99()
-        return abs(self.p99_response - predicted) / predicted if predicted else 0.0
 
 
 def replay_cluster(

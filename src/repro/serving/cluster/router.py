@@ -120,11 +120,6 @@ _POLICIES: Dict[str, Callable[[], RoutingPolicy]] = {
 }
 
 
-def available_policies() -> tuple:
-    """Registered policy names, sorted."""
-    return tuple(sorted(_POLICIES))
-
-
 def get_policy(name: str) -> RoutingPolicy:
     """Instantiate a registered policy by name."""
     try:
@@ -132,7 +127,7 @@ def get_policy(name: str) -> RoutingPolicy:
     except KeyError:
         raise ConfigurationError(
             f"unknown routing policy {name!r} "
-            f"(available: {', '.join(available_policies())})"
+            f"(available: {', '.join(sorted(_POLICIES))})"
         ) from None
     return factory()
 

@@ -152,15 +152,10 @@ def merge_match_candidates(
 # -- sharded services --------------------------------------------------------------
 
 
-def shard_service_name(base: str, index: int) -> str:
-    """The per-shard fault-plan key, e.g. ``qa.shard0``."""
-    return f"{base}.shard{index}"
-
-
 class _ShardedService(Service):
     """Scatter/gather plumbing shared by the QA and IMM sharded services."""
 
-    #: Optional per-shard fault plan (keys: ``shard_service_name(name, i)``).
+    #: Optional per-shard fault plan (keys: ``<name>.shard<i>``, e.g. ``qa.shard0``).
     fault_plan: Optional[FaultPlan] = None
 
     def _n_shards(self) -> int:
@@ -176,7 +171,7 @@ class _ShardedService(Service):
         if self.fault_plan is None:
             return False, ""
         rule = self.fault_plan.fault_for(
-            shard_service_name(self.name, index), request.ordinal, request.attempt
+            f"{self.name}.shard{index}", request.ordinal, request.attempt
         )
         if rule is None:
             return False, ""

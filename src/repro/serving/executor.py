@@ -2,7 +2,7 @@
 
 One executor replaces the three ad-hoc execution paths the monolithic
 pipeline accumulated (serial branching, the VIQ thread fork, the
-list-comprehension ``process_all``) with one walk over the paper's fixed
+list-comprehension over queries) with one walk over the paper's fixed
 sequence (Figure 2, Table 1):
 
 - **per query** (:meth:`PlanExecutor.run`): ASR, then classify, then IMM
@@ -493,7 +493,7 @@ class PlanExecutor:
         """Process a stream of queries.
 
         Whole queries map over the chosen backend (``serial`` reproduces
-        the classic sequential ``process_all``).  Each query is stamped
+        the classic sequential loop over queries).  Each query is stamped
         with its stream ``ordinal``, the key the resilience layer uses to
         replay faults identically on every backend.  ``on_error="degrade"``
         turns fatal per-query failures into failed responses instead of

@@ -19,10 +19,7 @@ sessions over one event loop:
 - the moment the VAD endpointer closes an utterance, the gateway fires
   the rest of the query walk (classify → IMM/QA) as a background task
   while other sessions' audio is still arriving; ``finish()`` merely
-  awaits that task;
-- ``cancel()`` is barge-in: the utterance is abandoned, the session's
-  spans close with a ``SESSION`` error code, and downstream never runs
-  (not even when a ``feed`` already on a worker comes back endpointed).
+  awaits that task.
 
 Per-session work bouts are serialized by an ``asyncio.Lock`` (sessions are
 not thread-safe; *different* sessions overlap freely on the workers), and
@@ -52,7 +49,6 @@ from repro.serving.sessions import AsrSession
 LISTENING = "listening"      #: audio still welcome
 FINALIZING = "finalizing"    #: endpoint fired; downstream running
 DONE = "done"                #: response available
-CANCELLED = "cancelled"      #: barge-in
 
 
 class GatewaySession:
@@ -79,12 +75,9 @@ class GatewaySession:
         self.late_chunks = 0
         self._lock = asyncio.Lock()
         self._task: Optional[asyncio.Task] = None
-        self._cancelled = False
 
     @property
     def state(self) -> str:
-        if self._cancelled:
-            return CANCELLED
         if self.response is not None:
             return DONE
         if self._task is not None:
@@ -94,14 +87,12 @@ class GatewaySession:
     async def feed(self, chunk: Any) -> bool:
         """Deliver one audio chunk; returns True once the utterance ended."""
         async with self._lock:
-            if self._task is not None or self._cancelled:
+            if self._task is not None:
                 self.late_chunks += 1
                 return True
             endpointed, fresh = await self.gateway._call(self._feed, chunk)
             self._heard(fresh)
-        # A cancel() awaited while this bout was on a worker has already
-        # abandoned the utterance: finalizing it could only fail.
-        if endpointed and not self._cancelled:
+        if endpointed:
             self._launch()
         return endpointed
 
@@ -115,7 +106,7 @@ class GatewaySession:
     async def poll(self) -> List[str]:
         """Explicitly poll for new partial hypotheses."""
         async with self._lock:
-            if self._task is not None or self._cancelled:
+            if self._task is not None:
                 return []
             return self._heard(await self.gateway._call(self.session.partials))
 
@@ -132,29 +123,9 @@ class GatewaySession:
         """Await the full :class:`~repro.core.query.SiriusResponse`.
 
         Starts finalization if the endpointer never fired (stream simply
-        ended).  Raises :class:`~repro.errors.SessionError` after barge-in.
+        ended).
         """
-        if self._cancelled:
-            raise SessionError(
-                f"session ordinal={self.ordinal} was cancelled (barge-in)",
-                service=ASR,
-            )
         return await self._launch()
-
-    async def cancel(self) -> Optional[str]:
-        """Barge-in: abandon the utterance.
-
-        Returns the last partial heard (what the user got to say), or
-        ``None`` when it is already too late — the endpoint fired and the
-        answer is being (or has been) computed.  Idempotent.
-        """
-        if self._cancelled:
-            return self.session.last_partial
-        if self._task is not None:
-            return None
-        self._cancelled = True
-        async with self._lock:
-            return await self.gateway._call(self.session.cancel)
 
     def _launch(self) -> "asyncio.Task":
         if self._task is None:

@@ -35,7 +35,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Union
 
 from repro.errors import (
     CircuitOpenError,
@@ -95,11 +95,6 @@ class RetryPolicy:
         if self.jitter == 0.0:
             return raw
         return raw * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
-
-    def schedule(self, seed: int, service: str, ordinal: int) -> Tuple[float, ...]:
-        """The full jittered backoff schedule one call would sleep through."""
-        rng = backoff_rng(seed, service, ordinal)
-        return tuple(self.delay(i, rng) for i in range(self.max_attempts - 1))
 
 
 def backoff_rng(seed: int, service: str, ordinal: int) -> random.Random:
@@ -227,16 +222,8 @@ class ResilientService(Service):
         self._log_lock = threading.Lock()
         self.call_log: List[CallRecord] = []
 
-    @property
-    def breaker(self) -> Optional[CircuitBreaker]:
-        return self._breaker
-
     def warmup(self) -> None:
         self.inner.warmup()
-
-    def reset_log(self) -> None:
-        with self._log_lock:
-            self.call_log.clear()
 
     # -- the attempt loop ---------------------------------------------------------
 

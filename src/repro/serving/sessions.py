@@ -1,4 +1,4 @@
-"""The streaming ASR session: ``feed`` / ``partials`` / ``finish`` / ``cancel``.
+"""The streaming ASR session: ``feed`` / ``partials`` / ``finish``.
 
 A real IPA does not receive an utterance as one payload: audio trickles in
 while the user speaks, the recognizer emits partial hypotheses, and the
@@ -10,8 +10,7 @@ session type: ``feed(chunk)`` appends audio and runs the VAD endpointer
 new incremental hypotheses, ``finish()`` produces a
 :class:`~repro.serving.service.StageOutcome` the
 :class:`~repro.serving.executor.PlanExecutor` absorbs as a precomputed
-stage, and ``cancel()`` implements barge-in (the user interrupts; the
-utterance is abandoned).
+stage.
 
 Only a *bare* :class:`~repro.serving.service.AsrService` decodes
 incrementally, through :class:`~repro.asr.streaming.StreamingDecoder`.  A
@@ -61,7 +60,6 @@ from repro.serving.service import AsrService, Service, ServiceRequest, StageOutc
 #: Session lifecycle states.
 LISTENING = "listening"    #: accepting chunks
 FINISHED = "finished"      #: ``finish()`` ran; outcome available
-CANCELLED = "cancelled"    #: barge-in; the utterance was abandoned
 
 
 def _concat_waveforms(chunks: Sequence[Waveform]) -> Waveform:
@@ -115,7 +113,6 @@ class AsrSession:
         self.chunks: List[Waveform] = []
         self._endpointer: Optional[StreamingEndpointer] = None
         self._outcome: Optional[StageOutcome] = None
-        self._final_spans: Tuple[Span, ...] = ()
         #: ``service_seconds`` credit and virtual latency summed over bouts.
         self._seconds = 0.0
         self._virtual = 0.0
@@ -123,7 +120,7 @@ class AsrSession:
         self._decoder = service.decoder if isinstance(service, AsrService) else None
         self._streaming: Any = None
         self._fed = 0                       # chunks already replayed/fed
-        self._emitted: List[str] = []       # every distinct partial, in order
+        self._partials = 0                  # distinct partials emitted
         self._last = ""
         self._tracer: Optional[Tracer] = None
         self._span: Optional[Span] = None
@@ -187,8 +184,7 @@ class AsrSession:
     def partials(self) -> List[str]:
         """New (changed, non-empty) hypotheses since the last poll.
 
-        The first poll engages incremental decoding; partial texts are
-        monotonically appended to :attr:`partials_emitted` and each new one
+        The first poll engages incremental decoding; each new partial text
         records an ``asr.partial`` span under the service span.  A session
         over a wrapped service has none, and runs no bout to say so.
         """
@@ -203,14 +199,14 @@ class AsrSession:
         if not text or text == self._last:
             return []
         self._last = text
-        self._emitted.append(text)
+        self._partials += 1
         if self._tracer is not None:
             with self._bout(), self._tracer.span(
                 "asr.partial",
                 kind=PARTIAL,
                 service=self.service.label,
                 attributes={
-                    "partial_index": len(self._emitted) - 1,
+                    "partial_index": self._partials - 1,
                     "chars": len(text),
                     "frames": self._streaming.frames_seen,
                 },
@@ -234,46 +230,12 @@ class AsrSession:
                 service=self.service.name,
             )
         self._outcome = self._finalize()
-        self._final_spans = self._outcome.spans
         self.state = FINISHED
         return self._outcome
-
-    def cancel(self) -> str:
-        """Barge-in: abandon the utterance; returns the last partial heard.
-
-        Idempotent.  Cancelling a *finished* session is a caller bug (the
-        answer already exists) and raises :class:`~repro.errors.SessionError`.
-        """
-        if self.state == CANCELLED:
-            return self.last_partial
-        self._require("cancel")
-        self.state = CANCELLED
-        if self._span is not None:
-            self._span.attributes["cancelled"] = True
-        self._final_spans = self._end_span(
-            SessionError(
-                f"session ordinal={self.ordinal} was cancelled (barge-in)",
-                service=self.service.name,
-            )
-        )
-        return self.last_partial
-
-    @property
-    def spans(self) -> Tuple[Span, ...]:
-        """Spans recorded by this session (empty until finish/cancel)."""
-        return self._final_spans
 
     @property
     def outcome(self) -> Optional[StageOutcome]:
         return self._outcome
-
-    @property
-    def partials_emitted(self) -> Tuple[str, ...]:
-        return tuple(self._emitted)
-
-    @property
-    def last_partial(self) -> str:
-        return self._last
 
     @property
     def endpointed(self) -> bool:
@@ -366,8 +328,8 @@ class AsrSession:
         bout = self._run_bout(self._streaming.finish)
         if self._span is not None:
             self._span.attributes["chunks"] = len(self.chunks)
-            if self._emitted:
-                self._span.attributes["partials"] = len(self._emitted)
+            if self._partials:
+                self._span.attributes["partials"] = self._partials
             if self.endpointed:
                 self._span.attributes["endpointed"] = True
         return self._close(bout)

@@ -13,7 +13,7 @@ from repro.suite.kernels import (
     all_kernels,
     kernel_by_name,
 )
-from repro.suite.parallel import chunk_ranges, map_chunks
+from repro.suite.parallel import chunk_ranges
 
 __all__ = [
     "CRFKernel",
@@ -29,5 +29,4 @@ __all__ = [
     "all_kernels",
     "chunk_ranges",
     "kernel_by_name",
-    "map_chunks",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.qa.tokenizer import sentences as split_sentences
 
@@ -139,7 +139,6 @@ class Corpus:
     def __init__(self):
         self.facts = list(FACTS)
         self.documents: List[Document] = []
-        self._answer_by_doc: Dict[int, str] = {}
         rng = random.Random(CORPUS_SEED)
         doc_id = 0
         for fact in self.facts:
@@ -148,7 +147,6 @@ class Corpus:
                 self.documents.append(
                     Document(doc_id, f"{fact.subject} ({fact.relation}) #{copy}", body)
                 )
-                self._answer_by_doc[doc_id] = fact.answer
                 doc_id += 1
         for noise in range(N_NOISE_DOCS):
             body = " ".join(_filler(rng))
@@ -167,22 +165,3 @@ class Corpus:
 
     def __iter__(self):
         return iter(self.documents)
-
-    def answer_for_doc(self, doc_id: int) -> Optional[str]:
-        """Ground-truth answer embedded in a document (None for noise docs)."""
-        return self._answer_by_doc.get(doc_id)
-
-    def fact_for_question(self, question: str) -> Optional[Fact]:
-        """Best-effort gold fact lookup for evaluation."""
-        lowered = question.lower()
-        best: Optional[Fact] = None
-        best_hits = 0
-        for fact in self.facts:
-            hits = sum(
-                1
-                for word in (fact.subject.lower().split() + fact.relation.lower().split())
-                if word in lowered
-            )
-            if hits > best_hits:
-                best, best_hits = fact, hits
-        return best

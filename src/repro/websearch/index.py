@@ -8,9 +8,9 @@ to go no further than main memory).
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 from repro.qa.stemmer import stem
 from repro.qa.tokenizer import remove_stopwords, tokenize
@@ -24,15 +24,10 @@ def analyze(text: str) -> List[str]:
 
 @dataclass
 class Posting:
-    """One document entry in a term's posting list.
-
-    ``positions`` holds the term's token offsets within the document,
-    enabling phrase queries (consecutive-position intersection).
-    """
+    """One document entry in a term's posting list."""
 
     doc_id: int
     term_frequency: int
-    positions: Tuple[int, ...] = ()
 
 
 class InvertedIndex:
@@ -51,12 +46,9 @@ class InvertedIndex:
         terms = analyze(document.title + " " + document.text)
         self._documents[document.doc_id] = document
         self._doc_lengths[document.doc_id] = len(terms)
-        positions: Dict[str, List[int]] = defaultdict(list)
-        for offset, term in enumerate(terms):
-            positions[term].append(offset)
-        for term, offsets in positions.items():
+        for term, frequency in Counter(terms).items():
             self._postings.setdefault(term, []).append(
-                Posting(document.doc_id, len(offsets), tuple(offsets))
+                Posting(document.doc_id, frequency)
             )
 
     def add_all(self, documents: Iterable[Document]) -> None:
@@ -68,10 +60,6 @@ class InvertedIndex:
     @property
     def n_documents(self) -> int:
         return len(self._documents)
-
-    @property
-    def n_terms(self) -> int:
-        return len(self._postings)
 
     @property
     def average_doc_length(self) -> float:
@@ -90,40 +78,3 @@ class InvertedIndex:
 
     def postings(self, term: str) -> List[Posting]:
         return self._postings.get(term, [])
-
-    def terms(self) -> Iterable[str]:
-        return self._postings.keys()
-
-    def phrase_documents(self, phrase_terms: List[str]) -> List[int]:
-        """Documents containing ``phrase_terms`` at consecutive positions.
-
-        Standard positional-intersection: a document qualifies when some
-        position p has term[0] at p, term[1] at p+1, and so on.
-        """
-        if not phrase_terms:
-            return []
-        if len(phrase_terms) == 1:
-            return [posting.doc_id for posting in self.postings(phrase_terms[0])]
-        position_maps: List[Dict[int, set]] = []
-        for term in phrase_terms:
-            postings = self.postings(term)
-            if not postings:
-                return []
-            position_maps.append(
-                {posting.doc_id: set(posting.positions) for posting in postings}
-            )
-        candidates = set(position_maps[0])
-        for term_map in position_maps[1:]:
-            candidates &= set(term_map)
-        matching: List[int] = []
-        for doc_id in sorted(candidates):
-            starts = position_maps[0][doc_id]
-            if any(
-                all(
-                    (start + offset) in position_maps[offset][doc_id]
-                    for offset in range(1, len(phrase_terms))
-                )
-                for start in starts
-            ):
-                matching.append(doc_id)
-        return matching

@@ -24,7 +24,6 @@ from repro.serving.cluster import (
     merge_ranked_answers,
     shard_image_database,
     shard_qa_engines,
-    shard_service_name,
 )
 from repro.serving.faults import ERROR, FaultPlan, FaultRule
 
@@ -55,7 +54,7 @@ class TestPartialShardFailure:
             sirius_pipeline,
             n_replicas=1,
             n_shards=2,
-            fault_plan=shard_fault_plan(shard_service_name("qa", 0)),
+            fault_plan=shard_fault_plan("qa.shard0"),
             trace_seed=0,
         )
         query = first_query(input_set, QueryType.VOICE_QUERY)
@@ -72,7 +71,7 @@ class TestPartialShardFailure:
             sirius_pipeline,
             n_replicas=1,
             n_shards=2,
-            fault_plan=shard_fault_plan(shard_service_name("imm", 1)),
+            fault_plan=shard_fault_plan("imm.shard1"),
             trace_seed=0,
         )
         query = first_query(input_set, QueryType.VOICE_IMAGE_QUERY)
@@ -105,7 +104,7 @@ class TestAllShardsFailed:
             n_replicas=1,
             n_shards=2,
             fault_plan=shard_fault_plan(
-                shard_service_name("qa", 0), shard_service_name("qa", 1)
+                "qa.shard0", "qa.shard1"
             ),
             trace_seed=0,
         )
@@ -123,7 +122,7 @@ class TestAllShardsFailed:
             n_replicas=1,
             n_shards=2,
             fault_plan=shard_fault_plan(
-                shard_service_name("imm", 0), shard_service_name("imm", 1)
+                "imm.shard0", "imm.shard1"
             ),
             trace_seed=0,
         )

@@ -70,13 +70,13 @@ class TestFrameLabeling:
     def test_labels_match_alignment(self):
         # One phoneme spanning samples [0, 4800) at 16 kHz = 30 frames-ish.
         alignment = [("AA", 0, 4800)]
-        labels = label_frames(alignment, n_frames=28, n_samples=4800)
+        labels = label_frames(alignment, n_frames=28)
         # Early frames get sub-state 0, late frames sub-state 2.
         assert labels[0] == phoneme_state_id("AA", 0)
         assert labels[26] == phoneme_state_id("AA", 2)
 
     def test_uncovered_frames_are_silence(self):
-        labels = label_frames([], n_frames=5, n_samples=2000)
+        labels = label_frames([], n_frames=5)
         assert all(label == phoneme_state_id(SILENCE, 1) for label in labels)
 
     def test_phoneme_state_id_bounds(self):

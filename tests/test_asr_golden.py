@@ -2,7 +2,7 @@
 
 ``tests/fixtures/asr_golden.json`` was written by ``compute_golden()`` running
 on the commit before the sparse-entry Viterbi step and the stacked GMM bank
-(per-state ``DiagonalGMM.log_likelihood`` calls, a dense ``(V, V)`` cross-word
+(per-state ``log_likelihood`` calls, a dense ``(V, V)`` cross-word
 candidate and a Python loop over word starts) and is never regenerated from
 the code under test.  Scores are pinned as ``float.hex()`` and emission
 matrices as a sha256 over their float64 bytes, so a one-ulp drift in scoring
@@ -55,6 +55,7 @@ from repro.core.inputset import all_sentences
 from repro.errors import ModelError
 from repro.obs.context import use_tracer
 from repro.obs.trace import Tracer
+from tests.test_asr_models import log_likelihood
 
 GOLDEN = Path(__file__).parent / "fixtures" / "asr_golden.json"
 #: Synthesizer seeds; each speaker says the whole input set in order.
@@ -120,12 +121,12 @@ def test_matches_parent_golden():
 def per_state_emission_scores(model, features):
     """``GMMAcousticModel.emission_scores`` as it was: one GMM call per state."""
     if model.fallback is not None:
-        base = model.fallback.log_likelihood(features) - FALLBACK_PENALTY
+        base = log_likelihood(model.fallback, features) - FALLBACK_PENALTY
         scores = np.tile(base[:, None], (1, N_EMISSION_STATES))
     else:
         scores = np.full((len(features), N_EMISSION_STATES), -1e30)
     for state, gmm in model.gmms.items():
-        scores[:, state] = gmm.log_likelihood(features)
+        scores[:, state] = log_likelihood(gmm, features)
     return scores
 
 

@@ -10,17 +10,46 @@ from repro.asr import (
     DeepNeuralNetwork,
     DiagonalGMM,
     fit_gmm,
-    score_naive,
 )
 from repro.asr import acoustic
 from repro.asr.acoustic import SILENCE, label_frames, phoneme_state_id
 from repro.asr.audio import SAMPLE_RATE
 from repro.asr.features import FRAME_HOP, FRAME_LENGTH
-from repro.asr.gmm import _FIT_BLOCK_ROWS, _by_row_blocks
+from repro.asr.gmm import _FIT_BLOCK_ROWS, _by_row_blocks, log_sum_exp, record_scoring
 from repro.asr.lm import BOS, EOS
 from repro.asr.phonemes import PHONEME_INDEX
 from repro.core.inputset import all_sentences
 from repro.errors import ModelError
+
+
+def log_likelihood(gmm: DiagonalGMM, features: np.ndarray) -> np.ndarray:
+    """(T,) log p(x_t) of one GMM: log-sum-exp over its components, charged
+    as one scoring (the per-state call the stacked bank replaced)."""
+    component = gmm.component_log_likelihood(features)
+    record_scoring(len(component), gmm.n_components, gmm.dimension)
+    return log_sum_exp(component)
+
+
+def score_naive(gmm: DiagonalGMM, features: np.ndarray) -> np.ndarray:
+    """Literal three-nested-loop GMM scoring (the CMP baseline kernel).
+
+    Outer loop over feature vectors, middle loop over mixture components
+    (the log-summation the paper could not parallelize), inner loop over
+    dimensions (the log-differential unit it fully parallelized on FPGA).
+    """
+    features = np.atleast_2d(features)
+    n_frames = features.shape[0]
+    out = np.empty(n_frames)
+    for t in range(n_frames):
+        total = -np.inf
+        for k in range(gmm.n_components):
+            acc = gmm.factors[k]
+            for d in range(gmm.dimension):
+                diff = features[t, d] - gmm.means[k, d]
+                acc -= 0.5 * gmm.precisions[k, d] * diff * diff
+            total = max(total, acc) + np.log1p(np.exp(-abs(total - acc)))
+        out[t] = total
+    return out
 
 
 def _toy_gmm():
@@ -41,8 +70,7 @@ class TestDiagonalGMM:
 
     def test_likelihood_peaks_at_means(self):
         gmm = _toy_gmm()
-        at_mean = gmm.score(np.array([0.0, 0.0]))
-        away = gmm.score(np.array([2.5, 2.5]))
+        at_mean, away = log_likelihood(gmm, np.array([[0.0, 0.0], [2.5, 2.5]]))
         assert at_mean > away
 
     def test_matches_exact_density(self):
@@ -50,17 +78,17 @@ class TestDiagonalGMM:
         gmm = DiagonalGMM(np.zeros((1, 2)), np.ones((1, 2)), np.zeros(1))
         x = np.array([1.0, -1.0])
         expected = -0.5 * (2 * np.log(2 * np.pi) + x @ x)
-        assert gmm.score(x) == pytest.approx(expected)
+        assert log_likelihood(gmm, x[None, :])[0] == pytest.approx(expected)
 
     def test_naive_matches_vectorized(self):
         gmm = _toy_gmm()
         rng = np.random.default_rng(0)
         features = rng.normal(size=(20, 2)) * 3
-        assert np.allclose(score_naive(gmm, features), gmm.log_likelihood(features), rtol=1e-9)
+        assert np.allclose(score_naive(gmm, features), log_likelihood(gmm, features), rtol=1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ModelError):
-            _toy_gmm().log_likelihood(np.zeros((4, 3)))
+            log_likelihood(_toy_gmm(), np.zeros((4, 3)))
 
     def test_weights_shift_scores(self):
         means = np.zeros((2, 1))
@@ -69,7 +97,7 @@ class TestDiagonalGMM:
         balanced = DiagonalGMM(means, precisions, np.log(np.array([0.5, 0.5])))
         # Identical components: weights are a convex split, total density equal.
         x = np.array([[0.3]])
-        assert heavy_first.log_likelihood(x)[0] == pytest.approx(balanced.log_likelihood(x)[0])
+        assert log_likelihood(heavy_first, x)[0] == pytest.approx(log_likelihood(balanced, x)[0])
 
 
 class TestFitGMM:
@@ -91,7 +119,7 @@ class TestFitGMM:
         data = rng.normal(1.0, 0.5, (300, 3))
         fitted = fit_gmm(data, n_components=2)
         shifted = DiagonalGMM(fitted.means + 10.0, fitted.precisions, fitted.log_weights)
-        assert fitted.log_likelihood(data).mean() > shifted.log_likelihood(data).mean()
+        assert log_likelihood(fitted, data).mean() > log_likelihood(shifted, data).mean()
 
     def test_row_blocks_score_as_the_whole_array(self):
         # fit_gmm takes a block of rows at a time to bound its temporaries
@@ -124,8 +152,8 @@ class TestLabelFramesEqualsTheFrameLoop:
     def test_every_training_take(self, monkeypatch):
         takes = []
 
-        def checked(alignment, n_frames, n_samples, sample_rate):
-            labels = label_frames(alignment, n_frames, n_samples, sample_rate)
+        def checked(alignment, n_frames, sample_rate):
+            labels = label_frames(alignment, n_frames, sample_rate)
             expected = oracle_label_frames(alignment, n_frames, sample_rate)
             assert labels.dtype == expected.dtype
             assert np.array_equal(labels, expected), alignment
@@ -153,7 +181,7 @@ class TestLabelFramesEqualsTheFrameLoop:
         # (later segments overwrite, empty ones are skipped, samples past the
         # last frame label nothing) is wider.
         assert np.array_equal(
-            label_frames(segments, n_frames, 6000),
+            label_frames(segments, n_frames),
             oracle_label_frames(segments, n_frames),
         )
 
@@ -172,7 +200,7 @@ class TestDNN:
         net = DeepNeuralNetwork(config)
         losses = net.fit(x, y)
         assert losses[-1] < losses[0]
-        assert (net.predict(x) == y).mean() > 0.95
+        assert (net.log_posteriors(x).argmax(axis=1) == y).mean() > 0.95
 
     def test_log_posteriors_normalized(self):
         config = DNNConfig(input_dim=3, n_classes=4, hidden_sizes=(8,), context=1)
@@ -218,7 +246,12 @@ class TestBigramLM:
 
     def test_sentence_log_prob_ordering(self):
         lm = BigramLanguageModel(["set my alarm for eight am"] * 3 + ["what is this"])
-        assert lm.sentence_log_prob("set my alarm") > lm.sentence_log_prob("alarm my set")
+
+        def sentence_log_prob(words):
+            context = [BOS] + words
+            return sum(map(lm.log_prob, words + [EOS], context))
+
+        assert sentence_log_prob(["set", "my", "alarm"]) > sentence_log_prob(["alarm", "my", "set"])
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ModelError):

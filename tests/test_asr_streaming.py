@@ -287,7 +287,7 @@ class TestPushEqualsParent:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         got, want = new.flush(), old.flush()
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert new.n_frames_emitted == old.n_frames_emitted
+        assert new._emitted == old._emitted
         assert new.flush().shape == (0, DIMENSION)
 
 

@@ -67,15 +67,15 @@ class TestIncrementalFloor:
             endpointer = StreamingEndpointer(sample_rate=ENDPOINT_RATE)
             flipped = None
             for low, high in zip(bounds, bounds[1:]):
-                before = endpointer.frames_seen
+                before = len(endpointer._sorted)
                 if endpointer.push(samples[low:high]) and flipped is None:
-                    flipped = endpointer.frames_seen - 1
-                seen = endpointer.frames_seen
+                    flipped = len(endpointer._sorted) - 1
+                seen = len(endpointer._sorted)
                 if seen > before:
                     assert endpointer._floor() == floors[seen - 1]  # ==, to the bit
             assert flipped == flip
             assert endpointer.endpointed == (flip is not None)
-            assert endpointer.frames_seen == len(floors)
+            assert len(endpointer._sorted) == len(floors)
 
 
 class TestLateAudio:
@@ -84,8 +84,8 @@ class TestLateAudio:
         speech = Synthesizer(seed=6).synthesize("play some music")
         endpointer = StreamingEndpointer()
         assert endpointer.push(np.concatenate([speech.samples, np.zeros(SAMPLE_RATE)]))
-        seen = endpointer.frames_seen
+        seen = len(endpointer._sorted)
         for _ in range(100):
             assert endpointer.push(rng.normal(0, 0.3, 777)) is True
         assert len(endpointer._buffer) < int(0.02 * SAMPLE_RATE)
-        assert endpointer.frames_seen == seen and endpointer.endpointed
+        assert len(endpointer._sorted) == seen and endpointer.endpointed

@@ -16,7 +16,6 @@ from repro.datacenter import (
     BurstyProcess,
     DiurnalProcess,
     PoissonProcess,
-    arrival_times,
     exponential_sampler,
     make_process,
     mm1_percentile,
@@ -30,6 +29,7 @@ from repro.serving.cluster import (
     replay_cluster,
 )
 from repro.serving.cluster.autoscaler import DOWN_PROBABILITY
+from tests.conformance.suite import mm1_p99
 
 
 PROCESSES = (
@@ -86,10 +86,6 @@ class TestArrivalProcesses:
         with pytest.raises(ConfigurationError):
             make_process("lognormal", 10.0)
 
-    def test_arrival_times_helper_matches_method(self):
-        process = PoissonProcess(rate=25.0)
-        assert arrival_times(process, 50) == process.times(50, seed=0)
-
 
 class TestAutoscaler:
     def policy(self, max_replicas=6):
@@ -132,8 +128,8 @@ class TestAutoscaler:
 
     def test_changed_flag(self):
         policy = self.policy()
-        assert policy.decide(0, 0.200, 1, seed=0).changed
-        assert not policy.decide(0, 0.090, 1, seed=0).changed
+        assert policy.decide(0, 0.200, 1, seed=0).action != HOLD
+        assert policy.decide(0, 0.090, 1, seed=0).action == HOLD
 
 
 class TestReplayDriver:
@@ -148,7 +144,7 @@ class TestReplayDriver:
         )
         assert result.utilization == pytest.approx(0.6, rel=0.05)
         assert result.p50_response <= result.p95_response <= result.p99_response
-        assert result.mm1_p99() == pytest.approx(
+        assert mm1_p99(result) == pytest.approx(
             mm1_percentile(result.mean_service, result.utilization, 99)
         )
 

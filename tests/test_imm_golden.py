@@ -35,8 +35,6 @@ from repro.imm import (
     KDTree,
     SceneGenerator,
     Surf,
-    box_sum,
-    describe_keypoint,
     describe_keypoints,
     integral_image,
 )
@@ -50,6 +48,7 @@ from repro.imm.hessian import (
 )
 from repro.imm.integral import PaddedIntegral
 from repro.imm.kdtree import LEAF_SIZE
+from tests.test_imm_lowlevel import box_sum, image_view
 
 GOLDEN = Path(__file__).parent / "fixtures" / "imm_golden.json"
 N_SCENES = 10
@@ -235,7 +234,7 @@ class TestBatchProperties:
         _, ii = scene
         keypoint = Keypoint(y, x, scale, 1.0, 1)
         expected = scalar_descriptor(ii, keypoint, 0.0)
-        assert describe_keypoint(ii, keypoint).tobytes() == expected.tobytes()
+        assert describe_keypoints(None, [keypoint], ii=ii)[0].tobytes() == expected.tobytes()
 
     def test_row_i_is_describe_keypoint_i(self, scene):
         image, ii = scene
@@ -243,7 +242,7 @@ class TestBatchProperties:
         batch = describe_keypoints(image, keypoints, ii=ii)
         assert batch.shape == (len(keypoints), 64)
         for row, keypoint in zip(batch, keypoints):
-            assert row.tobytes() == describe_keypoint(ii, keypoint).tobytes()
+            assert row.tobytes() == describe_keypoints(None, [keypoint], ii=ii)[0].tobytes()
 
     def test_upright_on_a_constant_region_is_the_rotation_path(self):
         # Haar responses over a constant region are exactly zero, where the
@@ -427,7 +426,7 @@ class TestDetectOracle:
         for size in sizes:
             runs = _hessian_maps(padded, size, np.empty((2, padded.cells)))
             for run, oracle in zip(runs, oracle_maps(table, pad, size)):
-                assert padded.image(run).tobytes() == oracle.tobytes()
+                assert image_view(padded, run).tobytes() == oracle.tobytes()
 
     @given(
         detector_images(),

@@ -10,7 +10,6 @@ from repro.imm import (
     Image,
     KDTree,
     SceneGenerator,
-    box_sum,
     integral_image,
 )
 from repro.imm.hessian import DEFAULT_FILTER_SIZES, _filter_reach, _hessian_maps
@@ -18,11 +17,31 @@ from repro.imm.image import QUERY_NOISE
 from repro.imm.integral import PaddedIntegral, box_reach
 
 
+def box_sum(ii: np.ndarray, y0: int, x0: int, height: int, width: int) -> float:
+    """Sum of the box with top-left (y0, x0) and the given extent.
+
+    Coordinates are clipped to the image, so partially out-of-bounds boxes
+    contribute only their visible part (SURF border behaviour).
+    """
+    max_y = ii.shape[0] - 1
+    max_x = ii.shape[1] - 1
+    y1 = min(max(y0 + height, 0), max_y)
+    x1 = min(max(x0 + width, 0), max_x)
+    y0 = min(max(y0, 0), max_y)
+    x0 = min(max(x0, 0), max_x)
+    return float(ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0])
+
+
+def image_view(padded, run):
+    """The (height, width) in-image view of a padded table's run."""
+    return run.reshape(padded.height, padded.stride)[:, : padded.width]
+
+
 def response_map(pixels, filter_size):
     """One filter size's (H, W) Hessian-determinant response."""
     padded = PaddedIntegral(integral_image(pixels), _filter_reach(filter_size))
     response, _ = _hessian_maps(padded, filter_size, np.empty((2, padded.cells)))
-    return padded.image(response)
+    return image_view(padded, response)
 
 
 class TestIntegralImage:
@@ -70,7 +89,7 @@ class TestIntegralImage:
         pixels = rng.uniform(size=(16, 12))
         ii = integral_image(pixels)
         padded = PaddedIntegral(ii, box_reach(-2, 1, 4, 3))
-        sums = padded.image(padded.box_sums(-2, 1, 4, 3, np.empty(padded.cells)))
+        sums = image_view(padded, padded.box_sums(-2, 1, 4, 3, np.empty(padded.cells)))
         for y in range(16):
             for x in range(12):
                 assert sums[y, x] == pytest.approx(box_sum(ii, y - 2, x + 1, 4, 3))
@@ -86,7 +105,7 @@ class TestIntegralImage:
         # tile does) must clip exactly as the scalar does: ==, not approx.
         ii = integral_image(np.random.default_rng(seed).uniform(size=(rows, cols)))
         padded = PaddedIntegral(ii, box_reach(dy, dx, h, w))
-        sums = padded.image(padded.box_sums(dy, dx, h, w, np.empty(rows * padded.stride)))
+        sums = image_view(padded, padded.box_sums(dy, dx, h, w, np.empty(rows * padded.stride)))
         assert sums.shape == (rows, cols)
         expected = [
             [box_sum(ii, y + dy, x + dx, h, w) for x in range(cols)] for y in range(rows)

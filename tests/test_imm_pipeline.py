@@ -126,7 +126,7 @@ class TestImageDatabase:
         for index in range(database.n_images):
             result = database.match(generator.query_for(index))
             assert result.image_name == f"scene-{index}"
-            assert result.matched
+            assert result.votes > 0
 
     def test_match_metadata(self, generator, database):
         result = database.match(generator.query_for(0))

@@ -557,20 +557,22 @@ class TestExecutorTracing:
         assert section_names(streamed) == section_names(batch)
         assert span_fingerprint([streamed]) == span_fingerprint([batch])
 
-    def test_barge_in_after_virtual_latency_bout(self):
-        # cancel() closes the service span the way the bracket closes any
+    def test_session_span_closes_with_virtual_seconds_on_finish(self):
+        # finish() closes the service span the way the bracket closes any
         # stage's: virtual latency charged by earlier bouts is stamped on it.
         class SlowFeedSession(AsrSession):
             def feed(self, chunk):
                 self._run_bout(lambda: charge_virtual_seconds(1.5))
                 return super().feed(chunk)
 
-        session = SlowFeedSession(StubAsr(), seed=7)
-        session.feed(make_query("hello").audio)
-        session.cancel()
-        (span,) = [s for s in session.spans if s.kind == SERVICE]
-        assert (span.status, span.error_code) == ("error", "SESSION")
-        assert span.attributes == {"cancelled": True, "virtual_seconds": 1.5}
+        query = make_query("hello")
+        session = SlowFeedSession(StubAsr(), query=query, seed=7)
+        session.feed(query.audio)
+        outcome = session.finish()
+        (span,) = [s for s in outcome.spans if s.kind == SERVICE]
+        assert span.status == "ok"
+        assert span.attributes["virtual_seconds"] == 1.5
+        assert outcome.virtual_seconds == 1.5
 
     def test_metrics_recorded_for_plain_runs(self):
         store = RollupStore()

@@ -7,16 +7,15 @@ Randomized structural checks the example-based obs suite cannot cover:
   stripped) is byte-identical across the serial, thread, and process
   backends.  Span identity must be a pure function of
   ``(trace_seed, ordinal, tree position)``, never of scheduling;
-- **merge algebra**: merging one-cell store snapshots is commutative and
-  associative down to byte-equal snapshots (counts *and* ``fsum``-exact
-  sums), below and above the reservoir cap, so sharded collection order
-  can never change a report.
+- **fold algebra**: folding a panel across windows is order-free down to
+  byte-equal panels (counts *and* ``fsum``-exact sums) and equals the
+  pooled stream's, below and above the reservoir cap, so how values
+  spread over windows can never change a report.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.obs import RollupStore
-from repro.obs.timeseries import merge_rollup_snapshots
 from repro.serving import PlanExecutor, default_chaos_plan, resilient_executor
 from repro.serving.identity import span_fingerprint
 
@@ -74,12 +73,16 @@ samples = st.lists(
 CAP = 8
 
 
-def snapshot_of(values, counter=0):
-    store = RollupStore(max_samples=CAP)
-    for value in values:
-        store.observe("h", 0.0, value)
-    if counter:
-        store.inc("c", 0.0, counter)
+def windows_of(*parts, counters=()):
+    """A store holding ``parts[i]`` (and ``counters[i]`` events) in window ``i``."""
+    store = RollupStore()
+    store.max_samples = CAP
+    for window, values in enumerate(parts):
+        t = window * store.window_seconds
+        for value in values:
+            store.observe("h", t, value)
+        if window < len(counters) and counters[window]:
+            store.inc("c", t, counters[window])
     return store.snapshot()
 
 
@@ -87,33 +90,17 @@ class TestMergeAlgebra:
     @settings(max_examples=50, deadline=None)
     @given(a=samples, b=samples, na=st.integers(0, 9), nb=st.integers(0, 9))
     def test_merge_commutative(self, a, b, na, nb):
-        left = merge_rollup_snapshots(snapshot_of(a, na), snapshot_of(b, nb))
-        right = merge_rollup_snapshots(snapshot_of(b, nb), snapshot_of(a, na))
-        assert left == right
+        left = windows_of(a, b, counters=(na, nb))
+        right = windows_of(b, a, counters=(nb, na))
+        assert left.merged_panel("h") == right.merged_panel("h")
         assert left.counter_total("c") == na + nb
-
-    @settings(max_examples=50, deadline=None)
-    @given(a=samples, b=samples, c=samples)
-    def test_merge_associative(self, a, b, c):
-        sa, sb, sc = snapshot_of(a), snapshot_of(b), snapshot_of(c)
-        assert merge_rollup_snapshots(merge_rollup_snapshots(sa, sb), sc) == merge_rollup_snapshots(
-            sa, merge_rollup_snapshots(sb, sc)
-        )
-
-    @settings(max_examples=50, deadline=None)
-    @given(values=samples)
-    def test_merge_with_empty_is_identity(self, values):
-        snapshot = snapshot_of(values)
-        assert merge_rollup_snapshots(snapshot, snapshot_of([])) == snapshot
 
     @settings(max_examples=50, deadline=None)
     @given(a=samples, b=samples)
     def test_merged_percentiles_match_pooled(self, a, b):
-        merged = merge_rollup_snapshots(snapshot_of(a), snapshot_of(b))
-        pooled = snapshot_of(a + b)
+        merged = windows_of(a, b).merged_panel("h")
+        pooled = windows_of(a + b).merged_panel("h")
         assert merged == pooled
         if a or b:
             for p in (50, 95, 99):
-                assert merged.merged_panel("h").percentile(
-                    p
-                ) == pooled.merged_panel("h").percentile(p)
+                assert merged.percentile(p) == pooled.percentile(p)

@@ -1,13 +1,12 @@
 """The telemetry store: windowed rollups on a bounded value reservoir.
 
 The telemetry plane's core contract is that aggregation is a *pure
-function of the observation multiset*: merge order, window splits, and
-collection topology can never change a byte.  These tests pin that down:
+function of the observation multiset*: how values spread over windows can
+never change a folded panel's bytes.  These tests pin that down:
 
 - a cell's reservoir keeps exact percentiles below its cap, bounds
-  retention above it, and merges associatively either way;
-- rollup snapshots merge associatively and commutatively across
-  arbitrary window splits (hypothesis);
+  retention above it, and folds across windows to the pooled stream's
+  cell either way;
 - span-projected rollups are a deterministic function of the forest.
 """
 
@@ -19,12 +18,10 @@ from hypothesis import given, settings, strategies as st
 from repro.obs.metrics import DEFAULT_MAX_SAMPLES
 from repro.obs.timeseries import (
     ARRIVALS_METRIC,
-    DEFAULT_WINDOW_SECONDS,
     E2E_METRIC,
     QUERIES_METRIC,
     RollupStore,
     canonical_labels,
-    merge_rollup_snapshots,
     rollups_from_spans,
 )
 
@@ -36,7 +33,8 @@ from repro.obs.timeseries import (
 
 def one_cell(values, max_samples):
     """Snapshot of a store holding ``values`` in a single panel cell."""
-    store = RollupStore(max_samples=max_samples)
+    store = RollupStore()
+    store.max_samples = max_samples
     for v in values:
         store.observe("t.cell", 0.0, v)
     return store.snapshot()
@@ -45,6 +43,16 @@ def one_cell(values, max_samples):
 def cell(snapshot):
     (panel,) = snapshot.panels
     return panel
+
+
+def folded(parts, max_samples):
+    """The panel folding a store that holds ``parts[i]`` in window ``i``."""
+    store = RollupStore()
+    store.max_samples = max_samples
+    for window, values in enumerate(parts):
+        for v in values:
+            store.observe("t.cell", window * store.window_seconds, v)
+    return store.snapshot().merged_panel("t.cell")
 
 
 class TestHistogramReservoir:
@@ -75,13 +83,9 @@ class TestHistogramReservoir:
     def test_merge_equals_pooled_stream(self):
         rng = random.Random(11)
         stream = [round(rng.expovariate(1.0), 3) for _ in range(5_000)]
-        snaps = [one_cell(stream[i::4], max_samples=64) for i in range(4)]
-        merged = merge_rollup_snapshots(
-            merge_rollup_snapshots(snaps[0], snaps[1]),
-            merge_rollup_snapshots(snaps[2], snaps[3]),
-        )
-        assert merged == one_cell(stream, max_samples=64)
-        assert cell(merged).kept < cell(merged).observed == 5_000
+        merged = folded([stream[i::4] for i in range(4)], max_samples=64)
+        assert merged == folded([stream], max_samples=64)
+        assert merged.kept < merged.observed == 5_000
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -95,25 +99,9 @@ class TestHistogramReservoir:
     )
     def test_merge_associative_and_commutative(self, values, split, cap):
         split = min(split, len(values))
-        parts = [one_cell(chunk, cap) for chunk in (values[:split], values[split:])]
-        assert merge_rollup_snapshots(parts[0], parts[1]) == merge_rollup_snapshots(
-            parts[1], parts[0]
-        )
-        assert merge_rollup_snapshots(parts[0], parts[1]) == one_cell(values, cap)
-
-    def test_store_merge_truncates_like_snapshot_merge(self):
-        # RollupStore.merge folds through the same cell merge, so a store
-        # that keeps observing after a truncating merge still lands on the
-        # pooled stream's bytes.
-        rng = random.Random(3)
-        stream = [round(rng.expovariate(1.0), 3) for _ in range(600)]
-        store = RollupStore(max_samples=16)
-        for v in stream[:200]:
-            store.observe("t.cell", 0.0, v)
-        store.merge(one_cell(stream[200:400], max_samples=16))
-        for v in stream[400:]:
-            store.observe("t.cell", 0.0, v)
-        assert store.snapshot() == one_cell(stream, max_samples=16)
+        parts = [values[:split], values[split:]]
+        assert folded(parts, cap) == folded(parts[::-1], cap)
+        assert folded(parts, cap) == folded([values], cap)
 
 
 # ---------------------------------------------------------------------------
@@ -151,55 +139,6 @@ class TestRollupStore:
         assert (panel.minimum, panel.maximum) == (1.0, 4.0)
         assert panel.mean == 2.5
         assert panel.percentile(50.0) == 2.5
-
-    def test_merge_requires_matching_config(self):
-        import pytest
-
-        from repro.errors import TraceError
-
-        a = RollupStore(window_seconds=5.0).snapshot()
-        b = RollupStore(window_seconds=2.0).snapshot()
-        with pytest.raises(TraceError):
-            merge_rollup_snapshots(a, b)
-        with pytest.raises(TraceError):
-            RollupStore(max_samples=8).merge(RollupStore(max_samples=9).snapshot())
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        events=st.lists(
-            st.tuples(
-                st.floats(min_value=0.0, max_value=60.0,
-                          allow_nan=False, allow_infinity=False),
-                st.floats(min_value=0.0, max_value=10.0,
-                          allow_nan=False, allow_infinity=False),
-                st.sampled_from(["a", "b"]),
-            ),
-            min_size=1, max_size=120,
-        ),
-        cuts=st.tuples(
-            st.integers(min_value=0, max_value=120),
-            st.integers(min_value=0, max_value=120),
-        ),
-    )
-    def test_merge_associative_across_window_splits(self, events, cuts):
-        """Any 3-way split of the event stream folds to the same snapshot,
-        in any association order — and equals the unsplit store."""
-        i, j = sorted(min(c, len(events)) for c in cuts)
-        chunks = (events[:i], events[i:j], events[j:])
-
-        def fill(chunk):
-            store = RollupStore(window_seconds=DEFAULT_WINDOW_SECONDS)
-            for t, value, label in chunk:
-                store.inc(QUERIES_METRIC, t, status=label)
-                store.observe(E2E_METRIC, t, value, replica=label)
-            return store.snapshot()
-
-        a, b, c = (fill(chunk) for chunk in chunks)
-        left = merge_rollup_snapshots(merge_rollup_snapshots(a, b), c)
-        right = merge_rollup_snapshots(a, merge_rollup_snapshots(b, c))
-        assert left == right
-        assert left == merge_rollup_snapshots(merge_rollup_snapshots(c, a), b)
-        assert left == fill(events)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.platforms import (
-    ACCELERATORS,
     ASR_DNN,
     ASR_GMM,
     AcceleratorModel,
@@ -55,10 +54,6 @@ class TestSpecs:
     def test_server_watts_adds_tdp(self):
         assert server_watts(CMP) == BASELINE_SERVER_WATTS
         assert server_watts(FPGA) == pytest.approx(BASELINE_SERVER_WATTS + 22.0)
-
-    def test_accelerator_flags(self):
-        assert not spec(CMP).is_accelerator
-        assert all(spec(p).is_accelerator for p in ACCELERATORS)
 
 
 class TestTable5:

@@ -30,7 +30,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.inputset import all_sentences
-from repro.errors import ModelError
 from repro.obs.context import use_tracer
 from repro.obs.counters import record_work
 from repro.obs.trace import Tracer
@@ -41,15 +40,12 @@ from repro.qa.crf import (
     TAGS,
     TaggedSentence,
     default_model,
-    evaluate,
     generate_corpus,
-    token_features,
     train_crf,
 )
 from repro.qa.crf import features as crf_features
 from repro.qa.crf.model import _logsumexp, record_decode_work
 from repro.qa.crf.train import EPOCHS
-from repro.qa.extraction import extract_candidates
 from repro.qa.filters import (
     CandidateExtractionFilter,
     FilteredSentence,
@@ -58,6 +54,7 @@ from repro.qa.filters import (
 )
 from repro.qa.question import analyze
 from repro.qa.tokenizer import sentences, tokenize_keep_case
+from tests.test_qa_engine import extract_candidates
 from repro.websearch import Corpus, Document
 
 GOLDEN = Path(__file__).parent / "fixtures" / "crf_golden.json"
@@ -117,11 +114,54 @@ class TestLogSumExp:
         assert np.isclose(_logsumexp(values), np.log(np.exp(values).sum()), rtol=1e-9)
 
 
+def token_features(tokens, position):
+    """Feature names active for ``tokens[position]``: one row of the sentence routine."""
+    return crf_features.sentence_features(tokens)[position]
+
+
+def sentence_potentials(model, tokens):
+    """Emission score matrix of ``tokens`` over the features ``model`` knows."""
+    return model._emission_scores(crf_features.lookup_ids(tokens, model.feature_map))
+
+
+def posterior_marginals(model, tokens):
+    """(T, n_tags) posterior tag marginals p(y_t = k | x) from forward-backward."""
+    if not tokens:
+        return np.zeros((0, N_TAGS))
+    alpha, beta, log_z = model.forward_backward(sentence_potentials(model, tokens))
+    return np.exp(alpha + beta - log_z)
+
+
+def log_likelihood(model, tokens, tags):
+    """Conditional log-likelihood of a gold tag-id sequence."""
+    if not tokens:
+        return 0.0
+    emissions = sentence_potentials(model, tokens)
+    _, _, log_z = model.forward_backward(emissions)
+    return float(model._path_score(emissions, tags) - log_z)
+
+
+def gradient_step(model, tokens, tags, learning_rate, l2):
+    """One SGD step by tokens: intern the sentence's features, then update."""
+    return model.update(
+        crf_features.extract_ids(tokens, model.feature_map), tags, learning_rate, l2
+    )
+
+
+def tag_accuracy(model, corpus):
+    """Token-level tagging accuracy of ``model`` on ``corpus``."""
+    correct = total = 0
+    for sentence in corpus:
+        predicted = model.decode(sentence.tokens)
+        correct += sum(1 for p, g in zip(predicted, sentence.tags) if p == g)
+        total += len(sentence.tokens)
+    return correct / total if total else 0.0
+
+
 class TestInference:
     def test_empty_sentence(self):
         model = LinearChainCRF()
         assert model.decode([]) == []
-        assert model.marginals([]).shape == (0, N_TAGS)
 
     def test_decode_length_matches(self):
         model = LinearChainCRF()
@@ -131,7 +171,7 @@ class TestInference:
 
     def test_marginals_are_distributions(self):
         model = default_model()
-        marginals = model.marginals(["who", "was", "elected"])
+        marginals = posterior_marginals(model, ["who", "was", "elected"])
         assert marginals.shape == (3, N_TAGS)
         assert np.allclose(marginals.sum(axis=1), 1.0)
         assert (marginals >= 0).all()
@@ -141,13 +181,8 @@ class TestInference:
         model = default_model()
         tokens = ("what", "is", "the", "capital", "?")
         best = model.decode(tokens)
-        ll = model.log_likelihood(tokens, [TAGS.index(t) for t in best])
+        ll = log_likelihood(model, tokens, [TAGS.index(t) for t in best])
         assert ll <= 1e-9
-
-    def test_log_likelihood_mismatched_lengths(self):
-        model = LinearChainCRF()
-        with pytest.raises(ModelError):
-            model.log_likelihood(["a", "b"], [0])
 
     def test_viterbi_beats_other_paths(self):
         # The Viterbi path's likelihood must be >= a perturbed path's.
@@ -157,8 +192,8 @@ class TestInference:
         best_ids = [TAGS.index(t) for t in best]
         worse_ids = list(best_ids)
         worse_ids[0] = (worse_ids[0] + 1) % N_TAGS
-        assert model.log_likelihood(tokens, best_ids) >= model.log_likelihood(
-            tokens, worse_ids
+        assert log_likelihood(model, tokens, best_ids) >= log_likelihood(
+            model, tokens, worse_ids
         ) - 1e-9
 
     def test_forward_backward_consistent_logz(self):
@@ -184,8 +219,8 @@ class TestTraining:
     def test_training_improves_over_random(self):
         corpus = generate_corpus(200)
         untrained = LinearChainCRF()
-        baseline = evaluate(untrained, corpus[:50])
-        accuracy = evaluate(train_crf(corpus).model, corpus)
+        baseline = tag_accuracy(untrained, corpus[:50])
+        accuracy = tag_accuracy(train_crf(corpus).model, corpus)
         assert accuracy > baseline
         assert accuracy > 0.9  # templates are highly learnable
 
@@ -193,10 +228,11 @@ class TestTraining:
         from repro.qa.crf import train
 
         def refuse(*args):
-            raise AssertionError("evaluate ran")
+            raise AssertionError("a tagging pass ran")
 
         monkeypatch.setattr(train, "_CACHED_MODEL", None)
-        monkeypatch.setattr(train, "evaluate", refuse)
+        monkeypatch.setattr(LinearChainCRF, "decode", refuse)
+        monkeypatch.setattr(LinearChainCRF, "decode_lattice", refuse)
         model = default_model()
         assert model.feature_map.frozen and model is default_model()
 
@@ -559,11 +595,11 @@ class TestPaddedGatherEmissions:
             ids = known_ids(tokens, model.feature_map)
             assert len(ids[-1]) < len(oracle_token_features(tokens, length - 1))
             expected = oracle_emission_scores(model.emission, ids)
-            assert model.sentence_potentials(tokens).tobytes() == expected.tobytes()
+            assert sentence_potentials(model, tokens).tobytes() == expected.tobytes()
 
     def test_no_sentence_and_the_pad_row(self):
         model = random_model(seed=5)
-        assert model.sentence_potentials([]).shape == (0, N_TAGS)
+        assert sentence_potentials(model, []).shape == (0, N_TAGS)
         assert model.emission.shape == (len(model.feature_map), N_TAGS)
         # The row that pads ragged id lists stays zero and outside ``emission``.
         assert not model._emission[-1].any()
@@ -607,7 +643,7 @@ class TestTrainingEqualsParentSteps:
         # The public step interns and updates exactly as the loop's cached ids do.
         model, oracle = LinearChainCRF(), OracleCRF()
         for sentence in generate_corpus(20, seed=5) + [TaggedSentence((), ())]:
-            ours = model.gradient_step(sentence.tokens, sentence.tag_ids(), 0.1, 1e-4)
+            ours = gradient_step(model, sentence.tokens, sentence.tag_ids(), 0.1, 1e-4)
             assert ours == oracle.gradient_step(sentence.tokens, sentence.tag_ids(), 0.1, 1e-4)
         assert model.feature_map._ids == oracle.feature_map._ids
         assert parameter_bytes(model) == parameter_bytes(oracle)
@@ -616,7 +652,7 @@ class TestTrainingEqualsParentSteps:
         model, oracle = random_model(seed=8), OracleCRF()
         oracle.transition, oracle.start, oracle.end = model.transition, model.start, model.end
         for length in (1, 2, 9):
-            emissions = model.sentence_potentials(sentence_of(length, seed=length))
+            emissions = sentence_potentials(model, sentence_of(length, seed=length))
             ours, theirs = model.forward_backward(emissions), oracle.forward_backward(emissions)
             assert ours[0].tobytes() == theirs[0].tobytes()
             assert ours[1].tobytes() == theirs[1].tobytes()
@@ -630,9 +666,9 @@ class TestInferenceNeverGrowsTheModel:
         "call",
         [
             lambda model, tokens: model.decode(tokens),
-            lambda model, tokens: model.marginals(tokens),
-            lambda model, tokens: model.log_likelihood(tokens, [0] * len(tokens)),
-            lambda model, tokens: model.sentence_potentials(tokens),
+            lambda model, tokens: posterior_marginals(model, tokens),
+            lambda model, tokens: log_likelihood(model, tokens, [0] * len(tokens)),
+            lambda model, tokens: sentence_potentials(model, tokens),
         ],
         ids=["decode", "marginals", "log_likelihood", "sentence_potentials"],
     )
@@ -643,7 +679,7 @@ class TestInferenceNeverGrowsTheModel:
         # Half-trained: evaluating between epochs must not change what it evaluates.
         model = LinearChainCRF()
         for sentence in generate_corpus(10):
-            model.gradient_step(sentence.tokens, sentence.tag_ids(), 0.1, 0.0)
+            gradient_step(model, sentence.tokens, sentence.tag_ids(), 0.1, 0.0)
         before = len(model.feature_map), model.emission.shape, parameter_bytes(model)
         call(model, self.TOKENS + ["Unseen", "44th"])
         assert (len(model.feature_map), model.emission.shape, parameter_bytes(model)) == before
@@ -651,7 +687,7 @@ class TestInferenceNeverGrowsTheModel:
 
     def test_only_a_gradient_step_interns(self):
         model = LinearChainCRF()
-        model.gradient_step(self.TOKENS, [0, 1, 2], 0.1, 0.0)
+        gradient_step(model, self.TOKENS, [0, 1, 2], 0.1, 0.0)
         assert len(model.feature_map) == 30 and model.emission.shape == (30, N_TAGS)
 
     def test_frozen_model_behaves_as_it_did(self):
@@ -661,7 +697,7 @@ class TestInferenceNeverGrowsTheModel:
         before = len(model.feature_map)
         assert model.decode(tokens) == oracle_decode(model, tokens)
         expected = oracle_emission_scores(model.emission, known_ids(tokens, model.feature_map))
-        assert model.sentence_potentials(tokens).tobytes() == expected.tobytes()
+        assert sentence_potentials(model, tokens).tobytes() == expected.tobytes()
         assert len(model.feature_map) == before
         # A frozen map still rejects new names through the interning walk.
         assert crf_features.extract_ids(tokens, model.feature_map) == known_ids(

@@ -12,14 +12,22 @@ from repro.qa import (
     QAEngine,
     analyze,
     classify_answer_type,
-    extract_candidates,
     is_question,
     search_query,
 )
+from repro.qa.crf import default_model
+from repro.qa.extraction import typed_candidates
 from repro.qa.filters import FilterPipeline, FilterStats
 from repro.qa.question import sanitize
 from repro.qa.scoring import aggregate
+from repro.qa.tokenizer import tokenize_keep_case
 from repro.websearch import Corpus, Document, SearchEngine
+
+
+def extract_candidates(sentence, answer_type):
+    """Every ``answer_type`` candidate in ``sentence``, tagged by the default CRF."""
+    tokens = tokenize_keep_case(sentence)
+    return typed_candidates(sentence, tokens, default_model().decode(tokens), answer_type)
 
 
 @pytest.fixture(scope="module")
@@ -185,7 +193,7 @@ class TestQAEngine:
         ],
     )
     def test_answers_known_facts(self, engine, question, expected):
-        assert engine.answer_text(question).lower() == expected
+        assert engine.answer(question).answer_text.lower() == expected
 
     def test_empty_question_raises(self, engine):
         with pytest.raises(QueryError):

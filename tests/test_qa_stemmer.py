@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.inputset import all_sentences
 from repro.qa import stemmer as porter
-from repro.qa.stemmer import PorterStemmer, stem, stem_words
+from repro.qa.stemmer import PorterStemmer, stem
 from repro.qa.tokenizer import tokenize
 from repro.websearch import Corpus
 
@@ -123,7 +123,7 @@ class TestStemmerBasics:
         assert stem("Running") == stem("running")
 
     def test_stem_words_batch(self):
-        assert stem_words(["cats", "ponies"]) == ["cat", "poni"]
+        assert [stem(word) for word in ["cats", "ponies"]] == ["cat", "poni"]
 
     def test_instance_and_module_agree(self):
         stemmer = PorterStemmer()
@@ -155,10 +155,6 @@ class TestStemmerProperties:
         result = stem(word)
         head = result[:-1] if result and result[-1] in "ie" else result
         assert word.startswith(head)
-
-    @given(st.lists(st.sampled_from([w for w, _ in REFERENCE]), max_size=30))
-    def test_batch_equals_map(self, words):
-        assert stem_words(words) == [stem(w) for w in words]
 
 
 # -- the oracle: the per-character stemmer this kernel used to be -------------------

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.qa.tokenizer import (
-    ngrams,
     remove_stopwords,
     sentences,
     tokenize,
@@ -117,25 +116,6 @@ class TestStopwordsAndNgrams:
     def test_remove_stopwords(self):
         tokens = tokenize("what is the capital of Italy")
         assert remove_stopwords(tokens) == ["capital", "italy"]
-
-    def test_ngrams_bigrams(self):
-        assert ngrams(["a", "b", "c"], 2) == [("a", "b"), ("b", "c")]
-
-    def test_ngrams_full_length(self):
-        assert ngrams(["a", "b"], 2) == [("a", "b")]
-
-    def test_ngrams_too_long(self):
-        assert ngrams(["a"], 2) == []
-
-    def test_ngrams_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ngrams(["a"], 0)
-
-    @given(st.lists(st.text(alphabet="abc", min_size=1, max_size=3), max_size=10), st.integers(1, 4))
-    def test_ngram_count_invariant(self, tokens, n):
-        result = ngrams(tokens, n)
-        assert len(result) == max(0, len(tokens) - n + 1)
-        assert all(len(gram) == n for gram in result)
 
     @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=80))
     def test_tokenize_outputs_lowercase_alnum(self, text):

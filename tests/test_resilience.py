@@ -52,7 +52,13 @@ from repro.serving import (
 )
 from repro.serving.identity import outcome_fingerprint
 from repro.serving.faults import CORRUPT, ERROR, FLAP, LATENCY, OUTAGE
-from repro.serving.resilience import BACKOFF_MAX, CLOSED, HALF_OPEN, OPEN
+from repro.serving.resilience import BACKOFF_MAX, CLOSED, HALF_OPEN, OPEN, backoff_rng
+
+
+def schedule(policy, seed, service, ordinal):
+    """The full jittered backoff schedule one call would sleep through."""
+    rng = backoff_rng(seed, service, ordinal)
+    return tuple(policy.delay(i, rng) for i in range(policy.max_attempts - 1))
 
 
 # -- stub pipeline -----------------------------------------------------------------
@@ -174,16 +180,16 @@ class TestRetryPolicy:
 
     def test_zero_jitter_schedule_equals_raw(self):
         policy = RetryPolicy(max_attempts=4, backoff_base=0.01)
-        assert policy.schedule(seed=1, service="qa", ordinal=9) == tuple(
+        assert schedule(policy, seed=1, service="qa", ordinal=9) == tuple(
             policy.raw_delay(i) for i in range(3)
         )
 
     def test_jittered_schedule_replays_per_seed_and_ordinal(self):
         policy = RetryPolicy(max_attempts=4, backoff_base=0.01, jitter=0.5)
-        first = policy.schedule(seed=3, service="qa", ordinal=7)
-        assert first == policy.schedule(seed=3, service="qa", ordinal=7)
-        assert first != policy.schedule(seed=4, service="qa", ordinal=7)
-        assert first != policy.schedule(seed=3, service="qa", ordinal=8)
+        first = schedule(policy, seed=3, service="qa", ordinal=7)
+        assert first == schedule(policy, seed=3, service="qa", ordinal=7)
+        assert first != schedule(policy, seed=4, service="qa", ordinal=7)
+        assert first != schedule(policy, seed=3, service="qa", ordinal=8)
 
     @pytest.mark.parametrize("kwargs", [
         {"max_attempts": 0},
@@ -340,7 +346,7 @@ class TestResilientService:
         for ordinal in range(3):
             with pytest.raises(ServiceError):
                 service.invoke(ServiceRequest(payload="q", ordinal=ordinal))
-        assert service.breaker.state == OPEN
+        assert service._breaker.state == OPEN
         with pytest.raises(CircuitOpenError) as excinfo:
             service.invoke(ServiceRequest(payload="q", ordinal=3))
         assert excinfo.value.code == "CIRCUIT_OPEN"
@@ -365,7 +371,7 @@ class TestResilientService:
         # Probe: the service has recovered, so the circuit closes again.
         payload = service.invoke(ServiceRequest(payload="q", ordinal=4))
         assert payload.answer_text == "recovered"
-        assert service.breaker.state == CLOSED
+        assert service._breaker.state == CLOSED
 
 
 # -- executor degradation matrix ---------------------------------------------------

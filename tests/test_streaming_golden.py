@@ -66,8 +66,8 @@ def endpoint_trace(chunks):
     flipped = None
     for chunk in chunks:
         if endpointer.push(chunk) and flipped is None:
-            flipped = endpointer.frames_seen - 1
-    return [endpointer.frames_seen, endpointer.endpointed, flipped]
+            flipped = len(endpointer._sorted) - 1
+    return [len(endpointer._sorted), endpointer.endpointed, flipped]
 
 
 def stream_utterance(decoder, samples, step):

@@ -14,9 +14,9 @@ from repro.suite import (
     all_kernels,
     chunk_ranges,
     kernel_by_name,
-    map_chunks,
 )
 from repro.suite.kernels import FDInputs
+from tests.test_asr_models import log_likelihood
 
 
 class TestKernelRun:
@@ -60,13 +60,6 @@ class TestParallelHelpers:
         if ranges:
             sizes = [len(chunk) for chunk in ranges]
             assert max(sizes) - min(sizes) <= 1  # balanced
-
-    def test_map_chunks_sums(self):
-        results = map_chunks(lambda xs: sum(xs), list(range(100)), 4)
-        assert sum(results) == sum(range(100))
-
-    def test_map_chunks_single_worker(self):
-        assert map_chunks(len, [1, 2, 3], 1) == [3]
 
 
 class TestSuiteRegistry:
@@ -195,7 +188,7 @@ class TestKernelIsThePipelinesCall:
         scores = inputs.model.emission_scores(inputs.features)
         for state, gmm in enumerate(inputs.gmms):
             column = np.ascontiguousarray(scores[:, state])
-            assert column.tobytes() == gmm.log_likelihood(inputs.features).tobytes()
+            assert column.tobytes() == log_likelihood(gmm, inputs.features).tobytes()
 
     def test_gmm_charges_what_its_members_charge(self):
         kernel = kernel_by_name("gmm")
@@ -203,7 +196,7 @@ class TestKernelIsThePipelinesCall:
         bank = kernel_counters(traced(lambda: kernel.execute(inputs=inputs)))["gmm"]
         members = WorkCounters()
         for gmm in inputs.gmms:
-            (span,) = [s for s in traced(lambda: gmm.log_likelihood(inputs.features))
+            (span,) = [s for s in traced(lambda: log_likelihood(gmm, inputs.features))
                        if s.name == "test"]
             members = members + counters_of(span.attributes)
         assert (bank.flops, bank.bytes, bank.items) == (

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.suite.parallel import chunk_ranges, map_chunks
+from repro.suite.parallel import chunk_ranges
 
 try:
     from hypothesis import given, settings
@@ -73,27 +73,3 @@ class TestChunkRangesProperty:
         sizes = [len(chunk) for chunk in chunk_ranges(n_items, workers)]
         if sizes:
             assert max(sizes) - min(sizes) <= 1
-
-
-class TestMapChunksEdges:
-    def test_empty_input_calls_work_once_with_empty_sequence(self):
-        calls = []
-        result = map_chunks(lambda chunk: calls.append(list(chunk)) or 0, [], 4)
-        assert result == [0]
-        assert calls == [[]]
-
-    def test_workers_exceeding_items(self):
-        items = [10, 20, 30]
-        result = map_chunks(lambda chunk: sum(chunk), items, workers=8)
-        assert result == [10, 20, 30]
-
-    def test_chunk_order_is_preserved(self):
-        items = list(range(100))
-        chunks = map_chunks(lambda chunk: list(chunk), items, workers=7)
-        reassembled = [i for chunk in chunks for i in chunk]
-        assert reassembled == items
-
-    def test_results_match_serial_sum(self):
-        items = list(range(1, 251))
-        for workers in (1, 2, 3, 16, 250, 400):
-            assert sum(map_chunks(sum, items, workers)) == sum(items)

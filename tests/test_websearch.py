@@ -36,25 +36,16 @@ class TestCorpus:
 
     def test_fact_docs_contain_answer(self):
         corpus = Corpus()
-        for document in corpus.documents[: DOCUMENTS_PER_FACT * len(FACTS)]:
-            answer = corpus.answer_for_doc(document.doc_id)
-            assert answer is not None
+        for index, document in enumerate(corpus.documents[: DOCUMENTS_PER_FACT * len(FACTS)]):
+            fact = FACTS[index // DOCUMENTS_PER_FACT]
             # The assertion sentence embeds the answer verbatim.
-            assert answer.split()[0].lower() in document.text.lower()
+            assert fact.sentence in document.text
+            assert fact.answer.split()[0].lower() in document.text.lower()
 
     def test_noise_docs_have_no_answer(self):
         corpus = Corpus()
-        noise_ids = [d.doc_id for d in corpus][-N_NOISE_DOCS:]
-        assert all(corpus.answer_for_doc(i) is None for i in noise_ids)
-
-    def test_fact_for_question(self):
-        corpus = Corpus()
-        fact = corpus.fact_for_question("What is the capital of Italy?")
-        assert fact is not None and fact.answer == "Rome"
-
-    def test_fact_for_unrelated_question(self):
-        corpus = Corpus()
-        assert corpus.fact_for_question("zzz qqq xxx") is None
+        for document in corpus.documents[-N_NOISE_DOCS:]:
+            assert not any(fact.sentence in document.text for fact in FACTS)
 
 
 class TestDocumentSentences:
@@ -173,6 +164,12 @@ class TestSearchEngine:
             titles = [r.document.title for r in engine.search(query, k=3)]
             assert any(fact.subject in title for title in titles), query
 
+    def test_quoted_query_ranks_like_its_text(self, engine):
+        def ranking(query):
+            return [(r.document.doc_id, r.score) for r in engine.search(query)]
+
+        assert ranking('"italy capital"') == ranking("italy capital")
+
     def test_empty_query(self, engine):
         assert engine.search("") == []
 
@@ -185,8 +182,7 @@ class TestSearchEngine:
             engine.search("capital of italy", k=k)
 
     def test_best_returns_top(self, engine):
-        best = engine.best("author Harry Potter")
-        assert best is not None
+        (best,) = engine.search("author Harry Potter", k=1)
         assert best.score == engine.search("author Harry Potter")[0].score
 
     def test_scores_descending(self, engine):
