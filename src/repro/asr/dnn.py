@@ -32,7 +32,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     peak = logits.max(axis=1, keepdims=True)
     shifted = logits - peak
     # `shifted` is already max-subtracted, so exp cannot overflow here.
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))  # statcheck: ignore[SC102]
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 @dataclass

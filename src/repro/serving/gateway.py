@@ -14,8 +14,7 @@ sessions over one event loop:
   callable; finalization finishes ASR and runs downstream in one): the
   bout goes on a queue, a worker runs it and resolves the awaiting future
   through ``loop.call_soon_threadsafe`` — the event loop itself never
-  blocks, which is the whole point of an async front door (and what
-  statcheck's SC801 async-hygiene rule checks);
+  blocks, which is the whole point of an async front door;
 - the moment the VAD endpointer closes an utterance, the gateway fires
   the rest of the query walk (classify → IMM/QA) as a background task
   while other sessions' audio is still arriving; ``finish()`` merely

@@ -1,10 +1,11 @@
 """statcheck: a Sirius-aware static-analysis pass.
 
-An AST-based linter purpose-built for this codebase's failure modes —
-numeric stability in the log-space kernels, hot-path allocation hygiene,
-thread/process safety of the pthread-analog ports, and the
-``repro.errors`` API contract.  See ``docs/STATCHECK.md`` for the rule
-catalogue and ``repro lint --help`` for the CLI.
+An AST-based linter that keeps the five rules that have caught code in
+this codebase: unguarded probability logs and unpinned accumulator dtypes
+in the log-space kernels, arrays grown inside loops, dynamic telemetry
+names, and power/price constants outside the spec.  See
+``docs/STATCHECK.md`` for the rule catalogue and ``repro lint --help``
+for the CLI.
 
 Programmatic use::
 
@@ -20,41 +21,18 @@ from repro.statcheck.core import (
     Rule,
     RuleContext,
     Severity,
-    SourceFile,
     analyze_paths,
-    analyze_source,
-    discover_files,
-    parse_paths,
 )
-from repro.statcheck.rules import (
-    RULE_CLASSES,
-    RULE_CODES,
-    all_rule_codes,
-    all_rules,
-    full_catalogue,
-    resolve_selection,
-    select_rules,
-    validate_codes,
-)
+from repro.statcheck.rules import RULE_CLASSES, resolve_selection
 
 __all__ = [
     "Finding",
     "PARSE_ERROR_CODE",
     "RULE_CLASSES",
-    "RULE_CODES",
     "Report",
     "Rule",
     "RuleContext",
     "Severity",
-    "SourceFile",
-    "all_rule_codes",
-    "all_rules",
     "analyze_paths",
-    "analyze_source",
-    "discover_files",
-    "full_catalogue",
-    "parse_paths",
     "resolve_selection",
-    "select_rules",
-    "validate_codes",
 ]

@@ -8,9 +8,8 @@ Exit codes (enforced by :func:`repro.cli.main`):
   ...): a :class:`repro.errors.StatcheckError` with a stable ``code``
   attribute propagates to the top-level CLI handler.
 
-Every run applies the whole catalogue (narrowed by ``--select`` and
-``--ignore``): the syntactic rules (SC1xx-SC4xx, SC9xx, SC10xx) and the
-whole-program rules (SC5xx-SC8xx) over the same parsed trees.
+Every run applies the whole catalogue, narrowed by ``--select`` and
+``--ignore``, in one walk of each parsed file.
 """
 
 from __future__ import annotations
@@ -19,12 +18,12 @@ import argparse
 from typing import List, Optional
 
 from repro.statcheck.core import Severity, analyze_paths
-from repro.statcheck.rules import full_catalogue, validate_codes
+from repro.statcheck.rules import RULE_CLASSES, resolve_selection
 
 
 def list_rules_text() -> str:
     lines = ["code   sev      name                        summary"]
-    for cls in full_catalogue():
+    for cls in RULE_CLASSES:
         rule = cls()
         lines.append(
             f"{rule.code:6s} {rule.severity.label:8s} {rule.name:27s} "
@@ -39,24 +38,18 @@ def list_rules_text() -> str:
 
 def explain_rule_text(code: str) -> str:
     """Full card for one rule code; unknown codes raise StatcheckError."""
-    (normalized,) = validate_codes([code])
-    for cls in full_catalogue():
-        if cls.code == normalized:
-            rule = cls()
-            semantic = rule.code[2] in "5678"
-            return "\n".join(
-                [
-                    f"{rule.code} {rule.name} [{rule.severity.label}]"
-                    + (" (whole-program)" if semantic else ""),
-                    "",
-                    f"  {rule.summary}",
-                    "",
-                    f"  {rule.rationale}",
-                    "",
-                    f"  Suppress inline: # statcheck: ignore[{rule.code}]",
-                ]
-            )
-    raise AssertionError(f"validated code {normalized} not in catalogue")
+    (rule,) = resolve_selection([code], None)
+    return "\n".join(
+        [
+            f"{rule.code} {rule.name} [{rule.severity.label}]",
+            "",
+            f"  {rule.summary}",
+            "",
+            f"  {rule.rationale}",
+            "",
+            f"  Suppress inline: # statcheck: ignore[{rule.code}]",
+        ]
+    )
 
 
 def _split_codes(raw: Optional[str]) -> Optional[List[str]]:

@@ -4,12 +4,10 @@ The framework is deliberately small.  :func:`analyze_paths` reads and
 parses every file once.  A :class:`Rule` subclass declares
 ``visit_<NodeType>`` methods (mirroring :class:`ast.NodeVisitor` naming),
 and the walker dispatches every node of each tree to each rule that
-registered interest in that node type.  The whole-program rules
-(:mod:`repro.statcheck.semantic`) then run over one project model built
-from the same trees, and pragmas, de-duplication and sorting are applied
-once to everything found.  Rules see a :class:`RuleContext` carrying the
-ancestor chain (am I inside a loop?  inside a kernel ``run`` method?) and
-report :class:`Finding` objects.
+registered interest in that node type.  Rules see a :class:`RuleContext`
+carrying the ancestor chain (am I inside a loop?) and report
+:class:`Finding` objects; pragmas apply per file, and de-duplication and
+sorting once to everything found.
 
 The one way to silence a finding is a pragma comment on the offending line::
 
@@ -28,11 +26,10 @@ import enum
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
-    Type, Union,
 )
 
 from repro.errors import StatcheckError
@@ -99,9 +96,6 @@ class Rule:
     #: Why the pattern is a defect in *this* codebase (docs).
     rationale: str = ""
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Rule {self.code} {self.name}>"
-
 
 class RuleContext:
     """Per-file state shared by all rules during one walk."""
@@ -112,42 +106,15 @@ class RuleContext:
         self._ancestors: List[ast.AST] = []
         self._sites: Set[Tuple[int, int, str]] = set()
 
-    # -- tree navigation -----------------------------------------------------
-
-    def ancestors(self) -> Tuple[ast.AST, ...]:
-        """Ancestors of the node currently being visited, root first."""
-        return tuple(self._ancestors)
-
     def in_loop(self) -> bool:
         """Is the current node lexically inside a ``for``/``while`` body?"""
         return any(isinstance(a, (ast.For, ast.While)) for a in self._ancestors)
 
-    def enclosing(self, *types: Type[ast.AST]) -> Optional[ast.AST]:
-        for ancestor in reversed(self._ancestors):
-            if isinstance(ancestor, types):
-                return ancestor
-        return None
-
-    def enclosing_function(self) -> Optional[ast.AST]:
-        return self.enclosing(ast.FunctionDef, ast.AsyncFunctionDef)
-
-    def enclosing_class(self) -> Optional[ast.ClassDef]:
-        node = self.enclosing(ast.ClassDef)
-        return node if isinstance(node, ast.ClassDef) else None
-
-    # -- reporting -----------------------------------------------------------
-
-    def report(
-        self,
-        rule: Rule,
-        node: ast.AST,
-        message: str,
-        severity: Optional[Severity] = None,
-    ) -> None:
+    def report(self, rule: Rule, node: ast.AST, message: str) -> None:
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0) + 1
         if (line, col, rule.code) in self._sites:
-            return  # overlapping-scope rules may fire twice on one site
+            return  # ``a_watts = b_watts = 230.0`` binds one literal twice
         self._sites.add((line, col, rule.code))
         self.findings.append(
             Finding(
@@ -155,7 +122,7 @@ class RuleContext:
                 line=line,
                 col=col,
                 code=rule.code,
-                severity=severity if severity is not None else rule.severity,
+                severity=rule.severity,
                 message=message,
             )
         )
@@ -258,22 +225,12 @@ def parse_suppressions(
 
 
 @dataclass
-class SourceFile:
-    """One parsed module, read once and shared by both rule passes."""
-
-    file: Path                     #: location on disk (module naming)
-    path: str                      #: display path, as reported in findings
-    source_lines: List[str]
-    tree: ast.Module
-
-
-@dataclass
 class Report:
     """Outcome of one analysis: reported and pragma-suppressed findings."""
 
     files_scanned: int
-    findings: List[Finding] = field(default_factory=list)
-    suppressed: List[Finding] = field(default_factory=list)
+    findings: List[Finding]
+    suppressed: List[Finding]
 
     def render(self) -> str:
         """The text report: one line per finding, then a summary line."""
@@ -318,71 +275,6 @@ class _Walker(ast.NodeVisitor):
             self._ctx._ancestors.pop()
 
 
-def _check_tree(source: SourceFile, rules: Sequence[Rule]) -> List[Finding]:
-    """Findings of the syntactic ``rules`` over one parsed module."""
-    ctx = RuleContext(source.path)
-    if rules:
-        _Walker(rules, ctx).visit(source.tree)
-    return ctx.findings
-
-
-def parse_source(
-    text: str, path: str, file: Optional[Path] = None
-) -> Union[SourceFile, Finding]:
-    """Parse one module; a file that does not parse becomes its SC001 finding."""
-    source_lines = text.splitlines()
-    try:
-        tree = ast.parse(text)
-    except SyntaxError as exc:
-        return Finding(
-            path=path,
-            line=exc.lineno or 1,
-            col=(exc.offset or 0) + 1,
-            code=PARSE_ERROR_CODE,
-            severity=Severity.ERROR,
-            message=f"file does not parse: {exc.msg}",
-        )
-    return SourceFile(file or Path(path), path, source_lines, tree)
-
-
-def _settle(
-    findings: Iterable[Finding], sources: Sequence[SourceFile], files_scanned: int
-) -> Report:
-    """Apply inline pragmas, drop duplicates and sort, once per analysis.
-
-    Pragmas come from parsed files only, so an ``SC001`` is never silenced.
-    """
-    pragmas = {
-        source.path: parse_suppressions(source.source_lines) for source in sources
-    }
-    report = Report(files_scanned)
-    for finding in sorted(
-        set(findings), key=lambda f: (f.path, f.line, f.col, f.code, f.message)
-    ):
-        codes = pragmas.get(finding.path, {}).get(finding.line, frozenset())
-        if codes is None or finding.code in codes:  # ``None``: bare ``ignore``
-            report.suppressed.append(finding)
-        else:
-            report.findings.append(finding)
-    return report
-
-
-def analyze_source(
-    source: str,
-    path: str = "<string>",
-    rules: Optional[Sequence[Rule]] = None,
-) -> Report:
-    """Run the syntactic rules over one module's source text."""
-    if rules is None:
-        from repro.statcheck.rules import all_rules
-
-        rules = all_rules()
-    parsed = parse_source(source, path)
-    if isinstance(parsed, Finding):
-        return _settle([parsed], [], 1)
-    return _settle(_check_tree(parsed, rules), [parsed], 1)
-
-
 def discover_files(paths: Iterable) -> List[Path]:
     """Expand files/directories into a sorted list of ``.py`` files.
 
@@ -417,27 +309,6 @@ def _display_path(file_path: Path) -> str:
     return display.replace(os.sep, "/")
 
 
-def parse_paths(paths: Iterable) -> Tuple[List[SourceFile], List[Finding]]:
-    """Read and parse every ``.py`` file under ``paths`` once.
-
-    Returns the parsed modules and the ``SC001`` findings of the files that
-    do not parse; unreadable files raise :class:`StatcheckError`.
-    """
-    sources: List[SourceFile] = []
-    parse_errors: List[Finding] = []
-    for file_path in discover_files(paths):
-        try:
-            text = file_path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise StatcheckError(f"cannot read {file_path}: {exc}") from exc
-        parsed = parse_source(text, _display_path(file_path), file_path)
-        if isinstance(parsed, Finding):
-            parse_errors.append(parsed)
-        else:
-            sources.append(parsed)
-    return sources, parse_errors
-
-
 def analyze_paths(
     paths: Iterable,
     select: Optional[Sequence[str]] = None,
@@ -446,22 +317,48 @@ def analyze_paths(
     """Run the rule catalogue over every ``.py`` file under ``paths``.
 
     ``select``/``ignore`` take rule codes (``None``: the full catalogue).
-    The syntactic rules walk each tree; the whole-program rules run over
-    one project model of the same trees.
+    Each file is read, parsed and walked once, and its own pragmas settle
+    its findings; a file that does not parse becomes its ``SC001`` finding,
+    which no pragma silences.  Unreadable files raise
+    :class:`StatcheckError`.
     """
-    # Imported here: both packages build on this module.
-    from repro.statcheck.rules import resolve_selection
-    from repro.statcheck.semantic.callgraph import build_call_graph
-    from repro.statcheck.semantic.model import build_model
+    from repro.statcheck.rules import resolve_selection  # builds on this module
 
-    syntactic, semantic = resolve_selection(select, ignore)
-    sources, findings = parse_paths(paths)  # findings so far: the SC001s
-    files_scanned = len(sources) + len(findings)
-    for source in sources:
-        findings.extend(_check_tree(source, syntactic))
-    if semantic:
-        model = build_model(sources)
-        graph = build_call_graph(model)
-        for rule in semantic:
-            findings.extend(rule.check(model, graph))
-    return _settle(findings, sources, files_scanned)
+    rules = resolve_selection(select, ignore)
+    files = discover_files(paths)
+    findings: Set[Finding] = set()
+    suppressed: Set[Finding] = set()
+    for file_path in files:
+        try:
+            text = file_path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise StatcheckError(f"cannot read {file_path}: {exc}") from exc
+        path = _display_path(file_path)
+        try:
+            tree = ast.parse(text)
+        except SyntaxError as exc:
+            findings.add(
+                Finding(
+                    path=path,
+                    line=exc.lineno or 1,
+                    col=(exc.offset or 0) + 1,
+                    code=PARSE_ERROR_CODE,
+                    severity=Severity.ERROR,
+                    message=f"file does not parse: {exc.msg}",
+                )
+            )
+            continue
+        ctx = RuleContext(path)
+        _Walker(rules, ctx).visit(tree)
+        pragmas = parse_suppressions(text.splitlines())
+        for finding in ctx.findings:
+            codes = pragmas.get(finding.line, frozenset())
+            if codes is None or finding.code in codes:  # ``None``: bare ``ignore``
+                suppressed.add(finding)
+            else:
+                findings.add(finding)
+
+    def ordered(found: Set[Finding]) -> List[Finding]:
+        return sorted(found, key=lambda f: (f.path, f.line, f.col, f.code, f.message))
+
+    return Report(len(files), ordered(findings), ordered(suppressed))

@@ -1,160 +1,70 @@
-"""The statcheck rule catalogue.
+"""The statcheck rule catalogue: the five rules that have caught code here.
 
-Rules are grouped by failure class:
-
-- ``SC1xx`` numeric stability (:mod:`repro.statcheck.rules.numeric`)
-- ``SC2xx`` hot-path hygiene (:mod:`repro.statcheck.rules.hotpath`)
-- ``SC3xx`` thread/process safety (:mod:`repro.statcheck.rules.safety`)
-- ``SC4xx`` API hygiene (:mod:`repro.statcheck.rules.hygiene`)
-- ``SC9xx`` telemetry naming (:mod:`repro.statcheck.rules.naming`)
-- ``SC10xx`` cost-constant provenance (:mod:`repro.statcheck.rules.pricing`)
+- ``SC101``, ``SC103`` numeric stability (:mod:`repro.statcheck.rules.numeric`)
+- ``SC201`` hot-path hygiene (:mod:`repro.statcheck.rules.hotpath`)
+- ``SC901`` telemetry naming (:mod:`repro.statcheck.rules.naming`)
+- ``SC1002`` cost-constant provenance (:mod:`repro.statcheck.rules.pricing`)
 
 ``SC001`` (parse failure) is emitted by the framework itself, not a rule.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Type
+from typing import List, Optional, Sequence, Set, Tuple, Type
 
 from repro.errors import StatcheckError
 from repro.statcheck.core import Rule
-from repro.statcheck.rules.hotpath import (
-    ArrayGrowInLoop,
-    ListToArrayInLoop,
-    PythonLoopInKernel,
-    WallClockDuration,
-)
-from repro.statcheck.rules.hygiene import (
-    BareExcept,
-    GenericRaise,
-    MutableDefaultArgument,
-)
+from repro.statcheck.rules.hotpath import ArrayGrowInLoop
 from repro.statcheck.rules.naming import DynamicTelemetryName
+from repro.statcheck.rules.numeric import DefaultDtypeAccumulator, UnguardedProbLog
 from repro.statcheck.rules.pricing import InlinePricingConstant
-from repro.statcheck.rules.numeric import (
-    DefaultDtypeAccumulator,
-    NaiveLogSumExp,
-    UnguardedProbLog,
-)
-from repro.statcheck.rules.safety import (
-    LambdaToProcessPool,
-    SharedStateMutationInParallel,
-    UnseededGlobalRandom,
-)
 
 #: Every rule class, in code order.
 RULE_CLASSES: Tuple[Type[Rule], ...] = (
     UnguardedProbLog,
-    NaiveLogSumExp,
     DefaultDtypeAccumulator,
     ArrayGrowInLoop,
-    ListToArrayInLoop,
-    PythonLoopInKernel,
-    WallClockDuration,
-    SharedStateMutationInParallel,
-    LambdaToProcessPool,
-    UnseededGlobalRandom,
-    MutableDefaultArgument,
-    BareExcept,
-    GenericRaise,
     DynamicTelemetryName,
     InlinePricingConstant,
 )
 
-RULE_CODES: Tuple[str, ...] = tuple(cls.code for cls in RULE_CLASSES)
 
-
-def all_rules() -> List[Rule]:
-    """Fresh instances of the full catalogue, code order."""
-    return [cls() for cls in RULE_CLASSES]
-
-
-def _semantic_classes() -> Tuple[Type[Rule], ...]:
-    # Imported lazily: the semantic subpackage depends on rule modules in
-    # this package, so a top-level import would be circular.
-    from repro.statcheck.semantic.rules import SEMANTIC_RULE_CLASSES
-
-    return SEMANTIC_RULE_CLASSES
-
-
-def full_catalogue() -> Tuple[Type[Rule], ...]:
-    """Every rule class — syntactic (SC1xx-SC4xx) then semantic (SC5xx+)."""
-    return RULE_CLASSES + _semantic_classes()
-
-
-def all_rule_codes() -> Tuple[str, ...]:
-    """Every selectable rule code, syntactic and semantic, in code order."""
-    return tuple(cls.code for cls in full_catalogue())
-
-
-def validate_codes(codes: Sequence[str]) -> List[str]:
-    """Normalize and validate rule codes against the full catalogue.
-
-    Unknown codes (``SC999``, typos like ``SC10l``) raise a coded
-    :class:`~repro.errors.StatcheckError` listing every valid code, so a
-    mistyped ``--select``/``--ignore`` can never silently narrow a run.
-    """
-    known = set(all_rule_codes())
-    normalized: List[str] = []
+def _validated(codes: Sequence[str]) -> Set[str]:
+    """Normalized codes; an unknown code (``SC999``, a typo like ``SC10l``)
+    raises a :class:`~repro.errors.StatcheckError` listing every valid code,
+    so a mistyped ``--select``/``--ignore`` can never silently narrow a run."""
+    known = [cls.code for cls in RULE_CLASSES]
+    normalized = set()
     for code in codes:
         cleaned = code.strip().upper()
         if not cleaned:
             continue
         if cleaned not in known:
             raise StatcheckError(
-                f"unknown rule code {cleaned!r} "
-                f"(valid codes: {', '.join(all_rule_codes())})"
+                f"unknown rule code {cleaned!r} (valid codes: {', '.join(known)})"
             )
-        normalized.append(cleaned)
+        normalized.add(cleaned)
     return normalized
 
 
 def resolve_selection(
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
-) -> Tuple[List[Rule], List[Rule]]:
-    """(syntactic rules, semantic rules) for a ``--select``/``--ignore`` pair.
+    select: Optional[Sequence[str]], ignore: Optional[Sequence[str]]
+) -> List[Rule]:
+    """Rule instances, code order, for a ``--select``/``--ignore`` pair.
 
-    ``select=None`` means the full catalogue; ``ignore`` is subtracted
-    afterwards.  Both lists are validated against the combined catalogue;
-    an empty final selection raises :class:`StatcheckError`.
+    ``select=None`` means the whole catalogue; ``ignore`` is subtracted
+    afterwards.  An empty final selection raises :class:`StatcheckError`.
     """
-    selected = set(validate_codes(select)) if select is not None else None
-    ignored = set(validate_codes(ignore)) if ignore is not None else set()
-    if selected is not None and not selected:
+    selected = _validated(select) if select is not None else None
+    ignored = _validated(ignore) if ignore is not None else set()
+    rules = [
+        cls()
+        for cls in RULE_CLASSES
+        if (selected is None or cls.code in selected) and cls.code not in ignored
+    ]
+    if not rules:
         raise StatcheckError("rule selection is empty")
-
-    def wanted(cls: Type[Rule]) -> bool:
-        if selected is not None and cls.code not in selected:
-            return False
-        return cls.code not in ignored
-
-    syntactic = [cls() for cls in RULE_CLASSES if wanted(cls)]
-    semantic = [cls() for cls in _semantic_classes() if wanted(cls)]
-    if not syntactic and not semantic:
-        raise StatcheckError("rule selection is empty")
-    return syntactic, semantic
+    return rules
 
 
-def select_rules(codes: Sequence[str]) -> List[Rule]:
-    """Instances for the given syntactic codes; unknown codes raise
-    StatcheckError (semantic codes are valid but resolve elsewhere —
-    use :func:`resolve_selection` for the combined catalogue)."""
-    validated = validate_codes(codes)
-    by_code = {cls.code: cls for cls in RULE_CLASSES}
-    selected = [by_code[code]() for code in validated if code in by_code]
-    if not selected:
-        raise StatcheckError("rule selection is empty")
-    return selected
-
-
-__all__ = [
-    "RULE_CLASSES",
-    "RULE_CODES",
-    "all_rule_codes",
-    "all_rules",
-    "full_catalogue",
-    "resolve_selection",
-    "select_rules",
-    "validate_codes",
-]
+__all__ = ["RULE_CLASSES", "resolve_selection"]

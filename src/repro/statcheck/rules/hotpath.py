@@ -1,22 +1,15 @@
 """Hot-path hygiene rules (SC2xx).
 
 The "AI Tax" lesson: glue code around the kernels quietly dominates
-latency.  These rules catch the three quadratic-growth / interpreter-bound
-patterns that benchmark suites accumulate over time.
+latency.  SC201 catches the quadratic-growth pattern that benchmark
+suites accumulate over time: an ndarray grown one piece per iteration.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Optional, Set
 
-from repro.statcheck.core import (
-    Rule,
-    RuleContext,
-    Severity,
-    normalized_call,
-    scope_walk,
-)
+from repro.statcheck.core import Rule, RuleContext, Severity, normalized_call
 
 _GROW_FUNCS = {
     "np.append",
@@ -53,163 +46,4 @@ class ArrayGrowInLoop(Rule):
                 f"{fn}() inside a loop reallocates the full array every "
                 "iteration (O(n^2) copying); collect pieces in a list and "
                 "concatenate once after the loop",
-            )
-
-
-class ListToArrayInLoop(Rule):
-    """SC202: converting a still-growing list to an ndarray inside the loop."""
-
-    code = "SC202"
-    name = "list-to-array-in-loop"
-    severity = Severity.WARNING
-    summary = (
-        "np.array/np.asarray called inside a loop on a list the same loop "
-        "appends to"
-    )
-    rationale = (
-        "Re-materializing the whole accumulated list as an ndarray on every "
-        "iteration is the list-flavoured twin of SC201: each conversion "
-        "copies everything collected so far.  Convert once after the loop "
-        "finishes growing the list."
-    )
-
-    def _check_loop(self, node: ast.AST, ctx: RuleContext) -> None:
-        grown: Set[str] = set()
-        for sub in scope_walk(node):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr in {"append", "extend"}
-                and isinstance(sub.func.value, ast.Name)
-            ):
-                grown.add(sub.func.value.id)
-        if not grown:
-            return
-        for sub in scope_walk(node):
-            if (
-                isinstance(sub, ast.Call)
-                and normalized_call(sub.func) in {"np.array", "np.asarray"}
-                and sub.args
-                and isinstance(sub.args[0], ast.Name)
-                and sub.args[0].id in grown
-            ):
-                ctx.report(
-                    self,
-                    sub,
-                    f"list {sub.args[0].id!r} is converted to an ndarray "
-                    "inside the loop that is still appending to it; convert "
-                    "once after the loop",
-                )
-
-    def visit_For(self, node: ast.For, ctx: RuleContext) -> None:
-        self._check_loop(node, ctx)
-
-    def visit_While(self, node: ast.While, ctx: RuleContext) -> None:
-        self._check_loop(node, ctx)
-
-
-def _range_sequence(iter_node: ast.AST) -> Optional[ast.AST]:
-    """For ``range(len(X))`` / ``range(X.shape[0])``, return the ``X`` node."""
-    if not (
-        isinstance(iter_node, ast.Call)
-        and isinstance(iter_node.func, ast.Name)
-        and iter_node.func.id == "range"
-        and len(iter_node.args) == 1
-    ):
-        return None
-    arg = iter_node.args[0]
-    if (
-        isinstance(arg, ast.Call)
-        and isinstance(arg.func, ast.Name)
-        and arg.func.id == "len"
-        and len(arg.args) == 1
-    ):
-        return arg.args[0]
-    if (
-        isinstance(arg, ast.Subscript)
-        and isinstance(arg.value, ast.Attribute)
-        and arg.value.attr == "shape"
-    ):
-        return arg.value.value
-    return None
-
-
-class PythonLoopInKernel(Rule):
-    """SC203: element-wise Python loop inside a kernel ``run`` method."""
-
-    code = "SC203"
-    name = "python-loop-in-kernel"
-    severity = Severity.WARNING
-    summary = (
-        "element-wise for-i-in-range(len(x)) loop inside a Kernel "
-        "run()/run_parallel() method"
-    )
-    rationale = (
-        "The seven Sirius Suite kernels are the measured hot paths; an "
-        "interpreter-level per-element loop there is 10-100x slower than "
-        "the vectorized numpy equivalent and skews every Table 5 speedup "
-        "derived from it.  Vectorize, or move the loop behind a kernel "
-        "subroutine that is."
-    )
-
-    def visit_For(self, node: ast.For, ctx: RuleContext) -> None:
-        function = ctx.enclosing_function()
-        if function is None or function.name not in {"run", "run_parallel"}:
-            return
-        klass = ctx.enclosing_class()
-        if klass is None or not any(
-            "Kernel" in part
-            for base in klass.bases
-            for part in (normalized_call(base).rsplit(".", 1)[-1],)
-        ):
-            return
-        sequence = _range_sequence(node.iter)
-        if sequence is None or not isinstance(node.target, ast.Name):
-            return
-        sequence_src = ast.unparse(sequence)
-        index = node.target.id
-        for sub in scope_walk(node):
-            if (
-                isinstance(sub, ast.Subscript)
-                and ast.unparse(sub.value) == sequence_src
-                and any(
-                    isinstance(inner, ast.Name) and inner.id == index
-                    for inner in ast.walk(sub.slice)
-                )
-            ):
-                ctx.report(
-                    self,
-                    node,
-                    f"element-wise Python loop over {sequence_src!r} in a "
-                    "kernel hot path; vectorize with numpy instead of "
-                    "indexing per iteration",
-                )
-                return
-
-
-class WallClockDuration(Rule):
-    """SC204: ``time.time()`` used where a duration measurement belongs."""
-
-    code = "SC204"
-    name = "wall-clock-duration"
-    severity = Severity.WARNING
-    summary = "time.time() used for timing; use time.perf_counter()"
-    rationale = (
-        "time.time() follows the wall clock: NTP slews and leap-second "
-        "smears can step it backwards or stretch it mid-measurement, so "
-        "durations derived from it are not monotone and can even go "
-        "negative.  Every latency sample behind the percentile tables and "
-        "the benchmark reports must come from time.perf_counter(), the "
-        "monotonic high-resolution clock.  If a true timestamp-of-day is "
-        "needed (log lines, report headers), derive it outside the "
-        "measured region."
-    )
-
-    def visit_Call(self, node: ast.Call, ctx: RuleContext) -> None:
-        if normalized_call(node.func) == "time.time":
-            ctx.report(
-                self,
-                node,
-                "time.time() is wall-clock (non-monotonic under NTP "
-                "adjustment); measure durations with time.perf_counter()",
             )

@@ -1,10 +1,9 @@
 """Numeric-stability rules (SC1xx).
 
 The Sirius kernels live and die in log space (GMM scoring, Viterbi, CRF
-forward-backward), so the catalogue opens with the three classic ways that
-log-space code rots: taking ``log`` of something that can reach zero,
-exponentiating without a max-shift, and accumulating into arrays whose
-dtype was never pinned down.
+forward-backward), so the catalogue opens with two ways that log-space
+code rots: taking ``log`` of something that can reach zero, and
+accumulating into arrays whose dtype was never pinned down.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.statcheck.core import (
 )
 
 _LOG_FUNCS = {"np.log", "np.log2", "np.log10", "math.log", "math.log2", "math.log10"}
-_EXP_FUNCS = {"np.exp", "np.exp2", "math.exp"}
 _GUARD_FUNCS = {"np.clip", "np.maximum", "np.fmax", "max"}
 _PROB_TOKENS = ("prob", "likelihood", "posterior", "responsib", "weight")
 _EPS_TOKENS = ("eps", "tiny", "floor")
@@ -86,65 +84,6 @@ class UnguardedProbLog(Rule):
                     "np.log(np.maximum(x, tiny)) or validate the range first",
                 )
                 return
-
-
-class NaiveLogSumExp(Rule):
-    """SC102: exponentials combined without the max-shift trick."""
-
-    code = "SC102"
-    name = "naive-logsumexp"
-    severity = Severity.WARNING
-    summary = (
-        "log over exp (or a difference of exponentials) without a max-shift"
-    )
-    rationale = (
-        "log(sum(exp(x))) overflows to inf for x >~ 709 and underflows to "
-        "-inf for x <~ -745; exp(a) - exp(b) cancels catastrophically when "
-        "a is close to b.  Both have exact stable forms: shift by the max "
-        "before exponentiating (log-sum-exp), as repro.asr.gmm and "
-        "repro.qa.crf already do."
-    )
-
-    def visit_Call(self, node: ast.Call, ctx: RuleContext) -> None:
-        if normalized_call(node.func) not in {"np.log", "math.log"}:
-            return
-        if not node.args:
-            return
-        for sub in ast.walk(node.args[0]):
-            if (
-                isinstance(sub, ast.Call)
-                and normalized_call(sub.func) in _EXP_FUNCS
-                and sub.args
-            ):
-                exp_arg = sub.args[0]
-                shifted = any(
-                    isinstance(inner, ast.Sub) for inner in ast.walk(exp_arg)
-                )
-                if not shifted:
-                    ctx.report(
-                        self,
-                        node,
-                        "log over exp without a max-shift overflows for "
-                        "large inputs; subtract the max before "
-                        "exponentiating (log-sum-exp trick)",
-                    )
-                return
-
-    def visit_BinOp(self, node: ast.BinOp, ctx: RuleContext) -> None:
-        if not isinstance(node.op, ast.Sub):
-            return
-        sides_are_exp = all(
-            isinstance(side, ast.Call)
-            and normalized_call(side.func) in _EXP_FUNCS
-            for side in (node.left, node.right)
-        )
-        if sides_are_exp:
-            ctx.report(
-                self,
-                node,
-                "difference of exponentials cancels catastrophically when "
-                "the operands are close; factor out the max or use expm1",
-            )
 
 
 _ALLOC_FUNCS = {"np.zeros", "np.empty", "np.ones"}

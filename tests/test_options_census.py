@@ -1,10 +1,9 @@
 """One value per option: every option of the library is set by some caller.
 
-An AST census of ``src/repro`` (``statcheck`` excluded: its rules are
-their own census).  A defaulted parameter of a public function, method or
-constructor, and a ``@dataclass`` field with a default (``init=False``
-fields are state, not options), must be passed by some call in ``src/`` or
-``benchmarks/``.  Tests and examples do not count: a value only they set
+An AST census of ``src/repro``.  A defaulted parameter of a public
+function, method or constructor, and a ``@dataclass`` field with a default
+(``init=False`` fields are state, not options), must be passed by some call
+in ``src/`` or ``benchmarks/``.  Tests and examples do not count: a value only they set
 is a constant.  Calls match by name (``x.run(...)`` counts for every
 ``run``), ``cls(...)`` inside a class body is a call of that class, a
 positional argument counts for the parameter in its place, and calls
@@ -85,8 +84,6 @@ def options():
     """``(module, qualified name, callee name, parameter, position)``."""
     for path in sorted(PACKAGE.rglob("*.py")):
         module = str(path.relative_to(PACKAGE.parent))
-        if "statcheck" in path.relative_to(PACKAGE).parts:
-            continue
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if not node.name.startswith("_"):
