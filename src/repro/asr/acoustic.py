@@ -93,17 +93,15 @@ class GMMAcousticModel:
             np.concatenate([gmm.precisions for gmm in bank]),
             np.concatenate([gmm.log_weights for gmm in bank]),
         )
-        # Scored emission states, the bank member each reads, its penalty.
-        states: List[int] = []
-        feeds: List[int] = []
-        penalties: List[float] = []
+        # Per emission state, in state order: the column of the member
+        # scores it reads and the penalty subtracted from it.  Column
+        # ``n_members`` is dead: a state that neither a GMM nor the fallback
+        # scores reads it and stays dead: ``-1e30``, minus a zero penalty.
+        self._state_columns = np.full(N_EMISSION_STATES, self._n_members)
+        self._state_penalties = np.zeros(N_EMISSION_STATES)
         for member, (_, scored, penalty) in enumerate(members):
-            states += scored
-            feeds += [member] * len(scored)
-            penalties += [penalty] * len(scored)
-        self._states = np.array(states)
-        self._feeds = np.array(feeds)
-        self._penalties = np.array(penalties)
+            self._state_columns[scored] = member
+            self._state_penalties[scored] = penalty
         # Per run of equal K: (K, first member, members, first bank row).
         self._groups: List[Tuple[int, int, int, int]] = []
         first_member = first_row = 0
@@ -115,15 +113,15 @@ class GMMAcousticModel:
     def emission_scores(self, features: np.ndarray) -> np.ndarray:
         features = np.atleast_2d(features)
         n_frames = len(features)
-        # States with neither a GMM nor a fallback stay dead.
-        scores = np.full((n_frames, N_EMISSION_STATES), -1e30)
         component = self._bank.component_log_likelihood(features)  # (T, ΣK)
-        member_scores = np.empty((n_frames, self._n_members))
+        member_scores = np.empty((n_frames, self._n_members + 1))
+        member_scores[:, self._n_members] = -1e30
         for k, first_member, n, first_row in self._groups:
             grouped = component[:, first_row : first_row + n * k].reshape(n_frames, n, k)
             member_scores[:, first_member : first_member + n] = log_sum_exp(grouped)
             record_scoring(n_frames, k, self._bank.dimension, mixtures=n)
-        scores[:, self._states] = member_scores[:, self._feeds] - self._penalties
+        scores = member_scores.take(self._state_columns, axis=1)
+        scores -= self._state_penalties
         return scores
 
 

@@ -195,10 +195,7 @@ class Decoder:
     def _search(self, emissions: np.ndarray, n_best: int = 1) -> List[DecodeResult]:
         search = ViterbiSearch(self)
         search.advance(emissions)
-        results = search.results(n_best)
-        if not results:
-            raise DecodingError("no surviving decoding path (beam too tight?)")
-        return results
+        return search.final(n_best)
 
     @staticmethod
     def nbest_confidences(results: Sequence[DecodeResult]) -> List[float]:
@@ -237,14 +234,18 @@ class ViterbiSearch:
     boundaries gives bit-identical scores to advancing it whole — batch and
     streaming recognition are this one object driven two ways.
 
-    One frame is four steps over preallocated ``(S,)`` buffers (the step
-    ASRPU calls expand → prune): *shift* every token along its self-loop or
-    to its right neighbour, *enter* word starts from the word ends that are
-    still alive, *emit* the frame's acoustic scores, *prune* to the beam.
-    Word entry costs per live *source* (the lead silence, or a word whose
-    end token survived), not per word start: a token the beam killed scores
-    exactly ``_NEG_INF``, language-model scores are finite, so a dead source
-    can never beat a live one into a word start and is never looked at, and
+    One frame is four steps over one preallocated ``(S,)`` score buffer and
+    one history buffer, updated in place (the step ASRPU calls expand →
+    prune): *shift* every token along its self-loop or to its right
+    neighbour, *enter* word starts from the word ends that were alive at
+    the previous frame, *emit* the frame's acoustic scores, *prune* to the
+    beam.  Entry reads everything it needs of the previous frame — each
+    live source's end token and the history under it — before the shift
+    overwrites it (DESIGN.md "The in-place frame step").  Word entry costs
+    per live *source* (the lead silence, or a word whose end token
+    survived), not per word start: a token the beam killed scores exactly
+    ``_NEG_INF``, language-model scores are finite, so a dead source can
+    never beat a live one into a word start and is never looked at, and
     every start a source enters gets the same ``(word, history)`` link.
     """
 
@@ -252,10 +253,8 @@ class ViterbiSearch:
         self._decoder = decoder
         n_states = len(decoder._graph.pstate)
         n_words = len(decoder.vocabulary)
-        # Double buffer: ``advance`` reads one set and writes the other.
         self._now = _token_buffers(n_states)
-        self._ahead = _token_buffers(n_states)
-        self._stay = np.empty(n_states)
+        self._shifted = np.empty(n_states)  # each state's left neighbour, advanced
         self._mask = np.empty(n_states, dtype=bool)
         self._scores = np.empty(n_states)  # the frame's emissions, per state
         self._ends = np.empty((2, n_words + 1))
@@ -279,81 +278,83 @@ class ViterbiSearch:
         pstate, end_states = graph.pstate, graph.end_states
         log_self, beam = decoder.log_self, decoder.beam
         advance_scores = decoder._advance_scores
-        stay, mask, scores = self._stay, self._mask, self._scores
+        shifted, mask, scores = self._shifted, self._mask, self._scores
         ends, end_tokens = self._ends, self._end_tokens
         from_phone, from_sil = ends
-        now, ahead = self._now, self._ahead
+        delta, left_delta, hist, left_hist = self._now
         rows = iter(emissions)
 
         if self.n_frames == 0 and len(emissions):
             # First frame: tokens enter every word start from BOS, or the
             # initial silence chain (audio that opens with a pause).
             next(rows).take(pstate, out=scores, mode="clip")
-            delta = now[0]
             delta[graph.starts] = scores[graph.starts] + (
                 decoder._lm_scores[0] + INSERTION_PENALTY
             )
             delta[0] = scores[0]  # first lead-silence state
 
         for row in rows:
-            delta, left_delta, hist, left_hist = now
-            new_delta, _, new_hist, _ = ahead
-            # Shift: each state keeps its own token or takes its left
-            # neighbour's, whichever scores higher (ties stay).
-            np.add(delta, log_self, out=stay)
-            np.add(left_delta, advance_scores, out=new_delta)
-            np.greater(new_delta, stay, out=mask)
-            np.maximum(new_delta, stay, out=new_delta)
-            np.copyto(new_hist, hist)
-            np.copyto(new_hist, left_hist, where=mask)
-
-            # Enter: cross-word transitions leave the *previous* frame's
-            # end tokens, from the sources that have a live one.  ("clip"
-            # skips numpy's bounds buffering; graph indices are in range.)
+            # Cross-word transitions leave the *previous* frame's end
+            # tokens, from the sources that have a live one: read those and
+            # the history under each before the shift overwrites them.
+            # ("clip" skips numpy's bounds buffering; graph indices are in
+            # range.)
             delta.take(end_states, out=ends, mode="clip")
             np.maximum(from_phone, from_sil, out=end_tokens)
-            live = (end_tokens > _ALIVE).nonzero()[0]
-            if len(live):
-                self._enter_words(live.tolist(), hist, new_delta, new_hist)
+            sources = []
+            for source in (end_tokens > _ALIVE).nonzero()[0].tolist():
+                better = int(from_sil[source] > from_phone[source])
+                sources.append((source, int(hist[end_states[better, source]])))
+
+            # Shift: each state keeps its own token or takes its left
+            # neighbour's, whichever scores higher (ties stay).  The moved
+            # histories are gathered before they are stored, so a state
+            # whose left neighbour moves too still takes the old history.
+            np.add(left_delta, advance_scores, out=shifted)
+            delta += log_self
+            np.greater(shifted, delta, out=mask)
+            np.maximum(shifted, delta, out=delta)
+            moved = mask.nonzero()[0]
+            hist[moved] = left_hist[moved]
+
+            if sources:
+                self._enter_words(sources, delta, hist)
 
             # Emit, then prune to the beam.  The matrix width was checked
             # above, so no index clips here either.
             row.take(pstate, out=scores, mode="clip")
-            np.add(new_delta, scores, out=new_delta)
+            delta += scores
             if beam is not None:
-                np.less(new_delta, new_delta.max() - beam, out=mask)
-                np.putmask(new_delta, mask, _NEG_INF)
+                np.less(delta, np.maximum.reduce(delta) - beam, out=mask)
+                np.putmask(delta, mask, _NEG_INF)
 
-            now, ahead = ahead, now
-
-        self._now, self._ahead = now, ahead
         self.n_frames += len(emissions)
 
     def _enter_words(
         self,
-        live: List[int],
+        sources: List[Tuple[int, int]],
+        delta: np.ndarray,
         hist: np.ndarray,
-        new_delta: np.ndarray,
-        new_hist: np.ndarray,
     ) -> None:
         """Offer each live source's end token to every word start, in
         ascending source order, recording one link per word that wins any.
 
-        A start goes to an offer only when strictly greater, so of equal
-        offers the lead silence (source 0) keeps the start and after it the
-        lowest word index does.  ``self._ends`` and ``self._end_tokens`` hold
-        the previous frame's end tokens of every source.
+        ``sources`` holds ``(source, history under its end token)``; a start
+        goes to an offer only when strictly greater, so of equal offers the
+        lead silence (source 0) keeps the start and after it the lowest word
+        index does.  ``self._end_tokens`` holds the previous frame's end
+        token of every source; ``delta`` and ``hist`` are this frame's,
+        shifted.
         """
         decoder = self._decoder
-        graph = decoder._graph
+        starts = decoder._graph.starts
         lm_scores, penalty, log_adv = (
             decoder._lm_scores, INSERTION_PENALTY, decoder.log_adv
         )
-        (from_phone, from_sil), end_tokens = self._ends, self._end_tokens
-        offer, wins = self._offer, self._wins
-        start_delta = new_delta.take(graph.starts)
-        start_hist = new_hist.take(graph.starts)
-        for source in live:
+        end_tokens, offer, wins = self._end_tokens, self._offer, self._wins
+        start_delta = delta.take(starts)
+        start_hist = hist.take(starts)
+        for source, link in sources:
             # offer[w2] = ((token + lmW * lm[source, w2]) + penalty) + log_adv
             np.add(lm_scores[source], end_tokens[source], out=offer)
             np.add(offer, penalty, out=offer)
@@ -361,56 +362,75 @@ class ViterbiSearch:
             np.greater(offer, start_delta, out=wins)
             if not np.count_nonzero(wins):
                 continue
-            better = int(from_sil[source] > from_phone[source])
-            link = int(hist[graph.end_states[better, source]])
             if source:  # a word ended; the lead silence hands its own history on
                 self._links.append((source - 1, link))
                 link = len(self._links) - 1
             np.putmask(start_delta, wins, offer)
             np.putmask(start_hist, wins, link)
-        new_delta[graph.starts] = start_delta
-        new_hist[graph.starts] = start_hist
-
-    def _word_ends(self, delta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per word, the better of its phone-end and silence-tail tokens."""
-        phone_ends, sil_ends = self._decoder._graph.end_states[:, 1:]
-        end_from_phone = delta[phone_ends]
-        end_from_sil = delta[sil_ends]
-        use_sil = end_from_sil > end_from_phone
-        return (
-            np.where(use_sil, end_from_sil, end_from_phone),
-            np.where(use_sil, sil_ends, phone_ends),
-        )
+        delta[starts] = start_delta
+        hist[starts] = start_hist
 
     def results(self, n_best: int = 1) -> List[DecodeResult]:
         """Up to ``n_best`` hypotheses, best first: word end plus EOS score.
 
-        Empty before the first frame and when no path survived the beam.
+        Empty before the first frame and when no word end survived the beam
+        at the last frame.
         """
         if self.n_frames == 0:
             return []
-        vocabulary = self._decoder.vocabulary
         delta, _, hist, _ = self._now
-        end_scores, end_states = self._word_ends(delta)
-        final = end_scores + self._decoder._eos_scores
+        word_ends = self._decoder._graph.end_states[:, 1:]
+        # Per word, the better of its phone-end and silence-tail tokens.
+        from_phone, from_sil = delta.take(word_ends)
+        final = np.maximum(from_phone, from_sil) + self._decoder._eos_scores
+        # Exact ties rank by word index on every numpy build: ``argmax``
+        # takes the first maximum, the sort is stable.
+        if n_best == 1:
+            ranked = [final.argmax()]
+        else:
+            ranked = np.argsort(-final, kind="stable")[:n_best]
         results: List[DecodeResult] = []
-        # Stable, so exact ties rank by word index on every numpy build.
-        for word_index in np.argsort(-final, kind="stable")[:n_best]:
+        for word_index in ranked:
             score = float(final[word_index])
             if score <= _ALIVE:
                 break
-            words: List[str] = [vocabulary[int(word_index)]]
-            link_id = int(hist[end_states[word_index]])
-            while link_id >= 0:
-                prev_word, link_id = self._links[link_id]
-                words.append(vocabulary[prev_word])
-            words.reverse()
-            results.append(
-                DecodeResult(
-                    text=" ".join(words),
-                    words=tuple(words),
-                    log_score=score,
-                    n_frames=self.n_frames,
-                )
-            )
+            state = word_ends[int(from_sil[word_index] > from_phone[word_index]), word_index]
+            results.append(self._result(int(word_index), int(hist[state]), score))
         return results
+
+    def final(self, n_best: int = 1) -> List[DecodeResult]:
+        """The utterance's result: :meth:`results`, or, when no word end is
+        alive at the last frame, the best live token's path — its linked
+        words, then the word its state lies in, scored by the token alone
+        (no EOS transition: the word has not ended).
+
+        Raises :class:`DecodingError` before the first frame, and when the
+        best live token still lies in the lead silence (no word at all).
+        """
+        if self.n_frames == 0:
+            raise DecodingError("no frames decoded")
+        results = self.results(n_best)
+        if results:
+            return results
+        delta, _, hist, _ = self._now
+        best = int(delta.argmax())
+        word_index = int(self._decoder._graph.word_of_state[best])
+        if word_index < 0 or delta[best] <= _ALIVE:
+            raise DecodingError("no word on any surviving decoding path")
+        return [self._result(word_index, int(hist[best]), float(delta[best]))]
+
+    def _result(self, word_index: int, link_id: int, score: float) -> DecodeResult:
+        """The hypothesis that ends in ``word_index`` after the words
+        ``link_id`` chains back through."""
+        vocabulary = self._decoder.vocabulary
+        words: List[str] = [vocabulary[word_index]]
+        while link_id >= 0:
+            prev_word, link_id = self._links[link_id]
+            words.append(vocabulary[prev_word])
+        words.reverse()
+        return DecodeResult(
+            text=" ".join(words),
+            words=tuple(words),
+            log_score=score,
+            n_frames=self.n_frames,
+        )

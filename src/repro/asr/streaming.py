@@ -71,13 +71,11 @@ class StreamingDecoder:
         return results[0].text if results else ""
 
     def finish(self) -> DecodeResult:
-        """Flush buffered audio and return the final result."""
+        """Flush buffered audio and return the final result
+        (:meth:`~repro.asr.decoder.ViterbiSearch.final`)."""
         if not self._finished:
             with section("asr.features"):
                 rows = self._features.flush()
             self._step_frames(rows)
             self._finished = True
-        results = self._search.results()
-        if not results:
-            raise DecodingError("no audio decoded")
-        return results[0]
+        return self._search.final()[0]

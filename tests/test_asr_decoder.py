@@ -1,9 +1,11 @@
 """End-to-end ASR tests: synthesize → features → acoustic model → Viterbi.
 
-The per-frame step of ``ViterbiSearch`` is held to the body it replaced,
-kept at the bottom of this file as ``OracleViterbiSearch``: it links every
-entered word start and takes the cross-word maximum over all live word ends
-at once, where the search now makes one offer and one link per live source.
+The per-frame step of ``ViterbiSearch`` is held to the bodies it replaced,
+kept at the bottom of this file: ``DoubleBufferViterbiSearch`` read one
+frame's buffers and wrote the other's, where the search now steps one set
+in place, and ``OracleViterbiSearch`` linked every entered word start and
+took the cross-word maximum over all live word ends at once, where the
+search makes one offer and one link per live source.
 """
 
 import numpy as np
@@ -33,6 +35,7 @@ from repro.asr.decoder import (
     ViterbiSearch,
     _ALIVE,
     _NEG_INF,
+    _token_buffers,
 )
 from repro.asr.phonemes import pronounce
 from repro.core.inputset import all_sentences
@@ -200,18 +203,58 @@ class TestViterbiStep:
             search.advance(emissions[row : row + 1])
         assert search.results(3) == gmm_decoder._search(emissions, 3)
 
-    def test_beam_that_kills_every_word_end_raises(self, gmm_model, language_model):
+    def test_beam_that_kills_every_word_end_returns_the_best_live_path(
+        self, gmm_model, language_model
+    ):
         # Every frame is a perfect match for the first state of "play" and a
         # poor one for everything else: the token that stays there outscores
         # any that moves on by more than the beam, so no word ever ends.
         decoder = Decoder(gmm_model, BigramLanguageModel(["play"]), beam=10.0)
+        start = decoder._graph.starts[0]
         emissions = np.full((20, N_EMISSION_STATES), -50.0)
-        emissions[:, decoder._graph.pstate[decoder._graph.starts[0]]] = 0.0
+        emissions[:, decoder._graph.pstate[start]] = 0.0
         search = ViterbiSearch(decoder)
         search.advance(emissions)
         assert search.results() == []
+        # The final result is the best live token's path: the word its
+        # state lies in, scored by the token alone.
+        delta = search._now[0]
+        assert int(delta.argmax()) == start
+        (result,) = decoder._search(emissions)
+        assert result == DecodeResult("play", ("play",), float(delta[start]), 20)
+        assert search.final(5) == [result]
+
+    def test_final_needs_a_frame_and_a_word(self, gmm_model):
+        decoder = Decoder(gmm_model, BigramLanguageModel(["play"]), beam=0.0)
+        search = ViterbiSearch(decoder)
         with pytest.raises(DecodingError):
-            decoder._search(emissions)
+            search.final()
+        # The lead silence wins every frame: the best live token lies in no
+        # word, so there is no transcript to return.
+        emissions = np.full((20, N_EMISSION_STATES), -50.0)
+        emissions[:, phoneme_state_id(SILENCE, 0)] = 0.0
+        search.advance(emissions)
+        assert search.results() == []
+        with pytest.raises(DecodingError):
+            search.final()
+
+    def test_linked_words_precede_the_live_word(self, gmm_model):
+        # "play" is spoken, then the first state of "music" holds on past
+        # the beam: the best live token links back through "play".
+        decoder = Decoder(gmm_model, BigramLanguageModel(["play music"]), beam=10.0)
+        graph = decoder._graph
+        play, music = (graph.starts[decoder.vocabulary.index(w)] for w in ("play", "music"))
+        n_play = STATES_PER_PHONEME * len(pronounce("play"))
+        path = [*graph.pstate[play : play + n_play], graph.pstate[music]]
+        emissions = np.full((len(path) + 20, N_EMISSION_STATES), -50.0)
+        for frame, state in enumerate(path):
+            emissions[frame, state] = 0.0
+        emissions[len(path) :, graph.pstate[music]] = 0.0
+        search = ViterbiSearch(decoder)
+        search.advance(emissions)
+        assert search.results() == []
+        (result,) = search.final()
+        assert result.words == ("play", "music")
 
     def test_one_link_per_live_source(self, gmm_model, language_model, emissions):
         decoder = Decoder(gmm_model, language_model, beam=None)
@@ -253,7 +296,136 @@ class TestViterbiStep:
         assert second.words == first.words[:-1] + (other,)
 
 
-# -- the oracle: the search body at the parent commit ---------------------------------
+# -- the oracles: the search bodies it replaced ---------------------------------------
+
+
+class DoubleBufferViterbiSearch:
+    """``ViterbiSearch`` as it was before the frame step ran in place: each
+    frame read one set of buffers and wrote the other, and ``results``
+    ranked every word with a stable sort."""
+
+    def __init__(self, decoder):
+        self._decoder = decoder
+        n_states = len(decoder._graph.pstate)
+        n_words = len(decoder.vocabulary)
+        self._now = _token_buffers(n_states)
+        self._ahead = _token_buffers(n_states)
+        self._stay = np.empty(n_states)
+        self._mask = np.empty(n_states, dtype=bool)
+        self._scores = np.empty(n_states)
+        self._ends = np.empty((2, n_words + 1))
+        self._end_tokens = np.empty(n_words + 1)
+        self._offer = np.empty(n_words)
+        self._wins = np.empty(n_words, dtype=bool)
+        self._links = []
+        self.n_frames = 0
+
+    def advance(self, emissions):
+        emissions = np.asarray(emissions, dtype=np.float64)
+        decoder = self._decoder
+        graph = decoder._graph
+        pstate, end_states = graph.pstate, graph.end_states
+        log_self, beam = decoder.log_self, decoder.beam
+        advance_scores = decoder._advance_scores
+        stay, mask, scores = self._stay, self._mask, self._scores
+        ends, end_tokens = self._ends, self._end_tokens
+        from_phone, from_sil = ends
+        now, ahead = self._now, self._ahead
+        rows = iter(emissions)
+
+        if self.n_frames == 0 and len(emissions):
+            next(rows).take(pstate, out=scores, mode="clip")
+            delta = now[0]
+            delta[graph.starts] = scores[graph.starts] + (
+                decoder._lm_scores[0] + INSERTION_PENALTY
+            )
+            delta[0] = scores[0]
+
+        for row in rows:
+            delta, left_delta, hist, left_hist = now
+            new_delta, _, new_hist, _ = ahead
+            np.add(delta, log_self, out=stay)
+            np.add(left_delta, advance_scores, out=new_delta)
+            np.greater(new_delta, stay, out=mask)
+            np.maximum(new_delta, stay, out=new_delta)
+            np.copyto(new_hist, hist)
+            np.copyto(new_hist, left_hist, where=mask)
+
+            delta.take(end_states, out=ends, mode="clip")
+            np.maximum(from_phone, from_sil, out=end_tokens)
+            live = (end_tokens > _ALIVE).nonzero()[0]
+            if len(live):
+                self._enter_words(live.tolist(), hist, new_delta, new_hist)
+
+            row.take(pstate, out=scores, mode="clip")
+            np.add(new_delta, scores, out=new_delta)
+            if beam is not None:
+                np.less(new_delta, new_delta.max() - beam, out=mask)
+                np.putmask(new_delta, mask, _NEG_INF)
+
+            now, ahead = ahead, now
+
+        self._now, self._ahead = now, ahead
+        self.n_frames += len(emissions)
+
+    def _enter_words(self, live, hist, new_delta, new_hist):
+        decoder = self._decoder
+        graph = decoder._graph
+        lm_scores, penalty, log_adv = (
+            decoder._lm_scores, INSERTION_PENALTY, decoder.log_adv
+        )
+        (from_phone, from_sil), end_tokens = self._ends, self._end_tokens
+        offer, wins = self._offer, self._wins
+        start_delta = new_delta.take(graph.starts)
+        start_hist = new_hist.take(graph.starts)
+        for source in live:
+            np.add(lm_scores[source], end_tokens[source], out=offer)
+            np.add(offer, penalty, out=offer)
+            np.add(offer, log_adv, out=offer)
+            np.greater(offer, start_delta, out=wins)
+            if not np.count_nonzero(wins):
+                continue
+            better = int(from_sil[source] > from_phone[source])
+            link = int(hist[graph.end_states[better, source]])
+            if source:
+                self._links.append((source - 1, link))
+                link = len(self._links) - 1
+            np.putmask(start_delta, wins, offer)
+            np.putmask(start_hist, wins, link)
+        new_delta[graph.starts] = start_delta
+        new_hist[graph.starts] = start_hist
+
+    def results(self, n_best=1):
+        if self.n_frames == 0:
+            return []
+        vocabulary = self._decoder.vocabulary
+        delta, _, hist, _ = self._now
+        phone_ends, sil_ends = self._decoder._graph.end_states[:, 1:]
+        use_sil = delta[sil_ends] > delta[phone_ends]
+        end_scores = np.where(use_sil, delta[sil_ends], delta[phone_ends])
+        end_states = np.where(use_sil, sil_ends, phone_ends)
+        final = end_scores + self._decoder._eos_scores
+        results = []
+        for word_index in np.argsort(-final, kind="stable")[:n_best]:
+            score = float(final[word_index])
+            if score <= _ALIVE:
+                break
+            words = [vocabulary[int(word_index)]]
+            link_id = int(hist[end_states[word_index]])
+            while link_id >= 0:
+                prev_word, link_id = self._links[link_id]
+                words.append(vocabulary[prev_word])
+            words.reverse()
+            results.append(
+                DecodeResult(
+                    text=" ".join(words),
+                    words=tuple(words),
+                    log_score=score,
+                    n_frames=self.n_frames,
+                )
+            )
+        return results
+
 
 _INITIAL_LINKS = 1024  # link-table rows before the first doubling
 
@@ -422,7 +594,9 @@ LANGUAGE_MODELS = {
 
 
 @st.composite
-def search_cases(draw):
+def search_cases(draw, beams=(None, 10.0, 200.0), repeated_cuts=False):
+    """``(vocabulary, language model name, beam, emissions, block bounds)``;
+    with ``repeated_cuts`` a cut may repeat, so blocks may be empty."""
     vocabulary = draw(st.lists(
         st.one_of(st.sampled_from(["to", "too"]), st.sampled_from(WORDS)),
         min_size=1, max_size=6, unique=True,
@@ -446,11 +620,12 @@ def search_cases(draw):
         emissions[index * dwell : (index + 1) * dwell, state] += scale
     if draw(st.booleans()):  # a coarse grid: equal sums are exact ties
         emissions = np.round(emissions * 2) / 2
-    cuts = sorted(draw(st.sets(st.integers(0, n_frames), max_size=6)))
+    collection = st.lists if repeated_cuts else st.sets
+    cuts = sorted(draw(collection(st.integers(0, n_frames), max_size=6)))
     return (
         vocabulary,
         draw(st.sampled_from(sorted(LANGUAGE_MODELS))),
-        draw(st.sampled_from([None, 10.0, 200.0])),
+        draw(st.sampled_from(beams)),
         emissions,
         [0, *cuts, n_frames],
     )
@@ -475,3 +650,60 @@ class TestSearchEqualsOracle:
         for start, stop in zip(bounds, bounds[1:]):
             search.advance(emissions[start:stop])
         assert as_rows(search.results(5)) == as_rows(oracle.results(5))
+
+
+def live_tokens(search):
+    """``(states, score bytes, histories)`` of every live token."""
+    delta, _, hist, _ = search._now
+    live = (delta > _ALIVE).nonzero()[0]
+    return live.tolist(), delta[live].tobytes(), hist[live].tolist()
+
+
+def adjacent_moves(search):
+    """States whose token and whose left neighbour's token both move right
+    in the next frame's shift (read off the search's current buffers)."""
+    decoder = search._decoder
+    delta, left_delta, _, _ = search._now
+    moves = left_delta + decoder._advance_scores > delta + decoder.log_self
+    return int((moves[1:] & moves[:-1]).sum())
+
+
+class TestInPlaceStepEqualsDoubleBuffer:
+    """The in-place frame step against the two-buffer one it replaced:
+    equal hypotheses, links, and live scores and histories after every
+    block, for any vocabulary, beam and block split."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(search_cases(beams=(None, 0.0, 30.0, 200.0), repeated_cuts=True))
+    def test_every_block_equals_the_double_buffer_body(self, case):
+        vocabulary, lm_name, beam, emissions, bounds = case
+        decoder = Decoder(None, LANGUAGE_MODELS[lm_name](vocabulary), beam=beam)
+        oracle = DoubleBufferViterbiSearch(decoder)
+        search = ViterbiSearch(decoder)
+        for start, stop in zip(bounds, bounds[1:]):
+            oracle.advance(emissions[start:stop])
+            search.advance(emissions[start:stop])
+            assert live_tokens(search) == live_tokens(oracle)
+            assert search._links == oracle._links
+            for n_best in (1, 5):
+                assert as_rows(search.results(n_best)) == as_rows(oracle.results(n_best))
+
+    def test_adjacent_states_moving_in_one_frame(self, gmm_model, language_model):
+        # Real speech with no beam: many frames shift a token into a state
+        # whose own token moves on in the same frame, where an in-place
+        # history move that read its own output would hand on the wrong
+        # history.
+        decoder = Decoder(gmm_model, language_model, beam=None)
+        wave = Synthesizer(seed=12).synthesize("what is the capital of italy")
+        emissions = gmm_model.emission_scores(decoder.feature_extractor.extract(wave))
+        oracle = DoubleBufferViterbiSearch(decoder)
+        search = ViterbiSearch(decoder)
+        frames_with_adjacent_moves = 0
+        for row in range(len(emissions)):
+            frames_with_adjacent_moves += row > 0 and adjacent_moves(search) > 0
+            oracle.advance(emissions[row : row + 1])
+            search.advance(emissions[row : row + 1])
+            assert live_tokens(search) == live_tokens(oracle)
+        assert frames_with_adjacent_moves > len(emissions) // 2
+        assert search._links == oracle._links
+        assert as_rows(search.results(5)) == as_rows(oracle.results(5)) != []

@@ -12,7 +12,14 @@ from repro.asr import (
     fit_gmm,
 )
 from repro.asr import acoustic
-from repro.asr.acoustic import SILENCE, label_frames, phoneme_state_id
+from repro.asr.acoustic import (
+    FALLBACK_PENALTY,
+    N_EMISSION_STATES,
+    SILENCE,
+    GMMAcousticModel,
+    label_frames,
+    phoneme_state_id,
+)
 from repro.asr.audio import SAMPLE_RATE
 from repro.asr.features import FRAME_HOP, FRAME_LENGTH
 from repro.asr.gmm import _FIT_BLOCK_ROWS, _by_row_blocks, log_sum_exp, record_scoring
@@ -129,6 +136,76 @@ class TestFitGMM:
         gmm = fit_gmm(data[:500], n_components=4, n_iterations=2)
         whole = gmm.component_log_likelihood(data)
         assert _by_row_blocks(gmm.component_log_likelihood, data).tobytes() == whole.tobytes()
+
+
+def oracle_emission_scores(model: GMMAcousticModel, features: np.ndarray) -> np.ndarray:
+    """``GMMAcousticModel.emission_scores`` as it was: a dead-filled
+    ``(T, S)`` matrix, member scores gathered per scored state, penalties
+    subtracted and the result scattered into it.  The scored states, the
+    member each reads and its penalty are rebuilt the way the model's
+    constructor built them."""
+    members = [(gmm, [state], 0.0) for state, gmm in sorted(model.gmms.items())]
+    if model.fallback is not None:
+        untrained = [s for s in range(N_EMISSION_STATES) if s not in model.gmms]
+        members.append((model.fallback, untrained, FALLBACK_PENALTY))
+    members.sort(key=lambda member: member[0].n_components)
+    states, feeds, penalties = [], [], []
+    for member, (_, scored, penalty) in enumerate(members):
+        states += scored
+        feeds += [member] * len(scored)
+        penalties += [penalty] * len(scored)
+    states, feeds, penalties = np.array(states), np.array(feeds), np.array(penalties)
+
+    features = np.atleast_2d(features)
+    n_frames = len(features)
+    scores = np.full((n_frames, N_EMISSION_STATES), -1e30)
+    component = model._bank.component_log_likelihood(features)
+    member_scores = np.empty((n_frames, len(members)))
+    for k, first_member, n, first_row in model._groups:
+        grouped = component[:, first_row : first_row + n * k].reshape(n_frames, n, k)
+        member_scores[:, first_member : first_member + n] = log_sum_exp(grouped)
+    scores[:, states] = member_scores[:, feeds] - penalties
+    return scores
+
+
+@pytest.fixture(scope="module")
+def acoustic_models():
+    """A trained model with a fallback GMM, and its state GMMs without one
+    (the states they leave untrained score ``-1e30``)."""
+    data = acoustic.collect_training_data(all_sentences()[:6], repetitions=2)
+    model = acoustic.train_gmm_acoustic_model(data)
+    assert len(model.gmms) < N_EMISSION_STATES
+    return {"fallback": model, "no fallback": GMMAcousticModel(model.gmms)}, data.features
+
+
+class TestEmissionScoresEqualTheScatter:
+    """The state-ordered gather against the fill/gather/scatter it replaced,
+    bytewise, for the whole block and for any split of its rows."""
+
+    @pytest.mark.parametrize("kind", ["fallback", "no fallback"])
+    def test_whole_block(self, acoustic_models, kind):
+        models, features = acoustic_models
+        model = models[kind]
+        scores = model.emission_scores(features[:300])
+        assert scores.shape == (300, N_EMISSION_STATES) and scores.flags.c_contiguous
+        assert scores.tobytes() == oracle_emission_scores(model, features[:300]).tobytes()
+        untrained = [s for s in range(N_EMISSION_STATES) if s not in model.gmms]
+        dead = (scores[:, untrained] == -1e30).all()
+        assert dead == (model.fallback is None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["fallback", "no fallback"]),
+        first=st.integers(0, 500),
+        cuts=st.lists(st.integers(0, 40), max_size=5),
+    )
+    def test_any_split_of_the_rows(self, acoustic_models, kind, first, cuts):
+        models, features = acoustic_models
+        model = models[kind]
+        bounds = [0, *sorted(cuts), 40]
+        rows = features[first : first + 40]
+        blocks = [model.emission_scores(rows[a:b]) for a, b in zip(bounds, bounds[1:]) if b > a]
+        assert np.vstack(blocks).tobytes() == oracle_emission_scores(model, rows).tobytes()
 
 
 def oracle_label_frames(alignment, n_frames, sample_rate=SAMPLE_RATE):

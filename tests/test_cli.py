@@ -70,6 +70,13 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "Paris" in output
 
+    def test_query_with_words_outside_the_vocabulary(self, capsys):
+        # The digits are spoken but no vocabulary word ends on the last
+        # frame: the transcript is the best live path, not a decoding error.
+        assert main(["query", "call 911"]) == 0
+        transcript = capsys.readouterr().out.split('"')[1]
+        assert transcript.startswith("call ")
+
     def test_demo_command_limited(self, capsys):
         assert main(["demo", "--limit", "2"]) == 0
         output = capsys.readouterr().out
