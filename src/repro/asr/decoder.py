@@ -254,9 +254,9 @@ class ViterbiSearch:
         n_states = len(decoder._graph.pstate)
         n_words = len(decoder.vocabulary)
         self._now = _token_buffers(n_states)
-        self._shifted = np.empty(n_states)  # each state's left neighbour, advanced
+        # The shifted tokens, then the frame's emissions, per state.
+        self._scratch = np.empty(n_states)
         self._mask = np.empty(n_states, dtype=bool)
-        self._scores = np.empty(n_states)  # the frame's emissions, per state
         self._ends = np.empty((2, n_words + 1))
         self._end_tokens = np.empty(n_words + 1)
         self._offer = np.empty(n_words)
@@ -278,7 +278,7 @@ class ViterbiSearch:
         pstate, end_states = graph.pstate, graph.end_states
         log_self, beam = decoder.log_self, decoder.beam
         advance_scores = decoder._advance_scores
-        shifted, mask, scores = self._shifted, self._mask, self._scores
+        scratch, mask = self._scratch, self._mask
         ends, end_tokens = self._ends, self._end_tokens
         from_phone, from_sil = ends
         delta, left_delta, hist, left_hist = self._now
@@ -287,11 +287,11 @@ class ViterbiSearch:
         if self.n_frames == 0 and len(emissions):
             # First frame: tokens enter every word start from BOS, or the
             # initial silence chain (audio that opens with a pause).
-            next(rows).take(pstate, out=scores, mode="clip")
-            delta[graph.starts] = scores[graph.starts] + (
+            next(rows).take(pstate, out=scratch, mode="clip")
+            delta[graph.starts] = scratch[graph.starts] + (
                 decoder._lm_scores[0] + INSERTION_PENALTY
             )
-            delta[0] = scores[0]  # first lead-silence state
+            delta[0] = scratch[0]  # first lead-silence state
 
         for row in rows:
             # Cross-word transitions leave the *previous* frame's end
@@ -310,10 +310,10 @@ class ViterbiSearch:
             # neighbour's, whichever scores higher (ties stay).  The moved
             # histories are gathered before they are stored, so a state
             # whose left neighbour moves too still takes the old history.
-            np.add(left_delta, advance_scores, out=shifted)
+            np.add(left_delta, advance_scores, out=scratch)
             delta += log_self
-            np.greater(shifted, delta, out=mask)
-            np.maximum(shifted, delta, out=delta)
+            np.greater(scratch, delta, out=mask)
+            np.maximum(scratch, delta, out=delta)
             moved = mask.nonzero()[0]
             hist[moved] = left_hist[moved]
 
@@ -322,8 +322,8 @@ class ViterbiSearch:
 
             # Emit, then prune to the beam.  The matrix width was checked
             # above, so no index clips here either.
-            row.take(pstate, out=scores, mode="clip")
-            delta += scores
+            row.take(pstate, out=scratch, mode="clip")
+            delta += scratch
             if beam is not None:
                 np.less(delta, np.maximum.reduce(delta) - beam, out=mask)
                 np.putmask(delta, mask, _NEG_INF)
