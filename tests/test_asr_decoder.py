@@ -660,8 +660,8 @@ def live_tokens(search):
 
 
 def adjacent_moves(search):
-    """States whose token and whose left neighbour's token both move right
-    in the next frame's shift (read off the search's current buffers)."""
+    """How many pairs of adjacent states both take their left neighbour's
+    token in the next frame's shift (read off the search's buffers)."""
     decoder = search._decoder
     delta, left_delta, _, _ = search._now
     moves = left_delta + decoder._advance_scores > delta + decoder.log_self
