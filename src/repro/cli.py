@@ -235,10 +235,7 @@ def _cmd_streaming_bench(args: argparse.Namespace, pipeline, queries) -> int:
     try:
         start = time.perf_counter()
         report = serve_streams(
-            executor,
-            queries,
-            chunk_seconds=args.chunk_ms / 1000.0,
-            max_workers=args.workers if args.workers else 8,
+            executor, queries, chunk_seconds=args.chunk_ms / 1000.0
         )
         wall = time.perf_counter() - start
         mismatched = [
@@ -572,7 +569,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--backend", choices=("serial", "thread", "process"), default="process"
     )
-    serve.add_argument("--workers", type=int, default=None)
+    serve.add_argument(
+        "--workers", type=int, default=None,
+        help="size of the --backend fan-out only (--streaming runs every "
+             "session on its event loop's one thread)",
+    )
     serve.add_argument("--asr-backend", choices=("gmm", "dnn"), default="gmm")
     mode = serve.add_mutually_exclusive_group()
     mode.add_argument(

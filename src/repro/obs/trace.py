@@ -219,14 +219,16 @@ class Tracer:
         """Re-activate an externally managed *open* span on this thread.
 
         A streaming session's service span stays open across many ``feed``
-        calls that may land on different pool threads; ``begin_span``/
-        ``end_span`` alone cannot express that (the open-span stack is
-        thread-local).  ``reenter`` pushes the span as this thread's
-        innermost frame for the duration of one synchronous work bout, so
-        component sections, partial spans, and ``annotate`` calls nest under
-        it.  The last bout may close the span with :meth:`end_span` (which
-        pops this frame and collects it).  Sibling counters are shared
-        tracer state, so indices stay unique across bouts and threads.
+        calls, and other sessions' bouts run on the same thread in between
+        (the gateway interleaves every session on its event loop), so the
+        span cannot simply stay on the open-span stack; ``begin_span``/
+        ``end_span`` alone cannot express that.  ``reenter`` pushes the span
+        as this thread's innermost frame for the duration of one synchronous
+        work bout, so component sections, partial spans, and ``annotate``
+        calls nest under it.  The last bout may close the span with
+        :meth:`end_span` (which pops this frame and collects it).  Sibling
+        counters are shared tracer state, so indices stay unique across
+        bouts and threads.
         """
         stack = self._stack()
         depth = len(stack)

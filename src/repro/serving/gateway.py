@@ -9,20 +9,19 @@ sessions over one event loop:
   with a **deterministic ordinal** assigned at open, so
   resilience jitter and injected faults replay byte-identically however
   the audio interleaves;
-- every gateway operation is **one** hand-off to the gateway's worker
-  threads (``feed`` decodes the chunk and extracts its partials in one
-  callable; finalization finishes ASR and runs downstream in one): the
-  bout goes on a queue, a worker runs it and resolves the awaiting future
-  through ``loop.call_soon_threadsafe`` — the event loop itself never
-  blocks, which is the whole point of an async front door;
+- every gateway operation is **one** synchronous bout on the event loop's
+  own thread (``feed`` decodes the chunk and extracts its partials;
+  finalization finishes ASR and runs downstream).  The loop serves no
+  socket, and these small-array bouts hold the GIL anyway, so a worker
+  thread would buy no overlap and cost a cross-thread round trip per
+  chunk; a bout never suspends, so it is atomic on the loop and sessions
+  need no lock;
 - the moment the VAD endpointer closes an utterance, the gateway fires
   the rest of the query walk (classify → IMM/QA) as a background task
   while other sessions' audio is still arriving; ``finish()`` merely
   awaits that task.
 
-Per-session work bouts are serialized by an ``asyncio.Lock`` (sessions are
-not thread-safe; *different* sessions overlap freely on the workers), and
-time-to-first-partial is observed into ``executor.metrics`` at the first
+Time-to-first-partial is observed into ``executor.metrics`` at the first
 non-empty partial — the TTFP column next to end-to-end latency in
 ``repro trace-report``.  Downstream runs the executor's walk and degrades
 on a failure, as ``run_all(on_error="degrade")`` does.
@@ -31,11 +30,9 @@ on a failure, as ``run_all(on_error="degrade")`` does.
 from __future__ import annotations
 
 import asyncio
-import queue
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.asr.audio import Waveform
 from repro.errors import ConfigurationError, SessionError
@@ -53,11 +50,11 @@ DONE = "done"                #: response available
 class GatewaySession:
     """One user's utterance in flight through the gateway.
 
-    All methods must be awaited on the gateway's event loop; the session's
-    blocking work runs on the gateway's workers.  Audio fed after finalization
-    started is *dropped* (counted in :attr:`late_chunks`) — the endpointer
-    already closed the utterance, and late audio must not perturb the
-    deterministic transcript.
+    All methods must be awaited on the gateway's event loop, which runs the
+    session's work itself.  Audio fed after finalization started is
+    *dropped* (counted in :attr:`late_chunks`) — the endpointer already
+    closed the utterance, and late audio must not perturb the deterministic
+    transcript.
     """
 
     def __init__(
@@ -72,7 +69,6 @@ class GatewaySession:
         self.ttfp: Optional[float] = None
         self.response: Any = None
         self.late_chunks = 0
-        self._lock = asyncio.Lock()
         self._task: Optional[asyncio.Task] = None
 
     @property
@@ -84,33 +80,28 @@ class GatewaySession:
         return LISTENING
 
     async def feed(self, chunk: Any) -> bool:
-        """Deliver one audio chunk; returns True once the utterance ended."""
-        async with self._lock:
-            if self._task is not None:
-                self.late_chunks += 1
-                return True
-            endpointed, fresh = await self.gateway._call(self._feed, chunk)
-            self._heard(fresh)
+        """Deliver one audio chunk and, with ``poll_on_feed``, take its
+        partials; returns True once the utterance ended."""
+        if self._task is not None:
+            self.late_chunks += 1
+            return True
+        self.gateway._check_open()
+        endpointed = self.session.feed(chunk)
+        if self.gateway.poll_on_feed:
+            self._heard(self.session.partials())
         if endpointed:
             self._launch()
         return endpointed
 
-    def _feed(self, chunk: Any) -> Tuple[bool, List[str]]:
-        """Blocking: one chunk in and, with ``poll_on_feed``, its partials out
-        (both in the one hand-off ``feed`` makes)."""
-        endpointed = self.session.feed(chunk)
-        fresh = self.session.partials() if self.gateway.poll_on_feed else []
-        return endpointed, fresh
-
     async def poll(self) -> List[str]:
         """Explicitly poll for new partial hypotheses."""
-        async with self._lock:
-            if self._task is not None:
-                return []
-            return self._heard(await self.gateway._call(self.session.partials))
+        if self._task is not None:
+            return []
+        self.gateway._check_open()
+        return self._heard(self.session.partials())
 
     def _heard(self, fresh: List[str]) -> List[str]:
-        """On the loop: record fresh partials, stamping TTFP at the first."""
+        """Record fresh partials, stamping TTFP at the first."""
         if fresh:
             if not self.partials and self.ttfp is None:
                 self.ttfp = time.perf_counter() - self.opened_at
@@ -132,22 +123,18 @@ class GatewaySession:
         return self._task
 
     async def _finalize(self):
-        async with self._lock:
-            response = await self.gateway._call(self._downstream)
-        self.response = response
-        self.gateway._record(response, self.ordinal)
-        return response
-
-    def _downstream(self):
-        """Blocking: finish the ASR stage, then classify → QA/IMM off it."""
+        """Finish the ASR stage, then classify → QA/IMM off it."""
+        self.gateway._check_open()
         outcome = self.session.finish()
-        return self.gateway.executor.run(
+        self.response = self.gateway.executor.run(
             self.query,
             ordinal=self.ordinal,
             on_error=DEGRADE,
             precomputed={ASR: outcome},
             wall_start=self.opened_at,
         )
+        self.gateway._record(self.response, self.ordinal)
+        return self.response
 
     def __repr__(self) -> str:
         return (f"<GatewaySession ordinal={self.ordinal} {self.state} "
@@ -160,18 +147,21 @@ class StreamingGateway:
     ``poll_on_feed`` controls whether every ``feed`` also polls partials
     (engaging incremental decoding); disable it to keep single-chunk
     sessions on the byte-identical batch path.  Downstream stages fire the
-    moment the endpointer closes an utterance.
+    moment the endpointer closes an utterance.  ``max_workers`` must be 1:
+    the event loop's thread is the only one that runs a bout.
     """
 
     def __init__(
         self,
         executor: PlanExecutor,
         *,
-        max_workers: int = 8,
+        max_workers: int = 1,
         poll_on_feed: bool = True,
     ):
-        if max_workers < 1:
-            raise ConfigurationError("max_workers must be >= 1")
+        if max_workers != 1:
+            raise ConfigurationError(
+                "max_workers must be 1: bouts run on the event loop's thread"
+            )
         if ASR not in executor.services:
             raise ConfigurationError(
                 "streaming gateway needs an 'asr' service in the executor"
@@ -179,19 +169,7 @@ class StreamingGateway:
         self.executor = executor
         self.poll_on_feed = poll_on_feed
         self._next_ordinal = 0
-        self._bouts: "queue.SimpleQueue[Optional[_Bout]]" = queue.SimpleQueue()
         self._closed = False
-        self._workers = [
-            threading.Thread(
-                target=_serve_bouts,
-                args=(self._bouts,),
-                name=f"stream-gateway_{index}",
-                daemon=True,
-            )
-            for index in range(max_workers)
-        ]
-        for worker in self._workers:
-            worker.start()
 
     def open_session(self, query) -> GatewaySession:
         """Admit one query; its ordinal is fixed now, in arrival order."""
@@ -205,15 +183,9 @@ class StreamingGateway:
         )
         return GatewaySession(self, session, query, ordinal)
 
-    async def _call(self, fn: Callable, *args):
-        """Run one blocking session bout on a worker, off the event loop;
-        what it raises is raised here."""
+    def _check_open(self) -> None:
         if self._closed:
             raise SessionError("the streaming gateway is closed", service=ASR)
-        loop = asyncio.get_running_loop()
-        done = loop.create_future()
-        self._bouts.put((loop, done, fn, args))
-        return await done
 
     def _observe_ttfp(self, seconds: float, ordinal: int) -> None:
         if self.executor.metrics is not None:
@@ -224,52 +196,14 @@ class StreamingGateway:
             record_response(self.executor.metrics, response, ordinal)
 
     def close(self) -> None:
-        """Let the workers finish the bouts already queued, then join them."""
-        if not self._closed:
-            self._closed = True
-            for _ in self._workers:
-                self._bouts.put(None)
-        for worker in self._workers:
-            worker.join()
+        """Refuse every later bout (idempotent)."""
+        self._closed = True
 
     def __enter__(self) -> "StreamingGateway":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-#: One queued bout: the loop awaiting it, its future, the callable and args.
-_Bout = Tuple[asyncio.AbstractEventLoop, "asyncio.Future[Any]", Callable, tuple]
-
-
-def _serve_bouts(bouts: "queue.SimpleQueue[Optional[_Bout]]") -> None:
-    """A gateway worker: run bouts until the ``None`` that ``close`` sends."""
-    while True:
-        bout = bouts.get()
-        if bout is None:
-            return
-        loop, done, fn, args = bout
-        result: Any = None
-        error: Optional[BaseException] = None
-        try:
-            result = fn(*args)
-        except BaseException as raised:  # handed to the awaiting coroutine
-            error = raised
-        try:
-            loop.call_soon_threadsafe(_settle, done, result, error)
-        except RuntimeError:
-            pass  # the loop was closed under an abandoned bout
-
-
-def _settle(done: "asyncio.Future[Any]", result: Any, error: Optional[BaseException]) -> None:
-    """On the loop: resolve a bout's future unless its awaiter gave up."""
-    if done.cancelled():
-        return
-    if error is not None:
-        done.set_exception(error)
-    else:
-        done.set_result(result)
 
 
 # -- synchronous driver -------------------------------------------------------------
@@ -315,9 +249,10 @@ async def _drive(
     streams = [
         chunk_waveform(handle.query.audio, chunk_seconds) for handle in handles
     ]
-    # Round-robin the chunks: every session's next chunk is delivered
-    # concurrently with every other session's — the slow-arriving-audio
-    # interleaving the gateway exists to absorb.
+    # Round-robin the chunks: each round delivers every session's next chunk,
+    # one bout after another on the loop, and runs the downstream walks the
+    # round's endpoints fired — the slow-arriving-audio interleaving the
+    # gateway exists to absorb.
     rounds = max(len(stream) for stream in streams) if streams else 0
     for index in range(rounds):
         await asyncio.gather(*(
@@ -334,7 +269,6 @@ def serve_streams(
     queries: Sequence[Any],
     *,
     chunk_seconds: float = 0.1,
-    max_workers: int = 8,
 ) -> StreamReport:
     """Drive a whole query stream through a gateway, synchronously.
 
@@ -344,7 +278,7 @@ def serve_streams(
     round-robin, finishes everything, and reports responses plus streaming
     responsiveness (partial counts, TTFP, endpoint decisions).
     """
-    gateway = StreamingGateway(executor, max_workers=max_workers)
+    gateway = StreamingGateway(executor)
     try:
         handles, responses = asyncio.run(_drive(gateway, queries, chunk_seconds))
     finally:

@@ -36,9 +36,10 @@ the caller actually streams: the single-chunk session takes the very same
 coordinates and opens its service span with the executor's own
 :func:`~repro.serving.executor.begin_service_span`, so the IDs are the ones
 ``PlanExecutor.run`` would mint.  The span stays open across work bouts
-that may land on different threads (:meth:`~repro.obs.trace.Tracer.reenter`),
-is closed by the executor's :func:`~repro.serving.executor.end_span`, and
-travels to the executor inside :attr:`StageOutcome.spans` for adoption.
+while other sessions' bouts run between them on the same thread, and each
+bout re-enters it (:meth:`~repro.obs.trace.Tracer.reenter`); it is closed
+by the executor's :func:`~repro.serving.executor.end_span`, and travels to
+the executor inside :attr:`StageOutcome.spans` for adoption.
 """
 
 from __future__ import annotations

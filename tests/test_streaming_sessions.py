@@ -15,9 +15,9 @@ Layout follows the acceptance criteria:
 - the VAD endpointer unit behaviour;
 - the asyncio gateway: 50 concurrent sessions, endpoint auto-fire with
   late-chunk dropping, and chaos replay determinism;
-- the bout hand-off (errors surface unchanged, ``max_workers`` bounds the
-  bouts in flight, ``close`` joins every worker) and the session's one
-  sample rate;
+- the bouts (errors surface unchanged, every bout runs on the event loop's
+  thread and none overlaps, ``max_workers`` must be 1, a closed gateway
+  refuses every operation) and the session's one sample rate;
 - one bout per gateway operation, and the 50-session stream's
   transcripts, partial counts and endpoint decisions against the golden
   written at the commit that still took two hops per ``feed``.
@@ -361,9 +361,7 @@ class TestStreamingGateway:
         saved = traced_executor.metrics
         traced_executor.metrics = store
         try:
-            report = serve_streams(
-                traced_executor, queries, chunk_seconds=0.25, max_workers=8
-            )
+            report = serve_streams(traced_executor, queries, chunk_seconds=0.25)
         finally:
             traced_executor.metrics = saved
         reference = traced_executor.run_all(queries)
@@ -434,37 +432,30 @@ class TestStreamingGateway:
             StreamingGateway(no_asr)
 
 
-class _CountingQueue:
-    """Stands in for the gateway's bout queue, counting the bouts put on it
-    (not ``close``'s ``None``s) and forwarding everything to the workers."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.bouts = 0
-
-    def put(self, item):
-        self.bouts += item is not None
-        self.inner.put(item)
-
-
 def _submissions(executor, session, **gateway_options):
-    """How many callables the gateway's workers are handed while
-    ``session(gateway)`` (a coroutine function) runs on a fresh gateway."""
+    """How many bouts a fresh gateway runs while ``session(gateway)`` (a
+    coroutine function) runs: every bout first checks, once, that the gateway
+    is open."""
 
     async def drive():
         gateway = StreamingGateway(executor, **gateway_options)
-        counting = gateway._bouts = _CountingQueue(gateway._bouts)
-        try:
-            await session(gateway)
-        finally:
-            gateway.close()
-        return counting.bouts
+        checks = gateway._check_open
 
-    return asyncio.run(drive())
+        def counted():
+            bouts[0] += 1
+            checks()
+
+        gateway._check_open = counted
+        with gateway:
+            await session(gateway)
+
+    bouts = [0]
+    asyncio.run(drive())
+    return bouts[0]
 
 
 class TestGatewayWorkers:
-    """The bout hand-off: errors, ``max_workers`` and ``close``."""
+    """The bouts: errors, the event loop's one thread, and ``close``."""
 
     def test_a_bout_error_surfaces_unchanged(self):
         feed_error = DecodingError("garbled chunk")
@@ -490,64 +481,67 @@ class TestGatewayWorkers:
         fed, finished = asyncio.run(drive())
         assert fed is feed_error and finished is finish_error
 
-    @pytest.mark.parametrize("max_workers", [1, 4])
-    def test_max_workers_bounds_concurrent_bouts(self, max_workers):
-        guard = threading.Lock()
-        running, peak = [0], [0]
-        # With four workers all four bouts must be in flight at once to pass
-        # the barrier; with one, they must never overlap.
-        barrier = threading.Barrier(4, timeout=30) if max_workers == 4 else None
+    def test_bouts_run_on_the_loop_thread_one_at_a_time(self):
+        running, peak, threads = [0], [0], set()
 
         def bout(chunk):
-            with guard:
-                running[0] += 1
-                peak[0] = max(peak[0], running[0])
-            if barrier is not None:
-                barrier.wait()
-            else:
-                time.sleep(0.005)
-            with guard:
-                running[0] -= 1
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+            threads.add(threading.get_ident())
+            time.sleep(0.005)  # long enough for any other thread to overlap
+            running[0] -= 1
             return False
 
         async def drive():
             executor = PlanExecutor(stub_services(), trace_seed=7)
-            with StreamingGateway(executor, max_workers=max_workers) as gateway:
+            with StreamingGateway(executor) as gateway:
                 handles = [gateway.open_session(make_query(f"q{i}")) for i in range(4)]
                 for handle in handles:
                     handle.session.feed = bout
                     handle.session.partials = lambda: []
                 await asyncio.gather(*(h.feed(h.query.audio) for h in handles))
+            return threading.get_ident()
 
-        asyncio.run(drive())
-        assert peak[0] == max_workers
+        before = set(threading.enumerate())
+        loop_thread = asyncio.run(drive())
+        assert peak[0] == 1 and threads == {loop_thread}
+        assert not set(threading.enumerate()) - before  # the gateway started none
 
-    def test_close_leaves_no_live_worker(self, traced_executor, input_set):
+    def test_max_workers_must_be_one(self, traced_executor, input_set):
+        with pytest.raises(ConfigurationError, match="max_workers"):
+            StreamingGateway(traced_executor, max_workers=2)
         query = input_set.all_queries[0]
 
-        async def drive(gateway):
-            handle = gateway.open_session(query)
-            for chunk in chunk_waveform(query.audio, 0.1):
-                await handle.feed(chunk)
-            return await handle.finish()
+        async def drive():
+            # The benchmark harness's construction.
+            with StreamingGateway(
+                traced_executor, max_workers=1, poll_on_feed=True
+            ) as gateway:
+                handle = gateway.open_session(query)
+                for chunk in chunk_waveform(query.audio, 0.1):
+                    await handle.feed(chunk)
+                return handle, await handle.finish()
 
-        gateway = StreamingGateway(traced_executor, max_workers=3)
-        assert sum(worker.is_alive() for worker in gateway._workers) == 3
-        response = asyncio.run(drive(gateway))
-        assert response.transcript
-        gateway.close()
-        gateway.close()  # idempotent
-        assert not any(worker.is_alive() for worker in gateway._workers)
-        assert not any(
-            thread.name.startswith("stream-gateway") for thread in threading.enumerate()
-        )
-        with pytest.raises(SessionError, match="closed"):
-            asyncio.run(drive(gateway))
+        handle, response = asyncio.run(drive())
+        assert handle.partials and response.transcript == handle.partials[-1]
+
+    def test_closed_gateway_refuses_every_operation(self):
+        async def drive():
+            gateway = StreamingGateway(PlanExecutor(stub_services(), trace_seed=7))
+            handle = gateway.open_session(make_query("hello"))
+            gateway.close()
+            gateway.close()  # idempotent
+            for operation in (lambda: handle.feed(handle.query.audio),
+                              handle.poll, handle.finish):
+                with pytest.raises(SessionError, match="closed"):
+                    await operation()
+
+        asyncio.run(drive())
 
 
 class TestOneHopPerOperation:
-    """A gateway operation is one bout handed to the workers (``feed`` with
-    its poll, ``poll``, finalization with its downstream stages)."""
+    """A gateway operation is one bout on the loop (``feed`` with its poll,
+    ``poll``, finalization with its downstream stages)."""
 
     @pytest.fixture
     def spoken(self, input_set):
@@ -582,6 +576,39 @@ class TestOneHopPerOperation:
             _submissions(traced_executor, session, poll_on_feed=False)
             == len(chunks) + polls + 1
         )
+
+    def test_each_bout_makes_its_session_calls(self, traced_executor, spoken, monkeypatch):
+        query, chunks = spoken
+        calls = []
+
+        def counted(name, method):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+            return call
+
+        async def drive():
+            with StreamingGateway(traced_executor) as gateway:
+                handle = gateway.open_session(query)
+                for name in ("feed", "partials", "finish"):
+                    method = getattr(handle.session, name)
+                    setattr(handle.session, name, counted(f"session.{name}", method))
+                monkeypatch.setattr(
+                    traced_executor, "run", counted("executor.run", traced_executor.run)
+                )
+                per_operation = []
+                for operation in (lambda: handle.feed(chunks[0]), handle.poll,
+                                  handle.finish):
+                    await operation()
+                    per_operation.append(list(calls))
+                    calls.clear()
+                return per_operation
+
+        assert asyncio.run(drive()) == [
+            ["session.feed", "session.partials"],
+            ["session.partials"],
+            ["session.finish", "executor.run"],
+        ]
 
     def test_failing_feed_propagates_without_a_poll(self, traced_executor, spoken):
         query, chunks = spoken
