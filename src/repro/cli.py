@@ -395,13 +395,14 @@ def _cmd_fleet_report(args: argparse.Namespace) -> int:
     first difference, unless both renderings are byte-identical.
     """
     from repro.obs import fleet_report
-    from repro.obs.slo import default_slos
     from repro.serving.cluster import AutoscalerPolicy, seeded_replay
     from repro.serving.identity import first_divergence
 
     if args.smoke:
         args.queries = min(args.queries, 2_000)
-    slos = default_slos(e2e_threshold=args.e2e_slo, ttfp_threshold=args.ttfp_slo)
+    slos = fleet_report.default_slos(
+        e2e_threshold=args.e2e_slo, ttfp_threshold=args.ttfp_slo
+    )
     spans = _read_spans(args.path) if args.path else None
 
     def build():
@@ -681,7 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
              "both renderings are byte-identical",
     )
     fleet.add_argument("--window", type=float, default=5.0,
-                       help="rollup window width in virtual seconds")
+                       help="rollup window width: virtual seconds on a replay, "
+                            "queries (the ordinal clock) on a span export")
     fleet.add_argument("--head-rate", type=float, default=0.1,
                        help="head sampling probability (default 0.1)")
     fleet.add_argument("--top-k", type=int, default=8,

@@ -33,14 +33,12 @@ produces those measurements from a live run:
 - :mod:`repro.obs.timeseries` — :class:`RollupStore`, the one telemetry
   store: counters + value panels keyed by metric × labels × window over
   virtual time;
-- :mod:`repro.obs.sampling` — deterministic trace sampling: hash-based
-  head decisions pure in ``(seed, trace_id)`` plus always-keep tail
-  rules for errors/deadlines/breaker-opens/degradations and a
-  slowest-k reservoir, with the span-reduction bill;
-- :mod:`repro.obs.slo` — declarative SLOs, error budgets, and
-  multi-window burn-rate alerts evaluated over rollup snapshots;
 - :mod:`repro.obs.fleet_report` — the ``repro fleet-report`` dashboard
-  and its canonical golden-pinnable JSON rendering;
+  and its canonical golden-pinnable JSON: SLO error budgets and
+  multi-window burn-rate alerts over rollup snapshots, and deterministic
+  trace sampling (keep every trace with an errored span, the slowest k,
+  and a head coin pure in ``(seed, trace_id)``) with the span-reduction
+  bill;
 - :mod:`repro.obs.pricing` — the single home for watt/dollar constants
   (Table 6 TDPs, server prices, electricity and TCO rates) derived from
   :mod:`repro.platforms.spec`; statcheck rule ``SC1002`` keeps magic

@@ -276,24 +276,28 @@ def _pinned_replay(seed: int, quick: bool):
 
 def _obs_rollup(quick: bool) -> Metrics:
     """The fleet telemetry plane (rollups, sampling, SLO burn) on the virtual clock."""
-    from repro.obs.fleet_report import report_from_replay, report_to_json
-    from repro.obs.sampling import TraceSampler, summarize_outcomes
+    from repro.obs.fleet_report import (
+        DROPPED,
+        report_from_replay,
+        report_to_json,
+        sample,
+        summarize_outcomes,
+    )
 
     seed = 11
     result = _pinned_replay(seed, quick)
     report = report_from_replay(result, trace_seed=seed)
     rollups = report.rollups
-    verdicts = TraceSampler(head_rate=0.1, seed=0, top_k=8).verdicts(
-        summarize_outcomes(result.outcomes, trace_seed=seed)
-    )
+    summaries = summarize_outcomes(result.outcomes, trace_seed=seed)
+    reasons = sample(summaries, head_rate=0.1, seed=0, top_k=8)
     return {
         "rollup_fingerprint": fingerprint(report_to_json(report)),
         "counter_cells": len(rollups.counters),
         "panel_cells": len(rollups.panels),
         "windows": len(rollups.windows()),
-        "verdict_fingerprint": fingerprint(
-            "\n".join(f"{v.trace_id}:{int(v.kept)}:{v.reason}" for v in verdicts)
-        ),
+        "verdict_fingerprint": fingerprint("\n".join(
+            f"{s.trace_id}:{int(r != DROPPED)}:{r}" for s, r in zip(summaries, reasons)
+        )),
         "kept_traces": report.sampling.kept_traces,
         "total_traces": report.sampling.total_traces,
         "kept_spans": report.sampling.kept_spans,

@@ -1,39 +1,42 @@
-"""The fleet health report: rollups + SLOs + sampling in one dashboard.
+"""The fleet health report: which SLO is burning, and which traces to keep.
 
-``repro fleet-report`` is the operator console for the cluster layer —
-the page an on-call would pull up, rendered deterministically from
-deterministic inputs so it can also be golden-pinned byte-for-byte.  Two
-sources feed it:
+``repro fleet-report`` renders a virtual-time replay
+(:func:`report_from_replay`) or a timing-stripped span export on the
+ordinal clock (:func:`report_from_spans`) as a deterministic text
+dashboard or canonical JSON (sorted keys, 2-space indent, trailing
+newline), so it golden-pins byte-for-byte.  It judges either source two
+ways:
 
-- **a virtual-time replay** (:func:`report_from_replay`): the cluster
-  replay driver's per-tick rollups, the modeled TTFP series, the
-  autoscaler's replica trajectory, and sampling verdicts over the virtual
-  outcome stream;
-- **a span export** (:func:`report_from_spans`): a timing-stripped JSONL
-  forest from ``serve-bench --trace`` or a live cluster run, projected
-  onto rollups on the ordinal clock and sampled trace-by-trace.
-
-Sections: overview, per-replica panels, per-stage cost panels, the
-autoscaler trajectory, the SLO budget table with firing burn-rate
-alerts, and the trace-sampling bill (with its extrapolation to the
-million-query hour).  ``--json`` emits the same content as canonical
-JSON (sorted keys, 2-space indent, trailing newline) for golden files.
+- **SLOs** (Google SRE workbook, ch. 5): exact good/bad counts per
+  rollup window, the error budget ``1 - target`` consumed over the
+  horizon, and the :data:`BURN_RATE_ALERTS`, each firing only when the
+  budget burns at ``>= factor`` over both its long and its short lookback;
+- **trace sampling**, priced at the million-query hour because tracing
+  every query is an "AI tax": :func:`sample` keeps a trace with an
+  errored span (the one always-keep rule: a deadline, an open breaker, a
+  router shed and a degraded or failed root each end a span with their
+  error), else one of the ``top_k`` slowest by virtual latency, else one
+  whose :func:`head_score` falls under the head rate.  Each verdict is
+  pure in the seed and the summaries, so it replays across backends,
+  arrival orders and chaos.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from dataclasses import asdict, dataclass, replace
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis import format_table
-from repro.obs.sampling import (
-    SamplingStats,
-    TraceSampler,
-    summarize_forest,
-    summarize_outcomes,
+from repro.errors import ConfigurationError
+from repro.obs.cost import (
+    fleet_cost_panel,
+    format_energy,
+    ledger_from_replay,
+    ledger_from_spans,
 )
-from repro.obs.slo import SLODefinition, SLOStatus, evaluate_slos
 from repro.obs.timeseries import (
     ARRIVALS_METRIC,
     ASSIGNMENTS_METRIC,
@@ -48,6 +51,7 @@ from repro.obs.timeseries import (
     WAIT_METRIC,
     rollups_from_spans,
 )
+from repro.obs.trace import QUERY, Span, trace_id_for
 
 #: Report schema tag for the ``--json`` output.
 SCHEMA = "repro.fleet-report/v1"
@@ -56,6 +60,300 @@ TARGET_QUERIES = 1_000_000
 #: Burn-rate firings listed per SLO before the rest are counted.
 MAX_FIRINGS = 8
 
+
+# -- SLOs ---------------------------------------------------------------------------
+
+#: SLO kinds.
+AVAILABILITY = "availability"
+LATENCY = "latency"
+
+#: ``(name, long lookback, short lookback, burn factor)`` in rollup windows: the
+#: SRE workbook's page/ticket pairs (1h/5m @ 14.4x, 6h/30m @ 6x), replay-scaled.
+BURN_RATE_ALERTS = (("page", 12, 2, 8.0), ("ticket", 36, 6, 2.0))
+
+
+@dataclass(frozen=True)
+class SLODefinition:
+    """One objective: a target fraction of good events over the horizon."""
+
+    name: str
+    kind: str                 #: AVAILABILITY or LATENCY
+    target: float             #: required good fraction, in (0, 1)
+    metric: str = QUERIES_METRIC
+    threshold: float = 0.0    #: latency bound in seconds (LATENCY kind only)
+
+    def __post_init__(self):
+        if not 0.0 < self.target < 1.0:
+            raise ConfigurationError("SLO target must be in (0, 1)")
+        if self.kind == LATENCY and self.threshold <= 0:
+            raise ConfigurationError("latency SLOs need a positive threshold")
+
+    @property
+    def budget(self) -> float:
+        """The error budget: the allowed bad fraction, ``1 - target``."""
+        return 1.0 - self.target
+
+
+def default_slos(
+    e2e_threshold: float = 2.5,
+    ttfp_threshold: float = 0.5,
+) -> Tuple[SLODefinition, ...]:
+    """The fleet's stock objectives: availability 99.9%, e2e p99 and TTFP
+    p95 (a latency target of 0.99 reads "p99 under the threshold")."""
+    return (
+        SLODefinition(name="availability", kind=AVAILABILITY, target=0.999),
+        SLODefinition(
+            name="e2e-p99", kind=LATENCY, target=0.99,
+            metric=E2E_METRIC, threshold=e2e_threshold,
+        ),
+        SLODefinition(
+            name="ttfp-p95", kind=LATENCY, target=0.95,
+            metric=TTFP_METRIC, threshold=ttfp_threshold,
+        ),
+    )
+
+
+@dataclass(frozen=True)
+class AlertFiring:
+    """One alert rule firing at one evaluation window."""
+
+    alert: str
+    window: int
+    long_burn: float
+    short_burn: float
+
+
+@dataclass(frozen=True)
+class SLOStatus:
+    """One objective evaluated over a rollup horizon."""
+
+    slo: SLODefinition
+    good: int
+    bad: int
+    firings: Tuple[AlertFiring, ...] = ()
+
+    @property
+    def total(self) -> int:
+        return self.good + self.bad
+
+    @property
+    def compliance(self) -> float:
+        """Measured good fraction (1.0 on an empty horizon: nothing failed)."""
+        return self.good / self.total if self.total else 1.0
+
+    @property
+    def budget_consumed(self) -> float:
+        """Fraction of the error budget spent (can exceed 1.0)."""
+        return (self.bad / self.total) / self.slo.budget if self.total else 0.0
+
+    @property
+    def met(self) -> bool:
+        return self.compliance >= self.slo.target
+
+
+def _window_counts(
+    snapshot: RollupSnapshot, slo: SLODefinition
+) -> List[Tuple[int, int, int]]:
+    """``(window, good, bad)`` per rollup window, in window order."""
+    if slo.kind == AVAILABILITY:
+        good = snapshot.counter_by_window(slo.metric, status="ok")
+        degraded = snapshot.counter_by_window(slo.metric, status="degraded")
+        failed = snapshot.counter_by_window(slo.metric, status="failed")
+        return [
+            (window, good.get(window, 0) + degraded.get(window, 0),
+             failed.get(window, 0))
+            for window in sorted(set(good) | set(degraded) | set(failed))
+        ]
+    counts = []
+    for window, panel in sorted(snapshot.panel_by_window(slo.metric).items()):
+        good = sum(w for v, w in zip(panel.samples, panel.weights) if v <= slo.threshold)
+        counts.append((window, good, panel.kept - good))
+    return counts
+
+
+def _firings(
+    counts: Sequence[Tuple[int, int, int]], budget: float
+) -> Tuple[AlertFiring, ...]:
+    """Every :data:`BURN_RATE_ALERTS` firing, window by window."""
+
+    def burn(lookback: int, end: int) -> float:
+        """The burn rate over the trailing windows ``(end - lookback, end]``."""
+        inside = [(good, bad) for w, good, bad in counts if end - lookback < w <= end]
+        total = sum(good + bad for good, bad in inside)
+        return (sum(bad for _, bad in inside) / total) / budget if total else 0.0
+
+    firings = []
+    for index in range(counts[0][0], counts[-1][0] + 1) if counts else ():
+        for name, long_windows, short_windows, factor in BURN_RATE_ALERTS:
+            long_burn, short_burn = burn(long_windows, index), burn(short_windows, index)
+            if long_burn >= factor and short_burn >= factor:
+                firings.append(AlertFiring(name, index, long_burn, short_burn))
+    return tuple(firings)
+
+
+def evaluate_slos(
+    snapshot: RollupSnapshot,
+    slos: Optional[Sequence[SLODefinition]] = None,
+) -> Tuple[SLOStatus, ...]:
+    """Evaluate the objectives (:func:`default_slos` when none are given)
+    whose metric the snapshot holds: a replay without a TTFP model should
+    not report a vacuously met TTFP SLO."""
+    present = set(snapshot.metrics())
+    statuses = []
+    for slo in default_slos() if slos is None else slos:
+        if slo.metric not in present:
+            continue
+        counts = _window_counts(snapshot, slo)
+        statuses.append(SLOStatus(
+            slo=slo,
+            good=sum(good for _, good, _ in counts),
+            bad=sum(bad for _, _, bad in counts),
+            firings=_firings(counts, slo.budget),
+        ))
+    return tuple(statuses)
+
+
+# -- trace sampling -----------------------------------------------------------------
+
+#: Keep reasons, in the order :func:`sample` tries them.
+KEEP_ERROR = "error"          #: some span of the trace errored
+KEEP_SLOW = "slow"            #: top-latency reservoir member
+KEEP_HEAD = "head"            #: the head coin landed under the rate
+DROPPED = "dropped"
+
+
+def head_score(seed: int, trace_id: str) -> float:
+    """The trace's head-sampling score in ``[0, 1)``: the top 8 bytes of
+    sha256 over ``(seed, trace_id)``, so the coin replays with the ids."""
+    payload = f"{seed}:{trace_id}:head".encode()
+    numerator = int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
+    return numerator / float(1 << 64)
+
+
+@dataclass(frozen=True)
+class TraceSummary:
+    """The deterministic facts one trace contributes to a sampling verdict."""
+
+    trace_id: str
+    ordinal: int
+    n_spans: int
+    latency: float            #: deterministic (virtual) latency, seconds
+    errored: bool
+
+
+def summarize_forest(spans: Iterable[Span]) -> List[TraceSummary]:
+    """Per-trace summaries of a span forest, in ordinal order.  Only span
+    status and the root's ``virtual_seconds`` are read, never wall times,
+    so the summaries are backend-independent."""
+    traces: Dict[str, Dict] = {}
+    for span in spans:
+        entry = traces.setdefault(
+            span.trace_id,
+            {"ordinal": span.ordinal, "n_spans": 0, "latency": 0.0,
+             "errored": False},
+        )
+        entry["n_spans"] += 1
+        if span.status == "error":
+            entry["errored"] = True
+        if span.kind == QUERY:
+            entry["ordinal"] = span.ordinal
+            virtual = span.attributes.get("virtual_seconds")
+            if virtual is not None:
+                entry["latency"] = max(entry["latency"], float(virtual))
+    return [
+        TraceSummary(trace_id=trace_id, **entry)
+        for trace_id, entry in sorted(
+            traces.items(), key=lambda item: (item[1]["ordinal"], item[0])
+        )
+    ]
+
+
+def summarize_outcomes(outcomes: Sequence, trace_seed: int = 0) -> List[TraceSummary]:
+    """Per-trace summaries of virtual replay outcomes.
+
+    A rejected query is an errored trace, as the live fleet's shed ends its
+    ROUTER span with an error; an admitted one has its virtual response
+    time as latency.  Trace ids are derived as in live tracing, so a replay
+    and a live run of the same stream sample identically.
+    """
+    return [
+        TraceSummary(
+            trace_id=trace_id_for(trace_seed, outcome.ordinal),
+            ordinal=outcome.ordinal,
+            n_spans=2 if outcome.admitted else 1,
+            latency=outcome.response if outcome.admitted else 0.0,
+            errored=not outcome.admitted,
+        )
+        for outcome in outcomes
+    ]
+
+
+def sample(
+    summaries: Sequence[TraceSummary], head_rate: float, seed: int, top_k: int
+) -> List[str]:
+    """One keep reason (or :data:`DROPPED`) per summary, in the input order.
+
+    Permuting the summaries permutes, but never changes, the reasons.
+    """
+    if not 0.0 <= head_rate <= 1.0:
+        raise ConfigurationError("head sampling rate must be in [0, 1]")
+    if top_k < 0:
+        raise ConfigurationError("top_k must be >= 0")
+    ranked = sorted(summaries, key=lambda s: (-s.latency, s.trace_id))
+    slowest = {s.trace_id for s in ranked[:top_k]}
+    return [
+        KEEP_ERROR if summary.errored
+        else KEEP_SLOW if summary.trace_id in slowest
+        else KEEP_HEAD if head_score(seed, summary.trace_id) < head_rate
+        else DROPPED
+        for summary in summaries
+    ]
+
+
+@dataclass(frozen=True)
+class SamplingStats:
+    """What sampling kept, dropped, and saved — plus the scale-out view."""
+
+    head_rate: float
+    seed: int
+    top_k: int
+    total_traces: int
+    kept_traces: int
+    total_spans: int
+    kept_spans: int
+    by_reason: Tuple[Tuple[str, int], ...]   #: sorted (reason, trace count)
+
+    @property
+    def span_reduction(self) -> float:
+        """Spans avoided, as a factor (total / kept; inf when all dropped)."""
+        if self.kept_spans == 0:
+            return float("inf") if self.total_spans else 1.0
+        return self.total_spans / self.kept_spans
+
+    def extrapolate(self, target_queries: int = 1_000_000) -> "SamplingStats":
+        """Project the measured mix to ``target_queries`` traces.
+
+        Decisions are i.i.d. under the hash model, so every class scales
+        proportionally (counts round to nearest) and the reduction factor
+        is scale-invariant: the replay prices the million-query hour.
+        """
+        if self.total_traces == 0:
+            raise ConfigurationError("cannot extrapolate from zero traces")
+        scale = target_queries / self.total_traces
+        return replace(
+            self,
+            total_traces=target_queries,
+            kept_traces=int(round(self.kept_traces * scale)),
+            total_spans=int(round(self.total_spans * scale)),
+            kept_spans=int(round(self.kept_spans * scale)),
+            by_reason=tuple(
+                (reason, int(round(count * scale)))
+                for reason, count in self.by_reason
+            ),
+        )
+
+
+# -- the report ---------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class FleetReport:
@@ -66,12 +364,45 @@ class FleetReport:
     slos: Tuple[SLOStatus, ...]
     sampling: SamplingStats
     extrapolated: Optional[SamplingStats]
-    #: The cost ledger's panel (:func:`repro.obs.cost.fleet_cost_panel`):
-    #: attributed joules/dollars plus, for replays, the priced autoscaler
-    #: trajectory.
+    #: :func:`repro.obs.cost.fleet_cost_panel`: attributed joules/dollars
+    #: plus, for replays, the priced autoscaler trajectory.
     cost: Dict
     #: (tick, active replicas) — replay source only.
     replica_timeline: Tuple[Tuple[int, int], ...] = ()
+
+
+def _assemble(
+    source: str,
+    rollups: RollupSnapshot,
+    summaries: Sequence[TraceSummary],
+    head_rate: float,
+    top_k: int,
+    sample_seed: int,
+    slos: Optional[Sequence[SLODefinition]],
+    cost: Dict,
+    replica_timeline: Tuple[Tuple[int, int], ...] = (),
+) -> FleetReport:
+    reasons = sample(summaries, head_rate, sample_seed, top_k)
+    kept = [(s, reason) for s, reason in zip(summaries, reasons) if reason != DROPPED]
+    stats = SamplingStats(
+        head_rate=head_rate,
+        seed=sample_seed,
+        top_k=top_k,
+        total_traces=len(summaries),
+        kept_traces=len(kept),
+        total_spans=sum(summary.n_spans for summary in summaries),
+        kept_spans=sum(summary.n_spans for summary, _ in kept),
+        by_reason=tuple(sorted(Counter(reason for _, reason in kept).items())),
+    )
+    return FleetReport(
+        source=source,
+        rollups=rollups,
+        slos=evaluate_slos(rollups, slos),
+        sampling=stats,
+        extrapolated=stats.extrapolate(TARGET_QUERIES) if summaries else None,
+        cost=cost,
+        replica_timeline=replica_timeline,
+    )
 
 
 def report_from_replay(
@@ -83,54 +414,36 @@ def report_from_replay(
     slos: Optional[Sequence[SLODefinition]] = None,
 ) -> FleetReport:
     """Evaluate a :class:`~repro.serving.cluster.replay.ReplayResult`."""
-    rollups = result.rollups()
-    sampler = TraceSampler(head_rate=head_rate, seed=sample_seed, top_k=top_k)
-    summaries = summarize_outcomes(result.outcomes, trace_seed=trace_seed)
-    stats = sampler.stats(summaries)
-    from repro.obs.cost import fleet_cost_panel, ledger_from_replay
-
-    return FleetReport(
-        source="replay",
-        rollups=rollups,
-        slos=evaluate_slos(rollups, slos),
-        sampling=stats,
-        extrapolated=stats.extrapolate(TARGET_QUERIES) if summaries else None,
-        replica_timeline=tuple(result.replica_timeline),
+    timeline = tuple(result.replica_timeline)
+    return _assemble(
+        "replay", result.rollups(),
+        summarize_outcomes(result.outcomes, trace_seed=trace_seed),
+        head_rate, top_k, sample_seed, slos,
         cost=fleet_cost_panel(
             ledger_from_replay(result),
-            replica_timeline=tuple(result.replica_timeline),
+            replica_timeline=timeline,
             tick_seconds=result.tick_seconds,
         ),
+        replica_timeline=timeline,
     )
 
 
 def report_from_spans(
     spans: Sequence,
-    window: float = 16.0,
+    window: float,
     head_rate: float = 0.1,
     top_k: int = 8,
     sample_seed: int = 0,
     slos: Optional[Sequence[SLODefinition]] = None,
 ) -> FleetReport:
-    """Evaluate a span forest (ordinal clock; deterministic fields only)."""
-    rollups = rollups_from_spans(spans, window=window)
-    sampler = TraceSampler(head_rate=head_rate, seed=sample_seed, top_k=top_k)
-    summaries = summarize_forest(spans)
-    stats = sampler.stats(summaries)
-    from repro.obs.cost import fleet_cost_panel, ledger_from_spans
-
-    return FleetReport(
-        source="spans",
-        rollups=rollups,
-        slos=evaluate_slos(rollups, slos),
-        sampling=stats,
-        extrapolated=stats.extrapolate(TARGET_QUERIES) if summaries else None,
-        # Priced without the measured router waits, so the panel stays
-        # equal across backends like the rest; `trace-report`'s ledger
-        # prices them.
-        cost=fleet_cost_panel(ledger_from_spans(
-            [replace(span, wait=0.0) for span in spans]
-        )),
+    """Evaluate a span forest on the ordinal clock, ``window`` queries wide."""
+    return _assemble(
+        "spans", rollups_from_spans(spans, window=window),
+        summarize_forest(spans),
+        head_rate, top_k, sample_seed, slos,
+        # Priced without the measured router waits, so the panel stays equal
+        # across backends; `trace-report`'s ledger prices them.
+        cost=fleet_cost_panel(ledger_from_spans([replace(s, wait=0.0) for s in spans])),
     )
 
 
@@ -138,11 +451,10 @@ def report_from_spans(
 
 def _overview_rows(report: FleetReport) -> List[List[str]]:
     rollups = report.rollups
-    windows = rollups.windows()
     rows = [
         ["source", report.source],
         ["window width", f"{rollups.window_seconds:g}"],
-        ["windows", str(len(windows))],
+        ["windows", str(len(rollups.windows()))],
     ]
     arrivals = rollups.counter_total(ARRIVALS_METRIC)
     if arrivals:
@@ -150,24 +462,20 @@ def _overview_rows(report: FleetReport) -> List[List[str]]:
     for status in ("ok", "degraded", "failed"):
         count = rollups.counter_total(QUERIES_METRIC, status=status)
         rows.append([f"queries {status}", str(count)])
-    rejected = rollups.counter_total(REJECTED_METRIC)
-    rows.append(["rejected (admission)", str(rejected)])
+    rows.append(["rejected (admission)", str(rollups.counter_total(REJECTED_METRIC))])
     return rows
-
-
-def _replica_labels(rollups: RollupSnapshot) -> List[str]:
-    replicas = set()
-    for cell in rollups.counter_cells(ASSIGNMENTS_METRIC):
-        replicas.update(
-            value for key, value in cell.labels if key == "replica"
-        )
-    return sorted(replicas, key=lambda r: (len(r), r))
 
 
 def _replica_rows(report: FleetReport) -> List[List[str]]:
     rollups = report.rollups
+    replicas = {
+        value
+        for cell in rollups.counter_cells(ASSIGNMENTS_METRIC)
+        for key, value in cell.labels
+        if key == "replica"
+    }
     rows = []
-    for replica in _replica_labels(rollups):
+    for replica in sorted(replicas, key=lambda r: (len(r), r)):
         assigned = rollups.counter_total(ASSIGNMENTS_METRIC, replica=replica)
         depth = rollups.merged_panel(DEPTH_METRIC, replica=replica)
         rows.append([
@@ -181,46 +489,27 @@ def _replica_rows(report: FleetReport) -> List[List[str]]:
 
 def _stage_rows(report: FleetReport) -> List[List[str]]:
     rollups = report.rollups
-    rows = []
     named = [
         ("e2e", E2E_METRIC), ("ttfp", TTFP_METRIC),
         ("router wait", WAIT_METRIC), ("service", SERVICE_METRIC),
     ]
-    for label, metric in named:
-        panel = rollups.merged_panel(metric)
-        if panel is None:
-            continue
-        rows.append([
-            label, str(panel.observed),
-            f"{panel.percentile(50.0):.4f}",
-            f"{panel.percentile(95.0):.4f}",
-            f"{panel.percentile(99.0):.4f}",
-        ])
-    stages = set()
-    for cell in rollups.panel_cells(STAGE_VIRTUAL_METRIC):
-        stages.update(value for key, value in cell.labels if key == "stage")
-    for stage in sorted(stages):
-        panel = rollups.merged_panel(STAGE_VIRTUAL_METRIC, stage=stage)
-        rows.append([
-            f"stage {stage}", str(panel.observed),
-            f"{panel.percentile(50.0):.4f}",
-            f"{panel.percentile(95.0):.4f}",
-            f"{panel.percentile(99.0):.4f}",
-        ])
-    return rows
-
-
-def _timeline_text(timeline: Sequence[Tuple[int, int]]) -> str:
-    """The replica trajectory, compressed to its change points."""
-    if not timeline:
-        return "(no autoscaler ticks)"
-    parts = []
-    previous = None
-    for tick, count in timeline:
-        if count != previous:
-            parts.append(f"t{tick}:{count}")
-            previous = count
-    return " -> ".join(parts)
+    panels = [(label, rollups.merged_panel(metric)) for label, metric in named]
+    stages = {
+        value
+        for cell in rollups.panel_cells(STAGE_VIRTUAL_METRIC)
+        for key, value in cell.labels
+        if key == "stage"
+    }
+    panels.extend(
+        (f"stage {stage}", rollups.merged_panel(STAGE_VIRTUAL_METRIC, stage=stage))
+        for stage in sorted(stages)
+    )
+    return [
+        [label, str(panel.observed)]
+        + [f"{panel.percentile(q):.4f}" for q in (50.0, 95.0, 99.0)]
+        for label, panel in panels
+        if panel is not None
+    ]
 
 
 def _slo_rows(report: FleetReport) -> List[List[str]]:
@@ -228,7 +517,7 @@ def _slo_rows(report: FleetReport) -> List[List[str]]:
     for status in report.slos:
         slo = status.slo
         target = (
-            f"{slo.target:.3%}" if slo.kind == "availability"
+            f"{slo.target:.3%}" if slo.kind == AVAILABILITY
             else f"{slo.target:.0%} <= {slo.threshold:g}s"
         )
         rows.append([
@@ -245,18 +534,14 @@ def _slo_rows(report: FleetReport) -> List[List[str]]:
 
 def _sampling_rows(report: FleetReport) -> List[List[str]]:
     stats = report.sampling
-    reduction = (
-        f"{stats.span_reduction:.1f}x"
-        if stats.kept_spans else "all dropped"
-    )
+    reduction = f"{stats.span_reduction:.1f}x" if stats.kept_spans else "all dropped"
     rows = [
         ["head rate", f"{stats.head_rate:g}"],
         ["traces kept / total", f"{stats.kept_traces} / {stats.total_traces}"],
         ["spans kept / total", f"{stats.kept_spans} / {stats.total_spans}"],
         ["span reduction", reduction],
     ]
-    for reason, count in stats.by_reason:
-        rows.append([f"kept: {reason}", str(count)])
+    rows += [[f"kept: {reason}", str(count)] for reason, count in stats.by_reason]
     if report.extrapolated is not None:
         extra = report.extrapolated
         rows.append([
@@ -268,8 +553,6 @@ def _sampling_rows(report: FleetReport) -> List[List[str]]:
 
 
 def _cost_rows(report: FleetReport) -> List[List[str]]:
-    from repro.obs.cost import format_energy
-
     panel = report.cost
     rows = [
         ["platform", str(panel["platform"])],
@@ -280,18 +563,12 @@ def _cost_rows(report: FleetReport) -> List[List[str]]:
         ["AI tax share", f"{panel['tax_share']:.1%}"],
     ]
     if panel["provisioned_replica_seconds"] is not None:
-        rows.append([
-            "provisioned replica-seconds",
-            f"{panel['provisioned_replica_seconds']:.1f}",
-        ])
-        rows.append([
-            "provisioned energy",
-            format_energy(panel["provisioned_microjoules"]),
-        ])
-        rows.append([
-            "provisioned dollars (TCO)",
-            f"${panel['provisioned_dollars']:.8f}",
-        ])
+        rows += [
+            ["provisioned replica-seconds",
+             f"{panel['provisioned_replica_seconds']:.1f}"],
+            ["provisioned energy", format_energy(panel["provisioned_microjoules"])],
+            ["provisioned dollars (TCO)", f"${panel['provisioned_dollars']:.8f}"],
+        ]
     return rows
 
 
@@ -315,10 +592,13 @@ def render_fleet_report(report: FleetReport) -> str:
             stage_rows,
         ))
     if report.replica_timeline:
-        sections.append(
-            "Autoscaler trajectory (tick:replicas):\n  "
-            + _timeline_text(report.replica_timeline)
-        )
+        # The replica trajectory, compressed to its change points.
+        timeline = report.replica_timeline
+        sections.append("Autoscaler trajectory (tick:replicas):\n  " + " -> ".join(
+            f"t{tick}:{count}"
+            for i, (tick, count) in enumerate(timeline)
+            if i == 0 or count != timeline[i - 1][1]
+        ))
     if report.slos:
         sections.append(format_table(
             "SLO budgets",
@@ -343,12 +623,10 @@ def render_fleet_report(report: FleetReport) -> str:
             sections.append("Firing burn-rate alerts:\n" + "\n".join(firing_lines))
         else:
             sections.append("Firing burn-rate alerts: none")
-    sections.append(format_table(
-        "Cost & energy", ["Metric", "Value"], _cost_rows(report)
-    ))
-    sections.append(format_table(
-        "Trace sampling", ["Metric", "Value"], _sampling_rows(report)
-    ))
+    sections += [
+        format_table("Cost & energy", ["Metric", "Value"], _cost_rows(report)),
+        format_table("Trace sampling", ["Metric", "Value"], _sampling_rows(report)),
+    ]
     return "\n\n".join(sections) + "\n"
 
 
@@ -370,35 +648,22 @@ def _panel_dict(panel) -> Dict:
 
 def _stats_dict(stats: SamplingStats) -> Dict:
     return {
-        "head_rate": stats.head_rate,
-        "seed": stats.seed,
-        "top_k": stats.top_k,
-        "total_traces": stats.total_traces,
-        "kept_traces": stats.kept_traces,
-        "total_spans": stats.total_spans,
-        "kept_spans": stats.kept_spans,
-        "span_reduction": (
-            stats.span_reduction if stats.kept_spans else None
-        ),
-        "by_reason": {reason: count for reason, count in stats.by_reason},
+        **asdict(stats),
+        "span_reduction": stats.span_reduction if stats.kept_spans else None,
+        "by_reason": dict(stats.by_reason),
     }
 
 
-def report_to_dict(report: FleetReport) -> Dict:
-    """The JSON-ready projection of a report (plain types only)."""
+def report_to_json(report: FleetReport) -> str:
+    """Canonical JSON (sorted keys, 2-space indent, trailing newline)."""
     rollups = report.rollups
-    return {
+    payload = {
         "schema": SCHEMA,
         "source": report.source,
         "window_seconds": rollups.window_seconds,
         "windows": list(rollups.windows()),
         "counters": [
-            {
-                "metric": cell.metric,
-                "labels": dict(cell.labels),
-                "window": cell.window,
-                "value": cell.value,
-            }
+            {**asdict(cell), "labels": dict(cell.labels)}
             for cell in rollups.counters
         ],
         "panels": {
@@ -420,15 +685,7 @@ def report_to_dict(report: FleetReport) -> Dict:
                 "compliance": status.compliance,
                 "budget_consumed": status.budget_consumed,
                 "met": status.met,
-                "firings": [
-                    {
-                        "alert": firing.alert,
-                        "window": firing.window,
-                        "long_burn": firing.long_burn,
-                        "short_burn": firing.short_burn,
-                    }
-                    for firing in status.firings
-                ],
+                "firings": [asdict(firing) for firing in status.firings],
             }
             for status in report.slos
         ],
@@ -439,8 +696,4 @@ def report_to_dict(report: FleetReport) -> Dict:
         ),
         "cost": dict(report.cost),
     }
-
-
-def report_to_json(report: FleetReport) -> str:
-    """Canonical JSON (sorted keys, 2-space indent, trailing newline)."""
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

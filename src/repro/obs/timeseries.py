@@ -378,7 +378,7 @@ def record_responses(store: RollupStore, responses: Sequence) -> None:
 # -- span-export projection ---------------------------------------------------------
 
 
-def rollups_from_spans(spans: Iterable, window: float = 16.0) -> RollupSnapshot:
+def rollups_from_spans(spans: Iterable, window: float) -> RollupSnapshot:
     """Project a span forest onto windowed rollups, deterministically.
 
     The virtual clock is the **stream ordinal** (window width ``window``

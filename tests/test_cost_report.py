@@ -350,7 +350,7 @@ class TestLiveRouterWait:
         # fleet-report's panel leaves out exactly the measured router wait.
         from repro.obs.fleet_report import report_from_spans
 
-        panel = report_from_spans(spans).cost
+        panel = report_from_spans(spans, window=16.0).cost
         assert panel["tax_microjoules"] == live.tax_microjoules() - ledger.microjoules
 
 

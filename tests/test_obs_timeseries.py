@@ -167,13 +167,13 @@ class TestRollupsFromSpans:
 
     def test_projection_is_deterministic(self):
         spans = self._spans()
-        assert rollups_from_spans(spans) == rollups_from_spans(spans)
-        assert rollups_from_spans(spans) == rollups_from_spans(self._spans())
+        assert rollups_from_spans(spans, 16.0) == rollups_from_spans(spans, 16.0)
+        assert rollups_from_spans(spans, 16.0) == rollups_from_spans(self._spans(), 16.0)
 
     def test_status_counts_match_roots(self):
         spans = self._spans()
         roots = [s for s in spans if s.parent_id == ""]
-        snap = rollups_from_spans(spans)
+        snap = rollups_from_spans(spans, window=16.0)
         total = sum(
             snap.counter_total(QUERIES_METRIC, status=status)
             for status in ("ok", "degraded", "failed")

@@ -8,12 +8,25 @@ import pytest
 
 from repro.suite import KERNEL_CLASSES, chunk_ranges
 
+#: Scales at which a kernel has at least three work items, for the kernels
+#: that have fewer at the scales below: FE has one 64-px tile at every scale
+#: up to 0.5 and four at 0.8, DNN two batches up to 0.1, GMM two GMMs at 0.05.
+SPLIT_SCALE = {"fe": 0.8, "dnn": 0.2, "gmm": 0.1}
+
+
+def prepare_split(kernel, scale):
+    """Inputs at ``scale`` (or the kernel's split scale, when larger) with at
+    least three work items, so every chunk of a two- or three-way split works."""
+    inputs = kernel.prepare(max(scale, SPLIT_SCALE.get(kernel.name, 0.0)))
+    assert kernel.count_items(inputs) >= 3
+    return inputs
+
 
 @pytest.mark.parametrize("kernel_cls", KERNEL_CLASSES, ids=lambda c: c.name)
 class TestSubset:
     def test_subsets_partition_work(self, kernel_cls):
         kernel = kernel_cls()
-        inputs = kernel.prepare(0.1)
+        inputs = prepare_split(kernel, 0.1)
         total = kernel.count_items(inputs)
         ranges = chunk_ranges(total, 3)
         pieces = [kernel.subset(inputs, chunk) for chunk in ranges]
@@ -21,7 +34,7 @@ class TestSubset:
 
     def test_subset_checksums_sum_to_baseline(self, kernel_cls):
         kernel = kernel_cls()
-        inputs = kernel.prepare(0.1)
+        inputs = prepare_split(kernel, 0.1)
         ranges = chunk_ranges(kernel.count_items(inputs), 3)
         partial = sum(kernel.run(kernel.subset(inputs, chunk)) for chunk in ranges)
         assert partial == pytest.approx(kernel.run(inputs), rel=1e-9)
@@ -30,7 +43,7 @@ class TestSubset:
 @pytest.mark.parametrize("kernel_cls", KERNEL_CLASSES, ids=lambda c: c.name)
 def test_process_port_matches_baseline(kernel_cls):
     kernel = kernel_cls()
-    inputs = kernel.prepare(0.05)
+    inputs = prepare_split(kernel, 0.05)
     baseline = kernel.run(inputs)
     for workers in (2, 3):
         processed = kernel.run_parallel_processes(inputs, workers=workers)
