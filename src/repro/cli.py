@@ -12,10 +12,9 @@ Subcommands::
     repro serve-bench --replicas 3 [--queries 16] [--backend thread] [--trace spans.jsonl]
     repro trace-report spans.jsonl [--limit 3] [--chrome trace.json] [--mm1 0.7]
     repro trace-report spans.jsonl --critical-path [--tail-quantile 0.99] --roofline
-    repro fleet-report [spans.jsonl] [--queries 5000] [--autoscale] [--json] [--smoke]
-    repro bench [--quick] [--out report.json] [--tag prN] [--filter suite.]
-    repro bench --check BASELINE.json [--current report.json] [--filter suite.]
-    repro bench list
+    repro fleet-report [spans.jsonl] [--queries 5000] [--autoscale] [--json]
+    repro bench [--quick] [--out report.json] [--tag prN]
+    repro bench --check BASELINE.json [--out report.json]
     repro design
     repro wer [--noise 0.0 0.05 0.1]
     repro lint [paths ...] [--fail-on warning] [--select CODES] [--ignore CODES]
@@ -390,27 +389,20 @@ def _cmd_fleet_report(args: argparse.Namespace) -> int:
     and the trace sampling bill in one deterministic page, over a seeded
     cluster replay (default; arrivals, routing, optional autoscaling) or
     a span export from ``serve-bench --trace`` projected onto the ordinal
-    clock.  ``--json`` prints the canonical JSON instead of the text;
-    ``--smoke`` rebuilds the report from scratch and exits 2, naming the
-    first difference, unless both renderings are byte-identical.
+    clock.  ``--json`` prints the canonical JSON instead of the text.
     """
     from repro.obs import fleet_report
     from repro.serving.cluster import AutoscalerPolicy, seeded_replay
-    from repro.serving.identity import first_divergence
 
-    if args.smoke:
-        args.queries = min(args.queries, 2_000)
     slos = fleet_report.default_slos(
         e2e_threshold=args.e2e_slo, ttfp_threshold=args.ttfp_slo
     )
-    spans = _read_spans(args.path) if args.path else None
-
-    def build():
-        if spans is not None:
-            return fleet_report.report_from_spans(
-                spans, window=args.window, head_rate=args.head_rate,
-                top_k=args.top_k, sample_seed=args.seed, slos=slos,
-            )
+    if args.path:
+        report = fleet_report.report_from_spans(
+            _read_spans(args.path), window=args.window, head_rate=args.head_rate,
+            top_k=args.top_k, sample_seed=args.seed, slos=slos,
+        )
+    else:
         replay = seeded_replay(
             args.arrivals, args.rate, args.service_mean, args.queries,
             seed=args.seed,
@@ -421,24 +413,13 @@ def _cmd_fleet_report(args: argparse.Namespace) -> int:
             ),
             tick_seconds=args.window,
         )
-        return fleet_report.report_from_replay(
+        report = fleet_report.report_from_replay(
             replay, head_rate=args.head_rate, top_k=args.top_k,
             sample_seed=args.seed, trace_seed=args.seed, slos=slos,
         )
-
-    render = fleet_report.render_fleet_report
-    to_json = fleet_report.report_to_json
-    report = build()
-    print(to_json(report) if args.json else render(report), end="")
-    if args.smoke:
-        again = build()
-        drift = (
-            first_divergence(to_json(report), to_json(again))
-            or first_divergence(render(report), render(again))
-        )
-        print(f"fleet-report determinism: {_verdict(drift)}", file=sys.stderr)
-        if drift is not None:
-            return 2
+    render = (fleet_report.report_to_json if args.json
+              else fleet_report.render_fleet_report)
+    print(render(report), end="")
     return 0
 
 
@@ -446,34 +427,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     """``repro bench``: run the benchmarks, or gate a run against a baseline."""
     from repro.obs import bench
 
-    if args.action == "list":
-        for name, (description, _) in bench.BENCHMARKS.items():
-            print(f"{name:<16} {description}")
-        tolerances = ", ".join(f"{m} {tol:g}" for m, tol in bench.TOLERANCE.items())
-        print(f"gated: every metric, {bench.REPEATS} repeats, rel_tol 0 "
-              f"except {tolerances}")
-        return 0
-
     baseline = bench.load_report(args.check) if args.check else None
-    if args.current:
-        report = bench.load_report(args.current)
-    else:
-        report = bench.run_benchmarks(
-            filters=args.filter,
-            # A check runs at the baseline's size: counters scale with it.
-            quick=bool(baseline.get("quick")) if baseline else args.quick,
-            tag=args.tag or "dev",
-            progress=lambda message: print(message, file=sys.stderr),
-        )
+    report = bench.run_benchmarks(
+        # A check runs at the baseline's size: counters scale with it.
+        quick=bool(baseline.get("quick")) if baseline else args.quick,
+        tag=args.tag or "dev",
+    )
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(bench.to_json(report))
         print(f"wrote {len(report['benchmarks'])} benchmarks to {args.out}",
               file=sys.stderr)
+    elif baseline is None:
+        print(bench.to_json(report), end="")
     if baseline is None:
-        print(bench.format_report(report))
         return 0
-    findings = bench.check_report(report, baseline, filters=args.filter)
+    findings = bench.check_report(report, baseline)
     print(bench.format_findings(findings))
     return 1 if findings else 0
 
@@ -676,11 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit canonical JSON (sorted keys) instead of the dashboard",
     )
-    fleet.add_argument(
-        "--smoke", action="store_true",
-        help="CI shape: <= 2000 arrivals, rebuild twice, exit 2 unless "
-             "both renderings are byte-identical",
-    )
     fleet.add_argument("--window", type=float, default=5.0,
                        help="rollup window width: virtual seconds on a replay, "
                             "queries (the ordinal clock) on a span export")
@@ -696,26 +660,17 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run the pinned-seed benchmarks / check the determinism gate",
         description=(
-            "repro bench [list]: run the pinned-seed benchmarks and print "
-            "their work counters (--out writes the repro.bench/v2 JSON "
-            "report), or gate a run against a committed baseline with "
-            "--check.  Every metric is deterministic and every repeat must "
-            "equal the baseline; no wall clock is read.  A check runs at "
-            "the baseline's size (its quick flag)."
+            "repro bench: run the pinned-seed benchmarks and write the "
+            "repro.bench/v2 JSON report (to --out, else stdout), or gate a "
+            "run against a committed baseline with --check.  Every metric "
+            "is deterministic and every repeat must equal the baseline; no "
+            "wall clock is read.  A check runs at the baseline's size (its "
+            "quick flag)."
         ),
     )
     bench.add_argument(
-        "action", nargs="?", choices=("list",), default=None,
-        help="list the benchmarks instead of running them",
-    )
-    bench.add_argument(
         "--check", default=None, metavar="BASELINE",
-        help="gate a fresh run (or --current) against BASELINE; exit 1 on "
-             "any finding",
-    )
-    bench.add_argument(
-        "--current", default=None, metavar="PATH",
-        help="use an existing report instead of running the benchmarks",
+        help="gate a fresh run against BASELINE; exit 1 on any finding",
     )
     bench.add_argument("--out", default=None, metavar="PATH",
                        help="write the report JSON to PATH")
@@ -724,10 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--quick", action="store_true",
                        help="small inputs / fewer queries (ignored by --check, "
                             "which runs at the baseline's size)")
-    bench.add_argument("--filter", action="append", default=[],
-                       metavar="SUBSTR",
-                       help="only benchmarks whose name contains SUBSTR "
-                            "(repeatable; --check compares only these)")
     bench.set_defaults(func=_cmd_bench)
 
     design = sub.add_parser("design", help="print the datacenter design study")

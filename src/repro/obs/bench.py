@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis import format_table
 from repro.errors import ConfigurationError
 from repro.obs.context import use_tracer
-from repro.obs.counters import aggregate_counters, format_count, kernel_counters
+from repro.obs.counters import aggregate_counters, kernel_counters
 from repro.obs.trace import Tracer, collect_spans
 
 #: Bumped on any incompatible change to the report JSON layout.
@@ -339,38 +338,15 @@ BENCHMARKS: Dict[str, Tuple[str, Callable[[bool], Metrics]]] = dict(sorted({
 }.items()))
 
 
-def _matches(name: str, filters: Sequence[str]) -> bool:
-    return not filters or any(term in name for term in filters)
-
-
-def benchmarks_matching(filters: Sequence[str]) -> List[str]:
-    """Names of the benchmarks that contain any of ``filters`` (all if empty)."""
-    chosen = [name for name in BENCHMARKS if _matches(name, filters)]
-    if not chosen:
-        raise ConfigurationError(
-            f"no benchmark matches {list(filters)!r}; "
-            f"available: {', '.join(BENCHMARKS)}"
-        )
-    return chosen
-
-
 # -- running ------------------------------------------------------------------------
 
 
-def run_benchmarks(
-    filters: Sequence[str] = (),
-    quick: bool = False,
-    tag: str = "dev",
-    progress: Optional[Callable[[str], None]] = None,
-) -> Dict[str, Any]:
-    """Run (a filtered subset of) the benchmarks :data:`REPEATS` times each."""
+def run_benchmarks(quick: bool = False, tag: str = "dev") -> Dict[str, Any]:
+    """Run every benchmark :data:`REPEATS` times."""
     report: Dict[str, Any] = {
         "schema": SCHEMA, "tag": tag, "quick": quick, "benchmarks": {},
     }
-    for name in benchmarks_matching(filters):
-        description, run = BENCHMARKS[name]
-        if progress is not None:
-            progress(f"bench {name} ({REPEATS} repeats)")
+    for name, (description, run) in BENCHMARKS.items():
         samples: Dict[str, List[float]] = {}
         for _ in range(REPEATS):
             for metric, value in run(quick).items():
@@ -417,7 +393,7 @@ class GateFinding:
 
     benchmark: str
     metric: str
-    kind: str  #: regression, unstable-baseline, missing-*, size-mismatch
+    kind: str  #: regression, unstable-baseline, missing-benchmark, missing-metric
     baseline: Optional[float] = None
     current: Optional[float] = None
     message: str = ""
@@ -428,29 +404,18 @@ def _off(value: float, reference: float, rel_tol: float) -> bool:
 
 
 def check_report(
-    current: Dict[str, Any], baseline: Dict[str, Any], filters: Sequence[str] = ()
+    current: Dict[str, Any], baseline: Dict[str, Any]
 ) -> List[GateFinding]:
     """Compare a run against a baseline; return findings (empty = gate passes).
 
     Every repeat of every baseline metric must equal the baseline's value
-    within the tolerance the *baseline* records.  With ``filters`` only
-    the matching baseline benchmarks are compared.  A run of the other
-    size (``quick``) is one finding and nothing else is compared; a
-    baseline benchmark or metric the run lacks is a coverage finding;
-    new benchmarks and metrics in the run pass silently (they extend the
-    baseline at its next update).
+    within the tolerance the *baseline* records.  A baseline benchmark or
+    metric the run lacks is a coverage finding; new benchmarks and metrics
+    in the run pass silently (they extend the baseline at its next update).
     """
-    if bool(current.get("quick")) != bool(baseline.get("quick")):
-        return [GateFinding(
-            benchmark="", metric="", kind="size-mismatch",
-            message=f"run has quick={bool(current.get('quick'))} but the "
-                    f"baseline has quick={bool(baseline.get('quick'))}",
-        )]
     findings: List[GateFinding] = []
     current_benchmarks = current.get("benchmarks", {})
     for name, base_entry in sorted(baseline.get("benchmarks", {}).items()):
-        if not _matches(name, filters):
-            continue
         entry = current_benchmarks.get(name)
         if entry is None:
             findings.append(GateFinding(
@@ -493,22 +458,6 @@ def check_report(
 
 
 # -- rendering ----------------------------------------------------------------------
-
-
-def format_report(report: Dict[str, Any]) -> str:
-    """Human table for ``repro bench`` without ``--check``."""
-    rows = []
-    for name, entry in sorted(report["benchmarks"].items()):
-        metrics = entry["metrics"]
-        flops, mem = (metrics.get(k, {"samples": [0]})["samples"][0]
-                      for k in ("flops", "bytes"))
-        rows.append([name, str(len(metrics)), format_count(flops), format_count(mem),
-                     f"{flops / mem:.2f}" if mem else "-"])
-    quick = ", quick" if report.get("quick") else ""
-    return format_table(
-        f"repro bench (tag={report['tag']}{quick}, repeats={REPEATS})",
-        ["Benchmark", "Metrics", "Flops", "Bytes", "F/B"], rows,
-    )
 
 
 def format_findings(findings: Sequence[GateFinding]) -> str:

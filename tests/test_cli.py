@@ -131,18 +131,20 @@ class TestCommands:
 class TestBenchParser:
     def test_defaults(self):
         args = build_parser().parse_args(["bench"])
-        assert args.action is None
-        assert args.check is None and args.current is None
+        assert args.check is None
         assert args.out is None and args.tag is None
         assert args.quick is False
-        assert args.filter == []
 
     def test_check_forms(self):
         args = build_parser().parse_args(["bench", "--check", "BASE.json"])
         assert args.check == "BASE.json"
-        # --check is the one spelling: no positional action or baseline.
+        # --check is the one spelling: no positional action or baseline,
+        # and, since tier-1 runs the whole gate, nothing runs a part of it.
         for retired in (["bench", "check", "BASE.json"], ["bench", "run"],
-                        ["bench", "--json"], ["bench", "--repeats", "2"]):
+                        ["bench", "--json"], ["bench", "--repeats", "2"],
+                        ["bench", "list"], ["bench", "--filter", "suite.gmm"],
+                        ["bench", "--current", "CUR.json"],
+                        ["fleet-report", "--smoke"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(retired)
 
@@ -156,35 +158,43 @@ class TestBenchParser:
 
 
 class TestBenchCommand:
-    def test_list(self, capsys):
-        assert main(["bench", "list"]) == 0
-        output = capsys.readouterr().out
-        assert "suite.gmm" in output and "serve.chaos" in output
-        assert "gated: every metric" in output
-
-    def test_run_check_roundtrip_and_regression(self, tmp_path, capsys):
+    def test_run_check_roundtrip_and_regression(self, tmp_path, capsys, monkeypatch):
         import json
+        from pathlib import Path
 
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--quick", "--filter", "suite.gmm",
-                     "--out", str(out)]) == 0
-        output = capsys.readouterr().out
-        assert "suite.gmm" in output
-        report = json.loads(out.read_text())
-        assert report["schema"] == "repro.bench/v2"
+        from repro.obs import bench
 
-        # A run gates cleanly against itself …
-        assert main(["bench", "--check", str(out),
-                     "--current", str(out)]) == 0
+        baseline = (Path(__file__).resolve().parents[1]
+                    / "benchmarks/baselines/bench-quick.json")
+        # The run stands in as the committed baseline itself (a real run
+        # replays it: tests/test_bench_gate.py), so tier-1 runs the 13
+        # benchmarks once; the run must be asked for the baseline's size.
+        sizes = []
+
+        def replay(quick, tag):
+            sizes.append(quick)
+            return json.loads(baseline.read_text())
+
+        monkeypatch.setattr(bench, "run_benchmarks", replay)
+
+        # A run gates cleanly against its baseline …
+        assert main(["bench", "--check", str(baseline)]) == 0
         assert "bench gate: ok" in capsys.readouterr().out
 
-        # … and a doctored counter regression fails the gate.
-        report["benchmarks"]["suite.gmm"]["metrics"]["flops"]["samples"] = [1] * 3
+        # … and a copy with suite.gmm's flops doctored, and one disagreeing
+        # repeat in suite.gmm's bytes, fails the gate and names both.
+        report = json.loads(baseline.read_text())
+        assert report["schema"] == "repro.bench/v2"
+        metrics = report["benchmarks"]["suite.gmm"]["metrics"]
+        metrics["flops"]["samples"] = [1] * 3
+        metrics["bytes"]["samples"][1] += 1
         doctored = tmp_path / "doctored.json"
         doctored.write_text(json.dumps(report))
-        assert main(["bench", "--check", str(out),
-                     "--current", str(doctored)]) == 1
-        assert "regression" in capsys.readouterr().out
+        assert main(["bench", "--check", str(doctored)]) == 1
+        output = capsys.readouterr().out
+        assert "[regression] suite.gmm.flops" in output
+        assert "[unstable-baseline] suite.gmm.bytes" in output
+        assert sizes == [True, True]
 
     def test_check_without_baseline_is_config_error(self, tmp_path, capsys):
         assert main(["bench", "--check", str(tmp_path / "absent.json")]) == 2

@@ -4,9 +4,8 @@ The locator is exercised on hand-made pairs (an outcome stream, a span
 export, a JSON report), the streaming anchor on a stub executor with one
 perturbed field, and the CLI surfaces that print the locator on a
 forced divergence: ``serve-bench --chaos`` with a breaker that trips
-early in one of its two runs, plain and ``--replicas`` ``serve-bench``
-with a fan-out run that drifts from the sequential one, and
-``fleet-report --smoke`` with a replay whose seed drifts between builds.
+early in one of its two runs, and plain and ``--replicas``
+``serve-bench`` with a fan-out run that drifts from the sequential one.
 """
 
 import dataclasses
@@ -193,18 +192,3 @@ class TestForcedDivergenceAtTheCli:
                      "--backend", "serial"]) == 2
         assert re.search(r"^fan-out determinism: FAILED at ordinal 1 answer: "
                          r"'[^']+' vs 'drifted'", capsys.readouterr().out, re.M)
-
-    def test_fleet_report_smoke_names_the_path(self, monkeypatch, capsys):
-        """The rebuild replays under a drifted seed."""
-        import repro.serving.cluster as cluster
-
-        real = cluster.seeded_replay
-        drift = itertools.count()
-
-        def drifting(*args, seed=0, **kwargs):
-            return real(*args, seed=seed + next(drift), **kwargs)
-
-        monkeypatch.setattr(cluster, "seeded_replay", drifting)
-        assert main(["fleet-report", "--smoke", "--queries", "300"]) == 2
-        assert re.search(r"^fleet-report determinism: FAILED at [\w.\[\]]+: ",
-                         capsys.readouterr().err, re.M)
