@@ -14,7 +14,7 @@ from repro import InputSet, SiriusPipeline
 
 
 def main() -> None:
-    print("Building Sirius (training ASR, indexing corpus and scenes)...")
+    print("Building Sirius (loading the shipped models, indexing corpus and scenes)...")
     pipeline = SiriusPipeline.build()
     inputs = InputSet.build()
 

@@ -59,12 +59,20 @@ class BigramLanguageModel:
         """
         import numpy as np
 
-        size = len(words)
-        matrix = np.empty((size + 1, size))
+        # A row is one context: every cell is its floor, ``log_prob`` of an
+        # unseen successor, but the context's explicit successors.  These
+        # are the floats ``log_prob`` gives cell by cell, in O(V) a row.
+        columns: Dict[str, List[int]] = defaultdict(list)
         for column, word in enumerate(words):
-            for row, previous in enumerate(words):
-                matrix[row, column] = self.log_prob(word, previous)
-            matrix[size, column] = self.log_prob(word, BOS)
+            columns[word.lower()].append(column)
+        matrix = np.empty((len(words) + 1, len(words)))
+        for row, previous in enumerate([word.lower() for word in words] + [BOS]):
+            context = self._bigrams.get(previous, Counter())
+            denominator = sum(context.values()) + ADD_K * self._vocab_size
+            matrix[row] = math.log(ADD_K / denominator)
+            for successor, count in context.items():
+                if successor in columns:
+                    matrix[row, columns[successor]] = math.log((count + ADD_K) / denominator)
         return matrix
 
     def eos_vector(self, words: Sequence[str]) -> "np.ndarray":

@@ -30,6 +30,7 @@ from repro.core.query import IPAQuery, SiriusResponse
 from repro.errors import ConfigurationError
 from repro.imm.database import ImageDatabase
 from repro.qa import QAEngine
+from repro.trained import load_gmm_acoustic_model
 
 #: Supported acoustic back-ends (paper: Sphinx GMM vs. Kaldi/RASR DNN).
 GMM_BACKEND = "gmm"
@@ -40,9 +41,9 @@ DNN_BACKEND = "dnn"
 class SiriusPipeline:
     """A fully assembled IPA server.
 
-    Use :meth:`build` for the standard construction (trains the acoustic
-    model on the input-set sentences, indexes the default corpus and scene
-    database); swap a component on the built pipeline for a custom setup.
+    Use :meth:`build` for the standard construction (the acoustic model for
+    the input-set sentences, the default corpus and scene database); swap a
+    component on the built pipeline for a custom setup.
     """
 
     decoder: Decoder
@@ -66,18 +67,24 @@ class SiriusPipeline:
         training_sentences: Optional[List[str]] = None,
         n_scenes: int = 10,
     ) -> "SiriusPipeline":
-        """Assemble and train all services (three noisy takes of every
-        training sentence)."""
+        """Assemble all services.
+
+        The GMM back-end on the input-set sentences loads the shipped model
+        (:mod:`repro.trained`), which is what training it would give; custom
+        ``training_sentences`` or the DNN back-end train on three noisy takes
+        of every sentence.
+        """
         if asr_backend not in (GMM_BACKEND, DNN_BACKEND):
             raise ConfigurationError(f"unknown ASR backend: {asr_backend!r}")
         sentences = (
             list(training_sentences) if training_sentences is not None else all_sentences()
         )
-        data = collect_training_data(sentences)
-        if asr_backend == GMM_BACKEND:
-            acoustic_model = train_gmm_acoustic_model(data)
+        if asr_backend == GMM_BACKEND and training_sentences is None:
+            acoustic_model = load_gmm_acoustic_model()
+        elif asr_backend == GMM_BACKEND:
+            acoustic_model = train_gmm_acoustic_model(collect_training_data(sentences))
         else:
-            acoustic_model = train_dnn_acoustic_model(data)
+            acoustic_model = train_dnn_acoustic_model(collect_training_data(sentences))
         language_model = BigramLanguageModel(sentences)
         decoder = Decoder(acoustic_model, language_model)
         database = ImageDatabase.with_scenes(n_scenes)

@@ -137,12 +137,17 @@ _CACHED_MODEL: LinearChainCRF | None = None
 
 
 def default_model() -> LinearChainCRF:
-    """A process-wide trained tagger, built lazily on first use.
+    """The process-wide tagger, loaded lazily on first use.
 
-    The QA pipeline and the Sirius Suite CRF kernel share this instance so the
-    (one-time) training cost is not charged to every query.
+    It is the shipped model (:mod:`repro.trained`): what
+    ``train_crf(generate_corpus())`` gives, read from the artifact instead of
+    trained.  The QA pipeline and the Sirius Suite CRF kernel share this
+    instance.
     """
     global _CACHED_MODEL
     if _CACHED_MODEL is None:
-        _CACHED_MODEL = train_crf(generate_corpus()).model
+        # Imported here: ``repro.trained`` imports the CRF package.
+        from repro.trained import load_crf_tagger
+
+        _CACHED_MODEL = load_crf_tagger()
     return _CACHED_MODEL

@@ -346,3 +346,60 @@ class TestBigramLM:
     def test_case_insensitive(self):
         lm = BigramLanguageModel(["Set My Alarm"])
         assert lm.log_prob("my", "set") == lm.log_prob("MY", "SET")
+
+
+def oracle_transition_matrix(lm: BigramLanguageModel, words) -> np.ndarray:
+    """The per-cell ``log_prob`` loop ``transition_matrix`` ran before it built
+    each row from one floor per context."""
+    size = len(words)
+    matrix = np.empty((size + 1, size))
+    for column, word in enumerate(words):
+        for row, previous in enumerate(words):
+            matrix[row, column] = lm.log_prob(word, previous)
+        matrix[size, column] = lm.log_prob(word, BOS)
+    return matrix
+
+
+def generated_sentences(n_words: int, n_sentences: int, seed: int):
+    """Seeded sentences over a generated vocabulary of ``n_words`` words,
+    Zipf-skewed so contexts range from one successor to hundreds."""
+    rng = np.random.default_rng(seed)
+    vocabulary = [f"w{index:04d}" for index in range(n_words)]
+    weights = 1.0 / np.arange(1, n_words + 1)
+    weights /= weights.sum()
+    sentences = [
+        " ".join(rng.choice(vocabulary, size=rng.integers(1, 12), p=weights))
+        for _ in range(n_sentences)
+    ]
+    # Every word at least once, so the vocabulary is all n_words.
+    return sentences + [" ".join(vocabulary[start : start + 7]) for start in range(0, n_words, 7)]
+
+
+class TestTransitionMatrixEqualsPerCellLoop:
+    def test_input_set_vocabulary(self):
+        lm = BigramLanguageModel(all_sentences())
+        assert len(lm.vocabulary) == 108
+        matrix = lm.transition_matrix(lm.vocabulary)
+        assert matrix.tobytes() == oracle_transition_matrix(lm, lm.vocabulary).tobytes()
+
+    def test_generated_vocabulary_of_a_thousand_words(self):
+        lm = BigramLanguageModel(generated_sentences(1000, 2000, seed=4))
+        assert len(lm.vocabulary) == 1000
+        matrix = lm.transition_matrix(lm.vocabulary)
+        assert matrix.tobytes() == oracle_transition_matrix(lm, lm.vocabulary).tobytes()
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from(["a", "B", "c", "set", "my", "</s>", "<s>"]), min_size=1, max_size=6
+            ),
+            min_size=1, max_size=6,
+        ),
+        st.lists(st.sampled_from(["a", "b", "C", "set", "My", "zzz", "</s>", "<s>"]), max_size=8),
+    )
+    def test_any_corpus_and_word_list(self, corpus, words):
+        # Mixed case, duplicates, unseen words and the boundary symbols too.
+        lm = BigramLanguageModel([" ".join(sentence) for sentence in corpus])
+        matrix = lm.transition_matrix(words)
+        assert matrix.tobytes() == oracle_transition_matrix(lm, words).tobytes()

@@ -224,13 +224,16 @@ class TestTraining:
         assert accuracy > baseline
         assert accuracy > 0.9  # templates are highly learnable
 
-    def test_default_model_trains_without_evaluating(self, monkeypatch):
+    def test_default_model_loads_without_evaluating(self, monkeypatch):
+        # The shipped tagger is loaded, not trained, and nothing tags a
+        # sentence on the way.
         from repro.qa.crf import train
 
         def refuse(*args):
-            raise AssertionError("a tagging pass ran")
+            raise AssertionError("a training run or a tagging pass ran")
 
         monkeypatch.setattr(train, "_CACHED_MODEL", None)
+        monkeypatch.setattr(train, "train_crf", refuse)
         monkeypatch.setattr(LinearChainCRF, "decode", refuse)
         monkeypatch.setattr(LinearChainCRF, "decode_lattice", refuse)
         model = default_model()

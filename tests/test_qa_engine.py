@@ -227,16 +227,19 @@ class TestQAEngine:
 
     def test_supplied_tagger_is_the_only_model_built(self, monkeypatch):
         # FilterPipeline()'s default extraction filter used to train the
-        # default model (about a second) before the engine swapped its own in.
+        # default model (about a second) before the engine swapped its own in;
+        # it would now load the shipped one.
         import repro.qa.crf.train as crf_train
+        import repro.trained
 
         tagger = crf_train.train_crf(crf_train.generate_corpus(20)).model
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the default model was trained")
+            raise AssertionError("the default model was built")
 
         monkeypatch.setattr(crf_train, "_CACHED_MODEL", None)
         monkeypatch.setattr(crf_train, "train_crf", refuse)
+        monkeypatch.setattr(repro.trained, "load_crf_tagger", refuse)
         engine = QAEngine(SearchEngine(Corpus()), tagger=tagger)
         assert engine.tagger is tagger
         assert engine.pipeline.extraction_filter.tagger is tagger
