@@ -1,7 +1,8 @@
 """Table 4: Sirius Suite — kernels, baselines, input sets, granularity.
 
-Prints the suite inventory and benchmarks every kernel's single-threaded
-baseline on its representative input set.
+Prints the suite inventory (with each kernel's one port: threads or forked
+processes) and benchmarks every kernel's single-threaded baseline and its
+four-worker port on its representative input set.
 """
 
 import pytest
@@ -15,12 +16,13 @@ SCALE = 0.25
 
 def test_table4_report(save_report):
     rows = [
-        [kernel.service, kernel.name, type(kernel).__name__, kernel.granularity]
+        [kernel.service, kernel.name, type(kernel).__name__, kernel.granularity,
+         kernel.port]
         for kernel in all_kernels()
     ]
     report = format_table(
         "Table 4: Sirius Suite and granularity of parallelism",
-        ["Service", "Benchmark", "Implementation", "Data granularity"],
+        ["Service", "Benchmark", "Implementation", "Data granularity", "Port"],
         rows,
     )
     save_report("table4_suite", report)

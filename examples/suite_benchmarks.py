@@ -1,8 +1,9 @@
 """Run the Sirius Suite kernels and print a Table-4/5-style summary.
 
-For each of the seven kernels: the single-threaded baseline time, the
-4-thread pthread-analog port, and the modeled accelerator latencies from
-the calibrated Table 5 speedups.
+For each of the seven kernels: the single-threaded baseline time, its
+pthread-analog port (four threads or four forked processes, whichever the
+kernel's ``port`` names), and the modeled accelerator latencies from the
+calibrated Table 5 speedups.
 
 Run with::
 
@@ -25,7 +26,7 @@ def main() -> None:
     parser.add_argument("--scale", type=float, default=0.25,
                         help="input-set scale factor")
     parser.add_argument("--workers", type=int, default=4,
-                        help="threads for the parallel port")
+                        help="workers of each kernel's port")
     args = parser.parse_args()
 
     rows = []
@@ -39,7 +40,7 @@ def main() -> None:
         }
         rows.append(
             [
-                kernel.service, kernel.name, base.items,
+                kernel.service, kernel.name, base.items, kernel.port,
                 f"{base.seconds * 1000:.1f}",
                 f"{parallel.seconds * 1000:.1f}",
                 *[f"{modeled[p] * 1000:.2f}" for p in PLATFORMS],
@@ -49,7 +50,8 @@ def main() -> None:
     print(format_table(
         f"Sirius Suite (scale={args.scale}, workers={args.workers}) — "
         "measured baseline/port plus modeled accelerator latencies (ms)",
-        ["Service", "Kernel", "Items", "Baseline", f"{args.workers}-thread",
+        ["Service", "Kernel", "Items", "Port", "Baseline",
+         f"{args.workers}-worker port",
          *[f"model:{p}" for p in PLATFORMS]],
         rows,
     ))

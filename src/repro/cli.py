@@ -5,11 +5,11 @@ Subcommands::
     repro query "what is the capital of italy" [--image-scene 1]
     repro demo [--asr-backend dnn] [--limit 10]
     repro suite [--scale 0.25] [--workers 4]
-    repro serve-bench [--queries 16] [--backend process] [--workers 2]
+    repro serve-bench [--queries 16] [--workers 2]
     repro serve-bench --trace spans.jsonl --chrome-trace trace.json --metrics
     repro serve-bench --chaos 42 [--queries 16] [--trace spans.jsonl]
     repro serve-bench --streaming [--queries 16] [--chunk-ms 100] [--trace spans.jsonl]
-    repro serve-bench --replicas 3 [--queries 16] [--backend thread] [--trace spans.jsonl]
+    repro serve-bench --replicas 3 [--queries 16] [--workers 2] [--trace spans.jsonl]
     repro trace-report spans.jsonl [--limit 3] [--chrome trace.json] [--mm1 0.7]
     repro trace-report spans.jsonl --critical-path [--tail-quantile 0.99] --roofline
     repro fleet-report [spans.jsonl] [--queries 5000] [--autoscale] [--json]
@@ -101,10 +101,9 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             )
             with run_span:
                 base = kernel.execute(inputs=inputs)
-                port = kernel.execute(inputs=inputs, workers=args.workers,
-                                      use_processes=args.processes)
+                port = kernel.execute(inputs=inputs, workers=args.workers)
             rows.append(
-                [kernel.service, kernel.name, base.items,
+                [kernel.service, kernel.name, base.items, kernel.port,
                  f"{base.seconds * 1000:.1f}", f"{port.seconds * 1000:.1f}"]
             )
     if tracer is not None:
@@ -114,8 +113,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         print(f"wrote {len(tracer.spans)} spans to {args.trace}")
     print(format_table(
         f"Sirius Suite (scale={args.scale})",
-        ["Service", "Kernel", "Items", "Baseline (ms)",
-         f"{args.workers}-{'proc' if args.processes else 'thread'} (ms)"],
+        ["Service", "Kernel", "Items", "Port", "Baseline (ms)",
+         f"{args.workers}-worker port (ms)"],
         rows,
     ))
     return 0
@@ -276,7 +275,8 @@ def _cmd_streaming_bench(args: argparse.Namespace, pipeline, queries) -> int:
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    """``repro serve-bench``: a sequential run, then a fan-out run on ``--backend``.
+    """``repro serve-bench``: a sequential run, then a fan-out run on
+    ``--workers`` forked processes (default: one per CPU).
 
     The executor is the pipeline's own, or with ``--replicas N`` a routed
     fleet of N replicas over 2 shards (power-of-two, seed 0).  Both runs
@@ -308,6 +308,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if args.streaming:
         return _cmd_streaming_bench(args, pipeline, queries)
     from repro.obs import RollupStore, collect_spans, format_service_summary
+    from repro.serving import default_workers
     from repro.serving.cluster import build_cluster
     from repro.serving.identity import replay_divergence
 
@@ -329,18 +330,19 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     sequential_s, sequential = timed()
     store = RollupStore() if args.metrics else None
     executor.metrics = store
-    fanout_s, fanout = timed(backend=args.backend, workers=args.workers)
+    workers = args.workers if args.workers is not None else default_workers()
+    fanout_s, fanout = timed(workers=workers)
     outcome_drift, span_drift = replay_divergence(sequential, fanout)
     rows = [
-        ["sequential", "serial", f"{sequential_s:.2f}",
+        ["sequential", 1, f"{sequential_s:.2f}",
          f"{len(queries) / sequential_s:.2f}"],
-        ["fan-out", args.backend, f"{fanout_s:.2f}",
+        ["fan-out", workers, f"{fanout_s:.2f}",
          f"{len(queries) / fanout_s:.2f}"],
     ]
     fleet = f", {args.replicas} replicas" if args.replicas else ""
     print(format_table(
         f"Serving throughput ({len(queries)} {args.mix.upper()} queries{fleet})",
-        ["Mode", "Backend", "Seconds", "Queries/s"], rows,
+        ["Mode", "Workers", "Seconds", "Queries/s"], rows,
     ))
     print(f"fan-out speedup over sequential: {sequential_s / fanout_s:.2f}x")
     _export_spans(collect_spans(fanout), args.trace, args.chrome_trace)
@@ -521,8 +523,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     suite = sub.add_parser("suite", help="run the 7 Sirius Suite kernels")
     suite.add_argument("--scale", type=float, default=0.25)
-    suite.add_argument("--workers", type=int, default=4)
-    suite.add_argument("--processes", action="store_true")
+    suite.add_argument(
+        "--workers", type=int, default=4,
+        help="workers of each kernel's port (threads or forked processes, "
+             "per kernel)",
+    )
     suite.add_argument(
         "--trace", default=None, metavar="PATH",
         help="export kernel spans (with work counters) as JSONL; feed to "
@@ -537,12 +542,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queries", type=int, default=16)
     serve.add_argument("--mix", choices=("vq", "all"), default="vq")
     serve.add_argument(
-        "--backend", choices=("serial", "thread", "process"), default="process"
-    )
-    serve.add_argument(
         "--workers", type=int, default=None,
-        help="size of the --backend fan-out only (--streaming runs every "
-             "session on its event loop's one thread)",
+        help="forked processes of the fan-out run (default: one per CPU; "
+             "1 runs it in line; --streaming runs every session on its "
+             "event loop's one thread)",
     )
     serve.add_argument("--asr-backend", choices=("gmm", "dnn"), default="gmm")
     mode = serve.add_mutually_exclusive_group()

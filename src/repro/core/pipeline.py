@@ -7,7 +7,7 @@ service records wall time, so the same object drives the latency studies
 
 Since the serving-layer refactor this class is a thin facade: query
 execution lives in :mod:`repro.serving` (Service wrappers, the query walk,
-execution backends), and :meth:`process` delegates to a
+the forked fan-out), and :meth:`process` delegates to a
 lazily built :class:`~repro.serving.executor.PlanExecutor` while preserving
 the original observable behaviour exactly.
 """

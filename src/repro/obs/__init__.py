@@ -7,7 +7,7 @@ produces those measurements from a live run:
 
 - :mod:`repro.obs.trace` — :class:`Span`/:class:`Tracer` with
   deterministic seeded IDs (chaos replays export byte-identical span
-  forests) propagated through the plan executor, every execution backend,
+  forests) propagated through the plan executor, its forked fan-out,
   the resilience wrappers, and down to component sections; streaming runs
   add ``partial`` spans, from which time-to-first-partial
   (``serve.ttfp.seconds``) is derived next to end-to-end latency;

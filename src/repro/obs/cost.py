@@ -34,7 +34,7 @@ integer sums of those values, so per-stage attributions sum *exactly* to
 per-query and per-trace totals (``math.fsum`` over the integers is the
 plain sum); dollars accumulate with ``math.fsum``.  Every input is a pure
 function of seeds and virtual time, so the ledger is byte-identical
-across serial/thread/process backends, chaos replays included.
+in line and on the forked fan-out, chaos replays included.
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ def ledger_from_spans(spans: Sequence) -> CostLedger:
     attributes — counters and ``virtual_seconds``) and one measured one: a
     live router span has no ``virtual_seconds``, so its queue ``wait`` is
     priced.  A timing-stripped export carries no wait, so the same chaos
-    run ledgers byte-identically on every execution backend.
+    run ledgers byte-identically at every worker count.
     """
     rate = dollars_per_server_second(CMP)
     ordered = sorted(spans, key=sort_key)

@@ -28,7 +28,7 @@ formula):
 
 Counts are **deterministic**: pure functions of input shapes and seeds,
 never of timing — so they are safe in the deterministic (timing-stripped)
-span export, byte-identical across execution backends, and usable as
+span export, byte-identical at every worker count, and usable as
 regression-gate metrics where wall clocks are not (see
 :mod:`repro.obs.bench` and ``docs/BENCHMARKING.md``).
 
@@ -136,7 +136,7 @@ def wasted_span_ids(spans: Iterable[Any]) -> frozenset:
     terminally failed.  Work under a successful attempt of a service that
     needed retries is *not* wasted; only the discarded tries are.  Purely
     structural (parent links + seed-deterministic attributes), so the
-    classification is byte-identical across execution backends.
+    classification is byte-identical at every worker count.
     """
     materialized = list(spans)
     by_id = {span.span_id: span for span in materialized}

@@ -24,8 +24,8 @@ answers, with three properties the raw waterfall does not have:
   path degrades gracefully to "follow the virtual latency".
 - **Replay stability.**  On deterministic (timing-stripped) exports every
   number in the report is a pure function of the seed — measured columns
-  collapse to zero and virtual/structural columns are identical across
-  serial, thread, and process backends, so the rendered report is
+  collapse to zero and virtual/structural columns are identical in line
+  and on the forked fan-out, so the rendered report is
   byte-identical for the same chaos seed (the PR 4 replay guarantee,
   extended from span skeletons to analysis output).
 
@@ -428,8 +428,8 @@ def format_critical_path_report(
     """The ``repro trace-report --critical-path`` text.
 
     Deterministic: on a timing-stripped export every number is a pure
-    function of the run's seed, so the text is byte-identical across
-    execution backends.  The three slowest traces' critical paths are
+    function of the run's seed, so the text is byte-identical at every
+    worker count.  The three slowest traces' critical paths are
     printed; the attribution tables always cover the whole forest.
     """
     analyses = analyze_forest(spans)

@@ -17,7 +17,7 @@ ways:
   router shed and a degraded or failed root each end a span with their
   error), else one of the ``top_k`` slowest by virtual latency, else one
   whose :func:`head_score` falls under the head rate.  Each verdict is
-  pure in the seed and the summaries, so it replays across backends,
+  pure in the seed and the summaries, so it replays across worker counts,
   arrival orders and chaos.
 """
 
@@ -442,7 +442,7 @@ def report_from_spans(
         summarize_forest(spans),
         head_rate, top_k, sample_seed, slos,
         # Priced without the measured router waits, so the panel stays equal
-        # across backends; `trace-report`'s ledger prices them.
+        # across runs; `trace-report`'s ledger prices them.
         cost=fleet_cost_panel(ledger_from_spans([replace(s, wait=0.0) for s in spans])),
     )
 

@@ -17,7 +17,7 @@ between them and the per-query ledger (:mod:`repro.obs.cost`):
 - **integer microjoules**: the ledger's exact energy unit.  Seconds are
   virtual (seed-deterministic), watts are constants, and the product is
   rounded once to an integer — so per-stage energies *sum exactly* to
-  per-query and per-trace totals, byte-identically across backends.
+  per-query and per-trace totals, byte-identically at every worker count.
 
 The statcheck rule ``SC1002`` enforces the discipline: inline
 watt/joule/dollar numeric literals are flagged everywhere outside

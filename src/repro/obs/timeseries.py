@@ -28,15 +28,12 @@ panel is a pure function of the pooled observations.
 ``metrics=`` stores (``PlanExecutor``, ``Cluster``, :func:`record_response`,
 ``metrics_from_spans``) hold *measured* seconds; ``rollups=`` stores
 (:func:`rollups_from_spans`, ``ReplayResult.rollups()``) hold only
-seed-deterministic values and are byte-identical across backends.
+seed-deterministic values and are byte-identical at every worker count.
 
-**What is complete where.**  The process backend forks, so an observation
-made *inside* ``PlanExecutor.run`` (router wait/depth) lands in the
-worker's copy of the store and is complete on the ``serial`` and
-``thread`` backends only.  Everything recorded
-parent-side from the returned responses — ``run_all``, ``Cluster.run_all``
-and the gateway, through :func:`record_response` and the span projection
-— is complete on every backend.
+**Recorded parent-side.**  The fan-out forks, so a store is fed only from
+the returned responses — ``run_all``, ``Cluster.run_all`` and the gateway,
+through :func:`record_response` and the span projection — and is complete
+at every worker count.
 """
 
 from __future__ import annotations
@@ -244,9 +241,7 @@ class RollupStore:
     value of its window and is truncated to ``max_samples`` when read
     (:meth:`snapshot`); a test lowers the cap by assigning it before the
     first observation.  Thread-safe: one lock around
-    :meth:`inc` / :meth:`observe` / :meth:`snapshot`,
-    because ``run_all(backend="thread")`` workers observe into the
-    executor's store concurrently.
+    :meth:`inc` / :meth:`observe` / :meth:`snapshot`.
     """
 
     def __init__(self, window_seconds: float = DEFAULT_WINDOW_SECONDS):
@@ -385,8 +380,8 @@ def rollups_from_spans(spans: Iterable, window: float) -> RollupSnapshot:
     is therefore "queries per window" here), and only seed-deterministic
     span fields are read — status, error codes, label attributes, and the
     executor's ``virtual_seconds`` cost model — never measured wall times.
-    The same chaos run therefore projects to byte-identical rollups on
-    the serial, thread, and process backends.
+    The same chaos run therefore projects to byte-identical rollups in
+    line and on the forked fan-out.
 
     Emitted series: ``serve.queries{status}``, ``serve.errors{code}``,
     ``serve.router.assignments{replica}`` / ``.queue_depth{replica}`` /

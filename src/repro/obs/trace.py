@@ -13,8 +13,8 @@ reconstructing it from scalar stats.
 wall-clock or random: a trace ID is a function of ``(seed, ordinal)`` and a
 span ID of ``(trace_id, parent_id, name, sibling-index)``.  Two chaos runs
 with the same seed therefore produce byte-identical span forests (IDs,
-parentage, attributes), whichever execution backend — serial, thread pool
-or forked processes — happened to run them.  Only the
+parentage, attributes), whether the queries ran in line or on forked
+workers.  Only the
 measured ``start``/``end`` wall times differ between runs, and the JSONL
 exporter can strip those (``timing=False``) for replay comparison.
 
@@ -152,8 +152,7 @@ class Tracer:
 
     Thread-safe: the finished-span list and the sibling counters are shared
     under one lock, while the *open-span stack* is thread-local — each
-    thread nests its own spans, which is exactly the execution model of the
-    serving backends.  Same-named spans opened concurrently under the same
+    thread nests its own spans.  Same-named spans opened concurrently under the same
     parent would race for sibling indices; the serving stack never does
     that (a query's stages run one at a time, and queries have distinct
     traces), and the contract is documented rather than policed.

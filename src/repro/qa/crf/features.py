@@ -8,7 +8,6 @@ identity, affixes, shape, and neighbouring words.
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Word types a frozen :class:`FeatureMap` keeps feature ids for; a full
@@ -59,12 +58,6 @@ class FeatureMap:
     @property
     def frozen(self) -> bool:
         return self._frozen
-
-    def with_own_lexemes(self) -> "FeatureMap":
-        """This map's ids behind an empty lexeme table of its own."""
-        twin = copy.copy(self)
-        twin._lexemes = {}
-        return twin
 
     def clear_lexemes(self) -> None:
         """Empty the lexeme table, so the next lookups start cold."""

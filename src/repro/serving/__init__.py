@@ -1,4 +1,4 @@
-"""Service-oriented serving layer: Service envelopes, the query walk, backends.
+"""Service-oriented serving layer: Service envelopes, the query walk, fan-out.
 
 The paper's headline results treat Sirius as a set of datacenter services
 (per-service latency, M/M/1 queueing, throughput at load).  This package
@@ -7,12 +7,13 @@ gives the reproduction that architecture explicitly:
 - :mod:`repro.serving.service` — the uniform :class:`Service` interface
   (``invoke`` on a typed request envelope, ``warmup()``) with
   ASR/QA/IMM/classifier wrappers;
-- :mod:`repro.serving.backends` — the execution-backend registry
-  (``serial`` / ``thread`` / ``process``) shared with
-  :mod:`repro.suite.parallel`;
+- :mod:`repro.serving.backends` — the two map functions
+  (:func:`map_processes`, :func:`map_threads`) shared with the Sirius
+  Suite ports (:mod:`repro.suite.base`);
 - :mod:`repro.serving.executor` — the plan executor: one walk per query
   (ASR, classify, IMM for an image, QA unless a voice command), whole-query
-  fan-out over any backend, and graceful degradation when a service fails;
+  fan-out on forked processes, and graceful degradation when a service
+  fails;
 - :mod:`repro.serving.resilience` — deadlines, bounded seeded-jitter
   retries, and per-service circuit breakers applied by the
   :class:`ResilientService` decorator;
@@ -34,15 +35,7 @@ gives the reproduction that architecture explicitly:
 layer.  See ``docs/SERVING.md`` for the architecture.
 """
 
-from repro.serving.backends import (
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    default_workers,
-    get_backend,
-    register_backend,
-)
+from repro.serving.backends import default_workers, map_processes, map_threads
 from repro.serving.service import (
     ASR,
     CLASSIFY,
@@ -104,7 +97,6 @@ __all__ = [
     "CircuitBreaker",
     "ClassifierService",
     "CorruptPayload",
-    "ExecutionBackend",
     "ExecutionState",
     "FATAL_SERVICES",
     "FaultInjector",
@@ -113,19 +105,16 @@ __all__ = [
     "GatewaySession",
     "ImmService",
     "PlanExecutor",
-    "ProcessBackend",
     "QaService",
     "ResiliencePolicy",
     "ResilientService",
     "RetryPolicy",
     "RouterTicket",
-    "SerialBackend",
     "Service",
     "ServiceRequest",
     "StageOutcome",
     "StreamReport",
     "StreamingGateway",
-    "ThreadBackend",
     "build_executor",
     "charge_virtual_seconds",
     "chunk_waveform",
@@ -133,8 +122,8 @@ __all__ = [
     "default_policies",
     "default_workers",
     "drain_virtual_seconds",
-    "get_backend",
-    "register_backend",
+    "map_processes",
+    "map_threads",
     "resilient_executor",
     "serve_streams",
     "wrap_services",

@@ -16,7 +16,8 @@ fold over ordinals, so the full placement table for a stream is computed
 up front by :meth:`Cluster.plan_routes` and every decision is a pure
 function of ``(seed, ordinal)``.  Consequences the conformance suite
 checks: identical placements, outcome streams, and timing-stripped span
-forests across serial/thread/process backends, chaos included.  The model
+forests in line and on forked processes at every worker count, chaos
+included.  The model
 replay driver (:mod:`repro.serving.cluster.replay`) is the complementary
 mode with *true* queue depths in virtual time.
 
@@ -41,7 +42,7 @@ from repro.core.query import IPAQuery, SiriusResponse
 from repro.errors import AdmissionError, ConfigurationError
 from repro.obs.timeseries import ROUTER_WAIT_METRIC, RollupStore, record_responses
 from repro.obs.trace import ROUTER, Tracer
-from repro.serving.backends import get_backend
+from repro.serving.backends import map_processes
 from repro.serving.cluster.router import (
     AdmissionControl,
     POWER_OF_TWO,
@@ -121,7 +122,7 @@ class Cluster:
         A pure fold: depths start at zero, each admitted query increments
         its replica's count, and assignments older than ``window`` age
         out.  No wall clock, no shared mutable state during execution —
-        the table is identical on every backend and every rerun.
+        the table is identical at every worker count and every rerun.
         """
         depths = [0] * self.n_replicas
         recent: deque = deque()
@@ -151,8 +152,8 @@ class Cluster:
     def run_all(
         self,
         queries: Sequence[IPAQuery],
-        backend: str = "serial",
-        workers: Optional[int] = None,
+        *,
+        workers: int = 1,
     ) -> List[SiriusResponse]:
         """Serve a query stream through the routed fleet.
 
@@ -160,10 +161,10 @@ class Cluster:
         conservation property).  Fatal per-query failures degrade (the
         stream never aborts); rejected queries come back failed with the
         ``ADMISSION`` code.  The **replica** is the unit of parallelism:
-        ``backend`` maps over the per-replica groups of the placement
-        table and each group runs serially in ordinal order, so a
-        replica's call-history state (circuit breakers) sees the serial
-        call sequence on every backend and worker count — the backend
+        at more than one worker the per-replica groups of the placement
+        table map over a forked pool, and each group runs serially in
+        ordinal order, so a replica's call-history state (circuit breakers)
+        sees the serial call sequence at every worker count — ``workers``
         only affects wall time, never outcomes, and cross-query
         parallelism is bounded by ``n_replicas``.
         """
@@ -193,10 +194,10 @@ class Cluster:
             [d.ordinal for d in decisions if d.replica == replica]
             for replica in range(self.n_replicas)
         ]
-        served = get_backend(backend).map(
+        served = map_processes(
             lambda ordinals: [run_one(ordinal) for ordinal in ordinals],
             groups,
-            workers=workers,
+            workers,
         )
         by_ordinal = dict(zip(chain.from_iterable(groups), chain.from_iterable(served)))
         responses = [by_ordinal[ordinal] for ordinal in range(len(queries))]
@@ -226,7 +227,7 @@ class Cluster:
         return failed_response(query, {"ROUTER": error.code}, spans=spans)
 
     def _record_metrics(self, responses: Sequence[SiriusResponse]) -> None:
-        """Parent-side measured seconds: complete whichever backend ran."""
+        """Parent-side measured seconds: complete at every worker count."""
         record_responses(self.metrics, responses)
         for span in chain.from_iterable(r.spans for r in responses):
             if span.kind == ROUTER and span.wait > 0:
@@ -254,7 +255,7 @@ def build_cluster(
     replicate whole — they carry no shardable corpus.  ``fault_plan``
     (e.g. :func:`~repro.serving.faults.default_chaos_plan`) wraps every
     replica's services in deterministic fault injectors keyed by ordinal,
-    so chaos replays identically across replicas and backends; rules keyed
+    so chaos replays identically across replicas and worker counts; rules keyed
     by per-shard names (``qa.shard0``, ``imm.shard1``, ...) reach the
     scatter legs inside the sharded services, which is how the conformance
     suite rehearses partial shard failure.

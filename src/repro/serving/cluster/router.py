@@ -4,8 +4,8 @@ The cluster router makes two decisions per query — *admit it?* and *which
 replica?* — and both must be **pure functions of ``(seed, ordinal)`` and
 the deterministic load signal**, never of wall clocks or thread timing.
 That is the property the whole cluster layer leans on: with decisions
-pure, the same ``(seed, arrival process)`` replays byte-identically across
-serial/thread/process backends and across live vs. model-extrapolated
+pure, the same ``(seed, arrival process)`` replays byte-identically at
+every worker count and across live vs. model-extrapolated
 runs, which is what lets the conformance suite (``tests/conformance/``)
 compare them at all.
 

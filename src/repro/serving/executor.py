@@ -1,4 +1,4 @@
-"""Plan executor: runs each query through the services, with pluggable backends.
+"""Plan executor: runs each query through the services, and fans queries out.
 
 One executor replaces the three ad-hoc execution paths the monolithic
 pipeline accumulated (serial branching, the VIQ thread fork, the
@@ -8,9 +8,8 @@ sequence (Figure 2, Table 1):
 - **per query** (:meth:`PlanExecutor.run`): ASR, then classify, then IMM
   when the query carries an image, then QA unless the query is a pure
   voice command — in that order, one stage at a time;
-- **across queries** (:meth:`PlanExecutor.run_all`): whole queries fan out
-  over any registered execution backend (``serial`` / ``thread`` /
-  ``process``).
+- **across queries** (:meth:`PlanExecutor.run_all`): whole queries run in
+  line at one worker and fan out on forked processes at more.
 
 Instrumentation is uniform: every stage is reported as a
 :class:`~repro.serving.service.StageOutcome` by :func:`run_stage`, the one
@@ -45,14 +44,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.query import IPAQuery, QueryType, SiriusResponse
 from repro.errors import ConfigurationError, SiriusError
 from repro.obs.context import section, use_tracer
-from repro.obs.timeseries import (
-    DEPTH_METRIC,
-    ROUTER_WAIT_METRIC,
-    RollupStore,
-    record_responses,
-)
+from repro.obs.timeseries import RollupStore, record_responses
 from repro.obs.trace import ROUTER, SERVICE, Span, Tracer
-from repro.serving.backends import get_backend
+from repro.serving.backends import map_processes
 from repro.serving.faults import drain_virtual_seconds
 from repro.serving.service import (
     ASR,
@@ -108,7 +102,7 @@ class RouterTicket:
     ``queue_depth`` are pure functions of ``(seed, ordinal)`` and live in
     span attributes; ``enqueued_at`` is a measured ``perf_counter`` reading
     and only ever feeds the span's timing fields, so timing-stripped
-    exports stay byte-identical across backends.
+    exports stay byte-identical at every worker count.
     """
 
     policy: str                        #: routing policy name (e.g. "power-of-two")
@@ -237,9 +231,8 @@ class PlanExecutor:
         #: (chaos replays with the same seed export identical span forests).
         self.trace_seed = trace_seed
         #: Optional :class:`~repro.obs.timeseries.RollupStore` that
-        #: ``run_all`` records *measured* e2e / per-stage seconds into (and
-        #: ``run`` a router's wait and queue depth), on the stream-ordinal
-        #: clock.
+        #: ``run_all`` records *measured* e2e / per-stage seconds into, on
+        #: the stream-ordinal clock, from the returned responses.
         self.metrics = metrics
         for name in (ASR, CLASSIFY, IMM, QA):
             if name not in self.services:
@@ -311,7 +304,7 @@ class PlanExecutor:
             # The root span's measured window starts at session open; its
             # identity is unaffected (IDs are position-derived, not timed).
             state.root_span.start = wall_start
-        if router_ticket is not None:
+        if router_ticket is not None and state.tracer is not None:
             self._record_router(state, router_ticket)
         ambient = (
             use_tracer(state.tracer) if state.tracer is not None else nullcontext()
@@ -330,30 +323,21 @@ class PlanExecutor:
         return self._build_response(state)
 
     def _record_router(self, state: ExecutionState, ticket: RouterTicket) -> None:
-        """Materialize the router's placement as a span and metrics.
+        """Materialize the router's placement as a span.
 
         The span covers ``[enqueued_at, dispatch]`` — the real queue window
         — with the *whole* window recorded as wait, so the critical-path
         analyzer (which clamps wait to measured self time) attributes it to
         a ``ROUTER`` stage of its own.  All attributes are deterministic
         under the run's seed; only ``start``/``end``/``wait`` are measured.
+        The cluster records the wait as a metric parent-side, from this
+        span.
         """
-        wait = 0.0
+        span = begin_router_span(state.tracer, ticket)
         if ticket.enqueued_at is not None:
-            wait = max(time.perf_counter() - ticket.enqueued_at, 0.0)
-        if state.tracer is not None:
-            span = begin_router_span(state.tracer, ticket)
-            if ticket.enqueued_at is not None:
-                span.start = ticket.enqueued_at
-            state.tracer.end_span(span)
-            span.wait = span.duration
-        if self.metrics is not None:
-            t = float(state.ordinal)
-            if wait > 0:
-                self.metrics.observe(ROUTER_WAIT_METRIC, t, wait)
-            self.metrics.observe(
-                DEPTH_METRIC, t, float(ticket.queue_depth), replica=ticket.replica
-            )
+            span.start = ticket.enqueued_at
+        state.tracer.end_span(span)
+        span.wait = span.duration
 
     def _begin_trace(self, state: ExecutionState) -> None:
         """Open the query's root span when tracing is enabled.
@@ -486,18 +470,21 @@ class PlanExecutor:
     def run_all(
         self,
         queries: Sequence[IPAQuery],
-        backend: str = "serial",
-        workers: Optional[int] = None,
+        *,
+        workers: int = 1,
         on_error: str = RAISE,
     ) -> List[SiriusResponse]:
         """Process a stream of queries.
 
-        Whole queries map over the chosen backend (``serial`` reproduces
-        the classic sequential loop over queries).  Each query is stamped
-        with its stream ``ordinal``, the key the resilience layer uses to
-        replay faults identically on every backend.  ``on_error="degrade"``
-        turns fatal per-query failures into failed responses instead of
-        aborting the stream.
+        One worker (the default) is the classic sequential loop over
+        queries and the reference every fan-out reproduces; more map whole
+        queries over a forked pool of ``workers`` processes.  Each query is
+        stamped with its stream ``ordinal``, the key the resilience layer
+        uses to replay faults identically at every worker count.
+        ``on_error="degrade"`` turns fatal per-query failures into failed
+        responses instead of aborting the stream.  Metrics are recorded
+        here, in the parent, from the responses: what a forked worker
+        observes would stay in the worker.
         """
         _check_on_error(on_error)
 
@@ -505,9 +492,7 @@ class PlanExecutor:
             index, query = item
             return self.run(query, ordinal=index, on_error=on_error)
 
-        responses = get_backend(backend).map(
-            run_one, list(enumerate(queries)), workers=workers
-        )
+        responses = map_processes(run_one, list(enumerate(queries)), workers)
         if self.metrics is not None:
             record_responses(self.metrics, responses)
         return responses

@@ -7,9 +7,8 @@ fault a pure function of ``(seed, service, ordinal, attempt)``:
 
 - ``ordinal`` is the query's position in its ``run_all`` stream (stamped
   onto every :class:`~repro.serving.service.ServiceRequest` by the
-  executor), so the *same queries* fail in the *same way* whichever
-  execution backend — serial, thread pool or forked processes — happens
-  to run them, in whatever order;
+  executor), so the *same queries* fail in the *same way* whether they
+  run in line or on forked workers, in whatever order;
 - ``attempt`` is the retry attempt number (stamped by
   :class:`~repro.serving.resilience.ResilientService`), so a rule can fail
   the first attempt and let the retry succeed.

@@ -1,7 +1,7 @@
 """Replay identity: the one definition of "these two runs are the same run".
 
 The serving stack's standing promise is that the same ``(seed, stream)``
-replays byte-identically on every backend.  Every check of that promise —
+replays byte-identically at every worker count.  Every check of that promise —
 ``serve-bench`` in every mode (``--replicas`` included), the ``serve.*``
 registry benchmarks, the conformance suite — compares the projections
 built here, and :func:`first_divergence` names *where* two runs differ
@@ -12,8 +12,8 @@ Two projections of a response stream are replay-comparable: the outcome
 tuple per response and the timing-stripped span export.  Wall-clock
 fields (``wall_seconds``, span ``start``/``end``/``wait``) are in
 neither.  At the :class:`~repro.serving.executor.PlanExecutor` level the
-cross-backend claim holds for deadline + retry + degradation only:
-breaker state is call-history, so whole-query fan-out interleaves it.
+fan-out claim holds for deadline + retry + degradation only: breaker
+state is call-history, and each forked worker trips its own copy.
 :meth:`Cluster.run_all <repro.serving.cluster.fleet.Cluster.run_all>`
 keeps breakers too, by making the replica the unit of parallelism.
 """

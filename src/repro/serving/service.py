@@ -43,7 +43,7 @@ class ServiceRequest:
     ``ordinal`` is the query's position in its ``run_all`` stream and
     ``attempt`` the retry attempt number — together the deterministic key
     the resilience layer uses to seed jitter and replay injected faults
-    identically on every backend (see :mod:`repro.serving.faults`).
+    identically at every worker count (see :mod:`repro.serving.faults`).
     """
 
     payload: Any

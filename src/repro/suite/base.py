@@ -6,11 +6,14 @@ single-threaded baseline (``run``), and a data-parallel port
 Table 4 — the same structure as the paper's pthread ports.  ``run`` returns
 a checksum so ports can be verified against the baseline.
 
-Note on parallel speedup: the pthread-analog ports use a thread pool.  numpy
-kernels (GMM, DNN, FE, FD) release the GIL inside vectorized sections and can
-scale; pure-Python kernels (Stemmer, Regex, CRF) mirror the port *structure*
-but are GIL-bound — accelerator speedups for Table 5 come from the calibrated
-platform model (:mod:`repro.platforms`), not from these ports.
+Each kernel has one port, on the backend named by its ``port`` constant:
+threads where the kernel's numpy work releases the GIL (GMM, DNN, FD),
+forked processes where the work holds it — pure Python (Stemmer, Regex,
+CRF), or numpy on arrays too small to release it for long (FE).  The choice
+is measured, kernel by kernel, at the size where the baseline takes at
+least 50 ms (EXPERIMENTS.md, "Multicore, measured"); accelerator speedups
+for Table 5 come from the calibrated platform model (:mod:`repro.platforms`),
+not from these ports.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.obs.context import current_tracer
-from repro.serving.backends import get_backend
+from repro.serving.backends import map_processes, map_threads
 from repro.suite.parallel import chunk_ranges
 
 
@@ -56,6 +59,9 @@ class Kernel(abc.ABC):
     service: str = ""
     #: Table 4 "data granularity" description.
     granularity: str = ""
+    #: The port's backend, ``"thread"`` or ``"process"``: the one that beat
+    #: the baseline at the kernel's >= 50-ms size.
+    port: str = "process"
 
     @abc.abstractmethod
     def prepare(self, scale: float = 1.0) -> Any:
@@ -71,39 +77,26 @@ class Kernel(abc.ABC):
 
     @abc.abstractmethod
     def subset(self, inputs: Any, chunk: range) -> Any:
-        """The sub-input covering work items ``chunk`` (for both ports)."""
+        """The sub-input covering work items ``chunk`` (for the port)."""
 
     def run_parallel(self, inputs: Any, workers: int) -> float:
-        """Data-parallel port on threads; the same checksum as ``run``."""
-        return self._run_chunks(inputs, workers, "thread")
+        """The data-parallel port on ``port``; the same checksum as ``run``
+        (to float summation order).
 
-    def run_parallel_processes(self, inputs: Any, workers: int) -> float:
-        """Data-parallel port on OS processes (true multicore, no GIL).
-
-        This is the faithful pthread analogue for the pure-Python kernels.
-        """
-        return self._run_chunks(inputs, workers, "process")
-
-    def _run_chunks(self, inputs: Any, workers: int, backend: str) -> float:
-        """Both ports: the input splits into contiguous chunks (via
-        :meth:`subset`, all built before any runs), each chunk runs ``run``
-        on ``backend``, and partial checksums sum in chunk order at the end
-        — one synchronization, as in the paper's ports.  The ``process``
-        backend forks, so chunks are shared copy-on-write, not re-pickled.
+        The input splits into contiguous chunks (via :meth:`subset`, all
+        built before any runs), each chunk runs ``run`` on its own worker,
+        and partial checksums sum in chunk order at the end — one
+        synchronization, as in the paper's ports.  A process port forks,
+        so chunks are shared copy-on-write, not re-pickled.
         """
         ranges = chunk_ranges(self.count_items(inputs), workers)
         if len(ranges) <= 1:
             return self.run(inputs)
         chunks = [self.subset(inputs, chunk) for chunk in ranges]
-        partials = get_backend(backend).map(self.run, chunks, workers=len(chunks))
-        return float(sum(partials))
+        mapper = map_threads if self.port == "thread" else map_processes
+        return float(sum(mapper(self.run, chunks, len(chunks))))
 
-    def execute(
-        self,
-        inputs: Any,
-        workers: int = 1,
-        use_processes: bool = False,
-    ) -> KernelRun:
+    def execute(self, inputs: Any, workers: int = 1) -> KernelRun:
         """Run and time the kernel over prepared ``inputs``."""
         if workers < 1:
             raise ConfigurationError("workers must be >= 1")
@@ -124,12 +117,7 @@ class Kernel(abc.ABC):
             )
         start = time.perf_counter()
         with span:
-            if workers == 1:
-                checksum = self.run(inputs)
-            elif use_processes:
-                checksum = self.run_parallel_processes(inputs, workers)
-            else:
-                checksum = self.run_parallel(inputs, workers)
+            checksum = self.run_parallel(inputs, workers)
         elapsed = time.perf_counter() - start
         return KernelRun(
             kernel=self.name,

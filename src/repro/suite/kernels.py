@@ -22,7 +22,6 @@ operational intensity on the :mod:`repro.platforms.roofline` model.
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -72,6 +71,7 @@ class GMMKernel(Kernel):
     name = "gmm"
     service = "ASR"
     granularity = "for each HMM state"
+    port = "thread"
 
     def prepare(self, scale: float = 1.0) -> GMMInputs:
         rng = np.random.default_rng(7)
@@ -109,6 +109,7 @@ class DNNKernel(Kernel):
     name = "dnn"
     service = "ASR"
     granularity = "for each matrix multiplication"
+    port = "thread"
 
     def prepare(self, scale: float = 1.0) -> DNNInputs:
         rng = np.random.default_rng(11)
@@ -245,11 +246,9 @@ class CRFKernel(Kernel):
 
 
     def subset(self, inputs: CRFInputs, chunk: range) -> CRFInputs:
-        # A chunk decodes with a lexeme table of its own, as a forked chunk
-        # does, so chunks on threads never clear or warm each other's.
-        model = copy.copy(inputs.model)
-        model.feature_map = model.feature_map.with_own_lexemes()
-        return CRFInputs(model, inputs.sentences[chunk.start : chunk.stop])
+        # The port forks, so each chunk clears and warms its own copy of the
+        # model's lexeme table.
+        return CRFInputs(inputs.model, inputs.sentences[chunk.start : chunk.stop])
 
     def count_items(self, inputs: CRFInputs) -> int:
         return len(inputs.sentences)
@@ -310,6 +309,7 @@ class FDKernel(Kernel):
     name = "fd"
     service = "IMM"
     granularity = "for each keypoint"
+    port = "thread"
 
     def prepare(self, scale: float = 1.0) -> FDInputs:
         generator = SceneGenerator(seed=17)

@@ -3,9 +3,8 @@
 "Each thread is responsible for a range of data over a fixed number of
 iterations ... synchronizing only at the end of the execution"
 (Section 4.3.1).  ``chunk_ranges`` is that policy: split the work into
-``workers`` contiguous ranges.  ``Kernel.run_parallel`` and
-``run_parallel_processes`` run one chunk per worker on the shared
-execution-backend registry (:mod:`repro.serving.backends`) and join once.
+``workers`` contiguous ranges.  ``Kernel.run_parallel`` runs one chunk per
+worker on the kernel's port (:mod:`repro.serving.backends`) and joins once.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Fast, picklable stub fleets for the conformance suite.
 
-Everything is module-level so payloads cross the fork-based process
-backend; service outputs are pure functions of the query text, so outcome
+Everything is module-level so payloads cross the forked fan-out; service
+outputs are pure functions of the query text, so outcome
 fingerprints are replay-comparable by construction and any divergence the
 suite detects comes from the cluster layer itself.
 """

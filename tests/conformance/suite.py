@@ -19,10 +19,9 @@ from repro.serving.identity import (
     span_fingerprint,
 )
 
-BACKENDS = ("serial", "thread", "process")
-#: Pool sizes every concurrent backend is replayed at: the degenerate
-#: serial path, two cores, more workers than replicas, and more workers
-#: than most boxes have cores.
+#: Worker counts every replay runs at: the in-line reference, then forked
+#: pools of two cores, more workers than replicas, and more workers than
+#: most boxes have cores.
 WORKERS = (1, 2, 4, 8)
 POLICIES = ("round-robin", "least-loaded", "power-of-two")
 
@@ -85,24 +84,21 @@ def check_router_spans(cluster, responses):
     return decisions
 
 
-def check_replay(make_cluster, queries, backends=BACKENDS, runs=2):
-    """Byte-identical outcomes and span forests across runs, backends and
-    worker counts; a failure names the first diverging ordinal and field."""
+def check_replay(make_cluster, queries, worker_counts=WORKERS, runs=2):
+    """Byte-identical outcomes and span forests across runs and worker
+    counts; a failure names the first diverging ordinal and field."""
     reference = reference_key = None
-    for backend in backends:
-        for workers in (None,) if backend == "serial" else WORKERS:
-            for run in range(runs):
-                responses = make_cluster().run_all(
-                    queries, backend=backend, workers=workers
+    for workers in worker_counts:
+        for run in range(runs):
+            responses = make_cluster().run_all(queries, workers=workers)
+            key = f"workers={workers}#{run}"
+            if reference is None:
+                reference, reference_key = responses, key
+                continue
+            for divergence in replay_divergence(responses, reference):
+                assert divergence is None, (
+                    f"{key} vs {reference_key}: {divergence}"
                 )
-                key = f"{backend}/{workers}#{run}"
-                if reference is None:
-                    reference, reference_key = responses, key
-                    continue
-                for divergence in replay_divergence(responses, reference):
-                    assert divergence is None, (
-                        f"{key} vs {reference_key}: {divergence}"
-                    )
     return outcome_fingerprint(reference), span_fingerprint(reference)
 
 

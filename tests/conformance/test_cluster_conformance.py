@@ -1,7 +1,8 @@
 """Cluster conformance: conservation, replay identity, router contract.
 
 Every check runs for every routing policy; the replay check additionally
-sweeps all execution backends twice under the default chaos plan, which is
+sweeps the in-line path and every forked worker count twice under the
+default chaos plan, which is
 the strongest determinism statement the serving layer makes: the same
 ``(seed, query stream)`` yields byte-identical outcomes and span forests
 no matter how the work is scheduled or how the fleet misbehaves.
@@ -97,7 +98,7 @@ class TestReplayIdentity:
         suite.check_replay(make_cluster, queries)
 
     def test_byte_identical_under_chaos_and_admission(self, policy):
-        """Satellite: chaos + shedding + all backends, still one byte-stream."""
+        """Chaos + shedding + every worker count, still one byte-stream."""
         queries = make_queries(12)
 
         def make_cluster():
@@ -139,9 +140,9 @@ def test_check_replay_names_the_first_diverging_ordinal_and_field():
         return Cluster([PlanExecutor(services, trace_seed=0)], policy="round-robin")
 
     with pytest.raises(AssertionError) as failure:
-        suite.check_replay(make_cluster, make_queries(8), backends=("serial",))
+        suite.check_replay(make_cluster, make_queries(8), worker_counts=(1,))
     assert str(failure.value) == (
-        "serial/None#1 vs serial/None#0: "
+        "workers=1#1 vs workers=1#0: "
         "ordinal 4 failures: IMM:CIRCUIT_OPEN vs IMM:INJECTED"
     )
 

@@ -42,19 +42,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.asr import (
-    BigramLanguageModel,
-    Decoder,
-    Synthesizer,
-    collect_training_data,
-    train_gmm_acoustic_model,
-)
+from repro.asr import BigramLanguageModel, Decoder, Synthesizer
 from repro.asr.acoustic import FALLBACK_PENALTY, N_EMISSION_STATES, GMMAcousticModel
 from repro.asr.gmm import DiagonalGMM
 from repro.core.inputset import all_sentences
 from repro.errors import ModelError
 from repro.obs.context import use_tracer
 from repro.obs.trace import Tracer
+from repro.trained import load_gmm_acoustic_model
 from tests.test_asr_models import log_likelihood
 
 GOLDEN = Path(__file__).parent / "fixtures" / "asr_golden.json"
@@ -64,10 +59,14 @@ BEAMS = (None, 200.0)
 
 
 def build_decoders():
-    """One decoder per beam, over the model ``SiriusPipeline.build`` trains."""
-    sentences = all_sentences()
-    model = train_gmm_acoustic_model(collect_training_data(sentences, repetitions=3))
-    language_model = BigramLanguageModel(sentences)
+    """One decoder per beam, over the model ``SiriusPipeline.build`` loads.
+
+    The shipped model is byte-equal to training it on the input set
+    (``tests/test_trained_models.py``), so the golden needs no training of
+    its own.
+    """
+    model = load_gmm_acoustic_model()
+    language_model = BigramLanguageModel(all_sentences())
     return {beam: Decoder(model, language_model, beam=beam) for beam in BEAMS}
 
 

@@ -18,11 +18,10 @@ class TestParser:
 
     def test_suite_flags(self):
         args = build_parser().parse_args(
-            ["suite", "--scale", "0.5", "--workers", "2", "--processes"]
+            ["suite", "--scale", "0.5", "--workers", "2"]
         )
         assert args.scale == 0.5
         assert args.workers == 2
-        assert args.processes is True
 
     def test_wer_noise_list(self):
         args = build_parser().parse_args(["wer", "--noise", "0.1", "0.2"])
@@ -58,6 +57,12 @@ class TestCommands:
         assert main(["suite", "--scale", "0.02", "--workers", "2"]) == 0
         output = capsys.readouterr().out
         assert "stemmer" in output and "Baseline" in output
+        # The port column names each kernel's one backend.
+        ports = {line.split()[1]: line.split()[3] for line in output.splitlines()
+                 if line.split()[:1] in (["ASR"], ["QA"], ["IMM"])}
+        assert ports == {"gmm": "thread", "dnn": "thread", "stemmer": "process",
+                         "regex": "process", "crf": "process", "fe": "process",
+                         "fd": "thread"}
 
     def test_design_command_runs(self, capsys):
         assert main(["design"]) == 0
@@ -83,7 +88,7 @@ class TestCommands:
         assert "/2 fully correct" in output
 
     def test_serve_bench_command_runs(self, capsys):
-        assert main(["serve-bench", "--queries", "3", "--backend", "serial"]) == 0
+        assert main(["serve-bench", "--queries", "3", "--workers", "1"]) == 0
         output = capsys.readouterr().out
         assert "Serving throughput" in output
         assert "fan-out speedup over sequential" in output
@@ -96,7 +101,7 @@ class TestCommands:
 
         trace = tmp_path / "fleet.jsonl"
         assert main(["serve-bench", "--replicas", "2", "--queries", "3",
-                     "--backend", "thread", "--trace", str(trace)]) == 0
+                     "--workers", "2", "--trace", str(trace)]) == 0
         assert "fan-out determinism: ok" in capsys.readouterr().out
         spans = read_jsonl(str(trace))
         routers = Counter(s.trace_id for s in spans if s.kind == ROUTER)

@@ -8,7 +8,7 @@ Acceptance checks for the cost & energy observability plane:
   critical-path conservation invariant;
 - the ledger of a pinned chaos replay equals a committed golden file
   field for field, and the ledger text of the same chaos run is
-  byte-identical across the serial/thread/process backends;
+  byte-identical in line and on the forked fan-out;
 - the fleet report's cost panel prices the autoscaler's provisioned
   trajectory;
 - wasted work (retried and degraded-then-discarded attempts) partitions
@@ -41,7 +41,7 @@ from repro.obs.pricing import electricity_dollars, energy_microjoules
 from repro.obs.trace import QUERY, ROUTER, SERVICE, Span
 from repro.platforms.spec import CMP
 
-from tests.test_fleet_report import chaos_spans, BACKENDS
+from tests.test_fleet_report import chaos_spans, WORKER_COUNTS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = REPO_ROOT / "tests" / "fixtures" / "cost" / "cost-report.json"
@@ -193,7 +193,7 @@ class TestExactness:
         assert stage_uj == ledger.total_microjoules
 
     def test_chaos_spans_conserve_energy(self):
-        self.assert_conserved(ledger_from_spans(chaos_spans("serial")))
+        self.assert_conserved(ledger_from_spans(chaos_spans(1)))
 
     def test_synthetic_forest_conserves_energy(self):
         self.assert_conserved(ledger_from_spans(synthetic_forest()))
@@ -252,7 +252,7 @@ class TestExactness:
 
 
 # ---------------------------------------------------------------------------
-# Byte identity: backends and the golden file
+# Byte identity: worker counts and the golden file
 # ---------------------------------------------------------------------------
 
 
@@ -270,12 +270,10 @@ class TestByteIdentity:
         # The measured router waits of a live run differ run to run; its
         # deterministic export carries none of them.
         rendered = {
-            backend: format_ledger(ledger_from_spans(deterministic_export(chaos_spans(backend))))
-            for backend in BACKENDS
+            workers: format_ledger(ledger_from_spans(deterministic_export(chaos_spans(workers))))
+            for workers in WORKER_COUNTS
         }
-        assert (
-            rendered["serial"] == rendered["thread"] == rendered["process"]
-        )
+        assert rendered[1] == rendered[2]
 
     def test_ledger_matches_golden(self):
         golden = json.loads(GOLDEN.read_text())
@@ -309,7 +307,7 @@ class TestByteIdentity:
         assert format_ledger(first) == format_ledger(second)
 
     def test_jsonl_roundtrip_is_lossless(self):
-        spans = chaos_spans("serial")
+        spans = chaos_spans(1)
         replayed = read_jsonl(to_jsonl(spans).splitlines())
         assert ledger_from_spans(spans) == ledger_from_spans(replayed)
         # Stripping the timing drops the router's measured wait and nothing else.
@@ -330,7 +328,7 @@ class TestLiveRouterWait:
         from repro.serving.cluster import build_cluster
 
         cluster = build_cluster(sirius_pipeline, n_replicas=3, trace_seed=0)
-        responses = cluster.run_all(input_set.all_queries[:6], backend="thread", workers=2)
+        responses = cluster.run_all(input_set.all_queries[:6], workers=2)
         path = tmp_path / "fleet.jsonl"
         write_jsonl(collect_spans(responses), str(path))
         spans = read_jsonl(str(path))
@@ -380,7 +378,7 @@ class TestFleetExtrapolation:
 
 class TestWastedWork:
     def test_chaos_run_wastes_some_spans(self):
-        spans = chaos_spans("serial")
+        spans = chaos_spans(1)
         assert wasted_span_ids(spans)
 
     def test_split_partitions_counters_exactly(self, pipeline_chaos_spans):
@@ -403,7 +401,7 @@ class TestWastedWork:
         assert ledger.stage_totals()[("QA", DEGRADED)].flops > 0
 
     def test_retried_attempts_are_tagged_wasted(self):
-        spans = chaos_spans("serial")
+        spans = chaos_spans(1)
         from repro.obs.trace import ATTEMPT
 
         tagged = [
@@ -415,7 +413,7 @@ class TestWastedWork:
         assert all(s.span_id in wasted_ids for s in tagged)
 
     def test_wasted_joules_are_ledgered_separately(self):
-        spans = chaos_spans("serial")
+        spans = chaos_spans(1)
         ledger = ledger_from_spans(spans)
         totals = ledger.category_totals()
         tax_uj = sum(totals[c].microjoules for c in TAX_CATEGORIES)

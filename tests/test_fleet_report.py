@@ -2,8 +2,8 @@
 
 Acceptance checks for the telemetry plane's user-facing surface:
 
-- ``repro fleet-report`` output is **byte-identical** across the serial,
-  thread, and process backends for the same chaos run (everything it
+- ``repro fleet-report`` output is **byte-identical** in line and on the
+  forked fan-out for the same chaos run (everything it
   reads is seed-deterministic: span structure, virtual costs, rollups,
   sampling verdicts);
 - the ``--json`` rendering of a pinned replay matches a committed golden
@@ -22,7 +22,7 @@ catch.
 The sampler's contract has three legs:
 
 - **purity**: a verdict is a pure function of ``(seed, trace_id)`` plus
-  the trace's own deterministic summary — never of backend, arrival
+  the trace's own deterministic summary — never of worker count, arrival
   order, or what else is in the batch (the slowest-``k`` reservoir is
   the one deliberate exception, and it is order-independent too);
 - **retention**: every trace with a degraded or failed root, a deadline
@@ -82,7 +82,8 @@ from tests.test_obs import FAST_RETRY, make_query, stub_services
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = REPO_ROOT / "tests" / "fixtures" / "fleet" / "fleet-report.json"
 
-BACKENDS = ("serial", "thread", "process")
+#: In line (the reference), then fanned out on forked processes.
+WORKER_COUNTS = (1, 2)
 
 
 def chaos_cluster():
@@ -98,10 +99,10 @@ def chaos_cluster():
     return Cluster(executors, policy="least-loaded", seed=5)
 
 
-def chaos_spans(backend):
+def chaos_spans(workers):
     cluster = chaos_cluster()
     queries = [make_query(f"query {i}") for i in range(10)]
-    responses = cluster.run_all(queries, backend=backend)
+    responses = cluster.run_all(queries, workers=workers)
     return collect_spans(responses)
 
 
@@ -127,28 +128,23 @@ def pinned_replay_report():
 class TestCrossBackendByteIdentity:
     def test_dashboard_identical_across_backends_under_chaos(self):
         rendered = {}
-        for backend in BACKENDS:
-            report = report_from_spans(chaos_spans(backend), window=4.0)
-            rendered[backend] = (
+        for workers in WORKER_COUNTS:
+            report = report_from_spans(chaos_spans(workers), window=4.0)
+            rendered[workers] = (
                 render_fleet_report(report), report_to_json(report)
             )
-        assert (
-            rendered["serial"] == rendered["thread"] == rendered["process"]
-        )
-        text, payload = rendered["serial"]
+        assert rendered[1] == rendered[2]
+        text, payload = rendered[1]
         assert "Fleet overview" in text and "Trace sampling" in text
         assert payload.endswith("\n")
 
     def test_live_rollup_store_identical_across_backends(self):
         snapshots = {
-            backend: rollups_from_spans(chaos_spans(backend), window=4.0)
-            for backend in BACKENDS
+            workers: rollups_from_spans(chaos_spans(workers), window=4.0)
+            for workers in WORKER_COUNTS
         }
-        assert (
-            snapshots["serial"] == snapshots["thread"]
-            == snapshots["process"]
-        )
-        assert snapshots["serial"].counter_total(QUERIES_METRIC) == 10
+        assert snapshots[1] == snapshots[2]
+        assert snapshots[1].counter_total(QUERIES_METRIC) == 10
 
     def test_measured_and_deterministic_stores_side_by_side(self):
         # One type, two instances: ``metrics`` takes measured seconds, the
@@ -163,7 +159,7 @@ class TestCrossBackendByteIdentity:
         queries = [make_query(f"query {i}") for i in range(20)]
         for trace_seed in (None, 5):
             rolled = {}
-            for backend in BACKENDS:
+            for workers in WORKER_COUNTS:
                 metrics = RollupStore()
                 cluster = Cluster(
                     [PlanExecutor(stub_services(), trace_seed=trace_seed)
@@ -171,11 +167,11 @@ class TestCrossBackendByteIdentity:
                     seed=5, admission=AdmissionControl(drop_rate=0.4, seed=1),
                 )
                 cluster.metrics = metrics
-                responses = cluster.run_all(queries, backend=backend)
+                responses = cluster.run_all(queries, workers=workers)
                 shed = sum(1 for r in responses if "ROUTER" in r.failures)
                 assert shed > 0
                 measured = metrics.snapshot()
-                rolled[backend] = rollups_from_spans(
+                rolled[workers] = rollups_from_spans(
                     collect_spans(responses), window=16.0
                 )
                 assert measured.counter_total(QUERIES_METRIC, status="failed") == shed
@@ -183,10 +179,10 @@ class TestCrossBackendByteIdentity:
                 assert measured.merged_panel(E2E_METRIC).observed == 20
                 assert measured.merged_panel(DEPTH_METRIC) is None
                 if trace_seed is not None:
-                    assert rolled[backend].counter_total(REJECTED_METRIC) == shed
-                    assert rolled[backend].merged_panel(DEPTH_METRIC).observed == 20
+                    assert rolled[workers].counter_total(REJECTED_METRIC) == shed
+                    assert rolled[workers].merged_panel(DEPTH_METRIC).observed == 20
                     assert measured.merged_panel(ROUTER_WAIT_METRIC).observed == 20 - shed
-            assert rolled["serial"] == rolled["thread"] == rolled["process"]
+            assert rolled[1] == rolled[2]
 
 
 class TestGoldenJson:
@@ -232,7 +228,7 @@ class TestCli:
     def test_span_export_mode(self, tmp_path, capsys):
         from repro.obs import to_jsonl
 
-        spans = chaos_spans("serial")
+        spans = chaos_spans(1)
         path = tmp_path / "spans.jsonl"
         path.write_text(to_jsonl(spans, timing=False))
         assert main(["fleet-report", str(path)]) == 0
@@ -449,7 +445,7 @@ class TestTailRules:
         seen = {"deadline": 0, "breaker": 0, "degraded": 0}
         for chaos_seed in range(6):
             for n_replicas in (1, 2):
-                for backend in BACKENDS:
+                for workers in WORKER_COUNTS:
                     executors = [
                         resilient_executor(
                             PlanExecutor(stub_services(), trace_seed=chaos_seed),
@@ -463,7 +459,7 @@ class TestTailRules:
                         for i in range(20)
                     ]
                     cluster = Cluster(executors, seed=chaos_seed)
-                    spans = collect_spans(cluster.run_all(queries, backend=backend))
+                    spans = collect_spans(cluster.run_all(queries, workers=workers))
                     errored = {s.trace_id for s in spans if s.status == "error"}
                     assert tail_traces(spans) <= errored
                     for span in spans:
@@ -477,7 +473,7 @@ class TestTailRules:
             seed=5, admission=AdmissionControl(drop_rate=0.4, seed=1),
         )
         spans = collect_spans(shedding.run_all(
-            [make_query(f"query {i}") for i in range(20)], backend="serial"
+            [make_query(f"query {i}") for i in range(20)]
         ))
         shed = tail_traces(spans)
         assert shed and shed <= {s.trace_id for s in spans if s.status == "error"}
@@ -541,12 +537,12 @@ class TestTailRules:
 
 
 # ---------------------------------------------------------------------------
-# Cross-backend identity on chaos (live spans)
+# In-line vs fan-out identity on chaos (live spans)
 # ---------------------------------------------------------------------------
 
 
 class TestCrossBackend:
-    def _chaos_spans(self, backend):
+    def _chaos_spans(self, workers):
         executor = resilient_executor(
             PlanExecutor(stub_services(), trace_seed=9),
             policies=FAST_RETRY,
@@ -554,23 +550,21 @@ class TestCrossBackend:
         )
         queries = [make_query(f"query {i}") for i in range(12)]
         responses = executor.run_all(
-            queries, backend=backend, on_error="degrade"
+            queries, workers=workers, on_error="degrade"
         )
         return collect_spans(responses)
 
     def test_verdicts_identical_across_backends_under_chaos(self):
         verdicts = {}
-        for backend in BACKENDS:
-            summaries = summarize_forest(self._chaos_spans(backend))
-            verdicts[backend] = list(zip(
+        for workers in WORKER_COUNTS:
+            summaries = summarize_forest(self._chaos_spans(workers))
+            verdicts[workers] = list(zip(
                 [s.trace_id for s in summaries], sample(summaries, 0.2, 1, 3)
             ))
-        assert (
-            verdicts["serial"] == verdicts["thread"] == verdicts["process"]
-        )
+        assert verdicts[1] == verdicts[2]
         # degraded/failed chaos traces all survive
-        tail = tail_traces(self._chaos_spans("serial"))
-        kept = {trace for trace, reason in verdicts["serial"] if reason != DROPPED}
+        tail = tail_traces(self._chaos_spans(1))
+        kept = {trace for trace, reason in verdicts[1] if reason != DROPPED}
         assert tail and tail <= kept
 
 

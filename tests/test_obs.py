@@ -7,7 +7,7 @@ Four tiers:
 - metrics: log-bucket placement, exact numpy-matching percentiles, and the
   exact snapshot/merge protocol;
 - executor integration over module-level picklable stubs: the same span
-  forest (IDs, parentage, attributes) on every backend, attempt spans and
+  forest (IDs, parentage, attributes) at every worker count, attempt spans and
   fault annotations under resilience wrappers, virtual latency and sections
   kept through a failed stage, and byte-identical deterministic exports
   across chaos replays;
@@ -80,7 +80,7 @@ from repro.serving.identity import span_fingerprint
 from repro.serving.faults import ERROR, LATENCY, charge_virtual_seconds
 
 
-# -- stubs (module level so payloads pickle across the process backend) ------------
+# -- stubs (module level so payloads pickle across the forked fan-out) -------------
 
 
 class StubText:
@@ -360,7 +360,7 @@ class TestMetrics:
             )
 
     def test_store_is_exact_under_threads(self):
-        # run_all(backend="thread") workers observe into one store.
+        # One store may be observed from several threads.
         import threading
 
         store = RollupStore(window_seconds=50.0)
@@ -424,15 +424,13 @@ class TestExecutorTracing:
     def test_forest_identical_across_backends(self):
         queries = make_queries(4)
 
-        def forest(backend):
+        def forest(workers):
             executor = traced_executor(resilient=True, chaos_seed=21)
-            responses = executor.run_all(queries, backend=backend,
+            responses = executor.run_all(queries, workers=workers,
                                          on_error="degrade")
             return span_fingerprint(responses)
 
-        serial = forest("serial")
-        assert serial == forest("thread")
-        assert serial == forest("process")
+        assert forest(1) == forest(2)
 
     def test_chaos_replay_exports_byte_identical(self):
         queries = make_queries(6)
@@ -582,14 +580,14 @@ class TestExecutorTracing:
         assert series(store, "serve.service.seconds", stage="QA").observed == 3
 
     def test_parent_side_metrics_complete_on_every_backend(self):
-        # The process backend forks: what run() observes stays in the
-        # worker, what run_all records from the responses does not.
+        # The fan-out forks: what a worker observes stays in the worker,
+        # what run_all records from the responses does not.
         snapshots = {}
-        for backend in ("serial", "thread", "process"):
+        for workers in (1, 2):
             store = RollupStore()
             executor = PlanExecutor(stub_services(), metrics=store)
-            executor.run_all(make_queries(6), backend=backend, workers=2)
-            snapshots[backend] = store.snapshot()
+            executor.run_all(make_queries(6), workers=workers)
+            snapshots[workers] = store.snapshot()
         for snapshot in snapshots.values():
             assert snapshot.counter_total("serve.queries", status="ok") == 6
             assert snapshot.counter_total("serve.queries") == 6

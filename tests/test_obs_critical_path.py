@@ -2,7 +2,7 @@
 
 The forests here are constructed span by span, so every expected number
 is computable by hand; the chaos-run integration (replay byte-identity
-across backends, fsum exactness on real traces) rides on the stub
+in line and fanned out, fsum exactness on real traces) rides on the stub
 serving stack from ``tests.test_obs``.
 """
 
@@ -263,31 +263,29 @@ class TestTailAttribution:
 
 
 class TestChaosIntegration:
-    def analyses(self, backend):
+    def analyses(self, workers):
         executor = traced_executor(resilient=True, chaos_seed=42)
-        responses = executor.run_all(make_queries(6), backend=backend,
+        responses = executor.run_all(make_queries(6), workers=workers,
                                      on_error="degrade")
         return collect_spans(responses)
 
     def test_attribution_sums_to_trace_totals_on_real_forest(self):
-        spans = self.analyses("serial")
+        spans = self.analyses(1)
         for analysis in analyze_forest(spans):
             assert attributed_total(analysis) == pytest.approx(
                 analysis.total_seconds, abs=1e-9
             )
 
     def test_report_byte_identical_across_backends(self):
-        def report(backend):
+        def report(workers):
             stripped = [
                 span_from_dict(json.loads(line))
-                for line in to_jsonl(self.analyses(backend),
+                for line in to_jsonl(self.analyses(workers),
                                      timing=False).splitlines()
             ]
             return format_critical_path_report(stripped)
 
-        serial = report("serial")
-        assert serial == report("thread")
-        assert serial == report("process")
+        assert report(1) == report(2)
 
 
 class TestRouterQueueAttribution:

@@ -4,8 +4,8 @@ Randomized structural checks the example-based obs suite cannot cover:
 
 - **backend independence**: for random small query sets and trace seeds,
   the deterministic span export (IDs, parentage, attributes — wall times
-  stripped) is byte-identical across the serial, thread, and process
-  backends.  Span identity must be a pure function of
+  stripped) is byte-identical in line and on the forked fan-out.  Span
+  identity must be a pure function of
   ``(trace_seed, ordinal, tree position)``, never of scheduling;
 - **fold algebra**: folding a panel across windows is order-free down to
   byte-equal panels (counts *and* ``fsum``-exact sums) and equals the
@@ -21,17 +21,18 @@ from repro.serving.identity import span_fingerprint
 
 from tests.test_obs import FAST_RETRY, make_query, stub_services
 
-#: The process backend forks per level; keep the fleet small and examples few.
-BACKENDS = ("serial", "thread", "process")
+#: In line, then on forked workers (which fork per example; keep the fleet
+#: small and examples few).
+WORKER_COUNTS = (1, 2)
 
 
-def deterministic_export(queries, trace_seed, chaos_seed, backend):
+def deterministic_export(queries, trace_seed, chaos_seed, workers):
     executor = PlanExecutor(stub_services(), trace_seed=trace_seed)
     executor = resilient_executor(
         executor, policies=FAST_RETRY,
         fault_plan=default_chaos_plan(chaos_seed),
     )
-    responses = executor.run_all(queries, backend=backend, on_error="degrade")
+    responses = executor.run_all(queries, workers=workers, on_error="degrade")
     return span_fingerprint(responses)
 
 
@@ -51,13 +52,13 @@ class TestBackendIndependence:
     ):
         queries = [make_query(t, with_image=with_image) for t in texts]
         exports = {
-            backend: deterministic_export(queries, trace_seed, chaos_seed, backend)
-            for backend in BACKENDS
+            workers: deterministic_export(queries, trace_seed, chaos_seed, workers)
+            for workers in WORKER_COUNTS
         }
-        assert exports["serial"] == exports["thread"] == exports["process"]
+        assert exports[1] == exports[2]
         # And the export is a replay-stable function of its inputs.
-        assert exports["serial"] == deterministic_export(
-            queries, trace_seed, chaos_seed, "serial"
+        assert exports[1] == deterministic_export(
+            queries, trace_seed, chaos_seed, 1
         )
 
 

@@ -37,9 +37,9 @@ ALLOWED = {
     ("repro/serving/cluster/fleet.py", "build_cluster", "fault_plan"): (
         SEAM, "the conformance suite substitutes fault-injecting shards"),
     ("repro/serving/executor.py", "PlanExecutor.run_all", "workers"): (
-        FLAG, "serve-bench --workers, forwarded with --backend"),
+        FLAG, "serve-bench --workers: 1 runs in line, more fork that many"),
     ("repro/serving/cluster/fleet.py", "Cluster.run_all", "workers"): (
-        FLAG, "serve-bench --replicas N --workers, forwarded with --backend"),
+        FLAG, "serve-bench --replicas N --workers: the forked pool over replicas"),
     ("repro/serving/gateway.py", "StreamingGateway", "max_workers"): (
         HARNESS, "workloads.py passes max_workers=1; it goes with the next "
                  "benchmark change (ROADMAP 9(a))"),

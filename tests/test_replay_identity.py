@@ -163,7 +163,7 @@ class TestForcedDivergenceAtTheCli:
 
         def drifting(self, queries, **kwargs):
             responses = real(self, queries, **kwargs)
-            if "backend" not in kwargs:  # the sequential reference run
+            if "workers" not in kwargs:  # the sequential reference run
                 return responses
             if drift == "length":
                 return responses[:-1]
@@ -171,7 +171,7 @@ class TestForcedDivergenceAtTheCli:
             return responses
 
         monkeypatch.setattr(PlanExecutor, "run_all", drifting)
-        assert main(["serve-bench", "--queries", "3", "--backend", "serial"]) == 2
+        assert main(["serve-bench", "--queries", "3", "--workers", "1"]) == 2
         assert re.search(rf"^fan-out determinism: FAILED at {where}",
                          capsys.readouterr().out, re.M)
 
@@ -183,12 +183,12 @@ class TestForcedDivergenceAtTheCli:
 
         def drifting(self, queries, **kwargs):
             responses = real(self, queries, **kwargs)
-            if "backend" in kwargs:  # the fan-out run
+            if "workers" in kwargs:  # the fan-out run
                 responses[1] = dataclasses.replace(responses[1], answer="drifted")
             return responses
 
         monkeypatch.setattr(Cluster, "run_all", drifting)
         assert main(["serve-bench", "--replicas", "2", "--queries", "3",
-                     "--backend", "serial"]) == 2
+                     "--workers", "1"]) == 2
         assert re.search(r"^fan-out determinism: FAILED at ordinal 1 answer: "
                          r"'[^']+' vs 'drifted'", capsys.readouterr().out, re.M)

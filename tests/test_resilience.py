@@ -9,8 +9,8 @@ Three tiers:
   and recovery, corruption detection, and the degradation matrix
   (QA -> fallback answer, IMM -> VIQ served as VQ, ASR/classify -> fatal);
 - chaos equivalence over the *real* pipeline: one seeded FaultPlan must
-  produce byte-identical degraded outcomes on every execution backend
-  (serial / thread / process), and an empty plan must
+  produce byte-identical degraded outcomes in line and fanned out on
+  forked processes, and an empty plan must
   reproduce the plain sequential reference exactly.
 """
 
@@ -62,8 +62,8 @@ def schedule(policy, seed, service, ordinal):
 
 
 # -- stub pipeline -----------------------------------------------------------------
-# Module level (not nested in tests) so payloads pickle across the process
-# backend.  The stubs honour the real payload contracts the executor reads:
+# Module level (not nested in tests) so payloads pickle across the forked
+# fan-out.  The stubs honour the real payload contracts the executor reads:
 # ASR -> .text, classify -> .is_action, QA -> .answer_text/.stats.total_hits,
 # IMM -> .image_name.
 
@@ -433,13 +433,14 @@ class TestDegradation:
         assert [r.failed for r in responses] == [False, True, False, False]
 
 
-# -- chaos equivalence across backends ---------------------------------------------
+# -- chaos equivalence in line and on forked workers -------------------------------
 
 
 def _breakerless(seed):
-    """Per-service policies minus breakers: breaker state is order-dependent
-    across thread interleavings, so the cross-backend *byte-identity* claim
-    is made (and tested) for deadline+retry+degradation only."""
+    """Per-service policies minus breakers: each forked worker trips its own
+    copy of a breaker on the part of the stream it was handed, so the
+    fan-out *byte-identity* claim is made (and tested) for
+    deadline+retry+degradation only."""
     return {
         name: ResiliencePolicy(
             deadline_seconds=policy.deadline_seconds,
@@ -451,11 +452,13 @@ def _breakerless(seed):
     }
 
 
-BACKENDS = ["serial", "thread", "process"]
+#: In line (the reference), then fanned out on forked processes.
+WORKER_COUNTS = (1, 4)
 
 
 class TestChaosEquivalence:
-    """One seeded FaultPlan, every backend, identical degraded outcomes."""
+    """One seeded FaultPlan, in line and fanned out, identical degraded
+    outcomes."""
 
     def test_stub_chaos_identical_across_all_backends(self):
         rules = {
@@ -467,16 +470,16 @@ class TestChaosEquivalence:
         queries = [make_query(f"what is item {i}", with_image=(i % 3 == 0))
                    for i in range(12)]
         outcomes = {}
-        for backend in BACKENDS:
+        for workers in WORKER_COUNTS:
             executor = chaos_executor(rules, seed=11)
             responses = executor.run_all(
-                queries, backend=backend, workers=4, on_error="degrade",
+                queries, workers=workers, on_error="degrade",
             )
-            outcomes[backend] = outcome_fingerprint(responses)
-        reference = outcomes["serial"]
+            outcomes[workers] = outcome_fingerprint(responses)
+        reference = outcomes[1]
         assert any(t[4] for t in reference)  # chaos actually bit
-        for backend, fingerprint in outcomes.items():
-            assert fingerprint == reference, f"backend {backend} diverged"
+        for workers, fingerprint in outcomes.items():
+            assert fingerprint == reference, f"{workers} workers diverged"
 
     def test_real_pipeline_chaos_identical_across_backends(
         self, sirius_pipeline, input_set
@@ -488,19 +491,19 @@ class TestChaosEquivalence:
         )
         plan = default_chaos_plan(7)
         outcomes = {}
-        for backend in BACKENDS:
+        for workers in WORKER_COUNTS:
             executor = resilient_executor(
                 sirius_pipeline.serving, _breakerless(7), plan
             )
             executor.warmup()
             responses = executor.run_all(
-                queries, backend=backend, workers=4, on_error="degrade",
+                queries, workers=workers, on_error="degrade",
             )
-            outcomes[backend] = outcome_fingerprint(responses)
-        reference = outcomes["serial"]
+            outcomes[workers] = outcome_fingerprint(responses)
+        reference = outcomes[1]
         assert any(t[4] for t in reference)
-        for backend, fingerprint in outcomes.items():
-            assert fingerprint == reference, f"backend {backend} diverged"
+        for workers, fingerprint in outcomes.items():
+            assert fingerprint == reference, f"{workers} workers diverged"
 
     def test_empty_fault_plan_matches_sequential_reference(
         self, sirius_pipeline, input_set

@@ -1,18 +1,16 @@
-"""Tests for the serving layer: backends, the executor's query walk, and the
-cross-backend equivalence property on the full 42-query input set."""
+"""Tests for the serving layer: the two map functions, the executor's query
+walk, and fan-out equivalence on the full 42-query input set."""
 
 import pytest
 
 from repro.core import QueryType, SiriusPipeline
 from repro.errors import ConfigurationError
 from repro.serving import (
-    ExecutionBackend,
     PlanExecutor,
     ServiceRequest,
-    get_backend,
-    register_backend,
+    map_processes,
+    map_threads,
 )
-from repro.serving.backends import _REGISTRY
 from repro.serving.executor import run_stage
 
 
@@ -21,58 +19,30 @@ def _double(value):
 
 
 class TestBackendRegistry:
-    def test_builtin_backends_registered(self):
-        for name in ("serial", "thread", "process"):
-            assert get_backend(name).name == name
+    """The two map functions; each runs in line at one worker."""
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            get_backend("quantum")
-
-    @pytest.mark.parametrize("name", ["serial", "thread", "process"])
-    def test_map_matches_serial_reference(self, name):
+    @pytest.mark.parametrize("mapper, workers", [
+        (map_processes, 1), (map_threads, 3), (map_processes, 3),
+    ], ids=["serial", "thread", "process"])
+    def test_map_matches_serial_reference(self, mapper, workers):
         items = list(range(20))
-        assert get_backend(name).map(_double, items, workers=3) == [
-            _double(item) for item in items
-        ]
+        assert mapper(_double, items, workers) == [_double(item) for item in items]
 
     def test_process_backend_runs_closures(self):
         """Fork inheritance means the callable is never pickled."""
         offset = 17
-        result = get_backend("process").map(
-            lambda x: x + offset, [1, 2, 3, 4], workers=2
-        )
+        result = map_processes(lambda x: x + offset, [1, 2, 3, 4], 2)
         assert result == [18, 19, 20, 21]
 
     def test_invalid_worker_count_rejected(self, sirius_pipeline, input_set):
-        with pytest.raises(ConfigurationError):
-            get_backend("thread").map(_double, [1, 2], workers=0)
-        # run_all dispatches every backend through map, serial included.
+        for mapper in (map_threads, map_processes):
+            with pytest.raises(ConfigurationError):
+                mapper(_double, [1, 2], 0)
+        # run_all validates the count even for one query.
         with pytest.raises(ConfigurationError):
             sirius_pipeline.serving.run_all(
-                input_set.voice_commands[:1], backend="serial", workers=0
+                input_set.voice_commands[:1], workers=0
             )
-
-    def test_register_custom_backend(self):
-        class ReversedSerial(ExecutionBackend):
-            name = "test-reversed"
-
-            def map(self, fn, items, workers=None):
-                return [fn(item) for item in items][::-1]
-
-        try:
-            register_backend(ReversedSerial())
-            assert get_backend("test-reversed").map(_double, [1, 2]) == [4, 2]
-        finally:
-            _REGISTRY.pop("test-reversed", None)
-
-    def test_nameless_backend_rejected(self):
-        class Nameless(ExecutionBackend):
-            def map(self, fn, items, workers=None):
-                return []
-
-        with pytest.raises(ConfigurationError):
-            register_backend(Nameless())
 
 
 class TestExecutor:
@@ -112,19 +82,19 @@ class TestExecutor:
 
 
 class TestServingEquivalence:
-    """Satellite property: every backend produces results identical to the
-    sequential pipeline on the full 42-query input set."""
+    """The process fan-out produces results identical to the sequential
+    pipeline on the full 42-query input set."""
 
     @pytest.fixture(scope="class")
     def reference(self, sirius_pipeline, input_set):
         return sirius_pipeline.serving.run_all(input_set.all_queries)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_backend_equivalence(
         self, backend, sirius_pipeline, input_set, reference
     ):
         responses = sirius_pipeline.serving.run_all(
-            input_set.all_queries, backend=backend, workers=2
+            input_set.all_queries, workers=2
         )
         assert len(responses) == len(reference)
         for expected, got in zip(reference, responses):

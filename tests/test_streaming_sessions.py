@@ -6,7 +6,7 @@ Layout follows the acceptance criteria:
   utterance as one chunk and finished without polling must produce a
   byte-identical ``SiriusResponse`` — fields *and* the span forest with
   ``timing=False`` — to plain ``PlanExecutor.run()``, on the fault-free
-  path, across execution backends, and under seeded chaos;
+  path, in line and on the forked fan-out, and under seeded chaos;
 - the session over a *wrapped* ASR service (buffered chunks, one invoke
   at finish) and the session lifecycle (idempotent finish, misuse
   errors);
@@ -114,10 +114,10 @@ class TestSingleChunkEquivalence:
             for i, q in enumerate(queries)
         ]
         want = span_fingerprint(replayed)
-        for backend in ("serial", "thread", "process"):
-            responses = traced_executor.run_all(queries, backend=backend)
-            assert _fields(responses) == _fields(replayed), backend
-            assert span_fingerprint(responses) == want, backend
+        for workers in (1, 2):
+            responses = traced_executor.run_all(queries, workers=workers)
+            assert _fields(responses) == _fields(replayed), workers
+            assert span_fingerprint(responses) == want, workers
 
     def test_chaos_byte_equivalence(self, sirius_pipeline, input_set):
         queries = _queries(input_set, 12)

@@ -1,7 +1,8 @@
-"""Tests for the process-based (true-multicore) kernel ports.
+"""Tests for the split every kernel port runs on: contiguous subsets.
 
-Note: the CI container may expose a single core, so these tests verify
-correctness (checksum equality with the baseline), never speedup.
+Note: the CI container may expose a single core, so the port tests (here
+and in ``test_suite_kernels.py``) verify correctness (checksum equality
+with the baseline), never speedup.
 """
 
 import pytest
@@ -38,22 +39,3 @@ class TestSubset:
         ranges = chunk_ranges(kernel.count_items(inputs), 3)
         partial = sum(kernel.run(kernel.subset(inputs, chunk)) for chunk in ranges)
         assert partial == pytest.approx(kernel.run(inputs), rel=1e-9)
-
-
-@pytest.mark.parametrize("kernel_cls", KERNEL_CLASSES, ids=lambda c: c.name)
-def test_process_port_matches_baseline(kernel_cls):
-    kernel = kernel_cls()
-    inputs = prepare_split(kernel, 0.05)
-    baseline = kernel.run(inputs)
-    for workers in (2, 3):
-        processed = kernel.run_parallel_processes(inputs, workers=workers)
-        assert processed == pytest.approx(baseline, rel=1e-9)
-
-
-def test_execute_with_processes_flag():
-    from repro.suite import kernel_by_name
-
-    kernel = kernel_by_name("stemmer")
-    inputs = kernel.prepare(0.05)
-    run = kernel.execute(inputs=inputs, workers=2, use_processes=True)
-    assert run.checksum == pytest.approx(kernel.run(inputs))
