@@ -39,3 +39,16 @@ class TestSubset:
         ranges = chunk_ranges(kernel.count_items(inputs), 3)
         partial = sum(kernel.run(kernel.subset(inputs, chunk)) for chunk in ranges)
         assert partial == pytest.approx(kernel.run(inputs), rel=1e-9)
+
+
+@pytest.mark.parametrize("kernel_cls", KERNEL_CLASSES, ids=lambda c: c.name)
+def test_process_port_matches_baseline(kernel_cls):
+    # Every kernel runs on the forked backend, whichever port it names, so
+    # a thread-port kernel that stopped being fork-safe shows here.
+    kernel = kernel_cls()
+    kernel.port = "process"
+    inputs = prepare_split(kernel, 0.05)
+    baseline = kernel.run(inputs)
+    for workers in (2, 3):
+        processed = kernel.run_parallel(inputs, workers=workers)
+        assert processed == pytest.approx(baseline, rel=1e-9)
